@@ -19,6 +19,12 @@ use std::process::ExitCode;
 use dsr_bench::{run_experiment, EXPERIMENT_IDS};
 
 fn main() -> ExitCode {
+    // This binary writes its `BENCH_*.json` into the working directory
+    // unless told otherwise; the library default (next to the executable)
+    // is for tests. Set before any thread exists.
+    if std::env::var_os("DSR_BENCH_DIR").is_none() {
+        std::env::set_var("DSR_BENCH_DIR", ".");
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         print_usage();

@@ -53,14 +53,31 @@ pub fn large_datasets(fast: bool) -> Vec<&'static str> {
     }
 }
 
+/// Where `BENCH_*.json` artifacts go: `$DSR_BENCH_DIR` when set, otherwise
+/// the directory of the running executable — under Cargo's target
+/// directory for every test and bench target, so that library callers of
+/// the experiment drivers can never rewrite the committed baselines in the
+/// repository root. The `experiments` binary, whose job *is* to produce
+/// those files, points `DSR_BENCH_DIR` at its working directory itself.
+fn bench_dir() -> std::path::PathBuf {
+    if let Some(dir) = std::env::var_os("DSR_BENCH_DIR") {
+        return dir.into();
+    }
+    std::env::current_exe()
+        .ok()
+        .and_then(|exe| exe.parent().map(std::path::Path::to_path_buf))
+        .unwrap_or_else(std::env::temp_dir)
+}
+
 /// Writes a `BENCH_*.json` artifact **atomically** into `$DSR_BENCH_DIR`
-/// (or the working directory): the content goes to a `.tmp` sibling first
-/// and is renamed into place, so a run that dies mid-experiment can never
-/// leave a truncated JSON at the final path for CI to upload.
+/// (or, when unset, next to the running executable): the content goes to a
+/// `.tmp` sibling first and is renamed into place, so a run that dies
+/// mid-experiment can never leave a truncated JSON at the final path for CI
+/// to upload.
 pub fn write_bench_json(file_name: &str, json: &str) -> std::io::Result<String> {
-    let dir = std::env::var("DSR_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join(file_name);
-    let tmp = std::path::Path::new(&dir).join(format!("{file_name}.tmp"));
+    let dir = bench_dir();
+    let path = dir.join(file_name);
+    let tmp = dir.join(format!("{file_name}.tmp"));
     std::fs::write(&tmp, json)?;
     std::fs::rename(&tmp, &path)?;
     Ok(path.display().to_string())

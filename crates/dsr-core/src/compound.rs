@@ -37,6 +37,30 @@ pub struct CompoundPatch<'a> {
     pub new: &'a PartitionSummary,
 }
 
+/// Query-independent routing role of one compound vertex in step 1 of
+/// Algorithm 2: what a local source that reaches the vertex has to ship,
+/// and to which remote partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteRole {
+    /// Reaching the vertex ships nothing (local vertices, out-virtual
+    /// vertices, remote out-boundaries that are not also in-boundaries).
+    None,
+    /// The in-virtual vertex `υ` of forward class `class` of remote
+    /// partition `partition`: the class id is shipped to that partition.
+    ForwardVirtual {
+        /// The remote partition the class belongs to.
+        partition: PartitionId,
+        /// The forward-equivalence class.
+        class: u32,
+    },
+    /// A concrete in-boundary of remote partition `partition`: shipped as
+    /// an entry vertex when the query targets in-boundaries of it.
+    InBoundary {
+        /// The remote partition the in-boundary belongs to.
+        partition: PartitionId,
+    },
+}
+
 /// The compound graph of one partition, with id translation tables.
 #[derive(Debug, Clone)]
 pub struct CompoundGraph {
@@ -57,6 +81,14 @@ pub struct CompoundGraph {
     pub forward_virtual: HashMap<(PartitionId, u32), VertexId>,
     /// Compound id of the out-virtual vertex `(remote partition, class)`.
     pub backward_virtual: HashMap<(PartitionId, u32), VertexId>,
+    /// Routing role of every compound vertex, indexed by compound id. Kept
+    /// private together with `route_ids`: both are derived from `graph` and
+    /// `forward_virtual` by [`CompoundGraph::rebuild_routes`] and must
+    /// never drift from them.
+    route_role: Vec<RouteRole>,
+    /// Sorted compound ids of every vertex whose role is not
+    /// [`RouteRole::None`].
+    route_ids: Vec<VertexId>,
 }
 
 impl CompoundGraph {
@@ -160,7 +192,7 @@ impl CompoundGraph {
         edges.dedup();
 
         let compound = DiGraph::from_edges(global_of.len(), &edges);
-        CompoundGraph {
+        let mut built = CompoundGraph {
             partition,
             graph: compound,
             num_local,
@@ -168,7 +200,32 @@ impl CompoundGraph {
             compound_of,
             forward_virtual,
             backward_virtual,
+            route_role: Vec::new(),
+            route_ids: Vec::new(),
+        };
+        built.rebuild_routes();
+        built
+    }
+
+    /// Re-derives the step-1 route tables from the graph: every in-virtual
+    /// vertex routes its class, and its in-neighbors — exactly the class
+    /// members, the only edges into an in-virtual vertex are membership
+    /// edges — are the in-boundaries of its partition. Needs no summary, so
+    /// a patched compound derives them the same way a fresh build does.
+    fn rebuild_routes(&mut self) {
+        let mut role = vec![RouteRole::None; self.graph.num_vertices()];
+        let mut ids: Vec<VertexId> = Vec::new();
+        for (&(partition, class), &id) in &self.forward_virtual {
+            role[id as usize] = RouteRole::ForwardVirtual { partition, class };
+            ids.push(id);
+            for &member in self.graph.in_neighbors(id) {
+                role[member as usize] = RouteRole::InBoundary { partition };
+                ids.push(member);
+            }
         }
+        ids.sort_unstable();
+        self.route_role = role;
+        self.route_ids = ids;
     }
 
     /// Patches this compound graph in place from decoded refresh deltas —
@@ -394,6 +451,7 @@ impl CompoundGraph {
         edges.sort_unstable();
         edges.dedup();
         self.graph = DiGraph::from_edges(self.global_of.len(), &edges);
+        self.rebuild_routes();
     }
 
     /// Compound id of a global vertex (local vertex or concrete remote
@@ -414,14 +472,30 @@ impl CompoundGraph {
             .unwrap_or(false)
     }
 
+    /// Routing role of a compound vertex in step 1.
+    pub fn route_role(&self, compound: VertexId) -> RouteRole {
+        self.route_role[compound as usize]
+    }
+
+    /// Sorted compound ids of every vertex with a routing role: all
+    /// in-virtual vertices and all concrete in-boundaries of the remote
+    /// partitions.
+    pub fn route_ids(&self) -> &[VertexId] {
+        &self.route_ids
+    }
+
     /// All in-virtual vertices of remote partition `j`, as
     /// `(class, compound id)` pairs sorted by class.
     pub fn forward_virtuals_of(&self, j: PartitionId) -> Vec<(u32, VertexId)> {
         let mut out: Vec<(u32, VertexId)> = self
-            .forward_virtual
+            .route_ids
             .iter()
-            .filter(|&(&(p, _), _)| p == j)
-            .map(|(&(_, class), &id)| (class, id))
+            .filter_map(|&id| match self.route_role(id) {
+                RouteRole::ForwardVirtual { partition, class } if partition == j => {
+                    Some((class, id))
+                }
+                _ => None,
+            })
             .collect();
         out.sort_unstable();
         out
@@ -449,6 +523,8 @@ impl CompoundGraph {
         self.graph.byte_size()
             + self.global_of.len() * std::mem::size_of::<Option<VertexId>>()
             + self.compound_of.len() * 2 * std::mem::size_of::<VertexId>()
+            + self.route_role.len() * std::mem::size_of::<RouteRole>()
+            + self.route_ids.len() * std::mem::size_of::<VertexId>()
     }
 }
 
@@ -620,6 +696,30 @@ mod tests {
             of_g1.is_empty(),
             "no virtual vertices for the own partition"
         );
+        // The route tables behind the listing: every in-virtual vertex
+        // routes its class, every remote in-boundary its partition, and
+        // nothing else (local vertices, out-boundaries, out-virtuals) routes.
+        for (class, id) in of_g2 {
+            assert_eq!(
+                gc1.route_role(id),
+                RouteRole::ForwardVirtual {
+                    partition: 1,
+                    class
+                }
+            );
+        }
+        for (global, partition) in [(6, 1), (7, 1), (8, 1), (13, 2), (14, 2)] {
+            let id = gc1.compound_id(global).unwrap();
+            assert_eq!(gc1.route_role(id), RouteRole::InBoundary { partition });
+        }
+        let routed = gc1.route_ids();
+        assert!(routed.windows(2).all(|w| w[0] < w[1]));
+        let classes = summaries[1].num_forward_classes() + summaries[2].num_forward_classes();
+        assert_eq!(routed.len(), classes + 5);
+        for global in [0, 4, 9, 15] {
+            let id = gc1.compound_id(global).unwrap();
+            assert_eq!(gc1.route_role(id), RouteRole::None);
+        }
     }
 
     #[test]

@@ -13,11 +13,52 @@
 //! 2. **One round of message exchange**: for every remote partition `j`,
 //!    the slave ships `⟨s, classes of j reached from s⟩` buffers to slave
 //!    `j` (plus, only when `T` contains in-boundary vertices of `j`, the
-//!    concrete entry boundaries reached — see DESIGN.md, "protocol
-//!    refinement").
-//! 3. **Final local evaluation** (all slaves in parallel): slave `j`
-//!    expands each received class to a representative member and resolves
-//!    reachability to its own targets; results are gathered at the master.
+//!    concrete entry boundaries reached — see "Protocol refinement" below).
+//! 3. **Final local evaluation** (all slaves in parallel), **from the
+//!    target side**: slave `j` runs one backward bit-parallel sweep over
+//!    its *local subgraph* `G_j` from the distinct local targets of the
+//!    queries that received messages — one `u64` lane per target, 64 lanes
+//!    per pass ([`dsr_reach::lane_sweep`], the MS-BFS of Then et al. the
+//!    paper evaluates as DSR-MSBFS) — which leaves at every local vertex
+//!    the mask of targets it reaches inside `G_j`. Each received
+//!    `⟨s, classes, entries⟩` is then answered by OR-ing the masks of the
+//!    classes' representatives (restricted to the query's interior
+//!    targets) and of the entry vertices (restricted to its in-boundary
+//!    targets); results are gathered at the master. The cost is one sweep
+//!    over the targets' local ancestors plus one mask read per received
+//!    class or entry — proportional to the query and the boundary, not to
+//!    the compound graph. Step 3 does **not** call the pluggable local
+//!    index: [`LocalIndexKind`](dsr_reach::LocalIndexKind) (Figure 7)
+//!    governs step 1 only.
+//!
+//! # Protocol refinement
+//!
+//! Two things differ from a literal reading of Algorithm 2, both at the
+//! target slave, and neither costs a round.
+//!
+//! *Entries.* A forward class stands for in-boundaries that agree on what
+//! they reach in `V_j − I_j` (and in `O_j`, see [`crate::summary`]); they
+//! may disagree on which *other in-boundaries* of `j` they reach. When a
+//! query targets in-boundaries of `j`, the source slave therefore also
+//! ships the concrete in-boundaries it reaches, and slave `j` resolves
+//! those targets from the entries instead of from class representatives.
+//!
+//! *Local reachability suffices (the last-entry argument).* Take any path
+//! from a source `s` outside `j` to a target `t` in `j`, and let `c` be
+//! the head of the **last** cut edge on it that leads into `j`: the rest
+//! of the path, `c ; t`, never leaves `G_j`. The tail of that cut edge is
+//! local to the source slave or an out-boundary of some partition, so by
+//! Theorem 1 the source slave's compound graph decides `s ; c` exactly —
+//! it reports `c`'s class (and `c` itself as an entry when entries are
+//! shipped), however often the path crossed `j` before. If `t ∉ I_j`, the
+//! class representative reaches `t` inside `G_j` because `c` does
+//! (forward classes are *defined* on local-subgraph reachability); if
+//! `t ∈ I_j`, the entry `c` reaches it inside `G_j`. Conversely every
+//! reported class member or entry is truly reached from `s`, so a local
+//! hit is a real pair. Step 3 thus needs neither the compound graph of
+//! `j` nor its reachability index — which it already bypassed for
+//! in-boundary targets — and a path that leaves `j` and re-enters it is
+//! found through the class of its re-entry point.
 //!
 //! # Batched execution
 //!
@@ -28,9 +69,10 @@
 //! sources in one message per slave, step 1 fuses the local evaluation of
 //! all queries into a single multi-source reachability call per slave, the
 //! exchange ships one buffer per slave pair tagged with query ids, and step
-//! 3 shares the class-representative expansion across queries. A `B`-query
-//! batch therefore performs exactly the same **3 communication rounds**
-//! (scatter + exchange + gather) as a single query, instead of `3 B`.
+//! 3 shares the backward sweep across queries (every distinct target of the
+//! batch gets one lane). A `B`-query batch therefore performs exactly the
+//! same **3 communication rounds** (scatter + exchange + gather) as a
+//! single query, instead of `3 B`.
 //! The single-query entry points are thin wrappers over a batch of one, so
 //! there is exactly one protocol implementation to maintain.
 //!
@@ -47,14 +89,15 @@
 //! in-process size accounting is debug-asserted against the wire codec on
 //! every message.
 
-use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError};
-use dsr_graph::traversal::{bfs_reachable, Direction};
+use dsr_graph::traversal::Direction;
 use dsr_graph::VertexId;
 use dsr_partition::PartitionId;
+use dsr_reach::lane_sweep;
 
+use crate::compound::RouteRole;
 use crate::index::DsrIndex;
 use crate::protocol::{BatchBuffer, GatherMessage, ScatterMessage, ScatterQuery, SourceMessage};
 
@@ -127,22 +170,6 @@ pub struct BatchOutcome {
 pub struct DsrEngine<'a, T: Transport = InProcess> {
     index: &'a DsrIndex,
     transport: T,
-}
-
-/// Routing role of one compound vertex during batched step 1. A single
-/// compound vertex can play several roles at once (e.g. a remote
-/// in-boundary that is both a query target and an entry point for other
-/// in-boundary targets of its partition), and roles of different queries
-/// share the same vertex, so every id maps to a list of routes.
-enum BatchRoute {
-    /// A target of one query that can be fully resolved at the source slave.
-    FinalTarget(u32, VertexId),
-    /// An in-virtual vertex of a remote partition; applies to every query
-    /// whose sources reach it.
-    ForwardClass(PartitionId, u32),
-    /// A concrete in-boundary of a remote partition, used as an entry point
-    /// for resolving one query's in-boundary targets of that partition.
-    Entry(u32, PartitionId, VertexId),
 }
 
 struct StepOneOutput {
@@ -335,7 +362,9 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         // ---- Step 3: fused final local evaluation at every slave. ----------
         let step_three: Vec<GatherMessage> = run_on_slaves(k, |j| {
             self.step_three_batch(j as PartitionId, &incoming[j], &delivered[j])
-        });
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
 
         // ---- Gather results at the master (one round). ---------------------
         let gathered = self.transport.gather(step_three, stats)?;
@@ -350,187 +379,170 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         for pairs in &mut results {
             pairs.sort_unstable();
             pairs.dedup();
+            // Callers keep answers around (result cache, verification
+            // queues): hand back no growth slack.
+            pairs.shrink_to_fit();
         }
         Ok(results)
     }
 
     /// Step 1 at slave `i`, fused across every active query: one
     /// multi-source reachability call over the union of all queries' local
-    /// sources and the union of all routing targets, followed by per-query
-    /// attribution of the reachable pairs. `queries` is the scatter payload
-    /// this slave received, indexed by active-query id.
+    /// sources and the union of all routing targets, followed by one linear
+    /// attribution pass over the source-sorted result. `queries` is the
+    /// scatter payload this slave received, indexed by active-query id.
+    ///
+    /// Everything query-independent — which compound vertex ships which
+    /// class or entry to which partition — is read from the compound
+    /// graph's id-indexed route tables ([`CompoundGraph::route_role`]).
     fn step_one_batch(&self, i: PartitionId, queries: &[ScatterQuery]) -> StepOneOutput {
         let index = self.index;
         let k = index.num_partitions();
+        let comp = &index.compounds[i as usize];
         let mut output = StepOneOutput {
             final_pairs: Vec::new(),
             outgoing: Vec::new(),
         };
 
-        // Union of local sources across queries, with per-source attribution
-        // of the queries it belongs to.
-        let mut queries_of_source: HashMap<VertexId, Vec<u32>> = HashMap::new();
+        // Union of local sources across queries, as ascending
+        // `(compound id, query)` pairs: each source's queries are one run.
+        let mut source_queries: Vec<(VertexId, u32)> = Vec::new();
         for (a, q) in queries.iter().enumerate() {
             for &s in &q.sources {
-                queries_of_source.entry(s).or_default().push(a as u32);
+                let id = comp.compound_id(s).expect("local source is represented");
+                source_queries.push((id, a as u32));
             }
         }
-        if queries_of_source.is_empty() {
+        if source_queries.is_empty() {
             return output;
         }
-        let comp = &index.compounds[i as usize];
-        let local_index = &index.local_indexes[i as usize];
+        source_queries.sort_unstable();
+        let mut source_ids: Vec<VertexId> = source_queries.iter().map(|&(id, _)| id).collect();
+        source_ids.dedup();
 
-        // Per query: remote partitions holding at least one of its
-        // in-boundary targets (these need concrete entry information in the
-        // exchanged buffers).
-        let boundary_partitions: Vec<Vec<bool>> = queries
-            .iter()
-            .map(|q| {
-                let mut has = vec![false; k];
-                for &t in &q.targets {
-                    let p = index.partition_of(t);
-                    if index.cut.partition(p).is_in_boundary(t) {
-                        has[p as usize] = true;
-                    }
-                }
-                has
-            })
-            .collect();
-
-        // Routing targets: compound ids + their roles across all queries.
-        let mut route_ids: Vec<VertexId> = Vec::new();
-        let mut route_kinds: HashMap<VertexId, Vec<BatchRoute>> = HashMap::new();
-
+        // Targets this slave can resolve on its own (local vertices and
+        // remote boundary vertices, both concrete in the compound graph) as
+        // ascending `(compound id, query)` pairs, plus, per query, the
+        // remote partitions holding in-boundary targets: those need the
+        // concrete entry vertices in the exchanged buffers.
+        let mut final_targets: Vec<(VertexId, u32)> = Vec::new();
+        let mut wants_entries = vec![false; queries.len() * k];
+        let mut entries_needed = vec![false; k];
         for (a, q) in queries.iter().enumerate() {
             for &t in &q.targets {
                 let pt = index.partition_of(t);
-                if pt == i {
-                    let id = comp.compound_id(t).expect("local target is represented");
-                    route_kinds
-                        .entry(id)
-                        .or_default()
-                        .push(BatchRoute::FinalTarget(a as u32, t));
-                    route_ids.push(id);
-                } else {
-                    let boundaries = index.cut.partition(pt);
-                    if boundaries.is_in_boundary(t) || boundaries.is_out_boundary(t) {
-                        let id = comp
-                            .compound_id(t)
-                            .expect("remote boundary target is represented");
-                        route_kinds
-                            .entry(id)
-                            .or_default()
-                            .push(BatchRoute::FinalTarget(a as u32, t));
-                        route_ids.push(id);
-                    }
+                let boundaries = index.cut.partition(pt);
+                let in_boundary = boundaries.is_in_boundary(t);
+                if in_boundary && pt != i {
+                    wants_entries[a * k + pt as usize] = true;
+                    entries_needed[pt as usize] = true;
+                }
+                if pt == i || in_boundary || boundaries.is_out_boundary(t) {
+                    let id = comp
+                        .compound_id(t)
+                        .expect("local and boundary targets are represented");
+                    final_targets.push((id, a as u32));
                 }
             }
         }
-        for j in 0..k as PartitionId {
-            if j == i {
-                continue;
-            }
-            // Forward virtuals are query-independent: any query whose source
-            // reaches one ships the class to partition j.
-            for (class, id) in comp.forward_virtuals_of(j) {
-                route_kinds
-                    .entry(id)
-                    .or_default()
-                    .push(BatchRoute::ForwardClass(j, class));
-                route_ids.push(id);
-            }
-            // Concrete entry points are only needed by queries with
-            // in-boundary targets in partition j.
-            for (a, _) in queries.iter().enumerate() {
-                if boundary_partitions[a][j as usize] {
-                    for &c in &index.summaries[j as usize].in_boundaries {
-                        let id = comp.compound_id(c).expect("in-boundary is represented");
-                        route_kinds
-                            .entry(id)
-                            .or_default()
-                            .push(BatchRoute::Entry(a as u32, j, c));
-                        route_ids.push(id);
-                    }
-                }
-            }
-        }
-        route_ids.sort_unstable();
-        route_ids.dedup();
+        final_targets.sort_unstable();
 
-        let mut source_globals: Vec<VertexId> = queries_of_source.keys().copied().collect();
-        source_globals.sort_unstable();
-        let source_ids: Vec<VertexId> = source_globals
+        // Routing targets: every in-virtual vertex (query-independent: any
+        // query whose source reaches one ships the class), the in-boundaries
+        // of the partitions some query needs entries for, and the targets.
+        let routed: Vec<VertexId> = comp
+            .route_ids()
             .iter()
-            .map(|&s| comp.compound_id(s).expect("local source is represented"))
+            .copied()
+            .filter(|&id| match comp.route_role(id) {
+                RouteRole::InBoundary { partition } => entries_needed[partition as usize],
+                _ => true,
+            })
             .collect();
+        let mut target_ids: Vec<VertexId> = final_targets.iter().map(|&(id, _)| id).collect();
+        target_ids.dedup();
+        let route_ids = sorted_union(&routed, &target_ids);
 
         // The fused local evaluation: one call covering every query.
+        let local_index = &index.local_indexes[i as usize];
         let reachable = local_index.set_reachability(&source_ids, &route_ids);
 
-        // Per-(query, source) accumulation of classes/entries per destination.
-        let mut per_destination: Vec<HashMap<(u32, VertexId), SourceMessage>> =
-            (0..k).map(|_| HashMap::new()).collect();
-        let push_payload = |per_destination: &mut Vec<HashMap<(u32, VertexId), SourceMessage>>,
-                            a: u32,
-                            j: PartitionId,
-                            s: VertexId,
-                            class: Option<u32>,
-                            entry: Option<VertexId>| {
-            let message = per_destination[j as usize]
-                .entry((a, s))
-                .or_insert_with(|| SourceMessage {
-                    source: s,
-                    classes: Vec::new(),
-                    entries: Vec::new(),
-                });
-            if let Some(class) = class {
-                message.classes.push(class);
-            }
-            if let Some(entry) = entry {
-                message.entries.push(entry);
-            }
-        };
-        for (s_comp, t_comp) in reachable {
-            let s_global = comp
+        // Attribution, one source (one run of `reachable`) at a time: the
+        // per-destination class and entry lists are built once and shared
+        // by every query the source belongs to.
+        let mut classes: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut entries: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+        let mut staged: Vec<Vec<(u32, SourceMessage)>> = vec![Vec::new(); k];
+        for run in reachable.chunk_by(|x, y| x.0 == y.0) {
+            let s_comp = run[0].0;
+            let s = comp
                 .global_id(s_comp)
                 .expect("sources are concrete vertices");
-            let of_source = &queries_of_source[&s_global];
-            let kinds = route_kinds
-                .get(&t_comp)
-                .expect("every routing target has at least one role");
-            for kind in kinds {
-                match *kind {
-                    BatchRoute::FinalTarget(a, t) => {
-                        if of_source.binary_search(&a).is_ok() {
-                            output.final_pairs.push((a, s_global, t));
-                        }
+            let first = source_queries.partition_point(|&(id, _)| id < s_comp);
+            let count = source_queries[first..].partition_point(|&(id, _)| id == s_comp);
+            let of_source = &source_queries[first..first + count];
+
+            classes.iter_mut().for_each(Vec::clear);
+            entries.iter_mut().for_each(Vec::clear);
+            let mut targets = final_targets.as_slice();
+            for &(_, t_comp) in run {
+                match comp.route_role(t_comp) {
+                    RouteRole::ForwardVirtual { partition, class } => {
+                        classes[partition as usize].push(class);
                     }
-                    BatchRoute::ForwardClass(j, class) => {
-                        for &a in of_source {
-                            push_payload(&mut per_destination, a, j, s_global, Some(class), None);
-                        }
+                    RouteRole::InBoundary { partition } => {
+                        let c = comp
+                            .global_id(t_comp)
+                            .expect("in-boundaries are concrete vertices");
+                        entries[partition as usize].push(c);
                     }
-                    BatchRoute::Entry(a, j, c) => {
-                        if of_source.binary_search(&a).is_ok() {
-                            push_payload(&mut per_destination, a, j, s_global, None, Some(c));
-                        }
+                    RouteRole::None => {}
+                }
+                // Both lists ascend by compound id: one merge walk per
+                // source finds the reached vertices that are targets.
+                while let Some(&(id, a)) = targets.first() {
+                    if id > t_comp {
+                        break;
+                    }
+                    targets = &targets[1..];
+                    if id == t_comp && of_source.binary_search(&(s_comp, a)).is_ok() {
+                        let t = comp
+                            .global_id(t_comp)
+                            .expect("targets are concrete vertices");
+                        output.final_pairs.push((a, s, t));
                     }
                 }
             }
+            classes.iter_mut().for_each(|list| list.sort_unstable());
+            entries.iter_mut().for_each(|list| list.sort_unstable());
+
+            for &(_, a) in of_source {
+                for j in 0..k {
+                    let shipped_entries: &[VertexId] = if wants_entries[a as usize * k + j] {
+                        &entries[j]
+                    } else {
+                        &[]
+                    };
+                    if classes[j].is_empty() && shipped_entries.is_empty() {
+                        continue;
+                    }
+                    let message = SourceMessage {
+                        source: s,
+                        classes: classes[j].clone(),
+                        entries: shipped_entries.to_vec(),
+                    };
+                    staged[j].push((a, message));
+                }
+            }
         }
-        for (j, messages) in per_destination.into_iter().enumerate() {
-            if messages.is_empty() || j == i as usize {
+
+        for (j, mut messages) in staged.into_iter().enumerate() {
+            if messages.is_empty() {
                 continue;
             }
-            let mut entries: Vec<((u32, VertexId), SourceMessage)> = messages.into_iter().collect();
-            entries.sort_unstable_by_key(|&((a, s), _)| (a, s));
+            messages.sort_by_key(|(a, message)| (*a, message.source));
             let mut buffer: BatchBuffer = Vec::new();
-            for ((a, _), mut message) in entries {
-                message.classes.sort_unstable();
-                message.classes.dedup();
-                message.entries.sort_unstable();
-                message.entries.dedup();
+            for (a, message) in messages {
                 match buffer.last_mut() {
                     Some((query, list)) if *query == a => list.push(message),
                     _ => buffer.push((a, vec![message])),
@@ -541,160 +553,189 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         output
     }
 
-    /// Step 3 at slave `j`, fused across queries: expand the received
-    /// classes/entries against each query's local targets. The expensive
-    /// pieces — the class-representative reachability and the backward BFS
-    /// per in-boundary target — are computed once and shared by every query
-    /// that needs them. `incoming` is the sparse `(source, buffer)` inbox of
-    /// the exchange round; `queries` is this slave's scatter payload.
+    /// Step 3 at slave `j`, fused across queries and evaluated **from the
+    /// target side**: one backward bit-parallel sweep over the local
+    /// subgraph `G_j` from the distinct local targets of the queries that
+    /// received messages (one `u64` lane per target, 64 lanes per pass)
+    /// leaves, at every local vertex, the mask of targets it reaches inside
+    /// `G_j`. A received [`SourceMessage`] is then answered by OR-ing the
+    /// masks of its classes' representatives (restricted to the query's
+    /// interior targets) and of its entry vertices (restricted to the
+    /// query's in-boundary targets) — see the module docs for why local
+    /// reachability suffices. `incoming` is the sparse `(source slave,
+    /// buffer)` inbox of the exchange round; `queries` is this slave's
+    /// scatter payload.
+    ///
+    /// # Errors
+    /// The buffers come from peers, so their content is checked where it
+    /// enters: a query id, class id or entry vertex this slave does not
+    /// know yields [`TransportError::Protocol`] naming the sending slave.
     fn step_three_batch(
         &self,
         j: PartitionId,
         incoming: &[(usize, BatchBuffer)],
         queries: &[ScatterQuery],
-    ) -> GatherMessage {
+    ) -> Result<GatherMessage, TransportError> {
+        if incoming.is_empty() {
+            return Ok(Vec::new());
+        }
         let index = self.index;
-        let comp = &index.compounds[j as usize];
-        let local_index = &index.local_indexes[j as usize];
-        let summary = &index.summaries[j as usize];
         let local = &index.locals[j as usize];
+        let summary = &index.summaries[j as usize];
+        let in_boundaries = &index.cut.partition(j).in_boundaries;
+        let local_id = |v: VertexId| {
+            local
+                .mapping
+                .local(v)
+                .expect("boundaries of a partition are local to it")
+        };
 
-        // Regroup the incoming buffers per active query.
-        let mut messages_of_query: HashMap<u32, Vec<&SourceMessage>> = HashMap::new();
-        for (_, buffer) in incoming {
+        // Translate what the peers sent into local ids, once: per message
+        // one run of class representatives and one run of entry vertices
+        // in `seeds`.
+        struct Received {
+            query: u32,
+            source: VertexId,
+            classes: std::ops::Range<usize>,
+            entries: std::ops::Range<usize>,
+        }
+        let representative: Vec<VertexId> = (0..summary.num_forward_classes() as u32)
+            .map(|class| local_id(summary.forward_representative(class)))
+            .collect();
+        let in_boundary_local: Vec<VertexId> = in_boundaries.iter().map(|&c| local_id(c)).collect();
+        let mut has_messages = vec![false; queries.len()];
+        let mut received: Vec<Received> = Vec::new();
+        let mut seeds: Vec<VertexId> = Vec::new();
+        for (sender, buffer) in incoming {
+            let malformed = |what: &str, id: u32| TransportError::Protocol {
+                peer: format!("slave {sender}"),
+                reason: format!("exchange buffer for partition {j} names unknown {what} {id}"),
+            };
             for (a, messages) in buffer {
-                messages_of_query
-                    .entry(*a)
-                    .or_default()
-                    .extend(messages.iter());
+                *has_messages
+                    .get_mut(*a as usize)
+                    .ok_or_else(|| malformed("query", *a))? = true;
+                for message in messages {
+                    let start = seeds.len();
+                    for &class in &message.classes {
+                        let rep = representative.get(class as usize);
+                        seeds.push(*rep.ok_or_else(|| malformed("forward class", class))?);
+                    }
+                    let middle = seeds.len();
+                    for &c in &message.entries {
+                        let position = in_boundaries.binary_search(&c);
+                        let position = position.map_err(|_| malformed("in-boundary", c))?;
+                        seeds.push(in_boundary_local[position]);
+                    }
+                    received.push(Received {
+                        query: *a,
+                        source: message.source,
+                        classes: start..middle,
+                        entries: middle..seeds.len(),
+                    });
+                }
             }
         }
-        if messages_of_query.is_empty() {
-            return Vec::new();
-        }
 
-        // Local targets per query, split into interior targets (resolved
-        // through class representatives — exact because forward-equivalent
-        // boundaries agree on reachability to Vi − Ii ∪ Oi) and in-boundary
-        // targets (resolved through the concrete entry vertices).
-        struct QueryTargets {
-            interior: HashSet<VertexId>,
-            boundary: Vec<VertexId>,
+        // One lane per distinct local target of those queries; `wanted`
+        // holds the ascending `(target, query)` pairs behind the lanes.
+        let mut wanted: Vec<(VertexId, u32)> = Vec::new();
+        for (a, q) in queries.iter().enumerate() {
+            if has_messages[a] {
+                let local_targets = q.targets.iter().filter(|&&t| index.partition_of(t) == j);
+                wanted.extend(local_targets.map(|&t| (t, a as u32)));
+            }
         }
-        let mut targets_of_query: HashMap<u32, QueryTargets> = HashMap::new();
-        let mut union_interior: Vec<VertexId> = Vec::new();
-        for &a in messages_of_query.keys() {
-            let q = &queries[a as usize];
-            let mut interior = HashSet::new();
-            let mut boundary = Vec::new();
-            for &t in &q.targets {
-                if index.partition_of(t) != j {
-                    continue;
-                }
-                if index.cut.partition(j).is_in_boundary(t) {
-                    boundary.push(t);
+        wanted.sort_unstable();
+        let mut lanes: Vec<VertexId> = wanted.iter().map(|&(t, _)| t).collect();
+        lanes.dedup();
+
+        let mut results: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); queries.len()];
+        let mut interior = vec![0u64; queries.len()];
+        let mut boundary = vec![0u64; queries.len()];
+        let mut unassigned = wanted.as_slice();
+        for pass in lanes.chunks(64) {
+            // Which lanes of this pass each query asked for, split into
+            // interior targets (answered through class representatives —
+            // exact because forward-equivalent boundaries agree on local
+            // reachability to `V_j − I_j`) and in-boundary targets
+            // (answered through the concrete entry vertices).
+            interior.fill(0);
+            boundary.fill(0);
+            for (lane, &t) in pass.iter().enumerate() {
+                let masks = if in_boundaries.binary_search(&t).is_ok() {
+                    &mut boundary
                 } else {
-                    interior.insert(t);
-                    union_interior.push(t);
+                    &mut interior
+                };
+                let askers = unassigned.partition_point(|&(target, _)| target == t);
+                for &(_, a) in &unassigned[..askers] {
+                    masks[a as usize] |= 1 << lane;
                 }
+                unassigned = &unassigned[askers..];
             }
-            targets_of_query.insert(a, QueryTargets { interior, boundary });
-        }
-        union_interior.sort_unstable();
-        union_interior.dedup();
-        let union_interior_compound: Vec<VertexId> = union_interior
-            .iter()
-            .map(|&t| comp.compound_id(t).expect("local target"))
-            .collect();
 
-        // Shared class expansion: every class mentioned by any incoming
-        // buffer (of any query) is expanded to its representative, and a
-        // single set-reachability call over all representatives resolves
-        // their reachable interior targets across the whole batch (this lets
-        // MS-BFS/FERRARI share work across classes *and* queries instead of
-        // one traversal per class per query).
-        let mut mentioned_classes: Vec<u32> = messages_of_query
-            .values()
-            .flat_map(|messages| messages.iter())
-            .flat_map(|message| message.classes.iter().copied())
-            .collect();
-        mentioned_classes.sort_unstable();
-        mentioned_classes.dedup();
-        let mut class_reaches: HashMap<u32, Vec<VertexId>> = HashMap::new();
-        if !union_interior_compound.is_empty() && !mentioned_classes.is_empty() {
-            let rep_compound: Vec<VertexId> = mentioned_classes
-                .iter()
-                .map(|&class| {
-                    comp.compound_id(summary.forward_representative(class))
-                        .expect("representative is local")
-                })
-                .collect();
-            let mut by_rep: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-            for (rep, t) in local_index.set_reachability(&rep_compound, &union_interior_compound) {
-                by_rep
-                    .entry(rep)
-                    .or_default()
-                    .push(comp.global_id(t).expect("interior target is concrete"));
-            }
-            for (&class, &rep) in mentioned_classes.iter().zip(rep_compound.iter()) {
-                class_reaches.insert(class, by_rep.get(&rep).cloned().unwrap_or_default());
-            }
-        }
-
-        // Shared backward BFS per distinct in-boundary target across all
-        // queries: the set of local vertices that reach it *within* the
-        // local subgraph.
-        let mut boundary_reachers: HashMap<VertexId, HashSet<VertexId>> = HashMap::new();
-        for targets in targets_of_query.values() {
-            for &t in &targets.boundary {
-                boundary_reachers.entry(t).or_insert_with(|| {
-                    let local_t = local.mapping.local(t).expect("boundary target is local");
-                    let reaches = bfs_reachable(&local.graph, local_t, Direction::Backward);
-                    reaches
+            let pass_local: Vec<VertexId> = pass.iter().map(|&t| local_id(t)).collect();
+            let reaches = lane_sweep(&local.graph, &pass_local, Direction::Backward);
+            for message in &received {
+                let a = message.query as usize;
+                let or_masks = |range: &std::ops::Range<usize>| {
+                    seeds[range.clone()]
                         .iter()
-                        .enumerate()
-                        .filter(|&(_, &r)| r)
-                        .map(|(v, _)| local.mapping.global(v as VertexId))
-                        .collect()
-                });
+                        .fold(0u64, |mask, &v| mask | reaches[v as usize])
+                };
+                let mut hit = 0u64;
+                if interior[a] != 0 {
+                    hit |= or_masks(&message.classes) & interior[a];
+                }
+                if boundary[a] != 0 {
+                    hit |= or_masks(&message.entries) & boundary[a];
+                }
+                while hit != 0 {
+                    let lane = hit.trailing_zeros() as usize;
+                    results[a].push((message.source, pass[lane]));
+                    hit &= hit - 1;
+                }
             }
         }
 
         let mut gather: GatherMessage = Vec::new();
-        let mut query_ids: Vec<u32> = messages_of_query.keys().copied().collect();
-        query_ids.sort_unstable();
-        for a in query_ids {
-            let messages = &messages_of_query[&a];
-            let targets = &targets_of_query[&a];
-            let mut results: Vec<(VertexId, VertexId)> = Vec::new();
-            for message in messages {
-                for &class in &message.classes {
-                    if let Some(reached) = class_reaches.get(&class) {
-                        for &t in reached {
-                            // The shared expansion covers the union of all
-                            // queries' interior targets; keep only this
-                            // query's.
-                            if targets.interior.contains(&t) {
-                                results.push((message.source, t));
-                            }
-                        }
-                    }
-                }
-                for &t in &targets.boundary {
-                    let reachers = &boundary_reachers[&t];
-                    if message.entries.iter().any(|c| reachers.contains(c)) {
-                        results.push((message.source, t));
-                    }
-                }
-            }
-            results.sort_unstable();
-            results.dedup();
-            if !results.is_empty() {
-                gather.push((a, results));
+        for (a, mut pairs) in results.into_iter().enumerate() {
+            if !pairs.is_empty() {
+                pairs.sort_unstable();
+                pairs.dedup();
+                gather.push((a as u32, pairs));
             }
         }
-        gather
+        Ok(gather)
     }
+}
+
+/// Union of two ascending, duplicate-free id lists, ascending and
+/// duplicate-free.
+fn sorted_union(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut x, mut y) = (0, 0);
+    while x < a.len() && y < b.len() {
+        match a[x].cmp(&b[y]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[x]);
+                x += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[y]);
+                y += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[x]);
+                x += 1;
+                y += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[x..]);
+    out.extend_from_slice(&b[y..]);
+    out
 }
 
 #[cfg(test)]
@@ -1012,6 +1053,179 @@ mod tests {
         );
         assert!(engine.is_reachable(0, 17));
         assert!(!engine.is_reachable(17, 0));
+    }
+
+    /// Asserts that `queries`, run as one batch, match the closure oracle
+    /// under every local index kind, with and without equivalence classes.
+    fn assert_batch_matches_oracle(g: &DiGraph, p: &Partitioning, queries: &[SetQuery]) {
+        let oracle = TransitiveClosure::build(g);
+        for kind in LocalIndexKind::ALL {
+            for use_equivalence in [true, false] {
+                let index = DsrIndex::build_with_options(g, p.clone(), kind, use_equivalence);
+                let engine = DsrEngine::new(&index);
+                let batch = engine.set_reachability_batch(queries).expect("in-process");
+                for (q, result) in queries.iter().zip(&batch.results) {
+                    let (sources, targets) = q.signature();
+                    assert_eq!(
+                        *result,
+                        oracle.set_reachability(&sources, &targets),
+                        "{} (equivalence: {use_equivalence}) diverges on {q:?}",
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_three_sweeps_more_than_64_local_targets_in_several_passes() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(2016);
+        for _ in 0..3 {
+            // Dense enough for cyclic local subgraphs; 80 vertices per
+            // partition, so the all-pairs query below puts 80 distinct
+            // targets (two lane passes) on every slave.
+            let n = 240;
+            let edges: Vec<(u32, u32)> = (0..600)
+                .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+                .collect();
+            let g = DiGraph::from_edges(n, &edges);
+            let p = HashPartitioner::default().partition(&g, 3);
+            let all: Vec<u32> = (0..n as u32).collect();
+            let mut queries = vec![SetQuery::new(all.clone(), all.clone())];
+            // A fused batch on top: the union of its targets also spans
+            // several passes, with each query asking for a few lanes only.
+            queries.extend((0..40).map(|_| {
+                let mut pick = || (0..6).map(|_| rng.gen_range(0..n) as u32).collect();
+                SetQuery::new(pick(), pick())
+            }));
+            assert_batch_matches_oracle(&g, &p, &queries);
+        }
+    }
+
+    #[test]
+    fn step_three_follows_paths_that_leave_and_reenter_the_target_partition() {
+        // Partition 0 = {0}, partition 1 = {1, 2, 3, 4}, partition 2 = {5}.
+        // The only path 0 ; 4 enters partition 1 at 1, leaves it through 2,
+        // crosses partition 2 and re-enters at 3: 0 → 1 → 2 → 5 → 3 ⇄ 4.
+        // Inside partition 1 the first entry 1 does not reach 4. Vertex 1 is
+        // an in- and an out-boundary at once, and {3, 4} is a local cycle.
+        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (1, 5), (2, 5), (5, 3), (3, 4), (4, 3)]);
+        let p = Partitioning::new(vec![0, 1, 1, 1, 1, 2], 3);
+        let all: Vec<u32> = (0..6).collect();
+        let queries = vec![
+            SetQuery::new(vec![0], vec![4]),
+            SetQuery::new(vec![0], vec![1, 2, 3]),
+            SetQuery::new(vec![1], vec![1]),
+            SetQuery::new(vec![4, 5], vec![4, 5, 0]),
+            SetQuery::new(all.clone(), all),
+        ];
+        assert_batch_matches_oracle(&g, &p, &queries);
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        assert!(DsrEngine::new(&index).is_reachable(0, 4));
+    }
+
+    /// A transport whose exchange round delivers one extra, forged buffer:
+    /// the hostile (or stale) peer of the malformed-buffer tests.
+    struct Forging {
+        /// The forged `BatchBuffer`, wire-encoded.
+        buffer: Vec<u8>,
+        sender: usize,
+        receiver: usize,
+    }
+
+    impl Transport for Forging {
+        fn name(&self) -> &'static str {
+            "forging"
+        }
+
+        fn scatter<M: dsr_cluster::WireMessage>(
+            &self,
+            messages: Vec<M>,
+            stats: &CommStats,
+        ) -> Result<Vec<M>, TransportError> {
+            InProcess.scatter(messages, stats)
+        }
+
+        fn gather<M: dsr_cluster::WireMessage>(
+            &self,
+            messages: Vec<M>,
+            stats: &CommStats,
+        ) -> Result<Vec<M>, TransportError> {
+            InProcess.gather(messages, stats)
+        }
+
+        fn all_to_all<M: dsr_cluster::WireMessage>(
+            &self,
+            num_nodes: usize,
+            outgoing: Vec<Vec<(usize, M)>>,
+            stats: &CommStats,
+        ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
+            let mut incoming = InProcess.all_to_all(num_nodes, outgoing, stats)?;
+            let forged = dsr_cluster::wire::decode_exact::<M>(&self.buffer)?;
+            incoming[self.receiver].push((self.sender, forged));
+            Ok(incoming)
+        }
+    }
+
+    #[test]
+    fn malformed_exchange_buffers_are_typed_errors_not_panics() {
+        let (g, p) = figure1();
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        // Partition 2 = {13..=18} has in-boundaries {13, 14} in one forward
+        // class; query 0 below targets an interior vertex and an in-boundary
+        // of it, so both the classes and the entries of a buffer are read.
+        let queries = vec![SetQuery::new(vec![0], vec![17, 13])];
+        let message = |classes: Vec<u32>, entries: Vec<u32>| SourceMessage {
+            source: 0,
+            classes,
+            entries,
+        };
+        let forged: Vec<(&str, BatchBuffer)> = vec![
+            ("forward class 7", vec![(0, vec![message(vec![7], vec![])])]),
+            // 16 is local to partition 2 but no in-boundary; 3 is not local.
+            (
+                "in-boundary 16",
+                vec![(0, vec![message(vec![0], vec![16])])],
+            ),
+            ("in-boundary 3", vec![(0, vec![message(vec![], vec![3])])]),
+            ("query 9", vec![(9, vec![message(vec![0], vec![13])])]),
+        ];
+        for (what, buffer) in forged {
+            let transport = Forging {
+                buffer: dsr_cluster::wire::encode_to_vec(&buffer),
+                sender: 1,
+                receiver: 2,
+            };
+            let engine = DsrEngine::with_transport(&index, transport);
+            let err = engine
+                .set_reachability_batch(&queries)
+                .expect_err("a malformed buffer must fail the batch");
+            assert!(
+                matches!(err, TransportError::Protocol { .. }),
+                "typed protocol error: {err}"
+            );
+            let text = err.to_string();
+            assert!(
+                text.contains("slave 1") && text.contains(what),
+                "names the peer and the offending id: {text}"
+            );
+        }
+        // A well-formed extra buffer is simply evaluated.
+        let transport = Forging {
+            buffer: dsr_cluster::wire::encode_to_vec(&vec![(
+                0u32,
+                vec![message(vec![0], vec![13])],
+            )]),
+            sender: 1,
+            receiver: 2,
+        };
+        let engine = DsrEngine::with_transport(&index, transport);
+        let outcome = engine
+            .set_reachability_batch(&queries)
+            .expect("well-formed");
+        assert_eq!(outcome.results[0], vec![(0, 13), (0, 17)]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod protocol;
 pub mod summary;
 pub mod updates;
 
-pub use compound::{CompoundGraph, CompoundPatch};
+pub use compound::{CompoundGraph, CompoundPatch, RouteRole};
 pub use engine::{BatchOutcome, DsrEngine, QueryOutcome, SetQuery};
 pub use index::{DsrIndex, IndexBuildStats, IndexGeneration};
 pub use summary::{ClassReplacement, PartitionSummary, SummaryDelta};

@@ -9,7 +9,7 @@
 //! within the partition — the compacted replacement of the quadratic
 //! `Ii ; Oi` reachability materialization.
 //!
-//! ## Exactness refinement (documented in DESIGN.md)
+//! ## Exactness refinement
 //!
 //! The paper keys forward equivalence on the reachable subset of the
 //! in-boundaries' direct successors (`S(Ii) − Ii`), which guarantees that

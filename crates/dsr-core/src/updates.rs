@@ -567,7 +567,7 @@ impl DsrIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compound::CompoundGraph;
+    use crate::compound::{CompoundGraph, RouteRole};
     use crate::engine::DsrEngine;
     use dsr_cluster::WireTransport;
     use dsr_graph::TransitiveClosure;
@@ -584,11 +584,9 @@ mod tests {
         (g, p)
     }
 
-    /// Canonical, id-layout-independent view of a compound graph's edges:
-    /// every endpoint is labeled by its global id or its
-    /// `(partition, class)` virtual identity. Patched and freshly built
-    /// compounds must agree on this set exactly.
-    fn canonical_edges(gc: &CompoundGraph) -> BTreeSet<(String, String)> {
+    /// Id-layout-independent name of every live compound vertex: its global
+    /// id or its `(partition, class)` virtual identity.
+    fn canonical_labels(gc: &CompoundGraph) -> HashMap<VertexId, String> {
         let mut labels: HashMap<VertexId, String> = HashMap::new();
         for (id, global) in gc.global_of.iter().enumerate() {
             if let Some(g) = global {
@@ -601,6 +599,13 @@ mod tests {
         for (&(j, class), &id) in &gc.backward_virtual {
             labels.insert(id, format!("b{j}.{class}"));
         }
+        labels
+    }
+
+    /// Canonical view of a compound graph's edges. Patched and freshly
+    /// built compounds must agree on this set exactly.
+    fn canonical_edges(gc: &CompoundGraph) -> BTreeSet<(String, String)> {
+        let labels = canonical_labels(gc);
         gc.graph
             .edges()
             .map(|(u, v)| {
@@ -612,9 +617,35 @@ mod tests {
             .collect()
     }
 
+    /// Canonical view of a compound graph's step-1 route tables: the role
+    /// of every routed vertex, by label. Also checks the tables' own
+    /// invariants (ascending ids, exactly the vertices with a role).
+    fn canonical_routes(gc: &CompoundGraph) -> BTreeSet<(String, String)> {
+        let labels = canonical_labels(gc);
+        let routed = gc.route_ids();
+        assert!(
+            routed.windows(2).all(|w| w[0] < w[1]),
+            "ascending, distinct"
+        );
+        let with_role = (0..gc.num_vertices() as VertexId)
+            .filter(|&id| gc.route_role(id) != RouteRole::None)
+            .count();
+        assert_eq!(with_role, routed.len(), "every role is listed");
+        routed
+            .iter()
+            .map(|&id| {
+                let role = gc.route_role(id);
+                assert_ne!(role, RouteRole::None, "listed vertices have a role");
+                let label = labels.get(&id).expect("routed vertex is live").clone();
+                (label, format!("{role:?}"))
+            })
+            .collect()
+    }
+
     /// Asserts the core invariant of the differential pipeline: every
-    /// patched compound graph is structurally identical (modulo vertex-id
-    /// layout) to one freshly built from the index's current summaries.
+    /// patched compound graph — edges and route tables — is structurally
+    /// identical (modulo vertex-id layout) to one freshly built from the
+    /// index's current summaries.
     fn assert_compounds_match_fresh_build(index: &DsrIndex) {
         for i in 0..index.num_partitions() {
             let fresh = CompoundGraph::build(
@@ -627,6 +658,11 @@ mod tests {
                 canonical_edges(&index.compounds[i]),
                 canonical_edges(&fresh),
                 "patched compound {i} must equal a fresh build"
+            );
+            assert_eq!(
+                canonical_routes(&index.compounds[i]),
+                canonical_routes(&fresh),
+                "route tables of patched compound {i} must equal a fresh build's"
             );
         }
     }

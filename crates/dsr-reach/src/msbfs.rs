@@ -9,6 +9,7 @@
 
 use dsr_sync::Arc;
 
+use dsr_graph::traversal::Direction;
 use dsr_graph::{DiGraph, VertexId};
 
 use crate::traits::LocalReachability;
@@ -28,47 +29,57 @@ impl MsBfsReachability {
     /// Runs one 64-source batch and returns, for each target, the mask of
     /// batch sources that reach it.
     fn run_batch(&self, batch: &[VertexId], targets: &[VertexId]) -> Vec<u64> {
-        debug_assert!(batch.len() <= 64);
-        let n = self.graph.num_vertices();
-        let mut seen = vec![0u64; n];
-        let mut frontier = vec![0u64; n];
-        let mut frontier_vertices: Vec<VertexId> = Vec::new();
-        for (bit, &s) in batch.iter().enumerate() {
-            let mask = 1u64 << bit;
-            if seen[s as usize] & mask == 0 {
-                if seen[s as usize] == 0 && frontier[s as usize] == 0 {
-                    frontier_vertices.push(s);
-                }
-                seen[s as usize] |= mask;
-                frontier[s as usize] |= mask;
-            }
-        }
-
-        let mut next: Vec<VertexId> = Vec::new();
-        while !frontier_vertices.is_empty() {
-            next.clear();
-            for &v in &frontier_vertices {
-                let mask = frontier[v as usize];
-                if mask == 0 {
-                    continue;
-                }
-                frontier[v as usize] = 0;
-                for &w in self.graph.out_neighbors(v) {
-                    let new = mask & !seen[w as usize];
-                    if new != 0 {
-                        if frontier[w as usize] == 0 {
-                            next.push(w);
-                        }
-                        seen[w as usize] |= new;
-                        frontier[w as usize] |= new;
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier_vertices, &mut next);
-        }
-
+        let seen = lane_sweep(&self.graph, batch, Direction::Forward);
         targets.iter().map(|&t| seen[t as usize]).collect()
     }
+}
+
+/// One bit-parallel sweep over `graph`: seed `b` of `seeds` (at most 64)
+/// owns lane `b`, and the returned per-vertex masks have bit `b` set at
+/// every vertex the seed reaches in `direction` (the seed itself included).
+/// With [`Direction::Backward`] and the seeds being *targets*, the mask of
+/// a vertex is therefore the set of targets that vertex reaches — which is
+/// how the DSR engine resolves step 3 of Algorithm 2 from the target side.
+pub fn lane_sweep(graph: &DiGraph, seeds: &[VertexId], direction: Direction) -> Vec<u64> {
+    assert!(seeds.len() <= 64, "one sweep carries at most 64 lanes");
+    let n = graph.num_vertices();
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut frontier_vertices: Vec<VertexId> = Vec::new();
+    for (bit, &s) in seeds.iter().enumerate() {
+        let mask = 1u64 << bit;
+        if seen[s as usize] & mask == 0 {
+            if seen[s as usize] == 0 && frontier[s as usize] == 0 {
+                frontier_vertices.push(s);
+            }
+            seen[s as usize] |= mask;
+            frontier[s as usize] |= mask;
+        }
+    }
+
+    let mut next: Vec<VertexId> = Vec::new();
+    while !frontier_vertices.is_empty() {
+        next.clear();
+        for &v in &frontier_vertices {
+            let mask = frontier[v as usize];
+            if mask == 0 {
+                continue;
+            }
+            frontier[v as usize] = 0;
+            for &w in direction.neighbors(graph, v) {
+                let new = mask & !seen[w as usize];
+                if new != 0 {
+                    if frontier[w as usize] == 0 {
+                        next.push(w);
+                    }
+                    seen[w as usize] |= new;
+                    frontier[w as usize] |= new;
+                }
+            }
+        }
+        std::mem::swap(&mut frontier_vertices, &mut next);
+    }
+    seen
 }
 
 impl LocalReachability for MsBfsReachability {
@@ -159,6 +170,15 @@ mod tests {
         let idx = MsBfsReachability::new(g);
         let pairs = idx.set_reachability(&[0, 0, 1], &[2]);
         assert_eq!(pairs, vec![(0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn backward_sweep_marks_the_vertices_that_reach_each_seed() {
+        // 0 -> 1 -> 2 -> 3 with a 1 <-> 4 cycle; seeds are targets 3 and 4.
+        let g = DiGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4), (4, 1)]);
+        let masks = lane_sweep(&g, &[3, 4], Direction::Backward);
+        assert_eq!(masks, vec![0b11, 0b11, 0b01, 0b01, 0b11]);
+        assert_eq!(lane_sweep(&g, &[], Direction::Backward), vec![0; 5]);
     }
 
     #[test]
