@@ -15,7 +15,7 @@
 //! 2. **progressive** — the same edges in many small batches, the worst
 //!    case for per-batch overhead;
 //! 3. **interleaved** — a live [`QueryService`] alternating query batches
-//!    with [`QueryService::apply_updates`] batches from a consistent
+//!    with [`QueryService::update`] batches from a consistent
 //!    [`update_stream`], exercising coalescing and generation-correct
 //!    cache invalidation under load.
 //!

@@ -17,25 +17,12 @@
 //! can be decided entirely on `GC_i` (Theorem 1), which is what makes the
 //! single-communication-round query evaluation possible.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dsr_graph::{condense, DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{Cut, PartitionId};
 
-use crate::summary::{PartitionSummary, SummaryDelta};
-
-/// One remote partition's differential refresh as seen by a receiving
-/// slave: the decoded [`SummaryDelta`] plus the receiver's summary replicas
-/// before and after applying it (`new == delta.apply_to(old)`).
-#[derive(Debug, Clone, Copy)]
-pub struct CompoundPatch<'a> {
-    /// The delta exactly as delivered by the refresh exchange.
-    pub delta: &'a SummaryDelta,
-    /// The sending partition's summary before the update.
-    pub old: &'a PartitionSummary,
-    /// The sending partition's summary after the update.
-    pub new: &'a PartitionSummary,
-}
+use crate::summary::PartitionSummary;
 
 /// Query-independent routing role of one compound vertex in step 1 of
 /// Algorithm 2: what a local source that reaches the vertex has to ship,
@@ -82,9 +69,9 @@ pub struct CompoundGraph {
     /// Compound id of the out-virtual vertex `(remote partition, class)`.
     pub backward_virtual: HashMap<(PartitionId, u32), VertexId>,
     /// Routing role of every compound vertex, indexed by compound id. Kept
-    /// private together with `route_ids`: both are derived from `graph` and
-    /// `forward_virtual` by [`CompoundGraph::rebuild_routes`] and must
-    /// never drift from them.
+    /// private together with `route_ids`: [`CompoundGraph::build`] derives
+    /// both from `graph` and `forward_virtual`, and they must never drift
+    /// from them.
     route_role: Vec<RouteRole>,
     /// Sorted compound ids of every vertex whose role is not
     /// [`RouteRole::None`].
@@ -96,8 +83,8 @@ impl CompoundGraph {
     /// subgraph, the global cut and the summaries of *every* partition.
     ///
     /// Only partition-local data plus the (small) summaries and cut are
-    /// needed, which is what allows incremental updates to rebuild compound
-    /// graphs without re-reading the full data graph.
+    /// needed, which is what allows incremental updates to rebuild the
+    /// affected compound graphs without re-reading the full data graph.
     pub fn build(
         local: &InducedSubgraph,
         cut: &Cut,
@@ -203,16 +190,15 @@ impl CompoundGraph {
             route_role: Vec::new(),
             route_ids: Vec::new(),
         };
-        built.rebuild_routes();
+        built.derive_routes();
         built
     }
 
-    /// Re-derives the step-1 route tables from the graph: every in-virtual
+    /// Derives the step-1 route tables from the graph: every in-virtual
     /// vertex routes its class, and its in-neighbors — exactly the class
     /// members, the only edges into an in-virtual vertex are membership
-    /// edges — are the in-boundaries of its partition. Needs no summary, so
-    /// a patched compound derives them the same way a fresh build does.
-    fn rebuild_routes(&mut self) {
+    /// edges — are the in-boundaries of its partition.
+    fn derive_routes(&mut self) {
         let mut role = vec![RouteRole::None; self.graph.num_vertices()];
         let mut ids: Vec<VertexId> = Vec::new();
         for (&(partition, class), &id) in &self.forward_virtual {
@@ -226,232 +212,6 @@ impl CompoundGraph {
         ids.sort_unstable();
         self.route_role = role;
         self.route_ids = ids;
-    }
-
-    /// Patches this compound graph in place from decoded refresh deltas —
-    /// the receiving half of the differential update pipeline (Section
-    /// 3.3.3) — instead of rebuilding it from every partition's summary.
-    ///
-    /// `patches` holds one entry per delta this slave received (plus its
-    /// own delta, whose cut-edge splice applies everywhere but whose class
-    /// content is skipped — a compound graph never contains its own
-    /// partition's virtual vertices). `added_local_edges` /
-    /// `removed_local_edges` are this partition's own local-subgraph
-    /// changes in **local ids** (which coincide with the compound ids of
-    /// local vertices).
-    ///
-    /// The patch is purely structural: stale membership/transit/cut edges
-    /// are dropped, vertex translation tables are updated (virtual-vertex
-    /// ids are reused class-for-class, boundary vertices that stopped being
-    /// boundaries release their slot, new ones are appended), and the CSR
-    /// is rebuilt from the spliced edge list. No summary is recomputed and
-    /// no remote partition other than the patched ones is touched, so the
-    /// result is identical (modulo vertex-id layout) to
-    /// [`CompoundGraph::build`] over the post-update summaries — an
-    /// invariant the update tests assert edge-by-edge.
-    pub fn apply_patches(
-        &mut self,
-        patches: &[CompoundPatch<'_>],
-        added_local_edges: &[(VertexId, VertexId)],
-        removed_local_edges: &[(VertexId, VertexId)],
-    ) {
-        let mut removals: HashSet<(VertexId, VertexId)> = HashSet::new();
-        let mut additions: Vec<(VertexId, VertexId)> = Vec::new();
-
-        // ---- Pass A: removals, resolved against the *old* translation
-        // tables (stale boundary vertices still have their ids here).
-        for &(lu, lv) in removed_local_edges {
-            removals.insert((lu, lv));
-        }
-        for patch in patches {
-            let j = patch.delta.partition;
-            for &(u, v) in &patch.delta.removed_cut_edges {
-                let cu = self.compound_of[&u];
-                let cv = self.compound_of[&v];
-                removals.insert((cu, cv));
-            }
-            if j == self.partition {
-                continue; // own class content never appears in own compound
-            }
-            if patch.delta.classes.is_some() {
-                // The whole old class structure of j dies.
-                for (&b, &class) in &patch.old.forward_class_of {
-                    removals.insert((self.compound_of[&b], self.forward_virtual[&(j, class)]));
-                }
-                for (&b, &class) in &patch.old.backward_class_of {
-                    removals.insert((self.backward_virtual[&(j, class)], self.compound_of[&b]));
-                }
-                for &(f, t) in &patch.old.transit {
-                    removals.insert((
-                        self.forward_virtual[&(j, f)],
-                        self.backward_virtual[&(j, t)],
-                    ));
-                }
-            } else {
-                for &(f, t) in &patch.delta.removed_transit {
-                    removals.insert((
-                        self.forward_virtual[&(j, f)],
-                        self.backward_virtual[&(j, t)],
-                    ));
-                }
-            }
-        }
-
-        // ---- Pass B: translation-table maintenance for every remote
-        // partition whose class structure was replaced.
-        for patch in patches {
-            let j = patch.delta.partition;
-            if j == self.partition || patch.delta.classes.is_none() {
-                continue;
-            }
-            // Boundary vertices that stopped being boundaries release their
-            // slot (the slot stays allocated but maps to nothing).
-            let old_concrete: HashSet<VertexId> = patch
-                .old
-                .in_boundaries
-                .iter()
-                .chain(patch.old.out_boundaries.iter())
-                .copied()
-                .collect();
-            let new_concrete: HashSet<VertexId> = patch
-                .new
-                .in_boundaries
-                .iter()
-                .chain(patch.new.out_boundaries.iter())
-                .copied()
-                .collect();
-            for &b in old_concrete.difference(&new_concrete) {
-                let id = self
-                    .compound_of
-                    .remove(&b)
-                    .expect("stale boundary was represented");
-                self.global_of[id as usize] = None;
-            }
-            for &b in &new_concrete {
-                if !self.compound_of.contains_key(&b) {
-                    let id = self.global_of.len() as VertexId;
-                    self.global_of.push(Some(b));
-                    self.compound_of.insert(b, id);
-                }
-            }
-            // Virtual vertices: reuse old slots class-for-class, append
-            // fresh slots for extra classes, release surplus slots.
-            let old_f = patch.old.num_forward_classes();
-            let new_f = patch.new.num_forward_classes();
-            for class in new_f..old_f {
-                self.forward_virtual.remove(&(j, class as u32));
-            }
-            for class in old_f..new_f {
-                let id = self.global_of.len() as VertexId;
-                self.global_of.push(None);
-                self.forward_virtual.insert((j, class as u32), id);
-            }
-            let old_b = patch.old.num_backward_classes();
-            let new_b = patch.new.num_backward_classes();
-            for class in new_b..old_b {
-                self.backward_virtual.remove(&(j, class as u32));
-            }
-            for class in old_b..new_b {
-                let id = self.global_of.len() as VertexId;
-                self.global_of.push(None);
-                self.backward_virtual.insert((j, class as u32), id);
-            }
-        }
-
-        // ---- Pass C: additions, resolved against the updated tables.
-        additions.extend_from_slice(added_local_edges);
-        for patch in patches {
-            let j = patch.delta.partition;
-            for &(u, v) in &patch.delta.added_cut_edges {
-                let cu = *self
-                    .compound_of
-                    .get(&u)
-                    .expect("cut-edge source is local or a remote out-boundary");
-                let cv = *self
-                    .compound_of
-                    .get(&v)
-                    .expect("cut-edge target is local or a remote in-boundary");
-                additions.push((cu, cv));
-            }
-            if j == self.partition {
-                continue;
-            }
-            if patch.delta.classes.is_some() {
-                for (&b, &class) in &patch.new.forward_class_of {
-                    additions.push((self.compound_of[&b], self.forward_virtual[&(j, class)]));
-                }
-                for (&b, &class) in &patch.new.backward_class_of {
-                    additions.push((self.backward_virtual[&(j, class)], self.compound_of[&b]));
-                }
-                for &(f, t) in &patch.new.transit {
-                    additions.push((
-                        self.forward_virtual[&(j, f)],
-                        self.backward_virtual[&(j, t)],
-                    ));
-                }
-            } else {
-                for &(f, t) in &patch.delta.added_transit {
-                    additions.push((
-                        self.forward_virtual[&(j, f)],
-                        self.backward_virtual[&(j, t)],
-                    ));
-                }
-            }
-        }
-
-        // ---- Pass D: splice the edge list (no reachability work, no
-        // other partition's summary consulted).
-        let mut edges: Vec<(VertexId, VertexId)> = self
-            .graph
-            .edges()
-            .filter(|edge| !removals.contains(edge))
-            .collect();
-        edges.extend_from_slice(&additions);
-
-        // ---- Pass E: compact released vertex slots once they exceed a
-        // quarter of the table. Patching deliberately releases slots
-        // instead of renumbering (Pass B), but under sustained
-        // boundary/class churn the table would otherwise grow with total
-        // *historical* churn; the periodic remap keeps memory and
-        // per-patch CSR cost proportional to the *live* compound.
-        let total = self.global_of.len();
-        let virtual_ids: HashSet<VertexId> = self
-            .forward_virtual
-            .values()
-            .chain(self.backward_virtual.values())
-            .copied()
-            .collect();
-        let is_live =
-            |id: usize| self.global_of[id].is_some() || virtual_ids.contains(&(id as VertexId));
-        let dead = (0..total).filter(|&id| !is_live(id)).count();
-        if dead * 4 > total {
-            let mut remap: Vec<Option<VertexId>> = Vec::with_capacity(total);
-            let mut compacted: Vec<Option<VertexId>> = Vec::with_capacity(total - dead);
-            for id in 0..total {
-                if is_live(id) {
-                    remap.push(Some(compacted.len() as VertexId));
-                    compacted.push(self.global_of[id]);
-                } else {
-                    remap.push(None);
-                }
-            }
-            self.global_of = compacted;
-            let renumber = |id: &mut VertexId| {
-                *id = remap[*id as usize].expect("referenced vertex is live");
-            };
-            self.compound_of.values_mut().for_each(renumber);
-            self.forward_virtual.values_mut().for_each(renumber);
-            self.backward_virtual.values_mut().for_each(renumber);
-            for (u, v) in edges.iter_mut() {
-                *u = remap[*u as usize].expect("edge endpoint is live");
-                *v = remap[*v as usize].expect("edge endpoint is live");
-            }
-        }
-
-        edges.sort_unstable();
-        edges.dedup();
-        self.graph = DiGraph::from_edges(self.global_of.len(), &edges);
-        self.rebuild_routes();
     }
 
     /// Compound id of a global vertex (local vertex or concrete remote

@@ -741,6 +741,7 @@ fn sorted_union(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::Forging;
     use dsr_cluster::WireTransport;
     use dsr_graph::{DiGraph, TransitiveClosure};
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
@@ -1126,49 +1127,6 @@ mod tests {
         assert!(DsrEngine::new(&index).is_reachable(0, 4));
     }
 
-    /// A transport whose exchange round delivers one extra, forged buffer:
-    /// the hostile (or stale) peer of the malformed-buffer tests.
-    struct Forging {
-        /// The forged `BatchBuffer`, wire-encoded.
-        buffer: Vec<u8>,
-        sender: usize,
-        receiver: usize,
-    }
-
-    impl Transport for Forging {
-        fn name(&self) -> &'static str {
-            "forging"
-        }
-
-        fn scatter<M: dsr_cluster::WireMessage>(
-            &self,
-            messages: Vec<M>,
-            stats: &CommStats,
-        ) -> Result<Vec<M>, TransportError> {
-            InProcess.scatter(messages, stats)
-        }
-
-        fn gather<M: dsr_cluster::WireMessage>(
-            &self,
-            messages: Vec<M>,
-            stats: &CommStats,
-        ) -> Result<Vec<M>, TransportError> {
-            InProcess.gather(messages, stats)
-        }
-
-        fn all_to_all<M: dsr_cluster::WireMessage>(
-            &self,
-            num_nodes: usize,
-            outgoing: Vec<Vec<(usize, M)>>,
-            stats: &CommStats,
-        ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
-            let mut incoming = InProcess.all_to_all(num_nodes, outgoing, stats)?;
-            let forged = dsr_cluster::wire::decode_exact::<M>(&self.buffer)?;
-            incoming[self.receiver].push((self.sender, forged));
-            Ok(incoming)
-        }
-    }
-
     #[test]
     fn malformed_exchange_buffers_are_typed_errors_not_panics() {
         let (g, p) = figure1();
@@ -1197,6 +1155,7 @@ mod tests {
                 buffer: dsr_cluster::wire::encode_to_vec(&buffer),
                 sender: 1,
                 receiver: 2,
+                replace: false,
             };
             let engine = DsrEngine::with_transport(&index, transport);
             let err = engine
@@ -1220,6 +1179,7 @@ mod tests {
             )]),
             sender: 1,
             receiver: 2,
+            replace: false,
         };
         let engine = DsrEngine::with_transport(&index, transport);
         let outcome = engine

@@ -348,10 +348,11 @@ impl DsrIndex {
     }
 
     /// Re-derives the per-compound and per-summary statistics entries after
-    /// an incremental update patched `patched` compounds (summary-derived
-    /// totals are always cheap sums and are refreshed wholesale).
-    pub(crate) fn refresh_stats_after_update(&mut self, patched: &[PartitionId]) {
-        for &p in patched {
+    /// an incremental update rebuilt the compounds of `rebuilt`
+    /// (summary-derived totals are always cheap sums and are refreshed
+    /// wholesale).
+    pub(crate) fn refresh_stats_after_update(&mut self, rebuilt: &[PartitionId]) {
+        for &p in rebuilt {
             let compound = &self.compounds[p as usize];
             self.stats.compound_edges[p as usize] = compound.num_edges();
             self.stats.dag_edges[p as usize] = compound.dag_edges();

@@ -21,8 +21,8 @@
 //!   pluggable local reachability indexes, build statistics) with
 //!   **differential** incremental updates (Section 3.3.3, [`updates`]):
 //!   only affected partitions refresh, refresh traffic ships as
-//!   [`SummaryDelta`] messages through the transport, and compound graphs
-//!   are patched in place from the decoded deltas,
+//!   [`SummaryDelta`] messages through the transport, and the affected
+//!   compound graphs are rebuilt from the refreshed summaries,
 //! * [`DsrEngine`] — Algorithms 1 and 2 executed over the simulated
 //!   cluster, with communication accounting; generic over the
 //!   [`Transport`](dsr_cluster::Transport) that moves its messages
@@ -60,9 +60,11 @@ pub mod engine;
 pub mod index;
 pub mod protocol;
 pub mod summary;
+#[cfg(test)]
+mod test_support;
 pub mod updates;
 
-pub use compound::{CompoundGraph, CompoundPatch, RouteRole};
+pub use compound::{CompoundGraph, RouteRole};
 pub use engine::{BatchOutcome, DsrEngine, QueryOutcome, SetQuery};
 pub use index::{DsrIndex, IndexBuildStats, IndexGeneration};
 pub use summary::{ClassReplacement, PartitionSummary, SummaryDelta};

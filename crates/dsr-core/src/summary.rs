@@ -187,9 +187,9 @@ pub struct ClassReplacement {
 /// An empty delta (see [`SummaryDelta::is_empty`]) is never shipped — a
 /// duplicate edge or a reachability-preserving local insertion costs zero
 /// messages. [`SummaryDelta::apply_to`] reconstructs the partition's new
-/// summary from the receiver's old replica, and
-/// [`CompoundGraph::apply_patches`](crate::CompoundGraph::apply_patches)
-/// patches the receiver's compound graph in place from the decoded delta.
+/// summary from the receiver's old replica; the receiver then rebuilds its
+/// compound graph ([`CompoundGraph::build`](crate::CompoundGraph::build))
+/// from the refreshed replicas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SummaryDelta {
     /// The partition this delta refreshes.

@@ -24,11 +24,16 @@
 //!    peer through the [`Transport`] — never a full summary, and nothing
 //!    at all when the diff is empty. The round's measured wire cost lands
 //!    in [`UpdateStats`].
-//! 4. **Compound patching.** Every slave patches its compound graph *in
-//!    place* from the decoded deltas
-//!    ([`CompoundGraph::apply_patches`](crate::CompoundGraph::apply_patches))
-//!    and rebuilds only its local reachability index; untouched slaves do
-//!    no work whatsoever.
+//! 4. **Compound rebuild.** Every receiving slave applies each decoded
+//!    delta to its pre-update replica of the sender's summary and checks the
+//!    result against the refreshed summary — a delta that does not
+//!    reconstruct it fails the batch with a typed
+//!    [`TransportError::Protocol`], in every build profile. Each slave whose
+//!    replicas, cut view or local subgraph changed then rebuilds its
+//!    compound graph from the refreshed replicas
+//!    ([`CompoundGraph::build`](crate::CompoundGraph::build), the one way
+//!    a compound graph is ever made) and its local reachability index over
+//!    it; untouched slaves do no work whatsoever.
 //!
 //! Batch variants ([`DsrIndex::insert_edges`] / [`DsrIndex::delete_edges`] /
 //! [`DsrIndex::apply_updates`]) classify and refresh once for the whole
@@ -39,11 +44,11 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError, UpdateStats};
-use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
+use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId};
 use dsr_reach::{build_index, LocalReachability};
 
-use crate::compound::CompoundPatch;
+use crate::compound::CompoundGraph;
 use crate::index::DsrIndex;
 use crate::summary::{PartitionSummary, SummaryDelta};
 
@@ -97,8 +102,8 @@ pub struct UpdateOutcome {
     /// recomputed. Reachability-preserving local edges and duplicates
     /// refresh nothing.
     pub refreshed_summaries: Vec<PartitionId>,
-    /// Partitions whose compound graphs were patched (differentially — no
-    /// compound is ever rebuilt from all summaries on the update path).
+    /// Partitions whose compound graphs (and local indexes) were rebuilt:
+    /// those that received a structure-changing delta or changed locally.
     pub patched_compounds: Vec<PartitionId>,
     /// Whether any compound graph changed at all.
     pub rebuilt_compounds: bool,
@@ -126,10 +131,6 @@ struct StagedLocal {
 }
 
 impl StagedLocal {
-    fn any(&self) -> bool {
-        !self.added.is_empty() || !self.removed.is_empty()
-    }
-
     /// Whether the edge is present in the staged graph.
     fn present(&self, graph: &DiGraph, u: VertexId, v: VertexId) -> bool {
         if self.added.contains(&(u, v)) {
@@ -237,18 +238,20 @@ impl DsrIndex {
     /// [module docs](crate::updates): stage & classify, refresh only
     /// affected summaries, diff them into [`SummaryDelta`]s, exchange the
     /// deltas all-to-all through the transport (measured in the returned
-    /// [`UpdateStats`]), and patch each slave's compound graph in place
-    /// from the decoded deltas.
+    /// [`UpdateStats`]), verify the decoded deltas and rebuild the
+    /// affected slaves' compound graphs.
     ///
     /// # Errors
     /// Returns the typed [`TransportError`] when the transport fails
     /// during the delta exchange (e.g. a TCP worker disconnecting
-    /// mid-refresh). **The index may be left partially updated in that
-    /// case** (locals and summaries refreshed, compounds unpatched):
-    /// callers that must survive worker failures should apply updates to
-    /// a fork ([`DsrIndex::fork`], or the serving layer's
-    /// `clone_on_write`) and discard it on error. The in-process and pipe
-    /// backends never fail.
+    /// mid-refresh), and [`TransportError::Protocol`] when a delivered
+    /// delta does not reconstruct its sender's refreshed summary (a lossy
+    /// codec, a corrupted frame). **The index may be left partially
+    /// updated in that case** (locals and summaries refreshed, compounds
+    /// stale): callers that must survive such failures should apply
+    /// updates to a fork ([`DsrIndex::fork`], or the serving layer's
+    /// `UpdateMode::ForkAndSwap`) and discard it on error. The in-process
+    /// and pipe backends never fail.
     ///
     /// # Panics
     /// Panics if an op references a vertex outside the indexed graph.
@@ -331,25 +334,18 @@ impl DsrIndex {
         }
 
         // ---- Stage 2: apply the staged changes to locals and cut.
-        let mut added_local: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); k];
-        let mut removed_local: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); k];
         let mut local_changed = vec![false; k];
         for p in 0..k {
-            if !staged[p].any() {
+            let StagedLocal { added, removed, .. } = &staged[p];
+            if added.is_empty() && removed.is_empty() {
                 continue;
             }
             local_changed[p] = true;
-            let mut added: Vec<_> = staged[p].added.iter().copied().collect();
-            added.sort_unstable();
-            let mut removed: Vec<_> = staged[p].removed.iter().copied().collect();
-            removed.sort_unstable();
-            let removed_set: HashSet<(VertexId, VertexId)> = removed.iter().copied().collect();
-            self.rebuild_local(p as PartitionId, |edges| {
-                edges.retain(|e| !removed_set.contains(e));
-                edges.extend_from_slice(&added);
-            });
-            added_local[p] = added;
-            removed_local[p] = removed;
+            let local = &mut self.locals[p];
+            let mut edges = local.graph.edge_vec();
+            edges.retain(|e| !removed.contains(e));
+            edges.extend(added);
+            local.graph = DiGraph::from_edges(local.graph.num_vertices(), &edges);
         }
 
         let mut boundary_changed = vec![false; k];
@@ -420,7 +416,7 @@ impl DsrIndex {
         }
 
         // ---- Stage 4: diff into deltas; ship only non-empty ones.
-        let mut deltas: Vec<Option<SummaryDelta>> = (0..k)
+        let deltas: Vec<Option<SummaryDelta>> = (0..k)
             .map(|p| {
                 let p = p as PartitionId;
                 let owned = |edges: &BTreeSet<(VertexId, VertexId)>| {
@@ -471,104 +467,75 @@ impl DsrIndex {
             received = transport.all_to_all(k, outgoing, &comm)?;
         }
 
-        // ---- Stage 5: patch each slave's compound graph from the deltas
-        // it received (decoded by the transport) plus its own local
-        // knowledge, then rebuild only the patched local indexes.
-        let mut patched: Vec<PartitionId> = Vec::new();
+        // ---- Stage 5: every slave applies the deltas it received (as
+        // decoded by the transport) to its pre-update replicas; a delta that
+        // does not reconstruct the sender's refreshed summary — a lossy
+        // codec, a corrupted frame — fails the batch here, in every build
+        // profile. Slaves whose replicas, cut view or local subgraph changed
+        // then rebuild their compound graph and the local index over it.
+        let mut affected: Vec<PartitionId> = Vec::new();
         for (i, incoming) in received.iter().enumerate() {
-            // The slave's own delta contributes its cut splice (a compound
-            // graph never holds its own partition's classes).
-            let own = deltas[i]
-                .take()
-                .filter(SummaryDelta::changes_compound)
-                .map(|delta| {
-                    let p = i as PartitionId;
-                    let old = old_summaries.get(&p).unwrap_or(&self.summaries[i]).clone();
-                    (delta, old, self.summaries[i].clone())
-                });
-            let mut patch_data: Vec<(SummaryDelta, PartitionSummary, PartitionSummary)> =
-                own.into_iter().collect();
+            let mut changed = local_changed[i]
+                || deltas[i]
+                    .as_ref()
+                    .is_some_and(SummaryDelta::changes_compound);
             for (src, delta) in incoming {
-                if !delta.changes_compound() {
-                    continue;
+                let current = &self.summaries[*src];
+                let old = old_summaries.get(&(*src as PartitionId)).unwrap_or(current);
+                if delta.partition as usize != *src || delta.apply_to(old) != *current {
+                    return Err(TransportError::Protocol {
+                        peer: format!("slave {src}"),
+                        reason: format!(
+                            "the summary delta delivered to slave {i} does not reconstruct \
+                             the refreshed summary of partition {src}"
+                        ),
+                    });
                 }
-                let p = *src as PartitionId;
-                let old = old_summaries
-                    .get(&p)
-                    .unwrap_or(&self.summaries[*src])
-                    .clone();
-                // The receiver reconstructs the sender's new summary from
-                // the decoded delta alone — under the wire transport a
-                // lossy codec diverges here instead of being papered over.
-                let new = delta.apply_to(&old);
-                debug_assert_eq!(
-                    new, self.summaries[*src],
-                    "decoded delta must reconstruct the refreshed summary"
-                );
-                patch_data.push((delta.clone(), old, new));
+                changed |= delta.changes_compound();
             }
-            if patch_data.is_empty() && !local_changed[i] {
-                continue;
+            if changed {
+                affected.push(i as PartitionId);
             }
-            let patches: Vec<CompoundPatch<'_>> = patch_data
-                .iter()
-                .map(|(delta, old, new)| CompoundPatch { delta, old, new })
-                .collect();
-            self.compounds[i].apply_patches(&patches, &added_local[i], &removed_local[i]);
-            patched.push(i as PartitionId);
         }
 
-        if !patched.is_empty() {
+        if !affected.is_empty() {
             let kind = self.kind;
-            let compounds = &self.compounds;
-            let targets = &patched;
-            let rebuilt: Vec<Box<dyn LocalReachability>> = run_on_slaves(targets.len(), |i| {
-                build_index(kind, Arc::new(compounds[targets[i] as usize].graph.clone()))
-            });
-            for (p, index) in patched.iter().zip(rebuilt) {
+            let (locals, cut, summaries) = (&self.locals, &self.cut, &self.summaries);
+            let rebuilt: Vec<(CompoundGraph, Box<dyn LocalReachability>)> =
+                run_on_slaves(affected.len(), |i| {
+                    let p = affected[i];
+                    let compound = CompoundGraph::build(&locals[p as usize], cut, summaries, p);
+                    let index = build_index(kind, Arc::new(compound.graph.clone()));
+                    (compound, index)
+                });
+            for (p, (compound, index)) in affected.iter().zip(rebuilt) {
+                self.compounds[*p as usize] = compound;
                 self.local_indexes[*p as usize] = index;
             }
-            self.refresh_stats_after_update(&patched);
+            self.refresh_stats_after_update(&affected);
+            self.generation.advance();
         } else if !refreshed.is_empty() {
             // Statistics-only refresh (e.g. a boundary-pair count moved).
             self.refresh_stats_after_update(&[]);
         }
 
-        if !patched.is_empty() {
-            self.generation.advance();
-        }
         Ok(UpdateOutcome {
             refreshed_summaries: refreshed,
-            rebuilt_compounds: !patched.is_empty(),
-            patched_compounds: patched,
+            rebuilt_compounds: !affected.is_empty(),
+            patched_compounds: affected,
             shipped_deltas,
             stats: UpdateStats::from_comm(&comm),
             elapsed: start.elapsed(),
         })
-    }
-
-    /// Rebuilds the local induced subgraph of `partition` after applying
-    /// `mutate` to its (local-id) edge list.
-    fn rebuild_local<F>(&mut self, partition: PartitionId, mutate: F)
-    where
-        F: FnOnce(&mut Vec<(VertexId, VertexId)>),
-    {
-        let local = &self.locals[partition as usize];
-        let mut edges = local.graph.edge_vec();
-        mutate(&mut edges);
-        let graph = DiGraph::from_edges(local.graph.num_vertices(), &edges);
-        self.locals[partition as usize] = InducedSubgraph {
-            graph,
-            mapping: local.mapping.clone(),
-        };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compound::{CompoundGraph, RouteRole};
     use crate::engine::DsrEngine;
+    use crate::summary::ClassReplacement;
+    use crate::test_support::Forging;
     use dsr_cluster::WireTransport;
     use dsr_graph::TransitiveClosure;
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
@@ -582,89 +549,6 @@ mod tests {
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
         (g, p)
-    }
-
-    /// Id-layout-independent name of every live compound vertex: its global
-    /// id or its `(partition, class)` virtual identity.
-    fn canonical_labels(gc: &CompoundGraph) -> HashMap<VertexId, String> {
-        let mut labels: HashMap<VertexId, String> = HashMap::new();
-        for (id, global) in gc.global_of.iter().enumerate() {
-            if let Some(g) = global {
-                labels.insert(id as VertexId, format!("g{g}"));
-            }
-        }
-        for (&(j, class), &id) in &gc.forward_virtual {
-            labels.insert(id, format!("f{j}.{class}"));
-        }
-        for (&(j, class), &id) in &gc.backward_virtual {
-            labels.insert(id, format!("b{j}.{class}"));
-        }
-        labels
-    }
-
-    /// Canonical view of a compound graph's edges. Patched and freshly
-    /// built compounds must agree on this set exactly.
-    fn canonical_edges(gc: &CompoundGraph) -> BTreeSet<(String, String)> {
-        let labels = canonical_labels(gc);
-        gc.graph
-            .edges()
-            .map(|(u, v)| {
-                (
-                    labels.get(&u).expect("edge endpoint labeled").clone(),
-                    labels.get(&v).expect("edge endpoint labeled").clone(),
-                )
-            })
-            .collect()
-    }
-
-    /// Canonical view of a compound graph's step-1 route tables: the role
-    /// of every routed vertex, by label. Also checks the tables' own
-    /// invariants (ascending ids, exactly the vertices with a role).
-    fn canonical_routes(gc: &CompoundGraph) -> BTreeSet<(String, String)> {
-        let labels = canonical_labels(gc);
-        let routed = gc.route_ids();
-        assert!(
-            routed.windows(2).all(|w| w[0] < w[1]),
-            "ascending, distinct"
-        );
-        let with_role = (0..gc.num_vertices() as VertexId)
-            .filter(|&id| gc.route_role(id) != RouteRole::None)
-            .count();
-        assert_eq!(with_role, routed.len(), "every role is listed");
-        routed
-            .iter()
-            .map(|&id| {
-                let role = gc.route_role(id);
-                assert_ne!(role, RouteRole::None, "listed vertices have a role");
-                let label = labels.get(&id).expect("routed vertex is live").clone();
-                (label, format!("{role:?}"))
-            })
-            .collect()
-    }
-
-    /// Asserts the core invariant of the differential pipeline: every
-    /// patched compound graph — edges and route tables — is structurally
-    /// identical (modulo vertex-id layout) to one freshly built from the
-    /// index's current summaries.
-    fn assert_compounds_match_fresh_build(index: &DsrIndex) {
-        for i in 0..index.num_partitions() {
-            let fresh = CompoundGraph::build(
-                &index.locals[i],
-                &index.cut,
-                &index.summaries,
-                i as PartitionId,
-            );
-            assert_eq!(
-                canonical_edges(&index.compounds[i]),
-                canonical_edges(&fresh),
-                "patched compound {i} must equal a fresh build"
-            );
-            assert_eq!(
-                canonical_routes(&index.compounds[i]),
-                canonical_routes(&fresh),
-                "route tables of patched compound {i} must equal a fresh build's"
-            );
-        }
     }
 
     #[test]
@@ -682,7 +566,6 @@ mod tests {
         let engine = DsrEngine::new(&index);
         assert!(engine.is_reachable(0, 5));
         assert!(!engine.is_reachable(5, 0));
-        assert_compounds_match_fresh_build(&index);
     }
 
     #[test]
@@ -692,7 +575,6 @@ mod tests {
         index.insert_edge(2, 0); // creates a cycle 0 -> 1 -> 2 -> 0
         let engine = DsrEngine::new(&index);
         assert!(engine.is_reachable(2, 1));
-        assert_compounds_match_fresh_build(&index);
     }
 
     #[test]
@@ -709,7 +591,6 @@ mod tests {
         assert!(outcome.stats.is_zero(), "nothing crosses the network");
         assert_eq!(outcome.patched_compounds, vec![0], "only the owner");
         assert!(index.locals[0].graph.has_edge(0, 2));
-        assert_compounds_match_fresh_build(&index);
     }
 
     #[test]
@@ -762,7 +643,6 @@ mod tests {
             "two non-empty deltas, each to k - 1 = 2 peers"
         );
         assert!(outcome.stats.update_bytes > 0);
-        assert_compounds_match_fresh_build(&index);
     }
 
     #[test]
@@ -809,8 +689,6 @@ mod tests {
                 .pairs,
             DsrEngine::new(&tcp).set_reachability(&all, &all).pairs,
         );
-        assert_compounds_match_fresh_build(&wired);
-        assert_compounds_match_fresh_build(&tcp);
     }
 
     #[test]
@@ -839,6 +717,65 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_refresh_delta_is_a_typed_protocol_error_in_every_profile() {
+        let g = DiGraph::from_edges(9, &[(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]);
+        let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1, 2, 2, 2], 3);
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let op = [UpdateOp::Insert(2, 3)];
+        // What partition 0 honestly ships for this batch.
+        let honest = index.fork().apply_updates(&op).shipped_deltas;
+        let (_, delta) = honest.iter().find(|(p, _)| *p == 0).expect("0 refreshes");
+        let classes = delta.classes.clone().expect("a new out-boundary");
+
+        // Each forgery decodes cleanly but does not reconstruct partition
+        // 0's refreshed summary at the receiver.
+        let mut wrong_class = delta.clone();
+        wrong_class.classes = Some(ClassReplacement {
+            backward_classes: vec![vec![1]],
+            ..classes
+        });
+        let mut wrong_partition = delta.clone();
+        wrong_partition.partition = 1;
+        for forged in [wrong_class, wrong_partition] {
+            let transport = Forging {
+                buffer: dsr_cluster::wire::encode_to_vec(&forged),
+                sender: 0,
+                receiver: 2,
+                replace: true,
+            };
+            let mut fork = index.fork();
+            let err = fork
+                .apply_updates_with_transport(&op, &transport)
+                .expect_err("a delta that reconstructs the wrong summary fails the batch");
+            assert!(
+                matches!(err, TransportError::Protocol { .. }),
+                "typed protocol error: {err}"
+            );
+            let text = err.to_string();
+            assert!(
+                text.contains("slave 0") && text.contains("slave 2"),
+                "names sender and receiver: {text}"
+            );
+            // The half-applied fork is dropped; the index it was forked
+            // from still answers for the pre-update graph.
+            drop(fork);
+            assert!(!DsrEngine::new(&index).is_reachable(0, 5));
+        }
+
+        // The honest delta through the same transport goes through.
+        let transport = Forging {
+            buffer: dsr_cluster::wire::encode_to_vec(delta),
+            sender: 0,
+            receiver: 2,
+            replace: true,
+        };
+        let mut fork = index.fork();
+        fork.apply_updates_with_transport(&op, &transport)
+            .expect("an unmodified delta reconstructs the summary");
+        assert!(DsrEngine::new(&fork).is_reachable(0, 5));
+    }
+
+    #[test]
     fn deleting_a_cut_edge_disconnects() {
         let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let p = Partitioning::new(vec![0, 0, 1, 1], 2);
@@ -854,7 +791,6 @@ mod tests {
         // Boundaries must have been cleared.
         assert!(index.cut.partition(0).out_boundaries.is_empty());
         assert!(index.cut.partition(1).in_boundaries.is_empty());
-        assert_compounds_match_fresh_build(&index);
     }
 
     #[test]
@@ -878,7 +814,6 @@ mod tests {
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.stats.is_zero());
         assert_eq!(outcome.patched_compounds, vec![0]);
-        assert_compounds_match_fresh_build(&index);
         let engine = DsrEngine::new(&index);
         assert!(engine.is_reachable(0, 2));
     }
@@ -886,8 +821,7 @@ mod tests {
     #[test]
     fn sustained_boundary_churn_does_not_grow_compounds_unboundedly() {
         // Alternately creating and destroying the same cut edge replaces
-        // partition classes every batch, releasing and re-allocating
-        // virtual/boundary slots. Compaction must keep the vertex tables
+        // partition classes every batch; the vertex tables must stay
         // proportional to the live compound, not to historical churn.
         let (g, p) = chain_graph();
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
@@ -897,15 +831,8 @@ mod tests {
             index.delete_edge(2, 3);
             index.insert_edge(2, 3);
         }
-        for (i, c) in index.compounds.iter().enumerate() {
-            assert!(
-                c.num_vertices() <= after_first[i] + 4,
-                "compound {i} grew from {} to {} vertices under churn",
-                after_first[i],
-                c.num_vertices()
-            );
-        }
-        assert_compounds_match_fresh_build(&index);
+        let after_churn: Vec<usize> = index.compounds.iter().map(|c| c.num_vertices()).collect();
+        assert_eq!(after_churn, after_first, "compounds grew under churn");
         let engine = DsrEngine::new(&index);
         assert!(engine.is_reachable(0, 5));
     }
@@ -960,7 +887,6 @@ mod tests {
                     let (u, v) = current.swap_remove(idx);
                     index.delete_edge(u, v);
                 }
-                assert_compounds_match_fresh_build(&index);
             }
             let updated_graph = DiGraph::from_edges(n, &current);
             let oracle = TransitiveClosure::build(&updated_graph);
@@ -1031,8 +957,7 @@ mod tests {
 
             /// Mixed insert/delete batches: the differentially maintained
             /// index answers exactly like a transitive-closure oracle over
-            /// the final edge set, and every compound graph equals a fresh
-            /// build from the current summaries.
+            /// the final edge set.
             #[test]
             fn mixed_update_batches_match_the_oracle(
                 base in arb_edges(10, 25),
@@ -1064,7 +989,6 @@ mod tests {
                     })
                     .collect();
                 index.apply_updates(&ops);
-                assert_compounds_match_fresh_build(&index);
 
                 let final_edges: Vec<(u32, u32)> = current.into_iter().collect();
                 let oracle =

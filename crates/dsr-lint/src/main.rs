@@ -17,11 +17,6 @@
 //!   must be mentioned in test code of its crate (a round-trip test), so
 //!   no protocol message ships without serialization coverage.
 //! * **`no-debug-macros`** — no `todo!(..)` / `dbg!(..)` in library code.
-//! * **`snapshot-facade`** — no direct `SnapshotHolder` access outside
-//!   `crates/dsr-service/src/snapshot.rs`. The generation chain owns the
-//!   holder; every other layer reads through `QueryService::snapshot()` /
-//!   `SnapshotRef`, so pin accounting and namespace reclamation cannot be
-//!   bypassed.
 //!
 //! Findings are machine-readable (`path:line: rule: message`, one per
 //! line), and the process exits nonzero if any survive the allowlist.
@@ -95,7 +90,6 @@ fn main() -> ExitCode {
         check_sync_facade(source, &mut findings);
         check_lock_unwrap(source, &transport_methods, &mut findings);
         check_debug_macros(source, &mut findings);
-        check_snapshot_facade(source, &mut findings);
     }
     check_wire_roundtrip(&sources, &mut findings);
 
@@ -606,40 +600,6 @@ fn check_debug_macros(source: &SourceFile, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: snapshot-facade
-// ---------------------------------------------------------------------------
-
-/// The generation chain in `dsr-service::snapshot` is the only code allowed
-/// to touch the raw `SnapshotHolder`: everything else must pin through
-/// `QueryService::snapshot()` so generation retention and cache-namespace
-/// reclamation stay accounted.
-fn check_snapshot_facade(source: &SourceFile, findings: &mut Vec<Finding>) {
-    if source.is_in("crates/dsr-service/src/snapshot.rs") || source.is_in("crates/dsr-lint") {
-        return;
-    }
-    for (idx, line) in source.code.iter().enumerate() {
-        if let Some(pos) = line.find("SnapshotHolder") {
-            let prefixed = pos > 0 && {
-                let b = line.as_bytes()[pos - 1];
-                b.is_ascii_alphanumeric() || b == b'_'
-            };
-            if prefixed {
-                continue;
-            }
-            findings.push(Finding {
-                path: source.rel.clone(),
-                line: idx + 1,
-                rule: "snapshot-facade",
-                message: "accesses `SnapshotHolder` directly; pin a generation through \
-                          `QueryService::snapshot()` so retention and cache-namespace \
-                          reclamation stay accounted"
-                    .to_owned(),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Allowlist
 // ---------------------------------------------------------------------------
 
@@ -694,32 +654,6 @@ mod tests {
             Some("Vec".into())
         );
         assert_eq!(wire_impl_target("impl Display for Foo {"), None);
-    }
-
-    #[test]
-    fn snapshot_facade_flags_outside_owner_only() {
-        let outside = SourceFile {
-            rel: PathBuf::from("crates/dsr-rdf/src/lib.rs"),
-            code: vec!["let h = SnapshotHolder::new(x);".into()],
-            test_region_start: None,
-        };
-        let owner = SourceFile {
-            rel: PathBuf::from("crates/dsr-service/src/snapshot.rs"),
-            code: vec!["pub struct SnapshotHolder<T> {".into()],
-            test_region_start: None,
-        };
-        let other_ident = SourceFile {
-            rel: PathBuf::from("crates/dsr-rdf/src/lib.rs"),
-            code: vec!["let h = MySnapshotHolder::new(x);".into()],
-            test_region_start: None,
-        };
-        let mut findings = Vec::new();
-        check_snapshot_facade(&outside, &mut findings);
-        check_snapshot_facade(&owner, &mut findings);
-        check_snapshot_facade(&other_ident, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "snapshot-facade");
-        assert_eq!(findings[0].path, PathBuf::from("crates/dsr-rdf/src/lib.rs"));
     }
 
     #[test]

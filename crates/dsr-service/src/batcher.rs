@@ -17,8 +17,8 @@
 //!                 window: max_wait_us  │  cap: max_batch  │  flush()
 //! ```
 //!
-//! * Clients first probe the sharded result cache
-//!   ([`ShardedCache`](crate::cache::ShardedCache)); **hits never touch
+//! * Clients first probe the result cache
+//!   ([`QueryCache`](crate::cache::QueryCache)); **hits never touch
 //!   the scheduler**. Misses enqueue a [`SigKey`]-keyed entry and block on
 //!   a condvar-based completion handle (`Waiter`) — no async runtime,
 //!   consistent with the std-only workspace.
@@ -554,7 +554,7 @@ fn execute_group(core: &Core, group: GenGroup) {
 #[cfg(test)]
 mod model_tests {
     use super::*;
-    use crate::cache::ShardedCache;
+    use crate::cache::QueryCache;
     use crate::snapshot::GenerationChain;
     use crate::QueryService;
     use dsr_cluster::{BatchStats, CacheStats, CommStats, DynTransport, InProcess};
@@ -577,7 +577,7 @@ mod model_tests {
                 p,
                 LocalIndexKind::Dfs,
             ))),
-            cache: ShardedCache::new(8, 1),
+            cache: QueryCache::new(8),
             cache_enabled: true,
             transport: DynTransport::InProcess(InProcess),
             admission: Admission::new(admission_depth),

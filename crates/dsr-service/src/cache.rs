@@ -1,32 +1,27 @@
-//! Sharded, bounded LRU cache with per-generation namespaces.
+//! Bounded LRU result cache with per-generation namespaces.
 //!
 //! Keys are normalized query signatures ([`SetQuery::signature`]): both
 //! vertex sets sorted and deduplicated, so `S = [3, 1, 3]` and `S = [1, 3]`
 //! share an entry. The signature is hashed **once** into a [`SigKey`] and
-//! that hash is reused for shard selection, the hash-map lookup and the
-//! insert — the per-lookup re-hashing of two vertex vectors that the old
-//! single-map cache paid three times over is gone.
+//! that hash is reused by every map lookup and insert — a probe never
+//! re-walks (or clones) the two vertex vectors.
 //!
 //! Every entry lives in the **namespace** of the index generation it was
 //! computed against (see [`GenerationChain`](crate::GenerationChain)). The
 //! same signature cached under generations 3 and 4 is two independent
 //! entries: pinned readers of generation 3 keep hitting their namespace
 //! while fresh traffic fills generation 4's. When a generation is
-//! reclaimed its namespace is [retired](ShardedCache::retire) — entries
-//! are purged and late inserts refused — so an update batch no longer
-//! clears the whole cache (the old bump-and-clear cliff); it only retires
-//! the namespaces that actually died.
+//! reclaimed its namespace is [retired](QueryCache::retire) — its entries
+//! go and late inserts are refused — so an update batch never clears the
+//! whole cache; it only retires the namespaces that actually died.
 //!
-//! The cache itself ([`ShardedCache`]) is split into independently locked
-//! shards selected by the namespace-mixed signature hash, so concurrent
-//! clients hitting different shards never contend — cache hits bypass the
-//! batch-forming scheduler entirely and scale with the client count.
-//! Values are `Arc`-shared pair lists, so a hit never copies the
-//! (potentially large) answer.
+//! The cache ([`QueryCache`]) is one mutex around one map per live
+//! namespace, with capacity and LRU order shared between them. Cache hits
+//! bypass the batch-forming scheduler entirely. Values are `Arc`-shared
+//! pair lists, so a hit never copies the (potentially large) answer.
 //!
 //! [`SetQuery::signature`]: dsr_core::SetQuery::signature
 
-use dsr_sync::atomic::{AtomicU64, Ordering};
 use dsr_sync::{Arc, Mutex};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
@@ -43,9 +38,9 @@ pub type CachedPairs = Arc<Vec<(VertexId, VertexId)>>;
 
 /// A normalized query signature with its hash precomputed exactly once.
 ///
-/// The hash is reused across shard selection, cache lookup and cache
-/// insert; equality still compares the full signature, so hash collisions
-/// are correct (they merely share a shard and a hash bucket).
+/// The hash is reused across cache lookup and cache insert; equality
+/// still compares the full signature, so hash collisions are correct (they
+/// merely share a hash bucket).
 #[derive(Debug, Clone)]
 pub struct SigKey {
     hash: u64,
@@ -135,48 +130,7 @@ impl Hasher for PrehashedHasher {
     }
 }
 
-/// Mixes a generation id into a signature hash so the same signature lands
-/// in distinct buckets (and possibly distinct shards) per namespace.
-/// Namespace 0 keeps the raw signature hash.
-fn namespaced_hash(namespace: GenerationId, key: &SigKey) -> u64 {
-    key.hash_value() ^ namespace.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// A [`SigKey`] qualified by the cache namespace (= index generation) it
-/// was computed against. Internal to the cache: callers pass the
-/// `(namespace, SigKey)` pair and the cache builds this.
-#[derive(Debug, Clone)]
-struct NsKey {
-    hash: u64,
-    namespace: GenerationId,
-    sig: SigKey,
-}
-
-impl NsKey {
-    fn new(namespace: GenerationId, sig: SigKey) -> Self {
-        NsKey {
-            hash: namespaced_hash(namespace, &sig),
-            namespace,
-            sig,
-        }
-    }
-}
-
-impl PartialEq for NsKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.namespace == other.namespace && self.sig == other.sig
-    }
-}
-
-impl Eq for NsKey {}
-
-impl Hash for NsKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-type PrehashedMap<V> = HashMap<NsKey, V, BuildHasherDefault<PrehashedHasher>>;
+type PrehashedMap<V> = HashMap<SigKey, V, BuildHasherDefault<PrehashedHasher>>;
 
 struct CacheEntry {
     value: CachedPairs,
@@ -185,126 +139,7 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// One bounded LRU shard mapping namespaced query signatures to query
-/// answers.
-///
-/// Lookups and insertions are `O(1)` (hash map over the precomputed
-/// namespace-mixed signature hash); evictions scan for the minimal
-/// timestamp, which is `O(shard capacity)` but only runs when the shard is
-/// full — per-shard capacities are small enough (dozens to hundreds) that
-/// the scan is cheaper than maintaining an intrusive list, and the whole
-/// structure stays obviously correct under its shard mutex. The LRU
-/// competition is shared across namespaces: a hot pinned reader keeps its
-/// old-generation entries alive, a cold one lets them age out.
-pub struct QueryCache {
-    capacity: usize,
-    entries: PrehashedMap<CacheEntry>,
-    tick: u64,
-}
-
-impl std::fmt::Debug for QueryCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryCache")
-            .field("capacity", &self.capacity)
-            .field("len", &self.entries.len())
-            .finish()
-    }
-}
-
-impl QueryCache {
-    /// Creates an empty shard holding at most `capacity` entries (at least
-    /// one).
-    pub fn new(capacity: usize) -> Self {
-        QueryCache {
-            capacity: capacity.max(1),
-            entries: PrehashedMap::default(),
-            tick: 0,
-        }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up a signature in `namespace`, marking the entry as most
-    /// recently used.
-    pub fn get(&mut self, namespace: GenerationId, key: &SigKey) -> Option<CachedPairs> {
-        self.tick += 1;
-        let tick = self.tick;
-        let key = NsKey::new(namespace, key.clone());
-        self.entries.get_mut(&key).map(|entry| {
-            entry.last_used = tick;
-            Arc::clone(&entry.value)
-        })
-    }
-
-    /// Inserts (or refreshes) an entry in `namespace`, evicting the least
-    /// recently used one (from any namespace) if the shard is full.
-    /// Returns `true` if an eviction happened.
-    pub fn insert(&mut self, namespace: GenerationId, key: SigKey, value: CachedPairs) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let key = NsKey::new(namespace, key);
-        if let Some(entry) = self.entries.get_mut(&key) {
-            entry.value = value;
-            entry.last_used = tick;
-            return false;
-        }
-        let mut evicted = false;
-        if self.entries.len() >= self.capacity {
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| key.clone())
-            {
-                self.entries.remove(&lru);
-                evicted = true;
-            }
-        }
-        self.entries.insert(
-            key,
-            CacheEntry {
-                value,
-                last_used: tick,
-            },
-        );
-        evicted
-    }
-
-    /// Drops every entry of `namespace`, returning how many were purged.
-    pub fn purge(&mut self, namespace: GenerationId) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|key, _| key.namespace != namespace);
-        before - self.entries.len()
-    }
-
-    /// Number of entries currently held for `namespace`.
-    pub fn namespace_len(&self, namespace: GenerationId) -> usize {
-        self.entries
-            .keys()
-            .filter(|key| key.namespace == namespace)
-            .count()
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// Outcome of a liveness-checked insert into the [`ShardedCache`].
+/// Outcome of a liveness-checked insert into the [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
     /// The entry was stored; `evicted` reports whether it displaced an LRU
@@ -320,35 +155,67 @@ pub enum InsertOutcome {
     Stale,
 }
 
-/// The serving layer's result cache: `N` independently locked
-/// [`QueryCache`] shards selected by the namespace-mixed signature hash,
-/// plus the registry of **live namespaces** that couples the cache to the
-/// generation chain.
+/// Everything behind the cache's one lock.
+struct Namespaces {
+    /// One map per live namespace, in open order. Few (the retained
+    /// generations), so a linear scan finds one faster than a map would.
+    maps: Vec<(GenerationId, PrehashedMap<CacheEntry>)>,
+    /// Entries across all maps.
+    len: usize,
+    /// LRU clock, shared by all namespaces.
+    tick: u64,
+    /// Namespaces retired over the cache's lifetime.
+    retirements: u64,
+}
+
+impl Namespaces {
+    /// Where `namespace`'s map sits in `maps`, if the namespace is live.
+    fn position(&self, namespace: GenerationId) -> Option<usize> {
+        self.maps.iter().position(|(id, _)| *id == namespace)
+    }
+
+    /// Drops the least recently used entry of any namespace.
+    fn evict_lru(&mut self) {
+        let lru = self
+            .maps
+            .iter()
+            .enumerate()
+            .flat_map(|(at, (_, map))| map.iter().map(move |(key, entry)| (at, key, entry)))
+            .min_by_key(|(_, _, entry)| entry.last_used)
+            .map(|(at, key, _)| (at, key.clone()));
+        if let Some((at, key)) = lru {
+            self.maps[at].1.remove(&key);
+            self.len -= 1;
+        }
+    }
+}
+
+/// The serving layer's result cache: one locked, bounded LRU mapping
+/// `(namespace, query signature)` to query answers.
 ///
-/// A namespace is [opened](ShardedCache::open) when its generation is
-/// created and [retired](ShardedCache::retire) when the generation is
-/// reclaimed; inserts re-check liveness under the shard lock so a result
-/// computed against a dying generation can never outlive it. Shard count
-/// is clamped so each shard keeps a meaningful LRU capacity (at least
-/// [`ShardedCache::MIN_SHARD_CAPACITY`] entries): tiny caches collapse to
-/// a single shard and retain exact global LRU semantics.
-pub struct ShardedCache {
-    shards: Box<[Mutex<QueryCache>]>,
-    /// Namespaces currently accepting inserts: exactly the generations the
-    /// chain has created and not yet reclaimed. Small (retained
-    /// generations), scanned under its own lock.
-    live: Mutex<Vec<GenerationId>>,
-    /// Total namespaces retired over the cache's lifetime — the
-    /// per-generation successor of the old whole-cache invalidation
-    /// counter.
-    retirements: AtomicU64,
+/// The outer level is the namespace — one prehashed map per live index
+/// generation — so a namespace is live exactly while its map is present:
+/// [`open`](QueryCache::open) adds an empty map when a generation is
+/// created, [`retire`](QueryCache::retire) drops the map when the
+/// generation is reclaimed, and [`insert_if_live`](QueryCache::insert_if_live)
+/// finds the map under the same lock, so a result computed against a dying
+/// generation can never outlive it. Capacity and the LRU clock are shared
+/// across namespaces: a hot pinned reader keeps its old-generation entries
+/// alive, a cold one lets them age out.
+///
+/// Lookups and insertions are `O(1)` (no signature is re-hashed or cloned
+/// on a probe); an eviction scans for the minimal timestamp, which is
+/// `O(capacity)` but only runs on the miss path of a full cache — cheaper
+/// than maintaining an intrusive list, and obviously correct under the one
+/// mutex.
+pub struct QueryCache {
+    namespaces: Mutex<Namespaces>,
     capacity: usize,
 }
 
-impl std::fmt::Debug for ShardedCache {
+impl std::fmt::Debug for QueryCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCache")
-            .field("shards", &self.shards.len())
+        f.debug_struct("QueryCache")
             .field("capacity", &self.capacity)
             .field("len", &self.len())
             .field("live", &self.live_namespaces())
@@ -357,145 +224,138 @@ impl std::fmt::Debug for ShardedCache {
     }
 }
 
-impl ShardedCache {
-    /// Minimum per-shard capacity: below this, splitting an LRU into
-    /// shards distorts eviction behavior more than the lock splitting is
-    /// worth, so the shard count is reduced instead.
-    pub const MIN_SHARD_CAPACITY: usize = 16;
-
-    /// Creates a cache holding at most `capacity` entries total (at least
-    /// one), split over at most `shards` shards. Namespace `0` — the
-    /// generation every [`GenerationChain`](crate::GenerationChain) starts
-    /// from — is pre-opened.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shards = shards.clamp(1, (capacity / Self::MIN_SHARD_CAPACITY).max(1));
-        let base = capacity / shards;
-        let remainder = capacity % shards;
-        let shards: Vec<Mutex<QueryCache>> = (0..shards)
-            .map(|i| Mutex::new(QueryCache::new(base + usize::from(i < remainder))))
-            .collect();
-        ShardedCache {
-            shards: shards.into_boxed_slice(),
-            live: Mutex::new(vec![0]),
-            retirements: AtomicU64::new(0),
-            capacity,
+impl QueryCache {
+    /// Creates a cache holding at most `capacity` entries (at least one).
+    /// Namespace `0` — the generation every
+    /// [`GenerationChain`](crate::GenerationChain) starts from — is
+    /// pre-opened.
+    pub fn new(capacity: usize) -> Self {
+        QueryCache {
+            namespaces: Mutex::new(Namespaces {
+                maps: vec![(0, PrehashedMap::default())],
+                len: 0,
+                tick: 0,
+                retirements: 0,
+            }),
+            capacity: capacity.max(1),
         }
     }
 
-    /// Number of shards actually in use.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total capacity across all shards.
+    /// Maximum number of entries, across all namespaces.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Total number of cached entries (sums the shards; approximate under
-    /// concurrent mutation).
+    /// Current number of entries, across all namespaces.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| dsr_sync::lock(shard).len())
-            .sum()
+        dsr_sync::lock(&self.namespaces).len
     }
 
-    /// Whether every shard is empty.
+    /// Whether no namespace holds an entry.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Namespaces currently accepting inserts, in open order.
     pub fn live_namespaces(&self) -> Vec<GenerationId> {
-        dsr_sync::lock(&self.live).clone()
+        let namespaces = dsr_sync::lock(&self.namespaces);
+        namespaces.maps.iter().map(|(id, _)| *id).collect()
     }
 
     /// Total namespaces retired over the cache's lifetime.
     pub fn retirements(&self) -> u64 {
-        self.retirements.load(Ordering::SeqCst)
+        dsr_sync::lock(&self.namespaces).retirements
     }
 
-    /// Number of entries currently cached under `namespace` (sums the
-    /// shards; approximate under concurrent mutation).
+    /// Number of entries currently cached under `namespace`.
     pub fn namespace_len(&self, namespace: GenerationId) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| dsr_sync::lock(shard).namespace_len(namespace))
-            .sum()
-    }
-
-    fn shard(&self, namespace: GenerationId, key: &SigKey) -> &Mutex<QueryCache> {
-        // The map buckets use the low hash bits; pick the shard from the
-        // high bits so shard choice and in-shard placement stay
-        // independent.
-        let index = (namespaced_hash(namespace, key) >> 32) as usize % self.shards.len();
-        &self.shards[index]
-    }
-
-    fn is_live(&self, namespace: GenerationId) -> bool {
-        dsr_sync::lock(&self.live).contains(&namespace)
+        let namespaces = dsr_sync::lock(&self.namespaces);
+        namespaces
+            .position(namespace)
+            .map_or(0, |at| namespaces.maps[at].1.len())
     }
 
     /// Opens the namespace of a freshly created generation. Idempotent.
     pub fn open(&self, namespace: GenerationId) {
-        let mut live = dsr_sync::lock(&self.live);
-        if !live.contains(&namespace) {
-            live.push(namespace);
+        let mut namespaces = dsr_sync::lock(&self.namespaces);
+        if namespaces.position(namespace).is_none() {
+            namespaces.maps.push((namespace, PrehashedMap::default()));
         }
     }
 
-    /// Looks up a signature in `namespace`'s shard, marking the entry as
-    /// most recently used.
+    /// Looks up a signature in `namespace`, marking the entry as most
+    /// recently used.
     pub fn get(&self, namespace: GenerationId, key: &SigKey) -> Option<CachedPairs> {
-        dsr_sync::lock(self.shard(namespace, key)).get(namespace, key)
+        let mut namespaces = dsr_sync::lock(&self.namespaces);
+        namespaces.tick += 1;
+        let tick = namespaces.tick;
+        let at = namespaces.position(namespace)?;
+        let entry = namespaces.maps[at].1.get_mut(key)?;
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.value))
     }
 
-    /// Inserts a computed result into `namespace` unless the namespace was
-    /// retired while the result was being computed.
+    /// Inserts (or refreshes) a computed result in `namespace`, evicting
+    /// the least recently used entry of any namespace if the cache is full
+    /// — unless the namespace was retired while the result was being
+    /// computed.
     pub fn insert_if_live(
         &self,
         namespace: GenerationId,
         key: SigKey,
         value: CachedPairs,
     ) -> InsertOutcome {
-        let mut shard = dsr_sync::lock(self.shard(namespace, &key));
-        // Re-check under the shard lock: `retire` removes the namespace
-        // from the live set *before* purging the shards, so either this
-        // check fails or the subsequent purge removes the entry — an
-        // orphaned answer can never survive. The `mutation_enabled` guard
-        // seeds the bug the model suite must catch
-        // (`model_mutation_cache_generation_detected`); it is a const
-        // `false` in normal builds.
-        if !dsr_sync::model::mutation_enabled(
-            dsr_sync::model::MUTATION_CACHE_SKIP_GENERATION_RECHECK,
-        ) && !self.is_live(namespace)
-        {
-            return InsertOutcome::Stale;
+        let mut namespaces = dsr_sync::lock(&self.namespaces);
+        namespaces.tick += 1;
+        let last_used = namespaces.tick;
+        let at = match namespaces.position(namespace) {
+            Some(at) => at,
+            // Retired: nothing may be stored. The `mutation_enabled` guard
+            // seeds the bug the model suite must catch
+            // (`model_mutation_cache_generation_detected`) — storing the
+            // orphan anyway — and is a const `false` in normal builds.
+            None if !dsr_sync::model::mutation_enabled(
+                dsr_sync::model::MUTATION_CACHE_SKIP_GENERATION_RECHECK,
+            ) =>
+            {
+                return InsertOutcome::Stale
+            }
+            None => {
+                namespaces.maps.push((namespace, PrehashedMap::default()));
+                namespaces.maps.len() - 1
+            }
+        };
+        if let Some(entry) = namespaces.maps[at].1.get_mut(&key) {
+            *entry = CacheEntry { value, last_used };
+            return InsertOutcome::Inserted { evicted: false };
         }
-        InsertOutcome::Inserted {
-            evicted: shard.insert(namespace, key, value),
+        let evicted = namespaces.len >= self.capacity;
+        if evicted {
+            namespaces.evict_lru();
         }
+        // Eviction drops entries, never maps: `at` still names the map.
+        namespaces.maps[at]
+            .1
+            .insert(key, CacheEntry { value, last_used });
+        namespaces.len += 1;
+        InsertOutcome::Inserted { evicted }
     }
 
-    /// Retires a namespace: its generation was reclaimed, so its entries
-    /// are purged and late inserts refused. Returns how many entries were
-    /// purged; idempotent (a second retire is a no-op and does not bump
+    /// Retires a namespace: its generation was reclaimed, so its map is
+    /// dropped and late inserts are refused. Returns how many entries went
+    /// with it; idempotent (a second retire is a no-op and does not bump
     /// the retirement counter).
     pub fn retire(&self, namespace: GenerationId) -> usize {
-        {
-            let mut live = dsr_sync::lock(&self.live);
-            let Some(position) = live.iter().position(|ns| *ns == namespace) else {
-                return 0;
-            };
-            live.remove(position);
-        }
-        self.retirements.fetch_add(1, Ordering::SeqCst);
-        self.shards
-            .iter()
-            .map(|shard| dsr_sync::lock(shard).purge(namespace))
-            .sum()
+        let mut namespaces = dsr_sync::lock(&self.namespaces);
+        let Some(at) = namespaces.position(namespace) else {
+            return 0;
+        };
+        let (_, map) = namespaces.maps.remove(at);
+        namespaces.len -= map.len();
+        namespaces.retirements += 1;
+        // The entries are freed after the lock is released.
+        drop(namespaces);
+        map.len()
     }
 }
 
@@ -511,6 +371,13 @@ mod tests {
         Arc::new(p.to_vec())
     }
 
+    /// Opens namespaces `1..=last` on top of the pre-opened namespace 0.
+    fn cache_with_namespaces(capacity: usize, last: GenerationId) -> QueryCache {
+        let cache = QueryCache::new(capacity);
+        (1..=last).for_each(|namespace| cache.open(namespace));
+        cache
+    }
+
     #[test]
     fn sig_key_normalizes_and_hashes_once() {
         let a = key(&[3, 1, 3], &[5, 2]);
@@ -524,18 +391,21 @@ mod tests {
 
     #[test]
     fn hit_and_miss() {
-        let mut cache = QueryCache::new(4);
+        let cache = QueryCache::new(4);
         assert!(cache.get(0, &key(&[1], &[2])).is_none());
-        cache.insert(0, key(&[1], &[2]), pairs(&[(1, 2)]));
+        assert_eq!(
+            cache.insert_if_live(0, key(&[1], &[2]), pairs(&[(1, 2)])),
+            InsertOutcome::Inserted { evicted: false }
+        );
         assert_eq!(*cache.get(0, &key(&[1], &[2])).unwrap(), vec![(1, 2)]);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn namespaces_isolate_identical_signatures() {
-        let mut cache = QueryCache::new(4);
-        cache.insert(3, key(&[1], &[2]), pairs(&[(1, 2)]));
-        cache.insert(4, key(&[1], &[2]), pairs(&[]));
+        let cache = cache_with_namespaces(4, 4);
+        cache.insert_if_live(3, key(&[1], &[2]), pairs(&[(1, 2)]));
+        cache.insert_if_live(4, key(&[1], &[2]), pairs(&[]));
         assert_eq!(
             *cache.get(3, &key(&[1], &[2])).unwrap(),
             vec![(1, 2)],
@@ -543,22 +413,22 @@ mod tests {
         );
         assert!(cache.get(4, &key(&[1], &[2])).unwrap().is_empty());
         assert!(cache.get(5, &key(&[1], &[2])).is_none());
-        assert_eq!(cache.len(), 2);
         assert_eq!(cache.namespace_len(3), 1);
-        assert_eq!(cache.purge(3), 1);
-        assert!(cache.get(3, &key(&[1], &[2])).is_none());
-        assert!(cache.get(4, &key(&[1], &[2])).is_some());
+        assert_eq!(cache.namespace_len(5), 0);
+        assert_eq!(cache.len(), 2, "len sums the namespaces");
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        let mut cache = QueryCache::new(2);
-        cache.insert(0, key(&[1], &[1]), pairs(&[]));
-        cache.insert(0, key(&[2], &[2]), pairs(&[]));
+        let cache = QueryCache::new(2);
+        cache.insert_if_live(0, key(&[1], &[1]), pairs(&[]));
+        cache.insert_if_live(0, key(&[2], &[2]), pairs(&[]));
         // Touch [1] so [2] becomes the LRU entry.
         assert!(cache.get(0, &key(&[1], &[1])).is_some());
-        let evicted = cache.insert(0, key(&[3], &[3]), pairs(&[]));
-        assert!(evicted);
+        assert_eq!(
+            cache.insert_if_live(0, key(&[3], &[3]), pairs(&[])),
+            InsertOutcome::Inserted { evicted: true }
+        );
         assert!(
             cache.get(0, &key(&[2], &[2])).is_none(),
             "LRU entry evicted"
@@ -568,12 +438,40 @@ mod tests {
     }
 
     #[test]
+    fn lru_eviction_competes_across_namespaces() {
+        // Capacity is shared: a fresh namespace filling up pushes out the
+        // entries of an old one its pinned reader stopped touching, and
+        // keeps the one that reader still hits.
+        let cache = cache_with_namespaces(3, 1);
+        cache.insert_if_live(0, key(&[1], &[1]), pairs(&[]));
+        cache.insert_if_live(0, key(&[2], &[2]), pairs(&[]));
+        cache.insert_if_live(1, key(&[1], &[1]), pairs(&[]));
+        assert!(cache.get(0, &key(&[2], &[2])).is_some(), "still hot");
+        for fresh in 3..5u32 {
+            assert_eq!(
+                cache.insert_if_live(1, key(&[fresh], &[fresh]), pairs(&[])),
+                InsertOutcome::Inserted { evicted: true }
+            );
+        }
+        // Evicted in LRU order regardless of namespace: (0, [1]) first,
+        // then (1, [1]).
+        assert!(cache.get(0, &key(&[1], &[1])).is_none());
+        assert!(cache.get(1, &key(&[1], &[1])).is_none());
+        assert!(cache.get(0, &key(&[2], &[2])).is_some());
+        assert_eq!((cache.namespace_len(0), cache.namespace_len(1)), (1, 2));
+        assert_eq!(cache.len(), cache.capacity());
+    }
+
+    #[test]
     fn reinsert_refreshes_without_eviction() {
-        let mut cache = QueryCache::new(1);
-        cache.insert(0, key(&[1], &[1]), pairs(&[]));
-        let evicted = cache.insert(0, key(&[1], &[1]), pairs(&[(1, 1)]));
-        assert!(!evicted);
+        let cache = QueryCache::new(1);
+        cache.insert_if_live(0, key(&[1], &[1]), pairs(&[]));
+        assert_eq!(
+            cache.insert_if_live(0, key(&[1], &[1]), pairs(&[(1, 1)])),
+            InsertOutcome::Inserted { evicted: false }
+        );
         assert_eq!(*cache.get(0, &key(&[1], &[1])).unwrap(), vec![(1, 1)]);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -584,8 +482,9 @@ mod tests {
 
     #[test]
     fn sharded_cache_round_trips_across_shards() {
-        let cache = ShardedCache::new(1024, 8);
-        assert_eq!(cache.num_shards(), 8);
+        // Many distinct signatures below capacity: each one misses, is
+        // stored without displacing another, and hits.
+        let cache = QueryCache::new(1024);
         for i in 0..256u32 {
             let k = key(&[i], &[i + 1]);
             assert!(cache.get(0, &k).is_none());
@@ -600,21 +499,17 @@ mod tests {
 
     #[test]
     fn tiny_cache_collapses_to_one_shard_with_exact_lru() {
-        let cache = ShardedCache::new(2, 8);
-        assert_eq!(cache.num_shards(), 1, "tiny cache keeps exact LRU");
-        assert_eq!(cache.capacity(), 2);
+        // A one-entry cache across two namespaces: every insert evicts the
+        // single resident entry, wherever it lives.
+        let cache = cache_with_namespaces(1, 1);
         cache.insert_if_live(0, key(&[1], &[1]), pairs(&[]));
-        cache.insert_if_live(0, key(&[2], &[2]), pairs(&[]));
-        assert!(cache.get(0, &key(&[1], &[1])).is_some());
         assert_eq!(
-            cache.insert_if_live(0, key(&[3], &[3]), pairs(&[])),
+            cache.insert_if_live(1, key(&[2], &[2]), pairs(&[])),
             InsertOutcome::Inserted { evicted: true }
         );
-        assert!(
-            cache.get(0, &key(&[2], &[2])).is_none(),
-            "LRU entry evicted"
-        );
-        assert!(cache.len() <= 2);
+        assert!(cache.get(0, &key(&[1], &[1])).is_none());
+        assert!(cache.get(1, &key(&[2], &[2])).is_some());
+        assert_eq!(cache.len(), 1);
     }
 
     /// Model checks of the namespace-retirement protocol. Under
@@ -626,24 +521,28 @@ mod tests {
 
         /// An insert computed against a generation racing that
         /// generation's retirement must never leave an orphaned entry
-        /// behind: either the liveness recheck under the shard lock
-        /// refuses it, or the retirement's purge removes it. One shard
-        /// keeps the schedule space tight; the protocol is per-shard so
-        /// this loses nothing.
+        /// behind: either it lands first and goes with the namespace's
+        /// map, or it finds the map gone and is refused.
         fn stale_insert_never_survives() {
-            let cache = Arc::new(ShardedCache::new(8, 1));
+            let cache = Arc::new(QueryCache::new(8));
             let inserter = {
                 let cache = Arc::clone(&cache);
                 dsr_sync::thread::spawn(move || {
-                    cache.insert_if_live(0, key(&[1], &[2]), pairs(&[(1, 2)]));
+                    cache.insert_if_live(0, key(&[1], &[2]), pairs(&[(1, 2)]))
                 })
             };
-            cache.retire(0);
-            inserter.join().unwrap();
+            let purged = cache.retire(0);
+            let outcome = inserter.join().unwrap();
+            assert_eq!(
+                outcome == InsertOutcome::Stale,
+                purged == 0,
+                "an insert that lost the race is stale, one that won is purged"
+            );
             assert!(
                 cache.get(0, &key(&[1], &[2])).is_none(),
                 "stale entry survived retirement"
             );
+            assert!(cache.is_empty());
         }
 
         #[test]
@@ -653,9 +552,9 @@ mod tests {
                 .expect("liveness recheck must hold in every schedule");
         }
 
-        /// Seeded mutation: dropping the under-lock liveness recheck lets
-        /// an insert land *after* the retirement's purge — the checker
-        /// must find that interleaving.
+        /// Seeded mutation: storing into a namespace whose map is gone
+        /// lets an insert land *after* the retirement — the checker must
+        /// find that interleaving.
         #[test]
         fn model_mutation_cache_generation_detected() {
             if !model::is_model_build() {
@@ -665,25 +564,23 @@ mod tests {
                 .mutation(model::MUTATION_CACHE_SKIP_GENERATION_RECHECK)
                 .check(stale_insert_never_survives)
                 .expect_err("skipping the recheck must leak a stale entry");
-            assert!(
-                failure.message.contains("stale entry survived"),
-                "{failure}"
-            );
+            assert!(failure.message.contains("stale"), "{failure}");
         }
     }
 
     #[test]
     fn retire_purges_the_namespace_and_rejects_late_inserts() {
-        let cache = ShardedCache::new(1024, 4);
-        cache.open(1);
+        let cache = cache_with_namespaces(1024, 2);
         cache.insert_if_live(0, key(&[1], &[1]), pairs(&[]));
         cache.insert_if_live(1, key(&[1], &[1]), pairs(&[(1, 1)]));
+        cache.insert_if_live(2, key(&[1], &[1]), pairs(&[]));
         assert_eq!(cache.retire(0), 1);
         assert_eq!(cache.retirements(), 1);
-        assert_eq!(cache.live_namespaces(), vec![1]);
+        assert_eq!(cache.live_namespaces(), vec![1, 2]);
         assert!(cache.get(0, &key(&[1], &[1])).is_none());
-        // The surviving namespace is untouched — no bump-and-clear cliff.
+        // Exactly one namespace went — no bump-and-clear cliff.
         assert_eq!(*cache.get(1, &key(&[1], &[1])).unwrap(), vec![(1, 1)]);
+        assert_eq!(cache.len(), 2);
         // A result computed against the reclaimed generation is refused.
         assert_eq!(
             cache.insert_if_live(0, key(&[2], &[2]), pairs(&[])),
@@ -693,7 +590,7 @@ mod tests {
         // Retiring again is a no-op.
         assert_eq!(cache.retire(0), 0);
         assert_eq!(cache.retirements(), 1);
-        // The live namespace inserts normally.
+        // The live namespaces insert normally.
         assert_eq!(
             cache.insert_if_live(1, key(&[2], &[2]), pairs(&[])),
             InsertOutcome::Inserted { evicted: false }

@@ -24,7 +24,7 @@
 //!   [`DsrEngine::set_reachability_batch`](dsr_core::DsrEngine::set_reachability_batch),
 //!   then fans the answers back out. Per-slave work runs on the
 //!   process-wide persistent [`SlavePool`](dsr_cluster::SlavePool).
-//! * A bounded, sharded LRU cache ([`ShardedCache`]) keyed on normalized
+//! * A bounded LRU cache ([`QueryCache`]) keyed on normalized
 //!   `(sources, targets)` signatures — hashed once into a [`SigKey`] —
 //!   short-circuits repeated queries without touching the scheduler. The
 //!   cache is split into **per-generation namespaces**: pinned readers
@@ -95,7 +95,7 @@ pub mod snapshot;
 pub mod workload;
 
 pub use batcher::{RoundCost, ServiceError};
-pub use cache::{CachedPairs, InsertOutcome, QueryCache, QueryKey, ShardedCache, SigKey};
+pub use cache::{CachedPairs, InsertOutcome, QueryCache, QueryKey, SigKey};
 pub use service::{
     BatchReply, GenerationStats, NamespaceHits, QueryOptions, QueryService, QueryTicket,
     ServiceConfig, SnapshotRef, UpdateError, UpdateMode,

@@ -16,11 +16,11 @@ use dsr_cluster::{
     BatchStats, CacheStats, CommStats, DynTransport, FailoverSnapshot, TransportError,
     TransportKind, UpdateStats,
 };
-use dsr_core::{coalesce_updates, DsrEngine, DsrIndex, SetQuery, UpdateOp, UpdateOutcome};
+use dsr_core::{coalesce_updates, DsrIndex, SetQuery, UpdateOp, UpdateOutcome};
 use dsr_graph::VertexId;
 
 use crate::batcher::{Admission, Batcher, BatcherConfig, Entry, RoundCost, ServiceError, Waiter};
-use crate::cache::{CachedPairs, ShardedCache, SigKey};
+use crate::cache::{CachedPairs, QueryCache, SigKey};
 use crate::snapshot::{ExclusiveRefused, Generation, GenerationChain, GenerationId};
 
 /// Why an update could not be applied.
@@ -63,8 +63,7 @@ impl std::fmt::Display for UpdateError {
             ),
             UpdateError::IndexShared => f.write_str(
                 "index Arc is shared with outstanding readers; drop the clones, use \
-                 UpdateMode::ForkAndSwap (or Auto, or the legacy clone_on_write), or rebuild \
-                 and install_index",
+                 UpdateMode::ForkAndSwap (or Auto), or rebuild and install_index",
             ),
             UpdateError::Transport(err) => write!(f, "update delta exchange failed: {err}"),
         }
@@ -129,9 +128,9 @@ pub enum UpdateMode {
 /// entry points: consult the cache, run against the latest generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Consult (and populate) the result cache. `false` replaces the old
-    /// `query_uncached` escape hatch: the query is still fused through
-    /// the batch former, but neither probes nor fills any namespace.
+    /// Consult (and populate) the result cache. With `false` the query is
+    /// still fused through the batch former, but neither probes nor fills
+    /// any namespace.
     pub cache: bool,
     /// Pin the query to an explicit retained generation instead of the
     /// latest. Fails with [`ServiceError::GenerationReclaimed`] once that
@@ -158,12 +157,6 @@ pub struct ServiceConfig {
     /// every [`QueryService::query`] into a fused execution (still batched
     /// across clients, never cached).
     pub cache_enabled: bool,
-    /// Number of independently locked cache shards. Clamped so each shard
-    /// keeps a meaningful LRU capacity (see
-    /// [`ShardedCache::MIN_SHARD_CAPACITY`]) — tiny caches collapse to a
-    /// single shard with exact global LRU semantics. More shards shrink
-    /// hit-path lock contention between client threads.
-    pub cache_shards: usize,
     /// Size cap of the batch former: the scheduler stops waiting and
     /// executes as soon as this many queries are pending. Groups submitted
     /// by one [`QueryService::query_batch`] call are indivisible, so a
@@ -193,12 +186,6 @@ pub struct ServiceConfig {
     /// service executes — and by the refresh exchange of every update
     /// applied through [`QueryService::update`].
     pub transport: TransportKind,
-    /// Legacy input to the deprecated update entry points
-    /// (`update_in_place` / `apply_updates`): when `true` they delegate
-    /// with [`UpdateMode::Auto`] (fork around shared state) instead of
-    /// [`UpdateMode::InPlace`]. New code passes an [`UpdateMode`] to
-    /// [`QueryService::update`] directly and ignores this flag.
-    pub clone_on_write: bool,
 }
 
 impl Default for ServiceConfig {
@@ -206,12 +193,10 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_capacity: 1024,
             cache_enabled: true,
-            cache_shards: 8,
             max_batch: 64,
             max_wait_us: 200,
             admission_depth: 1024,
             transport: TransportKind::InProcess,
-            clone_on_write: false,
         }
     }
 }
@@ -227,19 +212,6 @@ impl ServiceConfig {
             ..ServiceConfig::default()
         }
     }
-}
-
-/// Which ownership path [`QueryService::mutate_index`] took — callers use
-/// it to decide whether a failed mutation could have corrupted the
-/// installed index (in place) or only a discarded fork.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UpdatePath {
-    /// Exclusivity was proven: the latest generation's index itself was
-    /// mutated (and re-wrapped under a fresh generation id if changed).
-    InPlace,
-    /// A fork was mutated (and installed as a new generation only on
-    /// approved success).
-    Fork,
 }
 
 /// Outcome of a batched service call.
@@ -297,7 +269,7 @@ pub struct NamespaceHits {
 /// scheduler thread.
 pub(crate) struct Core {
     pub(crate) generations: GenerationChain,
-    pub(crate) cache: ShardedCache,
+    pub(crate) cache: QueryCache,
     pub(crate) cache_enabled: bool,
     pub(crate) transport: DynTransport,
     pub(crate) admission: Admission,
@@ -466,7 +438,7 @@ impl Drop for SnapshotRef<'_> {
 /// The service can be hammered from any number of client threads
 /// concurrently. Queries flow through a **batch former** (see the
 /// [`batcher`](crate::batcher) module): cache hits are answered directly
-/// from the sharded result cache, while cache misses from *all* clients
+/// from the result cache, while cache misses from *all* clients
 /// are fused by a dedicated scheduler thread into shared
 /// scatter/exchange/gather runs — 3 communication rounds per formed batch
 /// instead of 3 per query. Per-slave work runs on the process-wide
@@ -480,7 +452,7 @@ impl Drop for SnapshotRef<'_> {
 /// [`install_index`](QueryService::install_index) and every
 /// [`update`](QueryService::update) batch that changes anything produces
 /// a fresh, numbered, immutable generation. The result cache
-/// ([`ShardedCache`]) is partitioned into **per-generation namespaces**:
+/// ([`QueryCache`]) is partitioned into **per-generation namespaces**:
 ///
 /// * unpinned queries probe and fill the latest generation's namespace —
 ///   a no-op update batch keeps the generation, so the hot cache
@@ -500,7 +472,6 @@ pub struct QueryService {
     // Declared before `core` so Drop joins the scheduler thread first.
     batcher: Batcher,
     core: Arc<Core>,
-    clone_on_write: bool,
     /// Aggregate refresh-exchange cost of every update batch applied
     /// through this service (rounds/messages/bytes of shipped deltas).
     updates_comm: CommStats,
@@ -542,7 +513,7 @@ impl QueryService {
     ) -> Self {
         let core = Arc::new(Core {
             generations: GenerationChain::new(index),
-            cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
+            cache: QueryCache::new(config.cache_capacity),
             cache_enabled: config.cache_enabled,
             transport,
             admission: Admission::new(config.admission_depth),
@@ -562,7 +533,6 @@ impl QueryService {
         QueryService {
             batcher,
             core,
-            clone_on_write: config.clone_on_write,
             updates_comm: CommStats::new(),
         }
     }
@@ -788,10 +758,10 @@ impl QueryService {
     ///
     /// # Panics
     /// On transport failure, like the underlying
-    /// [`DsrEngine::set_reachability`] — the in-process and pipe backends
-    /// never fail; TCP-fronted callers who need the typed error use
-    /// [`try_query`](QueryService::try_query) or
-    /// [`query_batch`](QueryService::query_batch).
+    /// [`DsrEngine::set_reachability`](dsr_core::DsrEngine::set_reachability)
+    /// — the in-process and pipe backends never fail; TCP-fronted callers
+    /// who need the typed error use [`try_query`](QueryService::try_query)
+    /// or [`query_batch`](QueryService::query_batch).
     pub fn query(&self, sources: &[VertexId], targets: &[VertexId]) -> CachedPairs {
         match self.submit(sources, targets).wait() {
             Ok(value) => value,
@@ -829,26 +799,6 @@ impl QueryService {
         options: QueryOptions,
     ) -> Result<CachedPairs, ServiceError> {
         self.submit_with(sources, targets, options)?.wait()
-    }
-
-    /// Answers `S ; T` without touching the cache or the batch former (no
-    /// lookup, no insert, no queueing), against the latest generation.
-    #[deprecated(
-        note = "use query_with with QueryOptions { cache: false, .. }, which still fuses \
-                with concurrent traffic"
-    )]
-    pub fn query_uncached(
-        &self,
-        sources: &[VertexId],
-        targets: &[VertexId],
-    ) -> Vec<(VertexId, VertexId)> {
-        let generation = self.core.generations.latest();
-        let engine = DsrEngine::with_transport(generation.index(), &self.core.transport);
-        let outcome = engine.set_reachability(sources, targets);
-        self.core
-            .comm
-            .add(outcome.rounds, outcome.messages, outcome.bytes);
-        outcome.pairs
     }
 
     /// Answers a whole batch of queries with a single
@@ -986,10 +936,9 @@ impl QueryService {
     /// Installs a rebuilt index as a fresh generation and reclaims the
     /// superseded one as soon as its pins drop.
     ///
-    /// The install never stalls the read side (each snapshot slot is
-    /// locked only for a pointer store — see
-    /// [`SnapshotHolder`](crate::snapshot::SnapshotHolder)). This is the
-    /// offline-rebuild producer of generations: queries started before
+    /// The install holds the chain's lock only for a pointer store, however
+    /// long the new index took to build. This is the offline-rebuild
+    /// producer of generations: queries started before
     /// the install finish against the old generation and stay
     /// namespace-correct; pinned [`SnapshotRef`]s keep the old generation
     /// alive until they drop.
@@ -1021,17 +970,53 @@ impl QueryService {
     /// delta exchange failed.
     pub fn update(&self, ops: &[UpdateOp], mode: UpdateMode) -> Result<UpdateOutcome, UpdateError> {
         let ops = coalesce_updates(ops);
-        let (result, _path) = self.mutate_index(
-            |index| index.apply_updates_with_transport(&ops, &self.core.transport),
-            // An in-place transport failure may leave the index partially
-            // refreshed: the generation must advance (retiring the old
-            // namespace) so no pre-update answer survives.
-            |result| result.is_err() || result.as_ref().is_ok_and(|o| o.rebuilt_compounds),
+        let apply =
+            |index: &mut DsrIndex| index.apply_updates_with_transport(&ops, &self.core.transport);
+        let changed = |result: &Result<UpdateOutcome, TransportError>| {
+            result.as_ref().is_ok_and(|o| o.rebuilt_compounds)
+        };
+        let generations = &self.core.generations;
+        // One update at a time, end to end: two concurrent fork-based
+        // updates must not both fork the same parent.
+        let _serial = generations.lock_updates();
+        let result = 'applied: {
+            if mode != UpdateMode::ForkAndSwap {
+                // An in-place transport failure may leave the index
+                // partially refreshed: the generation must advance
+                // (retiring the old namespace) so no pre-update answer
+                // survives.
+                match generations.mutate_exclusive(apply, |r| r.is_err() || changed(r)) {
+                    Ok(mutated) => {
+                        if let Some(retired) = mutated.retired {
+                            // Open the advanced generation's namespace
+                            // before retiring the consumed one: a reader
+                            // racing the swap finds a live namespace
+                            // either way.
+                            self.core.cache.open(mutated.generation);
+                            self.core.cache.retire(retired);
+                            self.core.stats.record_invalidation();
+                        }
+                        break 'applied mutated.result;
+                    }
+                    Err(refused) if mode == UpdateMode::InPlace => return Err(refused.into()),
+                    Err(_) => {} // Auto: fall through to the fork path.
+                }
+            }
+            let latest = generations.latest();
+            let mut fork = latest.index().fork();
+            let result = apply(&mut fork);
             // Only a successful, actually-changing batch installs the
             // fork; a half-applied fork (transport failure) is discarded.
-            |result| result.as_ref().is_ok_and(|o| o.rebuilt_compounds),
-            mode,
-        )?;
+            if changed(&result) {
+                let installed = generations.install(Arc::new(fork));
+                self.core.cache.open(installed.id());
+                // Shed our own pin before reaping: when no reader pins the
+                // superseded generation, it (and its namespace) dies now.
+                drop(latest);
+                self.reap_generations();
+            }
+            result
+        };
         let outcome = result?;
         self.updates_comm.add(
             outcome.stats.update_rounds,
@@ -1039,106 +1024,6 @@ impl QueryService {
             outcome.stats.update_bytes,
         );
         Ok(outcome)
-    }
-
-    /// The single implementation of the ownership dance behind
-    /// [`QueryService::update`] (and the deprecated delegates): runs
-    /// `mutate` against the latest generation's index when exclusivity is
-    /// proven, or against a fork, per `mode`.
-    ///
-    /// `advanced_in_place` decides whether a completed in-place mutation
-    /// advanced the chain (the consumed generation's namespace is then
-    /// retired); `install_fork` decides whether a mutated fork is
-    /// installed as a new generation. `mutate` is `FnMut` only because
-    /// [`UpdateMode::Auto`] may route it to the fork path after a refused
-    /// exclusive attempt — it runs at most once.
-    fn mutate_index<R>(
-        &self,
-        mut mutate: impl FnMut(&mut DsrIndex) -> R,
-        advanced_in_place: impl Fn(&R) -> bool,
-        install_fork: impl Fn(&R) -> bool,
-        mode: UpdateMode,
-    ) -> Result<(R, UpdatePath), UpdateError> {
-        // One update at a time, end to end: two concurrent fork-based
-        // updates must not both fork the same parent.
-        let _serial = self.core.generations.lock_updates();
-        if matches!(mode, UpdateMode::InPlace | UpdateMode::Auto) {
-            match self
-                .core
-                .generations
-                .mutate_exclusive(|index| mutate(index), |r| advanced_in_place(r))
-            {
-                Ok(mutated) => {
-                    if let Some(retired) = mutated.retired {
-                        // Open the advanced generation's namespace before
-                        // retiring the consumed one: a reader racing the
-                        // swap finds a live namespace either way.
-                        self.core.cache.open(mutated.generation);
-                        self.core.cache.retire(retired);
-                        self.core.stats.record_invalidation();
-                    }
-                    return Ok((mutated.result, UpdatePath::InPlace));
-                }
-                Err(refused) => {
-                    if mode == UpdateMode::InPlace {
-                        return Err(refused.into());
-                    }
-                    // Auto: fall through to the fork path.
-                }
-            }
-        }
-        let latest = self.core.generations.latest();
-        let mut fork = latest.index().fork();
-        let result = mutate(&mut fork);
-        if install_fork(&result) {
-            let installed = self.core.generations.install(Arc::new(fork));
-            self.core.cache.open(installed.id());
-            // Shed our own pin before reaping: when no reader pins the
-            // superseded generation, it (and its namespace) dies now.
-            drop(latest);
-            self.reap_generations();
-        }
-        Ok((result, UpdatePath::Fork))
-    }
-
-    /// Applies an arbitrary index mutation in place, then invalidates by
-    /// advancing the generation.
-    #[deprecated(
-        note = "use QueryService::update with an UpdateMode (or install_index for wholesale \
-                replacement); arbitrary closures conservatively retire the whole namespace"
-    )]
-    pub fn update_in_place<R>(
-        &self,
-        mutate: impl FnOnce(&mut DsrIndex) -> R,
-    ) -> Result<R, UpdateError> {
-        let mode = if self.clone_on_write {
-            UpdateMode::Auto
-        } else {
-            UpdateMode::InPlace
-        };
-        let mut mutate = Some(mutate);
-        // An arbitrary mutation's effect is unknowable: conservatively
-        // treat every call as a change (advance the chain, retire or
-        // retain the old namespace).
-        let (result, _path) = self.mutate_index(
-            |index| (mutate.take().expect("mutation runs once"))(index),
-            |_| true,
-            |_| true,
-            mode,
-        )?;
-        Ok(result)
-    }
-
-    /// Applies a batch of edge updates with the ownership mode implied by
-    /// the legacy [`ServiceConfig::clone_on_write`] flag.
-    #[deprecated(note = "use QueryService::update with an explicit UpdateMode")]
-    pub fn apply_updates(&self, ops: &[UpdateOp]) -> Result<UpdateOutcome, UpdateError> {
-        let mode = if self.clone_on_write {
-            UpdateMode::Auto
-        } else {
-            UpdateMode::InPlace
-        };
-        self.update(ops, mode)
     }
 
     /// Aggregate communication cost of every update batch applied through
@@ -1255,17 +1140,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn uncached_bypass_does_not_touch_cache() {
-        let service = chain_service();
-        assert_eq!(service.query_uncached(&[0], &[5]), vec![(0, 5)]);
-        assert_eq!(service.cache_stats().hits(), 0);
-        assert_eq!(service.cache_stats().misses(), 0);
-        assert_eq!(service.cache_len(), 0);
-        assert_eq!(service.batch_stats().batches(), 0, "bypasses the former");
-    }
-
-    #[test]
     fn cache_false_options_fuse_but_never_store() {
         let service = chain_service();
         let options = QueryOptions {
@@ -1280,7 +1154,7 @@ mod tests {
         assert_eq!(service.cache_stats().hits(), 0);
         assert_eq!(service.cache_stats().misses(), 0);
         assert_eq!(service.cache_len(), 0);
-        // … but unlike the old query_uncached it went through the former.
+        // … but it still went through the former.
         assert_eq!(service.batch_stats().batches(), 1);
         // A cached repeat afterwards proves the bypass left no trace.
         service.query(&[0], &[5]);
@@ -1418,27 +1292,6 @@ mod tests {
         assert!(service
             .update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace)
             .is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_update_in_place_refuses_shared_index_with_explicit_error() {
-        let service = chain_service();
-        let pinned = service.index();
-        assert!(matches!(
-            service
-                .update_in_place(|index| index.insert_edge(5, 0))
-                .unwrap_err(),
-            UpdateError::IndexShared
-        ));
-        // The error is a real std::error::Error with actionable text.
-        let err: Box<dyn std::error::Error> = Box::new(UpdateError::IndexShared);
-        assert!(err.to_string().contains("ForkAndSwap"));
-        drop(pinned);
-        assert!(service
-            .update_in_place(|index| index.insert_edge(5, 0))
-            .is_ok());
-        assert_eq!(service.generation_stats().latest, 1);
     }
 
     #[test]

@@ -17,159 +17,31 @@
 //! ```
 //!
 //! Old generations are *retained* while pinned and *reclaimed* — together
-//! with their cache namespace (see
-//! [`ShardedCache`](crate::cache::ShardedCache)) — when the last pin
-//! drops; [`GenerationChain::retained`] is the gauge the mixed-tenant
-//! bench reports. Reclamation is reference-count exact: a generation's
-//! only non-pin owner is the chain's registry, so a registry entry with no
-//! outside `Arc` clones is provably unobservable and safe to drop.
+//! with their cache namespace (see [`QueryCache`](crate::cache::QueryCache))
+//! — when the last pin drops; [`GenerationChain::retained`] is the gauge
+//! the mixed-tenant bench reports. Reclamation is reference-count exact: a
+//! generation's only non-pin owner is the chain, so a registry entry with
+//! no outside `Arc` clones is provably unobservable and safe to drop.
 //!
-//! Underneath, the latest generation sits in a [`SnapshotHolder`]: a small
-//! fixed array of mutex-protected `Arc` slots all pointing at the same
-//! snapshot.
-//!
-//! * **Read path** ([`SnapshotHolder::read`]): a thread clones the `Arc`
-//!   out of *its own* slot (threads are spread round-robin over the slots),
-//!   so concurrent readers on different slots never contend with each
-//!   other, and the critical section is a single pointer clone.
-//! * **Install path** ([`SnapshotHolder::swap`]): the new snapshot is
-//!   written into the slots one at a time, each lock held only for the
-//!   pointer store — an install never stalls the read side, no matter how
-//!   long the new index took to build.
-//! * **Exclusive path** ([`SnapshotHolder::update`]): in-place mutation
-//!   needs proof that no reader is traversing the index. The holder locks
-//!   every slot (readers briefly block, exactly as they must), consolidates
-//!   the slot clones into a single `Arc`, and hands the caller `&mut
-//!   Arc<T>` — `Arc::get_mut` succeeds there if and only if no *external*
-//!   clone (a pinned [`read`](SnapshotHolder::read) result) is outstanding.
-//!   [`GenerationChain::mutate_exclusive`] builds on this to distinguish
-//!   *pinned snapshot readers* (typed
-//!   [`ExclusiveRefused::Pinned`]) from *shared index `Arc`s*
-//!   ([`ExclusiveRefused::IndexShared`]) — an old generation's pins no
-//!   longer block the latest generation's in-place path at all, because
-//!   each generation owns its own `Arc<DsrIndex>`.
+//! The latest generation sits in one `Mutex<Arc<Generation>>`: a read locks
+//! and clones the `Arc`, an install locks and stores, and in-place mutation
+//! ([`GenerationChain::mutate_exclusive`]) holds the lock — readers briefly
+//! block, exactly as they must — and asks `Arc::get_mut`, which succeeds if
+//! and only if no clone is outstanding. That distinguishes *pinned snapshot
+//! readers* ([`ExclusiveRefused::Pinned`]) from *shared index `Arc`s*
+//! ([`ExclusiveRefused::IndexShared`]); an old generation's pins never
+//! block the latest generation's in-place path, because each generation
+//! owns its own `Arc<DsrIndex>`.
 //!
 //! Readers racing an install may observe the old or the new generation —
 //! that is the documented snapshot semantics of the service; cache
 //! correctness is guaranteed by the per-generation namespaces of
-//! [`ShardedCache`](crate::cache::ShardedCache).
+//! [`QueryCache`](crate::cache::QueryCache).
 
-use dsr_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use dsr_sync::atomic::{AtomicU64, Ordering};
 use dsr_sync::{Arc, Mutex, MutexGuard};
 
 use dsr_core::DsrIndex;
-
-/// Number of reader slots. More slots shrink reader/reader contention;
-/// each costs one `Arc` clone per install. Eight covers the thread counts
-/// the serving layer is benchmarked at without measurable install cost.
-const SLOTS: usize = 8;
-
-/// Round-robin assignment of threads to slots: each thread picks a slot
-/// once and keeps it for its lifetime, so a steady set of client threads
-/// spreads evenly and never migrates between slots.
-fn my_slot() -> usize {
-    // Inside a model-checker execution, derive the slot from the model
-    // thread index instead of a global counter: fresh OS threads are
-    // spawned for every explored schedule, and a process-global counter
-    // would make slot assignment (and thus the schedule tree) drift
-    // between iterations, breaking deterministic replay.
-    if let Some(index) = dsr_sync::model::thread_index() {
-        return index % SLOTS;
-    }
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SLOTS;
-    }
-    SLOT.with(|s| *s)
-}
-
-/// A shared snapshot of `T` supporting wait-free-in-practice reads,
-/// non-stalling installs and an exclusive update path. See the module docs.
-pub struct SnapshotHolder<T> {
-    /// Serializes writers ([`swap`](SnapshotHolder::swap) /
-    /// [`update`](SnapshotHolder::update)) against each other — never held
-    /// by readers. Without it, a `swap` caught midway through its slot
-    /// stores by an `update` would leave the slots pointing at different
-    /// snapshots.
-    writer: Mutex<()>,
-    /// Invariant: whenever a slot's mutex is unlocked, the slot is `Some`,
-    /// and with the writer lock held all slots point at the same snapshot.
-    /// `None` only occurs transiently inside
-    /// [`update`](SnapshotHolder::update) while all slot locks are held.
-    slots: [Mutex<Option<Arc<T>>>; SLOTS],
-}
-
-impl<T> SnapshotHolder<T> {
-    /// Creates a holder over an initial snapshot.
-    pub fn new(value: Arc<T>) -> Self {
-        SnapshotHolder {
-            writer: Mutex::new(()),
-            slots: std::array::from_fn(|_| Mutex::new(Some(Arc::clone(&value)))),
-        }
-    }
-
-    /// Clones the current snapshot out of the calling thread's slot.
-    pub fn read(&self) -> Arc<T> {
-        let slot = dsr_sync::lock(&self.slots[my_slot()]);
-        Arc::clone(
-            slot.as_ref()
-                .expect("unlocked slot always holds a snapshot"),
-        )
-    }
-
-    /// Installs a new snapshot. Each slot lock is held only for the
-    /// pointer store, so readers are never stalled behind the caller.
-    pub fn swap(&self, value: Arc<T>) {
-        // Seeded mutation (model builds only): dropping the writer lock
-        // lets two concurrent swaps interleave their slot stores, leaving
-        // slots pointing at different snapshots — the model suite must
-        // catch this (`model_mutation_snapshot_slot_race_detected`).
-        let _writer = if dsr_sync::model::mutation_enabled(
-            dsr_sync::model::MUTATION_SNAPSHOT_WIDEN_SLOT_RACE,
-        ) {
-            None
-        } else {
-            Some(dsr_sync::lock(&self.writer))
-        };
-        for slot in &self.slots {
-            *dsr_sync::lock(slot) = Some(Arc::clone(&value));
-        }
-    }
-
-    /// Runs `f` with exclusive access to the snapshot `Arc`.
-    ///
-    /// All slots are locked for the duration (readers block — required for
-    /// any in-place mutation) and their clones are consolidated, so inside
-    /// `f` the strong count excludes the holder itself: `Arc::get_mut`
-    /// succeeds exactly when no externally pinned clone is outstanding.
-    /// Whatever `Arc` the closure leaves behind (mutated in place or
-    /// replaced wholesale) becomes the installed snapshot.
-    pub fn update<R>(&self, f: impl FnOnce(&mut Arc<T>) -> R) -> R {
-        let _writer = dsr_sync::lock(&self.writer);
-        let mut guards: Vec<MutexGuard<'_, Option<Arc<T>>>> =
-            self.slots.iter().map(|slot| dsr_sync::lock(slot)).collect();
-        // Consolidate: take every slot's clone, keep one. Dropping the
-        // other clones lowers the strong count to (1 + external pins);
-        // the writer lock guarantees all slots held the same snapshot.
-        let mut arc = guards[0]
-            .take()
-            .expect("unlocked slot always holds a snapshot");
-        for guard in guards.iter_mut().skip(1) {
-            guard.take();
-        }
-        let result = f(&mut arc);
-        for guard in guards.iter_mut() {
-            **guard = Some(Arc::clone(&arc));
-        }
-        result
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for SnapshotHolder<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotHolder").finish_non_exhaustive()
-    }
-}
 
 /// Monotonic identifier of a [`Generation`] in a [`GenerationChain`].
 /// Generation 0 is the index the chain was created over; every install or
@@ -243,9 +115,8 @@ pub struct Mutated<R> {
     pub retired: Option<GenerationId>,
 }
 
-/// The MVCC spine of the service: the latest [`Generation`] in a
-/// [`SnapshotHolder`] for wait-free-in-practice reads, plus a registry of
-/// retained (superseded but still pinned) generations.
+/// The MVCC spine of the service: the latest [`Generation`] plus a registry
+/// of retained (superseded but still pinned) generations.
 ///
 /// See the [module docs](self) for the lifecycle diagram. The chain owns
 /// reclamation ([`GenerationChain::reap`]) and the retained/created/
@@ -253,13 +124,17 @@ pub struct Mutated<R> {
 /// from `reap`'s return value, keeping this type free of cache knowledge.
 pub struct GenerationChain {
     /// The latest generation — the target of every unpinned read.
-    holder: SnapshotHolder<Generation>,
+    latest: Mutex<Arc<Generation>>,
+    /// `latest`'s id, stored under its lock: lets a reader that already
+    /// holds a generation ask "is mine still the latest?" without taking
+    /// the lock again.
+    latest_id: AtomicU64,
     /// Superseded generations still retained, ascending by id. The latest
     /// generation is *not* in here: a registry entry whose `Arc` has no
     /// other owners is therefore provably unpinned and reclaimable.
-    /// Also serializes installs: read-previous / push / swap happens under
-    /// this lock, so concurrent installs cannot double-retain a
-    /// generation.
+    /// Locked before `latest` by [`install`](GenerationChain::install), so
+    /// a superseded generation is in here by the time readers can no longer
+    /// reach it through `latest`.
     registry: Mutex<Vec<Arc<Generation>>>,
     /// Serializes whole update operations (fork → mutate → install) so two
     /// concurrent fork-based updates cannot both fork the same parent and
@@ -277,7 +152,8 @@ impl GenerationChain {
     /// Creates a chain whose generation 0 serves `index`.
     pub fn new(index: Arc<DsrIndex>) -> Self {
         GenerationChain {
-            holder: SnapshotHolder::new(Arc::new(Generation { id: 0, index })),
+            latest: Mutex::new(Arc::new(Generation { id: 0, index })),
+            latest_id: AtomicU64::new(0),
             registry: Mutex::new(Vec::new()),
             update_lock: Mutex::new(()),
             next_id: AtomicU64::new(1),
@@ -287,7 +163,7 @@ impl GenerationChain {
 
     /// The latest generation. Holding the returned `Arc` pins it.
     pub fn latest(&self) -> Arc<Generation> {
-        self.holder.read()
+        Arc::clone(&dsr_sync::lock(&self.latest))
     }
 
     /// Looks up a retained (or latest) generation by id; `None` once it
@@ -316,13 +192,10 @@ impl GenerationChain {
             id: self.next_id.fetch_add(1, Ordering::SeqCst),
             index,
         });
-        // The registry lock spans read-previous/push/swap: a concurrent
-        // install observes this one's swap and retains the right
-        // predecessor exactly once.
         let mut registry = dsr_sync::lock(&self.registry);
-        let previous = self.holder.read();
-        registry.push(previous);
-        self.holder.swap(Arc::clone(&generation));
+        let mut latest = dsr_sync::lock(&self.latest);
+        registry.push(std::mem::replace(&mut *latest, Arc::clone(&generation)));
+        self.latest_id.store(generation.id, Ordering::SeqCst);
         generation
     }
 
@@ -344,49 +217,44 @@ impl GenerationChain {
         mutate: impl FnOnce(&mut DsrIndex) -> R,
         advanced: impl FnOnce(&R) -> bool,
     ) -> Result<Mutated<R>, ExclusiveRefused> {
-        let next_id = &self.next_id;
-        let reclaimed = &self.reclaimed;
-        self.holder.update(|slot| {
-            // `slot` is the consolidated latest generation: its strong
-            // count here is 1 + outstanding pins.
-            let pins = Arc::strong_count(slot) - 1;
-            let current = slot.id;
-            let Some(generation) = Arc::get_mut(slot) else {
-                return Err(ExclusiveRefused::Pinned {
-                    generation: current,
-                    pins,
-                });
-            };
-            let Some(index) = Arc::get_mut(&mut generation.index) else {
-                return Err(ExclusiveRefused::IndexShared {
-                    generation: current,
-                });
-            };
-            let result = mutate(index);
-            if advanced(&result) {
-                // Consume the exclusively held generation: wrap the
-                // mutated index in a fresh one. No reader ever observed
-                // the mutation under the old id.
-                let index = Arc::clone(&generation.index);
-                *slot = Arc::new(Generation {
-                    id: next_id.fetch_add(1, Ordering::SeqCst),
-                    index,
-                });
-                // The consumed generation never reaches the registry: it
-                // is reclaimed here, exactly once.
-                reclaimed.fetch_add(1, Ordering::SeqCst);
-                Ok(Mutated {
-                    result,
-                    generation: slot.id,
-                    retired: Some(current),
-                })
-            } else {
-                Ok(Mutated {
-                    result,
-                    generation: current,
-                    retired: None,
-                })
-            }
+        // Held for the whole mutation: readers block, and the strong count
+        // below is 1 (the chain) + outstanding pins.
+        let mut latest = dsr_sync::lock(&self.latest);
+        let pins = Arc::strong_count(&latest) - 1;
+        let current = latest.id;
+        let Some(generation) = Arc::get_mut(&mut latest) else {
+            return Err(ExclusiveRefused::Pinned {
+                generation: current,
+                pins,
+            });
+        };
+        let Some(index) = Arc::get_mut(&mut generation.index) else {
+            return Err(ExclusiveRefused::IndexShared {
+                generation: current,
+            });
+        };
+        let result = mutate(index);
+        if !advanced(&result) {
+            return Ok(Mutated {
+                result,
+                generation: current,
+                retired: None,
+            });
+        }
+        // Consume the exclusively held generation: wrap the mutated index
+        // in a fresh one. No reader ever observed the mutation under the
+        // old id.
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let index = Arc::clone(&generation.index);
+        *latest = Arc::new(Generation { id, index });
+        self.latest_id.store(id, Ordering::SeqCst);
+        // The consumed generation never reaches the registry: it is
+        // reclaimed here, exactly once.
+        self.reclaimed.fetch_add(1, Ordering::SeqCst);
+        Ok(Mutated {
+            result,
+            generation: id,
+            retired: Some(current),
         })
     }
 
@@ -412,7 +280,7 @@ impl GenerationChain {
 
     /// The latest generation's id.
     pub fn latest_id(&self) -> GenerationId {
-        self.latest().id
+        self.latest_id.load(Ordering::SeqCst)
     }
 
     /// Gauge: generations currently alive (retained + the latest).
@@ -445,140 +313,202 @@ impl std::fmt::Debug for GenerationChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsr_graph::DiGraph;
+    use dsr_partition::Partitioning;
+    use dsr_reach::LocalIndexKind;
+
+    fn chain_index() -> Arc<DsrIndex> {
+        let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let p = Partitioning::new(vec![0, 0, 1, 1], 2);
+        Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs))
+    }
+
+    /// A one-partition index whose `generation.revision` is `revision`: the
+    /// marker the torn-read checks compare with the generation id. One
+    /// partition keeps `SlavePool::run` on its inline fast path, so a model
+    /// execution that builds one stays fully model-controlled.
+    fn marked_index(revision: u64) -> Arc<DsrIndex> {
+        let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let p = Partitioning::new(vec![0, 0, 0], 1);
+        let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        index.generation.revision = revision;
+        Arc::new(index)
+    }
+
+    /// Id and index of a generation were created together.
+    fn assert_not_torn(generation: &Generation) {
+        assert_eq!(
+            generation.index().generation.revision,
+            generation.id(),
+            "torn generation observed"
+        );
+    }
 
     #[test]
     fn read_returns_installed_snapshot() {
-        let holder = SnapshotHolder::new(Arc::new(41));
-        assert_eq!(*holder.read(), 41);
-        holder.swap(Arc::new(42));
-        assert_eq!(*holder.read(), 42);
+        let first = chain_index();
+        let chain = GenerationChain::new(Arc::clone(&first));
+        assert!(Arc::ptr_eq(chain.latest().index(), &first));
+        let second = chain_index();
+        chain.install(Arc::clone(&second));
+        assert!(Arc::ptr_eq(chain.latest().index(), &second));
     }
 
     #[test]
     fn swap_is_visible_to_all_slots() {
-        let holder = Arc::new(SnapshotHolder::new(Arc::new(0usize)));
-        holder.swap(Arc::new(7));
-        // Many fresh threads → many distinct slots; all must see the swap.
-        let handles: Vec<_> = (0..2 * SLOTS)
+        let chain = Arc::new(GenerationChain::new(chain_index()));
+        chain.install(chain_index());
+        // Many fresh threads; all must see the install.
+        let handles: Vec<_> = (0..16)
             .map(|_| {
-                let holder = Arc::clone(&holder);
-                dsr_sync::thread::spawn(move || *holder.read())
+                let chain = Arc::clone(&chain);
+                dsr_sync::thread::spawn(move || (chain.latest().id(), chain.latest_id()))
             })
             .collect();
         for h in handles {
-            assert_eq!(h.join().unwrap(), 7);
+            assert_eq!(h.join().unwrap(), (1, 1));
         }
     }
 
     #[test]
     fn update_gets_exclusive_access_when_unpinned() {
-        let holder = SnapshotHolder::new(Arc::new(vec![1, 2, 3]));
-        holder.update(|arc| {
-            Arc::get_mut(arc)
-                .expect("no external pins: exclusive")
-                .push(4);
-        });
-        assert_eq!(*holder.read(), vec![1, 2, 3, 4]);
+        let chain = GenerationChain::new(chain_index());
+        chain
+            .mutate_exclusive(|index| index.insert_edge(3, 0), |o| o.rebuilt_compounds)
+            .expect("no pins: exclusive");
+        // The mutated index is what the chain now serves.
+        assert!(chain.latest().index().cut.edges.contains(&(3, 0)));
     }
 
     #[test]
     fn pinned_read_blocks_exclusivity_but_not_replacement() {
-        let holder = SnapshotHolder::new(Arc::new(1));
-        let pin = holder.read();
-        holder.update(|arc| {
-            assert!(Arc::get_mut(arc).is_none(), "pinned clone denies get_mut");
-            *arc = Arc::new(2); // fork-and-replace still works
-        });
-        assert_eq!(*pin, 1, "pinned reader keeps the old snapshot");
-        assert_eq!(*holder.read(), 2);
+        let chain = GenerationChain::new(chain_index());
+        let pin = chain.latest();
+        let mut ran = false;
+        let refused = chain.mutate_exclusive(|_| ran = true, |_| true);
+        assert!(matches!(refused, Err(ExclusiveRefused::Pinned { .. })));
+        assert!(!ran, "a refused mutation never runs");
+        // Fork-and-replace still works under the pin.
+        let replacement = chain_index();
+        chain.install(Arc::clone(&replacement));
+        assert_eq!(pin.id(), 0, "pinned reader keeps the old generation");
+        assert!(Arc::ptr_eq(chain.latest().index(), &replacement));
         drop(pin);
-        holder.update(|arc| {
-            *Arc::get_mut(arc).expect("pin dropped: exclusive again") = 3;
-        });
-        assert_eq!(*holder.read(), 3);
+        drop(replacement);
+        chain
+            .mutate_exclusive(|_| (), |_| true)
+            .expect("pin dropped: exclusive again");
     }
 
-    /// Model checks of the swap/read protocol. Under `--cfg dsr_model`
-    /// these explore every interleaving within the preemption bound; in
-    /// normal builds they degrade to a single smoke execution.
+    /// Model checks of the chain's read / install / mutate / reap protocol.
+    /// Under `--cfg dsr_model` these explore every interleaving within the
+    /// preemption bound; in normal builds they degrade to a single smoke
+    /// execution.
     mod model_protocol {
         use super::*;
-        use dsr_sync::model::{self, Model};
+        use dsr_sync::model::Model;
 
-        /// A reader racing a swap sees the old or the new snapshot as a
-        /// unit — never a torn pair — in *every* interleaving.
+        /// A reader racing an install sees the old or the new generation as
+        /// a unit — never the id of one with the index of the other — in
+        /// *every* interleaving.
         #[test]
         fn model_swap_read_never_torn() {
             Model::new()
                 .check(|| {
-                    let holder = Arc::new(SnapshotHolder::new(Arc::new((1u64, !1u64))));
+                    let chain = Arc::new(GenerationChain::new(marked_index(0)));
                     let writer = {
-                        let holder = Arc::clone(&holder);
-                        dsr_sync::thread::spawn(move || holder.swap(Arc::new((2, !2))))
+                        let chain = Arc::clone(&chain);
+                        dsr_sync::thread::spawn(move || {
+                            chain.install(marked_index(1));
+                        })
                     };
-                    let snap = holder.read();
-                    assert_eq!(snap.0, !snap.1, "torn snapshot observed");
+                    assert_not_torn(&chain.latest());
                     writer.join().unwrap();
-                    let after = holder.read();
-                    assert_eq!(after.0, 2, "joined swap must be visible");
+                    let after = chain.latest();
+                    assert_eq!(after.id(), 1, "joined install must be visible");
+                    assert_not_torn(&after);
                 })
-                .expect("swap/read protocol must hold in every schedule");
+                .expect("install/read protocol must hold in every schedule");
         }
 
-        /// Two concurrent swaps must leave every slot agreeing on one
-        /// winner (the writer lock serializes their slot stores).
-        fn concurrent_swaps_agree() {
-            let holder = Arc::new(SnapshotHolder::new(Arc::new(0u64)));
-            let a = {
-                let holder = Arc::clone(&holder);
-                dsr_sync::thread::spawn(move || holder.swap(Arc::new(1)))
-            };
-            holder.swap(Arc::new(2));
-            a.join().unwrap();
-            let values: Vec<u64> = holder
-                .slots
-                .iter()
-                .map(|s| **dsr_sync::lock(s).as_ref().expect("slot holds a snapshot"))
-                .collect();
-            assert!(
-                values.iter().all(|v| *v == values[0]),
-                "slots disagree after concurrent swaps: {values:?}"
-            );
-        }
-
+        /// Two concurrent installs leave one winner that the slot and the
+        /// published id agree on, and retain each superseded generation
+        /// exactly once.
         #[test]
         fn model_concurrent_swaps_agree() {
             Model::new()
-                .check(concurrent_swaps_agree)
-                .expect("serialized swaps must leave the slots consistent");
+                .check(|| {
+                    let chain = Arc::new(GenerationChain::new(marked_index(0)));
+                    let other = {
+                        let chain = Arc::clone(&chain);
+                        dsr_sync::thread::spawn(move || chain.install(marked_index(0)).id())
+                    };
+                    let mine = chain.install(marked_index(0)).id();
+                    let theirs = other.join().unwrap();
+                    assert_ne!(mine, theirs, "ids are never reused");
+                    let winner = chain.latest().id();
+                    assert_eq!(chain.latest_id(), winner, "published id disagrees");
+                    assert!(winner == mine || winner == theirs);
+                    let loser = mine + theirs - winner;
+                    assert_eq!(chain.reap(), vec![0, loser], "each retained once");
+                    assert_eq!((chain.retained(), chain.reclaimed()), (1, 2));
+                })
+                .expect("concurrent installs must leave the chain consistent");
         }
 
-        /// Seeded mutation: without the writer lock, some interleaving of
-        /// two swaps tears the slots — the checker must find it.
+        /// A reader pinning whatever is latest while the writer mutates in
+        /// place, installs and reaps: the pin is never torn, is never
+        /// reclaimed while held, and refuses exactly the in-place mutation
+        /// it overlaps.
         #[test]
-        fn model_mutation_snapshot_slot_race_detected() {
-            if !model::is_model_build() {
-                return;
-            }
-            let failure = Model::new()
-                .mutation(model::MUTATION_SNAPSHOT_WIDEN_SLOT_RACE)
-                .check(concurrent_swaps_agree)
-                .expect_err("unlocked swap must tear the slots in some schedule");
-            assert!(failure.message.contains("slots disagree"), "{failure}");
+        fn model_pinned_generation_survives_mutate_install_and_reap() {
+            Model::new()
+                .check(|| {
+                    let chain = Arc::new(GenerationChain::new(marked_index(0)));
+                    let reader = {
+                        let chain = Arc::clone(&chain);
+                        dsr_sync::thread::spawn(move || {
+                            let pin = chain.latest();
+                            assert_not_torn(&pin);
+                            let found = chain.lookup(pin.id());
+                            assert!(found.is_some(), "pinned generation was reclaimed");
+                        })
+                    };
+                    // In place: 0 → 1 when the reader's pin is not in the
+                    // way; either way ids and revisions stay in step.
+                    let mutated =
+                        chain.mutate_exclusive(|index| index.generation.advance(), |_| true);
+                    let next = match mutated {
+                        Ok(mutated) => {
+                            assert_eq!((mutated.generation, mutated.retired), (1, Some(0)));
+                            2
+                        }
+                        Err(refused) => {
+                            // The reader's pin, plus its lookup of it.
+                            assert!(matches!(
+                                refused,
+                                ExclusiveRefused::Pinned {
+                                    generation: 0,
+                                    pins: 1 | 2
+                                }
+                            ));
+                            1
+                        }
+                    };
+                    assert_eq!(chain.install(marked_index(next)).id(), next);
+                    chain.reap();
+                    reader.join().unwrap();
+                    chain.reap();
+                    assert_not_torn(&chain.latest());
+                    assert_eq!(chain.retained(), 1, "unpinned generations are reclaimed");
+                    assert_eq!(chain.created(), chain.reclaimed() + 1);
+                })
+                .expect("pins must hold through mutate/install/reap in every schedule");
         }
     }
 
     mod chain {
         use super::*;
-        use dsr_graph::DiGraph;
-        use dsr_partition::Partitioning;
-        use dsr_reach::LocalIndexKind;
-
-        fn chain_index() -> Arc<DsrIndex> {
-            let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-            let p = Partitioning::new(vec![0, 0, 1, 1], 2);
-            Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs))
-        }
 
         #[test]
         fn install_retains_until_pins_drop() {
@@ -680,22 +610,27 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_old_or_new_never_torn() {
-        let holder = Arc::new(SnapshotHolder::new(Arc::new((1u64, !1u64))));
+        let chain = Arc::new(GenerationChain::new(marked_index(0)));
         let stop = Arc::new(dsr_sync::atomic::AtomicUsize::new(0));
         let readers: Vec<_> = (0..4)
             .map(|_| {
-                let holder = Arc::clone(&holder);
+                let chain = Arc::clone(&chain);
                 let stop = Arc::clone(&stop);
                 dsr_sync::thread::spawn(move || {
                     while stop.load(Ordering::Relaxed) == 0 {
-                        let snap = holder.read();
-                        assert_eq!(snap.0, !snap.1, "torn snapshot observed");
+                        assert_not_torn(&chain.latest());
                     }
                 })
             })
             .collect();
-        for i in 2..200u64 {
-            holder.swap(Arc::new((i, !i)));
+        for id in 1..200u64 {
+            // Both producers of generations: in place when no reader's pin
+            // is in the way, install otherwise.
+            let in_place = chain.mutate_exclusive(|index| index.generation.revision = id, |_| true);
+            if in_place.is_err() {
+                chain.install(marked_index(id));
+            }
+            chain.reap();
         }
         stop.store(1, Ordering::Relaxed);
         for r in readers {

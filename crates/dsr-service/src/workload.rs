@@ -58,8 +58,7 @@ pub struct WorkloadRun {
 /// Implementations must route **all** reads through the given
 /// [`SnapshotRef`] (its `query_batch` / `index`) and never through the
 /// owning service's unpinned entry points — that is what makes a run
-/// immune to concurrent update batches. The `dsr-lint` `snapshot-facade`
-/// rule enforces the complementary service-side invariant.
+/// immune to concurrent update batches.
 pub trait Workload {
     /// Stable, human-readable workload name (reported by benchmarks).
     fn name(&self) -> &str;

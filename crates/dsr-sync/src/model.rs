@@ -44,29 +44,11 @@ use crate::engine;
 pub const MUTATION_CACHE_SKIP_GENERATION_RECHECK: &str = "cache_skip_generation_recheck";
 /// See [`MUTATION_CACHE_SKIP_GENERATION_RECHECK`].
 pub const MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH: &str = "batcher_release_before_publish";
-/// See [`MUTATION_CACHE_SKIP_GENERATION_RECHECK`].
-pub const MUTATION_SNAPSHOT_WIDEN_SLOT_RACE: &str = "snapshot_widen_slot_race";
 
 /// True when compiled with `--cfg dsr_model` (exploration available).
 #[inline(always)]
 pub const fn is_model_build() -> bool {
     cfg!(dsr_model)
-}
-
-/// Index of the current model thread within its execution (0 = the thread
-/// that called [`Model::check`]), or `None` outside a model run. Used by
-/// code that wants per-thread slot assignment to be deterministic across
-/// explored schedules (e.g. `SnapshotHolder::my_slot`).
-#[cfg(dsr_model)]
-pub fn thread_index() -> Option<usize> {
-    engine::ctx().map(|c| c.tid)
-}
-
-/// See the `dsr_model` variant; always `None` in normal builds.
-#[cfg(not(dsr_model))]
-#[inline(always)]
-pub fn thread_index() -> Option<usize> {
-    None
 }
 
 /// Runs `f` with the model context cleared: primitives touched inside —

@@ -234,7 +234,7 @@ fn model_mutation_registry() {
                 model::MUTATION_CACHE_SKIP_GENERATION_RECHECK
             ));
             assert!(!model::mutation_enabled(
-                model::MUTATION_SNAPSHOT_WIDEN_SLOT_RACE
+                model::MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH
             ));
         })
         .expect("registry lookups must not fail");

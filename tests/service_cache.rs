@@ -67,12 +67,13 @@ fn in_place_update_is_refused_while_index_is_shared() {
     // A raw index Arc is outstanding: in-place mutation must refuse with
     // an explicit error (ForkAndSwap/Auto or rebuild + install_index are
     // the fallbacks) instead of silently dropping the update.
-    assert!(matches!(
-        service
-            .update(&[UpdateOp::Insert(2, 3)], UpdateMode::InPlace)
-            .unwrap_err(),
-        UpdateError::IndexShared
-    ));
+    let err = service
+        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::InPlace)
+        .unwrap_err();
+    assert!(matches!(err, UpdateError::IndexShared));
+    // The error is a real std::error::Error with actionable text.
+    let err: Box<dyn std::error::Error> = Box::new(err);
+    assert!(err.to_string().contains("ForkAndSwap"));
     drop(shared);
     assert!(service
         .update(&[UpdateOp::Insert(2, 3)], UpdateMode::InPlace)
