@@ -16,10 +16,26 @@
 //! are local to partition `i` *or* boundary vertices of remote partitions
 //! can be decided entirely on `GC_i` (Theorem 1), which is what makes the
 //! single-communication-round query evaluation possible.
+//!
+//! # The condensation is kept and queried
+//!
+//! The paper condenses every compound graph into its SCC DAG before
+//! querying (Section 3.3.1, the "DAG" column of Table 2).
+//! [`CompoundGraph::build`] does the same and keeps the result: the SCC id
+//! of every compound vertex and the DAG over those ids. Tarjan numbers the
+//! components in reverse topological order — a DAG edge `a → b` has
+//! `a > b` — so [`CompoundGraph::lane_masks`] answers "which of these (at
+//! most 64) sources reach which vertex" with **one descending pass over
+//! the component ids**, OR-ing one `u64` of source lanes along every DAG
+//! edge. That pass is step 1 of Algorithm 2 in [`crate::engine`]; its cost
+//! is the size of the DAG (on web-like graphs two orders of magnitude below
+//! the compound graph), not one traversal of the compound graph per source.
+//! Since an update rebuilds the affected compound graphs through `build`,
+//! the condensation is refreshed with them.
 
 use std::collections::HashMap;
 
-use dsr_graph::{condense, DiGraph, InducedSubgraph, VertexId};
+use dsr_graph::{condense, CondensedGraph, DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{Cut, PartitionId};
 
 use crate::summary::PartitionSummary;
@@ -76,6 +92,13 @@ pub struct CompoundGraph {
     /// Sorted compound ids of every vertex whose role is not
     /// [`RouteRole::None`].
     route_ids: Vec<VertexId>,
+    /// SCC id of every compound vertex, in reverse topological order of
+    /// `dag`. Private like the route tables: both are derived from `graph`
+    /// by [`CompoundGraph::build`].
+    component: Vec<u32>,
+    /// The condensation of `graph`: one vertex per SCC id, inter-component
+    /// edges deduplicated, every edge `a → b` with `a > b`.
+    dag: DiGraph,
 }
 
 impl CompoundGraph {
@@ -179,6 +202,7 @@ impl CompoundGraph {
         edges.dedup();
 
         let compound = DiGraph::from_edges(global_of.len(), &edges);
+        let CondensedGraph { dag, scc, .. } = condense(&compound);
         let mut built = CompoundGraph {
             partition,
             graph: compound,
@@ -189,6 +213,8 @@ impl CompoundGraph {
             backward_virtual,
             route_role: Vec::new(),
             route_ids: Vec::new(),
+            component: scc.component,
+            dag,
         };
         built.derive_routes();
         built
@@ -212,6 +238,23 @@ impl CompoundGraph {
         ids.sort_unstable();
         self.route_role = role;
         self.route_ids = ids;
+        debug_assert!(
+            self.routes_ascend_per_partition(),
+            "build numbers a remote partition's in-boundaries and classes in ascending order"
+        );
+    }
+
+    /// The order step 1 relies on (see [`CompoundGraph::route_ids`]).
+    fn routes_ascend_per_partition(&self) -> bool {
+        let key = |&id: &VertexId| match self.route_role[id as usize] {
+            RouteRole::ForwardVirtual { partition, class } => (partition, 1, class),
+            RouteRole::InBoundary { partition } => {
+                let global = self.global_of[id as usize].expect("in-boundaries are concrete");
+                (partition, 0, global)
+            }
+            RouteRole::None => unreachable!("route ids have a role"),
+        };
+        self.route_ids.windows(2).all(|w| key(&w[0]) < key(&w[1]))
     }
 
     /// Compound id of a global vertex (local vertex or concrete remote
@@ -239,9 +282,57 @@ impl CompoundGraph {
 
     /// Sorted compound ids of every vertex with a routing role: all
     /// in-virtual vertices and all concrete in-boundaries of the remote
-    /// partitions.
+    /// partitions. [`CompoundGraph::build`] hands out compound ids partition
+    /// by partition, in-boundaries in ascending global id before classes in
+    /// ascending class id, so walking this list visits every remote
+    /// partition's entries and classes in the ascending order the exchange
+    /// buffers ship them in.
     pub fn route_ids(&self) -> &[VertexId] {
         &self.route_ids
+    }
+
+    /// SCC id of a compound vertex: the index of its lane mask in what
+    /// [`CompoundGraph::lane_masks`] fills.
+    pub fn component_of(&self, compound: VertexId) -> u32 {
+        self.component[compound as usize]
+    }
+
+    /// The condensation DAG of the compound graph over the SCC ids; every
+    /// edge leads from a larger to a smaller id.
+    pub fn dag(&self) -> &DiGraph {
+        &self.dag
+    }
+
+    /// Multi-source reachability on the condensation: source `b` of
+    /// `sources` (compound ids, at most 64) owns lane `b`, and afterwards
+    /// `masks[component_of(v)]` has bit `b` set iff the source reaches `v`
+    /// in the compound graph (itself included). `masks` is the caller's
+    /// scratch, resized to one mask per component.
+    ///
+    /// One pass over the component ids from the largest seeded one down:
+    /// every DAG edge leads to a smaller id, so a component's mask is final
+    /// when the pass arrives at it.
+    ///
+    /// # Panics
+    /// Panics on more than 64 sources.
+    pub fn lane_masks(&self, sources: &[VertexId], masks: &mut Vec<u64>) {
+        assert!(sources.len() <= 64, "one pass carries at most 64 lanes");
+        masks.clear();
+        masks.resize(self.dag.num_vertices(), 0);
+        let mut top = 0;
+        for (lane, &s) in sources.iter().enumerate() {
+            let c = self.component[s as usize] as usize;
+            masks[c] |= 1 << lane;
+            top = top.max(c);
+        }
+        for c in (1..=top).rev() {
+            let mask = masks[c];
+            if mask != 0 {
+                for &below in self.dag.out_neighbors(c as VertexId) {
+                    masks[below as usize] |= mask;
+                }
+            }
+        }
     }
 
     /// All in-virtual vertices of remote partition `j`, as
@@ -274,7 +365,7 @@ impl CompoundGraph {
 
     /// Number of edges after SCC condensation ("DAG" column of Table 2).
     pub fn dag_edges(&self) -> usize {
-        condense(&self.graph).num_edges()
+        self.dag.num_edges()
     }
 
     /// Approximate in-memory size of the compound graph in bytes ("Size"
@@ -285,6 +376,8 @@ impl CompoundGraph {
             + self.compound_of.len() * 2 * std::mem::size_of::<VertexId>()
             + self.route_role.len() * std::mem::size_of::<RouteRole>()
             + self.route_ids.len() * std::mem::size_of::<VertexId>()
+            + self.component.len() * std::mem::size_of::<u32>()
+            + self.dag.byte_size()
     }
 }
 

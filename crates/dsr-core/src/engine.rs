@@ -4,12 +4,23 @@
 //!
 //! A DSR query `S ; T` is evaluated in the three steps of Algorithm 2:
 //!
-//! 1. **Local evaluation** (all slaves in parallel): every slave resolves
-//!    the reachability from its local sources to (a) its local targets,
-//!    (b) the boundary vertices of remote partitions that appear in `T`
-//!    (these are concrete vertices of its compound graph), and (c) the
-//!    in-virtual vertices `υ` of every remote partition (the forward list
-//!    `Fi`).
+//! 1. **Local evaluation** (all slaves in parallel), **on the condensed
+//!    compound graph**: every slave resolves the reachability from its
+//!    local sources to (a) its local targets, (b) the boundary vertices of
+//!    remote partitions that appear in `T` (these are concrete vertices of
+//!    its compound graph), and (c) the in-virtual vertices `υ` of every
+//!    remote partition (the forward list `Fi`). The paper condenses each
+//!    compound graph into its SCC DAG before querying; the index keeps that
+//!    condensation ([`crate::compound`]) and step 1 is a sweep over it: the
+//!    slave's distinct sources are `u64` lanes, 64 per pass, each seeded at
+//!    its source's component, and one descending pass over the component
+//!    ids ([`CompoundGraph::lane_masks`](crate::CompoundGraph::lane_masks))
+//!    ORs the lanes along the DAG edges. Afterwards the mask at a vertex's
+//!    component says which sources reach it, and attribution reads that
+//!    mask once per routing vertex and per concrete target — no
+//!    `(source, vertex)` pair list, no per-source traversal. The cost is the
+//!    DAG (on web-like graphs ≈ 100 components for a compound graph of
+//!    thousands of vertices) plus the routing table, per 64 sources.
 //! 2. **One round of message exchange**: for every remote partition `j`,
 //!    the slave ships `⟨s, classes of j reached from s⟩` buffers to slave
 //!    `j` (plus, only when `T` contains in-boundary vertices of `j`, the
@@ -18,7 +29,7 @@
 //!    target side**: slave `j` runs one backward bit-parallel sweep over
 //!    its *local subgraph* `G_j` from the distinct local targets of the
 //!    queries that received messages — one `u64` lane per target, 64 lanes
-//!    per pass ([`dsr_reach::lane_sweep`], the MS-BFS of Then et al. the
+//!    per pass ([`dsr_reach::LaneSweep`], the MS-BFS of Then et al. the
 //!    paper evaluates as DSR-MSBFS) — which leaves at every local vertex
 //!    the mask of targets it reaches inside `G_j`. Each received
 //!    `⟨s, classes, entries⟩` is then answered by OR-ing the masks of the
@@ -27,9 +38,19 @@
 //!    targets); results are gathered at the master. The cost is one sweep
 //!    over the targets' local ancestors plus one mask read per received
 //!    class or entry — proportional to the query and the boundary, not to
-//!    the compound graph. Step 3 does **not** call the pluggable local
-//!    index: [`LocalIndexKind`](dsr_reach::LocalIndexKind) (Figure 7)
-//!    governs step 1 only.
+//!    the compound graph.
+//!
+//! # What `LocalIndexKind` governs
+//!
+//! Neither step calls the pluggable local index
+//! ([`DsrIndex::local_indexes`](crate::DsrIndex::local_indexes)): set
+//! queries are answered identically whatever
+//! [`LocalIndexKind`](dsr_reach::LocalIndexKind) the index was built with.
+//! The kind governs the same-partition fast path of
+//! [`DsrEngine::is_reachable`] (one `is_reachable` call on the compound
+//! graph's index, no communication) and Figure 7, which times the
+//! strategies' own `set_reachability` on the compound graphs next to the
+//! DAG sweep.
 //!
 //! # Protocol refinement
 //!
@@ -67,10 +88,11 @@
 //! rounds *per query*; [`DsrEngine::set_reachability_batch`] instead runs
 //! the protocol **once for a whole batch**: the scatter ships every query's
 //! sources in one message per slave, step 1 fuses the local evaluation of
-//! all queries into a single multi-source reachability call per slave, the
-//! exchange ships one buffer per slave pair tagged with query ids, and step
-//! 3 shares the backward sweep across queries (every distinct target of the
-//! batch gets one lane). A `B`-query batch therefore performs exactly the
+//! all queries into one sweep per 64 distinct sources per slave (a source
+//! shared by several queries is one lane), the exchange ships one buffer
+//! per slave pair tagged with query ids, and step 3 shares the backward
+//! sweep across queries (every distinct target of the batch gets one
+//! lane). A `B`-query batch therefore performs exactly the
 //! same **3 communication rounds** (scatter + exchange + gather) as a
 //! single query, instead of `3 B`.
 //! The single-query entry points are thin wrappers over a batch of one, so
@@ -95,7 +117,7 @@ use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError
 use dsr_graph::traversal::Direction;
 use dsr_graph::VertexId;
 use dsr_partition::PartitionId;
-use dsr_reach::lane_sweep;
+use dsr_reach::{set_lanes, LaneSweep};
 
 use crate::compound::RouteRole;
 use crate::index::DsrIndex;
@@ -368,33 +390,40 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 
         // ---- Gather results at the master (one round). ---------------------
         let gathered = self.transport.gather(step_three, stats)?;
-        for (a, s, t) in final_pairs {
-            results[original_of[a as usize]].push((s, t));
+        // Callers keep answers around (result cache, verification queues):
+        // every answer is carved at its exact size out of one merged,
+        // sorted `(query, source, target)` list — an answer grown by pushes
+        // and shrunk afterwards leaves a hole behind it in the heap.
+        let gathered_pairs = gathered.iter().flatten().map(|(_, pairs)| pairs.len());
+        let mut merged: Vec<(u32, VertexId, VertexId)> =
+            Vec::with_capacity(final_pairs.len() + gathered_pairs.sum::<usize>());
+        merged.append(&mut final_pairs);
+        for (a, pairs) in gathered.iter().flatten() {
+            merged.extend(pairs.iter().map(|&(s, t)| (*a, s, t)));
         }
-        for message in gathered {
-            for (a, pairs) in message {
-                results[original_of[a as usize]].extend(pairs);
-            }
-        }
-        for pairs in &mut results {
-            pairs.sort_unstable();
-            pairs.dedup();
-            // Callers keep answers around (result cache, verification
-            // queues): hand back no growth slack.
-            pairs.shrink_to_fit();
+        merged.sort_unstable();
+        merged.dedup();
+        for answer in merged.chunk_by(|x, y| x.0 == y.0) {
+            results[original_of[answer[0].0 as usize]] =
+                answer.iter().map(|&(_, s, t)| (s, t)).collect();
         }
         Ok(results)
     }
 
-    /// Step 1 at slave `i`, fused across every active query: one
-    /// multi-source reachability call over the union of all queries' local
-    /// sources and the union of all routing targets, followed by one linear
-    /// attribution pass over the source-sorted result. `queries` is the
+    /// Step 1 at slave `i`, fused across every active query and evaluated
+    /// on the **condensed** compound graph: the distinct local sources of
+    /// all queries are `u64` lanes, 64 per pass; one
+    /// [`CompoundGraph::lane_masks`](crate::CompoundGraph::lane_masks) call
+    /// per pass — a single descending sweep over the SCC DAG — leaves at
+    /// every component the mask of sources that reach it, and attribution
+    /// reads that mask once per routing vertex and per concrete target. No
+    /// `(source, vertex)` pair list exists at any point. `queries` is the
     /// scatter payload this slave received, indexed by active-query id.
     ///
     /// Everything query-independent — which compound vertex ships which
     /// class or entry to which partition — is read from the compound
-    /// graph's id-indexed route tables ([`CompoundGraph::route_role`]).
+    /// graph's id-indexed route tables
+    /// ([`CompoundGraph::route_role`](crate::CompoundGraph::route_role)).
     fn step_one_batch(&self, i: PartitionId, queries: &[ScatterQuery]) -> StepOneOutput {
         let index = self.index;
         let k = index.num_partitions();
@@ -405,7 +434,8 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         };
 
         // Union of local sources across queries, as ascending
-        // `(compound id, query)` pairs: each source's queries are one run.
+        // `(compound id, query)` pairs: each source's queries are one run,
+        // and every run is one lane.
         let mut source_queries: Vec<(VertexId, u32)> = Vec::new();
         for (a, q) in queries.iter().enumerate() {
             for &s in &q.sources {
@@ -417,14 +447,13 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             return output;
         }
         source_queries.sort_unstable();
-        let mut source_ids: Vec<VertexId> = source_queries.iter().map(|&(id, _)| id).collect();
-        source_ids.dedup();
+        let runs: Vec<&[(VertexId, u32)]> = source_queries.chunk_by(|x, y| x.0 == y.0).collect();
 
         // Targets this slave can resolve on its own (local vertices and
         // remote boundary vertices, both concrete in the compound graph) as
-        // ascending `(compound id, query)` pairs, plus, per query, the
-        // remote partitions holding in-boundary targets: those need the
-        // concrete entry vertices in the exchanged buffers.
+        // `(compound id, query)` pairs, plus, per query, the remote
+        // partitions holding in-boundary targets: those need the concrete
+        // entry vertices in the exchanged buffers.
         let mut final_targets: Vec<(VertexId, u32)> = Vec::new();
         let mut wants_entries = vec![false; queries.len() * k];
         let mut entries_needed = vec![false; k];
@@ -445,93 +474,80 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 }
             }
         }
-        final_targets.sort_unstable();
 
-        // Routing targets: every in-virtual vertex (query-independent: any
-        // query whose source reaches one ships the class), the in-boundaries
-        // of the partitions some query needs entries for, and the targets.
-        let routed: Vec<VertexId> = comp
-            .route_ids()
-            .iter()
-            .copied()
-            .filter(|&id| match comp.route_role(id) {
-                RouteRole::InBoundary { partition } => entries_needed[partition as usize],
-                _ => true,
-            })
-            .collect();
-        let mut target_ids: Vec<VertexId> = final_targets.iter().map(|&(id, _)| id).collect();
-        target_ids.dedup();
-        let route_ids = sorted_union(&routed, &target_ids);
-
-        // The fused local evaluation: one call covering every query.
-        let local_index = &index.local_indexes[i as usize];
-        let reachable = local_index.set_reachability(&source_ids, &route_ids);
-
-        // Attribution, one source (one run of `reachable`) at a time: the
-        // per-destination class and entry lists are built once and shared
-        // by every query the source belongs to.
-        let mut classes: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut entries: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+        let mut masks: Vec<u64> = Vec::new();
+        let mut lanes: Vec<VertexId> = Vec::with_capacity(64);
+        let mut query_lanes = vec![0u64; queries.len()];
         let mut staged: Vec<Vec<(u32, SourceMessage)>> = vec![Vec::new(); k];
-        for run in reachable.chunk_by(|x, y| x.0 == y.0) {
-            let s_comp = run[0].0;
-            let s = comp
-                .global_id(s_comp)
-                .expect("sources are concrete vertices");
-            let first = source_queries.partition_point(|&(id, _)| id < s_comp);
-            let count = source_queries[first..].partition_point(|&(id, _)| id == s_comp);
-            let of_source = &source_queries[first..first + count];
+        for pass in runs.chunks(64) {
+            lanes.clear();
+            lanes.extend(pass.iter().map(|run| run[0].0));
+            comp.lane_masks(&lanes, &mut masks);
+            let reaching = |v: VertexId| masks[comp.component_of(v) as usize];
+            let global = |v: VertexId| comp.global_id(v).expect("a concrete vertex");
 
-            classes.iter_mut().for_each(Vec::clear);
-            entries.iter_mut().for_each(Vec::clear);
-            let mut targets = final_targets.as_slice();
-            for &(_, t_comp) in run {
-                match comp.route_role(t_comp) {
-                    RouteRole::ForwardVirtual { partition, class } => {
-                        classes[partition as usize].push(class);
-                    }
-                    RouteRole::InBoundary { partition } => {
-                        let c = comp
-                            .global_id(t_comp)
-                            .expect("in-boundaries are concrete vertices");
-                        entries[partition as usize].push(c);
-                    }
-                    RouteRole::None => {}
+            // What every lane ships to every remote partition: the classes
+            // of the in-virtual vertices it reaches and, for the partitions
+            // some query needs entries for, the in-boundaries it reaches.
+            // `route_ids` ascends per partition, so every list does too.
+            let mut classes: Vec<Vec<u32>> = vec![Vec::new(); pass.len() * k];
+            let mut entries: Vec<Vec<VertexId>> = vec![Vec::new(); pass.len() * k];
+            for &id in comp.route_ids() {
+                let hit = reaching(id);
+                if hit == 0 {
+                    continue;
                 }
-                // Both lists ascend by compound id: one merge walk per
-                // source finds the reached vertices that are targets.
-                while let Some(&(id, a)) = targets.first() {
-                    if id > t_comp {
-                        break;
+                match comp.route_role(id) {
+                    RouteRole::ForwardVirtual { partition, class } => {
+                        for lane in set_lanes(hit) {
+                            classes[lane * k + partition as usize].push(class);
+                        }
                     }
-                    targets = &targets[1..];
-                    if id == t_comp && of_source.binary_search(&(s_comp, a)).is_ok() {
-                        let t = comp
-                            .global_id(t_comp)
-                            .expect("targets are concrete vertices");
-                        output.final_pairs.push((a, s, t));
+                    RouteRole::InBoundary { partition } if entries_needed[partition as usize] => {
+                        for lane in set_lanes(hit) {
+                            entries[lane * k + partition as usize].push(global(id));
+                        }
                     }
+                    _ => {}
                 }
             }
-            classes.iter_mut().for_each(|list| list.sort_unstable());
-            entries.iter_mut().for_each(|list| list.sort_unstable());
 
-            for &(_, a) in of_source {
-                for j in 0..k {
-                    let shipped_entries: &[VertexId] = if wants_entries[a as usize * k + j] {
-                        &entries[j]
-                    } else {
-                        &[]
-                    };
-                    if classes[j].is_empty() && shipped_entries.is_empty() {
-                        continue;
+            // Pairs resolved right here: a target is reached by the lanes
+            // in its component's mask that belong to the asking query.
+            query_lanes.fill(0);
+            for (lane, run) in pass.iter().enumerate() {
+                for &(_, a) in *run {
+                    query_lanes[a as usize] |= 1 << lane;
+                }
+            }
+            for &(t, a) in &final_targets {
+                for lane in set_lanes(reaching(t) & query_lanes[a as usize]) {
+                    output.final_pairs.push((a, global(lanes[lane]), global(t)));
+                }
+            }
+
+            // The per-destination lists of a source are shared by every
+            // query the source belongs to.
+            for (lane, run) in pass.iter().enumerate() {
+                let s = global(lanes[lane]);
+                for &(_, a) in *run {
+                    for j in 0..k {
+                        let shipped_entries: &[VertexId] = if wants_entries[a as usize * k + j] {
+                            &entries[lane * k + j]
+                        } else {
+                            &[]
+                        };
+                        let classes = &classes[lane * k + j];
+                        if classes.is_empty() && shipped_entries.is_empty() {
+                            continue;
+                        }
+                        let message = SourceMessage {
+                            source: s,
+                            classes: classes.clone(),
+                            entries: shipped_entries.to_vec(),
+                        };
+                        staged[j].push((a, message));
                     }
-                    let message = SourceMessage {
-                        source: s,
-                        classes: classes[j].clone(),
-                        entries: shipped_entries.to_vec(),
-                    };
-                    staged[j].push((a, message));
                 }
             }
         }
@@ -654,6 +670,11 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         let mut interior = vec![0u64; queries.len()];
         let mut boundary = vec![0u64; queries.len()];
         let mut unassigned = wanted.as_slice();
+        // Lanes and in-boundaries both ascend: one merge walk across all
+        // passes tells which lanes are in-boundaries.
+        let mut later_in_boundaries = in_boundaries.as_slice();
+        let mut sweep = LaneSweep::new(local.graph.num_vertices());
+        let mut pass_local: Vec<VertexId> = Vec::with_capacity(64);
         for pass in lanes.chunks(64) {
             // Which lanes of this pass each query asked for, split into
             // interior targets (answered through class representatives —
@@ -663,7 +684,9 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             interior.fill(0);
             boundary.fill(0);
             for (lane, &t) in pass.iter().enumerate() {
-                let masks = if in_boundaries.binary_search(&t).is_ok() {
+                let smaller = later_in_boundaries.partition_point(|&c| c < t);
+                later_in_boundaries = &later_in_boundaries[smaller..];
+                let masks = if later_in_boundaries.first() == Some(&t) {
                     &mut boundary
                 } else {
                     &mut interior
@@ -675,8 +698,9 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 unassigned = &unassigned[askers..];
             }
 
-            let pass_local: Vec<VertexId> = pass.iter().map(|&t| local_id(t)).collect();
-            let reaches = lane_sweep(&local.graph, &pass_local, Direction::Backward);
+            pass_local.clear();
+            pass_local.extend(pass.iter().map(|&t| local_id(t)));
+            let reaches = sweep.run(&local.graph, &pass_local, Direction::Backward);
             for message in &received {
                 let a = message.query as usize;
                 let or_masks = |range: &std::ops::Range<usize>| {
@@ -691,11 +715,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 if boundary[a] != 0 {
                     hit |= or_masks(&message.entries) & boundary[a];
                 }
-                while hit != 0 {
-                    let lane = hit.trailing_zeros() as usize;
-                    results[a].push((message.source, pass[lane]));
-                    hit &= hit - 1;
-                }
+                results[a].extend(set_lanes(hit).map(|lane| (message.source, pass[lane])));
             }
         }
 
@@ -709,33 +729,6 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         }
         Ok(gather)
     }
-}
-
-/// Union of two ascending, duplicate-free id lists, ascending and
-/// duplicate-free.
-fn sorted_union(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut x, mut y) = (0, 0);
-    while x < a.len() && y < b.len() {
-        match a[x].cmp(&b[y]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[x]);
-                x += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[y]);
-                y += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[x]);
-                x += 1;
-                y += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[x..]);
-    out.extend_from_slice(&b[y..]);
-    out
 }
 
 #[cfg(test)]
@@ -1102,6 +1095,161 @@ mod tests {
                 SetQuery::new(pick(), pick())
             }));
             assert_batch_matches_oracle(&g, &p, &queries);
+        }
+    }
+
+    fn random_edges(rng: &mut impl rand::Rng, n: usize, m: usize) -> Vec<(u32, u32)> {
+        (0..m)
+            .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+            .collect()
+    }
+
+    #[test]
+    fn step_one_carries_more_than_64_sources_per_slave_on_every_transport() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(64);
+        let n = 240;
+        let g = DiGraph::from_edges(n, &random_edges(&mut rng, n, 600));
+        let p = HashPartitioner::default().partition(&g, 3);
+        // 80 distinct sources per slave (two lane passes) in the first
+        // query; the others draw 30 sources each from the same 100
+        // vertices, so most lanes belong to several queries of the batch.
+        let all: Vec<u32> = (0..n as u32).collect();
+        let mut queries = vec![SetQuery::new(all.clone(), all)];
+        queries.extend((0..30).map(|_| {
+            let sources = (0..30).map(|_| rng.gen_range(0..100)).collect();
+            let targets = (0..8).map(|_| rng.gen_range(0..n) as u32).collect();
+            SetQuery::new(sources, targets)
+        }));
+        let oracle = TransitiveClosure::build(&g);
+        let expected: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                let (sources, targets) = q.signature();
+                oracle.set_reachability(&sources, &targets)
+            })
+            .collect();
+
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let in_process = DsrEngine::new(&index)
+            .set_reachability_batch(&queries)
+            .expect("in-process");
+        assert_eq!(in_process.results, expected);
+        let wire = WireTransport::new();
+        let wired = DsrEngine::with_transport(&index, &wire)
+            .set_reachability_batch(&queries)
+            .expect("wire");
+        let tcp = dsr_cluster::TcpTransport::loopback();
+        let remote = DsrEngine::with_transport(&index, &tcp)
+            .set_reachability_batch(&queries)
+            .expect("tcp");
+        for other in [wired, remote] {
+            assert_eq!(other.results, expected);
+            assert_eq!(
+                (other.rounds, other.messages, other.bytes),
+                (in_process.rounds, in_process.messages, in_process.bytes)
+            );
+        }
+    }
+
+    #[test]
+    fn step_one_on_acyclic_single_component_and_dead_end_compounds() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(31);
+        let n = 60;
+        let all: Vec<u32> = (0..n as u32).collect();
+        let picks = |rng: &mut SmallRng| -> Vec<SetQuery> {
+            let mut queries = vec![SetQuery::new(all.clone(), all.clone())];
+            queries.extend((0..10).map(|_| {
+                let mut pick = || (0..5).map(|_| rng.gen_range(0..n) as u32).collect();
+                SetQuery::new(pick(), pick())
+            }));
+            queries
+        };
+
+        // Acyclic, and no vertex is an in- and an out-boundary at once (such
+        // a vertex closes the cycle `c → υ → ν → c` in remote compound
+        // graphs): every edge leads to a larger id, partitions are blocks of
+        // 20 ids, and cut edges lead from the upper half of a block to the
+        // lower half of a later one. No compound graph then has a
+        // non-trivial SCC: its condensation is the graph itself.
+        let forward_only: Vec<(u32, u32)> = random_edges(&mut rng, n, 400)
+            .into_iter()
+            .filter(|(u, v)| u < v && (u / 20 == v / 20 || (u % 20 >= 10 && v % 20 < 10)))
+            .collect();
+        let g = DiGraph::from_edges(n, &forward_only);
+        let p = Partitioning::new((0..n as u32).map(|v| v / 20).collect(), 3);
+        let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+        assert!(index.cut.num_edges() > 10);
+        for compound in &index.compounds {
+            assert_eq!(compound.dag().num_vertices(), compound.num_vertices());
+            assert_eq!(compound.dag_edges(), compound.num_edges());
+        }
+        assert_batch_matches_oracle(&g, &p, &picks(&mut rng));
+
+        // One cycle through every vertex plus chords: every compound graph
+        // is a single component and the sweep is one mask.
+        let mut cyclic: Vec<(u32, u32)> = (0..n as u32).map(|v| (v, (v + 1) % n as u32)).collect();
+        cyclic.extend(random_edges(&mut rng, n, 40));
+        let g = DiGraph::from_edges(n, &cyclic);
+        let p = HashPartitioner::default().partition(&g, 3);
+        let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+        for compound in &index.compounds {
+            assert_eq!(compound.dag().num_vertices(), 1);
+        }
+        assert_batch_matches_oracle(&g, &p, &picks(&mut rng));
+
+        // Sources that reach no routing vertex: the sinks of a bipartite
+        // graph reach themselves only and ship nothing.
+        let into_sinks: Vec<(u32, u32)> = random_edges(&mut rng, n / 2, 80)
+            .into_iter()
+            .map(|(u, v)| (u, v + n as u32 / 2))
+            .collect();
+        let g = DiGraph::from_edges(n, &into_sinks);
+        let p = HashPartitioner::default().partition(&g, 3);
+        let sinks: Vec<u32> = (n as u32 / 2..n as u32).collect();
+        let mut queries = picks(&mut rng);
+        queries.push(SetQuery::new(sinks.clone(), all.clone()));
+        queries.push(SetQuery::new(sinks[..3].to_vec(), vec![0, 1, 2]));
+        assert_batch_matches_oracle(&g, &p, &queries);
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let dead_end = DsrEngine::new(&index).set_reachability(&sinks, &all);
+        assert_eq!(
+            dead_end.pairs.len(),
+            sinks.len(),
+            "every sink reaches itself"
+        );
+        let idle = DsrEngine::new(&index).set_reachability(&sinks[..1], &[0]);
+        assert_eq!(
+            (dead_end.messages, dead_end.bytes > idle.bytes),
+            (idle.messages, true),
+            "scatter and gather only: the exchange round ships no buffer"
+        );
+    }
+
+    #[test]
+    fn answers_carry_no_growth_slack() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(12);
+        let n = 200;
+        let g = DiGraph::from_edges(n, &random_edges(&mut rng, n, 500));
+        let p = HashPartitioner::default().partition(&g, 4);
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let queries: Vec<SetQuery> = (0..64)
+            .map(|_| {
+                let mut pick = || (0..8).map(|_| rng.gen_range(0..n) as u32).collect();
+                SetQuery::new(pick(), pick())
+            })
+            .collect();
+        let batch = DsrEngine::new(&index)
+            .set_reachability_batch(&queries)
+            .expect("in-process");
+        assert!(batch.results.iter().any(|pairs| pairs.len() > 4));
+        for pairs in &batch.results {
+            assert_eq!(pairs.capacity(), pairs.len());
         }
     }
 

@@ -23,7 +23,8 @@ pub struct IndexBuildStats {
     /// ("Original" in Table 2); the table reports the per-node maximum.
     pub compound_edges: Vec<usize>,
     /// Per-partition compound-graph edge counts after SCC condensation
-    /// ("DAG" in Table 2).
+    /// ("DAG" in Table 2), read off the condensation every compound graph
+    /// keeps for step 1.
     pub dag_edges: Vec<usize>,
     /// Total byte size of all compound graphs ("Size" in Table 2).
     pub total_bytes: usize,
@@ -114,6 +115,11 @@ pub struct DsrIndex {
     /// Per-partition compound graphs.
     pub compounds: Vec<CompoundGraph>,
     /// Per-partition local reachability indexes over the compound graphs.
+    /// Set queries do not call them (step 1 sweeps the compound graph's
+    /// stored condensation): they serve [`DsrEngine::is_reachable`]'s
+    /// same-partition fast path and Figure 7.
+    ///
+    /// [`DsrEngine::is_reachable`]: crate::DsrEngine::is_reachable
     pub local_indexes: Vec<Box<dyn LocalReachability>>,
     /// Which local strategy the index was built with.
     pub kind: LocalIndexKind,

@@ -19,13 +19,25 @@
 //! classes). This makes the class-to-class transit edges exact even when a
 //! vertex is both an in- and an out-boundary, at a negligible cost in class
 //! count.
+//!
+//! ## Bit rows, not pair lists
+//!
+//! The grouping key of a boundary is a **bit row** over the key targets:
+//! the boundaries are the lanes of bit-parallel sweeps over the local
+//! subgraph (64 per sweep, [`dsr_reach::LaneSweep`], forward for `Ii` and
+//! backward for `Oi` on the same graph), and each sweep's per-vertex masks
+//! are transposed into the rows of its 64 boundaries. Equal rows are one
+//! class; the row restricted to the opposite boundaries is what the transit
+//! relation and the boundary-pair count read. No `(boundary, target)` pair
+//! list and no per-boundary set is ever materialised, which is what keeps a
+//! summary refresh (every build, every update batch) small in memory.
 
 use std::collections::HashMap;
 
+use dsr_graph::traversal::Direction;
 use dsr_graph::{InducedSubgraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId};
-use dsr_reach::{LocalReachability, MsBfsReachability};
-use dsr_sync::Arc;
+use dsr_reach::{set_lanes, LaneSweep};
 
 /// Summary of one partition, shared with every other slave when building
 /// the compound graphs (see [`crate::protocol`] for its wire codec).
@@ -100,18 +112,16 @@ impl PartitionSummary {
             use_equivalence,
         );
 
-        // Transit relation and the non-optimized pair count. `forward`
-        // recorded, per in-boundary, which out-boundaries it reaches.
-        let mut boundary_pairs = 0usize;
+        // Transit relation and the non-optimized pair count, both read off
+        // the out-boundary part of the in-boundaries' rows; the members of a
+        // class share one row.
+        let boundary_pairs = (0..in_boundaries.len())
+            .map(|b| forward.reached_opposite(b).count())
+            .sum();
         let mut transit: Vec<(u32, u32)> = Vec::new();
-        for (class_idx, class) in forward.classes.iter().enumerate() {
-            let rep = class[0];
-            let reached_outs = &forward.reached_opposite[&rep];
-            for &member in class {
-                boundary_pairs += forward.reached_opposite[&member].len();
-            }
-            for &o in reached_outs {
-                let target_class = backward.class_of[&o];
+        for (class_idx, &rep) in forward.representatives.iter().enumerate() {
+            for o in forward.reached_opposite(rep) {
+                let target_class = backward.class_of[&local.mapping.global(o)];
                 transit.push((class_idx as u32, target_class));
             }
         }
@@ -318,19 +328,34 @@ fn sorted_difference(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
         .collect()
 }
 
-#[derive(Clone, Copy)]
-enum Direction {
-    Forward,
-    Backward,
-}
-
 struct GroupingResult {
     classes: Vec<Vec<VertexId>>,
     class_of: HashMap<VertexId, u32>,
-    /// For every grouped boundary (global id), the sorted set of *opposite*
-    /// boundaries (global ids) it reaches (forward) / is reached by
-    /// (backward).
-    reached_opposite: HashMap<VertexId, Vec<VertexId>>,
+    /// Per class, the position (in the grouped boundary list) of the member
+    /// that opened it.
+    representatives: Vec<usize>,
+    /// The key targets (local ids, ascending): column `c` of every row.
+    key_targets: Vec<VertexId>,
+    /// `words` `u64`s per grouped boundary, in boundary order: bit `c` is
+    /// set iff the boundary reaches (forward) / is reached by (backward)
+    /// `key_targets[c]`.
+    rows: Vec<u64>,
+    /// Row with the columns of the opposite boundaries set.
+    opposite_columns: Vec<u64>,
+    words: usize,
+}
+
+impl GroupingResult {
+    /// The opposite boundaries (local ids, ascending) the boundary at
+    /// position `b` reaches (forward) / is reached by (backward).
+    fn reached_opposite(&self, b: usize) -> impl Iterator<Item = VertexId> + '_ {
+        let row = &self.rows[b * self.words..(b + 1) * self.words];
+        row.iter().zip(&self.opposite_columns).enumerate().flat_map(
+            move |(word, (bits, opposite))| {
+                set_lanes(bits & opposite).map(move |bit| self.key_targets[word * 64 + bit])
+            },
+        )
+    }
 }
 
 /// Groups `own_boundaries` of the partition into equivalence classes.
@@ -338,7 +363,8 @@ struct GroupingResult {
 /// For the forward direction, the reachability targets are the direct
 /// successors of the boundaries (minus the boundaries themselves, per the
 /// paper's optimization) plus the opposite (out-) boundaries; for the
-/// backward direction the graph is reversed and the roles swap.
+/// backward direction the same graph is swept against its edges and the
+/// roles swap.
 fn equivalence_classes(
     local: &InducedSubgraph,
     own_boundaries: &[VertexId],
@@ -346,98 +372,75 @@ fn equivalence_classes(
     direction: Direction,
     use_equivalence: bool,
 ) -> GroupingResult {
-    let graph = match direction {
-        Direction::Forward => local.graph.clone(),
-        Direction::Backward => local.graph.reversed(),
+    let graph = &local.graph;
+    let local_ids = |boundaries: &[VertexId]| -> Vec<VertexId> {
+        boundaries
+            .iter()
+            .map(|&g| {
+                local
+                    .mapping
+                    .local(g)
+                    .expect("boundary belongs to partition")
+            })
+            .collect()
     };
-    let graph = Arc::new(graph);
+    let own_local = local_ids(own_boundaries);
+    let opposite_local = local_ids(opposite_boundaries);
 
-    // Local ids of the boundaries.
-    let own_local: Vec<VertexId> = own_boundaries
-        .iter()
-        .map(|&g| {
-            local
-                .mapping
-                .local(g)
-                .expect("boundary belongs to partition")
-        })
-        .collect();
-    let opposite_local: Vec<VertexId> = opposite_boundaries
-        .iter()
-        .map(|&g| {
-            local
-                .mapping
-                .local(g)
-                .expect("boundary belongs to partition")
-        })
-        .collect();
-
-    // Candidate targets: direct successors (in the traversal direction) of
+    // Key targets: the direct successors (in the traversal direction) of
     // the boundaries, excluding the boundaries themselves — the paper's
-    // S(Ii) − Ii optimization.
-    let mut is_own = vec![false; local.graph.num_vertices()];
+    // S(Ii) − Ii optimization — plus the opposite boundaries (exactness
+    // refinement).
+    let mut is_own = vec![false; graph.num_vertices()];
     for &b in &own_local {
         is_own[b as usize] = true;
     }
-    let mut candidates: Vec<VertexId> = Vec::new();
+    let mut key_targets: Vec<VertexId> = opposite_local.clone();
     for &b in &own_local {
-        for &succ in graph.out_neighbors(b) {
-            if !is_own[succ as usize] {
-                candidates.push(succ);
-            }
-        }
+        let successors = direction.neighbors(graph, b).iter();
+        key_targets.extend(successors.filter(|&&succ| !is_own[succ as usize]));
     }
-    candidates.sort_unstable();
-    candidates.dedup();
-
-    // Key targets = candidates ∪ opposite boundaries (exactness refinement).
-    let mut key_targets = candidates;
-    key_targets.extend_from_slice(&opposite_local);
     key_targets.sort_unstable();
     key_targets.dedup();
 
-    // One shared multi-source BFS over all boundaries.
-    let reach = MsBfsReachability::new(Arc::clone(&graph));
-    let pairs = reach.set_reachability(&own_local, &key_targets);
-    let mut reached: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-    for &b in &own_local {
-        reached.insert(b, Vec::new());
-    }
-    for (s, t) in pairs {
-        reached.get_mut(&s).expect("source present").push(t);
+    let words = key_targets.len().div_ceil(64);
+    let mut opposite_columns = vec![0u64; words];
+    for o in &opposite_local {
+        let column = key_targets
+            .binary_search(o)
+            .expect("opposite boundaries are key targets");
+        opposite_columns[column / 64] |= 1 << (column % 64);
     }
 
-    // Which opposite boundaries each own boundary reaches (needed for the
-    // transit relation); also part of the grouping key.
-    let opposite_set: std::collections::HashSet<VertexId> =
-        opposite_local.iter().copied().collect();
+    // One shared sweep per 64 boundaries, transposed into their rows.
+    let mut rows = vec![0u64; own_local.len() * words];
+    let mut sweep = LaneSweep::new(graph.num_vertices());
+    for (pass, lanes) in own_local.chunks(64).enumerate() {
+        let reached = sweep.run(graph, lanes, direction);
+        for (column, &t) in key_targets.iter().enumerate() {
+            for lane in set_lanes(reached[t as usize]) {
+                rows[(pass * 64 + lane) * words + column / 64] |= 1 << (column % 64);
+            }
+        }
+    }
 
+    // Equal rows are one class, numbered by first occurrence.
     let mut classes: Vec<Vec<VertexId>> = Vec::new();
     let mut class_of: HashMap<VertexId, u32> = HashMap::new();
-    let mut reached_opposite: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-    let mut key_index: HashMap<Vec<VertexId>, u32> = HashMap::new();
-
-    for (pos, &b_local) in own_local.iter().enumerate() {
-        let global = own_boundaries[pos];
-        let mut key = reached[&b_local].clone();
-        key.sort_unstable();
-        let opposite_reached: Vec<VertexId> = key
-            .iter()
-            .copied()
-            .filter(|t| opposite_set.contains(t))
-            .map(|t| local.mapping.global(t))
-            .collect();
-        reached_opposite.insert(global, opposite_reached);
-
+    let mut representatives: Vec<usize> = Vec::new();
+    let mut class_of_row: HashMap<&[u64], u32> = HashMap::new();
+    for (b, &global) in own_boundaries.iter().enumerate() {
+        let mut open_class = || {
+            classes.push(Vec::new());
+            representatives.push(b);
+            (classes.len() - 1) as u32
+        };
         let class = if use_equivalence {
-            *key_index.entry(key).or_insert_with(|| {
-                classes.push(Vec::new());
-                (classes.len() - 1) as u32
-            })
+            let row = &rows[b * words..(b + 1) * words];
+            *class_of_row.entry(row).or_insert_with(open_class)
         } else {
             // Optimization disabled: one singleton class per boundary.
-            classes.push(Vec::new());
-            (classes.len() - 1) as u32
+            open_class()
         };
         classes[class as usize].push(global);
         class_of.insert(global, class);
@@ -449,7 +452,11 @@ fn equivalence_classes(
     GroupingResult {
         classes,
         class_of,
-        reached_opposite,
+        representatives,
+        key_targets,
+        rows,
+        opposite_columns,
+        words,
     }
 }
 
@@ -659,6 +666,63 @@ mod tests {
         assert!(!cut_only.is_empty());
         assert!(cut_only.changes_compound());
         assert!(cut_only.classes.is_none());
+    }
+
+    #[test]
+    fn bit_row_summaries_equal_the_pair_list_reference() {
+        use crate::test_support::pair_list_summary;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xA193);
+        let (mut graphs, mut wide, mut empty, mut both_roles) = (0, 0, 0, 0);
+        while graphs < 240 {
+            // Every sixth graph is large enough for partitions with more
+            // than 64 boundaries (several sweeps, rows of several words);
+            // the sparse small ones leave partitions without boundaries.
+            let (n, m) = if graphs % 6 == 0 {
+                let n = rng.gen_range(200..320);
+                (n, rng.gen_range(2 * n..4 * n))
+            } else {
+                let n = rng.gen_range(2..40);
+                (n, rng.gen_range(0..3 * n))
+            };
+            let edges: Vec<(u32, u32)> = (0..m)
+                .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+                .collect();
+            let g = DiGraph::from_edges(n, &edges);
+            let k = rng.gen_range(1..5u32);
+            let assignment: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            let p = Partitioning::new(assignment, k as usize);
+            let cut = Cut::extract(&g, &p);
+            let members = p.members();
+            for i in 0..k {
+                let local = InducedSubgraph::induced(&g, &members[i as usize]);
+                let boundaries = cut.partition(i);
+                let (ins, outs) = (&boundaries.in_boundaries, &boundaries.out_boundaries);
+                wide += usize::from(ins.len() > 64 && outs.len() > 64);
+                empty += usize::from(ins.is_empty() || outs.is_empty());
+                both_roles += usize::from(ins.iter().any(|b| outs.binary_search(b).is_ok()));
+                for use_equivalence in [true, false] {
+                    assert_eq!(
+                        PartitionSummary::compute_with_options(
+                            i,
+                            &local,
+                            boundaries,
+                            use_equivalence
+                        ),
+                        pair_list_summary(i, &local, boundaries, use_equivalence),
+                        "partition {i} of {k}, n = {n}, equivalence: {use_equivalence}"
+                    );
+                }
+            }
+            graphs += 1;
+        }
+        assert!(
+            wide >= 20,
+            "{wide} partitions with > 64 boundaries per side"
+        );
+        assert!(empty >= 20, "{empty} partitions with an empty boundary set");
+        assert!(both_roles >= 100, "{both_roles} with in-and-out boundaries");
     }
 
     #[test]

@@ -1,6 +1,16 @@
-//! Test-only transports shared by the engine and update suites.
+//! Test-only transports shared by the engine and update suites, and the
+//! pair-list reference implementation of Algorithm 3.
+
+use std::collections::HashMap;
 
 use dsr_cluster::{CommStats, InProcess, Transport, TransportError, WireMessage};
+use dsr_graph::traversal::Direction;
+use dsr_graph::{InducedSubgraph, VertexId};
+use dsr_partition::{PartitionBoundaries, PartitionId};
+use dsr_reach::{LocalReachability, MsBfsReachability};
+use dsr_sync::Arc;
+
+use crate::summary::PartitionSummary;
 
 /// A transport whose exchange round tampers with what `sender` delivers to
 /// `receiver`: the hostile (or stale, or lossy) peer of the malformed-input
@@ -50,5 +60,190 @@ impl Transport for Forging {
         }
         inbox.push((self.sender, forged));
         Ok(incoming)
+    }
+}
+
+/// Algorithm 3 the way it was written before the bit rows: one MS-BFS pair
+/// list per direction, regrouped into per-boundary sorted target lists that
+/// serve as class keys. Kept as the reference
+/// [`PartitionSummary::compute_with_options`] is compared against.
+pub(crate) fn pair_list_summary(
+    partition: PartitionId,
+    local: &InducedSubgraph,
+    boundaries: &PartitionBoundaries,
+    use_equivalence: bool,
+) -> PartitionSummary {
+    let in_boundaries = boundaries.in_boundaries.clone();
+    let out_boundaries = boundaries.out_boundaries.clone();
+    let forward = pair_list_equivalence_classes(
+        local,
+        &in_boundaries,
+        &out_boundaries,
+        Direction::Forward,
+        use_equivalence,
+    );
+    let backward = pair_list_equivalence_classes(
+        local,
+        &out_boundaries,
+        &in_boundaries,
+        Direction::Backward,
+        use_equivalence,
+    );
+
+    let mut boundary_pairs = 0usize;
+    let mut transit: Vec<(u32, u32)> = Vec::new();
+    for (class_idx, class) in forward.classes.iter().enumerate() {
+        let rep = class[0];
+        let reached_outs = &forward.reached_opposite[&rep];
+        for &member in class {
+            boundary_pairs += forward.reached_opposite[&member].len();
+        }
+        for &o in reached_outs {
+            let target_class = backward.class_of[&o];
+            transit.push((class_idx as u32, target_class));
+        }
+    }
+    transit.sort_unstable();
+    transit.dedup();
+
+    PartitionSummary {
+        partition,
+        in_boundaries,
+        out_boundaries,
+        forward_classes: forward.classes,
+        backward_classes: backward.classes,
+        forward_class_of: forward.class_of,
+        backward_class_of: backward.class_of,
+        transit,
+        boundary_pairs,
+    }
+}
+
+struct PairListGrouping {
+    classes: Vec<Vec<VertexId>>,
+    class_of: HashMap<VertexId, u32>,
+    /// For every grouped boundary (global id), the sorted set of *opposite*
+    /// boundaries (global ids) it reaches (forward) / is reached by
+    /// (backward).
+    reached_opposite: HashMap<VertexId, Vec<VertexId>>,
+}
+
+/// Groups `own_boundaries` of the partition into equivalence classes.
+///
+/// For the forward direction, the reachability targets are the direct
+/// successors of the boundaries (minus the boundaries themselves, per the
+/// paper's optimization) plus the opposite (out-) boundaries; for the
+/// backward direction the graph is reversed and the roles swap.
+fn pair_list_equivalence_classes(
+    local: &InducedSubgraph,
+    own_boundaries: &[VertexId],
+    opposite_boundaries: &[VertexId],
+    direction: Direction,
+    use_equivalence: bool,
+) -> PairListGrouping {
+    let graph = match direction {
+        Direction::Forward => local.graph.clone(),
+        Direction::Backward => local.graph.reversed(),
+    };
+    let graph = Arc::new(graph);
+
+    // Local ids of the boundaries.
+    let own_local: Vec<VertexId> = own_boundaries
+        .iter()
+        .map(|&g| {
+            local
+                .mapping
+                .local(g)
+                .expect("boundary belongs to partition")
+        })
+        .collect();
+    let opposite_local: Vec<VertexId> = opposite_boundaries
+        .iter()
+        .map(|&g| {
+            local
+                .mapping
+                .local(g)
+                .expect("boundary belongs to partition")
+        })
+        .collect();
+
+    // Candidate targets: direct successors (in the traversal direction) of
+    // the boundaries, excluding the boundaries themselves — the paper's
+    // S(Ii) − Ii optimization.
+    let mut is_own = vec![false; local.graph.num_vertices()];
+    for &b in &own_local {
+        is_own[b as usize] = true;
+    }
+    let mut candidates: Vec<VertexId> = Vec::new();
+    for &b in &own_local {
+        for &succ in graph.out_neighbors(b) {
+            if !is_own[succ as usize] {
+                candidates.push(succ);
+            }
+        }
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+
+    // Key targets = candidates ∪ opposite boundaries (exactness refinement).
+    let mut key_targets = candidates;
+    key_targets.extend_from_slice(&opposite_local);
+    key_targets.sort_unstable();
+    key_targets.dedup();
+
+    // One shared multi-source BFS over all boundaries.
+    let reach = MsBfsReachability::new(Arc::clone(&graph));
+    let pairs = reach.set_reachability(&own_local, &key_targets);
+    let mut reached: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+    for &b in &own_local {
+        reached.insert(b, Vec::new());
+    }
+    for (s, t) in pairs {
+        reached.get_mut(&s).expect("source present").push(t);
+    }
+
+    // Which opposite boundaries each own boundary reaches (needed for the
+    // transit relation); also part of the grouping key.
+    let opposite_set: std::collections::HashSet<VertexId> =
+        opposite_local.iter().copied().collect();
+
+    let mut classes: Vec<Vec<VertexId>> = Vec::new();
+    let mut class_of: HashMap<VertexId, u32> = HashMap::new();
+    let mut reached_opposite: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+    let mut key_index: HashMap<Vec<VertexId>, u32> = HashMap::new();
+
+    for (pos, &b_local) in own_local.iter().enumerate() {
+        let global = own_boundaries[pos];
+        let mut key = reached[&b_local].clone();
+        key.sort_unstable();
+        let opposite_reached: Vec<VertexId> = key
+            .iter()
+            .copied()
+            .filter(|t| opposite_set.contains(t))
+            .map(|t| local.mapping.global(t))
+            .collect();
+        reached_opposite.insert(global, opposite_reached);
+
+        let class = if use_equivalence {
+            *key_index.entry(key).or_insert_with(|| {
+                classes.push(Vec::new());
+                (classes.len() - 1) as u32
+            })
+        } else {
+            // Optimization disabled: one singleton class per boundary.
+            classes.push(Vec::new());
+            (classes.len() - 1) as u32
+        };
+        classes[class as usize].push(global);
+        class_of.insert(global, class);
+    }
+    for class in &mut classes {
+        class.sort_unstable();
+    }
+
+    PairListGrouping {
+        classes,
+        class_of,
+        reached_opposite,
     }
 }

@@ -857,6 +857,22 @@ mod tests {
         assert!(coalesce_updates(&[]).is_empty());
     }
 
+    /// The stored condensation of every compound graph is the condensation
+    /// of its current graph, numbered the way step 1's descending pass
+    /// needs it: every edge leads to an equal or smaller component id.
+    fn assert_condensations_are_fresh(index: &DsrIndex) {
+        for (compound, &dag_edges) in index.compounds.iter().zip(&index.stats.dag_edges) {
+            let fresh = dsr_graph::condense(&compound.graph);
+            let vertices = 0..compound.num_vertices() as VertexId;
+            let stored: Vec<u32> = vertices.map(|v| compound.component_of(v)).collect();
+            assert_eq!(stored, fresh.scc.component);
+            assert_eq!(compound.dag(), &fresh.dag);
+            assert_eq!(dag_edges, fresh.num_edges(), "Table 2's DAG column");
+            assert!(fresh.scc.is_reverse_topological(&compound.graph));
+            assert!(compound.dag().edges().all(|(a, b)| a > b));
+        }
+    }
+
     #[test]
     fn incremental_updates_match_full_rebuild_on_random_graphs() {
         let mut rng = SmallRng::seed_from_u64(2024);
@@ -888,6 +904,7 @@ mod tests {
                     index.delete_edge(u, v);
                 }
             }
+            assert_condensations_are_fresh(&index);
             let updated_graph = DiGraph::from_edges(n, &current);
             let oracle = TransitiveClosure::build(&updated_graph);
             let engine = DsrEngine::new(&index);
@@ -989,6 +1006,7 @@ mod tests {
                     })
                     .collect();
                 index.apply_updates(&ops);
+                assert_condensations_are_fresh(&index);
 
                 let final_edges: Vec<(u32, u32)> = current.into_iter().collect();
                 let oracle =

@@ -5,20 +5,27 @@
 //! searches (Section 3.3.2 "Forward vs. Backward Processing" in the paper)
 //! are equally cheap.
 
+use std::sync::Arc;
+
 use crate::VertexId;
 
 /// A directed graph in CSR form with forward and reverse adjacency.
 ///
 /// The structure is immutable once built; use [`crate::GraphBuilder`] to
 /// construct one, or [`DiGraph::from_edges`] as a convenience.
+///
+/// The four arrays are shared, not owned: cloning a graph (an index fork
+/// clones every local subgraph and compound graph, every local
+/// reachability index keeps a copy of the graph it answers on) and
+/// [`DiGraph::reversed`] copy no adjacency data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiGraph {
     /// `out_offsets[v]..out_offsets[v+1]` indexes `out_targets` for vertex `v`.
-    out_offsets: Vec<usize>,
-    out_targets: Vec<VertexId>,
+    out_offsets: Arc<[usize]>,
+    out_targets: Arc<[VertexId]>,
     /// `in_offsets[v]..in_offsets[v+1]` indexes `in_sources` for vertex `v`.
-    in_offsets: Vec<usize>,
-    in_sources: Vec<VertexId>,
+    in_offsets: Arc<[usize]>,
+    in_sources: Arc<[VertexId]>,
 }
 
 impl DiGraph {
@@ -59,20 +66,21 @@ impl DiGraph {
             in_sources[in_offsets[v]..in_offsets[v + 1]].sort_unstable();
         }
         DiGraph {
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
+            out_offsets: out_offsets.into(),
+            out_targets: out_targets.into(),
+            in_offsets: in_offsets.into(),
+            in_sources: in_sources.into(),
         }
     }
 
     /// Creates an empty graph with `num_vertices` isolated vertices.
     pub fn empty(num_vertices: usize) -> Self {
+        let offsets: Arc<[usize]> = vec![0; num_vertices + 1].into();
         DiGraph {
-            out_offsets: vec![0; num_vertices + 1],
-            out_targets: Vec::new(),
-            in_offsets: vec![0; num_vertices + 1],
-            in_sources: Vec::new(),
+            out_offsets: Arc::clone(&offsets),
+            out_targets: Arc::new([]),
+            in_offsets: offsets,
+            in_sources: Arc::new([]),
         }
     }
 
@@ -138,13 +146,14 @@ impl DiGraph {
         self.edges().collect()
     }
 
-    /// Returns a graph with all edges reversed.
+    /// Returns a graph with all edges reversed (sharing this graph's
+    /// arrays, forward and reverse adjacency swapped).
     pub fn reversed(&self) -> DiGraph {
         DiGraph {
-            out_offsets: self.in_offsets.clone(),
-            out_targets: self.in_sources.clone(),
-            in_offsets: self.out_offsets.clone(),
-            in_sources: self.out_targets.clone(),
+            out_offsets: Arc::clone(&self.in_offsets),
+            out_targets: Arc::clone(&self.in_sources),
+            in_offsets: Arc::clone(&self.out_offsets),
+            in_sources: Arc::clone(&self.out_targets),
         }
     }
 

@@ -31,6 +31,6 @@ pub mod traits;
 pub use dfs::{BfsReachability, DfsReachability};
 pub use ferrari::FerrariReachability;
 pub use grail::GrailReachability;
-pub use msbfs::{lane_sweep, MsBfsReachability};
+pub use msbfs::{lane_sweep, set_lanes, LaneSweep, MsBfsReachability};
 pub use oracle::ClosureReachability;
 pub use traits::{build_index, LocalIndexKind, LocalReachability};

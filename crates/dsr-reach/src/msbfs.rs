@@ -40,46 +40,107 @@ impl MsBfsReachability {
 /// With [`Direction::Backward`] and the seeds being *targets*, the mask of
 /// a vertex is therefore the set of targets that vertex reaches — which is
 /// how the DSR engine resolves step 3 of Algorithm 2 from the target side.
+///
+/// Callers that sweep the same graph several times in a row keep one
+/// [`LaneSweep`] instead.
 pub fn lane_sweep(graph: &DiGraph, seeds: &[VertexId], direction: Direction) -> Vec<u64> {
-    assert!(seeds.len() <= 64, "one sweep carries at most 64 lanes");
-    let n = graph.num_vertices();
-    let mut seen = vec![0u64; n];
-    let mut frontier = vec![0u64; n];
-    let mut frontier_vertices: Vec<VertexId> = Vec::new();
-    for (bit, &s) in seeds.iter().enumerate() {
-        let mask = 1u64 << bit;
-        if seen[s as usize] & mask == 0 {
-            if seen[s as usize] == 0 && frontier[s as usize] == 0 {
-                frontier_vertices.push(s);
-            }
-            seen[s as usize] |= mask;
-            frontier[s as usize] |= mask;
+    let mut sweep = LaneSweep::new(graph.num_vertices());
+    sweep.run(graph, seeds, direction);
+    sweep.seen
+}
+
+/// The lanes set in `mask` (the positions of its one bits), ascending.
+pub fn set_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// Caller-owned scratch of [`lane_sweep`]: the per-vertex masks and the
+/// frontier lists are allocated once and every [`LaneSweep::run`] clears
+/// only the vertices the previous run touched, so a multi-pass caller (more
+/// than 64 lanes) pays for what its sweeps reach, not for `|V|` per pass.
+#[derive(Debug, Clone)]
+pub struct LaneSweep {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    /// Every vertex with a non-zero `seen` mask.
+    touched: Vec<VertexId>,
+    frontier_vertices: Vec<VertexId>,
+    next: Vec<VertexId>,
+}
+
+impl LaneSweep {
+    /// Scratch for sweeps over graphs of `num_vertices` vertices.
+    pub fn new(num_vertices: usize) -> Self {
+        LaneSweep {
+            seen: vec![0; num_vertices],
+            frontier: vec![0; num_vertices],
+            touched: Vec::new(),
+            frontier_vertices: Vec::new(),
+            next: Vec::new(),
         }
     }
 
-    let mut next: Vec<VertexId> = Vec::new();
-    while !frontier_vertices.is_empty() {
-        next.clear();
-        for &v in &frontier_vertices {
-            let mask = frontier[v as usize];
-            if mask == 0 {
-                continue;
+    /// Runs one sweep (see [`lane_sweep`]) and returns the per-vertex lane
+    /// masks, valid until the next run.
+    ///
+    /// # Panics
+    /// Panics on more than 64 seeds or a graph of another size than the
+    /// scratch was made for.
+    pub fn run(&mut self, graph: &DiGraph, seeds: &[VertexId], direction: Direction) -> &[u64] {
+        assert!(seeds.len() <= 64, "one sweep carries at most 64 lanes");
+        assert_eq!(
+            self.seen.len(),
+            graph.num_vertices(),
+            "scratch sized for this graph"
+        );
+        let LaneSweep {
+            seen,
+            frontier,
+            touched,
+            frontier_vertices,
+            next,
+        } = self;
+        // `frontier` is all zero whenever a run ends.
+        for v in touched.drain(..) {
+            seen[v as usize] = 0;
+        }
+        for (bit, &s) in seeds.iter().enumerate() {
+            if seen[s as usize] == 0 {
+                touched.push(s);
+                frontier_vertices.push(s);
             }
-            frontier[v as usize] = 0;
-            for &w in direction.neighbors(graph, v) {
-                let new = mask & !seen[w as usize];
-                if new != 0 {
-                    if frontier[w as usize] == 0 {
-                        next.push(w);
+            seen[s as usize] |= 1u64 << bit;
+            frontier[s as usize] = seen[s as usize];
+        }
+
+        while !frontier_vertices.is_empty() {
+            for &v in frontier_vertices.iter() {
+                let mask = std::mem::take(&mut frontier[v as usize]);
+                for &w in direction.neighbors(graph, v) {
+                    let new = mask & !seen[w as usize];
+                    if new != 0 {
+                        if seen[w as usize] == 0 {
+                            touched.push(w);
+                        }
+                        if frontier[w as usize] == 0 {
+                            next.push(w);
+                        }
+                        seen[w as usize] |= new;
+                        frontier[w as usize] |= new;
                     }
-                    seen[w as usize] |= new;
-                    frontier[w as usize] |= new;
                 }
             }
+            frontier_vertices.clear();
+            std::mem::swap(frontier_vertices, next);
         }
-        std::mem::swap(&mut frontier_vertices, &mut next);
+        seen
     }
-    seen
 }
 
 impl LocalReachability for MsBfsReachability {
@@ -99,13 +160,8 @@ impl LocalReachability for MsBfsReachability {
         let mut out = Vec::new();
         for batch in sources.chunks(64) {
             let masks = self.run_batch(batch, targets);
-            for (ti, &t) in targets.iter().enumerate() {
-                let mut mask = masks[ti];
-                while mask != 0 {
-                    let bit = mask.trailing_zeros() as usize;
-                    out.push((batch[bit], t));
-                    mask &= mask - 1;
-                }
+            for (&mask, &t) in masks.iter().zip(targets) {
+                out.extend(set_lanes(mask).map(|lane| (batch[lane], t)));
             }
         }
         out.sort_unstable();
@@ -179,6 +235,34 @@ mod tests {
         let masks = lane_sweep(&g, &[3, 4], Direction::Backward);
         assert_eq!(masks, vec![0b11, 0b11, 0b01, 0b01, 0b11]);
         assert_eq!(lane_sweep(&g, &[], Direction::Backward), vec![0; 5]);
+    }
+
+    #[test]
+    fn reused_scratch_matches_a_fresh_sweep_on_every_run() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        for _ in 0..10 {
+            let n = rng.gen_range(5..60);
+            let edges: Vec<(u32, u32)> = (0..rng.gen_range(0..150))
+                .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+                .collect();
+            let g = DiGraph::from_edges(n, &edges);
+            let mut scratch = LaneSweep::new(n);
+            for run in 0..6 {
+                // Duplicate seeds, the empty seed list and both directions.
+                let seeds: Vec<u32> = (0..rng.gen_range(0..20))
+                    .map(|_| rng.gen_range(0..n) as u32)
+                    .collect();
+                let direction = if run % 2 == 0 {
+                    Direction::Forward
+                } else {
+                    Direction::Backward
+                };
+                assert_eq!(
+                    scratch.run(&g, &seeds, direction),
+                    lane_sweep(&g, &seeds, direction)
+                );
+            }
+        }
     }
 
     #[test]
