@@ -197,7 +197,7 @@ impl FanBaseline {
             .iter()
             .map(|&g| local.mapping.local(g).expect("vertex is local"))
             .collect();
-        let reach = MsBfsReachability::new(Arc::new(local.graph.clone()));
+        let reach = MsBfsReachability::new(Arc::new(local.graph().clone()));
         reach
             .set_reachability(&from_local, &to_local)
             .into_iter()

@@ -32,8 +32,15 @@
 //! the compound graph), not one traversal of the compound graph per source.
 //! Since an update rebuilds the affected compound graphs through `build`,
 //! the condensation is refreshed with them.
-
-use std::collections::HashMap;
+//!
+//! # Ids by arithmetic
+//!
+//! `build` runs on every update batch for every affected slave, so its id
+//! translation does no hashing: compound ids are handed out in a fixed
+//! order (local vertices in local-id order; then, per remote partition, its
+//! boundary vertices, its in-virtual and its out-virtual vertices), the
+//! global → compound map is a table indexed by global id, and the virtual
+//! vertex of class `c` of partition `j` is `base[j] + c`.
 
 use dsr_graph::{condense, CondensedGraph, DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{Cut, PartitionId};
@@ -78,16 +85,22 @@ pub struct CompoundGraph {
     /// Global id of every compound vertex, `None` for virtual vertices.
     pub global_of: Vec<Option<VertexId>>,
     /// Compound id of every represented global vertex (local vertices and
-    /// concrete remote boundary vertices).
-    pub compound_of: HashMap<VertexId, VertexId>,
-    /// Compound id of the in-virtual vertex `(remote partition, class)`.
-    pub forward_virtual: HashMap<(PartitionId, u32), VertexId>,
-    /// Compound id of the out-virtual vertex `(remote partition, class)`.
-    pub backward_virtual: HashMap<(PartitionId, u32), VertexId>,
+    /// concrete remote boundary vertices), indexed by global id up to the
+    /// largest represented one; [`ABSENT`] marks the ids in between that
+    /// have no compound vertex. Read through [`CompoundGraph::compound_id`].
+    compound_of: Vec<VertexId>,
+    /// Per partition `j`, the compound id of its first in-virtual vertex:
+    /// the in-virtual vertex of forward class `c` is `forward_base[j] + c`.
+    /// The out-virtual vertices follow directly, so `backward_base[j] -
+    /// forward_base[j]` is the number of forward classes. Both are 0 for
+    /// the own partition, which has no virtual vertices.
+    forward_base: Vec<VertexId>,
+    /// Per partition `j`, the compound id of its first out-virtual vertex.
+    backward_base: Vec<VertexId>,
     /// Routing role of every compound vertex, indexed by compound id. Kept
     /// private together with `route_ids`: [`CompoundGraph::build`] derives
-    /// both from `graph` and `forward_virtual`, and they must never drift
-    /// from them.
+    /// both from `graph` and the virtual-vertex numbering, and they must
+    /// never drift from them.
     route_role: Vec<RouteRole>,
     /// Sorted compound ids of every vertex whose role is not
     /// [`RouteRole::None`].
@@ -100,6 +113,9 @@ pub struct CompoundGraph {
     /// edges deduplicated, every edge `a → b` with `a > b`.
     dag: DiGraph,
 }
+
+/// `compound_of` entry of a global id without a compound vertex.
+const ABSENT: VertexId = VertexId::MAX;
 
 impl CompoundGraph {
     /// Builds the compound graph of `partition` from its local induced
@@ -116,89 +132,85 @@ impl CompoundGraph {
     ) -> Self {
         let local_members = local.mapping.globals();
         let k = summaries.len();
+        let remote = |j: &PartitionId| *j != partition;
 
+        // 1. Local vertices: compound id = local id (member order). The
+        //    global → compound table reaches up to the largest global id
+        //    that gets a compound vertex.
+        let boundaries_of = |j: PartitionId| {
+            let summary = &summaries[j as usize];
+            summary.in_boundaries.iter().chain(&summary.out_boundaries)
+        };
+        let represented = (0..k as PartitionId).filter(remote).flat_map(boundaries_of);
+        let table_len = represented
+            .chain(local_members)
+            .max()
+            .map_or(0, |&id| id as usize + 1);
+        let mut compound_of = vec![ABSENT; table_len];
         let mut global_of: Vec<Option<VertexId>> = Vec::new();
-        let mut compound_of: HashMap<VertexId, VertexId> = HashMap::new();
-        let mut forward_virtual: HashMap<(PartitionId, u32), VertexId> = HashMap::new();
-        let mut backward_virtual: HashMap<(PartitionId, u32), VertexId> = HashMap::new();
-
-        // 1. Local vertices.
+        let mut represent = |v: VertexId, global_of: &mut Vec<Option<VertexId>>| {
+            if compound_of[v as usize] == ABSENT {
+                compound_of[v as usize] = global_of.len() as VertexId;
+                global_of.push(Some(v));
+            }
+        };
         for &v in local_members {
-            let id = global_of.len() as VertexId;
-            global_of.push(Some(v));
-            compound_of.insert(v, id);
+            represent(v, &mut global_of);
         }
         let num_local = global_of.len();
 
-        // 2. Concrete boundary vertices and virtual vertices of every remote
-        //    partition.
-        for j in 0..k as PartitionId {
-            if j == partition {
-                continue;
-            }
+        // 2. Per remote partition: its concrete boundary vertices, then one
+        //    in-virtual vertex per forward class, then one out-virtual
+        //    vertex per backward class.
+        let mut forward_base = vec![0 as VertexId; k];
+        let mut backward_base = vec![0 as VertexId; k];
+        for j in (0..k as PartitionId).filter(remote) {
             let summary = &summaries[j as usize];
-            for &b in summary
-                .in_boundaries
-                .iter()
-                .chain(summary.out_boundaries.iter())
-            {
-                compound_of.entry(b).or_insert_with(|| {
-                    let id = global_of.len() as VertexId;
-                    global_of.push(Some(b));
-                    id
-                });
+            for &b in boundaries_of(j) {
+                represent(b, &mut global_of);
             }
-            for class in 0..summary.num_forward_classes() as u32 {
-                let id = global_of.len() as VertexId;
-                global_of.push(None);
-                forward_virtual.insert((j, class), id);
-            }
-            for class in 0..summary.num_backward_classes() as u32 {
-                let id = global_of.len() as VertexId;
-                global_of.push(None);
-                backward_virtual.insert((j, class), id);
-            }
+            forward_base[j as usize] = global_of.len() as VertexId;
+            global_of.resize(global_of.len() + summary.num_forward_classes(), None);
+            backward_base[j as usize] = global_of.len() as VertexId;
+            global_of.resize(global_of.len() + summary.num_backward_classes(), None);
         }
+        let id_of = |v: VertexId, what: &str| -> VertexId {
+            lookup(&compound_of, v).unwrap_or_else(|| panic!("{what} {v} is not represented"))
+        };
 
         // 3. Edges.
-        let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-        // 3a. Local edges of the partition. Local vertices received compound
-        //     ids in member order, which is exactly the induced subgraph's
-        //     local-id order.
-        for (lu, lv) in local.graph.edges() {
-            let u = local.mapping.global(lu);
-            let v = local.mapping.global(lv);
-            edges.push((compound_of[&u], compound_of[&v]));
-        }
+        // 3a. Local edges of the partition, as they are: local vertices
+        //     received compound ids in member order, which is exactly the
+        //     induced subgraph's local-id order.
+        let mut edges: Vec<(VertexId, VertexId)> = local.graph().edge_vec();
         // 3b. Every cut edge of the graph (both endpoints are representable:
         //     either local to this partition or a boundary vertex of their
         //     own partition).
         for &(u, v) in &cut.edges {
-            let cu = *compound_of
-                .get(&u)
-                .expect("cut-edge source is local or a remote out-boundary");
-            let cv = *compound_of
-                .get(&v)
-                .expect("cut-edge target is local or a remote in-boundary");
-            edges.push((cu, cv));
+            edges.push((id_of(u, "cut-edge source"), id_of(v, "cut-edge target")));
         }
         // 3c. Membership and transit edges of every remote partition.
-        for j in 0..k as PartitionId {
-            if j == partition {
-                continue;
-            }
+        for j in (0..k as PartitionId).filter(remote) {
             let summary = &summaries[j as usize];
-            for (&b, &class) in &summary.forward_class_of {
-                edges.push((compound_of[&b], forward_virtual[&(j, class)]));
+            let (forward, backward) = (forward_base[j as usize], backward_base[j as usize]);
+            for (&b, &class) in summary.in_boundaries.iter().zip(&summary.forward_class_of) {
+                edges.push((id_of(b, "in-boundary"), forward + class));
             }
-            for (&b, &class) in &summary.backward_class_of {
-                edges.push((backward_virtual[&(j, class)], compound_of[&b]));
+            for (&b, &class) in summary
+                .out_boundaries
+                .iter()
+                .zip(&summary.backward_class_of)
+            {
+                edges.push((backward + class, id_of(b, "out-boundary")));
             }
             for &(f, b) in &summary.transit {
-                edges.push((forward_virtual[&(j, f)], backward_virtual[&(j, b)]));
+                edges.push((forward + f, backward + b));
             }
         }
-        edges.sort_unstable();
+        // Only a local subgraph repeats edges (the cut and the summaries are
+        // sets, and the three groups cannot share an edge), and it lists
+        // the copies next to each other; the CSR layout does not depend on
+        // the order the edges arrive in.
         edges.dedup();
 
         let compound = DiGraph::from_edges(global_of.len(), &edges);
@@ -209,8 +221,8 @@ impl CompoundGraph {
             num_local,
             global_of,
             compound_of,
-            forward_virtual,
-            backward_virtual,
+            forward_base,
+            backward_base,
             route_role: Vec::new(),
             route_ids: Vec::new(),
             component: scc.component,
@@ -227,12 +239,16 @@ impl CompoundGraph {
     fn derive_routes(&mut self) {
         let mut role = vec![RouteRole::None; self.graph.num_vertices()];
         let mut ids: Vec<VertexId> = Vec::new();
-        for (&(partition, class), &id) in &self.forward_virtual {
-            role[id as usize] = RouteRole::ForwardVirtual { partition, class };
-            ids.push(id);
-            for &member in self.graph.in_neighbors(id) {
-                role[member as usize] = RouteRole::InBoundary { partition };
-                ids.push(member);
+        for partition in 0..self.forward_base.len() as PartitionId {
+            let j = partition as usize;
+            for class in 0..self.backward_base[j] - self.forward_base[j] {
+                let id = self.forward_base[j] + class;
+                role[id as usize] = RouteRole::ForwardVirtual { partition, class };
+                ids.push(id);
+                for &member in self.graph.in_neighbors(id) {
+                    role[member as usize] = RouteRole::InBoundary { partition };
+                    ids.push(member);
+                }
             }
         }
         ids.sort_unstable();
@@ -260,7 +276,17 @@ impl CompoundGraph {
     /// Compound id of a global vertex (local vertex or concrete remote
     /// boundary vertex), if represented.
     pub fn compound_id(&self, global: VertexId) -> Option<VertexId> {
-        self.compound_of.get(&global).copied()
+        lookup(&self.compound_of, global)
+    }
+
+    /// Compound id of the in-virtual vertex `υ` of forward class `class` of
+    /// remote partition `j`.
+    pub fn forward_virtual(&self, j: PartitionId, class: u32) -> VertexId {
+        debug_assert_ne!(
+            j, self.partition,
+            "the own partition has no virtual vertices"
+        );
+        self.forward_base[j as usize] + class
     }
 
     /// Global id of a compound vertex (`None` for virtual vertices).
@@ -373,12 +399,21 @@ impl CompoundGraph {
     pub fn byte_size(&self) -> usize {
         self.graph.byte_size()
             + self.global_of.len() * std::mem::size_of::<Option<VertexId>>()
-            + self.compound_of.len() * 2 * std::mem::size_of::<VertexId>()
+            + (self.compound_of.len() + self.forward_base.len() + self.backward_base.len())
+                * std::mem::size_of::<VertexId>()
             + self.route_role.len() * std::mem::size_of::<RouteRole>()
             + self.route_ids.len() * std::mem::size_of::<VertexId>()
             + self.component.len() * std::mem::size_of::<u32>()
             + self.dag.byte_size()
     }
+}
+
+/// Entry `global` of a `compound_of` table.
+fn lookup(compound_of: &[VertexId], global: VertexId) -> Option<VertexId> {
+    compound_of
+        .get(global as usize)
+        .copied()
+        .filter(|&id| id != ABSENT)
 }
 
 #[cfg(test)]
@@ -476,7 +511,7 @@ mod tests {
         let a = gc1.compound_id(0).unwrap();
         let s3 = &summaries[2];
         assert_eq!(s3.num_forward_classes(), 1);
-        let v4 = gc1.forward_virtual[&(2, 0)];
+        let v4 = gc1.forward_virtual(2, 0);
         assert!(is_reachable(&gc1.graph, a, v4));
     }
 

@@ -673,7 +673,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         // Lanes and in-boundaries both ascend: one merge walk across all
         // passes tells which lanes are in-boundaries.
         let mut later_in_boundaries = in_boundaries.as_slice();
-        let mut sweep = LaneSweep::new(local.graph.num_vertices());
+        let mut sweep = LaneSweep::new(local.graph().num_vertices());
         let mut pass_local: Vec<VertexId> = Vec::with_capacity(64);
         for pass in lanes.chunks(64) {
             // Which lanes of this pass each query asked for, split into
@@ -700,7 +700,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 
             pass_local.clear();
             pass_local.extend(pass.iter().map(|&t| local_id(t)));
-            let reaches = sweep.run(&local.graph, &pass_local, Direction::Backward);
+            let reaches = sweep.run(local.graph(), &pass_local, Direction::Backward);
             for message in &received {
                 let a = message.query as usize;
                 let or_masks = |range: &std::ops::Range<usize>| {

@@ -108,7 +108,11 @@ pub struct DsrIndex {
     /// The cut and the per-partition boundaries.
     pub cut: Cut,
     /// Per-partition local induced subgraphs (kept for updates and for the
-    /// boundary-target resolution step of Algorithm 2).
+    /// boundary-target resolution step of Algorithm 2), each with the SCC
+    /// condensation of its graph: what summaries are computed on and what
+    /// update classification reads. Only
+    /// [`InducedSubgraph::apply_edge_changes`] changes one, so graph and
+    /// condensation cannot drift apart.
     pub locals: Vec<InducedSubgraph>,
     /// Per-partition summaries (boundaries, equivalence classes, transit).
     pub summaries: Vec<PartitionSummary>,
@@ -345,7 +349,7 @@ impl DsrIndex {
         let n = self.partitioning.num_vertices();
         let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
         for local in &self.locals {
-            for (lu, lv) in local.graph.edge_vec() {
+            for (lu, lv) in local.graph().edge_vec() {
                 edges.push((local.mapping.global(lu), local.mapping.global(lv)));
             }
         }

@@ -39,13 +39,11 @@
 //! [`UpdateStats`](dsr_cluster::UpdateStats) is the measured wire size of
 //! the deltas, not of rebuilt summaries.
 
-use std::collections::HashMap;
-
 use dsr_cluster::wire::{get_sorted_ids, put_sorted_ids, sorted_ids_size, varint_size};
 use dsr_cluster::{MessageSize, Wire, WireError, WireReader};
 use dsr_graph::VertexId;
 
-use crate::summary::{ClassReplacement, PartitionSummary, SummaryDelta};
+use crate::summary::{boundaries_of_classes, ClassReplacement, PartitionSummary, SummaryDelta};
 
 /// One active query as delivered to one slave by the scatter round: the
 /// slave's local sources and the query's full target list (both sorted and
@@ -148,21 +146,20 @@ impl Wire for PartitionSummary {
         let partition = u32::decode_from(reader)?;
         let in_boundaries = get_sorted_ids(reader)?;
         let out_boundaries = get_sorted_ids(reader)?;
-        let decode_classes = |reader: &mut WireReader<'_>| -> Result<_, WireError> {
-            let count = reader.length()?;
-            let mut classes = Vec::with_capacity(count);
-            let mut class_of: HashMap<VertexId, u32> = HashMap::new();
-            for index in 0..count {
-                let members = get_sorted_ids(reader)?;
-                for &member in &members {
-                    class_of.insert(member, index as u32);
-                }
-                classes.push(members);
+        // The per-boundary class lists are not shipped: they follow from
+        // the classes, which must partition the boundary list they group.
+        let mut decode_classes = |boundaries: &[VertexId]| -> Result<_, WireError> {
+            let classes = get_classes(reader)?;
+            let (members, class_of) = boundaries_of_classes(&classes);
+            if members != boundaries {
+                return Err(WireError::Invalid(
+                    "classes do not partition the boundaries",
+                ));
             }
             Ok((classes, class_of))
         };
-        let (forward_classes, forward_class_of) = decode_classes(reader)?;
-        let (backward_classes, backward_class_of) = decode_classes(reader)?;
+        let (forward_classes, forward_class_of) = decode_classes(&in_boundaries)?;
+        let (backward_classes, backward_class_of) = decode_classes(&out_boundaries)?;
         let transit = Vec::<(u32, u32)>::decode_from(reader)?;
         let boundary_pairs = usize::try_from(reader.varint()?).map_err(|_| WireError::Overflow)?;
         Ok(PartitionSummary {
@@ -307,26 +304,14 @@ mod tests {
         transit: Vec<(u32, u32)>,
         boundary_pairs: usize,
     ) -> PartitionSummary {
-        let class_map = |classes: &[Vec<VertexId>]| {
-            let mut map = HashMap::new();
-            for (index, class) in classes.iter().enumerate() {
-                for &member in class {
-                    map.insert(member, index as u32);
-                }
-            }
-            map
-        };
-        let mut in_boundaries: Vec<VertexId> = forward_classes.iter().flatten().copied().collect();
-        in_boundaries.sort_unstable();
-        let mut out_boundaries: Vec<VertexId> =
-            backward_classes.iter().flatten().copied().collect();
-        out_boundaries.sort_unstable();
+        let (in_boundaries, forward_class_of) = boundaries_of_classes(&forward_classes);
+        let (out_boundaries, backward_class_of) = boundaries_of_classes(&backward_classes);
         PartitionSummary {
             partition: 3,
             in_boundaries,
             out_boundaries,
-            forward_class_of: class_map(&forward_classes),
-            backward_class_of: class_map(&backward_classes),
+            forward_class_of,
+            backward_class_of,
             forward_classes,
             backward_classes,
             transit,
@@ -475,11 +460,24 @@ mod tests {
             3,
         );
         let decoded: PartitionSummary = decode_exact(&encode_to_vec(&summary)).expect("decodes");
-        assert_eq!(decoded.forward_class_of[&10], 0);
-        assert_eq!(decoded.forward_class_of[&12], 1);
-        assert_eq!(decoded.backward_class_of[&23], 1);
+        assert_eq!(decoded.forward_class(10), Some(0));
+        assert_eq!(decoded.forward_class(12), Some(1));
+        assert_eq!(decoded.backward_class_of, vec![0, 1, 1]);
         assert_eq!(decoded.forward_class_of, summary.forward_class_of);
         assert_eq!(decoded.backward_class_of, summary.backward_class_of);
+
+        // Classes that miss a boundary, name a non-boundary or overlap
+        // cannot be paired with the boundary list: a typed error.
+        for forward_classes in [
+            vec![vec![10, 11]],
+            vec![vec![10, 11], vec![12, 13]],
+            vec![vec![10, 11], vec![11, 12]],
+        ] {
+            let mut forged = summary.clone();
+            forged.forward_classes = forward_classes;
+            let decoded = decode_exact::<PartitionSummary>(&encode_to_vec(&forged));
+            assert!(matches!(decoded, Err(WireError::Invalid(_))), "{decoded:?}");
+        }
     }
 
     mod proptests {

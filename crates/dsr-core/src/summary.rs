@@ -20,24 +20,33 @@
 //! vertex is both an in- and an out-boundary, at a negligible cost in class
 //! count.
 //!
-//! ## Bit rows, not pair lists
+//! ## Bit rows over the condensation
 //!
-//! The grouping key of a boundary is a **bit row** over the key targets:
-//! the boundaries are the lanes of bit-parallel sweeps over the local
-//! subgraph (64 per sweep, [`dsr_reach::LaneSweep`], forward for `Ii` and
-//! backward for `Oi` on the same graph), and each sweep's per-vertex masks
-//! are transposed into the rows of its 64 boundaries. Equal rows are one
-//! class; the row restricted to the opposite boundaries is what the transit
-//! relation and the boundary-pair count read. No `(boundary, target)` pair
-//! list and no per-boundary set is ever materialised, which is what keeps a
-//! summary refresh (every build, every update batch) small in memory.
+//! Reachability inside the partition is a property of strongly connected
+//! components, so Algorithm 3 runs on the local subgraph's stored
+//! condensation ([`InducedSubgraph::dag`]) and never walks the raw subgraph.
+//! The grouping key of a boundary is a **bit row**: the *lanes* of a
+//! bit-parallel sweep are the distinct components of the boundaries, the
+//! *columns* of a row the distinct components of the key targets. One pass
+//! over the DAG per 64 lanes (descending over the component ids for `Ii`,
+//! ascending for `Oi` — the ids are a reverse topological numbering) leaves
+//! a lane mask at every component; the masks at the columns are transposed
+//! into the lanes' rows. A boundary's row is its component's row, equal rows
+//! are one class, and the transit relation and the boundary-pair count read
+//! the rows against per-column lists and counts of the opposite boundaries.
+//! On a local subgraph that is one giant SCC plus a fringe, all of this is
+//! a few dozen lanes over a DAG of a hundred edges. No `(boundary, target)`
+//! pair list and no per-boundary set is ever materialised, which is what
+//! keeps a summary refresh (every build, every update batch) small in time
+//! and memory; the summaries are equal, field for field, to the ones a
+//! per-boundary search over the raw subgraph produces.
 
 use std::collections::HashMap;
 
 use dsr_graph::traversal::Direction;
 use dsr_graph::{InducedSubgraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId};
-use dsr_reach::{set_lanes, LaneSweep};
+use dsr_reach::set_lanes;
 
 /// Summary of one partition, shared with every other slave when building
 /// the compound graphs (see [`crate::protocol`] for its wire codec).
@@ -54,10 +63,11 @@ pub struct PartitionSummary {
     pub forward_classes: Vec<Vec<VertexId>>,
     /// Backward-equivalent classes (out-virtual vertices `ν`).
     pub backward_classes: Vec<Vec<VertexId>>,
-    /// Forward class of every in-boundary.
-    pub forward_class_of: HashMap<VertexId, u32>,
-    /// Backward class of every out-boundary.
-    pub backward_class_of: HashMap<VertexId, u32>,
+    /// Forward class of every in-boundary, parallel to `in_boundaries`
+    /// (look a vertex up with [`PartitionSummary::forward_class`]).
+    pub forward_class_of: Vec<u32>,
+    /// Backward class of every out-boundary, parallel to `out_boundaries`.
+    pub backward_class_of: Vec<u32>,
     /// Compacted transit relation: `(υ, ν)` present iff the members of
     /// forward class `υ` reach the members of backward class `ν` inside the
     /// partition.
@@ -91,13 +101,27 @@ impl PartitionSummary {
     ) -> Self {
         let in_boundaries = boundaries.in_boundaries.clone();
         let out_boundaries = boundaries.out_boundaries.clone();
+        let local_ids = |boundaries: &[VertexId]| -> Vec<VertexId> {
+            boundaries
+                .iter()
+                .map(|&g| {
+                    local
+                        .mapping
+                        .local(g)
+                        .expect("boundary belongs to partition")
+                })
+                .collect()
+        };
+        let in_local = local_ids(&in_boundaries);
+        let out_local = local_ids(&out_boundaries);
 
         // Forward direction: group in-boundaries by their reachable subset
         // of (direct successors of Ii that are not in Ii) ∪ Oi.
         let forward = equivalence_classes(
             local,
             &in_boundaries,
-            &out_boundaries,
+            &in_local,
+            &out_local,
             Direction::Forward,
             use_equivalence,
         );
@@ -107,22 +131,46 @@ impl PartitionSummary {
         let backward = equivalence_classes(
             local,
             &out_boundaries,
-            &in_boundaries,
+            &out_local,
+            &in_local,
             Direction::Backward,
             use_equivalence,
         );
 
+        // The out-boundaries' backward classes per forward column (every
+        // component holding an out-boundary is one), and how many
+        // out-boundaries the column stands for.
+        let mut out_classes: Vec<Vec<u32>> = vec![Vec::new(); forward.columns.len()];
+        let mut out_count = vec![0usize; forward.columns.len()];
+        for (o, &o_local) in out_local.iter().enumerate() {
+            let column = forward
+                .columns
+                .binary_search(&local.component_of(o_local))
+                .expect("out-boundaries are forward key targets");
+            out_count[column] += 1;
+            // Backward-equivalent neighbours in the list are one entry (with
+            // the optimization on, the whole component is).
+            if out_classes[column].last() != Some(&backward.class_of[o]) {
+                out_classes[column].push(backward.class_of[o]);
+            }
+        }
+
         // Transit relation and the non-optimized pair count, both read off
-        // the out-boundary part of the in-boundaries' rows; the members of a
-        // class share one row.
-        let boundary_pairs = (0..in_boundaries.len())
-            .map(|b| forward.reached_opposite(b).count())
+        // the lanes' rows; the in-boundaries of a component share a lane,
+        // the members of a class a row.
+        let lane_pairs: Vec<usize> = (0..forward.lanes)
+            .map(|lane| forward.reached_columns(lane).map(|c| out_count[c]).sum())
+            .collect();
+        let boundary_pairs = forward
+            .lane_of
+            .iter()
+            .map(|&lane| lane_pairs[lane as usize])
             .sum();
         let mut transit: Vec<(u32, u32)> = Vec::new();
         for (class_idx, &rep) in forward.representatives.iter().enumerate() {
-            for o in forward.reached_opposite(rep) {
-                let target_class = backward.class_of[&local.mapping.global(o)];
-                transit.push((class_idx as u32, target_class));
+            for column in forward.reached_columns(forward.lane_of[rep] as usize) {
+                let targets = out_classes[column].iter();
+                transit.extend(targets.map(|&target| (class_idx as u32, target)));
             }
         }
         transit.sort_unstable();
@@ -151,6 +199,12 @@ impl PartitionSummary {
         self.backward_classes.len()
     }
 
+    /// Forward class of in-boundary `v` (`None` for any other vertex).
+    pub fn forward_class(&self, v: VertexId) -> Option<u32> {
+        let position = self.in_boundaries.binary_search(&v).ok()?;
+        Some(self.forward_class_of[position])
+    }
+
     /// Representative member of a forward class (the paper's `υ.rep`).
     pub fn forward_representative(&self, class: u32) -> VertexId {
         self.forward_classes[class as usize][0]
@@ -160,6 +214,20 @@ impl PartitionSummary {
     pub fn backward_representative(&self, class: u32) -> VertexId {
         self.backward_classes[class as usize][0]
     }
+}
+
+/// The boundary list (sorted) and the parallel class list a class structure
+/// implies: boundaries are exactly the union of the class members. (A
+/// member of two classes — only a forged message has one — appears twice,
+/// so the result equals no honest summary's lists.)
+pub(crate) fn boundaries_of_classes(classes: &[Vec<VertexId>]) -> (Vec<VertexId>, Vec<u32>) {
+    let mut members: Vec<(VertexId, u32)> = classes
+        .iter()
+        .enumerate()
+        .flat_map(|(index, class)| class.iter().map(move |&member| (member, index as u32)))
+        .collect();
+    members.sort_unstable();
+    members.into_iter().unzip()
 }
 
 /// Wholesale replacement of a partition's equivalence-class structure,
@@ -290,24 +358,9 @@ impl SummaryDelta {
             new.forward_classes = replacement.forward_classes.clone();
             new.backward_classes = replacement.backward_classes.clone();
             new.transit = replacement.transit.clone();
-            let flatten = |classes: &[Vec<VertexId>]| {
-                let mut members: Vec<VertexId> = classes.iter().flatten().copied().collect();
-                members.sort_unstable();
-                members
-            };
-            new.in_boundaries = flatten(&new.forward_classes);
-            new.out_boundaries = flatten(&new.backward_classes);
-            let class_map = |classes: &[Vec<VertexId>]| {
-                let mut map = HashMap::new();
-                for (index, class) in classes.iter().enumerate() {
-                    for &member in class {
-                        map.insert(member, index as u32);
-                    }
-                }
-                map
-            };
-            new.forward_class_of = class_map(&new.forward_classes);
-            new.backward_class_of = class_map(&new.backward_classes);
+            (new.in_boundaries, new.forward_class_of) = boundaries_of_classes(&new.forward_classes);
+            (new.out_boundaries, new.backward_class_of) =
+                boundaries_of_classes(&new.backward_classes);
         } else if !self.added_transit.is_empty() || !self.removed_transit.is_empty() {
             new.transit = sorted_difference(&old.transit, &self.removed_transit);
             new.transit.extend_from_slice(&self.added_transit);
@@ -328,134 +381,179 @@ fn sorted_difference(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
         .collect()
 }
 
-struct GroupingResult {
+/// What grouping one side's boundaries leaves behind: the classes, and the
+/// component-level bit rows the transit relation is read from.
+struct Grouping {
     classes: Vec<Vec<VertexId>>,
-    class_of: HashMap<VertexId, u32>,
+    /// Class of every grouped boundary, in boundary order.
+    class_of: Vec<u32>,
     /// Per class, the position (in the grouped boundary list) of the member
     /// that opened it.
     representatives: Vec<usize>,
-    /// The key targets (local ids, ascending): column `c` of every row.
-    key_targets: Vec<VertexId>,
-    /// `words` `u64`s per grouped boundary, in boundary order: bit `c` is
-    /// set iff the boundary reaches (forward) / is reached by (backward)
-    /// `key_targets[c]`.
+    /// Lane of every grouped boundary: the row of its component.
+    lane_of: Vec<u32>,
+    /// Number of lanes (distinct components holding a grouped boundary).
+    lanes: usize,
+    /// The distinct components of the key targets, ascending: column `c` of
+    /// every row.
+    columns: Vec<u32>,
+    /// `words` `u64`s per lane: bit `c` is set iff the lane's component
+    /// reaches (forward) / is reached by (backward) component `columns[c]`.
     rows: Vec<u64>,
-    /// Row with the columns of the opposite boundaries set.
-    opposite_columns: Vec<u64>,
     words: usize,
 }
 
-impl GroupingResult {
-    /// The opposite boundaries (local ids, ascending) the boundary at
-    /// position `b` reaches (forward) / is reached by (backward).
-    fn reached_opposite(&self, b: usize) -> impl Iterator<Item = VertexId> + '_ {
-        let row = &self.rows[b * self.words..(b + 1) * self.words];
-        row.iter().zip(&self.opposite_columns).enumerate().flat_map(
-            move |(word, (bits, opposite))| {
-                set_lanes(bits & opposite).map(move |bit| self.key_targets[word * 64 + bit])
-            },
-        )
+impl Grouping {
+    /// The columns set in the row of `lane`.
+    fn reached_columns(&self, lane: usize) -> impl Iterator<Item = usize> + '_ {
+        self.rows[lane * self.words..(lane + 1) * self.words]
+            .iter()
+            .enumerate()
+            .flat_map(|(word, &bits)| set_lanes(bits).map(move |bit| word * 64 + bit))
     }
 }
 
-/// Groups `own_boundaries` of the partition into equivalence classes.
+/// Groups `own` boundaries of the partition (local ids, parallel to the
+/// global ids `own_global`) into equivalence classes, on the local
+/// subgraph's condensation.
 ///
 /// For the forward direction, the reachability targets are the direct
 /// successors of the boundaries (minus the boundaries themselves, per the
 /// paper's optimization) plus the opposite (out-) boundaries; for the
-/// backward direction the same graph is swept against its edges and the
+/// backward direction the same DAG is swept against its edges and the
 /// roles swap.
 fn equivalence_classes(
     local: &InducedSubgraph,
-    own_boundaries: &[VertexId],
-    opposite_boundaries: &[VertexId],
+    own_global: &[VertexId],
+    own: &[VertexId],
+    opposite: &[VertexId],
     direction: Direction,
     use_equivalence: bool,
-) -> GroupingResult {
-    let graph = &local.graph;
-    let local_ids = |boundaries: &[VertexId]| -> Vec<VertexId> {
-        boundaries
-            .iter()
-            .map(|&g| {
-                local
-                    .mapping
-                    .local(g)
-                    .expect("boundary belongs to partition")
-            })
-            .collect()
-    };
-    let own_local = local_ids(own_boundaries);
-    let opposite_local = local_ids(opposite_boundaries);
+) -> Grouping {
+    let graph = local.graph();
+    let dag = local.dag();
+    let num_components = dag.num_vertices();
 
-    // Key targets: the direct successors (in the traversal direction) of
-    // the boundaries, excluding the boundaries themselves — the paper's
-    // S(Ii) − Ii optimization — plus the opposite boundaries (exactness
-    // refinement).
+    // Lanes: the distinct components of the boundaries, by first occurrence.
+    const NONE: u32 = u32::MAX;
+    let mut lane_of_component = vec![NONE; num_components];
+    let mut lane_components: Vec<u32> = Vec::new();
+    let lane_of: Vec<u32> = own
+        .iter()
+        .map(|&b| {
+            let component = local.component_of(b);
+            let lane = &mut lane_of_component[component as usize];
+            if *lane == NONE {
+                *lane = lane_components.len() as u32;
+                lane_components.push(component);
+            }
+            *lane
+        })
+        .collect();
+
+    // Columns: the components of the key targets — the direct successors
+    // (in the traversal direction) of the boundaries, excluding the
+    // boundaries themselves (the paper's S(Ii) − Ii optimization), plus the
+    // opposite boundaries (exactness refinement).
     let mut is_own = vec![false; graph.num_vertices()];
-    for &b in &own_local {
+    for &b in own {
         is_own[b as usize] = true;
     }
-    let mut key_targets: Vec<VertexId> = opposite_local.clone();
-    for &b in &own_local {
-        let successors = direction.neighbors(graph, b).iter();
-        key_targets.extend(successors.filter(|&&succ| !is_own[succ as usize]));
+    let mut is_column = vec![false; num_components];
+    for &o in opposite {
+        is_column[local.component_of(o) as usize] = true;
     }
-    key_targets.sort_unstable();
-    key_targets.dedup();
-
-    let words = key_targets.len().div_ceil(64);
-    let mut opposite_columns = vec![0u64; words];
-    for o in &opposite_local {
-        let column = key_targets
-            .binary_search(o)
-            .expect("opposite boundaries are key targets");
-        opposite_columns[column / 64] |= 1 << (column % 64);
+    for &b in own {
+        for &succ in direction.neighbors(graph, b) {
+            if !is_own[succ as usize] {
+                is_column[local.component_of(succ) as usize] = true;
+            }
+        }
     }
+    let columns: Vec<u32> = (0..num_components as u32)
+        .filter(|&c| is_column[c as usize])
+        .collect();
+    let words = columns.len().div_ceil(64);
 
-    // One shared sweep per 64 boundaries, transposed into their rows.
-    let mut rows = vec![0u64; own_local.len() * words];
-    let mut sweep = LaneSweep::new(graph.num_vertices());
-    for (pass, lanes) in own_local.chunks(64).enumerate() {
-        let reached = sweep.run(graph, lanes, direction);
-        for (column, &t) in key_targets.iter().enumerate() {
-            for lane in set_lanes(reached[t as usize]) {
+    // One pass over the DAG per 64 lanes, transposed into the lanes' rows.
+    // Every DAG edge leads to a smaller id, so a descending pass has a
+    // component's forward mask final when it arrives there, and an
+    // ascending pass its backward mask.
+    let mut rows = vec![0u64; lane_components.len() * words];
+    let mut masks = vec![0u64; num_components];
+    for (pass, seeds) in lane_components.chunks(64).enumerate() {
+        masks.fill(0);
+        for (lane, &component) in seeds.iter().enumerate() {
+            masks[component as usize] |= 1 << lane;
+        }
+        match direction {
+            Direction::Forward => {
+                for c in (0..num_components).rev() {
+                    let mask = masks[c];
+                    if mask != 0 {
+                        for &below in dag.out_neighbors(c as VertexId) {
+                            masks[below as usize] |= mask;
+                        }
+                    }
+                }
+            }
+            Direction::Backward => {
+                for c in 0..num_components {
+                    let mask = masks[c];
+                    if mask != 0 {
+                        for &above in dag.in_neighbors(c as VertexId) {
+                            masks[above as usize] |= mask;
+                        }
+                    }
+                }
+            }
+        }
+        for (column, &component) in columns.iter().enumerate() {
+            for lane in set_lanes(masks[component as usize]) {
                 rows[(pass * 64 + lane) * words + column / 64] |= 1 << (column % 64);
             }
         }
     }
 
-    // Equal rows are one class, numbered by first occurrence.
+    // Equal rows are one class, numbered by first occurrence in boundary
+    // order; the boundaries of one component share a lane, hence a class.
     let mut classes: Vec<Vec<VertexId>> = Vec::new();
-    let mut class_of: HashMap<VertexId, u32> = HashMap::new();
+    let mut class_of: Vec<u32> = Vec::with_capacity(own.len());
     let mut representatives: Vec<usize> = Vec::new();
+    let mut class_of_lane = vec![NONE; lane_components.len()];
     let mut class_of_row: HashMap<&[u64], u32> = HashMap::new();
-    for (b, &global) in own_boundaries.iter().enumerate() {
+    for (b, &global) in own_global.iter().enumerate() {
         let mut open_class = || {
             classes.push(Vec::new());
             representatives.push(b);
             (classes.len() - 1) as u32
         };
         let class = if use_equivalence {
-            let row = &rows[b * words..(b + 1) * words];
-            *class_of_row.entry(row).or_insert_with(open_class)
+            let lane = lane_of[b] as usize;
+            if class_of_lane[lane] == NONE {
+                let row = &rows[lane * words..(lane + 1) * words];
+                class_of_lane[lane] = *class_of_row.entry(row).or_insert_with(open_class);
+            }
+            class_of_lane[lane]
         } else {
             // Optimization disabled: one singleton class per boundary.
             open_class()
         };
         classes[class as usize].push(global);
-        class_of.insert(global, class);
+        class_of.push(class);
     }
     for class in &mut classes {
         class.sort_unstable();
     }
 
-    GroupingResult {
+    Grouping {
         classes,
         class_of,
         representatives,
-        key_targets,
+        lane_of,
+        lanes: lane_components.len(),
+        columns,
         rows,
-        opposite_columns,
         words,
     }
 }
@@ -551,9 +649,11 @@ mod tests {
         assert_eq!(s.in_boundaries, vec![6, 7, 8]);
         assert_eq!(s.out_boundaries, vec![9]);
         assert_eq!(s.num_forward_classes(), 2);
-        let class_of_c = s.forward_class_of[&6];
-        let class_of_h = s.forward_class_of[&8];
-        let class_of_g = s.forward_class_of[&7];
+        let class_of_c = s.forward_class(6).unwrap();
+        let class_of_h = s.forward_class(8).unwrap();
+        let class_of_g = s.forward_class(7).unwrap();
+        assert_eq!(s.forward_class(9), None, "i is no in-boundary");
+        assert_eq!(s.backward_class_of, vec![0]);
         assert_eq!(class_of_c, class_of_h, "c and h are forward-equivalent");
         assert_ne!(class_of_c, class_of_g, "g reaches l as well, so it differs");
         assert_eq!(s.num_backward_classes(), 1);
@@ -627,7 +727,7 @@ mod tests {
         // diff against a structurally different summary and re-apply.
         let mut new = summary_for(1);
         new.forward_classes = vec![vec![6], vec![7], vec![8]];
-        new.forward_class_of = [(6, 0), (7, 1), (8, 2)].into_iter().collect();
+        new.forward_class_of = vec![0, 1, 2];
         new.transit = vec![(0, 0), (2, 0)];
         new.boundary_pairs = 2;
         let delta = SummaryDelta::diff(&old, &new, vec![(9, 42)], vec![]);
@@ -670,7 +770,6 @@ mod tests {
 
     #[test]
     fn bit_row_summaries_equal_the_pair_list_reference() {
-        use crate::test_support::pair_list_summary;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0xA193);
@@ -702,18 +801,7 @@ mod tests {
                 wide += usize::from(ins.len() > 64 && outs.len() > 64);
                 empty += usize::from(ins.is_empty() || outs.is_empty());
                 both_roles += usize::from(ins.iter().any(|b| outs.binary_search(b).is_ok()));
-                for use_equivalence in [true, false] {
-                    assert_eq!(
-                        PartitionSummary::compute_with_options(
-                            i,
-                            &local,
-                            boundaries,
-                            use_equivalence
-                        ),
-                        pair_list_summary(i, &local, boundaries, use_equivalence),
-                        "partition {i} of {k}, n = {n}, equivalence: {use_equivalence}"
-                    );
-                }
+                assert_equals_reference(i, &local, boundaries);
             }
             graphs += 1;
         }
@@ -723,6 +811,79 @@ mod tests {
         );
         assert!(empty >= 20, "{empty} partitions with an empty boundary set");
         assert!(both_roles >= 100, "{both_roles} with in-and-out boundaries");
+
+        // The shapes the benchmark graphs have and uniform random graphs do
+        // not. Partition 0 holds vertices 0..200, partition 1 the rest.
+        let distinct_components = |local: &InducedSubgraph, boundaries: &[VertexId]| {
+            let mut components: Vec<u32> = boundaries
+                .iter()
+                .map(|&b| local.component_of(local.mapping.local(b).unwrap()))
+                .collect();
+            components.sort_unstable();
+            components.dedup();
+            components.len()
+        };
+        let partitioned = |edges: &[(u32, u32)]| {
+            let g = DiGraph::from_edges(400, edges);
+            let p = Partitioning::new((0..400).map(|v| u32::from(v >= 200)).collect(), 2);
+            let cut = Cut::extract(&g, &p);
+            let local = InducedSubgraph::induced(&g, &p.members()[0]);
+            (cut, local)
+        };
+
+        // (a) One SCC 0 → 1 → … → 149 → 0 holding 100 in-boundaries (0..100)
+        // and 100 out-boundaries (50..150) — all lanes collapse into one,
+        // 50..100 play both roles — plus a fringe outside the SCC with an
+        // in-boundary (160 → 161 → 0) and an out-boundary (149 → 170).
+        let mut edges: Vec<(u32, u32)> = (0..150).map(|v| (v, (v + 1) % 150)).collect();
+        edges.extend([(160, 161), (161, 0), (149, 170)]);
+        edges.extend((0..100).map(|v| (200 + v, v)));
+        edges.extend((50..150).map(|v| (v, 300 + v - 50)));
+        edges.extend([(390, 160), (170, 391)]);
+        let (cut, local) = partitioned(&edges);
+        let boundaries = cut.partition(0);
+        assert_eq!(boundaries.in_boundaries.len(), 101);
+        assert_eq!(boundaries.out_boundaries.len(), 101);
+        assert_eq!(distinct_components(&local, &boundaries.in_boundaries), 2);
+        assert_eq!(distinct_components(&local, &boundaries.out_boundaries), 2);
+        assert_equals_reference(0, &local, boundaries);
+        let summary = PartitionSummary::compute(0, &local, boundaries);
+        assert_eq!(summary.num_forward_classes(), 2);
+        assert_eq!(summary.boundary_pairs, 101 * 101);
+
+        // (b) An acyclic local subgraph — its condensation is the graph
+        // itself — with 90 in-boundaries and 90 out-boundaries, each its own
+        // component: two passes per direction.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for v in 0..200u32 {
+            edges.extend((0..2).map(|_| (v, rng.gen_range(v..200))));
+        }
+        edges.retain(|(u, v)| u != v);
+        edges.extend((0..90).map(|v| (200 + v, 2 * v)));
+        edges.extend((0..90).map(|v| (199 - 2 * v, 300 + v)));
+        let (cut, local) = partitioned(&edges);
+        let boundaries = cut.partition(0);
+        assert_eq!(local.dag().num_vertices(), 200);
+        assert_eq!(distinct_components(&local, &boundaries.in_boundaries), 90);
+        assert_eq!(distinct_components(&local, &boundaries.out_boundaries), 90);
+        assert_equals_reference(0, &local, boundaries);
+    }
+
+    /// The summary of partition `i` equals the pair-list reference, with and
+    /// without the equivalence-set optimization.
+    fn assert_equals_reference(
+        i: PartitionId,
+        local: &InducedSubgraph,
+        boundaries: &PartitionBoundaries,
+    ) {
+        for use_equivalence in [true, false] {
+            assert_eq!(
+                PartitionSummary::compute_with_options(i, local, boundaries, use_equivalence),
+                crate::test_support::pair_list_summary(i, local, boundaries, use_equivalence),
+                "partition {i}, {} local vertices, equivalence: {use_equivalence}",
+                local.num_vertices()
+            );
+        }
     }
 
     #[test]

@@ -106,14 +106,17 @@ pub(crate) fn pair_list_summary(
     transit.sort_unstable();
     transit.dedup();
 
+    let in_boundary_order = |boundaries: &[VertexId], class_of: &HashMap<VertexId, u32>| {
+        boundaries.iter().map(|b| class_of[b]).collect()
+    };
     PartitionSummary {
         partition,
+        forward_class_of: in_boundary_order(&in_boundaries, &forward.class_of),
+        backward_class_of: in_boundary_order(&out_boundaries, &backward.class_of),
         in_boundaries,
         out_boundaries,
         forward_classes: forward.classes,
         backward_classes: backward.classes,
-        forward_class_of: forward.class_of,
-        backward_class_of: backward.class_of,
         transit,
         boundary_pairs,
     }
@@ -142,8 +145,8 @@ fn pair_list_equivalence_classes(
     use_equivalence: bool,
 ) -> PairListGrouping {
     let graph = match direction {
-        Direction::Forward => local.graph.clone(),
-        Direction::Backward => local.graph.reversed(),
+        Direction::Forward => local.graph().clone(),
+        Direction::Backward => local.graph().reversed(),
     };
     let graph = Arc::new(graph);
 
@@ -170,7 +173,7 @@ fn pair_list_equivalence_classes(
     // Candidate targets: direct successors (in the traversal direction) of
     // the boundaries, excluding the boundaries themselves — the paper's
     // S(Ii) − Ii optimization.
-    let mut is_own = vec![false; local.graph.num_vertices()];
+    let mut is_own = vec![false; local.graph().num_vertices()];
     for &b in &own_local {
         is_own[b as usize] = true;
     }

@@ -148,7 +148,7 @@ fn run_graph_centric(
             }
             while let Some((v, rank)) = stack.pop() {
                 let lv = local.mapping.local(v).expect("vertex is local");
-                for &lw in local.graph.out_neighbors(lv) {
+                for &lw in local.graph().out_neighbors(lv) {
                     let w = local.mapping.global(lw);
                     if state[w as usize].insert(rank) {
                         stack.push((w, rank));
@@ -197,7 +197,9 @@ fn run_graph_centric(
                     for &(u, v) in &cut_out[i] {
                         if let Some(ranks) = new_ranks_of.get(&u) {
                             let dest = partitioning.partition_of(v);
-                            let class = summaries[dest as usize].forward_class_of[&v];
+                            let class = summaries[dest as usize]
+                                .forward_class(v)
+                                .expect("a cut-edge target is an in-boundary");
                             for &rank in ranks {
                                 grouped.entry((dest, class, rank)).or_default().push(v);
                             }

@@ -4,10 +4,17 @@
 //! vertex-induced subgraphs `Gi`. Local computations at each slave operate
 //! on dense local ids; [`VertexMapping`] translates between the local and
 //! the global id space.
+//!
+//! An [`InducedSubgraph`] also keeps the **SCC condensation** of its graph
+//! (Section 3.3.1 condenses before querying, Section 3.3.3 ignores same-SCC
+//! edges on update): the component id of every local vertex and the DAG over
+//! those ids. Summaries sweep that DAG instead of the raw subgraph, and the
+//! update pipeline classifies a same-component insertion without a search.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-use crate::{DiGraph, VertexId};
+use crate::{condense, CondensedGraph, DiGraph, VertexId};
 
 /// Bidirectional mapping between global vertex ids and dense local ids.
 #[derive(Debug, Clone, Default)]
@@ -67,17 +74,33 @@ impl VertexMapping {
     }
 }
 
-/// A vertex-induced subgraph together with its id mapping.
+/// A vertex-induced subgraph together with its id mapping and its SCC
+/// condensation.
+///
+/// The graph and the condensation are private so that they cannot drift
+/// apart: [`InducedSubgraph::induced`] is the only constructor and
+/// [`InducedSubgraph::apply_edge_changes`] the only mutator, and both leave
+/// the condensation describing the current graph. Like [`DiGraph`]'s CSR
+/// arrays, the component ids are shared by `Arc`, so cloning a subgraph (an
+/// index fork clones every one) copies neither adjacency nor condensation.
 #[derive(Debug, Clone)]
 pub struct InducedSubgraph {
     /// The subgraph over dense local ids.
-    pub graph: DiGraph,
+    graph: DiGraph,
     /// Mapping local ids <-> global ids.
     pub mapping: VertexMapping,
+    /// SCC id of every local vertex. The ids are a reverse topological
+    /// numbering of `dag` (Tarjan's): an edge between different components
+    /// leads from the larger to the smaller id.
+    component: Arc<[u32]>,
+    /// The condensation of `graph`: one vertex per SCC id, inter-component
+    /// edges deduplicated, every edge `a → b` with `a > b`.
+    dag: DiGraph,
 }
 
 impl InducedSubgraph {
-    /// Extracts the subgraph of `graph` induced by `vertices` (global ids).
+    /// Extracts the subgraph of `graph` induced by `vertices` (global ids)
+    /// and condenses it.
     ///
     /// Only edges with both endpoints inside `vertices` are kept — exactly
     /// the paper's `Ei = {(u, v) | u ∈ Vi, v ∈ Vi, (u, v) ∈ E}`.
@@ -93,7 +116,68 @@ impl InducedSubgraph {
             }
         }
         let graph = DiGraph::from_edges(vertices.len(), &edges);
-        InducedSubgraph { graph, mapping }
+        let CondensedGraph { dag, scc, .. } = condense(&graph);
+        InducedSubgraph {
+            graph,
+            mapping,
+            component: scc.component.into(),
+            dag,
+        }
+    }
+
+    /// Replaces the edge set by `(edges − removed) ∪ added` (local ids) and
+    /// brings the condensation up to date. `added` edges must be absent from
+    /// the graph; every copy of a `removed` edge goes.
+    ///
+    /// When nothing is removed and every added edge joins two vertices of
+    /// one component, no component merges or splits and no inter-component
+    /// edge appears: the stored ids and DAG still describe the new graph
+    /// and are kept as they are (a fresh Tarjan run might *number* the same
+    /// components differently — its ids follow DFS order — but not group
+    /// them differently). Otherwise the graph is condensed again.
+    pub fn apply_edge_changes(
+        &mut self,
+        added: &BTreeSet<(VertexId, VertexId)>,
+        removed: &BTreeSet<(VertexId, VertexId)>,
+    ) {
+        let mut edges = self.graph.edge_vec();
+        edges.retain(|edge| !removed.contains(edge));
+        edges.extend(added);
+        self.graph = DiGraph::from_edges(self.graph.num_vertices(), &edges);
+        let within_components = removed.is_empty()
+            && added
+                .iter()
+                .all(|&(u, v)| self.component_of(u) == self.component_of(v));
+        if !within_components {
+            let CondensedGraph { dag, scc, .. } = condense(&self.graph);
+            self.component = scc.component.into();
+            self.dag = dag;
+        }
+    }
+
+    /// The subgraph over dense local ids.
+    #[inline]
+    pub fn graph(&self) -> &DiGraph {
+        &self.graph
+    }
+
+    /// SCC id of a local vertex: a vertex of [`InducedSubgraph::dag`].
+    #[inline]
+    pub fn component_of(&self, local: VertexId) -> u32 {
+        self.component[local as usize]
+    }
+
+    /// SCC id of every local vertex, indexed by local id. The array is
+    /// shared between clones until one of them is condensed again.
+    pub fn components(&self) -> &Arc<[u32]> {
+        &self.component
+    }
+
+    /// The condensation DAG over the SCC ids; every edge leads from a larger
+    /// to a smaller id, so one descending (ascending) pass over the ids
+    /// propagates forward (backward) reachability.
+    pub fn dag(&self) -> &DiGraph {
+        &self.dag
     }
 
     /// Number of local vertices.
@@ -120,7 +204,7 @@ mod tests {
         assert_eq!(sub.num_edges(), 1);
         let l1 = sub.mapping.local(1).unwrap();
         let l2 = sub.mapping.local(2).unwrap();
-        assert!(sub.graph.has_edge(l1, l2));
+        assert!(sub.graph().has_edge(l1, l2));
     }
 
     #[test]
@@ -148,6 +232,61 @@ mod tests {
         assert_eq!(sub.num_vertices(), 0);
         assert_eq!(sub.num_edges(), 0);
         assert!(sub.mapping.is_empty());
+    }
+
+    /// The stored condensation describes the current graph: it groups the
+    /// vertices like a fresh Tarjan run, its DAG is the quotient of the
+    /// graph under the stored ids, and the ids are reverse topological.
+    fn assert_condensation_is_fresh(sub: &InducedSubgraph) {
+        let fresh = condense(sub.graph());
+        let stored = crate::SccResult {
+            component: sub.components().to_vec(),
+            num_components: sub.dag().num_vertices(),
+        };
+        assert_eq!(fresh.scc.num_components, stored.num_components);
+        for v in sub.graph().vertices() {
+            let root = fresh.members[fresh.map(v) as usize][0];
+            assert_eq!(sub.component_of(v), sub.component_of(root), "vertex {v}");
+        }
+        assert_eq!(
+            sub.dag(),
+            &crate::condense::condense_with(sub.graph(), stored).dag
+        );
+        assert!(sub.dag().edges().all(|(a, b)| a > b));
+    }
+
+    #[test]
+    fn edge_changes_keep_the_condensation_fresh() {
+        // {0, 1, 2} is one SCC with exits 1 → 3 and 2 → 4.
+        let g = DiGraph::from_edges(5, &[(0, 2), (2, 0), (2, 1), (1, 2), (1, 3), (2, 4)]);
+        let mut sub = InducedSubgraph::induced(&g, &[0, 1, 2, 3, 4]);
+        assert_condensation_is_fresh(&sub);
+        assert_eq!(sub.dag().num_vertices(), 3);
+        let fork = sub.clone();
+        assert!(Arc::ptr_eq(sub.components(), fork.components()));
+
+        // An insertion inside the SCC: condensation kept as is — and still
+        // fresh, although a Tarjan run over the new graph visits 1 before 2
+        // and so numbers the two exit components the other way round.
+        let before = Arc::clone(sub.components());
+        sub.apply_edge_changes(&BTreeSet::from([(0, 1)]), &BTreeSet::new());
+        assert!(sub.graph().has_edge(0, 1));
+        assert!(Arc::ptr_eq(sub.components(), &before), "no re-condense");
+        assert_ne!(condense(sub.graph()).scc.component, before.to_vec());
+        assert_condensation_is_fresh(&sub);
+
+        // An insertion between components re-condenses (here: merges).
+        sub.apply_edge_changes(&BTreeSet::from([(3, 0)]), &BTreeSet::new());
+        assert_eq!(sub.dag().num_vertices(), 2);
+        assert_condensation_is_fresh(&sub);
+
+        // A deletion that splits the SCC re-condenses: 0 leaves {1, 2}.
+        sub.apply_edge_changes(&BTreeSet::new(), &BTreeSet::from([(2, 0), (3, 0)]));
+        assert_eq!(sub.dag().num_vertices(), 4);
+        assert_condensation_is_fresh(&sub);
+        // The fork taken at the start never saw any of it.
+        assert!(Arc::ptr_eq(fork.components(), &before));
+        assert_condensation_is_fresh(&fork);
     }
 
     #[test]

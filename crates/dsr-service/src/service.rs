@@ -51,6 +51,15 @@ pub enum UpdateError {
     /// transports, where the half-applied fork is discarded and readers
     /// keep the last good generation.
     Transport(TransportError),
+    /// An op of the batch names a vertex the served graph does not have.
+    /// The batch is checked as a whole before any lock is taken: nothing
+    /// was applied and the generation did not advance.
+    InvalidVertex {
+        /// The first offending endpoint, in batch order.
+        vertex: VertexId,
+        /// Vertices of the served graph; valid ids are `0..num_vertices`.
+        num_vertices: usize,
+    },
 }
 
 impl std::fmt::Display for UpdateError {
@@ -66,6 +75,13 @@ impl std::fmt::Display for UpdateError {
                  UpdateMode::ForkAndSwap (or Auto), or rebuild and install_index",
             ),
             UpdateError::Transport(err) => write!(f, "update delta exchange failed: {err}"),
+            UpdateError::InvalidVertex {
+                vertex,
+                num_vertices,
+            } => write!(
+                f,
+                "update names vertex {vertex}, but the served graph has {num_vertices} vertices"
+            ),
         }
     }
 }
@@ -966,16 +982,28 @@ impl QueryService {
     /// # Errors
     /// [`UpdateError::PinnedReaders`] / [`UpdateError::IndexShared`] when
     /// `mode` is [`UpdateMode::InPlace`] and exclusivity was refused —
-    /// the batch is **not** applied; [`UpdateError::Transport`] when the
-    /// delta exchange failed.
+    /// the batch is **not** applied; [`UpdateError::InvalidVertex`] when
+    /// an op names a vertex outside the served graph — nothing is applied
+    /// either; [`UpdateError::Transport`] when the delta exchange failed.
     pub fn update(&self, ops: &[UpdateOp], mode: UpdateMode) -> Result<UpdateOutcome, UpdateError> {
         let ops = coalesce_updates(ops);
+        let generations = &self.core.generations;
+        // Checked before the update lock (and the chain mutex of the
+        // in-place path) is taken: the pipeline indexes by vertex id and
+        // would panic while holding them.
+        let num_vertices = generations.latest().index().partitioning.num_vertices();
+        let mut endpoints = ops.iter().flat_map(|op| <[VertexId; 2]>::from(op.edge()));
+        if let Some(vertex) = endpoints.find(|&v| v as usize >= num_vertices) {
+            return Err(UpdateError::InvalidVertex {
+                vertex,
+                num_vertices,
+            });
+        }
         let apply =
             |index: &mut DsrIndex| index.apply_updates_with_transport(&ops, &self.core.transport);
         let changed = |result: &Result<UpdateOutcome, TransportError>| {
             result.as_ref().is_ok_and(|o| o.rebuilt_compounds)
         };
-        let generations = &self.core.generations;
         // One update at a time, end to end: two concurrent fork-based
         // updates must not both fork the same parent.
         let _serial = generations.lock_updates();
@@ -1292,6 +1320,37 @@ mod tests {
         assert!(service
             .update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace)
             .is_ok());
+    }
+
+    #[test]
+    fn out_of_range_vertices_are_a_typed_error_and_apply_nothing() {
+        let service = chain_service();
+        for mode in [UpdateMode::Auto, UpdateMode::InPlace] {
+            // A valid op first: the batch is refused as a whole.
+            let ops = [UpdateOp::Insert(5, 0), UpdateOp::Delete(2, 6)];
+            let err = service.update(&ops, mode).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    UpdateError::InvalidVertex {
+                        vertex: 6,
+                        num_vertices: 6
+                    }
+                ),
+                "got {err:?}"
+            );
+            assert!(err.to_string().contains("vertex 6"), "{err}");
+            assert_eq!(service.generation_stats().latest, 0, "nothing applied");
+            assert!(service.query(&[5], &[0]).is_empty());
+        }
+        // No lock was left poisoned or held: the next valid batch lands on
+        // either path.
+        let insert = service.update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace);
+        assert!(insert.expect("valid batch").rebuilt_compounds);
+        let delete = service.update(&[UpdateOp::Delete(5, 0)], UpdateMode::Auto);
+        assert!(delete.expect("valid batch").rebuilt_compounds);
+        assert_eq!(service.generation_stats().latest, 2);
+        assert!(service.query(&[5], &[0]).is_empty());
     }
 
     #[test]
