@@ -21,8 +21,8 @@
 //!   community set-reach) over the same pinned snapshot, with the same
 //!   replay-equality check;
 //! * an **update stream** deleting/re-inserting edge chunks through
-//!   [`QueryService::update`]`(…, UpdateMode::Auto)` — the held pin forces
-//!   the fork path every round, so generations are created and (once the
+//!   [`QueryService::update`]`(…, UpdateMode::Auto)` — every changing
+//!   batch installs a fork, so generations are created and (once the held
 //!   pin drops) reclaimed at a deterministic rate.
 //!
 //! The whole replay runs **three times — in-process, wire, TCP** — and
@@ -232,7 +232,7 @@ fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> (Counters, D
             }
 
             // 3. Update batch: re-insert last round's chunk, delete this
-            //    round's. The held pin makes UpdateMode::Auto fork.
+            //    round's. The fork lands beside the held pin.
             let mut ops: Vec<UpdateOp> = Vec::new();
             if round > 0 {
                 for &(u, v) in &s.chunks[round - 1] {
@@ -248,7 +248,7 @@ fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> (Counters, D
             }
             service
                 .update(&ops, UpdateMode::Auto)
-                .expect("auto forks around the pinned snapshot");
+                .expect("update batch lands beside the pinned snapshot");
             closure = oracle(&live, s.graph.num_vertices());
 
             // 4. The pinned tenants replay against their snapshot: answers

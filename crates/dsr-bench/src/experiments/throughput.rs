@@ -12,9 +12,9 @@
 //! 2. `batched` — [`DsrEngine::set_reachability_batch`] over fixed-size
 //!    chunks (3 communication rounds per chunk instead of per query),
 //! 3. `batched_wire` — the same batched runs over the serializing
-//!    [`WireTransport`]: every message wire-encoded, shipped through OS
-//!    pipes and decoded, so the mode measures the overhead of a real byte
-//!    substrate (and its reported bytes are *measured*, not estimated),
+//!    [`WireTransport`]: every message wire-encoded and decoded, so the
+//!    mode measures the overhead of the codec (and its reported bytes are
+//!    *measured*, not estimated),
 //! 4. `batched_tcp` — the same batched runs over a loopback
 //!    [`TcpTransport`] cluster: every frame
 //!    takes the master → worker → worker → master route over real
@@ -292,7 +292,7 @@ pub fn run(fast: bool) -> String {
     };
 
     // --- Mode 3: batched protocol runs over the serializing wire
-    // transport (encode → OS pipe → decode for every message). -----------
+    // transport (encode → decode for every message). --------------------
     let wire = WireTransport::new();
     let wire_engine = DsrEngine::with_transport(&index, &wire);
     let wire_stats = CommStats::new();
@@ -575,7 +575,7 @@ fn render_json(
         "  \"speedup\": {{\"batched_vs_per_query\": {batched_speedup:.3}, \"cached_vs_per_query\": {cached_speedup:.3}}},\n"
     ));
     // Measured serialized traffic of the wire-transport mode: bytes per
-    // communication round actually shipped through the pipes, plus the
+    // communication round actually encoded, plus the
     // slowdown relative to the zero-copy in-process backend.
     let wire_mode = mode("batched_wire");
     let wire_bytes_per_round = wire_mode.bytes as f64 / wire_mode.rounds.max(1) as f64;

@@ -129,7 +129,7 @@ pub fn run(fast: bool) -> String {
     let (wire_outcome, wire_time) = time(|| {
         wired_index
             .apply_updates_with_transport(&tail, &wire)
-            .expect("pipe transport never fails in-process")
+            .expect("SummaryDelta round-trips through its codec")
     });
     assert_eq!(
         wire_outcome.stats, outcome.stats,
@@ -250,7 +250,7 @@ pub fn run(fast: bool) -> String {
             let ops: Vec<UpdateOp> = ops.iter().map(|&op| op_of(op)).collect();
             service
                 .update(&ops, UpdateMode::Auto)
-                .expect("auto forks if the scheduler briefly pins");
+                .expect("in-process transport never fails");
             if let Some(batch) = query_batches.get(round) {
                 answered += service
                     .query_batch(batch)

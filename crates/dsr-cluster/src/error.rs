@@ -1,9 +1,9 @@
 //! Typed transport failures.
 //!
-//! The in-process and pipe backends run inside one OS process and cannot
-//! meaningfully fail, but a TCP cluster can: workers die mid-exchange,
-//! handshakes meet the wrong protocol, reads time out, a frame announces a
-//! nonsensical length. [`TransportError`] is the single error type every
+//! The in-process backend cannot fail and the wire backend only on a
+//! payload that does not decode, but a TCP cluster can: workers die
+//! mid-exchange, handshakes meet the wrong protocol, reads time out, a frame
+//! announces a nonsensical length. [`TransportError`] is the single error type every
 //! [`Transport`](crate::Transport) collective returns, so the engine and
 //! the serving layer surface a worker failure as a value — never a panic,
 //! never a hang.

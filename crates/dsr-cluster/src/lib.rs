@@ -17,10 +17,10 @@
 //! * [`InProcess`] moves owned values between in-process buffers (zero
 //!   copies) while [`CommStats`] accounts their exact wire size through
 //!   [`MessageSize`];
-//! * [`WireTransport`] serializes every message into the compact framed
-//!   byte format of [`wire`] (varint ids, delta-encoded sorted runs),
-//!   ships it through real OS pipes, decodes it on the receiving side, and
-//!   records the measured byte count;
+//! * [`WireTransport`] serializes every message into the compact byte
+//!   format of [`wire`] (varint ids, delta-encoded sorted runs), delivers
+//!   what decodes from those bytes, and records the measured byte count —
+//!   no pipes, no threads;
 //! * [`TcpTransport`] moves the same frames through
 //!   **worker endpoints over TCP sockets** — self-hosted loopback workers
 //!   (`DSR_TRANSPORT=tcp`) or external `dsr-node` processes described by a

@@ -2,8 +2,8 @@
 //! sockets and real worker endpoints.
 //!
 //! This is the deployment backend of the reproduction. Where
-//! [`WireTransport`](crate::WireTransport) ships encoded frames through OS
-//! pipes inside one process, [`TcpTransport`] routes every frame through
+//! [`WireTransport`](crate::WireTransport) encodes and decodes every message
+//! without leaving the thread, [`TcpTransport`] routes every frame through
 //! **worker endpoints** speaking a length-framed protocol over
 //! [`std::net::TcpStream`]:
 //!
@@ -1394,7 +1394,7 @@ struct ArmedFault {
 /// See the [module docs](self) for the architecture. Collectives are
 /// internally serialized (one at a time per transport), so one
 /// `TcpTransport` can be shared by concurrent query threads, exactly like
-/// the pipe backend.
+/// the other backends.
 ///
 /// # Fault tolerance
 ///

@@ -13,7 +13,7 @@
 //! bumps [`Topology::generation`], so callers holding a snapshot can tell
 //! whether the routing they planned against is still current.
 //!
-//! The in-process and pipe backends use the [identity](Topology::identity)
+//! The in-process and wire backends use the [identity](Topology::identity)
 //! topology (partition `p` lives on logical node `p`, replication 1) —
 //! their behavior and [`CommStats`](crate::CommStats) accounting are
 //! unchanged by the partition-addressing refactor. The TCP backend builds
@@ -37,7 +37,7 @@ pub struct Topology {
 
 impl Topology {
     /// The trivial topology: partition `p` is hosted by logical node `p`,
-    /// replication 1. This is what the in-process and pipe backends
+    /// replication 1. This is what the in-process and wire backends
     /// report — worker ids and partition ids coincide.
     pub fn identity(num_partitions: usize) -> Self {
         Topology {

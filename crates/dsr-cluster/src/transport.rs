@@ -9,17 +9,18 @@
 //!   buffers (zero copies, zero serialization) and their size is accounted
 //!   through [`MessageSize`]. This preserves the historical simulated-network
 //!   semantics.
-//! * [`WireTransport`] — every message is encoded into the compact framed
-//!   byte format of [`crate::wire`] (length-prefixed frames, varint ids,
-//!   delta-encoded sorted runs), shipped through **real OS pipes** and
-//!   decoded on the receiving side. [`CommStats`] records the measured
-//!   length of the bytes that crossed the pipe, so communication volume is
-//!   no longer an estimate, and any type that cannot survive an
-//!   encode/decode round trip breaks loudly instead of silently working
-//!   because the value never left the process.
+//! * [`WireTransport`] — every cross-node message is encoded into the
+//!   compact byte format of [`crate::wire`] (varint ids, delta-encoded
+//!   sorted runs) and what **decodes from those bytes** is delivered, never
+//!   the value that was sent. [`CommStats`] records the measured length of
+//!   the encoding, so communication volume is not an estimate, and a type
+//!   that cannot survive an encode/decode round trip fails with a typed
+//!   [`TransportError::Wire`] instead of silently working because the value
+//!   never left the process. No thread, pipe or socket is involved: the
+//!   stream framing lives in [`crate::tcp`] alone.
 //!
 //! Both backends debug-assert that `MessageSize::byte_size` equals the
-//! encoded length of every message they move, which keeps the two sets of
+//! encoded length of every message they count, which keeps the two sets of
 //! statistics byte-identical.
 //!
 //! The all-to-all exchange takes **sparse per-destination send lists**
@@ -33,19 +34,17 @@
 //! self-hosted loopback workers (the `DSR_TRANSPORT=tcp` test matrix) or
 //! external `dsr-node` processes; see [`crate::tcp`].
 //!
-//! Collectives return `Result`: the in-process and pipe backends cannot
-//! meaningfully fail (they always return `Ok`), but a TCP cluster can lose
-//! a worker mid-exchange, and that failure surfaces as a typed
-//! [`TransportError`] instead of a panic or a hang.
+//! Collectives return `Result`: the in-process backend always returns
+//! `Ok` and the wire backend fails only on a codec that rejects its own
+//! encoding, but a TCP cluster can lose a worker mid-exchange, and either
+//! failure surfaces as a typed [`TransportError`] instead of a panic or a
+//! hang.
 //!
 //! [`TransportKind`] selects a backend at runtime (e.g. from the
 //! `DSR_TRANSPORT` environment variable — the hook the test matrix and CI
 //! use to run the whole suite over every substrate), and [`DynTransport`]
 //! is the corresponding enum-dispatched backend for callers that pick a
 //! transport at construction time, such as the query service.
-
-use dsr_sync::Mutex;
-use std::io::{Read, Write};
 
 use crate::error::TransportError;
 use crate::message::MessageSize;
@@ -91,7 +90,7 @@ pub trait Transport: Sync {
     /// `num_partitions`-wide collective: partition → ordered replica set
     /// of worker ids, with suspect tracking. The default is the
     /// [identity](Topology::identity) topology (partition `p` on logical
-    /// node `p`, replication 1) — exactly what the in-process and pipe
+    /// node `p`, replication 1) — exactly what the in-process and wire
     /// backends do. The TCP backend overrides this with its replicated,
     /// failover-aware table, which callers can consult to fail fast (or
     /// report) before launching a collective that cannot be placed.
@@ -104,8 +103,8 @@ pub trait Transport: Sync {
     ///
     /// # Errors
     /// Returns a [`TransportError`] when the substrate fails (a TCP worker
-    /// died, timed out, or broke the protocol). The in-process and pipe
-    /// backends never fail.
+    /// died, timed out, or broke the protocol) or a delivered payload does
+    /// not decode. The in-process backend never fails.
     fn scatter<M: WireMessage>(
         &self,
         messages: Vec<M>,
@@ -183,8 +182,8 @@ impl<T: Transport + ?Sized> Transport for &T {
     }
 }
 
-/// Debug-time drift check: `byte_size` must equal the encoded length. Both
-/// backends run it on every message, so an estimate that drifts from the
+/// Debug-time drift check of the in-process backend: `byte_size` must equal
+/// the encoded length of every message, so an estimate that drifts from the
 /// codec fails the test suite instead of skewing the reported volumes.
 fn debug_assert_exact_size<M: WireMessage>(message: &M) {
     if cfg!(debug_assertions) {
@@ -270,153 +269,45 @@ impl Transport for InProcess {
 // Wire backend.
 // ---------------------------------------------------------------------------
 
-/// One directed byte channel (an anonymous OS pipe).
-struct Link {
-    tx: Mutex<std::io::PipeWriter>,
-    rx: Mutex<std::io::PipeReader>,
-}
-
-impl Link {
-    fn new() -> Link {
-        let (rx, tx) = std::io::pipe().expect("create wire-transport pipe");
-        Link {
-            tx: Mutex::new(tx),
-            rx: Mutex::new(rx),
-        }
-    }
-}
-
-/// The pipe mesh: one directed link per slave pair plus master lanes. Grown
-/// lazily to the largest node count seen, so one transport serves indexes
-/// of any size.
-struct Links {
-    /// `mesh[src][dst]`, diagonal unused (self-sends never hit a pipe).
-    mesh: Vec<Vec<Link>>,
-    /// Master → slave lanes (scatter).
-    to_slave: Vec<Link>,
-    /// Slave → master lanes (gather).
-    from_slave: Vec<Link>,
-}
-
-impl Links {
-    fn ensure(&mut self, num_nodes: usize) {
-        while self.to_slave.len() < num_nodes {
-            self.to_slave.push(Link::new());
-            self.from_slave.push(Link::new());
-        }
-        for row in &mut self.mesh {
-            while row.len() < num_nodes {
-                row.push(Link::new());
-            }
-        }
-        while self.mesh.len() < num_nodes {
-            self.mesh
-                .push((0..num_nodes).map(|_| Link::new()).collect());
-        }
-    }
-}
-
-/// Serialized-bytes backend: every message is wire-encoded, written into a
-/// real OS pipe, and decoded on the receiving side.
+/// Serialized-bytes backend: every cross-node message is wire-encoded into
+/// a buffer and the value decoded from that buffer is what gets delivered.
 ///
-/// The pipe mesh is created once and reused across collectives; collectives
-/// are internally serialized (one at a time per transport), so a single
-/// `WireTransport` can safely be shared by concurrent query threads — they
-/// take turns on the wire, exactly like queries sharing one physical NIC.
-pub struct WireTransport {
-    links: Mutex<Links>,
-}
-
-impl std::fmt::Debug for WireTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WireTransport").finish_non_exhaustive()
-    }
-}
-
-impl Default for WireTransport {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The transport holds no state, so one value (or any number of them)
+/// serves concurrent query threads and indexes of any size.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WireTransport;
 
 impl WireTransport {
-    /// Creates a transport with an empty pipe mesh; links are created on
-    /// first use and reused afterwards.
+    /// Creates the (stateless) transport.
     pub fn new() -> Self {
-        WireTransport {
-            links: Mutex::new(Links {
-                mesh: Vec::new(),
-                to_slave: Vec::new(),
-                from_slave: Vec::new(),
-            }),
-        }
+        WireTransport
     }
 
-    fn encode_and_count<M: WireMessage>(message: &M, stats: &CommStats) -> Vec<u8> {
-        let encoded = wire::encode_to_vec(message);
+    /// Sends one message across the "wire": encode, record the measured
+    /// length, deliver what the bytes decode to.
+    fn ship<M: WireMessage>(message: M, stats: &CommStats) -> Result<M, TransportError> {
+        let encoded = wire::encode_to_vec(&message);
         debug_assert_eq!(
             encoded.len(),
             message.byte_size(),
             "MessageSize::byte_size drifted from the wire encoding"
         );
-        // The measured length of the bytes that will cross the pipe.
         stats.record_message(encoded.len());
-        encoded
+        Ok(wire::decode_exact(&encoded)?)
     }
-}
 
-/// Writes `frames` as a varint frame count followed by varint-length-prefixed
-/// payloads, then flushes.
-fn write_frames(writer: &mut impl Write, frames: &[Vec<u8>]) {
-    let mut header = Vec::with_capacity(wire::MAX_VARINT_LEN);
-    wire::put_varint(&mut header, frames.len() as u64);
-    writer.write_all(&header).expect("write frame count");
-    for frame in frames {
-        header.clear();
-        wire::put_varint(&mut header, frame.len() as u64);
-        writer.write_all(&header).expect("write frame length");
-        writer.write_all(frame).expect("write frame payload");
+    /// Scatter and gather alike: one round, one shipped message per slave,
+    /// delivered in slave order.
+    fn ship_each<M: WireMessage>(
+        messages: Vec<M>,
+        stats: &CommStats,
+    ) -> Result<Vec<M>, TransportError> {
+        stats.record_round();
+        messages
+            .into_iter()
+            .map(|message| Self::ship(message, stats))
+            .collect()
     }
-    writer.flush().expect("flush wire frames");
-}
-
-/// Reads one varint from a byte stream, with the same overflow policy as
-/// [`WireReader::varint`](crate::wire::WireReader::varint): bits beyond the
-/// 64th fail loudly instead of being silently shifted out.
-fn read_stream_varint(reader: &mut impl Read) -> u64 {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        reader.read_exact(&mut byte).expect("read varint byte");
-        assert!(
-            shift < 63 || byte[0] & 0x7F <= 1,
-            "wire varint overflow in frame header"
-        );
-        value |= u64::from(byte[0] & 0x7F) << shift;
-        if byte[0] & 0x80 == 0 {
-            return value;
-        }
-        shift += 7;
-        assert!(shift < 64, "wire varint overflow in frame header");
-    }
-}
-
-/// Reads the frame sequence written by [`write_frames`].
-fn read_frames(reader: &mut impl Read) -> Vec<Vec<u8>> {
-    let count = read_stream_varint(reader);
-    let mut frames = Vec::with_capacity(count.min(1024) as usize);
-    for _ in 0..count {
-        let len = read_stream_varint(reader) as usize;
-        let mut payload = vec![0u8; len];
-        reader.read_exact(&mut payload).expect("read frame payload");
-        frames.push(payload);
-    }
-    frames
-}
-
-fn decode_message<M: WireMessage>(payload: &[u8]) -> M {
-    wire::decode_exact(payload).expect("decode wire message")
 }
 
 impl Transport for WireTransport {
@@ -429,43 +320,7 @@ impl Transport for WireTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        stats.record_round();
-        let k = messages.len();
-        let mut links = dsr_sync::lock(&self.links);
-        links.ensure(k);
-        let links = &*links;
-        let encoded: Vec<Vec<u8>> = messages
-            .iter()
-            .map(|m| Self::encode_and_count(m, stats))
-            .collect();
-        drop(messages);
-        let mut delivered: Vec<Option<M>> = (0..k).map(|_| None).collect();
-        dsr_sync::thread::scope(|scope| {
-            // One receiving thread per slave; the master writes from the
-            // calling thread. Dedicated readers keep every pipe drained, so
-            // a scatter larger than the pipe buffer cannot deadlock.
-            let readers: Vec<_> = (0..k)
-                .map(|i| {
-                    scope.spawn(move || {
-                        let mut rx = dsr_sync::lock(&links.to_slave[i].rx);
-                        let frames = read_frames(&mut *rx);
-                        assert_eq!(frames.len(), 1, "scatter delivers one frame per slave");
-                        decode_message::<M>(&frames[0])
-                    })
-                })
-                .collect();
-            for (i, frame) in encoded.iter().enumerate() {
-                let mut tx = dsr_sync::lock(&links.to_slave[i].tx);
-                write_frames(&mut *tx, std::slice::from_ref(frame));
-            }
-            for (slot, reader) in delivered.iter_mut().zip(readers) {
-                *slot = Some(reader.join().expect("scatter reader thread"));
-            }
-        });
-        Ok(delivered
-            .into_iter()
-            .map(|m| m.expect("scatter delivered"))
-            .collect())
+        Self::ship_each(messages, stats)
     }
 
     fn gather<M: WireMessage>(
@@ -473,34 +328,7 @@ impl Transport for WireTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        stats.record_round();
-        let k = messages.len();
-        let mut links = dsr_sync::lock(&self.links);
-        links.ensure(k);
-        let links = &*links;
-        let encoded: Vec<Vec<u8>> = messages
-            .iter()
-            .map(|m| Self::encode_and_count(m, stats))
-            .collect();
-        drop(messages);
-        let mut gathered: Vec<M> = Vec::with_capacity(k);
-        dsr_sync::thread::scope(|scope| {
-            // One sending thread per slave; the master reads in slave order
-            // from the calling thread and drains each lane as it goes.
-            for (i, frame) in encoded.iter().enumerate() {
-                scope.spawn(move || {
-                    let mut tx = dsr_sync::lock(&links.from_slave[i].tx);
-                    write_frames(&mut *tx, std::slice::from_ref(frame));
-                });
-            }
-            for i in 0..k {
-                let mut rx = dsr_sync::lock(&links.from_slave[i].rx);
-                let frames = read_frames(&mut *rx);
-                assert_eq!(frames.len(), 1, "gather delivers one frame per slave");
-                gathered.push(decode_message::<M>(&frames[0]));
-            }
-        });
-        Ok(gathered)
+        Self::ship_each(messages, stats)
     }
 
     fn all_to_all<M: WireMessage>(
@@ -511,72 +339,18 @@ impl Transport for WireTransport {
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
         assert_eq!(outgoing.len(), num_nodes, "one send list per node");
         stats.record_round();
-        let mut links = dsr_sync::lock(&self.links);
-        links.ensure(num_nodes);
-        let links = &*links;
-
-        // Encode every cross-node message; self-sends skip the pipes (and
-        // the stats), exactly like the in-process backend.
-        let mut frames: Vec<Vec<Vec<Vec<u8>>>> = (0..num_nodes)
-            .map(|_| (0..num_nodes).map(|_| Vec::new()).collect())
-            .collect();
-        let mut self_sends: Vec<Vec<M>> = (0..num_nodes).map(|_| Vec::new()).collect();
+        let mut incoming: Vec<Vec<(usize, M)>> = (0..num_nodes).map(|_| Vec::new()).collect();
+        // Ascending sources keep each inbox sorted by source; a self-send
+        // is moved and not counted, exactly like the in-process backend.
         for (src, sends) in outgoing.into_iter().enumerate() {
             for (dst, message) in sends {
                 assert!(dst < num_nodes, "destination {dst} out of range");
-                if dst == src {
-                    self_sends[src].push(message);
+                let delivered = if src == dst {
+                    message
                 } else {
-                    frames[src][dst].push(Self::encode_and_count(&message, stats));
-                }
-            }
-        }
-
-        let mut incoming: Vec<Vec<(usize, M)>> = (0..num_nodes).map(|_| Vec::new()).collect();
-        dsr_sync::thread::scope(|scope| {
-            // One writer thread per source and one reader thread per
-            // destination. Readers are always draining, so a writer blocked
-            // on a full pipe is eventually unblocked — no deadlock however
-            // large the exchange.
-            for (src, row) in frames.iter().enumerate() {
-                scope.spawn(move || {
-                    for (dst, payloads) in row.iter().enumerate() {
-                        if dst == src {
-                            continue;
-                        }
-                        let mut tx = dsr_sync::lock(&links.mesh[src][dst].tx);
-                        write_frames(&mut *tx, payloads);
-                    }
-                });
-            }
-            let readers: Vec<_> = (0..num_nodes)
-                .map(|dst| {
-                    scope.spawn(move || {
-                        let mut received: Vec<(usize, M)> = Vec::new();
-                        for src in 0..num_nodes {
-                            if src == dst {
-                                continue;
-                            }
-                            let mut rx = dsr_sync::lock(&links.mesh[src][dst].rx);
-                            for payload in read_frames(&mut *rx) {
-                                received.push((src, decode_message::<M>(&payload)));
-                            }
-                        }
-                        received
-                    })
-                })
-                .collect();
-            for (dst, reader) in readers.into_iter().enumerate() {
-                incoming[dst] = reader.join().expect("all-to-all reader thread");
-            }
-        });
-
-        // Merge self-sends at their sorted position (readers collected the
-        // cross-node messages in ascending source order already).
-        for (node, messages) in self_sends.into_iter().enumerate() {
-            let at = incoming[node].partition_point(|&(src, _)| src < node);
-            for (offset, message) in messages.into_iter().enumerate() {
-                incoming[node].insert(at + offset, (node, message));
+                    Self::ship(message, stats)?
+                };
+                incoming[dst].push((src, delivered));
             }
         }
         Ok(incoming)
@@ -593,7 +367,7 @@ pub enum TransportKind {
     /// Zero-copy in-process moves (the default).
     #[default]
     InProcess,
-    /// Serialized framed bytes over OS pipes.
+    /// Serialized bytes: every message is encoded and decoded in process.
     Wire,
     /// Serialized framed bytes over TCP sockets and worker endpoints
     /// (self-hosted loopback workers; see
@@ -678,7 +452,9 @@ impl TransportKind {
     pub fn from_env() -> Self {
         match std::env::var(TRANSPORT_ENV) {
             Err(_) => TransportKind::InProcess,
-            Ok(value) => value.parse().expect("invalid DSR_TRANSPORT"),
+            Ok(value) => value
+                .parse()
+                .unwrap_or_else(|err| panic!("invalid DSR_TRANSPORT: {err}")),
         }
     }
 
@@ -698,6 +474,9 @@ impl TransportKind {
 
 /// Enum-dispatched transport for callers that select a backend at runtime
 /// (service construction, the `DSR_TRANSPORT` test matrix).
+// One per service or test, never stored in bulk: the unboxed TCP variant
+// costs nothing and keeps `DynTransport::Tcp(transport)` constructible.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum DynTransport {
     /// See [`InProcess`].
@@ -907,9 +686,7 @@ mod tests {
 
     #[test]
     fn wire_survives_exchanges_larger_than_the_pipe_buffer() {
-        // Default pipe capacity on Linux is 64 KiB; ship ~1 MiB per
-        // direction between two nodes to prove the writer/reader threading
-        // cannot deadlock on full pipes.
+        // ~1 MiB per direction between two nodes arrives whole.
         let transport = WireTransport::new();
         let stats = CommStats::new();
         let big: Vec<u32> = (0..300_000u32).collect();
@@ -952,6 +729,55 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// Encodes to one byte that its own decoder rejects: what a lossy
+    /// codec looks like from inside a transport.
+    #[derive(Debug)]
+    struct Undecodable;
+
+    impl Wire for Undecodable {
+        fn encode_into(&self, buf: &mut Vec<u8>) {
+            buf.push(0xFF);
+        }
+
+        fn decode_from(reader: &mut wire::WireReader<'_>) -> Result<Self, wire::WireError> {
+            reader.u8()?;
+            Err(wire::WireError::Invalid("undecodable test message"))
+        }
+    }
+
+    impl MessageSize for Undecodable {
+        fn byte_size(&self) -> usize {
+            1
+        }
+    }
+
+    /// Runs in every build profile (CI adds a `--release` leg): the typed
+    /// error must not depend on a `debug_assert`.
+    #[test]
+    fn wire_decode_failures_are_typed_errors_not_panics() {
+        let transport = WireTransport::new();
+        let stats = CommStats::new();
+        let rejected = |result: Result<(), TransportError>| {
+            assert!(
+                matches!(
+                    result,
+                    Err(TransportError::Wire(wire::WireError::Invalid(_)))
+                ),
+                "got {result:?}"
+            );
+        };
+        rejected(transport.scatter(vec![Undecodable], &stats).map(drop));
+        rejected(transport.gather(vec![Undecodable], &stats).map(drop));
+        let cross = vec![vec![(1usize, Undecodable)], Vec::new()];
+        rejected(transport.all_to_all(2, cross, &stats).map(drop));
+        // A self-send never touches the codec.
+        let own = vec![vec![(0usize, Undecodable)], Vec::new()];
+        let incoming = transport.all_to_all(2, own, &stats).expect("moved");
+        assert_eq!((incoming[0].len(), incoming[1].len()), (1, 0));
+        // The three shipped bytes were counted before decoding failed.
+        assert_eq!((stats.rounds(), stats.messages(), stats.bytes()), (4, 3, 3));
     }
 
     #[test]

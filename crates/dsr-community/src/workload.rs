@@ -29,27 +29,18 @@ use crate::louvain::louvain;
 /// over one pinned snapshot.
 #[derive(Debug, Clone)]
 pub struct CommunityWorkload {
-    /// Modularity-gain cutoff passed to [`louvain`].
-    min_gain: f64,
     /// How many of the largest communities to query pairwise.
     top: usize,
 }
 
+/// Modularity-gain cutoff passed to [`louvain`].
+const MIN_GAIN: f64 = 1e-6;
+
 impl CommunityWorkload {
     /// A workload querying the `top` largest detected communities
-    /// pairwise, with the default modularity cutoff.
+    /// pairwise.
     pub fn new(top: usize) -> Self {
-        CommunityWorkload {
-            min_gain: 1e-6,
-            top,
-        }
-    }
-
-    /// Overrides the Louvain modularity-gain cutoff.
-    #[must_use]
-    pub fn with_min_gain(mut self, min_gain: f64) -> Self {
-        self.min_gain = min_gain;
-        self
+        CommunityWorkload { top }
     }
 }
 
@@ -60,7 +51,7 @@ impl Workload for CommunityWorkload {
 
     fn run(&self, snapshot: &SnapshotRef<'_>) -> Result<WorkloadRun, ServiceError> {
         let graph = snapshot.index().reconstruct_graph();
-        let assignment = louvain(&graph, self.min_gain);
+        let assignment = louvain(&graph, MIN_GAIN);
         let members: Vec<Vec<VertexId>> = assignment
             .by_size()
             .into_iter()

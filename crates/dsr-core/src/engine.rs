@@ -105,8 +105,8 @@
 //! uses the zero-copy [`InProcess`] backend; [`DsrEngine::with_transport`]
 //! accepts any other backend — in particular
 //! [`WireTransport`](dsr_cluster::WireTransport), which serializes every
-//! scatter/exchange/gather payload into framed bytes, ships them through
-//! real OS pipes and decodes them on the receiving side. Both backends
+//! scatter/exchange/gather payload into bytes and delivers what decodes
+//! from them, never the value that was sent. Both backends
 //! return byte-identical answers and byte-identical [`CommStats`]: the
 //! in-process size accounting is debug-asserted against the wire codec on
 //! every message.
@@ -248,7 +248,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     ///
     /// # Panics
     /// Panics (with the typed [`TransportError`] message) if the transport
-    /// fails mid-protocol. The in-process and pipe backends never fail;
+    /// fails mid-protocol. The in-process and wire backends lose no worker;
     /// callers running over a TCP cluster that need to *handle* worker
     /// failures should use [`DsrEngine::set_reachability_batch`], which
     /// returns the error as a value.
@@ -291,7 +291,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// # Errors
     /// Returns the typed [`TransportError`] when the transport fails
     /// mid-protocol — e.g. a TCP worker disconnecting in the middle of the
-    /// exchange round. The in-process and pipe backends never fail.
+    /// exchange round. The in-process and wire backends lose no worker.
     pub fn set_reachability_batch(
         &self,
         queries: &[SetQuery],

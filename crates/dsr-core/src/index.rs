@@ -63,39 +63,6 @@ impl IndexBuildStats {
     }
 }
 
-/// Lineage metadata of a [`DsrIndex`]: which mutation the index has
-/// absorbed and, for forks, where it branched from.
-///
-/// `revision` counts the mutating update batches applied to this index
-/// since it was built (no-op batches do not advance it, mirroring the
-/// serving layer's no-op detection). [`DsrIndex::fork`] copies the parent
-/// revision and records it in `forked_from`, so a serving layer stacking
-/// forks into MVCC generations can tell "same lineage, later revision"
-/// from "independent rebuild" without comparing graph contents.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexGeneration {
-    /// Number of mutating update batches absorbed since the build.
-    pub revision: u64,
-    /// For forks: the parent's revision at fork time. `None` for an index
-    /// built from scratch.
-    pub forked_from: Option<u64>,
-}
-
-impl IndexGeneration {
-    /// The metadata a fork of an index carrying `self` starts with.
-    pub fn fork(self) -> IndexGeneration {
-        IndexGeneration {
-            revision: self.revision,
-            forked_from: Some(self.revision),
-        }
-    }
-
-    /// Records one mutating update batch.
-    pub fn advance(&mut self) {
-        self.revision += 1;
-    }
-}
-
 /// The complete DSR index for a partitioned graph.
 ///
 /// The index owns everything a slave would hold in the paper's deployment:
@@ -132,8 +99,6 @@ pub struct DsrIndex {
     pub use_equivalence: bool,
     /// Build statistics.
     pub stats: IndexBuildStats,
-    /// Lineage metadata: mutation revision and fork origin.
-    pub generation: IndexGeneration,
 }
 
 impl DsrIndex {
@@ -166,7 +131,7 @@ impl DsrIndex {
     /// performs one all-to-all round in which every slave ships its
     /// [`PartitionSummary`] to every peer. Under the
     /// [`WireTransport`](dsr_cluster::WireTransport) backend the summaries
-    /// are wire-encoded, piped and decoded — each slave assembles its
+    /// are wire-encoded and decoded — each slave assembles its
     /// compound graph from the summaries *as received*, so a lossy codec
     /// breaks the build instead of being papered over by shared memory. The
     /// round's cost lands in [`IndexBuildStats::summary_messages`] /
@@ -175,7 +140,7 @@ impl DsrIndex {
     /// # Errors
     /// Returns the typed [`TransportError`] when the transport fails
     /// during the summary exchange (e.g. a TCP worker disconnecting); the
-    /// in-process and pipe backends never fail.
+    /// in-process and wire backends lose no worker.
     pub fn build_with_transport<T: Transport>(
         graph: &DiGraph,
         partitioning: Partitioning,
@@ -273,7 +238,6 @@ impl DsrIndex {
             kind,
             use_equivalence,
             stats,
-            generation: IndexGeneration::default(),
         })
     }
 
@@ -312,12 +276,11 @@ impl DsrIndex {
     /// Deep-copies the index, rebuilding the (non-clonable) local
     /// reachability indexes over cloned compound graphs.
     ///
-    /// This is the clone-on-write fallback of the serving layer: when the
-    /// index `Arc` is shared with concurrent readers, updates can be
-    /// applied to a fork and the fork swapped in, instead of either
-    /// blocking or silently dropping the update. Forking costs one local
-    /// index build per partition but **no** summary computation and no
-    /// communication.
+    /// This is how the serving layer updates an index that concurrent
+    /// readers share: the batch is applied to a fork and the fork swapped
+    /// in, so no reader blocks and a failed batch is simply dropped.
+    /// Forking costs one local index build per partition but **no**
+    /// summary computation and no communication.
     pub fn fork(&self) -> DsrIndex {
         let kind = self.kind;
         let compounds = self.compounds.clone();
@@ -334,7 +297,6 @@ impl DsrIndex {
             kind,
             use_equivalence: self.use_equivalence,
             stats: self.stats.clone(),
-            generation: self.generation.fork(),
         }
     }
 

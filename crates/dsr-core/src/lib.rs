@@ -26,7 +26,7 @@
 //! * [`DsrEngine`] — Algorithms 1 and 2 executed over the simulated
 //!   cluster, with communication accounting; generic over the
 //!   [`Transport`](dsr_cluster::Transport) that moves its messages
-//!   (zero-copy in-process by default, serialized bytes over OS pipes via
+//!   (zero-copy in-process by default, encoded and decoded bytes via
 //!   [`WireTransport`](dsr_cluster::WireTransport)),
 //! * [`protocol`] — the wire message types of the scatter/exchange/gather
 //!   rounds and the build-time summary exchange, each with a
@@ -66,6 +66,6 @@ pub mod updates;
 
 pub use compound::{CompoundGraph, RouteRole};
 pub use engine::{BatchOutcome, DsrEngine, QueryOutcome, SetQuery};
-pub use index::{DsrIndex, IndexBuildStats, IndexGeneration};
+pub use index::{DsrIndex, IndexBuildStats};
 pub use summary::{ClassReplacement, PartitionSummary, SummaryDelta};
 pub use updates::{coalesce_updates, UpdateOp, UpdateOutcome};

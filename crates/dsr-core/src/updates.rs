@@ -81,11 +81,6 @@ impl UpdateOp {
             UpdateOp::Insert(u, v) | UpdateOp::Delete(u, v) => (u, v),
         }
     }
-
-    /// Whether this is an insertion.
-    pub fn is_insert(&self) -> bool {
-        matches!(self, UpdateOp::Insert(_, _))
-    }
 }
 
 /// Collapses back-to-back operations on the same edge to the last one.
@@ -263,10 +258,10 @@ impl DsrIndex {
     /// delta does not reconstruct its sender's refreshed summary (a lossy
     /// codec, a corrupted frame). **The index may be left partially
     /// updated in that case** (locals and summaries refreshed, compounds
-    /// stale): callers that must survive such failures should apply
-    /// updates to a fork ([`DsrIndex::fork`], or the serving layer's
-    /// `UpdateMode::ForkAndSwap`) and discard it on error. The in-process
-    /// and pipe backends never fail.
+    /// stale): callers that must survive such failures apply updates to
+    /// a fork ([`DsrIndex::fork`]) and discard it on error, as the
+    /// serving layer's `QueryService::update` does. The in-process and
+    /// wire backends lose no worker.
     ///
     /// # Panics
     /// Panics if an op references a vertex outside the indexed graph.
@@ -533,7 +528,6 @@ impl DsrIndex {
                 self.local_indexes[*p as usize] = index;
             }
             self.refresh_stats_after_update(&affected);
-            self.generation.advance();
         } else if !refreshed.is_empty() {
             // Statistics-only refresh (e.g. a boundary-pair count moved).
             self.refresh_stats_after_update(&[]);

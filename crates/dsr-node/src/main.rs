@@ -335,15 +335,12 @@ fn run_master_checked(args: &MasterArgs) -> Result<usize, String> {
     let graph = dsr_datagen::web_graph(args.vertices, 4.0, 16, 0.7, args.seed);
     let partitioning = MultilevelPartitioner::default().partition(&graph, k);
 
-    // --- In-process reference. The service must own its index Arc
-    // exclusively or apply_updates refuses with IndexShared, so snapshot
-    // the build stats before moving it in.
-    let reference_index = DsrIndex::build(&graph, partitioning.clone(), LocalIndexKind::Dfs);
-    let reference_summary = (
-        reference_index.stats.summary_messages,
-        reference_index.stats.summary_bytes,
-    );
-    let reference = QueryService::new(Arc::new(reference_index));
+    // --- In-process reference. ------------------------------------------
+    let reference = QueryService::new(Arc::new(DsrIndex::build(
+        &graph,
+        partitioning.clone(),
+        LocalIndexKind::Dfs,
+    )));
 
     // --- The real thing: index built over the TCP cluster, service
     // fronting the remote workers. ---------------------------------------
@@ -382,7 +379,10 @@ fn run_master_checked(args: &MasterArgs) -> Result<usize, String> {
             (
                 service.index().stats.summary_messages,
                 service.index().stats.summary_bytes,
-            ) == reference_summary,
+            ) == (
+                reference.index().stats.summary_messages,
+                reference.index().stats.summary_bytes,
+            ),
         );
     } else {
         println!("  SKIP  summary-exchange byte identity (failover active)");
@@ -455,10 +455,10 @@ fn run_master_checked(args: &MasterArgs) -> Result<usize, String> {
     })
     .collect();
     let expected_update = reference
-        .update(&ops, UpdateMode::InPlace)
+        .update(&ops, UpdateMode::Auto)
         .map_err(|e| format!("reference update failed: {e}"))?;
     let update = service
-        .update(&ops, UpdateMode::InPlace)
+        .update(&ops, UpdateMode::Auto)
         .map_err(|e| format!("TCP update failed: {e}"))?;
     println!(
         "update batch: {} ops -> {} summaries refreshed, {} compounds patched, \

@@ -470,9 +470,9 @@ fn execute_group(core: &Core, group: GenGroup) {
         let engine = DsrEngine::with_transport(generation.index(), &core.transport);
         engine.set_reachability_batch(&queries)
         // `engine` drops here; the generation pins (this group's and each
-        // entry's) are shed below before any waiter is woken, so a client
-        // observing its completion can immediately take the exclusive
-        // update path without spuriously seeing the scheduler's pins.
+        // entry's) are shed below before any waiter is woken, so an update
+        // by a client observing its completion reclaims the superseded
+        // generation at once instead of retaining it for the scheduler.
     };
     let released = executing.len();
     match outcome {

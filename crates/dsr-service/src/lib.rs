@@ -37,15 +37,15 @@
 //!   [`ServiceError::Overloaded`] under saturation instead of piling up
 //!   unboundedly. [`QueryOptions`] adds per-query cache bypass and
 //!   explicit generation pinning.
-//! * Index updates flow through [`QueryService::update`] under an
-//!   explicit [`UpdateMode`] — the differential pipeline of Section
-//!   3.3.3: back-to-back batches are coalesced, only affected partitions
-//!   refresh, and the summary deltas ship through the service's
-//!   transport (cost surfaced by [`QueryService::update_stats`]). A
-//!   refused in-place update fails typed
-//!   ([`UpdateError::PinnedReaders`] / [`UpdateError::IndexShared`]);
-//!   [`UpdateMode::ForkAndSwap`] and [`UpdateMode::Auto`] fork around
-//!   the readers instead.
+//! * Index updates flow through [`QueryService::update`] — the
+//!   differential pipeline of Section 3.3.3: back-to-back batches are
+//!   coalesced, only affected partitions refresh, and the summary deltas
+//!   ship through the service's transport (cost surfaced by
+//!   [`QueryService::update_stats`]). A served index changes in exactly
+//!   one way: the batch is applied to a fork of the latest generation
+//!   and the fork is installed iff the batch succeeded and changed
+//!   something, so readers never wait for an update and a failed batch
+//!   ([`UpdateError`]) leaves generation and hot cache untouched.
 //! * Analytical tenants plug in behind the [`Workload`] trait: a named
 //!   unit of work that runs entirely against one pinned [`SnapshotRef`]
 //!   and reports a checksummed [`WorkloadRun`] — the `dsr-rdf` path

@@ -1,9 +1,9 @@
 //! The concurrent query service: snapshot-isolated serving over a
 //! generation-chained [`DsrIndex`].
 //!
-//! Every install or mutating update batch advances a
-//! [`GenerationChain`] of numbered,
-//! immutable snapshots. The default query paths run against the *latest*
+//! Every install — of a rebuilt index or of the fork an update batch
+//! changed — advances a [`GenerationChain`] of numbered, immutable
+//! snapshots. The default query paths run against the *latest*
 //! generation; [`QueryService::snapshot`] hands out a pinned
 //! [`SnapshotRef`] whose view — index **and** cache namespace — stays
 //! frozen while updates advance the chain underneath it.
@@ -21,39 +21,19 @@ use dsr_graph::VertexId;
 
 use crate::batcher::{Admission, Batcher, BatcherConfig, Entry, RoundCost, ServiceError, Waiter};
 use crate::cache::{CachedPairs, QueryCache, SigKey};
-use crate::snapshot::{ExclusiveRefused, Generation, GenerationChain, GenerationId};
+use crate::snapshot::{Generation, GenerationChain, GenerationId};
 
-/// Why an update could not be applied.
+/// Why an update could not be applied. Either way nothing was applied: the
+/// generation did not advance and the hot cache is untouched.
 #[derive(Debug)]
 pub enum UpdateError {
-    /// Pinned [`SnapshotRef`]s hold the latest generation, so
-    /// [`UpdateMode::InPlace`] cannot mutate it without tearing their
-    /// consistent view. Wait for the pins to drop, or use
-    /// [`UpdateMode::ForkAndSwap`] / [`UpdateMode::Auto`], which fork
-    /// around the readers.
-    PinnedReaders {
-        /// The pinned latest generation.
-        generation: GenerationId,
-        /// How many pins were outstanding at the attempt.
-        pins: usize,
-    },
-    /// Raw `Arc` clones of the index (from [`QueryService::index`]) are
-    /// outstanding, so mutating in place would race with concurrent
-    /// readers. Either drop the clones, use [`UpdateMode::ForkAndSwap`] /
-    /// [`UpdateMode::Auto`], or rebuild offline and
-    /// [`install_index`](QueryService::install_index).
-    IndexShared,
     /// The service's transport failed while shipping the refresh deltas
-    /// (e.g. a TCP worker died mid-exchange). On the in-place path the
-    /// owned index may be left partially refreshed — the consumed
-    /// generation's cache namespace is retired either way, so no stale
-    /// answer survives; prefer [`UpdateMode::ForkAndSwap`] on fallible
-    /// transports, where the half-applied fork is discarded and readers
-    /// keep the last good generation.
+    /// (e.g. a TCP worker died mid-exchange). The half-refreshed fork is
+    /// discarded; readers keep the last good generation.
     Transport(TransportError),
     /// An op of the batch names a vertex the served graph does not have.
-    /// The batch is checked as a whole before any lock is taken: nothing
-    /// was applied and the generation did not advance.
+    /// The batch is checked as a whole, under the update lock, against the
+    /// generation it would have been applied to.
     InvalidVertex {
         /// The first offending endpoint, in batch order.
         vertex: VertexId,
@@ -65,15 +45,6 @@ pub enum UpdateError {
 impl std::fmt::Display for UpdateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            UpdateError::PinnedReaders { generation, pins } => write!(
-                f,
-                "generation {generation} is pinned by {pins} SnapshotRef(s); drop the pins or \
-                 update with UpdateMode::ForkAndSwap / UpdateMode::Auto"
-            ),
-            UpdateError::IndexShared => f.write_str(
-                "index Arc is shared with outstanding readers; drop the clones, use \
-                 UpdateMode::ForkAndSwap (or Auto), or rebuild and install_index",
-            ),
             UpdateError::Transport(err) => write!(f, "update delta exchange failed: {err}"),
             UpdateError::InvalidVertex {
                 vertex,
@@ -90,7 +61,7 @@ impl std::error::Error for UpdateError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             UpdateError::Transport(err) => Some(err),
-            _ => None,
+            UpdateError::InvalidVertex { .. } => None,
         }
     }
 }
@@ -101,38 +72,13 @@ impl From<TransportError> for UpdateError {
     }
 }
 
-impl From<ExclusiveRefused> for UpdateError {
-    fn from(refused: ExclusiveRefused) -> Self {
-        match refused {
-            ExclusiveRefused::Pinned { generation, pins } => {
-                UpdateError::PinnedReaders { generation, pins }
-            }
-            ExclusiveRefused::IndexShared { .. } => UpdateError::IndexShared,
-        }
-    }
-}
-
-/// How [`QueryService::update`] obtains a mutable index.
+/// How [`QueryService::update`] obtains a mutable index: there is one way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdateMode {
-    /// Mutate the latest generation's index in place — the cheapest path,
-    /// but it refuses (typed [`UpdateError::PinnedReaders`] /
-    /// [`UpdateError::IndexShared`]) whenever the latest generation is
-    /// pinned or its index `Arc` is shared. A *successful* in-place batch
-    /// that changed anything still advances the generation chain: the
-    /// mutated index is re-wrapped under a fresh id (provably unobserved
-    /// — exclusivity was required), so cache namespaces stay
-    /// generation-exact.
-    InPlace,
-    /// Fork the latest index ([`DsrIndex::fork`]), mutate the fork, and
-    /// install it as a new generation only when the batch changed
-    /// anything. Pinned readers keep their old generation; costs one
-    /// local-index rebuild per partition.
-    ForkAndSwap,
-    /// Try [`InPlace`](UpdateMode::InPlace) first and fall back to
-    /// [`ForkAndSwap`](UpdateMode::ForkAndSwap) when exclusivity is
-    /// refused — the recommended default for mixed OLTP/analytical
-    /// tenancy.
+    /// Fork the latest index ([`DsrIndex::fork`]), apply the batch to the
+    /// fork, and install it as a new generation only when the batch
+    /// succeeded and changed something. Pinned readers keep their old
+    /// generation and no reader waits for the batch.
     #[default]
     Auto,
 }
@@ -193,7 +139,7 @@ pub struct ServiceConfig {
     pub admission_depth: usize,
     /// Which communication backend the service's engine runs over:
     /// [`TransportKind::InProcess`] (zero-copy moves, the default),
-    /// [`TransportKind::Wire`] (serialized framed bytes through OS pipes)
+    /// [`TransportKind::Wire`] (every message encoded and decoded in process)
     /// or [`TransportKind::Tcp`] (framed bytes through loopback TCP worker
     /// endpoints; to front **external** `dsr-node` workers, connect a
     /// [`TcpTransport`](dsr_cluster::TcpTransport) yourself and use
@@ -362,8 +308,7 @@ impl QueryTicket {
 /// its cache namespace, frozen for the lifetime of the ref.
 ///
 /// Obtained with [`QueryService::snapshot`]. Holding a `SnapshotRef`
-/// *pins* its generation: updates keep advancing the chain (via
-/// [`UpdateMode::ForkAndSwap`] / [`UpdateMode::Auto`]), but this
+/// *pins* its generation: updates keep advancing the chain, but this
 /// generation — and every cached answer in its namespace — stays alive
 /// and byte-identical until the ref drops. Queries through the ref still
 /// fuse with other clients' traffic in the batch former; entries pinned
@@ -481,7 +426,7 @@ impl Drop for SnapshotRef<'_> {
 ///   last pin drops ([`GenerationStats`] reports the gauges).
 ///
 /// [`QueryService::update`] applies incremental update batches (Section
-/// 3.3.3 of the paper) under an explicit [`UpdateMode`];
+/// 3.3.3 of the paper) to a fork of the latest index;
 /// [`QueryOptions`] gives per-query control (cache bypass, explicit
 /// generation pinning) over the read side.
 pub struct QueryService {
@@ -555,9 +500,9 @@ impl QueryService {
 
     /// A clone of the latest generation's index `Arc`.
     ///
-    /// Note this is a *raw* index clone, not a generation pin: holding it
-    /// blocks [`UpdateMode::InPlace`] (typed [`UpdateError::IndexShared`])
-    /// but does **not** retain the generation's cache namespace. Prefer
+    /// Note this is a *raw* index clone, not a generation pin: the index
+    /// stays valid (generations are immutable), but holding it does **not**
+    /// retain the generation's cache namespace. Prefer
     /// [`QueryService::snapshot`] for a consistent pinned view.
     pub fn index(&self) -> Arc<DsrIndex> {
         Arc::clone(self.core.generations.latest().index())
@@ -587,7 +532,7 @@ impl QueryService {
 
     /// Failover counters for this service's transport: retries, suspects
     /// and resyncs accumulated while routing around dead replicas. All
-    /// zeros on the in-process and pipe backends (which cannot fail) and on
+    /// zeros on the in-process and wire backends (no worker to lose) and on
     /// a fault-free TCP cluster — [`FailoverSnapshot::is_zero`] is the
     /// degraded-mode check.
     pub fn failover_stats(&self) -> FailoverSnapshot {
@@ -690,21 +635,6 @@ impl QueryService {
         self.submit_pinned(generation, sources, targets, options.cache, true)
     }
 
-    /// Non-blocking [`submit_with`](QueryService::submit_with).
-    ///
-    /// # Errors
-    /// [`ServiceError::Overloaded`] on a saturated admission queue,
-    /// [`ServiceError::GenerationReclaimed`] on a dead pin.
-    pub fn try_submit_with(
-        &self,
-        sources: &[VertexId],
-        targets: &[VertexId],
-        options: QueryOptions,
-    ) -> Result<QueryTicket, ServiceError> {
-        let generation = self.resolve_pin(&options)?;
-        self.submit_pinned(generation, sources, targets, options.cache, false)
-    }
-
     /// Resolves `options.pin` to a live generation (the latest when
     /// unset).
     fn resolve_pin(&self, options: &QueryOptions) -> Result<Arc<Generation>, ServiceError> {
@@ -775,7 +705,7 @@ impl QueryService {
     /// # Panics
     /// On transport failure, like the underlying
     /// [`DsrEngine::set_reachability`](dsr_core::DsrEngine::set_reachability)
-    /// — the in-process and pipe backends never fail; TCP-fronted callers
+    /// — the in-process and wire backends lose no worker; TCP-fronted callers
     /// who need the typed error use [`try_query`](QueryService::try_query)
     /// or [`query_batch`](QueryService::query_batch).
     pub fn query(&self, sources: &[VertexId], targets: &[VertexId]) -> CachedPairs {
@@ -833,7 +763,7 @@ impl QueryService {
     /// [`ServiceError::Transport`] when the fused execution fails (e.g. a
     /// TCP worker disconnecting) — nothing is cached from a failed batch —
     /// and never [`ServiceError::Overloaded`]: a whole batch blocks for
-    /// admission. The in-process and pipe backends never fail.
+    /// admission. The in-process and wire backends lose no worker.
     pub fn query_batch(&self, queries: &[SetQuery]) -> Result<BatchReply, ServiceError> {
         let generation = self.core.generations.latest();
         self.query_batch_pinned(generation, queries, true)
@@ -972,26 +902,32 @@ impl QueryService {
     /// through this service's transport — their measured cost accumulates
     /// in [`QueryService::update_stats`].
     ///
-    /// `mode` selects the ownership path — see [`UpdateMode`]. On every
-    /// path the cache stays generation-exact: a batch that changed
-    /// anything advances the chain (fresh namespace, old one retired or
-    /// retained for its pinned readers), while a complete no-op batch
-    /// (duplicates, already-absent deletions) keeps the generation and
-    /// the hot cache, so idempotent replays cannot collapse the hit rate.
+    /// The batch is applied to a fork of the latest generation's index,
+    /// and the fork is installed iff the batch succeeded and changed
+    /// something: fresh namespace, old one retired or retained for its
+    /// pinned readers. A complete no-op batch (duplicates, already-absent
+    /// deletions) keeps the generation and the hot cache, so idempotent
+    /// replays cannot collapse the hit rate. Queries keep running against
+    /// the old generation while the batch is applied.
     ///
     /// # Errors
-    /// [`UpdateError::PinnedReaders`] / [`UpdateError::IndexShared`] when
-    /// `mode` is [`UpdateMode::InPlace`] and exclusivity was refused —
-    /// the batch is **not** applied; [`UpdateError::InvalidVertex`] when
-    /// an op names a vertex outside the served graph — nothing is applied
-    /// either; [`UpdateError::Transport`] when the delta exchange failed.
-    pub fn update(&self, ops: &[UpdateOp], mode: UpdateMode) -> Result<UpdateOutcome, UpdateError> {
+    /// [`UpdateError::InvalidVertex`] when an op names a vertex outside the
+    /// served graph, [`UpdateError::Transport`] when the delta exchange
+    /// failed. Both drop the fork: nothing is applied.
+    pub fn update(
+        &self,
+        ops: &[UpdateOp],
+        _mode: UpdateMode,
+    ) -> Result<UpdateOutcome, UpdateError> {
         let ops = coalesce_updates(ops);
         let generations = &self.core.generations;
-        // Checked before the update lock (and the chain mutex of the
-        // in-place path) is taken: the pipeline indexes by vertex id and
-        // would panic while holding them.
-        let num_vertices = generations.latest().index().partitioning.num_vertices();
+        // One update at a time, end to end: two concurrent updates must not
+        // both fork the same parent, and the generation validated below
+        // must be the one that is forked.
+        let _serial = generations.lock_updates();
+        let latest = generations.latest();
+        // The pipeline indexes by vertex id and would panic on a bad one.
+        let num_vertices = latest.index().partitioning.num_vertices();
         let mut endpoints = ops.iter().flat_map(|op| <[VertexId; 2]>::from(op.edge()));
         if let Some(vertex) = endpoints.find(|&v| v as usize >= num_vertices) {
             return Err(UpdateError::InvalidVertex {
@@ -999,53 +935,16 @@ impl QueryService {
                 num_vertices,
             });
         }
-        let apply =
-            |index: &mut DsrIndex| index.apply_updates_with_transport(&ops, &self.core.transport);
-        let changed = |result: &Result<UpdateOutcome, TransportError>| {
-            result.as_ref().is_ok_and(|o| o.rebuilt_compounds)
-        };
-        // One update at a time, end to end: two concurrent fork-based
-        // updates must not both fork the same parent.
-        let _serial = generations.lock_updates();
-        let result = 'applied: {
-            if mode != UpdateMode::ForkAndSwap {
-                // An in-place transport failure may leave the index
-                // partially refreshed: the generation must advance
-                // (retiring the old namespace) so no pre-update answer
-                // survives.
-                match generations.mutate_exclusive(apply, |r| r.is_err() || changed(r)) {
-                    Ok(mutated) => {
-                        if let Some(retired) = mutated.retired {
-                            // Open the advanced generation's namespace
-                            // before retiring the consumed one: a reader
-                            // racing the swap finds a live namespace
-                            // either way.
-                            self.core.cache.open(mutated.generation);
-                            self.core.cache.retire(retired);
-                            self.core.stats.record_invalidation();
-                        }
-                        break 'applied mutated.result;
-                    }
-                    Err(refused) if mode == UpdateMode::InPlace => return Err(refused.into()),
-                    Err(_) => {} // Auto: fall through to the fork path.
-                }
-            }
-            let latest = generations.latest();
-            let mut fork = latest.index().fork();
-            let result = apply(&mut fork);
-            // Only a successful, actually-changing batch installs the
-            // fork; a half-applied fork (transport failure) is discarded.
-            if changed(&result) {
-                let installed = generations.install(Arc::new(fork));
-                self.core.cache.open(installed.id());
-                // Shed our own pin before reaping: when no reader pins the
-                // superseded generation, it (and its namespace) dies now.
-                drop(latest);
-                self.reap_generations();
-            }
-            result
-        };
-        let outcome = result?;
+        let mut fork = latest.index().fork();
+        let outcome = fork.apply_updates_with_transport(&ops, &self.core.transport)?;
+        if outcome.rebuilt_compounds {
+            let installed = generations.install(Arc::new(fork));
+            self.core.cache.open(installed.id());
+            // Shed our own pin before reaping: when no reader pins the
+            // superseded generation, it (and its namespace) dies now.
+            drop(latest);
+            self.reap_generations();
+        }
         self.updates_comm.add(
             outcome.stats.update_rounds,
             outcome.stats.update_messages,
@@ -1060,16 +959,6 @@ impl QueryService {
     /// [`QueryService::comm_stats`].
     pub fn update_stats(&self) -> UpdateStats {
         UpdateStats::from_comm(&self.updates_comm)
-    }
-
-    /// Explicitly drops every live namespace's entries (an administrative
-    /// clear — updates invalidate generation-exactly on their own).
-    pub fn invalidate_cache(&self) {
-        for namespace in self.core.cache.live_namespaces() {
-            self.core.cache.retire(namespace);
-            self.core.cache.open(namespace);
-        }
-        self.core.stats.record_invalidation();
     }
 
     /// Reclaims every generation whose last pin has dropped, retiring the
@@ -1286,12 +1175,12 @@ mod tests {
         let service = chain_service();
         assert!(service.query(&[5], &[0]).is_empty());
         let outcome = service
-            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace)
-            .expect("no pins or index clones outstanding");
+            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
+            .expect("in-process transport");
         assert!(outcome.rebuilt_compounds);
         let stats = service.generation_stats();
         assert_eq!(stats.latest, 1, "a real batch advances the chain");
-        assert_eq!(stats.retained, 1, "the consumed generation died with it");
+        assert_eq!(stats.retained, 1, "the old generation died with it");
         assert_eq!(stats.reclaimed, 1);
         assert_eq!(service.cache_len(), 0, "old namespace retired");
         assert_eq!(service.cache_stats().invalidations(), 1);
@@ -1300,57 +1189,48 @@ mod tests {
 
     #[test]
     fn pinned_readers_refuse_in_place_updates_with_a_typed_error() {
+        // A pinned latest generation is retained; the update lands beside
+        // it and refuses nothing.
         let service = chain_service();
         let snap = service.snapshot();
-        let err = service
-            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                UpdateError::PinnedReaders {
-                    generation: 0,
-                    pins: 1
-                }
-            ),
-            "got {err:?}"
-        );
-        assert!(err.to_string().contains("pinned"));
+        let shared = service.index();
+        service
+            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
+            .expect("pins and index clones are no obstacle");
+        let stats = service.generation_stats();
+        assert_eq!((stats.latest, stats.retained, stats.reclaimed), (1, 2, 0));
+        assert_eq!(snap.generation(), 0);
+        assert!(Arc::ptr_eq(snap.index(), &shared), "pinned index untouched");
+        assert!(!shared.cut.edges.contains(&(5, 0)));
+        assert!(service.index().cut.edges.contains(&(5, 0)));
         drop(snap);
-        assert!(service
-            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace)
-            .is_ok());
+        assert_eq!(service.generation_stats().retained, 1);
     }
 
     #[test]
     fn out_of_range_vertices_are_a_typed_error_and_apply_nothing() {
         let service = chain_service();
-        for mode in [UpdateMode::Auto, UpdateMode::InPlace] {
-            // A valid op first: the batch is refused as a whole.
-            let ops = [UpdateOp::Insert(5, 0), UpdateOp::Delete(2, 6)];
-            let err = service.update(&ops, mode).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    UpdateError::InvalidVertex {
-                        vertex: 6,
-                        num_vertices: 6
-                    }
-                ),
-                "got {err:?}"
-            );
-            assert!(err.to_string().contains("vertex 6"), "{err}");
-            assert_eq!(service.generation_stats().latest, 0, "nothing applied");
-            assert!(service.query(&[5], &[0]).is_empty());
-        }
-        // No lock was left poisoned or held: the next valid batch lands on
-        // either path.
-        let insert = service.update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace);
-        assert!(insert.expect("valid batch").rebuilt_compounds);
-        let delete = service.update(&[UpdateOp::Delete(5, 0)], UpdateMode::Auto);
-        assert!(delete.expect("valid batch").rebuilt_compounds);
-        assert_eq!(service.generation_stats().latest, 2);
+        // A valid op first: the batch is refused as a whole.
+        let ops = [UpdateOp::Insert(5, 0), UpdateOp::Delete(2, 6)];
+        let err = service.update(&ops, UpdateMode::Auto).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                UpdateError::InvalidVertex {
+                    vertex: 6,
+                    num_vertices: 6
+                }
+            ),
+            "got {err:?}"
+        );
+        assert!(err.to_string().contains("vertex 6"), "{err}");
+        assert_eq!(service.generation_stats().latest, 0, "nothing applied");
         assert!(service.query(&[5], &[0]).is_empty());
+        // The update lock was released: the next valid batch lands.
+        let insert = service.update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto);
+        assert!(insert.expect("valid batch").rebuilt_compounds);
+        assert_eq!(service.generation_stats().latest, 1);
+        assert_eq!(*service.query(&[5], &[0]), vec![(5, 0)]);
     }
 
     #[test]
@@ -1359,8 +1239,8 @@ mod tests {
         let snap = service.snapshot();
         assert!(snap.query(&[5], &[0]).is_empty());
         let outcome = service
-            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::ForkAndSwap)
-            .expect("fork path never refuses");
+            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
+            .expect("in-process transport");
         assert!(outcome.rebuilt_compounds);
         // The pinned snapshot still answers from its frozen generation …
         assert!(snap.query(&[5], &[0]).is_empty());
@@ -1381,8 +1261,8 @@ mod tests {
         assert_eq!(*before, vec![(0, 5)]);
         // Sever the chain's cut edge for fresh traffic.
         service
-            .update(&[UpdateOp::Delete(2, 3)], UpdateMode::ForkAndSwap)
-            .expect("fork path");
+            .update(&[UpdateOp::Delete(2, 3)], UpdateMode::Auto)
+            .expect("in-process transport");
         assert!(service.query(&[0], &[5]).is_empty(), "latest is severed");
         // The pinned repeat is answered from the retained generation's own
         // namespace: identical Arc, zero communication.
@@ -1401,18 +1281,18 @@ mod tests {
         let snap = service.snapshot();
         service
             .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
-            .expect("auto forks around the pin");
+            .expect("the fork lands beside the pin");
         assert_eq!(snap.generation(), 0, "pinned view unmoved");
         assert_eq!(service.generation_stats().latest, 1);
         drop(snap);
-        // Unpinned: auto takes the in-place path — the chain advances but
-        // nothing extra is retained.
+        // Unpinned, the same path: the chain advances and the superseded
+        // generation is reclaimed on the spot.
         service
             .update(&[UpdateOp::Delete(5, 0)], UpdateMode::Auto)
-            .expect("in-place path");
+            .expect("in-process transport");
         let stats = service.generation_stats();
-        assert_eq!(stats.latest, 2);
-        assert_eq!(stats.retained, 1);
+        assert_eq!((stats.latest, stats.retained), (2, 1));
+        assert_eq!((stats.created, stats.reclaimed), (3, 2));
     }
 
     #[test]
@@ -1421,8 +1301,8 @@ mod tests {
         let snap = service.snapshot();
         let pinned_id = snap.generation();
         service
-            .update(&[UpdateOp::Delete(2, 3)], UpdateMode::ForkAndSwap)
-            .expect("fork path");
+            .update(&[UpdateOp::Delete(2, 3)], UpdateMode::Auto)
+            .expect("in-process transport");
         let old = service
             .query_with(
                 &[0],
@@ -1462,16 +1342,16 @@ mod tests {
         // and its hot namespace must survive (idempotent replays cannot
         // collapse the hit rate).
         let outcome = service
-            .update(&[UpdateOp::Insert(0, 1)], UpdateMode::InPlace)
-            .expect("index exclusively owned");
+            .update(&[UpdateOp::Insert(0, 1)], UpdateMode::Auto)
+            .expect("in-process transport");
         assert!(!outcome.rebuilt_compounds);
         assert_eq!(service.generation_stats().latest, 0, "no-op keeps the id");
         assert_eq!(service.cache_len(), 1, "no-op does not invalidate");
         assert_eq!(service.cache_stats().invalidations(), 0);
         // A real update still invalidates.
         service
-            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace)
-            .expect("index exclusively owned");
+            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
+            .expect("in-process transport");
         assert_eq!(service.cache_len(), 0);
         assert_eq!(service.cache_stats().invalidations(), 1);
     }
@@ -1482,13 +1362,79 @@ mod tests {
         let pinned = service.index();
         let outcome = service
             .update(&[UpdateOp::Insert(0, 1)], UpdateMode::Auto) // duplicate: no-op
-            .expect("auto falls back to the fork path");
+            .expect("in-process transport");
         assert!(!outcome.rebuilt_compounds);
         assert!(
             Arc::ptr_eq(&pinned, &service.index()),
             "untouched fork is discarded, not installed"
         );
         assert_eq!(service.generation_stats().latest, 0);
+    }
+
+    #[test]
+    fn failed_update_batch_changes_nothing() {
+        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+        let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
+        let transport = dsr_cluster::TcpTransport::loopback_with_timeout(Duration::from_secs(5));
+        let service = QueryService::with_config_and_transport(
+            Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
+            ServiceConfig::default(),
+            DynTransport::Tcp(transport),
+        );
+        let warmed = service.query(&[0], &[5]);
+        assert_eq!(*warmed, vec![(0, 5)]);
+        let before = (service.generation_stats(), service.cache_len());
+
+        // R = 1: with worker 0 gone the refresh exchange cannot be placed.
+        let tcp = service.transport().as_tcp().expect("tcp backend");
+        tcp.debug_disconnect_worker(0);
+        let batch = [UpdateOp::Insert(5, 0)];
+        let err = service.update(&batch, UpdateMode::Auto).unwrap_err();
+        assert!(matches!(err, UpdateError::Transport(_)), "got {err:?}");
+        // The half-refreshed fork was dropped: same generation, same
+        // namespace, and the warmed answer is still served from it.
+        assert_eq!((service.generation_stats(), service.cache_len()), before);
+        assert_eq!(service.cache_stats().invalidations(), 0);
+        let hits = service.cache_stats().hits();
+        assert!(Arc::ptr_eq(&warmed, &service.query(&[0], &[5])));
+        assert_eq!(service.cache_stats().hits(), hits + 1);
+        assert!(service.update_stats().is_zero());
+
+        // Once the worker is back the same batch lands, one generation on.
+        assert_eq!(tcp.rejoin_suspects::<u32>(&[], service.comm_stats()), [0]);
+        let outcome = service.update(&batch, UpdateMode::Auto).expect("healed");
+        assert!(outcome.rebuilt_compounds);
+        assert_eq!(service.generation_stats().latest, before.0.latest + 1);
+        assert_eq!(*service.query(&[5], &[0]), vec![(5, 0)]);
+    }
+
+    /// `update` validates the batch against the generation it forks, under
+    /// the update lock: racing an `install_index` of a smaller graph it
+    /// lands first (`Ok`) or is refused (`InvalidVertex`) — in no schedule
+    /// does the pipeline index a vertex the forked graph does not have.
+    #[test]
+    fn model_update_validates_the_generation_it_forks() {
+        use crate::snapshot::one_partition_index;
+        dsr_sync::model::Model::new()
+            .check(|| {
+                let service = Arc::new(QueryService::new(one_partition_index(6)));
+                let installer = {
+                    let service = Arc::clone(&service);
+                    dsr_sync::thread::spawn(move || service.install_index(one_partition_index(4)))
+                };
+                let result = service.update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto);
+                installer.join().unwrap();
+                match result {
+                    Ok(outcome) => assert!(outcome.rebuilt_compounds, "landed first"),
+                    Err(UpdateError::InvalidVertex {
+                        vertex: 5,
+                        num_vertices: 4,
+                    }) => {}
+                    Err(other) => panic!("unexpected {other:?}"),
+                }
+                assert_eq!(service.index().partitioning.num_vertices(), 4);
+            })
+            .expect("update vs install_index must hold in every schedule");
     }
 
     #[test]
@@ -1499,16 +1445,16 @@ mod tests {
         let outcome = service
             .update(
                 &[UpdateOp::Insert(5, 0), UpdateOp::Delete(5, 0)],
-                UpdateMode::InPlace,
+                UpdateMode::Auto,
             )
-            .expect("index exclusively owned");
+            .expect("in-process transport");
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.stats.is_zero());
         assert!(service.update_stats().is_zero());
         // A real cut-edge insertion ships its two deltas and accumulates.
         let outcome = service
-            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace)
-            .expect("index exclusively owned");
+            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
+            .expect("in-process transport");
         assert_eq!(outcome.refreshed_summaries, vec![0, 1]);
         let total = service.update_stats();
         assert_eq!(total.update_rounds, 1);
@@ -1632,23 +1578,13 @@ mod tests {
             tcp.comm_stats().snapshot(),
             "tcp protocol cost equals the in-process accounting"
         );
-        // Updates through the service ship their deltas over TCP too
-        // (exclusively owned index: the in-place path).
-        let g2 = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let p2 = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let owned = QueryService::with_config(
-            Arc::new(DsrIndex::build(&g2, p2, LocalIndexKind::Dfs)),
-            ServiceConfig {
-                transport: TransportKind::Tcp,
-                ..ServiceConfig::default()
-            },
-        );
-        let out = owned
-            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::InPlace)
+        // Updates through the service ship their deltas over TCP too.
+        let out = tcp
+            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
             .expect("tcp update");
         assert!(out.rebuilt_compounds);
-        assert!(owned.update_stats().update_bytes > 0);
-        assert_eq!(*owned.query(&[5], &[0]), vec![(5, 0)]);
+        assert!(tcp.update_stats().update_bytes > 0);
+        assert_eq!(*tcp.query(&[5], &[0]), vec![(5, 0)]);
     }
 
     #[test]

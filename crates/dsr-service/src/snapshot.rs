@@ -1,12 +1,12 @@
 //! The generation chain: MVCC snapshots of the installed index.
 //!
 //! The serving layer's index lives in a [`GenerationChain`]: every install
-//! or mutating update batch produces a numbered, immutable [`Generation`]
-//! wrapping an `Arc<DsrIndex>`. The *latest* generation answers the
-//! default query paths; **pinned** readers (the service's `SnapshotRef`)
-//! hold an `Arc<Generation>` of whatever generation was latest when they
-//! pinned, so long analytical scans keep a consistent view while the live
-//! index advances underneath them:
+//! — of a rebuilt index or of an updated fork — produces a numbered,
+//! immutable [`Generation`] wrapping an `Arc<DsrIndex>`. The *latest*
+//! generation answers the default query paths; **pinned** readers (the
+//! service's `SnapshotRef`) hold an `Arc<Generation>` of whatever generation
+//! was latest when they pinned, so long analytical scans keep a consistent
+//! view while the live index advances underneath them:
 //!
 //! ```text
 //!   install/update        install/update
@@ -23,15 +23,13 @@
 //! generation's only non-pin owner is the chain, so a registry entry with
 //! no outside `Arc` clones is provably unobservable and safe to drop.
 //!
-//! The latest generation sits in one `Mutex<Arc<Generation>>`: a read locks
-//! and clones the `Arc`, an install locks and stores, and in-place mutation
-//! ([`GenerationChain::mutate_exclusive`]) holds the lock — readers briefly
-//! block, exactly as they must — and asks `Arc::get_mut`, which succeeds if
-//! and only if no clone is outstanding. That distinguishes *pinned snapshot
-//! readers* ([`ExclusiveRefused::Pinned`]) from *shared index `Arc`s*
-//! ([`ExclusiveRefused::IndexShared`]); an old generation's pins never
-//! block the latest generation's in-place path, because each generation
-//! owns its own `Arc<DsrIndex>`.
+//! A generation is immutable from [`GenerationChain::install`] to
+//! reclamation. `install` is the only producer of generations after
+//! generation 0: the service applies an update batch to a fork of the latest
+//! index and installs the fork like any rebuilt index. The latest generation
+//! sits in one `Mutex<Arc<Generation>>` that is held for an `Arc` clone (a
+//! read) or an `Arc` store (an install) and never across caller code, so
+//! readers do not wait for an update.
 //!
 //! Readers racing an install may observe the old or the new generation —
 //! that is the documented snapshot semantics of the service; cache
@@ -44,20 +42,16 @@ use dsr_sync::{Arc, Mutex, MutexGuard};
 use dsr_core::DsrIndex;
 
 /// Monotonic identifier of a [`Generation`] in a [`GenerationChain`].
-/// Generation 0 is the index the chain was created over; every install or
-/// mutating update batch takes the next id. Ids are never reused, so a
-/// reclaimed generation's id stays a valid "this snapshot is gone" token.
+/// Generation 0 is the index the chain was created over; every install
+/// takes the next id. Ids are never reused, so a reclaimed generation's id
+/// stays a valid "this snapshot is gone" token.
 pub type GenerationId = u64;
 
 /// One numbered, immutable snapshot of the served index.
 ///
-/// A generation is created by [`GenerationChain::install`] or an advancing
-/// [`GenerationChain::mutate_exclusive`] and never mutated afterwards
-/// (in-place mutation *consumes* the old generation and wraps the mutated
-/// index in a fresh one — provably unobserved, because the exclusive path
-/// refuses to run while any pin is outstanding). Holding an
-/// `Arc<Generation>` **pins** it: the chain retains pinned generations and
-/// reclaims them when the last pin drops.
+/// A generation is created by [`GenerationChain::install`] and never
+/// mutated afterwards. Holding an `Arc<Generation>` **pins** it: the chain
+/// retains pinned generations and reclaims them when the last pin drops.
 pub struct Generation {
     id: GenerationId,
     index: Arc<DsrIndex>,
@@ -81,40 +75,6 @@ impl Generation {
     }
 }
 
-/// Why [`GenerationChain::mutate_exclusive`] refused to mutate in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExclusiveRefused {
-    /// Pinned `SnapshotRef`s hold the **latest** generation: mutating the
-    /// index under them would tear their consistent view. (Pins on *old*
-    /// generations never refuse the exclusive path — each generation owns
-    /// its own index `Arc`.)
-    Pinned {
-        /// The pinned latest generation.
-        generation: GenerationId,
-        /// How many pins were outstanding at the attempt.
-        pins: usize,
-    },
-    /// The latest generation itself was unpinned, but raw `Arc<DsrIndex>`
-    /// clones (from `QueryService::index`) are outstanding.
-    IndexShared {
-        /// The generation whose index `Arc` is shared.
-        generation: GenerationId,
-    },
-}
-
-/// Outcome of a successful [`GenerationChain::mutate_exclusive`].
-#[derive(Debug)]
-pub struct Mutated<R> {
-    /// Whatever the mutation closure returned.
-    pub result: R,
-    /// The generation now serving: a fresh id when the mutation advanced
-    /// the chain, the unchanged latest id for a no-op batch.
-    pub generation: GenerationId,
-    /// The generation consumed by an advancing mutation — its cache
-    /// namespace is dead and the caller reclaims it. `None` for a no-op.
-    pub retired: Option<GenerationId>,
-}
-
 /// The MVCC spine of the service: the latest [`Generation`] plus a registry
 /// of retained (superseded but still pinned) generations.
 ///
@@ -136,9 +96,9 @@ pub struct GenerationChain {
     /// a superseded generation is in here by the time readers can no longer
     /// reach it through `latest`.
     registry: Mutex<Vec<Arc<Generation>>>,
-    /// Serializes whole update operations (fork → mutate → install) so two
-    /// concurrent fork-based updates cannot both fork the same parent and
-    /// silently lose one batch. Held via [`GenerationChain::lock_updates`]
+    /// Serializes whole update operations (fork → apply → install) so two
+    /// concurrent updates cannot both fork the same parent and silently
+    /// lose one batch. Held via [`GenerationChain::lock_updates`]
     /// across the service's update entry points; never held by readers.
     update_lock: Mutex<()>,
     /// The next generation id == number of generations ever created.
@@ -179,8 +139,8 @@ impl GenerationChain {
             .map(Arc::clone)
     }
 
-    /// Serializes update operations end to end (exclusive attempt, fork,
-    /// install). Readers never take this lock.
+    /// Serializes update operations end to end (fork, apply, install).
+    /// Readers never take this lock.
     pub fn lock_updates(&self) -> MutexGuard<'_, ()> {
         dsr_sync::lock(&self.update_lock)
     }
@@ -197,65 +157,6 @@ impl GenerationChain {
         registry.push(std::mem::replace(&mut *latest, Arc::clone(&generation)));
         self.latest_id.store(generation.id, Ordering::SeqCst);
         generation
-    }
-
-    /// Runs `mutate` with exclusive access to the latest generation's
-    /// index; when `advanced(&result)` reports a real change, the mutated
-    /// index becomes a fresh generation and the consumed one is retired
-    /// (see [`Mutated::retired`]).
-    ///
-    /// Callers serialize through [`GenerationChain::lock_updates`].
-    ///
-    /// # Errors
-    /// [`ExclusiveRefused::Pinned`] when `SnapshotRef`s pin the latest
-    /// generation (`mutate` does not run), [`ExclusiveRefused::IndexShared`]
-    /// when raw index `Arc` clones are outstanding. Pins on *older*
-    /// generations never refuse — that was the spurious `Arc::get_mut`
-    /// failure of the single-snapshot design.
-    pub fn mutate_exclusive<R>(
-        &self,
-        mutate: impl FnOnce(&mut DsrIndex) -> R,
-        advanced: impl FnOnce(&R) -> bool,
-    ) -> Result<Mutated<R>, ExclusiveRefused> {
-        // Held for the whole mutation: readers block, and the strong count
-        // below is 1 (the chain) + outstanding pins.
-        let mut latest = dsr_sync::lock(&self.latest);
-        let pins = Arc::strong_count(&latest) - 1;
-        let current = latest.id;
-        let Some(generation) = Arc::get_mut(&mut latest) else {
-            return Err(ExclusiveRefused::Pinned {
-                generation: current,
-                pins,
-            });
-        };
-        let Some(index) = Arc::get_mut(&mut generation.index) else {
-            return Err(ExclusiveRefused::IndexShared {
-                generation: current,
-            });
-        };
-        let result = mutate(index);
-        if !advanced(&result) {
-            return Ok(Mutated {
-                result,
-                generation: current,
-                retired: None,
-            });
-        }
-        // Consume the exclusively held generation: wrap the mutated index
-        // in a fresh one. No reader ever observed the mutation under the
-        // old id.
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let index = Arc::clone(&generation.index);
-        *latest = Arc::new(Generation { id, index });
-        self.latest_id.store(id, Ordering::SeqCst);
-        // The consumed generation never reaches the registry: it is
-        // reclaimed here, exactly once.
-        self.reclaimed.fetch_add(1, Ordering::SeqCst);
-        Ok(Mutated {
-            result,
-            generation: id,
-            retired: Some(current),
-        })
     }
 
     /// Reclaims every retained generation whose last pin has dropped,
@@ -310,6 +211,17 @@ impl std::fmt::Debug for GenerationChain {
     }
 }
 
+/// Test support: an index over `n` isolated vertices in one partition. One
+/// partition keeps `SlavePool::run` on its inline fast path, so a model
+/// execution that builds, forks or updates one stays fully model-controlled.
+#[cfg(test)]
+pub(crate) fn one_partition_index(n: usize) -> Arc<DsrIndex> {
+    let graph = dsr_graph::DiGraph::from_edges(n, &[]);
+    let partitioning = dsr_partition::Partitioning::new(vec![0; n], 1);
+    let kind = dsr_reach::LocalIndexKind::Dfs;
+    Arc::new(DsrIndex::build(&graph, partitioning, kind))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,23 +235,17 @@ mod tests {
         Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs))
     }
 
-    /// A one-partition index whose `generation.revision` is `revision`: the
-    /// marker the torn-read checks compare with the generation id. One
-    /// partition keeps `SlavePool::run` on its inline fast path, so a model
-    /// execution that builds one stays fully model-controlled.
-    fn marked_index(revision: u64) -> Arc<DsrIndex> {
-        let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let p = Partitioning::new(vec![0, 0, 0], 1);
-        let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        index.generation.revision = revision;
-        Arc::new(index)
+    /// An index over `marker + 1` vertices: the vertex count is the marker
+    /// the torn-read checks compare with the generation id.
+    fn marked_index(marker: u64) -> Arc<DsrIndex> {
+        one_partition_index(marker as usize + 1)
     }
 
     /// Id and index of a generation were created together.
     fn assert_not_torn(generation: &Generation) {
         assert_eq!(
-            generation.index().generation.revision,
-            generation.id(),
+            generation.index().partitioning.num_vertices() as u64,
+            generation.id() + 1,
             "torn generation observed"
         );
     }
@@ -370,38 +276,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn update_gets_exclusive_access_when_unpinned() {
-        let chain = GenerationChain::new(chain_index());
-        chain
-            .mutate_exclusive(|index| index.insert_edge(3, 0), |o| o.rebuilt_compounds)
-            .expect("no pins: exclusive");
-        // The mutated index is what the chain now serves.
-        assert!(chain.latest().index().cut.edges.contains(&(3, 0)));
-    }
-
-    #[test]
-    fn pinned_read_blocks_exclusivity_but_not_replacement() {
-        let chain = GenerationChain::new(chain_index());
-        let pin = chain.latest();
-        let mut ran = false;
-        let refused = chain.mutate_exclusive(|_| ran = true, |_| true);
-        assert!(matches!(refused, Err(ExclusiveRefused::Pinned { .. })));
-        assert!(!ran, "a refused mutation never runs");
-        // Fork-and-replace still works under the pin.
-        let replacement = chain_index();
-        chain.install(Arc::clone(&replacement));
-        assert_eq!(pin.id(), 0, "pinned reader keeps the old generation");
-        assert!(Arc::ptr_eq(chain.latest().index(), &replacement));
-        drop(pin);
-        drop(replacement);
-        chain
-            .mutate_exclusive(|_| (), |_| true)
-            .expect("pin dropped: exclusive again");
-    }
-
-    /// Model checks of the chain's read / install / mutate / reap protocol.
-    /// Under `--cfg dsr_model` these explore every interleaving within the
+    /// Model checks of the chain's read / install / reap protocol. Under
+    /// `--cfg dsr_model` these explore every interleaving within the
     /// preemption bound; in normal builds they degrade to a single smoke
     /// execution.
     mod model_protocol {
@@ -456,10 +332,9 @@ mod tests {
                 .expect("concurrent installs must leave the chain consistent");
         }
 
-        /// A reader pinning whatever is latest while the writer mutates in
-        /// place, installs and reaps: the pin is never torn, is never
-        /// reclaimed while held, and refuses exactly the in-place mutation
-        /// it overlaps.
+        /// A reader pinning whatever is latest while the writer installs
+        /// twice and reaps: the pin is never torn and never reclaimed
+        /// while held, and every unpinned generation is reclaimed.
         #[test]
         fn model_pinned_generation_survives_mutate_install_and_reap() {
             Model::new()
@@ -474,36 +349,17 @@ mod tests {
                             assert!(found.is_some(), "pinned generation was reclaimed");
                         })
                     };
-                    // In place: 0 → 1 when the reader's pin is not in the
-                    // way; either way ids and revisions stay in step.
-                    let mutated =
-                        chain.mutate_exclusive(|index| index.generation.advance(), |_| true);
-                    let next = match mutated {
-                        Ok(mutated) => {
-                            assert_eq!((mutated.generation, mutated.retired), (1, Some(0)));
-                            2
-                        }
-                        Err(refused) => {
-                            // The reader's pin, plus its lookup of it.
-                            assert!(matches!(
-                                refused,
-                                ExclusiveRefused::Pinned {
-                                    generation: 0,
-                                    pins: 1 | 2
-                                }
-                            ));
-                            1
-                        }
-                    };
-                    assert_eq!(chain.install(marked_index(next)).id(), next);
-                    chain.reap();
+                    for id in 1..=2 {
+                        assert_eq!(chain.install(marked_index(id)).id(), id);
+                        chain.reap();
+                    }
                     reader.join().unwrap();
                     chain.reap();
                     assert_not_torn(&chain.latest());
                     assert_eq!(chain.retained(), 1, "unpinned generations are reclaimed");
                     assert_eq!(chain.created(), chain.reclaimed() + 1);
                 })
-                .expect("pins must hold through mutate/install/reap in every schedule");
+                .expect("pins must hold through install/reap in every schedule");
         }
     }
 
@@ -535,76 +391,18 @@ mod tests {
         }
 
         #[test]
-        fn exclusive_mutation_advances_the_chain() {
-            let chain = GenerationChain::new(chain_index());
-            let mutated = chain
-                .mutate_exclusive(|index| index.insert_edge(3, 0), |o| o.rebuilt_compounds)
-                .expect("no pins, no shared index");
-            assert!(mutated.result.rebuilt_compounds);
-            assert_eq!(mutated.generation, 1);
-            assert_eq!(mutated.retired, Some(0));
-            assert_eq!(chain.latest_id(), 1);
-            assert_eq!(chain.retained(), 1, "consumed generation never retained");
-            assert_eq!(chain.reclaimed(), 1);
-        }
-
-        #[test]
-        fn noop_mutation_keeps_the_generation() {
-            let chain = GenerationChain::new(chain_index());
-            let mutated = chain
-                .mutate_exclusive(|index| index.insert_edge(0, 1), |o| o.rebuilt_compounds)
-                .expect("exclusive");
-            assert!(
-                !mutated.result.rebuilt_compounds,
-                "duplicate edge is a no-op"
-            );
-            assert_eq!(mutated.generation, 0);
-            assert_eq!(mutated.retired, None);
-            assert_eq!(chain.latest_id(), 0);
-        }
-
-        #[test]
-        fn latest_pin_refuses_exclusivity_with_pin_count() {
-            let chain = GenerationChain::new(chain_index());
-            let pin_a = chain.latest();
-            let pin_b = chain.latest();
-            let refused = chain
-                .mutate_exclusive(|index| index.insert_edge(3, 0), |_| true)
-                .expect_err("pinned latest generation");
-            assert_eq!(
-                refused,
-                ExclusiveRefused::Pinned {
-                    generation: 0,
-                    pins: 2
-                }
-            );
-            drop((pin_a, pin_b));
-            assert!(chain
-                .mutate_exclusive(|index| index.insert_edge(3, 0), |_| true)
-                .is_ok());
-        }
-
-        #[test]
         fn old_generation_pins_do_not_block_the_latest() {
             let chain = GenerationChain::new(chain_index());
             let old_pin = chain.latest();
-            chain.install(chain_index()); // old_pin now pins a *retained* generation
-            let mutated = chain
-                .mutate_exclusive(|index| index.insert_edge(3, 0), |_| true)
-                .expect("pins on old generations are not spurious conflicts");
-            assert_eq!(mutated.generation, 2);
+            chain.install(chain_index());
+            chain.install(chain_index());
+            // Generation 0 is pinned, 1 is not: the chain advances past
+            // both and reclaims around the pin.
+            assert_eq!(chain.latest_id(), 2);
+            assert_eq!(chain.reap(), vec![1]);
+            assert_eq!(chain.retained(), 2);
             assert_eq!(old_pin.id(), 0, "old pin unaffected");
-        }
-
-        #[test]
-        fn shared_index_arc_is_a_distinct_refusal() {
-            let chain = GenerationChain::new(chain_index());
-            let shared = Arc::clone(chain.latest().index());
-            let refused = chain
-                .mutate_exclusive(|index| index.insert_edge(3, 0), |_| true)
-                .expect_err("index Arc shared");
-            assert_eq!(refused, ExclusiveRefused::IndexShared { generation: 0 });
-            drop(shared);
+            assert_eq!(chain.lookup(0).expect("pinned id resolves").id(), 0);
         }
     }
 
@@ -624,12 +422,7 @@ mod tests {
             })
             .collect();
         for id in 1..200u64 {
-            // Both producers of generations: in place when no reader's pin
-            // is in the way, install otherwise.
-            let in_place = chain.mutate_exclusive(|index| index.generation.revision = id, |_| true);
-            if in_place.is_err() {
-                chain.install(marked_index(id));
-            }
+            assert_eq!(chain.install(marked_index(id)).id(), id);
             chain.reap();
         }
         stop.store(1, Ordering::Relaxed);

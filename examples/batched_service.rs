@@ -10,8 +10,8 @@
 //! DSR_TRANSPORT=tcp  cargo run --release --example batched_service
 //! ```
 //!
-//! The `DSR_TRANSPORT` variable picks the backend (in-process buffers, OS
-//! pipes with the framed wire codec, or a loopback TCP worker cluster);
+//! The `DSR_TRANSPORT` variable picks the backend (in-process buffers, the
+//! encode-and-decode wire codec, or a loopback TCP worker cluster);
 //! the deterministic counters are identical on all three.
 
 use dsr_sync::Arc;

@@ -10,10 +10,9 @@
 //!   the measured bytes land in [`QueryService::update_stats`];
 //! * generation-correct cache invalidation — stale answers disappear, hot
 //!   queries re-warm;
-//! * explicit shared-state handling — with a pinned snapshot or shared
-//!   `Arc` the in-place mode fails loudly (typed errors), and
-//!   `UpdateMode::ForkAndSwap` turns the refusal into a fork + swap that
-//!   pinned readers never observe.
+//! * snapshot isolation — every batch is applied to a fork and swapped
+//!   in, so a shared index `Arc` or a pinned snapshot keeps its view and
+//!   refuses nothing.
 //!
 //! ```text
 //! cargo run --release --example online_updates
@@ -29,7 +28,7 @@ use dsr_datagen::{
 };
 use dsr_partition::{MultilevelPartitioner, Partitioner};
 use dsr_reach::LocalIndexKind;
-use dsr_service::{QueryService, ServiceConfig, UpdateError, UpdateMode};
+use dsr_service::{QueryService, ServiceConfig, UpdateMode};
 
 fn main() {
     // 1. A live service over a web-graph analogue, transport from
@@ -81,7 +80,7 @@ fn main() {
             .expect("in-process transport never fails");
         let outcome = service
             .update(update_chunk, UpdateMode::Auto)
-            .expect("auto forks if the scheduler briefly pins");
+            .expect("update batch");
         println!(
             "round {round}: {} queries ({} cache hits) | {} update ops -> \
              {} summaries refreshed, {} compounds patched, {} delta bytes",
@@ -120,42 +119,33 @@ fn main() {
         .expect("some edge is absent");
     let churn = [UpdateOp::Insert(u, v), UpdateOp::Delete(u, v)];
     let outcome = service
-        .update(&churn, UpdateMode::InPlace)
-        .expect("service owns its index");
+        .update(&churn, UpdateMode::Auto)
+        .expect("update batch");
     assert!(outcome.stats.is_zero());
     println!("insert+delete of the same edge in one batch: 0 bytes shipped (coalesced)");
 
-    // 5. Shared-state handling: a shared index Arc makes in-place updates
-    //    fail loudly instead of dropping silently …
+    // 5. Snapshot isolation: a shared index Arc and a pinned SnapshotRef
+    //    keep their view while the update lands beside them. Use the
+    //    guaranteed-absent edge so the update is real (a no-op would drop
+    //    the untouched fork and leave the generation in place).
     let shared = service.index();
-    match service.update(&[UpdateOp::Insert(1, 2)], UpdateMode::InPlace) {
-        Err(UpdateError::IndexShared) => {
-            println!("in-place update while the index Arc is shared: refused with IndexShared")
-        }
-        other => panic!("expected IndexShared, got {other:?}"),
-    }
-    drop(shared);
-
-    // … a pinned SnapshotRef is a typed refusal carrying the pin count …
     let snap = service.snapshot();
-    match service.update(&[UpdateOp::Insert(1, 2)], UpdateMode::InPlace) {
-        Err(UpdateError::PinnedReaders { generation, pins }) => println!(
-            "in-place update while generation {generation} is pinned: refused ({pins} pin)"
-        ),
-        other => panic!("expected PinnedReaders, got {other:?}"),
-    }
-
-    // … and UpdateMode::ForkAndSwap turns the refusal into fork + atomic
-    // swap that the pinned reader never observes. Use the guaranteed-absent
-    // edge so the update is real (a no-op would discard the untouched fork
-    // and leave the generation in place).
     let before = snap.generation();
     let outcome = service
-        .update(&[UpdateOp::Insert(u, v)], UpdateMode::ForkAndSwap)
-        .expect("the fork path never refuses");
+        .update(&[UpdateOp::Insert(u, v)], UpdateMode::Auto)
+        .expect("update batch");
+    assert!(
+        Arc::ptr_eq(&shared, snap.index()),
+        "held views are the old index"
+    );
+    assert!(
+        !Arc::ptr_eq(&shared, &service.index()),
+        "the fork was swapped in"
+    );
+    drop(shared);
     let stats = service.generation_stats();
     println!(
-        "same insert with ForkAndSwap: applied on a fork ({} compounds patched); \
+        "insert under a pin: applied on a fork ({} compounds patched); \
          reader still pinned to generation {before}, latest is {}, {} generations alive",
         outcome.patched_compounds.len(),
         stats.latest,

@@ -47,7 +47,7 @@ fn main() {
         .collect();
 
     // 3. Serve the stream from 4 closed-loop clients sharing one service.
-    let service = QueryService::new(Arc::clone(&index));
+    let service = QueryService::new(index);
     let start = Instant::now();
     dsr_sync::thread::scope(|scope| {
         for client in 0..4 {
@@ -96,13 +96,11 @@ fn main() {
     );
 
     // 5. Updates retire dead cache namespaces; the next query sees the
-    //    new edge. (Drop our own Arc clone first — in-place updates
-    //    require the service to be the sole owner of the index.)
-    drop(index);
+    //    new edge.
     let before = service.cache_len();
     service
-        .update(&[UpdateOp::Insert(0, 1)], UpdateMode::InPlace)
-        .expect("index exclusively owned by the service");
+        .update(&[UpdateOp::Insert(0, 1)], UpdateMode::Auto)
+        .expect("in-process transport never fails");
     println!(
         "applied incremental update: cache {} -> {} entries, generation {}",
         before,

@@ -1,9 +1,9 @@
 //! Wire-transport demo: the same batch of queries executed over the
 //! zero-copy in-process backend and over the serializing wire backend
-//! (framed bytes through real OS pipes), showing that both return
-//! byte-identical answers with byte-identical communication accounting —
-//! except that the wire numbers are *measured* from the bytes that crossed
-//! the pipes.
+//! (every message encoded, the decoded value delivered), showing that both
+//! return byte-identical answers with byte-identical communication
+//! accounting — except that the wire numbers are *measured* from the
+//! encoded bytes.
 //!
 //! Run with: `cargo run --release --example wire_transport`
 
@@ -24,12 +24,12 @@ fn main() {
     );
 
     // Build one index per transport: under the wire backend even the
-    // build-time summary exchange is encoded, piped and decoded.
+    // build-time summary exchange is encoded and decoded.
     let wire = WireTransport::new();
     let in_process_index = DsrIndex::build(&graph, partitioning.clone(), LocalIndexKind::Dfs);
     let wire_index =
         DsrIndex::build_with_transport(&graph, partitioning, LocalIndexKind::Dfs, true, &wire)
-            .expect("pipe transport never fails in-process");
+            .expect("summaries round-trip through their codec");
     println!(
         "summary exchange: {} messages, {} bytes (measured on the wire: {} bytes)",
         in_process_index.stats.summary_messages,

@@ -2,8 +2,8 @@
 //! index → distributed query, checked against the centralized oracle.
 //!
 //! Index and engine construction go through [`dsr::testing`], so
-//! `DSR_TRANSPORT=wire` reruns every scenario with serialized framed
-//! messages over OS pipes, and `DSR_TRANSPORT=tcp` over a loopback TCP
+//! `DSR_TRANSPORT=wire` reruns every scenario with every message encoded
+//! and decoded, and `DSR_TRANSPORT=tcp` over a loopback TCP
 //! worker cluster (the CI test matrix runs all three).
 
 use dsr::testing::{build_index_from_env, engine_from_env};

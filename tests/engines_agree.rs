@@ -3,7 +3,7 @@
 //!
 //! The DSR index and engine are built through [`dsr::testing`], so setting
 //! `DSR_TRANSPORT=wire` reruns this whole suite with every protocol message
-//! (and the build-time summary exchange) serialized through OS pipes, and
+//! (and the build-time summary exchange) encoded and decoded, and
 //! `DSR_TRANSPORT=tcp` reruns it over a loopback TCP worker cluster — the
 //! CI test matrix exercises all three backends.
 

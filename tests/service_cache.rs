@@ -8,7 +8,7 @@ use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_graph::{DiGraph, TransitiveClosure};
 use dsr_partition::Partitioning;
 use dsr_reach::LocalIndexKind;
-use dsr_service::{QueryOptions, QueryService, ServiceConfig, UpdateError, UpdateMode};
+use dsr_service::{QueryOptions, QueryService, ServiceConfig, UpdateMode};
 
 /// Two 3-vertex chains on two slaves, no cross edge yet.
 fn disconnected_service() -> QueryService {
@@ -44,8 +44,8 @@ fn incremental_update_invalidates_cached_answers() {
 
     // Apply the incremental update of Section 3.3.3 through the service.
     let outcome = service
-        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::InPlace)
-        .expect("no pins or index clones outstanding");
+        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::Auto)
+        .expect("in-process transport");
     assert!(outcome.rebuilt_compounds);
 
     // The stale entry is gone and the post-update query sees the new edge.
@@ -55,8 +55,8 @@ fn incremental_update_invalidates_cached_answers() {
 
     // Deletion invalidates again.
     service
-        .update(&[UpdateOp::Delete(2, 3)], UpdateMode::InPlace)
-        .expect("still exclusively owned");
+        .update(&[UpdateOp::Delete(2, 3)], UpdateMode::Auto)
+        .expect("in-process transport");
     assert_eq!(*service.query(&[0], &[5]), vec![]);
 }
 
@@ -64,40 +64,28 @@ fn incremental_update_invalidates_cached_answers() {
 fn in_place_update_is_refused_while_index_is_shared() {
     let service = disconnected_service();
     let shared = service.index();
-    // A raw index Arc is outstanding: in-place mutation must refuse with
-    // an explicit error (ForkAndSwap/Auto or rebuild + install_index are
-    // the fallbacks) instead of silently dropping the update.
-    let err = service
-        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::InPlace)
-        .unwrap_err();
-    assert!(matches!(err, UpdateError::IndexShared));
-    // The error is a real std::error::Error with actionable text.
-    let err: Box<dyn std::error::Error> = Box::new(err);
-    assert!(err.to_string().contains("ForkAndSwap"));
-    drop(shared);
-    assert!(service
-        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::InPlace)
-        .is_ok());
+    // An outstanding raw index Arc refuses nothing and is never mutated:
+    // the update lands on a fork, the holder keeps the pre-update graph.
+    service
+        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::Auto)
+        .expect("in-process transport");
+    assert!(!shared.cut.edges.contains(&(2, 3)), "held index untouched");
+    assert!(service.index().cut.edges.contains(&(2, 3)));
+    // No pin was held on generation 0, so it did not outlive the update.
+    let stats = service.generation_stats();
+    assert_eq!((stats.latest, stats.retained, stats.reclaimed), (1, 1, 1));
 }
 
 #[test]
 fn in_place_update_is_refused_while_a_snapshot_is_pinned() {
     let service = disconnected_service();
     let snap = service.snapshot();
-    // A pinned SnapshotRef is a *typed* refusal carrying the pin count.
-    assert!(matches!(
-        service
-            .update(&[UpdateOp::Insert(2, 3)], UpdateMode::InPlace)
-            .unwrap_err(),
-        UpdateError::PinnedReaders {
-            generation: 0,
-            pins: 1
-        }
-    ));
-    // Auto mode forks around the pin instead.
+    // A pinned SnapshotRef refuses nothing either: its generation is
+    // retained and the update lands beside it.
     service
         .update(&[UpdateOp::Insert(2, 3)], UpdateMode::Auto)
-        .expect("auto falls back to fork-and-swap");
+        .expect("in-process transport");
+    assert_eq!(service.generation_stats().retained, 2);
     assert!(snap.query(&[0], &[5]).is_empty(), "pinned view unmoved");
     assert_eq!(*service.query(&[0], &[5]), vec![(0, 5)]);
 }
@@ -109,8 +97,8 @@ fn fork_and_swap_updates_a_shared_index() {
     assert!(service.query(&[0], &[5]).is_empty());
     let shared = service.index();
     let outcome = service
-        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::ForkAndSwap)
-        .expect("the fork path never refuses");
+        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::Auto)
+        .expect("in-process transport");
     assert_eq!(outcome.refreshed_summaries, vec![0, 1]);
     assert!(!Arc::ptr_eq(&shared, &service.index()), "fork swapped in");
     // Generation-exact invalidation: the stale empty answer is gone.
@@ -166,8 +154,8 @@ fn uncached_bypass_reads_latest_state_without_polluting_the_cache() {
 
     // Read-your-writes right after an update, without disturbing entries.
     service
-        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::InPlace)
-        .expect("exclusively owned");
+        .update(&[UpdateOp::Insert(2, 3)], UpdateMode::Auto)
+        .expect("in-process transport");
     assert_eq!(
         *service.query_with(&[0], &[5], bypass).expect("in-process"),
         vec![(0, 5)]

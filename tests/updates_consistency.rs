@@ -4,8 +4,8 @@
 //!
 //! The suite runs through the `dsr::testing` transport matrix: under
 //! `DSR_TRANSPORT=wire` both the build-time summary exchange and every
-//! update's `SummaryDelta` refresh are encoded, piped through OS pipes and
-//! decoded, and under `DSR_TRANSPORT=tcp` they cross a loopback TCP worker
+//! update's `SummaryDelta` refresh are delivered as decoded from their
+//! encoding, and under `DSR_TRANSPORT=tcp` they cross a loopback TCP worker
 //! cluster — CI runs it under all three backends.
 
 use dsr::testing::{

@@ -7,8 +7,8 @@
 //! pinned [`SnapshotRef`](dsr_service::SnapshotRef) never observes a
 //! mid-batch state.
 //!
-//! `DSR_TRANSPORT=wire` reruns the whole suite with serialized framed
-//! messages over OS pipes and `DSR_TRANSPORT=tcp` over a loopback TCP
+//! `DSR_TRANSPORT=wire` reruns the whole suite with every message encoded
+//! and decoded and `DSR_TRANSPORT=tcp` over a loopback TCP
 //! cluster ([`ServiceConfig::from_env`]); the assertions are
 //! transport-independent by construction.
 
