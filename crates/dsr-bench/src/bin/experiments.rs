@@ -7,24 +7,23 @@
 //! experiments --list
 //! ```
 //!
+//! The counter experiments (`throughput`, `updates`, `mixed`) also render a
+//! `BENCH_*.json`. With `--fast` that text is the golden `cargo test -p
+//! dsr-bench` compares against the committed file, and this binary — the
+//! only code in the crate that touches the filesystem — writes it into the
+//! working directory: `experiments --fast throughput updates mixed` at the
+//! repository root *is* the re-baseline. A full run prints tables only.
+//!
 //! Each experiment runs under `catch_unwind`: a failed internal assertion
 //! (e.g. a cross-backend byte-identity check) is reported, the remaining
-//! experiments still run, and the process **exits nonzero** — so CI can
-//! never upload artifacts from a run whose invariants did not hold. The
-//! `BENCH_*.json` writers are atomic (temp file + rename) for the same
-//! reason: a partial JSON never appears at the final path.
+//! experiments still run, nothing is written for the failed one, and the
+//! process **exits nonzero**.
 
 use std::process::ExitCode;
 
 use dsr_bench::{run_experiment, EXPERIMENT_IDS};
 
 fn main() -> ExitCode {
-    // This binary writes its `BENCH_*.json` into the working directory
-    // unless told otherwise; the library default (next to the executable)
-    // is for tests. Set before any thread exists.
-    if std::env::var_os("DSR_BENCH_DIR").is_none() {
-        std::env::set_var("DSR_BENCH_DIR", ".");
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         print_usage();
@@ -63,7 +62,19 @@ fn main() -> ExitCode {
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_experiment(&id, fast)));
         match outcome {
-            Ok(Some(output)) => println!("{output}"),
+            Ok(Some(report)) => {
+                println!("{}", report.table);
+                if let (true, Some(json)) = (fast, report.golden) {
+                    let file = format!("BENCH_{id}.json");
+                    match std::fs::write(&file, json) {
+                        Ok(()) => println!("wrote {file}\n"),
+                        Err(err) => {
+                            eprintln!("experiment '{id}': cannot write {file}: {err}");
+                            failures.push(id);
+                        }
+                    }
+                }
+            }
             Ok(None) => {
                 eprintln!("unknown experiment '{id}'; use --list to see valid ids");
                 return ExitCode::FAILURE;

@@ -53,34 +53,32 @@ pub fn large_datasets(fast: bool) -> Vec<&'static str> {
     }
 }
 
-/// Where `BENCH_*.json` artifacts go: `$DSR_BENCH_DIR` when set, otherwise
-/// the directory of the running executable — under Cargo's target
-/// directory for every test and bench target, so that library callers of
-/// the experiment drivers can never rewrite the committed baselines in the
-/// repository root. The `experiments` binary, whose job *is* to produce
-/// those files, points `DSR_BENCH_DIR` at its working directory itself.
-fn bench_dir() -> std::path::PathBuf {
-    if let Some(dir) = std::env::var_os("DSR_BENCH_DIR") {
-        return dir.into();
+/// The counter gate: the fast run of experiment `id` must render exactly the
+/// committed `BENCH_<id>.json`. A counter that moves, in either direction,
+/// fails here — with a line diff, `-` lines only in the committed text, `+`
+/// lines only in the rendered one — until the refreshed golden is committed
+/// beside the code that moved it.
+#[cfg(test)]
+pub(crate) fn assert_golden(id: &str, committed: &str, rendered: &str) {
+    if committed == rendered {
+        return;
     }
-    std::env::current_exe()
-        .ok()
-        .and_then(|exe| exe.parent().map(std::path::Path::to_path_buf))
-        .unwrap_or_else(std::env::temp_dir)
-}
-
-/// Writes a `BENCH_*.json` artifact **atomically** into `$DSR_BENCH_DIR`
-/// (or, when unset, next to the running executable): the content goes to a
-/// `.tmp` sibling first and is renamed into place, so a run that dies
-/// mid-experiment can never leave a truncated JSON at the final path for CI
-/// to upload.
-pub fn write_bench_json(file_name: &str, json: &str) -> std::io::Result<String> {
-    let dir = bench_dir();
-    let path = dir.join(file_name);
-    let tmp = dir.join(format!("{file_name}.tmp"));
-    std::fs::write(&tmp, json)?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(path.display().to_string())
+    let only_in = |sign: char, text: &str, other: &str| -> String {
+        text.lines()
+            .enumerate()
+            .filter(|(_, line)| !other.lines().any(|o| o == *line))
+            .map(|(n, line)| format!("{sign}{:>3}: {line}\n", n + 1))
+            .collect()
+    };
+    let mut diff = only_in('-', committed, rendered) + &only_in('+', rendered, committed);
+    if diff.is_empty() {
+        diff.push_str("same lines, but in another order or with another line ending\n");
+    }
+    panic!(
+        "BENCH_{id}.json differs from this run (- committed, + rendered):\n{diff}\
+         if the change is intended, refresh the golden from the repo root:\n  \
+         cargo run --release --bin experiments -- --fast {id}"
+    );
 }
 
 #[cfg(test)]
@@ -98,5 +96,30 @@ mod tests {
         assert_eq!(index.num_partitions(), 2);
         assert_eq!(small_datasets(true).len(), 2);
         assert!(!large_datasets(false).is_empty());
+    }
+
+    #[test]
+    fn golden_gate_names_a_changed_and_a_removed_line() {
+        let failure = |committed: &'static str, rendered: &'static str| -> String {
+            *std::panic::catch_unwind(|| assert_golden("mixed", committed, rendered))
+                .expect_err("texts that differ fail the gate")
+                .downcast::<String>()
+                .expect("panic message")
+        };
+        let committed = "{\n  \"rounds\": 72,\n  \"messages\": 177,\n  \"bytes\": 15214\n}\n";
+        assert_golden("mixed", committed, committed);
+        // One digit of one counter changed, one line removed.
+        let rendered = "{\n  \"rounds\": 72,\n  \"bytes\": 15215\n}\n";
+        let message = failure(committed, rendered);
+        assert!(
+            message.contains(
+                "-  3:   \"messages\": 177,\n-  4:   \"bytes\": 15214\n+  3:   \"bytes\": 15215\n"
+            ),
+            "{message}"
+        );
+        // A shrinking counter is no more welcome than a growing one, and a
+        // reordering is still a difference.
+        assert!(failure(rendered, committed).contains("+  4:   \"bytes\": 15214\n"));
+        assert!(failure("a\nb\n", "b\na\n").contains("another order"));
     }
 }

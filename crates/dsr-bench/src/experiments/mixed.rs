@@ -29,11 +29,12 @@
 //! every deterministic counter (oracle mismatches, comm rounds/messages/
 //! bytes, per-namespace cache hits, generations created/reclaimed, result
 //! checksums) is asserted identical across transports before a single
-//! `BENCH_mixed.json` is written for the `bench_diff` gate.
+//! `BENCH_mixed.json` text is rendered. The replay measures no time.
+//! [`run`] returns the rendered table and that text; in fast mode it must
+//! equal the committed file, which this module's test compares whole.
 
 use dsr_sync::Arc;
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 use dsr_cluster::TransportKind;
 use dsr_community::CommunityWorkload;
@@ -45,7 +46,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::experiments::common;
-use crate::{secs, time, Table};
+use crate::Table;
 
 /// Replay shape shared by all three transport runs.
 struct Scenario {
@@ -147,7 +148,7 @@ fn scenario(fast: bool) -> Scenario {
 }
 
 /// One full replay of the mixed-tenant scenario on `transport`.
-fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> (Counters, Duration) {
+fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> Counters {
     let partitioning = common::partition(&s.graph, slaves);
     let index = DsrIndex::build(&s.graph, partitioning, dsr_reach::LocalIndexKind::Dfs);
     let service = QueryService::with_config(
@@ -196,107 +197,105 @@ fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> (Counters, D
     };
     let mut oltp_digest: Vec<(u64, u64)> = Vec::new();
 
-    let (_, elapsed) = time(|| {
-        for round in 0..s.rounds {
-            // 1. Pin the analytical tenants' view for the whole round.
-            let snap = service.snapshot();
-            let rdf_before = s.rdf.run(&snap).expect("transport stays up for the run");
-            let community_before = s
-                .community
-                .run(&snap)
-                .expect("transport stays up for the run");
+    for round in 0..s.rounds {
+        // 1. Pin the analytical tenants' view for the whole round.
+        let snap = service.snapshot();
+        let rdf_before = s.rdf.run(&snap).expect("transport stays up for the run");
+        let community_before = s
+            .community
+            .run(&snap)
+            .expect("transport stays up for the run");
 
-            // 2. OLTP batch against the latest generation, oracle-checked,
-            //    then replayed once so the second pass exercises the cache.
-            for pass in 0..2 {
-                let reply = service
-                    .query_batch(&s.oltp[round])
-                    .expect("transport stays up for the run");
-                if pass == 0 {
-                    counters.oltp_queries += s.oltp[round].len() as u64;
-                    for (query, result) in s.oltp[round].iter().zip(&reply.results) {
-                        counters.oltp_results += result.len() as u64;
-                        let mut got: Vec<(VertexId, VertexId)> = result.to_vec();
-                        got.sort_unstable();
-                        let mut want = closure.set_reachability(&query.sources, &query.targets);
-                        want.sort_unstable();
-                        if got != want {
-                            counters.oracle_mismatches += 1;
-                        }
-                        oltp_digest
-                            .extend(got.iter().map(|&(a, b)| {
-                                ((round as u64) << 32 | u64::from(a), u64::from(b))
-                            }));
-                    }
-                }
-            }
-
-            // 3. Update batch: re-insert last round's chunk, delete this
-            //    round's. The fork lands beside the held pin.
-            let mut ops: Vec<UpdateOp> = Vec::new();
-            if round > 0 {
-                for &(u, v) in &s.chunks[round - 1] {
-                    if live.insert((u, v)) {
-                        ops.push(UpdateOp::Insert(u, v));
-                    }
-                }
-            }
-            for &(u, v) in &s.chunks[round] {
-                if live.remove(&(u, v)) {
-                    ops.push(UpdateOp::Delete(u, v));
-                }
-            }
-            service
-                .update(&ops, UpdateMode::Auto)
-                .expect("update batch lands beside the pinned snapshot");
-            closure = oracle(&live, s.graph.num_vertices());
-
-            // 4. The pinned tenants replay against their snapshot: answers
-            //    must be identical, and the replays land in the pinned
-            //    generation's still-live cache namespace.
-            let hits_before_replay = cache_hits(&service);
-            let rdf_after = s.rdf.run(&snap).expect("transport stays up for the run");
-            let community_after = s
-                .community
-                .run(&snap)
-                .expect("transport stays up for the run");
-            if rdf_after != rdf_before || community_after != community_before {
-                counters.pinned_replay_mismatches += 1;
-            }
-
-            // 5. OLTP replays against the *new* latest generation with the
-            //    oracle already advanced.
+        // 2. OLTP batch against the latest generation, oracle-checked,
+        //    then replayed once so the second pass exercises the cache.
+        for pass in 0..2 {
             let reply = service
                 .query_batch(&s.oltp[round])
                 .expect("transport stays up for the run");
-            for (query, result) in s.oltp[round].iter().zip(&reply.results) {
-                let mut got: Vec<(VertexId, VertexId)> = result.to_vec();
-                got.sort_unstable();
-                let mut want = closure.set_reachability(&query.sources, &query.targets);
-                want.sort_unstable();
-                if got != want {
-                    counters.oracle_mismatches += 1;
+            if pass == 0 {
+                counters.oltp_queries += s.oltp[round].len() as u64;
+                for (query, result) in s.oltp[round].iter().zip(&reply.results) {
+                    counters.oltp_results += result.len() as u64;
+                    let mut got: Vec<(VertexId, VertexId)> = result.to_vec();
+                    got.sort_unstable();
+                    let mut want = closure.set_reachability(&query.sources, &query.targets);
+                    want.sort_unstable();
+                    if got != want {
+                        counters.oracle_mismatches += 1;
+                    }
+                    oltp_digest.extend(
+                        got.iter()
+                            .map(|&(a, b)| ((round as u64) << 32 | u64::from(a), u64::from(b))),
+                    );
                 }
             }
-            counters.hits_after_updates += cache_hits(&service) - hits_before_replay;
-
-            // 6. Fold the per-round workload runs into the totals and drop
-            //    the pin — the superseded generation reclaims.
-            counters.rdf_run.queries += rdf_before.queries;
-            counters.rdf_run.results += rdf_before.results;
-            counters.rdf_run.checksum = counters
-                .rdf_run
-                .checksum
-                .wrapping_add(rdf_before.checksum.wrapping_mul(round as u64 + 1));
-            counters.community_run.queries += community_before.queries;
-            counters.community_run.results += community_before.results;
-            counters.community_run.checksum = counters
-                .community_run
-                .checksum
-                .wrapping_add(community_before.checksum.wrapping_mul(round as u64 + 1));
-            drop(snap);
         }
-    });
+
+        // 3. Update batch: re-insert last round's chunk, delete this
+        //    round's. The fork lands beside the held pin.
+        let mut ops: Vec<UpdateOp> = Vec::new();
+        if round > 0 {
+            for &(u, v) in &s.chunks[round - 1] {
+                if live.insert((u, v)) {
+                    ops.push(UpdateOp::Insert(u, v));
+                }
+            }
+        }
+        for &(u, v) in &s.chunks[round] {
+            if live.remove(&(u, v)) {
+                ops.push(UpdateOp::Delete(u, v));
+            }
+        }
+        service
+            .update(&ops, UpdateMode::Auto)
+            .expect("update batch lands beside the pinned snapshot");
+        closure = oracle(&live, s.graph.num_vertices());
+
+        // 4. The pinned tenants replay against their snapshot: answers
+        //    must be identical, and the replays land in the pinned
+        //    generation's still-live cache namespace.
+        let hits_before_replay = cache_hits(&service);
+        let rdf_after = s.rdf.run(&snap).expect("transport stays up for the run");
+        let community_after = s
+            .community
+            .run(&snap)
+            .expect("transport stays up for the run");
+        if rdf_after != rdf_before || community_after != community_before {
+            counters.pinned_replay_mismatches += 1;
+        }
+
+        // 5. OLTP replays against the *new* latest generation with the
+        //    oracle already advanced.
+        let reply = service
+            .query_batch(&s.oltp[round])
+            .expect("transport stays up for the run");
+        for (query, result) in s.oltp[round].iter().zip(&reply.results) {
+            let mut got: Vec<(VertexId, VertexId)> = result.to_vec();
+            got.sort_unstable();
+            let mut want = closure.set_reachability(&query.sources, &query.targets);
+            want.sort_unstable();
+            if got != want {
+                counters.oracle_mismatches += 1;
+            }
+        }
+        counters.hits_after_updates += cache_hits(&service) - hits_before_replay;
+
+        // 6. Fold the per-round workload runs into the totals and drop
+        //    the pin — the superseded generation reclaims.
+        counters.rdf_run.queries += rdf_before.queries;
+        counters.rdf_run.results += rdf_before.results;
+        counters.rdf_run.checksum = counters
+            .rdf_run
+            .checksum
+            .wrapping_add(rdf_before.checksum.wrapping_mul(round as u64 + 1));
+        counters.community_run.queries += community_before.queries;
+        counters.community_run.results += community_before.results;
+        counters.community_run.checksum = counters
+            .community_run
+            .checksum
+            .wrapping_add(community_before.checksum.wrapping_mul(round as u64 + 1));
+        drop(snap);
+    }
 
     counters.oltp_checksum = checksum_pairs(oltp_digest);
     let comm = service.comm_stats();
@@ -310,7 +309,7 @@ fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> (Counters, D
     let generations = service.generation_stats();
     counters.generations_created = generations.created;
     counters.generations_reclaimed = generations.reclaimed;
-    (counters, elapsed)
+    counters
 }
 
 fn cache_hits(service: &QueryService) -> u64 {
@@ -323,8 +322,9 @@ fn oracle(live: &BTreeSet<(VertexId, VertexId)>, num_vertices: usize) -> Transit
     TransitiveClosure::build(&DiGraph::from_edges(num_vertices, &edges))
 }
 
-/// Runs the experiment, renders the table and writes `BENCH_mixed.json`.
-pub fn run(fast: bool) -> String {
+/// Runs the experiment; returns the rendered table and the text of
+/// `BENCH_mixed.json`.
+pub fn run(fast: bool) -> (String, String) {
     let s = scenario(fast);
     let slaves = if fast { 3 } else { common::DEFAULT_SLAVES };
 
@@ -333,16 +333,13 @@ pub fn run(fast: bool) -> String {
         ("wire", TransportKind::Wire),
         ("tcp", TransportKind::Tcp),
     ];
-    let runs: Vec<(&str, Counters, Duration)> = transports
+    let runs: Vec<(&str, Counters)> = transports
         .iter()
-        .map(|&(name, kind)| {
-            let (counters, elapsed) = replay(&s, slaves, kind);
-            (name, counters, elapsed)
-        })
+        .map(|&(name, kind)| (name, replay(&s, slaves, kind)))
         .collect();
 
-    let (_, baseline, _) = &runs[0];
-    for (name, counters, _) in &runs[1..] {
+    let (_, baseline) = &runs[0];
+    for (name, counters) in &runs[1..] {
         assert_eq!(
             counters, baseline,
             "{name} transport drifted from the in-process counters"
@@ -418,28 +415,16 @@ pub fn run(fast: bool) -> String {
         baseline.comm_messages,
         baseline.comm_bytes as f64 / 1024.0,
     ));
-    for (name, _, elapsed) in &runs {
-        out.push_str(&format!(
-            "{name}: {}s (counters identical)\n",
-            secs(*elapsed)
-        ));
+    for (name, _) in &runs {
+        out.push_str(&format!("{name}: counters identical\n"));
     }
 
     let json = render_json(fast, &s, slaves, &runs);
-    match common::write_bench_json("BENCH_mixed.json", &json) {
-        Ok(path) => out.push_str(&format!("\nwrote {path}\n")),
-        Err(err) => out.push_str(&format!("\nfailed to write BENCH_mixed.json: {err}\n")),
-    }
-    out
+    (out, json)
 }
 
-fn render_json(
-    fast: bool,
-    s: &Scenario,
-    slaves: usize,
-    runs: &[(&str, Counters, Duration)],
-) -> String {
-    let (_, c, _) = &runs[0];
+fn render_json(fast: bool, s: &Scenario, slaves: usize, runs: &[(&str, Counters)]) -> String {
+    let (_, c) = &runs[0];
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"experiment\": \"mixed\",\n");
@@ -481,10 +466,9 @@ fn render_json(
         c.comm_rounds, c.comm_messages, c.comm_bytes
     ));
     json.push_str("  \"transports\": [\n");
-    for (i, (name, _, elapsed)) in runs.iter().enumerate() {
+    for (i, (name, _)) in runs.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"seconds\": {:.6}, \"counters_identical\": true}}{}\n",
-            elapsed.as_secs_f64(),
+            "    {{\"name\": \"{name}\", \"counters_identical\": true}}{}\n",
             if i + 1 == runs.len() { "" } else { "," }
         ));
     }
@@ -498,25 +482,11 @@ mod tests {
 
     #[test]
     fn fast_run_produces_table_and_json() {
-        let out = run(true);
-        assert!(out.contains("oltp"));
-        assert!(out.contains("rdf-paths"));
-        assert!(out.contains("community-pairs"));
-        assert!(out.contains("counters identical"));
-        let line = out
-            .lines()
-            .find(|l| l.starts_with("wrote "))
-            .expect("wrote line present");
-        let path = line.trim_start_matches("wrote ");
-        let json = std::fs::read_to_string(path).expect("json readable");
-        assert!(json.contains("\"experiment\": \"mixed\""));
-        assert!(json.contains("\"oracle_mismatches\": 0"));
-        assert!(json.contains("\"pinned_replay_mismatches\": 0"));
-        assert!(json.contains("\"generations_created\""));
-        assert!(json.contains("\"pinned_hits\""));
-        assert!(json.contains("\"counters_identical\": true"));
-        // The gate's floor: pinned tenants kept hitting the cache across
-        // update batches on this run.
-        assert!(!json.contains("\"hits_after_updates\": 0,"));
+        let (table, json) = run(true);
+        for tenant in ["oltp", "rdf-paths", "community-pairs"] {
+            assert!(table.contains(tenant), "{tenant} row rendered:\n{table}");
+        }
+        assert!(table.contains("counters identical"));
+        common::assert_golden("mixed", include_str!("../../../../BENCH_mixed.json"), &json);
     }
 }

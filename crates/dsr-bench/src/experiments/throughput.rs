@@ -1,60 +1,53 @@
-//! Serving-layer throughput experiment.
+//! Serving-layer traffic experiment.
 //!
 //! Not a table of the paper — the paper stops at per-query latency — but
 //! the direct consequence of its claim: with communication bounded at 3
 //! rounds per query, the way to serve heavy traffic is to amortize those
 //! rounds across a *batch* of queries and to cache repeated answers. This
 //! experiment replays a Zipf-skewed query stream (see
-//! [`dsr_datagen::workload::query_stream`]) in five execution modes over
-//! the same index:
+//! [`dsr_datagen::workload::query_stream`]) in six execution modes over
+//! the same index and reports what each one **ships** — rounds, messages,
+//! bytes, cache hits, fusion counters. It measures no time: every mode is
+//! single-threaded, so every counter is bit-reproducible, and throughput
+//! and latency are the business of the repository benchmark
+//! (`benchmark/`, workloads `engine_scan`, `engine_batch64`,
+//! `service_churn`, `service_hot`).
 //!
-//! 1. `per_query` — the historical one-protocol-run-per-query path,
+//! 1. `per_query` — one protocol run per query,
 //! 2. `batched` — [`DsrEngine::set_reachability_batch`] over fixed-size
 //!    chunks (3 communication rounds per chunk instead of per query),
 //! 3. `batched_wire` — the same batched runs over the serializing
-//!    [`WireTransport`]: every message wire-encoded and decoded, so the
-//!    mode measures the overhead of the codec (and its reported bytes are
-//!    *measured*, not estimated),
+//!    [`WireTransport`]: every message wire-encoded and decoded, so its
+//!    reported bytes are *measured*, not estimated,
 //! 4. `batched_tcp` — the same batched runs over a loopback
-//!    [`TcpTransport`] cluster: every frame
-//!    takes the master → worker → worker → master route over real
-//!    sockets, asserting the deployment backend stays byte-identical,
-//! 5. `service_cached` — a [`QueryService`] with its LRU result cache,
-//! 6. `service_concurrent` — the same service hammered by 8 closed-loop
-//!    client threads,
-//! 7. `service_batched_replay` (plus `_wire` / `_tcp` variants) — a
+//!    [`TcpTransport`] cluster: every frame takes the master → worker →
+//!    worker → master route over real sockets, asserting the deployment
+//!    backend stays byte-identical,
+//! 5. `service_cached` — a [`QueryService`] with its LRU result cache and
+//!    one closed-loop client,
+//! 6. `service_batched_replay` (plus `_wire` / `_tcp` variants) — a
 //!    deterministic replay of 64 virtual clients through the service's
 //!    batch former: each wave submits 64 queries, flushes, and waits, so
-//!    every wave's cache misses fuse into one shared protocol run. Being
-//!    single-threaded, its counters are bit-reproducible and asserted
-//!    byte-identical across all three transports — the `bench_diff`
-//!    regression gate rides on them,
-//! 8. `service_batched_8` / `service_batched_64` — the batch former under
-//!    real closed-loop client threads, with p50/p99 per-query latency.
-//!    Their counters depend on thread scheduling (how many misses land in
-//!    one forming window) and are informational.
+//!    every wave's cache misses fuse into one shared protocol run; its
+//!    counters are asserted byte-identical across all three transports.
 //!
-//! Besides the rendered table, the run writes a machine-readable
-//! `BENCH_throughput.json` (into `$DSR_BENCH_DIR` or the working
-//! directory) so CI can archive the per-PR throughput trajectory — now
-//! including the measured wire bytes per communication round and the
-//! batch former's fusion counters.
+//! [`run`] returns the rendered table and the text of `BENCH_throughput.json`;
+//! in fast mode that text must equal the committed file, which this
+//! module's test compares whole.
 
 use dsr_sync::Arc;
-use std::time::Duration;
 
 use dsr_cluster::{CommStats, TcpTransport, Transport, TransportKind, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_datagen::{query_stream, ArrivalPattern, StreamConfig};
-use dsr_graph::DiGraph;
+use dsr_graph::{DiGraph, VertexId};
 use dsr_reach::LocalIndexKind;
 use dsr_service::{QueryService, QueryTicket, ServiceConfig};
 
 use crate::experiments::common;
-use crate::{secs, time, Table};
+use crate::Table;
 
-/// Number of virtual clients per replay wave (and of real client threads
-/// in the largest threaded mode).
+/// Number of virtual clients per replay wave.
 const BATCHED_CLIENTS: usize = 64;
 
 /// Batch-former counters of one service mode, snapshotted from
@@ -73,35 +66,53 @@ struct ModeResult {
     name: &'static str,
     transport: &'static str,
     queries: usize,
-    elapsed: Duration,
     rounds: u64,
     messages: u64,
     bytes: u64,
     cache_hits: Option<u64>,
-    /// Per-query latency percentiles (closed-loop client view); only the
-    /// service modes that track per-query timestamps report them.
-    latency: Option<(Duration, Duration)>,
-    /// Batch-former counters; only the `service_batched_*` modes report
-    /// them.
+    /// Batch-former counters; only the `service_batched_replay*` modes
+    /// report them.
     fusion: Option<FusionInfo>,
 }
 
 impl ModeResult {
-    fn qps(&self) -> f64 {
-        self.queries as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    /// The communication counters of one mode; cache and fusion counters
+    /// are for the service modes to fill in.
+    fn from_comm(
+        name: &'static str,
+        transport: &'static str,
+        queries: usize,
+        stats: &CommStats,
+    ) -> Self {
+        let (rounds, messages, bytes) = stats.snapshot();
+        ModeResult {
+            name,
+            transport,
+            queries,
+            rounds,
+            messages,
+            bytes,
+            cache_hits: None,
+            fusion: None,
+        }
     }
 }
 
-fn fusion_info(service: &QueryService) -> FusionInfo {
-    let stats = service.batch_stats();
-    FusionInfo {
-        batches: stats.batches(),
-        fused_queries: stats.queries(),
-        executed: stats.executed(),
-        late_hits: stats.late_hits(),
-        fusion_ratio: stats.fusion_ratio(),
-        mean_batch: stats.mean_batch_size(),
-    }
+/// Answers `queries` in chunks of `batch_size`, one protocol run per chunk.
+fn run_batched<T: Transport>(
+    engine: &DsrEngine<'_, T>,
+    queries: &[SetQuery],
+    batch_size: usize,
+    stats: &CommStats,
+) -> Vec<Vec<(VertexId, VertexId)>> {
+    queries
+        .chunks(batch_size)
+        .flat_map(|chunk| {
+            engine
+                .set_reachability_batch_with_stats(chunk, stats)
+                .expect("no transport of this run loses a worker")
+        })
+        .collect()
 }
 
 /// Deterministic replay of [`BATCHED_CLIENTS`] virtual clients: each wave
@@ -125,19 +136,18 @@ fn run_batched_replay(
             ..ServiceConfig::default()
         },
     );
-    let (_, elapsed) = time(|| {
-        for wave in queries.chunks(BATCHED_CLIENTS) {
-            let tickets: Vec<QueryTicket> = wave
-                .iter()
-                .map(|q| service.submit(&q.sources, &q.targets))
-                .collect();
-            service.flush();
-            for ticket in tickets {
-                std::hint::black_box(ticket.wait().expect("transport stays up for the run"));
-            }
+    for wave in queries.chunks(BATCHED_CLIENTS) {
+        let tickets: Vec<QueryTicket> = wave
+            .iter()
+            .map(|q| service.submit(&q.sources, &q.targets))
+            .collect();
+        service.flush();
+        for ticket in tickets {
+            ticket.wait().expect("transport stays up for the run");
         }
-    });
+    }
     let (rounds, messages, bytes) = service.comm_stats().snapshot();
+    let fusion = service.batch_stats();
     ModeResult {
         name,
         transport: match transport {
@@ -146,70 +156,27 @@ fn run_batched_replay(
             TransportKind::Tcp => "tcp",
         },
         queries: queries.len(),
-        elapsed,
         rounds,
         messages,
         bytes,
         cache_hits: Some(service.cache_stats().hits()),
-        latency: None,
-        fusion: Some(fusion_info(&service)),
+        fusion: Some(FusionInfo {
+            batches: fusion.batches(),
+            fused_queries: fusion.queries(),
+            executed: fusion.executed(),
+            late_hits: fusion.late_hits(),
+            fusion_ratio: fusion.fusion_ratio(),
+            mean_batch: fusion.mean_batch_size(),
+        }),
     }
 }
 
-/// The batch former under `clients` real closed-loop client threads, with
-/// per-query latency percentiles. Counters depend on thread scheduling
-/// (how many misses meet in one forming window) — informational only.
-fn run_batched_threaded(
-    index: &Arc<DsrIndex>,
-    queries: &[SetQuery],
-    name: &'static str,
-    clients: usize,
-) -> ModeResult {
-    let service = QueryService::new(Arc::clone(index));
-    let mut latencies: Vec<Duration> = Vec::with_capacity(queries.len());
-    let (_, elapsed) = time(|| {
-        dsr_sync::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|client| {
-                    let service = &service;
-                    scope.spawn(move || {
-                        let mut lat = Vec::new();
-                        for q in queries.iter().skip(client).step_by(clients) {
-                            let start = std::time::Instant::now();
-                            std::hint::black_box(service.query(&q.sources, &q.targets));
-                            lat.push(start.elapsed());
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            for handle in handles {
-                latencies.extend(handle.join().expect("client thread panicked"));
-            }
-        });
-    });
-    latencies.sort_unstable();
-    let percentile = |p: usize| latencies[(latencies.len() * p / 100).min(latencies.len() - 1)];
-    let (rounds, messages, bytes) = service.comm_stats().snapshot();
-    ModeResult {
-        name,
-        transport: "in-process",
-        queries: queries.len(),
-        elapsed,
-        rounds,
-        messages,
-        bytes,
-        cache_hits: Some(service.cache_stats().hits()),
-        latency: Some((percentile(50), percentile(99))),
-        fusion: Some(fusion_info(&service)),
-    }
-}
-
-/// Runs the experiment, renders the table and writes `BENCH_throughput.json`.
-pub fn run(fast: bool) -> String {
+/// Runs the experiment; returns the rendered table and the text of
+/// `BENCH_throughput.json`.
+pub fn run(fast: bool) -> (String, String) {
     let (graph_name, graph): (&str, DiGraph) = if fast {
-        // Small deterministic web graph so the CI bench-smoke job finishes
-        // in seconds.
+        // Small deterministic web graph: the golden run is part of
+        // `cargo test` and must finish in seconds.
         ("web-3k", dsr_datagen::web_graph(800, 4.0, 16, 0.7, 0xBE))
     } else {
         ("NotreDame", common::dataset("NotreDame"))
@@ -241,183 +208,80 @@ pub fn run(fast: bool) -> String {
     // --- Mode 1: per-query protocol runs. -------------------------------
     let engine = DsrEngine::new(&index);
     let per_query_stats = CommStats::new();
-    let (per_query_results, per_query_time) = time(|| {
-        queries
-            .iter()
-            .map(|q| engine.set_reachability_with_stats(&q.sources, &q.targets, &per_query_stats))
-            .collect::<Vec<_>>()
-    });
-    let (rounds, messages, bytes) = per_query_stats.snapshot();
-    let per_query = ModeResult {
-        name: "per_query",
-        transport: "in-process",
-        queries: queries.len(),
-        elapsed: per_query_time,
-        rounds,
-        messages,
-        bytes,
-        cache_hits: None,
-        latency: None,
-        fusion: None,
-    };
+    let per_query_results: Vec<_> = queries
+        .iter()
+        .map(|q| engine.set_reachability_with_stats(&q.sources, &q.targets, &per_query_stats))
+        .collect();
+    let per_query =
+        ModeResult::from_comm("per_query", "in-process", queries.len(), &per_query_stats);
 
     // --- Mode 2: batched protocol runs. ---------------------------------
     let batched_stats = CommStats::new();
-    let (batched_results, batched_time) = time(|| {
-        queries
-            .chunks(batch_size)
-            .flat_map(|chunk| {
-                engine
-                    .set_reachability_batch_with_stats(chunk, &batched_stats)
-                    .expect("in-process transport never fails")
-            })
-            .collect::<Vec<_>>()
-    });
+    let batched_results = run_batched(&engine, &queries, batch_size, &batched_stats);
     assert_eq!(
         per_query_results, batched_results,
         "batched execution must agree with per-query execution"
     );
-    let (rounds, messages, bytes) = batched_stats.snapshot();
-    let batched = ModeResult {
-        name: "batched",
-        transport: "in-process",
-        queries: queries.len(),
-        elapsed: batched_time,
-        rounds,
-        messages,
-        bytes,
-        cache_hits: None,
-        latency: None,
-        fusion: None,
-    };
+    let batched = ModeResult::from_comm("batched", "in-process", queries.len(), &batched_stats);
 
     // --- Mode 3: batched protocol runs over the serializing wire
     // transport (encode → decode for every message). --------------------
     let wire = WireTransport::new();
-    let wire_engine = DsrEngine::with_transport(&index, &wire);
     let wire_stats = CommStats::new();
-    let (wire_results, wire_time) = time(|| {
-        queries
-            .chunks(batch_size)
-            .flat_map(|chunk| {
-                wire_engine
-                    .set_reachability_batch_with_stats(chunk, &wire_stats)
-                    .expect("wire transport never fails in-process")
-            })
-            .collect::<Vec<_>>()
-    });
+    let wire_results = run_batched(
+        &DsrEngine::with_transport(&index, &wire),
+        &queries,
+        batch_size,
+        &wire_stats,
+    );
     assert_eq!(
         batched_results, wire_results,
         "wire transport must produce byte-identical answers"
     );
-    let (rounds, messages, bytes) = wire_stats.snapshot();
     assert_eq!(
-        (rounds, messages, bytes),
+        wire_stats.snapshot(),
         batched_stats.snapshot(),
         "measured wire bytes must equal the in-process accounting"
     );
-    let batched_wire = ModeResult {
-        name: "batched_wire",
-        transport: wire.name(),
-        queries: queries.len(),
-        elapsed: wire_time,
-        rounds,
-        messages,
-        bytes,
-        cache_hits: None,
-        latency: None,
-        fusion: None,
-    };
+    let batched_wire =
+        ModeResult::from_comm("batched_wire", wire.name(), queries.len(), &wire_stats);
 
-    // --- Mode 3b: batched protocol runs over a loopback TCP cluster
+    // --- Mode 4: batched protocol runs over a loopback TCP cluster
     // (every frame crosses real sockets and worker endpoints). ------------
     let tcp = TcpTransport::loopback();
-    let tcp_engine = DsrEngine::with_transport(&index, &tcp);
     let tcp_stats = CommStats::new();
-    let (tcp_results, tcp_time) = time(|| {
-        queries
-            .chunks(batch_size)
-            .flat_map(|chunk| {
-                tcp_engine
-                    .set_reachability_batch_with_stats(chunk, &tcp_stats)
-                    .expect("loopback tcp cluster stays up for the run")
-            })
-            .collect::<Vec<_>>()
-    });
+    let tcp_results = run_batched(
+        &DsrEngine::with_transport(&index, &tcp),
+        &queries,
+        batch_size,
+        &tcp_stats,
+    );
     assert_eq!(
         batched_results, tcp_results,
         "tcp transport must produce byte-identical answers"
     );
-    let (rounds, messages, bytes) = tcp_stats.snapshot();
     assert_eq!(
-        (rounds, messages, bytes),
+        tcp_stats.snapshot(),
         batched_stats.snapshot(),
         "tcp bytes must equal the in-process accounting"
     );
-    let batched_tcp = ModeResult {
-        name: "batched_tcp",
-        transport: tcp.name(),
-        queries: queries.len(),
-        elapsed: tcp_time,
-        rounds,
-        messages,
-        bytes,
-        cache_hits: None,
-        latency: None,
-        fusion: None,
-    };
+    let batched_tcp = ModeResult::from_comm("batched_tcp", tcp.name(), queries.len(), &tcp_stats);
 
-    // --- Mode 4: cached service, single closed-loop client. -------------
+    // --- Mode 5: cached service, single closed-loop client. -------------
     let service = QueryService::new(Arc::clone(&index));
-    let (_, service_time) = time(|| {
-        for q in &queries {
-            std::hint::black_box(service.query(&q.sources, &q.targets));
-        }
-    });
-    let (rounds, messages, bytes) = service.comm_stats().snapshot();
+    for q in &queries {
+        service.query(&q.sources, &q.targets);
+    }
     let service_cached = ModeResult {
-        name: "service_cached",
-        transport: "in-process",
-        queries: queries.len(),
-        elapsed: service_time,
-        rounds,
-        messages,
-        bytes,
         cache_hits: Some(service.cache_stats().hits()),
-        latency: None,
-        fusion: None,
+        ..ModeResult::from_comm(
+            "service_cached",
+            "in-process",
+            queries.len(),
+            service.comm_stats(),
+        )
     };
     let hit_rate = service.cache_stats().hit_rate();
-
-    // --- Mode 5: cached service, 8 closed-loop clients. -----------------
-    let concurrent_service = QueryService::new(Arc::clone(&index));
-    let num_clients = 8;
-    let (_, concurrent_time) = time(|| {
-        dsr_sync::thread::scope(|scope| {
-            for client in 0..num_clients {
-                let service = &concurrent_service;
-                let queries = &queries;
-                scope.spawn(move || {
-                    for q in queries.iter().skip(client).step_by(num_clients) {
-                        std::hint::black_box(service.query(&q.sources, &q.targets));
-                    }
-                });
-            }
-        });
-    });
-    let (rounds, messages, bytes) = concurrent_service.comm_stats().snapshot();
-    let service_concurrent = ModeResult {
-        name: "service_concurrent",
-        transport: "in-process",
-        queries: queries.len(),
-        elapsed: concurrent_time,
-        rounds,
-        messages,
-        bytes,
-        cache_hits: Some(concurrent_service.cache_stats().hits()),
-        latency: None,
-        fusion: None,
-    };
 
     // --- Mode 6: the batch former, deterministic 64-virtual-client
     // replay, on all three transports (byte-identity asserted). -----------
@@ -447,10 +311,20 @@ pub fn run(fast: bool) -> String {
             other.name
         );
     }
-
-    // --- Mode 7: the batch former under real client threads. -------------
-    let batched_8 = run_batched_threaded(&index, &queries, "service_batched_8", 8);
-    let batched_64 = run_batched_threaded(&index, &queries, "service_batched_64", BATCHED_CLIENTS);
+    // Why the batch former exists, in counters: the same stream costs
+    // fewer protocol rounds fused than answered one miss at a time.
+    assert!(
+        replay.rounds * 2 < replay.queries as u64,
+        "batch former must stay under 0.5 rounds per query ({} rounds, {} queries)",
+        replay.rounds,
+        replay.queries
+    );
+    assert!(
+        replay.rounds < service_cached.rounds,
+        "batch former must run fewer rounds than the unbatched cached service ({} vs {})",
+        replay.rounds,
+        service_cached.rounds
+    );
 
     let modes = [
         per_query,
@@ -458,29 +332,23 @@ pub fn run(fast: bool) -> String {
         batched_wire,
         batched_tcp,
         service_cached,
-        service_concurrent,
         replay,
         replay_wire,
         replay_tcp,
-        batched_8,
-        batched_64,
     ];
 
     // --- Render. --------------------------------------------------------
     let mut table = Table::new(
         &format!(
-            "Throughput: {num_queries} queries (10x10, {distinct} distinct, zipf 0.99) on {graph_name}, {slaves} slaves"
+            "Serving traffic: {num_queries} queries (10x10, {distinct} distinct, zipf 0.99) on {graph_name}, {slaves} slaves"
         ),
         &[
             "Mode",
             "Transport",
-            "Time (s)",
-            "QPS",
             "Rounds",
             "Messages",
             "Comm (KB)",
             "Cache hits",
-            "p50/p99 (us)",
             "Fusion q/round",
         ],
     );
@@ -488,52 +356,37 @@ pub fn run(fast: bool) -> String {
         table.row(vec![
             mode.name.to_string(),
             mode.transport.to_string(),
-            secs(mode.elapsed),
-            format!("{:.0}", mode.qps()),
             mode.rounds.to_string(),
             mode.messages.to_string(),
             format!("{:.1}", mode.bytes as f64 / 1024.0),
             mode.cache_hits
                 .map_or_else(|| "-".to_string(), |h| h.to_string()),
-            mode.latency.map_or_else(
-                || "-".to_string(),
-                |(p50, p99)| format!("{}/{}", p50.as_micros(), p99.as_micros()),
-            ),
             mode.fusion
                 .as_ref()
                 .map_or_else(|| "-".to_string(), |f| format!("{:.1}", f.fusion_ratio)),
         ]);
     }
-    let mut out = table.render();
 
     let json = render_json(
         fast,
         graph_name,
         &graph,
         slaves,
-        &stream_summary(num_queries, distinct, batch_size),
+        &StreamSummary {
+            num_queries,
+            distinct,
+            batch_size,
+        },
         &modes,
         hit_rate,
     );
-    match write_json(&json) {
-        Ok(path) => out.push_str(&format!("\nwrote {path}\n")),
-        Err(err) => out.push_str(&format!("\nfailed to write BENCH_throughput.json: {err}\n")),
-    }
-    out
+    (table.render(), json)
 }
 
 struct StreamSummary {
     num_queries: usize,
     distinct: usize,
     batch_size: usize,
-}
-
-fn stream_summary(num_queries: usize, distinct: usize, batch_size: usize) -> StreamSummary {
-    StreamSummary {
-        num_queries,
-        distinct,
-        batch_size,
-    }
 }
 
 fn render_json(
@@ -560,42 +413,32 @@ fn render_json(
     ));
     json.push_str(&format!("  \"cache_hit_rate\": {hit_rate:.4},\n"));
     // Look modes up by name so inserting or reordering a mode cannot
-    // silently attribute one mode's numbers to another in the archived JSON.
+    // silently attribute one mode's numbers to another.
     let mode = |name: &str| {
         modes
             .iter()
             .find(|m| m.name == name)
             .unwrap_or_else(|| panic!("mode {name} present"))
     };
-    let per_query_secs = mode("per_query").elapsed.as_secs_f64();
-    let batched_secs = mode("batched").elapsed.as_secs_f64();
-    let batched_speedup = per_query_secs / batched_secs.max(1e-9);
-    let cached_speedup = per_query_secs / mode("service_cached").elapsed.as_secs_f64().max(1e-9);
-    json.push_str(&format!(
-        "  \"speedup\": {{\"batched_vs_per_query\": {batched_speedup:.3}, \"cached_vs_per_query\": {cached_speedup:.3}}},\n"
-    ));
     // Measured serialized traffic of the wire-transport mode: bytes per
-    // communication round actually encoded, plus the
-    // slowdown relative to the zero-copy in-process backend.
+    // communication round actually encoded.
     let wire_mode = mode("batched_wire");
     let wire_bytes_per_round = wire_mode.bytes as f64 / wire_mode.rounds.max(1) as f64;
-    let wire_overhead = wire_mode.elapsed.as_secs_f64() / batched_secs.max(1e-9);
     json.push_str(&format!(
-        "  \"wire\": {{\"bytes_per_round\": {wire_bytes_per_round:.1}, \"rounds\": {}, \"bytes\": {}, \"overhead_vs_in_process\": {wire_overhead:.3}}},\n",
+        "  \"wire\": {{\"bytes_per_round\": {wire_bytes_per_round:.1}, \"rounds\": {}, \"bytes\": {}}},\n",
         wire_mode.rounds, wire_mode.bytes
     ));
-    // The TCP deployment backend: same deterministic counters (asserted
-    // byte-identical at run time), its own wall-clock overhead.
+    // The TCP deployment backend: same counters, asserted byte-identical
+    // at run time.
     let tcp_mode = mode("batched_tcp");
-    let tcp_overhead = tcp_mode.elapsed.as_secs_f64() / batched_secs.max(1e-9);
     json.push_str(&format!(
-        "  \"tcp\": {{\"rounds\": {}, \"bytes\": {}, \"overhead_vs_in_process\": {tcp_overhead:.3}, \"bytes_identical\": true}},\n",
+        "  \"tcp\": {{\"rounds\": {}, \"bytes\": {}, \"bytes_identical\": true}},\n",
         tcp_mode.rounds, tcp_mode.bytes
     ));
     // The batch former, from the deterministic replay (identical counters
-    // on all three transports, asserted at run time): rounds and bytes are
-    // regression-gated, the fusion ratio shows how many queries each fused
-    // scatter/exchange/gather run amortizes.
+    // on all three transports, asserted at run time): the fusion ratio
+    // shows how many queries each fused scatter/exchange/gather run
+    // amortizes.
     let replay_mode = mode("service_batched_replay");
     let replay_fusion = replay_mode
         .fusion
@@ -609,22 +452,15 @@ fn render_json(
     json.push_str("  \"modes\": [\n");
     for (i, mode) in modes.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"transport\": \"{}\", \"queries\": {}, \"seconds\": {:.6}, \"qps\": {:.1}, \"rounds\": {}, \"messages\": {}, \"bytes\": {}{}{}{}}}{}\n",
+            "    {{\"name\": \"{}\", \"transport\": \"{}\", \"queries\": {}, \"rounds\": {}, \"messages\": {}, \"bytes\": {}{}{}}}{}\n",
             mode.name,
             mode.transport,
             mode.queries,
-            mode.elapsed.as_secs_f64(),
-            mode.qps(),
             mode.rounds,
             mode.messages,
             mode.bytes,
             mode.cache_hits
                 .map_or_else(String::new, |h| format!(", \"cache_hits\": {h}")),
-            mode.latency.map_or_else(String::new, |(p50, p99)| format!(
-                ", \"p50_us\": {}, \"p99_us\": {}",
-                p50.as_micros(),
-                p99.as_micros()
-            )),
             mode.fusion.as_ref().map_or_else(String::new, |f| format!(
                 ", \"fused_batches\": {}, \"fused_queries\": {}, \"executed\": {}, \"late_hits\": {}, \"fusion_ratio\": {:.2}, \"mean_batch\": {:.2}",
                 f.batches, f.fused_queries, f.executed, f.late_hits, f.fusion_ratio, f.mean_batch
@@ -636,60 +472,27 @@ fn render_json(
     json
 }
 
-fn write_json(json: &str) -> std::io::Result<String> {
-    common::write_bench_json("BENCH_throughput.json", json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fast_run_produces_table_and_json() {
-        let out = run(true);
-        assert!(out.contains("per_query"));
-        assert!(out.contains("batched"));
-        assert!(out.contains("batched_wire"));
-        assert!(out.contains("batched_tcp"));
-        assert!(out.contains("service_cached"));
-        assert!(out.contains("service_concurrent"));
-        assert!(out.contains("service_batched_replay"));
-        assert!(out.contains("service_batched_replay_wire"));
-        assert!(out.contains("service_batched_replay_tcp"));
-        assert!(out.contains("service_batched_8"));
-        assert!(out.contains("service_batched_64"));
-        assert!(
-            out.contains("BENCH_throughput.json"),
-            "json path reported:\n{out}"
+        let (table, json) = run(true);
+        for mode in [
+            "per_query",
+            "batched_wire",
+            "batched_tcp",
+            "service_cached",
+            "service_batched_replay_wire",
+            "service_batched_replay_tcp",
+        ] {
+            assert!(table.contains(mode), "{mode} row rendered:\n{table}");
+        }
+        common::assert_golden(
+            "throughput",
+            include_str!("../../../../BENCH_throughput.json"),
+            &json,
         );
-        // The file was written where the experiment says it was.
-        let line = out
-            .lines()
-            .find(|l| l.starts_with("wrote "))
-            .expect("wrote line present");
-        let path = line.trim_start_matches("wrote ");
-        let json = std::fs::read_to_string(path).expect("json readable");
-        assert!(json.contains("\"experiment\": \"throughput\""));
-        assert!(json.contains("\"batched_vs_per_query\""));
-        assert!(json.contains("\"cache_hits\""));
-        assert!(
-            json.contains("\"wire\": {\"bytes_per_round\":"),
-            "measured wire bytes/round reported:\n{json}"
-        );
-        assert!(json.contains("\"transport\": \"wire\""));
-        assert!(json.contains("\"transport\": \"tcp\""));
-        assert!(json.contains("\"bytes_identical\": true"));
-        // The batch-former section and its per-mode counters made it into
-        // the archive: deterministic fusion gates plus latency percentiles.
-        assert!(
-            json.contains("\"service_batched\": {\"rounds\":"),
-            "batch-former summary reported:\n{json}"
-        );
-        assert!(json.contains("\"rounds_per_query\""));
-        assert!(json.contains("\"fused_batches\""));
-        assert!(json.contains("\"fused_queries\""));
-        assert!(json.contains("\"fusion_ratio\""));
-        assert!(json.contains("\"p50_us\""));
-        assert!(json.contains("\"p99_us\""));
     }
 }

@@ -1,17 +1,16 @@
-//! Differential-update experiment (the Figure 6 shape, measured on the
-//! wire).
+//! Differential-update experiment (what Figure 6's updates ship).
 //!
 //! Where the `figure6` experiment reports wall-clock update times per
 //! dataset, this experiment measures what the differential pipeline
-//! actually *ships*: every update batch flows through
+//! actually *ships* and nothing else: every update batch flows through
 //! [`DsrIndex::apply_updates_with_transport`], so the reported
 //! rounds/messages/bytes are the measured wire size of the
 //! `SummaryDelta` refresh messages — the same units as query
-//! communication. Three workloads:
+//! communication. How long a bulk batch takes against a rebuild is the
+//! repository benchmark's `core.updates.bulk_vs_rebuild`. Three workloads:
 //!
 //! 1. **bulk** — insert the held-back 20% of the edges in one batch and
-//!    compare against a full index rebuild (the paper's headline claim:
-//!    bulk insertion costs a fraction of a rebuild);
+//!    check the answers against a full index rebuild;
 //! 2. **progressive** — the same edges in many small batches, the worst
 //!    case for per-batch overhead;
 //! 3. **interleaved** — a live [`QueryService`] alternating query batches
@@ -25,12 +24,11 @@
 //! both report [`UpdateStats`] **byte-identical** to the in-process run —
 //! update cost cannot drift from what a real byte substrate would ship.
 //!
-//! The run writes `BENCH_updates.json` (into `$DSR_BENCH_DIR` or the
-//! working directory); the bench-smoke CI job archives it next to
-//! `BENCH_throughput.json`.
+//! [`run`] returns the rendered table and the text of `BENCH_updates.json`;
+//! in fast mode that text must equal the committed file, which this
+//! module's test compares whole.
 
 use dsr_sync::Arc;
-use std::time::Duration;
 
 use dsr_cluster::{FailoverSnapshot, InProcess, TcpTransport, UpdateStats, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery, UpdateOp};
@@ -41,7 +39,7 @@ use dsr_reach::LocalIndexKind;
 use dsr_service::{QueryService, ServiceConfig, UpdateMode};
 
 use crate::experiments::common;
-use crate::{secs, time, Table};
+use crate::Table;
 
 /// Measurements of one update workload.
 struct WorkloadResult {
@@ -49,25 +47,16 @@ struct WorkloadResult {
     transport: &'static str,
     ops: usize,
     batches: usize,
-    elapsed: Duration,
     stats: UpdateStats,
     refreshed: usize,
     patched: usize,
-    /// Full-rebuild comparison time (bulk only).
-    rebuild: Option<Duration>,
     /// Queries answered while updating (interleaved only).
     queries: usize,
     invalidations: u64,
     /// Failover counters (retries/suspects/resyncs). All zeros everywhere
-    /// but the TCP workload — and gated at zero there too: a no-fault bench
-    /// run that fails over is a regression, not noise.
+    /// but the TCP workload — and pinned at zero there too: a no-fault run
+    /// that fails over is a regression, not noise.
     failover: FailoverSnapshot,
-}
-
-impl WorkloadResult {
-    fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
 }
 
 fn op_of(edge_op: EdgeOp) -> UpdateOp {
@@ -77,8 +66,9 @@ fn op_of(edge_op: EdgeOp) -> UpdateOp {
     }
 }
 
-/// Runs the experiment, renders the table and writes `BENCH_updates.json`.
-pub fn run(fast: bool) -> String {
+/// Runs the experiment; returns the rendered table and the text of
+/// `BENCH_updates.json`.
+pub fn run(fast: bool) -> (String, String) {
     let (graph_name, graph): (&str, DiGraph) = if fast {
         ("web-2k", dsr_datagen::web_graph(600, 4.0, 12, 0.7, 0xDE))
     } else {
@@ -101,23 +91,18 @@ pub fn run(fast: bool) -> String {
 
     // --- Workload 1: bulk insertion vs full rebuild. ---------------------
     let mut index = build(&base, &partitioning);
-    let (outcome, bulk_time) = time(|| {
-        index
-            .apply_updates_with_transport(&tail, &InProcess)
-            .expect("in-process transport never fails")
-    });
-    let (_, rebuild_time) = time(|| build(&graph, &partitioning));
+    let outcome = index
+        .apply_updates_with_transport(&tail, &InProcess)
+        .expect("in-process transport never fails");
     assert_answers_match(&index, &build(&graph, &partitioning), &graph);
     let bulk = WorkloadResult {
         name: "bulk",
         transport: "in-process",
         ops: tail.len(),
         batches: 1,
-        elapsed: bulk_time,
         stats: outcome.stats,
         refreshed: outcome.refreshed_summaries.len(),
         patched: outcome.patched_compounds.len(),
-        rebuild: Some(rebuild_time),
         queries: 0,
         invalidations: 0,
         failover: FailoverSnapshot::default(),
@@ -126,11 +111,9 @@ pub fn run(fast: bool) -> String {
     // --- Workload 1b: the same bulk batch over the wire transport. -------
     let mut wired_index = build(&base, &partitioning);
     let wire = WireTransport::new();
-    let (wire_outcome, wire_time) = time(|| {
-        wired_index
-            .apply_updates_with_transport(&tail, &wire)
-            .expect("SummaryDelta round-trips through its codec")
-    });
+    let wire_outcome = wired_index
+        .apply_updates_with_transport(&tail, &wire)
+        .expect("SummaryDelta round-trips through its codec");
     assert_eq!(
         wire_outcome.stats, outcome.stats,
         "wire update stats must be byte-identical to the in-process run"
@@ -140,11 +123,9 @@ pub fn run(fast: bool) -> String {
         transport: "wire",
         ops: tail.len(),
         batches: 1,
-        elapsed: wire_time,
         stats: wire_outcome.stats,
         refreshed: wire_outcome.refreshed_summaries.len(),
         patched: wire_outcome.patched_compounds.len(),
-        rebuild: None,
         queries: 0,
         invalidations: 0,
         failover: FailoverSnapshot::default(),
@@ -153,11 +134,9 @@ pub fn run(fast: bool) -> String {
     // --- Workload 1c: the same bulk batch over a loopback TCP cluster. ---
     let mut tcp_index = build(&base, &partitioning);
     let tcp = TcpTransport::loopback();
-    let (tcp_outcome, tcp_time) = time(|| {
-        tcp_index
-            .apply_updates_with_transport(&tail, &tcp)
-            .expect("loopback tcp cluster stays up for the run")
-    });
+    let tcp_outcome = tcp_index
+        .apply_updates_with_transport(&tail, &tcp)
+        .expect("loopback tcp cluster stays up for the run");
     assert_eq!(
         tcp_outcome.stats, outcome.stats,
         "tcp update stats must be byte-identical to the in-process run"
@@ -167,11 +146,9 @@ pub fn run(fast: bool) -> String {
         transport: "tcp",
         ops: tail.len(),
         batches: 1,
-        elapsed: tcp_time,
         stats: tcp_outcome.stats,
         refreshed: tcp_outcome.refreshed_summaries.len(),
         patched: tcp_outcome.patched_compounds.len(),
-        rebuild: None,
         queries: 0,
         invalidations: 0,
         failover: tcp.failover_stats().snapshot(),
@@ -183,30 +160,25 @@ pub fn run(fast: bool) -> String {
     let mut progressive_stats = UpdateStats::default();
     let mut refreshed = 0usize;
     let mut patched = 0usize;
-    let (batches, progressive_time) = time(|| {
-        let mut batches = 0usize;
-        for ops in tail.chunks(chunk) {
-            let outcome = index
-                .apply_updates_with_transport(ops, &InProcess)
-                .expect("in-process transport never fails");
-            progressive_stats.merge(&outcome.stats);
-            refreshed += outcome.refreshed_summaries.len();
-            patched += outcome.patched_compounds.len();
-            batches += 1;
-        }
-        batches
-    });
+    let mut batches = 0usize;
+    for ops in tail.chunks(chunk) {
+        let outcome = index
+            .apply_updates_with_transport(ops, &InProcess)
+            .expect("in-process transport never fails");
+        progressive_stats.merge(&outcome.stats);
+        refreshed += outcome.refreshed_summaries.len();
+        patched += outcome.patched_compounds.len();
+        batches += 1;
+    }
     assert_answers_match(&index, &build(&graph, &partitioning), &graph);
     let progressive = WorkloadResult {
         name: "progressive",
         transport: "in-process",
         ops: tail.len(),
         batches,
-        elapsed: progressive_time,
         stats: progressive_stats,
         refreshed,
         patched,
-        rebuild: None,
         queries: 0,
         invalidations: 0,
         failover: FailoverSnapshot::default(),
@@ -245,31 +217,27 @@ pub fn run(fast: bool) -> String {
         .map(<[SetQuery]>::to_vec)
         .collect();
     let mut answered = 0usize;
-    let (_, interleaved_time) = time(|| {
-        for (round, ops) in stream.chunks(interleaved_ops_per_round).enumerate() {
-            let ops: Vec<UpdateOp> = ops.iter().map(|&op| op_of(op)).collect();
-            service
-                .update(&ops, UpdateMode::Auto)
-                .expect("in-process transport never fails");
-            if let Some(batch) = query_batches.get(round) {
-                answered += service
-                    .query_batch(batch)
-                    .expect("in-process transport never fails")
-                    .results
-                    .len();
-            }
+    for (round, ops) in stream.chunks(interleaved_ops_per_round).enumerate() {
+        let ops: Vec<UpdateOp> = ops.iter().map(|&op| op_of(op)).collect();
+        service
+            .update(&ops, UpdateMode::Auto)
+            .expect("in-process transport never fails");
+        if let Some(batch) = query_batches.get(round) {
+            answered += service
+                .query_batch(batch)
+                .expect("in-process transport never fails")
+                .results
+                .len();
         }
-    });
+    }
     let interleaved = WorkloadResult {
         name: "interleaved",
         transport: "in-process",
         ops: stream.len(),
         batches: interleaved_rounds,
-        elapsed: interleaved_time,
         stats: service.update_stats(),
         refreshed: 0,
         patched: 0,
-        rebuild: None,
         queries: answered,
         invalidations: service.cache_stats().invalidations(),
         failover: service.failover_stats(),
@@ -289,8 +257,6 @@ pub fn run(fast: bool) -> String {
             "Transport",
             "Ops",
             "Batches",
-            "Time (s)",
-            "Ops/s",
             "Rounds",
             "Messages",
             "Update KB",
@@ -298,37 +264,25 @@ pub fn run(fast: bool) -> String {
         ],
     );
     for w in &workloads {
-        let mut notes = Vec::new();
-        if let Some(rebuild) = w.rebuild {
-            notes.push(format!("full rebuild {}s", secs(rebuild)));
-        }
-        if w.queries > 0 {
-            notes.push(format!(
-                "{} queries, {} invalidations",
-                w.queries, w.invalidations
-            ));
-        }
+        let notes = if w.queries > 0 {
+            format!("{} queries, {} invalidations", w.queries, w.invalidations)
+        } else {
+            String::new()
+        };
         table.row(vec![
             w.name.to_string(),
             w.transport.to_string(),
             w.ops.to_string(),
             w.batches.to_string(),
-            secs(w.elapsed),
-            format!("{:.0}", w.ops_per_sec()),
             w.stats.update_rounds.to_string(),
             w.stats.update_messages.to_string(),
             format!("{:.1}", w.stats.update_bytes as f64 / 1024.0),
-            notes.join("; "),
+            notes,
         ]);
     }
-    let mut out = table.render();
 
     let json = render_json(fast, graph_name, &graph, slaves, &workloads);
-    match write_json(&json) {
-        Ok(path) => out.push_str(&format!("\nwrote {path}\n")),
-        Err(err) => out.push_str(&format!("\nfailed to write BENCH_updates.json: {err}\n")),
-    }
-    out
+    (table.render(), json)
 }
 
 fn build(graph: &DiGraph, partitioning: &Partitioning) -> DsrIndex {
@@ -366,42 +320,17 @@ fn render_json(
         graph.num_vertices(),
         graph.num_edges()
     ));
-    let find = |name: &str| {
-        workloads
-            .iter()
-            .find(|w| w.name == name)
-            .unwrap_or_else(|| panic!("workload {name} present"))
-    };
-    let bulk = find("bulk");
-    let rebuild_secs = bulk.rebuild.expect("bulk records rebuild").as_secs_f64();
-    json.push_str(&format!(
-        "  \"figure6_shape\": {{\"bulk_update_seconds\": {:.6}, \"full_rebuild_seconds\": {:.6}, \"update_vs_rebuild\": {:.4}}},\n",
-        bulk.elapsed.as_secs_f64(),
-        rebuild_secs,
-        bulk.elapsed.as_secs_f64() / rebuild_secs.max(1e-9)
-    ));
-    let wire = find("bulk_wire");
-    json.push_str(&format!(
-        "  \"wire\": {{\"seconds\": {:.6}, \"overhead_vs_in_process\": {:.3}, \"stats_identical\": true}},\n",
-        wire.elapsed.as_secs_f64(),
-        wire.elapsed.as_secs_f64() / bulk.elapsed.as_secs_f64().max(1e-9)
-    ));
-    let tcp = find("bulk_tcp");
-    json.push_str(&format!(
-        "  \"tcp\": {{\"seconds\": {:.6}, \"overhead_vs_in_process\": {:.3}, \"stats_identical\": true}},\n",
-        tcp.elapsed.as_secs_f64(),
-        tcp.elapsed.as_secs_f64() / bulk.elapsed.as_secs_f64().max(1e-9)
-    ));
+    // Asserted in `run` before anything is rendered.
+    json.push_str("  \"wire\": {\"stats_identical\": true},\n");
+    json.push_str("  \"tcp\": {\"stats_identical\": true},\n");
     json.push_str("  \"workloads\": [\n");
     for (i, w) in workloads.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"transport\": \"{}\", \"ops\": {}, \"batches\": {}, \"seconds\": {:.6}, \"ops_per_sec\": {:.1}, \"update_rounds\": {}, \"update_messages\": {}, \"update_bytes\": {}, \"refreshed_summaries\": {}, \"patched_compounds\": {}, \"queries\": {}, \"cache_invalidations\": {}, \"failover_retries\": {}, \"failover_suspects\": {}, \"failover_resyncs\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"transport\": \"{}\", \"ops\": {}, \"batches\": {}, \"update_rounds\": {}, \"update_messages\": {}, \"update_bytes\": {}, \"refreshed_summaries\": {}, \"patched_compounds\": {}, \"queries\": {}, \"cache_invalidations\": {}, \"failover_retries\": {}, \"failover_suspects\": {}, \"failover_resyncs\": {}}}{}\n",
             w.name,
             w.transport,
             w.ops,
             w.batches,
-            w.elapsed.as_secs_f64(),
-            w.ops_per_sec(),
             w.stats.update_rounds,
             w.stats.update_messages,
             w.stats.update_bytes,
@@ -419,40 +348,23 @@ fn render_json(
     json
 }
 
-fn write_json(json: &str) -> std::io::Result<String> {
-    common::write_bench_json("BENCH_updates.json", json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fast_run_produces_table_and_json() {
-        let out = run(true);
-        assert!(out.contains("bulk"));
-        assert!(out.contains("bulk_wire"));
-        assert!(out.contains("bulk_tcp"));
-        assert!(out.contains("progressive"));
-        assert!(out.contains("interleaved"));
-        let line = out
-            .lines()
-            .find(|l| l.starts_with("wrote "))
-            .expect("wrote line present");
-        let path = line.trim_start_matches("wrote ");
-        let json = std::fs::read_to_string(path).expect("json readable");
-        assert!(json.contains("\"experiment\": \"updates\""));
-        assert!(json.contains("\"figure6_shape\""));
-        assert!(json.contains("\"update_vs_rebuild\""));
-        assert!(json.contains("\"stats_identical\": true"));
-        assert!(json.contains("\"transport\": \"wire\""));
-        assert!(json.contains("\"transport\": \"tcp\""));
-        assert!(json.contains("\"cache_invalidations\""));
-        // Failover counters are emitted for every workload and are all
-        // zero on this fault-free run (bench_diff gates them at zero).
-        assert!(json.contains("\"failover_retries\": 0"));
-        assert!(json.contains("\"failover_suspects\": 0"));
-        assert!(json.contains("\"failover_resyncs\": 0"));
-        assert!(!json.contains("\"failover_retries\": 1"));
+        let (table, json) = run(true);
+        for workload in ["bulk_wire", "bulk_tcp", "progressive", "interleaved"] {
+            assert!(
+                table.contains(workload),
+                "{workload} row rendered:\n{table}"
+            );
+        }
+        common::assert_golden(
+            "updates",
+            include_str!("../../../../BENCH_updates.json"),
+            &json,
+        );
     }
 }

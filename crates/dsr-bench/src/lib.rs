@@ -1,10 +1,17 @@
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (Section 4).
+//! evaluation (Section 4), plus three counter experiments of the serving
+//! layer.
 //!
-//! Each experiment lives in its own module under [`experiments`] and
-//! exposes `run(fast) -> String`, returning the formatted table/series that
-//! corresponds to the paper's artifact. The `experiments` binary drives
-//! them from the command line:
+//! Each experiment lives in its own module under [`experiments`]. The
+//! paper's tables and figures expose `run(fast) -> String`, the formatted
+//! table/series that corresponds to the paper's artifact; they time with
+//! [`time`], because comparisons inside one run are their subject. The
+//! `throughput`, `updates` and `mixed` experiments measure no time: they
+//! return their table and the text of a `BENCH_*.json` holding nothing but
+//! reproducible counters, and in fast mode that text must equal the file
+//! committed at the repository root — `cargo test -p dsr-bench` compares
+//! them whole. The `experiments` binary drives all of them from the
+//! command line:
 //!
 //! ```text
 //! cargo run -p dsr-bench --release --bin experiments -- all
@@ -12,14 +19,11 @@
 //! cargo run -p dsr-bench --release --bin experiments -- --fast all
 //! ```
 //!
-//! The Criterion benchmarks under `benches/` measure the latency-critical
-//! kernel of each experiment (index build, query evaluation, update step)
-//! so regressions show up in `cargo bench`.
-//!
 //! Absolute numbers differ from the paper (the substrate is a simulated
-//! cluster on synthetic analogues, see DESIGN.md); the comparisons within
-//! each table — who wins, by roughly what factor, where the crossovers are
-//! — are the reproduction target, and EXPERIMENTS.md records them.
+//! cluster on synthetic analogues); the comparisons within each table —
+//! who wins, by roughly what factor, where the crossovers are — are the
+//! reproduction target. Timed claims about this implementation belong to
+//! the repository benchmark under `benchmark/`.
 
 #![forbid(unsafe_code)]
 
@@ -79,26 +83,43 @@ pub const EXPERIMENT_IDS: [&str; 13] = [
     "mixed",
 ];
 
+/// What one experiment produced.
+#[derive(Debug)]
+pub struct Report {
+    /// The rendered table or series.
+    pub table: String,
+    /// Counter experiments only: the text of their `BENCH_<id>.json`. In
+    /// fast mode it must equal the file committed at the repo root.
+    pub golden: Option<String>,
+}
+
 /// Runs one experiment by id. `fast` shrinks datasets/steps so the whole
 /// suite finishes in roughly a minute (used by tests and CI).
-pub fn run_experiment(id: &str, fast: bool) -> Option<String> {
-    let out = match id {
-        "table2" => experiments::table2::run(fast),
-        "table3" => experiments::table3::run(fast),
-        "table4" => experiments::table4::run(fast),
-        "table5" => experiments::table5::run(fast),
-        "table6" => experiments::table6::run(fast),
-        "table7" => experiments::table7::run(fast),
-        "figure5" => experiments::figure5::run(fast),
-        "figure6" => experiments::figure6::run(fast),
-        "figure7" => experiments::figure7::run(fast),
-        "figure8" => experiments::figure8::run(fast),
-        "throughput" => experiments::throughput::run(fast),
-        "updates" => experiments::updates::run(fast),
-        "mixed" => experiments::mixed::run(fast),
-        _ => return None,
+pub fn run_experiment(id: &str, fast: bool) -> Option<Report> {
+    let paper = |table| Report {
+        table,
+        golden: None,
     };
-    Some(out)
+    let counters = |(table, json)| Report {
+        table,
+        golden: Some(json),
+    };
+    Some(match id {
+        "table2" => paper(experiments::table2::run(fast)),
+        "table3" => paper(experiments::table3::run(fast)),
+        "table4" => paper(experiments::table4::run(fast)),
+        "table5" => paper(experiments::table5::run(fast)),
+        "table6" => paper(experiments::table6::run(fast)),
+        "table7" => paper(experiments::table7::run(fast)),
+        "figure5" => paper(experiments::figure5::run(fast)),
+        "figure6" => paper(experiments::figure6::run(fast)),
+        "figure7" => paper(experiments::figure7::run(fast)),
+        "figure8" => paper(experiments::figure8::run(fast)),
+        "throughput" => counters(experiments::throughput::run(fast)),
+        "updates" => counters(experiments::updates::run(fast)),
+        "mixed" => counters(experiments::mixed::run(fast)),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

@@ -147,9 +147,10 @@ impl UpdateStats {
 
 /// Thread-safe counters for the TCP master's failover machinery.
 ///
-/// All three counters are **zero in a fault-free run** — the benchmark
-/// regression gate (`bench_diff`) pins them there, so a code change that
-/// silently starts retrying collectives or suspecting workers fails CI.
+/// All three counters are **zero in a fault-free run** — the
+/// `BENCH_updates.json` golden pins them there, so a code change that
+/// silently starts retrying collectives or suspecting workers fails
+/// `cargo test`.
 ///
 /// * `retries` — collectives re-attempted against the surviving replicas
 ///   after a worker failure.

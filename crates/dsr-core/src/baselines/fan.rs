@@ -10,7 +10,6 @@
 
 use dsr_sync::Arc;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport};
 use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
@@ -31,8 +30,6 @@ pub struct FanOutcome {
     pub messages: u64,
     /// Bytes exchanged.
     pub bytes: u64,
-    /// Wall-clock evaluation time.
-    pub elapsed: Duration,
 }
 
 /// The DSR-Fan evaluator. "Indexing" only extracts the cut and the local
@@ -66,7 +63,6 @@ impl FanBaseline {
     /// Evaluates `S ; T` by building the dependency graph at the master.
     pub fn set_reachability(&self, sources: &[VertexId], targets: &[VertexId]) -> FanOutcome {
         let stats = CommStats::new();
-        let start = Instant::now();
         let k = self.num_partitions();
         if sources.is_empty() || targets.is_empty() {
             return FanOutcome {
@@ -75,7 +71,6 @@ impl FanBaseline {
                 rounds: 0,
                 messages: 0,
                 bytes: 0,
-                elapsed: start.elapsed(),
             };
         }
 
@@ -157,7 +152,6 @@ impl FanBaseline {
             rounds,
             messages,
             bytes,
-            elapsed: start.elapsed(),
         }
     }
 

@@ -7,8 +7,6 @@
 //! *average* dependency-graph size over the pairs, and Table 3 shows the
 //! resulting query times — orders of magnitude slower than DSR.
 
-use std::time::Instant;
-
 use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::Partitioning;
 
@@ -33,7 +31,6 @@ impl NaiveBaseline {
     /// dependency-graph size over all evaluated pairs, matching how Table 2
     /// reports DSR-Naïve.
     pub fn set_reachability(&self, sources: &[VertexId], targets: &[VertexId]) -> FanOutcome {
-        let start = Instant::now();
         let mut pairs = Vec::new();
         let mut total_dependency_edges = 0usize;
         let mut rounds = 0u64;
@@ -61,7 +58,6 @@ impl NaiveBaseline {
             rounds,
             messages,
             bytes,
-            elapsed: start.elapsed(),
         }
     }
 

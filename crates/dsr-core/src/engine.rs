@@ -111,8 +111,6 @@
 //! in-process size accounting is debug-asserted against the wire codec on
 //! every message.
 
-use std::time::{Duration, Instant};
-
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError};
 use dsr_graph::traversal::Direction;
 use dsr_graph::VertexId;
@@ -153,7 +151,9 @@ impl SetQuery {
     }
 }
 
-/// Result of a DSR query together with its cost profile.
+/// Result of a DSR query together with its communication cost — the
+/// paper's cost model. The library counts; a caller that wants a duration
+/// times the call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryOutcome {
     /// All reachable `(source, target)` pairs, sorted and deduplicated.
@@ -164,8 +164,6 @@ pub struct QueryOutcome {
     pub messages: u64,
     /// Total bytes exchanged.
     pub bytes: u64,
-    /// Wall-clock evaluation time.
-    pub elapsed: Duration,
 }
 
 /// Result of a batched DSR evaluation: per-query answers plus the cost of
@@ -182,8 +180,6 @@ pub struct BatchOutcome {
     pub messages: u64,
     /// Total bytes exchanged for the whole batch.
     pub bytes: u64,
-    /// Wall-clock evaluation time of the whole batch.
-    pub elapsed: Duration,
 }
 
 /// Query engine over a prebuilt [`DsrIndex`], generic over the message
@@ -243,8 +239,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         !self.set_reachability(&[source], &[target]).pairs.is_empty()
     }
 
-    /// Algorithm 2: full set reachability with timing and communication
-    /// accounting.
+    /// Algorithm 2: full set reachability with communication accounting.
     ///
     /// # Panics
     /// Panics (with the typed [`TransportError`] message) if the transport
@@ -254,7 +249,6 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// returns the error as a value.
     pub fn set_reachability(&self, sources: &[VertexId], targets: &[VertexId]) -> QueryOutcome {
         let stats = CommStats::new();
-        let start = Instant::now();
         let pairs = self.set_reachability_with_stats(sources, targets, &stats);
         let (rounds, messages, bytes) = stats.snapshot();
         QueryOutcome {
@@ -262,7 +256,6 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             rounds,
             messages,
             bytes,
-            elapsed: start.elapsed(),
         }
     }
 
@@ -297,7 +290,6 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         queries: &[SetQuery],
     ) -> Result<BatchOutcome, TransportError> {
         let stats = CommStats::new();
-        let start = Instant::now();
         let results = self.set_reachability_batch_with_stats(queries, &stats)?;
         let (rounds, messages, bytes) = stats.snapshot();
         Ok(BatchOutcome {
@@ -305,7 +297,6 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             rounds,
             messages,
             bytes,
-            elapsed: start.elapsed(),
         })
     }
 

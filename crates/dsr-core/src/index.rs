@@ -2,7 +2,6 @@
 //! reachability indexes and build statistics.
 
 use dsr_sync::Arc;
-use std::time::{Duration, Instant};
 
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, MessageSize, Transport, TransportError};
 use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
@@ -17,8 +16,6 @@ use crate::summary::PartitionSummary;
 /// (equivalence-set optimization).
 #[derive(Debug, Clone)]
 pub struct IndexBuildStats {
-    /// Wall-clock build time (the "Indexing Time" column of Table 3).
-    pub build_time: Duration,
     /// Per-partition compound-graph edge counts before condensation
     /// ("Original" in Table 2); the table reports the per-node maximum.
     pub compound_edges: Vec<usize>,
@@ -153,7 +150,6 @@ impl DsrIndex {
             partitioning.num_vertices(),
             "partitioning must cover the graph"
         );
-        let start = Instant::now();
         let k = partitioning.num_partitions;
         let cut = Cut::extract(graph, &partitioning);
         let members = partitioning.members();
@@ -227,7 +223,7 @@ impl DsrIndex {
             build_index(kind, Arc::new(compounds[i].graph.clone()))
         });
 
-        let stats = Self::collect_stats(start.elapsed(), &summaries, &compounds, &comm);
+        let stats = Self::collect_stats(&summaries, &compounds, &comm);
         Ok(DsrIndex {
             partitioning,
             cut,
@@ -242,13 +238,11 @@ impl DsrIndex {
     }
 
     pub(crate) fn collect_stats(
-        build_time: Duration,
         summaries: &[PartitionSummary],
         compounds: &[CompoundGraph],
         summary_comm: &CommStats,
     ) -> IndexBuildStats {
         IndexBuildStats {
-            build_time,
             compound_edges: compounds.iter().map(|c| c.num_edges()).collect(),
             dag_edges: compounds.iter().map(|c| c.dag_edges()).collect(),
             total_bytes: compounds.iter().map(|c| c.byte_size()).sum(),

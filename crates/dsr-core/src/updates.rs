@@ -54,7 +54,6 @@
 
 use dsr_sync::Arc;
 use std::collections::{BTreeSet, VecDeque};
-use std::time::{Duration, Instant};
 
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError, UpdateStats};
 use dsr_graph::{InducedSubgraph, VertexId};
@@ -127,8 +126,6 @@ pub struct UpdateOutcome {
     /// of the shipped [`SummaryDelta`]s, byte-identical between the
     /// in-process and wire transports.
     pub stats: UpdateStats,
-    /// Wall-clock time of the update.
-    pub elapsed: Duration,
 }
 
 /// Staged view of one partition's local subgraph during classification:
@@ -270,7 +267,6 @@ impl DsrIndex {
         ops: &[UpdateOp],
         transport: &T,
     ) -> Result<UpdateOutcome, TransportError> {
-        let start = Instant::now();
         let k = self.num_partitions();
 
         // ---- Stage 1: classify ops in order against the staged state, so
@@ -539,7 +535,6 @@ impl DsrIndex {
             patched_compounds: affected,
             shipped_deltas,
             stats: UpdateStats::from_comm(&comm),
-            elapsed: start.elapsed(),
         })
     }
 }

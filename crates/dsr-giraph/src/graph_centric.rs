@@ -15,7 +15,6 @@
 //! source)`, which is the communication reduction shown in Figure 8.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 use dsr_cluster::run_on_slaves;
 use dsr_core::PartitionSummary;
@@ -89,7 +88,6 @@ fn run_graph_centric(
     targets: &[VertexId],
     summaries: Option<&[PartitionSummary]>,
 ) -> GiraphOutcome {
-    let start = Instant::now();
     let n = graph.num_vertices();
     assert_eq!(
         partitioning.num_vertices(),
@@ -243,7 +241,6 @@ fn run_graph_centric(
         supersteps,
         messages,
         bytes,
-        elapsed: start.elapsed(),
     }
 }
 

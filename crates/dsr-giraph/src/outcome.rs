@@ -1,7 +1,5 @@
 //! Common result type of the Giraph-style engines.
 
-use std::time::Duration;
-
 use dsr_graph::VertexId;
 
 /// Result and cost profile of a BSP set-reachability run.
@@ -18,8 +16,6 @@ pub struct GiraphOutcome {
     pub messages: u64,
     /// Total bytes exchanged (Figure 5(b)(f)(j)(n), Figure 8 right).
     pub bytes: u64,
-    /// Wall-clock evaluation time.
-    pub elapsed: Duration,
 }
 
 impl GiraphOutcome {
@@ -41,7 +37,6 @@ mod tests {
             supersteps: 1,
             messages: 2,
             bytes: 2048,
-            elapsed: Duration::from_millis(1),
         };
         assert!((o.kilobytes() - 2.0).abs() < 1e-9);
     }

@@ -9,7 +9,6 @@
 //! behaviour the paper contrasts with DSR's single exchange round.
 
 use std::collections::HashSet;
-use std::time::Instant;
 
 use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::Partitioning;
@@ -29,7 +28,6 @@ pub fn giraph_set_reachability(
     sources: &[VertexId],
     targets: &[VertexId],
 ) -> GiraphOutcome {
-    let start = Instant::now();
     let n = graph.num_vertices();
     assert_eq!(
         partitioning.num_vertices(),
@@ -94,7 +92,6 @@ pub fn giraph_set_reachability(
         supersteps,
         messages,
         bytes,
-        elapsed: start.elapsed(),
     }
 }
 

@@ -481,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_round_trips_across_shards() {
+    fn distinct_signatures_below_capacity_round_trip() {
         // Many distinct signatures below capacity: each one misses, is
         // stored without displacing another, and hits.
         let cache = QueryCache::new(1024);
@@ -498,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_cache_collapses_to_one_shard_with_exact_lru() {
+    fn one_entry_cache_evicts_across_namespaces() {
         // A one-entry cache across two namespaces: every insert evicts the
         // single resident entry, wherever it lives.
         let cache = cache_with_namespaces(1, 1);

@@ -84,7 +84,7 @@ pub enum UpdateMode {
 }
 
 /// Per-query knobs for [`QueryService::submit_with`] /
-/// [`QueryService::query_with`] / [`QueryService::query_batch_with`].
+/// [`QueryService::query_with`].
 ///
 /// The default (`QueryOptions::default()`) is the behavior of the plain
 /// entry points: consult the cache, run against the latest generation.
@@ -195,9 +195,6 @@ pub struct BatchReply {
     pub messages: u64,
     /// Bytes exchanged by the fused execution(s).
     pub bytes: u64,
-    /// Wall-clock time of the whole call (probe + batch formation +
-    /// execution + insert).
-    pub elapsed: Duration,
 }
 
 /// Generation-chain gauges of a [`QueryService`] — the MVCC counters the
@@ -373,7 +370,7 @@ impl SnapshotRef<'_> {
     /// [`ServiceError::Transport`] when the fused execution fails.
     pub fn query_batch(&self, queries: &[SetQuery]) -> Result<BatchReply, ServiceError> {
         self.service
-            .query_batch_pinned(Arc::clone(self.pin()), queries, true)
+            .query_batch_pinned(Arc::clone(self.pin()), queries)
     }
 }
 
@@ -766,23 +763,7 @@ impl QueryService {
     /// admission. The in-process and wire backends lose no worker.
     pub fn query_batch(&self, queries: &[SetQuery]) -> Result<BatchReply, ServiceError> {
         let generation = self.core.generations.latest();
-        self.query_batch_pinned(generation, queries, true)
-    }
-
-    /// [`query_batch`](QueryService::query_batch) with per-query
-    /// [`QueryOptions`] applied to the whole batch.
-    ///
-    /// # Errors
-    /// As [`query_batch`](QueryService::query_batch), plus
-    /// [`ServiceError::GenerationReclaimed`] on a dead
-    /// [`QueryOptions::pin`].
-    pub fn query_batch_with(
-        &self,
-        queries: &[SetQuery],
-        options: QueryOptions,
-    ) -> Result<BatchReply, ServiceError> {
-        let generation = self.resolve_pin(&options)?;
-        self.query_batch_pinned(generation, queries, options.cache)
+        self.query_batch_pinned(generation, queries)
     }
 
     /// The one batched path: probe `generation`'s namespace, submit the
@@ -791,17 +772,14 @@ impl QueryService {
         &self,
         generation: Arc<Generation>,
         queries: &[SetQuery],
-        cache: bool,
     ) -> Result<BatchReply, ServiceError> {
-        let start = Instant::now();
-        let use_cache = self.core.cache_enabled && cache;
         let mut results: Vec<Option<CachedPairs>> = vec![None; queries.len()];
         let mut cache_hits = 0usize;
         let mut miss_keys: Vec<SigKey> = Vec::new();
         let mut miss_slots: Vec<usize> = Vec::new(); // waiter slot -> query index
         for (qi, query) in queries.iter().enumerate() {
             let key = SigKey::from_query(query);
-            if use_cache {
+            if self.core.cache_enabled {
                 if let Some(hit) = self.core.cache.get(generation.id(), &key) {
                     self.core.record_namespaced_hit(&generation);
                     cache_hits += 1;
@@ -827,7 +805,7 @@ impl QueryService {
                     .map(|(slot, key)| Entry {
                         key: key.clone(),
                         generation: Arc::clone(&generation),
-                        cache,
+                        cache: true,
                         waiter: Arc::clone(&waiter),
                         slot,
                         enqueued,
@@ -875,7 +853,6 @@ impl QueryService {
             rounds,
             messages,
             bytes,
-            elapsed: start.elapsed(),
         })
     }
 
@@ -1171,7 +1148,7 @@ mod tests {
     }
 
     #[test]
-    fn in_place_update_advances_the_chain_and_retires_the_namespace() {
+    fn unpinned_update_advances_the_chain_and_retires_the_namespace() {
         let service = chain_service();
         assert!(service.query(&[5], &[0]).is_empty());
         let outcome = service
@@ -1188,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn pinned_readers_refuse_in_place_updates_with_a_typed_error() {
+    fn update_lands_beside_a_pinned_latest_generation() {
         // A pinned latest generation is retained; the update lands beside
         // it and refuses nothing.
         let service = chain_service();
@@ -1276,7 +1253,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_forks_exactly_when_exclusivity_is_refused() {
+    fn update_takes_one_path_with_and_without_a_pin() {
         let service = chain_service();
         let snap = service.snapshot();
         service

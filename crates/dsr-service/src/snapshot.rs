@@ -261,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_is_visible_to_all_slots() {
+    fn install_is_visible_to_every_thread() {
         let chain = Arc::new(GenerationChain::new(chain_index()));
         chain.install(chain_index());
         // Many fresh threads; all must see the install.

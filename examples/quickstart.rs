@@ -72,11 +72,10 @@ fn main() {
     );
     let index = DsrIndex::build(&graph, partitioning, LocalIndexKind::Dfs);
     println!(
-        "index: {} forward classes, {} backward classes, {} transit edges, built in {:?}",
+        "index: {} forward classes, {} backward classes, {} transit edges",
         index.stats.total_forward_classes,
         index.stats.total_backward_classes,
-        index.stats.total_transit_edges,
-        index.stats.build_time
+        index.stats.total_transit_edges
     );
 
     // 3. Ask the set-reachability query of Example 9: S = {d, l, p},

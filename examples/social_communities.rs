@@ -11,6 +11,8 @@
 //! cargo run --release --example social_communities
 //! ```
 
+use std::time::Instant;
+
 use dsr_community::{louvain, modularity};
 use dsr_core::{DsrEngine, DsrIndex};
 use dsr_datagen::social_network;
@@ -54,13 +56,14 @@ fn main() {
     for size in [10usize, 50, 200] {
         let sources = &community_a[..size.min(community_a.len())];
         let targets = &community_b[..size.min(community_b.len())];
+        let start = Instant::now();
         let outcome = engine.set_reachability(sources, targets);
         println!(
             "  |S|x|T| = {:>3}x{:<3} -> {:>6} reachable pairs in {:?} ({} bytes exchanged)",
             sources.len(),
             targets.len(),
             outcome.pairs.len(),
-            outcome.elapsed,
+            start.elapsed(),
             outcome.bytes
         );
     }

@@ -11,6 +11,7 @@
 use dsr_sync::Arc;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::time::Instant;
 
 use dsr_cluster::tcp::{bind_worker, serve_worker, WorkerOptions};
 use dsr_cluster::{ClusterSpec, DynTransport, TcpTransport};
@@ -85,7 +86,9 @@ fn main() {
         })
         .collect();
     let expected = reference.query_batch(&queries).expect("in-process");
+    let start = Instant::now();
     let reply = service.query_batch(&queries).expect("tcp cluster");
+    let elapsed = start.elapsed();
     assert!(
         reply
             .results
@@ -104,7 +107,7 @@ fn main() {
         reply.rounds,
         reply.messages,
         reply.bytes as f64 / 1024.0,
-        reply.elapsed
+        elapsed
     );
     println!("answers and byte counts identical to the in-process backend ✓");
 

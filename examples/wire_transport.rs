@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example wire_transport`
 
+use std::time::Instant;
+
 use dsr_cluster::{Transport, TransportKind, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
@@ -51,18 +53,22 @@ fn main() {
     let in_process_engine = DsrEngine::new(&in_process_index);
     let wire_engine = DsrEngine::with_transport(&wire_index, &wire);
 
+    let start = Instant::now();
     let a = in_process_engine
         .set_reachability_batch(&queries)
         .expect("in-process");
+    let a_time = start.elapsed();
+    let start = Instant::now();
     let b = wire_engine.set_reachability_batch(&queries).expect("wire");
+    let b_time = start.elapsed();
 
     assert_eq!(a.results, b.results, "transports must agree on answers");
     assert_eq!(a.rounds, b.rounds, "3-round protocol on both backends");
     assert_eq!(a.bytes, b.bytes, "exact sizing == measured wire bytes");
 
-    for (name, outcome) in [
-        (TransportKind::InProcess.create().name(), &a),
-        (wire.name(), &b),
+    for (name, outcome, elapsed) in [
+        (TransportKind::InProcess.create().name(), &a, a_time),
+        (wire.name(), &b, b_time),
     ] {
         println!(
             "{name:>11}: {} queries -> {} pairs | rounds {} | messages {} | {:.1} KB | {:?}",
@@ -71,7 +77,7 @@ fn main() {
             outcome.rounds,
             outcome.messages,
             outcome.bytes as f64 / 1024.0,
-            outcome.elapsed,
+            elapsed,
         );
     }
     println!(

@@ -6,7 +6,9 @@ use dsr_bench::{run_experiment, EXPERIMENT_IDS};
 #[test]
 fn every_experiment_runs_in_fast_mode() {
     for id in EXPERIMENT_IDS {
-        let output = run_experiment(id, true).unwrap_or_else(|| panic!("{id} is not wired up"));
+        let output = run_experiment(id, true)
+            .unwrap_or_else(|| panic!("{id} is not wired up"))
+            .table;
         assert!(
             output.lines().count() >= 4,
             "{id} produced too little output:\n{output}"
