@@ -44,6 +44,7 @@
 
 pub mod error;
 pub mod fault;
+mod frame;
 pub mod message;
 pub mod pool;
 pub mod stats;

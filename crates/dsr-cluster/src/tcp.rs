@@ -32,7 +32,43 @@
 //! Failures are values, not panics: a worker dying mid-exchange, a
 //! handshake against a non-protocol peer, a timed-out read or an oversized
 //! frame all surface as a typed [`TransportError`] from the collective
-//! that observed them.
+//! that observed them. A collective that ends in such an error (rather
+//! than failing over) drops every master link first, so a reply it left
+//! half-read — one that arrived whole but did not decode, say — is never
+//! taken for the next collective's; that one reconnects at a fresh epoch.
+//!
+//! # The master side of a collective
+//!
+//! Every collective runs on the thread that called it; the master spawns
+//! nothing. It **writes one whole op to every involved worker, link after
+//! link, and only then reads the replies, in worker order**; each worker
+//! keeps its own `Result`, so failure attribution sees every worker's
+//! outcome (a failed write skips that worker's read, nothing else). When
+//! a worker hosts several nodes (more partitions than workers, or a
+//! survivor after failover) scatter and gather go in *waves* — wave `i`
+//! ships the `i`-th node's op to every worker, then reads the `i`-th reply
+//! from every worker — so a link never carries two unanswered ops.
+//!
+//! Writing everything before reading anything cannot wait on itself, for
+//! two reasons that live in [`serve_worker`]'s relay loop: a worker reads
+//! a whole op into memory before it writes a byte, to anyone; and in an
+//! exchange it replies to the master only after its forwarder threads are
+//! joined and its incoming lanes are read. So a `write_all` of the master
+//! only ever waits for a worker that is reading its op — never for a read
+//! the master has not reached — and a worker stuck writing a large reply
+//! holds up no other worker: everything its peers needed from it is
+//! already on their lanes.
+//!
+//! What the single thread gives up is waiting side by side. A dead worker
+//! is an immediate EOF or reset, exactly as before; a *hung* one (alive,
+//! silent) is a timeout, and timeouts now queue: the master can spend one
+//! `io_timeout` on a lower-numbered peer whose exchange reply is stuck
+//! behind a lane from the hung worker, and then a second one on the hung
+//! worker itself. Every other wait has run out on the same clock by then
+//! (a peer gives up on a silent lane after the same `io_timeout` and
+//! closes its session), so one hung worker costs an exchange attempt up to
+//! ≈ 2 × `io_timeout` where the per-worker threads waited 1 ×; scatter
+//! and gather still wait 1 ×.
 //!
 //! # Protocol
 //!
@@ -40,16 +76,22 @@
 //! role). The master assigns each worker its id and the cluster topology
 //! (the peer address list); topology updates are re-sent when a loopback
 //! mesh grows. Frames are varint-length-prefixed byte strings with a hard
-//! [`MAX_FRAME_LEN`] sanity limit, checked **before** any allocation.
+//! [`MAX_FRAME_LEN`] sanity limit, checked **before** any allocation (the
+//! codec lives in the crate's `frame` module). Master links are read
+//! through one buffered reader per side — [`serve_worker`] wraps the
+//! master stream once per session, the master wraps each link once the
+//! handshake is through — and never around it.
 
 use dsr_sync::{Arc, Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::error::TransportError;
 use crate::fault::{FaultPhase, FaultPlan};
+pub use crate::frame::MAX_FRAME_LEN;
+use crate::frame::{put_frame, put_string, read_frame, read_string, read_varint, FrameIoError};
 use crate::stats::{CommStats, FailoverStats};
 use crate::topology::Topology;
 use crate::transport::{Transport, WireMessage};
@@ -62,11 +104,6 @@ pub const MAGIC: [u8; 4] = *b"DSRT";
 /// both hello forms and explicit worker routing to the exchange op
 /// (partition-addressed replication).
 pub const PROTOCOL_VERSION: u64 = 2;
-
-/// Hard upper bound on a single frame's announced length. A corrupt stream
-/// (or a peer that is not speaking the protocol) is rejected before the
-/// transport allocates a buffer for it.
-pub const MAX_FRAME_LEN: u64 = 256 * 1024 * 1024;
 
 const ROLE_MASTER: u64 = 0;
 const ROLE_PEER: u64 = 1;
@@ -84,98 +121,6 @@ const OP_ECHO: u64 = 1;
 const OP_TOPOLOGY: u64 = 2;
 const OP_EXCHANGE: u64 = 3;
 const OP_SHUTDOWN: u64 = 4;
-
-// ---------------------------------------------------------------------------
-// Frame codec over byte streams.
-// ---------------------------------------------------------------------------
-
-/// Low-level framing failure, classified into [`TransportError`] by the
-/// caller (which knows the peer and the phase).
-#[derive(Debug)]
-pub(crate) enum FrameIoError {
-    /// The underlying read/write failed (includes clean EOF).
-    Io(std::io::Error),
-    /// A varint exceeded 64 bits.
-    VarintOverflow,
-    /// A frame announced a length beyond [`MAX_FRAME_LEN`].
-    Oversized(u64),
-}
-
-impl FrameIoError {
-    fn classify(self, peer: &str, context: &str) -> TransportError {
-        match self {
-            FrameIoError::Io(source) => TransportError::from_io(peer, context, source),
-            FrameIoError::VarintOverflow => TransportError::Protocol {
-                peer: peer.to_string(),
-                reason: format!("varint overflow during {context}"),
-            },
-            FrameIoError::Oversized(announced) => TransportError::OversizedFrame {
-                announced,
-                limit: MAX_FRAME_LEN,
-            },
-        }
-    }
-}
-
-impl From<std::io::Error> for FrameIoError {
-    fn from(err: std::io::Error) -> Self {
-        FrameIoError::Io(err)
-    }
-}
-
-/// Reads one LEB128 varint from a byte stream.
-pub(crate) fn read_varint(reader: &mut impl Read) -> Result<u64, FrameIoError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        reader.read_exact(&mut byte)?;
-        if shift == 63 && byte[0] & 0x7F > 1 {
-            return Err(FrameIoError::VarintOverflow);
-        }
-        value |= u64::from(byte[0] & 0x7F) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(FrameIoError::VarintOverflow);
-        }
-    }
-}
-
-/// Reads one varint-length-prefixed frame, rejecting announced lengths
-/// beyond [`MAX_FRAME_LEN`] *before* allocating.
-pub(crate) fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, FrameIoError> {
-    let len = read_varint(reader)?;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameIoError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload)?;
-    Ok(payload)
-}
-
-/// Appends a varint-length-prefixed frame to `buf`.
-pub(crate) fn put_frame(buf: &mut Vec<u8>, frame: &[u8]) {
-    wire::put_varint(buf, frame.len() as u64);
-    buf.extend_from_slice(frame);
-}
-
-/// Appends a varint-length-prefixed UTF-8 string to `buf`.
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_frame(buf, s.as_bytes());
-}
-
-fn read_string(reader: &mut impl Read) -> Result<String, FrameIoError> {
-    let bytes = read_frame(reader)?;
-    String::from_utf8(bytes).map_err(|_| {
-        FrameIoError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "address is not UTF-8",
-        ))
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Cluster specification.
@@ -834,7 +779,10 @@ struct Group {
 
 fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, TransportError> {
     let peer = "master";
-    let mut reader = master;
+    // One buffered reader per session: an op header is dozens of varints,
+    // and unbuffered each of their bytes is a `read(2)`. Nothing else reads
+    // this socket after the hello, so read-ahead cannot strand a byte.
+    let mut reader = BufReader::new(master);
     loop {
         let opcode = match read_varint(&mut reader) {
             Ok(op) => op,
@@ -875,7 +823,7 @@ fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, T
                 }
                 dsr_sync::lock(&shared.state).topology = topology;
             }
-            OP_EXCHANGE => handle_exchange(master, shared)?,
+            OP_EXCHANGE => handle_exchange(&mut reader, master, shared)?,
             OP_SHUTDOWN => {
                 let mut writer = master;
                 let _ = writer.write_all(&[0]); // empty ack frame
@@ -891,9 +839,15 @@ fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, T
     }
 }
 
-fn handle_exchange(master: &TcpStream, shared: &WorkerShared) -> Result<(), TransportError> {
+/// Serves one exchange op: reads the rest of the op from `reader` (the
+/// session's buffered view of `master`), forwards and collects the groups
+/// over the peer lanes, then writes the reply to `master`.
+fn handle_exchange(
+    mut reader: impl Read,
+    master: &TcpStream,
+    shared: &WorkerShared,
+) -> Result<(), TransportError> {
     let peer = "master";
-    let mut reader = master;
     let context = "read exchange op";
     let send_count = read_varint(&mut reader).map_err(|e| e.classify(peer, context))? as usize;
     let mut sends: Vec<Group> = Vec::with_capacity(send_count.min(1024));
@@ -1155,15 +1109,45 @@ fn peer_name(worker: usize, topology: &[String]) -> String {
 // ---------------------------------------------------------------------------
 
 struct WorkerLink {
+    /// Write half (and the handle faults and resets shut down).
     stream: TcpStream,
+    /// Read half: a clone of `stream`, buffered so a reply's varints are
+    /// not one `read(2)` each. Created once the handshake is through, and
+    /// from then on the *only* way this socket is read — a raw read next
+    /// to it would miss whatever the buffer already holds.
+    reader: BufReader<TcpStream>,
+    id: usize,
     addr: String,
     /// Topology length this worker last saw (hello or OP_TOPOLOGY).
     topology_seen: usize,
 }
 
 impl WorkerLink {
-    fn name(&self, id: usize) -> String {
-        format!("worker {id} ({})", self.addr)
+    /// Peer name for error values; only built once something failed.
+    fn name(&self) -> String {
+        format!("worker {} ({})", self.id, self.addr)
+    }
+
+    /// Writes one whole op.
+    fn send(&self, op: &[u8], context: &str) -> Result<(), TransportError> {
+        let mut writer = &self.stream;
+        writer
+            .write_all(op)
+            .map_err(|e| TransportError::from_io(&self.name(), context, e))
+    }
+
+    /// Reads the next reply frame.
+    fn recv(&mut self, context: &str) -> Result<Vec<u8>, TransportError> {
+        read_frame(&mut self.reader).map_err(|e| e.classify(&self.name(), context))
+    }
+
+    /// Orders the worker to end the session (best effort: it may be gone)
+    /// and closes the socket.
+    fn shutdown(&mut self) {
+        if self.send(&[OP_SHUTDOWN as u8], "shutdown").is_ok() {
+            let _ = self.recv("shutdown ack");
+        }
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -1282,23 +1266,18 @@ impl MasterState {
     /// Pushes the current address roster to links whose workers last saw a
     /// shorter one (loopback growth moves the list under them).
     fn refresh_topology(&mut self) -> Result<(), TransportError> {
-        let addrs = self.addrs.clone();
-        for (id, slot) in self.links.iter_mut().enumerate() {
-            let Some(link) = slot else { continue };
+        let addrs = &self.addrs;
+        for link in self.links.iter_mut().flatten() {
             if link.topology_seen == addrs.len() {
                 continue;
             }
             let mut op = Vec::new();
             wire::put_varint(&mut op, OP_TOPOLOGY);
             wire::put_varint(&mut op, addrs.len() as u64);
-            for addr in &addrs {
+            for addr in addrs {
                 put_string(&mut op, addr);
             }
-            let name = link.name(id);
-            let mut writer = &link.stream;
-            writer
-                .write_all(&op)
-                .map_err(|e| TransportError::from_io(&name, "send topology update", e))?;
+            link.send(&op, "send topology update")?;
             link.topology_seen = addrs.len();
         }
         Ok(())
@@ -1374,8 +1353,16 @@ fn connect_link(
             reason: format!("worker acknowledged id {echoed}, expected {id}"),
         });
     }
+    // The ack was read byte-exact from the raw socket, so the buffered
+    // reader starts on a frame boundary.
+    let reader = stream
+        .try_clone()
+        .map(BufReader::new)
+        .map_err(|e| TransportError::from_io(&peer, "clone worker link", e))?;
     Ok(WorkerLink {
         stream,
+        reader,
+        id,
         addr: addr.to_string(),
         topology_seen: topology.len(),
     })
@@ -1394,7 +1381,10 @@ struct ArmedFault {
 /// See the [module docs](self) for the architecture. Collectives are
 /// internally serialized (one at a time per transport), so one
 /// `TcpTransport` can be shared by concurrent query threads, exactly like
-/// the other backends.
+/// the other backends. Each one runs entirely on the thread that called
+/// it — one op written to every involved worker, then every reply read,
+/// in worker order — and a message is decoded on that thread and nowhere
+/// else.
 ///
 /// # Fault tolerance
 ///
@@ -1419,13 +1409,6 @@ impl std::fmt::Debug for TcpTransport {
         f.debug_struct("TcpTransport").finish_non_exhaustive()
     }
 }
-
-/// Per-worker outcome of one echo attempt: the `(node, message)` pairs that
-/// worker delivered, or the failure that interrupted it.
-type EchoOutcome<M> = (usize, Result<Vec<(usize, M)>, TransportError>);
-/// Per-worker outcome of one exchange attempt: the `(src, dst, message)`
-/// triples collected from that worker's reply, or the failure.
-type ExchangeOutcome<M> = (usize, Result<Vec<(usize, usize, M)>, TransportError>);
 
 impl TcpTransport {
     /// A self-hosted loopback cluster: workers are spawned as threads of
@@ -1574,11 +1557,11 @@ impl TcpTransport {
         for worker in suspects {
             let addr = state.addrs[worker].clone();
             state.epoch += 1;
-            let link = match connect_link(
+            let mut link = match connect_link(
                 &addr,
                 worker,
                 state.epoch,
-                &state.addrs.clone(),
+                &state.addrs,
                 probe_timeout,
                 state.io_timeout,
             ) {
@@ -1595,13 +1578,11 @@ impl TcpTransport {
                     let mut op = Vec::with_capacity(frame.len() + 2 * wire::MAX_VARINT_LEN);
                     wire::put_varint(&mut op, OP_ECHO);
                     put_frame(&mut op, frame);
-                    let mut writer = &link.stream;
-                    if writer.write_all(&op).is_err() {
+                    if link.send(&op, "resync send").is_err() {
                         ok = false;
                         break;
                     }
-                    let mut reader = &link.stream;
-                    match read_frame(&mut reader) {
+                    match link.recv("resync reply") {
                         Ok(echoed) if echoed == *frame => stats.record_message(frame.len()),
                         _ => {
                             ok = false;
@@ -1718,7 +1699,10 @@ impl TcpTransport {
     /// attributes them to culprit workers, marks those suspect, and
     /// decides between *retry against the next replica* (`Ok`) and
     /// *surface the primary error* (`Err`: non-connectivity failure,
-    /// unroutable topology, or retry budget exhausted).
+    /// unroutable topology, or retry budget exhausted). The collective
+    /// ends on an `Err`, possibly with half a reply unread on some link,
+    /// so every link is dropped first: the next collective reconnects at a
+    /// fresh epoch instead of reading those leftovers as its own replies.
     fn absorb_failures(
         &self,
         state: &mut MasterState,
@@ -1733,6 +1717,7 @@ impl TcpTransport {
             .iter()
             .position(|(_, err)| !err.is_connectivity_loss())
         {
+            state.drop_all_links();
             return Err(failures.swap_remove(at).1);
         }
         let failed: Vec<usize> = failures.iter().map(|&(worker, _)| worker).collect();
@@ -1792,6 +1777,7 @@ impl TcpTransport {
             .expect("collective ran, topology exists")
             .fully_routable();
         if !routable || attempts > state.addrs.len() + 1 {
+            state.drop_all_links();
             return Err(primary);
         }
         if reset_sessions {
@@ -1821,18 +1807,25 @@ impl TcpTransport {
     /// are encoded (and counted) **once**; a worker failure marks it
     /// suspect and retries the undelivered partitions against their next
     /// replicas, so [`CommStats`] is identical with and without failover.
+    ///
+    /// Runs on the calling thread, in *waves*: wave `i` writes the `i`-th
+    /// pending op of every worker, then reads the `i`-th reply of every
+    /// worker — one wave unless a worker hosts several nodes, and never
+    /// two unanswered ops on one link (see the module docs for why the
+    /// writes cannot wait on the reads).
     fn echo_round<M: WireMessage>(
         &self,
         messages: Vec<M>,
         stats: &CommStats,
         fault_phase: FaultPhase,
-        phase: &str,
+        [send_context, reply_context]: [&str; 2],
     ) -> Result<Vec<M>, TransportError> {
         stats.record_round();
         let k = messages.len();
-        let mut state = dsr_sync::lock(&self.state);
-        self.ensure_ready(&mut state, k)?;
-        self.fire_faults(&mut state, fault_phase);
+        let mut guard = dsr_sync::lock(&self.state);
+        let state = &mut *guard;
+        self.ensure_ready(state, k)?;
+        self.fire_faults(state, fault_phase);
         let encoded: Vec<Vec<u8>> = messages
             .iter()
             .map(|m| Self::encode_and_count(m, stats))
@@ -1840,6 +1833,7 @@ impl TcpTransport {
         drop(messages);
 
         let mut delivered: Vec<Option<M>> = (0..k).map(|_| None).collect();
+        let mut op = Vec::new();
         let mut attempts = 0usize;
         let mut backoff = FAILOVER_BACKOFF_START;
         loop {
@@ -1855,67 +1849,50 @@ impl TcpTransport {
                     .ok_or(TransportError::NoReplica { partition: node })?;
                 by_worker.entry(worker).or_default().push(node);
             }
-            if by_worker.is_empty() {
-                break;
-            }
-            let state_ref = &*state;
-            let outcomes: Vec<EchoOutcome<M>> = dsr_sync::thread::scope(|scope| {
-                let tasks: Vec<_> = by_worker
-                    .iter()
-                    .map(|(&worker, nodes)| {
-                        let link = state_ref.links[worker]
-                            .as_ref()
-                            .expect("routable workers are connected");
-                        let encoded = &encoded;
-                        let task =
-                            scope.spawn(move || -> Result<Vec<(usize, M)>, TransportError> {
-                                let name = link.name(worker);
-                                let mut results = Vec::with_capacity(nodes.len());
-                                for &node in nodes {
-                                    let mut op = Vec::with_capacity(
-                                        encoded[node].len() + 2 * wire::MAX_VARINT_LEN,
-                                    );
-                                    wire::put_varint(&mut op, OP_ECHO);
-                                    put_frame(&mut op, &encoded[node]);
-                                    let mut writer = &link.stream;
-                                    writer.write_all(&op).map_err(|e| {
-                                        TransportError::from_io(&name, &format!("{phase} send"), e)
-                                    })?;
-                                    let mut reader = &link.stream;
-                                    let frame = read_frame(&mut reader).map_err(|e| {
-                                        e.classify(&name, &format!("{phase} reply"))
-                                    })?;
-                                    let message = wire::decode_exact::<M>(&frame)?;
-                                    results.push((node, message));
-                                }
-                                Ok(results)
-                            });
-                        (worker, task)
-                    })
-                    .collect();
-                tasks
-                    .into_iter()
-                    .map(|(worker, task)| (worker, task.join().expect("tcp echo thread")))
-                    .collect()
-            });
+            // A worker's first failure ends its part of the attempt; the
+            // others carry on, so the list below is the whole picture.
             let mut failures: Vec<(usize, TransportError)> = Vec::new();
-            for (worker, outcome) in outcomes {
-                match outcome {
-                    Ok(results) => {
-                        for (node, message) in results {
-                            delivered[node] = Some(message);
-                        }
+            let waves = by_worker.values().map(Vec::len).max().unwrap_or(0);
+            for wave in 0..waves {
+                let mut awaited: Vec<(usize, usize)> = Vec::with_capacity(by_worker.len());
+                for (&worker, nodes) in &by_worker {
+                    let Some(&node) = nodes.get(wave) else {
+                        continue;
+                    };
+                    if failures.iter().any(|&(failed, _)| failed == worker) {
+                        continue;
                     }
-                    Err(err) => failures.push((worker, err)),
+                    op.clear();
+                    wire::put_varint(&mut op, OP_ECHO);
+                    put_frame(&mut op, &encoded[node]);
+                    let link = state.links[worker]
+                        .as_ref()
+                        .expect("routable workers are connected");
+                    match link.send(&op, send_context) {
+                        Ok(()) => awaited.push((worker, node)),
+                        Err(err) => failures.push((worker, err)),
+                    }
+                }
+                for (worker, node) in awaited {
+                    let link = state.links[worker]
+                        .as_mut()
+                        .expect("routable workers are connected");
+                    let reply = link
+                        .recv(reply_context)
+                        .and_then(|frame| Ok(wire::decode_exact::<M>(&frame)?));
+                    match reply {
+                        Ok(message) => delivered[node] = Some(message),
+                        Err(err) => failures.push((worker, err)),
+                    }
                 }
             }
             if failures.is_empty() {
-                continue; // loop re-plans; exits when nothing is missing
+                break; // every planned node was delivered
             }
-            self.absorb_failures(&mut state, failures, attempts, false)?;
+            self.absorb_failures(state, failures, attempts, false)?;
             dsr_sync::thread::sleep(backoff);
             backoff = (backoff * 2).min(FAILOVER_BACKOFF_MAX);
-            self.ensure_ready(&mut state, k)?;
+            self.ensure_ready(state, k)?;
         }
         Ok(delivered
             .into_iter()
@@ -1937,18 +1914,12 @@ fn probe_worker(addr: &str) -> Result<(), ()> {
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        let mut state = dsr_sync::lock(&self.state);
+        let mut guard = dsr_sync::lock(&self.state);
+        let state = &mut *guard;
         let self_hosted = state.loopback.is_some();
-        for (id, slot) in state.links.iter().enumerate() {
+        for (id, slot) in state.links.iter_mut().enumerate() {
             match slot {
-                Some(link) => {
-                    let mut writer = &link.stream;
-                    if writer.write_all(&[OP_SHUTDOWN as u8]).is_ok() {
-                        let mut reader = &link.stream;
-                        let _ = read_frame(&mut reader); // best-effort ack
-                    }
-                    let _ = link.stream.shutdown(Shutdown::Both);
-                }
+                Some(link) => link.shutdown(),
                 // A loopback worker without a link may be sitting in its
                 // rejoin wait (suspect, or a failover reset we never
                 // followed up on); poke it with a minimal session so its
@@ -1968,43 +1939,14 @@ impl Drop for TcpTransport {
 }
 
 /// Best-effort: connect to a linkless worker, complete a minimal master
-/// handshake (maximum session id, empty address list), and order it to
-/// shut down. Used for loopback teardown; failures mean the worker is
-/// already gone.
+/// handshake (maximum session id, empty address list = no topology
+/// change), and order it to shut down. Used for loopback teardown;
+/// failures mean the worker is already gone.
 fn shutdown_worker(addr: &str, id: usize) {
-    let Ok(mut resolved) = addr.to_socket_addrs() else {
-        return;
-    };
-    let Some(resolved) = resolved.next() else {
-        return;
-    };
-    let Ok(stream) = TcpStream::connect_timeout(&resolved, Duration::from_secs(1)) else {
-        return;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut hello = Vec::with_capacity(24);
-    hello.extend_from_slice(&MAGIC);
-    wire::put_varint(&mut hello, PROTOCOL_VERSION);
-    wire::put_varint(&mut hello, ROLE_MASTER);
-    wire::put_varint(&mut hello, id as u64);
-    wire::put_varint(&mut hello, u64::MAX); // newest possible session
-    wire::put_varint(&mut hello, 0); // no topology change
-    let mut writer = &stream;
-    if writer.write_all(&hello).is_err() {
-        return;
+    let patience = Duration::from_secs(1);
+    if let Ok(mut link) = connect_link(addr, id, u64::MAX, &[], patience, patience) {
+        link.shutdown();
     }
-    let mut reader = &stream;
-    let mut ack = [0u8; 4];
-    if reader.read_exact(&mut ack).is_err() {
-        return;
-    }
-    let _ = read_varint(&mut reader); // version
-    let _ = read_varint(&mut reader); // echoed id
-    let _ = writer.write_all(&[OP_SHUTDOWN as u8]);
-    let mut reader = &stream;
-    let _ = read_frame(&mut reader); // best-effort ack
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 impl Transport for TcpTransport {
@@ -2044,7 +1986,12 @@ impl Transport for TcpTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        self.echo_round(messages, stats, FaultPhase::Scatter, "scatter")
+        self.echo_round(
+            messages,
+            stats,
+            FaultPhase::Scatter,
+            ["scatter send", "scatter reply"],
+        )
     }
 
     fn gather<M: WireMessage>(
@@ -2052,7 +1999,12 @@ impl Transport for TcpTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        self.echo_round(messages, stats, FaultPhase::Gather, "gather")
+        self.echo_round(
+            messages,
+            stats,
+            FaultPhase::Gather,
+            ["gather send", "gather reply"],
+        )
     }
 
     fn all_to_all<M: WireMessage>(
@@ -2063,9 +2015,10 @@ impl Transport for TcpTransport {
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
         assert_eq!(outgoing.len(), num_nodes, "one send list per node");
         stats.record_round();
-        let mut state = dsr_sync::lock(&self.state);
-        self.ensure_ready(&mut state, num_nodes)?;
-        self.fire_faults(&mut state, FaultPhase::Exchange);
+        let mut guard = dsr_sync::lock(&self.state);
+        let state = &mut *guard;
+        self.ensure_ready(state, num_nodes)?;
+        self.fire_faults(state, FaultPhase::Exchange);
 
         // Encode cross-node payloads (stats count each logical message
         // once, like every other backend — failover retries reuse these
@@ -2087,6 +2040,7 @@ impl Transport for TcpTransport {
         }
 
         let mut incoming: Vec<Vec<(usize, M)>> = (0..num_nodes).map(|_| Vec::new()).collect();
+        let mut op = Vec::new();
         let mut attempts = 0usize;
         let mut backoff = FAILOVER_BACKOFF_START;
         loop {
@@ -2119,90 +2073,69 @@ impl Transport for TcpTransport {
                 workers
             };
 
-            // Per worker thread: the `(src, dst, message)` triples it
-            // collected from its reply.
-            let state_ref = &*state;
-            let route_ref = &route;
-            let outcomes: Vec<ExchangeOutcome<M>> = dsr_sync::thread::scope(|scope| {
-                let tasks: Vec<_> = involved
-                    .iter()
-                    .map(|&worker| {
-                        let link = state_ref.links[worker]
-                            .as_ref()
-                            .expect("routable workers are connected");
-                        let groups = &groups;
-                        let sends = send_plan.get(&worker);
-                        let recvs = recv_plan.get(&worker);
-                        let task = scope.spawn(
-                            move || -> Result<Vec<(usize, usize, M)>, TransportError> {
-                                let name = link.name(worker);
-                                let mut op = Vec::new();
-                                wire::put_varint(&mut op, OP_EXCHANGE);
-                                let send_list = sends.map(Vec::as_slice).unwrap_or(&[]);
-                                wire::put_varint(&mut op, send_list.len() as u64);
-                                for &(src, dst) in send_list {
-                                    let frames = &groups[&(src, dst)];
-                                    wire::put_varint(&mut op, src as u64);
-                                    wire::put_varint(&mut op, dst as u64);
-                                    wire::put_varint(&mut op, route_ref[dst] as u64);
-                                    wire::put_varint(&mut op, frames.len() as u64);
-                                    for frame in frames {
-                                        put_frame(&mut op, frame);
-                                    }
-                                }
-                                let recv_list = recvs.map(Vec::as_slice).unwrap_or(&[]);
-                                wire::put_varint(&mut op, recv_list.len() as u64);
-                                for &(src, dst, count) in recv_list {
-                                    wire::put_varint(&mut op, src as u64);
-                                    wire::put_varint(&mut op, dst as u64);
-                                    wire::put_varint(&mut op, route_ref[src] as u64);
-                                    wire::put_varint(&mut op, count as u64);
-                                }
-                                let mut writer = &link.stream;
-                                writer.write_all(&op).map_err(|e| {
-                                    TransportError::from_io(&name, "exchange send", e)
-                                })?;
-                                let mut reader = &link.stream;
-                                let mut collected = Vec::new();
-                                for &(src, dst, count) in recv_list {
-                                    for _ in 0..count {
-                                        let frame = read_frame(&mut reader)
-                                            .map_err(|e| e.classify(&name, "exchange reply"))?;
-                                        collected.push((
-                                            src,
-                                            dst,
-                                            wire::decode_exact::<M>(&frame)?,
-                                        ));
-                                    }
-                                }
-                                Ok(collected)
-                            },
-                        );
-                        (worker, task)
-                    })
-                    .collect();
-                tasks
-                    .into_iter()
-                    .map(|(worker, task)| (worker, task.join().expect("tcp exchange thread")))
-                    .collect()
-            });
+            // Ship every involved worker its whole op (one per link). No
+            // write here waits on a read below: a worker reads its whole
+            // op before it writes anything, and replies only once its
+            // forwarders are joined (module docs) ...
             let mut failures: Vec<(usize, TransportError)> = Vec::new();
-            let mut collected_all: Vec<Vec<(usize, usize, M)>> = Vec::new();
-            for (worker, outcome) in outcomes {
-                match outcome {
-                    Ok(collected) => collected_all.push(collected),
+            let mut awaited: Vec<usize> = Vec::with_capacity(involved.len());
+            for &worker in &involved {
+                op.clear();
+                wire::put_varint(&mut op, OP_EXCHANGE);
+                let send_list = send_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
+                wire::put_varint(&mut op, send_list.len() as u64);
+                for &(src, dst) in send_list {
+                    let frames = &groups[&(src, dst)];
+                    wire::put_varint(&mut op, src as u64);
+                    wire::put_varint(&mut op, dst as u64);
+                    wire::put_varint(&mut op, route[dst] as u64);
+                    wire::put_varint(&mut op, frames.len() as u64);
+                    for frame in frames {
+                        put_frame(&mut op, frame);
+                    }
+                }
+                let recv_list = recv_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
+                wire::put_varint(&mut op, recv_list.len() as u64);
+                for &(src, dst, count) in recv_list {
+                    wire::put_varint(&mut op, src as u64);
+                    wire::put_varint(&mut op, dst as u64);
+                    wire::put_varint(&mut op, route[src] as u64);
+                    wire::put_varint(&mut op, count as u64);
+                }
+                let link = state.links[worker]
+                    .as_ref()
+                    .expect("routable workers are connected");
+                match link.send(&op, "exchange send") {
+                    Ok(()) => awaited.push(worker),
                     Err(err) => failures.push((worker, err)),
                 }
             }
-            if failures.is_empty() {
-                // Replies are per-worker; within one worker they are
-                // (src, dst) sorted, and each dst is routed to exactly one
-                // worker, so pushing in worker order keeps every inbox
-                // sorted by source.
-                for collected in collected_all {
-                    for (src, dst, message) in collected {
-                        incoming[dst].push((src, message));
+            // ... and only then read the replies, worker after worker: the
+            // `(src, dst, message)` triples each one collected. A worker's
+            // first failure ends its reply; the others are still read, so
+            // `failures` is the whole picture.
+            let mut collected: Vec<(usize, usize, M)> = Vec::new();
+            for worker in awaited {
+                let link = state.links[worker]
+                    .as_mut()
+                    .expect("routable workers are connected");
+                let recv_list = recv_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
+                let mut read_reply = || -> Result<(), TransportError> {
+                    for &(src, dst, count) in recv_list {
+                        for _ in 0..count {
+                            let frame = link.recv("exchange reply")?;
+                            collected.push((src, dst, wire::decode_exact::<M>(&frame)?));
+                        }
                     }
+                    Ok(())
+                };
+                if let Err(err) = read_reply() {
+                    failures.push((worker, err));
+                }
+            }
+            if failures.is_empty() {
+                for (src, dst, message) in collected {
+                    incoming[dst].push((src, message));
                 }
                 break;
             }
@@ -2210,10 +2143,10 @@ impl Transport for TcpTransport {
             // from surviving workers are discarded (their lanes may be
             // wedged mid-group), sessions are reset, and the whole round
             // is replayed against the post-failover routing.
-            self.absorb_failures(&mut state, failures, attempts, true)?;
+            self.absorb_failures(state, failures, attempts, true)?;
             dsr_sync::thread::sleep(backoff);
             backoff = (backoff * 2).min(FAILOVER_BACKOFF_MAX);
-            self.ensure_ready(&mut state, num_nodes)?;
+            self.ensure_ready(state, num_nodes)?;
         }
         for inbox in &mut incoming {
             inbox.sort_by_key(|&(src, _)| src);
@@ -2233,61 +2166,8 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
-
-    #[test]
-    fn frame_roundtrip() {
-        let mut buf = Vec::new();
-        put_frame(&mut buf, b"hello");
-        put_frame(&mut buf, b"");
-        let mut cursor = Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"");
-    }
-
-    #[test]
-    fn frame_codec_rejects_short_reads() {
-        // Length prefix announces 5 bytes, stream holds 2: an error, not a
-        // panic and not a hang.
-        let mut buf = Vec::new();
-        wire::put_varint(&mut buf, 5);
-        buf.extend_from_slice(b"ab");
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-        assert!(matches!(err, FrameIoError::Io(ref e)
-            if e.kind() == std::io::ErrorKind::UnexpectedEof));
-        // Truncated mid-varint.
-        let err = read_frame(&mut Cursor::new(vec![0x80u8])).unwrap_err();
-        assert!(matches!(err, FrameIoError::Io(_)));
-        // Classified as a typed transport error with peer context.
-        let classified = err.classify("worker 2", "exchange reply");
-        assert!(matches!(classified, TransportError::Disconnected { .. }));
-        assert!(classified.to_string().contains("worker 2"));
-    }
-
-    #[test]
-    fn frame_codec_rejects_oversized_length_prefixes_before_allocating() {
-        // A 1 TiB announcement must be rejected from the 10 prefix bytes
-        // alone — if the guard were missing this test would try (and fail)
-        // to allocate the buffer.
-        let mut buf = Vec::new();
-        wire::put_varint(&mut buf, 1 << 40);
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-        match err {
-            FrameIoError::Oversized(announced) => assert_eq!(announced, 1 << 40),
-            other => panic!("expected Oversized, got {other:?}"),
-        }
-        let classified = err.classify("worker 0", "scatter reply");
-        assert!(matches!(
-            classified,
-            TransportError::OversizedFrame {
-                limit: MAX_FRAME_LEN,
-                ..
-            }
-        ));
-        // Varint overflow in the prefix is also typed.
-        let err = read_frame(&mut Cursor::new(vec![0xFFu8; 11])).unwrap_err();
-        assert!(matches!(err, FrameIoError::VarintOverflow));
-    }
+    use crate::message::MessageSize;
+    use crate::wire::{Wire, WireError, WireReader};
 
     #[test]
     fn cluster_spec_parses_toml_subset() {
@@ -2623,5 +2503,158 @@ mod tests {
         let topo = transport.topology(3);
         assert!(topo.is_suspect(0));
         assert_eq!(topo.route(0), Some(1));
+    }
+
+    /// A varint on the wire whose decoder rejects 13: a reply that arrives
+    /// whole and still does not decode.
+    #[derive(Debug, PartialEq)]
+    struct Picky(u32);
+
+    impl Wire for Picky {
+        fn encode_into(&self, buf: &mut Vec<u8>) {
+            self.0.encode_into(buf);
+        }
+
+        fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
+            match reader.varint_u32()? {
+                13 => Err(WireError::Invalid("picky test message")),
+                value => Ok(Picky(value)),
+            }
+        }
+    }
+
+    impl MessageSize for Picky {
+        fn byte_size(&self) -> usize {
+            self.0.byte_size()
+        }
+    }
+
+    /// Runs in every build profile (CI's `--release --lib` leg included).
+    #[test]
+    fn a_reply_that_does_not_decode_does_not_poison_the_next_collective() {
+        let transport = TcpTransport::loopback();
+        let stats = CommStats::new();
+        // Worker 1 replies with two frames; the first does not decode, so
+        // the second is still on its link when the collective gives up.
+        let outgoing = vec![vec![(1usize, Picky(13)), (1usize, Picky(7))], Vec::new()];
+        let err = transport
+            .all_to_all(2, outgoing, &stats)
+            .expect_err("13 does not decode");
+        assert!(matches!(err, TransportError::Wire(_)), "got {err}");
+        // The next collective must not read that leftover as its reply ...
+        let delivered = transport
+            .scatter(vec![Picky(1), Picky(2)], &stats)
+            .expect("scatter on fresh links");
+        assert_eq!(delivered, vec![Picky(1), Picky(2)]);
+        // ... and the transport keeps serving, nobody having intervened.
+        let outgoing = vec![vec![(1usize, Picky(3))], vec![(0usize, Picky(4))]];
+        let incoming = transport.all_to_all(2, outgoing, &stats).expect("exchange");
+        assert_eq!(incoming, vec![vec![(1, Picky(4))], vec![(0, Picky(3))]]);
+        let delivered = transport
+            .gather(vec![Picky(5), Picky(6)], &stats)
+            .expect("gather");
+        assert_eq!(delivered, vec![Picky(5), Picky(6)]);
+        assert_eq!(transport.failover_stats().snapshot().retries, 0);
+    }
+
+    #[test]
+    fn collectives_carry_frames_larger_than_the_socket_buffers() {
+        let transport = TcpTransport::loopback_replicated_with_timeout(2, Duration::from_secs(20));
+        let stats = CommStats::new();
+        let k = 3usize;
+        // 2^20 four-byte varints: ~4 MiB per message, far beyond what the
+        // socket buffers of a link or a lane hold.
+        let big = |tag: u32| -> Vec<u32> { (0..1u32 << 20).map(|i| (tag << 21) + i).collect() };
+        for round in 0..2u32 {
+            let tag = |node: usize, other: usize| 1 + round * 32 + (node * k + other) as u32;
+            let sent: Vec<Vec<u32>> = (0..k).map(|node| big(tag(node, node))).collect();
+            let delivered = transport.scatter(sent.clone(), &stats).expect("scatter");
+            // `assert!`, not `assert_eq!`: a mismatch must not print 12 MiB.
+            assert!(delivered == sent, "round {round}: scatter");
+
+            let outgoing: Vec<Vec<(usize, Vec<u32>)>> = (0..k)
+                .map(|src| {
+                    (0..k)
+                        .filter(|&dst| dst != src)
+                        .map(|dst| (dst, big(tag(src, dst))))
+                        .collect()
+                })
+                .collect();
+            let incoming = transport
+                .all_to_all(k, outgoing, &stats)
+                .expect("full exchange");
+            for (dst, inbox) in incoming.iter().enumerate() {
+                let expected: Vec<(usize, Vec<u32>)> = (0..k)
+                    .filter(|&src| src != dst)
+                    .map(|src| (src, big(tag(src, dst))))
+                    .collect();
+                assert!(*inbox == expected, "round {round}: inbox {dst}");
+            }
+
+            let delivered = transport.gather(sent.clone(), &stats).expect("gather");
+            assert!(delivered == sent, "round {round}: gather");
+
+            if round == 0 {
+                // Round two runs after a failover: a survivor hosts two
+                // nodes, so its echo ops go in two waves.
+                transport.inject_faults(FaultPlan::new().disconnect(1));
+            }
+        }
+        assert_eq!(transport.suspects(), vec![1]);
+    }
+
+    /// Decodes like a `u32` and records which thread did it.
+    #[derive(Debug, PartialEq)]
+    struct Witness(u32);
+
+    /// Only [`collectives_decode_on_the_calling_thread`] moves `Witness`es,
+    /// so it owns this list.
+    static DECODED_ON: Mutex<Vec<dsr_sync::thread::ThreadId>> = Mutex::new(Vec::new());
+
+    impl Wire for Witness {
+        fn encode_into(&self, buf: &mut Vec<u8>) {
+            self.0.encode_into(buf);
+        }
+
+        fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
+            dsr_sync::lock(&DECODED_ON).push(dsr_sync::thread::current().id());
+            reader.varint_u32().map(Witness)
+        }
+    }
+
+    impl MessageSize for Witness {
+        fn byte_size(&self) -> usize {
+            self.0.byte_size()
+        }
+    }
+
+    #[test]
+    fn collectives_decode_on_the_calling_thread() {
+        let transport = TcpTransport::loopback_with_timeout(Duration::from_secs(10));
+        let stats = CommStats::new();
+        let k = 3usize;
+        let row =
+            |base: u32| -> Vec<Witness> { (0..k as u32).map(|i| Witness(base + i)).collect() };
+        assert_eq!(
+            transport.scatter(row(10), &stats).expect("scatter"),
+            row(10)
+        );
+        let ring: Vec<Vec<(usize, Witness)>> = (0..k)
+            .map(|src| vec![((src + 1) % k, Witness(20 + src as u32))])
+            .collect();
+        let incoming = transport.all_to_all(k, ring, &stats).expect("exchange");
+        assert_eq!(incoming[1], vec![(0, Witness(20))]);
+        assert_eq!(transport.gather(row(30), &stats).expect("gather"), row(30));
+        assert_eq!(transport.num_workers(), k);
+
+        // Workers relay bytes and never decode, so a foreign id could only
+        // be a helper thread of the master side.
+        let decoded_on = dsr_sync::lock(&DECODED_ON);
+        assert_eq!(decoded_on.len(), 3 * k, "one decode per delivered message");
+        let here = dsr_sync::thread::current().id();
+        assert!(
+            decoded_on.iter().all(|&id| id == here),
+            "decoded on {decoded_on:?}, called from {here:?}"
+        );
     }
 }

@@ -685,7 +685,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_survives_exchanges_larger_than_the_pipe_buffer() {
+    fn wire_exchange_of_a_mebibyte_arrives_whole() {
         // ~1 MiB per direction between two nodes arrives whole.
         let transport = WireTransport::new();
         let stats = CommStats::new();
@@ -698,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_mesh_grows_across_calls() {
+    fn wire_serves_varying_node_counts_across_calls() {
         let transport = WireTransport::new();
         let stats = CommStats::new();
         for k in [2usize, 5, 3] {
