@@ -26,10 +26,11 @@
 //! components in reverse topological order — a DAG edge `a → b` has
 //! `a > b` — so [`CompoundGraph::lane_masks`] answers "which of these (at
 //! most 64) sources reach which vertex" with **one descending pass over
-//! the component ids**, OR-ing one `u64` of source lanes along every DAG
-//! edge. That pass is step 1 of Algorithm 2 in [`crate::engine`]; its cost
-//! is the size of the DAG (on web-like graphs two orders of magnitude below
-//! the compound graph), not one traversal of the compound graph per source.
+//! the component ids** ([`propagate_lane_masks`]), OR-ing one `u64` of
+//! source lanes along every DAG edge. That pass is step 1 of Algorithm 2 in
+//! [`crate::engine`]; its cost is the size of the DAG (on web-like graphs
+//! two orders of magnitude below the compound graph), not one traversal of
+//! the compound graph per source.
 //! Since an update rebuilds the affected compound graphs through `build`,
 //! the condensation is refreshed with them.
 //!
@@ -42,7 +43,10 @@
 //! global → compound map is a table indexed by global id, and the virtual
 //! vertex of class `c` of partition `j` is `base[j] + c`.
 
-use dsr_graph::{condense, CondensedGraph, DiGraph, InducedSubgraph, VertexId};
+use dsr_graph::traversal::Direction;
+use dsr_graph::{
+    condense, propagate_lane_masks, CondensedGraph, DiGraph, InducedSubgraph, VertexId,
+};
 use dsr_partition::{Cut, PartitionId};
 
 use crate::summary::PartitionSummary;
@@ -335,9 +339,8 @@ impl CompoundGraph {
     /// in the compound graph (itself included). `masks` is the caller's
     /// scratch, resized to one mask per component.
     ///
-    /// One pass over the component ids from the largest seeded one down:
-    /// every DAG edge leads to a smaller id, so a component's mask is final
-    /// when the pass arrives at it.
+    /// One descending pass over the component ids
+    /// ([`propagate_lane_masks`]).
     ///
     /// # Panics
     /// Panics on more than 64 sources.
@@ -345,20 +348,10 @@ impl CompoundGraph {
         assert!(sources.len() <= 64, "one pass carries at most 64 lanes");
         masks.clear();
         masks.resize(self.dag.num_vertices(), 0);
-        let mut top = 0;
         for (lane, &s) in sources.iter().enumerate() {
-            let c = self.component[s as usize] as usize;
-            masks[c] |= 1 << lane;
-            top = top.max(c);
+            masks[self.component[s as usize] as usize] |= 1 << lane;
         }
-        for c in (1..=top).rev() {
-            let mask = masks[c];
-            if mask != 0 {
-                for &below in self.dag.out_neighbors(c as VertexId) {
-                    masks[below as usize] |= mask;
-                }
-            }
-        }
+        propagate_lane_masks(&self.dag, Direction::Forward, masks);
     }
 
     /// All in-virtual vertices of remote partition `j`, as

@@ -26,31 +26,32 @@
 //!    `j` (plus, only when `T` contains in-boundary vertices of `j`, the
 //!    concrete entry boundaries reached — see "Protocol refinement" below).
 //! 3. **Final local evaluation** (all slaves in parallel), **from the
-//!    target side**: slave `j` runs one backward bit-parallel sweep over
-//!    its *local subgraph* `G_j` from the distinct local targets of the
-//!    queries that received messages — one `u64` lane per target, 64 lanes
-//!    per pass ([`dsr_reach::LaneSweep`], the MS-BFS of Then et al. the
-//!    paper evaluates as DSR-MSBFS) — which leaves at every local vertex
-//!    the mask of targets it reaches inside `G_j`. Each received
-//!    `⟨s, classes, entries⟩` is then answered by OR-ing the masks of the
-//!    classes' representatives (restricted to the query's interior
-//!    targets) and of the entry vertices (restricted to its in-boundary
-//!    targets); results are gathered at the master. The cost is one sweep
-//!    over the targets' local ancestors plus one mask read per received
+//!    target side, on the condensed local subgraph**: every
+//!    [`InducedSubgraph`](dsr_graph::InducedSubgraph) stores the SCC
+//!    condensation of `G_j`, and slave `j` sweeps it backward from the
+//!    distinct local targets of the queries that received messages — one
+//!    `u64` lane per target, 64 lanes per pass, each seeded at its target's
+//!    component, and one ascending pass over the component ids
+//!    ([`propagate_lane_masks`], the same pass as step 1 against the
+//!    edges) — which leaves at every component the mask of targets its
+//!    vertices reach inside `G_j`. Each received
+//!    `⟨s, classes, entries⟩` is then answered by OR-ing the masks at the
+//!    components of the classes' representatives (restricted to the
+//!    query's interior targets) and of the entry vertices (restricted to
+//!    its in-boundary targets); results are gathered at the master. The
+//!    cost is one pass over the local DAG plus one mask read per received
 //!    class or entry — proportional to the query and the boundary, not to
-//!    the compound graph.
+//!    the local subgraph or the compound graph.
 //!
 //! # What `LocalIndexKind` governs
 //!
-//! Neither step calls the pluggable local index
+//! Figure 7 only. Nothing in this module calls the pluggable local index
 //! ([`DsrIndex::local_indexes`](crate::DsrIndex::local_indexes)): set
-//! queries are answered identically whatever
-//! [`LocalIndexKind`](dsr_reach::LocalIndexKind) the index was built with.
-//! The kind governs the same-partition fast path of
-//! [`DsrEngine::is_reachable`] (one `is_reachable` call on the compound
-//! graph's index, no communication) and Figure 7, which times the
-//! strategies' own `set_reachability` on the compound graphs next to the
-//! DAG sweep.
+//! queries and [`DsrEngine::is_reachable`] (whose same-partition shortcut
+//! is a one-lane sweep of the compound condensation) are answered
+//! identically whatever [`LocalIndexKind`](dsr_reach::LocalIndexKind) the
+//! index was built with. Figure 7 times the strategies' own
+//! `set_reachability` on the compound graphs next to the DAG sweep.
 //!
 //! # Protocol refinement
 //!
@@ -91,10 +92,10 @@
 //! all queries into one sweep per 64 distinct sources per slave (a source
 //! shared by several queries is one lane), the exchange ships one buffer
 //! per slave pair tagged with query ids, and step 3 shares the backward
-//! sweep across queries (every distinct target of the batch gets one
-//! lane). A `B`-query batch therefore performs exactly the
-//! same **3 communication rounds** (scatter + exchange + gather) as a
-//! single query, instead of `3 B`.
+//! pass over the local condensation across queries (every distinct target
+//! of the batch gets one lane). A `B`-query batch therefore performs
+//! exactly the same **3 communication rounds** (scatter + exchange +
+//! gather) as a single query, instead of `3 B`.
 //! The single-query entry points are thin wrappers over a batch of one, so
 //! there is exactly one protocol implementation to maintain.
 //!
@@ -113,9 +114,9 @@
 
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError};
 use dsr_graph::traversal::Direction;
-use dsr_graph::VertexId;
+use dsr_graph::{propagate_lane_masks, VertexId};
 use dsr_partition::PartitionId;
-use dsr_reach::{set_lanes, LaneSweep};
+use dsr_reach::set_lanes;
 
 use crate::compound::RouteRole;
 use crate::index::DsrIndex;
@@ -123,6 +124,10 @@ use crate::protocol::{BatchBuffer, GatherMessage, ScatterMessage, ScatterQuery, 
 
 /// A set-reachability query `S ; T` as submitted to the engine or the
 /// serving layer.
+///
+/// An id outside the graph's `0..|V|` is not an error: such a vertex reaches
+/// nothing and is reached by nothing, so it contributes no pair. (An
+/// *update* naming one has no such answer; the serving layer refuses it.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetQuery {
     /// Source vertices `S`.
@@ -223,18 +228,23 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 
     /// Algorithm 1: single-pair reachability. When source and target live in
     /// the same partition the answer is computed entirely locally (Theorem
-    /// 1, no communication); otherwise the general set machinery is used
-    /// (one exchange round, Theorem 2).
+    /// 1, no communication): a one-lane sweep of the compound graph's
+    /// condensation. Otherwise the general set machinery is used (one
+    /// exchange round, Theorem 2). A vertex the graph does not have
+    /// reaches nothing and is reached by nothing.
     pub fn is_reachable(&self, source: VertexId, target: VertexId) -> bool {
+        let n = self.index.partitioning.num_vertices();
+        if source as usize >= n || target as usize >= n {
+            return false;
+        }
         let ps = self.index.partition_of(source);
-        let pt = self.index.partition_of(target);
-        if ps == pt {
+        if ps == self.index.partition_of(target) {
             let comp = &self.index.compounds[ps as usize];
-            let idx = &self.index.local_indexes[ps as usize];
-            return idx.is_reachable(
-                comp.compound_id(source).expect("source is local"),
-                comp.compound_id(target).expect("target is local"),
-            );
+            let source = comp.compound_id(source).expect("source is local");
+            let target = comp.compound_id(target).expect("target is local");
+            let mut masks = Vec::new();
+            comp.lane_masks(&[source], &mut masks);
+            return masks[comp.component_of(target) as usize] != 0;
         }
         !self.set_reachability(&[source], &[target]).pairs.is_empty()
     }
@@ -279,12 +289,15 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// Batched Algorithm 2: answers every query in `queries` with a single
     /// scatter/exchange/gather sequence (3 communication rounds total, not
     /// 3 per query). See the module docs for how the per-slave work is
-    /// fused across queries.
+    /// fused across queries. Source and target ids the graph does not have
+    /// are dropped by the master before anything is scattered (see
+    /// [`SetQuery`]).
     ///
     /// # Errors
     /// Returns the typed [`TransportError`] when the transport fails
     /// mid-protocol — e.g. a TCP worker disconnecting in the middle of the
-    /// exchange round. The in-process and wire backends lose no worker.
+    /// exchange round, or a gather message naming a query the batch does
+    /// not have. The in-process and wire backends lose no worker.
     pub fn set_reachability_batch(
         &self,
         queries: &[SetQuery],
@@ -315,21 +328,25 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         let mut results: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); queries.len()];
 
         // ---- Master: normalize and partition every query into per-slave
-        // scatter payloads. Queries with an empty side have an empty answer
-        // and do not participate in the protocol (matching the single-query
-        // early return, which records no communication at all). ------------
+        // scatter payloads. Ids the graph does not have are dropped here, so
+        // nothing downstream sees them. Queries with an empty side have an
+        // empty answer and do not participate in the protocol (matching the
+        // single-query early return, which records no communication at
+        // all). --------------------------------------------------------------
+        let known = |v: &VertexId| (*v as usize) < index.partitioning.num_vertices();
         let mut original_of: Vec<usize> = Vec::new();
         let mut scatter: Vec<ScatterMessage> = (0..k).map(|_| Vec::new()).collect();
         for (original, q) in queries.iter().enumerate() {
-            if q.sources.is_empty() || q.targets.is_empty() {
+            let mut targets = q.targets.clone();
+            targets.retain(known);
+            if targets.is_empty() || !q.sources.iter().any(known) {
                 continue;
             }
             original_of.push(original);
             let mut sources_by_partition: Vec<Vec<VertexId>> = vec![Vec::new(); k];
-            for &s in &q.sources {
+            for s in q.sources.iter().copied().filter(known) {
                 sources_by_partition[index.partition_of(s) as usize].push(s);
             }
-            let mut targets = q.targets.clone();
             targets.sort_unstable();
             targets.dedup();
             for (i, mut sources) in sources_by_partition.into_iter().enumerate() {
@@ -389,8 +406,18 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         let mut merged: Vec<(u32, VertexId, VertexId)> =
             Vec::with_capacity(final_pairs.len() + gathered_pairs.sum::<usize>());
         merged.append(&mut final_pairs);
-        for (a, pairs) in gathered.iter().flatten() {
-            merged.extend(pairs.iter().map(|&(s, t)| (*a, s, t)));
+        for (j, message) in gathered.iter().enumerate() {
+            for (a, pairs) in message {
+                // The message came back through the transport: its query
+                // ids index `original_of` below.
+                if *a as usize >= original_of.len() {
+                    return Err(TransportError::Protocol {
+                        peer: format!("slave {j}"),
+                        reason: format!("gather message names unknown query {a}"),
+                    });
+                }
+                merged.extend(pairs.iter().map(|&(s, t)| (*a, s, t)));
+            }
         }
         merged.sort_unstable();
         merged.dedup();
@@ -561,17 +588,18 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     }
 
     /// Step 3 at slave `j`, fused across queries and evaluated **from the
-    /// target side**: one backward bit-parallel sweep over the local
-    /// subgraph `G_j` from the distinct local targets of the queries that
-    /// received messages (one `u64` lane per target, 64 lanes per pass)
-    /// leaves, at every local vertex, the mask of targets it reaches inside
-    /// `G_j`. A received [`SourceMessage`] is then answered by OR-ing the
-    /// masks of its classes' representatives (restricted to the query's
-    /// interior targets) and of its entry vertices (restricted to the
-    /// query's in-boundary targets) — see the module docs for why local
-    /// reachability suffices. `incoming` is the sparse `(source slave,
-    /// buffer)` inbox of the exchange round; `queries` is this slave's
-    /// scatter payload.
+    /// target side, on the local subgraph's stored condensation**: the
+    /// distinct local targets of the queries that received messages are
+    /// `u64` lanes, 64 per pass, seeded at their components, and one
+    /// ascending pass over the component ids ([`propagate_lane_masks`])
+    /// leaves, at every component, the mask of targets its vertices reach
+    /// inside `G_j`. A received [`SourceMessage`] is then answered by OR-ing
+    /// the masks at the components of its classes' representatives
+    /// (restricted to the query's interior targets) and of its entry
+    /// vertices (restricted to the query's in-boundary targets) — see the
+    /// module docs for why local reachability suffices. `incoming` is the
+    /// sparse `(source slave, buffer)` inbox of the exchange round;
+    /// `queries` is this slave's scatter payload.
     ///
     /// # Errors
     /// The buffers come from peers, so their content is checked where it
@@ -664,8 +692,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         // Lanes and in-boundaries both ascend: one merge walk across all
         // passes tells which lanes are in-boundaries.
         let mut later_in_boundaries = in_boundaries.as_slice();
-        let mut sweep = LaneSweep::new(local.graph().num_vertices());
-        let mut pass_local: Vec<VertexId> = Vec::with_capacity(64);
+        let mut reaches = vec![0u64; local.dag().num_vertices()];
         for pass in lanes.chunks(64) {
             // Which lanes of this pass each query asked for, split into
             // interior targets (answered through class representatives —
@@ -689,15 +716,19 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 unassigned = &unassigned[askers..];
             }
 
-            pass_local.clear();
-            pass_local.extend(pass.iter().map(|&t| local_id(t)));
-            let reaches = sweep.run(local.graph(), &pass_local, Direction::Backward);
+            // After the ascending pass, the mask at a component holds the
+            // lanes whose target its vertices reach inside `G_j`.
+            reaches.fill(0);
+            for (lane, &t) in pass.iter().enumerate() {
+                reaches[local.component_of(local_id(t)) as usize] |= 1 << lane;
+            }
+            propagate_lane_masks(local.dag(), Direction::Backward, &mut reaches);
             for message in &received {
                 let a = message.query as usize;
                 let or_masks = |range: &std::ops::Range<usize>| {
-                    seeds[range.clone()]
-                        .iter()
-                        .fold(0u64, |mask, &v| mask | reaches[v as usize])
+                    seeds[range.clone()].iter().fold(0u64, |mask, &v| {
+                        mask | reaches[local.component_of(v) as usize]
+                    })
                 };
                 let mut hit = 0u64;
                 if interior[a] != 0 {
@@ -725,7 +756,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::Forging;
+    use crate::test_support::{Forging, ForgingGather};
     use dsr_cluster::WireTransport;
     use dsr_graph::{DiGraph, TransitiveClosure};
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
@@ -1041,7 +1072,8 @@ mod tests {
     }
 
     /// Asserts that `queries`, run as one batch, match the closure oracle
-    /// under every local index kind, with and without equivalence classes.
+    /// under every local index kind, with and without equivalence classes,
+    /// in process and — at identical cost — over the wire codec.
     fn assert_batch_matches_oracle(g: &DiGraph, p: &Partitioning, queries: &[SetQuery]) {
         let oracle = TransitiveClosure::build(g);
         for kind in LocalIndexKind::ALL {
@@ -1049,6 +1081,9 @@ mod tests {
                 let index = DsrIndex::build_with_options(g, p.clone(), kind, use_equivalence);
                 let engine = DsrEngine::new(&index);
                 let batch = engine.set_reachability_batch(queries).expect("in-process");
+                let wire = WireTransport::new();
+                let wired = DsrEngine::with_transport(&index, &wire);
+                assert_eq!(wired.set_reachability_batch(queries).expect("wire"), batch);
                 for (q, result) in queries.iter().zip(&batch.results) {
                     let (sources, targets) = q.signature();
                     assert_eq!(
@@ -1087,6 +1122,114 @@ mod tests {
             }));
             assert_batch_matches_oracle(&g, &p, &queries);
         }
+    }
+
+    #[test]
+    fn step_three_second_pass_does_not_see_the_first_pass_masks() {
+        // Partition 0 = {0}; partition 1 = {1..=71}: the entry 1 reaches
+        // 2..=65 and nothing else. One query targets all 71 vertices, so
+        // pass one carries the targets 1..=64 (every lane set at the entry's
+        // component) and pass two the targets 65..=71 — masks left over from
+        // pass one would report the unreachable 66..=71 through its lanes.
+        let mut edges = vec![(0, 1)];
+        edges.extend((2..=65).map(|v| (1, v)));
+        let g = DiGraph::from_edges(72, &edges);
+        let mut assignment = vec![1u32; 72];
+        assignment[0] = 0;
+        let p = Partitioning::new(assignment, 2);
+        let queries = vec![
+            SetQuery::new(vec![0], (1..=71).collect()),
+            SetQuery::new(vec![0, 1, 70], (60..=71).collect()),
+        ];
+        assert_batch_matches_oracle(&g, &p, &queries);
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let answer = DsrEngine::new(&index).set_reachability(&[0], &(1..=71).collect::<Vec<_>>());
+        assert_eq!(answer.pairs, (1..=65).map(|t| (0, t)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn step_three_on_single_component_and_chain_condensations() {
+        // Partition 0 = {0, 1} holds the sources. Partition 1 = {2..=6} is
+        // one cycle — a condensation of one vertex and no edge — entered at
+        // 2 and 4 and left through 6. Partition 2 = {7..=11} is the chain
+        // 11 → 10 → 9 → 8 → 7 — its condensation is the chain itself —
+        // entered at its head only.
+        let edges = [
+            (0, 1),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 2),
+            (11, 10),
+            (10, 9),
+            (9, 8),
+            (8, 7),
+            (0, 2),
+            (1, 4),
+            (6, 11),
+        ];
+        let g = DiGraph::from_edges(12, &edges);
+        let p = Partitioning::new(vec![0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2], 3);
+        let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+        let dag_size = |j: usize| {
+            let dag = index.locals[j].dag();
+            (dag.num_vertices(), dag.num_edges())
+        };
+        assert_eq!((dag_size(1), dag_size(2)), ((1, 0), (5, 4)));
+        assert_eq!(index.cut.partition(1).in_boundaries, vec![2, 4]);
+        assert_eq!(index.cut.partition(2).in_boundaries, vec![11]);
+
+        let all: Vec<u32> = (0..12).collect();
+        let queries = vec![
+            // Interior and in-boundary targets of the cycle, together and
+            // apart.
+            SetQuery::new(vec![0], vec![2, 3, 4, 5, 6]),
+            SetQuery::new(vec![1], vec![3, 5]),
+            SetQuery::new(vec![0, 1], vec![2, 4]),
+            // Head to tail of the chain, the head itself, and against it.
+            SetQuery::new(vec![0], vec![7]),
+            SetQuery::new(vec![5], vec![11, 9, 7]),
+            SetQuery::new(vec![7], vec![0, 2, 11]),
+            SetQuery::new(all.clone(), all),
+        ];
+        assert_batch_matches_oracle(&g, &p, &queries);
+        assert!(DsrEngine::new(&index).is_reachable(0, 7));
+    }
+
+    #[test]
+    fn vertices_the_graph_does_not_have_reach_nothing_and_are_never_reached() {
+        let (g, p) = figure1();
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let foreign = vec![
+            SetQuery::new(vec![0, 1_000_000], vec![17, 19, 4, u32::MAX]),
+            SetQuery::new(vec![0], vec![1_000_000]),
+            SetQuery::new(vec![19], vec![1]),
+            SetQuery::new((0..40).collect(), (0..40).collect()),
+        ];
+        let cleaned = vec![
+            SetQuery::new(vec![0], vec![17, 4]),
+            SetQuery::new(vec![0], vec![]),
+            SetQuery::new(vec![], vec![1]),
+            SetQuery::new((0..19).collect(), (0..19).collect()),
+        ];
+        let wire = WireTransport::new();
+        let in_process = DsrEngine::new(&index);
+        let wired = DsrEngine::with_transport(&index, &wire);
+        let expected = in_process.set_reachability_batch(&cleaned).expect("clean");
+        assert!(!expected.results[0].is_empty() && !expected.results[3].is_empty());
+        // Same answers at the same cost: nothing foreign is ever shipped.
+        let answered = in_process.set_reachability_batch(&foreign);
+        assert_eq!(answered.expect("in-process"), expected);
+        assert_eq!(
+            wired.set_reachability_batch(&foreign).expect("wire"),
+            expected
+        );
+        // A batch of nothing but foreign ids runs no protocol at all.
+        let idle = wired.set_reachability_batch(&foreign[1..3]).expect("wire");
+        assert_eq!((idle.results, idle.rounds), (vec![vec![], vec![]], 0));
+        assert!(!in_process.is_reachable(0, 1_000_000));
+        assert!(!in_process.is_reachable(1_000_000, 0));
     }
 
     fn random_edges(rng: &mut impl rand::Rng, n: usize, m: usize) -> Vec<(u32, u32)> {
@@ -1322,6 +1465,40 @@ mod tests {
         };
         let engine = DsrEngine::with_transport(&index, transport);
         let outcome = engine
+            .set_reachability_batch(&queries)
+            .expect("well-formed");
+        assert_eq!(outcome.results[0], vec![(0, 13), (0, 17)]);
+    }
+
+    #[test]
+    fn a_gather_message_naming_an_unknown_query_is_a_typed_error_not_a_panic() {
+        let (g, p) = figure1();
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let queries = vec![SetQuery::new(vec![0], vec![17, 13])];
+        let forged = |query: u32| -> GatherMessage { vec![(query, vec![(0, 17)])] };
+        let transport = ForgingGather {
+            message: dsr_cluster::wire::encode_to_vec(&forged(9)),
+            slave: 2,
+        };
+        let err = DsrEngine::with_transport(&index, transport)
+            .set_reachability_batch(&queries)
+            .expect_err("a gather message for a query nobody asked fails the batch");
+        assert!(
+            matches!(err, TransportError::Protocol { .. }),
+            "typed protocol error: {err}"
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains("slave 2") && text.contains("unknown query 9"),
+            "names the peer and the offending id: {text}"
+        );
+        // The same pairs under the id the batch has are merged with what
+        // step 1 resolved at the source slave.
+        let transport = ForgingGather {
+            message: dsr_cluster::wire::encode_to_vec(&forged(0)),
+            slave: 2,
+        };
+        let outcome = DsrEngine::with_transport(&index, transport)
             .set_reachability_batch(&queries)
             .expect("well-formed");
         assert_eq!(outcome.results[0], vec![(0, 13), (0, 17)]);

@@ -83,11 +83,9 @@ pub struct DsrIndex {
     /// Per-partition compound graphs.
     pub compounds: Vec<CompoundGraph>,
     /// Per-partition local reachability indexes over the compound graphs.
-    /// Set queries do not call them (step 1 sweeps the compound graph's
-    /// stored condensation): they serve [`DsrEngine::is_reachable`]'s
-    /// same-partition fast path and Figure 7.
-    ///
-    /// [`DsrEngine::is_reachable`]: crate::DsrEngine::is_reachable
+    /// The engine does not call them (steps 1 and 3 and the same-partition
+    /// shortcut of `is_reachable` sweep the stored condensations): they
+    /// serve Figure 7.
     pub local_indexes: Vec<Box<dyn LocalReachability>>,
     /// Which local strategy the index was built with.
     pub kind: LocalIndexKind,

@@ -28,9 +28,9 @@
 //! The grouping key of a boundary is a **bit row**: the *lanes* of a
 //! bit-parallel sweep are the distinct components of the boundaries, the
 //! *columns* of a row the distinct components of the key targets. One pass
-//! over the DAG per 64 lanes (descending over the component ids for `Ii`,
-//! ascending for `Oi` — the ids are a reverse topological numbering) leaves
-//! a lane mask at every component; the masks at the columns are transposed
+//! over the DAG per 64 lanes ([`propagate_lane_masks`]: descending over the
+//! component ids for `Ii`, ascending for `Oi`) leaves a lane mask at every
+//! component; the masks at the columns are transposed
 //! into the lanes' rows. A boundary's row is its component's row, equal rows
 //! are one class, and the transit relation and the boundary-pair count read
 //! the rows against per-column lists and counts of the opposite boundaries.
@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 
 use dsr_graph::traversal::Direction;
-use dsr_graph::{InducedSubgraph, VertexId};
+use dsr_graph::{propagate_lane_masks, InducedSubgraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId};
 use dsr_reach::set_lanes;
 
@@ -476,9 +476,6 @@ fn equivalence_classes(
     let words = columns.len().div_ceil(64);
 
     // One pass over the DAG per 64 lanes, transposed into the lanes' rows.
-    // Every DAG edge leads to a smaller id, so a descending pass has a
-    // component's forward mask final when it arrives there, and an
-    // ascending pass its backward mask.
     let mut rows = vec![0u64; lane_components.len() * words];
     let mut masks = vec![0u64; num_components];
     for (pass, seeds) in lane_components.chunks(64).enumerate() {
@@ -486,28 +483,7 @@ fn equivalence_classes(
         for (lane, &component) in seeds.iter().enumerate() {
             masks[component as usize] |= 1 << lane;
         }
-        match direction {
-            Direction::Forward => {
-                for c in (0..num_components).rev() {
-                    let mask = masks[c];
-                    if mask != 0 {
-                        for &below in dag.out_neighbors(c as VertexId) {
-                            masks[below as usize] |= mask;
-                        }
-                    }
-                }
-            }
-            Direction::Backward => {
-                for c in 0..num_components {
-                    let mask = masks[c];
-                    if mask != 0 {
-                        for &above in dag.in_neighbors(c as VertexId) {
-                            masks[above as usize] |= mask;
-                        }
-                    }
-                }
-            }
-        }
+        propagate_lane_masks(dag, direction, &mut masks);
         for (column, &component) in columns.iter().enumerate() {
             for lane in set_lanes(masks[component as usize]) {
                 rows[(pass * 64 + lane) * words + column / 64] |= 1 << (column % 64);

@@ -63,6 +63,47 @@ impl Transport for Forging {
     }
 }
 
+/// The gather twin of [`Forging`]: what `slave` reports to the master in the
+/// gather round is replaced by the forged message.
+pub(crate) struct ForgingGather {
+    /// The forged message, wire-encoded.
+    pub message: Vec<u8>,
+    pub slave: usize,
+}
+
+impl Transport for ForgingGather {
+    fn name(&self) -> &'static str {
+        "forging-gather"
+    }
+
+    fn scatter<M: WireMessage>(
+        &self,
+        messages: Vec<M>,
+        stats: &CommStats,
+    ) -> Result<Vec<M>, TransportError> {
+        InProcess.scatter(messages, stats)
+    }
+
+    fn gather<M: WireMessage>(
+        &self,
+        messages: Vec<M>,
+        stats: &CommStats,
+    ) -> Result<Vec<M>, TransportError> {
+        let mut gathered = InProcess.gather(messages, stats)?;
+        gathered[self.slave] = dsr_cluster::wire::decode_exact::<M>(&self.message)?;
+        Ok(gathered)
+    }
+
+    fn all_to_all<M: WireMessage>(
+        &self,
+        num_nodes: usize,
+        outgoing: Vec<Vec<(usize, M)>>,
+        stats: &CommStats,
+    ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
+        InProcess.all_to_all(num_nodes, outgoing, stats)
+    }
+}
+
 /// Algorithm 3 the way it was written before the bit rows: one MS-BFS pair
 /// list per direction, regrouped into per-boundary sorted target lists that
 /// serve as class keys. Kept as the reference

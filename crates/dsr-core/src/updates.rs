@@ -906,14 +906,17 @@ mod tests {
         }
     }
 
-    /// All pairs of `index` against the transitive closure of `edges`.
+    /// All pairs of `index` against the transitive closure of `edges`, in
+    /// process and over the wire codec.
     fn assert_answers_match(index: &DsrIndex, n: usize, edges: &[(u32, u32)]) {
         let oracle = TransitiveClosure::build(&DiGraph::from_edges(n, edges));
         let all: Vec<u32> = (0..n as u32).collect();
-        assert_eq!(
-            DsrEngine::new(index).set_reachability(&all, &all).pairs,
-            oracle.set_reachability(&all, &all)
-        );
+        let expected = oracle.set_reachability(&all, &all);
+        let in_process = DsrEngine::new(index).set_reachability(&all, &all);
+        assert_eq!(in_process.pairs, expected);
+        let wire = WireTransport::new();
+        let wired = DsrEngine::with_transport(index, &wire).set_reachability(&all, &all);
+        assert_eq!(wired.pairs, expected);
     }
 
     /// Two partitions; partition 0 = {0, 1, 2, 3} holds the SCC {0, 1, 2}
@@ -977,6 +980,49 @@ mod tests {
         assert_local_condensations_are_fresh(&index);
         edges.retain(|&e| e != (1, 2));
         assert_answers_match(&index, 6, &edges);
+    }
+
+    #[test]
+    fn step_three_reads_a_kept_condensation_and_a_recomputed_one() {
+        // Partition 0 = {0..=4}: the SCC {0, 1, 2} with the exits 1 → 3 and
+        // 2 → 4; partition 1 = {5, 6} enters it at 0 and hangs off 4. Every
+        // path from 5 ends in a step 3 on partition 0's condensation.
+        let mut edges = vec![
+            (0, 2),
+            (2, 0),
+            (2, 1),
+            (1, 2),
+            (1, 3),
+            (2, 4),
+            (5, 0),
+            (4, 6),
+        ];
+        let g = DiGraph::from_edges(7, &edges);
+        let p = Partitioning::new(vec![0, 0, 0, 0, 0, 1, 1], 2);
+        let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        assert_answers_match(&index, 7, &edges);
+
+        // An insertion inside the SCC keeps the condensation, whose ids are
+        // now a reverse topological numbering no Tarjan run over the new
+        // graph produces (it visits 1, hence the exit 3, before 2).
+        let before = Arc::clone(index.locals[0].components());
+        index.apply_updates(&[UpdateOp::Insert(0, 1)]);
+        let kept = index.locals[0].components();
+        assert!(Arc::ptr_eq(kept, &before), "no re-condense");
+        assert_ne!(
+            condense(index.locals[0].graph()).scc.component,
+            kept.to_vec()
+        );
+        assert_local_condensations_are_fresh(&index);
+        edges.push((0, 1));
+        assert_answers_match(&index, 7, &edges);
+
+        // A deletion that splits the SCC — 0 leaves {1, 2} — re-condenses.
+        index.apply_updates(&[UpdateOp::Delete(2, 0)]);
+        assert_eq!(index.locals[0].dag().num_vertices(), 4);
+        assert_local_condensations_are_fresh(&index);
+        edges.retain(|&e| e != (2, 0));
+        assert_answers_match(&index, 7, &edges);
     }
 
     #[test]

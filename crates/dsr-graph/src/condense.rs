@@ -3,8 +3,11 @@
 //! The paper condenses every compound graph into its SCC DAG before building
 //! local reachability indexes (Section 3.3.1 and the "DAG" column of
 //! Table 2). [`CondensedGraph`] keeps the mapping between original vertices
-//! and condensed vertices so queries can be translated in both directions.
+//! and condensed vertices so queries can be translated in both directions,
+//! and [`propagate_lane_masks`] is the bit-parallel multi-source query the
+//! numbering of the condensed vertices makes a single pass.
 
+use crate::traversal::Direction;
 use crate::{tarjan_scc, DiGraph, SccResult, VertexId};
 
 /// A graph condensed by contracting every SCC to a single vertex.
@@ -77,6 +80,36 @@ pub fn condense_with(graph: &DiGraph, scc: SccResult) -> CondensedGraph {
     let dag = DiGraph::from_edges(k, &edges);
     let members = scc.members();
     CondensedGraph { dag, scc, members }
+}
+
+/// Multi-source reachability on a condensation, 64 sources per call: the
+/// caller seeds `masks[c]` with one bit per source (lane) that starts in
+/// component `c`, and afterwards bit `b` of `masks[c]` is set iff lane `b`'s
+/// component reaches `c` in `direction` (itself included).
+///
+/// `dag` must be numbered the way [`condense`] numbers it — Tarjan's reverse
+/// topological order, every edge `a → b` with `a > b` — which is what makes
+/// one pass enough: descending ids see a component's forward mask final when
+/// they arrive at it, ascending ids its backward mask.
+///
+/// # Panics
+/// Panics unless `masks` holds one mask per component.
+pub fn propagate_lane_masks(dag: &DiGraph, direction: Direction, masks: &mut [u64]) {
+    assert_eq!(masks.len(), dag.num_vertices(), "one mask per component");
+    debug_assert!(dag.edges().all(|(a, b)| a > b), "ids as condense numbers");
+    let n = dag.num_vertices();
+    for step in 0..n {
+        let c = match direction {
+            Direction::Forward => n - 1 - step,
+            Direction::Backward => step,
+        };
+        let mask = masks[c];
+        if mask != 0 {
+            for &next in direction.neighbors(dag, c as VertexId) {
+                masks[next as usize] |= mask;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub mod traversal;
 
 pub use builder::GraphBuilder;
 pub use closure::TransitiveClosure;
-pub use condense::{condense, CondensedGraph};
+pub use condense::{condense, propagate_lane_masks, CondensedGraph};
 pub use csr::{DiGraph, EdgeIter, NeighborIter};
 pub use io::{read_edge_list, read_edge_list_file, write_edge_list, write_edge_list_file};
 pub use scc::{tarjan_scc, SccResult};

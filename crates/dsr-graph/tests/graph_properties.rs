@@ -1,7 +1,10 @@
 //! Property-based tests for the graph substrate.
 
 use dsr_graph::traversal::{bfs_reachable, dfs_reachable, multi_source_bfs, Direction};
-use dsr_graph::{condense, tarjan_scc, topological_order, DiGraph, TransitiveClosure, VertexId};
+use dsr_graph::{
+    condense, propagate_lane_masks, tarjan_scc, topological_order, DiGraph, TransitiveClosure,
+    VertexId,
+};
 use proptest::prelude::*;
 
 /// Strategy producing a random directed graph as (num_vertices, edges).
@@ -68,6 +71,41 @@ proptest! {
                     tc_dag.reachable(c.map(s), c.map(t)),
                     "reachability must survive condensation for ({}, {})", s, t
                 );
+            }
+        }
+    }
+
+    /// One pass of `propagate_lane_masks` over the condensation answers
+    /// what the closure of the graph answers, along and against the edges,
+    /// with one lane and with all 64.
+    #[test]
+    fn lane_masks_on_the_condensation_match_the_closure((n, edges) in arb_graph(80, 200)) {
+        let g = DiGraph::from_edges(n, &edges);
+        let c = condense(&g);
+        let tc = TransitiveClosure::build(&g);
+        for lanes in [1usize, 64] {
+            // Lane `b` starts at vertex `7 b mod n`: on a small graph several
+            // lanes share a vertex, on any graph several share a component.
+            let seeds: Vec<VertexId> = (0..lanes).map(|b| (7 * b % n) as VertexId).collect();
+            for direction in [Direction::Forward, Direction::Backward] {
+                let mut masks = vec![0u64; c.num_vertices()];
+                for (lane, &s) in seeds.iter().enumerate() {
+                    masks[c.map(s) as usize] |= 1 << lane;
+                }
+                propagate_lane_masks(&c.dag, direction, &mut masks);
+                for v in 0..n as VertexId {
+                    for (lane, &s) in seeds.iter().enumerate() {
+                        let expected = match direction {
+                            Direction::Forward => tc.reachable(s, v),
+                            Direction::Backward => tc.reachable(v, s),
+                        };
+                        prop_assert_eq!(
+                            masks[c.map(v) as usize] >> lane & 1 == 1,
+                            expected,
+                            "lane {} from {} at {} ({:?})", lane, s, v, direction
+                        );
+                    }
+                }
             }
         }
     }

@@ -38,8 +38,10 @@ impl MsBfsReachability {
 /// owns lane `b`, and the returned per-vertex masks have bit `b` set at
 /// every vertex the seed reaches in `direction` (the seed itself included).
 /// With [`Direction::Backward`] and the seeds being *targets*, the mask of
-/// a vertex is therefore the set of targets that vertex reaches — which is
-/// how the DSR engine resolves step 3 of Algorithm 2 from the target side.
+/// a vertex is therefore the set of targets that vertex reaches. This is
+/// the MS-BFS over a raw graph that Figure 7 compares; the DSR engine asks
+/// the same question of a stored condensation, where it is one pass
+/// ([`dsr_graph::propagate_lane_masks`]).
 ///
 /// Callers that sweep the same graph several times in a row keep one
 /// [`LaneSweep`] instead.

@@ -211,3 +211,37 @@ fn tiny_cache_evicts_but_stays_correct() {
     assert!(service.cache_stats().evictions() > 0);
     assert!(service.cache_len() <= 2);
 }
+
+#[test]
+fn a_query_naming_a_vertex_the_graph_does_not_have_is_served_and_cached() {
+    let service = Arc::new(disconnected_service());
+    // Asked from a thread of its own: a batch former that dies on the
+    // foreign id leaves its waiter hanging, which must fail this test, not
+    // stall it.
+    let (reply, answered) = dsr_sync::mpsc::channel();
+    let client = Arc::clone(&service);
+    dsr_sync::thread::spawn(move || reply.send(client.try_query(&[1_000_000, 0], &[2, 9, 5])));
+    let first = answered
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the service answers")
+        .expect("a foreign id is no error");
+    assert_eq!(*first, vec![(0, 2)]);
+
+    // The cache holds the answer under the signature as asked.
+    assert_eq!(service.cache_len(), 1);
+    let second = service.try_query(&[0, 1_000_000], &[9, 5, 2]).expect("hit");
+    assert!(Arc::ptr_eq(&first, &second));
+    assert_eq!(
+        (service.cache_stats().hits(), service.cache_stats().misses()),
+        (1, 1)
+    );
+
+    // A side of foreign ids only is an empty answer, and ordinary queries
+    // are served as before.
+    assert_eq!(
+        *service.try_query(&[1_000_000], &[0]).expect("served"),
+        vec![]
+    );
+    assert_eq!(*service.query(&[0], &[2, 5]), vec![(0, 2)]);
+    assert_eq!(service.cache_len(), 3);
+}
