@@ -34,14 +34,22 @@
 //!    component, and one ascending pass over the component ids
 //!    ([`propagate_lane_masks`], the same pass as step 1 against the
 //!    edges) — which leaves at every component the mask of targets its
-//!    vertices reach inside `G_j`. Each received
-//!    `⟨s, classes, entries⟩` is then answered by OR-ing the masks at the
-//!    components of the classes' representatives (restricted to the
-//!    query's interior targets) and of the entry vertices (restricted to
-//!    its in-boundary targets); results are gathered at the master. The
-//!    cost is one pass over the local DAG plus one mask read per received
-//!    class or entry — proportional to the query and the boundary, not to
-//!    the local subgraph or the compound graph.
+//!    vertices reach inside `G_j`. What the peers sent is translated once,
+//!    as it enters: every received `⟨s, classes, entries⟩` becomes two runs
+//!    of **seeds** — the local component ids of its classes'
+//!    representatives and of its entry vertices — and is then answered, in
+//!    every pass, by OR-ing the masks at those components (the classes'
+//!    restricted to the query's interior targets, the entries' to its
+//!    in-boundary targets); results are gathered at the master. A message's
+//!    `entries` and `I_j` both ascend strictly, so the entries are resolved
+//!    in one forward walk over `I_j` — a cursor that never moves back and a
+//!    galloping search from it, `O(|entries| · log gap)` per message: one
+//!    comparison per entry where a source reaches a dense run of
+//!    in-boundaries, never `|I_j|` for a message that names few of them.
+//!    The cost of step 3 is one pass over the local DAG plus that walk plus
+//!    one mask read per received class or entry and pass — proportional to
+//!    the query and to what crossed the boundary, not to the local
+//!    subgraph or the compound graph.
 //!
 //! # What `LocalIndexKind` governs
 //!
@@ -128,6 +136,9 @@ use crate::protocol::{BatchBuffer, GatherMessage, ScatterMessage, ScatterQuery, 
 /// An id outside the graph's `0..|V|` is not an error: such a vertex reaches
 /// nothing and is reached by nothing, so it contributes no pair. (An
 /// *update* naming one has no such answer; the serving layer refuses it.)
+/// The master drops such ids before it scatters; a slave that is delivered
+/// one nevertheless refuses the payload with a typed error (see
+/// [`DsrEngine::set_reachability_batch`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetQuery {
     /// Source vertices `S`.
@@ -291,13 +302,19 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// 3 per query). See the module docs for how the per-slave work is
     /// fused across queries. Source and target ids the graph does not have
     /// are dropped by the master before anything is scattered (see
-    /// [`SetQuery`]).
+    /// [`SetQuery`]); every slave checks the payload it is delivered against
+    /// exactly that contract before it evaluates anything.
     ///
     /// # Errors
     /// Returns the typed [`TransportError`] when the transport fails
     /// mid-protocol — e.g. a TCP worker disconnecting in the middle of the
-    /// exchange round, or a gather message naming a query the batch does
-    /// not have. The in-process and wire backends lose no worker.
+    /// exchange round — or delivers something the protocol cannot have
+    /// sent: a scatter payload with a source that is not local to the
+    /// receiving slave, a vertex the graph does not have or another number
+    /// of queries than the master scattered; an exchange buffer naming an
+    /// unknown query, class or in-boundary; a gather message naming a query
+    /// the batch does not have. The in-process and wire backends lose no
+    /// worker.
     pub fn set_reachability_batch(
         &self,
         queries: &[SetQuery],
@@ -377,8 +394,12 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 
         // ---- Step 1: fused local evaluation at every slave, over the
         // queries exactly as the transport delivered them. -------------------
-        let step_one: Vec<StepOneOutput> =
-            run_on_slaves(k, |i| self.step_one_batch(i as PartitionId, &delivered[i]));
+        let active = original_of.len();
+        let step_one: Vec<StepOneOutput> = run_on_slaves(k, |i| {
+            self.step_one_batch(i as PartitionId, &delivered[i], active)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
 
         // ---- Step 2: one all-to-all exchange round for the whole batch. ----
         let mut outgoing: Vec<Vec<(usize, BatchBuffer)>> = Vec::with_capacity(k);
@@ -442,10 +463,45 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// class or entry to which partition — is read from the compound
     /// graph's id-indexed route tables
     /// ([`CompoundGraph::route_role`](crate::CompoundGraph::route_role)).
-    fn step_one_batch(&self, i: PartitionId, queries: &[ScatterQuery]) -> StepOneOutput {
+    ///
+    /// # Errors
+    /// The payload came through the transport, so it is checked here, once,
+    /// before anything reads it — every slave runs step 1, so step 3 relies
+    /// on the same check: `active` queries as the master scattered, every
+    /// source a vertex of partition `i`, every target a vertex of the
+    /// graph. Anything else yields [`TransportError::Protocol`] naming the
+    /// master.
+    fn step_one_batch(
+        &self,
+        i: PartitionId,
+        queries: &[ScatterQuery],
+        active: usize,
+    ) -> Result<StepOneOutput, TransportError> {
         let index = self.index;
         let k = index.num_partitions();
         let comp = &index.compounds[i as usize];
+        let n = index.partitioning.num_vertices();
+        let malformed = |reason: String| TransportError::Protocol {
+            peer: "master".to_string(),
+            reason: format!("scatter payload for slave {i} {reason}"),
+        };
+        if queries.len() != active {
+            let held = queries.len();
+            return Err(malformed(format!(
+                "holds {held} queries, the master scattered {active}"
+            )));
+        }
+        for (a, q) in queries.iter().enumerate() {
+            let foreign = |s: VertexId| s as usize >= n || index.partition_of(s) != i;
+            if let Some(s) = q.sources.iter().find(|&&s| foreign(s)) {
+                return Err(malformed(format!(
+                    "names source {s} in query {a}, which is not local to it"
+                )));
+            }
+            if let Some(t) = q.targets.iter().find(|&&t| t as usize >= n) {
+                return Err(malformed(format!("names unknown target {t} in query {a}")));
+            }
+        }
         let mut output = StepOneOutput {
             final_pairs: Vec::new(),
             outgoing: Vec::new(),
@@ -462,7 +518,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             }
         }
         if source_queries.is_empty() {
-            return output;
+            return Ok(output);
         }
         source_queries.sort_unstable();
         let runs: Vec<&[(VertexId, u32)]> = source_queries.chunk_by(|x, y| x.0 == y.0).collect();
@@ -584,7 +640,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             }
             output.outgoing.push((j, buffer));
         }
-        output
+        Ok(output)
     }
 
     /// Step 3 at slave `j`, fused across queries and evaluated **from the
@@ -593,18 +649,25 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// `u64` lanes, 64 per pass, seeded at their components, and one
     /// ascending pass over the component ids ([`propagate_lane_masks`])
     /// leaves, at every component, the mask of targets its vertices reach
-    /// inside `G_j`. A received [`SourceMessage`] is then answered by OR-ing
-    /// the masks at the components of its classes' representatives
-    /// (restricted to the query's interior targets) and of its entry
-    /// vertices (restricted to the query's in-boundary targets) — see the
-    /// module docs for why local reachability suffices. `incoming` is the
-    /// sparse `(source slave, buffer)` inbox of the exchange round;
-    /// `queries` is this slave's scatter payload.
+    /// inside `G_j`. A received [`SourceMessage`] is translated once into
+    /// seeds — the local component ids of its classes' representatives and
+    /// of its entry vertices, the latter resolved against `I_j` by
+    /// [`in_boundary_positions`] — and then answered by OR-ing the masks at
+    /// its class seeds (restricted to the query's interior targets) and at
+    /// its entry seeds (restricted to the query's in-boundary targets) —
+    /// see the module docs for why local reachability suffices. `incoming`
+    /// is the sparse `(source slave, buffer)` inbox of the exchange round;
+    /// `queries` is this slave's scatter payload, already checked by
+    /// [`step_one_batch`](Self::step_one_batch).
     ///
     /// # Errors
     /// The buffers come from peers, so their content is checked where it
     /// enters: a query id, class id or entry vertex this slave does not
-    /// know yields [`TransportError::Protocol`] naming the sending slave.
+    /// know, or an entry list that does not ascend strictly (a duplicate or
+    /// out-of-order entry is not found from the walk's cursor on and is
+    /// reported as an unknown in-boundary), yields
+    /// [`TransportError::Protocol`] naming the sending slave — on every
+    /// transport, with or without a byte codec between the peers.
     fn step_three_batch(
         &self,
         j: PartitionId,
@@ -625,22 +688,26 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 .expect("boundaries of a partition are local to it")
         };
 
-        // Translate what the peers sent into local ids, once: per message
-        // one run of class representatives and one run of entry vertices
-        // in `seeds`.
+        // Translate what the peers sent into local component ids, once:
+        // per message one run of class representatives' components and one
+        // run of entry vertices' components in `seeds`. The two tables are
+        // indexed by class id and by position in `I_j`.
         struct Received {
             query: u32,
             source: VertexId,
             classes: std::ops::Range<usize>,
             entries: std::ops::Range<usize>,
         }
-        let representative: Vec<VertexId> = (0..summary.num_forward_classes() as u32)
-            .map(|class| local_id(summary.forward_representative(class)))
+        let class_component: Vec<u32> = (0..summary.num_forward_classes() as u32)
+            .map(|class| local.component_of(local_id(summary.forward_representative(class))))
             .collect();
-        let in_boundary_local: Vec<VertexId> = in_boundaries.iter().map(|&c| local_id(c)).collect();
+        let in_boundary_component: Vec<u32> = in_boundaries
+            .iter()
+            .map(|&c| local.component_of(local_id(c)))
+            .collect();
         let mut has_messages = vec![false; queries.len()];
         let mut received: Vec<Received> = Vec::new();
-        let mut seeds: Vec<VertexId> = Vec::new();
+        let mut seeds: Vec<u32> = Vec::new();
         for (sender, buffer) in incoming {
             let malformed = |what: &str, id: u32| TransportError::Protocol {
                 peer: format!("slave {sender}"),
@@ -653,14 +720,13 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 for message in messages {
                     let start = seeds.len();
                     for &class in &message.classes {
-                        let rep = representative.get(class as usize);
-                        seeds.push(*rep.ok_or_else(|| malformed("forward class", class))?);
+                        let component = class_component.get(class as usize);
+                        seeds.push(*component.ok_or_else(|| malformed("forward class", class))?);
                     }
                     let middle = seeds.len();
-                    for &c in &message.entries {
-                        let position = in_boundaries.binary_search(&c);
-                        let position = position.map_err(|_| malformed("in-boundary", c))?;
-                        seeds.push(in_boundary_local[position]);
+                    for position in in_boundary_positions(&message.entries, in_boundaries) {
+                        let position = position.map_err(|c| malformed("in-boundary", c))?;
+                        seeds.push(in_boundary_component[position]);
                     }
                     received.push(Received {
                         query: *a,
@@ -726,9 +792,9 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             for message in &received {
                 let a = message.query as usize;
                 let or_masks = |range: &std::ops::Range<usize>| {
-                    seeds[range.clone()].iter().fold(0u64, |mask, &v| {
-                        mask | reaches[local.component_of(v) as usize]
-                    })
+                    seeds[range.clone()]
+                        .iter()
+                        .fold(0u64, |mask, &component| mask | reaches[component as usize])
                 };
                 let mut hit = 0u64;
                 if interior[a] != 0 {
@@ -753,10 +819,52 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     }
 }
 
+/// Positions in `in_boundaries` (strictly ascending: `I_j`) of the vertices
+/// of `entries`, resolved in one forward walk: a cursor that never moves
+/// back and, per entry, a [`gallop`] from it. A dense run of entries costs
+/// one comparison per entry, a sparse one `log gap` — `O(|entries| · log
+/// gap)` per message, whatever `|I_j|` is.
+///
+/// An entry that is not an in-boundary **from the cursor on** — an unknown
+/// vertex, a duplicate, or one out of ascending order — is yielded as
+/// `Err(entry)`, never as a position: a well-formed list ascends strictly
+/// ([`CompoundGraph::route_ids`](crate::CompoundGraph::route_ids) ships it
+/// so and the wire codec refuses anything else).
+fn in_boundary_positions<'a>(
+    entries: &'a [VertexId],
+    in_boundaries: &'a [VertexId],
+) -> impl Iterator<Item = Result<usize, VertexId>> + 'a {
+    let mut cursor = 0;
+    entries.iter().map(move |&c| {
+        // The gallop's first probe is the cursor itself: in a dense run it
+        // is the only one.
+        let position = cursor + gallop(&in_boundaries[cursor..], c);
+        if in_boundaries.get(position) != Some(&c) {
+            return Err(c);
+        }
+        cursor = position + 1;
+        Ok(position)
+    })
+}
+
+/// Number of leading vertices of the ascending `list` that are smaller than
+/// `c`: an exponential probe — steps of 1, 2, 4, … until a vertex is not
+/// smaller or the list ends — then a `partition_point` inside the bracket
+/// the last step spans. `O(log result)`.
+fn gallop(list: &[VertexId], c: VertexId) -> usize {
+    let (mut low, mut step) = (0, 1);
+    while low + step <= list.len() && list[low + step - 1] < c {
+        low += step;
+        step *= 2;
+    }
+    let high = (low + step - 1).min(list.len());
+    low + list[low..high].partition_point(|&b| b < c)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{Forging, ForgingGather};
+    use crate::test_support::{Forging, ForgingGather, ForgingScatter};
     use dsr_cluster::WireTransport;
     use dsr_graph::{DiGraph, TransitiveClosure};
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
@@ -1502,6 +1610,314 @@ mod tests {
             .set_reachability_batch(&queries)
             .expect("well-formed");
         assert_eq!(outcome.results[0], vec![(0, 13), (0, 17)]);
+    }
+
+    #[test]
+    fn a_forged_scatter_payload_is_a_typed_error_not_a_panic() {
+        let (g, p) = figure1();
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let queries = vec![SetQuery::new(vec![0], vec![13, 17])];
+        let payload = |sources: Vec<u32>, targets: Vec<u32>| -> ScatterMessage {
+            vec![ScatterQuery { sources, targets }]
+        };
+        // What slave 0 is handed instead of `[0] ; [13, 17]`: a source of
+        // partition 2, a source and a target the graph does not have, and
+        // no query at all.
+        let forged: Vec<(&str, ScatterMessage)> = vec![
+            ("source 17 in query 0", payload(vec![17], vec![13, 17])),
+            ("source 19 in query 0", payload(vec![19], vec![13, 17])),
+            (
+                "target 1000000 in query 0",
+                payload(vec![0], vec![13, 1_000_000]),
+            ),
+            ("holds 0 queries, the master scattered 1", Vec::new()),
+            (
+                "holds 2 queries, the master scattered 1",
+                [payload(vec![0], vec![13]), payload(vec![0], vec![17])].concat(),
+            ),
+        ];
+        for (what, message) in forged {
+            let transport = ForgingScatter {
+                message: dsr_cluster::wire::encode_to_vec(&message),
+                slave: 0,
+            };
+            let err = DsrEngine::with_transport(&index, transport)
+                .set_reachability_batch(&queries)
+                .expect_err("a forged scatter payload must fail the batch");
+            assert!(
+                matches!(&err, TransportError::Protocol { peer, .. } if peer == "master"),
+                "typed protocol error naming the master: {err}"
+            );
+            let text = err.to_string();
+            assert!(
+                text.contains("slave 0") && text.contains(what),
+                "names the slave, the query and the offending id: {text}"
+            );
+        }
+        // The payload the master really scattered is simply evaluated.
+        let transport = ForgingScatter {
+            message: dsr_cluster::wire::encode_to_vec(&payload(vec![0], vec![13, 17])),
+            slave: 0,
+        };
+        let outcome = DsrEngine::with_transport(&index, transport)
+            .set_reachability_batch(&queries)
+            .expect("well-formed");
+        assert_eq!(outcome.results[0], vec![(0, 13), (0, 17)]);
+    }
+
+    #[test]
+    fn exchange_entries_out_of_ascending_order_are_a_typed_error_in_process() {
+        let (g, p) = figure1();
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        let engine = DsrEngine::new(&index);
+        // No byte codec between the peers: slave 2 (in-boundaries 13 and 14)
+        // is handed the entry lists the wire decoder would have refused.
+        let payload = vec![ScatterQuery {
+            sources: Vec::new(),
+            targets: vec![13, 17],
+        }];
+        let from_slave_1 = |entries: Vec<u32>| {
+            let message = SourceMessage {
+                source: 0,
+                classes: vec![0],
+                entries,
+            };
+            vec![(1usize, vec![(0u32, vec![message])])]
+        };
+        for (entries, culprit) in [(vec![14, 13], 13), (vec![13, 13], 13), (vec![14, 14], 14)] {
+            let err = engine
+                .step_three_batch(2, &from_slave_1(entries), &payload)
+                .expect_err("an entry list that does not ascend strictly is refused");
+            let text = err.to_string();
+            assert!(
+                matches!(err, TransportError::Protocol { .. })
+                    && text.contains("slave 1")
+                    && text.contains(&format!("unknown in-boundary {culprit}")),
+                "typed protocol error naming the peer and the entry: {text}"
+            );
+        }
+        let gathered = engine.step_three_batch(2, &from_slave_1(vec![13, 14]), &payload);
+        assert_eq!(
+            gathered.expect("ascending"),
+            vec![(0, vec![(0, 13), (0, 17)])]
+        );
+    }
+
+    /// What the walk yields, collected: every position, or the first entry
+    /// it refuses.
+    fn entry_walk(entries: &[u32], in_boundaries: &[u32]) -> Result<Vec<usize>, u32> {
+        in_boundary_positions(entries, in_boundaries).collect()
+    }
+
+    /// The walk's specification on a strictly ascending `entries`: one
+    /// `binary_search` from scratch per entry.
+    fn entry_search(entries: &[u32], in_boundaries: &[u32]) -> Result<Vec<usize>, u32> {
+        let position = |c: &u32| in_boundaries.binary_search(c).map_err(|_| *c);
+        entries.iter().map(position).collect()
+    }
+
+    #[test]
+    fn entry_walk_matches_a_binary_search_per_entry_on_the_table() {
+        // 1 200 in-boundaries 10, 13, 16, …: every id has a neighbour that
+        // is none.
+        let in_boundaries: Vec<u32> = (0..1200).map(|i| 10 + 3 * i).collect();
+        let at = |positions: &[usize]| -> Vec<u32> {
+            positions.iter().map(|&i| in_boundaries[i]).collect()
+        };
+        let every =
+            |gap: usize| -> Vec<u32> { in_boundaries.iter().copied().step_by(gap + 1).collect() };
+        let well_formed: Vec<(&str, Vec<u32>)> = vec![
+            ("no entry", Vec::new()),
+            ("all of I_j", in_boundaries.clone()),
+            ("first only", at(&[0])),
+            ("last only", at(&[1199])),
+            ("first and last", at(&[0, 1199])),
+            ("gaps of 1", every(1)),
+            ("gaps of 2", every(2)),
+            ("gaps of 3", every(3)),
+            ("gaps of 7", every(7)),
+            ("gaps of 64", every(64)),
+            ("gaps of 1 000", every(1000)),
+            // From cursor 190 the probe reaches offset 510, its next step
+            // would span 511..1 022 and `I_j` ends at offset 1 009: the
+            // bracket is clamped.
+            ("a gap of 1 000, bracket clamped", at(&[189, 1190])),
+            ("a gap to the last, bracket clamped", at(&[189, 1199])),
+            (
+                "dense, then sparse, then dense",
+                at(&[3, 4, 5, 700, 701, 702]),
+            ),
+        ];
+        for (what, entries) in &well_formed {
+            let expected = entry_search(entries, &in_boundaries);
+            assert!(expected.is_ok(), "{what}: the table row is well-formed");
+            assert_eq!(entry_walk(entries, &in_boundaries), expected, "{what}");
+        }
+
+        // Refused, whatever precedes them: an id that is no in-boundary —
+        // between two, beyond the last, before the first — and an id that is
+        // one, but not from the cursor on.
+        let refused: Vec<(&str, Vec<u32>, usize)> = vec![
+            ("between two in-boundaries", vec![10, 13, 26, 28], 2),
+            ("beyond the last", vec![10, 3607, 3608], 2),
+            ("before the first", vec![9, 10], 0),
+            ("a duplicate", vec![10, 22, 22, 25], 2),
+            ("a duplicate of the last", vec![3607, 3607], 1),
+            ("a descending pair of in-boundaries", vec![37, 22], 1),
+            ("descending after a long gap", vec![10, 3010, 13], 2),
+        ];
+        for (what, entries, accepted) in &refused {
+            let culprit = entries[*accepted];
+            assert_eq!(entry_walk(entries, &in_boundaries), Err(culprit), "{what}");
+            // Up to the culprit the positions are the searched ones.
+            assert_eq!(
+                entry_walk(&entries[..*accepted], &in_boundaries),
+                entry_search(&entries[..*accepted], &in_boundaries),
+                "{what}"
+            );
+        }
+
+        // No in-boundary at all: nothing to resolve, or nothing resolves.
+        assert_eq!(entry_walk(&[], &[]), Ok(Vec::new()));
+        assert_eq!(entry_walk(&[7], &[]), Err(7));
+    }
+
+    #[test]
+    fn entry_walk_matches_a_binary_search_per_entry_on_random_subsets() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(22);
+        for round in 0..200 {
+            // A random ascending list, then a random ascending subset of it
+            // at a density drawn per round (dense runs and long gaps).
+            let len = rng.gen_range(0..400);
+            let stride: u32 = rng.gen_range(1..20);
+            let mut next = 0u32;
+            let in_boundaries: Vec<u32> = (0..len)
+                .map(|_| {
+                    next += rng.gen_range(1..=stride);
+                    next
+                })
+                .collect();
+            let keep_one_in = rng.gen_range(1..40);
+            let entries: Vec<u32> = in_boundaries
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_range(0..keep_one_in) == 0)
+                .collect();
+            assert_eq!(
+                entry_walk(&entries, &in_boundaries),
+                entry_search(&entries, &in_boundaries),
+                "round {round}: {entries:?} in {in_boundaries:?}"
+            );
+        }
+    }
+
+    /// Partition 0 = {0..=9}: the sources 0..=5 and the feeder 9, which no
+    /// query names and whose cut edges make every vertex of 10..=139 an
+    /// in-boundary of partition 1 = {10..=219}. The sources enter partition
+    /// 1 sparsely: 0 at its first in-boundary only, 1 at its last only, 2 at
+    /// every second, 3 at every seventh, 4 at the first, the 66th and the
+    /// last, 5 at every third. Inside partition 1 the in-boundaries form
+    /// chains of five and lead into the interior vertices 140..=219.
+    fn sparse_entries_fixture() -> (DiGraph, Partitioning) {
+        let in_boundaries = 10u32..=139;
+        let mut edges: Vec<(u32, u32)> = in_boundaries.clone().map(|c| (9, c)).collect();
+        edges.extend([(0, 10), (1, 139), (4, 10), (4, 75), (4, 139)]);
+        edges.extend(in_boundaries.clone().step_by(2).map(|c| (2, c)));
+        edges.extend(in_boundaries.clone().step_by(7).map(|c| (3, c)));
+        edges.extend(in_boundaries.clone().step_by(3).map(|c| (5, c)));
+        edges.extend(
+            in_boundaries
+                .clone()
+                .filter(|c| c % 5 != 4)
+                .map(|c| (c, c + 1)),
+        );
+        edges.extend(in_boundaries.map(|c| (c, 140 + (c * 7) % 80)));
+        edges.extend((140..219).filter(|v| v % 4 != 3).map(|v| (v, v + 1)));
+        let g = DiGraph::from_edges(220, &edges);
+        let p = Partitioning::new((0..220).map(|v| u32::from(v >= 10)).collect(), 2);
+        (g, p)
+    }
+
+    #[test]
+    fn step_three_resolves_sparse_entries_against_more_than_64_in_boundaries() {
+        let (g, p) = sparse_entries_fixture();
+        let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+        let in_boundaries: Vec<u32> = (10..=139).collect();
+        assert_eq!(index.cut.partition(1).in_boundaries, in_boundaries);
+        // Entry lists with gaps of 0 (the feeder's), 1, 2, 6, 64 and 129
+        // in one batch.
+        let queries = vec![
+            SetQuery::new((0..=5).collect(), in_boundaries.clone()),
+            SetQuery::new(vec![0], in_boundaries.clone()),
+            SetQuery::new(vec![1], vec![10, 138, 139]),
+            SetQuery::new(vec![3], (10..=139).step_by(5).collect()),
+            SetQuery::new(vec![4], vec![11, 76, 79, 80, 139]),
+            SetQuery::new(vec![9], vec![10, 139]),
+        ];
+        assert_batch_matches_oracle(&g, &p, &queries);
+        // Source 4 enters at 10, 75 and 139 and follows the chains from
+        // there.
+        let answer = DsrEngine::new(&index).set_reachability(&[4], &in_boundaries);
+        let reached = [10..=14, 75..=79, 139..=139].into_iter().flatten();
+        assert_eq!(answer.pairs, reached.map(|t| (4, t)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn step_three_reads_component_seeds_in_every_pass_over_more_than_64_targets() {
+        let (g, p) = sparse_entries_fixture();
+        // 210 distinct local targets of partition 1 — four passes, the
+        // first two of in-boundary lanes, the third mixed — read by the
+        // same seeds; plus queries that ask for a few lanes of each pass.
+        let queries = vec![
+            SetQuery::new((0..=5).collect(), (10..=219).collect()),
+            SetQuery::new(vec![3, 4], (10..=219).step_by(9).collect()),
+            SetQuery::new(vec![0, 1], vec![10, 100, 139, 140, 180, 219]),
+            SetQuery::new(vec![2], (140..=219).collect()),
+        ];
+        assert_batch_matches_oracle(&g, &p, &queries);
+    }
+
+    #[test]
+    fn step_three_ships_entries_to_one_of_two_queries_that_share_a_source() {
+        let (g, p) = sparse_entries_fixture();
+        let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+        // Source 2 belongs to a query with in-boundary targets of partition
+        // 1 (entries shipped), to one with interior targets only (classes
+        // alone) and to one with both.
+        let queries = vec![
+            SetQuery::new(vec![2, 3], vec![11, 12, 13, 17]),
+            SetQuery::new(vec![2, 5], vec![150, 151, 200]),
+            SetQuery::new(vec![2], vec![11, 150]),
+        ];
+        assert_batch_matches_oracle(&g, &p, &queries);
+        // What slave 0 stages for partition 1: the same classes for source
+        // 2 in all three queries, its entries — every second in-boundary —
+        // for the first and the third only.
+        let payload: ScatterMessage = queries
+            .iter()
+            .map(|q| ScatterQuery {
+                sources: q.sources.clone(),
+                targets: q.targets.clone(),
+            })
+            .collect();
+        let staged = DsrEngine::new(&index)
+            .step_one_batch(0, &payload, payload.len())
+            .expect("a payload the master could have scattered");
+        let (destination, buffer) = &staged.outgoing[0];
+        assert_eq!((staged.outgoing.len(), *destination), (1, 1));
+        let from_source_2: Vec<&SourceMessage> = buffer
+            .iter()
+            .map(|(_, messages)| messages.iter().find(|m| m.source == 2).expect("shipped"))
+            .collect();
+        let every_second: Vec<u32> = (10..=139).step_by(2).collect();
+        assert_eq!(from_source_2.len(), 3);
+        assert_eq!(from_source_2[0].entries, every_second);
+        assert_eq!(from_source_2[1].entries, Vec::<u32>::new());
+        assert_eq!(from_source_2[2].entries, every_second);
+        assert!(!from_source_2[1].classes.is_empty());
+        assert_eq!(from_source_2[0].classes, from_source_2[1].classes);
     }
 
     #[test]

@@ -104,6 +104,47 @@ impl Transport for ForgingGather {
     }
 }
 
+/// The scatter twin of [`ForgingGather`]: what `slave` receives from the
+/// master in the scatter round is replaced by the forged message.
+pub(crate) struct ForgingScatter {
+    /// The forged message, wire-encoded.
+    pub message: Vec<u8>,
+    pub slave: usize,
+}
+
+impl Transport for ForgingScatter {
+    fn name(&self) -> &'static str {
+        "forging-scatter"
+    }
+
+    fn scatter<M: WireMessage>(
+        &self,
+        messages: Vec<M>,
+        stats: &CommStats,
+    ) -> Result<Vec<M>, TransportError> {
+        let mut delivered = InProcess.scatter(messages, stats)?;
+        delivered[self.slave] = dsr_cluster::wire::decode_exact::<M>(&self.message)?;
+        Ok(delivered)
+    }
+
+    fn gather<M: WireMessage>(
+        &self,
+        messages: Vec<M>,
+        stats: &CommStats,
+    ) -> Result<Vec<M>, TransportError> {
+        InProcess.gather(messages, stats)
+    }
+
+    fn all_to_all<M: WireMessage>(
+        &self,
+        num_nodes: usize,
+        outgoing: Vec<Vec<(usize, M)>>,
+        stats: &CommStats,
+    ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
+        InProcess.all_to_all(num_nodes, outgoing, stats)
+    }
+}
+
 /// Algorithm 3 the way it was written before the bit rows: one MS-BFS pair
 /// list per direction, regrouped into per-boundary sorted target lists that
 /// serve as class keys. Kept as the reference
