@@ -14,10 +14,11 @@
 //! * **all-to-all** — each payload takes the realistic two-hop route
 //!   `master → worker(src) → worker(dst) → master`: workers forward frames
 //!   to each other over a lazily built **worker-to-worker mesh** of
-//!   directed TCP lanes, exactly like slaves exchanging Step-2 buffers in
-//!   the paper's MPI deployment. [`CommStats`] counts each logical message
-//!   once (at encode time), so the three backends report byte-identical
-//!   volumes.
+//!   directed TCP lanes (one writer thread per worker and exchange, see
+//!   "The worker side of an exchange"), exactly like slaves exchanging
+//!   Step-2 buffers in the paper's MPI deployment. [`CommStats`] counts
+//!   each logical message once (at encode time), so the three backends
+//!   report byte-identical volumes.
 //!
 //! Two modes share all of this code:
 //!
@@ -52,8 +53,8 @@
 //! Writing everything before reading anything cannot wait on itself, for
 //! two reasons that live in [`serve_worker`]'s relay loop: a worker reads
 //! a whole op into memory before it writes a byte, to anyone; and in an
-//! exchange it replies to the master only after its forwarder threads are
-//! joined and its incoming lanes are read. So a `write_all` of the master
+//! exchange it replies to the master only after its lane writer is joined
+//! and its incoming lanes are read. So a `write_all` of the master
 //! only ever waits for a worker that is reading its op — never for a read
 //! the master has not reached — and a worker stuck writing a large reply
 //! holds up no other worker: everything its peers needed from it is
@@ -68,7 +69,36 @@
 //! (a peer gives up on a silent lane after the same `io_timeout` and
 //! closes its session), so one hung worker costs an exchange attempt up to
 //! ≈ 2 × `io_timeout` where the per-worker threads waited 1 ×; scatter
-//! and gather still wait 1 ×.
+//! and gather still wait 1 ×. That is for frames a lane's socket buffers
+//! take (≈ 4 MiB on Linux loopback): no lane writer blocks. A peer that
+//! forwards more than that to the hung worker sits on that lane until a
+//! `write(2)` has moved nothing for `io_timeout` — measured ≈ 3 ×, two
+//! calls move part of the buffer first — and its session stays open that
+//! long, so the master's reads (one `io_timeout` per link) add up to
+//! ≈ 4 ×. One writer per worker moves neither bound (a per-destination
+//! thread sat there as long); it only leaves the destinations *behind* the
+//! stuck lane unserved, and the attempt is all-or-nothing either way.
+//!
+//! # The worker side of an exchange
+//!
+//! A master session owns its outgoing lanes: none to begin with, one
+//! connected (and introduced with the session's id) the first time an
+//! exchange forwards to that worker, all closed with the session, however
+//! it ends. While it reads an exchange op the worker lays out the exact
+//! bytes each destination worker's lane will carry; then **one** writer
+//! thread puts them on the lanes — one `write_all` per lane, destinations
+//! in ascending worker id, stopping at the first that fails — while the
+//! session thread collects the groups the op expects. A worker with
+//! nothing to forward spawns nothing.
+//!
+//! One ascending writer per worker cannot wait in a circle: a writer
+//! blocked on lane x→y waits for y's reader; that reader, if it is not
+//! draining x→y, is blocked on an empty lane z→y, so z's writer has not
+//! reached y and — destinations ascending — is blocked on some w < y;
+//! repeat with w. The blocked destination strictly decreases, so the chain
+//! ends at a writer and a reader that progress, whatever order the readers
+//! take their lanes in (the master's op order interleaves them when a
+//! worker hosts several nodes; `tcp::tests` model-checks the argument).
 //!
 //! # Protocol
 //!
@@ -83,7 +113,7 @@
 //! handshake is through — and never around it.
 
 use dsr_sync::{Arc, Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{hash_map::Entry, BTreeMap, HashMap, HashSet};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -499,9 +529,6 @@ struct WorkerShared {
     /// the peer announced.
     incoming: Mutex<HashMap<usize, (u64, TcpStream)>>,
     incoming_cv: Condvar,
-    /// Outgoing peer lanes by destination worker id (cleared at session
-    /// end: the next session builds fresh lanes at its own epoch).
-    outgoing: Mutex<HashMap<usize, TcpStream>>,
     /// Assigned by the master hello.
     state: Mutex<WorkerState>,
     /// Set when the worker is exiting; tells the acceptor to stop.
@@ -547,7 +574,6 @@ pub fn serve_worker(listener: TcpListener, options: WorkerOptions) -> Result<(),
         master_cv: Condvar::new(),
         incoming: Mutex::new(HashMap::new()),
         incoming_cv: Condvar::new(),
-        outgoing: Mutex::new(HashMap::new()),
         state: Mutex::new(WorkerState::default()),
         done: dsr_sync::atomic::AtomicBool::new(false),
     });
@@ -573,9 +599,7 @@ pub fn serve_worker(listener: TcpListener, options: WorkerOptions) -> Result<(),
         };
         served_any = true;
         begin_session(&shared, session);
-        let end = relay_loop(&master, &shared);
-        end_session(&shared);
-        match end {
+        match relay_loop(&master, &shared) {
             Ok(SessionEnd::Shutdown) => break Ok(()),
             Ok(SessionEnd::MasterLost) => {
                 if options.rejoin_wait.is_none() {
@@ -591,13 +615,10 @@ pub fn serve_worker(listener: TcpListener, options: WorkerOptions) -> Result<(),
     };
 
     // Wake the acceptor (blocked in `accept`) so it can observe the ended
-    // session and exit; then release every cached lane.
+    // session and exit.
     shared.done.store(true, dsr_sync::atomic::Ordering::SeqCst);
     let _ = TcpStream::connect(local);
     let _ = acceptor.join();
-    for (_, lane) in dsr_sync::lock(&shared.outgoing).drain() {
-        let _ = lane.shutdown(Shutdown::Both);
-    }
     result
 }
 
@@ -615,14 +636,6 @@ fn begin_session(shared: &WorkerShared, session: u64) {
             true
         }
     });
-}
-
-/// Releases the session's outgoing lanes: the next session (this master's
-/// or a replacement's) negotiates fresh lanes at its own epoch.
-fn end_session(shared: &WorkerShared) {
-    for (_, lane) in dsr_sync::lock(&shared.outgoing).drain() {
-        let _ = lane.shutdown(Shutdown::Both);
-    }
 }
 
 fn wait_for_master(
@@ -768,21 +781,16 @@ fn register_connection(stream: TcpStream, shared: &WorkerShared) -> Result<(), T
     Ok(())
 }
 
-/// One forwarded group of frames: payloads from logical node `src` to
-/// logical node `dst`, hosted by `dst_worker`.
-struct Group {
-    src: usize,
-    dst: usize,
-    dst_worker: usize,
-    frames: Vec<Vec<u8>>,
-}
-
+/// Serves one master session, op after op. The session owns its outgoing
+/// peer lanes (`lanes`, by destination worker id), closed with it however
+/// it ends: the next session builds fresh lanes at its own epoch.
 fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, TransportError> {
     let peer = "master";
     // One buffered reader per session: an op header is dozens of varints,
     // and unbuffered each of their bytes is a `read(2)`. Nothing else reads
     // this socket after the hello, so read-ahead cannot strand a byte.
     let mut reader = BufReader::new(master);
+    let mut lanes: HashMap<usize, TcpStream> = HashMap::new();
     loop {
         let opcode = match read_varint(&mut reader) {
             Ok(op) => op,
@@ -823,7 +831,7 @@ fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, T
                 }
                 dsr_sync::lock(&shared.state).topology = topology;
             }
-            OP_EXCHANGE => handle_exchange(&mut reader, master, shared)?,
+            OP_EXCHANGE => handle_exchange(&mut reader, master, shared, &mut lanes)?,
             OP_SHUTDOWN => {
                 let mut writer = master;
                 let _ = writer.write_all(&[0]); // empty ack frame
@@ -840,32 +848,61 @@ fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, T
 }
 
 /// Serves one exchange op: reads the rest of the op from `reader` (the
-/// session's buffered view of `master`), forwards and collects the groups
-/// over the peer lanes, then writes the reply to `master`.
+/// session's buffered view of `master`), has one thread write what it
+/// forwards to `lanes` while this one collects the expected groups, joins
+/// it and writes the reply to `master` (module docs, "The worker side of an
+/// exchange").
 fn handle_exchange(
     mut reader: impl Read,
     master: &TcpStream,
     shared: &WorkerShared,
+    lanes: &mut HashMap<usize, TcpStream>,
 ) -> Result<(), TransportError> {
     let peer = "master";
     let context = "read exchange op";
+    let refuse = |reason: String| TransportError::Protocol {
+        peer: peer.to_string(),
+        reason,
+    };
+    let (my_id, session) = {
+        let state = dsr_sync::lock(&shared.state);
+        (state.my_id, state.session_id)
+    };
+
+    // A send group whose destination lives on this worker short-circuits
+    // locally; any other becomes bytes on its destination worker's lane.
+    // The master routes partitions to workers (that is what the topology
+    // and failover are for); this side just follows the ids in the op.
     let send_count = read_varint(&mut reader).map_err(|e| e.classify(peer, context))? as usize;
-    let mut sends: Vec<Group> = Vec::with_capacity(send_count.min(1024));
+    let mut sent: HashSet<(usize, usize)> = HashSet::with_capacity(send_count.min(1024));
+    let mut local: HashMap<(usize, usize), Vec<Vec<u8>>> = HashMap::new();
+    let mut forward: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
     for _ in 0..send_count {
         let src = read_varint(&mut reader).map_err(|e| e.classify(peer, context))? as usize;
         let dst = read_varint(&mut reader).map_err(|e| e.classify(peer, context))? as usize;
         let dst_worker = read_varint(&mut reader).map_err(|e| e.classify(peer, context))? as usize;
         let frame_count = read_varint(&mut reader).map_err(|e| e.classify(peer, context))? as usize;
-        let mut frames = Vec::with_capacity(frame_count.min(4096));
-        for _ in 0..frame_count {
-            frames.push(read_frame(&mut reader).map_err(|e| e.classify(peer, context))?);
+        if !sent.insert((src, dst)) {
+            return Err(refuse(format!(
+                "exchange op sends group {src}->{dst} twice"
+            )));
         }
-        sends.push(Group {
-            src,
-            dst,
-            dst_worker,
-            frames,
-        });
+        if dst_worker == my_id {
+            let mut frames = Vec::with_capacity(frame_count.min(4096));
+            for _ in 0..frame_count {
+                frames.push(read_frame(&mut reader).map_err(|e| e.classify(peer, context))?);
+            }
+            local.insert((src, dst), frames);
+        } else {
+            let lane = forward.entry(dst_worker).or_default();
+            for value in [src, dst, frame_count] {
+                wire::put_varint(lane, value as u64);
+            }
+            for _ in 0..frame_count {
+                let frame = read_frame(&mut reader).map_err(|e| e.classify(peer, context))?;
+                put_frame(lane, &frame);
+            }
+        }
     }
     let recv_count = read_varint(&mut reader).map_err(|e| e.classify(peer, context))? as usize;
     let mut recvs: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(recv_count.min(1024));
@@ -877,149 +914,105 @@ fn handle_exchange(
         recvs.push((src, dst, src_worker, count));
     }
 
-    let (my_id, topology, session) = {
-        let state = dsr_sync::lock(&shared.state);
-        (state.my_id, state.topology.clone(), state.session_id)
-    };
+    // The reply: the frames of every expected group, in op order.
+    let mut reply = Vec::new();
+    dsr_sync::thread::scope(|scope| -> Result<(), TransportError> {
+        let writer = (!forward.is_empty())
+            .then(|| scope.spawn(|| write_lanes(shared, lanes, my_id, session, &forward)));
 
-    // Split sends: groups whose destination lives on this worker short-
-    // circuit locally; the rest are forwarded over the peer mesh, one
-    // writer thread per destination worker so a full socket buffer can
-    // never produce a circular wait. The master routes partitions to
-    // workers (that is what the topology and failover are for); this side
-    // just follows the explicit worker ids in the op.
-    let mut local: HashMap<(usize, usize), Vec<Vec<u8>>> = HashMap::new();
-    let mut remote: BTreeMap<usize, Vec<Group>> = BTreeMap::new();
-    for group in sends {
-        if group.dst_worker == my_id {
-            local.insert((group.src, group.dst), group.frames);
-        } else {
-            remote.entry(group.dst_worker).or_default().push(group);
-        }
-    }
-
-    let mut received: Vec<Vec<Vec<u8>>> = Vec::with_capacity(recvs.len());
-    let forward_result: Result<(), TransportError> = dsr_sync::thread::scope(|scope| {
-        let writers: Vec<_> = remote
-            .into_iter()
-            .map(|(worker, groups)| {
-                let shared = &shared;
-                let topology = &topology;
-                scope
-                    .spawn(move || forward_groups(shared, topology, my_id, session, worker, groups))
-            })
-            .collect();
-
-        // Read the expected groups while the writers run. Per-lane frames
+        // Read the expected groups while the writer runs. Per-lane frames
         // arrive in master-specified (src, dst) order.
-        let mut lanes: HashMap<usize, TcpStream> = HashMap::new();
+        let mut incoming: HashMap<usize, TcpStream> = HashMap::new();
         for &(src, dst, src_worker, count) in &recvs {
             if src_worker == my_id {
-                let frames = local
-                    .remove(&(src, dst))
-                    .ok_or_else(|| TransportError::Protocol {
-                        peer: peer.to_string(),
-                        reason: format!("exchange op lists local group {src}->{dst} it never sent"),
-                    })?;
+                let frames = local.remove(&(src, dst)).ok_or_else(|| {
+                    refuse(format!(
+                        "exchange op lists local group {src}->{dst} it never sent"
+                    ))
+                })?;
                 if frames.len() != count {
-                    return Err(TransportError::Protocol {
-                        peer: peer.to_string(),
-                        reason: format!(
-                            "local group {src}->{dst}: expected {count} frames, got {}",
-                            frames.len()
-                        ),
-                    });
+                    return Err(refuse(format!(
+                        "local group {src}->{dst}: expected {count} frames, got {}",
+                        frames.len()
+                    )));
                 }
-                received.push(frames);
+                for frame in &frames {
+                    put_frame(&mut reply, frame);
+                }
             } else {
-                if let std::collections::hash_map::Entry::Vacant(slot) = lanes.entry(src_worker) {
-                    slot.insert(incoming_lane(shared, src_worker, &topology, session)?);
+                if let Entry::Vacant(slot) = incoming.entry(src_worker) {
+                    slot.insert(incoming_lane(shared, src_worker, session)?);
                 }
-                let lane = lanes.get_mut(&src_worker).expect("lane just inserted");
-                received.push(read_group(lane, src_worker, src, dst, count, &topology)?);
+                let lane = incoming.get_mut(&src_worker).expect("lane just inserted");
+                read_group(lane, shared, src_worker, src, dst, count, &mut reply)?;
             }
         }
-        for writer in writers {
-            writer.join().expect("peer forward thread")?;
-        }
-        Ok(())
-    });
-    forward_result?;
-
-    // Reply: the frames of every expected group, in op order.
-    let mut reply = Vec::new();
-    for frames in &received {
-        for frame in frames {
-            put_frame(&mut reply, frame);
-        }
+        writer.map_or(Ok(()), |writer| writer.join().expect("peer lane writer"))
+    })?;
+    // Frames the master shipped and nobody collects must not vanish behind
+    // a reply that looks complete.
+    if let Some((src, dst)) = local.keys().min() {
+        return Err(refuse(format!(
+            "exchange op never collects local group {src}->{dst}"
+        )));
     }
+
     let mut writer = master;
     writer
         .write_all(&reply)
         .map_err(|e| TransportError::from_io(peer, "write exchange reply", e))
 }
 
-/// Connects (or reuses) the outgoing lane to `worker` and writes `groups`
-/// in order.
-fn forward_groups(
+/// The one writer of an exchange: one `write_all` per lane, destinations in
+/// ascending worker order (`forward` is ordered), stopping at the first
+/// that fails. A lane is connected, and introduced with this session's peer
+/// hello, the first time the session writes to it.
+fn write_lanes(
     shared: &WorkerShared,
-    topology: &[String],
+    lanes: &mut HashMap<usize, TcpStream>,
     my_id: usize,
     session: u64,
-    worker: usize,
-    groups: Vec<Group>,
+    forward: &BTreeMap<usize, Vec<u8>>,
 ) -> Result<(), TransportError> {
-    let peer = peer_name(worker, topology);
-    let lane = {
-        let mut lanes = dsr_sync::lock(&shared.outgoing);
-        #[allow(clippy::map_entry)] // lane construction is fallible; entry() cannot early-return
-        if !lanes.contains_key(&worker) {
-            let addr = topology
-                .get(worker)
-                .ok_or_else(|| TransportError::Protocol {
-                    peer: peer.clone(),
-                    reason: format!(
-                        "worker {worker} is outside the {}-worker topology",
-                        topology.len()
-                    ),
-                })?;
-            let stream = TcpStream::connect(addr)
-                .map_err(|e| TransportError::from_io(&peer, "connect peer lane", e))?;
-            let _ = stream.set_nodelay(true);
-            stream
-                .set_write_timeout(Some(shared.options.io_timeout))
-                .map_err(|e| TransportError::from_io(&peer, "set peer timeout", e))?;
-            let mut hello = Vec::with_capacity(16);
-            hello.extend_from_slice(&MAGIC);
-            wire::put_varint(&mut hello, PROTOCOL_VERSION);
-            wire::put_varint(&mut hello, ROLE_PEER);
-            wire::put_varint(&mut hello, my_id as u64);
-            wire::put_varint(&mut hello, session);
-            let mut writer = &stream;
-            writer
-                .write_all(&hello)
-                .map_err(|e| TransportError::from_io(&peer, "write peer hello", e))?;
-            lanes.insert(worker, stream);
-        }
-        lanes
-            .get(&worker)
-            .expect("lane just ensured")
-            .try_clone()
-            .map_err(|e| TransportError::from_io(&peer, "clone peer lane", e))?
-    };
-    let mut buf = Vec::new();
-    for group in &groups {
-        wire::put_varint(&mut buf, group.src as u64);
-        wire::put_varint(&mut buf, group.dst as u64);
-        wire::put_varint(&mut buf, group.frames.len() as u64);
-        for frame in &group.frames {
-            put_frame(&mut buf, frame);
-        }
+    for (&worker, bytes) in forward {
+        let lane = match lanes.entry(worker) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                let state = dsr_sync::lock(&shared.state);
+                let Some(addr) = state.topology.get(worker).cloned() else {
+                    return Err(TransportError::Protocol {
+                        peer: format!("worker {worker}"),
+                        reason: format!(
+                            "worker {worker} is outside the {}-worker topology",
+                            state.topology.len()
+                        ),
+                    });
+                };
+                drop(state);
+                let peer = || format!("worker {worker} ({addr})");
+                let mut stream = TcpStream::connect(&addr)
+                    .map_err(|e| TransportError::from_io(&peer(), "connect peer lane", e))?;
+                let _ = stream.set_nodelay(true);
+                stream
+                    .set_write_timeout(Some(shared.options.io_timeout))
+                    .map_err(|e| TransportError::from_io(&peer(), "set peer timeout", e))?;
+                let mut hello = Vec::with_capacity(16);
+                hello.extend_from_slice(&MAGIC);
+                wire::put_varint(&mut hello, PROTOCOL_VERSION);
+                wire::put_varint(&mut hello, ROLE_PEER);
+                wire::put_varint(&mut hello, my_id as u64);
+                wire::put_varint(&mut hello, session);
+                stream
+                    .write_all(&hello)
+                    .map_err(|e| TransportError::from_io(&peer(), "write peer hello", e))?;
+                slot.insert(stream)
+            }
+        };
+        lane.write_all(bytes).map_err(|e| {
+            TransportError::from_io(&peer_name(shared, worker), "forward exchange frames", e)
+        })?;
     }
-    let mut writer = &lane;
-    writer
-        .write_all(&buf)
-        .map_err(|e| TransportError::from_io(&peer, "forward exchange frames", e))
+    Ok(())
 }
 
 /// Waits (bounded) for the incoming lane from `from` **belonging to
@@ -1030,10 +1023,9 @@ fn forward_groups(
 fn incoming_lane(
     shared: &WorkerShared,
     from: usize,
-    topology: &[String],
     session: u64,
 ) -> Result<TcpStream, TransportError> {
-    let peer = peer_name(from, topology);
+    let peer = || peer_name(shared, from);
     let deadline = std::time::Instant::now() + shared.options.io_timeout;
     let mut lanes = dsr_sync::lock(&shared.incoming);
     loop {
@@ -1041,10 +1033,10 @@ fn incoming_lane(
             Some(&(sid, ref stream)) if sid == session => {
                 let clone = stream
                     .try_clone()
-                    .map_err(|e| TransportError::from_io(&peer, "clone peer lane", e))?;
+                    .map_err(|e| TransportError::from_io(&peer(), "clone peer lane", e))?;
                 clone
                     .set_read_timeout(Some(shared.options.io_timeout))
-                    .map_err(|e| TransportError::from_io(&peer, "set peer timeout", e))?;
+                    .map_err(|e| TransportError::from_io(&peer(), "set peer timeout", e))?;
                 return Ok(clone);
             }
             Some(&(sid, _)) if sid < session => {
@@ -1057,7 +1049,7 @@ fn incoming_lane(
         let remaining = deadline.saturating_duration_since(std::time::Instant::now());
         if remaining.is_zero() {
             return Err(TransportError::Timeout {
-                peer,
+                peer: peer(),
                 context: "waiting for peer lane".to_string(),
             });
         }
@@ -1066,39 +1058,42 @@ fn incoming_lane(
     }
 }
 
-/// Reads one forwarded group from a peer lane and validates its header
-/// against the master-announced expectation.
+/// Reads one forwarded group from a peer lane, validates its header
+/// against the master-announced expectation and appends its frames to
+/// `reply`.
 fn read_group(
     lane: &mut TcpStream,
+    shared: &WorkerShared,
     from_worker: usize,
     src: usize,
     dst: usize,
     count: usize,
-    topology: &[String],
-) -> Result<Vec<Vec<u8>>, TransportError> {
-    let peer = peer_name(from_worker, topology);
+    reply: &mut Vec<u8>,
+) -> Result<(), TransportError> {
     let context = "read forwarded frames";
-    let got_src = read_varint(lane).map_err(|e| e.classify(&peer, context))? as usize;
-    let got_dst = read_varint(lane).map_err(|e| e.classify(&peer, context))? as usize;
-    let got_count = read_varint(lane).map_err(|e| e.classify(&peer, context))? as usize;
+    let classify = |e: FrameIoError| e.classify(&peer_name(shared, from_worker), context);
+    let got_src = read_varint(lane).map_err(classify)? as usize;
+    let got_dst = read_varint(lane).map_err(classify)? as usize;
+    let got_count = read_varint(lane).map_err(classify)? as usize;
     if (got_src, got_dst, got_count) != (src, dst, count) {
         return Err(TransportError::Protocol {
-            peer,
+            peer: peer_name(shared, from_worker),
             reason: format!(
                 "expected group {src}->{dst} ({count} frames), \
                  got {got_src}->{got_dst} ({got_count} frames)"
             ),
         });
     }
-    let mut frames = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
-        frames.push(read_frame(lane).map_err(|e| e.classify(&peer, context))?);
+        put_frame(reply, &read_frame(lane).map_err(classify)?);
     }
-    Ok(frames)
+    Ok(())
 }
 
-fn peer_name(worker: usize, topology: &[String]) -> String {
-    match topology.get(worker) {
+/// Peer name of a fellow worker for error values. Reads the topology under
+/// the state lock, so it is only built once something failed.
+fn peer_name(shared: &WorkerShared, worker: usize) -> String {
+    match dsr_sync::lock(&shared.state).topology.get(worker) {
         Some(addr) => format!("worker {worker} ({addr})"),
         None => format!("worker {worker}"),
     }
@@ -2076,7 +2071,7 @@ impl Transport for TcpTransport {
             // Ship every involved worker its whole op (one per link). No
             // write here waits on a read below: a worker reads its whole
             // op before it writes anything, and replies only once its
-            // forwarders are joined (module docs) ...
+            // lane writer is joined (module docs) ...
             let mut failures: Vec<(usize, TransportError)> = Vec::new();
             let mut awaited: Vec<usize> = Vec::with_capacity(involved.len());
             for &worker in &involved {
@@ -2168,6 +2163,7 @@ mod tests {
     use super::*;
     use crate::message::MessageSize;
     use crate::wire::{Wire, WireError, WireReader};
+    use dsr_sync::model::{self, Model};
 
     #[test]
     fn cluster_spec_parses_toml_subset() {
@@ -2656,5 +2652,403 @@ mod tests {
             decoded_on.iter().all(|&id| id == here),
             "decoded on {decoded_on:?}, called from {here:?}"
         );
+    }
+
+    type ServedWorker = dsr_sync::thread::JoinHandle<Result<(), TransportError>>;
+
+    /// One real worker on loopback: [`serve_worker`] on a thread of its own,
+    /// serving one master session whose result is the thread's.
+    fn spawn_worker(io_timeout: Duration) -> (String, ServedWorker) {
+        let listener = bind_worker("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let options = WorkerOptions {
+            io_timeout,
+            master_wait: Some(Duration::from_secs(10)),
+            rejoin_wait: None,
+        };
+        let worker = dsr_sync::thread::spawn(move || serve_worker(listener, options));
+        (addr, worker)
+    }
+
+    /// A real worker with the test as its master: the link of
+    /// [`connect_link`] (session 1, worker id 0), over which the test
+    /// writes hand-built ops. `peers` are the addresses of workers 1, 2, …
+    fn raw_master_session(io_timeout: Duration, peers: &[String]) -> (WorkerLink, ServedWorker) {
+        let (addr, worker) = spawn_worker(io_timeout);
+        let mut topology = vec![addr];
+        topology.extend_from_slice(peers);
+        let patience = Duration::from_secs(10);
+        let link =
+            connect_link(&topology[0], 0, 1, &topology, patience, patience).expect("master hello");
+        (link, worker)
+    }
+
+    /// An exchange op as the master lays it out: the send groups
+    /// `(src, dst, dst_worker, frames)`, then the recv list
+    /// `(src, dst, src_worker, frame count)`.
+    fn exchange_op(
+        sends: &[(usize, usize, usize, &[&[u8]])],
+        recvs: &[(usize, usize, usize, usize)],
+    ) -> Vec<u8> {
+        let mut op = Vec::new();
+        wire::put_varint(&mut op, OP_EXCHANGE);
+        wire::put_varint(&mut op, sends.len() as u64);
+        for &(src, dst, dst_worker, frames) in sends {
+            for field in [src, dst, dst_worker, frames.len()] {
+                wire::put_varint(&mut op, field as u64);
+            }
+            for frame in frames {
+                put_frame(&mut op, frame);
+            }
+        }
+        wire::put_varint(&mut op, recvs.len() as u64);
+        for &(src, dst, src_worker, count) in recvs {
+            for field in [src, dst, src_worker, count] {
+                wire::put_varint(&mut op, field as u64);
+            }
+        }
+        op
+    }
+
+    /// Ships `op` to a fresh worker whose peers are `peers` and returns the
+    /// error its session ended with; the master link must see the session
+    /// end instead of a reply.
+    fn session_error_after(op: &[u8], peers: &[String]) -> TransportError {
+        let (mut link, worker) = raw_master_session(Duration::from_secs(5), peers);
+        link.send(op, "forged op").expect("send");
+        let reply = link.recv("forged op reply");
+        assert!(reply.is_err(), "the worker answered a forged op: {reply:?}");
+        worker
+            .join()
+            .expect("worker thread")
+            .expect_err("a forged op ends the session with an error")
+    }
+
+    fn assert_protocol_error_names(err: &TransportError, group: &str) {
+        match err {
+            TransportError::Protocol { peer, reason } => {
+                assert_eq!(peer, "master");
+                assert!(reason.contains(group), "names the group: {reason}");
+            }
+            other => panic!("expected a Protocol error, got {other}"),
+        }
+    }
+
+    /// Runs in every build profile (CI's `--release --lib` leg included).
+    #[test]
+    fn an_exchange_op_that_sends_a_group_twice_ends_the_session() {
+        // Delivered locally: the second group used to overwrite the first.
+        let op = exchange_op(
+            &[(0, 1, 0, &[b"first"]), (0, 1, 0, &[b"second"])],
+            &[(0, 1, 0, 1)],
+        );
+        assert_protocol_error_names(&session_error_after(&op, &[]), "0->1");
+
+        // Forwarded: worker 1 is a listener nobody serves (its backlog
+        // takes the lane); both copies used to go out on it.
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peers = [peer.local_addr().expect("addr").to_string()];
+        let op = exchange_op(
+            &[
+                (0, 2, 1, &[b"first"]),
+                (0, 2, 1, &[b"second"]),
+                (0, 1, 0, &[b"local"]),
+            ],
+            &[(0, 1, 0, 1)],
+        );
+        assert_protocol_error_names(&session_error_after(&op, &peers), "0->2");
+    }
+
+    /// Runs in every build profile (CI's `--release --lib` leg included).
+    #[test]
+    fn an_exchange_op_that_never_collects_a_local_group_ends_the_session() {
+        // 0->1 is delivered to this worker and no entry of the recv list
+        // asks for it: its frame used to vanish behind a reply of `1->0`.
+        let op = exchange_op(
+            &[(0, 1, 0, &[b"dropped"]), (1, 0, 0, &[b"collected"])],
+            &[(1, 0, 0, 1)],
+        );
+        assert_protocol_error_names(&session_error_after(&op, &[]), "0->1");
+    }
+
+    #[test]
+    fn a_silent_peer_is_a_typed_timeout_not_a_hang() {
+        let io_timeout = Duration::from_millis(300);
+        // Workers 1 and 2 are listeners nobody serves: their backlog takes
+        // a lane and its hello, and no one ever reads from it.
+        let silent: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        let peers: Vec<String> = silent
+            .iter()
+            .map(|peer| peer.local_addr().expect("addr").to_string())
+            .collect();
+        let (mut link, worker) = raw_master_session(io_timeout, &peers);
+
+        // 16 MiB for worker 1, far more than the socket buffers of an
+        // unread lane take, and a small group for worker 2 behind it.
+        let big = vec![0xA5u8; 16 << 20];
+        let op = exchange_op(&[(0, 1, 1, &[&big]), (0, 2, 2, &[b"small"])], &[]);
+        link.send(&op, "exchange op").expect("send");
+        let sent = std::time::Instant::now();
+        let reply = link.recv("exchange reply");
+        let waited = sent.elapsed();
+        assert!(reply.is_err(), "no reply to an exchange that timed out");
+        // The bound of the module docs: a blocked writer gives up within
+        // ≈ 3 × io_timeout (two write(2) calls that each moved part of the
+        // buffer, one that moved nothing); the fourth is slack.
+        assert!(
+            waited < 4 * io_timeout,
+            "the session took {waited:?} to end (io_timeout {io_timeout:?})"
+        );
+        let err = worker
+            .join()
+            .expect("worker thread")
+            .expect_err("the exchange timed out");
+        match &err {
+            TransportError::Timeout { peer, .. } => {
+                assert!(peer.starts_with("worker 1 ("), "peer named: {peer}")
+            }
+            other => panic!("expected a Timeout, got {other}"),
+        }
+        // The writer stops at the first destination that fails: worker 2,
+        // behind worker 1 in ascending order, was never connected to.
+        silent[1].set_nonblocking(true).expect("nonblocking");
+        match silent[1].accept() {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            other => panic!("worker 2 got a lane: {other:?}"),
+        }
+    }
+
+    /// `len` bytes on the wire that only `tag` and `len` can have produced;
+    /// the decoder compares every one of them, so a delivered `Pattern` is
+    /// a payload that crossed the sockets intact.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Pattern {
+        tag: u32,
+        len: u32,
+    }
+
+    impl Pattern {
+        fn byte(&self, at: u32) -> u8 {
+            ((at.wrapping_mul(0x9E37_79B1) >> 24) ^ self.tag) as u8
+        }
+    }
+
+    impl Wire for Pattern {
+        fn encode_into(&self, buf: &mut Vec<u8>) {
+            self.tag.encode_into(buf);
+            self.len.encode_into(buf);
+            buf.extend((0..self.len).map(|at| self.byte(at)));
+        }
+
+        fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
+            let pattern = Pattern {
+                tag: reader.varint_u32()?,
+                len: reader.varint_u32()?,
+            };
+            for at in 0..pattern.len {
+                if reader.u8()? != pattern.byte(at) {
+                    return Err(WireError::Invalid("pattern payload"));
+                }
+            }
+            Ok(pattern)
+        }
+    }
+
+    impl MessageSize for Pattern {
+        fn byte_size(&self) -> usize {
+            self.tag.byte_size() + self.len.byte_size() + self.len as usize
+        }
+    }
+
+    #[test]
+    fn large_frames_cross_interleaved_lanes() {
+        // Four workers on loopback serve eight nodes, worker `w` hosting
+        // nodes `w` and `w + 4`: each of the twelve lanes carries four
+        // groups, and the op order of every reader — (src, dst) ascending —
+        // goes round its three lanes twice.
+        let workers = 4usize;
+        let k = 8usize;
+        // No replica to fail over to: had any wait run into this timeout,
+        // the exchange would have failed.
+        let io_timeout = Duration::from_secs(20);
+        let (addrs, served): (Vec<String>, Vec<ServedWorker>) =
+            (0..workers).map(|_| spawn_worker(io_timeout)).unzip();
+        let spec = ClusterSpec::builder(addrs)
+            .io_timeout(io_timeout)
+            .build()
+            .expect("spec");
+        let transport = TcpTransport::connect(&spec).expect("connect");
+        let stats = CommStats::new();
+
+        // 1.25 MiB per message between workers, so every lane carries
+        // 5 MiB in each direction at once: more than an unread loopback
+        // lane takes before its writer blocks for good (4 MiB of send
+        // buffer and a few hundred KiB at the receiver), and a little more
+        // than the one message per lane of
+        // `collectives_carry_frames_larger_than_the_socket_buffers`. The
+        // two nodes of one worker exchange a few bytes, locally.
+        for round in 0..2u32 {
+            let message = |src: usize, dst: usize| Pattern {
+                tag: round * 64 + (src * k + dst) as u32,
+                len: if src % workers == dst % workers {
+                    16
+                } else {
+                    5 << 18
+                },
+            };
+            let outgoing: Vec<Vec<(usize, Pattern)>> = (0..k)
+                .map(|src| {
+                    (0..k)
+                        .filter(|&dst| dst != src)
+                        .map(|dst| (dst, message(src, dst)))
+                        .collect()
+                })
+                .collect();
+            let incoming = transport
+                .all_to_all(k, outgoing, &stats)
+                .expect("full exchange");
+            for (dst, inbox) in incoming.iter().enumerate() {
+                let expected: Vec<(usize, Pattern)> = (0..k)
+                    .filter(|&src| src != dst)
+                    .map(|src| (src, message(src, dst)))
+                    .collect();
+                assert_eq!(*inbox, expected, "round {round}: inbox {dst}");
+            }
+        }
+        assert_eq!(transport.failover_stats().snapshot().retries, 0);
+        drop(transport);
+        for worker in served {
+            worker
+                .join()
+                .expect("worker thread")
+                .expect("session shut down by the master");
+        }
+    }
+
+    /// A peer lane as the ordering argument of the module docs sees it: a
+    /// queue of one chunk, whose writer blocks while it is full and whose
+    /// reader blocks while it is empty.
+    struct ModelLane {
+        full: Mutex<bool>,
+        changed: Condvar,
+    }
+
+    impl ModelLane {
+        fn pass(&self, from: bool) {
+            let mut full = dsr_sync::lock(&self.full);
+            while *full != from {
+                full = dsr_sync::wait(&self.changed, full);
+            }
+            *full = !from;
+            self.changed.notify_all();
+        }
+
+        fn write(&self) {
+            self.pass(false);
+        }
+
+        fn read(&self) {
+            self.pass(true);
+        }
+    }
+
+    /// The order [`write_lanes`] walks its destinations in: the keys of the
+    /// map [`handle_exchange`] lays the lane bytes out in, whatever order
+    /// the op named the destination workers in.
+    fn writer_order(worker: usize) -> Vec<usize> {
+        let forward: BTreeMap<usize, Vec<u8>> = (0..3)
+            .rev()
+            .filter(|&dst| dst != worker)
+            .map(|dst| (dst, Vec::new()))
+            .collect();
+        forward.keys().copied().collect()
+    }
+
+    /// One exchange of a three-worker mesh: per worker one writer, which
+    /// puts two chunks on each of its lanes in the order `writes` gives it
+    /// (so every writer blocks), and one reader, which takes two chunks off
+    /// each of its lanes in the order `reads` gives it — the master's op
+    /// order, which this side does not choose.
+    fn mesh_exchange(writes: &[Vec<usize>; 3], reads: &[[usize; 2]; 3]) {
+        let lanes: Arc<Vec<Vec<ModelLane>>> = Arc::new(
+            (0..3)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| ModelLane {
+                            full: Mutex::new(false),
+                            changed: Condvar::new(),
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
+        let mut threads = Vec::new();
+        for worker in 0..3 {
+            let (mesh, order) = (Arc::clone(&lanes), writes[worker].clone());
+            threads.push(dsr_sync::thread::spawn(move || {
+                for dst in order {
+                    mesh[worker][dst].write();
+                    mesh[worker][dst].write();
+                }
+            }));
+            let (mesh, order) = (Arc::clone(&lanes), reads[worker]);
+            threads.push(dsr_sync::thread::spawn(move || {
+                for src in order {
+                    mesh[src][worker].read();
+                    mesh[src][worker].read();
+                }
+            }));
+        }
+        for thread in threads {
+            thread.join().expect("mesh thread");
+        }
+    }
+
+    /// Writers that walk their destinations in ascending worker order
+    /// finish whatever order the readers take their lanes in: all 2³
+    /// combinations, each under 256 schedules of a seeded random walk (six
+    /// threads of a dozen scheduling points each are more than the bounded
+    /// DFS gets through: it stops at its schedule limit a few choices from
+    /// where it started).
+    #[test]
+    fn model_one_ascending_writer_per_worker_never_deadlocks() {
+        let writes = [writer_order(0), writer_order(1), writer_order(2)];
+        assert_eq!(writes, [vec![1, 2], vec![0, 2], vec![0, 1]]);
+        for combination in 0..8usize {
+            let reads: [[usize; 2]; 3] = std::array::from_fn(|worker| {
+                let mut order = [writes[worker][0], writes[worker][1]];
+                if combination >> worker & 1 == 1 {
+                    order.reverse();
+                }
+                order
+            });
+            Model::new()
+                .random(0x1A4E5 + combination as u64, 256)
+                .check(|| mesh_exchange(&writes, &reads))
+                .unwrap_or_else(|failure| panic!("readers {reads:?}: {failure}"));
+        }
+    }
+
+    /// Seeded mutation: worker 1 walks its destinations downwards. Against
+    /// readers that each start with the lane nobody has written yet, every
+    /// writer fills its first lane and waits there — the checker must
+    /// report the circle, with a schedule that replays it.
+    #[test]
+    fn model_mutation_descending_lane_writer_detected() {
+        if !model::is_model_build() {
+            return;
+        }
+        let writes = [writer_order(0), vec![2, 0], writer_order(2)];
+        let reads = [[1, 2], [2, 0], [0, 1]];
+        let failure = Model::new()
+            .check(|| mesh_exchange(&writes, &reads))
+            .expect_err("a writer out of ascending order must deadlock");
+        assert!(failure.message.contains("deadlock"), "{failure}");
+        let replayed = Model::new()
+            .replay(&failure.schedule, || mesh_exchange(&writes, &reads))
+            .expect_err("the recorded schedule deadlocks again");
+        assert!(replayed.message.contains("deadlock"), "{replayed}");
     }
 }
