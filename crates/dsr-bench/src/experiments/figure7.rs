@@ -26,6 +26,7 @@ use std::time::Duration;
 use dsr_core::DsrIndex;
 use dsr_datagen::QueryWorkload;
 use dsr_graph::VertexId;
+use dsr_partition::PartitionId;
 use dsr_reach::{set_lanes, LocalIndexKind};
 
 use crate::experiments::common::{self, DEFAULT_SLAVES};
@@ -52,13 +53,16 @@ fn step_one_inputs(index: &DsrIndex, query: &QueryWorkload) -> Vec<StepOneInput>
         }
         sources.sort_unstable();
         sources.dedup();
-        let mut routes = compound.route_ids().to_vec();
-        routes.extend(
-            query
-                .targets
-                .iter()
-                .filter_map(|&t| compound.compound_id(t)),
-        );
+        // The query's targets and every remote in-boundary, where concrete
+        // in this compound graph, then every in-virtual vertex (the own
+        // partition has neither in-boundaries listed nor virtual vertices).
+        let partitions = 0..index.compounds.len() as PartitionId;
+        let in_boundaries = partitions.clone().flat_map(|j| compound.route_entries(j));
+        let concrete = query.targets.iter().chain(in_boundaries);
+        let mut routes: Vec<VertexId> = concrete.filter_map(|&v| compound.compound_id(v)).collect();
+        for j in partitions {
+            routes.extend(compound.forward_virtuals_of(j).iter().map(|&(_, id)| id));
+        }
         routes.sort_unstable();
         routes.dedup();
         inputs.push((p, sources, routes));

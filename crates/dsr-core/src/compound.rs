@@ -42,6 +42,18 @@
 //! boundary vertices, its in-virtual and its out-virtual vertices), the
 //! global → compound map is a table indexed by global id, and the virtual
 //! vertex of class `c` of partition `j` is `base[j] + c`.
+//!
+//! # Route lists
+//!
+//! What a local source ships to remote partition `j` in step 1 depends on
+//! the query only through which components it reaches, so `build` lays it
+//! out once per `j` as a `RouteList`: the component of every in-virtual
+//! vertex by class id, and `I_j` — ascending, as the buffers ship it — cut
+//! into maximal **runs** of in-boundaries whose compound vertices share a
+//! component. One SCC of `GC_i` is reached by exactly the same sources (the
+//! source-side twin of the paper's equivalence sets), so step 1 reads one
+//! mask per run and copies the run's slice of `I_j`: 9–44 runs for 340–420
+//! in-boundaries per partition on the benchmark's graphs.
 
 use dsr_graph::traversal::Direction;
 use dsr_graph::{
@@ -51,28 +63,69 @@ use dsr_partition::{Cut, PartitionId};
 
 use crate::summary::PartitionSummary;
 
-/// Query-independent routing role of one compound vertex in step 1 of
-/// Algorithm 2: what a local source that reaches the vertex has to ship,
-/// and to which remote partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteRole {
-    /// Reaching the vertex ships nothing (local vertices, out-virtual
-    /// vertices, remote out-boundaries that are not also in-boundaries).
-    None,
-    /// The in-virtual vertex `υ` of forward class `class` of remote
-    /// partition `partition`: the class id is shipped to that partition.
-    ForwardVirtual {
-        /// The remote partition the class belongs to.
-        partition: PartitionId,
-        /// The forward-equivalence class.
-        class: u32,
-    },
-    /// A concrete in-boundary of remote partition `partition`: shipped as
-    /// an entry vertex when the query targets in-boundaries of it.
-    InBoundary {
-        /// The remote partition the in-boundary belongs to.
-        partition: PartitionId,
-    },
+/// What step 1 of Algorithm 2 ships to one remote partition `j`, laid out
+/// at build time (see the module docs). Empty for the own partition.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RouteList {
+    /// Component of the in-virtual vertex `υ_c`, indexed by class id `c`.
+    pub(crate) class_component: Vec<u32>,
+    /// `I_j`, strictly ascending: `summaries[j].in_boundaries`.
+    pub(crate) entry_global: Vec<VertexId>,
+    /// `(component, end)` per maximal run of consecutive entries in one
+    /// component; a run starts where the one before it ends ([`Self::runs`]).
+    pub(crate) entry_runs: Vec<(u32, u32)>,
+}
+
+impl RouteList {
+    /// Lays out the list of the partition whose in-virtual vertices start at `forward_base`.
+    fn build(
+        summary: &PartitionSummary,
+        forward_base: VertexId,
+        compound_of: &[VertexId],
+        component: &[u32],
+    ) -> Self {
+        let classes = forward_base as usize..forward_base as usize + summary.num_forward_classes();
+        let mut entry_runs: Vec<(u32, u32)> = Vec::new();
+        for (position, &b) in summary.in_boundaries.iter().enumerate() {
+            let of_entry = component[compound_of[b as usize] as usize];
+            match entry_runs.last_mut() {
+                Some((of_run, end)) if *of_run == of_entry => *end = position as u32 + 1,
+                _ => entry_runs.push((of_entry, position as u32 + 1)),
+            }
+        }
+        let list = RouteList {
+            class_component: component[classes].to_vec(),
+            entry_global: summary.in_boundaries.clone(),
+            entry_runs,
+        };
+        debug_assert!(list.runs_tile_ascending_entries(), "{list:?}");
+        list
+    }
+
+    /// The runs in order, each as `(component, its slice of I_j)`.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u32, &[VertexId])> {
+        let mut start = 0;
+        self.entry_runs.iter().map(move |&(component, end)| {
+            let run = &self.entry_global[start..end as usize];
+            start = end as usize;
+            (component, run)
+        })
+    }
+
+    fn byte_size(&self) -> usize {
+        (self.class_component.len() + self.entry_global.len()) * std::mem::size_of::<u32>()
+            + self.entry_runs.len() * std::mem::size_of::<(u32, u32)>()
+    }
+
+    /// What step 1's run copy relies on: entries ascend strictly, run ends
+    /// grow strictly up to their number, adjacent runs differ in component.
+    pub(crate) fn runs_tile_ascending_entries(&self) -> bool {
+        let runs = &self.entry_runs;
+        self.entry_global.windows(2).all(|w| w[0] < w[1])
+            && runs.windows(2).all(|w| w[0].0 != w[1].0 && w[0].1 < w[1].1)
+            && runs.first().is_none_or(|&(_, end)| end > 0)
+            && runs.last().map_or(0, |&(_, end)| end as usize) == self.entry_global.len()
+    }
 }
 
 /// The compound graph of one partition, with id translation tables.
@@ -101,16 +154,12 @@ pub struct CompoundGraph {
     forward_base: Vec<VertexId>,
     /// Per partition `j`, the compound id of its first out-virtual vertex.
     backward_base: Vec<VertexId>,
-    /// Routing role of every compound vertex, indexed by compound id. Kept
-    /// private together with `route_ids`: [`CompoundGraph::build`] derives
-    /// both from `graph` and the virtual-vertex numbering, and they must
-    /// never drift from them.
-    route_role: Vec<RouteRole>,
-    /// Sorted compound ids of every vertex whose role is not
-    /// [`RouteRole::None`].
-    route_ids: Vec<VertexId>,
+    /// Per partition `j`, what step 1 ships to it (empty for the own
+    /// partition). Private: [`CompoundGraph::build`] lays the lists out from
+    /// the summaries and `component`, and they must never drift from them.
+    routes: Vec<RouteList>,
     /// SCC id of every compound vertex, in reverse topological order of
-    /// `dag`. Private like the route tables: both are derived from `graph`
+    /// `dag`. Private like the route lists: both are derived from `graph`
     /// by [`CompoundGraph::build`].
     component: Vec<u32>,
     /// The condensation of `graph`: one vertex per SCC id, inter-component
@@ -219,7 +268,12 @@ impl CompoundGraph {
 
         let compound = DiGraph::from_edges(global_of.len(), &edges);
         let CondensedGraph { dag, scc, .. } = condense(&compound);
-        let mut built = CompoundGraph {
+        let mut routes = vec![RouteList::default(); k];
+        for j in (0..k).filter(|&j| remote(&(j as PartitionId))) {
+            routes[j] =
+                RouteList::build(&summaries[j], forward_base[j], &compound_of, &scc.component);
+        }
+        CompoundGraph {
             partition,
             graph: compound,
             num_local,
@@ -227,54 +281,10 @@ impl CompoundGraph {
             compound_of,
             forward_base,
             backward_base,
-            route_role: Vec::new(),
-            route_ids: Vec::new(),
+            routes,
             component: scc.component,
             dag,
-        };
-        built.derive_routes();
-        built
-    }
-
-    /// Derives the step-1 route tables from the graph: every in-virtual
-    /// vertex routes its class, and its in-neighbors — exactly the class
-    /// members, the only edges into an in-virtual vertex are membership
-    /// edges — are the in-boundaries of its partition.
-    fn derive_routes(&mut self) {
-        let mut role = vec![RouteRole::None; self.graph.num_vertices()];
-        let mut ids: Vec<VertexId> = Vec::new();
-        for partition in 0..self.forward_base.len() as PartitionId {
-            let j = partition as usize;
-            for class in 0..self.backward_base[j] - self.forward_base[j] {
-                let id = self.forward_base[j] + class;
-                role[id as usize] = RouteRole::ForwardVirtual { partition, class };
-                ids.push(id);
-                for &member in self.graph.in_neighbors(id) {
-                    role[member as usize] = RouteRole::InBoundary { partition };
-                    ids.push(member);
-                }
-            }
         }
-        ids.sort_unstable();
-        self.route_role = role;
-        self.route_ids = ids;
-        debug_assert!(
-            self.routes_ascend_per_partition(),
-            "build numbers a remote partition's in-boundaries and classes in ascending order"
-        );
-    }
-
-    /// The order step 1 relies on (see [`CompoundGraph::route_ids`]).
-    fn routes_ascend_per_partition(&self) -> bool {
-        let key = |&id: &VertexId| match self.route_role[id as usize] {
-            RouteRole::ForwardVirtual { partition, class } => (partition, 1, class),
-            RouteRole::InBoundary { partition } => {
-                let global = self.global_of[id as usize].expect("in-boundaries are concrete");
-                (partition, 0, global)
-            }
-            RouteRole::None => unreachable!("route ids have a role"),
-        };
-        self.route_ids.windows(2).all(|w| key(&w[0]) < key(&w[1]))
     }
 
     /// Compound id of a global vertex (local vertex or concrete remote
@@ -305,20 +315,16 @@ impl CompoundGraph {
             .unwrap_or(false)
     }
 
-    /// Routing role of a compound vertex in step 1.
-    pub fn route_role(&self, compound: VertexId) -> RouteRole {
-        self.route_role[compound as usize]
+    /// What step 1 ships to partition `j`.
+    pub(crate) fn route_list(&self, j: PartitionId) -> &RouteList {
+        &self.routes[j as usize]
     }
 
-    /// Sorted compound ids of every vertex with a routing role: all
-    /// in-virtual vertices and all concrete in-boundaries of the remote
-    /// partitions. [`CompoundGraph::build`] hands out compound ids partition
-    /// by partition, in-boundaries in ascending global id before classes in
-    /// ascending class id, so walking this list visits every remote
-    /// partition's entries and classes in the ascending order the exchange
-    /// buffers ship them in.
-    pub fn route_ids(&self) -> &[VertexId] {
-        &self.route_ids
+    /// The in-boundaries `I_j` of remote partition `j` as step 1 ships
+    /// them: global ids, strictly ascending, each a concrete vertex of this
+    /// compound graph. Empty for the own partition.
+    pub fn route_entries(&self, j: PartitionId) -> &[VertexId] {
+        &self.routes[j as usize].entry_global
     }
 
     /// SCC id of a compound vertex: the index of its lane mask in what
@@ -357,18 +363,11 @@ impl CompoundGraph {
     /// All in-virtual vertices of remote partition `j`, as
     /// `(class, compound id)` pairs sorted by class.
     pub fn forward_virtuals_of(&self, j: PartitionId) -> Vec<(u32, VertexId)> {
-        let mut out: Vec<(u32, VertexId)> = self
-            .route_ids
-            .iter()
-            .filter_map(|&id| match self.route_role(id) {
-                RouteRole::ForwardVirtual { partition, class } if partition == j => {
-                    Some((class, id))
-                }
-                _ => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out
+        let (first, end) = (
+            self.forward_base[j as usize],
+            self.backward_base[j as usize],
+        );
+        (first..end).map(|id| (id - first, id)).collect()
     }
 
     /// Number of vertices of the compound graph.
@@ -394,8 +393,7 @@ impl CompoundGraph {
             + self.global_of.len() * std::mem::size_of::<Option<VertexId>>()
             + (self.compound_of.len() + self.forward_base.len() + self.backward_base.len())
                 * std::mem::size_of::<VertexId>()
-            + self.route_role.len() * std::mem::size_of::<RouteRole>()
-            + self.route_ids.len() * std::mem::size_of::<VertexId>()
+            + self.routes.iter().map(RouteList::byte_size).sum::<usize>()
             + self.component.len() * std::mem::size_of::<u32>()
             + self.dag.byte_size()
     }
@@ -455,6 +453,28 @@ mod tests {
         (g, p, cut)
     }
 
+    /// Summaries and compound graphs of every partition of `g` under `p`.
+    fn build_parts(
+        g: &DiGraph,
+        p: &Partitioning,
+        cut: &Cut,
+    ) -> (Vec<PartitionSummary>, Vec<CompoundGraph>) {
+        let members = p.members();
+        let partitions = 0..p.num_partitions as PartitionId;
+        let locals: Vec<InducedSubgraph> = members
+            .iter()
+            .map(|members| InducedSubgraph::induced(g, members))
+            .collect();
+        let summaries: Vec<PartitionSummary> = partitions
+            .clone()
+            .map(|i| PartitionSummary::compute(i, &locals[i as usize], cut.partition(i)))
+            .collect();
+        let compounds = partitions
+            .map(|i| CompoundGraph::build(&locals[i as usize], cut, &summaries, i))
+            .collect();
+        (summaries, compounds)
+    }
+
     fn build_all() -> (
         DiGraph,
         Partitioning,
@@ -463,18 +483,7 @@ mod tests {
         Vec<CompoundGraph>,
     ) {
         let (g, p, cut) = figure1();
-        let members = p.members();
-        let locals: Vec<InducedSubgraph> = (0..3)
-            .map(|i| InducedSubgraph::induced(&g, &members[i]))
-            .collect();
-        let summaries: Vec<PartitionSummary> = (0..3)
-            .map(|i| {
-                PartitionSummary::compute(i as PartitionId, &locals[i], cut.partition(i as u32))
-            })
-            .collect();
-        let compounds: Vec<CompoundGraph> = (0..3)
-            .map(|i| CompoundGraph::build(&locals[i], &cut, &summaries, i as PartitionId))
-            .collect();
+        let (summaries, compounds) = build_parts(&g, &p, &cut);
         (g, p, cut, summaries, compounds)
     }
 
@@ -577,30 +586,116 @@ mod tests {
             of_g1.is_empty(),
             "no virtual vertices for the own partition"
         );
-        // The route tables behind the listing: every in-virtual vertex
-        // routes its class, every remote in-boundary its partition, and
-        // nothing else (local vertices, out-boundaries, out-virtuals) routes.
-        for (class, id) in of_g2 {
-            assert_eq!(
-                gc1.route_role(id),
-                RouteRole::ForwardVirtual {
-                    partition: 1,
-                    class
+        // Classes ascend from 0 and the ids are the arithmetic ones: virtual
+        // vertices, each with the component its route list carries.
+        for (position, &(class, id)) in of_g2.iter().enumerate() {
+            assert_eq!(class as usize, position);
+            assert_eq!(id, gc1.forward_virtual(1, class));
+            assert_eq!(gc1.global_id(id), None);
+            let listed = gc1.route_list(1).class_component[class as usize];
+            assert_eq!(listed, gc1.component_of(id));
+        }
+        // The in-boundaries behind the listing, as shipped.
+        assert_eq!(gc1.route_entries(0), &[] as &[VertexId]);
+        assert_eq!(gc1.route_entries(1), &[6, 7, 8]);
+        assert_eq!(gc1.route_entries(2), &[13, 14]);
+    }
+
+    /// What a lane whose sweep left `masks` ships to the list's partition:
+    /// the run copy of step 1, for lane 0.
+    fn shipped_entries(list: &RouteList, masks: &[u64]) -> Vec<VertexId> {
+        let reached = |&(component, _): &(u32, &[VertexId])| masks[component as usize] & 1 != 0;
+        let runs = list.runs().filter(reached);
+        runs.flat_map(|(_, run)| run).copied().collect()
+    }
+
+    #[test]
+    fn route_lists_follow_the_summaries_and_the_component_table_on_figure1() {
+        let (_, _, _, summaries, compounds) = build_all();
+        for gc in &compounds {
+            for j in 0..3 as PartitionId {
+                let list = gc.route_list(j);
+                // Asserted here, not left to `build`'s `debug_assert!`: the
+                // release profile compiles that out.
+                assert!(list.runs_tile_ascending_entries(), "{list:?}");
+                if j == gc.partition {
+                    assert_eq!(list, &RouteList::default(), "nothing is shipped home");
+                    continue;
                 }
-            );
+                assert_eq!(list.entry_global, summaries[j as usize].in_boundaries);
+                let runs: Vec<(u32, &[VertexId])> = list.runs().collect();
+                let tiled: usize = runs.iter().map(|(_, run)| run.len()).sum();
+                assert_eq!(tiled, list.entry_global.len());
+                for (component, run) in runs {
+                    assert!(!run.is_empty());
+                    for &g in run {
+                        let id = gc.compound_id(g).expect("in-boundaries are concrete");
+                        assert_eq!(gc.component_of(id), component);
+                    }
+                }
+                assert_eq!(
+                    list.class_component.len(),
+                    summaries[j as usize].num_forward_classes()
+                );
+                for (class, &component) in list.class_component.iter().enumerate() {
+                    let id = gc.forward_virtual(j, class as u32);
+                    assert_eq!(component, gc.component_of(id));
+                }
+            }
         }
-        for (global, partition) in [(6, 1), (7, 1), (8, 1), (13, 2), (14, 2)] {
-            let id = gc1.compound_id(global).unwrap();
-            assert_eq!(gc1.route_role(id), RouteRole::InBoundary { partition });
-        }
-        let routed = gc1.route_ids();
-        assert!(routed.windows(2).all(|w| w[0] < w[1]));
-        let classes = summaries[1].num_forward_classes() + summaries[2].num_forward_classes();
-        assert_eq!(routed.len(), classes + 5);
-        for global in [0, 4, 9, 15] {
-            let id = gc1.compound_id(global).unwrap();
-            assert_eq!(gc1.route_role(id), RouteRole::None);
-        }
+    }
+
+    #[test]
+    fn route_lists_cut_interleaved_components_into_runs_that_ship_ascending() {
+        // Partition 0 = {0, 1} (the sources), partition 1 = {2, 3, 4, 5},
+        // partition 2 = {6}. The in-boundaries of partition 1 are a = 2,
+        // b = 3, c = 4. a ⇄ c is a local cycle and both leave for 6, so
+        // they are in- and out-boundaries at once and share one component X
+        // of GC_0 (a → υ → ν → c and back); b only leads to the interior
+        // vertex 5 and is a component Y of its own. Source 0 enters at a,
+        // source 1 at b and c.
+        let local = [(2, 4), (4, 2), (3, 5)];
+        let cut_edges = [(0, 2), (1, 3), (1, 4), (2, 6), (4, 6)];
+        let g = DiGraph::from_edges(7, &[local.as_slice(), cut_edges.as_slice()].concat());
+        let p = Partitioning::new(vec![0, 0, 1, 1, 1, 1, 2], 3);
+        let cut = Cut::extract(&g, &p);
+        let (summaries, compounds) = build_parts(&g, &p, &cut);
+        assert_eq!(summaries[1].in_boundaries, vec![2, 3, 4]);
+
+        let gc0 = &compounds[0];
+        let component = |g: VertexId| gc0.component_of(gc0.compound_id(g).expect("concrete"));
+        let (x, y) = (component(2), component(3));
+        assert_eq!(component(4), x);
+        assert_ne!(x, y);
+        let list = gc0.route_list(1);
+        assert!(list.runs_tile_ascending_entries(), "{list:?}");
+        assert_eq!(list.entry_runs, vec![(x, 1), (y, 2), (x, 3)]);
+        let runs: Vec<(u32, &[VertexId])> = list.runs().collect();
+        assert_eq!(runs, vec![(x, &[2][..]), (y, &[3][..]), (x, &[4][..])]);
+
+        // Source 0 reaches X only and ships `[a, c]`, ascending; source 1
+        // reaches both and ships all of `I_1`.
+        let mut masks = Vec::new();
+        gc0.lane_masks(&[gc0.compound_id(0).expect("local")], &mut masks);
+        assert_eq!(masks[y as usize], 0);
+        assert_eq!(shipped_entries(list, &masks), vec![2, 4]);
+        gc0.lane_masks(&[gc0.compound_id(1).expect("local")], &mut masks);
+        assert_eq!(shipped_entries(list, &masks), vec![2, 3, 4]);
+
+        // A list whose runs do not tile its entries is told apart.
+        let mut short = list.clone();
+        short.entry_runs.pop();
+        assert!(!short.runs_tile_ascending_entries());
+        let mut unmerged = list.clone();
+        unmerged.entry_runs = vec![(x, 1), (y, 2), (y, 3)];
+        unmerged.entry_global = vec![2, 3, 4];
+        assert!(!unmerged.runs_tile_ascending_entries());
+        let mut stalled = list.clone();
+        stalled.entry_runs = vec![(x, 1), (y, 1), (x, 3)];
+        assert!(!stalled.runs_tile_ascending_entries());
+        let mut descending = list.clone();
+        descending.entry_global = vec![2, 4, 3];
+        assert!(!descending.runs_tile_ascending_entries());
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //!    ids ([`CompoundGraph::lane_masks`](crate::CompoundGraph::lane_masks))
 //!    ORs the lanes along the DAG edges. Afterwards the mask at a vertex's
 //!    component says which sources reach it, and attribution reads that
-//!    mask once per routing vertex and per concrete target — no
-//!    `(source, vertex)` pair list, no per-source traversal. The cost is the
-//!    DAG (on web-like graphs ≈ 100 components for a compound graph of
-//!    thousands of vertices) plus the routing table, per 64 sources.
+//!    mask once per concrete target and, out of the build-time **route
+//!    lists** ([`crate::compound`]), once per forward class and once per
+//!    *run* of in-boundaries that share a component, copying a reached run
+//!    as the slice of `I_j` it is — no `(source, vertex)` pair list, no
+//!    per-source traversal, no push per in-boundary. The cost is the DAG
+//!    (on web-like graphs ≈ 100 components for a compound graph of
+//!    thousands of vertices) plus the lists' classes and runs plus the
+//!    bytes shipped, per 64 sources.
 //! 2. **One round of message exchange**: for every remote partition `j`,
 //!    the slave ships `⟨s, classes of j reached from s⟩` buffers to slave
 //!    `j` (plus, only when `T` contains in-boundary vertices of `j`, the
@@ -126,7 +130,6 @@ use dsr_graph::{propagate_lane_masks, VertexId};
 use dsr_partition::PartitionId;
 use dsr_reach::set_lanes;
 
-use crate::compound::RouteRole;
 use crate::index::DsrIndex;
 use crate::protocol::{BatchBuffer, GatherMessage, ScatterMessage, ScatterQuery, SourceMessage};
 
@@ -459,10 +462,12 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// `(source, vertex)` pair list exists at any point. `queries` is the
     /// scatter payload this slave received, indexed by active-query id.
     ///
-    /// Everything query-independent — which compound vertex ships which
-    /// class or entry to which partition — is read from the compound
-    /// graph's id-indexed route tables
-    /// ([`CompoundGraph::route_role`](crate::CompoundGraph::route_role)).
+    /// Everything query-independent is read from the compound graph's
+    /// build-time route lists ([`crate::compound`]): per remote partition
+    /// `j`, one mask read per forward class and, where some query targets
+    /// in-boundaries of `j`, one mask read per *run* of `I_j` — consecutive
+    /// in-boundaries in one SCC of `GC_i`, which the same sources reach —
+    /// and one `extend_from_slice` of the run per lane that reaches it.
     ///
     /// # Errors
     /// The payload came through the transport, so it is checked here, once,
@@ -561,28 +566,25 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             let global = |v: VertexId| comp.global_id(v).expect("a concrete vertex");
 
             // What every lane ships to every remote partition: the classes
-            // of the in-virtual vertices it reaches and, for the partitions
-            // some query needs entries for, the in-boundaries it reaches.
-            // `route_ids` ascends per partition, so every list does too.
+            // of the in-virtual vertices it reaches and, where some query
+            // needs entries, the runs of in-boundaries it reaches. Classes
+            // and `I_j` ascend and runs come in order: every list ascends.
             let mut classes: Vec<Vec<u32>> = vec![Vec::new(); pass.len() * k];
             let mut entries: Vec<Vec<VertexId>> = vec![Vec::new(); pass.len() * k];
-            for &id in comp.route_ids() {
-                let hit = reaching(id);
-                if hit == 0 {
+            for j in 0..k {
+                let routes = comp.route_list(j as PartitionId);
+                for (class, &component) in routes.class_component.iter().enumerate() {
+                    for lane in set_lanes(masks[component as usize]) {
+                        classes[lane * k + j].push(class as u32);
+                    }
+                }
+                if !entries_needed[j] {
                     continue;
                 }
-                match comp.route_role(id) {
-                    RouteRole::ForwardVirtual { partition, class } => {
-                        for lane in set_lanes(hit) {
-                            classes[lane * k + partition as usize].push(class);
-                        }
+                for (component, run) in routes.runs() {
+                    for lane in set_lanes(masks[component as usize]) {
+                        entries[lane * k + j].extend_from_slice(run);
                     }
-                    RouteRole::InBoundary { partition } if entries_needed[partition as usize] => {
-                        for lane in set_lanes(hit) {
-                            entries[lane * k + partition as usize].push(global(id));
-                        }
-                    }
-                    _ => {}
                 }
             }
 
@@ -828,8 +830,8 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 /// An entry that is not an in-boundary **from the cursor on** — an unknown
 /// vertex, a duplicate, or one out of ascending order — is yielded as
 /// `Err(entry)`, never as a position: a well-formed list ascends strictly
-/// ([`CompoundGraph::route_ids`](crate::CompoundGraph::route_ids) ships it
-/// so and the wire codec refuses anything else).
+/// (step 1 copies it out of `I_j` in order — see [`crate::compound`] — and
+/// the wire codec refuses anything else).
 fn in_boundary_positions<'a>(
     entries: &'a [VertexId],
     in_boundaries: &'a [VertexId],
@@ -864,7 +866,7 @@ fn gallop(list: &[VertexId], c: VertexId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{Forging, ForgingGather, ForgingScatter};
+    use crate::test_support::{per_vertex_route_scan, Forging, ForgingGather, ForgingScatter};
     use dsr_cluster::WireTransport;
     use dsr_graph::{DiGraph, TransitiveClosure};
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
@@ -1918,6 +1920,241 @@ mod tests {
         assert_eq!(from_source_2[2].entries, every_second);
         assert!(!from_source_2[1].classes.is_empty());
         assert_eq!(from_source_2[0].classes, from_source_2[1].classes);
+    }
+
+    /// The scatter payload the master hands slave `i` for `queries`.
+    fn payload_for(index: &DsrIndex, i: PartitionId, queries: &[SetQuery]) -> ScatterMessage {
+        let scatter = |q: &SetQuery| {
+            let (mut sources, targets) = q.signature();
+            sources.retain(|&s| index.partition_of(s) == i);
+            ScatterQuery { sources, targets }
+        };
+        queries.iter().map(scatter).collect()
+    }
+
+    /// What slave `i` has to stage for `payload` according to the per-vertex
+    /// reference scan: per destination and query, one message per local
+    /// source that reaches a class there — with its entries only when the
+    /// query targets in-boundaries of the destination.
+    fn reference_outgoing(
+        index: &DsrIndex,
+        i: PartitionId,
+        payload: &[ScatterQuery],
+    ) -> Vec<(usize, BatchBuffer)> {
+        let mut sources: Vec<VertexId> = payload.iter().flat_map(|q| q.sources.clone()).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let shipped = per_vertex_route_scan(index, i, &sources);
+        let mut outgoing = Vec::new();
+        for j in (0..index.num_partitions()).filter(|&j| j != i as usize) {
+            let boundaries = index.cut.partition(j as PartitionId);
+            let mut buffer: BatchBuffer = Vec::new();
+            for (a, q) in payload.iter().enumerate() {
+                let wants_entries = q.targets.iter().any(|&t| boundaries.is_in_boundary(t));
+                let message = |&source: &VertexId| {
+                    let s = sources.binary_search(&source).expect("collected above");
+                    let (classes, entries) = shipped[s][j].clone();
+                    let entries = if wants_entries { entries } else { Vec::new() };
+                    let ships = !classes.is_empty() || !entries.is_empty();
+                    ships.then_some(SourceMessage {
+                        source,
+                        classes,
+                        entries,
+                    })
+                };
+                let messages: Vec<SourceMessage> = q.sources.iter().filter_map(message).collect();
+                if !messages.is_empty() {
+                    buffer.push((a as u32, messages));
+                }
+            }
+            if !buffer.is_empty() {
+                outgoing.push((j, buffer));
+            }
+        }
+        outgoing
+    }
+
+    /// Runs step 1 at every slave and compares what it stages with the
+    /// reference. Returns how many messages went without entries from a
+    /// source that shipped entries to the same destination in another query
+    /// — the `wants_entries` split.
+    fn assert_step_one_matches_the_per_vertex_scan(
+        index: &DsrIndex,
+        queries: &[SetQuery],
+    ) -> usize {
+        let engine = DsrEngine::new(index);
+        let mut splits = 0;
+        for i in 0..index.num_partitions() as PartitionId {
+            let payload = payload_for(index, i, queries);
+            let staged = engine
+                .step_one_batch(i, &payload, payload.len())
+                .expect("a payload the master could have scattered");
+            assert_eq!(
+                staged.outgoing,
+                reference_outgoing(index, i, &payload),
+                "slave {i}"
+            );
+            for (_, buffer) in &staged.outgoing {
+                let messages = || buffer.iter().flat_map(|(_, messages)| messages);
+                let with_entries: std::collections::BTreeSet<VertexId> = messages()
+                    .filter(|m| !m.entries.is_empty())
+                    .map(|m| m.source)
+                    .collect();
+                let split =
+                    |m: &&SourceMessage| m.entries.is_empty() && with_entries.contains(&m.source);
+                splits += messages().filter(split).count();
+            }
+        }
+        splits
+    }
+
+    #[test]
+    fn step_one_ships_what_the_per_vertex_scan_ships_on_random_partitioned_graphs() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(24);
+        let n = 240;
+        let all: Vec<u32> = (0..n as u32).collect();
+        // Every source of the batch is in the first two queries: the first
+        // targets every vertex (entries wanted everywhere), the second the
+        // vertices of partition 0 only (entries wanted there at most), so
+        // slaves 1 and 2 ship each other the same classes twice, once with
+        // entries and once without. The rest asks for a few lanes of each
+        // pass.
+        let queries_over = |p: &Partitioning, rng: &mut SmallRng| -> Vec<SetQuery> {
+            let home: Vec<u32> = all
+                .iter()
+                .copied()
+                .filter(|&v| p.partition_of(v) == 0)
+                .collect();
+            let mut queries = vec![
+                SetQuery::new(all.clone(), all.clone()),
+                SetQuery::new(all.clone(), home),
+            ];
+            queries.extend((0..6).map(|_| {
+                let mut pick = || (0..6).map(|_| rng.gen_range(0..n) as u32).collect();
+                SetQuery::new(pick(), pick())
+            }));
+            queries
+        };
+        // One run per list, one run per entry, and whatever lies between.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Shape {
+            DenseCyclic,
+            Acyclic,
+            Sparse,
+        }
+        for round in 0..204 {
+            let shape = [Shape::DenseCyclic, Shape::Acyclic, Shape::Sparse][round % 3];
+            let (edges, p) = match shape {
+                Shape::DenseCyclic => {
+                    // One cycle through every vertex plus chords.
+                    let mut edges: Vec<(u32, u32)> =
+                        all.iter().map(|&v| (v, (v + 1) % n as u32)).collect();
+                    edges.extend(random_edges(&mut rng, n, 300));
+                    (edges, None)
+                }
+                Shape::Acyclic => {
+                    // As in `step_one_on_acyclic_…`: blocks of 80 ids, every
+                    // edge leads to a larger id, cut edges from the upper
+                    // half of a block to the lower half of a later one.
+                    let forward = |&(u, v): &(u32, u32)| {
+                        u < v && (u / 80 == v / 80 || (u % 80 >= 40 && v % 80 < 40))
+                    };
+                    let edges = random_edges(&mut rng, n, 2400);
+                    let edges = edges.into_iter().filter(forward).collect();
+                    let blocks = Partitioning::new(all.iter().map(|&v| v / 80).collect(), 3);
+                    (edges, Some(blocks))
+                }
+                Shape::Sparse => {
+                    let m = rng.gen_range(300..700);
+                    (random_edges(&mut rng, n, m), None)
+                }
+            };
+            let g = DiGraph::from_edges(n, &edges);
+            let p = p.unwrap_or_else(|| HashPartitioner::default().partition(&g, 3));
+            let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+            for compound in &index.compounds {
+                assert!(compound.num_local > 64, "two passes at every slave");
+                for j in (0..3).filter(|&j| j != compound.partition) {
+                    let list = compound.route_list(j);
+                    let (runs, entries) = (list.entry_runs.len(), list.entry_global.len());
+                    match shape {
+                        Shape::DenseCyclic => assert_eq!((runs, entries > 0), (1, true)),
+                        // Block 0 is entered by nothing.
+                        Shape::Acyclic => assert!(runs == entries && (runs > 0 || j == 0)),
+                        Shape::Sparse => assert!(runs <= entries),
+                    }
+                }
+            }
+            let splits =
+                assert_step_one_matches_the_per_vertex_scan(&index, &queries_over(&p, &mut rng));
+            assert!(splits > 0, "round {round} ({shape:?}): no source split");
+        }
+
+        // Web-like graphs under the partitioner the benchmark uses: few
+        // runs over many entries.
+        for seed in 0..6 {
+            let g = dsr_datagen::web_graph(n, 4.0, 12, 0.7, seed);
+            let p = dsr_partition::MultilevelPartitioner::default().partition(&g, 3);
+            let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+            let splits =
+                assert_step_one_matches_the_per_vertex_scan(&index, &queries_over(&p, &mut rng));
+            assert!(splits > 0, "web graph {seed}: no source split");
+        }
+    }
+
+    #[test]
+    fn interleaved_runs_ship_ascending_entries_on_every_transport() {
+        // The graph of `compound::tests::route_lists_cut_interleaved_…`: the
+        // in-boundaries 2 < 3 < 4 of partition 1 sit in components X, Y, X
+        // of GC_0; source 0 reaches X only, source 1 both.
+        let edges = [
+            (2, 4),
+            (4, 2),
+            (3, 5),
+            (0, 2),
+            (1, 3),
+            (1, 4),
+            (2, 6),
+            (4, 6),
+        ];
+        let g = DiGraph::from_edges(7, &edges);
+        let p = Partitioning::new(vec![0, 0, 1, 1, 1, 1, 2], 3);
+        let all: Vec<u32> = (0..7).collect();
+        let queries = vec![
+            SetQuery::new(vec![0], vec![2, 3, 4, 5]),
+            SetQuery::new(vec![1], vec![2, 3, 4, 5]),
+            SetQuery::new(vec![0, 1], vec![5, 6]),
+            SetQuery::new(all.clone(), all),
+        ];
+        assert_batch_matches_oracle(&g, &p, &queries);
+
+        let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        assert!(assert_step_one_matches_the_per_vertex_scan(&index, &queries) > 0);
+        let payload = payload_for(&index, 0, &queries);
+        let staged = DsrEngine::new(&index)
+            .step_one_batch(0, &payload, payload.len())
+            .expect("a payload the master could have scattered");
+        let (destination, buffer) = &staged.outgoing[0];
+        assert_eq!(*destination, 1);
+        assert_eq!(buffer[0].1[0].entries, vec![2, 4], "X only, ascending");
+        assert_eq!(buffer[1].1[0].entries, vec![2, 3, 4]);
+
+        let in_process = DsrEngine::new(&index)
+            .set_reachability_batch(&queries)
+            .expect("in-process");
+        let wire = WireTransport::new();
+        let wired = DsrEngine::with_transport(&index, &wire)
+            .set_reachability_batch(&queries)
+            .expect("wire");
+        let tcp = dsr_cluster::TcpTransport::loopback();
+        let remote = DsrEngine::with_transport(&index, &tcp)
+            .set_reachability_batch(&queries)
+            .expect("tcp");
+        assert_eq!(wired, in_process);
+        assert_eq!(remote, in_process);
+        assert_eq!(in_process.rounds, 3);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod summary;
 mod test_support;
 pub mod updates;
 
-pub use compound::{CompoundGraph, RouteRole};
+pub use compound::CompoundGraph;
 pub use engine::{BatchOutcome, DsrEngine, QueryOutcome, SetQuery};
 pub use index::{DsrIndex, IndexBuildStats};
 pub use summary::{ClassReplacement, PartitionSummary, SummaryDelta};

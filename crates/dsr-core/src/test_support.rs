@@ -1,5 +1,6 @@
-//! Test-only transports shared by the engine and update suites, and the
-//! pair-list reference implementation of Algorithm 3.
+//! Test-only transports shared by the engine and update suites, the
+//! pair-list reference implementation of Algorithm 3 and the per-vertex
+//! reference of step 1's route scan.
 
 use std::collections::HashMap;
 
@@ -7,9 +8,10 @@ use dsr_cluster::{CommStats, InProcess, Transport, TransportError, WireMessage};
 use dsr_graph::traversal::Direction;
 use dsr_graph::{InducedSubgraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId};
-use dsr_reach::{LocalReachability, MsBfsReachability};
+use dsr_reach::{set_lanes, LocalReachability, MsBfsReachability};
 use dsr_sync::Arc;
 
+use crate::index::DsrIndex;
 use crate::summary::PartitionSummary;
 
 /// A transport whose exchange round tampers with what `sender` delivers to
@@ -143,6 +145,48 @@ impl Transport for ForgingScatter {
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
         InProcess.all_to_all(num_nodes, outgoing, stats)
     }
+}
+
+/// What one source ships to one partition: `(classes, entries)`.
+pub(crate) type Shipped = (Vec<u32>, Vec<VertexId>);
+
+/// Step 1's route scan the way it was written before the build-time route
+/// lists ([`crate::compound`]): per pass of 64 sources one sweep of the
+/// compound condensation, then, per remote partition, one
+/// `masks[component_of(id)]` read per class vertex and per in-boundary and
+/// one push per set lane. Reads the summaries and the id tables, never the
+/// lists. Kept as the reference `step_one_batch` is compared against:
+/// `[s][j]` is what `sources[s]` (local to partition `i`) ships to partition
+/// `j` when the query wants entries there.
+pub(crate) fn per_vertex_route_scan(
+    index: &DsrIndex,
+    i: PartitionId,
+    sources: &[VertexId],
+) -> Vec<Vec<Shipped>> {
+    let k = index.num_partitions();
+    let comp = &index.compounds[i as usize];
+    let mut shipped: Vec<Vec<Shipped>> = vec![vec![Shipped::default(); k]; sources.len()];
+    let mut masks = Vec::new();
+    for (pass, globals) in sources.chunks(64).enumerate() {
+        let local = |&s: &VertexId| comp.compound_id(s).expect("a local source");
+        let lanes: Vec<VertexId> = globals.iter().map(local).collect();
+        comp.lane_masks(&lanes, &mut masks);
+        let reaching = |id: VertexId| masks[comp.component_of(id) as usize];
+        for j in (0..k).filter(|&j| j != i as usize) {
+            for (class, id) in comp.forward_virtuals_of(j as PartitionId) {
+                for lane in set_lanes(reaching(id)) {
+                    shipped[pass * 64 + lane][j].0.push(class);
+                }
+            }
+            for &b in &index.summaries[j].in_boundaries {
+                let id = comp.compound_id(b).expect("in-boundaries are concrete");
+                for lane in set_lanes(reaching(id)) {
+                    shipped[pass * 64 + lane][j].1.push(b);
+                }
+            }
+        }
+    }
+    shipped
 }
 
 /// Algorithm 3 the way it was written before the bit rows: one MS-BFS pair

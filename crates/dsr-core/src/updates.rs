@@ -869,8 +869,23 @@ mod tests {
 
     /// The stored condensation of every compound graph is the condensation
     /// of its current graph, numbered the way step 1's descending pass
-    /// needs it: every edge leads to an equal or smaller component id.
+    /// needs it: every edge leads to an equal or smaller component id. And
+    /// the route lists laid out beside it are those of an index built from
+    /// scratch over the current graph.
     fn assert_condensations_are_fresh(index: &DsrIndex) {
+        let rebuilt = DsrIndex::build_with_options(
+            &index.reconstruct_graph(),
+            index.partitioning.clone(),
+            index.kind,
+            index.use_equivalence,
+        );
+        for (compound, fresh) in index.compounds.iter().zip(&rebuilt.compounds) {
+            for j in 0..index.num_partitions() as PartitionId {
+                let list = compound.route_list(j);
+                assert!(list.runs_tile_ascending_entries(), "{list:?}");
+                assert_eq!(list, fresh.route_list(j), "GC_{} → {j}", compound.partition);
+            }
+        }
         for (compound, &dag_edges) in index.compounds.iter().zip(&index.stats.dag_edges) {
             let fresh = dsr_graph::condense(&compound.graph);
             let vertices = 0..compound.num_vertices() as VertexId;
