@@ -11,9 +11,9 @@
 //! clusters in-process) and the multiprocess chaos suite (`dsr-node
 //! master --chaos`).
 //!
-//! The historical `debug_disconnect_worker(w)` test hook is now sugar for
-//! the one-fault plan `worker=w` (fire before the next collective, any
-//! phase).
+//! A test that needs worker `w` gone before the next collective arms the
+//! one-fault plan `FaultPlan::new().disconnect(w)` (`worker=w` on the
+//! command line: any phase, no threshold).
 
 /// Which collective a [`Fault`] is allowed to fire in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -87,21 +87,6 @@ pub(crate) fn put_frame(buf: &mut Vec<u8>, frame: &[u8]) {
     buf.extend_from_slice(frame);
 }
 
-/// Appends a varint-length-prefixed UTF-8 string to `buf`.
-pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_frame(buf, s.as_bytes());
-}
-
-pub(crate) fn read_string(reader: &mut impl Read) -> Result<String, FrameIoError> {
-    let bytes = read_frame(reader)?;
-    String::from_utf8(bytes).map_err(|_| {
-        FrameIoError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "address is not UTF-8",
-        ))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

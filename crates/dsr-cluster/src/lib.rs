@@ -59,7 +59,7 @@ pub use fault::{Fault, FaultPhase, FaultPlan};
 pub use message::MessageSize;
 pub use pool::{global_pool, SlavePool};
 pub use stats::{BatchStats, CacheStats, CommStats, FailoverSnapshot, FailoverStats, UpdateStats};
-pub use tcp::{ClusterSpec, ClusterSpecBuilder, TcpTransport};
+pub use tcp::{ClusterSpec, TcpTransport};
 pub use topology::Topology;
 pub use transport::{
     DynTransport, InProcess, ParseTransportError, Transport, TransportKind, WireMessage,

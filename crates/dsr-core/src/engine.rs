@@ -1155,7 +1155,7 @@ mod tests {
             3
         );
         // A worker dies; the next batch surfaces a typed TransportError.
-        tcp.debug_disconnect_worker(2);
+        tcp.inject_faults(dsr_cluster::FaultPlan::new().disconnect(2));
         let err = engine
             .set_reachability_batch(&queries)
             .expect_err("dead worker must fail the batch");

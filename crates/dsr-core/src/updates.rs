@@ -713,7 +713,7 @@ mod tests {
         let mut fork = index.fork();
         fork.apply_updates_with_transport(&[UpdateOp::Insert(2, 3)], &transport)
             .expect("healthy cluster");
-        transport.debug_disconnect_worker(0);
+        transport.inject_faults(dsr_cluster::FaultPlan::new().disconnect(0));
         let mut fork2 = index.fork();
         let err = fork2
             .apply_updates_with_transport(&[UpdateOp::Insert(5, 6)], &transport)

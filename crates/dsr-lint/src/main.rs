@@ -30,8 +30,9 @@
 //! with a character scanner before matching, so prose mentioning
 //! `std::sync` never trips the lint; everything from the first
 //! `#[cfg(test)]` line to end of file counts as test code (workspace
-//! convention keeps the tests module last); chained-call rules match
-//! within a single line.
+//! convention keeps the tests module last), and so does all of a file
+//! named `tests.rs` (a tests module kept out of line); chained-call rules
+//! match within a single line.
 
 #![forbid(unsafe_code)]
 
@@ -157,7 +158,8 @@ struct SourceFile {
     rel: PathBuf,
     /// Stripped lines (strings/comments blanked, line structure intact).
     code: Vec<String>,
-    /// First line (1-based) of the `#[cfg(test)]` region, if any.
+    /// First line (1-based) of the `#[cfg(test)]` region, if any: line 1
+    /// for a `tests.rs` (a `#[cfg(test)] mod tests;` kept out of line).
     test_region_start: Option<usize>,
 }
 
@@ -166,11 +168,14 @@ impl SourceFile {
         let text = std::fs::read_to_string(path).unwrap_or_default();
         let stripped = strip_strings_and_comments(&text);
         let code: Vec<String> = stripped.lines().map(str::to_owned).collect();
-        let test_region_start = code
-            .iter()
-            .position(|l| l.contains("#[cfg(test)]"))
-            .map(|i| i + 1);
         let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
+        let test_region_start = if rel.file_name().is_some_and(|name| name == "tests.rs") {
+            Some(1)
+        } else {
+            code.iter()
+                .position(|l| l.contains("#[cfg(test)]"))
+                .map(|i| i + 1)
+        };
         SourceFile {
             rel,
             code,
@@ -668,5 +673,19 @@ mod tests {
         };
         let methods = collect_transport_result_methods(&[sf]);
         assert!(methods.contains("scatter"));
+    }
+
+    #[test]
+    fn a_tests_rs_file_is_test_code_throughout() {
+        let root = std::env::temp_dir().join(format!("dsr-lint-{}", std::process::id()));
+        let path = root.join("crates/x/src/tests.rs");
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("temp dir");
+        std::fs::write(&path, "fn f() {\n    t.scatter(q).expect(\"ok\");\n}\n").expect("write");
+        let source = SourceFile::load(&root, &path);
+        std::fs::remove_dir_all(&root).expect("clean up");
+        let mut findings = Vec::new();
+        check_lock_unwrap(&source, &BTreeSet::from(["scatter".into()]), &mut findings);
+        assert!(source.is_test_line(1));
+        assert!(findings.is_empty(), "{} finding(s)", findings.len());
     }
 }

@@ -74,7 +74,6 @@ fn print_usage() {
     eprintln!("        and a mixed update batch through a QueryService fronting the");
     eprintln!("        workers, and verifies answers and CommStats/UpdateStats byte");
     eprintln!("        counts against an in-process reference (exit 1 on mismatch).");
-    eprintln!("        The cluster can also come from DSR_CLUSTER_WORKERS.");
 }
 
 // ---------------------------------------------------------------------------
@@ -193,15 +192,12 @@ fn parse_master_args(args: &[String]) -> Result<MasterArgs, String> {
         match arg.as_str() {
             "--workers" => {
                 let list = value("--workers")?;
-                let workers: Vec<String> = list
+                let workers = list
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
                     .map(str::to_string)
                     .collect();
-                if workers.is_empty() {
-                    return Err("--workers lists no addresses".to_string());
-                }
                 spec = Some(ClusterSpec::new(workers));
             }
             "--cluster" => {
@@ -213,11 +209,7 @@ fn parse_master_args(args: &[String]) -> Result<MasterArgs, String> {
             "--updates" => updates = parse_number(&value("--updates")?, "--updates")?,
             "--seed" => seed = parse_number(&value("--seed")?, "--seed")? as u64,
             "--replication" => {
-                let r = parse_number(&value("--replication")?, "--replication")?;
-                if r == 0 {
-                    return Err("--replication must be at least 1".to_string());
-                }
-                replication = Some(r);
+                replication = Some(parse_number(&value("--replication")?, "--replication")?);
             }
             "--batches" => {
                 batches = parse_number(&value("--batches")?, "--batches")?.max(1);
@@ -235,15 +227,11 @@ fn parse_master_args(args: &[String]) -> Result<MasterArgs, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    let mut spec = match spec {
-        Some(spec) => spec,
-        None => ClusterSpec::from_env().ok_or_else(|| {
-            "no cluster given: pass --workers, --cluster, or set DSR_CLUSTER_WORKERS".to_string()
-        })??,
-    };
+    let mut spec = spec.ok_or("no cluster given: pass --workers or --cluster")?;
     if let Some(r) = replication {
         spec.replication = r;
     }
+    spec.validate()?;
     Ok(MasterArgs {
         spec,
         vertices,

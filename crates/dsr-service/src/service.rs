@@ -1364,7 +1364,7 @@ mod tests {
 
         // R = 1: with worker 0 gone the refresh exchange cannot be placed.
         let tcp = service.transport().as_tcp().expect("tcp backend");
-        tcp.debug_disconnect_worker(0);
+        tcp.inject_faults(dsr_cluster::FaultPlan::new().disconnect(0));
         let batch = [UpdateOp::Insert(5, 0)];
         let err = service.update(&batch, UpdateMode::Auto).unwrap_err();
         assert!(matches!(err, UpdateError::Transport(_)), "got {err:?}");
