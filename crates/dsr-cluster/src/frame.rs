@@ -4,7 +4,7 @@
 //! peers, no phases: a failure is a [`FrameIoError`], and the caller (which
 //! knows the peer and the phase) classifies it into a [`TransportError`].
 
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 
 use crate::error::TransportError;
 use crate::wire;
@@ -81,6 +81,29 @@ pub(crate) fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, FrameIoError
     Ok(payload)
 }
 
+/// Reads one varint-length-prefixed frame and appends it, prefix included,
+/// to `out`: a relayed frame's one copy. The announced length is checked
+/// against [`MAX_FRAME_LEN`] before `out` grows, `out` grows with the bytes
+/// that actually arrive, and a failed copy leaves `out` as it was.
+pub(crate) fn copy_frame(reader: &mut impl Read, out: &mut Vec<u8>) -> Result<(), FrameIoError> {
+    let len = read_varint(reader)?;
+    if len > MAX_FRAME_LEN {
+        return Err(FrameIoError::Oversized(len));
+    }
+    let start = out.len();
+    wire::put_varint(out, len);
+    match reader.by_ref().take(len).read_to_end(out) {
+        Ok(copied) if copied as u64 == len => Ok(()),
+        short => {
+            out.truncate(start);
+            let err = short
+                .err()
+                .unwrap_or_else(|| ErrorKind::UnexpectedEof.into());
+            Err(err.into())
+        }
+    }
+}
+
 /// Appends a varint-length-prefixed frame to `buf`.
 pub(crate) fn put_frame(buf: &mut Vec<u8>, frame: &[u8]) {
     wire::put_varint(buf, frame.len() as u64);
@@ -144,5 +167,47 @@ mod tests {
         // Varint overflow in the prefix is also typed.
         let err = read_frame(&mut Cursor::new(vec![0xFFu8; 11])).unwrap_err();
         assert!(matches!(err, FrameIoError::VarintOverflow));
+    }
+
+    /// `copy_frame` appends exactly what `put_frame` wrote, frame after
+    /// frame, and refuses what `read_frame` refuses — a truncated payload
+    /// or prefix, an oversized announcement, an overflowing varint — with
+    /// `out` left as it was.
+    #[test]
+    fn copy_frame_appends_one_frame_and_refuses_what_read_frame_refuses() {
+        let mut stream = Vec::new();
+        put_frame(&mut stream, b"hello");
+        put_frame(&mut stream, b"");
+        put_frame(&mut stream, &[7u8; 300]);
+        let mut cursor = Cursor::new(&stream);
+        let mut out = b"kept".to_vec();
+        for _ in 0..3 {
+            copy_frame(&mut cursor, &mut out).expect("a whole frame");
+        }
+        assert_eq!(out[..4], *b"kept");
+        assert_eq!(out[4..], stream[..]);
+
+        let mut short = Vec::new();
+        wire::put_varint(&mut short, 5);
+        short.extend_from_slice(b"ab");
+        let oversized = {
+            let mut prefix = Vec::new();
+            wire::put_varint(&mut prefix, MAX_FRAME_LEN + 1);
+            prefix
+        };
+        for (input, expected) in [
+            (short, "Io"),
+            (vec![0x80u8], "Io"),
+            (oversized, "Oversized"),
+            (vec![0xFFu8; 11], "VarintOverflow"),
+        ] {
+            let mut out = b"kept".to_vec();
+            let err = copy_frame(&mut Cursor::new(&input), &mut out).unwrap_err();
+            assert!(format!("{err:?}").starts_with(expected), "{err:?}");
+            if let FrameIoError::Io(e) = &err {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+            }
+            assert_eq!(out, b"kept", "a failed copy leaves out as it was");
+        }
     }
 }

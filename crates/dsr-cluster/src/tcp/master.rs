@@ -569,8 +569,8 @@ impl Transport for TcpTransport {
 
             // Ship every involved worker its whole op (one per link). No
             // write here waits on a read below: a worker reads its whole
-            // op before it writes anything, and replies only once its
-            // lane writer is joined (module docs) ...
+            // op before it writes anything, and replies only once it has
+            // met every partner (module docs) ...
             let mut failures: Vec<(usize, TransportError)> = Vec::new();
             let mut awaited: Vec<usize> = Vec::with_capacity(involved.len());
             for &worker in &involved {

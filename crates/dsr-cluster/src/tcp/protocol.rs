@@ -174,7 +174,7 @@ pub(super) fn put_echo_op(op: &mut Vec<u8>, frame: &[u8]) {
 /// One group of an exchange: `frames` frames from partition `src` to
 /// partition `dst`; `worker` is the other end as the reader sees it (the
 /// destination's for a send group, the source's for a recv group or lane).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(super) struct GroupHeader {
     pub(super) src: usize,
     pub(super) dst: usize,
@@ -258,6 +258,7 @@ pub(super) fn read_recv_list(reader: &mut impl Read) -> Result<Vec<GroupHeader>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::copy_frame;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::io::Cursor;
@@ -378,10 +379,19 @@ mod tests {
         let _ = read_recv_list(&mut Cursor::new(input));
         let mut lane = Cursor::new(input);
         while GroupHeader::read_from_lane(&mut lane, 0).is_ok() {}
+        // Relayed frames: what is copied is what arrived, and a copy that
+        // fails leaves nothing behind.
+        let (mut frames, mut copied) = (Cursor::new(input), Vec::new());
+        while copy_frame(&mut frames, &mut copied).is_ok() {}
+        assert!(copied.len() <= input.len(), "{input:?}");
+        let mut relayed = Cursor::new(&copied);
+        while copy_frame(&mut relayed, &mut Vec::new()).is_ok() {}
+        assert_eq!(relayed.position() as usize, copied.len(), "{input:?}");
     }
 
-    /// The readers under arbitrary bytes: random strings, every truncation
-    /// of a valid message and single-byte mutations of one. Each input ends
+    /// The readers — and the frame copy of the relay — under arbitrary
+    /// bytes: random strings, every truncation of a valid message and
+    /// single-byte mutations of one. Each input ends
     /// in a value — no panic, no allocation beyond the bounds (every
     /// length is checked before its buffer exists) — and all of them take
     /// well under a second.
@@ -393,11 +403,16 @@ mod tests {
             .collect();
         let mut recv_list = Vec::new();
         put_exchange_op::<&[u8]>(&mut recv_list, &[], &recvs);
+        let mut frames = Vec::new();
+        for frame in [b"frame".as_slice(), b"", &[0xA5; 200]] {
+            put_frame(&mut frames, frame);
+        }
         let valid = [
             valid_master_hello(),
             peer_hello(1, 3),
             ack(7),
             recv_list[2..].to_vec(),
+            frames,
         ];
 
         let rounds = if cfg!(miri) { 20 } else { 2_000 };

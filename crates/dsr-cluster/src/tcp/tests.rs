@@ -3,14 +3,15 @@
 
 use dsr_sync::Mutex;
 use std::io::Write;
-use std::net::TcpListener;
-use std::time::Duration;
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 use super::master::{connect_link, WorkerLink};
-use super::protocol::{put_exchange_op, GroupHeader};
+use super::protocol::{peer_hello, put_exchange_op, GroupHeader};
 use super::*;
 use crate::error::TransportError;
 use crate::fault::{FaultPhase, FaultPlan};
+use crate::frame::put_frame;
 use crate::message::MessageSize;
 use crate::stats::CommStats;
 use crate::transport::Transport;
@@ -550,15 +551,35 @@ fn spawn_worker(io_timeout: Duration) -> (String, ServedWorker) {
 
 /// A real worker with the test as its master: the link of
 /// [`connect_link`] (session 1, worker id 0), over which the test
-/// writes hand-built ops. `peers` are the addresses of workers 1, 2, …
-fn raw_master_session(io_timeout: Duration, peers: &[String]) -> (WorkerLink, ServedWorker) {
+/// writes hand-built ops. `peers` are the addresses of workers 1, 2, …;
+/// the worker's own address comes first.
+fn raw_master_session(
+    io_timeout: Duration,
+    peers: &[String],
+) -> (String, WorkerLink, ServedWorker) {
     let (addr, worker) = spawn_worker(io_timeout);
     let mut topology = vec![addr];
     topology.extend_from_slice(peers);
     let patience = Duration::from_secs(10);
     let link =
         connect_link(&topology[0], 0, 1, &topology, patience, patience).expect("master hello");
-    (link, worker)
+    (topology.swap_remove(0), link, worker)
+}
+
+/// The lane worker `from` of session 1 opens into the worker at `addr`,
+/// its peer hello written: the test as that worker's peer.
+fn raw_peer_lane(addr: &str, from: usize) -> TcpStream {
+    let mut lane = TcpStream::connect(addr).expect("connect peer lane");
+    lane.write_all(&peer_hello(from, 1)).expect("peer hello");
+    lane
+}
+
+/// A peer of a raw session and its address: a listener nobody serves,
+/// whose backlog takes a lane and its hello and never reads from it.
+fn unserved_peer() -> (TcpListener, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    (listener, addr)
 }
 
 /// An exchange op as the master lays it out: the send groups
@@ -582,7 +603,7 @@ fn exchange_op(
 /// error its session ended with; the master link must see the session
 /// end instead of a reply.
 fn session_error_after(op: &[u8], peers: &[String]) -> TransportError {
-    let (mut link, worker) = raw_master_session(Duration::from_secs(5), peers);
+    let (_, mut link, worker) = raw_master_session(Duration::from_secs(5), peers);
     link.send(op, "forged op").expect("send");
     let reply = link.recv("forged op reply");
     assert!(reply.is_err(), "the worker answered a forged op: {reply:?}");
@@ -614,8 +635,8 @@ fn an_exchange_op_that_sends_a_group_twice_ends_the_session() {
 
     // Forwarded: worker 1 is a listener nobody serves (its backlog
     // takes the lane); both copies used to go out on it.
-    let peer = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let peers = [peer.local_addr().expect("addr").to_string()];
+    let (_peer, addr) = unserved_peer();
+    let peers = [addr];
     let op = exchange_op(
         &[
             (0, 2, 1, &[b"first"]),
@@ -642,27 +663,20 @@ fn an_exchange_op_that_never_collects_a_local_group_ends_the_session() {
 #[test]
 fn a_silent_peer_is_a_typed_timeout_not_a_hang() {
     let io_timeout = Duration::from_millis(300);
-    // Workers 1 and 2 are listeners nobody serves: their backlog takes
-    // a lane and its hello, and no one ever reads from it.
-    let silent: Vec<TcpListener> = (0..2)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let peers: Vec<String> = silent
-        .iter()
-        .map(|peer| peer.local_addr().expect("addr").to_string())
-        .collect();
-    let (mut link, worker) = raw_master_session(io_timeout, &peers);
+    // Workers 1 and 2 are listeners nobody serves.
+    let (silent, peers): (Vec<TcpListener>, Vec<String>) = (0..2).map(|_| unserved_peer()).unzip();
+    let (_, mut link, worker) = raw_master_session(io_timeout, &peers);
 
     // 16 MiB for worker 1, far more than the socket buffers of an
     // unread lane take, and a small group for worker 2 behind it.
     let big = vec![0xA5u8; 16 << 20];
     let op = exchange_op(&[(0, 1, 1, &[&big]), (0, 2, 2, &[b"small"])], &[]);
     link.send(&op, "exchange op").expect("send");
-    let sent = std::time::Instant::now();
+    let sent = Instant::now();
     let reply = link.recv("exchange reply");
     let waited = sent.elapsed();
     assert!(reply.is_err(), "no reply to an exchange that timed out");
-    // The bound of the module docs: a blocked writer gives up within
+    // The bound of the module docs: a blocked write gives up within
     // ≈ 3 × io_timeout (two write(2) calls that each moved part of the
     // buffer, one that moved nothing); the fourth is slack.
     assert!(
@@ -679,12 +693,82 @@ fn a_silent_peer_is_a_typed_timeout_not_a_hang() {
         }
         other => panic!("expected a Timeout, got {other}"),
     }
-    // The writer stops at the first destination that fails: worker 2,
-    // behind worker 1 in ascending order, was never connected to.
+    // The exchange stops at the first pair that fails: worker 2, behind
+    // worker 1 in pairwise order (0 ^ 1 < 0 ^ 2), was never connected to.
     silent[1].set_nonblocking(true).expect("nonblocking");
     match silent[1].accept() {
         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
         other => panic!("worker 2 got a lane: {other:?}"),
+    }
+}
+
+/// Runs in every build profile (CI's `--release --lib` leg included).
+#[test]
+fn a_peer_group_other_than_the_announced_one_ends_the_session() {
+    let (_peer, peer_addr) = unserved_peer();
+    let (addr, mut link, worker) = raw_master_session(Duration::from_secs(5), &[peer_addr]);
+    // The recv list expects 1->0 (one frame) from worker 1, whose lane
+    // carries 2->0 instead.
+    link.send(&exchange_op(&[], &[(1, 0, 1, 1)]), "exchange op")
+        .expect("send");
+    let mut lane = raw_peer_lane(&addr, 1);
+    let mut group = Vec::new();
+    GroupHeader::new(2, 0, 1, 1).put_on_lane(&mut group);
+    put_frame(&mut group, b"misrouted");
+    lane.write_all(&group).expect("lane group");
+
+    let reply = link.recv("exchange reply");
+    assert!(
+        reply.is_err(),
+        "the worker answered a misrouted group: {reply:?}"
+    );
+    let err = worker
+        .join()
+        .expect("worker thread")
+        .expect_err("a misrouted group ends the session");
+    match &err {
+        TransportError::Protocol { peer, reason } => {
+            assert!(peer.starts_with("worker 1 ("), "peer named: {peer}");
+            assert!(reason.contains("expected group 1->0"), "{reason}");
+            assert!(reason.contains("got 2->0"), "{reason}");
+        }
+        other => panic!("expected a Protocol error, got {other}"),
+    }
+}
+
+/// Runs in every build profile (CI's `--release --lib` leg included).
+#[test]
+fn a_group_its_peer_never_sends_is_a_typed_timeout_not_a_hang() {
+    let io_timeout = Duration::from_millis(500);
+    let (_peer, peer_addr) = unserved_peer();
+    // Worker 1 never opens its lane, then opens it and sends nothing:
+    // either is one wait of io_timeout — for the lane to register, or in
+    // one read(2) — so the session ends within 2 × io_timeout, the second
+    // being slack.
+    for opens_lane in [false, true] {
+        let peers = [peer_addr.clone()];
+        let (addr, mut link, worker) = raw_master_session(io_timeout, &peers);
+        link.send(&exchange_op(&[], &[(1, 0, 1, 1)]), "exchange op")
+            .expect("send");
+        let _lane = opens_lane.then(|| raw_peer_lane(&addr, 1));
+        let sent = Instant::now();
+        let reply = link.recv("exchange reply");
+        let waited = sent.elapsed();
+        assert!(reply.is_err(), "no reply to an exchange that timed out");
+        assert!(
+            waited < 2 * io_timeout,
+            "lane opened {opens_lane}: the session took {waited:?} to end (io_timeout {io_timeout:?})"
+        );
+        let err = worker
+            .join()
+            .expect("worker thread")
+            .expect_err("the exchange timed out");
+        match &err {
+            TransportError::Timeout { peer, .. } => {
+                assert!(peer.starts_with("worker 1 ("), "peer named: {peer}")
+            }
+            other => panic!("lane opened {opens_lane}: expected a Timeout, got {other}"),
+        }
     }
 }
 
@@ -735,9 +819,16 @@ fn large_frames_cross_interleaved_lanes() {
     // Four workers on loopback serve eight nodes, worker `w` hosting
     // nodes `w` and `w + 4`: each of the twelve lanes carries four
     // groups, and the op order of every reader — (src, dst) ascending —
-    // goes round its three lanes twice.
-    let workers = 4usize;
-    let k = 8usize;
+    // goes round its three lanes twice. Then three workers and six
+    // nodes: not a power of two, so in the round of `x ^ y = 3` worker 0
+    // has no partner while 1 and 2 meet.
+    large_frames_cross_lanes_of(4, 8);
+    large_frames_cross_lanes_of(3, 6);
+}
+
+/// Two rounds of a full exchange between `k` nodes hosted round-robin on
+/// `workers` real workers, every message between two workers 1.25 MiB.
+fn large_frames_cross_lanes_of(workers: usize, k: usize) {
     // No replica to fail over to: had any wait run into this timeout,
     // the exchange would have failed.
     let io_timeout = Duration::from_secs(20);
@@ -780,7 +871,10 @@ fn large_frames_cross_interleaved_lanes() {
                 .filter(|&src| src != dst)
                 .map(|src| (src, message(src, dst)))
                 .collect();
-            assert_eq!(*inbox, expected, "round {round}: inbox {dst}");
+            assert_eq!(
+                *inbox, expected,
+                "{workers} workers, round {round}: inbox {dst}"
+            );
         }
     }
     assert_eq!(transport.failover_stats().snapshot().retries, 0);

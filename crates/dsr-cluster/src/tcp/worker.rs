@@ -2,7 +2,7 @@
 //! handshakes, sessions, the relay loop and the lanes of an exchange.
 
 use dsr_sync::{Arc, Condvar, Mutex};
-use std::collections::{hash_map::Entry, BTreeMap, HashMap, HashSet};
+use std::collections::{hash_map::Entry, HashMap, HashSet};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
@@ -12,8 +12,7 @@ use super::protocol::{
     OP_EXCHANGE, OP_SHUTDOWN,
 };
 use crate::error::TransportError;
-use crate::frame::{put_frame, read_frame, read_varint, FrameIoError};
-use crate::wire;
+use crate::frame::{copy_frame, read_varint, FrameIoError};
 
 /// Options for [`serve_worker`].
 #[derive(Debug, Clone)]
@@ -71,8 +70,6 @@ struct WorkerState {
     my_id: usize,
     /// Every worker's address, as the last master hello listed them.
     roster: Vec<String>,
-    /// Session id of the currently served master session.
-    session_id: u64,
 }
 
 /// Binds a listener for a worker. Separated from [`serve_worker`] so
@@ -129,8 +126,7 @@ pub fn serve_worker(listener: TcpListener, options: WorkerOptions) -> Result<(),
             Err(_) => break Ok(()),
         };
         served_any = true;
-        begin_session(&shared, session);
-        match relay_loop(&master, &shared) {
+        match relay_loop(&master, begin_session(&shared, session)) {
             Ok(SessionEnd::MasterLost) | Err(_) if options.rejoin_wait.is_some() => {}
             Ok(_) => break Ok(()),
             Err(err) => break Err(err),
@@ -145,11 +141,10 @@ pub fn serve_worker(listener: TcpListener, options: WorkerOptions) -> Result<(),
     result
 }
 
-/// Installs the new session id and discards peer lanes left over from
-/// older sessions (their unread bytes would corrupt the new session's
-/// exchanges).
-fn begin_session(shared: &WorkerShared, session: u64) {
-    dsr_sync::lock(&shared.state).session_id = session;
+/// Discards peer lanes left over from older sessions (their unread bytes
+/// would corrupt the new session's exchanges) and returns the lanes of
+/// `session`: none yet.
+fn begin_session(shared: &WorkerShared, session: u64) -> SessionLanes<'_> {
     let mut lanes = dsr_sync::lock(&shared.incoming);
     lanes.retain(|_, (sid, stream)| {
         if *sid < session {
@@ -159,6 +154,12 @@ fn begin_session(shared: &WorkerShared, session: u64) {
             true
         }
     });
+    SessionLanes {
+        shared,
+        session,
+        outgoing: HashMap::new(),
+        incoming: HashMap::new(),
+    }
 }
 
 fn wait_for_master(
@@ -264,16 +265,23 @@ fn register_connection(stream: TcpStream, shared: &WorkerShared) -> Result<(), T
     Ok(())
 }
 
-/// Serves one master session, op after op. The session owns its outgoing
-/// peer lanes (`lanes`, by destination worker id), closed with it however
-/// it ends: the next session builds fresh lanes at its own epoch.
-fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, TransportError> {
+/// The peer lanes of one master session, by the worker at the other end,
+/// each connected (outgoing) or taken from the acceptor's registry
+/// (incoming) when an exchange first needs it, all closed with the session.
+struct SessionLanes<'a> {
+    shared: &'a WorkerShared,
+    session: u64,
+    outgoing: HashMap<usize, TcpStream>,
+    incoming: HashMap<usize, BufReader<TcpStream>>,
+}
+
+/// Serves one master session, op after op, over the session's `lanes`.
+fn relay_loop(master: &TcpStream, mut lanes: SessionLanes) -> Result<SessionEnd, TransportError> {
     let peer = "master";
     // One buffered reader per session: an op header is dozens of varints,
     // and unbuffered each of their bytes is a `read(2)`. Nothing else reads
     // this socket after the hello, so read-ahead cannot strand a byte.
     let mut reader = BufReader::new(master);
-    let mut lanes: HashMap<usize, TcpStream> = HashMap::new();
     loop {
         let opcode = match read_varint(&mut reader).map_err(|e| e.classify(peer, "read opcode")) {
             Ok(op) => op,
@@ -284,15 +292,14 @@ fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, T
         };
         match opcode {
             OP_ECHO => {
-                let frame = read_frame(&mut reader).map_err(|e| e.classify(peer, "read echo"))?;
-                let mut out = Vec::with_capacity(frame.len() + wire::MAX_VARINT_LEN);
-                put_frame(&mut out, &frame);
+                let mut out = Vec::new();
+                copy_frame(&mut reader, &mut out).map_err(|e| e.classify(peer, "read echo"))?;
                 let mut writer = master;
                 writer
                     .write_all(&out)
                     .map_err(|e| TransportError::from_io(peer, "write echo reply", e))?;
             }
-            OP_EXCHANGE => handle_exchange(&mut reader, master, shared, &mut lanes)?,
+            OP_EXCHANGE => handle_exchange(&mut reader, master, &mut lanes)?,
             OP_SHUTDOWN => {
                 let mut writer = master;
                 let _ = writer.write_all(&[0]); // empty ack frame
@@ -308,16 +315,14 @@ fn relay_loop(master: &TcpStream, shared: &WorkerShared) -> Result<SessionEnd, T
     }
 }
 
-/// Serves one exchange op: reads the rest of the op from `reader` (the
-/// session's buffered view of `master`), has one thread write what it
-/// forwards to `lanes` while this one collects the expected groups, joins
-/// it and writes the reply to `master` (module docs, "The worker side of an
-/// exchange").
+/// Serves one exchange op on the session thread: reads the rest of the op
+/// from `reader` (the session's buffered view of `master`), meets every
+/// partner in pairwise order and writes the reply to `master` (module docs,
+/// "The worker side of an exchange").
 fn handle_exchange(
     mut reader: impl Read,
     master: &TcpStream,
-    shared: &WorkerShared,
-    lanes: &mut HashMap<usize, TcpStream>,
+    lanes: &mut SessionLanes,
 ) -> Result<(), TransportError> {
     let peer = "master";
     let classify = |e: FrameIoError| e.classify(peer, "read exchange op");
@@ -325,18 +330,15 @@ fn handle_exchange(
         peer: peer.to_string(),
         reason,
     };
-    let (my_id, session) = {
-        let state = dsr_sync::lock(&shared.state);
-        (state.my_id, state.session_id)
-    };
+    let my_id = dsr_sync::lock(&lanes.shared.state).my_id;
 
-    // A send group whose destination lives on this worker short-circuits
-    // locally; any other becomes bytes on its destination worker's lane —
-    // the master routes, this side follows the ids in the op.
+    // A send group whose destination lives on this worker is kept, framed,
+    // for its reply slot; any other becomes bytes on its destination
+    // worker's lane — the master routes, this side follows the ids in the op.
     let [send_count] = read_counts(&mut reader).map_err(classify)?;
     let mut sent: HashSet<(usize, usize)> = HashSet::with_capacity(send_count.min(1024));
-    let mut local: HashMap<(usize, usize), Vec<Vec<u8>>> = HashMap::new();
-    let mut forward: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
+    let mut local: HashMap<GroupHeader, Vec<u8>> = HashMap::new();
+    let mut forward: HashMap<usize, Vec<u8>> = HashMap::new();
     for _ in 0..send_count {
         let group = GroupHeader::read(&mut reader).map_err(classify)?;
         let (src, dst) = (group.src, group.dst);
@@ -345,86 +347,70 @@ fn handle_exchange(
                 "exchange op sends group {src}->{dst} twice"
             )));
         }
-        if group.worker == my_id {
-            let mut frames = Vec::with_capacity(group.frames.min(4096));
-            for _ in 0..group.frames {
-                frames.push(read_frame(&mut reader).map_err(classify)?);
-            }
-            local.insert((src, dst), frames);
+        let bytes = if group.worker == my_id {
+            local.entry(group).or_default()
         } else {
             let lane = forward.entry(group.worker).or_default();
             group.put_on_lane(lane);
-            for _ in 0..group.frames {
-                put_frame(lane, &read_frame(&mut reader).map_err(classify)?);
-            }
+            lane
+        };
+        for _ in 0..group.frames {
+            copy_frame(&mut reader, bytes).map_err(classify)?;
         }
     }
     let recvs = read_recv_list(&mut reader).map_err(classify)?;
 
-    // The reply: the frames of every expected group, in op order.
-    let mut reply = Vec::new();
-    dsr_sync::thread::scope(|scope| -> Result<(), TransportError> {
-        let writer = (!forward.is_empty())
-            .then(|| scope.spawn(|| write_lanes(shared, lanes, my_id, session, &forward)));
-
-        // Read the expected groups while the writer runs. Per-lane frames
-        // arrive in master-specified (src, dst) order.
-        let mut incoming: HashMap<usize, TcpStream> = HashMap::new();
-        for &expected in &recvs {
-            let (src, dst, count, from) =
-                (expected.src, expected.dst, expected.frames, expected.worker);
-            if from == my_id {
-                let frames = local.remove(&(src, dst)).ok_or_else(|| {
-                    refuse(format!(
-                        "exchange op lists local group {src}->{dst} it never sent"
-                    ))
-                })?;
-                if frames.len() != count {
-                    return Err(refuse(format!(
-                        "local group {src}->{dst}: expected {count} frames, got {}",
-                        frames.len()
-                    )));
-                }
-                for frame in &frames {
-                    put_frame(&mut reply, frame);
-                }
-            } else {
-                let lane = match incoming.entry(expected.worker) {
-                    Entry::Occupied(lane) => lane.into_mut(),
-                    Entry::Vacant(slot) => slot.insert(incoming_lane(shared, from, session)?),
-                };
-                read_group(lane, shared, expected, &mut reply)?;
-            }
+    // One reply slot per entry of the recv list: a local group fills its
+    // own now, a peer's group when that peer's pair comes up.
+    let mut slots = Vec::with_capacity(recvs.len());
+    for expected in &recvs {
+        if expected.worker != my_id {
+            slots.push(Vec::new());
+        } else if let Some(bytes) = local.remove(expected) {
+            slots.push(bytes);
+        } else {
+            let (src, dst, count) = (expected.src, expected.dst, expected.frames);
+            return Err(refuse(format!(
+                "exchange op lists local group {src}->{dst} of {count} frames it never sent"
+            )));
         }
-        writer.map_or(Ok(()), |writer| writer.join().expect("peer lane writer"))
-    })?;
+    }
     // Frames the master shipped and nobody collects must not vanish behind
     // a reply that looks complete.
-    if let Some((src, dst)) = local.keys().min() {
+    if let Some((src, dst)) = local.keys().map(|group| (group.src, group.dst)).min() {
         return Err(refuse(format!(
             "exchange op never collects local group {src}->{dst}"
         )));
     }
 
+    // One pair at a time; within a pair the lower id writes first.
+    let senders = recvs.iter().map(|group| group.worker);
+    for partner in pairwise_order(my_id, forward.keys().copied().chain(senders)) {
+        let bytes = forward.remove(&partner).unwrap_or_default();
+        if my_id < partner {
+            lanes.write(my_id, partner, &bytes)?;
+        }
+        lanes.read(partner, &recvs, &mut slots)?;
+        if my_id > partner {
+            lanes.write(my_id, partner, &bytes)?;
+        }
+    }
+
     let mut writer = master;
     writer
-        .write_all(&reply)
+        .write_all(&slots.concat())
         .map_err(|e| TransportError::from_io(peer, "write exchange reply", e))
 }
 
-/// The one writer of an exchange: one `write_all` per lane, destinations in
-/// ascending worker order (`forward` is ordered), stopping at the first
-/// that fails. A lane is connected, and introduced with this session's peer
-/// hello, the first time the session writes to it.
-fn write_lanes(
-    shared: &WorkerShared,
-    lanes: &mut HashMap<usize, TcpStream>,
-    my_id: usize,
-    session: u64,
-    forward: &BTreeMap<usize, Vec<u8>>,
-) -> Result<(), TransportError> {
-    for (&worker, bytes) in forward {
-        let lane = match lanes.entry(worker) {
+impl SessionLanes<'_> {
+    /// Puts `bytes`, if any, on the lane to `worker`, connecting it (and
+    /// introducing it with this session's peer hello) on first use.
+    fn write(&mut self, my_id: usize, worker: usize, bytes: &[u8]) -> Result<(), TransportError> {
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        let shared = self.shared;
+        let lane = match self.outgoing.entry(worker) {
             Entry::Occupied(slot) => slot.into_mut(),
             Entry::Vacant(slot) => {
                 let state = dsr_sync::lock(&shared.state);
@@ -446,48 +432,88 @@ fn write_lanes(
                     .set_write_timeout(Some(shared.options.io_timeout))
                     .map_err(|e| TransportError::from_io(&peer(), "set peer timeout", e))?;
                 stream
-                    .write_all(&peer_hello(my_id, session))
+                    .write_all(&peer_hello(my_id, self.session))
                     .map_err(|e| TransportError::from_io(&peer(), "write peer hello", e))?;
                 slot.insert(stream)
             }
         };
         lane.write_all(bytes).map_err(|e| {
             TransportError::from_io(&peer_name(shared, worker), "forward exchange frames", e)
-        })?;
+        })
     }
-    Ok(())
+
+    /// Reads the groups `recvs` expects from worker `from`, in the order its
+    /// lane carries them, into their `slots`, checking each announced header.
+    fn read(
+        &mut self,
+        from: usize,
+        recvs: &[GroupHeader],
+        slots: &mut [Vec<u8>],
+    ) -> Result<(), TransportError> {
+        let shared = self.shared;
+        let classify =
+            |e: FrameIoError| e.classify(&peer_name(shared, from), "read forwarded frames");
+        for (&expected, slot) in recvs.iter().zip(slots).filter(|(g, _)| g.worker == from) {
+            let lane = match self.incoming.entry(from) {
+                Entry::Occupied(lane) => lane.into_mut(),
+                Entry::Vacant(vacant) => vacant.insert(incoming_lane(shared, from, self.session)?),
+            };
+            let got = GroupHeader::read_from_lane(lane, from).map_err(classify)?;
+            if got != expected {
+                return Err(TransportError::Protocol {
+                    peer: peer_name(shared, from),
+                    reason: format!(
+                        "expected group {}->{} ({} frames), got {}->{} ({} frames)",
+                        expected.src, expected.dst, expected.frames, got.src, got.dst, got.frames
+                    ),
+                });
+            }
+            for _ in 0..expected.frames {
+                copy_frame(lane, slot).map_err(classify)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The partners of `my_id` among `workers` (repeats and `my_id` allowed),
+/// in the order an exchange meets them: ascending `my_id ^ partner`.
+fn pairwise_order(my_id: usize, workers: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut partners: Vec<usize> = workers.filter(|&worker| worker != my_id).collect();
+    partners.sort_unstable_by_key(|&worker| worker ^ my_id);
+    partners.dedup();
+    partners
 }
 
 /// Waits (bounded) for the incoming lane from `from` **belonging to
-/// `session`** and returns a read-timeout-configured clone of it. A lane
-/// left over from an older session is discarded on sight (its unread bytes
-/// belong to an exchange that already failed); a lane from a newer session
-/// means this exchange is already stale, so the wait simply runs out.
+/// `session`**, takes it out of the registry and returns it buffered, read
+/// timeout set. A lane left over from an older session is discarded on
+/// sight (its unread bytes belong to an exchange that already failed); a
+/// lane from a newer session means this exchange is already stale, so the
+/// wait simply runs out.
 fn incoming_lane(
     shared: &WorkerShared,
     from: usize,
     session: u64,
-) -> Result<TcpStream, TransportError> {
+) -> Result<BufReader<TcpStream>, TransportError> {
     let peer = || peer_name(shared, from);
     let deadline = std::time::Instant::now() + shared.options.io_timeout;
     let mut lanes = dsr_sync::lock(&shared.incoming);
     loop {
-        match lanes.get(&from) {
-            Some(&(sid, ref stream)) if sid == session => {
-                let clone = stream
-                    .try_clone()
-                    .map_err(|e| TransportError::from_io(&peer(), "clone peer lane", e))?;
-                clone
+        match lanes.remove(&from) {
+            Some((sid, stream)) if sid == session => {
+                stream
                     .set_read_timeout(Some(shared.options.io_timeout))
                     .map_err(|e| TransportError::from_io(&peer(), "set peer timeout", e))?;
-                return Ok(clone);
+                return Ok(BufReader::new(stream));
             }
-            Some(&(sid, _)) if sid < session => {
-                if let Some((_, stale)) = lanes.remove(&from) {
-                    let _ = stale.shutdown(Shutdown::Both);
-                }
+            Some((sid, stale)) if sid < session => {
+                let _ = stale.shutdown(Shutdown::Both);
             }
-            _ => {}
+            Some(newer) => {
+                lanes.insert(from, newer);
+            }
+            None => {}
         }
         let remaining = deadline.saturating_duration_since(std::time::Instant::now());
         if remaining.is_zero() {
@@ -501,32 +527,6 @@ fn incoming_lane(
     }
 }
 
-/// Reads one forwarded group from a peer lane, checks its header against
-/// the one the master announced and appends its frames to `reply`.
-fn read_group(
-    lane: &mut TcpStream,
-    shared: &WorkerShared,
-    expected: GroupHeader,
-    reply: &mut Vec<u8>,
-) -> Result<(), TransportError> {
-    let from = expected.worker;
-    let classify = |e: FrameIoError| e.classify(&peer_name(shared, from), "read forwarded frames");
-    let got = GroupHeader::read_from_lane(lane, from).map_err(classify)?;
-    if got != expected {
-        return Err(TransportError::Protocol {
-            peer: peer_name(shared, from),
-            reason: format!(
-                "expected group {}->{} ({} frames), got {}->{} ({} frames)",
-                expected.src, expected.dst, expected.frames, got.src, got.dst, got.frames
-            ),
-        });
-    }
-    for _ in 0..expected.frames {
-        put_frame(reply, &read_frame(lane).map_err(classify)?);
-    }
-    Ok(())
-}
-
 /// Peer name of a fellow worker for error values. Reads the roster under
 /// the state lock, so it is only built once something failed.
 fn peer_name(shared: &WorkerShared, worker: usize) -> String {
@@ -538,9 +538,11 @@ fn peer_name(shared: &WorkerShared, worker: usize) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::pairwise_order;
     use dsr_sync::model::{self, Model};
     use dsr_sync::{Arc, Condvar, Mutex};
-    use std::collections::BTreeMap;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// A peer lane as the ordering argument of the module docs sees it: a
     /// queue of one chunk, whose writer blocks while it is full and whose
@@ -569,101 +571,160 @@ mod tests {
         }
     }
 
-    /// The order [`write_lanes`] walks its destinations in: the keys of the
-    /// map [`handle_exchange`] lays the lane bytes out in, whatever order
-    /// the op named the destination workers in.
-    fn writer_order(worker: usize) -> Vec<usize> {
-        let forward: BTreeMap<usize, Vec<u8>> = (0..3)
-            .rev()
-            .filter(|&dst| dst != worker)
-            .map(|dst| (dst, Vec::new()))
-            .collect();
-        forward.keys().copied().collect()
+    /// Which lanes of a mesh carry something in one exchange: `[x][y]` when
+    /// worker x forwards to worker y (the master's op makes y expect it).
+    type Active = Vec<Vec<bool>>;
+
+    /// The order worker `worker` meets its partners in under `active`.
+    fn partners(active: &Active, worker: usize) -> Vec<usize> {
+        let peers = (0..active.len()).filter(|&p| active[worker][p] || active[p][worker]);
+        pairwise_order(worker, peers)
     }
 
-    /// One exchange of a three-worker mesh: per worker one writer, which
-    /// puts two chunks on each of its lanes in the order `writes` gives it
-    /// (so every writer blocks), and one reader, which takes two chunks off
-    /// each of its lanes in the order `reads` gives it — the master's op
-    /// order, which this side does not choose.
-    fn mesh_exchange(writes: &[Vec<usize>; 3], reads: &[[usize; 2]; 3]) {
-        let lanes: Arc<Vec<Vec<ModelLane>>> = Arc::new(
-            (0..3)
-                .map(|_| {
-                    (0..3)
-                        .map(|_| ModelLane {
-                            full: Mutex::new(false),
-                            changed: Condvar::new(),
-                        })
-                        .collect()
+    /// One exchange of a mesh as the session threads run it: each worker is
+    /// one thread that meets its partners in `orders[worker]`, putting two
+    /// chunks on every lane it writes (so a writer blocks until its reader
+    /// took the first) and taking two off every lane it reads. Within a
+    /// pair the lower id writes first — or, the mutation, both ends do when
+    /// `half_duplex` is off.
+    fn mesh_exchange(active: &Active, orders: &[Vec<usize>], half_duplex: bool) {
+        let workers = active.len();
+        let lanes: Arc<Vec<ModelLane>> = Arc::new(
+            (0..workers * workers)
+                .map(|_| ModelLane {
+                    full: Mutex::new(false),
+                    changed: Condvar::new(),
                 })
                 .collect(),
         );
-        let mut threads = Vec::new();
-        for worker in 0..3 {
-            let (mesh, order) = (Arc::clone(&lanes), writes[worker].clone());
-            threads.push(dsr_sync::thread::spawn(move || {
-                for dst in order {
-                    mesh[worker][dst].write();
-                    mesh[worker][dst].write();
-                }
-            }));
-            let (mesh, order) = (Arc::clone(&lanes), reads[worker]);
-            threads.push(dsr_sync::thread::spawn(move || {
-                for src in order {
-                    mesh[src][worker].read();
-                    mesh[src][worker].read();
-                }
-            }));
-        }
+        let threads: Vec<_> = (0..workers)
+            .map(|me| {
+                let (lanes, active, order) =
+                    (Arc::clone(&lanes), active.clone(), orders[me].clone());
+                dsr_sync::thread::spawn(move || {
+                    for partner in order {
+                        let write = || {
+                            if active[me][partner] {
+                                lanes[me * workers + partner].write();
+                                lanes[me * workers + partner].write();
+                            }
+                        };
+                        let read = || {
+                            if active[partner][me] {
+                                lanes[partner * workers + me].read();
+                                lanes[partner * workers + me].read();
+                            }
+                        };
+                        if me < partner || !half_duplex {
+                            write();
+                            read();
+                        } else {
+                            read();
+                            write();
+                        }
+                    }
+                })
+            })
+            .collect();
         for thread in threads {
-            thread.join().expect("mesh thread");
+            thread.join().expect("mesh worker");
         }
     }
 
-    /// Writers that walk their destinations in ascending worker order
-    /// finish whatever order the readers take their lanes in: all 2³
-    /// combinations, each under 256 schedules of a seeded random walk (six
-    /// threads of a dozen scheduling points each are more than the bounded
-    /// DFS gets through: it stops at its schedule limit a few choices from
-    /// where it started).
+    /// The mesh of `workers` whose lanes are the set bits of `subset`, in
+    /// the order `(x, y)` ascending, `x != y`.
+    fn mesh(workers: usize, subset: u64) -> Active {
+        let mut active = vec![vec![false; workers]; workers];
+        let lanes = (0..workers).flat_map(|x| (0..workers).map(move |y| (x, y)));
+        for (bit, (x, y)) in lanes.filter(|(x, y)| x != y).enumerate() {
+            active[x][y] = subset >> bit & 1 == 1;
+        }
+        active
+    }
+
+    /// Runs `active` under the pairwise schedule, `schedules` random walks
+    /// of the checker from `seed`.
+    fn check_pairwise(active: &Active, seed: u64, schedules: u64) {
+        let orders: Vec<Vec<usize>> = (0..active.len()).map(|w| partners(active, w)).collect();
+        Model::new()
+            .random(seed, schedules)
+            .check(|| mesh_exchange(active, &orders, true))
+            .unwrap_or_else(|failure| panic!("lanes {active:?}: {failure}"));
+    }
+
+    /// Three workers meeting in pairwise order finish whatever subset of
+    /// the six lanes an exchange uses — every one of the 2⁶, which covers
+    /// every subset of active pairs in every direction — each under 32
+    /// schedules of a seeded random walk. Three is not a power of two: in
+    /// the round of `x ^ y = 3` worker 0 has no partner.
     #[test]
-    fn model_one_ascending_writer_per_worker_never_deadlocks() {
-        let writes = [writer_order(0), writer_order(1), writer_order(2)];
-        assert_eq!(writes, [vec![1, 2], vec![0, 2], vec![0, 1]]);
-        for combination in 0..8usize {
-            let reads: [[usize; 2]; 3] = std::array::from_fn(|worker| {
-                let mut order = [writes[worker][0], writes[worker][1]];
-                if combination >> worker & 1 == 1 {
-                    order.reverse();
-                }
-                order
-            });
-            Model::new()
-                .random(0x1A4E5 + combination as u64, 256)
-                .check(|| mesh_exchange(&writes, &reads))
-                .unwrap_or_else(|failure| panic!("readers {reads:?}: {failure}"));
+    fn model_pairwise_exchange_of_three_workers_never_deadlocks() {
+        let all = mesh(3, u64::MAX);
+        assert_eq!(
+            (0..3).map(|w| partners(&all, w)).collect::<Vec<_>>(),
+            [vec![1, 2], vec![0, 2], vec![0, 1]]
+        );
+        for subset in 0..1u64 << 6 {
+            check_pairwise(&mesh(3, subset), 0x3A1E5 + subset, 32);
         }
     }
 
-    /// Seeded mutation: worker 1 walks its destinations downwards. Against
-    /// readers that each start with the lane nobody has written yet, every
-    /// writer fills its first lane and waits there — the checker must
-    /// report the circle, with a schedule that replays it.
+    /// Four workers: round `r` pairs every `x` with `x ^ r`, three perfect
+    /// matchings; the full mesh and a seeded sample of 63 of the 2¹²
+    /// subsets of its lanes finish, each under 32 schedules.
     #[test]
-    fn model_mutation_descending_lane_writer_detected() {
+    fn model_pairwise_exchange_of_four_workers_never_deadlocks() {
+        let all = mesh(4, u64::MAX);
+        assert_eq!(
+            (0..4).map(|w| partners(&all, w)).collect::<Vec<_>>(),
+            [vec![1, 2, 3], vec![0, 3, 2], vec![3, 0, 1], vec![2, 1, 0]]
+        );
+        check_pairwise(&all, 0x4A1E5, 32);
+        let mut rng = SmallRng::seed_from_u64(0x4A1E5);
+        for round in 1..64 {
+            let subset = rng.gen_range(0..1u64 << 12);
+            check_pairwise(&mesh(4, subset), 0x4A1E5 + round, 32);
+        }
+    }
+
+    /// Asserts that the checker reports `orders` over `active` as a
+    /// deadlock, with a schedule that replays as one.
+    fn assert_deadlocks(active: &Active, orders: &[Vec<usize>], half_duplex: bool) {
+        let failure = Model::new()
+            .check(|| mesh_exchange(active, orders, half_duplex))
+            .expect_err("the mutated schedule must deadlock");
+        assert!(failure.message.contains("deadlock"), "{failure}");
+        let replayed = Model::new()
+            .replay(&failure.schedule, || {
+                mesh_exchange(active, orders, half_duplex)
+            })
+            .expect_err("the recorded schedule deadlocks again");
+        assert!(replayed.message.contains("deadlock"), "{replayed}");
+    }
+
+    /// Seeded mutation: worker 1 walks its partners downwards while 0 and
+    /// 2 keep the shared order. Worker 0 writes to 1 and waits for its
+    /// reply, 1 writes to 2 and waits for 2's, and 2 waits to read from 0:
+    /// a circle the checker must report.
+    #[test]
+    fn model_mutation_partner_out_of_pairwise_order_detected() {
         if !model::is_model_build() {
             return;
         }
-        let writes = [writer_order(0), vec![2, 0], writer_order(2)];
-        let reads = [[1, 2], [2, 0], [0, 1]];
-        let failure = Model::new()
-            .check(|| mesh_exchange(&writes, &reads))
-            .expect_err("a writer out of ascending order must deadlock");
-        assert!(failure.message.contains("deadlock"), "{failure}");
-        let replayed = Model::new()
-            .replay(&failure.schedule, || mesh_exchange(&writes, &reads))
-            .expect_err("the recorded schedule deadlocks again");
-        assert!(replayed.message.contains("deadlock"), "{replayed}");
+        let all = mesh(3, u64::MAX);
+        let orders = [partners(&all, 0), vec![2, 0], partners(&all, 2)];
+        assert_deadlocks(&all, &orders, true);
+    }
+
+    /// Seeded mutation: both ends of a pair write first. Each fills the
+    /// other's lane and waits for the room its partner never makes.
+    #[test]
+    fn model_mutation_both_ends_of_a_pair_writing_first_detected() {
+        if !model::is_model_build() {
+            return;
+        }
+        let all = mesh(3, u64::MAX);
+        let orders: Vec<Vec<usize>> = (0..3).map(|w| partners(&all, w)).collect();
+        assert_deadlocks(&all, &orders, false);
     }
 }
