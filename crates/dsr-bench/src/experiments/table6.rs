@@ -61,8 +61,8 @@ fn run_family(title: &str, store: dsr_rdf::TripleStore, query_names: &[&str]) ->
         ),
     ];
 
-    // Result counts must be identical across engines.
-    let mut reference_counts: Vec<Option<usize>> = vec![None; query_names.len()];
+    // Solutions must be identical across engines, binding for binding.
+    let mut reference: Vec<Option<Solutions>> = vec![None; query_names.len()];
 
     for (engine, slaves, resolver) in configurations {
         let mut cells = vec![engine, slaves];
@@ -70,12 +70,12 @@ fn run_family(title: &str, store: dsr_rdf::TripleStore, query_names: &[&str]) ->
         for (qi, name) in query_names.iter().enumerate() {
             let query = named_query(name).expect("benchmark query exists");
             let (results, elapsed) = time(|| evaluate(&store, &query, resolver.as_ref()));
-            match reference_counts[qi] {
-                None => reference_counts[qi] = Some(results.len()),
-                Some(expected) => assert_eq!(
-                    expected,
-                    results.len(),
-                    "{name}: engines must return the same number of solutions"
+            let solutions = solution_set(&results);
+            match &reference[qi] {
+                None => reference[qi] = Some(solutions),
+                Some(expected) => assert!(
+                    *expected == solutions,
+                    "{name}: engines must return the same solutions"
                 ),
             }
             durations.push(elapsed);
@@ -85,6 +85,25 @@ fn run_family(title: &str, store: dsr_rdf::TripleStore, query_names: &[&str]) ->
         table.row(cells);
     }
     table.render()
+}
+
+/// Each binding as its sorted `(variable, term)` list, in sorted order.
+type Solutions = Vec<Vec<(String, u32)>>;
+
+fn solution_set(bindings: &[dsr_rdf::query::Binding]) -> Solutions {
+    let mut set: Solutions = bindings
+        .iter()
+        .map(|binding| {
+            let mut entries: Vec<(String, u32)> = binding
+                .iter()
+                .map(|(var, &term)| (var.clone(), term))
+                .collect();
+            entries.sort();
+            entries
+        })
+        .collect();
+    set.sort();
+    set
 }
 
 #[cfg(test)]

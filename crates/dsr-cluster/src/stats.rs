@@ -156,9 +156,9 @@ impl UpdateStats {
 ///   after a worker failure.
 /// * `suspects` — worker *transitions* into the suspect state (a worker
 ///   suspected once and never revived counts once).
-/// * `resyncs` — suspect workers brought back by a successful rejoin
-///   (each rejoin replays the buffered `SummaryDelta` backlog through the
-///   returning worker; see `TcpTransport::rejoin_suspects`).
+/// * `resyncs` — suspect workers brought back by a successful rejoin: a
+///   reconnect that clears the suspect flag (workers hold no state to
+///   restore; see `TcpTransport::rejoin_suspects`).
 #[derive(Debug, Default)]
 pub struct FailoverStats {
     retries: AtomicU64,

@@ -1,18 +1,15 @@
 //! Failover: bringing the mesh to a serving state, the one retry loop of a
 //! collective (attribution, suspicion, bounded backoff), fault injection,
-//! liveness probes and the rejoin of recovered workers.
+//! liveness probes and the rejoin of recovered workers. A worker holds no
+//! state, so a rejoin is a reconnect.
 
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use super::master::{MasterState, TcpTransport};
-use super::protocol::put_echo_op;
 use crate::error::TransportError;
 use crate::fault::{Fault, FaultPhase, FaultPlan};
-use crate::stats::CommStats;
 use crate::topology::Topology;
-use crate::transport::WireMessage;
-use crate::wire;
 
 /// First failover retry delay; doubles per retry up to
 /// [`FAILOVER_BACKOFF_MAX`].
@@ -45,17 +42,15 @@ impl TcpTransport {
         }));
     }
 
-    /// Tries to re-adopt every suspect worker: a short-timeout reconnect,
-    /// then `backlog` (the differential state the worker missed — for the
-    /// DSR engine, the update-batch summary deltas) is streamed through it
-    /// and measured into `stats`. Returns the ids of the workers that came
-    /// back; each one clears its suspect flag (bumping the topology
-    /// generation) and counts one
-    /// [`resync`](crate::FailoverSnapshot::resyncs).
+    /// Tries to re-adopt every suspect worker with a short-timeout
+    /// reconnect. Returns the ids of the workers that came back; each one
+    /// clears its suspect flag and counts one
+    /// [`resync`](crate::FailoverSnapshot::resyncs). A worker holds no
+    /// state, so the reconnect is the whole resync.
     ///
     /// Rejoin never happens implicitly mid-collective — the caller decides
     /// when (typically between query/update batches).
-    pub fn rejoin_suspects<M: WireMessage>(&self, backlog: &[M], stats: &CommStats) -> Vec<usize> {
+    pub fn rejoin_suspects(&self) -> Vec<usize> {
         let mut state = dsr_sync::lock(&self.state);
         let suspects = state
             .topology
@@ -64,36 +59,13 @@ impl TcpTransport {
         if suspects.is_empty() {
             return Vec::new();
         }
-        let frames: Vec<Vec<u8>> = backlog.iter().map(wire::encode_to_vec).collect();
         let probe_timeout = state.spec.connect_timeout.min(PROBE_TIMEOUT);
         let mut rejoined = Vec::new();
         for worker in suspects {
             state.epoch += 1;
-            let Ok(mut link) = state.connect(worker, state.epoch, probe_timeout) else {
+            let Ok(link) = state.connect(worker, state.epoch, probe_timeout) else {
                 continue; // still down; stays suspect
             };
-            // Stream the missed state through the fresh link. One round,
-            // one message per backlog frame — the caller's stats witness
-            // that the rejoin moved delta-sized traffic, not a rebuild.
-            if !frames.is_empty() {
-                stats.record_round();
-            }
-            let replayed = frames.iter().all(|frame| {
-                let mut op = Vec::with_capacity(frame.len() + 2 * wire::MAX_VARINT_LEN);
-                put_echo_op(&mut op, frame);
-                let intact = link.send(&op, "resync send").is_ok()
-                    && link
-                        .recv("resync reply")
-                        .is_ok_and(|echoed| echoed == *frame);
-                if intact {
-                    stats.record_message(frame.len());
-                }
-                intact
-            });
-            if !replayed {
-                let _ = link.stream.shutdown(Shutdown::Both);
-                continue;
-            }
             if let Some(topology) = state.topology.as_mut() {
                 topology.mark_live(worker);
             }

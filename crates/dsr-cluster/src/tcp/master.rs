@@ -209,7 +209,7 @@ impl MasterState {
             Some(t) => t.num_partitions() != num_partitions || t.num_workers() != workers,
         };
         if stale {
-            self.topology = Some(self.placement(num_partitions, workers)?);
+            self.topology = Some(self.placement(num_partitions, workers));
         }
         let topology = self.topology.as_ref().expect("placed above");
         match topology.unroutable_partition() {
@@ -218,22 +218,15 @@ impl MasterState {
         }
     }
 
-    /// The one placement policy: the spec's `assignments` when it pins
-    /// them, round-robin over `workers` at the replication factor
-    /// otherwise — with the suspicion of the current table carried over.
-    fn placement(&self, num_partitions: usize, workers: usize) -> Result<Topology, TransportError> {
-        let mut placed = match &self.spec.assignments {
-            Some(assignments) => Topology::from_worker_partitions(num_partitions, assignments)
-                .map_err(|reason| TransportError::Protocol {
-                    peer: "cluster".to_string(),
-                    reason: format!("invalid partition assignments: {reason}"),
-                })?,
-            None => Topology::round_robin(num_partitions, workers, self.spec.replication),
-        };
+    /// The one placement policy: round-robin over `workers` at the
+    /// replication factor, with the suspicion of the current table carried
+    /// over.
+    fn placement(&self, num_partitions: usize, workers: usize) -> Topology {
+        let mut placed = Topology::round_robin(num_partitions, workers, self.spec.replication);
         if let Some(current) = &self.topology {
             placed.inherit_suspects(current);
         }
-        Ok(placed)
+        placed
     }
 
     /// Severs and forgets every live link. The next `ensure_ready`
@@ -303,15 +296,13 @@ impl TcpTransport {
             connect_timeout: io_timeout,
             io_timeout,
             replication,
-            assignments: None,
         };
         Self::new(MasterState::new(spec, Some(Vec::new()), 0))
     }
 
     /// Connects to the external workers of `spec` (each a running
     /// `dsr-node worker`) and performs the handshake with every one.
-    /// Partition placement follows `spec.assignments` when present,
-    /// otherwise round-robin at `spec.replication`.
+    /// Partitions are placed round-robin at `spec.replication`.
     pub fn connect(spec: &ClusterSpec) -> Result<Self, TransportError> {
         let session = 1;
         let mut state = MasterState::new(spec.clone(), None, session);
@@ -482,15 +473,12 @@ impl Transport for TcpTransport {
             }
         }
         // What ensure_mesh would build, without mutating (a loopback mesh
-        // grows to the collective width on demand). Assignments that do
-        // not cover the width fail the collective itself.
+        // grows to the collective width on demand).
         let mut workers = state.spec.workers.len();
         if state.loopback.is_some() {
             workers = workers.max(num_partitions);
         }
-        state
-            .placement(num_partitions, workers.max(1))
-            .unwrap_or_else(|_| Topology::identity(num_partitions))
+        state.placement(num_partitions, workers.max(1))
     }
 
     fn scatter<M: WireMessage>(

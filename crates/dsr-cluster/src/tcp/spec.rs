@@ -1,5 +1,8 @@
-//! [`ClusterSpec`]: the workers and the socket policies, from a TOML file
-//! or written in code, checked by one [`ClusterSpec::validate`].
+//! [`ClusterSpec`]: the workers, the replication factor and the socket
+//! policies, from a TOML file or written in code, checked by one
+//! [`ClusterSpec::validate`]. Placement is not part of a spec: partitions
+//! go round-robin over the workers
+//! ([`Topology::round_robin`](crate::Topology::round_robin)).
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -26,9 +29,9 @@ use std::time::Duration;
 /// ```
 ///
 /// With `replication = 2` every partition is hosted by two workers
-/// (round-robin placement unless `assignments` pins it explicitly), and the
-/// master retries a failed collective leg against the next replica instead
-/// of failing the query — see the crate's fault-tolerance docs.
+/// (round-robin placement), and the master retries a failed collective leg
+/// against the next replica instead of failing the query — see the crate's
+/// fault-tolerance docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Worker addresses (`host:port`), in worker-id order.
@@ -41,13 +44,9 @@ pub struct ClusterSpec {
     /// hang.
     pub io_timeout: Duration,
     /// How many workers host each partition (default 1 = no replication).
-    /// With the default round-robin placement partition `p` lives on
-    /// workers `p % W, (p+1) % W, …`.
+    /// Placement is round-robin: partition `p` lives on workers
+    /// `p % W, (p+1) % W, …`.
     pub replication: usize,
-    /// Explicit partition placement: `assignments[w]` lists the partitions
-    /// hosted by worker `w`. `None` (the default) means round-robin
-    /// placement derived from `replication`.
-    pub assignments: Option<Vec<Vec<usize>>>,
 }
 
 impl ClusterSpec {
@@ -59,29 +58,25 @@ impl ClusterSpec {
             connect_timeout: Duration::from_secs(5),
             io_timeout: Duration::from_secs(30),
             replication: 1,
-            assignments: None,
         }
     }
 
     /// Checks the rules every spec obeys, however it was written: at least
-    /// one worker, `replication ≥ 1`, and one `assignments` list per worker.
-    /// The error describes the first rule the spec breaks.
+    /// one worker and `replication ≥ 1`. The error describes the first rule
+    /// the spec breaks.
     pub fn validate(&self) -> Result<(), String> {
         self.broken_rule().map_or(Ok(()), |(_, reason)| Err(reason))
     }
 
     /// The first rule this spec breaks: the TOML key it concerns, and why.
     fn broken_rule(&self) -> Option<(&'static str, String)> {
-        let workers = self.workers.len();
-        if workers == 0 {
+        if self.workers.is_empty() {
             return Some(("workers", "`workers` must list at least one address".into()));
         }
         if self.replication == 0 {
             return Some(("replication", "replication must be at least 1".into()));
         }
-        let lists = self.assignments.as_ref().map_or(workers, Vec::len);
-        let reason = format!("assignments lists {lists} workers, but `workers` lists {workers}");
-        (lists != workers).then_some(("assignments", reason))
+        None
     }
 
     /// Parses the TOML subset shown in the type docs: `key = value` lines,
@@ -112,16 +107,10 @@ impl ClusterSpec {
                 "connect_timeout_ms" => spec.connect_timeout = millis()?,
                 "io_timeout_ms" => spec.io_timeout = millis()?,
                 "replication" => spec.replication = parse_integer(value, number)? as usize,
-                "assignments" => {
-                    let lists = parse_string_array(value, number)?;
-                    let parsed = lists.iter().map(|list| parse_partition_list(list, number));
-                    spec.assignments = Some(parsed.collect::<Result<_, _>>()?);
-                }
                 other => {
                     return Err(format!(
                         "line {number}: unknown key {other:?} (expected workers, \
-                         connect_timeout_ms, io_timeout_ms, replication or \
-                         assignments)"
+                         connect_timeout_ms, io_timeout_ms or replication)"
                     ))
                 }
             }
@@ -149,8 +138,8 @@ fn parse_string_array(value: &str, line: usize) -> Result<Vec<String>, String> {
         .strip_prefix('[')
         .and_then(|v| v.strip_suffix(']'))
         .ok_or_else(|| format!("line {line}: expected a [\"...\"] array"))?;
-    // Split on commas *outside* quotes (assignments entries like "0, 3"
-    // legitimately contain commas).
+    // Split on commas *outside* quotes: a quoted item is taken whole,
+    // whatever it contains, and an unterminated quote is refused.
     let mut pieces = Vec::new();
     let mut current = String::new();
     let mut in_quotes = false;
@@ -187,18 +176,4 @@ fn parse_integer(value: &str, line: usize) -> Result<u64, String> {
     value
         .parse::<u64>()
         .map_err(|_| format!("line {line}: expected an integer, got {value:?}"))
-}
-
-/// Parses one assignments entry: a comma-separated partition-id list like
-/// `"0, 3, 4"` (an empty string means the worker hosts nothing).
-fn parse_partition_list(list: &str, line: usize) -> Result<Vec<usize>, String> {
-    list.split(',')
-        .map(str::trim)
-        .filter(|piece| !piece.is_empty())
-        .map(|piece| {
-            piece.parse::<usize>().map_err(|_| {
-                format!("line {line}: assignments entries must be comma-separated partition ids")
-            })
-        })
-        .collect()
 }

@@ -49,29 +49,17 @@ fn cluster_spec_parses_replication_and_assignments() {
         r#"
         workers = ["a:1", "b:2", "c:3"]
         replication = 2
-        assignments = ["0, 1", "1, 2", "2, 0"]
         "#,
     )
     .expect("parses");
     assert_eq!(spec.replication, 2);
-    assert_eq!(
-        spec.assignments,
-        Some(vec![vec![0, 1], vec![1, 2], vec![2, 0]])
-    );
 
-    // Replication defaults to 1 with no assignments.
+    // Replication defaults to 1.
     let spec = ClusterSpec::from_toml_str("workers = [\"a:1\"]").expect("parses");
     assert_eq!(spec.replication, 1);
-    assert_eq!(spec.assignments, None);
 
     let err = ClusterSpec::from_toml_str("workers = [\"a:1\"]\nreplication = 0").unwrap_err();
     assert!(err.contains("line 2"), "{err}");
-    let err = ClusterSpec::from_toml_str("workers = [\"a:1\", \"b:2\"]\nassignments = [\"0\"]")
-        .unwrap_err();
-    assert!(err.contains("assignments"), "{err}");
-    let err =
-        ClusterSpec::from_toml_str("workers = [\"a:1\"]\nassignments = [\"zero\"]").unwrap_err();
-    assert!(err.contains("partition ids"), "{err}");
 }
 
 #[test]
@@ -81,7 +69,6 @@ fn cluster_spec_builder_validates() {
         connect_timeout: Duration::from_secs(1),
         io_timeout: Duration::from_secs(2),
         replication: 2,
-        assignments: Some(vec![vec![0, 1], vec![1, 0]]),
     };
     spec.validate().expect("valid");
 
@@ -93,16 +80,10 @@ fn cluster_spec_builder_validates() {
     assert!(err.expect_err("no workers").contains("at least one"));
     let err = ClusterSpec {
         replication: 0,
-        ..spec.clone()
-    }
-    .validate();
-    assert!(err.expect_err("no replica").contains("replication"));
-    let err = ClusterSpec {
-        assignments: Some(vec![vec![0]]),
         ..spec
     }
     .validate();
-    assert!(err.expect_err("one list short").contains("assignments"));
+    assert!(err.expect_err("no replica").contains("replication"));
 }
 
 #[test]
@@ -110,6 +91,11 @@ fn cluster_spec_rejects_garbage_with_line_numbers() {
     let err = ClusterSpec::from_toml_str("workers = [\"a:1\"]\nbogus_key = 3").unwrap_err();
     assert!(err.contains("line 2"), "{err}");
     assert!(err.contains("bogus_key"), "{err}");
+    // Placement is round-robin, not a key.
+    let err = ClusterSpec::from_toml_str("workers = [\"a:1\", \"b:2\"]\n\nassignments = [\"0\"]")
+        .unwrap_err();
+    assert!(err.contains("line 3"), "{err}");
+    assert!(err.contains("unknown key \"assignments\""), "{err}");
     let err = ClusterSpec::from_toml_str("").unwrap_err();
     assert!(err.contains("workers"));
     let err = ClusterSpec::from_toml_str("workers = []").unwrap_err();
@@ -462,25 +448,30 @@ fn rejoined_worker_serves_again_after_resync() {
         .expect("failover");
     assert_eq!(transport.suspects(), vec![1]);
 
-    // Loopback worker threads survive the severed link (rejoin_wait),
-    // so the suspect can be re-adopted, replaying a backlog through it.
-    let resync_stats = CommStats::new();
-    let backlog = vec![7u32, 8, 9];
-    let rejoined = transport.rejoin_suspects(&backlog, &resync_stats);
+    // Loopback worker threads survive the severed link (rejoin_wait), so
+    // the suspect can be re-adopted by a reconnect.
+    let rejoined = transport.rejoin_suspects();
     assert_eq!(rejoined, vec![1]);
     assert!(transport.suspects().is_empty());
     let failover = transport.failover_stats().snapshot();
     assert_eq!(failover.resyncs, 1, "{failover:?}");
-    let (rounds, messages, bytes) = resync_stats.snapshot();
-    assert_eq!(rounds, 1);
-    assert_eq!(messages, backlog.len() as u64);
-    assert!(bytes > 0);
+    assert_eq!(transport.topology(3).route(1), Some(1), "primary again");
 
-    // The rejoined worker serves the next collective.
+    // The rejoined worker serves the next collectives — a scatter and an
+    // exchange whose lanes run through it — with no retry.
     let delivered = transport
         .scatter(vec![10u32, 11, 12], &stats)
         .expect("post-rejoin scatter");
     assert_eq!(delivered, vec![10, 11, 12]);
+    let ring: Vec<Vec<(usize, u32)>> = (0..3).map(|i| vec![((i + 1) % 3, 20 + i as u32)]).collect();
+    let incoming = transport
+        .all_to_all(3, ring, &stats)
+        .expect("post-rejoin exchange");
+    for dst in 0..3 {
+        let src = (dst + 2) % 3;
+        assert_eq!(incoming[dst], vec![(src, 20 + src as u32)], "dst {dst}");
+    }
+    assert_eq!(transport.failover_stats().snapshot(), failover);
 }
 
 #[test]

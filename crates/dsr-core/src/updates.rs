@@ -117,11 +117,6 @@ pub struct UpdateOutcome {
     pub patched_compounds: Vec<PartitionId>,
     /// Whether any compound graph changed at all.
     pub rebuilt_compounds: bool,
-    /// The (source partition, delta) pairs that crossed the wire in this
-    /// batch's exchange round — the exact payload a rejoining replica must
-    /// replay to catch up differentially (see the fault-tolerance docs in
-    /// `dsr-cluster`). Empty when the batch refreshed no summaries.
-    pub shipped_deltas: Vec<(PartitionId, SummaryDelta)>,
     /// Measured communication cost of the refresh exchange: the wire bytes
     /// of the shipped [`SummaryDelta`]s, byte-identical between the
     /// in-process and wire transports.
@@ -434,15 +429,6 @@ impl DsrIndex {
             })
             .collect();
 
-        // Keep a copy of every delta that will cross the wire: a rejoining
-        // replica is brought up to date by replaying exactly these (the
-        // differential path), never by rebuilding from scratch.
-        let shipped_deltas: Vec<(PartitionId, SummaryDelta)> = deltas
-            .iter()
-            .enumerate()
-            .filter_map(|(p, delta)| delta.as_ref().map(|d| (p as PartitionId, d.clone())))
-            .collect();
-
         let comm = CommStats::new();
         let mut received: Vec<Vec<(usize, SummaryDelta)>> = (0..k).map(|_| Vec::new()).collect();
         if k > 1 && deltas.iter().any(Option::is_some) {
@@ -533,7 +519,6 @@ impl DsrIndex {
             refreshed_summaries: refreshed,
             rebuilt_compounds: !affected.is_empty(),
             patched_compounds: affected,
-            shipped_deltas,
             stats: UpdateStats::from_comm(&comm),
         })
     }
@@ -732,9 +717,16 @@ mod tests {
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1, 2, 2, 2], 3);
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
         let op = [UpdateOp::Insert(2, 3)];
-        // What partition 0 honestly ships for this batch.
-        let honest = index.fork().apply_updates(&op).shipped_deltas;
-        let (_, delta) = honest.iter().find(|(p, _)| *p == 0).expect("0 refreshes");
+        // What partition 0 honestly ships for this batch: its summary
+        // before and after the update, diffed, with the cut edge it owns.
+        let mut updated = index.fork();
+        assert!(updated.apply_updates(&op).refreshed_summaries.contains(&0));
+        let delta = &SummaryDelta::diff(
+            &index.summaries[0],
+            &updated.summaries[0],
+            vec![(2, 3)],
+            Vec::new(),
+        );
         let classes = delta.classes.clone().expect("a new out-boundary");
 
         // Each forgery decodes cleanly but does not reconstruct partition

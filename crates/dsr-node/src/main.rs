@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use dsr_cluster::tcp::{bind_worker, serve_worker, WorkerOptions};
 use dsr_cluster::{ClusterSpec, DynTransport, FaultPlan, TcpTransport};
-use dsr_core::{DsrIndex, SetQuery, SummaryDelta, UpdateOp};
+use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::{update_stream, EdgeOp, UpdateStreamConfig};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
 use dsr_reach::LocalIndexKind;
@@ -291,22 +291,18 @@ fn run_master(args: &[String]) -> ExitCode {
     }
 }
 
-/// Attempts to re-adopt suspect workers, replaying `backlog` (the summary
-/// deltas shipped since they went dark) so a rejoined replica is brought up
-/// to date differentially instead of rebuilt.
-fn try_rejoin(service: &QueryService, backlog: &[SummaryDelta]) {
+/// Attempts to re-adopt suspect workers. Workers hold no state, so a
+/// reconnect is all a rejoined worker needs to serve again.
+fn try_rejoin(service: &QueryService) {
     let Some(tcp) = service.transport().as_tcp() else {
         return;
     };
     if tcp.suspects().is_empty() {
         return;
     }
-    let rejoined = tcp.rejoin_suspects(backlog, service.comm_stats());
+    let rejoined = tcp.rejoin_suspects();
     if !rejoined.is_empty() {
-        println!(
-            "resync: worker(s) {rejoined:?} rejoined, {} summary delta(s) replayed",
-            backlog.len()
-        );
+        println!("resync: worker(s) {rejoined:?} rejoined");
     }
 }
 
@@ -357,8 +353,8 @@ fn run_master_checked(args: &MasterArgs) -> Result<usize, String> {
         transport,
     );
     // Byte-identity verdicts only hold on the fault-free path: once
-    // failover has rerouted (or a resync has replayed deltas) the aggregate
-    // counters legitimately include recovery traffic. Correctness verdicts
+    // failover has rerouted the aggregate counters legitimately include
+    // recovery traffic. Correctness verdicts
     // — every answer matching the in-process reference — are never skipped.
     let clean = service.failover_stats().is_zero();
     if clean {
@@ -426,8 +422,7 @@ fn run_master_checked(args: &MasterArgs) -> Result<usize, String> {
         println!("  SKIP  batch 1: byte identity (failover active)");
     }
 
-    // --- One mixed update batch, deltas shipped over TCP. The shipped
-    // deltas double as the resync backlog for any worker that rejoins. ----
+    // --- One mixed update batch, deltas shipped over TCP. ----------------
     let ops: Vec<UpdateOp> = update_stream(
         &graph,
         &UpdateStreamConfig {
@@ -456,11 +451,6 @@ fn run_master_checked(args: &MasterArgs) -> Result<usize, String> {
         update.patched_compounds.len(),
         update.stats.update_bytes
     );
-    let backlog: Vec<SummaryDelta> = update
-        .shipped_deltas
-        .iter()
-        .map(|(_, delta)| delta.clone())
-        .collect();
     if service.failover_stats().is_zero() {
         verdict.check(
             "UpdateStats match in-process backend",
@@ -477,12 +467,12 @@ fn run_master_checked(args: &MasterArgs) -> Result<usize, String> {
 
     // --- Post-update batches 2..N: the patched remote index answers
     // correctly, across worker deaths (failover reroutes) and worker
-    // restarts (rejoin + differential resync between batches). ------------
+    // restarts (rejoin between batches). -----------------------------------
     for batch in 1..args.batches.max(2) as u32 {
         if !args.pause.is_zero() {
             dsr_sync::thread::sleep(args.pause);
         }
-        try_rejoin(&service, &backlog);
+        try_rejoin(&service);
         let queries = make_queries(batch);
         let expected = reference
             .query_batch(&queries)
@@ -516,7 +506,7 @@ fn run_master_checked(args: &MasterArgs) -> Result<usize, String> {
     }
 
     // One last chance for a restarted worker to rejoin before reporting.
-    try_rejoin(&service, &backlog);
+    try_rejoin(&service);
     let failover = service.failover_stats();
     println!(
         "failover: retries={} suspects={} resyncs={}",

@@ -303,7 +303,7 @@ fn killed_worker_rejoins_and_resyncs_via_deltas() {
             }
             // Once failover has routed batch 2 around the corpse, restart
             // the worker on the same port: a later inter-batch rejoin pass
-            // must re-adopt it and replay the update batch's deltas.
+            // must re-adopt it.
             if killed && restarted.is_none() && line.contains("batch 2: answers match") {
                 restarted = Some(Worker::respawn_at(&dead_addr));
             }
@@ -313,8 +313,8 @@ fn killed_worker_rejoins_and_resyncs_via_deltas() {
     assert!(restarted.is_some(), "never restarted the worker:\n{stdout}");
     assert!(ok, "master must finish the run and exit 0:\n{stdout}");
     assert!(!stdout.contains("FAIL"), "no failed checks:\n{stdout}");
-    // The restarted worker was re-adopted and brought up to date through
-    // the differential SummaryDelta backlog, not a rebuild.
+    // The restarted worker was re-adopted: reconnected and routed to again
+    // (a worker holds no state to restore).
     assert!(
         stdout.contains("resync: worker(s) [2] rejoined"),
         "rejoin reported:\n{stdout}"

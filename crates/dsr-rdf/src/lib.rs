@@ -15,17 +15,19 @@
 //!   are either plain IRIs or transitive property paths (`p*`), and an
 //!   evaluator that resolves plain patterns through index scans and path
 //!   patterns through a pluggable [`path::PathResolver`],
-//! * [`path`] — two path resolvers: [`path::DsrPathResolver`] (a DSR index
-//!   over each predicate's subgraph, the paper's approach) and
-//!   [`path::BfsPathResolver`] (per-source online BFS, standing in for the
-//!   centralized Virtuoso comparison point),
+//! * [`path`] — two path resolvers: [`path::DsrPathResolver`] (one DSR
+//!   index over the union of the predicates' subgraphs, the paper's
+//!   approach) and [`path::BfsPathResolver`] (per-source online BFS over
+//!   graphs of its own, standing in for the centralized Virtuoso
+//!   comparison point and serving as the tests' oracle),
 //! * [`datasets`] — LUBM-like and Freebase-like synthetic stores and the
 //!   six benchmark queries L1–L3 / F1–F3 of Appendix 8.3,
 //! * [`service`] — the serving-side integration: a
 //!   [`service::UnionPathGraph`] interning every predicate subgraph into
-//!   one index, a [`service::ServicePathResolver`] routing `p*` through a
-//!   pinned snapshot of a live `QueryService`, and the
-//!   [`service::RdfWorkload`] plugging the whole benchmark into the
+//!   one index (the one index per store both DSR resolvers query, and
+//!   their one term translation), a [`service::ServicePathResolver`]
+//!   routing `p*` through a pinned snapshot of a live `QueryService`, and
+//!   the [`service::RdfWorkload`] plugging the whole benchmark into the
 //!   service's `Workload` trait.
 
 #![forbid(unsafe_code)]

@@ -6,21 +6,23 @@
 //! `?y` are the targets, and SPARQL semantics include the zero-length path
 //! (every term reaches itself).
 //!
-//! * [`DsrPathResolver`] partitions each predicate subgraph and builds a
-//!   [`dsr_core::DsrIndex`] over it — the paper's approach of plugging the
-//!   DSR index into a distributed RDF engine.
-//! * [`BfsPathResolver`] answers each query with per-source online BFS and
-//!   no precomputation — the stand-in for the centralized Virtuoso
-//!   comparison point of Table 6.
+//! * [`DsrPathResolver`] partitions the [`UnionPathGraph`] of the path
+//!   predicates and builds one [`dsr_core::DsrIndex`] over it — the
+//!   paper's approach of plugging the DSR index into a distributed RDF
+//!   engine, and the same index the service resolver serves.
+//! * [`BfsPathResolver`] answers each query with per-source online BFS over
+//!   per-predicate graphs of its own and no precomputation — the stand-in
+//!   for the centralized Virtuoso comparison point of Table 6, and the
+//!   oracle the DSR resolvers are tested against, so it shares none of
+//!   their interning.
 
 use std::collections::HashMap;
 
 use dsr_core::{DsrEngine, DsrIndex};
 use dsr_graph::traversal::{bfs_reachable, Direction};
 use dsr_graph::{DiGraph, VertexId};
-use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
-use dsr_reach::LocalIndexKind;
 
+use crate::service::UnionPathGraph;
 use crate::store::{TermId, TripleStore};
 
 /// Resolves transitive-path reachability between candidate term sets.
@@ -40,64 +42,45 @@ pub trait PathResolver {
     fn name(&self) -> &'static str;
 }
 
-/// Maps the terms touched by one predicate onto a dense vertex space.
+/// Maps the terms touched by one predicate onto a dense vertex space (the
+/// BFS oracle's own, apart from [`UnionPathGraph`]).
 struct PredicateGraph {
     graph: DiGraph,
     vertex_of: HashMap<TermId, VertexId>,
-    term_of: Vec<TermId>,
 }
 
 impl PredicateGraph {
     fn build(store: &TripleStore, predicate: TermId) -> Self {
         let mut vertex_of: HashMap<TermId, VertexId> = HashMap::new();
-        let mut term_of: Vec<TermId> = Vec::new();
-        let intern =
-            |t: TermId, term_of: &mut Vec<TermId>, vertex_of: &mut HashMap<TermId, VertexId>| {
-                *vertex_of.entry(t).or_insert_with(|| {
-                    term_of.push(t);
-                    (term_of.len() - 1) as VertexId
-                })
-            };
         let mut edges = Vec::new();
         for &(s, o) in store.pairs_of(predicate) {
-            let vs = intern(s, &mut term_of, &mut vertex_of);
-            let vo = intern(o, &mut term_of, &mut vertex_of);
-            edges.push((vs, vo));
+            let mut intern = |t: TermId| {
+                let next = vertex_of.len() as VertexId;
+                *vertex_of.entry(t).or_insert(next)
+            };
+            edges.push((intern(s), intern(o)));
         }
         PredicateGraph {
-            graph: DiGraph::from_edges(term_of.len(), &edges),
+            graph: DiGraph::from_edges(vertex_of.len(), &edges),
             vertex_of,
-            term_of,
         }
     }
 }
 
-/// DSR-backed path resolver: one DSR index per predicate subgraph.
+/// DSR-backed path resolver: one DSR index over the [`UnionPathGraph`] of
+/// all its predicates.
 pub struct DsrPathResolver {
-    graphs: HashMap<TermId, PredicateGraph>,
-    indexes: HashMap<TermId, DsrIndex>,
+    map: UnionPathGraph,
+    index: DsrIndex,
 }
 
 impl DsrPathResolver {
-    /// Builds DSR indexes over the subgraphs of the given predicates,
-    /// partitioned into `num_slaves` partitions.
+    /// Builds the DSR index over the union of the given predicates'
+    /// subgraphs, partitioned into `num_slaves` partitions.
     pub fn new(store: &TripleStore, predicates: &[TermId], num_slaves: usize) -> Self {
-        let mut graphs = HashMap::new();
-        let mut indexes = HashMap::new();
-        for &p in predicates {
-            let pg = PredicateGraph::build(store, p);
-            let partitioning = if pg.graph.num_vertices() == 0 {
-                Partitioning::single(0)
-            } else if num_slaves <= 1 {
-                Partitioning::single(pg.graph.num_vertices())
-            } else {
-                HashPartitioner::default().partition(&pg.graph, num_slaves)
-            };
-            let index = DsrIndex::build(&pg.graph, partitioning, LocalIndexKind::Dfs);
-            graphs.insert(p, pg);
-            indexes.insert(p, index);
-        }
-        DsrPathResolver { graphs, indexes }
+        let map = UnionPathGraph::build(store, predicates);
+        let index = map.build_index(num_slaves);
+        DsrPathResolver { map, index }
     }
 }
 
@@ -108,30 +91,11 @@ impl PathResolver for DsrPathResolver {
         sources: &[TermId],
         targets: &[TermId],
     ) -> Vec<(TermId, TermId)> {
-        let mut out = reflexive_pairs(sources, targets);
-        let (Some(pg), Some(index)) = (self.graphs.get(&predicate), self.indexes.get(&predicate))
-        else {
-            out.sort_unstable();
-            out.dedup();
-            return out;
-        };
-        let src_vertices: Vec<VertexId> = sources
-            .iter()
-            .filter_map(|t| pg.vertex_of.get(t).copied())
-            .collect();
-        let tgt_vertices: Vec<VertexId> = targets
-            .iter()
-            .filter_map(|t| pg.vertex_of.get(t).copied())
-            .collect();
-        if !src_vertices.is_empty() && !tgt_vertices.is_empty() {
-            let engine = DsrEngine::new(index);
-            for (s, t) in engine.set_reachability(&src_vertices, &tgt_vertices).pairs {
-                out.push((pg.term_of[s as usize], pg.term_of[t as usize]));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.map.resolve(predicate, sources, targets, |query| {
+            DsrEngine::new(&self.index)
+                .set_reachability(&query.sources, &query.targets)
+                .pairs
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -282,13 +282,27 @@ fn dedup_bindings(bindings: Vec<Binding>) -> Vec<Binding> {
         std::collections::HashSet::new();
     let mut out = Vec::new();
     for b in bindings {
-        let mut key: Vec<(String, TermId)> = b.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        key.sort();
-        if seen.insert(key) {
+        if seen.insert(sorted_entries(&b)) {
             out.push(b);
         }
     }
     out
+}
+
+/// A binding as its `(variable, term)` list, sorted.
+fn sorted_entries(binding: &Binding) -> Vec<(String, TermId)> {
+    let mut entries: Vec<(String, TermId)> = binding.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    entries.sort();
+    entries
+}
+
+/// The solutions of an evaluation, each binding as its sorted entries, in
+/// sorted order: what two resolvers must agree on.
+#[cfg(test)]
+pub(crate) fn solution_set(bindings: &[Binding]) -> Vec<Vec<(String, TermId)>> {
+    let mut set: Vec<_> = bindings.iter().map(sorted_entries).collect();
+    set.sort();
+    set
 }
 
 #[cfg(test)]

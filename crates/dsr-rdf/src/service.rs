@@ -2,20 +2,21 @@
 //! answered by **one** snapshot-isolated [`QueryService`] over a single
 //! union index.
 //!
-//! [`DsrPathResolver`](crate::path::DsrPathResolver) builds one standalone
-//! DSR index *per predicate* and queries each directly — fine for an
-//! offline Table 6 run, but a live RDF tenant shares its serving
-//! infrastructure: queries from many clients should fuse into shared
-//! protocol rounds, answers should come out of the service cache, and a
-//! long-running evaluation must not observe concurrent update batches.
+//! [`DsrPathResolver`](crate::path::DsrPathResolver) queries that union
+//! index directly — fine for an offline Table 6 run, but a live RDF tenant
+//! shares its serving infrastructure: queries from many clients should
+//! fuse into shared protocol rounds, answers should come out of the
+//! service cache, and a long-running evaluation must not observe
+//! concurrent update batches.
 //!
-//! This module provides the serving-side equivalents:
+//! This module provides:
 //!
 //! * [`UnionPathGraph`] interns `(predicate, term)` pairs into one dense
 //!   vertex space, giving each predicate's subgraph a disjoint vertex
 //!   range — so a **single** [`DsrIndex`] (and therefore a single
 //!   [`QueryService`]) serves all path predicates at once, and
-//!   reachability can never leak across predicates.
+//!   reachability can never leak across predicates. Both DSR resolvers
+//!   translate terms in and answers out through it.
 //! * [`ServicePathResolver`] implements [`PathResolver`] by translating
 //!   each `p*` resolution into a set-reachability query routed through
 //!   [`SnapshotRef::query_batch`] — fusing with concurrent traffic,
@@ -28,6 +29,7 @@
 //!
 //! [`QueryService`]: dsr_service::QueryService
 
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
@@ -35,7 +37,7 @@ use dsr_core::{DsrIndex, SetQuery};
 use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
 use dsr_reach::LocalIndexKind;
-use dsr_service::{checksum_pairs, ServiceError, SnapshotRef, Workload, WorkloadRun};
+use dsr_service::{checksum_pairs, CachedPairs, ServiceError, SnapshotRef, Workload, WorkloadRun};
 
 use crate::datasets::{named_query, path_predicates};
 use crate::path::{reflexive_pairs, PathResolver};
@@ -113,6 +115,40 @@ impl UnionPathGraph {
         };
         DsrIndex::build(&self.graph, partitioning, LocalIndexKind::Dfs)
     }
+
+    /// Resolves `predicate*` between two term sets, the one translation
+    /// both DSR resolvers share: the zero-length pairs, plus the pairs
+    /// `reach` answers for the query over the terms' vertices in
+    /// `predicate`'s subgraph (asked only when both sides have some),
+    /// translated back to terms — sorted, without duplicates.
+    pub(crate) fn resolve<R: Borrow<Vec<(VertexId, VertexId)>>>(
+        &self,
+        predicate: TermId,
+        sources: &[TermId],
+        targets: &[TermId],
+        reach: impl FnOnce(SetQuery) -> R,
+    ) -> Vec<(TermId, TermId)> {
+        let mut out = reflexive_pairs(sources, targets);
+        let vertices = |terms: &[TermId]| -> Vec<VertexId> {
+            terms
+                .iter()
+                .filter_map(|&t| self.vertex(predicate, t))
+                .collect()
+        };
+        let query = SetQuery::new(vertices(sources), vertices(targets));
+        if !query.sources.is_empty() && !query.targets.is_empty() {
+            let pairs = reach(query);
+            out.extend(
+                pairs
+                    .borrow()
+                    .iter()
+                    .map(|&(a, b)| (self.term(a).1, self.term(b).1)),
+            );
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 }
 
 /// A [`PathResolver`] that routes every resolution through a pinned
@@ -169,36 +205,21 @@ impl PathResolver for ServicePathResolver<'_, '_> {
         sources: &[TermId],
         targets: &[TermId],
     ) -> Vec<(TermId, TermId)> {
-        let mut out = reflexive_pairs(sources, targets);
-        let src_vertices: Vec<VertexId> = sources
-            .iter()
-            .filter_map(|&t| self.map.vertex(predicate, t))
-            .collect();
-        let tgt_vertices: Vec<VertexId> = targets
-            .iter()
-            .filter_map(|&t| self.map.vertex(predicate, t))
-            .collect();
-        if !src_vertices.is_empty() && !tgt_vertices.is_empty() && self.error.borrow().is_none() {
-            match self
-                .snapshot
-                .query_batch(&[SetQuery::new(src_vertices, tgt_vertices)])
-            {
-                Ok(reply) => {
+        self.map.resolve(predicate, sources, targets, |query| {
+            if self.error.borrow().is_some() {
+                return CachedPairs::default();
+            }
+            match self.snapshot.query_batch(&[query]) {
+                Ok(mut reply) => {
                     self.queries.set(self.queries.get() + 1);
-                    for &(a, b) in reply.results[0].iter() {
-                        let (_, s) = self.map.term(a);
-                        let (_, t) = self.map.term(b);
-                        out.push((s, t));
-                    }
+                    reply.results.swap_remove(0)
                 }
                 Err(err) => {
                     *self.error.borrow_mut() = Some(err);
+                    CachedPairs::default()
                 }
             }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -293,6 +314,7 @@ mod tests {
     use super::*;
     use crate::datasets::{freebase_like_store, lubm_like_store, QUERY_NAMES};
     use crate::path::BfsPathResolver;
+    use crate::query::solution_set;
     use dsr_core::UpdateOp;
     use dsr_service::{QueryService, UpdateMode};
     use dsr_sync::Arc;
@@ -339,11 +361,9 @@ mod tests {
             let resolver = ServicePathResolver::new(&snap, &map);
             for name in names {
                 let q = named_query(name).unwrap();
-                let with_service = evaluate(&store, &q, &resolver);
-                let with_bfs = evaluate(&store, &q, &bfs);
                 assert_eq!(
-                    with_service.len(),
-                    with_bfs.len(),
+                    solution_set(&evaluate(&store, &q, &resolver)),
+                    solution_set(&evaluate(&store, &q, &bfs)),
                     "{name}: service-backed resolver disagrees with BFS oracle"
                 );
             }

@@ -406,7 +406,7 @@ fn execute_formed(core: &Core, entries: Vec<Entry>) {
     // client already recorded this lookup as a miss when it enqueued.
     let mut groups: Vec<GenGroup> = Vec::new();
     for entry in entries {
-        if core.cache_enabled && entry.cache {
+        if entry.cache {
             if let Some(hit) = core.cache.get(entry.generation.id(), &entry.key) {
                 core.batch.record_late_hit();
                 entry.waiter.fulfill(entry.slot, hit, None);
@@ -497,20 +497,18 @@ fn execute_group(core: &Core, group: GenGroup) {
             if premature_release {
                 core.admission.release(released);
             }
-            if core.cache_enabled {
-                for ((key, wanted), value) in misses.into_iter().zip(cache_wanted).zip(&values) {
-                    if !wanted {
-                        continue;
-                    }
-                    match core.cache.insert_if_live(namespace, key, Arc::clone(value)) {
-                        InsertOutcome::Inserted { evicted } => {
-                            core.stats.record_insertion();
-                            if evicted {
-                                core.stats.record_eviction();
-                            }
+            for ((key, wanted), value) in misses.into_iter().zip(cache_wanted).zip(&values) {
+                if !wanted {
+                    continue;
+                }
+                match core.cache.insert_if_live(namespace, key, Arc::clone(value)) {
+                    InsertOutcome::Inserted { evicted } => {
+                        core.stats.record_insertion();
+                        if evicted {
+                            core.stats.record_eviction();
                         }
-                        InsertOutcome::Stale => {}
                     }
+                    InsertOutcome::Stale => {}
                 }
             }
             // Free admission before waking anyone so an unblocked client
@@ -578,7 +576,6 @@ mod model_tests {
                 LocalIndexKind::Dfs,
             ))),
             cache: QueryCache::new(8),
-            cache_enabled: true,
             transport: DynTransport::InProcess(InProcess),
             admission: Admission::new(admission_depth),
             stats: CacheStats::new(),

@@ -115,10 +115,6 @@ impl Default for QueryOptions {
 pub struct ServiceConfig {
     /// Maximum number of cached query results (clamped to at least 1).
     pub cache_capacity: usize,
-    /// Whether the result cache is consulted at all. Disabling it turns
-    /// every [`QueryService::query`] into a fused execution (still batched
-    /// across clients, never cached).
-    pub cache_enabled: bool,
     /// Size cap of the batch former: the scheduler stops waiting and
     /// executes as soon as this many queries are pending. Groups submitted
     /// by one [`QueryService::query_batch`] call are indivisible, so a
@@ -154,7 +150,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             cache_capacity: 1024,
-            cache_enabled: true,
             max_batch: 64,
             max_wait_us: 200,
             admission_depth: 1024,
@@ -229,7 +224,6 @@ pub struct NamespaceHits {
 pub(crate) struct Core {
     pub(crate) generations: GenerationChain,
     pub(crate) cache: QueryCache,
-    pub(crate) cache_enabled: bool,
     pub(crate) transport: DynTransport,
     pub(crate) admission: Admission,
     pub(crate) stats: CacheStats,
@@ -439,7 +433,6 @@ impl std::fmt::Debug for QueryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryService")
             .field("generations", &self.core.generations)
-            .field("cache_enabled", &self.core.cache_enabled)
             .field("cache", &self.core.cache)
             .finish()
     }
@@ -472,7 +465,6 @@ impl QueryService {
         let core = Arc::new(Core {
             generations: GenerationChain::new(index),
             cache: QueryCache::new(config.cache_capacity),
-            cache_enabled: config.cache_enabled,
             transport,
             admission: Admission::new(config.admission_depth),
             stats: CacheStats::new(),
@@ -656,7 +648,7 @@ impl QueryService {
         blocking: bool,
     ) -> Result<QueryTicket, ServiceError> {
         let key = SigKey::new(sources, targets);
-        if self.core.cache_enabled && cache {
+        if cache {
             if let Some(hit) = self.core.cache.get(generation.id(), &key) {
                 self.core.record_namespaced_hit(&generation);
                 return Ok(QueryTicket {
@@ -779,15 +771,13 @@ impl QueryService {
         let mut miss_slots: Vec<usize> = Vec::new(); // waiter slot -> query index
         for (qi, query) in queries.iter().enumerate() {
             let key = SigKey::from_query(query);
-            if self.core.cache_enabled {
-                if let Some(hit) = self.core.cache.get(generation.id(), &key) {
-                    self.core.record_namespaced_hit(&generation);
-                    cache_hits += 1;
-                    results[qi] = Some(hit);
-                    continue;
-                }
-                self.core.stats.record_miss();
+            if let Some(hit) = self.core.cache.get(generation.id(), &key) {
+                self.core.record_namespaced_hit(&generation);
+                cache_hits += 1;
+                results[qi] = Some(hit);
+                continue;
             }
+            self.core.stats.record_miss();
             miss_slots.push(qi);
             miss_keys.push(key);
         }
@@ -1378,7 +1368,7 @@ mod tests {
         assert!(service.update_stats().is_zero());
 
         // Once the worker is back the same batch lands, one generation on.
-        assert_eq!(tcp.rejoin_suspects::<u32>(&[], service.comm_stats()), [0]);
+        assert_eq!(tcp.rejoin_suspects(), [0]);
         let outcome = service.update(&batch, UpdateMode::Auto).expect("healed");
         assert!(outcome.rebuilt_compounds);
         assert_eq!(service.generation_stats().latest, before.0.latest + 1);
@@ -1483,16 +1473,21 @@ mod tests {
             Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
             ServiceConfig {
                 cache_capacity: 8,
-                cache_enabled: false,
                 ..ServiceConfig::default()
             },
         );
-        service.query(&[0], &[2]);
-        service.query(&[0], &[2]);
+        let bypass = QueryOptions {
+            cache: false,
+            pin: None,
+        };
+        for _ in 0..2 {
+            let answer = service.query_with(&[0], &[2], bypass).expect("in-process");
+            assert_eq!(*answer, vec![(0, 2)]);
+        }
         assert_eq!(service.cache_len(), 0);
         assert_eq!(service.cache_stats().hits(), 0);
-        // Both executions went through the former (no cache to resolve
-        // the repeat).
+        // Both executions went through the former: the bypass neither
+        // probes nor fills the cache, so nothing resolves the repeat.
         assert_eq!(service.batch_stats().executed(), 2);
     }
 
@@ -1572,7 +1567,6 @@ mod tests {
             Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
             ServiceConfig {
                 cache_capacity: 1,
-                cache_enabled: true,
                 ..ServiceConfig::default()
             },
         );

@@ -193,7 +193,6 @@ fn tiny_cache_evicts_but_stays_correct() {
         Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
         ServiceConfig {
             cache_capacity: 2,
-            cache_enabled: true,
             ..ServiceConfig::default()
         },
     );
