@@ -10,7 +10,12 @@
 //!
 //! Keeping the size computation separate from the encoder lets the
 //! zero-copy [`InProcess`](crate::transport::InProcess) backend account
-//! communication volume without serializing anything.
+//! communication volume without serializing anything — and without walking
+//! the ids one varint at a time: a delta-encoded sorted run is sized by
+//! [`sorted_ids_size`](crate::wire::sorted_ids_size), one vectorised count
+//! of how many gaps reach each varint width. In the release profile, where
+//! the transports' check is compiled out, the committed `BENCH_*.json`
+//! goldens are what holds that count to the encoder.
 
 use crate::wire::varint_size;
 

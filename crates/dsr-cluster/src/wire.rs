@@ -290,20 +290,43 @@ pub fn put_sorted_ids(buf: &mut Vec<u8>, ids: &[u32]) {
     }
 }
 
-/// Number of bytes [`put_sorted_ids`] emits for `ids`.
+/// Number of bytes [`put_sorted_ids`] emits for `ids`, counted rather than
+/// walked: the count, the first id, one byte per gap, and one more byte per
+/// gap at or above each of `2⁷`, `2¹⁴`, `2²¹` and `2²⁸`.
+///
+/// The threshold tests over adjacent pairs are summed into a `u32` per
+/// 1 024 gaps — at most 4 096, so a partial sum cannot overflow — which
+/// lets the compiler vectorise the loop: no per-id varint
+/// arithmetic on the in-process transport's hot path. Same precondition as
+/// [`put_sorted_ids`] (debug-asserted): a list that does not ascend
+/// strictly would be miscounted.
 pub fn sorted_ids_size(ids: &[u32]) -> usize {
-    let mut size = varint_size(ids.len() as u64);
-    let mut previous = 0u32;
-    for (index, &id) in ids.iter().enumerate() {
-        size += if index == 0 {
-            varint_size(u64::from(id))
-        } else {
-            varint_size(u64::from(id - previous))
-        };
-        previous = id;
-    }
-    size
+    debug_assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "sorted id run must be strictly increasing"
+    );
+    let count = varint_size(ids.len() as u64);
+    let Some((&first, rest)) = ids.split_first() else {
+        return count;
+    };
+    let chunks = ids.chunks(SIZE_CHUNK).zip(rest.chunks(SIZE_CHUNK));
+    let wide: usize = chunks
+        .map(|(before, after)| {
+            let gaps = before.iter().zip(after).map(|(&a, &b)| b - a);
+            gaps.map(|gap| {
+                u32::from(gap >= 1 << 7)
+                    + u32::from(gap >= 1 << 14)
+                    + u32::from(gap >= 1 << 21)
+                    + u32::from(gap >= 1 << 28)
+            })
+            .sum::<u32>() as usize
+        })
+        .sum();
+    count + varint_size(u64::from(first)) + rest.len() + wide
 }
+
+/// Gaps per `u32` partial sum in [`sorted_ids_size`].
+const SIZE_CHUNK: usize = 1024;
 
 /// Decodes a strictly increasing id run produced by [`put_sorted_ids`].
 pub fn get_sorted_ids(reader: &mut WireReader<'_>) -> Result<Vec<u32>, WireError> {
@@ -416,6 +439,84 @@ mod tests {
             let mut reader = WireReader::new(&buf);
             assert_eq!(get_sorted_ids(&mut reader).unwrap(), ids);
             assert!(reader.is_empty());
+        }
+    }
+
+    #[test]
+    fn sorted_ids_size_is_the_length_put_sorted_ids_writes() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let exact = |ids: &[u32]| {
+            let mut buf = Vec::new();
+            put_sorted_ids(&mut buf, ids);
+            assert_eq!(sorted_ids_size(ids), buf.len(), "size of {ids:?}");
+        };
+        // Every width boundary of a varint, below and at it.
+        let widths = [
+            0u32,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            (1 << 21) - 1,
+            1 << 21,
+            (1 << 28) - 1,
+            1 << 28,
+            u32::MAX,
+        ];
+        exact(&[]);
+        for &value in &widths {
+            // One element: its first id alone.
+            exact(&[value]);
+            // The boundary as a gap, after a first id of every width.
+            for &first in &widths {
+                if let Some(second) = first.checked_add(value).filter(|_| value > 0) {
+                    exact(&[first, second]);
+                }
+            }
+        }
+        // Every boundary as a gap inside one run, ascending.
+        let mut run = vec![0u32];
+        for &gap in widths.iter().filter(|&&gap| gap > 0 && gap < 1 << 29) {
+            run.push(run.last().unwrap() + gap);
+        }
+        exact(&run);
+
+        // Runs that end just before, at and after the partial sums' chunk
+        // border, with a wide gap on either side of it.
+        for len in [
+            SIZE_CHUNK - 1,
+            SIZE_CHUNK,
+            SIZE_CHUNK + 1,
+            2 * SIZE_CHUNK + 3,
+        ] {
+            let dense: Vec<u32> = (0..len as u32).collect();
+            exact(&dense);
+            let spread: Vec<u32> = (0..len as u32).map(|i| i * 300).collect();
+            exact(&spread);
+            // The last gap of the first chunk is ≥ 2²¹, the first gap of
+            // the second ≥ 2²⁸.
+            let mut border = dense.clone();
+            for id in &mut border[SIZE_CHUNK.min(len)..] {
+                *id += 1 << 21;
+            }
+            for id in &mut border[(SIZE_CHUNK + 1).min(len)..] {
+                *id += 1 << 28;
+            }
+            exact(&border);
+        }
+
+        // Seeded random ascending lists, gaps of every width.
+        let mut rng = SmallRng::seed_from_u64(28);
+        for _ in 0..64 {
+            let len = rng.gen_range(0..3 * SIZE_CHUNK);
+            let width = rng.gen_range(1..=32u32);
+            let mut ids: Vec<u32> = (0..len).map(|_| rng.gen::<u32>() >> (32 - width)).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            exact(&ids);
         }
     }
 

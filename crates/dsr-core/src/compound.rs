@@ -54,6 +54,26 @@
 //! source-side twin of the paper's equivalence sets), so step 1 reads one
 //! mask per run and copies the run's slice of `I_j`: 9–44 runs for 340–420
 //! in-boundaries per partition on the benchmark's graphs.
+//!
+//! # Receive tables
+//!
+//! Step 3 at partition `i` translates what its peers send — class ids of
+//! `i`'s own forward classes, entries out of `i`'s own `I_i` — into
+//! components of the local subgraph's condensation. `build` already holds
+//! the local subgraph and `i`'s own summary, so it lays the two tables out
+//! once, indexed exactly as the receiver reads them: the local component of
+//! each own forward class's representative, by class id, and the local
+//! component of each own in-boundary, by position in `I_i` (the summary's
+//! list, the one step 3 walks and the one its peers' route lists ship). A
+//! local vertex's compound id is its local id, so both are read through
+//! `compound_of`: no hashing, and a query pays for neither.
+//!
+//! They cannot go stale: they depend on `locals[i]` and on the classes and
+//! in-boundaries of `summaries[i]` only, and the update pipeline rebuilds
+//! compound `i` whenever `locals[i]` changes (a re-condense renumbers its
+//! components) and whenever `i`'s own delta `changes_compound()` — which
+//! every change to the classes or in-boundaries does, since the
+//! in-boundaries are the union of the forward classes' members.
 
 use dsr_graph::traversal::Direction;
 use dsr_graph::{
@@ -128,6 +148,48 @@ impl RouteList {
     }
 }
 
+/// What step 3 at the compound's own partition reads for the class ids and
+/// entries its peers send, laid out at build time (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ReceiveTables {
+    /// Local component of the representative of own forward class `c`,
+    /// indexed by `c`.
+    pub(crate) class_component: Vec<u32>,
+    /// Local component of the own in-boundary at position `p` of the
+    /// summary's `I_i`, indexed by `p`.
+    pub(crate) entry_component: Vec<u32>,
+}
+
+impl ReceiveTables {
+    /// Lays out the tables of the partition `local` and `summary` describe.
+    fn build(
+        local: &InducedSubgraph,
+        summary: &PartitionSummary,
+        compound_of: &[VertexId],
+    ) -> Self {
+        // A local vertex's compound id is its local id.
+        let component = |v: VertexId| {
+            let id = lookup(compound_of, v).expect("boundaries of a partition are local to it");
+            local.component_of(id)
+        };
+        let classes = 0..summary.num_forward_classes() as u32;
+        ReceiveTables {
+            class_component: classes
+                .map(|class| component(summary.forward_representative(class)))
+                .collect(),
+            entry_component: summary
+                .in_boundaries
+                .iter()
+                .map(|&b| component(b))
+                .collect(),
+        }
+    }
+
+    fn byte_size(&self) -> usize {
+        (self.class_component.len() + self.entry_component.len()) * std::mem::size_of::<u32>()
+    }
+}
+
 /// The compound graph of one partition, with id translation tables.
 #[derive(Debug, Clone)]
 pub struct CompoundGraph {
@@ -158,6 +220,10 @@ pub struct CompoundGraph {
     /// partition). Private: [`CompoundGraph::build`] lays the lists out from
     /// the summaries and `component`, and they must never drift from them.
     routes: Vec<RouteList>,
+    /// What step 3 at this partition reads for what its peers send.
+    /// Private like the route lists: laid out by [`CompoundGraph::build`]
+    /// from the local subgraph and the own summary.
+    receive: ReceiveTables,
     /// SCC id of every compound vertex, in reverse topological order of
     /// `dag`. Private like the route lists: both are derived from `graph`
     /// by [`CompoundGraph::build`].
@@ -273,6 +339,7 @@ impl CompoundGraph {
             routes[j] =
                 RouteList::build(&summaries[j], forward_base[j], &compound_of, &scc.component);
         }
+        let receive = ReceiveTables::build(local, &summaries[partition as usize], &compound_of);
         CompoundGraph {
             partition,
             graph: compound,
@@ -282,6 +349,7 @@ impl CompoundGraph {
             forward_base,
             backward_base,
             routes,
+            receive,
             component: scc.component,
             dag,
         }
@@ -318,6 +386,12 @@ impl CompoundGraph {
     /// What step 1 ships to partition `j`.
     pub(crate) fn route_list(&self, j: PartitionId) -> &RouteList {
         &self.routes[j as usize]
+    }
+
+    /// What step 3 at this compound's own partition reads for what its
+    /// peers send.
+    pub(crate) fn receive_tables(&self) -> &ReceiveTables {
+        &self.receive
     }
 
     /// The in-boundaries `I_j` of remote partition `j` as step 1 ships
@@ -394,6 +468,7 @@ impl CompoundGraph {
             + (self.compound_of.len() + self.forward_base.len() + self.backward_base.len())
                 * std::mem::size_of::<VertexId>()
             + self.routes.iter().map(RouteList::byte_size).sum::<usize>()
+            + self.receive.byte_size()
             + self.component.len() * std::mem::size_of::<u32>()
             + self.dag.byte_size()
     }
@@ -410,6 +485,7 @@ fn lookup(compound_of: &[VertexId], global: VertexId) -> Option<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::receive_tables_of;
     use dsr_graph::is_reachable;
     use dsr_partition::Partitioning;
 
@@ -643,6 +719,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn receive_tables_follow_the_own_summary_and_the_local_condensation_on_figure1() {
+        let (g, p, _, summaries, compounds) = build_all();
+        for (gc, members) in compounds.iter().zip(p.members()) {
+            let local = InducedSubgraph::induced(&g, &members);
+            let summary = &summaries[gc.partition as usize];
+            assert_eq!(gc.receive_tables(), &receive_tables_of(&local, summary));
+        }
+        // Partition 2's in-boundaries 13 and 14 are one class, in two
+        // components of G_2 (neither reaches the other).
+        let tables = compounds[2].receive_tables();
+        assert_eq!(tables.class_component.len(), 1);
+        assert_eq!(tables.entry_component.len(), 2);
+        assert_ne!(tables.entry_component[0], tables.entry_component[1]);
     }
 
     #[test]

@@ -41,19 +41,26 @@
 //!    vertices reach inside `G_j`. What the peers sent is translated once,
 //!    as it enters: every received `⟨s, classes, entries⟩` becomes two runs
 //!    of **seeds** — the local component ids of its classes'
-//!    representatives and of its entry vertices — and is then answered, in
+//!    representatives and of its entry vertices, read out of two **receive
+//!    tables** that compound graph `j` lays out at build time
+//!    ([`crate::compound`]), by class id and by position in `I_j` — and is
+//!    then answered, in
 //!    every pass, by OR-ing the masks at those components (the classes'
 //!    restricted to the query's interior targets, the entries' to its
 //!    in-boundary targets); results are gathered at the master. A message's
-//!    `entries` and `I_j` both ascend strictly, so the entries are resolved
-//!    in one forward walk over `I_j` — a cursor that never moves back and a
-//!    galloping search from it, `O(|entries| · log gap)` per message: one
-//!    comparison per entry where a source reaches a dense run of
-//!    in-boundaries, never `|I_j|` for a message that names few of them.
-//!    The cost of step 3 is one pass over the local DAG plus that walk plus
-//!    one mask read per received class or entry and pass — proportional to
-//!    the query and to what crossed the boundary, not to the local
-//!    subgraph or the compound graph.
+//!    `entries` and `I_j` (the summary's list, which the tables follow and
+//!    the peers' route lists ship) both ascend strictly, so the entries are
+//!    resolved in one forward walk over `I_j` — a cursor that never moves
+//!    back and a galloping search from it, `O(|entries| · log gap)` per
+//!    message: one comparison per entry where a source reaches a dense run
+//!    of in-boundaries, never `|I_j|` for a message that names few of them.
+//!    A lane's target finds its component through the compound graph's
+//!    id table (a local vertex's compound id is its local id). The cost of
+//!    step 3 is one pass over the local DAG plus that walk plus one mask
+//!    read per received class or entry and pass — proportional to the query
+//!    and to what crossed the boundary, not to the local subgraph, the
+//!    compound graph or the number of classes and in-boundaries, and no
+//!    vertex id is hashed.
 //!
 //! # What `LocalIndexKind` governs
 //!
@@ -653,8 +660,12 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// leaves, at every component, the mask of targets its vertices reach
     /// inside `G_j`. A received [`SourceMessage`] is translated once into
     /// seeds — the local component ids of its classes' representatives and
-    /// of its entry vertices, the latter resolved against `I_j` by
-    /// [`in_boundary_positions`] — and then answered by OR-ing the masks at
+    /// of its entry vertices, read out of compound graph `j`'s build-time
+    /// receive tables ([`crate::compound`]) by class id and by position in
+    /// `I_j`, the positions found by [`in_boundary_positions`]; no table is
+    /// built per call, and a lane's target finds its component through
+    /// [`compound_id`](crate::CompoundGraph::compound_id), which is its
+    /// local id. A message is then answered by OR-ing the masks at
     /// its class seeds (restricted to the query's interior targets) and at
     /// its entry seeds (restricted to the query's in-boundary targets) —
     /// see the module docs for why local reachability suffices. `incoming`
@@ -681,32 +692,21 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         }
         let index = self.index;
         let local = &index.locals[j as usize];
-        let summary = &index.summaries[j as usize];
-        let in_boundaries = &index.cut.partition(j).in_boundaries;
-        let local_id = |v: VertexId| {
-            local
-                .mapping
-                .local(v)
-                .expect("boundaries of a partition are local to it")
-        };
+        let comp = &index.compounds[j as usize];
+        // `I_j` as the receive tables and the peers' route lists have it.
+        let in_boundaries = &index.summaries[j as usize].in_boundaries;
+        let tables = comp.receive_tables();
 
         // Translate what the peers sent into local component ids, once:
         // per message one run of class representatives' components and one
-        // run of entry vertices' components in `seeds`. The two tables are
-        // indexed by class id and by position in `I_j`.
+        // run of entry vertices' components in `seeds`, read out of the
+        // build-time receive tables by class id and by position in `I_j`.
         struct Received {
             query: u32,
             source: VertexId,
             classes: std::ops::Range<usize>,
             entries: std::ops::Range<usize>,
         }
-        let class_component: Vec<u32> = (0..summary.num_forward_classes() as u32)
-            .map(|class| local.component_of(local_id(summary.forward_representative(class))))
-            .collect();
-        let in_boundary_component: Vec<u32> = in_boundaries
-            .iter()
-            .map(|&c| local.component_of(local_id(c)))
-            .collect();
         let mut has_messages = vec![false; queries.len()];
         let mut received: Vec<Received> = Vec::new();
         let mut seeds: Vec<u32> = Vec::new();
@@ -722,13 +722,13 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 for message in messages {
                     let start = seeds.len();
                     for &class in &message.classes {
-                        let component = class_component.get(class as usize);
+                        let component = tables.class_component.get(class as usize);
                         seeds.push(*component.ok_or_else(|| malformed("forward class", class))?);
                     }
                     let middle = seeds.len();
                     for position in in_boundary_positions(&message.entries, in_boundaries) {
                         let position = position.map_err(|c| malformed("in-boundary", c))?;
-                        seeds.push(in_boundary_component[position]);
+                        seeds.push(tables.entry_component[position]);
                     }
                     received.push(Received {
                         query: *a,
@@ -786,9 +786,11 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 
             // After the ascending pass, the mask at a component holds the
             // lanes whose target its vertices reach inside `G_j`.
+            // A local vertex's compound id is its local id.
             reaches.fill(0);
             for (lane, &t) in pass.iter().enumerate() {
-                reaches[local.component_of(local_id(t)) as usize] |= 1 << lane;
+                let id = comp.compound_id(t).expect("local targets are represented");
+                reaches[local.component_of(id) as usize] |= 1 << lane;
             }
             propagate_lane_masks(local.dag(), Direction::Backward, &mut reaches);
             for message in &received {
@@ -1532,8 +1534,11 @@ mod tests {
             classes,
             entries,
         };
+        assert_eq!(index.summaries[2].num_forward_classes(), 1);
         let forged: Vec<(&str, BatchBuffer)> = vec![
             ("forward class 7", vec![(0, vec![message(vec![7], vec![])])]),
+            // One past the last class: the first id the table does not hold.
+            ("forward class 1", vec![(0, vec![message(vec![1], vec![])])]),
             // 16 is local to partition 2 but no in-boundary; 3 is not local.
             (
                 "in-boundary 16",

@@ -1,6 +1,6 @@
 //! Test-only transports shared by the engine and update suites, the
 //! pair-list reference implementation of Algorithm 3 and the per-vertex
-//! reference of step 1's route scan.
+//! reference of step 1's route scan and of step 3's receive tables.
 
 use std::collections::HashMap;
 
@@ -11,6 +11,7 @@ use dsr_partition::{PartitionBoundaries, PartitionId};
 use dsr_reach::{set_lanes, LocalReachability, MsBfsReachability};
 use dsr_sync::Arc;
 
+use crate::compound::ReceiveTables;
 use crate::index::DsrIndex;
 use crate::summary::PartitionSummary;
 
@@ -374,5 +375,26 @@ fn pair_list_equivalence_classes(
         classes,
         class_of,
         reached_opposite,
+    }
+}
+
+/// Step 3's receive tables for `local` and `summary`, derived the way step 3
+/// built them per call before they moved to build time: through the local
+/// subgraph's mapping instead of the compound graph's id table.
+pub(crate) fn receive_tables_of(
+    local: &InducedSubgraph,
+    summary: &PartitionSummary,
+) -> ReceiveTables {
+    let component = |v: VertexId| local.component_of(local.mapping.local(v).expect("local"));
+    let classes = 0..summary.num_forward_classes() as u32;
+    ReceiveTables {
+        class_component: classes
+            .map(|class| component(summary.forward_representative(class)))
+            .collect(),
+        entry_component: summary
+            .in_boundaries
+            .iter()
+            .map(|&b| component(b))
+            .collect(),
     }
 }

@@ -527,9 +527,10 @@ impl DsrIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compound::ReceiveTables;
     use crate::engine::DsrEngine;
     use crate::summary::ClassReplacement;
-    use crate::test_support::Forging;
+    use crate::test_support::{receive_tables_of, Forging};
     use dsr_cluster::WireTransport;
     use dsr_graph::condense::condense_with;
     use dsr_graph::{condense, DiGraph, SccResult, TransitiveClosure};
@@ -821,6 +822,35 @@ mod tests {
     }
 
     #[test]
+    fn a_reach_preserving_deletion_that_renumbers_components_refreshes_the_receive_tables() {
+        // Partition 0 = {0, 1, 2, 3}: 0 → 2, 0 → 3, 3 → 1, 3 → 2; partition
+        // 1 = {4, 5} enters it at 1 (4 → 1) and at 2 (5 → 2). Neither entry
+        // reaches anything inside it, so both are one class, each in a
+        // component of its own. Deleting 0 → 2 loses no pair (0 → 3 → 2),
+        // so no summary is refreshed, but partition 0 is condensed again and
+        // Tarjan now reaches 1 before 2: the two entries swap component ids.
+        // Step 3 on partition 0 must read the new ids.
+        let mut edges = vec![(0, 2), (0, 3), (3, 1), (3, 2), (4, 1), (5, 2)];
+        let g = DiGraph::from_edges(6, &edges);
+        let p = Partitioning::new(vec![0, 0, 0, 0, 1, 1], 2);
+        let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
+        assert_eq!(index.summaries[0].in_boundaries, vec![1, 2]);
+        assert_eq!(index.summaries[0].num_forward_classes(), 1);
+        let before = index.locals[0].components().to_vec();
+
+        let outcome = index.delete_edge(0, 2);
+        assert!(outcome.refreshed_summaries.is_empty());
+        assert!(outcome.stats.is_zero(), "nothing crosses the network");
+        assert_eq!(outcome.patched_compounds, vec![0], "only the owner");
+        let after = index.locals[0].components();
+        assert_eq!((after[1], after[2]), (before[2], before[1]), "renumbered");
+        assert_condensations_are_fresh(&index);
+        assert_local_condensations_are_fresh(&index);
+        edges.retain(|&e| e != (0, 2));
+        assert_answers_match(&index, 6, &edges);
+    }
+
+    #[test]
     fn sustained_boundary_churn_does_not_grow_compounds_unboundedly() {
         // Alternately creating and destroying the same cut edge replaces
         // partition classes every batch; the vertex tables must stay
@@ -863,7 +893,10 @@ mod tests {
     /// of its current graph, numbered the way step 1's descending pass
     /// needs it: every edge leads to an equal or smaller component id. And
     /// the route lists laid out beside it are those of an index built from
-    /// scratch over the current graph.
+    /// scratch over the current graph; the receive tables are those of the
+    /// current local subgraph and own summary, and group classes and
+    /// in-boundaries like a fresh build's (a kept local condensation may
+    /// number the same components differently).
     fn assert_condensations_are_fresh(index: &DsrIndex) {
         let rebuilt = DsrIndex::build_with_options(
             &index.reconstruct_graph(),
@@ -877,6 +910,15 @@ mod tests {
                 assert!(list.runs_tile_ascending_entries(), "{list:?}");
                 assert_eq!(list, fresh.route_list(j), "GC_{} → {j}", compound.partition);
             }
+            let p = compound.partition as usize;
+            let tables = compound.receive_tables();
+            let current = receive_tables_of(&index.locals[p], &index.summaries[p]);
+            assert_eq!(tables, &current, "receive tables of GC_{p}");
+            let grouping = |tables: &ReceiveTables| {
+                let components = tables.class_component.iter().chain(&tables.entry_component);
+                first_seen(components.copied())
+            };
+            assert_eq!(grouping(tables), grouping(fresh.receive_tables()), "GC_{p}");
         }
         for (compound, &dag_edges) in index.compounds.iter().zip(&index.stats.dag_edges) {
             let fresh = dsr_graph::condense(&compound.graph);
@@ -888,6 +930,21 @@ mod tests {
             assert!(fresh.scc.is_reverse_topological(&compound.graph));
             assert!(compound.dag().edges().all(|(a, b)| a > b));
         }
+    }
+
+    /// Every id replaced by the rank of its first occurrence among the
+    /// distinct ids: two sequences map alike iff they group their positions
+    /// alike, whatever the ids are.
+    fn first_seen(ids: impl Iterator<Item = u32>) -> Vec<usize> {
+        let mut distinct: Vec<u32> = Vec::new();
+        let rank = |id: u32| match distinct.iter().position(|&seen| seen == id) {
+            Some(rank) => rank,
+            None => {
+                distinct.push(id);
+                distinct.len() - 1
+            }
+        };
+        ids.map(rank).collect()
     }
 
     /// The stored condensation of every local subgraph describes its current
@@ -1093,8 +1150,8 @@ mod tests {
                     index.delete_edge(u, v);
                 }
                 assert_local_condensations_are_fresh(&index);
+                assert_condensations_are_fresh(&index);
             }
-            assert_condensations_are_fresh(&index);
             let updated_graph = DiGraph::from_edges(n, &current);
             let oracle = TransitiveClosure::build(&updated_graph);
             let engine = DsrEngine::new(&index);
@@ -1142,6 +1199,8 @@ mod tests {
                 let batched_refreshed: BTreeSet<PartitionId> =
                     outcome.refreshed_summaries.iter().copied().collect();
                 prop_assert_eq!(batched_refreshed, sequential_refreshed);
+                assert_condensations_are_fresh(&batched);
+                assert_condensations_are_fresh(&sequential);
 
                 // Identical answers, and both match the oracle.
                 let mut final_edges = base.clone();

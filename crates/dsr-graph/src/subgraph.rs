@@ -12,39 +12,45 @@
 //! ([`crate::propagate_lane_masks`]) instead of the raw subgraph, and the
 //! update pipeline classifies a same-component insertion without a search.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::{condense, CondensedGraph, DiGraph, VertexId};
 
 /// Bidirectional mapping between global vertex ids and dense local ids.
+///
+/// The members of a partition are listed in ascending global id, so local
+/// ids ascend with global ids and the list itself is the lookup table: no
+/// hashing of vertex ids.
 #[derive(Debug, Clone, Default)]
 pub struct VertexMapping {
-    to_local: HashMap<VertexId, VertexId>,
     to_global: Vec<VertexId>,
 }
 
 impl VertexMapping {
-    /// Builds a mapping for the given global vertices (order defines the
-    /// local ids).
+    /// Builds a mapping for the given global vertices, which must ascend
+    /// strictly; local id `l` is the `l`-th of them.
+    ///
+    /// # Panics
+    /// Panics on a duplicate or out-of-order global vertex.
     pub fn new(global_vertices: &[VertexId]) -> Self {
-        let mut to_local = HashMap::with_capacity(global_vertices.len());
-        let mut to_global = Vec::with_capacity(global_vertices.len());
-        for (local, &global) in global_vertices.iter().enumerate() {
-            let prev = to_local.insert(global, local as VertexId);
-            assert!(prev.is_none(), "duplicate global vertex {global}");
-            to_global.push(global);
+        if let Some(w) = global_vertices.windows(2).find(|w| w[0] >= w[1]) {
+            panic!(
+                "duplicate or out-of-order global vertex {} after {}: members must ascend strictly",
+                w[1], w[0]
+            );
         }
         VertexMapping {
-            to_local,
-            to_global,
+            to_global: global_vertices.to_vec(),
         }
     }
 
-    /// Local id of a global vertex, if it belongs to this subgraph.
+    /// Local id of a global vertex, if it belongs to this subgraph: a binary
+    /// search over the ascending members.
     #[inline]
     pub fn local(&self, global: VertexId) -> Option<VertexId> {
-        self.to_local.get(&global).copied()
+        let local = self.to_global.binary_search(&global).ok()?;
+        Some(local as VertexId)
     }
 
     /// Global id of a local vertex.
@@ -56,7 +62,7 @@ impl VertexMapping {
     /// Whether the given global vertex belongs to this subgraph.
     #[inline]
     pub fn contains(&self, global: VertexId) -> bool {
-        self.to_local.contains_key(&global)
+        self.local(global).is_some()
     }
 
     /// Number of mapped vertices.
@@ -100,19 +106,18 @@ pub struct InducedSubgraph {
 }
 
 impl InducedSubgraph {
-    /// Extracts the subgraph of `graph` induced by `vertices` (global ids)
-    /// and condenses it.
+    /// Extracts the subgraph of `graph` induced by `vertices` (global ids,
+    /// strictly ascending — see [`VertexMapping::new`]) and condenses it.
     ///
     /// Only edges with both endpoints inside `vertices` are kept — exactly
     /// the paper's `Ei = {(u, v) | u ∈ Vi, v ∈ Vi, (u, v) ∈ E}`.
     pub fn induced(graph: &DiGraph, vertices: &[VertexId]) -> Self {
         let mapping = VertexMapping::new(vertices);
         let mut edges = Vec::new();
-        for &u in vertices {
-            let lu = mapping.local(u).expect("vertex just inserted");
+        for (lu, &u) in vertices.iter().enumerate() {
             for &v in graph.out_neighbors(u) {
                 if let Some(lv) = mapping.local(v) {
-                    edges.push((lu, lv));
+                    edges.push((lu as VertexId, lv));
                 }
             }
         }
@@ -225,6 +230,22 @@ mod tests {
     #[should_panic(expected = "duplicate")]
     fn duplicate_vertices_panic() {
         VertexMapping::new(&[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-order global vertex 2 after 5")]
+    fn unsorted_vertices_panic() {
+        VertexMapping::new(&[1, 5, 2]);
+    }
+
+    #[test]
+    fn mapping_misses_ids_between_and_beyond_members() {
+        let m = VertexMapping::new(&[3, 7, 8]);
+        for absent in [0, 4, 6, 9, VertexId::MAX] {
+            assert_eq!(m.local(absent), None, "{absent}");
+        }
+        assert_eq!(m.local(8), Some(2));
+        assert_eq!(VertexMapping::default().local(0), None);
     }
 
     #[test]
