@@ -16,7 +16,7 @@
 //! partitions, and query times stay within the same order of magnitude
 //! throughout.
 
-use dsr_core::{DsrEngine, DsrIndex};
+use dsr_core::{DsrEngine, DsrIndex, UpdateOp};
 use dsr_graph::DiGraph;
 use dsr_reach::LocalIndexKind;
 
@@ -63,6 +63,12 @@ fn prefix_graph(graph: &DiGraph, fraction: f64) -> PrefixSplit {
     (base, edges[..take].to_vec(), edges[take..].to_vec())
 }
 
+/// `edges` as one update batch of `op`s (`UpdateOp::Insert` or
+/// `UpdateOp::Delete`).
+fn batch_of(edges: &[(u32, u32)], op: fn(u32, u32) -> UpdateOp) -> Vec<UpdateOp> {
+    edges.iter().map(|&(u, v)| op(u, v)).collect()
+}
+
 fn query_time(index: &DsrIndex, graph: &DiGraph) -> std::time::Duration {
     let query = common::standard_query(graph, 10, 10, 0xF6);
     let engine = DsrEngine::new(index);
@@ -87,8 +93,8 @@ fn bulk_insertions(name: &str, graph: &DiGraph, steps: &[f64]) -> String {
     ]);
     for &step in &steps[1..] {
         let upto = (all_edges.len() as f64 * step).round() as usize;
-        let batch = &all_edges[inserted..upto];
-        let (_, update_time) = time(|| index.insert_edges(batch));
+        let batch = batch_of(&all_edges[inserted..upto], UpdateOp::Insert);
+        let (_, update_time) = time(|| index.apply_updates(&batch));
         inserted = upto;
         table.row(vec![
             format!("{:.0}%", step * 100.0),
@@ -115,8 +121,8 @@ fn progressive_insertions(name: &str, graph: &DiGraph, fractions: &[f64]) -> Str
         let base = DiGraph::from_edges(graph.num_vertices(), &all_edges[..keep]);
         let partitioning = common::partition(graph, DEFAULT_SLAVES);
         let mut index = DsrIndex::build(&base, partitioning.clone(), LocalIndexKind::Dfs);
-        let batch = &all_edges[keep..];
-        let (_, update_time) = time(|| index.insert_edges(batch));
+        let batch = batch_of(&all_edges[keep..], UpdateOp::Insert);
+        let (_, update_time) = time(|| index.apply_updates(&batch));
         let (_, rebuild_time) = time(|| DsrIndex::build(graph, partitioning, LocalIndexKind::Dfs));
         table.row(vec![
             format!("{:.0}%", fraction * 100.0),
@@ -147,8 +153,8 @@ fn bulk_deletions(name: &str, graph: &DiGraph, steps: &[f64]) -> String {
     ]);
     for &step in descending.iter().skip(1) {
         let target = (all_edges.len() as f64 * step).round() as usize;
-        let batch = &all_edges[target..kept];
-        let (_, update_time) = time(|| index.delete_edges(batch));
+        let batch = batch_of(&all_edges[target..kept], UpdateOp::Delete);
+        let (_, update_time) = time(|| index.apply_updates(&batch));
         kept = target;
         table.row(vec![
             format!("{:.0}%", step * 100.0),
@@ -169,8 +175,8 @@ fn progressive_deletions(name: &str, graph: &DiGraph, fractions: &[f64]) -> Stri
         let remove = (fraction * all_edges.len() as f64).round() as usize;
         let partitioning = common::partition(graph, DEFAULT_SLAVES);
         let mut index = DsrIndex::build(graph, partitioning, LocalIndexKind::Dfs);
-        let batch = &all_edges[all_edges.len() - remove..];
-        let (_, update_time) = time(|| index.delete_edges(batch));
+        let batch = batch_of(&all_edges[all_edges.len() - remove..], UpdateOp::Delete);
+        let (_, update_time) = time(|| index.apply_updates(&batch));
         table.row(vec![
             format!("{:.0}%", fraction * 100.0),
             secs(update_time),

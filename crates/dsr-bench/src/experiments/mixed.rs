@@ -151,10 +151,9 @@ fn scenario(fast: bool) -> Scenario {
 fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> Counters {
     let partitioning = common::partition(&s.graph, slaves);
     let index = DsrIndex::build(&s.graph, partitioning, dsr_reach::LocalIndexKind::Dfs);
-    let service = QueryService::with_config(
+    let service = QueryService::with_config_and_transport(
         Arc::new(index),
         ServiceConfig {
-            transport,
             // Batches form on the explicit flush inside `query_batch`,
             // never by cap or window expiry — the replay's fusion (and so
             // every comm/cache counter) is bit-reproducible.
@@ -162,6 +161,7 @@ fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> Counters {
             max_wait_us: 1_000_000,
             ..ServiceConfig::default()
         },
+        transport.create(),
     );
 
     // Oracle state: the live edge multiset mirrored next to the service.

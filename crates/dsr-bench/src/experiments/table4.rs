@@ -11,6 +11,7 @@
 //! counts by one to two orders of magnitude on the web-graph analogues and
 //! never makes queries slower.
 
+use dsr_cluster::InProcess;
 use dsr_core::{DsrEngine, DsrIndex};
 use dsr_reach::LocalIndexKind;
 
@@ -34,9 +35,15 @@ pub fn run(fast: bool) -> String {
         let partitioning = common::partition(&graph, DEFAULT_SLAVES);
         let query = common::standard_query(&graph, 10, 10, 0x44);
 
-        let non_opt =
-            DsrIndex::build_with_options(&graph, partitioning.clone(), LocalIndexKind::Dfs, false);
-        let opt = DsrIndex::build_with_options(&graph, partitioning, LocalIndexKind::Dfs, true);
+        let non_opt = DsrIndex::build_with_transport(
+            &graph,
+            partitioning.clone(),
+            LocalIndexKind::Dfs,
+            false,
+            &InProcess,
+        )
+        .expect("the in-process transport never fails");
+        let opt = DsrIndex::build(&graph, partitioning, LocalIndexKind::Dfs);
 
         let (non_opt_pairs, non_opt_time) =
             time(|| DsrEngine::new(&non_opt).set_reachability(&query.sources, &query.targets));

@@ -14,8 +14,9 @@
 //! `service_churn`, `service_hot`).
 //!
 //! 1. `per_query` — one protocol run per query,
-//! 2. `batched` — [`DsrEngine::set_reachability_batch`] over fixed-size
-//!    chunks (3 communication rounds per chunk instead of per query),
+//! 2. `batched` — [`DsrEngine::set_reachability_batch_with_stats`] over
+//!    fixed-size chunks (3 communication rounds per chunk instead of per
+//!    query),
 //! 3. `batched_wire` — the same batched runs over the serializing
 //!    [`WireTransport`]: every message wire-encoded and decoded, so its
 //!    reported bytes are *measured*, not estimated,
@@ -42,7 +43,7 @@ use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_datagen::{query_stream, ArrivalPattern, StreamConfig};
 use dsr_graph::{DiGraph, VertexId};
 use dsr_reach::LocalIndexKind;
-use dsr_service::{QueryService, QueryTicket, ServiceConfig};
+use dsr_service::{QueryOptions, QueryService, QueryTicket, ServiceConfig};
 
 use crate::experiments::common;
 use crate::Table;
@@ -125,22 +126,23 @@ fn run_batched_replay(
     name: &'static str,
     transport: TransportKind,
 ) -> ModeResult {
-    let service = QueryService::with_config(
+    let service = QueryService::with_config_and_transport(
         Arc::clone(index),
         ServiceConfig {
-            transport,
             // Waves are formed by the explicit flush, never by cap or
             // window expiry — determinism does not depend on timing.
             max_batch: usize::MAX,
             max_wait_us: 1_000_000,
             ..ServiceConfig::default()
         },
+        transport.create(),
     );
     for wave in queries.chunks(BATCHED_CLIENTS) {
         let tickets: Vec<QueryTicket> = wave
             .iter()
-            .map(|q| service.submit(&q.sources, &q.targets))
-            .collect();
+            .map(|q| service.submit_with(&q.sources, &q.targets, QueryOptions::default()))
+            .collect::<Result<_, _>>()
+            .expect("unpinned submissions wait for admission");
         service.flush();
         for ticket in tickets {
             ticket.wait().expect("transport stays up for the run");
@@ -210,7 +212,11 @@ pub fn run(fast: bool) -> (String, String) {
     let per_query_stats = CommStats::new();
     let per_query_results: Vec<_> = queries
         .iter()
-        .map(|q| engine.set_reachability_with_stats(&q.sources, &q.targets, &per_query_stats))
+        .flat_map(|q| {
+            engine
+                .set_reachability_batch_with_stats(std::slice::from_ref(q), &per_query_stats)
+                .expect("the in-process transport never fails")
+        })
         .collect();
     let per_query =
         ModeResult::from_comm("per_query", "in-process", queries.len(), &per_query_stats);

@@ -271,25 +271,16 @@ impl TcpTransport {
     /// A self-hosted loopback cluster: workers are spawned as threads of
     /// this process, each serving a real `127.0.0.1` socket, one per
     /// logical node, growing lazily with the largest collective seen. This
-    /// is the `DSR_TRANSPORT=tcp` backend.
+    /// is the `DSR_TRANSPORT=tcp` backend: one replica per partition and a
+    /// 30 s I/O timeout.
     pub fn loopback() -> Self {
-        Self::loopback_with_timeout(Duration::from_secs(30))
+        Self::loopback_with(1, Duration::from_secs(30))
     }
 
-    /// [`TcpTransport::loopback`] with an explicit I/O timeout (tests use
-    /// short ones so failure paths resolve quickly).
-    pub fn loopback_with_timeout(io_timeout: Duration) -> Self {
-        Self::loopback_replicated_with_timeout(1, io_timeout)
-    }
-
-    /// A loopback cluster hosting every partition on `replication`
-    /// workers (round-robin placement).
-    pub fn loopback_replicated(replication: usize) -> Self {
-        Self::loopback_replicated_with_timeout(replication, Duration::from_secs(30))
-    }
-
-    /// [`TcpTransport::loopback_replicated`] with an explicit I/O timeout.
-    pub fn loopback_replicated_with_timeout(replication: usize, io_timeout: Duration) -> Self {
+    /// [`TcpTransport::loopback`] hosting every partition on `replication`
+    /// workers (round-robin placement), with an explicit I/O timeout (tests
+    /// use short ones so failure paths resolve quickly).
+    pub fn loopback_with(replication: usize, io_timeout: Duration) -> Self {
         assert!(replication > 0, "replication factor must be at least 1");
         let spec = ClusterSpec {
             workers: Vec::new(),

@@ -114,7 +114,7 @@ fn cluster_spec_rejects_garbage_with_line_numbers() {
 /// at a fresh epoch after the growth, its hello carrying the whole roster.
 #[test]
 fn loopback_mesh_grows_and_routes() {
-    let transport = TcpTransport::loopback_with_timeout(Duration::from_secs(10));
+    let transport = TcpTransport::loopback_with(1, Duration::from_secs(10));
     let stats = CommStats::new();
     for k in [2usize, 4, 3] {
         let outgoing: Vec<Vec<(usize, u32)>> =
@@ -222,7 +222,7 @@ fn a_reply_that_does_not_decode_does_not_poison_the_next_collective() {
 
 #[test]
 fn collectives_carry_frames_larger_than_the_socket_buffers() {
-    let transport = TcpTransport::loopback_replicated_with_timeout(2, Duration::from_secs(20));
+    let transport = TcpTransport::loopback_with(2, Duration::from_secs(20));
     let stats = CommStats::new();
     let k = 3usize;
     // 2^20 four-byte varints: ~4 MiB per message, far beyond what the
@@ -293,7 +293,7 @@ impl MessageSize for Witness {
 
 #[test]
 fn collectives_decode_on_the_calling_thread() {
-    let transport = TcpTransport::loopback_with_timeout(Duration::from_secs(10));
+    let transport = TcpTransport::loopback_with(1, Duration::from_secs(10));
     let stats = CommStats::new();
     let k = 3usize;
     let row = |base: u32| -> Vec<Witness> { (0..k as u32).map(|i| Witness(base + i)).collect() };
@@ -326,7 +326,7 @@ fn collectives_decode_on_the_calling_thread() {
 
 #[test]
 fn worker_death_mid_session_surfaces_disconnected() {
-    let transport = TcpTransport::loopback_with_timeout(Duration::from_secs(5));
+    let transport = TcpTransport::loopback_with(1, Duration::from_secs(5));
     let stats = CommStats::new();
     // Healthy first round establishes the 3-worker mesh.
     let delivered = transport
@@ -353,7 +353,7 @@ fn worker_death_mid_session_surfaces_disconnected() {
 
 #[test]
 fn replicated_scatter_survives_a_worker_death() {
-    let transport = TcpTransport::loopback_replicated_with_timeout(2, Duration::from_secs(5));
+    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
     let stats = CommStats::new();
     let delivered = transport
         .scatter(vec![1u32, 2, 3], &stats)
@@ -372,7 +372,7 @@ fn replicated_scatter_survives_a_worker_death() {
     // The collective is byte-identical to a fault-free run: encoded
     // once, retried from the same frames.
     let baseline = CommStats::new();
-    let clean = TcpTransport::loopback_with_timeout(Duration::from_secs(5));
+    let clean = TcpTransport::loopback_with(1, Duration::from_secs(5));
     clean.scatter(vec![1u32, 2, 3], &baseline).expect("clean");
     clean.scatter(vec![4u32, 5, 6], &baseline).expect("clean");
     assert_eq!(stats.snapshot(), baseline.snapshot());
@@ -380,7 +380,7 @@ fn replicated_scatter_survives_a_worker_death() {
 
 #[test]
 fn replicated_exchange_survives_a_worker_death() {
-    let transport = TcpTransport::loopback_replicated_with_timeout(2, Duration::from_secs(5));
+    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
     let stats = CommStats::new();
     let k = 3usize;
     let ring = |tag: u32| -> Vec<Vec<(usize, u32)>> {
@@ -406,7 +406,7 @@ fn replicated_exchange_survives_a_worker_death() {
 
 #[test]
 fn fault_phase_gating_and_after_threshold() {
-    let transport = TcpTransport::loopback_replicated_with_timeout(2, Duration::from_secs(5));
+    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
     let stats = CommStats::new();
     // Armed for an exchange only: scatters sail through unharmed.
     transport.inject_faults(
@@ -437,7 +437,7 @@ fn fault_phase_gating_and_after_threshold() {
 
 #[test]
 fn rejoined_worker_serves_again_after_resync() {
-    let transport = TcpTransport::loopback_replicated_with_timeout(2, Duration::from_secs(5));
+    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
     let stats = CommStats::new();
     transport
         .scatter(vec![1u32, 2, 3], &stats)
@@ -478,7 +478,7 @@ fn rejoined_worker_serves_again_after_resync() {
 fn unreplicated_cluster_stays_fail_fast() {
     // R=1: a suspect makes its partitions unroutable, so the typed
     // error (naming the worker) surfaces instead of a futile retry.
-    let transport = TcpTransport::loopback_with_timeout(Duration::from_secs(5));
+    let transport = TcpTransport::loopback_with(1, Duration::from_secs(5));
     let stats = CommStats::new();
     transport
         .scatter(vec![1u32, 2, 3], &stats)
@@ -501,7 +501,7 @@ fn unreplicated_cluster_stays_fail_fast() {
 
 #[test]
 fn transport_reports_its_topology() {
-    let transport = TcpTransport::loopback_replicated_with_timeout(2, Duration::from_secs(5));
+    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
     // Before any collective: derived from the replication factor.
     let topo = transport.topology(3);
     assert_eq!(topo.replication(), 2);

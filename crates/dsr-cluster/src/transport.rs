@@ -442,8 +442,8 @@ impl TransportKind {
     /// [`WireTransport`], `tcp` selects a loopback
     /// [`TcpTransport`], `in-process` (or unset)
     /// selects [`InProcess`]. The value goes through the
-    /// [`FromStr`](std::str::FromStr) parser that
-    /// `ServiceConfig::from_env` and the experiment binaries reuse.
+    /// [`FromStr`](std::str::FromStr) parser that the experiment binaries
+    /// reuse; [`DynTransport::from_env`] builds the backend it names.
     ///
     /// # Panics
     /// Panics on an unrecognized value — a misconfigured CI matrix should

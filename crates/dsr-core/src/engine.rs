@@ -105,18 +105,20 @@
 //!
 //! The paper's evaluation fires thousands of queries against one static
 //! index. Executing them one at a time pays the scatter/exchange/gather
-//! rounds *per query*; [`DsrEngine::set_reachability_batch`] instead runs
-//! the protocol **once for a whole batch**: the scatter ships every query's
-//! sources in one message per slave, step 1 fuses the local evaluation of
-//! all queries into one sweep per 64 distinct sources per slave (a source
-//! shared by several queries is one lane), the exchange ships one buffer
-//! per slave pair tagged with query ids, and step 3 shares the backward
-//! pass over the local condensation across queries (every distinct target
-//! of the batch gets one lane). A `B`-query batch therefore performs
-//! exactly the same **3 communication rounds** (scatter + exchange +
-//! gather) as a single query, instead of `3 B`.
-//! The single-query entry points are thin wrappers over a batch of one, so
-//! there is exactly one protocol implementation to maintain.
+//! rounds *per query*; [`DsrEngine::set_reachability_batch_with_stats`]
+//! instead runs the protocol **once for a whole batch**: the scatter ships
+//! every query's sources in one message per slave, step 1 fuses the local
+//! evaluation of all queries into one sweep per 64 distinct sources per
+//! slave (a source shared by several queries is one lane), the exchange
+//! ships one buffer per slave pair tagged with query ids, and step 3
+//! shares the backward pass over the local condensation across queries
+//! (every distinct target of the batch gets one lane). A `B`-query batch
+//! therefore performs exactly the same **3 communication rounds**
+//! (scatter, exchange, gather) as a single query, instead of `3 B`. That
+//! call is the one way into the protocol; [`DsrEngine::set_reachability`]
+//! is the convenience that runs a batch of one and panics on a transport
+//! error, and [`DsrEngine::is_reachable`] answers a same-partition pair
+//! locally and asks everything else through it.
 //!
 //! # Transports
 //!
@@ -148,7 +150,7 @@ use crate::protocol::{BatchBuffer, GatherMessage, ScatterMessage, ScatterQuery, 
 /// *update* naming one has no such answer; the serving layer refuses it.)
 /// The master drops such ids before it scatters; a slave that is delivered
 /// one nevertheless refuses the payload with a typed error (see
-/// [`DsrEngine::set_reachability_batch`]).
+/// [`DsrEngine::set_reachability_batch_with_stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetQuery {
     /// Source vertices `S`.
@@ -189,22 +191,6 @@ pub struct QueryOutcome {
     /// Number of messages exchanged.
     pub messages: u64,
     /// Total bytes exchanged.
-    pub bytes: u64,
-}
-
-/// Result of a batched DSR evaluation: per-query answers plus the cost of
-/// the single scatter/exchange/gather sequence that produced all of them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Per input query: all reachable `(source, target)` pairs, sorted and
-    /// deduplicated. `results[i]` answers `queries[i]`.
-    pub results: Vec<Vec<(VertexId, VertexId)>>,
-    /// Communication rounds used by the whole batch (3 whenever at least
-    /// one query is non-empty).
-    pub rounds: u64,
-    /// Number of messages exchanged for the whole batch.
-    pub messages: u64,
-    /// Total bytes exchanged for the whole batch.
     pub bytes: u64,
 }
 
@@ -270,17 +256,23 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         !self.set_reachability(&[source], &[target]).pairs.is_empty()
     }
 
-    /// Algorithm 2: full set reachability with communication accounting.
+    /// Algorithm 2 for one query, with its communication cost: the
+    /// convenience over [`DsrEngine::set_reachability_batch_with_stats`].
     ///
     /// # Panics
     /// Panics (with the typed [`TransportError`] message) if the transport
     /// fails mid-protocol. The in-process and wire backends lose no worker;
     /// callers running over a TCP cluster that need to *handle* worker
-    /// failures should use [`DsrEngine::set_reachability_batch`], which
-    /// returns the error as a value.
+    /// failures should call [`DsrEngine::set_reachability_batch_with_stats`],
+    /// which returns the error as a value.
     pub fn set_reachability(&self, sources: &[VertexId], targets: &[VertexId]) -> QueryOutcome {
         let stats = CommStats::new();
-        let pairs = self.set_reachability_with_stats(sources, targets, &stats);
+        let query = SetQuery::new(sources.to_vec(), targets.to_vec());
+        let pairs = self
+            .set_reachability_batch_with_stats(std::slice::from_ref(&query), &stats)
+            .expect("transport failed mid-query")
+            .pop()
+            .expect("batch of one yields one result");
         let (rounds, messages, bytes) = stats.snapshot();
         QueryOutcome {
             pairs,
@@ -290,26 +282,11 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         }
     }
 
-    /// Algorithm 2 with an externally provided statistics collector.
-    ///
-    /// # Panics
-    /// See [`DsrEngine::set_reachability`].
-    pub fn set_reachability_with_stats(
-        &self,
-        sources: &[VertexId],
-        targets: &[VertexId],
-        stats: &CommStats,
-    ) -> Vec<(VertexId, VertexId)> {
-        let query = SetQuery::new(sources.to_vec(), targets.to_vec());
-        self.set_reachability_batch_with_stats(std::slice::from_ref(&query), stats)
-            .expect("transport failed mid-query")
-            .pop()
-            .expect("batch of one yields one result")
-    }
-
     /// Batched Algorithm 2: answers every query in `queries` with a single
     /// scatter/exchange/gather sequence (3 communication rounds total, not
-    /// 3 per query). See the module docs for how the per-slave work is
+    /// 3 per query), adding its cost to `stats`. Returns one (sorted,
+    /// deduplicated) pair list per input query: `results[i]` answers
+    /// `queries[i]`. See the module docs for how the per-slave work is
     /// fused across queries. Source and target ids the graph does not have
     /// are dropped by the master before anything is scattered (see
     /// [`SetQuery`]); every slave checks the payload it is delivered against
@@ -325,26 +302,6 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// unknown query, class or in-boundary; a gather message naming a query
     /// the batch does not have. The in-process and wire backends lose no
     /// worker.
-    pub fn set_reachability_batch(
-        &self,
-        queries: &[SetQuery],
-    ) -> Result<BatchOutcome, TransportError> {
-        let stats = CommStats::new();
-        let results = self.set_reachability_batch_with_stats(queries, &stats)?;
-        let (rounds, messages, bytes) = stats.snapshot();
-        Ok(BatchOutcome {
-            results,
-            rounds,
-            messages,
-            bytes,
-        })
-    }
-
-    /// Batched Algorithm 2 with an externally provided statistics collector.
-    /// Returns one (sorted, deduplicated) pair list per input query.
-    ///
-    /// # Errors
-    /// See [`DsrEngine::set_reachability_batch`].
     pub fn set_reachability_batch_with_stats(
         &self,
         queries: &[SetQuery],
@@ -874,6 +831,19 @@ mod tests {
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
     use dsr_reach::LocalIndexKind;
 
+    /// A batch's answers and its `(rounds, messages, bytes)`.
+    type Batch = (Vec<Vec<(VertexId, VertexId)>>, (u64, u64, u64));
+
+    /// Runs `queries` as one batch, counted on a fresh [`CommStats`].
+    fn batch<T: Transport>(
+        engine: &DsrEngine<'_, T>,
+        queries: &[SetQuery],
+    ) -> Result<Batch, TransportError> {
+        let stats = CommStats::new();
+        let results = engine.set_reachability_batch_with_stats(queries, &stats)?;
+        Ok((results, stats.snapshot()))
+    }
+
     /// Figure 1 fixture (same ids as in `summary.rs`).
     fn figure1() -> (DiGraph, Partitioning) {
         let edges = vec![
@@ -1033,9 +1003,9 @@ mod tests {
             SetQuery::new(vec![17], vec![0]),
             SetQuery::new(vec![4, 4, 5], vec![1, 1, 0]),
         ];
-        let batch = engine.set_reachability_batch(&queries).expect("in-process");
-        assert_eq!(batch.results.len(), queries.len());
-        for (q, result) in queries.iter().zip(&batch.results) {
+        let (results, _) = batch(&engine, &queries).expect("in-process");
+        assert_eq!(results.len(), queries.len());
+        for (q, result) in queries.iter().zip(&results) {
             assert_eq!(
                 *result,
                 engine.set_reachability(&q.sources, &q.targets).pairs,
@@ -1057,9 +1027,9 @@ mod tests {
                 )
             })
             .collect();
-        let batch = engine.set_reachability_batch(&queries).expect("in-process");
+        let (_, (rounds, _, _)) = batch(&engine, &queries).expect("in-process");
         // One scatter + one exchange + one gather for the whole batch.
-        assert_eq!(batch.rounds, 3);
+        assert_eq!(rounds, 3);
         // Per-query execution pays the three rounds for every query.
         let per_query_rounds: u64 = queries
             .iter()
@@ -1073,15 +1043,17 @@ mod tests {
         let (g, p) = figure1();
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
         let engine = DsrEngine::new(&index);
-        let batch = engine
-            .set_reachability_batch(&[
+        let (results, (rounds, messages, _)) = batch(
+            &engine,
+            &[
                 SetQuery::new(vec![], vec![1]),
                 SetQuery::new(vec![1], vec![]),
-            ])
-            .expect("in-process");
-        assert_eq!(batch.results, vec![Vec::new(), Vec::new()]);
-        assert_eq!(batch.rounds, 0);
-        assert_eq!(batch.messages, 0);
+            ],
+        )
+        .expect("in-process");
+        assert_eq!(results, vec![Vec::new(), Vec::new()]);
+        assert_eq!(rounds, 0);
+        assert_eq!(messages, 0);
     }
 
     #[test]
@@ -1098,17 +1070,12 @@ mod tests {
             SetQuery::new(vec![17], vec![0]),
             SetQuery::new(vec![], vec![3]),
         ];
-        let a = in_process
-            .set_reachability_batch(&queries)
-            .expect("in-process");
-        let b = wired.set_reachability_batch(&queries).expect("wire");
+        let a = batch(&in_process, &queries).expect("in-process");
+        let b = batch(&wired, &queries).expect("wire");
         // Byte-identical answers, identical protocol cost: the wire backend
         // records measured bytes, the in-process backend exact sizes.
-        assert_eq!(a.results, b.results);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(b.rounds, 3);
+        assert_eq!(a, b);
+        assert_eq!(b.1 .0, 3);
     }
 
     #[test]
@@ -1125,42 +1092,27 @@ mod tests {
             SetQuery::new(vec![17], vec![0]),
             SetQuery::new(vec![], vec![3]),
         ];
-        let a = in_process
-            .set_reachability_batch(&queries)
-            .expect("in-process");
-        let b = remote.set_reachability_batch(&queries).expect("tcp");
+        let a = batch(&in_process, &queries).expect("in-process");
+        let b = batch(&remote, &queries).expect("tcp");
         // Answers and protocol cost are byte-identical to the in-process
         // accounting even though every frame took the
         // master -> worker -> worker -> master route over real sockets.
-        assert_eq!(a.results, b.results);
-        assert_eq!(
-            (a.rounds, a.messages, a.bytes),
-            (b.rounds, b.messages, b.bytes)
-        );
-        assert_eq!(b.rounds, 3);
+        assert_eq!(a, b);
+        assert_eq!(b.1 .0, 3);
     }
 
     #[test]
     fn tcp_worker_death_mid_batch_is_a_typed_error_not_a_panic() {
         let (g, p) = figure1();
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let tcp =
-            dsr_cluster::TcpTransport::loopback_with_timeout(std::time::Duration::from_secs(5));
+        let tcp = dsr_cluster::TcpTransport::loopback_with(1, std::time::Duration::from_secs(5));
         let engine = DsrEngine::with_transport(&index, &tcp);
         let queries = vec![SetQuery::new(vec![0, 2, 7], vec![17, 10, 4])];
         // Healthy first batch establishes the 3-worker mesh.
-        assert_eq!(
-            engine
-                .set_reachability_batch(&queries)
-                .expect("healthy cluster")
-                .rounds,
-            3
-        );
+        assert_eq!(batch(&engine, &queries).expect("healthy cluster").1 .0, 3);
         // A worker dies; the next batch surfaces a typed TransportError.
         tcp.inject_faults(dsr_cluster::FaultPlan::new().disconnect(2));
-        let err = engine
-            .set_reachability_batch(&queries)
-            .expect_err("dead worker must fail the batch");
+        let err = batch(&engine, &queries).expect_err("dead worker must fail the batch");
         assert!(
             err.to_string().contains("worker 2"),
             "names the peer: {err}"
@@ -1190,13 +1142,15 @@ mod tests {
         let oracle = TransitiveClosure::build(g);
         for kind in LocalIndexKind::ALL {
             for use_equivalence in [true, false] {
-                let index = DsrIndex::build_with_options(g, p.clone(), kind, use_equivalence);
+                let index =
+                    DsrIndex::build_with_transport(g, p.clone(), kind, use_equivalence, &InProcess)
+                        .expect("in-process");
                 let engine = DsrEngine::new(&index);
-                let batch = engine.set_reachability_batch(queries).expect("in-process");
+                let answered = batch(&engine, queries).expect("in-process");
                 let wire = WireTransport::new();
                 let wired = DsrEngine::with_transport(&index, &wire);
-                assert_eq!(wired.set_reachability_batch(queries).expect("wire"), batch);
-                for (q, result) in queries.iter().zip(&batch.results) {
+                assert_eq!(batch(&wired, queries).expect("wire"), answered);
+                for (q, result) in queries.iter().zip(&answered.0) {
                     let (sources, targets) = q.signature();
                     assert_eq!(
                         *result,
@@ -1328,18 +1282,14 @@ mod tests {
         let wire = WireTransport::new();
         let in_process = DsrEngine::new(&index);
         let wired = DsrEngine::with_transport(&index, &wire);
-        let expected = in_process.set_reachability_batch(&cleaned).expect("clean");
-        assert!(!expected.results[0].is_empty() && !expected.results[3].is_empty());
+        let expected = batch(&in_process, &cleaned).expect("clean");
+        assert!(!expected.0[0].is_empty() && !expected.0[3].is_empty());
         // Same answers at the same cost: nothing foreign is ever shipped.
-        let answered = in_process.set_reachability_batch(&foreign);
-        assert_eq!(answered.expect("in-process"), expected);
-        assert_eq!(
-            wired.set_reachability_batch(&foreign).expect("wire"),
-            expected
-        );
+        assert_eq!(batch(&in_process, &foreign).expect("in-process"), expected);
+        assert_eq!(batch(&wired, &foreign).expect("wire"), expected);
         // A batch of nothing but foreign ids runs no protocol at all.
-        let idle = wired.set_reachability_batch(&foreign[1..3]).expect("wire");
-        assert_eq!((idle.results, idle.rounds), (vec![vec![], vec![]], 0));
+        let (idle, (rounds, _, _)) = batch(&wired, &foreign[1..3]).expect("wire");
+        assert_eq!((idle, rounds), (vec![vec![], vec![]], 0));
         assert!(!in_process.is_reachable(0, 1_000_000));
         assert!(!in_process.is_reachable(1_000_000, 0));
     }
@@ -1378,25 +1328,14 @@ mod tests {
             .collect();
 
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let in_process = DsrEngine::new(&index)
-            .set_reachability_batch(&queries)
-            .expect("in-process");
-        assert_eq!(in_process.results, expected);
+        let in_process = batch(&DsrEngine::new(&index), &queries).expect("in-process");
+        assert_eq!(in_process.0, expected);
         let wire = WireTransport::new();
-        let wired = DsrEngine::with_transport(&index, &wire)
-            .set_reachability_batch(&queries)
-            .expect("wire");
+        let wired = batch(&DsrEngine::with_transport(&index, &wire), &queries).expect("wire");
         let tcp = dsr_cluster::TcpTransport::loopback();
-        let remote = DsrEngine::with_transport(&index, &tcp)
-            .set_reachability_batch(&queries)
-            .expect("tcp");
-        for other in [wired, remote] {
-            assert_eq!(other.results, expected);
-            assert_eq!(
-                (other.rounds, other.messages, other.bytes),
-                (in_process.rounds, in_process.messages, in_process.bytes)
-            );
-        }
+        let remote = batch(&DsrEngine::with_transport(&index, &tcp), &queries).expect("tcp");
+        assert_eq!(wired, in_process);
+        assert_eq!(remote, in_process);
     }
 
     #[test]
@@ -1490,11 +1429,9 @@ mod tests {
                 SetQuery::new(pick(), pick())
             })
             .collect();
-        let batch = DsrEngine::new(&index)
-            .set_reachability_batch(&queries)
-            .expect("in-process");
-        assert!(batch.results.iter().any(|pairs| pairs.len() > 4));
-        for pairs in &batch.results {
+        let (results, _) = batch(&DsrEngine::new(&index), &queries).expect("in-process");
+        assert!(results.iter().any(|pairs| pairs.len() > 4));
+        for pairs in &results {
             assert_eq!(pairs.capacity(), pairs.len());
         }
     }
@@ -1555,9 +1492,7 @@ mod tests {
                 replace: false,
             };
             let engine = DsrEngine::with_transport(&index, transport);
-            let err = engine
-                .set_reachability_batch(&queries)
-                .expect_err("a malformed buffer must fail the batch");
+            let err = batch(&engine, &queries).expect_err("a malformed buffer must fail the batch");
             assert!(
                 matches!(err, TransportError::Protocol { .. }),
                 "typed protocol error: {err}"
@@ -1579,10 +1514,8 @@ mod tests {
             replace: false,
         };
         let engine = DsrEngine::with_transport(&index, transport);
-        let outcome = engine
-            .set_reachability_batch(&queries)
-            .expect("well-formed");
-        assert_eq!(outcome.results[0], vec![(0, 13), (0, 17)]);
+        let (results, _) = batch(&engine, &queries).expect("well-formed");
+        assert_eq!(results[0], vec![(0, 13), (0, 17)]);
     }
 
     #[test]
@@ -1595,8 +1528,7 @@ mod tests {
             message: dsr_cluster::wire::encode_to_vec(&forged(9)),
             slave: 2,
         };
-        let err = DsrEngine::with_transport(&index, transport)
-            .set_reachability_batch(&queries)
+        let err = batch(&DsrEngine::with_transport(&index, transport), &queries)
             .expect_err("a gather message for a query nobody asked fails the batch");
         assert!(
             matches!(err, TransportError::Protocol { .. }),
@@ -1613,10 +1545,9 @@ mod tests {
             message: dsr_cluster::wire::encode_to_vec(&forged(0)),
             slave: 2,
         };
-        let outcome = DsrEngine::with_transport(&index, transport)
-            .set_reachability_batch(&queries)
-            .expect("well-formed");
-        assert_eq!(outcome.results[0], vec![(0, 13), (0, 17)]);
+        let (results, _) =
+            batch(&DsrEngine::with_transport(&index, transport), &queries).expect("well-formed");
+        assert_eq!(results[0], vec![(0, 13), (0, 17)]);
     }
 
     #[test]
@@ -1648,8 +1579,7 @@ mod tests {
                 message: dsr_cluster::wire::encode_to_vec(&message),
                 slave: 0,
             };
-            let err = DsrEngine::with_transport(&index, transport)
-                .set_reachability_batch(&queries)
+            let err = batch(&DsrEngine::with_transport(&index, transport), &queries)
                 .expect_err("a forged scatter payload must fail the batch");
             assert!(
                 matches!(&err, TransportError::Protocol { peer, .. } if peer == "master"),
@@ -1666,10 +1596,9 @@ mod tests {
             message: dsr_cluster::wire::encode_to_vec(&payload(vec![0], vec![13, 17])),
             slave: 0,
         };
-        let outcome = DsrEngine::with_transport(&index, transport)
-            .set_reachability_batch(&queries)
-            .expect("well-formed");
-        assert_eq!(outcome.results[0], vec![(0, 13), (0, 17)]);
+        let (results, _) =
+            batch(&DsrEngine::with_transport(&index, transport), &queries).expect("well-formed");
+        assert_eq!(results[0], vec![(0, 13), (0, 17)]);
     }
 
     #[test]
@@ -2146,20 +2075,14 @@ mod tests {
         assert_eq!(buffer[0].1[0].entries, vec![2, 4], "X only, ascending");
         assert_eq!(buffer[1].1[0].entries, vec![2, 3, 4]);
 
-        let in_process = DsrEngine::new(&index)
-            .set_reachability_batch(&queries)
-            .expect("in-process");
+        let in_process = batch(&DsrEngine::new(&index), &queries).expect("in-process");
         let wire = WireTransport::new();
-        let wired = DsrEngine::with_transport(&index, &wire)
-            .set_reachability_batch(&queries)
-            .expect("wire");
+        let wired = batch(&DsrEngine::with_transport(&index, &wire), &queries).expect("wire");
         let tcp = dsr_cluster::TcpTransport::loopback();
-        let remote = DsrEngine::with_transport(&index, &tcp)
-            .set_reachability_batch(&queries)
-            .expect("tcp");
+        let remote = batch(&DsrEngine::with_transport(&index, &tcp), &queries).expect("tcp");
         assert_eq!(wired, in_process);
         assert_eq!(remote, in_process);
-        assert_eq!(in_process.rounds, 3);
+        assert_eq!(in_process.1 .0, 3);
     }
 
     #[test]

@@ -98,29 +98,20 @@ pub struct DsrIndex {
 
 impl DsrIndex {
     /// Builds the DSR index for `graph` under `partitioning`, using `kind`
-    /// as the local reachability strategy at every slave.
+    /// as the local reachability strategy at every slave, with the
+    /// equivalence-set optimization on and the summary exchange in process:
+    /// the convenience over [`DsrIndex::build_with_transport`].
     ///
     /// Summaries and compound graphs are computed by all "slaves" in
     /// parallel, exactly like the precomputation described in Section 3.3.1.
     pub fn build(graph: &DiGraph, partitioning: Partitioning, kind: LocalIndexKind) -> Self {
-        Self::build_with_options(graph, partitioning, kind, true)
-    }
-
-    /// Builds the DSR index, optionally disabling the equivalence-set
-    /// optimization (Table 4's "Non-Opt." configuration). Uses the
-    /// zero-copy [`InProcess`] transport for the summary exchange.
-    pub fn build_with_options(
-        graph: &DiGraph,
-        partitioning: Partitioning,
-        kind: LocalIndexKind,
-        use_equivalence: bool,
-    ) -> Self {
-        Self::build_with_transport(graph, partitioning, kind, use_equivalence, &InProcess)
+        Self::build_with_transport(graph, partitioning, kind, true, &InProcess)
             .expect("the in-process transport never fails")
     }
 
     /// Builds the DSR index, moving the build-time summary exchange through
-    /// `transport`.
+    /// `transport`; `use_equivalence: false` disables the equivalence-set
+    /// optimization (Table 4's "Non-Opt." configuration).
     ///
     /// Compound graphs need every other partition's summary, so the build
     /// performs one all-to-all round in which every slave ships its

@@ -18,13 +18,16 @@
 //! * [`CompoundGraph`] — Definition 6: the local subgraph plus cut edges,
 //!   virtual vertices and transit edges for all remote partitions,
 //! * [`DsrIndex`] — the full per-cluster index (summaries, compound graphs,
-//!   pluggable local reachability indexes, build statistics) with
-//!   **differential** incremental updates (Section 3.3.3, [`updates`]):
-//!   only affected partitions refresh, refresh traffic ships as
-//!   [`SummaryDelta`] messages through the transport, and the affected
-//!   compound graphs are rebuilt from the refreshed summaries,
+//!   pluggable local reachability indexes, build statistics), built by
+//!   [`DsrIndex::build_with_transport`], with **differential** incremental
+//!   updates through [`DsrIndex::apply_updates_with_transport`] (Section
+//!   3.3.3, [`updates`]): only affected partitions refresh, refresh
+//!   traffic ships as [`SummaryDelta`] messages through the transport, and
+//!   the affected compound graphs are rebuilt from the refreshed
+//!   summaries,
 //! * [`DsrEngine`] — Algorithms 1 and 2 executed over the simulated
-//!   cluster, with communication accounting; generic over the
+//!   cluster, with communication accounting, through
+//!   [`DsrEngine::set_reachability_batch_with_stats`]; generic over the
 //!   [`Transport`](dsr_cluster::Transport) that moves its messages
 //!   (zero-copy in-process by default, encoded and decoded bytes via
 //!   [`WireTransport`](dsr_cluster::WireTransport)),
@@ -34,6 +37,12 @@
 //! * [`baselines`] — DSR-Naïve (Section 3.1) and DSR-Fan (Section 3.2,
 //!   the generalization of Fan et al. \[9\] with a per-query dynamic
 //!   dependency graph).
+//!
+//! Each of those three layers has one fallible call, named above, which
+//! returns a transport failure as a
+//! [`TransportError`](dsr_cluster::TransportError), and one convenience
+//! that runs in process or panics on that error: [`DsrIndex::build`],
+//! [`DsrIndex::apply_updates`] and [`DsrEngine::set_reachability`].
 //!
 //! # Quick start
 //!
@@ -65,7 +74,7 @@ mod test_support;
 pub mod updates;
 
 pub use compound::CompoundGraph;
-pub use engine::{BatchOutcome, DsrEngine, QueryOutcome, SetQuery};
+pub use engine::{DsrEngine, QueryOutcome, SetQuery};
 pub use index::{DsrIndex, IndexBuildStats};
 pub use summary::{ClassReplacement, PartitionSummary, SummaryDelta};
 pub use updates::{coalesce_updates, UpdateOp, UpdateOutcome};

@@ -47,10 +47,6 @@
 //!    it; untouched slaves do no work whatsoever.
 //!
 //! [`InducedSubgraph::apply_edge_changes`]: dsr_graph::InducedSubgraph::apply_edge_changes
-//!
-//! Batch variants ([`DsrIndex::insert_edges`] / [`DsrIndex::delete_edges`] /
-//! [`DsrIndex::apply_updates`]) classify and refresh once for the whole
-//! batch; the Figure 6 bulk/progressive update experiments use them.
 
 use dsr_sync::Arc;
 use std::collections::{BTreeSet, VecDeque};
@@ -202,32 +198,9 @@ impl StagedLocal {
 }
 
 impl DsrIndex {
-    /// Inserts a single edge; see [`DsrIndex::apply_updates`].
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> UpdateOutcome {
-        self.apply_updates(&[UpdateOp::Insert(u, v)])
-    }
-
-    /// Deletes a single edge; see [`DsrIndex::apply_updates`].
-    pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> UpdateOutcome {
-        self.apply_updates(&[UpdateOp::Delete(u, v)])
-    }
-
-    /// Inserts a batch of edges into the indexed graph and differentially
-    /// refreshes the index.
-    pub fn insert_edges(&mut self, edges: &[(VertexId, VertexId)]) -> UpdateOutcome {
-        let ops: Vec<UpdateOp> = edges.iter().map(|&(u, v)| UpdateOp::Insert(u, v)).collect();
-        self.apply_updates(&ops)
-    }
-
-    /// Deletes a batch of edges from the indexed graph and differentially
-    /// refreshes the index. Edges that are not present are ignored.
-    pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> UpdateOutcome {
-        let ops: Vec<UpdateOp> = edges.iter().map(|&(u, v)| UpdateOp::Delete(u, v)).collect();
-        self.apply_updates(&ops)
-    }
-
     /// Applies a mixed batch of insertions and deletions with the default
-    /// zero-copy [`InProcess`] transport for the refresh exchange.
+    /// zero-copy [`InProcess`] transport for the refresh exchange: the
+    /// convenience over [`DsrIndex::apply_updates_with_transport`].
     pub fn apply_updates(&mut self, ops: &[UpdateOp]) -> UpdateOutcome {
         self.apply_updates_with_transport(ops, &InProcess)
             .expect("the in-process transport never fails")
@@ -555,7 +528,7 @@ mod tests {
             let engine = DsrEngine::new(&index);
             assert!(!engine.is_reachable(0, 5));
         }
-        let outcome = index.insert_edge(2, 3);
+        let outcome = index.apply_updates(&[UpdateOp::Insert(2, 3)]);
         assert!(outcome.rebuilt_compounds);
         assert_eq!(outcome.refreshed_summaries, vec![0, 1]);
         assert_eq!(outcome.stats.update_rounds, 1);
@@ -568,7 +541,7 @@ mod tests {
     fn inserting_a_local_edge_updates_local_reachability() {
         let (g, p) = chain_graph();
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        index.insert_edge(2, 0); // creates a cycle 0 -> 1 -> 2 -> 0
+        index.apply_updates(&[UpdateOp::Insert(2, 0)]); // creates a cycle 0 -> 1 -> 2 -> 0
         let engine = DsrEngine::new(&index);
         assert!(engine.is_reachable(2, 1));
     }
@@ -582,7 +555,7 @@ mod tests {
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let outcome = index.insert_edge(0, 2);
+        let outcome = index.apply_updates(&[UpdateOp::Insert(0, 2)]);
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.stats.is_zero(), "nothing crosses the network");
         assert_eq!(outcome.patched_compounds, vec![0], "only the owner");
@@ -593,13 +566,17 @@ mod tests {
     fn duplicate_local_edge_insertion_is_a_full_noop() {
         let (g, p) = chain_graph();
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let outcome = index.insert_edge(0, 1); // already present
+        let outcome = index.apply_updates(&[UpdateOp::Insert(0, 1)]); // already present
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.patched_compounds.is_empty());
         assert!(!outcome.rebuilt_compounds);
         assert!(outcome.stats.is_zero());
         // In-batch duplicates collapse too.
-        let outcome = index.insert_edges(&[(0, 1), (0, 1), (3, 4)]);
+        let outcome = index.apply_updates(&[
+            UpdateOp::Insert(0, 1),
+            UpdateOp::Insert(0, 1),
+            UpdateOp::Insert(3, 4),
+        ]);
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(!outcome.rebuilt_compounds);
     }
@@ -610,7 +587,7 @@ mod tests {
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
         let cut_before = index.cut.clone();
-        let outcome = index.insert_edge(2, 3); // existing cut edge
+        let outcome = index.apply_updates(&[UpdateOp::Insert(2, 3)]); // existing cut edge
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.patched_compounds.is_empty());
         assert!(!outcome.rebuilt_compounds);
@@ -631,7 +608,7 @@ mod tests {
         let g = DiGraph::from_edges(9, &[(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]);
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1, 2, 2, 2], 3);
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let outcome = index.insert_edge(2, 3);
+        let outcome = index.apply_updates(&[UpdateOp::Insert(2, 3)]);
         assert_eq!(outcome.refreshed_summaries, vec![0, 1]);
         assert_eq!(outcome.stats.update_rounds, 1);
         assert_eq!(
@@ -692,7 +669,7 @@ mod tests {
         let g = DiGraph::from_edges(9, &[(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]);
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1, 2, 2, 2], 3);
         let transport =
-            dsr_cluster::TcpTransport::loopback_with_timeout(std::time::Duration::from_secs(5));
+            dsr_cluster::TcpTransport::loopback_with(1, std::time::Duration::from_secs(5));
         // Updates on a fork: the original index stays valid even though the
         // failed delta exchange leaves the fork half-applied.
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
@@ -787,7 +764,7 @@ mod tests {
             let engine = DsrEngine::new(&index);
             assert!(engine.is_reachable(0, 3));
         }
-        let outcome = index.delete_edge(1, 2);
+        let outcome = index.apply_updates(&[UpdateOp::Delete(1, 2)]);
         assert!(outcome.rebuilt_compounds);
         let engine = DsrEngine::new(&index);
         assert!(!engine.is_reachable(0, 3));
@@ -800,7 +777,7 @@ mod tests {
     fn deleting_a_missing_edge_is_a_noop() {
         let (g, p) = chain_graph();
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let outcome = index.delete_edge(0, 5);
+        let outcome = index.apply_updates(&[UpdateOp::Delete(0, 5)]);
         assert!(!outcome.rebuilt_compounds);
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.stats.is_zero());
@@ -813,7 +790,7 @@ mod tests {
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4)]);
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let outcome = index.delete_edge(0, 2);
+        let outcome = index.apply_updates(&[UpdateOp::Delete(0, 2)]);
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.stats.is_zero());
         assert_eq!(outcome.patched_compounds, vec![0]);
@@ -838,7 +815,7 @@ mod tests {
         assert_eq!(index.summaries[0].num_forward_classes(), 1);
         let before = index.locals[0].components().to_vec();
 
-        let outcome = index.delete_edge(0, 2);
+        let outcome = index.apply_updates(&[UpdateOp::Delete(0, 2)]);
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.stats.is_zero(), "nothing crosses the network");
         assert_eq!(outcome.patched_compounds, vec![0], "only the owner");
@@ -857,11 +834,11 @@ mod tests {
         // proportional to the live compound, not to historical churn.
         let (g, p) = chain_graph();
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        index.insert_edge(2, 3);
+        index.apply_updates(&[UpdateOp::Insert(2, 3)]);
         let after_first: Vec<usize> = index.compounds.iter().map(|c| c.num_vertices()).collect();
         for _ in 0..50 {
-            index.delete_edge(2, 3);
-            index.insert_edge(2, 3);
+            index.apply_updates(&[UpdateOp::Delete(2, 3)]);
+            index.apply_updates(&[UpdateOp::Insert(2, 3)]);
         }
         let after_churn: Vec<usize> = index.compounds.iter().map(|c| c.num_vertices()).collect();
         assert_eq!(after_churn, after_first, "compounds grew under churn");
@@ -898,12 +875,14 @@ mod tests {
     /// in-boundaries like a fresh build's (a kept local condensation may
     /// number the same components differently).
     fn assert_condensations_are_fresh(index: &DsrIndex) {
-        let rebuilt = DsrIndex::build_with_options(
+        let rebuilt = DsrIndex::build_with_transport(
             &index.reconstruct_graph(),
             index.partitioning.clone(),
             index.kind,
             index.use_equivalence,
-        );
+            &InProcess,
+        )
+        .expect("in-process");
         for (compound, fresh) in index.compounds.iter().zip(&rebuilt.compounds) {
             for j in 0..index.num_partitions() as PartitionId {
                 let list = compound.route_list(j);
@@ -1014,7 +993,7 @@ mod tests {
         // Only insertions inside the SCC {0, 1, 2}: classified without a
         // search, nothing refreshed, and the condensation arrays not even
         // reallocated.
-        let outcome = fork.insert_edges(&[(1, 0), (2, 1)]);
+        let outcome = fork.apply_updates(&[UpdateOp::Insert(1, 0), UpdateOp::Insert(2, 1)]);
         assert!(outcome.refreshed_summaries.is_empty());
         assert_eq!(outcome.patched_compounds, vec![0]);
         assert!(shared(&index, &fork, 0), "no re-condense");
@@ -1023,7 +1002,7 @@ mod tests {
         assert_answers_match(&fork, 6, &edges);
 
         // An insertion between components re-condenses that partition only.
-        fork.insert_edge(3, 1);
+        fork.apply_updates(&[UpdateOp::Insert(3, 1)]);
         assert!(!shared(&index, &fork, 0) && shared(&index, &fork, 1));
         assert_eq!(fork.locals[0].dag().num_vertices(), 1);
         assert_local_condensations_are_fresh(&fork);
@@ -1034,7 +1013,7 @@ mod tests {
     fn a_deletion_that_splits_an_scc_recondenses() {
         let (mut edges, mut index) = scc_fixture();
         assert_eq!(index.locals[0].dag().num_vertices(), 2);
-        let outcome = index.delete_edge(1, 2);
+        let outcome = index.apply_updates(&[UpdateOp::Delete(1, 2)]);
         assert_eq!(outcome.refreshed_summaries, vec![0]);
         assert_eq!(
             index.locals[0].dag().num_vertices(),
@@ -1142,12 +1121,12 @@ mod tests {
                     let v = rng.gen_range(0..n) as u32;
                     if u != v && !current.contains(&(u, v)) {
                         current.push((u, v));
-                        index.insert_edge(u, v);
+                        index.apply_updates(&[UpdateOp::Insert(u, v)]);
                     }
                 } else if !current.is_empty() {
                     let idx = rng.gen_range(0..current.len());
                     let (u, v) = current.swap_remove(idx);
-                    index.delete_edge(u, v);
+                    index.apply_updates(&[UpdateOp::Delete(u, v)]);
                 }
                 assert_local_condensations_are_fresh(&index);
                 assert_condensations_are_fresh(&index);
@@ -1174,8 +1153,8 @@ mod tests {
         }
 
         proptest! {
-            /// The satellite regression: one batched `insert_edges` call
-            /// and the equivalent sequence of single `insert_edge` calls
+            /// The satellite regression: one batch of insertions and the
+            /// equivalent sequence of single-insertion batches
             /// must agree on which summaries were refreshed *and* on every
             /// query answer — including batches with duplicates and edges
             /// that already exist.
@@ -1190,11 +1169,13 @@ mod tests {
                 let mut batched = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
                 let mut sequential = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
 
-                let outcome = batched.insert_edges(&batch);
+                let inserts: Vec<UpdateOp> =
+                    batch.iter().map(|&(u, v)| UpdateOp::Insert(u, v)).collect();
+                let outcome = batched.apply_updates(&inserts);
                 let mut sequential_refreshed: BTreeSet<PartitionId> = BTreeSet::new();
-                for &(u, v) in &batch {
-                    sequential_refreshed
-                        .extend(sequential.insert_edge(u, v).refreshed_summaries);
+                for op in &inserts {
+                    let outcome = sequential.apply_updates(std::slice::from_ref(op));
+                    sequential_refreshed.extend(outcome.refreshed_summaries);
                 }
                 let batched_refreshed: BTreeSet<PartitionId> =
                     outcome.refreshed_summaries.iter().copied().collect();

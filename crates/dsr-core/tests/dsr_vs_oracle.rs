@@ -3,7 +3,7 @@
 //! oracle on arbitrary graphs, partitionings and query sets.
 
 use dsr_core::baselines::{FanBaseline, NaiveBaseline};
-use dsr_core::{DsrEngine, DsrIndex};
+use dsr_core::{DsrEngine, DsrIndex, UpdateOp};
 use dsr_graph::{DiGraph, TransitiveClosure};
 use dsr_partition::{HashPartitioner, MultilevelPartitioner, Partitioner};
 use dsr_reach::LocalIndexKind;
@@ -102,7 +102,8 @@ proptest! {
             .into_iter()
             .map(|(u, v)| (u % n as u32, v % n as u32))
             .collect();
-        index.insert_edges(&extra);
+        let inserts: Vec<UpdateOp> = extra.iter().map(|&(u, v)| UpdateOp::Insert(u, v)).collect();
+        index.apply_updates(&inserts);
         let mut all_edges = edges.clone();
         all_edges.extend_from_slice(&extra);
         let updated = DiGraph::from_edges(n, &all_edges);

@@ -3,15 +3,15 @@
 //!
 //! The paper's central serving win is that a batched set-reachability
 //! execution costs **3 communication rounds regardless of batch size**
-//! ([`DsrEngine::set_reachability_batch`]). Running each client's queries
-//! as its own private batch throws that away: 64 concurrent clients pay 64
-//! separate 3-round executions. This module is an inference-server-style
+//! ([`DsrEngine::set_reachability_batch_with_stats`]). Running each
+//! client's queries as its own private batch throws that away: 64
+//! concurrent clients pay 64 separate 3-round executions. This module is an inference-server-style
 //! batch former that recovers the multiplier *across* clients:
 //!
 //! ```text
 //!  client 1 ──┐ (cache miss)
 //!  client 2 ──┤  submission      ┌────────────┐   one fused 3-round
-//!     …       ├─ queue ────────▶ │ scheduler  │ ─ set_reachability_batch ─▶
+//!     …       ├─ queue ────────▶ │ scheduler  │ ─ set_reachability_batch_with_stats ─▶
 //!  client N ──┘  (bounded)       │  thread    │   per-client fan-out
 //!                                └────────────┘
 //!                 window: max_wait_us  │  cap: max_batch  │  flush()
@@ -39,16 +39,22 @@
 //! a hard size limit — so a single-client batch still executes as exactly
 //! one fused run and its reply stays deterministic.
 //!
-//! [`DsrEngine::set_reachability_batch`]: dsr_core::DsrEngine::set_reachability_batch
+//! A formed batch whose execution panics (a bug: the engine re-throws a
+//! slave's panic) fails every query of it that is still unanswered with
+//! the typed [`ServiceError::Panicked`] and returns their admission; the
+//! scheduler then serves the next batch.
+//!
+//! [`DsrEngine::set_reachability_batch_with_stats`]: dsr_core::DsrEngine::set_reachability_batch_with_stats
 //! [`QueryService::query_batch`]: crate::QueryService::query_batch
 
 use dsr_sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use dsr_sync::thread::JoinHandle;
 use dsr_sync::{Arc, Condvar, Mutex};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use dsr_cluster::TransportError;
+use dsr_cluster::{CommStats, TransportError};
 use dsr_core::{DsrEngine, SetQuery};
 
 use crate::cache::{CachedPairs, InsertOutcome, SigKey};
@@ -61,8 +67,9 @@ pub enum ServiceError {
     /// The admission queue is full: `queued` in-flight queries already
     /// stand against a limit of `limit`. Backpressure — retry later, widen
     /// [`ServiceConfig::admission_depth`](crate::ServiceConfig::admission_depth),
-    /// or use the blocking [`QueryService::query`](crate::QueryService::query)
-    /// which waits for capacity instead of failing.
+    /// or use the blocking
+    /// [`QueryService::query_with`](crate::QueryService::query_with) which
+    /// waits for capacity instead of failing.
     Overloaded {
         /// In-flight queries at the time of the attempt.
         queued: usize,
@@ -73,8 +80,10 @@ pub enum ServiceError {
     /// worker disconnecting mid-exchange). The error is `Arc`-shared
     /// because one failed round fails every query fused into it.
     Transport(Arc<TransportError>),
-    /// The service is shutting down and the scheduler is gone.
-    ShuttingDown,
+    /// The fused execution panicked — a bug, such as an index whose parts
+    /// disagree. Carries the panic message, shared by every query fused
+    /// into the run; the scheduler keeps serving other batches.
+    Panicked(Arc<str>),
     /// A query asked to pin a generation
     /// ([`QueryOptions::pin`](crate::QueryOptions::pin)) that has already
     /// been reclaimed — its last `SnapshotRef` dropped. Take a fresh
@@ -93,7 +102,9 @@ impl std::fmt::Display for ServiceError {
                 "service overloaded: {queued} in-flight queries at admission limit {limit}"
             ),
             ServiceError::Transport(err) => write!(f, "fused batch execution failed: {err}"),
-            ServiceError::ShuttingDown => f.write_str("service is shutting down"),
+            ServiceError::Panicked(message) => {
+                write!(f, "fused batch execution panicked: {message}")
+            }
             ServiceError::GenerationReclaimed { generation } => write!(
                 f,
                 "generation {generation} has been reclaimed; pin a live snapshot instead"
@@ -173,6 +184,13 @@ impl Waiter {
             state.error = Some(error);
         }
         self.ready.notify_all();
+    }
+
+    /// Whether `slot` is neither answered nor failed with its group: such a
+    /// slot still holds its admission.
+    fn is_open(&self, slot: usize) -> bool {
+        let state = dsr_sync::lock(&self.state);
+        state.slots[slot].is_none() && state.error.is_none()
     }
 
     /// Blocks until every slot is fulfilled (returning them in submission
@@ -365,10 +383,40 @@ fn run_scheduler(core: &Core, rx: &Receiver<Msg>, config: BatcherConfig) {
                 }
             }
         }
-        execute_formed(core, pending);
+        // Who to fail should the run panic: the entries move into it.
+        let waiters: Vec<(Arc<Waiter>, usize)> = pending
+            .iter()
+            .map(|entry| (Arc::clone(&entry.waiter), entry.slot))
+            .collect();
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| execute_formed(core, pending))) {
+            fail_open(core, &waiters, panic.as_ref());
+        }
         if disconnected {
             return;
         }
+    }
+}
+
+/// After a formed batch panicked: fails every slot of it that is still
+/// open with [`ServiceError::Panicked`] and returns those slots'
+/// admission. Nothing that can panic runs between answering or failing a
+/// slot and returning its admission, so an open slot still holds its own.
+fn fail_open(core: &Core, waiters: &[(Arc<Waiter>, usize)], panic: &(dyn std::any::Any + Send)) {
+    let message: Arc<str> = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(message), _) => Arc::from(*message),
+        (None, Some(message)) => Arc::from(message.as_str()),
+        (None, None) => Arc::from("non-string panic payload"),
+    };
+    // Decide for every slot before failing any: failing a group closes
+    // all of its slots.
+    let open: Vec<&Arc<Waiter>> = waiters
+        .iter()
+        .filter(|(waiter, slot)| waiter.is_open(*slot))
+        .map(|(waiter, _)| waiter)
+        .collect();
+    core.admission.release(open.len());
+    for waiter in open {
+        waiter.fail(ServiceError::Panicked(Arc::clone(&message)));
     }
 }
 
@@ -466,9 +514,10 @@ fn execute_group(core: &Core, group: GenGroup) {
     }
     let namespace = generation.id();
     let queries: Vec<SetQuery> = misses.iter().map(SigKey::to_query).collect();
+    let stats = CommStats::new();
     let outcome = {
         let engine = DsrEngine::with_transport(generation.index(), &core.transport);
-        engine.set_reachability_batch(&queries)
+        engine.set_reachability_batch_with_stats(&queries, &stats)
         // `engine` drops here; the generation pins (this group's and each
         // entry's) are shed below before any waiter is woken, so an update
         // by a client observing its completion reclaims the superseded
@@ -476,16 +525,16 @@ fn execute_group(core: &Core, group: GenGroup) {
     };
     let released = executing.len();
     match outcome {
-        Ok(batch) => {
-            core.comm.add(batch.rounds, batch.messages, batch.bytes);
-            core.batch
-                .record_execution(misses.len() as u64, batch.rounds);
+        Ok(results) => {
+            let (rounds, messages, bytes) = stats.snapshot();
+            core.comm.add(rounds, messages, bytes);
+            core.batch.record_execution(misses.len() as u64, rounds);
             let cost = Arc::new(RoundCost {
-                rounds: batch.rounds,
-                messages: batch.messages,
-                bytes: batch.bytes,
+                rounds,
+                messages,
+                bytes,
             });
-            let values: Vec<CachedPairs> = batch.results.into_iter().map(Arc::new).collect();
+            let values: Vec<CachedPairs> = results.into_iter().map(Arc::new).collect();
             // Seeded mutation (model builds only): releasing admission
             // *before* the results are published to the cache lets a client
             // unblocked by the freed capacity probe the cache and miss a

@@ -21,9 +21,11 @@
 //!   bounded by the [`ServiceConfig::max_wait_us`] window and the
 //!   [`ServiceConfig::max_batch`] cap — into shared
 //!   scatter/exchange/gather runs via
-//!   [`DsrEngine::set_reachability_batch`](dsr_core::DsrEngine::set_reachability_batch),
+//!   [`DsrEngine::set_reachability_batch_with_stats`](dsr_core::DsrEngine::set_reachability_batch_with_stats),
 //!   then fans the answers back out. Per-slave work runs on the
-//!   process-wide persistent [`SlavePool`](dsr_cluster::SlavePool).
+//!   process-wide persistent [`SlavePool`](dsr_cluster::SlavePool). A run
+//!   that panics fails its queries with [`ServiceError::Panicked`] and the
+//!   scheduler keeps serving.
 //! * A bounded LRU cache ([`QueryCache`]) keyed on normalized
 //!   `(sources, targets)` signatures — hashed once into a [`SigKey`] —
 //!   short-circuits repeated queries without touching the scheduler. The
@@ -31,12 +33,20 @@
 //!   keep hitting their generation's entries while updates retire only
 //!   the namespaces of dead generations ([`NamespaceHits`] splits the
 //!   hit counters).
-//! * Admission control bounds the number of in-flight queries: the
-//!   fail-fast entry points ([`QueryService::try_query`] /
-//!   [`QueryService::try_submit`]) return the typed
+//! * One query enters through [`QueryService::query_with`] (or its
+//!   two-phase half [`QueryService::submit_with`]), a batch through
+//!   [`QueryService::query_batch`]; [`QueryService::query`] is the
+//!   convenience that panics on a failed run. [`QueryOptions`] adds
+//!   per-query cache bypass and explicit generation pinning. Admission
+//!   control bounds the number of in-flight queries: the fail-fast
+//!   [`QueryService::try_submit`] returns the typed
 //!   [`ServiceError::Overloaded`] under saturation instead of piling up
-//!   unboundedly. [`QueryOptions`] adds per-query cache bypass and
-//!   explicit generation pinning.
+//!   unboundedly.
+//! * The transport is chosen in one place:
+//!   [`QueryService::with_config`] serves in process,
+//!   [`QueryService::with_config_and_transport`] over any
+//!   [`DynTransport`](dsr_cluster::DynTransport) — the wire codec, a
+//!   loopback TCP cluster or external `dsr-node` workers.
 //! * Index updates flow through [`QueryService::update`] — the
 //!   differential pipeline of Section 3.3.3: back-to-back batches are
 //!   coalesced, only affected partitions refresh, and the summary deltas
@@ -80,7 +90,7 @@
 //! // … and snapshot isolation: a pinned reader's view survives updates.
 //! let snap = service.snapshot();
 //! service.update(&[UpdateOp::Delete(2, 3)], UpdateMode::Auto).unwrap();
-//! assert_eq!(*snap.query(&[0], &[5]), vec![(0, 5)]); // old generation
+//! assert_eq!(*snap.query(&[0], &[5]).unwrap(), vec![(0, 5)]); // old generation
 //! assert!(service.query(&[0], &[5]).is_empty());     // latest generation
 //! ```
 //!

@@ -13,8 +13,8 @@ use dsr_sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsr_cluster::{
-    BatchStats, CacheStats, CommStats, DynTransport, FailoverSnapshot, TransportError,
-    TransportKind, UpdateStats,
+    BatchStats, CacheStats, CommStats, DynTransport, FailoverSnapshot, InProcess, TransportError,
+    UpdateStats,
 };
 use dsr_core::{coalesce_updates, DsrIndex, SetQuery, UpdateOp, UpdateOutcome};
 use dsr_graph::VertexId;
@@ -128,22 +128,10 @@ pub struct ServiceConfig {
     /// concurrency.
     pub max_wait_us: u64,
     /// Admission limit: maximum number of submitted-but-unanswered queries
-    /// before backpressure. [`QueryService::try_query`] /
-    /// [`QueryService::try_submit`] fail fast with
-    /// [`ServiceError::Overloaded`]; the blocking entry points wait for
-    /// room instead.
+    /// before backpressure. [`QueryService::try_submit`] fails fast with
+    /// [`ServiceError::Overloaded`]; the other entry points wait for room
+    /// instead.
     pub admission_depth: usize,
-    /// Which communication backend the service's engine runs over:
-    /// [`TransportKind::InProcess`] (zero-copy moves, the default),
-    /// [`TransportKind::Wire`] (every message encoded and decoded in process)
-    /// or [`TransportKind::Tcp`] (framed bytes through loopback TCP worker
-    /// endpoints; to front **external** `dsr-node` workers, connect a
-    /// [`TcpTransport`](dsr_cluster::TcpTransport) yourself and use
-    /// [`QueryService::with_config_and_transport`]). The backend is
-    /// instantiated once at construction and shared by every query this
-    /// service executes — and by the refresh exchange of every update
-    /// applied through [`QueryService::update`].
-    pub transport: TransportKind,
 }
 
 impl Default for ServiceConfig {
@@ -153,20 +141,6 @@ impl Default for ServiceConfig {
             max_batch: 64,
             max_wait_us: 200,
             admission_depth: 1024,
-            transport: TransportKind::InProcess,
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// The default configuration with the transport selected by the
-    /// `DSR_TRANSPORT` environment variable, parsed by the shared
-    /// [`FromStr`](std::str::FromStr) impl of [`TransportKind`] (an invalid
-    /// value fails loudly, listing the accepted names).
-    pub fn from_env() -> Self {
-        ServiceConfig {
-            transport: TransportKind::from_env(),
-            ..ServiceConfig::default()
         }
     }
 }
@@ -247,9 +221,9 @@ impl Core {
 }
 
 /// A pending (or immediately answered) single-query submission — the
-/// two-phase half of [`QueryService::query`]. Obtain one with
-/// [`QueryService::submit`] / [`QueryService::try_submit`], then collect
-/// the answer with [`QueryTicket::wait`].
+/// two-phase half of [`QueryService::query_with`]. Obtain one with
+/// [`QueryService::submit_with`] / [`QueryService::try_submit`], then
+/// collect the answer with [`QueryTicket::wait`].
 #[derive(Debug)]
 pub struct QueryTicket {
     inner: TicketInner,
@@ -282,7 +256,8 @@ impl QueryTicket {
     ///
     /// # Errors
     /// [`ServiceError::Transport`] when the fused execution containing
-    /// this query failed on the service transport.
+    /// this query failed on the service transport,
+    /// [`ServiceError::Panicked`] when it panicked.
     pub fn wait(self) -> Result<CachedPairs, ServiceError> {
         match self.inner {
             TicketInner::Ready(value) => Ok(value),
@@ -331,22 +306,13 @@ impl SnapshotRef<'_> {
     }
 
     /// Answers `S ; T` against the pinned generation, consulting its
-    /// cache namespace; misses fuse with concurrent traffic.
-    ///
-    /// # Panics
-    /// On transport failure, like [`QueryService::query`].
-    pub fn query(&self, sources: &[VertexId], targets: &[VertexId]) -> CachedPairs {
-        match self.try_query(sources, targets) {
-            Ok(value) => value,
-            Err(err) => panic!("snapshot query failed: {err}"),
-        }
-    }
-
-    /// Fail-typed [`query`](SnapshotRef::query).
+    /// cache namespace; misses fuse with concurrent traffic. Blocks for
+    /// admission.
     ///
     /// # Errors
-    /// [`ServiceError::Transport`] when the fused execution fails.
-    pub fn try_query(
+    /// [`ServiceError::Transport`] or [`ServiceError::Panicked`] when the
+    /// fused execution fails.
+    pub fn query(
         &self,
         sources: &[VertexId],
         targets: &[VertexId],
@@ -444,19 +410,22 @@ impl QueryService {
         Self::with_config(index, ServiceConfig::default())
     }
 
-    /// Creates a service over `index` with an explicit configuration.
+    /// Creates a service over `index` with an explicit configuration,
+    /// serving in process ([`InProcess`]).
     pub fn with_config(index: Arc<DsrIndex>, config: ServiceConfig) -> Self {
-        let transport = config.transport.create();
-        Self::with_config_and_transport(index, config, transport)
+        Self::with_config_and_transport(index, config, DynTransport::InProcess(InProcess))
     }
 
     /// Creates a service over `index` with an explicit configuration **and
-    /// an already-constructed transport** — the entry point for fronting a
-    /// remote cluster: connect a
-    /// [`TcpTransport`](dsr_cluster::TcpTransport) to the `dsr-node`
-    /// workers and hand it over wrapped in
-    /// [`DynTransport::Tcp`](dsr_cluster::DynTransport). The
-    /// `config.transport` field is ignored in favor of the given backend.
+    /// transport** — the one way to serve over another backend than
+    /// [`InProcess`]: a [`WireTransport`](dsr_cluster::WireTransport)
+    /// (every message encoded and decoded in process), a loopback
+    /// [`TcpTransport`](dsr_cluster::TcpTransport), or one connected to
+    /// external `dsr-node` workers, each wrapped in [`DynTransport`]
+    /// ([`TransportKind::create`](dsr_cluster::TransportKind::create) and
+    /// [`DynTransport::from_env`] build one by kind). The backend is shared
+    /// by every query this service executes and by the refresh exchange of
+    /// every update applied through [`QueryService::update`].
     pub fn with_config_and_transport(
         index: Arc<DsrIndex>,
         config: ServiceConfig,
@@ -507,12 +476,8 @@ impl QueryService {
         }
     }
 
-    /// Which transport backend this service executes queries over.
-    pub fn transport_kind(&self) -> TransportKind {
-        self.core.transport.kind()
-    }
-
-    /// The transport this service executes queries over, for callers that
+    /// The transport this service executes queries over (its
+    /// [`kind`](DynTransport::kind) says which backend), for callers that
     /// need direct access to the backend (e.g. to inject faults or rejoin
     /// suspect workers on a [`DynTransport::Tcp`] cluster).
     pub fn transport(&self) -> &DynTransport {
@@ -577,22 +542,8 @@ impl QueryService {
         self.core.cache.len()
     }
 
-    /// Probes the cache and, on a miss, enqueues the query into the batch
-    /// former, blocking for admission if the service is saturated. The
-    /// returned [`QueryTicket`] collects the answer.
-    ///
-    /// Submitting without immediately waiting is how a single client
-    /// presents concurrent work: submit several queries, then
-    /// [`flush`](QueryService::flush) and wait on the tickets — the misses
-    /// fuse into one protocol run exactly like misses from distinct
-    /// threads.
-    pub fn submit(&self, sources: &[VertexId], targets: &[VertexId]) -> QueryTicket {
-        let generation = self.core.generations.latest();
-        self.submit_pinned(generation, sources, targets, true, true)
-            .expect("blocking admission cannot be refused")
-    }
-
-    /// Non-blocking [`submit`](QueryService::submit): fails fast with
+    /// Non-blocking [`submit_with`](QueryService::submit_with) with the
+    /// default [`QueryOptions`]: fails fast with
     /// [`ServiceError::Overloaded`] instead of waiting for admission when
     /// [`ServiceConfig::admission_depth`] queries are already in flight.
     ///
@@ -607,9 +558,16 @@ impl QueryService {
         self.submit_pinned(generation, sources, targets, true, false)
     }
 
-    /// [`submit`](QueryService::submit) with per-query [`QueryOptions`]:
-    /// cache bypass and/or an explicit generation pin. Blocks for
-    /// admission.
+    /// Probes the cache and, on a miss, enqueues the query into the batch
+    /// former, blocking for admission if the service is saturated. The
+    /// returned [`QueryTicket`] collects the answer; `options` asks for a
+    /// cache bypass and/or an explicit generation pin.
+    ///
+    /// Submitting without immediately waiting is how a single client
+    /// presents concurrent work: submit several queries, then
+    /// [`flush`](QueryService::flush) and wait on the tickets — the misses
+    /// fuse into one protocol run exactly like misses from distinct
+    /// threads.
     ///
     /// # Errors
     /// [`ServiceError::GenerationReclaimed`] when `options.pin` names a
@@ -678,55 +636,37 @@ impl QueryService {
 
     /// Asks the batch former to execute whatever is pending right now
     /// instead of waiting out the forming window — pair with
-    /// [`submit`](QueryService::submit) when the caller knows no more work
-    /// is coming.
+    /// [`submit_with`](QueryService::submit_with) when the caller knows no
+    /// more work is coming.
     pub fn flush(&self) {
         self.batcher.flush();
     }
 
-    /// Answers `S ; T` against the latest generation, consulting the
-    /// result cache; misses fuse with concurrent clients' misses into
-    /// shared protocol rounds.
-    ///
-    /// Blocks for admission when the service is saturated (use
-    /// [`try_query`](QueryService::try_query) for fail-fast backpressure).
+    /// The convenience over [`query_with`](QueryService::query_with) with
+    /// the default [`QueryOptions`]: answers `S ; T` against the latest
+    /// generation, consulting the result cache.
     ///
     /// # Panics
-    /// On transport failure, like the underlying
-    /// [`DsrEngine::set_reachability`](dsr_core::DsrEngine::set_reachability)
-    /// — the in-process and wire backends lose no worker; TCP-fronted callers
-    /// who need the typed error use [`try_query`](QueryService::try_query)
-    /// or [`query_batch`](QueryService::query_batch).
+    /// When the fused execution fails — the in-process and wire backends
+    /// lose no worker; TCP-fronted callers who need the typed error use
+    /// [`query_with`](QueryService::query_with).
     pub fn query(&self, sources: &[VertexId], targets: &[VertexId]) -> CachedPairs {
-        match self.submit(sources, targets).wait() {
+        match self.query_with(sources, targets, QueryOptions::default()) {
             Ok(value) => value,
             Err(err) => panic!("service query failed: {err}"),
         }
     }
 
-    /// Fail-fast [`query`](QueryService::query): returns
-    /// [`ServiceError::Overloaded`] instead of blocking when the admission
-    /// queue is saturated, and [`ServiceError::Transport`] instead of
-    /// panicking when the fused execution fails.
+    /// Answers `S ; T`, consulting the result cache; misses fuse with
+    /// concurrent clients' misses into shared protocol rounds. Blocks for
+    /// admission when the service is saturated (use
+    /// [`try_submit`](QueryService::try_submit) for fail-fast
+    /// backpressure).
     ///
     /// # Errors
-    /// [`ServiceError::Overloaded`] on a saturated admission queue,
-    /// [`ServiceError::Transport`] when the fused run failed.
-    pub fn try_query(
-        &self,
-        sources: &[VertexId],
-        targets: &[VertexId],
-    ) -> Result<CachedPairs, ServiceError> {
-        self.try_submit(sources, targets)?.wait()
-    }
-
-    /// [`query`](QueryService::query) with per-query [`QueryOptions`].
-    /// Blocks for admission; fails typed instead of panicking.
-    ///
-    /// # Errors
-    /// [`ServiceError::Transport`] when the fused execution fails,
-    /// [`ServiceError::GenerationReclaimed`] on a dead
-    /// [`QueryOptions::pin`].
+    /// [`ServiceError::Transport`] or [`ServiceError::Panicked`] when the
+    /// fused execution fails, [`ServiceError::GenerationReclaimed`] on a
+    /// dead [`QueryOptions::pin`].
     pub fn query_with(
         &self,
         sources: &[VertexId],
@@ -751,8 +691,9 @@ impl QueryService {
     /// # Errors
     /// [`ServiceError::Transport`] when the fused execution fails (e.g. a
     /// TCP worker disconnecting) — nothing is cached from a failed batch —
-    /// and never [`ServiceError::Overloaded`]: a whole batch blocks for
-    /// admission. The in-process and wire backends lose no worker.
+    /// or [`ServiceError::Panicked`] when it panicked, and never
+    /// [`ServiceError::Overloaded`]: a whole batch blocks for admission.
+    /// The in-process and wire backends lose no worker.
     pub fn query_batch(&self, queries: &[SetQuery]) -> Result<BatchReply, ServiceError> {
         let generation = self.core.generations.latest();
         self.query_batch_pinned(generation, queries)
@@ -942,6 +883,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsr_cluster::TransportKind;
     use dsr_graph::DiGraph;
     use dsr_partition::Partitioning;
     use dsr_reach::LocalIndexKind;
@@ -1003,7 +945,10 @@ mod tests {
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let p = Partitioning::new(vec![0, 0, 1, 1, 2, 2], 3);
         let index = Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs));
-        let transport = DynTransport::Tcp(dsr_cluster::TcpTransport::loopback_replicated(2));
+        let transport = DynTransport::Tcp(dsr_cluster::TcpTransport::loopback_with(
+            2,
+            Duration::from_secs(30),
+        ));
         let service =
             QueryService::with_config_and_transport(index, ServiceConfig::default(), transport);
         assert!(
@@ -1085,7 +1030,8 @@ mod tests {
     fn submitted_tickets_fuse_into_one_round_trip() {
         let service = chain_service();
         // Two-phase submission: a single client presents concurrent work.
-        let tickets: Vec<QueryTicket> = (0..4).map(|i| service.submit(&[i], &[5])).collect();
+        let submit = |i| service.submit_with(&[i], &[5], QueryOptions::default());
+        let tickets: Vec<QueryTicket> = (0..4).map(|i| submit(i).expect("latest")).collect();
         assert!(!tickets[0].is_ready(), "cold queries queue");
         service.flush();
         for (i, ticket) in tickets.into_iter().enumerate() {
@@ -1097,7 +1043,7 @@ mod tests {
         assert_eq!(service.batch_stats().executed(), 4);
         assert!(service.batch_stats().fusion_ratio() > 1.0);
         // A repeated submit resolves instantly from the cache.
-        assert!(service.submit(&[0], &[5]).is_ready());
+        assert!(submit(0).expect("latest").is_ready());
     }
 
     #[test]
@@ -1204,13 +1150,13 @@ mod tests {
     fn fork_and_swap_serves_pinned_readers_the_old_generation() {
         let service = chain_service();
         let snap = service.snapshot();
-        assert!(snap.query(&[5], &[0]).is_empty());
+        assert!(snap.query(&[5], &[0]).expect("in-process").is_empty());
         let outcome = service
             .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
             .expect("in-process transport");
         assert!(outcome.rebuilt_compounds);
         // The pinned snapshot still answers from its frozen generation …
-        assert!(snap.query(&[5], &[0]).is_empty());
+        assert!(snap.query(&[5], &[0]).expect("in-process").is_empty());
         // … while fresh traffic sees the new edge.
         assert_eq!(*service.query(&[5], &[0]), vec![(5, 0)]);
         assert_eq!(service.generation_stats().retained, 2, "old gen pinned");
@@ -1224,7 +1170,7 @@ mod tests {
     fn pinned_snapshot_answers_survive_an_update_batch() {
         let service = chain_service();
         let snap = service.snapshot();
-        let before = snap.query(&[0], &[5]);
+        let before = snap.query(&[0], &[5]).expect("in-process");
         assert_eq!(*before, vec![(0, 5)]);
         // Sever the chain's cut edge for fresh traffic.
         service
@@ -1233,7 +1179,7 @@ mod tests {
         assert!(service.query(&[0], &[5]).is_empty(), "latest is severed");
         // The pinned repeat is answered from the retained generation's own
         // namespace: identical Arc, zero communication.
-        let after = snap.query(&[0], &[5]);
+        let after = snap.query(&[0], &[5]).expect("in-process");
         assert!(Arc::ptr_eq(&before, &after), "old-namespace cache hit");
         assert_eq!(
             service.namespace_hits().pinned,
@@ -1342,7 +1288,7 @@ mod tests {
     fn failed_update_batch_changes_nothing() {
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let transport = dsr_cluster::TcpTransport::loopback_with_timeout(Duration::from_secs(5));
+        let transport = dsr_cluster::TcpTransport::loopback_with(1, Duration::from_secs(5));
         let service = QueryService::with_config_and_transport(
             Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
             ServiceConfig::default(),
@@ -1455,7 +1401,7 @@ mod tests {
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
         service.install_index(Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)));
         // The pinned view kept the install out entirely.
-        assert!(snap.query(&[5], &[0]).is_empty());
+        assert!(snap.query(&[5], &[0]).expect("in-process").is_empty());
         let reply = snap
             .query_batch(&[SetQuery::new(vec![5], vec![0])])
             .expect("in-process transport");
@@ -1497,14 +1443,12 @@ mod tests {
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
         let index = Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs));
         let in_process = QueryService::new(Arc::clone(&index));
-        let wired = QueryService::with_config(
+        let wired = QueryService::with_config_and_transport(
             Arc::clone(&index),
-            ServiceConfig {
-                transport: TransportKind::Wire,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig::default(),
+            TransportKind::Wire.create(),
         );
-        assert_eq!(wired.transport_kind(), TransportKind::Wire);
+        assert_eq!(wired.transport().kind(), TransportKind::Wire);
         let queries = [
             SetQuery::new(vec![0, 1], vec![4, 5]),
             SetQuery::new(vec![5], vec![0]),
@@ -1528,14 +1472,12 @@ mod tests {
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
         let index = Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs));
         let in_process = QueryService::new(Arc::clone(&index));
-        let tcp = QueryService::with_config(
+        let tcp = QueryService::with_config_and_transport(
             Arc::clone(&index),
-            ServiceConfig {
-                transport: TransportKind::Tcp,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig::default(),
+            TransportKind::Tcp.create(),
         );
-        assert_eq!(tcp.transport_kind(), TransportKind::Tcp);
+        assert_eq!(tcp.transport().kind(), TransportKind::Tcp);
         let queries = [
             SetQuery::new(vec![0, 1], vec![4, 5]),
             SetQuery::new(vec![5], vec![0]),

@@ -17,7 +17,7 @@
 use dsr_sync::Arc;
 use std::time::Instant;
 
-use dsr_cluster::BatchStats;
+use dsr_cluster::{BatchStats, DynTransport};
 use dsr_core::{DsrIndex, SetQuery};
 use dsr_datagen::{query_stream, web_graph, ArrivalPattern, StreamConfig};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
@@ -58,15 +58,17 @@ fn main() {
         .map(|q| SetQuery::new(q.sources.clone(), q.targets.clone()))
         .collect();
 
-    // 3. Serve from 32 closed-loop clients. `ServiceConfig::from_env`
-    //    honours DSR_TRANSPORT; the forming window and batch cap keep
-    //    their defaults.
-    let config = ServiceConfig::from_env();
+    // 3. Serve from 32 closed-loop clients over the backend DSR_TRANSPORT
+    //    names; the forming window and batch cap keep their defaults.
+    let config = ServiceConfig::default();
+    let transport = DynTransport::from_env();
     println!(
         "transport: {:?}, forming window: {} us, batch cap: {}",
-        config.transport, config.max_wait_us, config.max_batch
+        transport.kind(),
+        config.max_wait_us,
+        config.max_batch
     );
-    let service = QueryService::with_config(Arc::clone(&index), config);
+    let service = QueryService::with_config_and_transport(Arc::clone(&index), config, transport);
     let start = Instant::now();
     dsr_sync::thread::scope(|scope| {
         for client in 0..CLIENTS {

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use dsr_core::{DsrEngine, DsrIndex};
+use dsr_core::{DsrEngine, DsrIndex, UpdateOp};
 use dsr_datagen::{dataset_by_name, random_query};
 use dsr_graph::DiGraph;
 use dsr_partition::{MultilevelPartitioner, Partitioner};
@@ -40,8 +40,12 @@ fn main() {
     let batch_size = edges.len() / 50;
     while inserted < edges.len() {
         let end = (inserted + batch_size).min(edges.len());
+        let ops: Vec<UpdateOp> = edges[inserted..end]
+            .iter()
+            .map(|&(u, v)| UpdateOp::Insert(u, v))
+            .collect();
         let start = Instant::now();
-        let outcome = index.insert_edges(&edges[inserted..end]);
+        let outcome = index.apply_updates(&ops);
         println!(
             "inserted {:>5} edges: {:?} ({} summaries refreshed, {} delta bytes shipped)",
             end - inserted,
@@ -64,9 +68,12 @@ fn main() {
     );
 
     // Delete a batch of edges again.
-    let delete_batch = &edges[edges.len() - batch_size..];
+    let delete_batch: Vec<UpdateOp> = edges[edges.len() - batch_size..]
+        .iter()
+        .map(|&(u, v)| UpdateOp::Delete(u, v))
+        .collect();
     let start = Instant::now();
-    index.delete_edges(delete_batch);
+    index.apply_updates(&delete_batch);
     println!(
         "deleted {:>5} edges: {:?} (deletions cost roughly a partition rebuild, as in the paper)",
         delete_batch.len(),

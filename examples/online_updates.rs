@@ -22,6 +22,7 @@
 use dsr_sync::Arc;
 
 use dsr::testing::build_index_from_env;
+use dsr_cluster::DynTransport;
 use dsr_core::{SetQuery, UpdateOp};
 use dsr_datagen::{
     query_stream, update_stream, web_graph, EdgeOp, StreamConfig, UpdateStreamConfig,
@@ -36,12 +37,16 @@ fn main() {
     let graph = web_graph(800, 4.0, 16, 0.7, 0xAB);
     let partitioning = MultilevelPartitioner::default().partition(&graph, 4);
     let index = build_index_from_env(&graph, partitioning, LocalIndexKind::Dfs);
-    let service = QueryService::with_config(Arc::new(index), ServiceConfig::from_env());
+    let service = QueryService::with_config_and_transport(
+        Arc::new(index),
+        ServiceConfig::default(),
+        DynTransport::from_env(),
+    );
     println!(
         "service up: {} vertices, {} edges, 4 slaves, transport = {:?}",
         graph.num_vertices(),
         graph.num_edges(),
-        service.transport_kind()
+        service.transport().kind()
     );
 
     // 2. Workloads: a hot query stream and a consistent update stream.

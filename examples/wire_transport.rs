@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use dsr_cluster::{Transport, TransportKind, WireTransport};
+use dsr_cluster::{CommStats, Transport, TransportKind, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
 use dsr_reach::LocalIndexKind;
@@ -53,36 +53,47 @@ fn main() {
     let in_process_engine = DsrEngine::new(&in_process_index);
     let wire_engine = DsrEngine::with_transport(&wire_index, &wire);
 
+    let (a_stats, b_stats) = (CommStats::new(), CommStats::new());
     let start = Instant::now();
     let a = in_process_engine
-        .set_reachability_batch(&queries)
+        .set_reachability_batch_with_stats(&queries, &a_stats)
         .expect("in-process");
     let a_time = start.elapsed();
     let start = Instant::now();
-    let b = wire_engine.set_reachability_batch(&queries).expect("wire");
+    let b = wire_engine
+        .set_reachability_batch_with_stats(&queries, &b_stats)
+        .expect("wire");
     let b_time = start.elapsed();
 
-    assert_eq!(a.results, b.results, "transports must agree on answers");
-    assert_eq!(a.rounds, b.rounds, "3-round protocol on both backends");
-    assert_eq!(a.bytes, b.bytes, "exact sizing == measured wire bytes");
+    let (a_rounds, _, a_bytes) = a_stats.snapshot();
+    let (b_rounds, _, b_bytes) = b_stats.snapshot();
+    assert_eq!(a, b, "transports must agree on answers");
+    assert_eq!(a_rounds, b_rounds, "3-round protocol on both backends");
+    assert_eq!(a_bytes, b_bytes, "exact sizing == measured wire bytes");
 
-    for (name, outcome, elapsed) in [
-        (TransportKind::InProcess.create().name(), &a, a_time),
-        (wire.name(), &b, b_time),
+    for (name, results, stats, elapsed) in [
+        (
+            TransportKind::InProcess.create().name(),
+            &a,
+            &a_stats,
+            a_time,
+        ),
+        (wire.name(), &b, &b_stats, b_time),
     ] {
+        let (rounds, messages, bytes) = stats.snapshot();
         println!(
             "{name:>11}: {} queries -> {} pairs | rounds {} | messages {} | {:.1} KB | {:?}",
             queries.len(),
-            outcome.results.iter().map(Vec::len).sum::<usize>(),
-            outcome.rounds,
-            outcome.messages,
-            outcome.bytes as f64 / 1024.0,
+            results.iter().map(Vec::len).sum::<usize>(),
+            rounds,
+            messages,
+            bytes as f64 / 1024.0,
             elapsed,
         );
     }
     println!(
         "wire bytes/round: {:.1}",
-        b.bytes as f64 / b.rounds.max(1) as f64
+        b_bytes as f64 / b_rounds.max(1) as f64
     );
     println!("byte-identical answers over both transports ✓");
 }

@@ -7,6 +7,7 @@
 
 use dsr_sync::Arc;
 
+use dsr_cluster::{DynTransport, TransportKind};
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::erdos_renyi;
 use dsr_graph::{DiGraph, TransitiveClosure};
@@ -62,7 +63,12 @@ fn sixty_four_clients_fuse_under_update_churn() {
     let index = Arc::new(DsrIndex::build(&graph, partitioning, LocalIndexKind::Dfs));
     // `from_env` honours DSR_TRANSPORT, so the CI matrix drives the batch
     // former over the wire and TCP backends too.
-    let service = QueryService::with_config(index, ServiceConfig::from_env());
+    let service = QueryService::with_config_and_transport(
+        index,
+        ServiceConfig::default(),
+        DynTransport::from_env(),
+    );
+    assert_eq!(service.transport().kind(), TransportKind::from_env());
     let pool = query_pool(n as u64);
 
     for epoch in 0..EPOCHS {
@@ -141,15 +147,17 @@ fn saturation_returns_overloaded_instead_of_deadlocking() {
     // Four in-flight queries fill the admission queue; the forming window
     // is far longer than the test, so nothing executes until the explicit
     // flush — saturation is guaranteed, not racy.
-    let service = QueryService::with_config(
+    let service = QueryService::with_config_and_transport(
         Arc::clone(&index),
         ServiceConfig {
             admission_depth: 4,
             max_batch: usize::MAX,
             max_wait_us: 60_000_000,
-            ..ServiceConfig::from_env()
+            ..ServiceConfig::default()
         },
+        DynTransport::from_env(),
     );
+    assert_eq!(service.transport().kind(), TransportKind::from_env());
     let pool = query_pool(n as u64);
 
     // 16 clients race one fail-fast submission each (all distinct queries,

@@ -8,7 +8,9 @@ use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_graph::{DiGraph, TransitiveClosure};
 use dsr_partition::Partitioning;
 use dsr_reach::LocalIndexKind;
-use dsr_service::{QueryOptions, QueryService, ServiceConfig, UpdateMode};
+use dsr_service::{
+    QueryOptions, QueryService, QueryTicket, ServiceConfig, ServiceError, UpdateMode,
+};
 
 /// Two 3-vertex chains on two slaves, no cross edge yet.
 fn disconnected_service() -> QueryService {
@@ -86,7 +88,10 @@ fn in_place_update_is_refused_while_a_snapshot_is_pinned() {
         .update(&[UpdateOp::Insert(2, 3)], UpdateMode::Auto)
         .expect("in-process transport");
     assert_eq!(service.generation_stats().retained, 2);
-    assert!(snap.query(&[0], &[5]).is_empty(), "pinned view unmoved");
+    assert!(
+        snap.query(&[0], &[5]).expect("in-process").is_empty(),
+        "pinned view unmoved"
+    );
     assert_eq!(*service.query(&[0], &[5]), vec![(0, 5)]);
 }
 
@@ -219,7 +224,10 @@ fn a_query_naming_a_vertex_the_graph_does_not_have_is_served_and_cached() {
     // stall it.
     let (reply, answered) = dsr_sync::mpsc::channel();
     let client = Arc::clone(&service);
-    dsr_sync::thread::spawn(move || reply.send(client.try_query(&[1_000_000, 0], &[2, 9, 5])));
+    dsr_sync::thread::spawn(move || {
+        let ticket = client.try_submit(&[1_000_000, 0], &[2, 9, 5]);
+        reply.send(ticket.and_then(QueryTicket::wait))
+    });
     let first = answered
         .recv_timeout(std::time::Duration::from_secs(10))
         .expect("the service answers")
@@ -228,7 +236,10 @@ fn a_query_naming_a_vertex_the_graph_does_not_have_is_served_and_cached() {
 
     // The cache holds the answer under the signature as asked.
     assert_eq!(service.cache_len(), 1);
-    let second = service.try_query(&[0, 1_000_000], &[9, 5, 2]).expect("hit");
+    let second = service
+        .try_submit(&[0, 1_000_000], &[9, 5, 2])
+        .and_then(QueryTicket::wait)
+        .expect("hit");
     assert!(Arc::ptr_eq(&first, &second));
     assert_eq!(
         (service.cache_stats().hits(), service.cache_stats().misses()),
@@ -237,10 +248,54 @@ fn a_query_naming_a_vertex_the_graph_does_not_have_is_served_and_cached() {
 
     // A side of foreign ids only is an empty answer, and ordinary queries
     // are served as before.
+    let foreign_only = service.try_submit(&[1_000_000], &[0]);
     assert_eq!(
-        *service.try_query(&[1_000_000], &[0]).expect("served"),
+        *foreign_only.and_then(QueryTicket::wait).expect("served"),
         vec![]
     );
     assert_eq!(*service.query(&[0], &[2, 5]), vec![(0, 2)]);
     assert_eq!(service.cache_len(), 3);
+}
+
+#[test]
+fn a_panicking_fused_run_fails_its_waiters_and_the_service_keeps_serving() {
+    let service = Arc::new(disconnected_service());
+    // An index whose parts disagree: two partitions, one compound graph.
+    // Step 1 at slave 1 indexes past the end, and the engine re-throws
+    // that slave's panic on the batch former's thread.
+    let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+    let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
+    let mut broken = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+    broken.compounds.pop();
+    service.install_index(Arc::new(broken));
+
+    // Asked from a thread of its own: a former that dies with the run
+    // leaves the waiter hanging, which must fail this test, not stall it.
+    let (reply, answered) = dsr_sync::mpsc::channel();
+    let client = Arc::clone(&service);
+    let asking = dsr_sync::thread::spawn(move || {
+        let _ = reply.send(client.query_with(&[0, 3], &[2, 5], QueryOptions::default()));
+    });
+    let failed = answered
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the waiter is failed, not left hanging");
+    asking.join().expect("the client thread returns");
+    match failed {
+        Err(ServiceError::Panicked(message)) => {
+            assert!(message.contains("index out of bounds"), "{message}");
+        }
+        other => panic!("expected a typed panic error, got {other:?}"),
+    }
+    assert_eq!(service.cache_len(), 0, "nothing cached from the failed run");
+
+    // The former survived and the failed query's admission came back: a
+    // good index serves again, also to a fail-fast submission.
+    service.install_index(Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)));
+    assert_eq!(*service.query(&[0, 3], &[2, 5]), vec![(0, 2), (3, 5)]);
+    let ticket = service
+        .try_submit(&[1], &[2])
+        .expect("admission was returned");
+    assert_eq!(*ticket.wait().expect("served"), vec![(1, 2)]);
+    // Dropping the service joins a scheduler that did not die.
+    drop(Arc::into_inner(service).expect("the client thread has returned"));
 }

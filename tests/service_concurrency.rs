@@ -5,6 +5,7 @@
 
 use dsr_sync::Arc;
 
+use dsr_cluster::CommStats;
 use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_datagen::erdos_renyi;
 use dsr_graph::TransitiveClosure;
@@ -106,15 +107,19 @@ fn batch_of_64_performs_one_exchange_per_round_not_64() {
     assert_eq!(queries.len(), 64);
     let engine = DsrEngine::new(&index);
 
-    let batch = engine.set_reachability_batch(&queries).expect("in-process");
+    let stats = CommStats::new();
+    let batch = engine
+        .set_reachability_batch_with_stats(&queries, &stats)
+        .expect("in-process");
+    let (rounds, messages, _) = stats.snapshot();
     // The whole batch pays exactly one scatter, one all-to-all exchange and
     // one gather — 3 rounds, not 3 * 64.
-    assert_eq!(batch.rounds, 3, "batch must amortize the protocol rounds");
+    assert_eq!(rounds, 3, "batch must amortize the protocol rounds");
 
     // Per-query execution pays the rounds per query, and returns the same
     // answers.
     let mut per_query_rounds = 0;
-    for (q, batched) in queries.iter().zip(&batch.results) {
+    for (q, batched) in queries.iter().zip(&batch) {
         let outcome = engine.set_reachability(&q.sources, &q.targets);
         per_query_rounds += outcome.rounds;
         assert_eq!(outcome.pairs, *batched);
@@ -124,7 +129,7 @@ fn batch_of_64_performs_one_exchange_per_round_not_64() {
     // Amortization also shows up in message count: one message per slave
     // pair at most per direction, instead of per query.
     assert!(
-        batch.messages < per_query_messages(&engine, &queries),
+        messages < per_query_messages(&engine, &queries),
         "batching must not send more messages than per-query execution"
     );
 }

@@ -8,16 +8,19 @@
 //! encoding, and under `DSR_TRANSPORT=tcp` they cross a loopback TCP worker
 //! cluster — CI runs it under all three backends.
 
-use dsr::testing::{
-    apply_updates_from_env, build_index_from_env, delete_edges_from_env, engine_from_env,
-    insert_edges_from_env,
-};
+use dsr::testing::{apply_updates_from_env, build_index_from_env, engine_from_env};
 use dsr_cluster::{InProcess, UpdateStats, WireTransport};
 use dsr_core::{DsrIndex, UpdateOp};
 use dsr_datagen::{dataset_by_name, random_query, update_stream, EdgeOp, UpdateStreamConfig};
 use dsr_graph::DiGraph;
 use dsr_partition::{MultilevelPartitioner, Partitioner};
 use dsr_reach::LocalIndexKind;
+
+/// `edges` as one update batch of `op`s (`UpdateOp::Insert` or
+/// `UpdateOp::Delete`).
+fn batch_of(edges: &[(u32, u32)], op: fn(u32, u32) -> UpdateOp) -> Vec<UpdateOp> {
+    edges.iter().map(|&(u, v)| op(u, v)).collect()
+}
 
 #[test]
 fn bulk_insertions_converge_to_full_index() {
@@ -33,7 +36,9 @@ fn bulk_insertions_converge_to_full_index() {
     let batch = remaining.len().div_ceil(4);
     let mut total = UpdateStats::default();
     for chunk in remaining.chunks(batch) {
-        total.merge(&insert_edges_from_env(&mut incremental, chunk).stats);
+        total.merge(
+            &apply_updates_from_env(&mut incremental, &batch_of(chunk, UpdateOp::Insert)).stats,
+        );
     }
     assert!(
         total.update_bytes > 0,
@@ -61,7 +66,8 @@ fn deletions_match_rebuilt_index() {
     let mut incremental = build_index_from_env(&full, partitioning.clone(), LocalIndexKind::Dfs);
     // Delete the last 5% of the edges.
     let cutoff = (edges.len() as f64 * 0.95) as usize;
-    delete_edges_from_env(&mut incremental, &edges[cutoff..]);
+    let deletions = batch_of(&edges[cutoff..], UpdateOp::Delete);
+    apply_updates_from_env(&mut incremental, &deletions);
 
     let reduced = DiGraph::from_edges(full.num_vertices(), &edges[..cutoff]);
     let fresh = build_index_from_env(&reduced, partitioning, LocalIndexKind::Dfs);
@@ -87,10 +93,13 @@ fn interleaved_insert_delete_sequence() {
 
     let mut index = build_index_from_env(&base, partitioning.clone(), LocalIndexKind::Dfs);
     // Insert 200, delete 100 of them again, in alternating batches.
-    insert_edges_from_env(&mut index, &edges[keep..keep + 100]);
-    delete_edges_from_env(&mut index, &edges[keep..keep + 50]);
-    insert_edges_from_env(&mut index, &edges[keep + 100..]);
-    delete_edges_from_env(&mut index, &edges[keep + 50..keep + 100]);
+    let mut apply = |edges: &[(u32, u32)], op| {
+        apply_updates_from_env(&mut index, &batch_of(edges, op));
+    };
+    apply(&edges[keep..keep + 100], UpdateOp::Insert);
+    apply(&edges[keep..keep + 50], UpdateOp::Delete);
+    apply(&edges[keep + 100..], UpdateOp::Insert);
+    apply(&edges[keep + 50..keep + 100], UpdateOp::Delete);
 
     // Equivalent final edge set: all edges except [keep, keep+100).
     let mut final_edges = edges[..keep].to_vec();

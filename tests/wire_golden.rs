@@ -8,7 +8,7 @@
 //! benchmark's `bytes_per_query`). A change that alters these numbers must
 //! change the constants here in the same commit, and say why.
 
-use dsr_cluster::{InProcess, TcpTransport, Transport, WireTransport};
+use dsr_cluster::{CommStats, InProcess, TcpTransport, Transport, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_datagen::web_graph;
 use dsr_graph::{DiGraph, TransitiveClosure};
@@ -26,8 +26,11 @@ fn batch_cost<T: Transport>(
     let oracle = TransitiveClosure::build(graph);
     let name = transport.name();
     let engine = DsrEngine::with_transport(index, transport);
-    let outcome = engine.set_reachability_batch(queries).expect(name);
-    for (query, result) in queries.iter().zip(&outcome.results) {
+    let stats = CommStats::new();
+    let results = engine
+        .set_reachability_batch_with_stats(queries, &stats)
+        .expect(name);
+    for (query, result) in queries.iter().zip(&results) {
         let (sources, targets) = query.signature();
         assert_eq!(
             *result,
@@ -35,7 +38,7 @@ fn batch_cost<T: Transport>(
             "{name}: wrong answer for {query:?}"
         );
     }
-    (outcome.rounds, outcome.messages, outcome.bytes)
+    stats.snapshot()
 }
 
 fn assert_cost_on_every_transport(

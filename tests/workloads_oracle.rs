@@ -9,11 +9,12 @@
 //!
 //! `DSR_TRANSPORT=wire` reruns the whole suite with every message encoded
 //! and decoded and `DSR_TRANSPORT=tcp` over a loopback TCP
-//! cluster ([`ServiceConfig::from_env`]); the assertions are
-//! transport-independent by construction.
+//! cluster (every service is built on [`DynTransport::from_env`]); the
+//! assertions are transport-independent by construction.
 
 use std::collections::BTreeSet;
 
+use dsr_cluster::{DynTransport, TransportKind};
 use dsr_community::{louvain, CommunityWorkload};
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::social_network;
@@ -43,11 +44,25 @@ fn normalize(bindings: Vec<Binding>) -> Vec<Vec<(String, TermId)>> {
     out
 }
 
+/// A service over `index` on the backend `DSR_TRANSPORT` names.
+fn env_service(index: DsrIndex) -> QueryService {
+    let service = QueryService::with_config_and_transport(
+        Arc::new(index),
+        ServiceConfig::default(),
+        DynTransport::from_env(),
+    );
+    assert_eq!(service.transport().kind(), TransportKind::from_env());
+    service
+}
+
 fn social_service(seed: u64) -> QueryService {
     let social = social_network(120, 4, 6.0, 0.9, seed);
     let partitioning = HashPartitioner::default().partition(&social.graph, 3);
-    let index = DsrIndex::build(&social.graph, partitioning, LocalIndexKind::Dfs);
-    QueryService::with_config(Arc::new(index), ServiceConfig::from_env())
+    env_service(DsrIndex::build(
+        &social.graph,
+        partitioning,
+        LocalIndexKind::Dfs,
+    ))
 }
 
 /// Every named benchmark query (L1–L3, F1–F3), evaluated once with the
@@ -58,8 +73,7 @@ fn rdf_paths_match_the_bfs_oracle_for_every_named_query() {
     let store = lubm_like_store(2, 0xBEEF);
     let predicates = path_predicates(&store);
     let map = UnionPathGraph::build(&store, &predicates);
-    let service =
-        QueryService::with_config(Arc::new(map.build_index(3)), ServiceConfig::from_env());
+    let service = env_service(map.build_index(3));
     let snap = service.snapshot();
     let resolver = ServicePathResolver::new(&snap, &map);
     let bfs = BfsPathResolver::new(&store, &predicates);
@@ -192,8 +206,7 @@ fn pinned_workloads_are_stable_while_oltp_tracks_the_moving_oracle() {
 fn pinned_rdf_workload_survives_union_graph_deletions() {
     let store = lubm_like_store(2, 0xBEEF);
     let workload = RdfWorkload::new(store, &["L1", "L2", "L3", "F1", "F2", "F3"]);
-    let service =
-        QueryService::with_config(Arc::new(workload.build_index(3)), ServiceConfig::from_env());
+    let service = env_service(workload.build_index(3));
     let snap = service.snapshot();
     let before = workload.run(&snap).expect("transport stays up");
     assert!(before.results > 0);
