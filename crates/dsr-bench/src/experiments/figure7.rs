@@ -143,14 +143,10 @@ pub fn run(fast: bool) -> String {
             ],
         );
 
-        // Build the three indexes once (their build cost is part of
-        // indexing, not of the per-query measurements).
-        let indexes = [
-            LocalIndexKind::Dfs,
-            LocalIndexKind::Ferrari,
-            LocalIndexKind::MsBfs,
-        ]
-        .map(|kind| DsrIndex::build(&graph, partitioning.clone(), kind));
+        // Build the three indexes once, in the columns' order (their build
+        // cost is part of indexing, not of the per-query measurements).
+        let indexes =
+            LocalIndexKind::ALL.map(|kind| DsrIndex::build(&graph, partitioning.clone(), kind));
 
         for &size in &query_sizes {
             let size = size.min(graph.num_vertices());

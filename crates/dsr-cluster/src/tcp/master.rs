@@ -165,8 +165,9 @@ impl MasterState {
 
     /// Grows a loopback mesh to at least `num_partitions` workers, rebuilds
     /// the routing table when the collective width or the roster changed,
-    /// and fails fast when some partition has no live replica. A remote
-    /// cluster never grows: extra partitions wrap onto the existing
+    /// and fails fast when some partition has no live replica: the one
+    /// route check in front of every collective, so callers make none. A
+    /// remote cluster never grows: extra partitions wrap onto the existing
     /// workers. Workers learn a grown roster from the links the new ones
     /// lack: every link is then reconnected, each hello carrying it.
     pub(super) fn ensure_mesh(&mut self, num_partitions: usize) -> Result<(), TransportError> {
@@ -347,7 +348,8 @@ impl TcpTransport {
     /// Round-trips one frame per partition through the worker hosting it
     /// (`ECHO`): scatter and gather. Frames are encoded (and counted)
     /// **once**, a failover retries only the undelivered partitions, so
-    /// [`CommStats`] is identical with and without one. Runs in *waves*:
+    /// [`CommStats`] is identical with and without one; a collective that
+    /// cannot be placed records nothing. Runs in *waves*:
     /// wave `i` writes the `i`-th pending op of every worker, then reads
     /// the `i`-th reply of every worker — never two unanswered ops on one
     /// link (module docs).
@@ -361,11 +363,11 @@ impl TcpTransport {
             FaultPhase::Scatter => ["scatter send", "scatter reply"],
             _ => ["gather send", "gather reply"],
         };
-        stats.record_round();
         let k = messages.len();
         let mut guard = dsr_sync::lock(&self.state);
         let state = &mut *guard;
         self.begin_collective(state, k, fault_phase)?;
+        stats.record_round();
         let encoded: Vec<Vec<u8>> = messages
             .iter()
             .map(|m| Self::encode_and_count(m, stats))
@@ -495,10 +497,10 @@ impl Transport for TcpTransport {
         stats: &CommStats,
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
         assert_eq!(outgoing.len(), num_nodes, "one send list per node");
-        stats.record_round();
         let mut guard = dsr_sync::lock(&self.state);
         let state = &mut *guard;
         self.begin_collective(state, num_nodes, FaultPhase::Exchange)?;
+        stats.record_round();
 
         // Encode cross-node payloads (stats count each logical message
         // once, like every other backend — failover retries reuse these

@@ -92,8 +92,10 @@ pub trait Transport: Sync {
     /// [identity](Topology::identity) topology (partition `p` on logical
     /// node `p`, replication 1) — exactly what the in-process and wire
     /// backends do. The TCP backend overrides this with its replicated,
-    /// failover-aware table, which callers can consult to fail fast (or
-    /// report) before launching a collective that cannot be placed.
+    /// failover-aware table, for reports: callers need not consult it
+    /// before a collective, which the backend refuses with
+    /// [`TransportError::NoReplica`] — before sending or recording anything
+    /// — when some partition has no live replica.
     fn topology(&self, num_partitions: usize) -> Topology {
         Topology::identity(num_partitions)
     }

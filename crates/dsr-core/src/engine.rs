@@ -346,17 +346,10 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             return Ok(results);
         }
 
-        // ---- Route check: every leg of the protocol is addressed by
-        // partition through the transport's routing table; refuse up front
-        // when some partition has no live replica instead of failing three
-        // rounds in.
-        let topology = self.transport.topology(k);
-        if let Some(partition) = topology.unroutable_partition() {
-            return Err(TransportError::NoReplica { partition });
-        }
-
         // ---- Scatter: one round, one message per slave carrying every
-        // query's local sources plus its target list. ------------------------
+        // query's local sources plus its target list. A transport that
+        // cannot place some partition refuses here, before anything is
+        // sent. ---------------------------------------------------------------
         let delivered = self.transport.scatter(scatter, stats)?;
 
         // ---- Step 1: fused local evaluation at every slave, over the
@@ -1117,6 +1110,18 @@ mod tests {
             err.to_string().contains("worker 2"),
             "names the peer: {err}"
         );
+        // Partition 2 has no live replica left: the transport refuses the
+        // next batch's scatter before it sends or records anything (the
+        // engine makes no route check of its own).
+        let stats = CommStats::new();
+        let err = engine
+            .set_reachability_batch_with_stats(&queries, &stats)
+            .expect_err("unroutable");
+        assert!(
+            matches!(err, TransportError::NoReplica { partition: 2 }),
+            "got {err}"
+        );
+        assert_eq!(stats.snapshot(), (0, 0, 0));
     }
 
     #[test]

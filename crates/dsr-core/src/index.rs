@@ -82,11 +82,12 @@ pub struct DsrIndex {
     pub summaries: Vec<PartitionSummary>,
     /// Per-partition compound graphs.
     pub compounds: Vec<CompoundGraph>,
-    /// Per-partition local reachability indexes over the compound graphs.
-    /// The engine does not call them (steps 1 and 3 and the same-partition
-    /// shortcut of `is_reachable` sweep the stored condensations): they
-    /// serve Figure 7.
-    pub local_indexes: Vec<Box<dyn LocalReachability>>,
+    /// Per-partition local reachability indexes over the compound graphs
+    /// ([`dsr_reach::build_index`] of [`DsrIndex::kind`]), each shared with
+    /// every fork until an update rebuilds its compound graph. The engine
+    /// does not call them (steps 1 and 3 and the same-partition shortcut of
+    /// `is_reachable` sweep the stored condensations): they serve Figure 7.
+    pub local_indexes: Vec<Arc<dyn LocalReachability>>,
     /// Which local strategy the index was built with.
     pub kind: LocalIndexKind,
     /// Whether the equivalence-set optimization was enabled at build time
@@ -173,12 +174,6 @@ impl DsrIndex {
                 CompoundGraph::build(&locals[i], &cut, &summaries, i as PartitionId)
             })
         } else {
-            // Partition-addressed routing: refuse the exchange up front when
-            // some partition has no live replica to serve it.
-            let topology = transport.topology(k);
-            if let Some(partition) = topology.unroutable_partition() {
-                return Err(TransportError::NoReplica { partition });
-            }
             let outgoing: Vec<Vec<(usize, PartitionSummary)>> = summaries
                 .iter()
                 .enumerate()
@@ -208,9 +203,7 @@ impl DsrIndex {
                 CompoundGraph::build(&locals[i], &cut, &views[i], i as PartitionId)
             })
         };
-        let local_indexes: Vec<Box<dyn LocalReachability>> = run_on_slaves(k, |i| {
-            build_index(kind, Arc::new(compounds[i].graph.clone()))
-        });
+        let local_indexes = run_on_slaves(k, |i| local_index(kind, &compounds[i]));
 
         let stats = Self::collect_stats(&summaries, &compounds, &comm);
         Ok(DsrIndex {
@@ -256,28 +249,24 @@ impl DsrIndex {
         self.partitioning.partition_of(v)
     }
 
-    /// Deep-copies the index, rebuilding the (non-clonable) local
-    /// reachability indexes over cloned compound graphs.
+    /// Copies the index for an update; the local reachability indexes are
+    /// shared, not rebuilt (an index never changes: an update replaces the
+    /// ones of the partitions whose compound graphs it rebuilds).
     ///
     /// This is how the serving layer updates an index that concurrent
     /// readers share: the batch is applied to a fork and the fork swapped
     /// in, so no reader blocks and a failed batch is simply dropped.
-    /// Forking costs one local index build per partition but **no**
-    /// summary computation and no communication.
+    /// Forking builds nothing, computes no summary and communicates
+    /// nothing.
     pub fn fork(&self) -> DsrIndex {
-        let kind = self.kind;
-        let compounds = self.compounds.clone();
-        let local_indexes: Vec<Box<dyn LocalReachability>> = run_on_slaves(compounds.len(), |i| {
-            build_index(kind, Arc::new(compounds[i].graph.clone()))
-        });
         DsrIndex {
             partitioning: self.partitioning.clone(),
             cut: self.cut.clone(),
             locals: self.locals.clone(),
             summaries: self.summaries.clone(),
-            compounds,
-            local_indexes,
-            kind,
+            compounds: self.compounds.clone(),
+            local_indexes: self.local_indexes.clone(),
+            kind: self.kind,
             use_equivalence: self.use_equivalence,
             stats: self.stats.clone(),
         }
@@ -322,6 +311,15 @@ impl DsrIndex {
         self.stats.total_boundary_pairs = summaries.iter().map(|s| s.boundary_pairs).sum();
         self.stats.total_transit_edges = summaries.iter().map(|s| s.transit.len()).sum();
     }
+}
+
+/// The local reachability index of `kind` over `compound`'s graph: the one
+/// place the build and the update pipeline make one.
+pub(crate) fn local_index(
+    kind: LocalIndexKind,
+    compound: &CompoundGraph,
+) -> Arc<dyn LocalReachability> {
+    build_index(kind, Arc::new(compound.graph.clone()))
 }
 
 #[cfg(test)]

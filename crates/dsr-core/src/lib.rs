@@ -18,7 +18,8 @@
 //! * [`CompoundGraph`] — Definition 6: the local subgraph plus cut edges,
 //!   virtual vertices and transit edges for all remote partitions,
 //! * [`DsrIndex`] — the full per-cluster index (summaries, compound graphs,
-//!   pluggable local reachability indexes, build statistics), built by
+//!   one of Figure 7's three local reachability strategies per compound
+//!   graph, shared by every fork; build statistics), built by
 //!   [`DsrIndex::build_with_transport`], with **differential** incremental
 //!   updates through [`DsrIndex::apply_updates_with_transport`] (Section
 //!   3.3.3, [`updates`]): only affected partitions refresh, refresh
@@ -42,7 +43,10 @@
 //! returns a transport failure as a
 //! [`TransportError`](dsr_cluster::TransportError), and one convenience
 //! that runs in process or panics on that error: [`DsrIndex::build`],
-//! [`DsrIndex::apply_updates`] and [`DsrEngine::set_reachability`].
+//! [`DsrIndex::apply_updates`] and [`DsrEngine::set_reachability`]. None
+//! of them checks routing: a transport that cannot place some partition
+//! refuses the collective with
+//! [`TransportError::NoReplica`](dsr_cluster::TransportError::NoReplica).
 //!
 //! # Quick start
 //!

@@ -48,16 +48,14 @@
 //!
 //! [`InducedSubgraph::apply_edge_changes`]: dsr_graph::InducedSubgraph::apply_edge_changes
 
-use dsr_sync::Arc;
 use std::collections::{BTreeSet, VecDeque};
 
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError, UpdateStats};
 use dsr_graph::{InducedSubgraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId};
-use dsr_reach::{build_index, LocalReachability};
 
 use crate::compound::CompoundGraph;
-use crate::index::DsrIndex;
+use crate::index::{local_index, DsrIndex};
 use crate::summary::{PartitionSummary, SummaryDelta};
 
 /// One edge-level update of the indexed graph.
@@ -405,12 +403,6 @@ impl DsrIndex {
         let comm = CommStats::new();
         let mut received: Vec<Vec<(usize, SummaryDelta)>> = (0..k).map(|_| Vec::new()).collect();
         if k > 1 && deltas.iter().any(Option::is_some) {
-            // Partition-addressed routing: refuse the exchange up front when
-            // some partition has no live replica to serve it.
-            let topology = transport.topology(k);
-            if let Some(partition) = topology.unroutable_partition() {
-                return Err(TransportError::NoReplica { partition });
-            }
             let outgoing: Vec<Vec<(usize, SummaryDelta)>> = deltas
                 .iter()
                 .enumerate()
@@ -471,13 +463,12 @@ impl DsrIndex {
         if !affected.is_empty() {
             let kind = self.kind;
             let (locals, cut, summaries) = (&self.locals, &self.cut, &self.summaries);
-            let rebuilt: Vec<(CompoundGraph, Box<dyn LocalReachability>)> =
-                run_on_slaves(affected.len(), |i| {
-                    let p = affected[i];
-                    let compound = CompoundGraph::build(&locals[p as usize], cut, summaries, p);
-                    let index = build_index(kind, Arc::new(compound.graph.clone()));
-                    (compound, index)
-                });
+            let rebuilt = run_on_slaves(affected.len(), |i| {
+                let p = affected[i];
+                let compound = CompoundGraph::build(&locals[p as usize], cut, summaries, p);
+                let index = local_index(kind, &compound);
+                (compound, index)
+            });
             for (p, (compound, index)) in affected.iter().zip(rebuilt) {
                 self.compounds[*p as usize] = compound;
                 self.local_indexes[*p as usize] = index;
@@ -509,6 +500,7 @@ mod tests {
     use dsr_graph::{condense, DiGraph, SccResult, TransitiveClosure};
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
     use dsr_reach::LocalIndexKind;
+    use dsr_sync::Arc;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
@@ -684,6 +676,16 @@ mod tests {
         assert!(
             err.to_string().contains("worker 0"),
             "names the peer: {err}"
+        );
+        // With worker 0 suspect, partition 0 has no replica: the transport
+        // refuses the next refresh exchange (the pipeline checks nothing).
+        let err = index
+            .fork()
+            .apply_updates_with_transport(&[UpdateOp::Insert(5, 6)], &transport)
+            .expect_err("unroutable");
+        assert!(
+            matches!(err, TransportError::NoReplica { partition: 0 }),
+            "got {err}"
         );
         // The pristine index still answers.
         assert!(DsrEngine::new(&index).is_reachable(0, 2));
@@ -908,6 +910,14 @@ mod tests {
             assert_eq!(dag_edges, fresh.num_edges(), "Table 2's DAG column");
             assert!(fresh.scc.is_reverse_topological(&compound.graph));
             assert!(compound.dag().edges().all(|(a, b)| a > b));
+            // The local index answers for the compound graph as it is now.
+            let p = compound.partition as usize;
+            let all: Vec<u32> = (0..compound.graph.num_vertices() as u32).collect();
+            assert_eq!(
+                index.local_indexes[p].set_reachability(&all, &all),
+                TransitiveClosure::build(&compound.graph).set_reachability(&all, &all),
+                "local index of GC_{p}"
+            );
         }
     }
 
@@ -989,6 +999,12 @@ mod tests {
             Arc::ptr_eq(a.locals[p].components(), b.locals[p].components())
         };
         assert!(shared(&index, &fork, 0) && shared(&index, &fork, 1));
+        // The fork shares the local reachability indexes too, until an
+        // update rebuilds a partition's compound graph.
+        let same_local_index = |a: &DsrIndex, b: &DsrIndex, p: usize| {
+            Arc::ptr_eq(&a.local_indexes[p], &b.local_indexes[p])
+        };
+        assert!(same_local_index(&index, &fork, 0) && same_local_index(&index, &fork, 1));
 
         // Only insertions inside the SCC {0, 1, 2}: classified without a
         // search, nothing refreshed, and the condensation arrays not even
@@ -997,6 +1013,8 @@ mod tests {
         assert!(outcome.refreshed_summaries.is_empty());
         assert_eq!(outcome.patched_compounds, vec![0]);
         assert!(shared(&index, &fork, 0), "no re-condense");
+        assert!(!same_local_index(&index, &fork, 0) && same_local_index(&index, &fork, 1));
+        assert_condensations_are_fresh(&fork);
         assert_local_condensations_are_fresh(&fork);
         edges.extend([(1, 0), (2, 1)]);
         assert_answers_match(&fork, 6, &edges);

@@ -1,4 +1,4 @@
-//! Index-free strategies: plain DFS and plain BFS.
+//! The index-free strategy: plain DFS.
 //!
 //! "DSR-DFS uses a standard DFS strategy \[6\] for processing a DSR query,
 //! where no additional index is built over the compound graphs" — Section
@@ -7,7 +7,7 @@
 
 use dsr_sync::Arc;
 
-use dsr_graph::traversal::{bfs_reachable, is_reachable, reachable_targets, Direction};
+use dsr_graph::traversal::{is_reachable, reachable_targets};
 use dsr_graph::{DiGraph, VertexId};
 
 use crate::traits::LocalReachability;
@@ -23,18 +23,9 @@ impl DfsReachability {
     pub fn new(graph: Arc<DiGraph>) -> Self {
         DfsReachability { graph }
     }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &DiGraph {
-        &self.graph
-    }
 }
 
 impl LocalReachability for DfsReachability {
-    fn name(&self) -> &'static str {
-        "DFS"
-    }
-
     fn is_reachable(&self, source: VertexId, target: VertexId) -> bool {
         is_reachable(&self.graph, source, target)
     }
@@ -54,58 +45,12 @@ impl LocalReachability for DfsReachability {
         out.dedup();
         out
     }
-
-    fn reachable_targets(&self, source: VertexId, targets: &[VertexId]) -> Vec<VertexId> {
-        reachable_targets(&self.graph, source, targets)
-    }
-}
-
-/// Plain per-source BFS; functionally identical to DFS but used by tests to
-/// cross-check traversal order independence.
-#[derive(Debug, Clone)]
-pub struct BfsReachability {
-    graph: Arc<DiGraph>,
-}
-
-impl BfsReachability {
-    /// Creates the strategy over `graph`.
-    pub fn new(graph: Arc<DiGraph>) -> Self {
-        BfsReachability { graph }
-    }
-}
-
-impl LocalReachability for BfsReachability {
-    fn name(&self) -> &'static str {
-        "BFS"
-    }
-
-    fn is_reachable(&self, source: VertexId, target: VertexId) -> bool {
-        bfs_reachable(&self.graph, source, Direction::Forward)[target as usize]
-    }
-
-    fn set_reachability(
-        &self,
-        sources: &[VertexId],
-        targets: &[VertexId],
-    ) -> Vec<(VertexId, VertexId)> {
-        let mut out = Vec::new();
-        for &s in sources {
-            let reach = bfs_reachable(&self.graph, s, Direction::Forward);
-            for &t in targets {
-                if reach[t as usize] {
-                    out.push((s, t));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsr_graph::traversal::{bfs_reachable, Direction};
 
     fn graph() -> Arc<DiGraph> {
         // 0 -> 1 -> 2 -> 3, 4 isolated, 5 -> 2
@@ -118,8 +63,6 @@ mod tests {
         assert!(idx.is_reachable(0, 3));
         assert!(idx.is_reachable(4, 4));
         assert!(!idx.is_reachable(3, 0));
-        assert_eq!(idx.name(), "DFS");
-        assert_eq!(idx.index_bytes(), 0);
     }
 
     #[test]
@@ -131,15 +74,17 @@ mod tests {
 
     #[test]
     fn bfs_matches_dfs() {
+        // Traversal order does not matter: the DFS strategy answers what a
+        // plain BFS per source finds.
         let g = graph();
         let dfs = DfsReachability::new(Arc::clone(&g));
-        let bfs = BfsReachability::new(g);
-        let sources = vec![0, 1, 2, 3, 4, 5];
-        let targets = sources.clone();
-        assert_eq!(
-            dfs.set_reachability(&sources, &targets),
-            bfs.set_reachability(&sources, &targets)
-        );
+        let all: Vec<VertexId> = (0..6).collect();
+        let mut bfs = Vec::new();
+        for &s in &all {
+            let reach = bfs_reachable(&g, s, Direction::Forward);
+            bfs.extend(all.iter().filter(|&&t| reach[t as usize]).map(|&t| (s, t)));
+        }
+        assert_eq!(dfs.set_reachability(&all, &all), bfs);
     }
 
     #[test]

@@ -256,10 +256,6 @@ fn normalize(mut set: Vec<Interval>, max_intervals: usize) -> Vec<Interval> {
 }
 
 impl LocalReachability for FerrariReachability {
-    fn name(&self) -> &'static str {
-        "FERRARI"
-    }
-
     fn is_reachable(&self, source: VertexId, target: VertexId) -> bool {
         self.dag_reachable(self.dag_vertex(source), self.dag_vertex(target))
     }
@@ -281,11 +277,6 @@ impl LocalReachability for FerrariReachability {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    fn index_bytes(&self) -> usize {
-        self.total_intervals() * std::mem::size_of::<Interval>()
-            + self.post_id.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -368,9 +359,8 @@ mod tests {
         let g = DiGraph::from_edges(100, &edges);
         let small = FerrariReachability::with_max_intervals(&g, 1);
         let large = FerrariReachability::with_max_intervals(&g, 64);
-        assert!(small.index_bytes() <= large.index_bytes());
         assert!(small.total_intervals() <= large.total_intervals());
-        assert!(small.index_bytes() > 0);
+        assert!(small.total_intervals() > 0);
     }
 
     #[test]

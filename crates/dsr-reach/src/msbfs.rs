@@ -25,13 +25,6 @@ impl MsBfsReachability {
     pub fn new(graph: Arc<DiGraph>) -> Self {
         MsBfsReachability { graph }
     }
-
-    /// Runs one 64-source batch and returns, for each target, the mask of
-    /// batch sources that reach it.
-    fn run_batch(&self, batch: &[VertexId], targets: &[VertexId]) -> Vec<u64> {
-        let seen = lane_sweep(&self.graph, batch, Direction::Forward);
-        targets.iter().map(|&t| seen[t as usize]).collect()
-    }
 }
 
 /// One bit-parallel sweep over `graph`: seed `b` of `seeds` (at most 64)
@@ -45,7 +38,7 @@ impl MsBfsReachability {
 ///
 /// Callers that sweep the same graph several times in a row keep one
 /// [`LaneSweep`] instead.
-pub fn lane_sweep(graph: &DiGraph, seeds: &[VertexId], direction: Direction) -> Vec<u64> {
+pub(crate) fn lane_sweep(graph: &DiGraph, seeds: &[VertexId], direction: Direction) -> Vec<u64> {
     let mut sweep = LaneSweep::new(graph.num_vertices());
     sweep.run(graph, seeds, direction);
     sweep.seen
@@ -67,7 +60,7 @@ pub fn set_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
 /// only the vertices the previous run touched, so a multi-pass caller (more
 /// than 64 lanes) pays for what its sweeps reach, not for `|V|` per pass.
 #[derive(Debug, Clone)]
-pub struct LaneSweep {
+pub(crate) struct LaneSweep {
     seen: Vec<u64>,
     frontier: Vec<u64>,
     /// Every vertex with a non-zero `seen` mask.
@@ -78,7 +71,7 @@ pub struct LaneSweep {
 
 impl LaneSweep {
     /// Scratch for sweeps over graphs of `num_vertices` vertices.
-    pub fn new(num_vertices: usize) -> Self {
+    pub(crate) fn new(num_vertices: usize) -> Self {
         LaneSweep {
             seen: vec![0; num_vertices],
             frontier: vec![0; num_vertices],
@@ -94,7 +87,12 @@ impl LaneSweep {
     /// # Panics
     /// Panics on more than 64 seeds or a graph of another size than the
     /// scratch was made for.
-    pub fn run(&mut self, graph: &DiGraph, seeds: &[VertexId], direction: Direction) -> &[u64] {
+    pub(crate) fn run(
+        &mut self,
+        graph: &DiGraph,
+        seeds: &[VertexId],
+        direction: Direction,
+    ) -> &[u64] {
         assert!(seeds.len() <= 64, "one sweep carries at most 64 lanes");
         assert_eq!(
             self.seen.len(),
@@ -146,12 +144,8 @@ impl LaneSweep {
 }
 
 impl LocalReachability for MsBfsReachability {
-    fn name(&self) -> &'static str {
-        "MS-BFS"
-    }
-
     fn is_reachable(&self, source: VertexId, target: VertexId) -> bool {
-        self.run_batch(&[source], &[target])[0] & 1 == 1
+        lane_sweep(&self.graph, &[source], Direction::Forward)[target as usize] & 1 == 1
     }
 
     fn set_reachability(
@@ -160,10 +154,11 @@ impl LocalReachability for MsBfsReachability {
         targets: &[VertexId],
     ) -> Vec<(VertexId, VertexId)> {
         let mut out = Vec::new();
+        let mut sweep = LaneSweep::new(self.graph.num_vertices());
         for batch in sources.chunks(64) {
-            let masks = self.run_batch(batch, targets);
-            for (&mask, &t) in masks.iter().zip(targets) {
-                out.extend(set_lanes(mask).map(|lane| (batch[lane], t)));
+            let seen = sweep.run(&self.graph, batch, Direction::Forward);
+            for &t in targets {
+                out.extend(set_lanes(seen[t as usize]).map(|lane| (batch[lane], t)));
             }
         }
         out.sort_unstable();

@@ -1,4 +1,4 @@
-//! The [`LocalReachability`] trait and index selection.
+//! The [`LocalReachability`] trait and the one constructor of a strategy.
 
 use dsr_sync::Arc;
 
@@ -7,16 +7,15 @@ use dsr_graph::{DiGraph, VertexId};
 /// A centralized reachability strategy over a single (compound) graph.
 ///
 /// Implementations are built once per graph (possibly with a heavyweight
-/// preprocessing step) and then answer single-pair and set queries.
+/// preprocessing step) and then answer single-pair and set queries. An
+/// index never changes once built, so an index and its forks share one.
 pub trait LocalReachability: Send + Sync {
-    /// Human-readable name ("DFS", "MS-BFS", "FERRARI", "Closure").
-    fn name(&self) -> &'static str;
-
     /// Whether `target` is reachable from `source` (reflexive: every vertex
     /// reaches itself).
     fn is_reachable(&self, source: VertexId, target: VertexId) -> bool;
 
-    /// All reachable `(s, t)` pairs with `s ∈ sources`, `t ∈ targets`.
+    /// All reachable `(s, t)` pairs with `s ∈ sources`, `t ∈ targets`,
+    /// sorted and deduplicated: the step-1 call Figure 7 times.
     ///
     /// The default implementation loops over all pairs; strategies override
     /// it when they can share work between sources (MS-BFS) or prune with
@@ -38,26 +37,10 @@ pub trait LocalReachability: Send + Sync {
         out.dedup();
         out
     }
-
-    /// All targets reachable from a single source (used by the DSR engine
-    /// when routing sources to forward boundaries).
-    fn reachable_targets(&self, source: VertexId, targets: &[VertexId]) -> Vec<VertexId> {
-        self.set_reachability(&[source], targets)
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect()
-    }
-
-    /// Approximate memory footprint of the index in bytes (0 when the
-    /// strategy is index-free, e.g. plain DFS).
-    fn index_bytes(&self) -> usize {
-        0
-    }
 }
 
-/// Which local strategy to build — mirrors the paper's DSR-DFS / DSR-MSBFS /
-/// DSR-FERRARI variants plus the GRAIL index from the related work and the
-/// exact-closure oracle.
+/// Which local strategy to build: the paper's DSR-DFS / DSR-FERRARI /
+/// DSR-MSBFS variants, the three columns of Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LocalIndexKind {
     /// Plain per-source DFS; no preprocessing.
@@ -66,20 +49,14 @@ pub enum LocalIndexKind {
     MsBfs,
     /// FERRARI-like interval index; preprocessing proportional to |V|+|E|.
     Ferrari,
-    /// GRAIL-style randomized interval labelling.
-    Grail,
-    /// Full transitive closure; quadratic space, O(1) queries.
-    Closure,
 }
 
 impl LocalIndexKind {
-    /// All kinds, in the order used by Figure 7 (plus the extra indexes).
-    pub const ALL: [LocalIndexKind; 5] = [
+    /// All kinds, in the column order of Figure 7.
+    pub const ALL: [LocalIndexKind; 3] = [
         LocalIndexKind::Dfs,
-        LocalIndexKind::MsBfs,
         LocalIndexKind::Ferrari,
-        LocalIndexKind::Grail,
-        LocalIndexKind::Closure,
+        LocalIndexKind::MsBfs,
     ];
 
     /// Display name.
@@ -88,20 +65,17 @@ impl LocalIndexKind {
             LocalIndexKind::Dfs => "DFS",
             LocalIndexKind::MsBfs => "MS-BFS",
             LocalIndexKind::Ferrari => "FERRARI",
-            LocalIndexKind::Grail => "GRAIL",
-            LocalIndexKind::Closure => "Closure",
         }
     }
 }
 
-/// Builds the chosen local reachability index over `graph`.
-pub fn build_index(kind: LocalIndexKind, graph: Arc<DiGraph>) -> Box<dyn LocalReachability> {
+/// Builds the chosen local reachability index over `graph`: the one place a
+/// strategy is constructed for a kind.
+pub fn build_index(kind: LocalIndexKind, graph: Arc<DiGraph>) -> Arc<dyn LocalReachability> {
     match kind {
-        LocalIndexKind::Dfs => Box::new(crate::dfs::DfsReachability::new(graph)),
-        LocalIndexKind::MsBfs => Box::new(crate::msbfs::MsBfsReachability::new(graph)),
-        LocalIndexKind::Ferrari => Box::new(crate::ferrari::FerrariReachability::new(&graph)),
-        LocalIndexKind::Grail => Box::new(crate::grail::GrailReachability::new(&graph)),
-        LocalIndexKind::Closure => Box::new(crate::oracle::ClosureReachability::new(&graph)),
+        LocalIndexKind::Dfs => Arc::new(crate::dfs::DfsReachability::new(graph)),
+        LocalIndexKind::MsBfs => Arc::new(crate::msbfs::MsBfsReachability::new(graph)),
+        LocalIndexKind::Ferrari => Arc::new(crate::ferrari::FerrariReachability::new(&graph)),
     }
 }
 
@@ -111,9 +85,8 @@ mod tests {
 
     #[test]
     fn kinds_have_names() {
-        for kind in LocalIndexKind::ALL {
-            assert!(!kind.name().is_empty());
-        }
+        let names = LocalIndexKind::ALL.map(|kind| kind.name());
+        assert_eq!(names, ["DFS", "FERRARI", "MS-BFS"]);
     }
 
     #[test]
@@ -121,8 +94,8 @@ mod tests {
         let g = Arc::new(DiGraph::from_edges(3, &[(0, 1), (1, 2)]));
         for kind in LocalIndexKind::ALL {
             let idx = build_index(kind, Arc::clone(&g));
-            assert!(idx.is_reachable(0, 2), "{} failed", idx.name());
-            assert!(!idx.is_reachable(2, 0), "{} failed", idx.name());
+            assert!(idx.is_reachable(0, 2), "{} failed", kind.name());
+            assert!(!idx.is_reachable(2, 0), "{} failed", kind.name());
         }
     }
 
@@ -130,16 +103,12 @@ mod tests {
     fn default_set_reachability_from_pairs() {
         struct Fake;
         impl LocalReachability for Fake {
-            fn name(&self) -> &'static str {
-                "fake"
-            }
             fn is_reachable(&self, s: VertexId, t: VertexId) -> bool {
                 s <= t
             }
         }
         let f = Fake;
         assert_eq!(f.set_reachability(&[2, 0], &[1]), vec![(0, 1)]);
-        assert_eq!(f.reachable_targets(0, &[1, 2]), vec![1, 2]);
-        assert_eq!(f.index_bytes(), 0);
+        assert_eq!(f.set_reachability(&[0], &[2, 1]), vec![(0, 1), (0, 2)]);
     }
 }
