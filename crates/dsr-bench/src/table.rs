@@ -24,11 +24,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
         let columns = self.header.len();
@@ -77,7 +72,7 @@ mod tests {
         assert!(s.contains("== Demo =="));
         assert!(s.contains("Amazon"));
         assert!(s.contains("BerkStan-long-name"));
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.rows.len(), 2);
         // Header and rows share alignment: every line containing data starts
         // at column 0 and the second column starts at the same offset.
         let lines: Vec<&str> = s.lines().collect();

@@ -203,45 +203,9 @@ impl FanBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::figure1;
     use dsr_graph::TransitiveClosure;
     use dsr_partition::{HashPartitioner, Partitioner};
-
-    fn figure1() -> (DiGraph, Partitioning) {
-        let edges = vec![
-            (2, 1),
-            (2, 3),
-            (0, 1),
-            (5, 0),
-            (4, 5),
-            (7, 9),
-            (7, 11),
-            (8, 9),
-            (9, 10),
-            (12, 8),
-            (6, 9),
-            (13, 16),
-            (14, 16),
-            (14, 18),
-            (16, 15),
-            (16, 17),
-            (16, 18),
-            (1, 6),
-            (3, 7),
-            (1, 8),
-            (9, 13),
-            (9, 14),
-            (15, 4),
-        ];
-        let g = DiGraph::from_edges(19, &edges);
-        let mut assignment = vec![0u32; 19];
-        for v in 6..=12 {
-            assignment[v] = 1;
-        }
-        for v in 13..=18 {
-            assignment[v] = 2;
-        }
-        (g, Partitioning::new(assignment, 3))
-    }
 
     #[test]
     fn example2_single_reachability() {

@@ -361,26 +361,9 @@ impl CompoundGraph {
         lookup(&self.compound_of, global)
     }
 
-    /// Compound id of the in-virtual vertex `υ` of forward class `class` of
-    /// remote partition `j`.
-    pub fn forward_virtual(&self, j: PartitionId, class: u32) -> VertexId {
-        debug_assert_ne!(
-            j, self.partition,
-            "the own partition has no virtual vertices"
-        );
-        self.forward_base[j as usize] + class
-    }
-
     /// Global id of a compound vertex (`None` for virtual vertices).
     pub fn global_id(&self, compound: VertexId) -> Option<VertexId> {
         self.global_of[compound as usize]
-    }
-
-    /// Whether the global vertex is local to this partition.
-    pub fn is_local(&self, global: VertexId) -> bool {
-        self.compound_id(global)
-            .map(|c| (c as usize) < self.num_local)
-            .unwrap_or(false)
     }
 
     /// What step 1 ships to partition `j`.
@@ -485,48 +468,15 @@ fn lookup(compound_of: &[VertexId], global: VertexId) -> Option<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::receive_tables_of;
+    use crate::test_support::{figure1, receive_tables_of};
     use dsr_graph::is_reachable;
     use dsr_partition::Partitioning;
 
-    /// Same Figure 1 fixture as in `summary.rs`.
-    fn figure1() -> (DiGraph, Partitioning, Cut) {
-        let edges = vec![
-            (2, 1),
-            (2, 3),
-            (0, 1),
-            (5, 0),
-            (4, 5),
-            (7, 9),
-            (7, 11),
-            (8, 9),
-            (9, 10),
-            (12, 8),
-            (6, 9),
-            (13, 16),
-            (14, 16),
-            (14, 18),
-            (16, 15),
-            (16, 17),
-            (16, 18),
-            (1, 6),
-            (3, 7),
-            (1, 8),
-            (9, 13),
-            (9, 14),
-            (15, 4),
-        ];
-        let g = DiGraph::from_edges(19, &edges);
-        let mut assignment = vec![0u32; 19];
-        for v in 6..=12 {
-            assignment[v] = 1;
-        }
-        for v in 13..=18 {
-            assignment[v] = 2;
-        }
-        let p = Partitioning::new(assignment, 3);
-        let cut = Cut::extract(&g, &p);
-        (g, p, cut)
+    /// Compound id of the in-virtual vertex `υ` of forward class `class` of
+    /// remote partition `j` of `gc`.
+    fn forward_virtual(gc: &CompoundGraph, j: PartitionId, class: u32) -> VertexId {
+        assert_ne!(j, gc.partition, "the own partition has no virtual vertices");
+        gc.forward_base[j as usize] + class
     }
 
     /// Summaries and compound graphs of every partition of `g` under `p`.
@@ -558,7 +508,8 @@ mod tests {
         Vec<PartitionSummary>,
         Vec<CompoundGraph>,
     ) {
-        let (g, p, cut) = figure1();
+        let (g, p) = figure1();
+        let cut = Cut::extract(&g, &p);
         let (summaries, compounds) = build_parts(&g, &p, &cut);
         (g, p, cut, summaries, compounds)
     }
@@ -589,7 +540,7 @@ mod tests {
         let a = gc1.compound_id(0).unwrap();
         let s3 = &summaries[2];
         assert_eq!(s3.num_forward_classes(), 1);
-        let v4 = gc1.forward_virtual(2, 0);
+        let v4 = forward_virtual(gc1, 2, 0);
         assert!(is_reachable(&gc1.graph, a, v4));
     }
 
@@ -646,7 +597,8 @@ mod tests {
             let members = p.members();
             assert_eq!(gc.num_local, members[gc.partition as usize].len());
             for &m in &members[gc.partition as usize] {
-                assert!(gc.is_local(m));
+                let id = gc.compound_id(m).expect("a local vertex is represented");
+                assert!((id as usize) < gc.num_local, "local ids come first");
             }
         }
     }
@@ -666,7 +618,7 @@ mod tests {
         // vertices, each with the component its route list carries.
         for (position, &(class, id)) in of_g2.iter().enumerate() {
             assert_eq!(class as usize, position);
-            assert_eq!(id, gc1.forward_virtual(1, class));
+            assert_eq!(id, forward_virtual(gc1, 1, class));
             assert_eq!(gc1.global_id(id), None);
             let listed = gc1.route_list(1).class_component[class as usize];
             assert_eq!(listed, gc1.component_of(id));
@@ -714,7 +666,7 @@ mod tests {
                     summaries[j as usize].num_forward_classes()
                 );
                 for (class, &component) in list.class_component.iter().enumerate() {
-                    let id = gc.forward_virtual(j, class as u32);
+                    let id = forward_virtual(gc, j, class as u32);
                     assert_eq!(component, gc.component_of(id));
                 }
             }

@@ -818,7 +818,9 @@ fn gallop(list: &[VertexId], c: VertexId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{per_vertex_route_scan, Forging, ForgingGather, ForgingScatter};
+    use crate::test_support::{
+        figure1, per_vertex_route_scan, Forging, ForgingGather, ForgingScatter,
+    };
     use dsr_cluster::WireTransport;
     use dsr_graph::{DiGraph, TransitiveClosure};
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
@@ -835,44 +837,6 @@ mod tests {
         let stats = CommStats::new();
         let results = engine.set_reachability_batch_with_stats(queries, &stats)?;
         Ok((results, stats.snapshot()))
-    }
-
-    /// Figure 1 fixture (same ids as in `summary.rs`).
-    fn figure1() -> (DiGraph, Partitioning) {
-        let edges = vec![
-            (2, 1),
-            (2, 3),
-            (0, 1),
-            (5, 0),
-            (4, 5),
-            (7, 9),
-            (7, 11),
-            (8, 9),
-            (9, 10),
-            (12, 8),
-            (6, 9),
-            (13, 16),
-            (14, 16),
-            (14, 18),
-            (16, 15),
-            (16, 17),
-            (16, 18),
-            (1, 6),
-            (3, 7),
-            (1, 8),
-            (9, 13),
-            (9, 14),
-            (15, 4),
-        ];
-        let g = DiGraph::from_edges(19, &edges);
-        let mut assignment = vec![0u32; 19];
-        for v in 6..=12 {
-            assignment[v] = 1;
-        }
-        for v in 13..=18 {
-            assignment[v] = 2;
-        }
-        (g, Partitioning::new(assignment, 3))
     }
 
     #[test]

@@ -209,11 +209,6 @@ impl PartitionSummary {
     pub fn forward_representative(&self, class: u32) -> VertexId {
         self.forward_classes[class as usize][0]
     }
-
-    /// Representative member of a backward class.
-    pub fn backward_representative(&self, class: u32) -> VertexId {
-        self.backward_classes[class as usize][0]
-    }
 }
 
 /// The boundary list (sorted) and the parallel class list a class structure
@@ -537,64 +532,13 @@ fn equivalence_classes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::figure1;
     use dsr_graph::DiGraph;
     use dsr_partition::{Cut, Partitioning};
 
-    /// Figure 1 of the paper. Vertex ids:
-    /// G1: a=0 b=1 d=2 e=3 f=4 r=5
-    /// G2: c=6 g=7 h=8 i=9 k=10 l=11 u=12
-    /// G3: m=13 n=14 o=15 p=16 q=17 v=18
-    fn figure1() -> (DiGraph, Partitioning, Cut) {
-        let edges = vec![
-            // G1 internal: paper Figure 1(a): d->b, d->e, a->b, r->a, f->r, e->f? We
-            // model: d->b, d->e, a->b, r->a, f->r, e->... Keep exactly the
-            // connectivity the examples rely on: d ; {b, e}, a ; b, f ; r.
-            (2, 1),
-            (2, 3),
-            (0, 1),
-            (5, 0),
-            (4, 5),
-            // G2 internal: g->i, g->l, h->i, i->k, u->h, c->i (paper: c = i
-            // in the Boolean encoding, i.e. c reaches i).
-            (7, 9),
-            (7, 11),
-            (8, 9),
-            (9, 10),
-            (12, 8),
-            (6, 9),
-            // G3 internal: m->p, n->p, n->v, p->o, p->q, p->v
-            // (paper: m = q ∨ o, n = q ∨ o; Example 6: both m and n reach
-            // {p, v}).
-            (13, 16),
-            (14, 16),
-            (14, 18),
-            (16, 15),
-            (16, 17),
-            (16, 18),
-            // Cut (Figure 1(b)): b->c, e->g, b->h? The figure shows edges
-            // from G1 {b, e} into G2 {c, g, h}; i -> {m, n}; o -> f.
-            (1, 6),
-            (3, 7),
-            (1, 8),
-            (9, 13),
-            (9, 14),
-            (15, 4),
-        ];
-        let g = DiGraph::from_edges(19, &edges);
-        let mut assignment = vec![0u32; 19];
-        for v in 6..=12 {
-            assignment[v] = 1;
-        }
-        for v in 13..=18 {
-            assignment[v] = 2;
-        }
-        let p = Partitioning::new(assignment, 3);
-        let cut = Cut::extract(&g, &p);
-        (g, p, cut)
-    }
-
     fn summary_for(partition: PartitionId) -> PartitionSummary {
-        let (g, p, cut) = figure1();
+        let (g, p) = figure1();
+        let cut = Cut::extract(&g, &p);
         let members = p.members();
         let local = InducedSubgraph::induced(&g, &members[partition as usize]);
         PartitionSummary::compute(partition, &local, cut.partition(partition))
@@ -662,10 +606,6 @@ mod tests {
         for class in 0..s.num_forward_classes() as u32 {
             let rep = s.forward_representative(class);
             assert!(s.forward_classes[class as usize].contains(&rep));
-        }
-        for class in 0..s.num_backward_classes() as u32 {
-            let rep = s.backward_representative(class);
-            assert!(s.backward_classes[class as usize].contains(&rep));
         }
     }
 

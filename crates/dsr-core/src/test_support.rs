@@ -1,4 +1,5 @@
-//! Test-only transports shared by the engine and update suites, the
+//! Test-only fixtures shared by the crate's unit tests: the paper's
+//! Figure 1 graph, the transports of the engine and update suites, the
 //! pair-list reference implementation of Algorithm 3 and the per-vertex
 //! reference of step 1's route scan and of step 3's receive tables.
 
@@ -6,14 +7,60 @@ use std::collections::HashMap;
 
 use dsr_cluster::{CommStats, InProcess, Transport, TransportError, WireMessage};
 use dsr_graph::traversal::Direction;
-use dsr_graph::{InducedSubgraph, VertexId};
-use dsr_partition::{PartitionBoundaries, PartitionId};
+use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
+use dsr_partition::{PartitionBoundaries, PartitionId, Partitioning};
 use dsr_reach::{set_lanes, LocalReachability, MsBfsReachability};
 use dsr_sync::Arc;
 
 use crate::compound::ReceiveTables;
 use crate::index::DsrIndex;
 use crate::summary::PartitionSummary;
+
+/// Figure 1 of the paper: the graph and its three partitions. Vertex ids:
+/// G1: a=0 b=1 d=2 e=3 f=4 r=5
+/// G2: c=6 g=7 h=8 i=9 k=10 l=11 u=12
+/// G3: m=13 n=14 o=15 p=16 q=17 v=18
+pub(crate) fn figure1() -> (DiGraph, Partitioning) {
+    let edges = vec![
+        // G1: d->b, d->e, a->b, r->a, f->r.
+        (2, 1),
+        (2, 3),
+        (0, 1),
+        (5, 0),
+        (4, 5),
+        // G2: g->i, g->l, h->i, i->k, u->h, c->i.
+        (7, 9),
+        (7, 11),
+        (8, 9),
+        (9, 10),
+        (12, 8),
+        (6, 9),
+        // G3: m->p, n->p, n->v, p->o, p->q, p->v; both m and n reach
+        // {p, v} (Example 6).
+        (13, 16),
+        (14, 16),
+        (14, 18),
+        (16, 15),
+        (16, 17),
+        (16, 18),
+        // Cut (Figure 1(b)): b->c, e->g, b->h, i->m, i->n, o->f.
+        (1, 6),
+        (3, 7),
+        (1, 8),
+        (9, 13),
+        (9, 14),
+        (15, 4),
+    ];
+    let g = DiGraph::from_edges(19, &edges);
+    let mut assignment = vec![0u32; 19];
+    for v in 6..=12 {
+        assignment[v] = 1;
+    }
+    for v in 13..=18 {
+        assignment[v] = 2;
+    }
+    (g, Partitioning::new(assignment, 3))
+}
 
 /// A transport whose exchange round tampers with what `sender` delivers to
 /// `receiver`: the hostile (or stale, or lossy) peer of the malformed-input

@@ -949,9 +949,11 @@ mod tests {
                 num_components: local.dag().num_vertices(),
             };
             assert_eq!(stored.num_components, fresh.num_vertices());
-            for members in &fresh.members {
-                let component = local.component_of(members[0]);
-                assert!(members.iter().all(|&v| local.component_of(v) == component));
+            let mut stored_of = vec![None; fresh.num_vertices()];
+            for v in local.graph().vertices() {
+                let stored_id =
+                    stored_of[fresh.map(v) as usize].get_or_insert(local.component_of(v));
+                assert_eq!(*stored_id, local.component_of(v), "vertex {v}");
             }
             assert!(stored.is_reverse_topological(local.graph()));
             assert!(local.dag().edges().all(|(a, b)| a > b));

@@ -129,22 +129,20 @@ pub fn lubm_like(num_universities: usize, seed: u64) -> LubmGraph {
     }
 }
 
-impl LubmGraph {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsr_graph::tarjan_scc;
+
     /// All vertices of a given entity type.
-    pub fn of_type(&self, kind: LubmEntity) -> Vec<VertexId> {
-        self.entity
+    fn of_type(lubm: &LubmGraph, kind: LubmEntity) -> Vec<VertexId> {
+        lubm.entity
             .iter()
             .enumerate()
             .filter(|&(_, &e)| e == kind)
             .map(|(v, _)| v as VertexId)
             .collect()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsr_graph::tarjan_scc;
 
     #[test]
     fn structure_is_sparse_and_acyclic() {
@@ -181,8 +179,8 @@ mod tests {
     #[test]
     fn type_lookup_matches_lists() {
         let lubm = lubm_like(2, 3);
-        assert_eq!(lubm.of_type(LubmEntity::University), lubm.universities);
-        assert_eq!(lubm.of_type(LubmEntity::Professor), lubm.professors);
+        assert_eq!(of_type(&lubm, LubmEntity::University), lubm.universities);
+        assert_eq!(of_type(&lubm, LubmEntity::Professor), lubm.professors);
         assert_eq!(lubm.entity.len(), lubm.graph.num_vertices());
     }
 

@@ -165,15 +165,6 @@ impl QueryStream {
     pub fn queries(&self) -> impl Iterator<Item = &QueryWorkload> + '_ {
         self.arrivals.iter().map(|a| &self.pool[a.pool_index])
     }
-
-    /// Number of arrivals per pool entry (index = popularity rank).
-    pub fn popularity_histogram(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.pool.len()];
-        for arrival in &self.arrivals {
-            counts[arrival.pool_index] += 1;
-        }
-        counts
-    }
 }
 
 /// Generates a deterministic query stream over `graph`.
@@ -315,6 +306,15 @@ pub fn update_stream(graph: &DiGraph, config: &UpdateStreamConfig) -> Vec<EdgeOp
 mod tests {
     use super::*;
 
+    /// Number of arrivals per pool entry (index = popularity rank).
+    fn arrivals_per_rank(stream: &QueryStream) -> Vec<usize> {
+        let mut counts = vec![0usize; stream.pool.len()];
+        for arrival in &stream.arrivals {
+            counts[arrival.pool_index] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn sizes_and_distinctness() {
         let g = DiGraph::empty(100);
@@ -387,7 +387,7 @@ mod tests {
         assert_eq!(stream.pool.len(), 8);
         assert!(stream.arrivals.iter().all(|a| a.offset == Duration::ZERO));
         assert!(stream.queries().all(|q| q.num_comparisons() == 25));
-        assert_eq!(stream.popularity_histogram().iter().sum::<usize>(), 100);
+        assert_eq!(arrivals_per_rank(&stream).iter().sum::<usize>(), 100);
     }
 
     #[test]
@@ -424,7 +424,7 @@ mod tests {
                 ..StreamConfig::default()
             },
         );
-        let histogram = skewed.popularity_histogram();
+        let histogram = arrivals_per_rank(&skewed);
         // Rank 0 must clearly dominate the tail under heavy skew.
         assert!(
             histogram[0] > 4 * histogram[19].max(1),
@@ -442,7 +442,7 @@ mod tests {
                 ..StreamConfig::default()
             },
         );
-        let uniform_hist = uniform.popularity_histogram();
+        let uniform_hist = arrivals_per_rank(&uniform);
         assert!(uniform_hist.iter().all(|&c| c > 0), "all ranks drawn");
         assert!(histogram[0] > 2 * uniform_hist[0]);
     }

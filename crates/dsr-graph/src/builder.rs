@@ -13,7 +13,6 @@ use crate::{DiGraph, VertexId};
 pub struct GraphBuilder {
     edges: Vec<(VertexId, VertexId)>,
     num_vertices: usize,
-    labels: Vec<String>,
     label_index: HashMap<String, VertexId>,
 }
 
@@ -65,12 +64,6 @@ impl GraphBuilder {
         }
         let id = self.num_vertices as VertexId;
         self.num_vertices += 1;
-        // Keep the label table dense: pad for any unlabeled vertices created
-        // through `add_edge`.
-        while self.labels.len() < id as usize {
-            self.labels.push(String::new());
-        }
-        self.labels.push(label.to_owned());
         self.label_index.insert(label.to_owned(), id);
         id
     }
@@ -98,30 +91,9 @@ impl GraphBuilder {
         self.label_index.get(label).copied()
     }
 
-    /// Returns the label of a vertex created through the labelled API, or
-    /// `None` for dense-only vertices.
-    pub fn label_of(&self, v: VertexId) -> Option<&str> {
-        self.labels
-            .get(v as usize)
-            .map(|s| s.as_str())
-            .filter(|s| !s.is_empty())
-    }
-
     /// Finalizes the builder into a [`DiGraph`].
     pub fn build(&self) -> DiGraph {
         DiGraph::from_edges(self.num_vertices, &self.edges)
-    }
-
-    /// Finalizes and also returns the label table (empty strings for
-    /// unlabeled vertices).
-    pub fn build_with_labels(mut self) -> (DiGraph, Vec<String>) {
-        while self.labels.len() < self.num_vertices {
-            self.labels.push(String::new());
-        }
-        (
-            DiGraph::from_edges(self.num_vertices, &self.edges),
-            self.labels,
-        )
     }
 }
 
@@ -146,7 +118,12 @@ mod tests {
         assert_eq!(b.num_vertices(), 3);
         let a = b.label_id("a").unwrap();
         let c = b.label_id("c").unwrap();
-        assert_eq!(b.label_of(a), Some("a"));
+        assert_eq!(
+            b.vertex_for_label("a"),
+            a,
+            "a known label is not re-created"
+        );
+        assert_eq!(b.num_vertices(), 3);
         let g = b.build();
         assert!(!g.has_edge(a, c));
     }
@@ -157,10 +134,11 @@ mod tests {
         b.add_edge(0, 1);
         let x = b.vertex_for_label("x");
         b.add_edge(1, x);
-        let (g, labels) = b.build_with_labels();
+        let g = b.build();
         assert_eq!(g.num_vertices(), 3);
-        assert_eq!(labels.len(), 3);
-        assert_eq!(labels[x as usize], "x");
+        assert_eq!(x, 2, "a label takes the next dense id");
+        assert_eq!(b.label_id("x"), Some(x));
+        assert!(g.has_edge(1, x));
     }
 
     #[test]

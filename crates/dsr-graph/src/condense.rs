@@ -2,10 +2,10 @@
 //!
 //! The paper condenses every compound graph into its SCC DAG before building
 //! local reachability indexes (Section 3.3.1 and the "DAG" column of
-//! Table 2). [`CondensedGraph`] keeps the mapping between original vertices
-//! and condensed vertices so queries can be translated in both directions,
-//! and [`propagate_lane_masks`] is the bit-parallel multi-source query the
-//! numbering of the condensed vertices makes a single pass.
+//! Table 2). [`CondensedGraph`] keeps the mapping from original vertices to
+//! condensed vertices, and [`propagate_lane_masks`] is the bit-parallel
+//! multi-source query the numbering of the condensed vertices makes a single
+//! pass.
 
 use crate::traversal::Direction;
 use crate::{tarjan_scc, DiGraph, SccResult, VertexId};
@@ -17,8 +17,6 @@ pub struct CondensedGraph {
     pub dag: DiGraph,
     /// The SCC assignment of the original graph.
     pub scc: SccResult,
-    /// For every condensed vertex, the list of original member vertices.
-    pub members: Vec<Vec<VertexId>>,
 }
 
 impl CondensedGraph {
@@ -26,13 +24,6 @@ impl CondensedGraph {
     #[inline]
     pub fn map(&self, v: VertexId) -> VertexId {
         self.scc.component_of(v)
-    }
-
-    /// A representative original vertex of condensed vertex `c` (the first
-    /// member).
-    #[inline]
-    pub fn representative(&self, c: VertexId) -> VertexId {
-        self.members[c as usize][0]
     }
 
     /// Number of vertices of the condensation.
@@ -78,8 +69,7 @@ pub fn condense_with(graph: &DiGraph, scc: SccResult) -> CondensedGraph {
     edges.sort_unstable();
     edges.dedup();
     let dag = DiGraph::from_edges(k, &edges);
-    let members = scc.members();
-    CondensedGraph { dag, scc, members }
+    CondensedGraph { dag, scc }
 }
 
 /// Multi-source reachability on a condensation, 64 sources per call: the
@@ -115,7 +105,6 @@ pub fn propagate_lane_masks(dag: &DiGraph, direction: Direction, masks: &mut [u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topo::topological_order;
 
     #[test]
     fn condensing_a_dag_is_isomorphic() {
@@ -134,7 +123,7 @@ mod tests {
         let c3 = c.map(3);
         let c0 = c.map(0);
         assert!(c.dag.has_edge(c0, c3));
-        assert_eq!(c.members[c0 as usize].len(), 3);
+        assert_eq!((c.map(1), c.map(2)), (c0, c0));
     }
 
     #[test]
@@ -155,8 +144,8 @@ mod tests {
         );
         let c = condense(&g);
         assert!(
-            topological_order(&c.dag).is_some(),
-            "condensation must be a DAG"
+            c.dag.edges().all(|(a, b)| a > b),
+            "every DAG edge descends in Tarjan's numbering"
         );
         assert_eq!(c.num_vertices(), 2);
     }
@@ -167,15 +156,6 @@ mod tests {
         let c = condense(&g);
         // {0,1} -> 2 appears twice in the original but once in the DAG.
         assert_eq!(c.num_edges(), 2);
-    }
-
-    #[test]
-    fn representative_is_member() {
-        let g = DiGraph::from_edges(3, &[(0, 1), (1, 0), (1, 2)]);
-        let c = condense(&g);
-        let comp = c.map(0);
-        let rep = c.representative(comp);
-        assert!(c.members[comp as usize].contains(&rep));
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //!   both forward and reverse adjacency, built through [`GraphBuilder`].
 //! * [`scc`] — Tarjan's strongly-connected-component algorithm (iterative,
 //!   stack-safe for deep graphs) and DAG condensation ([`mod@condense`]).
+//!   Tarjan's numbering is the only vertex order any pass reads: every DAG
+//!   edge `a → b` has `a > b`, so ascending component ids are a reverse
+//!   topological order and no separate topological sort is needed.
 //! * [`traversal`] — BFS/DFS forward and backward traversals and reachable
 //!   set computation.
-//! * [`topo`] — topological ordering of DAGs.
 //! * [`closure`] — exact transitive-closure oracle used as ground truth in
 //!   tests and as the most aggressive "local reachability index".
 //! * [`subgraph`] — vertex-induced subgraph extraction with local/global id
-//!   mapping, used by the partitioning layer.
-//! * [`stats`] — degree/edge statistics used by the experiment harness.
+//!   mapping and a stored condensation, used by the partitioning layer.
+//! * [`stats`] — degree/edge statistics of a graph.
+//! * [`mod@io`] — SNAP edge-list reading and writing.
 //!
 //! Vertices are dense `u32` identifiers (`VertexId`), which keeps all
 //! adjacency structures compact and cache friendly (see the index-size
@@ -31,7 +34,6 @@ pub mod io;
 pub mod scc;
 pub mod stats;
 pub mod subgraph;
-pub mod topo;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
@@ -41,7 +43,6 @@ pub use csr::{DiGraph, EdgeIter, NeighborIter};
 pub use io::{read_edge_list, read_edge_list_file, write_edge_list, write_edge_list_file};
 pub use scc::{tarjan_scc, SccResult};
 pub use subgraph::{InducedSubgraph, VertexMapping};
-pub use topo::topological_order;
 pub use traversal::{bfs_reachable, dfs_reachable, is_reachable, Direction};
 
 /// Dense vertex identifier. All graphs in the workspace use `u32` vertex ids

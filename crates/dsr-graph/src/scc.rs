@@ -32,15 +32,6 @@ impl SccResult {
         self.component[u as usize] == self.component[v as usize]
     }
 
-    /// Members of every component, indexed by component id.
-    pub fn members(&self) -> Vec<Vec<VertexId>> {
-        let mut members = vec![Vec::new(); self.num_components];
-        for (v, &c) in self.component.iter().enumerate() {
-            members[c as usize].push(v as VertexId);
-        }
-        members
-    }
-
     /// Sizes of all components.
     pub fn component_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.num_components];
@@ -206,10 +197,10 @@ mod tests {
     fn members_partition_vertices() {
         let g = DiGraph::from_edges(5, &[(0, 1), (1, 0), (2, 3), (4, 2)]);
         let scc = tarjan_scc(&g);
-        let members = scc.members();
-        let total: usize = members.iter().map(|m| m.len()).sum();
-        assert_eq!(total, 5);
-        assert_eq!(members.len(), scc.num_components);
+        let sizes = scc.component_sizes();
+        assert_eq!(sizes.iter().sum::<usize>(), 5);
+        assert_eq!(sizes.len(), scc.num_components);
+        assert!(sizes.iter().all(|&s| s > 0), "every component has a member");
     }
 
     #[test]

@@ -267,9 +267,10 @@ mod tests {
             num_components: sub.dag().num_vertices(),
         };
         assert_eq!(fresh.scc.num_components, stored.num_components);
+        let mut stored_of = vec![None; fresh.num_vertices()];
         for v in sub.graph().vertices() {
-            let root = fresh.members[fresh.map(v) as usize][0];
-            assert_eq!(sub.component_of(v), sub.component_of(root), "vertex {v}");
+            let stored_id = stored_of[fresh.map(v) as usize].get_or_insert(sub.component_of(v));
+            assert_eq!(*stored_id, sub.component_of(v), "vertex {v}");
         }
         assert_eq!(
             sub.dag(),

@@ -1,10 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use dsr_graph::traversal::{bfs_reachable, dfs_reachable, multi_source_bfs, Direction};
-use dsr_graph::{
-    condense, propagate_lane_masks, tarjan_scc, topological_order, DiGraph, TransitiveClosure,
-    VertexId,
-};
+use dsr_graph::{condense, propagate_lane_masks, tarjan_scc, DiGraph, TransitiveClosure, VertexId};
 use proptest::prelude::*;
 
 /// Strategy producing a random directed graph as (num_vertices, edges).
@@ -56,12 +53,16 @@ proptest! {
         }
     }
 
-    /// Condensation is always a DAG and preserves reachability.
+    /// Condensation preserves reachability, and every DAG edge `a → b` has
+    /// `a > b` — the order one ascending pass over the components relies on
+    /// (FERRARI's bottom-up interval merge, `propagate_lane_masks`).
     #[test]
     fn condensation_preserves_reachability((n, edges) in arb_graph(20, 60)) {
         let g = DiGraph::from_edges(n, &edges);
         let c = condense(&g);
-        prop_assert!(topological_order(&c.dag).is_some());
+        for (a, b) in c.dag.edges() {
+            prop_assert!(a > b, "DAG edge {} -> {} does not descend", a, b);
+        }
         let tc = TransitiveClosure::build(&g);
         let tc_dag = TransitiveClosure::build(&c.dag);
         for s in 0..n as VertexId {

@@ -17,14 +17,22 @@
 //!   must be mentioned in test code of its crate (a round-trip test), so
 //!   no protocol message ships without serialization coverage.
 //! * **`no-debug-macros`** — no `todo!(..)` / `dbg!(..)` in library code.
+//! * **`unused-pub`** — every `pub fn` in the non-test code of
+//!   `crates/*/src` has a caller: a whole-word mention of its name in any
+//!   other `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or
+//!   `benchmark/`, or on a non-test line of its own file. A declaration
+//!   (`fn name`) and a `pub use` re-export are not calls. `benchmark/` is
+//!   read for callers only; no rule checks its code.
 //!
 //! Findings are machine-readable (`path:line: rule: message`, one per
 //! line), and the process exits nonzero if any survive the allowlist.
 //!
 //! Documented exceptions live in `dsr-lint.allow` at the repository root:
-//! one `rule path-substring` pair per line (`#` comments allowed). A
-//! finding is suppressed when its rule matches and its path contains the
-//! substring.
+//! one `rule path-substring [item]` entry per line (`#` comments allowed).
+//! A finding is suppressed when its rule matches, its path contains the
+//! substring and, if the entry names an item, its message names that
+//! identifier too — so one `pub fn` can be excused without excusing the
+//! rest of its file.
 //!
 //! Heuristics (deliberate, documented): strings and comments are stripped
 //! with a character scanner before matching, so prose mentioning
@@ -36,7 +44,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -52,6 +60,22 @@ struct Finding {
 struct Allow {
     rule: String,
     path_substring: String,
+    item: Option<String>,
+}
+
+impl Allow {
+    fn covers(&self, finding: &Finding) -> bool {
+        self.rule == finding.rule
+            && finding
+                .path
+                .display()
+                .to_string()
+                .contains(&self.path_substring)
+            && self
+                .item
+                .as_deref()
+                .is_none_or(|item| identifiers(&finding.message).contains(&item))
+    }
 }
 
 fn main() -> ExitCode {
@@ -84,6 +108,12 @@ fn main() -> ExitCode {
     let allows = load_allowlist(&root.join("dsr-lint.allow"));
 
     let sources: Vec<SourceFile> = files.iter().map(|p| SourceFile::load(&root, p)).collect();
+    let mut benchmark_files = Vec::new();
+    walk(&root.join("benchmark"), &mut benchmark_files);
+    let benchmark: Vec<SourceFile> = benchmark_files
+        .iter()
+        .map(|p| SourceFile::load(&root, p))
+        .collect();
     let transport_methods = collect_transport_result_methods(&sources);
 
     let mut findings: Vec<Finding> = Vec::new();
@@ -93,19 +123,19 @@ fn main() -> ExitCode {
         check_debug_macros(source, &mut findings);
     }
     check_wire_roundtrip(&sources, &mut findings);
+    check_unused_pub(&sources, &benchmark, &mut findings);
 
     let mut reported = 0usize;
     for finding in &findings {
-        let path = finding.path.display().to_string();
-        if allows
-            .iter()
-            .any(|a| a.rule == finding.rule && path.contains(&a.path_substring))
-        {
+        if allows.iter().any(|a| a.covers(finding)) {
             continue;
         }
         println!(
             "{}:{}: {}: {}",
-            path, finding.line, finding.rule, finding.message
+            finding.path.display(),
+            finding.line,
+            finding.rule,
+            finding.message
         );
         reported += 1;
     }
@@ -605,6 +635,126 @@ fn check_debug_macros(source: &SourceFile, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: unused-pub
+// ---------------------------------------------------------------------------
+
+/// Flags every `pub fn` of the non-test code of `crates/*/src` whose name is
+/// mentioned neither in another file of `sources` or `callers` nor on a
+/// non-test line of its own file. `callers` (the `benchmark/` workspace) is
+/// read for mentions only.
+fn check_unused_pub(sources: &[SourceFile], callers: &[SourceFile], findings: &mut Vec<Finding>) {
+    let per_file: Vec<FileMentions> = sources.iter().map(FileMentions::of).collect();
+    let caller_files: Vec<FileMentions> = callers.iter().map(FileMentions::of).collect();
+    let mut total: HashMap<&str, usize> = HashMap::new();
+    for mentions in per_file.iter().chain(&caller_files) {
+        for (name, count) in &mentions.all {
+            *total.entry(name.as_str()).or_default() += count;
+        }
+    }
+    for (source, mentions) in sources.iter().zip(&per_file) {
+        if !source.is_in("crates/") || !source.is_library_file() {
+            continue;
+        }
+        for (idx, line) in source.code.iter().enumerate() {
+            if source.is_test_line(idx + 1) {
+                continue;
+            }
+            let Some(name) = pub_fn_name(line) else {
+                continue;
+            };
+            let count = |map: &HashMap<String, usize>| map.get(name).copied().unwrap_or(0);
+            let elsewhere = total.get(name).copied().unwrap_or(0) - count(&mentions.all);
+            if elsewhere == 0 && count(&mentions.non_test) == 0 {
+                findings.push(Finding {
+                    path: source.rel.clone(),
+                    line: idx + 1,
+                    rule: "unused-pub",
+                    message: format!(
+                        "`pub fn {name}` has no caller: no other file names it and \
+                         no non-test line of this file does; delete it or make it \
+                         a helper of the tests that need it"
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// Whole-word identifier mentions of one file, declarations (`fn name`) and
+/// `pub use` statements excluded: all of them, and those on non-test lines.
+struct FileMentions {
+    all: HashMap<String, usize>,
+    non_test: HashMap<String, usize>,
+}
+
+impl FileMentions {
+    fn of(source: &SourceFile) -> FileMentions {
+        let mut mentions = FileMentions {
+            all: HashMap::new(),
+            non_test: HashMap::new(),
+        };
+        let mut in_pub_use = false;
+        for (idx, line) in source.code.iter().enumerate() {
+            let tokens = identifiers(line);
+            in_pub_use |= tokens.starts_with(&["pub", "use"]);
+            if in_pub_use {
+                in_pub_use = !line.contains(';');
+                continue;
+            }
+            let test = source.is_test_line(idx + 1);
+            for (i, token) in tokens.iter().enumerate() {
+                if i > 0 && tokens[i - 1] == "fn" {
+                    continue;
+                }
+                *mentions.all.entry((*token).to_owned()).or_default() += 1;
+                if !test {
+                    *mentions.non_test.entry((*token).to_owned()).or_default() += 1;
+                }
+            }
+        }
+        mentions
+    }
+}
+
+/// The identifiers of a stripped line, in order (number literals skipped).
+fn identifiers(line: &str) -> Vec<&str> {
+    let bytes = line.as_bytes();
+    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !is_word(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && is_word(bytes[i]) {
+            i += 1;
+        }
+        if !bytes[start].is_ascii_digit() {
+            out.push(&line[start..i]);
+        }
+    }
+    out
+}
+
+/// The name declared by a `pub fn` line (`pub`, then any of `const`,
+/// `async`, `unsafe`, `extern`, then `fn`); `None` for restricted
+/// visibility such as `pub(crate)`.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let tokens = identifiers(line);
+    let start = tokens.iter().position(|t| *t == "pub")?;
+    let mut rest = tokens[start + 1..].iter();
+    loop {
+        match *rest.next()? {
+            "const" | "async" | "unsafe" | "extern" => continue,
+            "fn" => return rest.next().copied(),
+            _ => return None,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Allowlist
 // ---------------------------------------------------------------------------
 
@@ -616,10 +766,11 @@ fn load_allowlist(path: &Path) -> Vec<Allow> {
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .filter_map(|l| {
-            let (rule, path_substring) = l.split_once(char::is_whitespace)?;
+            let mut fields = l.split_whitespace().map(str::to_owned);
             Some(Allow {
-                rule: rule.to_owned(),
-                path_substring: path_substring.trim().to_owned(),
+                rule: fields.next()?,
+                path_substring: fields.next()?,
+                item: fields.next(),
             })
         })
         .collect()
@@ -673,6 +824,92 @@ mod tests {
         };
         let methods = collect_transport_result_methods(&[sf]);
         assert!(methods.contains("scatter"));
+    }
+
+    fn source(rel: &str, lines: &[&str]) -> SourceFile {
+        let code: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+        let test_region_start = code.iter().position(|l| l.contains("#[cfg(test)]"));
+        SourceFile {
+            rel: PathBuf::from(rel),
+            code,
+            test_region_start: test_region_start.map(|i| i + 1),
+        }
+    }
+
+    #[test]
+    fn unused_pub_counts_other_files_and_non_test_lines_only() {
+        let sources = [
+            source(
+                "crates/x/src/a.rs",
+                &[
+                    "pub fn called_elsewhere() {}",
+                    "pub fn called_here() {}",
+                    "fn f() { called_here(); }",
+                    "pub fn only_tested() {}",
+                    "pub fn only_reexported() {}",
+                    "pub fn called_by_benchmark() {}",
+                    "pub(crate) fn restricted() {}",
+                    "pub const fn only_declared() {}",
+                    "#[cfg(test)]",
+                    "mod tests { fn t() { only_tested(); } pub fn in_tests() {} }",
+                ],
+            ),
+            source(
+                "crates/x/src/lib.rs",
+                &[
+                    "pub use a::{",
+                    "    only_reexported,",
+                    "};",
+                    "fn g() { called_elsewhere(); }",
+                ],
+            ),
+        ];
+        let benchmark = [source(
+            "benchmark/src/main.rs",
+            &[
+                "fn main() { called_by_benchmark(); }",
+                "pub fn never_called() {}",
+            ],
+        )];
+        let mut findings = Vec::new();
+        check_unused_pub(&sources, &benchmark, &mut findings);
+        let flagged: Vec<(usize, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(
+            flagged,
+            [(4, "unused-pub"), (5, "unused-pub"), (8, "unused-pub")]
+        );
+    }
+
+    #[test]
+    fn allow_entry_with_an_item_excuses_only_that_item() {
+        let finding = |name: &str| Finding {
+            path: PathBuf::from("crates/x/src/a.rs"),
+            line: 1,
+            rule: "unused-pub",
+            message: format!("`pub fn {name}` has no caller"),
+        };
+        let allow = |item: Option<&str>| Allow {
+            rule: "unused-pub".into(),
+            path_substring: "x/src/a.rs".into(),
+            item: item.map(str::to_owned),
+        };
+        assert!(allow(None).covers(&finding("kept")));
+        assert!(allow(None).covers(&finding("other")));
+        assert!(allow(Some("kept")).covers(&finding("kept")));
+        assert!(!allow(Some("kept")).covers(&finding("other")));
+        assert!(!allow(Some("kept")).covers(&finding("kept_too")));
+    }
+
+    #[test]
+    fn pub_fn_names_skip_restricted_visibility() {
+        assert_eq!(
+            pub_fn_name("    pub fn lane_masks(&self) {"),
+            Some("lane_masks")
+        );
+        assert_eq!(pub_fn_name("pub unsafe extern fn raw() {"), Some("raw"));
+        assert_eq!(pub_fn_name("pub(crate) fn helper() {"), None);
+        assert_eq!(pub_fn_name("fn private() {"), None);
+        assert_eq!(pub_fn_name("pub struct Fn;"), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod coarsen;
 pub mod initial;
 pub mod refine;
 
-use dsr_graph::{DiGraph, VertexId};
+use dsr_graph::DiGraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -127,14 +127,6 @@ fn allowed_weight(total_weight: u64, k: usize, imbalance: f64) -> u64 {
     (ideal * (1.0 + imbalance)).ceil() as u64 + 1
 }
 
-/// Convenience: partitions `graph` into `k` parts with default settings.
-pub fn partition_multilevel(graph: &DiGraph, k: usize) -> Partitioning {
-    MultilevelPartitioner::default().partition(graph, k)
-}
-
-#[allow(unused)]
-fn _unused(_: VertexId) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +213,7 @@ mod tests {
         let n = 500u32;
         let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         let g = DiGraph::from_edges(n as usize, &edges);
-        let p = partition_multilevel(&g, 5);
+        let p = MultilevelPartitioner::default().partition(&g, 5);
         assert!(p.sizes().iter().all(|&s| s > 0));
     }
 }

@@ -187,24 +187,24 @@ fn absorb_islands(
     moved
 }
 
-/// Cut weight of an assignment over a weighted graph (each undirected edge
-/// counted once).
-pub fn cut_weight(graph: &WeightedGraph, assignment: &[PartitionId]) -> u64 {
-    let mut total = 0u64;
-    for v in 0..graph.len() as VertexId {
-        for &(w, weight) in graph.neighbors(v) {
-            if w > v && assignment[v as usize] != assignment[w as usize] {
-                total += weight;
-            }
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsr_graph::DiGraph;
+
+    /// Cut weight of an assignment over a weighted graph (each undirected edge
+    /// counted once).
+    fn cut_weight(graph: &WeightedGraph, assignment: &[PartitionId]) -> u64 {
+        let mut total = 0u64;
+        for v in 0..graph.len() as VertexId {
+            for &(w, weight) in graph.neighbors(v) {
+                if w > v && assignment[v as usize] != assignment[w as usize] {
+                    total += weight;
+                }
+            }
+        }
+        total
+    }
 
     fn weighted(n: u32, edges: &[(u32, u32)]) -> WeightedGraph {
         WeightedGraph::from_digraph(&DiGraph::from_edges(n as usize, edges))

@@ -77,24 +77,6 @@ impl TripleStore {
             .unwrap_or(&[])
     }
 
-    /// Subjects `s` such that `(s, predicate, object)` is present.
-    pub fn subjects_with(&self, predicate: TermId, object: TermId) -> Vec<TermId> {
-        self.pairs_of(predicate)
-            .iter()
-            .filter(|&&(_, o)| o == object)
-            .map(|&(s, _)| s)
-            .collect()
-    }
-
-    /// Objects `o` such that `(subject, predicate, o)` is present.
-    pub fn objects_of(&self, subject: TermId, predicate: TermId) -> Vec<TermId> {
-        self.pairs_of(predicate)
-            .iter()
-            .filter(|&&(s, _)| s == subject)
-            .map(|&(_, o)| o)
-            .collect()
-    }
-
     /// Whether the exact triple is present.
     pub fn contains(&self, s: TermId, p: TermId, o: TermId) -> bool {
         self.pairs_of(p).iter().any(|&(ts, to)| ts == s && to == o)
@@ -132,10 +114,11 @@ mod tests {
         assert_eq!(store.pairs_of(knows).len(), 2);
         let ty = store.lookup("type").unwrap();
         let person = store.lookup("Person").unwrap();
-        let people = store.subjects_with(ty, person);
-        assert_eq!(people.len(), 2);
+        let people = store.pairs_of(ty).iter().filter(|&&(_, o)| o == person);
+        assert_eq!(people.count(), 2);
         let alice = store.lookup("alice").unwrap();
-        assert_eq!(store.objects_of(alice, knows).len(), 1);
+        let known = store.pairs_of(knows).iter().filter(|&&(s, _)| s == alice);
+        assert_eq!(known.count(), 1);
     }
 
     #[test]

@@ -12,14 +12,17 @@
 //! 1. The input graph is condensed into its SCC DAG.
 //! 2. A DFS forest over the DAG assigns postorder identifiers; the tree
 //!    descendants of a vertex occupy one contiguous (exact) interval.
-//! 3. Interval sets are propagated bottom-up (reverse topological order) by
-//!    merging children sets; when a vertex exceeds `max_intervals`, the
-//!    closest intervals are merged into an approximate interval.
+//! 3. Interval sets are propagated bottom-up by merging children sets, in
+//!    ascending component id — Tarjan's numbering is a reverse topological
+//!    order (every DAG edge `a → b` has `a > b`), so every child's set is
+//!    final before its parent reads it; when a vertex exceeds
+//!    `max_intervals`, the closest intervals are merged into an approximate
+//!    interval.
 //! 4. `is_reachable` checks exact containment (positive), non-containment
 //!    (negative) and otherwise performs a DFS pruned by interval
 //!    containment.
 
-use dsr_graph::{condense, topological_order, CondensedGraph, DiGraph, VertexId};
+use dsr_graph::{condense, CondensedGraph, DiGraph, VertexId};
 
 use crate::traits::LocalReachability;
 
@@ -120,10 +123,10 @@ impl FerrariReachability {
         // recompute it conservatively below using the merge step (children's
         // exact intervals stay exact, gaps become approximate).
 
-        // 2. Bottom-up interval propagation in reverse topological order.
-        let topo = topological_order(dag).expect("condensation is a DAG");
+        // 2. Bottom-up interval propagation: ascending ids are a reverse
+        // topological order, so every child `w < v` is final here.
         let mut intervals: Vec<Vec<Interval>> = vec![Vec::new(); n];
-        for &v in topo.iter().rev() {
+        for v in 0..n as VertexId {
             let mut set: Vec<Interval> = Vec::new();
             set.push(Interval {
                 lo: post_id[v as usize],
@@ -141,11 +144,6 @@ impl FerrariReachability {
             post_id,
             intervals,
         }
-    }
-
-    /// Number of intervals stored across all vertices.
-    pub fn total_intervals(&self) -> usize {
-        self.intervals.iter().map(|s| s.len()).sum()
     }
 
     fn dag_vertex(&self, v: VertexId) -> VertexId {
@@ -284,9 +282,15 @@ impl LocalReachability for FerrariReachability {
 mod tests {
     use super::*;
     use crate::dfs::DfsReachability;
+    use dsr_graph::TransitiveClosure;
     use dsr_sync::Arc;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// Number of intervals stored across all vertices.
+    fn total_intervals(index: &FerrariReachability) -> usize {
+        index.intervals.iter().map(|s| s.len()).sum()
+    }
 
     #[test]
     fn chain_and_diamond() {
@@ -330,6 +334,34 @@ mod tests {
         }
     }
 
+    /// The tightest budget (every vertex keeps one, mostly approximate,
+    /// interval) and the default one answer every pair like the closure.
+    #[test]
+    fn budgets_1_and_16_match_the_closure_on_random_graphs() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for case in 0..20 {
+            let n = rng.gen_range(4..60);
+            let m = rng.gen_range(0..180);
+            let edges: Vec<(u32, u32)> = (0..m)
+                .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+                .collect();
+            let g = DiGraph::from_edges(n, &edges);
+            let closure = TransitiveClosure::build(&g);
+            for budget in [1, DEFAULT_MAX_INTERVALS] {
+                let ferrari = FerrariReachability::with_max_intervals(&g, budget);
+                for s in 0..n as u32 {
+                    for t in 0..n as u32 {
+                        assert_eq!(
+                            ferrari.is_reachable(s, t),
+                            closure.reachable(s, t),
+                            "case {case}, budget {budget}, pair ({s}, {t})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn tight_interval_budget_still_correct() {
         // Wide fan-out forces interval merging even with budget 1.
@@ -359,8 +391,8 @@ mod tests {
         let g = DiGraph::from_edges(100, &edges);
         let small = FerrariReachability::with_max_intervals(&g, 1);
         let large = FerrariReachability::with_max_intervals(&g, 64);
-        assert!(small.total_intervals() <= large.total_intervals());
-        assert!(small.total_intervals() > 0);
+        assert!(total_intervals(&small) <= total_intervals(&large));
+        assert!(total_intervals(&small) > 0);
     }
 
     #[test]

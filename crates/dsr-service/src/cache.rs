@@ -72,11 +72,6 @@ impl SigKey {
         Self::from_signature(query.signature())
     }
 
-    /// The precomputed signature hash.
-    pub fn hash_value(&self) -> u64 {
-        self.hash
-    }
-
     /// Normalized source set.
     pub fn sources(&self) -> &[VertexId] {
         &self.sources
@@ -114,7 +109,7 @@ impl Hash for SigKey {
 /// impl writes a single precomputed `u64`, which this hasher returns
 /// as-is.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct PrehashedHasher(u64);
+struct PrehashedHasher(u64);
 
 impl Hasher for PrehashedHasher {
     fn finish(&self) -> u64 {
@@ -267,14 +262,6 @@ impl QueryCache {
         dsr_sync::lock(&self.namespaces).retirements
     }
 
-    /// Number of entries currently cached under `namespace`.
-    pub fn namespace_len(&self, namespace: GenerationId) -> usize {
-        let namespaces = dsr_sync::lock(&self.namespaces);
-        namespaces
-            .position(namespace)
-            .map_or(0, |at| namespaces.maps[at].1.len())
-    }
-
     /// Opens the namespace of a freshly created generation. Idempotent.
     pub fn open(&self, namespace: GenerationId) {
         let mut namespaces = dsr_sync::lock(&self.namespaces);
@@ -371,6 +358,14 @@ mod tests {
         Arc::new(p.to_vec())
     }
 
+    /// Number of entries currently cached under `namespace`.
+    fn namespace_len(cache: &QueryCache, namespace: GenerationId) -> usize {
+        let namespaces = dsr_sync::lock(&cache.namespaces);
+        namespaces
+            .position(namespace)
+            .map_or(0, |at| namespaces.maps[at].1.len())
+    }
+
     /// Opens namespaces `1..=last` on top of the pre-opened namespace 0.
     fn cache_with_namespaces(capacity: usize, last: GenerationId) -> QueryCache {
         let cache = QueryCache::new(capacity);
@@ -383,7 +378,7 @@ mod tests {
         let a = key(&[3, 1, 3], &[5, 2]);
         let b = key(&[1, 3], &[2, 5, 5]);
         assert_eq!(a, b, "normalized signatures unify");
-        assert_eq!(a.hash_value(), b.hash_value());
+        assert_eq!(a.hash, b.hash);
         assert_eq!(a.sources(), &[1, 3]);
         assert_eq!(a.targets(), &[2, 5]);
         assert_ne!(a, key(&[1, 3], &[2, 6]));
@@ -413,8 +408,8 @@ mod tests {
         );
         assert!(cache.get(4, &key(&[1], &[2])).unwrap().is_empty());
         assert!(cache.get(5, &key(&[1], &[2])).is_none());
-        assert_eq!(cache.namespace_len(3), 1);
-        assert_eq!(cache.namespace_len(5), 0);
+        assert_eq!(namespace_len(&cache, 3), 1);
+        assert_eq!(namespace_len(&cache, 5), 0);
         assert_eq!(cache.len(), 2, "len sums the namespaces");
     }
 
@@ -458,7 +453,7 @@ mod tests {
         assert!(cache.get(0, &key(&[1], &[1])).is_none());
         assert!(cache.get(1, &key(&[1], &[1])).is_none());
         assert!(cache.get(0, &key(&[2], &[2])).is_some());
-        assert_eq!((cache.namespace_len(0), cache.namespace_len(1)), (1, 2));
+        assert_eq!((namespace_len(&cache, 0), namespace_len(&cache, 1)), (1, 2));
         assert_eq!(cache.len(), cache.capacity());
     }
 

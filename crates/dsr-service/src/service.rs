@@ -246,12 +246,6 @@ impl std::fmt::Debug for TicketInner {
 }
 
 impl QueryTicket {
-    /// Whether the submission was answered from the cache without touching
-    /// the scheduler (waiting on it will not block).
-    pub fn is_ready(&self) -> bool {
-        matches!(self.inner, TicketInner::Ready(_))
-    }
-
     /// Blocks until the query is answered.
     ///
     /// # Errors
@@ -888,6 +882,12 @@ mod tests {
     use dsr_partition::Partitioning;
     use dsr_reach::LocalIndexKind;
 
+    /// Whether the submission was answered from the cache without touching
+    /// the scheduler (waiting on it will not block).
+    fn is_ready(ticket: &QueryTicket) -> bool {
+        matches!(ticket.inner, TicketInner::Ready(_))
+    }
+
     fn chain_service() -> QueryService {
         // 0 -> 1 -> 2 -> 3 -> 4 -> 5 across two partitions.
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
@@ -1032,7 +1032,7 @@ mod tests {
         // Two-phase submission: a single client presents concurrent work.
         let submit = |i| service.submit_with(&[i], &[5], QueryOptions::default());
         let tickets: Vec<QueryTicket> = (0..4).map(|i| submit(i).expect("latest")).collect();
-        assert!(!tickets[0].is_ready(), "cold queries queue");
+        assert!(!is_ready(&tickets[0]), "cold queries queue");
         service.flush();
         for (i, ticket) in tickets.into_iter().enumerate() {
             let pairs = ticket.wait().expect("in-process transport");
@@ -1043,7 +1043,7 @@ mod tests {
         assert_eq!(service.batch_stats().executed(), 4);
         assert!(service.batch_stats().fusion_ratio() > 1.0);
         // A repeated submit resolves instantly from the cache.
-        assert!(submit(0).expect("latest").is_ready());
+        assert!(is_ready(&submit(0).expect("latest")));
     }
 
     #[test]

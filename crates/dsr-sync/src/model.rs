@@ -244,14 +244,6 @@ impl Model {
     }
 }
 
-/// Convenience wrapper: explore with defaults, panic (with the replayable
-/// schedule) on the first failing interleaving.
-pub fn explore(f: impl Fn()) {
-    if let Err(failure) = Model::new().check(f) {
-        panic!("{failure}");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // RaceCell facade
 // ---------------------------------------------------------------------------
