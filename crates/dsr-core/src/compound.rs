@@ -65,7 +65,11 @@
 //! each own forward class's representative, by class id, and the local
 //! component of each own in-boundary, by position in `I_i` (the summary's
 //! list, the one step 3 walks and the one its peers' route lists ship). A
-//! local vertex's compound id is its local id, so both are read through
+//! class id is read once per message; the entries are not read one by one.
+//! Step 3 resolves them into stretches of consecutive positions of `I_i` and
+//! reads the entry table once per lane pass instead: one table of `|I_i|`
+//! mask reads per pass plus one contiguous OR per stretch. A local vertex's
+//! compound id is its local id, so both tables are read through
 //! `compound_of`: no hashing, and a query pays for neither.
 //!
 //! They cannot go stale: they depend on `locals[i]` and on the classes and

@@ -39,28 +39,33 @@
 //!    ([`propagate_lane_masks`], the same pass as step 1 against the
 //!    edges) — which leaves at every component the mask of targets its
 //!    vertices reach inside `G_j`. What the peers sent is translated once,
-//!    as it enters: every received `⟨s, classes, entries⟩` becomes two runs
-//!    of **seeds** — the local component ids of its classes'
-//!    representatives and of its entry vertices, read out of two **receive
-//!    tables** that compound graph `j` lays out at build time
-//!    ([`crate::compound`]), by class id and by position in `I_j` — and is
-//!    then answered, in
-//!    every pass, by OR-ing the masks at those components (the classes'
-//!    restricted to the query's interior targets, the entries' to its
-//!    in-boundary targets); results are gathered at the master. A message's
-//!    `entries` and `I_j` (the summary's list, which the tables follow and
-//!    the peers' route lists ship) both ascend strictly, so the entries are
-//!    resolved in one forward walk over `I_j` — a cursor that never moves
-//!    back and a galloping search from it, `O(|entries| · log gap)` per
-//!    message: one comparison per entry where a source reaches a dense run
-//!    of in-boundaries, never `|I_j|` for a message that names few of them.
-//!    A lane's target finds its component through the compound graph's
-//!    id table (a local vertex's compound id is its local id). The cost of
-//!    step 3 is one pass over the local DAG plus that walk plus one mask
-//!    read per received class or entry and pass — proportional to the query
+//!    as it enters: every received `⟨s, classes, entries⟩` becomes a run of
+//!    **seeds** — the local component ids of its classes' representatives,
+//!    read out of the **receive table** that compound graph `j` lays out at
+//!    build time by class id ([`crate::compound`]) — and a run of
+//!    **stretches** of `I_j`: maximal ranges `(start, end)` of consecutive
+//!    positions that its entries cover. A message's `entries` and `I_j` (the
+//!    summary's list, which the tables follow and the peers' route lists
+//!    ship) both ascend strictly, so the stretches are found in one forward
+//!    walk over `I_j` — a cursor that never moves back, a galloping search
+//!    from it to a stretch's first entry and a 16-ids-at-a-time compare of
+//!    `entries` with `I_j` for how far the stretch goes: one block compare
+//!    per 16 entries where a source reaches a dense run of in-boundaries
+//!    (on web-like graphs it reaches all of a partition's or none), `log
+//!    gap` per stretch where it reaches few. Nothing is stored per entry id.
+//!    Every pass then reads the mask at the classes' seeds (restricted to the
+//!    query's interior targets) and, when some query of the pass asks for
+//!    in-boundary targets, lays out **one table per pass**, the mask at
+//!    every in-boundary by position in `I_j` (the second receive table's
+//!    components), so that a message's entries answer its in-boundary
+//!    targets with one contiguous OR per stretch; results are gathered at
+//!    the master. A lane's target finds its component through the compound
+//!    graph's id table (a local vertex's compound id is its local id). The
+//!    cost of step 3 is one pass over the local DAG plus that walk plus, per
+//!    pass, one mask read per received class, one table of `|I_j|` mask
+//!    reads plus one contiguous OR per stretch — proportional to the query
 //!    and to what crossed the boundary, not to the local subgraph, the
-//!    compound graph or the number of classes and in-boundaries, and no
-//!    vertex id is hashed.
+//!    compound graph or the number of classes, and no vertex id is hashed.
 //!
 //! # What `LocalIndexKind` governs
 //!
@@ -609,15 +614,18 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// ascending pass over the component ids ([`propagate_lane_masks`])
     /// leaves, at every component, the mask of targets its vertices reach
     /// inside `G_j`. A received [`SourceMessage`] is translated once into
-    /// seeds — the local component ids of its classes' representatives and
-    /// of its entry vertices, read out of compound graph `j`'s build-time
-    /// receive tables ([`crate::compound`]) by class id and by position in
-    /// `I_j`, the positions found by [`in_boundary_positions`]; no table is
-    /// built per call, and a lane's target finds its component through
+    /// seeds — the local component ids of its classes' representatives, read
+    /// out of compound graph `j`'s build-time receive table
+    /// ([`crate::compound`]) by class id — and into the maximal stretches of
+    /// `I_j` its entries cover, found by [`in_boundary_stretches`]; nothing is
+    /// kept per entry id, and a lane's target finds its component through
     /// [`compound_id`](crate::CompoundGraph::compound_id), which is its
-    /// local id. A message is then answered by OR-ing the masks at
-    /// its class seeds (restricted to the query's interior targets) and at
-    /// its entry seeds (restricted to the query's in-boundary targets) —
+    /// local id. A message is then answered by OR-ing the masks at its class
+    /// seeds (restricted to the query's interior targets) and over its
+    /// stretches (restricted to the query's in-boundary targets): per pass
+    /// that has in-boundary lanes, one table of `|I_j|` mask reads — the
+    /// mask at every in-boundary's component, by position, read out of the
+    /// second receive table — plus one contiguous OR per stretch —
     /// see the module docs for why local reachability suffices. `incoming`
     /// is the sparse `(source slave, buffer)` inbox of the exchange round;
     /// `queries` is this slave's scatter payload, already checked by
@@ -627,8 +635,8 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// The buffers come from peers, so their content is checked where it
     /// enters: a query id, class id or entry vertex this slave does not
     /// know, or an entry list that does not ascend strictly (a duplicate or
-    /// out-of-order entry is not found from the walk's cursor on and is
-    /// reported as an unknown in-boundary), yields
+    /// out-of-order entry is not found from the stretch walk's cursor on and
+    /// is reported as an unknown in-boundary), yields
     /// [`TransportError::Protocol`] naming the sending slave — on every
     /// transport, with or without a byte codec between the peers.
     fn step_three_batch(
@@ -647,10 +655,12 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         let in_boundaries = &index.summaries[j as usize].in_boundaries;
         let tables = comp.receive_tables();
 
-        // Translate what the peers sent into local component ids, once:
-        // per message one run of class representatives' components and one
-        // run of entry vertices' components in `seeds`, read out of the
-        // build-time receive tables by class id and by position in `I_j`.
+        // Translate what the peers sent, once: per message one run of class
+        // representatives' components in `seeds`, read out of the build-time
+        // receive table by class id, and one run of stretches of `I_j` in
+        // `stretches` — maximal `(start, end)` ranges of consecutive
+        // positions, the entries' components being the receive table's
+        // `entry_component[start..end]`.
         struct Received {
             query: u32,
             source: VertexId,
@@ -660,6 +670,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         let mut has_messages = vec![false; queries.len()];
         let mut received: Vec<Received> = Vec::new();
         let mut seeds: Vec<u32> = Vec::new();
+        let mut stretches: Vec<(u32, u32)> = Vec::new();
         for (sender, buffer) in incoming {
             let malformed = |what: &str, id: u32| TransportError::Protocol {
                 peer: format!("slave {sender}"),
@@ -670,21 +681,21 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                     .get_mut(*a as usize)
                     .ok_or_else(|| malformed("query", *a))? = true;
                 for message in messages {
-                    let start = seeds.len();
+                    let first_seed = seeds.len();
                     for &class in &message.classes {
                         let component = tables.class_component.get(class as usize);
                         seeds.push(*component.ok_or_else(|| malformed("forward class", class))?);
                     }
-                    let middle = seeds.len();
-                    for position in in_boundary_positions(&message.entries, in_boundaries) {
-                        let position = position.map_err(|c| malformed("in-boundary", c))?;
-                        seeds.push(tables.entry_component[position]);
+                    let first_stretch = stretches.len();
+                    for stretch in in_boundary_stretches(&message.entries, in_boundaries) {
+                        let (start, end) = stretch.map_err(|c| malformed("in-boundary", c))?;
+                        stretches.push((start as u32, end as u32));
                     }
                     received.push(Received {
                         query: *a,
                         source: message.source,
-                        classes: start..middle,
-                        entries: middle..seeds.len(),
+                        classes: first_seed..seeds.len(),
+                        entries: first_stretch..stretches.len(),
                     });
                 }
             }
@@ -711,6 +722,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         // passes tells which lanes are in-boundaries.
         let mut later_in_boundaries = in_boundaries.as_slice();
         let mut reaches = vec![0u64; local.dag().num_vertices()];
+        let mut at_entry: Vec<u64> = Vec::new();
         for pass in lanes.chunks(64) {
             // Which lanes of this pass each query asked for, split into
             // interior targets (answered through class representatives —
@@ -719,10 +731,12 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             // (answered through the concrete entry vertices).
             interior.fill(0);
             boundary.fill(0);
+            let mut in_boundary_lanes = false;
             for (lane, &t) in pass.iter().enumerate() {
                 let smaller = later_in_boundaries.partition_point(|&c| c < t);
                 later_in_boundaries = &later_in_boundaries[smaller..];
                 let masks = if later_in_boundaries.first() == Some(&t) {
+                    in_boundary_lanes = true;
                     &mut boundary
                 } else {
                     &mut interior
@@ -743,19 +757,29 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 reaches[local.component_of(id) as usize] |= 1 << lane;
             }
             propagate_lane_masks(local.dag(), Direction::Backward, &mut reaches);
+            // The mask at every in-boundary, by position in `I_j`: a
+            // stretch's entry mask is then one contiguous OR. Read only when
+            // some query of the pass asks for in-boundary lanes.
+            at_entry.clear();
+            if in_boundary_lanes {
+                let entry_masks = tables.entry_component.iter().map(|&c| reaches[c as usize]);
+                at_entry.extend(entry_masks);
+            }
             for message in &received {
                 let a = message.query as usize;
-                let or_masks = |range: &std::ops::Range<usize>| {
-                    seeds[range.clone()]
-                        .iter()
-                        .fold(0u64, |mask, &component| mask | reaches[component as usize])
-                };
                 let mut hit = 0u64;
                 if interior[a] != 0 {
-                    hit |= or_masks(&message.classes) & interior[a];
+                    let classes = seeds[message.classes.clone()].iter();
+                    let mask =
+                        classes.fold(0u64, |mask, &component| mask | reaches[component as usize]);
+                    hit |= mask & interior[a];
                 }
                 if boundary[a] != 0 {
-                    hit |= or_masks(&message.entries) & boundary[a];
+                    let entries = stretches[message.entries.clone()].iter();
+                    let mask = entries.fold(0u64, |mask, &(start, end)| {
+                        mask | or_masks(&at_entry[start as usize..end as usize])
+                    });
+                    hit |= mask & boundary[a];
                 }
                 results[a].extend(set_lanes(hit).map(|lane| (message.source, pass[lane])));
             }
@@ -773,32 +797,73 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     }
 }
 
-/// Positions in `in_boundaries` (strictly ascending: `I_j`) of the vertices
-/// of `entries`, resolved in one forward walk: a cursor that never moves
-/// back and, per entry, a [`gallop`] from it. A dense run of entries costs
-/// one comparison per entry, a sparse one `log gap` — `O(|entries| · log
-/// gap)` per message, whatever `|I_j|` is.
+/// The vertices of `entries` as maximal **stretches** of consecutive
+/// positions in `in_boundaries` (strictly ascending: `I_j`), `(start, end)`
+/// with `end` exclusive, resolved in one forward walk: a cursor that never
+/// moves back, a [`gallop`] from it to a stretch's first entry, then
+/// [`matching_prefix`] — 16 ids at a time — for how far `entries` and `I_j`
+/// go on together. A message that names every in-boundary is one stretch and
+/// costs `|entries| / 16` block compares; a sparse one costs `log gap` per
+/// stretch. Consecutive stretches leave a gap (`end_k < start_{k+1}`): a
+/// stretch ends where the next entry is not the next in-boundary.
 ///
 /// An entry that is not an in-boundary **from the cursor on** — an unknown
 /// vertex, a duplicate, or one out of ascending order — is yielded as
-/// `Err(entry)`, never as a position: a well-formed list ascends strictly
-/// (step 1 copies it out of `I_j` in order — see [`crate::compound`] — and
-/// the wire codec refuses anything else).
-fn in_boundary_positions<'a>(
+/// `Err(entry)`, never as part of a stretch: a well-formed list ascends
+/// strictly (step 1 copies it out of `I_j` in order — see
+/// [`crate::compound`] — and the wire codec refuses anything else). Such an
+/// entry always starts a stretch, so it is the entry the per-entry walk
+/// would have refused.
+fn in_boundary_stretches<'a>(
     entries: &'a [VertexId],
     in_boundaries: &'a [VertexId],
-) -> impl Iterator<Item = Result<usize, VertexId>> + 'a {
-    let mut cursor = 0;
-    entries.iter().map(move |&c| {
-        // The gallop's first probe is the cursor itself: in a dense run it
-        // is the only one.
-        let position = cursor + gallop(&in_boundaries[cursor..], c);
-        if in_boundaries.get(position) != Some(&c) {
-            return Err(c);
+) -> impl Iterator<Item = Result<(usize, usize), VertexId>> + 'a {
+    let (mut rest, mut cursor) = (entries, 0);
+    std::iter::from_fn(move || {
+        let (&c, following) = rest.split_first()?;
+        let start = cursor + gallop(&in_boundaries[cursor..], c);
+        if in_boundaries.get(start) != Some(&c) {
+            // Nothing after a refusal.
+            rest = &[];
+            return Some(Err(c));
         }
-        cursor = position + 1;
-        Ok(position)
+        let end = start + 1 + matching_prefix(following, &in_boundaries[start + 1..]);
+        rest = &rest[end - start..];
+        cursor = end;
+        Some(Ok((start, end)))
     })
+}
+
+/// Length of the longest common prefix of `a` and `b`: 16 ids compared per
+/// step (one XOR-OR the compiler vectorises), then a scalar tail that finds
+/// the first mismatch inside the block that has one.
+fn matching_prefix(a: &[VertexId], b: &[VertexId]) -> usize {
+    let len = a.len().min(b.len());
+    let (a, b) = (&a[..len], &b[..len]);
+    let mut equal = 0;
+    for (x, y) in a.chunks_exact(16).zip(b.chunks_exact(16)) {
+        if x.iter().zip(y).fold(0, |diff, (x, y)| diff | (x ^ y)) != 0 {
+            break;
+        }
+        equal += 16;
+    }
+    let tail = a[equal..].iter().zip(&b[equal..]);
+    equal + tail.take_while(|(x, y)| x == y).count()
+}
+
+/// OR of every mask in `masks`, in four independent accumulators so the
+/// compiler vectorises the loop.
+fn or_masks(masks: &[u64]) -> u64 {
+    let mut acc = [0u64; 4];
+    let blocks = masks.chunks_exact(4);
+    let tail = blocks.remainder();
+    for block in blocks {
+        for (acc, &mask) in acc.iter_mut().zip(block) {
+            *acc |= mask;
+        }
+    }
+    let tail = tail.iter().fold(0, |mask, &m| mask | m);
+    acc[0] | acc[1] | acc[2] | acc[3] | tail
 }
 
 /// Number of leading vertices of the ascending `list` that are smaller than
@@ -1608,10 +1673,20 @@ mod tests {
         );
     }
 
-    /// What the walk yields, collected: every position, or the first entry
-    /// it refuses.
+    /// What the stretch walk yields, collected: the stretches, or the first
+    /// entry it refuses.
+    fn entry_stretches(entries: &[u32], in_boundaries: &[u32]) -> Result<Vec<(usize, usize)>, u32> {
+        in_boundary_stretches(entries, in_boundaries).collect()
+    }
+
+    /// What the stretch walk yields, expanded: every position, or the first
+    /// entry it refuses.
     fn entry_walk(entries: &[u32], in_boundaries: &[u32]) -> Result<Vec<usize>, u32> {
-        in_boundary_positions(entries, in_boundaries).collect()
+        let stretches = entry_stretches(entries, in_boundaries)?;
+        Ok(stretches
+            .into_iter()
+            .flat_map(|(start, end)| start..end)
+            .collect())
     }
 
     /// The walk's specification on a strictly ascending `entries`: one
@@ -1621,19 +1696,23 @@ mod tests {
         entries.iter().map(position).collect()
     }
 
-    #[test]
-    fn entry_walk_matches_a_binary_search_per_entry_on_the_table() {
-        // 1 200 in-boundaries 10, 13, 16, …: every id has a neighbour that
-        // is none.
-        let in_boundaries: Vec<u32> = (0..1200).map(|i| 10 + 3 * i).collect();
+    /// 1 200 in-boundaries 10, 13, 16, …: every id has a neighbour that is
+    /// none.
+    fn table_in_boundaries() -> Vec<u32> {
+        (0..1200).map(|i| 10 + 3 * i).collect()
+    }
+
+    /// The well-formed rows of the walk's table, over
+    /// [`table_in_boundaries`].
+    fn well_formed_table_rows(in_boundaries: &[u32]) -> Vec<(&'static str, Vec<u32>)> {
         let at = |positions: &[usize]| -> Vec<u32> {
             positions.iter().map(|&i| in_boundaries[i]).collect()
         };
         let every =
             |gap: usize| -> Vec<u32> { in_boundaries.iter().copied().step_by(gap + 1).collect() };
-        let well_formed: Vec<(&str, Vec<u32>)> = vec![
+        vec![
             ("no entry", Vec::new()),
-            ("all of I_j", in_boundaries.clone()),
+            ("all of I_j", in_boundaries.to_vec()),
             ("first only", at(&[0])),
             ("last only", at(&[1199])),
             ("first and last", at(&[0, 1199])),
@@ -1652,8 +1731,32 @@ mod tests {
                 "dense, then sparse, then dense",
                 at(&[3, 4, 5, 700, 701, 702]),
             ),
-        ];
-        for (what, entries) in &well_formed {
+            // Stretches that end, and restart, across 16-id blocks.
+            (
+                "all but one, inside a block",
+                in_boundaries
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(i, _)| i != 21)
+                    .map(|(_, c)| c)
+                    .collect(),
+            ),
+            (
+                "a stretch across two blocks",
+                at(&(5..40).collect::<Vec<_>>()),
+            ),
+            (
+                "stretches of 16 and 17 with a gap of one",
+                at(&(0..16).chain(17..34).collect::<Vec<_>>()),
+            ),
+        ]
+    }
+
+    #[test]
+    fn entry_walk_matches_a_binary_search_per_entry_on_the_table() {
+        let in_boundaries = table_in_boundaries();
+        for (what, entries) in &well_formed_table_rows(&in_boundaries) {
             let expected = entry_search(entries, &in_boundaries);
             assert!(expected.is_ok(), "{what}: the table row is well-formed");
             assert_eq!(entry_walk(entries, &in_boundaries), expected, "{what}");
@@ -1687,34 +1790,132 @@ mod tests {
         assert_eq!(entry_walk(&[7], &[]), Err(7));
     }
 
-    #[test]
-    fn entry_walk_matches_a_binary_search_per_entry_on_random_subsets() {
+    /// 200 seeded rounds of a random ascending list and a random ascending
+    /// subset of it, at a density drawn per round (dense runs and long
+    /// gaps): `(in_boundaries, entries)`.
+    fn random_entry_subsets() -> Vec<(Vec<u32>, Vec<u32>)> {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(22);
-        for round in 0..200 {
-            // A random ascending list, then a random ascending subset of it
-            // at a density drawn per round (dense runs and long gaps).
-            let len = rng.gen_range(0..400);
-            let stride: u32 = rng.gen_range(1..20);
-            let mut next = 0u32;
-            let in_boundaries: Vec<u32> = (0..len)
-                .map(|_| {
-                    next += rng.gen_range(1..=stride);
-                    next
-                })
-                .collect();
-            let keep_one_in = rng.gen_range(1..40);
-            let entries: Vec<u32> = in_boundaries
-                .iter()
-                .copied()
-                .filter(|_| rng.gen_range(0..keep_one_in) == 0)
-                .collect();
+        (0..200)
+            .map(|_| {
+                let len = rng.gen_range(0..400);
+                let stride: u32 = rng.gen_range(1..20);
+                let mut next = 0u32;
+                let in_boundaries: Vec<u32> = (0..len)
+                    .map(|_| {
+                        next += rng.gen_range(1..=stride);
+                        next
+                    })
+                    .collect();
+                let keep_one_in = rng.gen_range(1..40);
+                let entries: Vec<u32> = in_boundaries
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_range(0..keep_one_in) == 0)
+                    .collect();
+                (in_boundaries, entries)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn entry_walk_matches_a_binary_search_per_entry_on_random_subsets() {
+        for (round, (in_boundaries, entries)) in random_entry_subsets().iter().enumerate() {
             assert_eq!(
-                entry_walk(&entries, &in_boundaries),
-                entry_search(&entries, &in_boundaries),
+                entry_walk(entries, in_boundaries),
+                entry_search(entries, in_boundaries),
                 "round {round}: {entries:?} in {in_boundaries:?}"
             );
+        }
+    }
+
+    /// Every stretch is non-empty and consecutive stretches leave a gap (the
+    /// positions they cover are checked by the two tests above).
+    fn assert_maximal_stretches(entries: &[u32], in_boundaries: &[u32], what: &str) {
+        let stretches = entry_stretches(entries, in_boundaries).expect(what);
+        assert!(
+            stretches.iter().all(|&(start, end)| start < end),
+            "{what}: {stretches:?}"
+        );
+        assert!(
+            stretches.windows(2).all(|w| w[0].1 < w[1].0),
+            "{what}: {stretches:?}"
+        );
+    }
+
+    #[test]
+    fn entry_walk_yields_maximal_stretches() {
+        let in_boundaries = table_in_boundaries();
+        for (what, entries) in &well_formed_table_rows(&in_boundaries) {
+            assert_maximal_stretches(entries, &in_boundaries, what);
+        }
+        assert_eq!(
+            entry_stretches(&in_boundaries, &in_boundaries),
+            Ok(vec![(0, 1200)]),
+            "all of I_j is one stretch"
+        );
+        for (round, (in_boundaries, entries)) in random_entry_subsets().iter().enumerate() {
+            assert_maximal_stretches(entries, in_boundaries, &format!("round {round}"));
+            let all = entry_stretches(in_boundaries, in_boundaries);
+            let one = if in_boundaries.is_empty() {
+                Vec::new()
+            } else {
+                vec![(0, in_boundaries.len())]
+            };
+            assert_eq!(all, Ok(one), "round {round}: all of I_j is one stretch");
+        }
+    }
+
+    #[test]
+    fn entry_walk_prefix_compare_matches_the_scalar_definition() {
+        let scalar = |a: &[u32], b: &[u32]| a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        for len in [0, 1, 15, 16, 17, 31, 32, 33] {
+            let a: Vec<u32> = (0..len as u32).map(|i| 7 * i + 1).collect();
+            assert_eq!(matching_prefix(&a, &a), len, "equal, length {len}");
+            // Either side shorter: the prefix ends with the shorter one.
+            for cut in [0, len / 2, len.saturating_sub(1)] {
+                assert_eq!(
+                    matching_prefix(&a[..cut], &a),
+                    cut,
+                    "length {len}, cut {cut}"
+                );
+                assert_eq!(
+                    matching_prefix(&a, &a[..cut]),
+                    cut,
+                    "length {len}, cut {cut}"
+                );
+            }
+            for at in 0..len {
+                let mut b = a.clone();
+                b[at] ^= 1 << (at % 32);
+                assert_eq!(
+                    matching_prefix(&a, &b),
+                    scalar(&a, &b),
+                    "length {len}, at {at}"
+                );
+                assert_eq!(matching_prefix(&a, &b), at, "length {len}, at {at}");
+                assert_eq!(matching_prefix(&b, &a), at, "length {len}, at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn entry_walk_or_matches_the_scalar_fold() {
+        for len in 0..=9 {
+            assert_eq!(or_masks(&vec![0; len]), 0, "length {len}");
+            for at in 0..len {
+                let mut masks = vec![0u64; len];
+                masks[at] = 1 << (at * 7 % 64);
+                let scalar = masks.iter().fold(0, |mask, &m| mask | m);
+                assert_eq!(or_masks(&masks), scalar, "length {len}, at {at}");
+                // The other masks' bits survive beside it.
+                let others: Vec<u64> = (0..len).map(|i| 1 << (i + 1)).collect();
+                let mut both = others.clone();
+                both[at] |= masks[at];
+                let scalar = both.iter().fold(0, |mask, &m| mask | m);
+                assert_eq!(or_masks(&both), scalar, "length {len}, at {at}");
+            }
         }
     }
 
@@ -1767,6 +1968,67 @@ mod tests {
         let answer = DsrEngine::new(&index).set_reachability(&[4], &in_boundaries);
         let reached = [10..=14, 75..=79, 139..=139].into_iter().flatten();
         assert_eq!(answer.pairs, reached.map(|t| (4, t)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn step_three_resolves_stretches_that_miss_one_entry_across_a_16_id_block() {
+        // Partition 1 = {10..=99}: the feeder 9 makes every vertex of
+        // 10..=89 an in-boundary (positions 0..=79 of I_1). The sources
+        // enter at the entry layer 10..=49 only, each at all of it but one,
+        // which splits its entries into two stretches that cross a 16-id
+        // block border: 0 misses 27 (position 17), which nothing inside
+        // partition 1 reaches; 1 misses 31 (position 21), reached from its
+        // left neighbour 30; 2 misses 42 (position 32), reached from its
+        // right neighbour 43. Source 3 enters at the three missing ones
+        // only. Every entry `c` leads to the sink `c + 40`, an in-boundary
+        // no source enters, so each sink is an in-boundary target that only
+        // its entry's mask answers; the missing ones also lead to interior
+        // vertices of their own.
+        let (entry_layer, in_boundaries) = (10u32..=49, 10u32..=89);
+        let mut edges: Vec<(u32, u32)> = in_boundaries.clone().map(|c| (9, c)).collect();
+        for (source, missing) in [(0, 27), (1, 31), (2, 42)] {
+            let entered = entry_layer.clone().filter(|&c| c != missing);
+            edges.extend(entered.map(|c| (source, c)));
+            edges.push((3, missing));
+        }
+        edges.extend(entry_layer.clone().map(|c| (c, c + 40)));
+        edges.extend([(30, 31), (43, 42), (27, 90), (31, 91), (42, 92), (92, 93)]);
+        let g = DiGraph::from_edges(100, &edges);
+        let p = Partitioning::new((0..100).map(|v| u32::from(v >= 10)).collect(), 2);
+        let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+        let listed: Vec<u32> = in_boundaries.collect();
+        assert_eq!(index.cut.partition(1).in_boundaries, listed);
+
+        let sinks: Vec<u32> = (50..=89).collect();
+        let missing = vec![27, 31, 42];
+        let queries = vec![
+            SetQuery::new(vec![0], sinks.clone()),
+            SetQuery::new(vec![1], missing.clone()),
+            SetQuery::new(vec![2], missing.clone()),
+            SetQuery::new(vec![3], [missing.clone(), sinks.clone()].concat()),
+            SetQuery::new(vec![0, 1, 2, 3], (10..100).collect()),
+            SetQuery::new(
+                vec![0, 1, 2],
+                vec![
+                    26, 27, 28, 30, 31, 32, 41, 42, 43, 67, 71, 82, 90, 91, 92, 93,
+                ],
+            ),
+        ];
+        assert_batch_matches_oracle(&g, &p, &queries);
+        let engine = DsrEngine::new(&index);
+        let reached = |s: u32, targets: &[u32]| {
+            let pairs = engine.set_reachability(&[s], targets).pairs;
+            pairs.into_iter().map(|(_, t)| t).collect::<Vec<_>>()
+        };
+        assert_eq!(reached(0, &missing), vec![31, 42], "27 only from itself");
+        assert_eq!(reached(1, &missing), vec![27, 31, 42], "31 from 30");
+        assert_eq!(reached(2, &missing), vec![27, 31, 42], "42 from 43");
+        assert_eq!(reached(3, &missing), missing);
+        let all_sinks_but =
+            |sink: u32| -> Vec<u32> { sinks.iter().copied().filter(|&t| t != sink).collect() };
+        assert_eq!(reached(0, &sinks), all_sinks_but(67));
+        assert_eq!(reached(1, &sinks), sinks);
+        assert_eq!(reached(2, &sinks), sinks);
     }
 
     #[test]
