@@ -171,8 +171,8 @@ impl SetQuery {
     }
 
     /// Normalized `(sources, targets)` signature: both sides sorted and
-    /// deduplicated. Two queries with equal signatures have equal answers,
-    /// which is what the serving layer keys its result cache on.
+    /// deduplicated. Two queries with equal signatures have equal answers;
+    /// the serving layer's cache key (its `SigKey`) is tested against this.
     pub fn signature(&self) -> (Vec<VertexId>, Vec<VertexId>) {
         let mut sources = self.sources.clone();
         sources.sort_unstable();

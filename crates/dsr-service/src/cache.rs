@@ -1,10 +1,17 @@
 //! Bounded LRU result cache with per-generation namespaces.
 //!
-//! Keys are normalized query signatures ([`SetQuery::signature`]): both
-//! vertex sets sorted and deduplicated, so `S = [3, 1, 3]` and `S = [1, 3]`
-//! share an entry. The signature is hashed **once** into a [`SigKey`] and
-//! that hash is reused by every map lookup and insert — a probe never
-//! re-walks (or clones) the two vertex vectors.
+//! Keys are normalized query signatures: both vertex sets sorted and
+//! deduplicated, so `S = [3, 1, 3]` and `S = [1, 3]` share an entry. A
+//! [`SigKey`] is built from one sorted, deduplicated copy of each side and
+//! hashed **once**, by a multiply-rotate over both side lengths and the ids
+//! (FxHash's step) with a finish that folds the high bits into the low ones:
+//! the map takes its bucket from the low bits and its control byte from the
+//! top seven. The hash is unkeyed; so is SipHash under
+//! `DefaultHasher::new()`, whose keys are fixed at zero, so no protection
+//! against crafted collisions is lost. Every map lookup and insert reuses
+//! the stored hash — a probe never re-walks (or clones) the two vertex
+//! vectors — and equality still compares whole signatures, so a collision
+//! costs a comparison, never a wrong answer.
 //!
 //! Every entry lives in the **namespace** of the index generation it was
 //! computed against (see [`GenerationChain`](crate::GenerationChain)). The
@@ -19,19 +26,14 @@
 //! namespace, with capacity and LRU order shared between them. Cache hits
 //! bypass the batch-forming scheduler entirely. Values are `Arc`-shared
 //! pair lists, so a hit never copies the (potentially large) answer.
-//!
-//! [`SetQuery::signature`]: dsr_core::SetQuery::signature
 
 use dsr_sync::{Arc, Mutex};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::snapshot::GenerationId;
 use dsr_core::SetQuery;
 use dsr_graph::VertexId;
-
-/// Normalized `(sources, targets)` signature underlying a [`SigKey`].
-pub type QueryKey = (Vec<VertexId>, Vec<VertexId>);
 
 /// Shared, immutable answer to a set-reachability query.
 pub type CachedPairs = Arc<Vec<(VertexId, VertexId)>>;
@@ -48,15 +50,41 @@ pub struct SigKey {
     targets: Vec<VertexId>,
 }
 
+/// FxHash's multiplier: odd, with its bits spread over the whole word.
+const MIX: u64 = 0x517c_c1b7_2722_0a95;
+
+/// One multiply-rotate step.
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(MIX)
+}
+
+/// Folds the well-mixed high half into the low bits, which pick the bucket,
+/// and multiplies once more so that the top seven bits, the control byte,
+/// depend on every word too.
+fn finish(hash: u64) -> u64 {
+    let hash = (hash ^ (hash >> 32)).wrapping_mul(MIX);
+    hash ^ (hash >> 32)
+}
+
+/// Sorts and deduplicates one side of a signature in its own buffer.
+fn normalize(mut side: Vec<VertexId>) -> Vec<VertexId> {
+    side.sort_unstable();
+    side.dedup();
+    side
+}
+
 impl SigKey {
-    /// Builds the key from an already-normalized signature (both sides
-    /// sorted and deduplicated, as produced by [`SetQuery::signature`]).
-    pub fn from_signature((sources, targets): QueryKey) -> Self {
-        let mut hasher = DefaultHasher::new();
-        sources.hash(&mut hasher);
-        targets.hash(&mut hasher);
+    /// The one constructor: normalizes each side once and hashes both side
+    /// lengths and every id. The lengths keep `[1, 2] ; [3]` and
+    /// `[1] ; [2, 3]` apart.
+    fn normalized(sources: Vec<VertexId>, targets: Vec<VertexId>) -> Self {
+        let (sources, targets) = (normalize(sources), normalize(targets));
+        let mut hash = mix(0, sources.len() as u64);
+        hash = sources.iter().fold(hash, |h, &v| mix(h, u64::from(v)));
+        hash = mix(hash, targets.len() as u64);
+        hash = targets.iter().fold(hash, |h, &v| mix(h, u64::from(v)));
         SigKey {
-            hash: hasher.finish(),
+            hash: finish(hash),
             sources,
             targets,
         }
@@ -64,12 +92,12 @@ impl SigKey {
 
     /// Normalizes `sources ; targets` and builds the key.
     pub fn new(sources: &[VertexId], targets: &[VertexId]) -> Self {
-        Self::from_signature(SetQuery::new(sources.to_vec(), targets.to_vec()).signature())
+        Self::normalized(sources.to_vec(), targets.to_vec())
     }
 
     /// Builds the key from a query.
     pub fn from_query(query: &SetQuery) -> Self {
-        Self::from_signature(query.signature())
+        Self::new(&query.sources, &query.targets)
     }
 
     /// Normalized source set.
@@ -382,6 +410,93 @@ mod tests {
         assert_eq!(a.sources(), &[1, 3]);
         assert_eq!(a.targets(), &[2, 5]);
         assert_ne!(a, key(&[1, 3], &[2, 6]));
+    }
+
+    /// SplitMix64: a seeded stream of test inputs without a dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Up to seven ids below 8 (so duplicates are common), unsorted,
+    /// empty one time in eight.
+    fn random_side(state: &mut u64) -> Vec<u32> {
+        let len = (splitmix(state) % 8) as usize;
+        (0..len).map(|_| (splitmix(state) % 8) as u32).collect()
+    }
+
+    #[test]
+    fn sig_key_agrees_with_the_query_signature() {
+        let mut state = 0x5eed;
+        let mut empty_sides = 0;
+        for _ in 0..500 {
+            let query = SetQuery::new(random_side(&mut state), random_side(&mut state));
+            empty_sides += usize::from(query.sources.is_empty());
+            empty_sides += usize::from(query.targets.is_empty());
+            let (sources, targets) = query.signature();
+            let from_signature = SigKey::normalized(sources.clone(), targets.clone());
+            for built in [
+                SigKey::from_query(&query),
+                key(&query.sources, &query.targets),
+            ] {
+                assert_eq!((built.sources(), built.targets()), (&*sources, &*targets));
+                assert_eq!(built, from_signature, "{query:?}");
+                assert_eq!(built.hash, from_signature.hash, "{query:?}");
+            }
+        }
+        assert!(empty_sides > 0, "the inputs include empty sides");
+    }
+
+    #[test]
+    fn sig_key_tells_where_the_sources_end() {
+        for (a, b) in [
+            (key(&[1, 2], &[3]), key(&[1], &[2, 3])),
+            (key(&[], &[1]), key(&[1], &[])),
+            (key(&[], &[]), key(&[0], &[])),
+        ] {
+            assert_ne!(a, b);
+            assert_ne!(a.hash, b.hash, "{a:?} / {b:?}");
+        }
+    }
+
+    #[test]
+    fn sig_key_hash_spreads_into_bucket_and_control_bits() {
+        // A map takes its bucket from the low bits and its control byte
+        // from the top seven: both must vary over consecutive small ids.
+        let hashes: Vec<u64> = (0..1024u32).map(|v| key(&[v], &[v + 1]).hash).collect();
+        let distinct = |bits: fn(u64) -> u64| {
+            let mut seen: Vec<u64> = hashes.iter().map(|&h| bits(h)).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
+        };
+        // 1 024 uniform draws from 1 024 buckets cover ≈ 647 of them.
+        assert!(distinct(|h| h & 1023) > 560, "low bits");
+        assert!(distinct(|h| h >> 57) > 120, "top seven bits");
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_stay_two_entries() {
+        let forced = |sources: Vec<u32>, targets: Vec<u32>| SigKey {
+            hash: 7,
+            sources,
+            targets,
+        };
+        let (a, b) = (forced(vec![1], vec![2]), forced(vec![2], vec![1]));
+        assert_ne!(a, b, "equality compares whole signatures");
+        let cache = QueryCache::new(4);
+        cache.insert_if_live(0, a.clone(), pairs(&[(1, 2)]));
+        assert!(cache.get(0, &b).is_none(), "a shared hash is no hit");
+        assert_eq!(
+            cache.insert_if_live(0, b.clone(), pairs(&[])),
+            InsertOutcome::Inserted { evicted: false }
+        );
+        assert_eq!(cache.len(), 2);
+        assert_eq!(*cache.get(0, &a).unwrap(), vec![(1, 2)]);
+        assert!(cache.get(0, &b).unwrap().is_empty());
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub mod snapshot;
 pub mod workload;
 
 pub use batcher::{RoundCost, ServiceError};
-pub use cache::{CachedPairs, InsertOutcome, QueryCache, QueryKey, SigKey};
+pub use cache::{CachedPairs, InsertOutcome, QueryCache, SigKey};
 pub use service::{
     BatchReply, GenerationStats, NamespaceHits, QueryOptions, QueryService, QueryTicket,
     ServiceConfig, SnapshotRef, UpdateError, UpdateMode,

@@ -210,6 +210,16 @@ pub(crate) struct Core {
 }
 
 impl Core {
+    /// The unpinned probe: looks `key` up in the namespace of the generation
+    /// that is latest at the load and counts a hit as a latest-namespace
+    /// one. Pins nothing and reads the latest id once.
+    fn probe_latest(&self, key: &SigKey) -> Option<CachedPairs> {
+        let hit = self.cache.get(self.generations.latest_id(), key)?;
+        self.stats.record_hit();
+        self.latest_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
     fn record_namespaced_hit(&self, generation: &Generation) {
         self.stats.record_hit();
         if generation.id() == self.generations.latest_id() {
@@ -312,7 +322,7 @@ impl SnapshotRef<'_> {
         targets: &[VertexId],
     ) -> Result<CachedPairs, ServiceError> {
         self.service
-            .submit_pinned(Arc::clone(self.pin()), sources, targets, true, true)?
+            .submit_pinned(Arc::clone(self.pin()), SigKey::new(sources, targets), true)?
             .wait()
     }
 
@@ -548,8 +558,7 @@ impl QueryService {
         sources: &[VertexId],
         targets: &[VertexId],
     ) -> Result<QueryTicket, ServiceError> {
-        let generation = self.core.generations.latest();
-        self.submit_pinned(generation, sources, targets, true, false)
+        self.submit_latest(SigKey::new(sources, targets), true, false)
     }
 
     /// Probes the cache and, on a miss, enqueues the query into the batch
@@ -572,34 +581,53 @@ impl QueryService {
         targets: &[VertexId],
         options: QueryOptions,
     ) -> Result<QueryTicket, ServiceError> {
-        let generation = self.resolve_pin(&options)?;
-        self.submit_pinned(generation, sources, targets, options.cache, true)
+        let Some(id) = options.pin else {
+            return self.submit_latest(SigKey::new(sources, targets), options.cache, true);
+        };
+        let generation = self
+            .core
+            .generations
+            .lookup(id)
+            .ok_or(ServiceError::GenerationReclaimed { generation: id })?;
+        self.submit_pinned(generation, SigKey::new(sources, targets), options.cache)
     }
 
-    /// Resolves `options.pin` to a live generation (the latest when
-    /// unset).
-    fn resolve_pin(&self, options: &QueryOptions) -> Result<Arc<Generation>, ServiceError> {
-        match options.pin {
-            None => Ok(self.core.generations.latest()),
-            Some(id) => self
-                .core
-                .generations
-                .lookup(id)
-                .ok_or(ServiceError::GenerationReclaimed { generation: id }),
-        }
-    }
-
-    /// The one submission path: probe `generation`'s namespace (when
-    /// `cache` asks for it), then enqueue a generation-pinned entry.
-    fn submit_pinned(
+    /// The unpinned submission: probe the namespace that
+    /// [`latest_id`](GenerationChain::latest_id) names before pinning
+    /// anything, and pin the latest generation only on a miss (or a cache
+    /// bypass), moving the same key into the batch entry.
+    ///
+    /// A hit is as fresh as one probed under a pin: the namespace holds only
+    /// answers computed against its own generation, which was the latest at
+    /// the load — and a pinned generation can be superseded right after
+    /// [`latest`](GenerationChain::latest) returns too. A namespace retired
+    /// in between has no map left and reads as a miss.
+    fn submit_latest(
         &self,
-        generation: Arc<Generation>,
-        sources: &[VertexId],
-        targets: &[VertexId],
+        key: SigKey,
         cache: bool,
         blocking: bool,
     ) -> Result<QueryTicket, ServiceError> {
-        let key = SigKey::new(sources, targets);
+        if cache {
+            if let Some(hit) = self.core.probe_latest(&key) {
+                return Ok(QueryTicket {
+                    inner: TicketInner::Ready(hit),
+                });
+            }
+            self.core.stats.record_miss();
+        }
+        self.enqueue(self.core.generations.latest(), key, cache, blocking)
+    }
+
+    /// The pinned submission: probe `generation`'s namespace (when `cache`
+    /// asks for it), then enqueue a generation-pinned entry, blocking for
+    /// admission.
+    fn submit_pinned(
+        &self,
+        generation: Arc<Generation>,
+        key: SigKey,
+        cache: bool,
+    ) -> Result<QueryTicket, ServiceError> {
         if cache {
             if let Some(hit) = self.core.cache.get(generation.id(), &key) {
                 self.core.record_namespaced_hit(&generation);
@@ -609,6 +637,18 @@ impl QueryService {
             }
             self.core.stats.record_miss();
         }
+        self.enqueue(generation, key, cache, true)
+    }
+
+    /// Takes admission for one query and hands its entry, pinned to
+    /// `generation`, to the batch former.
+    fn enqueue(
+        &self,
+        generation: Arc<Generation>,
+        key: SigKey,
+        cache: bool,
+        blocking: bool,
+    ) -> Result<QueryTicket, ServiceError> {
         if blocking {
             self.core.admission.acquire_blocking(1);
         } else {
@@ -1348,6 +1388,52 @@ mod tests {
                 assert_eq!(service.index().partitioning.num_vertices(), 4);
             })
             .expect("update vs install_index must hold in every schedule");
+    }
+
+    /// The unpinned probe racing an `install_index` — install, `cache.open`,
+    /// reap and the retirement of namespace 0 — returns a miss or the
+    /// answer of a namespace that was latest during the call, in every
+    /// schedule: never an entry of namespace 0 once generation 1 was
+    /// installed before the call began.
+    #[test]
+    fn model_unpinned_probe_never_reads_a_retired_namespace() {
+        use crate::snapshot::one_partition_index;
+        dsr_sync::model::Model::new()
+            .check(|| {
+                let service = Arc::new(QueryService::new(one_partition_index(1)));
+                let key = SigKey::new(&[0], &[0]);
+                // Marker answers: which namespace a hit came from.
+                let (old, new): (CachedPairs, CachedPairs) =
+                    (Arc::new(vec![(0, 0)]), Arc::new(Vec::new()));
+                service
+                    .core
+                    .cache
+                    .insert_if_live(0, key.clone(), Arc::clone(&old));
+                let writer = {
+                    let (service, key, new) = (Arc::clone(&service), key.clone(), Arc::clone(&new));
+                    dsr_sync::thread::spawn(move || {
+                        service.install_index(one_partition_index(1));
+                        service.core.cache.insert_if_live(1, key, new)
+                    })
+                };
+                let latest_before = service.core.generations.latest_id();
+                let hit = service.core.probe_latest(&key);
+                writer.join().unwrap();
+                match hit {
+                    None => {}
+                    Some(answer) if Arc::ptr_eq(&answer, &old) => {
+                        assert_eq!(latest_before, 0, "hit an entry of a retired namespace");
+                    }
+                    Some(answer) => assert!(Arc::ptr_eq(&answer, &new), "foreign answer"),
+                }
+                assert_eq!(
+                    service.core.cache.live_namespaces(),
+                    [1],
+                    "namespace 0 retired"
+                );
+                assert_eq!(service.namespace_hits().pinned, 0);
+            })
+            .expect("the unpinned probe must hold in every schedule");
     }
 
     #[test]
