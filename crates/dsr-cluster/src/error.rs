@@ -45,7 +45,7 @@ pub enum TransportError {
         context: String,
     },
     /// The connection handshake failed: wrong magic, wrong protocol
-    /// version, or a peer that is not speaking the dsr-node protocol.
+    /// version, or a peer that is not speaking the DSR cluster protocol.
     Handshake {
         /// Human-readable peer name.
         peer: String,

@@ -7,13 +7,12 @@
 //! every matching collective the transport severs the planned worker's
 //! connection exactly as if the process had died, so the failure takes the
 //! organic path — a read or write on the dead socket — rather than a
-//! simulated shortcut. The same plan format drives unit tests (loopback
-//! clusters in-process) and the multiprocess chaos suite (`dsr-node
-//! master --chaos`).
+//! simulated shortcut. The unit tests arm plans on loopback clusters
+//! in process.
 //!
 //! A test that needs worker `w` gone before the next collective arms the
-//! one-fault plan `FaultPlan::new().disconnect(w)` (`worker=w` on the
-//! command line: any phase, no threshold).
+//! one-fault plan `FaultPlan::new().disconnect(w)` (`worker=w` in the text
+//! form: any phase, no threshold).
 
 /// Which collective a [`Fault`] is allowed to fire in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +52,7 @@ pub struct Fault {
 
 /// An ordered set of [`Fault`]s; see the [module docs](self). Built either
 /// programmatically ([`FaultPlan::disconnect`] + [`FaultPlan::after`] /
-/// [`FaultPlan::during`]) or parsed from the `--chaos` command-line form
+/// [`FaultPlan::during`]) or parsed from its text form
 /// ([`FaultPlan::parse`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -101,7 +100,7 @@ impl FaultPlan {
         self
     }
 
-    /// Parses the `--chaos` form: semicolon-separated faults, each a
+    /// Parses the text form: semicolon-separated faults, each a
     /// comma-separated list of `worker=N` (required), `after=N`, and
     /// `phase=scatter|gather|exchange|any`.
     ///

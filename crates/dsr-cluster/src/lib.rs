@@ -23,7 +23,7 @@
 //!   no pipes, no threads;
 //! * [`TcpTransport`] moves the same frames through
 //!   **worker endpoints over TCP sockets** — self-hosted loopback workers
-//!   (`DSR_TRANSPORT=tcp`) or external `dsr-node` processes described by a
+//!   (`DSR_TRANSPORT=tcp`) or external worker processes described by a
 //!   [`ClusterSpec`] — with a handshake, timeouts, and
 //!   typed [`TransportError`]s instead of panics when a worker fails.
 //!

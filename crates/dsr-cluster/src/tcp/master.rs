@@ -292,8 +292,9 @@ impl TcpTransport {
         Self::new(MasterState::new(spec, Some(Vec::new()), 0))
     }
 
-    /// Connects to the external workers of `spec` (each a running
-    /// `dsr-node worker`) and performs the handshake with every one.
+    /// Connects to the external workers of `spec` (each running
+    /// [`serve_worker`](super::serve_worker)) and performs the handshake
+    /// with every one.
     /// Partitions are placed round-robin at `spec.replication`.
     pub fn connect(spec: &ClusterSpec) -> Result<Self, TransportError> {
         let session = 1;

@@ -23,8 +23,8 @@
 //! [`TcpTransport::loopback`] self-hosts its workers as threads, each on a
 //! real `127.0.0.1` socket (`DSR_TRANSPORT=tcp`: the whole test matrix over
 //! genuine sockets); [`TcpTransport::connect`] attaches to external
-//! `dsr-node` worker processes described by a [`ClusterSpec`]. Both run
-//! all of this code.
+//! worker processes, each running [`serve_worker`], described by a
+//! [`ClusterSpec`]. Both run all of this code.
 //!
 //! Failures are values, not panics: a dead worker, a non-protocol peer, a
 //! timed-out read or an oversized frame is a typed

@@ -53,7 +53,7 @@ fn read_preamble(reader: &mut impl Read, peer: &str, what: &str) -> Result<(), T
         .read_exact(&mut magic)
         .map_err(|e| TransportError::from_io(peer, what, e))?;
     if magic != MAGIC {
-        let reason = format!("bad {what} magic {magic:?} (expected {MAGIC:?}): not a dsr-node?");
+        let reason = format!("bad {what} magic {magic:?} (expected {MAGIC:?}): not a dsr worker?");
         return Err(handshake(peer, reason));
     }
     match read_varint(reader).map_err(|e| e.classify(peer, what))? {

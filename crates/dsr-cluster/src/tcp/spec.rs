@@ -1,5 +1,5 @@
 //! [`ClusterSpec`]: the workers, the replication factor and the socket
-//! policies, from a TOML file or written in code, checked by one
+//! policies, from TOML text or written in code, checked by one
 //! [`ClusterSpec::validate`]. Placement is not part of a spec: partitions
 //! go round-robin over the workers
 //! ([`Topology::round_robin`](crate::Topology::round_robin)).
@@ -10,8 +10,8 @@ use std::time::Duration;
 /// Describes a TCP cluster: the worker addresses and the socket policies.
 ///
 /// Written in code ([`ClusterSpec::new`] plus field assignments, checked
-/// with [`ClusterSpec::validate`]) or read from a TOML file
-/// ([`ClusterSpec::from_file`] / [`ClusterSpec::from_toml_str`]):
+/// with [`ClusterSpec::validate`]) or parsed from TOML text
+/// ([`ClusterSpec::from_toml_str`]):
 ///
 /// ```toml
 /// # cluster.toml — addresses in partition order; partition p is hosted by
@@ -123,13 +123,6 @@ impl ClusterSpec {
             None => Ok(spec),
             Some((key, reason)) => Err(format!("line {}: {reason}", line_of[key])),
         }
-    }
-
-    /// Reads and parses a spec file (see [`ClusterSpec::from_toml_str`]).
-    pub fn from_file(path: &std::path::Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|err| format!("cannot read {}: {err}", path.display()))?;
-        Self::from_toml_str(&text)
     }
 }
 

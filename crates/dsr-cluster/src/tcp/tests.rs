@@ -524,6 +524,21 @@ fn transport_reports_its_topology() {
 // worker
 // ---------------------------------------------------------------------------
 
+#[test]
+fn binding_an_address_already_bound_is_an_io_error_naming_it() {
+    let holder = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = holder.local_addr().expect("addr").to_string();
+    let err = bind_worker(&addr).expect_err("the address is taken");
+    match &err {
+        TransportError::Io { context, source } => {
+            assert!(context.contains(&addr), "address named: {context}");
+            assert_eq!(source.kind(), std::io::ErrorKind::AddrInUse);
+        }
+        other => panic!("expected an Io error, got {other}"),
+    }
+    assert!(err.to_string().contains(&addr), "{err}");
+}
+
 type ServedWorker = dsr_sync::thread::JoinHandle<Result<(), TransportError>>;
 
 /// One real worker on loopback: [`serve_worker`] on a thread of its own,

@@ -1,5 +1,6 @@
-//! The worker endpoint of the loopback threads and of `dsr-node`: listener,
-//! handshakes, sessions, the relay loop and the lanes of an exchange.
+//! The worker endpoint of the loopback threads and of external worker
+//! processes: listener, handshakes, sessions, the relay loop and the lanes
+//! of an exchange.
 
 use dsr_sync::{Arc, Condvar, Mutex};
 use std::collections::{hash_map::Entry, HashMap, HashSet};
@@ -88,9 +89,10 @@ pub fn bind_worker(listen: &str) -> Result<TcpListener, TransportError> {
 /// worker mesh) until the master shuts the session down or disconnects.
 /// Without a [`rejoin_wait`](WorkerOptions::rejoin_wait) the first session
 /// is the only one; with one, a worker whose master vanished serves the
-/// next master that adopts it (the rejoin half of failover). `dsr-node
-/// worker` and [`TcpTransport::loopback`](crate::TcpTransport::loopback)
-/// both run exactly this function.
+/// next master that adopts it (the rejoin half of failover). An external
+/// worker process (`examples/tcp_cluster.rs` spawns three) and
+/// [`TcpTransport::loopback`](crate::TcpTransport::loopback) both run
+/// exactly this function.
 pub fn serve_worker(listener: TcpListener, options: WorkerOptions) -> Result<(), TransportError> {
     let local = listener.local_addr().map_err(|source| TransportError::Io {
         context: "worker listener has no local address".to_string(),

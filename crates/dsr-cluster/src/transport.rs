@@ -32,7 +32,7 @@
 //! A third backend, [`TcpTransport`], moves the
 //! same collectives through **worker endpoints over TCP sockets** — either
 //! self-hosted loopback workers (the `DSR_TRANSPORT=tcp` test matrix) or
-//! external `dsr-node` processes; see [`crate::tcp`].
+//! external worker processes; see [`crate::tcp`].
 //!
 //! Collectives return `Result`: the in-process backend always returns
 //! `Ok` and the wire backend fails only on a codec that rejects its own
@@ -374,7 +374,7 @@ pub enum TransportKind {
     /// Serialized framed bytes over TCP sockets and worker endpoints
     /// (self-hosted loopback workers; see
     /// [`TcpTransport`] for attaching to external
-    /// `dsr-node` processes).
+    /// worker processes).
     Tcp,
 }
 
@@ -462,7 +462,7 @@ impl TransportKind {
 
     /// Instantiates the selected backend. [`TransportKind::Tcp`] creates a
     /// **loopback** cluster (self-hosted worker threads on `127.0.0.1`
-    /// sockets); to attach to external `dsr-node` workers, build a
+    /// sockets); to attach to external workers, build a
     /// [`TcpTransport`] with [`TcpTransport::connect`] and wrap it in
     /// [`DynTransport::Tcp`] yourself.
     pub fn create(self) -> DynTransport {

@@ -46,7 +46,7 @@
 //!   [`QueryService::with_config`] serves in process,
 //!   [`QueryService::with_config_and_transport`] over any
 //!   [`DynTransport`](dsr_cluster::DynTransport) — the wire codec, a
-//!   loopback TCP cluster or external `dsr-node` workers.
+//!   loopback TCP cluster or external worker processes.
 //! * Index updates flow through [`QueryService::update`] — the
 //!   differential pipeline of Section 3.3.3: back-to-back batches are
 //!   coalesced, only affected partitions refresh, and the summary deltas

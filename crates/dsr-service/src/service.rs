@@ -425,7 +425,7 @@ impl QueryService {
     /// [`InProcess`]: a [`WireTransport`](dsr_cluster::WireTransport)
     /// (every message encoded and decoded in process), a loopback
     /// [`TcpTransport`](dsr_cluster::TcpTransport), or one connected to
-    /// external `dsr-node` workers, each wrapped in [`DynTransport`]
+    /// external worker processes, each wrapped in [`DynTransport`]
     /// ([`TransportKind::create`](dsr_cluster::TransportKind::create) and
     /// [`DynTransport::from_env`] build one by kind). The backend is shared
     /// by every query this service executes and by the refresh exchange of

@@ -1,7 +1,7 @@
 //! Multi-process TCP cluster demo: this example **re-executes itself** as
 //! three worker child processes (each serving a real `127.0.0.1` socket
-//! via `dsr_cluster::tcp::serve_worker` — the exact code the `dsr-node`
-//! binary runs), connects a master [`TcpTransport`] to them, builds the
+//! via `dsr_cluster::tcp::serve_worker` — the exact code the loopback
+//! workers run), connects a master [`TcpTransport`] to them, builds the
 //! DSR index over the cluster, answers a 64-query batch in 3 communication
 //! rounds, and shows that answers and byte counts are identical to the
 //! in-process backend.
