@@ -36,7 +36,7 @@
 use dsr_sync::Arc;
 use std::collections::BTreeSet;
 
-use dsr_cluster::TransportKind;
+use dsr_cluster::{DynTransport, InProcess, TcpTransport, Transport, WireTransport};
 use dsr_community::CommunityWorkload;
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_graph::{DiGraph, TransitiveClosure, VertexId};
@@ -148,7 +148,7 @@ fn scenario(fast: bool) -> Scenario {
 }
 
 /// One full replay of the mixed-tenant scenario on `transport`.
-fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> Counters {
+fn replay(s: &Scenario, slaves: usize, transport: DynTransport) -> Counters {
     let partitioning = common::partition(&s.graph, slaves);
     let index = DsrIndex::build(&s.graph, partitioning, dsr_reach::LocalIndexKind::Dfs);
     let service = QueryService::with_config_and_transport(
@@ -161,7 +161,7 @@ fn replay(s: &Scenario, slaves: usize, transport: TransportKind) -> Counters {
             max_wait_us: 1_000_000,
             ..ServiceConfig::default()
         },
-        transport.create(),
+        transport,
     );
 
     // Oracle state: the live edge multiset mirrored next to the service.
@@ -329,13 +329,13 @@ pub fn run(fast: bool) -> (String, String) {
     let slaves = if fast { 3 } else { common::DEFAULT_SLAVES };
 
     let transports = [
-        ("in-process", TransportKind::InProcess),
-        ("wire", TransportKind::Wire),
-        ("tcp", TransportKind::Tcp),
+        DynTransport::InProcess(InProcess),
+        DynTransport::Wire(WireTransport::new()),
+        DynTransport::Tcp(TcpTransport::loopback()),
     ];
     let runs: Vec<(&str, Counters)> = transports
-        .iter()
-        .map(|&(name, kind)| (name, replay(&s, slaves, kind)))
+        .into_iter()
+        .map(|transport| (transport.name(), replay(&s, slaves, transport)))
         .collect();
 
     let (_, baseline) = &runs[0];

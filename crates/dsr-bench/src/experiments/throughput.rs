@@ -38,7 +38,7 @@
 
 use dsr_sync::Arc;
 
-use dsr_cluster::{CommStats, TcpTransport, Transport, TransportKind, WireTransport};
+use dsr_cluster::{CommStats, DynTransport, InProcess, TcpTransport, Transport, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_datagen::{query_stream, ArrivalPattern, StreamConfig};
 use dsr_graph::{DiGraph, VertexId};
@@ -124,8 +124,9 @@ fn run_batched_replay(
     index: &Arc<DsrIndex>,
     queries: &[SetQuery],
     name: &'static str,
-    transport: TransportKind,
+    transport: DynTransport,
 ) -> ModeResult {
+    let label = transport.name();
     let service = QueryService::with_config_and_transport(
         Arc::clone(index),
         ServiceConfig {
@@ -135,7 +136,7 @@ fn run_batched_replay(
             max_wait_us: 1_000_000,
             ..ServiceConfig::default()
         },
-        transport.create(),
+        transport,
     );
     for wave in queries.chunks(BATCHED_CLIENTS) {
         let tickets: Vec<QueryTicket> = wave
@@ -152,11 +153,7 @@ fn run_batched_replay(
     let fusion = service.batch_stats();
     ModeResult {
         name,
-        transport: match transport {
-            TransportKind::InProcess => "in-process",
-            TransportKind::Wire => "wire",
-            TransportKind::Tcp => "tcp",
-        },
+        transport: label,
         queries: queries.len(),
         rounds,
         messages,
@@ -295,19 +292,19 @@ pub fn run(fast: bool) -> (String, String) {
         &index,
         &queries,
         "service_batched_replay",
-        TransportKind::InProcess,
+        DynTransport::InProcess(InProcess),
     );
     let replay_wire = run_batched_replay(
         &index,
         &queries,
         "service_batched_replay_wire",
-        TransportKind::Wire,
+        DynTransport::Wire(WireTransport::new()),
     );
     let replay_tcp = run_batched_replay(
         &index,
         &queries,
         "service_batched_replay_tcp",
-        TransportKind::Tcp,
+        DynTransport::Tcp(TcpTransport::loopback()),
     );
     for other in [&replay_wire, &replay_tcp] {
         assert_eq!(

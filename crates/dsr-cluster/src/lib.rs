@@ -23,17 +23,16 @@
 //!   no pipes, no threads;
 //! * [`TcpTransport`] moves the same frames through
 //!   **worker endpoints over TCP sockets** — self-hosted loopback workers
-//!   (`DSR_TRANSPORT=tcp`) or external worker processes described by a
-//!   [`ClusterSpec`] — with a handshake, timeouts, and
-//!   typed [`TransportError`]s instead of panics when a worker fails.
+//!   or external worker processes described by a [`ClusterSpec`] — with a
+//!   handshake, timeouts, and typed [`TransportError`]s instead of panics
+//!   when a worker fails.
 //!
 //! All backends produce identical payloads and identical statistics (the
 //! size accounting is debug-asserted against the codec on every message),
 //! so round counts, message counts and byte volumes are faithful to the
 //! algorithms being simulated — the quantities behind the
 //! communication-cost plots of Figure 5 (b)(f)(j)(n) and Figure 8. The
-//! `DSR_TRANSPORT` environment variable (see [`TransportKind::from_env`])
-//! switches the whole test suite between backends.
+//! integration suites run every answer on all three backends.
 
 // This crate stays at the workspace-level `deny(unsafe_code)` rather than
 // `forbid`: `pool` needs one module-scoped `allow(unsafe_code)` for the
@@ -61,9 +60,6 @@ pub use pool::{global_pool, SlavePool};
 pub use stats::{BatchStats, CacheStats, CommStats, FailoverSnapshot, FailoverStats, UpdateStats};
 pub use tcp::{ClusterSpec, TcpTransport};
 pub use topology::Topology;
-pub use transport::{
-    DynTransport, InProcess, ParseTransportError, Transport, TransportKind, WireMessage,
-    WireTransport, TRANSPORT_ENV,
-};
+pub use transport::{DynTransport, InProcess, Transport, WireMessage, WireTransport};
 pub use wire::{Wire, WireError, WireReader};
 pub use worker::run_on_slaves;

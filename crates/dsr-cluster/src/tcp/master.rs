@@ -272,8 +272,8 @@ impl TcpTransport {
     /// A self-hosted loopback cluster: workers are spawned as threads of
     /// this process, each serving a real `127.0.0.1` socket, one per
     /// logical node, growing lazily with the largest collective seen. This
-    /// is the `DSR_TRANSPORT=tcp` backend: one replica per partition and a
-    /// 30 s I/O timeout.
+    /// is the integration suites' TCP backend: one replica per partition
+    /// and a 30 s I/O timeout.
     pub fn loopback() -> Self {
         Self::loopback_with(1, Duration::from_secs(30))
     }

@@ -21,7 +21,7 @@
 //!   report byte-identical volumes.
 //!
 //! [`TcpTransport::loopback`] self-hosts its workers as threads, each on a
-//! real `127.0.0.1` socket (`DSR_TRANSPORT=tcp`: the whole test matrix over
+//! real `127.0.0.1` socket (the integration suites' TCP backend, over
 //! genuine sockets); [`TcpTransport::connect`] attaches to external
 //! worker processes, each running [`serve_worker`], described by a
 //! [`ClusterSpec`]. Both run all of this code.

@@ -31,8 +31,8 @@
 //!
 //! A third backend, [`TcpTransport`], moves the
 //! same collectives through **worker endpoints over TCP sockets** — either
-//! self-hosted loopback workers (the `DSR_TRANSPORT=tcp` test matrix) or
-//! external worker processes; see [`crate::tcp`].
+//! self-hosted loopback workers or external worker processes; see
+//! [`crate::tcp`].
 //!
 //! Collectives return `Result`: the in-process backend always returns
 //! `Ok` and the wire backend fails only on a codec that rejects its own
@@ -40,11 +40,9 @@
 //! failure surfaces as a typed [`TransportError`] instead of a panic or a
 //! hang.
 //!
-//! [`TransportKind`] selects a backend at runtime (e.g. from the
-//! `DSR_TRANSPORT` environment variable — the hook the test matrix and CI
-//! use to run the whole suite over every substrate), and [`DynTransport`]
-//! is the corresponding enum-dispatched backend for callers that pick a
-//! transport at construction time, such as the query service.
+//! [`DynTransport`] is the enum-dispatched backend for callers that pick a
+//! transport at construction time, such as the query service; a caller
+//! names the backend by building its variant.
 
 use crate::error::TransportError;
 use crate::message::MessageSize;
@@ -52,9 +50,6 @@ use crate::stats::CommStats;
 use crate::tcp::TcpTransport;
 use crate::topology::Topology;
 use crate::wire::{self, Wire};
-
-/// Environment variable read by [`TransportKind::from_env`].
-pub const TRANSPORT_ENV: &str = "DSR_TRANSPORT";
 
 /// Everything a message needs to cross a [`Transport`]: a wire codec, an
 /// exact size, and the ability to move between threads.
@@ -359,123 +354,8 @@ impl Transport for WireTransport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Runtime selection.
-// ---------------------------------------------------------------------------
-
-/// Which transport backend to use; selectable from the environment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TransportKind {
-    /// Zero-copy in-process moves (the default).
-    #[default]
-    InProcess,
-    /// Serialized bytes: every message is encoded and decoded in process.
-    Wire,
-    /// Serialized framed bytes over TCP sockets and worker endpoints
-    /// (self-hosted loopback workers; see
-    /// [`TcpTransport`] for attaching to external
-    /// worker processes).
-    Tcp,
-}
-
-/// Error returned when parsing a [`TransportKind`] from a string fails.
-///
-/// The message lists the accepted values, so a typo in a CI matrix or a
-/// service configuration file reports the fix alongside the failure.
-#[derive(Clone, PartialEq, Eq)]
-pub struct ParseTransportError {
-    value: String,
-}
-
-impl ParseTransportError {
-    /// The rejected input.
-    pub fn value(&self) -> &str {
-        &self.value
-    }
-}
-
-impl std::fmt::Display for ParseTransportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unrecognized transport {:?}; valid values: {}",
-            self.value,
-            TransportKind::VALID_NAMES.join(", ")
-        )
-    }
-}
-
-// `expect`/`unwrap` render `Debug`, so make it as readable as `Display`:
-// the valid-values listing must survive into the panic message.
-impl std::fmt::Debug for ParseTransportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Display::fmt(self, f)
-    }
-}
-
-impl std::error::Error for ParseTransportError {}
-
-impl std::str::FromStr for TransportKind {
-    type Err = ParseTransportError;
-
-    /// Parses a backend name. Accepted values (case-insensitive): empty or
-    /// `in-process`/`in_process`/`inprocess` for [`InProcess`], `wire` for
-    /// [`WireTransport`], `tcp` for the loopback
-    /// [`TcpTransport`]. The error lists the
-    /// valid values.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "" | "in-process" | "in_process" | "inprocess" => Ok(TransportKind::InProcess),
-            "wire" => Ok(TransportKind::Wire),
-            "tcp" => Ok(TransportKind::Tcp),
-            _ => Err(ParseTransportError {
-                value: s.to_string(),
-            }),
-        }
-    }
-}
-
-impl TransportKind {
-    /// Canonical names accepted by the [`FromStr`](std::str::FromStr)
-    /// parser (spelling variants of `in-process` are also recognized).
-    pub const VALID_NAMES: [&'static str; 3] = ["in-process", "wire", "tcp"];
-
-    /// Reads the `DSR_TRANSPORT` environment variable: `wire` selects
-    /// [`WireTransport`], `tcp` selects a loopback
-    /// [`TcpTransport`], `in-process` (or unset)
-    /// selects [`InProcess`]. The value goes through the
-    /// [`FromStr`](std::str::FromStr) parser that the experiment binaries
-    /// reuse; [`DynTransport::from_env`] builds the backend it names.
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value — a misconfigured CI matrix should
-    /// fail loudly (listing the valid values), not silently test the
-    /// default backend twice.
-    pub fn from_env() -> Self {
-        match std::env::var(TRANSPORT_ENV) {
-            Err(_) => TransportKind::InProcess,
-            Ok(value) => value
-                .parse()
-                .unwrap_or_else(|err| panic!("invalid DSR_TRANSPORT: {err}")),
-        }
-    }
-
-    /// Instantiates the selected backend. [`TransportKind::Tcp`] creates a
-    /// **loopback** cluster (self-hosted worker threads on `127.0.0.1`
-    /// sockets); to attach to external workers, build a
-    /// [`TcpTransport`] with [`TcpTransport::connect`] and wrap it in
-    /// [`DynTransport::Tcp`] yourself.
-    pub fn create(self) -> DynTransport {
-        match self {
-            TransportKind::InProcess => DynTransport::InProcess(InProcess),
-            TransportKind::Wire => DynTransport::Wire(WireTransport::new()),
-            TransportKind::Tcp => DynTransport::Tcp(TcpTransport::loopback()),
-        }
-    }
-}
-
 /// Enum-dispatched transport for callers that select a backend at runtime
-/// (service construction, the `DSR_TRANSPORT` test matrix).
+/// (service construction, the integration suites' backend list).
 // One per service or test, never stored in bulk: the unboxed TCP variant
 // costs nothing and keeps `DynTransport::Tcp(transport)` constructible.
 #[allow(clippy::large_enum_variant)]
@@ -490,20 +370,6 @@ pub enum DynTransport {
 }
 
 impl DynTransport {
-    /// The backend selected by the `DSR_TRANSPORT` environment variable.
-    pub fn from_env() -> Self {
-        TransportKind::from_env().create()
-    }
-
-    /// The kind of backend this is.
-    pub fn kind(&self) -> TransportKind {
-        match self {
-            DynTransport::InProcess(_) => TransportKind::InProcess,
-            DynTransport::Wire(_) => TransportKind::Wire,
-            DynTransport::Tcp(_) => TransportKind::Tcp,
-        }
-    }
-
     /// The TCP backend, when that is what this is (the only backend with
     /// replication/failover machinery worth poking at).
     pub fn as_tcp(&self) -> Option<&TcpTransport> {
@@ -780,38 +646,6 @@ mod tests {
         assert_eq!((incoming[0].len(), incoming[1].len()), (1, 0));
         // The three shipped bytes were counted before decoding failed.
         assert_eq!((stats.rounds(), stats.messages(), stats.bytes()), (4, 3, 3));
-    }
-
-    #[test]
-    fn kind_parsing() {
-        for ok in ["", "in-process", "In_Process", "INPROCESS"] {
-            assert_eq!(ok.parse::<TransportKind>(), Ok(TransportKind::InProcess));
-        }
-        assert_eq!("Wire".parse::<TransportKind>(), Ok(TransportKind::Wire));
-        assert_eq!("TCP".parse::<TransportKind>(), Ok(TransportKind::Tcp));
-        let err = "udp".parse::<TransportKind>().unwrap_err();
-        assert_eq!(err.value(), "udp");
-        let message = err.to_string();
-        assert!(message.contains("in-process"), "lists valid values");
-        assert!(message.contains("wire"), "lists valid values");
-        assert!(message.contains("tcp"), "lists valid values");
-        // The Debug rendering (what `.expect` prints) carries the same
-        // guidance.
-        assert_eq!(format!("{err:?}"), message);
-    }
-
-    #[test]
-    fn kind_selection() {
-        assert_eq!(TransportKind::default(), TransportKind::InProcess);
-        assert_eq!(
-            TransportKind::InProcess.create().kind(),
-            TransportKind::InProcess
-        );
-        assert_eq!(TransportKind::Wire.create().kind(), TransportKind::Wire);
-        assert_eq!(TransportKind::Wire.create().name(), "wire");
-        assert_eq!(TransportKind::Tcp.create().kind(), TransportKind::Tcp);
-        assert_eq!(TransportKind::Tcp.create().name(), "tcp");
-        assert_eq!(InProcess.name(), "in-process");
     }
 
     #[test]

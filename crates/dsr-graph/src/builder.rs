@@ -22,14 +22,6 @@ impl GraphBuilder {
         Self::default()
     }
 
-    /// Creates a builder pre-sized for `num_vertices` dense vertices.
-    pub fn with_vertices(num_vertices: usize) -> Self {
-        GraphBuilder {
-            num_vertices,
-            ..Self::default()
-        }
-    }
-
     /// Ensures vertex `v` exists, growing the vertex count if necessary.
     pub fn ensure_vertex(&mut self, v: VertexId) {
         if (v as usize) >= self.num_vertices {
@@ -43,17 +35,6 @@ impl GraphBuilder {
         self.ensure_vertex(u);
         self.ensure_vertex(v);
         self.edges.push((u, v));
-        self
-    }
-
-    /// Adds many edges at once.
-    pub fn add_edges<I>(&mut self, edges: I) -> &mut Self
-    where
-        I: IntoIterator<Item = (VertexId, VertexId)>,
-    {
-        for (u, v) in edges {
-            self.add_edge(u, v);
-        }
         self
     }
 
@@ -142,25 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn with_vertices_preallocates() {
-        let b = GraphBuilder::with_vertices(10);
-        let g = b.build();
-        assert_eq!(g.num_vertices(), 10);
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
     fn ensure_vertex_grows() {
         let mut b = GraphBuilder::new();
         b.ensure_vertex(7);
         assert_eq!(b.num_vertices(), 8);
-    }
-
-    #[test]
-    fn add_edges_bulk() {
-        let mut b = GraphBuilder::new();
-        b.add_edges(vec![(0, 1), (2, 3)]);
-        assert_eq!(b.num_edges(), 2);
-        assert_eq!(b.num_vertices(), 4);
     }
 }

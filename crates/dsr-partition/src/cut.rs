@@ -96,32 +96,6 @@ impl Cut {
             .map(|b| b.in_boundaries.len() + b.out_boundaries.len())
             .sum()
     }
-
-    /// Cut edges whose *target* lies in partition `i` (incoming cut edges).
-    pub fn incoming_edges(
-        &self,
-        partitioning: &Partitioning,
-        i: PartitionId,
-    ) -> Vec<(VertexId, VertexId)> {
-        self.edges
-            .iter()
-            .copied()
-            .filter(|&(_, v)| partitioning.partition_of(v) == i)
-            .collect()
-    }
-
-    /// Cut edges whose *source* lies in partition `i` (outgoing cut edges).
-    pub fn outgoing_edges(
-        &self,
-        partitioning: &Partitioning,
-        i: PartitionId,
-    ) -> Vec<(VertexId, VertexId)> {
-        self.edges
-            .iter()
-            .copied()
-            .filter(|&(u, _)| partitioning.partition_of(u) == i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -198,17 +172,6 @@ mod tests {
         assert!(!cut.partition(0).is_in_boundary(1));
         assert!(cut.partition(1).is_out_boundary(9));
         assert!(!cut.partition(1).is_out_boundary(6));
-    }
-
-    #[test]
-    fn incoming_outgoing_edges() {
-        let (g, p) = figure1_graph();
-        let cut = Cut::extract(&g, &p);
-        let incoming2 = cut.incoming_edges(&p, 1);
-        assert_eq!(incoming2.len(), 3);
-        assert!(incoming2.iter().all(|&(_, v)| p.partition_of(v) == 1));
-        let outgoing2 = cut.outgoing_edges(&p, 1);
-        assert_eq!(outgoing2.len(), 2);
     }
 
     #[test]

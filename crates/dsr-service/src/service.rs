@@ -425,11 +425,10 @@ impl QueryService {
     /// [`InProcess`]: a [`WireTransport`](dsr_cluster::WireTransport)
     /// (every message encoded and decoded in process), a loopback
     /// [`TcpTransport`](dsr_cluster::TcpTransport), or one connected to
-    /// external worker processes, each wrapped in [`DynTransport`]
-    /// ([`TransportKind::create`](dsr_cluster::TransportKind::create) and
-    /// [`DynTransport::from_env`] build one by kind). The backend is shared
-    /// by every query this service executes and by the refresh exchange of
-    /// every update applied through [`QueryService::update`].
+    /// external worker processes, each wrapped in its [`DynTransport`]
+    /// variant. The backend is shared by every query this service executes
+    /// and by the refresh exchange of every update applied through
+    /// [`QueryService::update`].
     pub fn with_config_and_transport(
         index: Arc<DsrIndex>,
         config: ServiceConfig,
@@ -480,10 +479,10 @@ impl QueryService {
         }
     }
 
-    /// The transport this service executes queries over (its
-    /// [`kind`](DynTransport::kind) says which backend), for callers that
-    /// need direct access to the backend (e.g. to inject faults or rejoin
-    /// suspect workers on a [`DynTransport::Tcp`] cluster).
+    /// The transport this service executes queries over (its variant says
+    /// which backend), for callers that need direct access to the backend
+    /// (e.g. to inject faults or rejoin suspect workers on a
+    /// [`DynTransport::Tcp`] cluster).
     pub fn transport(&self) -> &DynTransport {
         &self.core.transport
     }
@@ -917,7 +916,6 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsr_cluster::TransportKind;
     use dsr_graph::DiGraph;
     use dsr_partition::Partitioning;
     use dsr_reach::LocalIndexKind;
@@ -1532,9 +1530,9 @@ mod tests {
         let wired = QueryService::with_config_and_transport(
             Arc::clone(&index),
             ServiceConfig::default(),
-            TransportKind::Wire.create(),
+            DynTransport::Wire(dsr_cluster::WireTransport::new()),
         );
-        assert_eq!(wired.transport().kind(), TransportKind::Wire);
+        assert!(matches!(wired.transport(), DynTransport::Wire(_)));
         let queries = [
             SetQuery::new(vec![0, 1], vec![4, 5]),
             SetQuery::new(vec![5], vec![0]),
@@ -1561,9 +1559,9 @@ mod tests {
         let tcp = QueryService::with_config_and_transport(
             Arc::clone(&index),
             ServiceConfig::default(),
-            TransportKind::Tcp.create(),
+            DynTransport::Tcp(dsr_cluster::TcpTransport::loopback()),
         );
-        assert_eq!(tcp.transport().kind(), TransportKind::Tcp);
+        assert!(matches!(tcp.transport(), DynTransport::Tcp(_)));
         let queries = [
             SetQuery::new(vec![0, 1], vec![4, 5]),
             SetQuery::new(vec![5], vec![0]),

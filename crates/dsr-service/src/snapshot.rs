@@ -336,7 +336,7 @@ mod tests {
         /// twice and reaps: the pin is never torn and never reclaimed
         /// while held, and every unpinned generation is reclaimed.
         #[test]
-        fn model_pinned_generation_survives_mutate_install_and_reap() {
+        fn model_pinned_generation_survives_read_install_and_reap() {
             Model::new()
                 .check(|| {
                     let chain = Arc::new(GenerationChain::new(marked_index(0)));

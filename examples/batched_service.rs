@@ -6,18 +6,15 @@
 //!
 //! ```text
 //! cargo run --release --example batched_service
-//! DSR_TRANSPORT=wire cargo run --release --example batched_service
-//! DSR_TRANSPORT=tcp  cargo run --release --example batched_service
 //! ```
 //!
-//! The `DSR_TRANSPORT` variable picks the backend (in-process buffers, the
-//! encode-and-decode wire codec, or a loopback TCP worker cluster);
-//! the deterministic counters are identical on all three.
+//! The service runs on the in-process backend; the wire codec and a
+//! loopback TCP worker cluster give identical deterministic counters.
 
 use dsr_sync::Arc;
 use std::time::Instant;
 
-use dsr_cluster::{BatchStats, DynTransport};
+use dsr_cluster::{BatchStats, DynTransport, InProcess, Transport};
 use dsr_core::{DsrIndex, SetQuery};
 use dsr_datagen::{query_stream, web_graph, ArrivalPattern, StreamConfig};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
@@ -58,13 +55,13 @@ fn main() {
         .map(|q| SetQuery::new(q.sources.clone(), q.targets.clone()))
         .collect();
 
-    // 3. Serve from 32 closed-loop clients over the backend DSR_TRANSPORT
-    //    names; the forming window and batch cap keep their defaults.
+    // 3. Serve from 32 closed-loop clients over the in-process backend; the
+    //    forming window and batch cap keep their defaults.
     let config = ServiceConfig::default();
-    let transport = DynTransport::from_env();
+    let transport = DynTransport::InProcess(InProcess);
     println!(
-        "transport: {:?}, forming window: {} us, batch cap: {}",
-        transport.kind(),
+        "transport: {}, forming window: {} us, batch cap: {}",
+        transport.name(),
         config.max_wait_us,
         config.max_batch
     );

@@ -6,8 +6,8 @@
 //!
 //! * coalescing — insert-then-delete churn within one batch costs nothing;
 //! * differential refresh — only affected partitions recompute, only their
-//!   `SummaryDelta`s cross the (`DSR_TRANSPORT`-selected) transport, and
-//!   the measured bytes land in [`QueryService::update_stats`];
+//!   `SummaryDelta`s cross the service's transport (here the in-process
+//!   one), and their exact bytes land in [`QueryService::update_stats`];
 //! * generation-correct cache invalidation — stale answers disappear, hot
 //!   queries re-warm;
 //! * snapshot isolation — every batch is applied to a fork and swapped
@@ -16,14 +16,12 @@
 //!
 //! ```text
 //! cargo run --release --example online_updates
-//! DSR_TRANSPORT=wire cargo run --release --example online_updates
 //! ```
 
 use dsr_sync::Arc;
 
-use dsr::testing::build_index_from_env;
-use dsr_cluster::DynTransport;
-use dsr_core::{SetQuery, UpdateOp};
+use dsr_cluster::{DynTransport, InProcess, Transport};
+use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::{
     query_stream, update_stream, web_graph, EdgeOp, StreamConfig, UpdateStreamConfig,
 };
@@ -32,21 +30,21 @@ use dsr_reach::LocalIndexKind;
 use dsr_service::{QueryService, ServiceConfig, UpdateMode};
 
 fn main() {
-    // 1. A live service over a web-graph analogue, transport from
-    //    DSR_TRANSPORT (shared parser with the CI matrix).
+    // 1. A live service over a web-graph analogue, on the in-process
+    //    transport.
     let graph = web_graph(800, 4.0, 16, 0.7, 0xAB);
     let partitioning = MultilevelPartitioner::default().partition(&graph, 4);
-    let index = build_index_from_env(&graph, partitioning, LocalIndexKind::Dfs);
+    let index = DsrIndex::build(&graph, partitioning, LocalIndexKind::Dfs);
     let service = QueryService::with_config_and_transport(
         Arc::new(index),
         ServiceConfig::default(),
-        DynTransport::from_env(),
+        DynTransport::InProcess(InProcess),
     );
     println!(
-        "service up: {} vertices, {} edges, 4 slaves, transport = {:?}",
+        "service up: {} vertices, {} edges, 4 slaves, transport = {}",
         graph.num_vertices(),
         graph.num_edges(),
-        service.transport().kind()
+        service.transport().name()
     );
 
     // 2. Workloads: a hot query stream and a consistent update stream.

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use dsr_cluster::{CommStats, Transport, TransportKind, WireTransport};
+use dsr_cluster::{CommStats, InProcess, Transport, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
 use dsr_reach::LocalIndexKind;
@@ -72,12 +72,7 @@ fn main() {
     assert_eq!(a_bytes, b_bytes, "exact sizing == measured wire bytes");
 
     for (name, results, stats, elapsed) in [
-        (
-            TransportKind::InProcess.create().name(),
-            &a,
-            &a_stats,
-            a_time,
-        ),
+        (InProcess.name(), &a, &a_stats, a_time),
         (wire.name(), &b, &b_stats, b_time),
     ] {
         let (rounds, messages, bytes) = stats.snapshot();

@@ -1,65 +1,35 @@
-//! Transport test-matrix helpers.
+//! The transport backends the integration suites run on.
 //!
-//! The integration suites (`tests/engines_agree.rs`, `tests/end_to_end.rs`,
-//! `tests/updates_consistency.rs`) and the examples build their indexes,
-//! engines and update batches through these three helpers — one per layer,
-//! each over that layer's fallible call — which run on
-//! [`DynTransport::from_env`], the backend the `DSR_TRANSPORT` environment
-//! variable names ([`dsr_cluster::TransportKind::from_env`]). A suite that
-//! needs the backend itself, such as a service's, calls
-//! [`DynTransport::from_env`] directly. Unset or `in-process` runs the
-//! zero-copy default, `wire` routes every protocol message — including the
-//! build-time summary exchange and the differential update refresh —
-//! through the serializing [`WireTransport`](dsr_cluster::WireTransport),
-//! and `tcp` routes them through a loopback
-//! [`TcpTransport`](dsr_cluster::TcpTransport) cluster: self-hosted worker
+//! `tests/engines_agree.rs`, `tests/end_to_end.rs`,
+//! `tests/updates_consistency.rs`, `tests/service_batcher.rs` and
+//! `tests/workloads_oracle.rs` loop over [`backends`] and check every
+//! answer on each of them, so a plain `cargo test` produces every answer
+//! once from messages moved in process, once from messages that were
+//! encoded and decoded by the [`WireTransport`], and once from frames that
+//! crossed a loopback [`TcpTransport`] cluster: self-hosted worker
 //! endpoints on real `127.0.0.1` sockets, every frame taking the master →
-//! worker → worker → master route. CI runs the suites under all three
-//! values, so every answer has been produced at least once from messages
-//! that were actually encoded, shipped over a socket and decoded:
-//!
-//! ```sh
-//! cargo test -q                                              # in-process
-//! DSR_TRANSPORT=wire cargo test -q --test engines_agree --test end_to_end \
-//!     --test updates_consistency
-//! DSR_TRANSPORT=tcp  cargo test -q --test engines_agree --test end_to_end \
-//!     --test updates_consistency
-//! ```
-//!
-//! The helpers `expect` transport success: in the test matrix a worker
-//! failure is a test failure, and the typed
-//! [`TransportError`](dsr_cluster::TransportError) message lands in the
-//! panic output. Production callers handle the error as a value through
-//! the fallible engine/service APIs instead.
+//! worker → worker → master route.
 
-use dsr_cluster::DynTransport;
-use dsr_core::{DsrEngine, DsrIndex, UpdateOp, UpdateOutcome};
-use dsr_graph::DiGraph;
-use dsr_partition::Partitioning;
-use dsr_reach::LocalIndexKind;
+use dsr_cluster::{DynTransport, InProcess, TcpTransport, WireTransport};
 
-/// Builds a [`DsrIndex`] whose summary-exchange round goes through the
-/// `DSR_TRANSPORT`-selected backend.
-pub fn build_index_from_env(
-    graph: &DiGraph,
-    partitioning: Partitioning,
-    kind: LocalIndexKind,
-) -> DsrIndex {
-    DsrIndex::build_with_transport(graph, partitioning, kind, true, &DynTransport::from_env())
-        .expect("test-matrix transport failed during the summary exchange")
+/// A fresh transport of each backend, in the order in-process, wire, tcp.
+pub fn backends() -> [DynTransport; 3] {
+    [
+        DynTransport::InProcess(InProcess),
+        DynTransport::Wire(WireTransport::new()),
+        DynTransport::Tcp(TcpTransport::loopback()),
+    ]
 }
 
-/// Creates an engine over `index` running on the `DSR_TRANSPORT`-selected
-/// backend.
-pub fn engine_from_env(index: &DsrIndex) -> DsrEngine<'_, DynTransport> {
-    DsrEngine::with_transport(index, DynTransport::from_env())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsr_cluster::Transport;
 
-/// Applies an update batch whose refresh deltas ship through the
-/// `DSR_TRANSPORT`-selected backend (the differential pipeline of
-/// Section 3.3.3).
-pub fn apply_updates_from_env(index: &mut DsrIndex, ops: &[UpdateOp]) -> UpdateOutcome {
-    index
-        .apply_updates_with_transport(ops, &DynTransport::from_env())
-        .expect("test-matrix transport failed during the delta exchange")
+    /// The names are the labels the `BENCH_*.json` rows print.
+    #[test]
+    fn backends_are_in_process_wire_and_tcp_in_order() {
+        let names = backends().map(|transport| transport.name());
+        assert_eq!(names, ["in-process", "wire", "tcp"]);
+    }
 }

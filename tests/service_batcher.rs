@@ -3,11 +3,13 @@
 //! differential update batches land between query epochs, every answer
 //! checked against a transitive-closure oracle of the *current* graph; a
 //! saturation test proves bounded admission degrades into the typed
-//! `Overloaded` error instead of a deadlock.
+//! `Overloaded` error instead of a deadlock. Both run on each backend of
+//! [`dsr::testing::backends`].
 
 use dsr_sync::Arc;
 
-use dsr_cluster::{DynTransport, TransportKind};
+use dsr::testing::backends;
+use dsr_cluster::{DynTransport, Transport};
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::erdos_renyi;
 use dsr_graph::{DiGraph, TransitiveClosure};
@@ -56,19 +58,20 @@ fn pick<'p>(pool: &'p [SetQuery], rng: &mut u64) -> &'p SetQuery {
 
 #[test]
 fn sixty_four_clients_fuse_under_update_churn() {
+    for transport in backends() {
+        sixty_four_clients_on(transport);
+    }
+}
+
+fn sixty_four_clients_on(transport: DynTransport) {
+    let backend = transport.name();
     let n: usize = 140;
     let graph = erdos_renyi(n, 480, 0xBA7C);
     let mut edges = graph.edge_vec();
     let partitioning = MultilevelPartitioner::default().partition(&graph, 4);
     let index = Arc::new(DsrIndex::build(&graph, partitioning, LocalIndexKind::Dfs));
-    // `from_env` honours DSR_TRANSPORT, so the CI matrix drives the batch
-    // former over the wire and TCP backends too.
-    let service = QueryService::with_config_and_transport(
-        index,
-        ServiceConfig::default(),
-        DynTransport::from_env(),
-    );
-    assert_eq!(service.transport().kind(), TransportKind::from_env());
+    let service =
+        QueryService::with_config_and_transport(index, ServiceConfig::default(), transport);
     let pool = query_pool(n as u64);
 
     for epoch in 0..EPOCHS {
@@ -89,7 +92,7 @@ fn sixty_four_clients_fuse_under_update_churn() {
                         let expected = oracle.set_reachability(&q.sources, &q.targets);
                         assert_eq!(
                             *answer, expected,
-                            "client {client} diverged on {q:?} in epoch {epoch}"
+                            "client {client} diverged on {q:?} in epoch {epoch} on {backend}"
                         );
                     }
                 });
@@ -139,6 +142,13 @@ fn sixty_four_clients_fuse_under_update_churn() {
 
 #[test]
 fn saturation_returns_overloaded_instead_of_deadlocking() {
+    for transport in backends() {
+        saturation_on(transport);
+    }
+}
+
+fn saturation_on(transport: DynTransport) {
+    let backend = transport.name();
     let n: usize = 100;
     let graph = erdos_renyi(n, 360, 0xBA7D);
     let partitioning = MultilevelPartitioner::default().partition(&graph, 3);
@@ -155,9 +165,8 @@ fn saturation_returns_overloaded_instead_of_deadlocking() {
             max_wait_us: 60_000_000,
             ..ServiceConfig::default()
         },
-        DynTransport::from_env(),
+        transport,
     );
-    assert_eq!(service.transport().kind(), TransportKind::from_env());
     let pool = query_pool(n as u64);
 
     // 16 clients race one fail-fast submission each (all distinct queries,
@@ -202,10 +211,11 @@ fn saturation_returns_overloaded_instead_of_deadlocking() {
     service.flush();
     for entry in admitted {
         let (i, ticket) = entry.expect("partitioned as Ok");
-        let answer = ticket.wait().expect("in-process transport never fails");
+        let answer = ticket.wait().expect("the transport stays up");
         assert_eq!(
             *answer,
-            oracle.set_reachability(&pool[i].sources, &pool[i].targets)
+            oracle.set_reachability(&pool[i].sources, &pool[i].targets),
+            "on {backend}"
         );
     }
     let q = &pool[20];
@@ -214,7 +224,8 @@ fn saturation_returns_overloaded_instead_of_deadlocking() {
         .expect("slots released after the fused run");
     service.flush();
     assert_eq!(
-        *ticket.wait().expect("in-process transport never fails"),
-        oracle.set_reachability(&q.sources, &q.targets)
+        *ticket.wait().expect("the transport stays up"),
+        oracle.set_reachability(&q.sources, &q.targets),
+        "on {backend}"
     );
 }

@@ -63,7 +63,7 @@ fn incremental_update_invalidates_cached_answers() {
 }
 
 #[test]
-fn in_place_update_is_refused_while_index_is_shared() {
+fn update_leaves_a_held_index_arc_untouched() {
     let service = disconnected_service();
     let shared = service.index();
     // An outstanding raw index Arc refuses nothing and is never mutated:
@@ -79,7 +79,7 @@ fn in_place_update_is_refused_while_index_is_shared() {
 }
 
 #[test]
-fn in_place_update_is_refused_while_a_snapshot_is_pinned() {
+fn update_lands_beside_a_pinned_snapshot() {
     let service = disconnected_service();
     let snap = service.snapshot();
     // A pinned SnapshotRef refuses nothing either: its generation is
