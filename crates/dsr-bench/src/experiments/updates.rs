@@ -30,7 +30,7 @@
 
 use dsr_sync::Arc;
 
-use dsr_cluster::{FailoverSnapshot, InProcess, TcpTransport, UpdateStats, WireTransport};
+use dsr_cluster::{InProcess, TcpTransport, UpdateStats, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::{query_stream, update_stream, EdgeOp, StreamConfig, UpdateStreamConfig};
 use dsr_graph::DiGraph;
@@ -53,10 +53,6 @@ struct WorkloadResult {
     /// Queries answered while updating (interleaved only).
     queries: usize,
     invalidations: u64,
-    /// Failover counters (retries/suspects/resyncs). All zeros everywhere
-    /// but the TCP workload — and pinned at zero there too: a no-fault run
-    /// that fails over is a regression, not noise.
-    failover: FailoverSnapshot,
 }
 
 fn op_of(edge_op: EdgeOp) -> UpdateOp {
@@ -105,7 +101,6 @@ pub fn run(fast: bool) -> (String, String) {
         patched: outcome.patched_compounds.len(),
         queries: 0,
         invalidations: 0,
-        failover: FailoverSnapshot::default(),
     };
 
     // --- Workload 1b: the same bulk batch over the wire transport. -------
@@ -128,7 +123,6 @@ pub fn run(fast: bool) -> (String, String) {
         patched: wire_outcome.patched_compounds.len(),
         queries: 0,
         invalidations: 0,
-        failover: FailoverSnapshot::default(),
     };
 
     // --- Workload 1c: the same bulk batch over a loopback TCP cluster. ---
@@ -151,7 +145,6 @@ pub fn run(fast: bool) -> (String, String) {
         patched: tcp_outcome.patched_compounds.len(),
         queries: 0,
         invalidations: 0,
-        failover: tcp.failover_stats().snapshot(),
     };
 
     // --- Workload 2: progressive insertion in small batches. -------------
@@ -181,7 +174,6 @@ pub fn run(fast: bool) -> (String, String) {
         patched,
         queries: 0,
         invalidations: 0,
-        failover: FailoverSnapshot::default(),
     };
 
     // --- Workload 3: interleaved queries and updates on a live service. --
@@ -240,7 +232,6 @@ pub fn run(fast: bool) -> (String, String) {
         patched: 0,
         queries: answered,
         invalidations: service.cache_stats().invalidations(),
-        failover: service.failover_stats(),
     };
 
     let workloads = [bulk, bulk_wire, bulk_tcp, progressive, interleaved];
@@ -326,7 +317,7 @@ fn render_json(
     json.push_str("  \"workloads\": [\n");
     for (i, w) in workloads.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"transport\": \"{}\", \"ops\": {}, \"batches\": {}, \"update_rounds\": {}, \"update_messages\": {}, \"update_bytes\": {}, \"refreshed_summaries\": {}, \"patched_compounds\": {}, \"queries\": {}, \"cache_invalidations\": {}, \"failover_retries\": {}, \"failover_suspects\": {}, \"failover_resyncs\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"transport\": \"{}\", \"ops\": {}, \"batches\": {}, \"update_rounds\": {}, \"update_messages\": {}, \"update_bytes\": {}, \"refreshed_summaries\": {}, \"patched_compounds\": {}, \"queries\": {}, \"cache_invalidations\": {}}}{}\n",
             w.name,
             w.transport,
             w.ops,
@@ -338,9 +329,6 @@ fn render_json(
             w.patched,
             w.queries,
             w.invalidations,
-            w.failover.retries,
-            w.failover.suspects,
-            w.failover.resyncs,
             if i + 1 == workloads.len() { "" } else { "," }
         ));
     }

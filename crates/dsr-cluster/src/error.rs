@@ -69,13 +69,6 @@ pub enum TransportError {
         /// What was expected vs what arrived.
         reason: String,
     },
-    /// Every replica hosting `partition` is marked suspect: the routing
-    /// table ([`Topology`](crate::Topology)) cannot place the collective.
-    /// Raising the replication factor or rejoining a worker fixes it.
-    NoReplica {
-        /// The partition nobody can serve.
-        partition: usize,
-    },
 }
 
 impl fmt::Display for TransportError {
@@ -99,10 +92,6 @@ impl fmt::Display for TransportError {
             TransportError::Protocol { peer, reason } => {
                 write!(f, "protocol violation from {peer}: {reason}")
             }
-            TransportError::NoReplica { partition } => write!(
-                f,
-                "no live replica hosts partition {partition} (every replica is suspect)"
-            ),
         }
     }
 }
@@ -149,12 +138,12 @@ impl TransportError {
         }
     }
 
-    /// Whether this failure is the kind replica failover can route around:
-    /// the peer is gone or unresponsive
+    /// Whether the peer is gone or unresponsive
     /// ([`Disconnected`](TransportError::Disconnected) /
     /// [`Timeout`](TransportError::Timeout) / [`Io`](TransportError::Io)),
-    /// as opposed to speaking a broken protocol, which retrying elsewhere
-    /// would not fix.
+    /// as opposed to speaking a broken protocol. A dying worker takes its
+    /// peers' connectivity with it, so a failed TCP collective surfaces a
+    /// broken protocol before any of these.
     pub fn is_connectivity_loss(&self) -> bool {
         matches!(
             self,

@@ -24,8 +24,10 @@
 //! * [`TcpTransport`] moves the same frames through
 //!   **worker endpoints over TCP sockets** — self-hosted loopback workers
 //!   or external worker processes described by a [`ClusterSpec`] — with a
-//!   handshake, timeouts, and typed [`TransportError`]s instead of panics
-//!   when a worker fails.
+//!   handshake and timeouts. Partition `p` goes to worker `p % W`; a
+//!   collective runs once, a worker that fails it makes it return one
+//!   typed [`TransportError`] naming that worker (never a panic or a
+//!   hang), and the next collective reconnects.
 //!
 //! All backends produce identical payloads and identical statistics (the
 //! size accounting is debug-asserted against the codec on every message),
@@ -42,24 +44,20 @@
 #![deny(unsafe_code)]
 
 pub mod error;
-pub mod fault;
 mod frame;
 pub mod message;
 pub mod pool;
 pub mod stats;
 pub mod tcp;
-pub mod topology;
 pub mod transport;
 pub mod wire;
 pub mod worker;
 
 pub use error::TransportError;
-pub use fault::{Fault, FaultPhase, FaultPlan};
 pub use message::MessageSize;
 pub use pool::{global_pool, SlavePool};
-pub use stats::{BatchStats, CacheStats, CommStats, FailoverSnapshot, FailoverStats, UpdateStats};
+pub use stats::{BatchStats, CacheStats, CommStats, UpdateStats};
 pub use tcp::{ClusterSpec, TcpTransport};
-pub use topology::Topology;
-pub use transport::{DynTransport, InProcess, Transport, WireMessage, WireTransport};
+pub use transport::{DynTransport, InProcess, Topology, Transport, WireMessage, WireTransport};
 pub use wire::{Wire, WireError, WireReader};
 pub use worker::run_on_slaves;

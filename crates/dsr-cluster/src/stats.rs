@@ -145,90 +145,15 @@ impl UpdateStats {
     }
 }
 
-/// Thread-safe counters for the TCP master's failover machinery.
-///
-/// All three counters are **zero in a fault-free run** — the
-/// `BENCH_updates.json` golden pins them there, so a code change that
-/// silently starts retrying collectives or suspecting workers fails
-/// `cargo test`.
-///
-/// * `retries` — collectives re-attempted against the surviving replicas
-///   after a worker failure.
-/// * `suspects` — worker *transitions* into the suspect state (a worker
-///   suspected once and never revived counts once).
-/// * `resyncs` — suspect workers brought back by a successful rejoin: a
-///   reconnect that clears the suspect flag (workers hold no state to
-///   restore; see `TcpTransport::rejoin_suspects`).
-#[derive(Debug, Default)]
-pub struct FailoverStats {
-    retries: AtomicU64,
-    suspects: AtomicU64,
-    resyncs: AtomicU64,
-}
+/// A field-less stand-in, kept only for `benchmark/`, which reads
+/// `TcpTransport::failover_stats().retries()`.
+#[derive(Debug)]
+pub struct FailoverStats;
 
 impl FailoverStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one retried collective.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one worker transitioning into the suspect state.
-    pub fn record_suspect(&self) {
-        self.suspects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one suspect worker rejoining the cluster.
-    pub fn record_resync(&self) {
-        self.resyncs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Collectives retried after a worker failure so far.
+    /// Always 0: a TCP collective runs once.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Suspect transitions so far.
-    pub fn suspects(&self) -> u64 {
-        self.suspects.load(Ordering::Relaxed)
-    }
-
-    /// Rejoined (resynced) workers so far.
-    pub fn resyncs(&self) -> u64 {
-        self.resyncs.load(Ordering::Relaxed)
-    }
-
-    /// A plain-value copy of the counters.
-    pub fn snapshot(&self) -> FailoverSnapshot {
-        FailoverSnapshot {
-            retries: self.retries(),
-            suspects: self.suspects(),
-            resyncs: self.resyncs(),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`FailoverStats`] (what the service layer and
-/// the benchmark reports expose).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FailoverSnapshot {
-    /// See [`FailoverStats::retries`].
-    pub retries: u64,
-    /// See [`FailoverStats::suspects`].
-    pub suspects: u64,
-    /// See [`FailoverStats::resyncs`].
-    pub resyncs: u64,
-}
-
-impl FailoverSnapshot {
-    /// Whether no failover activity happened at all (the required state of
-    /// every fault-free benchmark run).
-    pub fn is_zero(&self) -> bool {
-        *self == FailoverSnapshot::default()
+        0
     }
 }
 

@@ -8,22 +8,24 @@ use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use super::failover::ArmedFault;
 use super::protocol::{
     master_hello, put_echo_op, put_exchange_op, read_ack, GroupHeader, OP_SHUTDOWN,
 };
 use super::spec::ClusterSpec;
 use super::worker::{bind_worker, serve_worker, WorkerOptions};
 use crate::error::TransportError;
-use crate::fault::FaultPhase;
 use crate::frame::read_frame;
 use crate::stats::{CommStats, FailoverStats};
-use crate::topology::Topology;
-use crate::transport::{Transport, WireMessage};
+use crate::transport::{Topology, Transport, WireMessage};
 use crate::wire;
 
+/// Connect timeout of the liveness probe that attributes a failed
+/// collective: a dead process refuses instantly, so this stays short.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+
 pub(super) struct WorkerLink {
-    /// Write half (and the handle faults and resets shut down).
+    /// Write half (and the handle `TcpTransport::sever` and resets shut
+    /// down).
     pub(super) stream: TcpStream,
     /// Read half: a clone of `stream`, buffered so a reply's varints are
     /// not one `read(2)` each. Created once the handshake is through, and
@@ -110,26 +112,21 @@ pub(super) fn connect_link(
     })
 }
 
-pub(super) struct MasterState {
+struct MasterState {
     /// The cluster; `spec.workers` is the roster, in worker-id order, and
     /// grows with a loopback mesh.
-    pub(super) spec: ClusterSpec,
-    /// Live master→worker links; `None` = not connected (suspect, or a
-    /// failover reset pending reconnect). Indexed like the roster.
-    pub(super) links: Vec<Option<WorkerLink>>,
+    spec: ClusterSpec,
+    /// Live master→worker links; `None` = not connected (a failed
+    /// collective dropped them all, or the mesh just grew). Indexed like
+    /// the roster.
+    links: Vec<Option<WorkerLink>>,
     /// The threads of a self-hosted mesh, which grows on demand; `None`
     /// for a fixed remote cluster.
     loopback: Option<Vec<JoinHandle<()>>>,
-    /// Routing table for the current collective width; rebuilt when the
-    /// width or the roster changes, suspicion carried across rebuilds.
-    pub(super) topology: Option<Topology>,
-    /// Session epoch: bumped on every batch reconnect, carried in every
-    /// hello so workers can match peer lanes to sessions. All live links
-    /// always share one epoch.
-    pub(super) epoch: u64,
-    /// Collectives served so far (the clock
-    /// [`Fault::after`](crate::Fault::after) counts on).
-    pub(super) collectives: u64,
+    /// Session epoch: bumped on every reconnect, carried in every hello so
+    /// workers can match peer lanes to sessions. All live links always
+    /// share one epoch.
+    epoch: u64,
 }
 
 impl MasterState {
@@ -138,41 +135,42 @@ impl MasterState {
             links: spec.workers.iter().map(|_| None).collect(),
             spec,
             loopback,
-            topology: None,
             epoch,
-            collectives: 0,
         }
     }
 
-    /// Connects worker `id` at `session`, its hello carrying the roster;
-    /// `wait` bounds the connect.
-    pub(super) fn connect(
-        &self,
-        id: usize,
-        session: u64,
-        wait: Duration,
-    ) -> Result<WorkerLink, TransportError> {
+    /// Connects worker `id` at `session`, its hello carrying the roster.
+    fn connect(&self, id: usize, session: u64) -> Result<WorkerLink, TransportError> {
         let roster = &self.spec.workers;
-        connect_link(&roster[id], id, session, roster, wait, self.spec.io_timeout)
+        let spec = &self.spec;
+        connect_link(
+            &roster[id],
+            id,
+            session,
+            roster,
+            spec.connect_timeout,
+            spec.io_timeout,
+        )
     }
 
-    /// The link of a worker the current routing sends to.
+    /// The link of a worker the current collective sends to.
     fn link(&mut self, worker: usize) -> &mut WorkerLink {
         self.links[worker]
             .as_mut()
-            .expect("routable workers are connected")
+            .expect("a collective runs on a connected mesh")
     }
 
-    /// Grows a loopback mesh to at least `num_partitions` workers, rebuilds
-    /// the routing table when the collective width or the roster changed,
-    /// and fails fast when some partition has no live replica: the one
-    /// route check in front of every collective, so callers make none. A
-    /// remote cluster never grows: extra partitions wrap onto the existing
-    /// workers. Workers learn a grown roster from the links the new ones
-    /// lack: every link is then reconnected, each hello carrying it.
-    pub(super) fn ensure_mesh(&mut self, num_partitions: usize) -> Result<(), TransportError> {
+    /// Brings the mesh to a serving state for a `width`-wide collective,
+    /// the one check in front of every collective, so callers make none.
+    /// A loopback mesh first grows to `width` workers; a remote cluster
+    /// never grows: extra partitions wrap onto its workers. Then, whenever
+    /// some link is missing — a grown mesh, or a collective that failed —
+    /// every link is reconnected at a fresh epoch, each hello carrying the
+    /// roster: the only way every session (and thus every peer lane) stays
+    /// matched. A worker that refuses is the collective's error.
+    fn ready(&mut self, width: usize) -> Result<(), TransportError> {
         if let Some(workers) = &mut self.loopback {
-            while self.spec.workers.len() < num_partitions {
+            while self.spec.workers.len() < width {
                 let listener = bind_worker("127.0.0.1:0")?;
                 let addr = listener
                     .local_addr()
@@ -185,8 +183,8 @@ impl MasterState {
                 let options = WorkerOptions {
                     io_timeout,
                     master_wait: Some(io_timeout),
-                    // Loopback workers survive failover resets: the master
-                    // reconnects them within the I/O timeout.
+                    // Loopback workers outlive a failed collective: the
+                    // next one reconnects them within the I/O timeout.
                     rejoin_wait: Some(io_timeout),
                 };
                 workers.push(dsr_sync::thread::spawn(move || {
@@ -198,46 +196,62 @@ impl MasterState {
                 self.links.push(None);
             }
         }
-        let workers = self.spec.workers.len();
-        if workers == 0 {
+        if self.spec.workers.is_empty() {
             return Err(TransportError::Protocol {
                 peer: "cluster".to_string(),
                 reason: "no workers configured".to_string(),
             });
         }
-        let stale = match &self.topology {
-            None => true,
-            Some(t) => t.num_partitions() != num_partitions || t.num_workers() != workers,
-        };
-        if stale {
-            self.topology = Some(self.placement(num_partitions, workers));
+        if self.links.iter().all(Option::is_some) {
+            return Ok(());
         }
-        let topology = self.topology.as_ref().expect("placed above");
-        match topology.unroutable_partition() {
-            Some(partition) => Err(TransportError::NoReplica { partition }),
-            None => Ok(()),
+        self.drop_all_links();
+        self.epoch += 1;
+        for worker in 0..self.links.len() {
+            self.links[worker] = Some(self.connect(worker, self.epoch)?);
         }
+        Ok(())
     }
 
-    /// The one placement policy: round-robin over `workers` at the
-    /// replication factor, with the suspicion of the current table carried
-    /// over.
-    fn placement(&self, num_partitions: usize, workers: usize) -> Topology {
-        let mut placed = Topology::round_robin(num_partitions, workers, self.spec.replication);
-        if let Some(current) = &self.topology {
-            placed.inherit_suspects(current);
-        }
-        placed
+    /// Ends a collective that some workers failed and returns the one
+    /// error it surfaces. Every link is dropped first: a reply left
+    /// half-read is never taken for the next collective's, which
+    /// reconnects at a fresh epoch. The error is, in this order, the
+    /// lowest-numbered worker's that is not a loss of connectivity (a
+    /// protocol violation, a reply that does not decode), then that of the
+    /// lowest-numbered worker whose listener refuses a probe (a dead
+    /// process refuses instantly, while its peers merely time out on it),
+    /// then the lowest-numbered worker's.
+    fn fail(&mut self, mut failures: Vec<(usize, TransportError)>) -> TransportError {
+        self.drop_all_links();
+        failures.sort_by_key(|&(worker, _)| worker);
+        let roster = &self.spec.workers;
+        let at = (failures.iter())
+            .position(|(_, err)| !err.is_connectivity_loss())
+            .or_else(|| {
+                (failures.iter()).position(|&(worker, _)| probe_worker(&roster[worker]).is_err())
+            })
+            .unwrap_or(0);
+        failures.swap_remove(at).1
     }
 
-    /// Severs and forgets every live link. The next `ensure_ready`
-    /// reconnects all non-suspect workers in one batch at a fresh epoch —
-    /// the only way every session (and thus every peer lane) stays matched.
-    pub(super) fn drop_all_links(&mut self) {
+    /// Severs and forgets every live link.
+    fn drop_all_links(&mut self) {
         for link in self.links.iter_mut().filter_map(Option::take) {
             let _ = link.stream.shutdown(Shutdown::Both);
         }
     }
+}
+
+/// Short-timeout liveness probe: can `addr` still be connected to? A
+/// killed worker process refuses instantly; a live one accepts (the
+/// connection is immediately shut down without a hello, which its
+/// handshake thread treats as noise).
+fn probe_worker(addr: &str) -> Result<(), ()> {
+    let resolved: SocketAddr = addr.to_socket_addrs().map_err(|_| ())?.next().ok_or(())?;
+    let stream = TcpStream::connect_timeout(&resolved, PROBE_TIMEOUT).map_err(|_| ())?;
+    let _ = stream.shutdown(Shutdown::Both);
+    Ok(())
 }
 
 /// The TCP backend: collectives over real sockets and worker endpoints.
@@ -247,19 +261,18 @@ impl MasterState {
 /// shared by concurrent query threads like the other backends; each runs,
 /// and decodes, on the thread that called it.
 ///
-/// # Fault tolerance
+/// # Worker loss
 ///
-/// Every collective leg is addressed **by partition** through the
-/// transport's [`Topology`]. A worker that stops answering turns
-/// *suspect*, and — when its partitions have other live replicas
-/// ([`ClusterSpec::replication`] ≥ 2) — the same encoded frames are
-/// retried against them with bounded backoff: [`FailoverStats`] counts
-/// that, [`CommStats`] does not change. A recovered worker is re-adopted
-/// with [`TcpTransport::rejoin_suspects`].
+/// A collective runs once, with partition `p` on worker `p % W`. If any
+/// worker fails it, every link is dropped and the collective returns one
+/// typed [`TransportError`] naming the worker to blame. [`CommStats`]
+/// keeps what the collective encoded, as it would have without the
+/// failure. The next collective reconnects every worker at a fresh epoch,
+/// so a worker that is still listening (every loopback worker, or an
+/// external one with a [`rejoin_wait`](super::WorkerOptions::rejoin_wait))
+/// serves it.
 pub struct TcpTransport {
-    pub(super) state: Mutex<MasterState>,
-    pub(super) failover: FailoverStats,
-    pub(super) faults: Mutex<Vec<ArmedFault>>,
+    state: Mutex<MasterState>,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -272,67 +285,61 @@ impl TcpTransport {
     /// A self-hosted loopback cluster: workers are spawned as threads of
     /// this process, each serving a real `127.0.0.1` socket, one per
     /// logical node, growing lazily with the largest collective seen. This
-    /// is the integration suites' TCP backend: one replica per partition
-    /// and a 30 s I/O timeout.
+    /// is the integration suites' TCP backend, with a 30 s I/O timeout.
     pub fn loopback() -> Self {
-        Self::loopback_with(1, Duration::from_secs(30))
+        Self::loopback_with(Duration::from_secs(30))
     }
 
-    /// [`TcpTransport::loopback`] hosting every partition on `replication`
-    /// workers (round-robin placement), with an explicit I/O timeout (tests
-    /// use short ones so failure paths resolve quickly).
-    pub fn loopback_with(replication: usize, io_timeout: Duration) -> Self {
-        assert!(replication > 0, "replication factor must be at least 1");
+    /// [`TcpTransport::loopback`] with an explicit I/O timeout (tests use
+    /// short ones so failure paths resolve quickly).
+    pub fn loopback_with(io_timeout: Duration) -> Self {
         let spec = ClusterSpec {
             workers: Vec::new(),
             connect_timeout: io_timeout,
             io_timeout,
-            replication,
         };
-        Self::new(MasterState::new(spec, Some(Vec::new()), 0))
+        let state = MasterState::new(spec, Some(Vec::new()), 0);
+        TcpTransport {
+            state: Mutex::new(state),
+        }
     }
 
     /// Connects to the external workers of `spec` (each running
     /// [`serve_worker`](super::serve_worker)) and performs the handshake
     /// with every one.
-    /// Partitions are placed round-robin at `spec.replication`.
     pub fn connect(spec: &ClusterSpec) -> Result<Self, TransportError> {
         let session = 1;
         let mut state = MasterState::new(spec.clone(), None, session);
         for id in 0..spec.workers.len() {
-            state.links[id] = Some(state.connect(id, session, spec.connect_timeout)?);
+            state.links[id] = Some(state.connect(id, session)?);
         }
-        Ok(Self::new(state))
-    }
-
-    fn new(state: MasterState) -> Self {
-        TcpTransport {
+        Ok(TcpTransport {
             state: Mutex::new(state),
-            failover: FailoverStats::new(),
-            faults: Mutex::new(Vec::new()),
-        }
+        })
     }
 
     /// Number of known workers (0 for a loopback mesh that has not served
-    /// a collective yet). Suspects count: they are still part of the
-    /// roster.
+    /// a collective yet).
     pub fn num_workers(&self) -> usize {
         dsr_sync::lock(&self.state).spec.workers.len()
     }
 
-    /// Worker ids currently marked suspect (ascending).
-    pub fn suspects(&self) -> Vec<usize> {
-        dsr_sync::lock(&self.state)
-            .topology
-            .as_ref()
-            .map(Topology::suspects)
-            .unwrap_or_default()
+    /// Shuts worker `worker`'s master link down as if the worker had died,
+    /// and leaves the dead link in its slot: the next collective meets it
+    /// and ends in a typed error naming the worker, and the one after that
+    /// reconnects. A worker without a live link is left alone. For tests of
+    /// worker loss.
+    pub fn sever(&self, worker: usize) {
+        let state = dsr_sync::lock(&self.state);
+        if let Some(link) = state.links.get(worker).and_then(Option::as_ref) {
+            let _ = link.stream.shutdown(Shutdown::Both);
+        }
     }
 
-    /// Failover counters: retries, suspect transitions, resyncs. All zero
-    /// in a fault-free run (the benchmark gate pins them there).
-    pub fn failover_stats(&self) -> &FailoverStats {
-        &self.failover
+    /// Kept only for `benchmark/`, which reads
+    /// `failover_stats().retries()`: a collective runs once, so that is 0.
+    pub fn failover_stats(&self) -> FailoverStats {
+        FailoverStats
     }
 
     fn encode_and_count<M: WireMessage>(message: &M, stats: &CommStats) -> Vec<u8> {
@@ -347,27 +354,20 @@ impl TcpTransport {
     }
 
     /// Round-trips one frame per partition through the worker hosting it
-    /// (`ECHO`): scatter and gather. Frames are encoded (and counted)
-    /// **once**, a failover retries only the undelivered partitions, so
-    /// [`CommStats`] is identical with and without one; a collective that
-    /// cannot be placed records nothing. Runs in *waves*:
-    /// wave `i` writes the `i`-th pending op of every worker, then reads
-    /// the `i`-th reply of every worker — never two unanswered ops on one
-    /// link (module docs).
+    /// (`ECHO`): scatter and gather. A collective that cannot reach its
+    /// workers records nothing. Runs in *waves*: wave `i` writes the op of
+    /// node `i·W + w` to every worker `w`, then reads every worker's reply
+    /// — never two unanswered ops on one link (module docs).
     fn echo_round<M: WireMessage>(
         &self,
         messages: Vec<M>,
         stats: &CommStats,
-        fault_phase: FaultPhase,
+        [send_context, reply_context]: [&str; 2],
     ) -> Result<Vec<M>, TransportError> {
-        let [send_context, reply_context] = match fault_phase {
-            FaultPhase::Scatter => ["scatter send", "scatter reply"],
-            _ => ["gather send", "gather reply"],
-        };
         let k = messages.len();
         let mut guard = dsr_sync::lock(&self.state);
         let state = &mut *guard;
-        self.begin_collective(state, k, fault_phase)?;
+        state.ready(k)?;
         stats.record_round();
         let encoded: Vec<Vec<u8>> = messages
             .iter()
@@ -375,49 +375,39 @@ impl TcpTransport {
             .collect();
         drop(messages);
 
-        let mut delivered: Vec<Option<M>> = (0..k).map(|_| None).collect();
+        let workers = state.links.len();
+        let mut delivered = Vec::with_capacity(k);
         let mut op = Vec::new();
-        self.with_failover(state, k, false, |state, route| {
-            let mut by_worker: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for (node, slot) in delivered.iter().enumerate() {
-                if slot.is_none() {
-                    by_worker.entry(route[node]).or_default().push(node);
+        // A worker's first failure ends its part of the collective; the
+        // others carry on, so the list below is the whole picture.
+        let mut failures: Vec<(usize, TransportError)> = Vec::new();
+        for first in (0..k).step_by(workers) {
+            let mut awaited: Vec<usize> = Vec::with_capacity(workers);
+            for node in first..k.min(first + workers) {
+                let worker = node % workers;
+                if failures.iter().any(|&(failed, _)| failed == worker) {
+                    continue;
+                }
+                op.clear();
+                put_echo_op(&mut op, &encoded[node]);
+                match state.link(worker).send(&op, send_context) {
+                    Ok(()) => awaited.push(worker),
+                    Err(err) => failures.push((worker, err)),
                 }
             }
-            // A worker's first failure ends its part of the attempt; the
-            // others carry on, so the list below is the whole picture.
-            let mut failures: Vec<(usize, TransportError)> = Vec::new();
-            let waves = by_worker.values().map(Vec::len).max().unwrap_or(0);
-            for wave in 0..waves {
-                let mut awaited: Vec<(usize, usize)> = Vec::with_capacity(by_worker.len());
-                for (&worker, nodes) in &by_worker {
-                    let Some(&node) = nodes.get(wave) else {
-                        continue;
-                    };
-                    if failures.iter().any(|&(failed, _)| failed == worker) {
-                        continue;
-                    }
-                    op.clear();
-                    put_echo_op(&mut op, &encoded[node]);
-                    match state.link(worker).send(&op, send_context) {
-                        Ok(()) => awaited.push((worker, node)),
-                        Err(err) => failures.push((worker, err)),
-                    }
-                }
-                for (worker, node) in awaited {
-                    let reply = state.link(worker).recv(reply_context);
-                    match reply.and_then(|frame| Ok(wire::decode_exact::<M>(&frame)?)) {
-                        Ok(message) => delivered[node] = Some(message),
-                        Err(err) => failures.push((worker, err)),
-                    }
+            // Without a failure, replies arrive in node order.
+            for worker in awaited {
+                let reply = state.link(worker).recv(reply_context);
+                match reply.and_then(|frame| Ok(wire::decode_exact::<M>(&frame)?)) {
+                    Ok(message) => delivered.push(message),
+                    Err(err) => failures.push((worker, err)),
                 }
             }
-            failures
-        })?;
-        Ok(delivered
-            .into_iter()
-            .map(|m| m.expect("every node delivered"))
-            .collect())
+        }
+        if !failures.is_empty() {
+            return Err(state.fail(failures));
+        }
+        Ok(delivered)
     }
 }
 
@@ -430,9 +420,10 @@ impl Drop for TcpTransport {
             match slot {
                 Some(link) => link.shutdown(),
                 // A loopback worker without a link may be sitting in its
-                // rejoin wait (suspect, or a failover reset we never
-                // followed up on); poke it with a minimal session so its
-                // thread exits instead of blocking the join below.
+                // rejoin wait (a failed collective dropped every link and
+                // none has reconnected since); poke it with a minimal
+                // session so its thread exits instead of blocking the join
+                // below.
                 None if self_hosted => shutdown_worker(&state.spec.workers[id], id),
                 None => {}
             }
@@ -461,18 +452,12 @@ impl Transport for TcpTransport {
 
     fn topology(&self, num_partitions: usize) -> Topology {
         let state = dsr_sync::lock(&self.state);
-        if let Some(current) = &state.topology {
-            if current.num_partitions() == num_partitions {
-                return current.clone();
-            }
-        }
-        // What ensure_mesh would build, without mutating (a loopback mesh
-        // grows to the collective width on demand).
+        // A loopback mesh grows to the collective width on demand.
         let mut workers = state.spec.workers.len();
         if state.loopback.is_some() {
             workers = workers.max(num_partitions);
         }
-        state.placement(num_partitions, workers.max(1))
+        Topology::modulo(num_partitions, workers.max(1))
     }
 
     fn scatter<M: WireMessage>(
@@ -480,7 +465,7 @@ impl Transport for TcpTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        self.echo_round(messages, stats, FaultPhase::Scatter)
+        self.echo_round(messages, stats, ["scatter send", "scatter reply"])
     }
 
     fn gather<M: WireMessage>(
@@ -488,7 +473,7 @@ impl Transport for TcpTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        self.echo_round(messages, stats, FaultPhase::Gather)
+        self.echo_round(messages, stats, ["gather send", "gather reply"])
     }
 
     fn all_to_all<M: WireMessage>(
@@ -500,12 +485,11 @@ impl Transport for TcpTransport {
         assert_eq!(outgoing.len(), num_nodes, "one send list per node");
         let mut guard = dsr_sync::lock(&self.state);
         let state = &mut *guard;
-        self.begin_collective(state, num_nodes, FaultPhase::Exchange)?;
+        state.ready(num_nodes)?;
         stats.record_round();
 
         // Encode cross-node payloads (stats count each logical message
-        // once, like every other backend — failover retries reuse these
-        // frames); self-sends never touch a socket.
+        // once, like every other backend); self-sends never touch a socket.
         let mut groups: BTreeMap<(usize, usize), Vec<Vec<u8>>> = BTreeMap::new();
         let mut self_sends: Vec<Vec<M>> = (0..num_nodes).map(|_| Vec::new()).collect();
         for (src, sends) in outgoing.into_iter().enumerate() {
@@ -522,76 +506,67 @@ impl Transport for TcpTransport {
             }
         }
 
+        // Per worker: the groups it must forward (src hosted there) and the
+        // groups it will collect (dst hosted there), both in (src, dst)
+        // order — the order every mesh lane preserves.
+        let workers = state.links.len();
+        let mut send_plan: BTreeMap<usize, Vec<_>> = BTreeMap::new();
+        let mut recv_plan: BTreeMap<usize, Vec<GroupHeader>> = BTreeMap::new();
+        for (&(src, dst), frames) in &groups {
+            let (src_worker, dst_worker) = (src % workers, dst % workers);
+            let group = |worker| GroupHeader::new(src, dst, worker, frames.len());
+            let sends = send_plan.entry(src_worker).or_default();
+            sends.push((group(dst_worker), frames.as_slice()));
+            recv_plan
+                .entry(dst_worker)
+                .or_default()
+                .push(group(src_worker));
+        }
+        let mut involved: Vec<usize> = send_plan.keys().chain(recv_plan.keys()).copied().collect();
+        involved.sort_unstable();
+        involved.dedup();
+
+        // Ship every involved worker its whole op (one per link). No write
+        // here waits on a read below: a worker reads its whole op before it
+        // writes anything, and replies only once it has met every partner
+        // (module docs) ...
         let mut op = Vec::new();
-        let mut collected: Vec<(usize, usize, M)> = Vec::new();
-        // An exchange is all-or-nothing per attempt: partial results from
-        // surviving workers are discarded (their lanes may be wedged
-        // mid-group), sessions are reset, and the whole round is replayed
-        // against the post-failover routing.
-        self.with_failover(state, num_nodes, true, |state, route| {
-            collected.clear();
-            // Per worker: the groups it must forward (src routed there)
-            // and the groups it will collect (dst routed there), both in
-            // (src, dst) order — the order every mesh lane preserves.
-            let mut send_plan: BTreeMap<usize, Vec<_>> = BTreeMap::new();
-            let mut recv_plan: BTreeMap<usize, Vec<GroupHeader>> = BTreeMap::new();
-            for (&(src, dst), frames) in &groups {
-                let group = |worker| GroupHeader::new(src, dst, worker, frames.len());
-                let sends = send_plan.entry(route[src]).or_default();
-                sends.push((group(route[dst]), frames.as_slice()));
-                recv_plan
-                    .entry(route[dst])
-                    .or_default()
-                    .push(group(route[src]));
+        let mut failures: Vec<(usize, TransportError)> = Vec::new();
+        let mut awaited: Vec<usize> = Vec::with_capacity(involved.len());
+        for &worker in &involved {
+            op.clear();
+            let sends = send_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
+            let recvs = recv_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
+            put_exchange_op(&mut op, sends, recvs);
+            match state.link(worker).send(&op, "exchange send") {
+                Ok(()) => awaited.push(worker),
+                Err(err) => failures.push((worker, err)),
             }
-            let mut involved: Vec<usize> =
-                send_plan.keys().chain(recv_plan.keys()).copied().collect();
-            involved.sort_unstable();
-            involved.dedup();
-
-            // Ship every involved worker its whole op (one per link). No
-            // write here waits on a read below: a worker reads its whole
-            // op before it writes anything, and replies only once it has
-            // met every partner (module docs) ...
-            let mut failures: Vec<(usize, TransportError)> = Vec::new();
-            let mut awaited: Vec<usize> = Vec::with_capacity(involved.len());
-            for &worker in &involved {
-                op.clear();
-                let sends = send_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
-                let recvs = recv_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
-                put_exchange_op(&mut op, sends, recvs);
-                match state.link(worker).send(&op, "exchange send") {
-                    Ok(()) => awaited.push(worker),
-                    Err(err) => failures.push((worker, err)),
-                }
-            }
-            // ... and only then read the replies, worker after worker: the
-            // `(src, dst, message)` triples each one collected. A worker's
-            // first failure ends its reply; the others are still read, so
-            // `failures` is the whole picture.
-            for worker in awaited {
-                let link = state.link(worker);
-                let recvs = recv_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
-                let mut read_reply = || -> Result<(), TransportError> {
-                    for group in recvs {
-                        for _ in 0..group.frames {
-                            let frame = link.recv("exchange reply")?;
-                            let message = wire::decode_exact::<M>(&frame)?;
-                            collected.push((group.src, group.dst, message));
-                        }
-                    }
-                    Ok(())
-                };
-                if let Err(err) = read_reply() {
-                    failures.push((worker, err));
-                }
-            }
-            failures
-        })?;
-
+        }
+        // ... and only then read the replies, worker after worker: the
+        // groups each one collected, in its recv-list order. A worker's
+        // first failure ends its reply; the others are still read, so
+        // `failures` is the whole picture.
         let mut incoming: Vec<Vec<(usize, M)>> = (0..num_nodes).map(|_| Vec::new()).collect();
-        for (src, dst, message) in collected {
-            incoming[dst].push((src, message));
+        for worker in awaited {
+            let link = state.link(worker);
+            let recvs = recv_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
+            let mut read_reply = || -> Result<(), TransportError> {
+                for group in recvs {
+                    for _ in 0..group.frames {
+                        let frame = link.recv("exchange reply")?;
+                        let message = wire::decode_exact::<M>(&frame)?;
+                        incoming[group.dst].push((group.src, message));
+                    }
+                }
+                Ok(())
+            };
+            if let Err(err) = read_reply() {
+                failures.push((worker, err));
+            }
+        }
+        if !failures.is_empty() {
+            return Err(state.fail(failures));
         }
         for inbox in &mut incoming {
             inbox.sort_by_key(|&(src, _)| src);

@@ -29,14 +29,13 @@
 //! Failures are values, not panics: a dead worker, a non-protocol peer, a
 //! timed-out read or an oversized frame is a typed
 //! [`TransportError`](crate::TransportError) of the collective that saw it.
-//! One that ends in such an error (rather than failing over) drops every
+//! A collective runs once: one that ends in such an error drops every
 //! master link first, so a reply it left half-read is never taken for the
 //! next collective's; that one reconnects at a fresh epoch.
 //!
 //! One decision per module: `spec` ([`ClusterSpec`]), `protocol` (every
-//! byte besides frame payloads), `worker` ([`serve_worker`]), `master`
-//! ([`TcpTransport`] and its collectives) and `failover` (the retry loop,
-//! fault injection, rejoin).
+//! byte besides frame payloads), `worker` ([`serve_worker`]) and `master`
+//! ([`TcpTransport`], its collectives and the attribution of a failed one).
 //!
 //! # The master side of a collective
 //!
@@ -45,10 +44,10 @@
 //! link, and only then reads the replies, in worker order**; each worker
 //! keeps its own `Result`, so failure attribution sees every worker's
 //! outcome (a failed write skips that worker's read, nothing else). When
-//! a worker hosts several nodes (more partitions than workers, or a
-//! survivor after failover) scatter and gather go in *waves* — wave `i`
-//! ships the `i`-th node's op to every worker, then reads the `i`-th reply
-//! from every worker — so a link never carries two unanswered ops.
+//! a worker hosts several nodes (more partitions than workers: node `p` is
+//! on worker `p % W`) scatter and gather go in *waves* — wave `i` ships
+//! the `i`-th node's op to every worker, then reads the `i`-th reply from
+//! every worker — so a link never carries two unanswered ops.
 //!
 //! Writing everything before reading anything cannot wait on itself: a
 //! worker ([`serve_worker`]) reads a whole op before it writes a byte, to
@@ -61,8 +60,7 @@
 //! is an immediate EOF or reset; a *hung* one (alive, silent) is a
 //! timeout, and timeouts queue: one `io_timeout` on a lower-numbered peer
 //! whose exchange reply waits on the hung worker, then one on the hung
-//! worker — ≈ 2 × `io_timeout` per exchange attempt (scatter and gather:
-//! 1 ×). The peer's wait is one `io_timeout` whether it meets the hung
+//! worker — ≈ 2 × `io_timeout` per exchange (scatter and gather: 1 ×). The peer's wait is one `io_timeout` whether it meets the hung
 //! worker itself (one read, or the wait for its lane to open) or a peer
 //! that does: a worker whose exchange fails ends its session and closes
 //! every lane the session holds, so whoever reads from it, or writes into
@@ -74,7 +72,7 @@
 //! ≈ 3 ×: two calls move part of the buffer first) and the master's reads
 //! add up to ≈ 4 ×. Meeting partners one pair at a time moves neither
 //! bound; it leaves the pairs *behind* the stuck one unserved, and the
-//! attempt is all-or-nothing either way.
+//! exchange is all-or-nothing either way.
 //!
 //! # The worker side of an exchange
 //!
@@ -118,7 +116,7 @@
 //! # Protocol
 //!
 //! The byte layout is `protocol`'s. A roster only changes between
-//! sessions: a grown loopback mesh or a rejoined worker leaves links
+//! sessions: a grown loopback mesh or a failed collective leaves links
 //! missing, and every link is reconnected at a fresh epoch, each master
 //! hello carrying the roster. Frames are bounded by [`MAX_FRAME_LEN`]
 //! before any allocation. Master links are read through one buffered
@@ -127,7 +125,6 @@
 //!
 //! [`CommStats`]: crate::CommStats
 
-mod failover;
 mod master;
 mod protocol;
 mod spec;

@@ -22,8 +22,9 @@ use crate::wire::put_varint;
 pub const MAGIC: [u8; 4] = *b"DSRT";
 
 /// Protocol version carried in every hello. Version 2 added session ids to
-/// both hello forms and explicit worker routing to the exchange op
-/// (partition-addressed replication).
+/// both hello forms and explicit worker routing to the exchange op: each
+/// group names the worker at its other end, so a lane needs no placement
+/// rule of its own.
 pub const PROTOCOL_VERSION: u64 = 2;
 
 const ROLE_MASTER: u64 = 0;

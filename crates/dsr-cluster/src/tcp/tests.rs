@@ -10,99 +10,11 @@ use super::master::{connect_link, WorkerLink};
 use super::protocol::{peer_hello, put_exchange_op, GroupHeader};
 use super::*;
 use crate::error::TransportError;
-use crate::fault::{FaultPhase, FaultPlan};
 use crate::frame::put_frame;
 use crate::message::MessageSize;
 use crate::stats::CommStats;
-use crate::transport::Transport;
+use crate::transport::{InProcess, Transport};
 use crate::wire::{Wire, WireError, WireReader};
-
-// ---------------------------------------------------------------------------
-// spec
-// ---------------------------------------------------------------------------
-
-#[test]
-fn cluster_spec_parses_toml_subset() {
-    let spec = ClusterSpec::from_toml_str(
-        r#"
-        # three workers on loopback
-        [cluster]
-        workers = ["127.0.0.1:7101", "127.0.0.1:7102", "127.0.0.1:7103"]
-        connect_timeout_ms = 1500
-        io_timeout_ms = 12000
-        "#,
-    )
-    .expect("parses");
-    assert_eq!(spec.workers.len(), 3);
-    assert_eq!(spec.workers[1], "127.0.0.1:7102");
-    assert_eq!(spec.connect_timeout, Duration::from_millis(1500));
-    assert_eq!(spec.io_timeout, Duration::from_millis(12000));
-
-    // Defaults apply when the keys are omitted.
-    let spec = ClusterSpec::from_toml_str("workers = [\"a:1\"]").expect("parses");
-    assert_eq!(spec.io_timeout, Duration::from_secs(30));
-}
-
-#[test]
-fn cluster_spec_parses_replication_and_assignments() {
-    let spec = ClusterSpec::from_toml_str(
-        r#"
-        workers = ["a:1", "b:2", "c:3"]
-        replication = 2
-        "#,
-    )
-    .expect("parses");
-    assert_eq!(spec.replication, 2);
-
-    // Replication defaults to 1.
-    let spec = ClusterSpec::from_toml_str("workers = [\"a:1\"]").expect("parses");
-    assert_eq!(spec.replication, 1);
-
-    let err = ClusterSpec::from_toml_str("workers = [\"a:1\"]\nreplication = 0").unwrap_err();
-    assert!(err.contains("line 2"), "{err}");
-}
-
-#[test]
-fn cluster_spec_builder_validates() {
-    let spec = ClusterSpec {
-        workers: vec!["a:1".into(), "b:2".into()],
-        connect_timeout: Duration::from_secs(1),
-        io_timeout: Duration::from_secs(2),
-        replication: 2,
-    };
-    spec.validate().expect("valid");
-
-    let err = ClusterSpec {
-        workers: Vec::new(),
-        ..spec.clone()
-    }
-    .validate();
-    assert!(err.expect_err("no workers").contains("at least one"));
-    let err = ClusterSpec {
-        replication: 0,
-        ..spec
-    }
-    .validate();
-    assert!(err.expect_err("no replica").contains("replication"));
-}
-
-#[test]
-fn cluster_spec_rejects_garbage_with_line_numbers() {
-    let err = ClusterSpec::from_toml_str("workers = [\"a:1\"]\nbogus_key = 3").unwrap_err();
-    assert!(err.contains("line 2"), "{err}");
-    assert!(err.contains("bogus_key"), "{err}");
-    // Placement is round-robin, not a key.
-    let err = ClusterSpec::from_toml_str("workers = [\"a:1\", \"b:2\"]\n\nassignments = [\"0\"]")
-        .unwrap_err();
-    assert!(err.contains("line 3"), "{err}");
-    assert!(err.contains("unknown key \"assignments\""), "{err}");
-    let err = ClusterSpec::from_toml_str("").unwrap_err();
-    assert!(err.contains("workers"));
-    let err = ClusterSpec::from_toml_str("workers = []").unwrap_err();
-    assert!(err.contains("at least one"));
-    let err = ClusterSpec::from_toml_str("workers = [unquoted]").unwrap_err();
-    assert!(err.contains("double-quoted"));
-}
 
 // ---------------------------------------------------------------------------
 // master
@@ -114,7 +26,7 @@ fn cluster_spec_rejects_garbage_with_line_numbers() {
 /// at a fresh epoch after the growth, its hello carrying the whole roster.
 #[test]
 fn loopback_mesh_grows_and_routes() {
-    let transport = TcpTransport::loopback_with(1, Duration::from_secs(10));
+    let transport = TcpTransport::loopback_with(Duration::from_secs(10));
     let stats = CommStats::new();
     for k in [2usize, 4, 3] {
         let outgoing: Vec<Vec<(usize, u32)>> =
@@ -217,12 +129,18 @@ fn a_reply_that_does_not_decode_does_not_poison_the_next_collective() {
         .gather(vec![Picky(5), Picky(6)], &stats)
         .expect("gather");
     assert_eq!(delivered, vec![Picky(5), Picky(6)]);
-    assert_eq!(transport.failover_stats().snapshot().retries, 0);
 }
 
 #[test]
 fn collectives_carry_frames_larger_than_the_socket_buffers() {
-    let transport = TcpTransport::loopback_with(2, Duration::from_secs(20));
+    // Two real workers serve three nodes: worker 0 hosts nodes 0 and 2, so
+    // its echo ops go in two waves.
+    let io_timeout = Duration::from_secs(20);
+    let (addrs, served): (Vec<String>, Vec<ServedWorker>) =
+        (0..2).map(|_| spawn_worker(io_timeout)).unzip();
+    let mut spec = ClusterSpec::new(addrs);
+    spec.io_timeout = io_timeout;
+    let transport = TcpTransport::connect(&spec).expect("connect");
     let stats = CommStats::new();
     let k = 3usize;
     // 2^20 four-byte varints: ~4 MiB per message, far beyond what the
@@ -256,14 +174,14 @@ fn collectives_carry_frames_larger_than_the_socket_buffers() {
 
         let delivered = transport.gather(sent.clone(), &stats).expect("gather");
         assert!(delivered == sent, "round {round}: gather");
-
-        if round == 0 {
-            // Round two runs after a failover: a survivor hosts two
-            // nodes, so its echo ops go in two waves.
-            transport.inject_faults(FaultPlan::new().disconnect(1));
-        }
     }
-    assert_eq!(transport.suspects(), vec![1]);
+    drop(transport);
+    for worker in served {
+        worker
+            .join()
+            .expect("worker thread")
+            .expect("session shut down by the master");
+    }
 }
 
 /// Decodes like a `u32` and records which thread did it.
@@ -293,7 +211,7 @@ impl MessageSize for Witness {
 
 #[test]
 fn collectives_decode_on_the_calling_thread() {
-    let transport = TcpTransport::loopback_with(1, Duration::from_secs(10));
+    let transport = TcpTransport::loopback_with(Duration::from_secs(10));
     let stats = CommStats::new();
     let k = 3usize;
     let row = |base: u32| -> Vec<Witness> { (0..k as u32).map(|i| Witness(base + i)).collect() };
@@ -321,12 +239,12 @@ fn collectives_decode_on_the_calling_thread() {
 }
 
 // ---------------------------------------------------------------------------
-// failover
+// worker loss
 // ---------------------------------------------------------------------------
 
 #[test]
 fn worker_death_mid_session_surfaces_disconnected() {
-    let transport = TcpTransport::loopback_with(1, Duration::from_secs(5));
+    let transport = TcpTransport::loopback_with(Duration::from_secs(5));
     let stats = CommStats::new();
     // Healthy first round establishes the 3-worker mesh.
     let delivered = transport
@@ -335,7 +253,7 @@ fn worker_death_mid_session_surfaces_disconnected() {
     assert_eq!(delivered, vec![1, 2, 3]);
     // Kill worker 1 and observe the next collective fail with a typed
     // error instead of panicking or hanging.
-    transport.inject_faults(FaultPlan::new().disconnect(1));
+    transport.sever(1);
     let err = transport
         .scatter(vec![4u32, 5, 6], &stats)
         .expect_err("dead worker must surface");
@@ -349,175 +267,27 @@ fn worker_death_mid_session_surfaces_disconnected() {
         "got {err}"
     );
     assert!(err.to_string().contains("worker 1"), "{err}");
+
+    // The next collectives reconnect and answer exactly as in process, at
+    // the same cost.
+    assert_eq!(three_collectives(&transport), three_collectives(&InProcess));
 }
 
-#[test]
-fn replicated_scatter_survives_a_worker_death() {
-    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
+type Delivered = (Vec<u32>, Vec<Vec<(usize, u32)>>, Vec<u32>);
+
+/// A scatter, a ring exchange and a gather over three nodes of
+/// `transport`: what each delivered, and `(rounds, messages, bytes)`.
+fn three_collectives(transport: &impl Transport) -> (Delivered, (u64, u64, u64)) {
     let stats = CommStats::new();
-    let delivered = transport
-        .scatter(vec![1u32, 2, 3], &stats)
-        .expect("healthy scatter");
-    assert_eq!(delivered, vec![1, 2, 3]);
-
-    transport.inject_faults(FaultPlan::new().disconnect(1));
-    let delivered = transport
-        .scatter(vec![4u32, 5, 6], &stats)
-        .expect("failover routes around the dead worker");
-    assert_eq!(delivered, vec![4, 5, 6]);
-    let failover = transport.failover_stats().snapshot();
-    assert!(failover.retries >= 1, "{failover:?}");
-    assert_eq!(failover.suspects, 1, "{failover:?}");
-    assert_eq!(transport.suspects(), vec![1]);
-    // The collective is byte-identical to a fault-free run: encoded
-    // once, retried from the same frames.
-    let baseline = CommStats::new();
-    let clean = TcpTransport::loopback_with(1, Duration::from_secs(5));
-    clean.scatter(vec![1u32, 2, 3], &baseline).expect("clean");
-    clean.scatter(vec![4u32, 5, 6], &baseline).expect("clean");
-    assert_eq!(stats.snapshot(), baseline.snapshot());
-}
-
-#[test]
-fn replicated_exchange_survives_a_worker_death() {
-    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
-    let stats = CommStats::new();
-    let k = 3usize;
-    let ring = |tag: u32| -> Vec<Vec<(usize, u32)>> {
-        (0..k)
-            .map(|i| vec![((i + 1) % k, tag + i as u32)])
-            .collect()
-    };
-    let incoming = transport.all_to_all(k, ring(10), &stats).expect("healthy");
-    assert_eq!(incoming[1], vec![(0, 10)]);
-
-    transport.inject_faults(FaultPlan::new().disconnect(0).during(FaultPhase::Exchange));
-    let incoming = transport
-        .all_to_all(k, ring(20), &stats)
-        .expect("failover replays the exchange");
-    for dst in 0..k {
-        let src = (dst + k - 1) % k;
-        assert_eq!(incoming[dst], vec![(src, 20 + src as u32)], "dst {dst}");
-    }
-    let failover = transport.failover_stats().snapshot();
-    assert!(failover.retries >= 1, "{failover:?}");
-    assert_eq!(failover.suspects, 1, "{failover:?}");
-}
-
-#[test]
-fn fault_phase_gating_and_after_threshold() {
-    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
-    let stats = CommStats::new();
-    // Armed for an exchange only: scatters sail through unharmed.
-    transport.inject_faults(
-        FaultPlan::new()
-            .disconnect(2)
-            .after(2)
-            .during(FaultPhase::Exchange),
-    );
-    transport
-        .scatter(vec![1u32, 2, 3], &stats)
-        .expect("collective 0");
-    transport
-        .scatter(vec![1u32, 2, 3], &stats)
-        .expect("collective 1");
-    transport
-        .scatter(vec![1u32, 2, 3], &stats)
-        .expect("collective 2: wrong phase");
-    assert_eq!(transport.failover_stats().snapshot().retries, 0);
-    // First exchange at/after the threshold fires the fault.
-    let outgoing: Vec<Vec<(usize, u32)>> =
-        (0..3).map(|i| vec![(((i + 1) % 3), i as u32)]).collect();
-    transport
-        .all_to_all(3, outgoing, &stats)
-        .expect("failover absorbs it");
-    assert_eq!(transport.suspects(), vec![2]);
-    assert!(transport.failover_stats().snapshot().retries >= 1);
-}
-
-#[test]
-fn rejoined_worker_serves_again_after_resync() {
-    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
-    let stats = CommStats::new();
-    transport
-        .scatter(vec![1u32, 2, 3], &stats)
-        .expect("healthy scatter");
-    transport.inject_faults(FaultPlan::new().disconnect(1));
-    transport
-        .scatter(vec![4u32, 5, 6], &stats)
-        .expect("failover");
-    assert_eq!(transport.suspects(), vec![1]);
-
-    // Loopback worker threads survive the severed link (rejoin_wait), so
-    // the suspect can be re-adopted by a reconnect.
-    let rejoined = transport.rejoin_suspects();
-    assert_eq!(rejoined, vec![1]);
-    assert!(transport.suspects().is_empty());
-    let failover = transport.failover_stats().snapshot();
-    assert_eq!(failover.resyncs, 1, "{failover:?}");
-    assert_eq!(transport.topology(3).route(1), Some(1), "primary again");
-
-    // The rejoined worker serves the next collectives — a scatter and an
-    // exchange whose lanes run through it — with no retry.
-    let delivered = transport
-        .scatter(vec![10u32, 11, 12], &stats)
-        .expect("post-rejoin scatter");
-    assert_eq!(delivered, vec![10, 11, 12]);
-    let ring: Vec<Vec<(usize, u32)>> = (0..3).map(|i| vec![((i + 1) % 3, 20 + i as u32)]).collect();
-    let incoming = transport
-        .all_to_all(3, ring, &stats)
-        .expect("post-rejoin exchange");
-    for dst in 0..3 {
-        let src = (dst + 2) % 3;
-        assert_eq!(incoming[dst], vec![(src, 20 + src as u32)], "dst {dst}");
-    }
-    assert_eq!(transport.failover_stats().snapshot(), failover);
-}
-
-#[test]
-fn unreplicated_cluster_stays_fail_fast() {
-    // R=1: a suspect makes its partitions unroutable, so the typed
-    // error (naming the worker) surfaces instead of a futile retry.
-    let transport = TcpTransport::loopback_with(1, Duration::from_secs(5));
-    let stats = CommStats::new();
-    transport
-        .scatter(vec![1u32, 2, 3], &stats)
-        .expect("healthy");
-    transport.inject_faults(FaultPlan::new().disconnect(2));
-    let err = transport
-        .scatter(vec![4u32, 5, 6], &stats)
-        .expect_err("no replica to fail over to");
-    assert!(err.to_string().contains("worker 2"), "{err}");
-    // And the suspect sticks: the next collective fails fast on the
-    // routing table without waiting on sockets.
-    let err = transport
+    let scattered = transport
         .scatter(vec![7u32, 8, 9], &stats)
-        .expect_err("still unroutable");
-    assert!(
-        matches!(err, TransportError::NoReplica { partition: 2 }),
-        "got {err}"
-    );
-}
-
-#[test]
-fn transport_reports_its_topology() {
-    let transport = TcpTransport::loopback_with(2, Duration::from_secs(5));
-    // Before any collective: derived from the replication factor.
-    let topo = transport.topology(3);
-    assert_eq!(topo.replication(), 2);
-    assert_eq!(topo.replicas(0), &[0, 1]);
-    let stats = CommStats::new();
-    transport
-        .scatter(vec![1u32, 2, 3], &stats)
-        .expect("healthy");
-    transport.inject_faults(FaultPlan::new().disconnect(0));
-    transport
-        .scatter(vec![4u32, 5, 6], &stats)
-        .expect("failover");
-    // After failover: the reported table carries the suspect flag.
-    let topo = transport.topology(3);
-    assert!(topo.is_suspect(0));
-    assert_eq!(topo.route(0), Some(1));
+        .expect("scatter");
+    let ring = (0..3).map(|i| vec![((i + 1) % 3, 20 + i as u32)]).collect();
+    let exchanged = transport.all_to_all(3, ring, &stats).expect("exchange");
+    let gathered = transport
+        .gather(vec![30u32, 31, 32], &stats)
+        .expect("gather");
+    ((scattered, exchanged, gathered), stats.snapshot())
 }
 
 // ---------------------------------------------------------------------------
@@ -835,8 +605,7 @@ fn large_frames_cross_interleaved_lanes() {
 /// Two rounds of a full exchange between `k` nodes hosted round-robin on
 /// `workers` real workers, every message between two workers 1.25 MiB.
 fn large_frames_cross_lanes_of(workers: usize, k: usize) {
-    // No replica to fail over to: had any wait run into this timeout,
-    // the exchange would have failed.
+    // Had any wait run into this timeout, the exchange would have failed.
     let io_timeout = Duration::from_secs(20);
     let (addrs, served): (Vec<String>, Vec<ServedWorker>) =
         (0..workers).map(|_| spawn_worker(io_timeout)).unzip();
@@ -883,7 +652,6 @@ fn large_frames_cross_lanes_of(workers: usize, k: usize) {
             );
         }
     }
-    assert_eq!(transport.failover_stats().snapshot().retries, 0);
     drop(transport);
     for worker in served {
         worker

@@ -26,7 +26,8 @@ pub struct WorkerOptions {
     /// How long to wait for a replacement master after a session ends
     /// without a shutdown (master died, link severed). `None` (the
     /// default) serves exactly one session; `Some` keeps a worker that lost
-    /// its master around for failover (or a restarted master) to re-adopt.
+    /// its master around for the master's next collective (or a restarted
+    /// master) to reconnect to it.
     pub rejoin_wait: Option<Duration>,
 }
 
@@ -44,8 +45,9 @@ impl Default for WorkerOptions {
 enum SessionEnd {
     /// The master sent `OP_SHUTDOWN`: the worker is done.
     Shutdown,
-    /// The master connection dropped between ops (master died, failover
-    /// reset): with a `rejoin_wait` a replacement session may follow.
+    /// The master connection dropped between ops (master died, or dropped
+    /// every link after a failed collective): with a `rejoin_wait` a
+    /// replacement session may follow.
     MasterLost,
 }
 
@@ -89,7 +91,7 @@ pub fn bind_worker(listen: &str) -> Result<TcpListener, TransportError> {
 /// worker mesh) until the master shuts the session down or disconnects.
 /// Without a [`rejoin_wait`](WorkerOptions::rejoin_wait) the first session
 /// is the only one; with one, a worker whose master vanished serves the
-/// next master that adopts it (the rejoin half of failover). An external
+/// next master session that reconnects to it. An external
 /// worker process (`examples/tcp_cluster.rs` spawns three) and
 /// [`TcpTransport::loopback`](crate::TcpTransport::loopback) both run
 /// exactly this function.
@@ -288,7 +290,8 @@ fn relay_loop(master: &TcpStream, mut lanes: SessionLanes) -> Result<SessionEnd,
         let opcode = match read_varint(&mut reader).map_err(|e| e.classify(peer, "read opcode")) {
             Ok(op) => op,
             // The master dropping the connection between ops is a session
-            // end (clean, or a failover reset) — not an error.
+            // end (clean, or a reset after a failed collective) — not an
+            // error.
             Err(TransportError::Disconnected { .. }) => return Ok(SessionEnd::MasterLost),
             Err(err) => return Err(err),
         };

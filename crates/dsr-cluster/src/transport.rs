@@ -48,8 +48,24 @@ use crate::error::TransportError;
 use crate::message::MessageSize;
 use crate::stats::CommStats;
 use crate::tcp::TcpTransport;
-use crate::topology::Topology;
 use crate::wire::{self, Wire};
+
+/// The partition → worker table of [`Transport::topology`], kept only for
+/// `benchmark/`, which compares two of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Topology {
+    /// `worker_of[p]` hosts partition `p`.
+    worker_of: Vec<usize>,
+}
+
+impl Topology {
+    /// Partition `p` on worker `p % num_workers`.
+    pub(crate) fn modulo(num_partitions: usize, num_workers: usize) -> Self {
+        Topology {
+            worker_of: (0..num_partitions).map(|p| p % num_workers).collect(),
+        }
+    }
+}
 
 /// Everything a message needs to cross a [`Transport`]: a wire codec, an
 /// exact size, and the ability to move between threads.
@@ -81,18 +97,12 @@ pub trait Transport: Sync {
         false
     }
 
-    /// The routing table this backend uses to place a
-    /// `num_partitions`-wide collective: partition → ordered replica set
-    /// of worker ids, with suspect tracking. The default is the
-    /// [identity](Topology::identity) topology (partition `p` on logical
-    /// node `p`, replication 1) — exactly what the in-process and wire
-    /// backends do. The TCP backend overrides this with its replicated,
-    /// failover-aware table, for reports: callers need not consult it
-    /// before a collective, which the backend refuses with
-    /// [`TransportError::NoReplica`] — before sending or recording anything
-    /// — when some partition has no live replica.
+    /// Which worker hosts each partition of a `num_partitions`-wide
+    /// collective: logical node `p` for the in-process and wire backends,
+    /// worker `p % W` for the TCP one. Kept only for `benchmark/`, whose
+    /// timing decorator forwards it; nothing in this workspace reads it.
     fn topology(&self, num_partitions: usize) -> Topology {
-        Topology::identity(num_partitions)
+        Topology::modulo(num_partitions, num_partitions)
     }
 
     /// Master → slaves: delivers `messages[i]` to slave `i`. Records one
@@ -370,19 +380,12 @@ pub enum DynTransport {
 }
 
 impl DynTransport {
-    /// The TCP backend, when that is what this is (the only backend with
-    /// replication/failover machinery worth poking at).
+    /// The TCP backend, when that is what this is.
     pub fn as_tcp(&self) -> Option<&TcpTransport> {
         match self {
             DynTransport::Tcp(t) => Some(t),
             _ => None,
         }
-    }
-
-    /// Failover counters of the TCP backend; `None` for backends that
-    /// cannot fail over (their counters are definitionally zero).
-    pub fn failover_stats(&self) -> Option<&crate::stats::FailoverStats> {
-        self.as_tcp().map(TcpTransport::failover_stats)
     }
 }
 

@@ -1127,30 +1127,22 @@ mod tests {
     fn tcp_worker_death_mid_batch_is_a_typed_error_not_a_panic() {
         let (g, p) = figure1();
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let tcp = dsr_cluster::TcpTransport::loopback_with(1, std::time::Duration::from_secs(5));
+        let tcp = dsr_cluster::TcpTransport::loopback_with(std::time::Duration::from_secs(5));
         let engine = DsrEngine::with_transport(&index, &tcp);
         let queries = vec![SetQuery::new(vec![0, 2, 7], vec![17, 10, 4])];
         // Healthy first batch establishes the 3-worker mesh.
         assert_eq!(batch(&engine, &queries).expect("healthy cluster").1 .0, 3);
         // A worker dies; the next batch surfaces a typed TransportError.
-        tcp.inject_faults(dsr_cluster::FaultPlan::new().disconnect(2));
+        tcp.sever(2);
         let err = batch(&engine, &queries).expect_err("dead worker must fail the batch");
         assert!(
             err.to_string().contains("worker 2"),
             "names the peer: {err}"
         );
-        // Partition 2 has no live replica left: the transport refuses the
-        // next batch's scatter before it sends or records anything (the
-        // engine makes no route check of its own).
-        let stats = CommStats::new();
-        let err = engine
-            .set_reachability_batch_with_stats(&queries, &stats)
-            .expect_err("unroutable");
-        assert!(
-            matches!(err, TransportError::NoReplica { partition: 2 }),
-            "got {err}"
-        );
-        assert_eq!(stats.snapshot(), (0, 0, 0));
+        // The batch after it reconnects and answers exactly as in process,
+        // at the same cost (the engine makes no route check of its own).
+        let in_process = batch(&DsrEngine::new(&index), &queries).expect("in-process");
+        assert_eq!(batch(&engine, &queries).expect("reconnected"), in_process);
     }
 
     #[test]

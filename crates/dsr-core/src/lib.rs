@@ -44,9 +44,9 @@
 //! [`TransportError`](dsr_cluster::TransportError), and one convenience
 //! that runs in process or panics on that error: [`DsrIndex::build`],
 //! [`DsrIndex::apply_updates`] and [`DsrEngine::set_reachability`]. None
-//! of them checks routing: a transport that cannot place some partition
-//! refuses the collective with
-//! [`TransportError::NoReplica`](dsr_cluster::TransportError::NoReplica).
+//! of them checks the transport first: a TCP worker that fails a
+//! collective makes it return one typed error naming that worker, and the
+//! next call reconnects.
 //!
 //! # Quick start
 //!

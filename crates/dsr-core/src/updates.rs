@@ -660,32 +660,40 @@ mod tests {
     fn tcp_worker_death_mid_update_is_a_typed_error_not_a_panic() {
         let g = DiGraph::from_edges(9, &[(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]);
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1, 2, 2, 2], 3);
-        let transport =
-            dsr_cluster::TcpTransport::loopback_with(1, std::time::Duration::from_secs(5));
+        let transport = dsr_cluster::TcpTransport::loopback_with(std::time::Duration::from_secs(5));
         // Updates on a fork: the original index stays valid even though the
         // failed delta exchange leaves the fork half-applied.
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
         let mut fork = index.fork();
         fork.apply_updates_with_transport(&[UpdateOp::Insert(2, 3)], &transport)
             .expect("healthy cluster");
-        transport.inject_faults(dsr_cluster::FaultPlan::new().disconnect(0));
+        transport.sever(0);
+        let batch = [UpdateOp::Insert(5, 6)];
         let mut fork2 = index.fork();
         let err = fork2
-            .apply_updates_with_transport(&[UpdateOp::Insert(5, 6)], &transport)
+            .apply_updates_with_transport(&batch, &transport)
             .expect_err("dead worker must fail the refresh exchange");
         assert!(
             err.to_string().contains("worker 0"),
             "names the peer: {err}"
         );
-        // With worker 0 suspect, partition 0 has no replica: the transport
-        // refuses the next refresh exchange (the pipeline checks nothing).
-        let err = index
-            .fork()
-            .apply_updates_with_transport(&[UpdateOp::Insert(5, 6)], &transport)
-            .expect_err("unroutable");
-        assert!(
-            matches!(err, TransportError::NoReplica { partition: 0 }),
-            "got {err}"
+        // The next refresh exchange reconnects and lands exactly as in
+        // process (the pipeline checks nothing of its own).
+        let mut in_process = index.fork();
+        let expected = in_process
+            .apply_updates_with_transport(&batch, &InProcess)
+            .expect("in-process");
+        let mut healed = index.fork();
+        let outcome = healed
+            .apply_updates_with_transport(&batch, &transport)
+            .expect("reconnected");
+        assert_eq!(outcome, expected);
+        let all: Vec<u32> = (0..9).collect();
+        assert_eq!(
+            DsrEngine::new(&healed).set_reachability(&all, &all).pairs,
+            DsrEngine::new(&in_process)
+                .set_reachability(&all, &all)
+                .pairs,
         );
         // The pristine index still answers.
         assert!(DsrEngine::new(&index).is_reachable(0, 2));

@@ -13,8 +13,7 @@ use dsr_sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsr_cluster::{
-    BatchStats, CacheStats, CommStats, DynTransport, FailoverSnapshot, InProcess, TransportError,
-    UpdateStats,
+    BatchStats, CacheStats, CommStats, DynTransport, InProcess, TransportError, UpdateStats,
 };
 use dsr_core::{coalesce_updates, DsrIndex, SetQuery, UpdateOp, UpdateOutcome};
 use dsr_graph::VertexId;
@@ -481,23 +480,10 @@ impl QueryService {
 
     /// The transport this service executes queries over (its variant says
     /// which backend), for callers that need direct access to the backend
-    /// (e.g. to inject faults or rejoin suspect workers on a
-    /// [`DynTransport::Tcp`] cluster).
+    /// (e.g. to [`sever`](dsr_cluster::TcpTransport::sever) a worker of a
+    /// [`DynTransport::Tcp`] cluster in a test).
     pub fn transport(&self) -> &DynTransport {
         &self.core.transport
-    }
-
-    /// Failover counters for this service's transport: retries, suspects
-    /// and resyncs accumulated while routing around dead replicas. All
-    /// zeros on the in-process and wire backends (no worker to lose) and on
-    /// a fault-free TCP cluster — [`FailoverSnapshot::is_zero`] is the
-    /// degraded-mode check.
-    pub fn failover_stats(&self) -> FailoverSnapshot {
-        self.core
-            .transport
-            .failover_stats()
-            .map(|stats| stats.snapshot())
-            .unwrap_or_default()
     }
 
     /// Cache hit/miss/eviction counters.
@@ -970,43 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_stats_are_zero_off_the_tcp_backend() {
-        let service = chain_service();
-        service.query(&[0], &[5]);
-        let snapshot = service.failover_stats();
-        assert!(snapshot.is_zero(), "in-process backend never fails over");
-        assert!(service.transport().failover_stats().is_none());
-    }
-
-    #[test]
-    fn failover_stats_surface_tcp_degradation() {
-        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let p = Partitioning::new(vec![0, 0, 1, 1, 2, 2], 3);
-        let index = Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs));
-        let transport = DynTransport::Tcp(dsr_cluster::TcpTransport::loopback_with(
-            2,
-            Duration::from_secs(30),
-        ));
-        let service =
-            QueryService::with_config_and_transport(index, ServiceConfig::default(), transport);
-        assert!(
-            service.failover_stats().is_zero(),
-            "fault-free run is clean"
-        );
-
-        // Kill one worker mid-run; the service routes around it and the
-        // degraded-mode counters light up.
-        let tcp = service.transport().as_tcp().expect("tcp backend");
-        tcp.inject_faults(dsr_cluster::FaultPlan::new().disconnect(1));
-        let pairs = service.query(&[0], &[5]);
-        assert_eq!(*pairs, vec![(0, 5)]);
-        let snapshot = service.failover_stats();
-        assert!(!snapshot.is_zero(), "failover was exercised");
-        assert!(snapshot.retries >= 1);
-        assert_eq!(snapshot.suspects, 1);
-    }
-
-    #[test]
     fn cache_false_options_fuse_but_never_store() {
         let service = chain_service();
         let options = QueryOptions {
@@ -1326,7 +1275,7 @@ mod tests {
     fn failed_update_batch_changes_nothing() {
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let transport = dsr_cluster::TcpTransport::loopback_with(1, Duration::from_secs(5));
+        let transport = dsr_cluster::TcpTransport::loopback_with(Duration::from_secs(5));
         let service = QueryService::with_config_and_transport(
             Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
             ServiceConfig::default(),
@@ -1336,12 +1285,15 @@ mod tests {
         assert_eq!(*warmed, vec![(0, 5)]);
         let before = (service.generation_stats(), service.cache_len());
 
-        // R = 1: with worker 0 gone the refresh exchange cannot be placed.
+        // With worker 0 gone the refresh exchange fails.
         let tcp = service.transport().as_tcp().expect("tcp backend");
-        tcp.inject_faults(dsr_cluster::FaultPlan::new().disconnect(0));
+        tcp.sever(0);
         let batch = [UpdateOp::Insert(5, 0)];
         let err = service.update(&batch, UpdateMode::Auto).unwrap_err();
-        assert!(matches!(err, UpdateError::Transport(_)), "got {err:?}");
+        assert!(
+            matches!(&err, UpdateError::Transport(e) if e.to_string().contains("worker 0")),
+            "got {err:?}"
+        );
         // The half-refreshed fork was dropped: same generation, same
         // namespace, and the warmed answer is still served from it.
         assert_eq!((service.generation_stats(), service.cache_len()), before);
@@ -1351,10 +1303,22 @@ mod tests {
         assert_eq!(service.cache_stats().hits(), hits + 1);
         assert!(service.update_stats().is_zero());
 
-        // Once the worker is back the same batch lands, one generation on.
-        assert_eq!(tcp.rejoin_suspects(), [0]);
-        let outcome = service.update(&batch, UpdateMode::Auto).expect("healed");
+        // The next update reconnects, and the same batch lands one
+        // generation on, exactly as it does in process.
+        let in_process = QueryService::new(Arc::new(DsrIndex::build(
+            &g,
+            Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2),
+            LocalIndexKind::Dfs,
+        )));
+        let expected = in_process
+            .update(&batch, UpdateMode::Auto)
+            .expect("in-process");
+        let outcome = service
+            .update(&batch, UpdateMode::Auto)
+            .expect("reconnected");
+        assert_eq!(outcome, expected);
         assert!(outcome.rebuilt_compounds);
+        assert_eq!(service.update_stats(), in_process.update_stats());
         assert_eq!(service.generation_stats().latest, before.0.latest + 1);
         assert_eq!(*service.query(&[5], &[0]), vec![(5, 0)]);
     }
