@@ -7,12 +7,14 @@
 //! experiments --list
 //! ```
 //!
-//! The counter experiments (`throughput`, `updates`, `mixed`) also render a
-//! `BENCH_*.json`. With `--fast` that text is the golden `cargo test -p
-//! dsr-bench` compares against the committed file, and this binary — the
-//! only code in the crate that touches the filesystem — writes it into the
-//! working directory: `experiments --fast throughput updates mixed` at the
-//! repository root *is* the re-baseline. A full run prints tables only.
+//! Every experiment also renders a `BENCH_<id>.json` of counters. With
+//! `--fast` that text is the golden `cargo test -p dsr-bench` compares
+//! against the committed file, and this binary — the only code in the crate
+//! that touches the filesystem — writes it into the working directory:
+//! `experiments --fast all` at the repository root *is* the re-baseline. A
+//! full run prints tables only, each followed by a `shape does not hold:`
+//! line for every paper shape the full-size data misses. Table 3, Table 6
+//! and Figure 7 also print wall-clock columns; no golden holds a time.
 //!
 //! Each experiment runs under `catch_unwind`: a failed internal assertion
 //! (e.g. a cross-backend byte-identity check) is reported, the remaining
@@ -21,7 +23,7 @@
 
 use std::process::ExitCode;
 
-use dsr_bench::{run_experiment, EXPERIMENT_IDS};
+use dsr_bench::{run_experiment, EXPERIMENTS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,7 +38,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--fast" => fast = true,
             "--list" => {
-                for id in EXPERIMENT_IDS {
+                for (id, _) in EXPERIMENTS {
                     println!("{id}");
                 }
                 return ExitCode::SUCCESS;
@@ -45,7 +47,7 @@ fn main() -> ExitCode {
                 print_usage();
                 return ExitCode::SUCCESS;
             }
-            "all" => requested.extend(EXPERIMENT_IDS.iter().map(|s| s.to_string())),
+            "all" => requested.extend(EXPERIMENTS.iter().map(|(id, _)| id.to_string())),
             other => requested.push(other.to_string()),
         }
     }
@@ -64,9 +66,9 @@ fn main() -> ExitCode {
         match outcome {
             Ok(Some(report)) => {
                 println!("{}", report.table);
-                if let (true, Some(json)) = (fast, report.golden) {
+                if fast {
                     let file = format!("BENCH_{id}.json");
-                    match std::fs::write(&file, json) {
+                    match std::fs::write(&file, report.golden) {
                         Ok(()) => println!("wrote {file}\n"),
                         Err(err) => {
                             eprintln!("experiment '{id}': cannot write {file}: {err}");
@@ -106,5 +108,6 @@ fn print_usage() {
     eprintln!("usage: experiments [--fast] (all | <experiment id>...)");
     eprintln!("       experiments --list");
     eprintln!();
-    eprintln!("experiment ids: {}", EXPERIMENT_IDS.join(", "));
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    eprintln!("experiment ids: {}", ids.join(", "));
 }

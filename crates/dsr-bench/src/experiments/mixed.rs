@@ -45,7 +45,7 @@ use dsr_service::{checksum_pairs, QueryService, ServiceConfig, UpdateMode, Workl
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::experiments::common;
+use crate::experiments::common::{self, Golden, Object};
 use crate::Table;
 
 /// Replay shape shared by all three transport runs.
@@ -425,55 +425,65 @@ pub fn run(fast: bool) -> (String, String) {
 
 fn render_json(fast: bool, s: &Scenario, slaves: usize, runs: &[(&str, Counters)]) -> String {
     let (_, c) = &runs[0];
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"mixed\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!(
-        "  \"graph\": {{\"vertices\": {}, \"edges\": {}, \"slaves\": {slaves}}},\n",
-        s.graph.num_vertices(),
-        s.graph.num_edges()
-    ));
-    json.push_str(&format!("  \"rounds\": {},\n", c.rounds));
-    json.push_str("  \"tenants\": [\n");
-    json.push_str(&format!(
-        "    {{\"name\": \"oltp\", \"queries\": {}, \"results\": {}, \"oracle_mismatches\": {}, \"checksum\": \"{:016x}\"}},\n",
-        c.oltp_queries, c.oltp_results, c.oracle_mismatches, c.oltp_checksum
-    ));
-    json.push_str(&format!(
-        "    {{\"name\": \"rdf-paths\", \"queries\": {}, \"results\": {}, \"pinned_replay_mismatches\": {}, \"checksum\": \"{:016x}\"}},\n",
-        c.rdf_run.queries, c.rdf_run.results, c.pinned_replay_mismatches, c.rdf_run.checksum
-    ));
-    json.push_str(&format!(
-        "    {{\"name\": \"community-pairs\", \"queries\": {}, \"results\": {}, \"pinned_replay_mismatches\": {}, \"checksum\": \"{:016x}\"}}\n",
-        c.community_run.queries,
-        c.community_run.results,
-        c.pinned_replay_mismatches,
-        c.community_run.checksum
-    ));
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"snapshots\": {{\"generations_created\": {}, \"generations_reclaimed\": {}, \"latest_hits\": {}, \"pinned_hits\": {}, \"hits_after_updates\": {}, \"cache_misses\": {}}},\n",
-        c.generations_created,
-        c.generations_reclaimed,
-        c.latest_hits,
-        c.pinned_hits,
-        c.hits_after_updates,
-        c.cache_misses
-    ));
-    json.push_str(&format!(
-        "  \"comm\": {{\"rounds\": {}, \"messages\": {}, \"bytes\": {}}},\n",
-        c.comm_rounds, c.comm_messages, c.comm_bytes
-    ));
-    json.push_str("  \"transports\": [\n");
-    for (i, (name, _)) in runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"counters_identical\": true}}{}\n",
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
+    let checksum = |sum: u64| format!("{sum:016x}");
+    Golden::new("mixed", fast)
+        .field(
+            "graph",
+            Object::new()
+                .field("vertices", s.graph.num_vertices())
+                .field("edges", s.graph.num_edges())
+                .field("slaves", slaves),
+        )
+        .field("rounds", c.rounds)
+        .array(
+            "tenants",
+            [
+                Object::new()
+                    .text("name", "oltp")
+                    .field("queries", c.oltp_queries)
+                    .field("results", c.oltp_results)
+                    .field("oracle_mismatches", c.oracle_mismatches)
+                    .text("checksum", checksum(c.oltp_checksum)),
+                Object::new()
+                    .text("name", "rdf-paths")
+                    .field("queries", c.rdf_run.queries)
+                    .field("results", c.rdf_run.results)
+                    .field("pinned_replay_mismatches", c.pinned_replay_mismatches)
+                    .text("checksum", checksum(c.rdf_run.checksum)),
+                Object::new()
+                    .text("name", "community-pairs")
+                    .field("queries", c.community_run.queries)
+                    .field("results", c.community_run.results)
+                    .field("pinned_replay_mismatches", c.pinned_replay_mismatches)
+                    .text("checksum", checksum(c.community_run.checksum)),
+            ],
+        )
+        .field(
+            "snapshots",
+            Object::new()
+                .field("generations_created", c.generations_created)
+                .field("generations_reclaimed", c.generations_reclaimed)
+                .field("latest_hits", c.latest_hits)
+                .field("pinned_hits", c.pinned_hits)
+                .field("hits_after_updates", c.hits_after_updates)
+                .field("cache_misses", c.cache_misses),
+        )
+        .field(
+            "comm",
+            Object::new()
+                .field("rounds", c.comm_rounds)
+                .field("messages", c.comm_messages)
+                .field("bytes", c.comm_bytes),
+        )
+        .array(
+            "transports",
+            runs.iter().map(|(name, _)| {
+                Object::new()
+                    .text("name", name)
+                    .field("counters_identical", true)
+            }),
+        )
+        .render()
 }
 
 #[cfg(test)]

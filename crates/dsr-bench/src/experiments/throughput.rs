@@ -45,7 +45,7 @@ use dsr_graph::{DiGraph, VertexId};
 use dsr_reach::LocalIndexKind;
 use dsr_service::{QueryOptions, QueryService, QueryTicket, ServiceConfig};
 
-use crate::experiments::common;
+use crate::experiments::common::{self, Golden, Object};
 use crate::Table;
 
 /// Number of virtual clients per replay wave.
@@ -401,20 +401,6 @@ fn render_json(
     modes: &[ModeResult],
     hit_rate: f64,
 ) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"throughput\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!(
-        "  \"graph\": {{\"name\": \"{graph_name}\", \"vertices\": {}, \"edges\": {}, \"slaves\": {slaves}}},\n",
-        graph.num_vertices(),
-        graph.num_edges()
-    ));
-    json.push_str(&format!(
-        "  \"workload\": {{\"num_queries\": {}, \"distinct\": {}, \"skew\": 0.99, \"sources\": 10, \"targets\": 10, \"batch_size\": {}}},\n",
-        stream.num_queries, stream.distinct, stream.batch_size
-    ));
-    json.push_str(&format!("  \"cache_hit_rate\": {hit_rate:.4},\n"));
     // Look modes up by name so inserting or reordering a mode cannot
     // silently attribute one mode's numbers to another.
     let mode = |name: &str| {
@@ -427,17 +413,9 @@ fn render_json(
     // communication round actually encoded.
     let wire_mode = mode("batched_wire");
     let wire_bytes_per_round = wire_mode.bytes as f64 / wire_mode.rounds.max(1) as f64;
-    json.push_str(&format!(
-        "  \"wire\": {{\"bytes_per_round\": {wire_bytes_per_round:.1}, \"rounds\": {}, \"bytes\": {}}},\n",
-        wire_mode.rounds, wire_mode.bytes
-    ));
     // The TCP deployment backend: same counters, asserted byte-identical
     // at run time.
     let tcp_mode = mode("batched_tcp");
-    json.push_str(&format!(
-        "  \"tcp\": {{\"rounds\": {}, \"bytes\": {}, \"bytes_identical\": true}},\n",
-        tcp_mode.rounds, tcp_mode.bytes
-    ));
     // The batch former, from the deterministic replay (identical counters
     // on all three transports, asserted at run time): the fusion ratio
     // shows how many queries each fused scatter/exchange/gather run
@@ -448,31 +426,79 @@ fn render_json(
         .as_ref()
         .expect("replay mode records fusion counters");
     let rounds_per_query = replay_mode.rounds as f64 / replay_mode.queries.max(1) as f64;
-    json.push_str(&format!(
-        "  \"service_batched\": {{\"rounds\": {}, \"messages\": {}, \"bytes\": {}, \"rounds_per_query\": {rounds_per_query:.4}, \"fusion_ratio\": {:.2}, \"bytes_identical\": true}},\n",
-        replay_mode.rounds, replay_mode.messages, replay_mode.bytes, replay_fusion.fusion_ratio
-    ));
-    json.push_str("  \"modes\": [\n");
-    for (i, mode) in modes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"transport\": \"{}\", \"queries\": {}, \"rounds\": {}, \"messages\": {}, \"bytes\": {}{}{}}}{}\n",
-            mode.name,
-            mode.transport,
-            mode.queries,
-            mode.rounds,
-            mode.messages,
-            mode.bytes,
-            mode.cache_hits
-                .map_or_else(String::new, |h| format!(", \"cache_hits\": {h}")),
-            mode.fusion.as_ref().map_or_else(String::new, |f| format!(
-                ", \"fused_batches\": {}, \"fused_queries\": {}, \"executed\": {}, \"late_hits\": {}, \"fusion_ratio\": {:.2}, \"mean_batch\": {:.2}",
-                f.batches, f.fused_queries, f.executed, f.late_hits, f.fusion_ratio, f.mean_batch
-            )),
-            if i + 1 == modes.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
+    Golden::new("throughput", fast)
+        .field(
+            "graph",
+            Object::new()
+                .text("name", graph_name)
+                .field("vertices", graph.num_vertices())
+                .field("edges", graph.num_edges())
+                .field("slaves", slaves),
+        )
+        .field(
+            "workload",
+            Object::new()
+                .field("num_queries", stream.num_queries)
+                .field("distinct", stream.distinct)
+                .field("skew", 0.99)
+                .field("sources", 10)
+                .field("targets", 10)
+                .field("batch_size", stream.batch_size),
+        )
+        .field("cache_hit_rate", format_args!("{hit_rate:.4}"))
+        .field(
+            "wire",
+            Object::new()
+                .field("bytes_per_round", format_args!("{wire_bytes_per_round:.1}"))
+                .field("rounds", wire_mode.rounds)
+                .field("bytes", wire_mode.bytes),
+        )
+        .field(
+            "tcp",
+            Object::new()
+                .field("rounds", tcp_mode.rounds)
+                .field("bytes", tcp_mode.bytes)
+                .field("bytes_identical", true),
+        )
+        .field(
+            "service_batched",
+            Object::new()
+                .field("rounds", replay_mode.rounds)
+                .field("messages", replay_mode.messages)
+                .field("bytes", replay_mode.bytes)
+                .field("rounds_per_query", format_args!("{rounds_per_query:.4}"))
+                .field(
+                    "fusion_ratio",
+                    format_args!("{:.2}", replay_fusion.fusion_ratio),
+                )
+                .field("bytes_identical", true),
+        )
+        .array(
+            "modes",
+            modes.iter().map(|mode| {
+                let mut row = Object::new()
+                    .text("name", mode.name)
+                    .text("transport", mode.transport)
+                    .field("queries", mode.queries)
+                    .field("rounds", mode.rounds)
+                    .field("messages", mode.messages)
+                    .field("bytes", mode.bytes);
+                if let Some(hits) = mode.cache_hits {
+                    row = row.field("cache_hits", hits);
+                }
+                if let Some(f) = &mode.fusion {
+                    row = row
+                        .field("fused_batches", f.batches)
+                        .field("fused_queries", f.fused_queries)
+                        .field("executed", f.executed)
+                        .field("late_hits", f.late_hits)
+                        .field("fusion_ratio", format_args!("{:.2}", f.fusion_ratio))
+                        .field("mean_batch", format_args!("{:.2}", f.mean_batch));
+                }
+                row
+            }),
+        )
+        .render()
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ use dsr_partition::Partitioning;
 use dsr_reach::LocalIndexKind;
 use dsr_service::{QueryService, ServiceConfig, UpdateMode};
 
-use crate::experiments::common;
+use crate::experiments::common::{self, Golden, Object};
 use crate::Table;
 
 /// Measurements of one update workload.
@@ -302,38 +302,36 @@ fn render_json(
     slaves: usize,
     workloads: &[WorkloadResult],
 ) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"updates\",\n");
-    json.push_str(&format!("  \"fast\": {fast},\n"));
-    json.push_str(&format!(
-        "  \"graph\": {{\"name\": \"{graph_name}\", \"vertices\": {}, \"edges\": {}, \"slaves\": {slaves}}},\n",
-        graph.num_vertices(),
-        graph.num_edges()
-    ));
-    // Asserted in `run` before anything is rendered.
-    json.push_str("  \"wire\": {\"stats_identical\": true},\n");
-    json.push_str("  \"tcp\": {\"stats_identical\": true},\n");
-    json.push_str("  \"workloads\": [\n");
-    for (i, w) in workloads.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"transport\": \"{}\", \"ops\": {}, \"batches\": {}, \"update_rounds\": {}, \"update_messages\": {}, \"update_bytes\": {}, \"refreshed_summaries\": {}, \"patched_compounds\": {}, \"queries\": {}, \"cache_invalidations\": {}}}{}\n",
-            w.name,
-            w.transport,
-            w.ops,
-            w.batches,
-            w.stats.update_rounds,
-            w.stats.update_messages,
-            w.stats.update_bytes,
-            w.refreshed,
-            w.patched,
-            w.queries,
-            w.invalidations,
-            if i + 1 == workloads.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
+    Golden::new("updates", fast)
+        .field(
+            "graph",
+            Object::new()
+                .text("name", graph_name)
+                .field("vertices", graph.num_vertices())
+                .field("edges", graph.num_edges())
+                .field("slaves", slaves),
+        )
+        // Asserted in `run` before anything is rendered.
+        .field("wire", Object::new().field("stats_identical", true))
+        .field("tcp", Object::new().field("stats_identical", true))
+        .array(
+            "workloads",
+            workloads.iter().map(|w| {
+                Object::new()
+                    .text("name", w.name)
+                    .text("transport", w.transport)
+                    .field("ops", w.ops)
+                    .field("batches", w.batches)
+                    .field("update_rounds", w.stats.update_rounds)
+                    .field("update_messages", w.stats.update_messages)
+                    .field("update_bytes", w.stats.update_bytes)
+                    .field("refreshed_summaries", w.refreshed)
+                    .field("patched_compounds", w.patched)
+                    .field("queries", w.queries)
+                    .field("cache_invalidations", w.invalidations)
+            }),
+        )
+        .render()
 }
 
 #[cfg(test)]

@@ -2,15 +2,22 @@
 //! evaluation (Section 4), plus three counter experiments of the serving
 //! layer.
 //!
-//! Each experiment lives in its own module under [`experiments`]. The
-//! paper's tables and figures expose `run(fast) -> String`, the formatted
-//! table/series that corresponds to the paper's artifact; they time with
-//! [`time`], because comparisons inside one run are their subject. The
-//! `throughput`, `updates` and `mixed` experiments measure no time: they
-//! return their table and the text of a `BENCH_*.json` holding nothing but
-//! reproducible counters, and in fast mode that text must equal the file
-//! committed at the repository root — `cargo test -p dsr-bench` compares
-//! them whole. The `experiments` binary drives all of them from the
+//! Each experiment lives in its own module under [`experiments`] and has one
+//! shape: `run(fast) -> (table, golden)`, the rendered table or series and
+//! the text of its `BENCH_<id>.json`, written through
+//! [`experiments::common::Golden`]. A golden holds counters only — rounds,
+//! messages, bytes, sizes, pair counts — so it is reproducible bit for bit,
+//! and in fast mode it must equal the file committed at the repository
+//! root: each module's test compares them whole. Each paper experiment also
+//! states the paper's shape as inequalities over those counters. What must
+//! hold on every graph (answers, DSR's three rounds) is asserted on every
+//! run; the empirical shapes go through [`experiments::common::Shapes`],
+//! which panics with a message naming the artefact in a fast run and, in a
+//! full run, prints the shapes that do not hold under the table. Only
+//! Table 3, Table 6
+//! and Figure 7 time anything (with [`time`]), because their claim is about
+//! time and no counter stands in for it; the times are printed, never part
+//! of a golden. The `experiments` binary drives all of them from the
 //! command line:
 //!
 //! ```text
@@ -65,61 +72,48 @@ pub fn geometric_mean(durations: &[Duration]) -> f64 {
     (log_sum / durations.len() as f64).exp()
 }
 
-/// The experiment identifiers accepted by the binary, in paper order,
-/// followed by the beyond-the-paper serving experiments.
-pub const EXPERIMENT_IDS: [&str; 13] = [
-    "table2",
-    "table3",
-    "figure5",
-    "figure6",
-    "figure7",
-    "table4",
-    "figure8",
-    "table5",
-    "table6",
-    "table7",
-    "throughput",
-    "updates",
-    "mixed",
-];
+/// How an experiment runs: `run(fast) -> (table, golden)`.
+pub type Run = fn(bool) -> (String, String);
+
+/// Every experiment the binary accepts, as its id and its run function,
+/// in paper order, followed by the beyond-the-paper serving experiments.
+/// The id list and the dispatch are this one table, so they cannot drift
+/// apart.
+pub const EXPERIMENTS: [(&str, Run); 13] = {
+    use experiments::*;
+    [
+        ("table2", table2::run),
+        ("table3", table3::run),
+        ("figure5", figure5::run),
+        ("figure6", figure6::run),
+        ("figure7", figure7::run),
+        ("table4", table4::run),
+        ("figure8", figure8::run),
+        ("table5", table5::run),
+        ("table6", table6::run),
+        ("table7", table7::run),
+        ("throughput", throughput::run),
+        ("updates", updates::run),
+        ("mixed", mixed::run),
+    ]
+};
 
 /// What one experiment produced.
 #[derive(Debug)]
 pub struct Report {
     /// The rendered table or series.
     pub table: String,
-    /// Counter experiments only: the text of their `BENCH_<id>.json`. In
-    /// fast mode it must equal the file committed at the repo root.
-    pub golden: Option<String>,
+    /// The text of its `BENCH_<id>.json`: counters only. In fast mode it
+    /// must equal the file committed at the repo root.
+    pub golden: String,
 }
 
 /// Runs one experiment by id. `fast` shrinks datasets/steps so the whole
 /// suite finishes in roughly a minute (used by tests and CI).
 pub fn run_experiment(id: &str, fast: bool) -> Option<Report> {
-    let paper = |table| Report {
-        table,
-        golden: None,
-    };
-    let counters = |(table, json)| Report {
-        table,
-        golden: Some(json),
-    };
-    Some(match id {
-        "table2" => paper(experiments::table2::run(fast)),
-        "table3" => paper(experiments::table3::run(fast)),
-        "table4" => paper(experiments::table4::run(fast)),
-        "table5" => paper(experiments::table5::run(fast)),
-        "table6" => paper(experiments::table6::run(fast)),
-        "table7" => paper(experiments::table7::run(fast)),
-        "figure5" => paper(experiments::figure5::run(fast)),
-        "figure6" => paper(experiments::figure6::run(fast)),
-        "figure7" => paper(experiments::figure7::run(fast)),
-        "figure8" => paper(experiments::figure8::run(fast)),
-        "throughput" => counters(experiments::throughput::run(fast)),
-        "updates" => counters(experiments::updates::run(fast)),
-        "mixed" => counters(experiments::mixed::run(fast)),
-        _ => return None,
-    })
+    let (_, run) = EXPERIMENTS.iter().find(|(known, _)| *known == id)?;
+    let (table, golden) = run(fast);
+    Some(Report { table, golden })
 }
 
 #[cfg(test)]
@@ -141,5 +135,20 @@ mod tests {
     #[test]
     fn unknown_experiment_is_none() {
         assert!(run_experiment("table99", true).is_none());
+    }
+
+    #[test]
+    fn experiment_ids_are_unique_and_cover_the_paper() {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ids.len(), "duplicate experiment ids");
+        for required in ["table2", "table3", "table4", "table5", "table6", "table7"] {
+            assert!(ids.contains(&required));
+        }
+        for required in ["figure5", "figure6", "figure7", "figure8"] {
+            assert!(ids.contains(&required));
+        }
     }
 }

@@ -35,17 +35,6 @@ impl CondensedGraph {
     pub fn num_edges(&self) -> usize {
         self.dag.num_edges()
     }
-
-    /// Compression factor `original_edges / dag_edges` (Section 4.2 reports
-    /// a factor of ~150 for the Twitter graph). Returns `None` when the DAG
-    /// has no edges.
-    pub fn compression_factor(&self, original_edges: usize) -> Option<f64> {
-        if self.dag.num_edges() == 0 {
-            None
-        } else {
-            Some(original_edges as f64 / self.dag.num_edges() as f64)
-        }
-    }
 }
 
 /// Condenses `graph` into its SCC DAG. Inter-component edges are
@@ -156,15 +145,5 @@ mod tests {
         let c = condense(&g);
         // {0,1} -> 2 appears twice in the original but once in the DAG.
         assert_eq!(c.num_edges(), 2);
-    }
-
-    #[test]
-    fn compression_factor() {
-        let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let c = condense(&g);
-        let f = c.compression_factor(g.num_edges()).unwrap();
-        assert!(f > 1.0);
-        let empty = condense(&DiGraph::empty(3));
-        assert!(empty.compression_factor(0).is_none());
     }
 }

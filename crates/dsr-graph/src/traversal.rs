@@ -47,44 +47,6 @@ pub fn bfs_reachable(graph: &DiGraph, start: VertexId, direction: Direction) -> 
     visited
 }
 
-/// Returns the set of vertices reachable from all of `starts` (multi-source)
-/// using BFS.
-pub fn multi_source_bfs(graph: &DiGraph, starts: &[VertexId], direction: Direction) -> Vec<bool> {
-    let mut visited = vec![false; graph.num_vertices()];
-    let mut queue = VecDeque::new();
-    for &s in starts {
-        if !visited[s as usize] {
-            visited[s as usize] = true;
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        for &w in direction.neighbors(graph, v) {
-            if !visited[w as usize] {
-                visited[w as usize] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    visited
-}
-
-/// Returns the set of vertices reachable from `start` using an iterative DFS.
-pub fn dfs_reachable(graph: &DiGraph, start: VertexId, direction: Direction) -> Vec<bool> {
-    let mut visited = vec![false; graph.num_vertices()];
-    let mut stack = vec![start];
-    visited[start as usize] = true;
-    while let Some(v) = stack.pop() {
-        for &w in direction.neighbors(graph, v) {
-            if !visited[w as usize] {
-                visited[w as usize] = true;
-                stack.push(w);
-            }
-        }
-    }
-    visited
-}
-
 /// Single-pair reachability test with an early-exit DFS.
 pub fn is_reachable(graph: &DiGraph, source: VertexId, target: VertexId) -> bool {
     if source == target {
@@ -173,29 +135,15 @@ mod tests {
     fn dfs_matches_bfs() {
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (4, 5)]);
         for v in 0..6 {
-            assert_eq!(
-                bfs_reachable(&g, v, Direction::Forward),
-                dfs_reachable(&g, v, Direction::Forward),
-                "mismatch at {v}"
-            );
+            let reached = bfs_reachable(&g, v, Direction::Forward);
+            for w in 0..6 {
+                assert_eq!(
+                    is_reachable(&g, v, w),
+                    reached[w as usize],
+                    "mismatch at {v} -> {w}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn multi_source_is_union() {
-        let g = chain_with_branch();
-        let multi = multi_source_bfs(&g, &[2, 4], Direction::Forward);
-        let a = bfs_reachable(&g, 2, Direction::Forward);
-        let b = bfs_reachable(&g, 4, Direction::Forward);
-        let union: Vec<bool> = a.iter().zip(&b).map(|(x, y)| *x || *y).collect();
-        assert_eq!(multi, union);
-    }
-
-    #[test]
-    fn multi_source_empty_starts() {
-        let g = chain_with_branch();
-        let r = multi_source_bfs(&g, &[], Direction::Forward);
-        assert!(r.iter().all(|&x| !x));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use dsr_graph::traversal::{bfs_reachable, dfs_reachable, multi_source_bfs, Direction};
+use dsr_graph::traversal::{bfs_reachable, is_reachable, Direction};
 use dsr_graph::{condense, propagate_lane_masks, tarjan_scc, DiGraph, TransitiveClosure, VertexId};
 use proptest::prelude::*;
 
@@ -28,15 +28,16 @@ proptest! {
         }
     }
 
-    /// DFS and BFS compute identical reachable sets.
+    /// The early-exit DFS of `is_reachable` answers every pair as the
+    /// transitive closure, which runs one BFS per vertex.
     #[test]
     fn dfs_equals_bfs((n, edges) in arb_graph(32, 100)) {
         let g = DiGraph::from_edges(n, &edges);
-        for v in 0..n as VertexId {
-            prop_assert_eq!(
-                dfs_reachable(&g, v, Direction::Forward),
-                bfs_reachable(&g, v, Direction::Forward)
-            );
+        let tc = TransitiveClosure::build(&g);
+        for s in 0..n as VertexId {
+            for t in 0..n as VertexId {
+                prop_assert_eq!(is_reachable(&g, s, t), tc.reachable(s, t));
+            }
         }
     }
 
@@ -124,21 +125,6 @@ proptest! {
                 prop_assert_eq!(scc.same_component(u, v), mutual);
             }
         }
-    }
-
-    /// Multi-source BFS equals the union of single-source BFS runs.
-    #[test]
-    fn multi_source_union((n, edges) in arb_graph(24, 60), k in 1usize..4) {
-        let g = DiGraph::from_edges(n, &edges);
-        let sources: Vec<VertexId> = (0..k as VertexId).map(|i| i % n as VertexId).collect();
-        let multi = multi_source_bfs(&g, &sources, Direction::Forward);
-        let mut union = vec![false; n];
-        for &s in &sources {
-            for (i, r) in bfs_reachable(&g, s, Direction::Forward).iter().enumerate() {
-                union[i] |= *r;
-            }
-        }
-        prop_assert_eq!(multi, union);
     }
 
     /// Tarjan component ids form a reverse topological order.
