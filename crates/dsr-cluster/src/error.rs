@@ -61,8 +61,8 @@ pub enum TransportError {
         /// The configured maximum.
         limit: u64,
     },
-    /// The peer violated the relay protocol (unexpected opcode, mismatched
-    /// exchange header, wrong frame count).
+    /// The peer violated the cluster protocol (an unknown opcode, a varint
+    /// beyond 64 bits).
     Protocol {
         /// Human-readable peer name.
         peer: String,

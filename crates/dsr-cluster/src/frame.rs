@@ -82,7 +82,7 @@ pub(crate) fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, FrameIoError
 }
 
 /// Reads one varint-length-prefixed frame and appends it, prefix included,
-/// to `out`: a relayed frame's one copy. The announced length is checked
+/// to `out`: an echoed frame's one copy. The announced length is checked
 /// against [`MAX_FRAME_LEN`] before `out` grows, `out` grows with the bytes
 /// that actually arrive, and a failed copy leaves `out` as it was.
 pub(crate) fn copy_frame(reader: &mut impl Read, out: &mut Vec<u8>) -> Result<(), FrameIoError> {

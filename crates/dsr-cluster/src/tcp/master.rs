@@ -1,27 +1,20 @@
-//! The master side: [`TcpTransport`], its links, the loopback mesh, the
-//! placement of partitions on workers and the three collectives.
+//! The master side: [`TcpTransport`], its links, the loopback workers, the
+//! placement of nodes on workers and the one op every collective runs.
 
 use dsr_sync::thread::JoinHandle;
 use dsr_sync::Mutex;
-use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use super::protocol::{
-    master_hello, put_echo_op, put_exchange_op, read_ack, GroupHeader, OP_SHUTDOWN,
-};
+use super::protocol::{preamble, put_echo_header, read_preamble, OP_SHUTDOWN};
 use super::spec::ClusterSpec;
-use super::worker::{bind_worker, serve_worker, WorkerOptions};
+use super::worker::{bind_worker, serve_worker};
 use crate::error::TransportError;
-use crate::frame::read_frame;
+use crate::frame::{put_frame, read_frame, MAX_FRAME_LEN};
 use crate::stats::{CommStats, FailoverStats};
 use crate::transport::{Topology, Transport, WireMessage};
 use crate::wire;
-
-/// Connect timeout of the liveness probe that attributes a failed
-/// collective: a dead process refuses instantly, so this stays short.
-const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
 
 pub(super) struct WorkerLink {
     /// Write half (and the handle `TcpTransport::sever` and resets shut
@@ -55,23 +48,20 @@ impl WorkerLink {
         read_frame(&mut self.reader).map_err(|e| e.classify(&self.name(), context))
     }
 
-    /// Orders the worker to end the session (best effort: it may be gone)
-    /// and closes the socket.
-    fn shutdown(&mut self) {
-        if self.send(&[OP_SHUTDOWN as u8], "shutdown").is_ok() {
-            let _ = self.recv("shutdown ack");
-        }
+    /// Orders the worker to shut down (best effort: it may be gone), closes
+    /// the socket and says whether the worker acked.
+    pub(super) fn shutdown(mut self) -> bool {
+        let acked = self.send(&[OP_SHUTDOWN as u8], "shutdown");
+        let acked = acked.and_then(|()| self.recv("shutdown ack")).is_ok();
         let _ = self.stream.shutdown(Shutdown::Both);
+        acked
     }
 }
 
-/// Connects to worker `id` at `addr` and performs the master handshake,
-/// announcing `session` (the master's reconnect epoch) and the `roster`.
+/// Connects to worker `id` at `addr` and exchanges the hello and its ack.
 pub(super) fn connect_link(
     addr: &str,
     id: usize,
-    session: u64,
-    roster: &[String],
     connect_timeout: Duration,
     io_timeout: Duration,
 ) -> Result<WorkerLink, TransportError> {
@@ -95,9 +85,9 @@ pub(super) fn connect_link(
         .map_err(|e| TransportError::from_io(&peer, "set write timeout", e))?;
 
     (&stream)
-        .write_all(&master_hello(id, session, roster))
+        .write_all(&preamble())
         .map_err(|e| TransportError::from_io(&peer, "write master hello", e))?;
-    read_ack(&mut &stream, &peer, id)?;
+    read_preamble(&mut &stream, &peer, "hello ack")?;
     // The ack was read byte-exact from the raw socket, so the buffered
     // reader starts on a frame boundary.
     let reader = stream
@@ -113,61 +103,45 @@ pub(super) fn connect_link(
 }
 
 struct MasterState {
-    /// The cluster; `spec.workers` is the roster, in worker-id order, and
-    /// grows with a loopback mesh.
+    /// The cluster; `spec.workers` lists the workers in id order, and grows
+    /// with a loopback cluster.
     spec: ClusterSpec,
-    /// Live master→worker links; `None` = not connected (a failed
-    /// collective dropped them all, or the mesh just grew). Indexed like
-    /// the roster.
+    /// Live master→worker links, indexed like `spec.workers`; `None` = not
+    /// connected (a failed collective dropped them all, or the loopback
+    /// cluster just grew).
     links: Vec<Option<WorkerLink>>,
-    /// The threads of a self-hosted mesh, which grows on demand; `None`
+    /// The threads of a self-hosted cluster, which grows on demand; `None`
     /// for a fixed remote cluster.
     loopback: Option<Vec<JoinHandle<()>>>,
-    /// Session epoch: bumped on every reconnect, carried in every hello so
-    /// workers can match peer lanes to sessions. All live links always
-    /// share one epoch.
-    epoch: u64,
 }
 
 impl MasterState {
-    fn new(spec: ClusterSpec, loopback: Option<Vec<JoinHandle<()>>>, epoch: u64) -> Self {
+    fn new(spec: ClusterSpec, loopback: Option<Vec<JoinHandle<()>>>) -> Self {
         MasterState {
             links: spec.workers.iter().map(|_| None).collect(),
             spec,
             loopback,
-            epoch,
         }
     }
 
-    /// Connects worker `id` at `session`, its hello carrying the roster.
-    fn connect(&self, id: usize, session: u64) -> Result<WorkerLink, TransportError> {
-        let roster = &self.spec.workers;
+    fn connect(&self, id: usize) -> Result<WorkerLink, TransportError> {
         let spec = &self.spec;
-        connect_link(
-            &roster[id],
-            id,
-            session,
-            roster,
-            spec.connect_timeout,
-            spec.io_timeout,
-        )
+        connect_link(&spec.workers[id], id, spec.connect_timeout, spec.io_timeout)
     }
 
     /// The link of a worker the current collective sends to.
     fn link(&mut self, worker: usize) -> &mut WorkerLink {
         self.links[worker]
             .as_mut()
-            .expect("a collective runs on a connected mesh")
+            .expect("a collective runs on connected workers")
     }
 
-    /// Brings the mesh to a serving state for a `width`-wide collective,
+    /// Brings the cluster to a serving state for a `width`-wide collective,
     /// the one check in front of every collective, so callers make none.
-    /// A loopback mesh first grows to `width` workers; a remote cluster
-    /// never grows: extra partitions wrap onto its workers. Then, whenever
-    /// some link is missing — a grown mesh, or a collective that failed —
-    /// every link is reconnected at a fresh epoch, each hello carrying the
-    /// roster: the only way every session (and thus every peer lane) stays
-    /// matched. A worker that refuses is the collective's error.
+    /// A loopback cluster first grows to `width` workers; a remote cluster
+    /// never grows: extra nodes wrap onto its workers. Then every missing
+    /// link — a grown cluster, or a collective that failed — is connected.
+    /// A worker that refuses is the collective's error.
     fn ready(&mut self, width: usize) -> Result<(), TransportError> {
         if let Some(workers) = &mut self.loopback {
             while self.spec.workers.len() < width {
@@ -180,15 +154,8 @@ impl MasterState {
                     })?
                     .to_string();
                 let io_timeout = self.spec.io_timeout;
-                let options = WorkerOptions {
-                    io_timeout,
-                    master_wait: Some(io_timeout),
-                    // Loopback workers outlive a failed collective: the
-                    // next one reconnects them within the I/O timeout.
-                    rejoin_wait: Some(io_timeout),
-                };
                 workers.push(dsr_sync::thread::spawn(move || {
-                    if let Err(err) = serve_worker(listener, options) {
+                    if let Err(err) = serve_worker(listener, io_timeout) {
                         eprintln!("dsr loopback worker failed: {err}");
                     }
                 }));
@@ -202,13 +169,10 @@ impl MasterState {
                 reason: "no workers configured".to_string(),
             });
         }
-        if self.links.iter().all(Option::is_some) {
-            return Ok(());
-        }
-        self.drop_all_links();
-        self.epoch += 1;
         for worker in 0..self.links.len() {
-            self.links[worker] = Some(self.connect(worker, self.epoch)?);
+            if self.links[worker].is_none() {
+                self.links[worker] = Some(self.connect(worker)?);
+            }
         }
         Ok(())
     }
@@ -216,21 +180,15 @@ impl MasterState {
     /// Ends a collective that some workers failed and returns the one
     /// error it surfaces. Every link is dropped first: a reply left
     /// half-read is never taken for the next collective's, which
-    /// reconnects at a fresh epoch. The error is, in this order, the
-    /// lowest-numbered worker's that is not a loss of connectivity (a
-    /// protocol violation, a reply that does not decode), then that of the
-    /// lowest-numbered worker whose listener refuses a probe (a dead
-    /// process refuses instantly, while its peers merely time out on it),
-    /// then the lowest-numbered worker's.
+    /// reconnects. The error is the lowest-numbered worker's that is not a
+    /// loss of connectivity (a protocol violation, a reply that does not
+    /// decode), else the lowest-numbered worker's: no worker waits on
+    /// another, so a worker's loss of connectivity is its own.
     fn fail(&mut self, mut failures: Vec<(usize, TransportError)>) -> TransportError {
         self.drop_all_links();
         failures.sort_by_key(|&(worker, _)| worker);
-        let roster = &self.spec.workers;
         let at = (failures.iter())
             .position(|(_, err)| !err.is_connectivity_loss())
-            .or_else(|| {
-                (failures.iter()).position(|&(worker, _)| probe_worker(&roster[worker]).is_err())
-            })
             .unwrap_or(0);
         failures.swap_remove(at).1
     }
@@ -243,34 +201,22 @@ impl MasterState {
     }
 }
 
-/// Short-timeout liveness probe: can `addr` still be connected to? A
-/// killed worker process refuses instantly; a live one accepts (the
-/// connection is immediately shut down without a hello, which its
-/// handshake thread treats as noise).
-fn probe_worker(addr: &str) -> Result<(), ()> {
-    let resolved: SocketAddr = addr.to_socket_addrs().map_err(|_| ())?.next().ok_or(())?;
-    let stream = TcpStream::connect_timeout(&resolved, PROBE_TIMEOUT).map_err(|_| ())?;
-    let _ = stream.shutdown(Shutdown::Both);
-    Ok(())
-}
-
 /// The TCP backend: collectives over real sockets and worker endpoints.
 ///
 /// See the [module docs](super) for the architecture. Collectives are
 /// serialized (one at a time per transport), so one `TcpTransport` can be
 /// shared by concurrent query threads like the other backends; each runs,
-/// and decodes, on the thread that called it.
+/// and decodes, on the thread that called it. Dropping the transport
+/// shuts its workers down.
 ///
 /// # Worker loss
 ///
-/// A collective runs once, with partition `p` on worker `p % W`. If any
-/// worker fails it, every link is dropped and the collective returns one
-/// typed [`TransportError`] naming the worker to blame. [`CommStats`]
-/// keeps what the collective encoded, as it would have without the
-/// failure. The next collective reconnects every worker at a fresh epoch,
-/// so a worker that is still listening (every loopback worker, or an
-/// external one with a [`rejoin_wait`](super::WorkerOptions::rejoin_wait))
-/// serves it.
+/// A collective runs once, with node `p` on worker `p % W`. If any worker
+/// fails it, every link is dropped and the collective returns one typed
+/// [`TransportError`] naming the worker to blame. [`CommStats`] keeps what
+/// the collective encoded, as it would have without the failure. The next
+/// collective reconnects every worker; a worker serves master sessions
+/// until it is shut down, so one that is still running serves it.
 pub struct TcpTransport {
     state: Mutex<MasterState>,
 }
@@ -298,9 +244,8 @@ impl TcpTransport {
             connect_timeout: io_timeout,
             io_timeout,
         };
-        let state = MasterState::new(spec, Some(Vec::new()), 0);
         TcpTransport {
-            state: Mutex::new(state),
+            state: Mutex::new(MasterState::new(spec, Some(Vec::new()))),
         }
     }
 
@@ -308,18 +253,17 @@ impl TcpTransport {
     /// [`serve_worker`](super::serve_worker)) and performs the handshake
     /// with every one.
     pub fn connect(spec: &ClusterSpec) -> Result<Self, TransportError> {
-        let session = 1;
-        let mut state = MasterState::new(spec.clone(), None, session);
+        let mut state = MasterState::new(spec.clone(), None);
         for id in 0..spec.workers.len() {
-            state.links[id] = Some(state.connect(id, session)?);
+            state.links[id] = Some(state.connect(id)?);
         }
         Ok(TcpTransport {
             state: Mutex::new(state),
         })
     }
 
-    /// Number of known workers (0 for a loopback mesh that has not served
-    /// a collective yet).
+    /// Number of known workers (0 for a loopback cluster that has not
+    /// served a collective yet).
     pub fn num_workers(&self) -> usize {
         dsr_sync::lock(&self.state).spec.workers.len()
     }
@@ -342,106 +286,113 @@ impl TcpTransport {
         FailoverStats
     }
 
-    fn encode_and_count<M: WireMessage>(message: &M, stats: &CommStats) -> Vec<u8> {
-        let encoded = wire::encode_to_vec(message);
-        debug_assert_eq!(
-            encoded.len(),
-            message.byte_size(),
-            "MessageSize::byte_size drifted from the wire encoding"
-        );
-        stats.record_message(encoded.len());
-        encoded
-    }
-
-    /// Round-trips one frame per partition through the worker hosting it
-    /// (`ECHO`): scatter and gather. A collective that cannot reach its
-    /// workers records nothing. Runs in *waves*: wave `i` writes the op of
-    /// node `i·W + w` to every worker `w`, then reads every worker's reply
-    /// — never two unanswered ops on one link (module docs).
-    fn echo_round<M: WireMessage>(
+    /// The one op of every collective: ships each `(node, message)` to
+    /// the worker hosting `node` — worker `node % W` — in one echo op per
+    /// worker involved, and returns what decodes from the frames the
+    /// workers echoed, in input order. Every op is written before any
+    /// reply is read; replies are read in worker order and decoded on the
+    /// calling thread. A collective that cannot reach its workers records
+    /// nothing.
+    fn echo<M: WireMessage>(
         &self,
-        messages: Vec<M>,
+        width: usize,
+        messages: Vec<(usize, M)>,
         stats: &CommStats,
         [send_context, reply_context]: [&str; 2],
     ) -> Result<Vec<M>, TransportError> {
-        let k = messages.len();
         let mut guard = dsr_sync::lock(&self.state);
         let state = &mut *guard;
-        state.ready(k)?;
+        state.ready(width)?;
         stats.record_round();
-        let encoded: Vec<Vec<u8>> = messages
-            .iter()
-            .map(|m| Self::encode_and_count(m, stats))
-            .collect();
-        drop(messages);
 
+        // Per worker: the input positions it echoes, in input order, and
+        // its op.
         let workers = state.links.len();
-        let mut delivered = Vec::with_capacity(k);
-        let mut op = Vec::new();
-        // A worker's first failure ends its part of the collective; the
-        // others carry on, so the list below is the whole picture.
-        let mut failures: Vec<(usize, TransportError)> = Vec::new();
-        for first in (0..k).step_by(workers) {
-            let mut awaited: Vec<usize> = Vec::with_capacity(workers);
-            for node in first..k.min(first + workers) {
-                let worker = node % workers;
-                if failures.iter().any(|&(failed, _)| failed == worker) {
-                    continue;
-                }
-                op.clear();
-                put_echo_op(&mut op, &encoded[node]);
-                match state.link(worker).send(&op, send_context) {
-                    Ok(()) => awaited.push(worker),
-                    Err(err) => failures.push((worker, err)),
-                }
+        let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); workers];
+        for (at, &(node, _)) in messages.iter().enumerate() {
+            hosted[node % workers].push(at);
+        }
+        let mut ops: Vec<Vec<u8>> = (hosted.iter())
+            .map(|positions| {
+                let mut op = Vec::new();
+                put_echo_header(&mut op, positions.len());
+                op
+            })
+            .collect();
+        for (node, message) in &messages {
+            let encoded = wire::encode_to_vec(message);
+            debug_assert_eq!(
+                encoded.len(),
+                message.byte_size(),
+                "MessageSize::byte_size drifted from the wire encoding"
+            );
+            stats.record_message(encoded.len());
+            // A worker would refuse the frame, and the reply could not
+            // carry it back.
+            if encoded.len() as u64 > MAX_FRAME_LEN {
+                return Err(TransportError::OversizedFrame {
+                    announced: encoded.len() as u64,
+                    limit: MAX_FRAME_LEN,
+                });
             }
-            // Without a failure, replies arrive in node order.
-            for worker in awaited {
-                let reply = state.link(worker).recv(reply_context);
-                match reply.and_then(|frame| Ok(wire::decode_exact::<M>(&frame)?)) {
-                    Ok(message) => delivered.push(message),
-                    Err(err) => failures.push((worker, err)),
-                }
+            put_frame(&mut ops[node % workers], &encoded);
+        }
+        // Every message is encoded: free it, keeping a slot for its echo.
+        let mut delivered: Vec<Option<M>> = messages.into_iter().map(|_| None).collect();
+
+        // A worker's first failure ends its part of the collective; the
+        // others carry on, so `failures` is the whole picture. No write
+        // here waits on a read below: a worker reads its whole op before
+        // it writes a byte.
+        let mut failures: Vec<(usize, TransportError)> = Vec::new();
+        let mut awaited: Vec<usize> = Vec::with_capacity(workers);
+        for worker in (0..workers).filter(|&worker| !hosted[worker].is_empty()) {
+            match state.link(worker).send(&ops[worker], send_context) {
+                Ok(()) => awaited.push(worker),
+                Err(err) => failures.push((worker, err)),
+            }
+        }
+        drop(ops);
+        for worker in awaited {
+            let link = state.link(worker);
+            let read = hosted[worker].iter().try_for_each(|&at| {
+                let frame = link.recv(reply_context)?;
+                delivered[at] = Some(wire::decode_exact::<M>(&frame)?);
+                Ok(())
+            });
+            if let Err(err) = read {
+                failures.push((worker, err));
             }
         }
         if !failures.is_empty() {
             return Err(state.fail(failures));
         }
-        Ok(delivered)
+        Ok(delivered
+            .into_iter()
+            .map(|message| message.expect("every worker echoed each of its frames"))
+            .collect())
     }
 }
 
 impl Drop for TcpTransport {
+    /// Shuts every worker down. One without a live link (a failed
+    /// collective dropped it, or `sever` cut it) waits for its next master:
+    /// a fresh link shuts it down. Failing that, the worker is gone.
     fn drop(&mut self) {
         let mut guard = dsr_sync::lock(&self.state);
         let state = &mut *guard;
-        let self_hosted = state.loopback.is_some();
         for (id, slot) in state.links.iter_mut().enumerate() {
-            match slot {
-                Some(link) => link.shutdown(),
-                // A loopback worker without a link may be sitting in its
-                // rejoin wait (a failed collective dropped every link and
-                // none has reconnected since); poke it with a minimal
-                // session so its thread exits instead of blocking the join
-                // below.
-                None if self_hosted => shutdown_worker(&state.spec.workers[id], id),
-                None => {}
+            if slot.take().is_some_and(WorkerLink::shutdown) {
+                continue;
+            }
+            let patience = Duration::from_secs(1);
+            if let Ok(link) = connect_link(&state.spec.workers[id], id, patience, patience) {
+                link.shutdown();
             }
         }
         for handle in state.loopback.take().into_iter().flatten() {
             let _ = handle.join();
         }
-    }
-}
-
-/// Best-effort: connect to a linkless worker, complete a minimal master
-/// handshake (maximum session id, empty roster = keep the one it has), and
-/// order it to shut down. Used for loopback teardown; failures mean the
-/// worker is already gone.
-fn shutdown_worker(addr: &str, id: usize) {
-    let patience = Duration::from_secs(1);
-    if let Ok(mut link) = connect_link(addr, id, u64::MAX, &[], patience, patience) {
-        link.shutdown();
     }
 }
 
@@ -452,7 +403,7 @@ impl Transport for TcpTransport {
 
     fn topology(&self, num_partitions: usize) -> Topology {
         let state = dsr_sync::lock(&self.state);
-        // A loopback mesh grows to the collective width on demand.
+        // A loopback cluster grows to the collective width on demand.
         let mut workers = state.spec.workers.len();
         if state.loopback.is_some() {
             workers = workers.max(num_partitions);
@@ -465,7 +416,9 @@ impl Transport for TcpTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        self.echo_round(messages, stats, ["scatter send", "scatter reply"])
+        let width = messages.len();
+        let messages = messages.into_iter().enumerate().collect();
+        self.echo(width, messages, stats, ["scatter send", "scatter reply"])
     }
 
     fn gather<M: WireMessage>(
@@ -473,7 +426,9 @@ impl Transport for TcpTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        self.echo_round(messages, stats, ["gather send", "gather reply"])
+        let width = messages.len();
+        let messages = messages.into_iter().enumerate().collect();
+        self.echo(width, messages, stats, ["gather send", "gather reply"])
     }
 
     fn all_to_all<M: WireMessage>(
@@ -483,14 +438,10 @@ impl Transport for TcpTransport {
         stats: &CommStats,
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
         assert_eq!(outgoing.len(), num_nodes, "one send list per node");
-        let mut guard = dsr_sync::lock(&self.state);
-        let state = &mut *guard;
-        state.ready(num_nodes)?;
-        stats.record_round();
-
-        // Encode cross-node payloads (stats count each logical message
-        // once, like every other backend); self-sends never touch a socket.
-        let mut groups: BTreeMap<(usize, usize), Vec<Vec<u8>>> = BTreeMap::new();
+        // A payload `src → dst` goes to the worker hosting `dst`, in
+        // (src, send) order; self-sends never touch a socket.
+        let mut routes: Vec<(usize, usize)> = Vec::new();
+        let mut remote: Vec<(usize, M)> = Vec::new();
         let mut self_sends: Vec<Vec<M>> = (0..num_nodes).map(|_| Vec::new()).collect();
         for (src, sends) in outgoing.into_iter().enumerate() {
             for (dst, message) in sends {
@@ -498,86 +449,27 @@ impl Transport for TcpTransport {
                 if dst == src {
                     self_sends[src].push(message);
                 } else {
-                    groups
-                        .entry((src, dst))
-                        .or_default()
-                        .push(Self::encode_and_count(&message, stats));
+                    routes.push((src, dst));
+                    remote.push((dst, message));
                 }
             }
         }
+        let echoed = self.echo(
+            num_nodes,
+            remote,
+            stats,
+            ["exchange send", "exchange reply"],
+        )?;
 
-        // Per worker: the groups it must forward (src hosted there) and the
-        // groups it will collect (dst hosted there), both in (src, dst)
-        // order — the order every mesh lane preserves.
-        let workers = state.links.len();
-        let mut send_plan: BTreeMap<usize, Vec<_>> = BTreeMap::new();
-        let mut recv_plan: BTreeMap<usize, Vec<GroupHeader>> = BTreeMap::new();
-        for (&(src, dst), frames) in &groups {
-            let (src_worker, dst_worker) = (src % workers, dst % workers);
-            let group = |worker| GroupHeader::new(src, dst, worker, frames.len());
-            let sends = send_plan.entry(src_worker).or_default();
-            sends.push((group(dst_worker), frames.as_slice()));
-            recv_plan
-                .entry(dst_worker)
-                .or_default()
-                .push(group(src_worker));
-        }
-        let mut involved: Vec<usize> = send_plan.keys().chain(recv_plan.keys()).copied().collect();
-        involved.sort_unstable();
-        involved.dedup();
-
-        // Ship every involved worker its whole op (one per link). No write
-        // here waits on a read below: a worker reads its whole op before it
-        // writes anything, and replies only once it has met every partner
-        // (module docs) ...
-        let mut op = Vec::new();
-        let mut failures: Vec<(usize, TransportError)> = Vec::new();
-        let mut awaited: Vec<usize> = Vec::with_capacity(involved.len());
-        for &worker in &involved {
-            op.clear();
-            let sends = send_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
-            let recvs = recv_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
-            put_exchange_op(&mut op, sends, recvs);
-            match state.link(worker).send(&op, "exchange send") {
-                Ok(()) => awaited.push(worker),
-                Err(err) => failures.push((worker, err)),
-            }
-        }
-        // ... and only then read the replies, worker after worker: the
-        // groups each one collected, in its recv-list order. A worker's
-        // first failure ends its reply; the others are still read, so
-        // `failures` is the whole picture.
+        // In (src, send) order, so every inbox is sorted by source.
         let mut incoming: Vec<Vec<(usize, M)>> = (0..num_nodes).map(|_| Vec::new()).collect();
-        for worker in awaited {
-            let link = state.link(worker);
-            let recvs = recv_plan.get(&worker).map(Vec::as_slice).unwrap_or(&[]);
-            let mut read_reply = || -> Result<(), TransportError> {
-                for group in recvs {
-                    for _ in 0..group.frames {
-                        let frame = link.recv("exchange reply")?;
-                        let message = wire::decode_exact::<M>(&frame)?;
-                        incoming[group.dst].push((group.src, message));
-                    }
-                }
-                Ok(())
-            };
-            if let Err(err) = read_reply() {
-                failures.push((worker, err));
-            }
+        for ((src, dst), message) in routes.into_iter().zip(echoed) {
+            incoming[dst].push((src, message));
         }
-        if !failures.is_empty() {
-            return Err(state.fail(failures));
-        }
-        for inbox in &mut incoming {
-            inbox.sort_by_key(|&(src, _)| src);
-        }
-
         // Merge self-sends at their sorted position, preserving send order.
         for (node, messages) in self_sends.into_iter().enumerate() {
             let at = incoming[node].partition_point(|&(src, _)| src < node);
-            for (offset, message) in messages.into_iter().enumerate() {
-                incoming[node].insert(at + offset, (node, message));
-            }
+            incoming[node].splice(at..at, messages.into_iter().map(|m| (node, m)));
         }
         Ok(incoming)
     }

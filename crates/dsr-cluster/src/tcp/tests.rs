@@ -2,28 +2,28 @@
 //! a section per module; the pure byte handling is tested in `protocol`.
 
 use dsr_sync::Mutex;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener};
 use std::time::{Duration, Instant};
 
 use super::master::{connect_link, WorkerLink};
-use super::protocol::{peer_hello, put_exchange_op, GroupHeader};
+use super::protocol::{preamble, read_preamble};
 use super::*;
 use crate::error::TransportError;
-use crate::frame::put_frame;
 use crate::message::MessageSize;
 use crate::stats::CommStats;
 use crate::transport::{InProcess, Transport};
+use crate::wire::put_varint;
 use crate::wire::{Wire, WireError, WireReader};
 
 // ---------------------------------------------------------------------------
 // master
 // ---------------------------------------------------------------------------
 
-/// The pin that growth needs no roster push: k = 2 → 4 adds two workers
-/// the old links' hellos never named, and the ring exchange at 4 and then
-/// 3 routes lanes between old and new workers. Every link is reconnected
-/// at a fresh epoch after the growth, its hello carrying the whole roster.
+/// A loopback cluster grows with the widest collective: k = 2 → 4 adds two
+/// workers beside the two live links, and the ring exchanges at 4 and then
+/// 3 route every payload to the worker hosting its destination, old or
+/// new, and back to the right inbox.
 #[test]
 fn loopback_mesh_grows_and_routes() {
     let transport = TcpTransport::loopback_with(Duration::from_secs(10));
@@ -37,7 +37,11 @@ fn loopback_mesh_grows_and_routes() {
             assert_eq!(incoming[dst], vec![(expected_src, expected_src as u32)]);
         }
     }
-    assert_eq!(transport.num_workers(), 4, "mesh grew to the largest k");
+    assert_eq!(
+        transport.num_workers(),
+        4,
+        "the cluster grew to the largest k"
+    );
 }
 
 #[test]
@@ -134,7 +138,7 @@ fn a_reply_that_does_not_decode_does_not_poison_the_next_collective() {
 #[test]
 fn collectives_carry_frames_larger_than_the_socket_buffers() {
     // Two real workers serve three nodes: worker 0 hosts nodes 0 and 2, so
-    // its echo ops go in two waves.
+    // each of its ops carries two frames.
     let io_timeout = Duration::from_secs(20);
     let (addrs, served): (Vec<String>, Vec<ServedWorker>) =
         (0..2).map(|_| spawn_worker(io_timeout)).unzip();
@@ -144,7 +148,7 @@ fn collectives_carry_frames_larger_than_the_socket_buffers() {
     let stats = CommStats::new();
     let k = 3usize;
     // 2^20 four-byte varints: ~4 MiB per message, far beyond what the
-    // socket buffers of a link or a lane hold.
+    // socket buffers of a link hold.
     let big = |tag: u32| -> Vec<u32> { (0..1u32 << 20).map(|i| (tag << 21) + i).collect() };
     for round in 0..2u32 {
         let tag = |node: usize, other: usize| 1 + round * 32 + (node * k + other) as u32;
@@ -227,7 +231,7 @@ fn collectives_decode_on_the_calling_thread() {
     assert_eq!(transport.gather(row(30), &stats).expect("gather"), row(30));
     assert_eq!(transport.num_workers(), k);
 
-    // Workers relay bytes and never decode, so a foreign id could only
+    // Workers echo bytes and never decode, so a foreign id could only
     // be a helper thread of the master side.
     let decoded_on = dsr_sync::lock(&DECODED_ON);
     assert_eq!(decoded_on.len(), 3 * k, "one decode per delivered message");
@@ -246,7 +250,7 @@ fn collectives_decode_on_the_calling_thread() {
 fn worker_death_mid_session_surfaces_disconnected() {
     let transport = TcpTransport::loopback_with(Duration::from_secs(5));
     let stats = CommStats::new();
-    // Healthy first round establishes the 3-worker mesh.
+    // Healthy first round connects the three workers.
     let delivered = transport
         .scatter(vec![1u32, 2, 3], &stats)
         .expect("healthy scatter");
@@ -290,6 +294,78 @@ fn three_collectives(transport: &impl Transport) -> (Delivered, (u64, u64, u64))
     ((scattered, exchanged, gathered), stats.snapshot())
 }
 
+/// A loopback transport left idle after a failed collective for three
+/// times its I/O timeout serves the next collectives as in process: its
+/// workers wait for the next master as long as it takes.
+#[test]
+fn a_loopback_transport_serves_again_after_idling_past_a_failure() {
+    let io_timeout = Duration::from_millis(300);
+    let transport = TcpTransport::loopback_with(io_timeout);
+    let stats = CommStats::new();
+    let delivered = transport.scatter(vec![1u32, 2, 3], &stats);
+    assert_eq!(delivered.expect("healthy scatter"), vec![1, 2, 3]);
+    transport.sever(0);
+    let err = transport
+        .scatter(vec![4u32, 5, 6], &stats)
+        .expect_err("a severed worker fails the scatter");
+    assert!(err.to_string().contains("worker 0"), "{err}");
+    dsr_sync::thread::sleep(3 * io_timeout);
+    assert_eq!(three_collectives(&transport), three_collectives(&InProcess));
+}
+
+/// A worker that acks the hello and never replies: each collective ends in
+/// a `Timeout` naming it within one `io_timeout` of reading (the second is
+/// slack), not in a hang.
+#[test]
+fn a_hung_worker_is_a_typed_timeout_not_a_hang() {
+    let io_timeout = Duration::from_millis(300);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    // One connection per collective: `connect`, then the reconnect after
+    // each failure. Each one reads its op and holds it until the master
+    // hangs up.
+    let hung = dsr_sync::thread::spawn(move || {
+        for _ in 0..3 {
+            let (mut conn, _) = listener.accept().expect("accept");
+            read_preamble(&mut conn, "master", "hello").expect("hello");
+            conn.write_all(&preamble()).expect("ack");
+            let _ = conn.read_to_end(&mut Vec::new());
+        }
+    });
+    let mut spec = ClusterSpec::new(vec![addr.clone()]);
+    spec.io_timeout = io_timeout;
+    let transport = TcpTransport::connect(&spec).expect("connect");
+    let stats = CommStats::new();
+    let assert_timed_out = |name: &str, started: Instant, err: TransportError| {
+        let waited = started.elapsed();
+        match &err {
+            TransportError::Timeout { peer, .. } => {
+                assert_eq!(*peer, format!("worker 0 ({addr})"), "{name}")
+            }
+            other => panic!("{name}: expected a Timeout, got {other}"),
+        }
+        assert!(
+            waited < 2 * io_timeout,
+            "{name} took {waited:?} to fail (io_timeout {io_timeout:?})"
+        );
+    };
+    let started = Instant::now();
+    let err = transport.scatter(vec![1u32], &stats).expect_err("no reply");
+    assert_timed_out("scatter", started, err);
+    let started = Instant::now();
+    let outgoing = vec![vec![(1, 2u32)], Vec::new()];
+    let err = transport
+        .all_to_all(2, outgoing, &stats)
+        .expect_err("no reply");
+    assert_timed_out("exchange", started, err);
+    let started = Instant::now();
+    let err = transport.gather(vec![3u32], &stats).expect_err("no reply");
+    assert_timed_out("gather", started, err);
+    // The third failure closed the last connection the listener takes;
+    // dropping the transport then finds the port closed.
+    hung.join().expect("hung worker");
+}
+
 // ---------------------------------------------------------------------------
 // worker
 // ---------------------------------------------------------------------------
@@ -312,239 +388,77 @@ fn binding_an_address_already_bound_is_an_io_error_naming_it() {
 type ServedWorker = dsr_sync::thread::JoinHandle<Result<(), TransportError>>;
 
 /// One real worker on loopback: [`serve_worker`] on a thread of its own,
-/// serving one master session whose result is the thread's.
+/// whose result is the thread's.
 fn spawn_worker(io_timeout: Duration) -> (String, ServedWorker) {
     let listener = bind_worker("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
-    let options = WorkerOptions {
-        io_timeout,
-        master_wait: Some(Duration::from_secs(10)),
-        rejoin_wait: None,
-    };
-    let worker = dsr_sync::thread::spawn(move || serve_worker(listener, options));
+    let worker = dsr_sync::thread::spawn(move || serve_worker(listener, io_timeout));
     (addr, worker)
 }
 
-/// A real worker with the test as its master: the link of
-/// [`connect_link`] (session 1, worker id 0), over which the test
-/// writes hand-built ops. `peers` are the addresses of workers 1, 2, …;
-/// the worker's own address comes first.
-fn raw_master_session(
-    io_timeout: Duration,
-    peers: &[String],
-) -> (String, WorkerLink, ServedWorker) {
-    let (addr, worker) = spawn_worker(io_timeout);
-    let mut topology = vec![addr];
-    topology.extend_from_slice(peers);
+/// A master session with the worker at `addr`, the test as its master:
+/// the link of [`connect_link`], over which the test writes hand-built
+/// ops.
+fn raw_master_session(addr: &str) -> WorkerLink {
     let patience = Duration::from_secs(10);
-    let link =
-        connect_link(&topology[0], 0, 1, &topology, patience, patience).expect("master hello");
-    (topology.swap_remove(0), link, worker)
+    connect_link(addr, 0, patience, patience).expect("master hello")
 }
 
-/// The lane worker `from` of session 1 opens into the worker at `addr`,
-/// its peer hello written: the test as that worker's peer.
-fn raw_peer_lane(addr: &str, from: usize) -> TcpStream {
-    let mut lane = TcpStream::connect(addr).expect("connect peer lane");
-    lane.write_all(&peer_hello(from, 1)).expect("peer hello");
-    lane
-}
-
-/// A peer of a raw session and its address: a listener nobody serves,
-/// whose backlog takes a lane and its hello and never reads from it.
-fn unserved_peer() -> (TcpListener, String) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    (listener, addr)
-}
-
-/// An exchange op as the master lays it out: the send groups
-/// `(src, dst, dst_worker, frames)`, then the recv list
-/// `(src, dst, src_worker, frame count)`.
-fn exchange_op(
-    sends: &[(usize, usize, usize, &[&[u8]])],
-    recvs: &[(usize, usize, usize, usize)],
-) -> Vec<u8> {
-    let group = |(src, dst, worker, frames)| GroupHeader::new(src, dst, worker, frames);
-    let sends: Vec<(GroupHeader, &[&[u8]])> = (sends.iter())
-        .map(|&(src, dst, worker, frames)| (group((src, dst, worker, frames.len())), frames))
-        .collect();
-    let recvs: Vec<GroupHeader> = recvs.iter().copied().map(group).collect();
-    let mut op = Vec::new();
-    put_exchange_op(&mut op, &sends, &recvs);
-    op
-}
-
-/// Ships `op` to a fresh worker whose peers are `peers` and returns the
-/// error its session ended with; the master link must see the session
-/// end instead of a reply.
-fn session_error_after(op: &[u8], peers: &[String]) -> TransportError {
-    let (_, mut link, worker) = raw_master_session(Duration::from_secs(5), peers);
+/// Writes `op` on a fresh session with the worker at `addr` and then
+/// closes the session's write half: the worker must end the session
+/// without a reply.
+fn assert_unanswered(addr: &str, op: &[u8]) {
+    let mut link = raw_master_session(addr);
     link.send(op, "forged op").expect("send");
+    let _ = link.stream.shutdown(Shutdown::Write);
     let reply = link.recv("forged op reply");
     assert!(reply.is_err(), "the worker answered a forged op: {reply:?}");
-    worker
-        .join()
-        .expect("worker thread")
-        .expect_err("a forged op ends the session with an error")
-}
-
-fn assert_protocol_error_names(err: &TransportError, group: &str) {
-    match err {
-        TransportError::Protocol { peer, reason } => {
-            assert_eq!(peer, "master");
-            assert!(reason.contains(group), "names the group: {reason}");
-        }
-        other => panic!("expected a Protocol error, got {other}"),
-    }
 }
 
 /// Runs in every build profile (CI's `--release --lib` leg included).
 #[test]
-fn an_exchange_op_that_sends_a_group_twice_ends_the_session() {
-    // Delivered locally: the second group used to overwrite the first.
-    let op = exchange_op(
-        &[(0, 1, 0, &[b"first"]), (0, 1, 0, &[b"second"])],
-        &[(0, 1, 0, 1)],
-    );
-    assert_protocol_error_names(&session_error_after(&op, &[]), "0->1");
-
-    // Forwarded: worker 1 is a listener nobody serves (its backlog
-    // takes the lane); both copies used to go out on it.
-    let (_peer, addr) = unserved_peer();
-    let peers = [addr];
-    let op = exchange_op(
-        &[
-            (0, 2, 1, &[b"first"]),
-            (0, 2, 1, &[b"second"]),
-            (0, 1, 0, &[b"local"]),
-        ],
-        &[(0, 1, 0, 1)],
-    );
-    assert_protocol_error_names(&session_error_after(&op, &peers), "0->2");
-}
-
-/// Runs in every build profile (CI's `--release --lib` leg included).
-#[test]
-fn an_exchange_op_that_never_collects_a_local_group_ends_the_session() {
-    // 0->1 is delivered to this worker and no entry of the recv list
-    // asks for it: its frame used to vanish behind a reply of `1->0`.
-    let op = exchange_op(
-        &[(0, 1, 0, &[b"dropped"]), (1, 0, 0, &[b"collected"])],
-        &[(1, 0, 0, 1)],
-    );
-    assert_protocol_error_names(&session_error_after(&op, &[]), "0->1");
-}
-
-#[test]
-fn a_silent_peer_is_a_typed_timeout_not_a_hang() {
-    let io_timeout = Duration::from_millis(300);
-    // Workers 1 and 2 are listeners nobody serves.
-    let (silent, peers): (Vec<TcpListener>, Vec<String>) = (0..2).map(|_| unserved_peer()).unzip();
-    let (_, mut link, worker) = raw_master_session(io_timeout, &peers);
-
-    // 16 MiB for worker 1, far more than the socket buffers of an
-    // unread lane take, and a small group for worker 2 behind it.
-    let big = vec![0xA5u8; 16 << 20];
-    let op = exchange_op(&[(0, 1, 1, &[&big]), (0, 2, 2, &[b"small"])], &[]);
-    link.send(&op, "exchange op").expect("send");
-    let sent = Instant::now();
-    let reply = link.recv("exchange reply");
-    let waited = sent.elapsed();
-    assert!(reply.is_err(), "no reply to an exchange that timed out");
-    // The bound of the module docs: a blocked write gives up within
-    // ≈ 3 × io_timeout (two write(2) calls that each moved part of the
-    // buffer, one that moved nothing); the fourth is slack.
-    assert!(
-        waited < 4 * io_timeout,
-        "the session took {waited:?} to end (io_timeout {io_timeout:?})"
-    );
-    let err = worker
-        .join()
-        .expect("worker thread")
-        .expect_err("the exchange timed out");
-    match &err {
-        TransportError::Timeout { peer, .. } => {
-            assert!(peer.starts_with("worker 1 ("), "peer named: {peer}")
-        }
-        other => panic!("expected a Timeout, got {other}"),
-    }
-    // The exchange stops at the first pair that fails: worker 2, behind
-    // worker 1 in pairwise order (0 ^ 1 < 0 ^ 2), was never connected to.
-    silent[1].set_nonblocking(true).expect("nonblocking");
-    match silent[1].accept() {
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-        other => panic!("worker 2 got a lane: {other:?}"),
-    }
-}
-
-/// Runs in every build profile (CI's `--release --lib` leg included).
-#[test]
-fn a_peer_group_other_than_the_announced_one_ends_the_session() {
-    let (_peer, peer_addr) = unserved_peer();
-    let (addr, mut link, worker) = raw_master_session(Duration::from_secs(5), &[peer_addr]);
-    // The recv list expects 1->0 (one frame) from worker 1, whose lane
-    // carries 2->0 instead.
-    link.send(&exchange_op(&[], &[(1, 0, 1, 1)]), "exchange op")
-        .expect("send");
-    let mut lane = raw_peer_lane(&addr, 1);
-    let mut group = Vec::new();
-    GroupHeader::new(2, 0, 1, 1).put_on_lane(&mut group);
-    put_frame(&mut group, b"misrouted");
-    lane.write_all(&group).expect("lane group");
-
-    let reply = link.recv("exchange reply");
-    assert!(
-        reply.is_err(),
-        "the worker answered a misrouted group: {reply:?}"
-    );
-    let err = worker
-        .join()
-        .expect("worker thread")
-        .expect_err("a misrouted group ends the session");
-    match &err {
-        TransportError::Protocol { peer, reason } => {
-            assert!(peer.starts_with("worker 1 ("), "peer named: {peer}");
-            assert!(reason.contains("expected group 1->0"), "{reason}");
-            assert!(reason.contains("got 2->0"), "{reason}");
-        }
-        other => panic!("expected a Protocol error, got {other}"),
-    }
-}
-
-/// Runs in every build profile (CI's `--release --lib` leg included).
-#[test]
-fn a_group_its_peer_never_sends_is_a_typed_timeout_not_a_hang() {
-    let io_timeout = Duration::from_millis(500);
-    let (_peer, peer_addr) = unserved_peer();
-    // Worker 1 never opens its lane, then opens it and sends nothing:
-    // either is one wait of io_timeout — for the lane to register, or in
-    // one read(2) — so the session ends within 2 × io_timeout, the second
-    // being slack.
-    for opens_lane in [false, true] {
-        let peers = [peer_addr.clone()];
-        let (addr, mut link, worker) = raw_master_session(io_timeout, &peers);
-        link.send(&exchange_op(&[], &[(1, 0, 1, 1)]), "exchange op")
-            .expect("send");
-        let _lane = opens_lane.then(|| raw_peer_lane(&addr, 1));
-        let sent = Instant::now();
-        let reply = link.recv("exchange reply");
-        let waited = sent.elapsed();
-        assert!(reply.is_err(), "no reply to an exchange that timed out");
-        assert!(
-            waited < 2 * io_timeout,
-            "lane opened {opens_lane}: the session took {waited:?} to end (io_timeout {io_timeout:?})"
-        );
-        let err = worker
-            .join()
-            .expect("worker thread")
-            .expect_err("the exchange timed out");
-        match &err {
-            TransportError::Timeout { peer, .. } => {
-                assert!(peer.starts_with("worker 1 ("), "peer named: {peer}")
+fn an_unknown_or_retired_opcode_ends_the_session_unanswered() {
+    for opcode in [2u8, 3, 99] {
+        let (addr, worker) = spawn_worker(Duration::from_secs(5));
+        assert_unanswered(&addr, &[opcode]);
+        match worker.join().expect("worker thread") {
+            Err(TransportError::Protocol { peer, reason }) => {
+                assert_eq!(peer, "master");
+                assert!(reason.contains(&format!("opcode {opcode}")), "{reason}");
             }
-            other => panic!("lane opened {opens_lane}: expected a Timeout, got {other}"),
+            other => panic!("opcode {opcode}: expected a Protocol error, got {other:?}"),
         }
+    }
+}
+
+/// Runs in every build profile (CI's `--release --lib` leg included).
+/// Neither op may make the worker allocate what it announces: a frame of
+/// 1 TiB, and 2⁴⁰ frames of which one arrives before the master hangs up.
+#[test]
+fn an_echo_op_beyond_the_bounds_ends_the_session_unanswered() {
+    let (addr, worker) = spawn_worker(Duration::from_secs(5));
+    let echo_op = |frames: u64, first_len: u64| {
+        let mut op = Vec::new();
+        for value in [1, frames, first_len] {
+            put_varint(&mut op, value);
+        }
+        op
+    };
+    // The master is gone mid-op: a lost connection, so the worker serves
+    // the next master — whose shutdown is the thread's `Ok`.
+    let mut frames_then_eof = echo_op(1 << 40, 5);
+    frames_then_eof.extend_from_slice(b"frame");
+    assert_unanswered(&addr, &frames_then_eof);
+    assert!(raw_master_session(&addr).shutdown(), "shutdown ack");
+    worker.join().expect("worker thread").expect("shut down");
+
+    let (addr, worker) = spawn_worker(Duration::from_secs(5));
+    assert_unanswered(&addr, &echo_op(1, 1 << 40));
+    match worker.join().expect("worker thread") {
+        Err(TransportError::OversizedFrame { announced, limit }) => {
+            assert_eq!((announced, limit), (1 << 40, MAX_FRAME_LEN));
+        }
+        other => panic!("expected an OversizedFrame error, got {other:?}"),
     }
 }
 
@@ -593,18 +507,17 @@ impl MessageSize for Pattern {
 #[test]
 fn large_frames_cross_interleaved_lanes() {
     // Four workers on loopback serve eight nodes, worker `w` hosting
-    // nodes `w` and `w + 4`: each of the twelve lanes carries four
-    // groups, and the op order of every reader — (src, dst) ascending —
-    // goes round its three lanes twice. Then three workers and six
-    // nodes: not a power of two, so in the round of `x ^ y = 3` worker 0
-    // has no partner while 1 and 2 meet.
-    large_frames_cross_lanes_of(4, 8);
-    large_frames_cross_lanes_of(3, 6);
+    // nodes `w` and `w + 4`: each worker's op interleaves the frames of
+    // its two destinations from all seven sources, in (src, dst) order,
+    // and each reply must come back in that order to reach the right
+    // inboxes. Then three workers and six nodes.
+    large_frames_cross_workers_of(4, 8);
+    large_frames_cross_workers_of(3, 6);
 }
 
 /// Two rounds of a full exchange between `k` nodes hosted round-robin on
 /// `workers` real workers, every message between two workers 1.25 MiB.
-fn large_frames_cross_lanes_of(workers: usize, k: usize) {
+fn large_frames_cross_workers_of(workers: usize, k: usize) {
     // Had any wait run into this timeout, the exchange would have failed.
     let io_timeout = Duration::from_secs(20);
     let (addrs, served): (Vec<String>, Vec<ServedWorker>) =
@@ -614,13 +527,12 @@ fn large_frames_cross_lanes_of(workers: usize, k: usize) {
     let transport = TcpTransport::connect(&spec).expect("connect");
     let stats = CommStats::new();
 
-    // 1.25 MiB per message between workers, so every lane carries
-    // 5 MiB in each direction at once: more than an unread loopback
-    // lane takes before its writer blocks for good (4 MiB of send
-    // buffer and a few hundred KiB at the receiver), and a little more
-    // than the one message per lane of
-    // `collectives_carry_frames_larger_than_the_socket_buffers`. The
-    // two nodes of one worker exchange a few bytes, locally.
+    // 1.25 MiB per message between workers, so every op and every reply
+    // carries 7.5 MiB per destination node: more than an unread loopback
+    // link takes before its writer blocks (4 MiB of send buffer and a few
+    // hundred KiB at the receiver), so a worker sits in its reply's
+    // `write_all` while the master still writes the next worker's op. The
+    // two nodes of one worker exchange a few bytes.
     for round in 0..2u32 {
         let message = |src: usize, dst: usize| Pattern {
             tag: round * 64 + (src * k + dst) as u32,

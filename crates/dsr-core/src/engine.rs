@@ -1130,7 +1130,7 @@ mod tests {
         let tcp = dsr_cluster::TcpTransport::loopback_with(std::time::Duration::from_secs(5));
         let engine = DsrEngine::with_transport(&index, &tcp);
         let queries = vec![SetQuery::new(vec![0, 2, 7], vec![17, 10, 4])];
-        // Healthy first batch establishes the 3-worker mesh.
+        // Healthy first batch connects the three workers.
         assert_eq!(batch(&engine, &queries).expect("healthy cluster").1 .0, 3);
         // A worker dies; the next batch surfaces a typed TransportError.
         tcp.sever(2);

@@ -11,9 +11,9 @@
 use dsr_sync::Arc;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use dsr_cluster::tcp::{bind_worker, serve_worker, WorkerOptions};
+use dsr_cluster::tcp::{bind_worker, serve_worker};
 use dsr_cluster::{ClusterSpec, DynTransport, TcpTransport};
 use dsr_core::{DsrIndex, SetQuery};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
@@ -22,12 +22,12 @@ use dsr_service::{QueryService, ServiceConfig};
 
 fn main() {
     // Child mode: `tcp_cluster __worker` — bind a free port, print it,
-    // serve one master session, exit.
+    // serve master sessions until the master shuts the worker down, exit.
     let args: Vec<String> = std::env::args().collect();
     if args.get(1).map(String::as_str) == Some("__worker") {
         let listener = bind_worker("127.0.0.1:0").expect("bind worker port");
         println!("{}", listener.local_addr().expect("bound address"));
-        serve_worker(listener, WorkerOptions::default()).expect("worker session");
+        serve_worker(listener, Duration::from_secs(30)).expect("worker sessions");
         return;
     }
 

@@ -7,7 +7,7 @@
 //! master over three external workers, checked against `InProcess`.
 
 use dsr::testing::backends;
-use dsr_cluster::tcp::{bind_worker, serve_worker, WorkerOptions};
+use dsr_cluster::tcp::{bind_worker, serve_worker};
 use dsr_cluster::{ClusterSpec, CommStats, DynTransport, InProcess, TcpTransport, Transport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::{
@@ -16,6 +16,7 @@ use dsr_datagen::{
 use dsr_graph::{DiGraph, TransitiveClosure, VertexId};
 use dsr_partition::{HashPartitioner, MultilevelPartitioner, Partitioner, Partitioning};
 use dsr_reach::LocalIndexKind;
+use std::time::Duration;
 
 /// Builds the index with its summary exchange on `transport`.
 fn build_on(
@@ -110,7 +111,7 @@ fn answer_batch<T: Transport>(
 }
 
 /// What a deployment with worker processes runs: three workers, each
-/// `serve_worker` with the default options serving one master session, and
+/// `serve_worker` serving master sessions until it is shut down, and
 /// a master attached by `TcpTransport::connect`. The index build, a
 /// 64-query batch, a mixed update batch and the batch again afterwards
 /// answer and count exactly as in process, and every worker ends `Ok(())`
@@ -122,7 +123,7 @@ fn one_master_over_three_external_workers_matches_in_process() {
             let listener = bind_worker("127.0.0.1:0").expect("bind a free port");
             let addr = listener.local_addr().expect("bound address").to_string();
             let worker =
-                dsr_sync::thread::spawn(move || serve_worker(listener, WorkerOptions::default()));
+                dsr_sync::thread::spawn(move || serve_worker(listener, Duration::from_secs(30)));
             (addr, worker)
         })
         .collect();

@@ -1,6 +1,6 @@
 //! Integration suite for the batch-forming service front end: 64 client
 //! threads with a skewed hot/cold workload hammer one `QueryService` while
-//! differential update batches land between query epochs, every answer
+//! differential update batches land between query phases, every answer
 //! checked against a transitive-closure oracle of the *current* graph; a
 //! saturation test proves bounded admission degrades into the typed
 //! `Overloaded` error instead of a deadlock. Both run on each backend of
@@ -18,7 +18,7 @@ use dsr_reach::LocalIndexKind;
 use dsr_service::{QueryService, ServiceConfig, ServiceError, UpdateMode};
 
 const CLIENTS: usize = 64;
-const EPOCHS: usize = 4;
+const PHASES: usize = 4;
 const QUERIES_PER_CLIENT: usize = 24;
 
 /// Deterministic xorshift so each client walks its own reproducible
@@ -74,9 +74,9 @@ fn sixty_four_clients_on(transport: DynTransport) {
         QueryService::with_config_and_transport(index, ServiceConfig::default(), transport);
     let pool = query_pool(n as u64);
 
-    for epoch in 0..EPOCHS {
+    for phase in 0..PHASES {
         // The oracle always reflects the graph the service currently
-        // serves: rebuilt from the mutated edge list before each epoch.
+        // serves: rebuilt from the mutated edge list before each phase.
         let oracle = TransitiveClosure::build(&DiGraph::from_edges(n, &edges));
 
         dsr_sync::thread::scope(|scope| {
@@ -85,26 +85,26 @@ fn sixty_four_clients_on(transport: DynTransport) {
                 let oracle = &oracle;
                 let pool = &pool;
                 scope.spawn(move || {
-                    let mut rng = 0x9E3779B97F4A7C15u64 ^ ((epoch * CLIENTS + client) as u64 + 1);
+                    let mut rng = 0x9E3779B97F4A7C15u64 ^ ((phase * CLIENTS + client) as u64 + 1);
                     for _ in 0..QUERIES_PER_CLIENT {
                         let q = pick(pool, &mut rng);
                         let answer = service.query(&q.sources, &q.targets);
                         let expected = oracle.set_reachability(&q.sources, &q.targets);
                         assert_eq!(
                             *answer, expected,
-                            "client {client} diverged on {q:?} in epoch {epoch} on {backend}"
+                            "client {client} diverged on {q:?} in phase {phase} on {backend}"
                         );
                     }
                 });
             }
         });
 
-        // Between epochs: a differential update batch lands, invalidating
-        // the cache and changing the right answers for the next epoch.
+        // Between phases: a differential update batch lands, invalidating
+        // the cache and changing the right answers for the next phase.
         let fresh: Vec<UpdateOp> = (0..6u32)
             .map(|i| {
-                let u = (epoch as u32 * 31 + i * 7) % n as u32;
-                let v = (epoch as u32 * 17 + i * 11 + 1) % n as u32;
+                let u = (phase as u32 * 31 + i * 7) % n as u32;
+                let v = (phase as u32 * 17 + i * 11 + 1) % n as u32;
                 (u, if u == v { (v + 1) % n as u32 } else { v })
             })
             .filter(|(u, v)| u != v)
@@ -118,7 +118,7 @@ fn sixty_four_clients_on(transport: DynTransport) {
             .expect("auto forks if the scheduler briefly pins");
     }
 
-    let total_queries = (EPOCHS * CLIENTS * QUERIES_PER_CLIENT) as u64;
+    let total_queries = (PHASES * CLIENTS * QUERIES_PER_CLIENT) as u64;
     let (rounds, _, _) = service.comm_stats().snapshot();
     // The whole point of the batch former: far fewer protocol rounds than
     // the 3-per-query baseline. Misses are bounded by the pool size times
