@@ -8,7 +8,7 @@
 //! routing targets step 1 resolves (every in-virtual vertex, every remote
 //! in-boundary, the query's concrete targets). The engine itself no longer
 //! makes that call — it sweeps the condensed compound graph
-//! ([`dsr_core::CompoundGraph::lane_masks`]) whatever
+//! ([`dsr_graph::sweep_lanes`] over [`dsr_core::CompoundGraph::dag`]) whatever
 //! [`LocalIndexKind`] the index was built with — so the fourth column times
 //! that sweep on the same inputs up to the lane masks the engine reads (it
 //! never builds a pair list); outside the timer the masks are spelled out
@@ -27,13 +27,15 @@
 //! Reproduced shape, asserted on every run: at every query size all three
 //! strategies return exactly the pairs the engine's DAG sweep resolves.
 
+use std::ops::Range;
 use std::time::Duration;
 
 use dsr_core::DsrIndex;
 use dsr_datagen::QueryWorkload;
-use dsr_graph::VertexId;
+use dsr_graph::traversal::Direction;
+use dsr_graph::{set_lanes, sweep_lanes, VertexId};
 use dsr_partition::PartitionId;
-use dsr_reach::{set_lanes, LocalIndexKind};
+use dsr_reach::LocalIndexKind;
 
 use crate::experiments::common::{self, Golden, Object, DEFAULT_SLAVES};
 use crate::{time, Table};
@@ -76,37 +78,39 @@ fn step_one_inputs(index: &DsrIndex, query: &QueryWorkload) -> Vec<StepOneInput>
     inputs
 }
 
+/// One pass of [`dag_sweep`]: the sources it carried, every route's mask.
+type Pass = (Range<usize>, Vec<u64>);
+
 /// Step 1 the way the engine evaluates it — lanes in, masks out: per input
 /// and per pass of 64 sources, the lane mask of every route.
-fn dag_sweep(index: &DsrIndex, inputs: &[StepOneInput]) -> Vec<Vec<u64>> {
-    let mut masks = Vec::new();
+fn dag_sweep(index: &DsrIndex, inputs: &[StepOneInput]) -> Vec<Vec<Pass>> {
     inputs
         .iter()
         .map(|(p, sources, routes)| {
             let compound = &index.compounds[*p];
-            let mut reaching = Vec::with_capacity(sources.len().div_ceil(64) * routes.len());
-            for lanes in sources.chunks(64) {
-                compound.lane_masks(lanes, &mut masks);
-                reaching.extend(
-                    routes
-                        .iter()
-                        .map(|&t| masks[compound.component_of(t) as usize]),
-                );
-            }
-            reaching
+            let seeds: Vec<u32> = sources.iter().map(|&s| compound.component_of(s)).collect();
+            let mut passes = Vec::new();
+            sweep_lanes(compound.dag(), Direction::Forward, &seeds, |pass, masks| {
+                let reaching = routes
+                    .iter()
+                    .map(|&t| masks[compound.component_of(t) as usize]);
+                passes.push((pass, reaching.collect()));
+            });
+            passes
         })
         .collect()
 }
 
 /// The masks of [`dag_sweep`] spelled out as the sorted `(source, route)`
 /// pair lists the strategies return.
-fn pairs_of(inputs: &[StepOneInput], swept: &[Vec<u64>]) -> Vec<Vec<(VertexId, VertexId)>> {
+fn pairs_of(inputs: &[StepOneInput], swept: &[Vec<Pass>]) -> Vec<Vec<(VertexId, VertexId)>> {
     inputs
         .iter()
         .zip(swept)
-        .map(|((_, sources, routes), reaching)| {
+        .map(|((_, sources, routes), passes)| {
             let mut pairs = Vec::new();
-            for (lanes, masks) in sources.chunks(64).zip(reaching.chunks(routes.len().max(1))) {
+            for (pass, masks) in passes {
+                let lanes = &sources[pass.clone()];
                 for (&t, &mask) in routes.iter().zip(masks) {
                     pairs.extend(set_lanes(mask).map(|lane| (lanes[lane], t)));
                 }

@@ -24,10 +24,11 @@
 //! [`CompoundGraph::build`] does the same and keeps the result: the SCC id
 //! of every compound vertex and the DAG over those ids. Tarjan numbers the
 //! components in reverse topological order — a DAG edge `a → b` has
-//! `a > b` — so [`CompoundGraph::lane_masks`] answers "which of these (at
-//! most 64) sources reach which vertex" with **one descending pass over
-//! the component ids** ([`propagate_lane_masks`]), OR-ing one `u64` of
-//! source lanes along every DAG edge. That pass is step 1 of Algorithm 2 in
+//! `a > b` — so [`sweep_lanes`](dsr_graph::sweep_lanes) over
+//! [`CompoundGraph::dag`] answers "which of these sources reach which
+//! vertex" with **one descending pass over the component ids** per 64
+//! sources, OR-ing one `u64` of source lanes along every DAG edge. That
+//! sweep is step 1 of Algorithm 2 in
 //! [`crate::engine`]; its cost is the size of the DAG (on web-like graphs
 //! two orders of magnitude below the compound graph), not one traversal of
 //! the compound graph per source.
@@ -79,10 +80,7 @@
 //! every change to the classes or in-boundaries does, since the
 //! in-boundaries are the union of the forward classes' members.
 
-use dsr_graph::traversal::Direction;
-use dsr_graph::{
-    condense, propagate_lane_masks, CondensedGraph, DiGraph, InducedSubgraph, VertexId,
-};
+use dsr_graph::{condense, CondensedGraph, DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{Cut, PartitionId};
 
 use crate::summary::PartitionSummary;
@@ -388,37 +386,15 @@ impl CompoundGraph {
         &self.routes[j as usize].entry_global
     }
 
-    /// SCC id of a compound vertex: the index of its lane mask in what
-    /// [`CompoundGraph::lane_masks`] fills.
+    /// SCC id of a compound vertex: its vertex of [`CompoundGraph::dag`].
     pub fn component_of(&self, compound: VertexId) -> u32 {
         self.component[compound as usize]
     }
 
-    /// The condensation DAG of the compound graph over the SCC ids; every
-    /// edge leads from a larger to a smaller id.
+    /// The condensation DAG over the SCC ids, numbered as [`condense()`]
+    /// numbers it: every edge leads from a larger to a smaller id.
     pub fn dag(&self) -> &DiGraph {
         &self.dag
-    }
-
-    /// Multi-source reachability on the condensation: source `b` of
-    /// `sources` (compound ids, at most 64) owns lane `b`, and afterwards
-    /// `masks[component_of(v)]` has bit `b` set iff the source reaches `v`
-    /// in the compound graph (itself included). `masks` is the caller's
-    /// scratch, resized to one mask per component.
-    ///
-    /// One descending pass over the component ids
-    /// ([`propagate_lane_masks`]).
-    ///
-    /// # Panics
-    /// Panics on more than 64 sources.
-    pub fn lane_masks(&self, sources: &[VertexId], masks: &mut Vec<u64>) {
-        assert!(sources.len() <= 64, "one pass carries at most 64 lanes");
-        masks.clear();
-        masks.resize(self.dag.num_vertices(), 0);
-        for (lane, &s) in sources.iter().enumerate() {
-            masks[self.component[s as usize] as usize] |= 1 << lane;
-        }
-        propagate_lane_masks(&self.dag, Direction::Forward, masks);
     }
 
     /// All in-virtual vertices of remote partition `j`, as
@@ -473,7 +449,8 @@ fn lookup(compound_of: &[VertexId], global: VertexId) -> Option<VertexId> {
 mod tests {
     use super::*;
     use crate::test_support::{figure1, receive_tables_of};
-    use dsr_graph::is_reachable;
+    use dsr_graph::traversal::Direction;
+    use dsr_graph::{is_reachable, sweep_lanes};
     use dsr_partition::Partitioning;
 
     /// Compound id of the in-virtual vertex `υ` of forward class `class` of
@@ -633,10 +610,11 @@ mod tests {
         assert_eq!(gc1.route_entries(2), &[13, 14]);
     }
 
-    /// What a lane whose sweep left `masks` ships to the list's partition:
-    /// the run copy of step 1, for lane 0.
-    fn shipped_entries(list: &RouteList, masks: &[u64]) -> Vec<VertexId> {
-        let reached = |&(component, _): &(u32, &[VertexId])| masks[component as usize] & 1 != 0;
+    /// What `lane` of a sweep that left `masks` ships to the list's
+    /// partition: the run copy of step 1.
+    fn shipped_entries(list: &RouteList, masks: &[u64], lane: usize) -> Vec<VertexId> {
+        let reached =
+            |&(component, _): &(u32, &[VertexId])| masks[component as usize] >> lane & 1 != 0;
         let runs = list.runs().filter(reached);
         runs.flat_map(|(_, run)| run).copied().collect()
     }
@@ -723,12 +701,14 @@ mod tests {
 
         // Source 0 reaches X only and ships `[a, c]`, ascending; source 1
         // reaches both and ships all of `I_1`.
-        let mut masks = Vec::new();
-        gc0.lane_masks(&[gc0.compound_id(0).expect("local")], &mut masks);
-        assert_eq!(masks[y as usize], 0);
-        assert_eq!(shipped_entries(list, &masks), vec![2, 4]);
-        gc0.lane_masks(&[gc0.compound_id(1).expect("local")], &mut masks);
-        assert_eq!(shipped_entries(list, &masks), vec![2, 3, 4]);
+        let (sources, mut passes) = ([component(0), component(1)], 0);
+        sweep_lanes(gc0.dag(), Direction::Forward, &sources, |_, masks| {
+            assert_eq!(masks[y as usize] & 1, 0);
+            assert_eq!(shipped_entries(list, masks, 0), vec![2, 4]);
+            assert_eq!(shipped_entries(list, masks, 1), vec![2, 3, 4]);
+            passes += 1;
+        });
+        assert_eq!(passes, 1);
 
         // A list whose runs do not tile its entries is told apart.
         let mut short = list.clone();

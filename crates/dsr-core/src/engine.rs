@@ -14,9 +14,10 @@
 //!    condensation ([`crate::compound`]) and step 1 is a sweep over it: the
 //!    slave's distinct sources are `u64` lanes, 64 per pass, each seeded at
 //!    its source's component, and one descending pass over the component
-//!    ids ([`CompoundGraph::lane_masks`](crate::CompoundGraph::lane_masks))
-//!    ORs the lanes along the DAG edges. Afterwards the mask at a vertex's
-//!    component says which sources reach it, and attribution reads that
+//!    ids ([`sweep_lanes`] over
+//!    [`CompoundGraph::dag`](crate::CompoundGraph::dag)) ORs the lanes
+//!    along the DAG edges. Afterwards the mask at a vertex's component
+//!    says which sources reach it, and attribution reads that
 //!    mask once per concrete target and, out of the build-time **route
 //!    lists** ([`crate::compound`]), once per forward class and once per
 //!    *run* of in-boundaries that share a component, copying a reached run
@@ -36,9 +37,9 @@
 //!    distinct local targets of the queries that received messages — one
 //!    `u64` lane per target, 64 lanes per pass, each seeded at its target's
 //!    component, and one ascending pass over the component ids
-//!    ([`propagate_lane_masks`], the same pass as step 1 against the
-//!    edges) — which leaves at every component the mask of targets its
-//!    vertices reach inside `G_j`. What the peers sent is translated once,
+//!    ([`sweep_lanes`], the same driver as step 1 against the edges) —
+//!    which leaves at every component the mask of targets its vertices
+//!    reach inside `G_j`. What the peers sent is translated once,
 //!    as it enters: every received `⟨s, classes, entries⟩` becomes a run of
 //!    **seeds** — the local component ids of its classes' representatives,
 //!    read out of the **receive table** that compound graph `j` lays out at
@@ -140,9 +141,8 @@
 
 use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError};
 use dsr_graph::traversal::Direction;
-use dsr_graph::{propagate_lane_masks, VertexId};
+use dsr_graph::{set_lanes, sweep_lanes, VertexId};
 use dsr_partition::PartitionId;
-use dsr_reach::set_lanes;
 
 use crate::index::DsrIndex;
 use crate::protocol::{BatchBuffer, GatherMessage, ScatterMessage, ScatterQuery, SourceMessage};
@@ -252,11 +252,13 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         let ps = self.index.partition_of(source);
         if ps == self.index.partition_of(target) {
             let comp = &self.index.compounds[ps as usize];
-            let source = comp.compound_id(source).expect("source is local");
-            let target = comp.compound_id(target).expect("target is local");
-            let mut masks = Vec::new();
-            comp.lane_masks(&[source], &mut masks);
-            return masks[comp.component_of(target) as usize] != 0;
+            let component = |v| comp.component_of(comp.compound_id(v).expect("v is local"));
+            let (seed, target) = (component(source), component(target) as usize);
+            let mut reached = false;
+            sweep_lanes(comp.dag(), Direction::Forward, &[seed], |_, masks| {
+                reached = masks[target] != 0;
+            });
+            return reached;
         }
         !self.set_reachability(&[source], &[target]).pairs.is_empty()
     }
@@ -416,10 +418,9 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 
     /// Step 1 at slave `i`, fused across every active query and evaluated
     /// on the **condensed** compound graph: the distinct local sources of
-    /// all queries are `u64` lanes, 64 per pass; one
-    /// [`CompoundGraph::lane_masks`](crate::CompoundGraph::lane_masks) call
-    /// per pass — a single descending sweep over the SCC DAG — leaves at
-    /// every component the mask of sources that reach it, and attribution
+    /// all queries are `u64` lanes, 64 per pass; each pass of
+    /// [`sweep_lanes`] — a single descending sweep over the SCC DAG — leaves
+    /// at every component the mask of sources that reach it, and attribution
     /// reads that mask once per routing vertex and per concrete target. No
     /// `(source, vertex)` pair list exists at any point. `queries` is the
     /// scatter payload this slave received, indexed by active-query id.
@@ -516,16 +517,14 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             }
         }
 
-        let mut masks: Vec<u64> = Vec::new();
-        let mut lanes: Vec<VertexId> = Vec::with_capacity(64);
+        let seeds: Vec<u32> = runs.iter().map(|run| comp.component_of(run[0].0)).collect();
         let mut query_lanes = vec![0u64; queries.len()];
         let mut staged: Vec<Vec<(u32, SourceMessage)>> = vec![Vec::new(); k];
-        for pass in runs.chunks(64) {
-            lanes.clear();
-            lanes.extend(pass.iter().map(|run| run[0].0));
-            comp.lane_masks(&lanes, &mut masks);
+        sweep_lanes(comp.dag(), Direction::Forward, &seeds, |pass, masks| {
+            let pass = &runs[pass];
             let reaching = |v: VertexId| masks[comp.component_of(v) as usize];
             let global = |v: VertexId| comp.global_id(v).expect("a concrete vertex");
+            let source = |lane: usize| global(pass[lane][0].0);
 
             // What every lane ships to every remote partition: the classes
             // of the in-virtual vertices it reaches and, where some query
@@ -560,14 +559,14 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             }
             for &(t, a) in &final_targets {
                 for lane in set_lanes(reaching(t) & query_lanes[a as usize]) {
-                    output.final_pairs.push((a, global(lanes[lane]), global(t)));
+                    output.final_pairs.push((a, source(lane), global(t)));
                 }
             }
 
             // The per-destination lists of a source are shared by every
             // query the source belongs to.
             for (lane, run) in pass.iter().enumerate() {
-                let s = global(lanes[lane]);
+                let s = source(lane);
                 for &(_, a) in *run {
                     for j in 0..k {
                         let shipped_entries: &[VertexId] = if wants_entries[a as usize * k + j] {
@@ -588,7 +587,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                     }
                 }
             }
-        }
+        });
 
         for (j, mut messages) in staged.into_iter().enumerate() {
             if messages.is_empty() {
@@ -611,7 +610,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// target side, on the local subgraph's stored condensation**: the
     /// distinct local targets of the queries that received messages are
     /// `u64` lanes, 64 per pass, seeded at their components, and one
-    /// ascending pass over the component ids ([`propagate_lane_masks`])
+    /// ascending pass over the component ids ([`sweep_lanes`])
     /// leaves, at every component, the mask of targets its vertices reach
     /// inside `G_j`. A received [`SourceMessage`] is translated once into
     /// seeds — the local component ids of its classes' representatives, read
@@ -713,6 +712,12 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         wanted.sort_unstable();
         let mut lanes: Vec<VertexId> = wanted.iter().map(|&(t, _)| t).collect();
         lanes.dedup();
+        // A local vertex's compound id is its local id.
+        let local_id = |t| comp.compound_id(t).expect("local targets are represented");
+        let lane_seeds: Vec<u32> = lanes
+            .iter()
+            .map(|&t| local.component_of(local_id(t)))
+            .collect();
 
         let mut results: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); queries.len()];
         let mut interior = vec![0u64; queries.len()];
@@ -721,9 +726,12 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         // Lanes and in-boundaries both ascend: one merge walk across all
         // passes tells which lanes are in-boundaries.
         let mut later_in_boundaries = in_boundaries.as_slice();
-        let mut reaches = vec![0u64; local.dag().num_vertices()];
         let mut at_entry: Vec<u64> = Vec::new();
-        for pass in lanes.chunks(64) {
+        // Per pass, `reaches` at a component holds the lanes whose target
+        // its vertices reach inside `G_j`.
+        let dag = local.dag();
+        sweep_lanes(dag, Direction::Backward, &lane_seeds, |pass, reaches| {
+            let pass = &lanes[pass];
             // Which lanes of this pass each query asked for, split into
             // interior targets (answered through class representatives —
             // exact because forward-equivalent boundaries agree on local
@@ -748,15 +756,6 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 unassigned = &unassigned[askers..];
             }
 
-            // After the ascending pass, the mask at a component holds the
-            // lanes whose target its vertices reach inside `G_j`.
-            // A local vertex's compound id is its local id.
-            reaches.fill(0);
-            for (lane, &t) in pass.iter().enumerate() {
-                let id = comp.compound_id(t).expect("local targets are represented");
-                reaches[local.component_of(id) as usize] |= 1 << lane;
-            }
-            propagate_lane_masks(local.dag(), Direction::Backward, &mut reaches);
             // The mask at every in-boundary, by position in `I_j`: a
             // stretch's entry mask is then one contiguous OR. Read only when
             // some query of the pass asks for in-boundary lanes.
@@ -783,7 +782,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
                 }
                 results[a].extend(set_lanes(hit).map(|lane| (message.source, pass[lane])));
             }
-        }
+        });
 
         let mut gather: GatherMessage = Vec::new();
         for (a, mut pairs) in results.into_iter().enumerate() {

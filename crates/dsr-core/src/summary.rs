@@ -28,7 +28,7 @@
 //! The grouping key of a boundary is a **bit row**: the *lanes* of a
 //! bit-parallel sweep are the distinct components of the boundaries, the
 //! *columns* of a row the distinct components of the key targets. One pass
-//! over the DAG per 64 lanes ([`propagate_lane_masks`]: descending over the
+//! over the DAG per 64 lanes ([`sweep_lanes`]: descending over the
 //! component ids for `Ii`, ascending for `Oi`) leaves a lane mask at every
 //! component; the masks at the columns are transposed
 //! into the lanes' rows. A boundary's row is its component's row, equal rows
@@ -44,9 +44,8 @@
 use std::collections::HashMap;
 
 use dsr_graph::traversal::Direction;
-use dsr_graph::{propagate_lane_masks, InducedSubgraph, VertexId};
+use dsr_graph::{set_lanes, sweep_lanes, InducedSubgraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId};
-use dsr_reach::set_lanes;
 
 /// Summary of one partition, shared with every other slave when building
 /// the compound graphs (see [`crate::protocol`] for its wire codec).
@@ -472,19 +471,13 @@ fn equivalence_classes(
 
     // One pass over the DAG per 64 lanes, transposed into the lanes' rows.
     let mut rows = vec![0u64; lane_components.len() * words];
-    let mut masks = vec![0u64; num_components];
-    for (pass, seeds) in lane_components.chunks(64).enumerate() {
-        masks.fill(0);
-        for (lane, &component) in seeds.iter().enumerate() {
-            masks[component as usize] |= 1 << lane;
-        }
-        propagate_lane_masks(dag, direction, &mut masks);
+    sweep_lanes(dag, direction, &lane_components, |pass, masks| {
         for (column, &component) in columns.iter().enumerate() {
             for lane in set_lanes(masks[component as usize]) {
-                rows[(pass * 64 + lane) * words + column / 64] |= 1 << (column % 64);
+                rows[(pass.start + lane) * words + column / 64] |= 1 << (column % 64);
             }
         }
-    }
+    });
 
     // Equal rows are one class, numbered by first occurrence in boundary
     // order; the boundaries of one component share a lane, hence a class.

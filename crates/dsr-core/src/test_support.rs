@@ -7,9 +7,9 @@ use std::collections::HashMap;
 
 use dsr_cluster::{CommStats, InProcess, Transport, TransportError, WireMessage};
 use dsr_graph::traversal::Direction;
-use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
+use dsr_graph::{set_lanes, sweep_lanes, DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId, Partitioning};
-use dsr_reach::{set_lanes, LocalReachability, MsBfsReachability};
+use dsr_reach::{LocalReachability, MsBfsReachability};
 use dsr_sync::Arc;
 
 use crate::compound::ReceiveTables;
@@ -200,7 +200,7 @@ pub(crate) type Shipped = (Vec<u32>, Vec<VertexId>);
 
 /// Step 1's route scan the way it was written before the build-time route
 /// lists ([`crate::compound`]): per pass of 64 sources one sweep of the
-/// compound condensation, then, per remote partition, one
+/// compound condensation ([`sweep_lanes`]), then, per remote partition, one
 /// `masks[component_of(id)]` read per class vertex and per in-boundary and
 /// one push per set lane. Reads the summaries and the id tables, never the
 /// lists. Kept as the reference `step_one_batch` is compared against:
@@ -214,26 +214,25 @@ pub(crate) fn per_vertex_route_scan(
     let k = index.num_partitions();
     let comp = &index.compounds[i as usize];
     let mut shipped: Vec<Vec<Shipped>> = vec![vec![Shipped::default(); k]; sources.len()];
-    let mut masks = Vec::new();
-    for (pass, globals) in sources.chunks(64).enumerate() {
-        let local = |&s: &VertexId| comp.compound_id(s).expect("a local source");
-        let lanes: Vec<VertexId> = globals.iter().map(local).collect();
-        comp.lane_masks(&lanes, &mut masks);
+    let seed = |&s: &VertexId| comp.component_of(comp.compound_id(s).expect("a local source"));
+    let seeds: Vec<u32> = sources.iter().map(seed).collect();
+    sweep_lanes(comp.dag(), Direction::Forward, &seeds, |pass, masks| {
+        let shipped = &mut shipped[pass];
         let reaching = |id: VertexId| masks[comp.component_of(id) as usize];
         for j in (0..k).filter(|&j| j != i as usize) {
             for (class, id) in comp.forward_virtuals_of(j as PartitionId) {
                 for lane in set_lanes(reaching(id)) {
-                    shipped[pass * 64 + lane][j].0.push(class);
+                    shipped[lane][j].0.push(class);
                 }
             }
             for &b in &index.summaries[j].in_boundaries {
                 let id = comp.compound_id(b).expect("in-boundaries are concrete");
                 for lane in set_lanes(reaching(id)) {
-                    shipped[pass * 64 + lane][j].1.push(b);
+                    shipped[lane][j].1.push(b);
                 }
             }
         }
-    }
+    });
     shipped
 }
 

@@ -36,7 +36,7 @@ pub mod traversal;
 
 pub use builder::GraphBuilder;
 pub use closure::TransitiveClosure;
-pub use condense::{condense, propagate_lane_masks, CondensedGraph};
+pub use condense::{condense, set_lanes, sweep_lanes, CondensedGraph};
 pub use csr::{DiGraph, EdgeIter, NeighborIter};
 pub use scc::{tarjan_scc, SccResult};
 pub use subgraph::{InducedSubgraph, VertexMapping};

@@ -9,7 +9,7 @@
 //! (Section 3.3.1 condenses before querying, Section 3.3.3 ignores same-SCC
 //! edges on update): the component id of every local vertex and the DAG over
 //! those ids. Summaries and step 3 of query evaluation sweep that DAG
-//! ([`crate::propagate_lane_masks`]) instead of the raw subgraph, and the
+//! ([`crate::sweep_lanes`]) instead of the raw subgraph, and the
 //! update pipeline classifies a same-component insertion without a search.
 
 use std::collections::BTreeSet;
@@ -181,8 +181,8 @@ impl InducedSubgraph {
 
     /// The condensation DAG over the SCC ids; every edge leads from a larger
     /// to a smaller id, so one descending (ascending) pass over the ids
-    /// propagates forward (backward) reachability
-    /// ([`crate::propagate_lane_masks`]).
+    /// propagates forward (backward) reachability for 64 sources
+    /// ([`crate::sweep_lanes`]).
     pub fn dag(&self) -> &DiGraph {
         &self.dag
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use dsr_graph::traversal::{bfs_reachable, is_reachable, Direction};
-use dsr_graph::{condense, propagate_lane_masks, tarjan_scc, DiGraph, TransitiveClosure, VertexId};
+use dsr_graph::{condense, sweep_lanes, tarjan_scc, DiGraph, TransitiveClosure, VertexId};
 use proptest::prelude::*;
 
 /// Strategy producing a random directed graph as (num_vertices, edges).
@@ -56,7 +56,7 @@ proptest! {
 
     /// Condensation preserves reachability, and every DAG edge `a → b` has
     /// `a > b` — the order one ascending pass over the components relies on
-    /// (FERRARI's bottom-up interval merge, `propagate_lane_masks`).
+    /// (FERRARI's bottom-up interval merge, `sweep_lanes`).
     #[test]
     fn condensation_preserves_reachability((n, edges) in arb_graph(20, 60)) {
         let g = DiGraph::from_edges(n, &edges);
@@ -77,37 +77,39 @@ proptest! {
         }
     }
 
-    /// One pass of `propagate_lane_masks` over the condensation answers
-    /// what the closure of the graph answers, along and against the edges,
-    /// with one lane and with all 64.
+    /// `sweep_lanes` over the condensation answers what the closure of the
+    /// graph answers, along and against the edges, for no seed, within one
+    /// pass (1, 63 and 64 seeds) and across passes (65 and 130 seeds).
     #[test]
     fn lane_masks_on_the_condensation_match_the_closure((n, edges) in arb_graph(80, 200)) {
         let g = DiGraph::from_edges(n, &edges);
         let c = condense(&g);
         let tc = TransitiveClosure::build(&g);
-        for lanes in [1usize, 64] {
-            // Lane `b` starts at vertex `7 b mod n`: on a small graph several
-            // lanes share a vertex, on any graph several share a component.
-            let seeds: Vec<VertexId> = (0..lanes).map(|b| (7 * b % n) as VertexId).collect();
+        for count in [0usize, 1, 63, 64, 65, 130] {
+            // Seed `i` starts at vertex `7 i mod n`: on a small graph several
+            // seeds share a vertex, on any graph several share a component.
+            let sources: Vec<VertexId> = (0..count).map(|i| (7 * i % n) as VertexId).collect();
+            let seeds: Vec<u32> = sources.iter().map(|&s| c.map(s)).collect();
             for direction in [Direction::Forward, Direction::Backward] {
-                let mut masks = vec![0u64; c.num_vertices()];
-                for (lane, &s) in seeds.iter().enumerate() {
-                    masks[c.map(s) as usize] |= 1 << lane;
-                }
-                propagate_lane_masks(&c.dag, direction, &mut masks);
-                for v in 0..n as VertexId {
-                    for (lane, &s) in seeds.iter().enumerate() {
-                        let expected = match direction {
-                            Direction::Forward => tc.reachable(s, v),
-                            Direction::Backward => tc.reachable(v, s),
-                        };
-                        prop_assert_eq!(
-                            masks[c.map(v) as usize] >> lane & 1 == 1,
-                            expected,
-                            "lane {} from {} at {} ({:?})", lane, s, v, direction
-                        );
+                let mut passes = Vec::new();
+                let mut mismatch = None;
+                sweep_lanes(&c.dag, direction, &seeds, |pass, masks| {
+                    passes.push(pass.clone());
+                    for v in 0..n as VertexId {
+                        for (lane, &s) in sources[pass.clone()].iter().enumerate() {
+                            let expected = match direction {
+                                Direction::Forward => tc.reachable(s, v),
+                                Direction::Backward => tc.reachable(v, s),
+                            };
+                            if (masks[c.map(v) as usize] >> lane & 1 == 1) != expected {
+                                mismatch.get_or_insert((pass.start + lane, s, v));
+                            }
+                        }
                     }
-                }
+                });
+                let tiles = (0..count).step_by(64).map(|start| start..count.min(start + 64));
+                prop_assert_eq!(passes, tiles.collect::<Vec<_>>(), "{:?}", direction);
+                prop_assert_eq!(mismatch, None, "(seed, source, vertex) ({:?})", direction);
             }
         }
     }

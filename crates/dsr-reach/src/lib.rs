@@ -15,8 +15,8 @@
 //!
 //! All three implement the [`LocalReachability`] trait, and [`build_index`]
 //! makes one for a [`LocalIndexKind`]. The DSR engine calls none of them:
-//! it sweeps stored condensations, with [`set_lanes`] reading the lanes of
-//! a mask. Figure 7 times the strategies next to that sweep.
+//! it sweeps stored condensations through [`dsr_graph::sweep_lanes`].
+//! Figure 7 times the strategies next to that sweep.
 
 #![forbid(unsafe_code)]
 
@@ -27,5 +27,5 @@ pub mod traits;
 
 pub use dfs::DfsReachability;
 pub use ferrari::FerrariReachability;
-pub use msbfs::{set_lanes, MsBfsReachability};
+pub use msbfs::MsBfsReachability;
 pub use traits::{build_index, LocalIndexKind, LocalReachability};

@@ -10,7 +10,7 @@
 use dsr_sync::Arc;
 
 use dsr_graph::traversal::Direction;
-use dsr_graph::{DiGraph, VertexId};
+use dsr_graph::{set_lanes, DiGraph, VertexId};
 
 use crate::traits::LocalReachability;
 
@@ -33,8 +33,8 @@ impl MsBfsReachability {
 /// With [`Direction::Backward`] and the seeds being *targets*, the mask of
 /// a vertex is therefore the set of targets that vertex reaches. This is
 /// the MS-BFS over a raw graph that Figure 7 compares; the DSR engine asks
-/// the same question of a stored condensation, where it is one pass
-/// ([`dsr_graph::propagate_lane_masks`]).
+/// the same question of a stored condensation, where it is one pass per 64
+/// seeds ([`dsr_graph::sweep_lanes`]).
 ///
 /// Callers that sweep the same graph several times in a row keep one
 /// [`LaneSweep`] instead.
@@ -42,17 +42,6 @@ pub(crate) fn lane_sweep(graph: &DiGraph, seeds: &[VertexId], direction: Directi
     let mut sweep = LaneSweep::new(graph.num_vertices());
     sweep.run(graph, seeds, direction);
     sweep.seen
-}
-
-/// The lanes set in `mask` (the positions of its one bits), ascending.
-pub fn set_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            lane
-        })
-    })
 }
 
 /// Caller-owned scratch of [`lane_sweep`]: the per-vertex masks and the

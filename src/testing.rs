@@ -7,8 +7,8 @@
 //! once from messages moved in process, once from messages that were
 //! encoded and decoded by the [`WireTransport`], and once from frames that
 //! crossed a loopback [`TcpTransport`] cluster: self-hosted worker
-//! endpoints on real `127.0.0.1` sockets, every frame taking the master →
-//! worker → worker → master route.
+//! endpoints on real `127.0.0.1` sockets, every frame echoed master →
+//! worker → master.
 
 use dsr_cluster::{DynTransport, InProcess, TcpTransport, WireTransport};
 
