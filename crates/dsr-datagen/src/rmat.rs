@@ -22,6 +22,7 @@ pub fn rmat(scale: u32, num_edges: usize, a: f64, b: f64, c: f64, seed: u64) -> 
         a > 0.0 && b >= 0.0 && c >= 0.0 && a + b + c < 1.0,
         "invalid quadrant probabilities"
     );
+    assert!(b + c > 0.0, "b + c == 0 makes every edge a self-loop");
     let n = 1usize << scale;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(num_edges);
@@ -93,5 +94,11 @@ mod tests {
     #[should_panic(expected = "invalid quadrant")]
     fn invalid_probabilities_panic() {
         rmat(4, 10, 0.6, 0.3, 0.2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "every edge a self-loop")]
+    fn diagonal_only_probabilities_panic() {
+        rmat(4, 10, 0.5, 0.0, 0.0, 1);
     }
 }

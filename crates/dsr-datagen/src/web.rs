@@ -28,6 +28,10 @@ pub fn web_graph(
     assert!(num_vertices > 1, "need at least two vertices");
     assert!(host_size >= 1);
     assert!((0.0..=1.0).contains(&intra_host_fraction));
+    assert!(
+        host_size > 1 || intra_host_fraction < 1.0,
+        "one-page hosts with intra_host_fraction 1.0 make every edge a self-loop"
+    );
     let mut rng = SmallRng::seed_from_u64(seed);
     let num_edges = (num_vertices as f64 * avg_degree) as usize;
     let num_hosts = num_vertices.div_ceil(host_size).max(1);
@@ -101,5 +105,11 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn too_small_panics() {
         web_graph(1, 2.0, 5, 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "every edge a self-loop")]
+    fn one_page_hosts_without_cross_host_edges_panic() {
+        web_graph(10, 2.0, 1, 1.0, 0);
     }
 }

@@ -5,6 +5,11 @@
 //! vertices from all datasets … thus resulting in 100 reachability
 //! comparisons", Section 4.1). [`QueryWorkload`] reproduces that setup with
 //! configurable sizes (10×10 up to 10k×10k for Figure 5(d)(h)(l)(p)).
+//! Each side is drawn with Floyd's algorithm and then shuffled: `2k − 1`
+//! draws for `k` vertices and no buffer of all `n`, so a query costs the
+//! same on a graph of a thousand vertices as on one of a million, while
+//! each side stays a uniformly random ordered sample (distributed like the
+//! prefix of a full shuffle of all vertices).
 //!
 //! For the serving-layer experiments, [`query_stream`] generates whole
 //! *query streams*: a pool of distinct queries with Zipf-skewed popularity
@@ -18,7 +23,7 @@ use std::time::Duration;
 use dsr_graph::{DiGraph, VertexId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// A set-reachability query: source set `S` and target set `T`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +50,12 @@ impl QueryWorkload {
 /// Draws a random set-reachability query with `num_sources` distinct sources
 /// and `num_targets` distinct targets (source and target sets may overlap,
 /// as in the paper).
+///
+/// Each side is a uniformly random *ordered* sample of distinct vertices,
+/// distributed like the prefix of a full shuffle of `0..n`, and costs
+/// `2k − 1` draws for `k ≥ 1` vertices whatever `n` is (see
+/// `sample_distinct`). Sources are drawn before targets from one generator
+/// seeded with `seed`.
 pub fn random_query(
     graph: &DiGraph,
     num_sources: usize,
@@ -58,12 +69,26 @@ pub fn random_query(
         "query larger than the graph"
     );
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut vertices: Vec<VertexId> = (0..n as VertexId).collect();
-    vertices.shuffle(&mut rng);
-    let sources = vertices[..num_sources].to_vec();
-    vertices.shuffle(&mut rng);
-    let targets = vertices[..num_targets].to_vec();
+    let sources = sample_distinct(n, num_sources, &mut rng);
+    let targets = sample_distinct(n, num_targets, &mut rng);
     QueryWorkload { sources, targets }
+}
+
+/// Draws `k ≤ n` distinct vertices of `0..n` as a uniformly random ordered
+/// sample: Floyd's algorithm picks a uniform `k`-subset in `k` draws (for
+/// each `j` in `n − k..n` draw `t` in `0..=j` and keep `t`, or `j` if `t`
+/// was already picked), and a shuffle of the picks (`k − 1` draws) makes
+/// every order equally likely. No buffer of all `n` vertices is built; the
+/// already-picked test is a linear scan of the picks, which is `O(k²)`
+/// compares and cheap for query sides of up to a few thousand vertices.
+fn sample_distinct<R: RngCore + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<VertexId> {
+    let mut picks: Vec<VertexId> = Vec::with_capacity(k);
+    for j in (n - k)..n {
+        let t = rng.gen_range(0..=j) as VertexId;
+        picks.push(if picks.contains(&t) { j as VertexId } else { t });
+    }
+    picks.shuffle(rng);
+    picks
 }
 
 /// Draws a batch of queries with distinct seeds (used when experiments
@@ -344,6 +369,105 @@ mod tests {
         assert!(qs
             .iter()
             .all(|q| q.sources.len() == 3 && q.targets.len() == 4));
+    }
+
+    /// A generator that counts the 64-bit words it hands out.
+    struct Counting {
+        inner: SmallRng,
+        draws: usize,
+    }
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    /// Runs `sample_distinct(n, k)` and returns the picks and the draws.
+    fn counted_sample(n: usize, k: usize, seed: u64) -> (Vec<VertexId>, usize) {
+        let mut rng = Counting {
+            inner: SmallRng::seed_from_u64(seed),
+            draws: 0,
+        };
+        let picks = sample_distinct(n, k, &mut rng);
+        (picks, rng.draws)
+    }
+
+    fn is_distinct(side: &[VertexId]) -> bool {
+        let mut sorted = side.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).all(|w| w[0] != w[1])
+    }
+
+    #[test]
+    fn sampler_draws_do_not_depend_on_n() {
+        let n = 1 << 20;
+        for k in [1, 10, 200] {
+            for seed in 0..4 {
+                let (picks, draws) = counted_sample(n, k, seed);
+                assert_eq!(draws, 2 * k - 1, "k = {k}, seed {seed}");
+                assert_eq!(picks.len(), k);
+                assert!(is_distinct(&picks), "k = {k}, seed {seed}: {picks:?}");
+                assert!(picks.iter().all(|&v| (v as usize) < n));
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_edge_cases() {
+        assert_eq!(counted_sample(1 << 20, 0, 1), (vec![], 0));
+        assert_eq!(counted_sample(1, 0, 1), (vec![], 0));
+        assert_eq!(counted_sample(1, 1, 1), (vec![0], 1));
+        for n in [2, 7, 50] {
+            let (mut picks, draws) = counted_sample(n, n, 3);
+            assert_eq!(draws, 2 * n - 1);
+            picks.sort_unstable();
+            assert!(picks.into_iter().eq(0..n as VertexId), "k = n = {n}");
+        }
+    }
+
+    #[test]
+    fn sampler_is_uniform_over_vertices_and_first_positions() {
+        // 20 000 queries of 10 × 10 over 50 vertices: each vertex is on a
+        // side k/n = 1/5 of the time (4 000 expected, σ ≈ 57) and first on a
+        // side 1/n of the time (400 expected, σ ≈ 20). The bands, ±8 % and
+        // ±25 %, are five σ wide; a sampler that skipped the shuffle of its
+        // picks would never put vertices 41 to 49 first.
+        let (n, k, seeds) = (50usize, 10usize, 20_000u64);
+        let g = DiGraph::empty(n);
+        let mut on_side = [vec![0usize; n], vec![0usize; n]];
+        let mut first = [vec![0usize; n], vec![0usize; n]];
+        for seed in 0..seeds {
+            let q = random_query(&g, k, k, seed);
+            for (side, picks) in [&q.sources, &q.targets].into_iter().enumerate() {
+                assert_eq!(picks.len(), k);
+                assert!(
+                    is_distinct(picks),
+                    "seed {seed} repeats a vertex: {picks:?}"
+                );
+                first[side][picks[0] as usize] += 1;
+                for &v in picks {
+                    on_side[side][v as usize] += 1;
+                }
+            }
+        }
+        let frequency = k as f64 / n as f64;
+        for side in 0..2 {
+            for v in 0..n {
+                let seen = on_side[side][v] as f64 / seeds as f64;
+                assert!(
+                    (seen - frequency).abs() <= 0.08 * frequency,
+                    "side {side}, vertex {v}: frequency {seen}, want {frequency} ± 8 %"
+                );
+                let seen_first = first[side][v] as f64 / seeds as f64;
+                let want_first = 1.0 / n as f64;
+                assert!(
+                    (seen_first - want_first).abs() <= 0.25 * want_first,
+                    "side {side}, vertex {v} first: {seen_first}, want {want_first} ± 25 %"
+                );
+            }
+        }
     }
 
     #[test]
