@@ -49,6 +49,15 @@ pub fn social_network(
 ) -> SocialGraph {
     assert!(num_vertices >= num_communities && num_communities > 0);
     assert!((0.0..=1.0).contains(&intra_fraction));
+    let num_edges = (num_vertices as f64 * avg_degree) as usize;
+    assert!(
+        num_edges == 0 || num_vertices > 1,
+        "a single vertex makes every edge a self-loop"
+    );
+    assert!(
+        num_edges == 0 || num_communities < num_vertices || intra_fraction < 1.0,
+        "one-member communities with intra_fraction 1.0 make every edge a self-loop"
+    );
     let mut rng = SmallRng::seed_from_u64(seed);
     let community: Vec<u32> = (0..num_vertices)
         .map(|v| (v % num_communities) as u32)
@@ -59,7 +68,6 @@ pub fn social_network(
         members[c as usize].push(v as VertexId);
     }
 
-    let num_edges = (num_vertices as f64 * avg_degree) as usize;
     let mut edges = Vec::with_capacity(num_edges);
     while edges.len() < num_edges {
         let u = rng.gen_range(0..num_vertices);
@@ -121,5 +129,17 @@ mod tests {
     #[should_panic]
     fn invalid_parameters_panic() {
         social_network(3, 5, 2.0, 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "single vertex makes every edge a self-loop")]
+    fn single_vertex_with_edges_panics() {
+        social_network(1, 1, 2.0, 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one-member communities with intra_fraction 1.0")]
+    fn one_member_communities_without_cross_community_edges_panic() {
+        social_network(5, 5, 2.0, 1.0, 1);
     }
 }

@@ -15,6 +15,23 @@
 //!    Fiduccia–Mattheyses style vertex moves under a balance constraint.
 //!
 //! The partitioner is deterministic for a fixed seed.
+//!
+//! Every level is a CSR [`WeightedGraph`]: one offsets array and one flat
+//! `(neighbour, weight)` array, built without sorting (see
+//! [`mod@coarsen`]). The refinement sweeps visit only the boundary vertices
+//! that could move, keeping each vertex's cut weight up to date as vertices
+//! move (see [`mod@refine`]), so a pass costs the rows of those vertices,
+//! not of the whole level.
+//!
+//! The assignment returned for a seed depends on the RNG draws and on four
+//! orders, which every rewrite of the internals must keep
+//! (`tests/partition_pinned.rs` pins the result):
+//!
+//! 1. rows ascend by neighbour id;
+//! 2. the matching takes the first heaviest edge in row order;
+//! 3. among equal gains, the sweep picks the part the vertex's neighbours
+//!    name first;
+//! 4. vertices are visited in id order.
 
 pub mod coarsen;
 pub mod initial;
@@ -131,6 +148,34 @@ fn allowed_weight(total_weight: u64, k: usize, imbalance: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::hash::HashPartitioner;
+    use dsr_graph::VertexId;
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+
+    /// A seeded random multigraph for the differential tests of
+    /// [`mod@coarsen`] and [`mod@refine`]: parallel edges in both
+    /// directions, self-loops, and isolated vertices spread among the
+    /// others.
+    pub(super) fn random_graph(seed: u64) -> DiGraph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let active = rng.gen_range(1..=120usize);
+        let n = active + rng.gen_range(0..=10usize);
+        let mut ids: Vec<VertexId> = (0..n as VertexId).collect();
+        ids.shuffle(&mut rng);
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(0..=4 * active) {
+            let u = ids[rng.gen_range(0..active)];
+            let v = ids[rng.gen_range(0..active)];
+            edges.push((u, v));
+            match rng.gen_range(0..6) {
+                0 => edges.push((u, v)),
+                1 => edges.push((v, u)),
+                2 => edges.push((u, u)),
+                _ => {}
+            }
+        }
+        DiGraph::from_edges(n, &edges)
+    }
 
     /// Two dense clusters joined by a single edge: the multilevel partitioner
     /// must find the obvious 2-way split.
