@@ -41,7 +41,7 @@ use dsr_community::CommunityWorkload;
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_graph::{DiGraph, TransitiveClosure, VertexId};
 use dsr_rdf::{lubm_like_store, RdfWorkload};
-use dsr_service::{checksum_pairs, QueryService, ServiceConfig, UpdateMode, Workload, WorkloadRun};
+use dsr_service::{checksum_pairs, QueryService, ServiceConfig, UpdateMode, WorkloadRun};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -7,7 +7,7 @@
 use std::io::{ErrorKind, Read};
 
 use crate::error::TransportError;
-use crate::wire;
+use crate::wire::Sink;
 
 /// Hard upper bound on a single frame's announced length. A corrupt stream
 /// (or a peer that is not speaking the protocol) is rejected before the
@@ -91,7 +91,7 @@ pub(crate) fn copy_frame(reader: &mut impl Read, out: &mut Vec<u8>) -> Result<()
         return Err(FrameIoError::Oversized(len));
     }
     let start = out.len();
-    wire::put_varint(out, len);
+    out.put_varint(len);
     match reader.by_ref().take(len).read_to_end(out) {
         Ok(copied) if copied as u64 == len => Ok(()),
         short => {
@@ -106,7 +106,7 @@ pub(crate) fn copy_frame(reader: &mut impl Read, out: &mut Vec<u8>) -> Result<()
 
 /// Appends a varint-length-prefixed frame to `buf`.
 pub(crate) fn put_frame(buf: &mut Vec<u8>, frame: &[u8]) {
-    wire::put_varint(buf, frame.len() as u64);
+    buf.put_varint(frame.len() as u64);
     buf.extend_from_slice(frame);
 }
 
@@ -130,7 +130,7 @@ mod tests {
         // Length prefix announces 5 bytes, stream holds 2: an error, not a
         // panic and not a hang.
         let mut buf = Vec::new();
-        wire::put_varint(&mut buf, 5);
+        buf.put_varint(5);
         buf.extend_from_slice(b"ab");
         let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
         assert!(matches!(err, FrameIoError::Io(ref e)
@@ -150,7 +150,7 @@ mod tests {
         // alone — if the guard were missing this test would try (and fail)
         // to allocate the buffer.
         let mut buf = Vec::new();
-        wire::put_varint(&mut buf, 1 << 40);
+        buf.put_varint(1 << 40);
         let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
         match err {
             FrameIoError::Oversized(announced) => assert_eq!(announced, 1 << 40),
@@ -188,11 +188,11 @@ mod tests {
         assert_eq!(out[4..], stream[..]);
 
         let mut short = Vec::new();
-        wire::put_varint(&mut short, 5);
+        short.put_varint(5);
         short.extend_from_slice(b"ab");
         let oversized = {
             let mut prefix = Vec::new();
-            wire::put_varint(&mut prefix, MAX_FRAME_LEN + 1);
+            prefix.put_varint(MAX_FRAME_LEN + 1);
             prefix
         };
         for (input, expected) in [

@@ -15,12 +15,13 @@
 //! [`Transport`]:
 //!
 //! * [`InProcess`] moves owned values between in-process buffers (zero
-//!   copies) while [`CommStats`] accounts their exact wire size through
-//!   [`MessageSize`];
+//!   copies) while [`CommStats`] counts their wire size with
+//!   [`Wire::byte_size`] — the encoder run into a counter instead of a
+//!   buffer;
 //! * [`WireTransport`] serializes every message into the compact byte
 //!   format of [`wire`] (varint ids, delta-encoded sorted runs), delivers
-//!   what decodes from those bytes, and records the measured byte count —
-//!   no pipes, no threads;
+//!   what decodes from those bytes, and records their length — no pipes,
+//!   no threads; it shares each collective's body with [`InProcess`];
 //! * [`TcpTransport`] moves the same frames through
 //!   **worker endpoints over TCP sockets** — self-hosted loopback workers
 //!   or external worker processes described by a [`ClusterSpec`] — with a
@@ -29,8 +30,9 @@
 //!   typed [`TransportError`] naming that worker (never a panic or a
 //!   hang), and the next collective reconnects.
 //!
-//! All backends produce identical payloads and identical statistics (the
-//! size accounting is debug-asserted against the codec on every message),
+//! All backends produce identical payloads and identical statistics (one
+//! encoder defines both the bytes and the count, and the two sinks are
+//! checked against each other on every message in debug builds),
 //! so round counts, message counts and byte volumes are faithful to the
 //! algorithms being simulated — the quantities behind the
 //! communication-cost plots of Figure 5 (b)(f)(j)(n) and Figure 8. The
@@ -45,7 +47,6 @@
 
 pub mod error;
 mod frame;
-pub mod message;
 pub mod pool;
 pub mod stats;
 pub mod tcp;
@@ -54,10 +55,9 @@ pub mod wire;
 pub mod worker;
 
 pub use error::TransportError;
-pub use message::MessageSize;
 pub use pool::{global_pool, SlavePool};
 pub use stats::{BatchStats, CacheStats, CommStats, UpdateStats};
 pub use tcp::{ClusterSpec, TcpTransport};
 pub use transport::{DynTransport, InProcess, Topology, Transport, WireMessage, WireTransport};
-pub use wire::{Wire, WireError, WireReader};
+pub use wire::{Sink, Wire, WireError, WireReader};
 pub use worker::run_on_slaves;

@@ -320,12 +320,7 @@ impl TcpTransport {
             })
             .collect();
         for (node, message) in &messages {
-            let encoded = wire::encode_to_vec(message);
-            debug_assert_eq!(
-                encoded.len(),
-                message.byte_size(),
-                "MessageSize::byte_size drifted from the wire encoding"
-            );
+            let encoded = wire::encode_checked(message);
             stats.record_message(encoded.len());
             // A worker would refuse the frame, and the reply could not
             // carry it back.

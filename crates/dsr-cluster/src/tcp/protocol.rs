@@ -11,7 +11,7 @@ use std::io::Read;
 
 use crate::error::TransportError;
 use crate::frame::{copy_frame, read_varint, FrameIoError};
-use crate::wire::put_varint;
+use crate::wire::Sink;
 
 /// Connection magic: four bytes every hello and ack start with.
 pub const MAGIC: [u8; 4] = *b"DSRT";
@@ -30,7 +30,7 @@ pub(super) const OP_SHUTDOWN: u64 = 4;
 /// answers it with.
 pub(super) fn preamble() -> Vec<u8> {
     let mut buf = MAGIC.to_vec();
-    put_varint(&mut buf, PROTOCOL_VERSION);
+    buf.put_varint(PROTOCOL_VERSION);
     buf
 }
 
@@ -66,8 +66,8 @@ fn handshake(peer: &str, reason: String) -> TransportError {
 
 /// Appends the head of an echo op of `frames` frames; the frames follow.
 pub(super) fn put_echo_header(op: &mut Vec<u8>, frames: usize) {
-    put_varint(op, OP_ECHO);
-    put_varint(op, frames as u64);
+    op.put_varint(OP_ECHO);
+    op.put_varint(frames as u64);
 }
 
 /// Reads the rest of an echo op, its opcode already read: the frame count,
@@ -98,7 +98,7 @@ mod tests {
     /// An echo op of `frames` without its opcode, as `read_echo_op` reads it.
     fn echo_body(frames: &[&[u8]]) -> Vec<u8> {
         let mut op = Vec::new();
-        put_varint(&mut op, frames.len() as u64);
+        op.put_varint(frames.len() as u64);
         frames.iter().for_each(|frame| put_frame(&mut op, frame));
         op
     }
@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn an_echo_op_beyond_the_bounds_is_refused_before_allocating() {
         let mut op = Vec::new();
-        put_varint(&mut op, 1 << 40);
+        op.put_varint(1 << 40);
         let head = op.len();
         FRAMES[..2]
             .iter()
@@ -164,8 +164,8 @@ mod tests {
         assert_eq!(reply, op[head..], "the two frames that arrived");
 
         let mut op = Vec::new();
-        put_varint(&mut op, 1);
-        put_varint(&mut op, 1 << 40);
+        op.put_varint(1);
+        op.put_varint(1 << 40);
         let err = read_echo_op(&mut Cursor::new(&op), &mut Vec::new()).expect_err("oversized");
         assert!(
             matches!(err, FrameIoError::Oversized(n) if n == 1 << 40),
@@ -174,8 +174,8 @@ mod tests {
 
         // At the bound: read, not refused (here cut short after the prefix).
         let mut op = Vec::new();
-        put_varint(&mut op, 1);
-        put_varint(&mut op, MAX_FRAME_LEN);
+        op.put_varint(1);
+        op.put_varint(MAX_FRAME_LEN);
         let err = read_echo_op(&mut Cursor::new(&op), &mut Vec::new()).expect_err("short");
         assert!(matches!(err, FrameIoError::Io(_)), "{err:?}");
     }

@@ -10,11 +10,9 @@ use super::master::{connect_link, WorkerLink};
 use super::protocol::{preamble, read_preamble};
 use super::*;
 use crate::error::TransportError;
-use crate::message::MessageSize;
 use crate::stats::CommStats;
 use crate::transport::{InProcess, Transport};
-use crate::wire::put_varint;
-use crate::wire::{Wire, WireError, WireReader};
+use crate::wire::{Sink, Wire, WireError, WireReader};
 
 // ---------------------------------------------------------------------------
 // master
@@ -90,8 +88,8 @@ fn connecting_to_a_dead_address_is_a_typed_error() {
 struct Picky(u32);
 
 impl Wire for Picky {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.0.encode_into(buf);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        self.0.encode_into(sink);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -99,12 +97,6 @@ impl Wire for Picky {
             13 => Err(WireError::Invalid("picky test message")),
             value => Ok(Picky(value)),
         }
-    }
-}
-
-impl MessageSize for Picky {
-    fn byte_size(&self) -> usize {
-        self.0.byte_size()
     }
 }
 
@@ -197,19 +189,13 @@ struct Witness(u32);
 static DECODED_ON: Mutex<Vec<dsr_sync::thread::ThreadId>> = Mutex::new(Vec::new());
 
 impl Wire for Witness {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.0.encode_into(buf);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        self.0.encode_into(sink);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
         dsr_sync::lock(&DECODED_ON).push(dsr_sync::thread::current().id());
         reader.varint_u32().map(Witness)
-    }
-}
-
-impl MessageSize for Witness {
-    fn byte_size(&self) -> usize {
-        self.0.byte_size()
     }
 }
 
@@ -440,7 +426,7 @@ fn an_echo_op_beyond_the_bounds_ends_the_session_unanswered() {
     let echo_op = |frames: u64, first_len: u64| {
         let mut op = Vec::new();
         for value in [1, frames, first_len] {
-            put_varint(&mut op, value);
+            op.put_varint(value);
         }
         op
     };
@@ -478,10 +464,12 @@ impl Pattern {
 }
 
 impl Wire for Pattern {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.tag.encode_into(buf);
-        self.len.encode_into(buf);
-        buf.extend((0..self.len).map(|at| self.byte(at)));
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        self.tag.encode_into(sink);
+        self.len.encode_into(sink);
+        for at in 0..self.len {
+            sink.put_u8(self.byte(at));
+        }
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -495,12 +483,6 @@ impl Wire for Pattern {
             }
         }
         Ok(pattern)
-    }
-}
-
-impl MessageSize for Pattern {
-    fn byte_size(&self) -> usize {
-        self.tag.byte_size() + self.len.byte_size() + self.len as usize
     }
 }
 

@@ -3,36 +3,33 @@
 //!
 //! The engine's 3-round protocol (query scatter, one all-to-all data
 //! exchange, result gather) is written against the [`Transport`] trait and
-//! works with two backends:
+//! works with three backends:
 //!
 //! * [`InProcess`] — the default: messages are **moved** between in-process
-//!   buffers (zero copies, zero serialization) and their size is accounted
-//!   through [`MessageSize`]. This preserves the historical simulated-network
-//!   semantics.
+//!   buffers (zero copies, zero serialization) and counted by
+//!   [`Wire::byte_size`], the encoder run into a counter.
 //! * [`WireTransport`] — every cross-node message is encoded into the
 //!   compact byte format of [`crate::wire`] (varint ids, delta-encoded
 //!   sorted runs) and what **decodes from those bytes** is delivered, never
-//!   the value that was sent. [`CommStats`] records the measured length of
-//!   the encoding, so communication volume is not an estimate, and a type
-//!   that cannot survive an encode/decode round trip fails with a typed
-//!   [`TransportError::Wire`] instead of silently working because the value
-//!   never left the process. No thread, pipe or socket is involved: the
-//!   stream framing lives in [`crate::tcp`] alone.
+//!   the value that was sent. [`CommStats`] records the length of the
+//!   encoding, and a type that cannot survive an encode/decode round trip
+//!   fails with a typed [`TransportError::Wire`] instead of silently
+//!   working because the value never left the process. No thread, pipe or
+//!   socket is involved: the stream framing lives in [`crate::tcp`] alone.
+//! * [`TcpTransport`] moves the same collectives through **worker
+//!   endpoints over TCP sockets** — either self-hosted loopback workers or
+//!   external worker processes; see [`crate::tcp`].
 //!
-//! Both backends debug-assert that `MessageSize::byte_size` equals the
-//! encoded length of every message they count, which keeps the two sets of
-//! statistics byte-identical.
+//! The first two share one body for each collective and differ only in how
+//! one cross-node message is delivered (moved, or encoded and decoded) and
+//! counted; both counts are the encoder's, so the two sets of statistics
+//! are byte-identical.
 //!
 //! The all-to-all exchange takes **sparse per-destination send lists**
 //! (`outgoing[src]` = list of `(dst, message)`), not the dense
 //! `num_nodes × num_nodes` `Option` matrix of the historical `Network`
 //! type: a k-partition query that only ships data between a few slave pairs
 //! allocates proportional to the messages it sends, not to `k²`.
-//!
-//! A third backend, [`TcpTransport`], moves the
-//! same collectives through **worker endpoints over TCP sockets** — either
-//! self-hosted loopback workers or external worker processes; see
-//! [`crate::tcp`].
 //!
 //! Collectives return `Result`: the in-process backend always returns
 //! `Ok` and the wire backend fails only on a codec that rejects its own
@@ -45,7 +42,6 @@
 //! names the backend by building its variant.
 
 use crate::error::TransportError;
-use crate::message::MessageSize;
 use crate::stats::CommStats;
 use crate::tcp::TcpTransport;
 use crate::wire::{self, Wire};
@@ -67,11 +63,12 @@ impl Topology {
     }
 }
 
-/// Everything a message needs to cross a [`Transport`]: a wire codec, an
-/// exact size, and the ability to move between threads.
-pub trait WireMessage: Wire + MessageSize + Send {}
+/// Everything a message needs to cross a [`Transport`]: a wire codec (which
+/// also says what the message costs) and the ability to move between
+/// threads.
+pub trait WireMessage: Wire + Send {}
 
-impl<T: Wire + MessageSize + Send> WireMessage for T {}
+impl<T: Wire + Send> WireMessage for T {}
 
 /// A communication substrate for the master/slaves cluster.
 ///
@@ -189,26 +186,72 @@ impl<T: Transport + ?Sized> Transport for &T {
     }
 }
 
-/// Debug-time drift check of the in-process backend: `byte_size` must equal
-/// the encoded length of every message, so an estimate that drifts from the
-/// codec fails the test suite instead of skewing the reported volumes.
-fn debug_assert_exact_size<M: WireMessage>(message: &M) {
+// ---------------------------------------------------------------------------
+// The two in-process backends: one body per collective.
+// ---------------------------------------------------------------------------
+
+/// [`InProcess`]'s delivery of one cross-node message: moved as it is and
+/// counted by [`Wire::byte_size`] (checked against the encoding in debug
+/// builds).
+fn moved<M: WireMessage>(message: M, stats: &CommStats) -> Result<M, TransportError> {
     if cfg!(debug_assertions) {
-        let encoded = wire::encode_to_vec(message);
-        assert_eq!(
-            encoded.len(),
-            message.byte_size(),
-            "MessageSize::byte_size drifted from the wire encoding"
-        );
+        wire::encode_checked(&message);
     }
+    stats.record_message(message.byte_size());
+    Ok(message)
 }
 
-// ---------------------------------------------------------------------------
-// In-process backend.
-// ---------------------------------------------------------------------------
+/// [`WireTransport`]'s delivery of one cross-node message: encoded, counted
+/// by the length of the bytes, and what they decode to is delivered.
+fn decoded<M: WireMessage>(message: M, stats: &CommStats) -> Result<M, TransportError> {
+    let encoded = wire::encode_checked(&message);
+    stats.record_message(encoded.len());
+    Ok(wire::decode_exact(&encoded)?)
+}
+
+/// Scatter and gather alike: one round, one delivered message per slave,
+/// in slave order.
+fn deliver_each<M: WireMessage>(
+    messages: Vec<M>,
+    stats: &CommStats,
+    deliver: impl Fn(M, &CommStats) -> Result<M, TransportError>,
+) -> Result<Vec<M>, TransportError> {
+    stats.record_round();
+    messages
+        .into_iter()
+        .map(|message| deliver(message, stats))
+        .collect()
+}
+
+/// The all-to-all exchange: one round, one delivered message per cross-node
+/// send; a self-send is moved and not counted.
+fn exchange<M: WireMessage>(
+    num_nodes: usize,
+    outgoing: Vec<Vec<(usize, M)>>,
+    stats: &CommStats,
+    deliver: impl Fn(M, &CommStats) -> Result<M, TransportError>,
+) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
+    assert_eq!(outgoing.len(), num_nodes, "one send list per node");
+    stats.record_round();
+    let mut incoming: Vec<Vec<(usize, M)>> = (0..num_nodes).map(|_| Vec::new()).collect();
+    // Iterating sources in ascending order keeps each destination's inbox
+    // sorted by source without an explicit sort.
+    for (src, sends) in outgoing.into_iter().enumerate() {
+        for (dst, message) in sends {
+            assert!(dst < num_nodes, "destination {dst} out of range");
+            let delivered = if src == dst {
+                message
+            } else {
+                deliver(message, stats)?
+            };
+            incoming[dst].push((src, delivered));
+        }
+    }
+    Ok(incoming)
+}
 
 /// Zero-copy in-process backend: messages are moved, never serialized;
-/// sizes come from [`MessageSize`]. The default transport.
+/// sizes come from [`Wire::byte_size`]. The default transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InProcess;
 
@@ -226,12 +269,7 @@ impl Transport for InProcess {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        stats.record_round();
-        for message in &messages {
-            debug_assert_exact_size(message);
-            stats.record_message(message.byte_size());
-        }
-        Ok(messages)
+        deliver_each(messages, stats, moved)
     }
 
     fn gather<M: WireMessage>(
@@ -239,12 +277,7 @@ impl Transport for InProcess {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        stats.record_round();
-        for message in &messages {
-            debug_assert_exact_size(message);
-            stats.record_message(message.byte_size());
-        }
-        Ok(messages)
+        deliver_each(messages, stats, moved)
     }
 
     fn all_to_all<M: WireMessage>(
@@ -253,28 +286,9 @@ impl Transport for InProcess {
         outgoing: Vec<Vec<(usize, M)>>,
         stats: &CommStats,
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
-        assert_eq!(outgoing.len(), num_nodes, "one send list per node");
-        stats.record_round();
-        let mut incoming: Vec<Vec<(usize, M)>> = (0..num_nodes).map(|_| Vec::new()).collect();
-        // Iterating sources in ascending order keeps each destination's
-        // inbox sorted by source without an explicit sort.
-        for (src, sends) in outgoing.into_iter().enumerate() {
-            for (dst, message) in sends {
-                assert!(dst < num_nodes, "destination {dst} out of range");
-                if src != dst {
-                    debug_assert_exact_size(&message);
-                    stats.record_message(message.byte_size());
-                }
-                incoming[dst].push((src, message));
-            }
-        }
-        Ok(incoming)
+        exchange(num_nodes, outgoing, stats, moved)
     }
 }
-
-// ---------------------------------------------------------------------------
-// Wire backend.
-// ---------------------------------------------------------------------------
 
 /// Serialized-bytes backend: every cross-node message is wire-encoded into
 /// a buffer and the value decoded from that buffer is what gets delivered.
@@ -289,32 +303,6 @@ impl WireTransport {
     pub fn new() -> Self {
         WireTransport
     }
-
-    /// Sends one message across the "wire": encode, record the measured
-    /// length, deliver what the bytes decode to.
-    fn ship<M: WireMessage>(message: M, stats: &CommStats) -> Result<M, TransportError> {
-        let encoded = wire::encode_to_vec(&message);
-        debug_assert_eq!(
-            encoded.len(),
-            message.byte_size(),
-            "MessageSize::byte_size drifted from the wire encoding"
-        );
-        stats.record_message(encoded.len());
-        Ok(wire::decode_exact(&encoded)?)
-    }
-
-    /// Scatter and gather alike: one round, one shipped message per slave,
-    /// delivered in slave order.
-    fn ship_each<M: WireMessage>(
-        messages: Vec<M>,
-        stats: &CommStats,
-    ) -> Result<Vec<M>, TransportError> {
-        stats.record_round();
-        messages
-            .into_iter()
-            .map(|message| Self::ship(message, stats))
-            .collect()
-    }
 }
 
 impl Transport for WireTransport {
@@ -327,7 +315,7 @@ impl Transport for WireTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        Self::ship_each(messages, stats)
+        deliver_each(messages, stats, decoded)
     }
 
     fn gather<M: WireMessage>(
@@ -335,7 +323,7 @@ impl Transport for WireTransport {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        Self::ship_each(messages, stats)
+        deliver_each(messages, stats, decoded)
     }
 
     fn all_to_all<M: WireMessage>(
@@ -344,23 +332,7 @@ impl Transport for WireTransport {
         outgoing: Vec<Vec<(usize, M)>>,
         stats: &CommStats,
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
-        assert_eq!(outgoing.len(), num_nodes, "one send list per node");
-        stats.record_round();
-        let mut incoming: Vec<Vec<(usize, M)>> = (0..num_nodes).map(|_| Vec::new()).collect();
-        // Ascending sources keep each inbox sorted by source; a self-send
-        // is moved and not counted, exactly like the in-process backend.
-        for (src, sends) in outgoing.into_iter().enumerate() {
-            for (dst, message) in sends {
-                assert!(dst < num_nodes, "destination {dst} out of range");
-                let delivered = if src == dst {
-                    message
-                } else {
-                    Self::ship(message, stats)?
-                };
-                incoming[dst].push((src, delivered));
-            }
-        }
-        Ok(incoming)
+        exchange(num_nodes, outgoing, stats, decoded)
     }
 }
 
@@ -608,19 +580,13 @@ mod tests {
     struct Undecodable;
 
     impl Wire for Undecodable {
-        fn encode_into(&self, buf: &mut Vec<u8>) {
-            buf.push(0xFF);
+        fn encode_into<S: wire::Sink>(&self, sink: &mut S) {
+            sink.put_u8(0xFF);
         }
 
         fn decode_from(reader: &mut wire::WireReader<'_>) -> Result<Self, wire::WireError> {
             reader.u8()?;
             Err(wire::WireError::Invalid("undecodable test message"))
-        }
-    }
-
-    impl MessageSize for Undecodable {
-        fn byte_size(&self) -> usize {
-            1
         }
     }
 

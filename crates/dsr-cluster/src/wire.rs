@@ -8,15 +8,17 @@
 //! * **delta-encoded sorted runs** — the protocol's id sets (sources,
 //!   targets, class lists, boundary lists) are sorted and deduplicated, so
 //!   they are shipped as a count, a first id and a run of gaps, each a
-//!   varint ([`put_sorted_ids`] / [`get_sorted_ids`]),
+//!   varint ([`Sink::put_sorted_ids`] / [`get_sorted_ids`]),
 //! * **length prefixes** — collections carry a varint element count; the
 //!   transport frames each message with a varint byte length.
 //!
-//! The companion trait [`MessageSize`](crate::MessageSize) reports exactly
-//! the number of bytes [`Wire::encode_into`] produces; the transports
-//! debug-assert that invariant on every message they move, so the
-//! communication-volume numbers reported by [`CommStats`](crate::CommStats)
-//! are the measured wire bytes, not estimates.
+//! [`Wire::encode_into`] is the only definition of the format. It writes
+//! into a [`Sink`], and a sink is either a `Vec<u8>`, which keeps the bytes,
+//! or the counter behind [`Wire::byte_size`], which only adds up their
+//! lengths (a sorted id run in one vectorised count, not one varint at a
+//! time). So the bytes [`CommStats`](crate::CommStats) records are the
+//! encoder's, whether a transport serialized the message or moved it, and
+//! the transports check in debug builds that the two sinks agree.
 
 use std::fmt;
 
@@ -50,24 +52,81 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Appends the LEB128 encoding of `value` to `buf`.
-pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7F) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Number of bytes [`put_varint`] emits for `value`.
-pub fn varint_size(value: u64) -> usize {
+/// Number of bytes a LEB128 varint of `value` occupies.
+fn varint_size(value: u64) -> usize {
     // ceil(bits / 7), with zero still costing one byte.
     let bits = 64 - value.max(1).leading_zeros() as usize;
     bits.div_ceil(7)
+}
+
+/// Where [`Wire::encode_into`] writes. `Vec<u8>` keeps the bytes; the
+/// private counter behind [`Wire::byte_size`] only adds up their lengths.
+/// No other sink exists, so a message's size is the length of its
+/// encoding by construction.
+pub trait Sink {
+    /// One raw byte (a tag).
+    fn put_u8(&mut self, byte: u8);
+
+    /// One unsigned LEB128 varint.
+    fn put_varint(&mut self, value: u64);
+
+    /// A strictly increasing id run, delta-encoded: a varint count, the
+    /// first id, then the gap to each following id. The protocol's id sets
+    /// are sorted and deduplicated before they are shipped, which is
+    /// exactly the precondition (debug-asserted).
+    fn put_sorted_ids(&mut self, ids: &[u32]);
+}
+
+impl Sink for Vec<u8> {
+    fn put_u8(&mut self, byte: u8) {
+        self.push(byte);
+    }
+
+    fn put_varint(&mut self, mut value: u64) {
+        loop {
+            let byte = (value & 0x7F) as u8;
+            value >>= 7;
+            if value == 0 {
+                self.push(byte);
+                return;
+            }
+            self.push(byte | 0x80);
+        }
+    }
+
+    fn put_sorted_ids(&mut self, ids: &[u32]) {
+        debug_assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "sorted id run must be strictly increasing"
+        );
+        self.put_varint(ids.len() as u64);
+        let mut previous = 0u32;
+        for (index, &id) in ids.iter().enumerate() {
+            if index == 0 {
+                self.put_varint(u64::from(id));
+            } else {
+                self.put_varint(u64::from(id - previous));
+            }
+            previous = id;
+        }
+    }
+}
+
+/// The counting sink of [`Wire::byte_size`].
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put_u8(&mut self, _byte: u8) {
+        self.0 += 1;
+    }
+
+    fn put_varint(&mut self, value: u64) {
+        self.0 += varint_size(value);
+    }
+
+    fn put_sorted_ids(&mut self, ids: &[u32]) {
+        self.0 += sorted_ids_size(ids);
+    }
 }
 
 /// Cursor over an encoded message.
@@ -140,15 +199,21 @@ impl<'a> WireReader<'a> {
 }
 
 /// A message that can be serialized into / parsed from the framed wire
-/// format. Implementations must produce exactly
-/// [`MessageSize::byte_size`](crate::MessageSize::byte_size) bytes — the
-/// transports debug-assert this.
+/// format.
 pub trait Wire: Sized {
-    /// Appends the encoding of `self` to `buf`.
-    fn encode_into(&self, buf: &mut Vec<u8>);
+    /// Writes the encoding of `self` into `sink`.
+    fn encode_into<S: Sink>(&self, sink: &mut S);
 
     /// Parses one value from the reader.
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// Number of bytes the encoding occupies: the encoder run into a
+    /// counter, so it is exact and serializes nothing.
+    fn byte_size(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.encode_into(&mut count);
+        count.0
+    }
 }
 
 /// Encodes a message into a fresh buffer.
@@ -156,6 +221,19 @@ pub fn encode_to_vec<M: Wire>(message: &M) -> Vec<u8> {
     let mut buf = Vec::new();
     message.encode_into(&mut buf);
     buf
+}
+
+/// [`encode_to_vec`] for a transport that counts what it ships: in debug
+/// builds it checks that [`Wire::byte_size`] is the length written, which
+/// holds [`sorted_ids_size`]'s count and [`varint_size`] to the bytes.
+pub(crate) fn encode_checked<M: Wire>(message: &M) -> Vec<u8> {
+    let encoded = encode_to_vec(message);
+    debug_assert_eq!(
+        message.byte_size(),
+        encoded.len(),
+        "Wire::byte_size drifted from the wire encoding"
+    );
+    encoded
 }
 
 /// Decodes a message that must span the whole buffer.
@@ -170,8 +248,8 @@ pub fn decode_exact<M: Wire>(bytes: &[u8]) -> Result<M, WireError> {
 }
 
 impl Wire for u32 {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, u64::from(*self));
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        sink.put_varint(u64::from(*self));
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -180,8 +258,8 @@ impl Wire for u32 {
 }
 
 impl Wire for u64 {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, *self);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        sink.put_varint(*self);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -190,8 +268,8 @@ impl Wire for u64 {
 }
 
 impl Wire for bool {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        sink.put_u8(u8::from(*self));
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -204,9 +282,9 @@ impl Wire for bool {
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.0.encode_into(buf);
-        self.1.encode_into(buf);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        self.0.encode_into(sink);
+        self.1.encode_into(sink);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -215,10 +293,10 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 }
 
 impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.0.encode_into(buf);
-        self.1.encode_into(buf);
-        self.2.encode_into(buf);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        self.0.encode_into(sink);
+        self.1.encode_into(sink);
+        self.2.encode_into(sink);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -231,10 +309,10 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.len() as u64);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        sink.put_varint(self.len() as u64);
         for item in self {
-            item.encode_into(buf);
+            item.encode_into(sink);
         }
     }
 
@@ -249,12 +327,12 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
         match self {
-            None => buf.push(0),
+            None => sink.put_u8(0),
             Some(value) => {
-                buf.push(1);
-                value.encode_into(buf);
+                sink.put_u8(1);
+                value.encode_into(sink);
             }
         }
     }
@@ -268,39 +346,17 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// Appends the delta encoding of a strictly increasing id run: a varint
-/// count, the first id, then the gap to each following id.
-///
-/// The protocol's id sets are sorted and deduplicated before they are
-/// shipped, which is exactly the precondition (debug-asserted here).
-pub fn put_sorted_ids(buf: &mut Vec<u8>, ids: &[u32]) {
-    debug_assert!(
-        ids.windows(2).all(|w| w[0] < w[1]),
-        "sorted id run must be strictly increasing"
-    );
-    put_varint(buf, ids.len() as u64);
-    let mut previous = 0u32;
-    for (index, &id) in ids.iter().enumerate() {
-        if index == 0 {
-            put_varint(buf, u64::from(id));
-        } else {
-            put_varint(buf, u64::from(id - previous));
-        }
-        previous = id;
-    }
-}
-
-/// Number of bytes [`put_sorted_ids`] emits for `ids`, counted rather than
-/// walked: the count, the first id, one byte per gap, and one more byte per
+/// Number of bytes [`Sink::put_sorted_ids`] writes for `ids`, counted
+/// rather than walked: the count, the first id, one byte per gap, and one more byte per
 /// gap at or above each of `2⁷`, `2¹⁴`, `2²¹` and `2²⁸`.
 ///
 /// The threshold tests over adjacent pairs are summed into a `u32` per
 /// 1 024 gaps — at most 4 096, so a partial sum cannot overflow — which
 /// lets the compiler vectorise the loop: no per-id varint
 /// arithmetic on the in-process transport's hot path. Same precondition as
-/// [`put_sorted_ids`] (debug-asserted): a list that does not ascend
+/// [`Sink::put_sorted_ids`] (debug-asserted): a list that does not ascend
 /// strictly would be miscounted.
-pub fn sorted_ids_size(ids: &[u32]) -> usize {
+fn sorted_ids_size(ids: &[u32]) -> usize {
     debug_assert!(
         ids.windows(2).all(|w| w[0] < w[1]),
         "sorted id run must be strictly increasing"
@@ -328,7 +384,7 @@ pub fn sorted_ids_size(ids: &[u32]) -> usize {
 /// Gaps per `u32` partial sum in [`sorted_ids_size`].
 const SIZE_CHUNK: usize = 1024;
 
-/// Decodes a strictly increasing id run produced by [`put_sorted_ids`].
+/// Decodes a strictly increasing id run produced by [`Sink::put_sorted_ids`].
 pub fn get_sorted_ids(reader: &mut WireReader<'_>) -> Result<Vec<u32>, WireError> {
     let len = reader.length()?;
     let mut ids = Vec::with_capacity(len);
@@ -356,10 +412,17 @@ pub fn get_sorted_ids(reader: &mut WireReader<'_>) -> Result<Vec<u32>, WireError
 mod tests {
     use super::*;
 
+    /// Round-trips `message` and returns its encoded length, which the
+    /// counting sink must reproduce.
     fn roundtrip<M: Wire + PartialEq + std::fmt::Debug>(message: &M) -> usize {
         let encoded = encode_to_vec(message);
         let decoded: M = decode_exact(&encoded).expect("decodes");
         assert_eq!(&decoded, message);
+        assert_eq!(
+            message.byte_size(),
+            encoded.len(),
+            "byte_size of {message:?}"
+        );
         encoded.len()
     }
 
@@ -376,7 +439,7 @@ mod tests {
             u64::MAX,
         ] {
             let mut buf = Vec::new();
-            put_varint(&mut buf, value);
+            buf.put_varint(value);
             assert_eq!(buf.len(), varint_size(value), "size of {value}");
             assert!(buf.len() <= MAX_VARINT_LEN);
             let mut reader = WireReader::new(&buf);
@@ -417,6 +480,38 @@ mod tests {
     }
 
     #[test]
+    fn primitive_sizes() {
+        assert_eq!(7u32.byte_size(), 1);
+        assert_eq!(300u32.byte_size(), 2);
+        assert_eq!(u32::MAX.byte_size(), 5);
+        assert_eq!(7u64.byte_size(), 1);
+        assert_eq!(u64::MAX.byte_size(), 10);
+        assert_eq!(true.byte_size(), 1);
+        assert_eq!(roundtrip(&0u32), 1);
+        assert_eq!(roundtrip(&u32::MAX), 5);
+        assert_eq!(roundtrip(&u64::MAX), 10);
+        assert_eq!(roundtrip(&false), 1);
+    }
+
+    #[test]
+    fn composite_sizes() {
+        assert_eq!((1u32, 2u32).byte_size(), 2);
+        assert_eq!((1u32, 2u64, false).byte_size(), 3);
+        let v: Vec<u32> = vec![1, 2, 300];
+        assert_eq!(v.byte_size(), 1 + 1 + 1 + 2);
+        let nested: Vec<(u32, Vec<u32>)> = vec![(1, vec![2, 3])];
+        assert_eq!(nested.byte_size(), 1 + 1 + 1 + 2);
+        assert_eq!(Some(5u32).byte_size(), 2);
+        assert_eq!(None::<u32>.byte_size(), 1);
+        let by_ref: &u32 = &7;
+        assert_eq!(by_ref.byte_size(), 1);
+        assert_eq!(roundtrip(&v), 1 + 1 + 1 + 2);
+        assert_eq!(roundtrip(&nested), 1 + 1 + 1 + 2);
+        assert_eq!(roundtrip(&Some(5u32)), 2);
+        assert_eq!(roundtrip(&None::<u32>), 1);
+    }
+
+    #[test]
     fn trailing_bytes_rejected() {
         let mut encoded = encode_to_vec(&5u32);
         encoded.push(0);
@@ -434,7 +529,7 @@ mod tests {
             vec![5, 100, 1_000_000, u32::MAX - 1, u32::MAX],
         ] {
             let mut buf = Vec::new();
-            put_sorted_ids(&mut buf, &ids);
+            buf.put_sorted_ids(&ids);
             assert_eq!(buf.len(), sorted_ids_size(&ids), "size of {ids:?}");
             let mut reader = WireReader::new(&buf);
             assert_eq!(get_sorted_ids(&mut reader).unwrap(), ids);
@@ -449,7 +544,7 @@ mod tests {
 
         let exact = |ids: &[u32]| {
             let mut buf = Vec::new();
-            put_sorted_ids(&mut buf, ids);
+            buf.put_sorted_ids(ids);
             assert_eq!(sorted_ids_size(ids), buf.len(), "size of {ids:?}");
         };
         // Every width boundary of a varint, below and at it.
@@ -533,8 +628,8 @@ mod tests {
         use proptest::prelude::*;
 
         /// Round-trips plus the exact-size invariant the transports
-        /// debug-assert.
-        fn check<M: Wire + crate::MessageSize + PartialEq + std::fmt::Debug>(message: &M) {
+        /// debug-assert: the counting sink agrees with the byte sink.
+        fn check<M: Wire + PartialEq + std::fmt::Debug>(message: &M) {
             let encoded = encode_to_vec(message);
             prop_assert_eq!(encoded.len(), message.byte_size());
             let decoded: M = decode_exact(&encoded).expect("decodes");
@@ -574,7 +669,7 @@ mod tests {
                 ids.sort_unstable();
                 ids.dedup();
                 let mut buf = Vec::new();
-                put_sorted_ids(&mut buf, &ids);
+                buf.put_sorted_ids(&ids);
                 prop_assert_eq!(buf.len(), sorted_ids_size(&ids));
                 let mut reader = WireReader::new(&buf);
                 prop_assert_eq!(get_sorted_ids(&mut reader).unwrap(), ids);
@@ -587,18 +682,18 @@ mod tests {
     fn sorted_ids_reject_duplicates_and_overflow() {
         // Hand-craft a run with a zero gap (duplicate id).
         let mut buf = Vec::new();
-        put_varint(&mut buf, 2);
-        put_varint(&mut buf, 7);
-        put_varint(&mut buf, 0);
+        buf.put_varint(2);
+        buf.put_varint(7);
+        buf.put_varint(0);
         assert_eq!(
             get_sorted_ids(&mut WireReader::new(&buf)),
             Err(WireError::Invalid("id run not strictly increasing"))
         );
         // A run whose cumulative sum exceeds u32::MAX.
         let mut buf = Vec::new();
-        put_varint(&mut buf, 2);
-        put_varint(&mut buf, u64::from(u32::MAX));
-        put_varint(&mut buf, 1);
+        buf.put_varint(2);
+        buf.put_varint(u64::from(u32::MAX));
+        buf.put_varint(1);
         assert_eq!(
             get_sorted_ids(&mut WireReader::new(&buf)),
             Err(WireError::Overflow)

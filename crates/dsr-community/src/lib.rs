@@ -9,8 +9,7 @@
 //!
 //! The [`workload`] module packages the full experiment — Louvain over a
 //! pinned service snapshot plus all-pairs set-reachability between the
-//! largest communities — as a `dsr-service` `Workload`
-//! ([`CommunityWorkload`]).
+//! largest communities — as one workload ([`CommunityWorkload`]).
 
 #![forbid(unsafe_code)]
 

@@ -2,9 +2,8 @@
 //!
 //! The paper's Section 4.5.B application detects communities with Louvain
 //! and then runs DSR queries *between the members of two communities*.
-//! [`CommunityWorkload`] packages exactly that as a
-//! [`Workload`] over one pinned
-//! [`SnapshotRef`]:
+//! [`CommunityWorkload`] packages exactly that as a workload whose
+//! [`run`](CommunityWorkload::run) reads one pinned [`SnapshotRef`]:
 //!
 //! 1. reconstruct the graph from the snapshot's immutable index (never
 //!    the service's moving latest generation),
@@ -21,7 +20,7 @@
 
 use dsr_core::SetQuery;
 use dsr_graph::VertexId;
-use dsr_service::{checksum_pairs, ServiceError, SnapshotRef, Workload, WorkloadRun};
+use dsr_service::{checksum_pairs, ServiceError, SnapshotRef, WorkloadRun};
 
 use crate::louvain::louvain;
 
@@ -42,14 +41,14 @@ impl CommunityWorkload {
     pub fn new(top: usize) -> Self {
         CommunityWorkload { top }
     }
-}
 
-impl Workload for CommunityWorkload {
-    fn name(&self) -> &str {
-        "community-pairs"
-    }
-
-    fn run(&self, snapshot: &SnapshotRef<'_>) -> Result<WorkloadRun, ServiceError> {
+    /// Detects communities in `snapshot`'s graph and queries the `top`
+    /// largest pairwise, reading `snapshot` alone.
+    ///
+    /// # Errors
+    /// [`ServiceError`] when a fused execution fails on the service
+    /// transport.
+    pub fn run(&self, snapshot: &SnapshotRef<'_>) -> Result<WorkloadRun, ServiceError> {
         let graph = snapshot.index().reconstruct_graph();
         let assignment = louvain(&graph, MIN_GAIN);
         let members: Vec<Vec<VertexId>> = assignment

@@ -75,8 +75,8 @@ impl FanBaseline {
         }
 
         // Master scatters the query (in-process transport: the baseline is
-        // only ever compared against DSR on round/byte counts, which the
-        // exact MessageSize accounting provides without serializing).
+        // only ever compared against DSR on round/byte counts, which
+        // `Wire::byte_size` counts exactly without serializing).
         let mut sources_by_partition: Vec<Vec<VertexId>> = vec![Vec::new(); k];
         let mut targets_by_partition: Vec<Vec<VertexId>> = vec![Vec::new(); k];
         for &s in sources {

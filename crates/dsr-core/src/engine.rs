@@ -882,9 +882,7 @@ fn gallop(list: &[VertexId], c: VertexId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{
-        figure1, per_vertex_route_scan, Forging, ForgingGather, ForgingScatter,
-    };
+    use crate::test_support::{figure1, per_vertex_route_scan, Forging};
     use dsr_cluster::WireTransport;
     use dsr_graph::{DiGraph, TransitiveClosure};
     use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
@@ -1510,12 +1508,7 @@ mod tests {
             ("query 9", vec![(9, vec![message(vec![0], vec![13])])]),
         ];
         for (what, buffer) in forged {
-            let transport = Forging {
-                buffer: dsr_cluster::wire::encode_to_vec(&buffer),
-                sender: 1,
-                receiver: 2,
-                replace: false,
-            };
+            let transport = Forging::extra(&buffer, 1, 2);
             let engine = DsrEngine::with_transport(&index, transport);
             let err = batch(&engine, &queries).expect_err("a malformed buffer must fail the batch");
             assert!(
@@ -1529,15 +1522,7 @@ mod tests {
             );
         }
         // A well-formed extra buffer is simply evaluated.
-        let transport = Forging {
-            buffer: dsr_cluster::wire::encode_to_vec(&vec![(
-                0u32,
-                vec![message(vec![0], vec![13])],
-            )]),
-            sender: 1,
-            receiver: 2,
-            replace: false,
-        };
+        let transport = Forging::extra(&vec![(0u32, vec![message(vec![0], vec![13])])], 1, 2);
         let engine = DsrEngine::with_transport(&index, transport);
         let (results, _) = batch(&engine, &queries).expect("well-formed");
         assert_eq!(results[0], vec![(0, 13), (0, 17)]);
@@ -1549,10 +1534,7 @@ mod tests {
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
         let queries = vec![SetQuery::new(vec![0], vec![17, 13])];
         let forged = |query: u32| -> GatherMessage { vec![(query, vec![(0, 17)])] };
-        let transport = ForgingGather {
-            message: dsr_cluster::wire::encode_to_vec(&forged(9)),
-            slave: 2,
-        };
+        let transport = Forging::gather(&forged(9), 2);
         let err = batch(&DsrEngine::with_transport(&index, transport), &queries)
             .expect_err("a gather message for a query nobody asked fails the batch");
         assert!(
@@ -1566,10 +1548,7 @@ mod tests {
         );
         // The same pairs under the id the batch has are merged with what
         // step 1 resolved at the source slave.
-        let transport = ForgingGather {
-            message: dsr_cluster::wire::encode_to_vec(&forged(0)),
-            slave: 2,
-        };
+        let transport = Forging::gather(&forged(0), 2);
         let (results, _) =
             batch(&DsrEngine::with_transport(&index, transport), &queries).expect("well-formed");
         assert_eq!(results[0], vec![(0, 13), (0, 17)]);
@@ -1600,10 +1579,7 @@ mod tests {
             ),
         ];
         for (what, message) in forged {
-            let transport = ForgingScatter {
-                message: dsr_cluster::wire::encode_to_vec(&message),
-                slave: 0,
-            };
+            let transport = Forging::scatter(&message, 0);
             let err = batch(&DsrEngine::with_transport(&index, transport), &queries)
                 .expect_err("a forged scatter payload must fail the batch");
             assert!(
@@ -1617,10 +1593,7 @@ mod tests {
             );
         }
         // The payload the master really scattered is simply evaluated.
-        let transport = ForgingScatter {
-            message: dsr_cluster::wire::encode_to_vec(&payload(vec![0], vec![13, 17])),
-            slave: 0,
-        };
+        let transport = Forging::scatter(&payload(vec![0], vec![13, 17]), 0);
         let (results, _) =
             batch(&DsrEngine::with_transport(&index, transport), &queries).expect("well-formed");
         assert_eq!(results[0], vec![(0, 13), (0, 17)]);

@@ -3,7 +3,7 @@
 
 use dsr_sync::Arc;
 
-use dsr_cluster::{run_on_slaves, CommStats, InProcess, MessageSize, Transport, TransportError};
+use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError, Wire};
 use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{Cut, PartitionId, Partitioning};
 use dsr_reach::{build_index, LocalIndexKind, LocalReachability};
@@ -58,6 +58,45 @@ impl IndexBuildStats {
     pub fn max_dag_edges(&self) -> usize {
         self.dag_edges.iter().copied().max().unwrap_or(0)
     }
+}
+
+/// Slave `i`'s summaries: its `own`, and the one each peer delivered in
+/// the build's exchange. A missing or repeated delivery, or a summary whose
+/// partition or boundary lists are not its sender's, is a
+/// [`TransportError::Protocol`] naming the sender: the compound graph must
+/// not panic on, or size its id table by, a forged id (the decoder has
+/// already tied classes and transit edges to the boundary lists).
+fn peer_summaries(
+    i: usize,
+    own: &PartitionSummary,
+    received: Vec<(usize, PartitionSummary)>,
+    cut: &Cut,
+) -> Result<Vec<PartitionSummary>, TransportError> {
+    let malformed = |sender: usize, reason: &str| TransportError::Protocol {
+        peer: format!("slave {sender}"),
+        reason: format!("build-time summary exchange to slave {i}: {reason}"),
+    };
+    let mut view: Vec<Option<PartitionSummary>> = vec![None; cut.boundaries.len()];
+    view[i] = Some(own.clone());
+    for (sender, summary) in received {
+        let boundaries = cut.boundaries.get(sender);
+        let fault = if view.get(sender).is_none_or(Option::is_some) {
+            "a second summary, or no such partition"
+        } else if summary.partition as usize != sender {
+            "the summary of another partition"
+        } else if boundaries.is_none_or(|b| {
+            b.in_boundaries != summary.in_boundaries || b.out_boundaries != summary.out_boundaries
+        }) {
+            "boundary lists that differ from the cut's"
+        } else {
+            view[sender] = Some(summary);
+            continue;
+        };
+        return Err(malformed(sender, fault));
+    }
+    (view.into_iter().enumerate())
+        .map(|(sender, summary)| summary.ok_or_else(|| malformed(sender, "no summary")))
+        .collect()
 }
 
 /// The complete DSR index for a partitioned graph.
@@ -126,8 +165,11 @@ impl DsrIndex {
     ///
     /// # Errors
     /// Returns the typed [`TransportError`] when the transport fails
-    /// during the summary exchange (e.g. a TCP worker disconnecting); the
-    /// in-process and wire backends lose no worker.
+    /// during the summary exchange (e.g. a TCP worker disconnecting; the
+    /// in-process and wire backends lose no worker), and
+    /// [`TransportError::Protocol`] naming the sender when a slave is
+    /// delivered no summary or two from one peer, or a summary whose
+    /// partition or boundary lists are not that peer's.
     pub fn build_with_transport<T: Transport>(
         graph: &DiGraph,
         partitioning: Partitioning,
@@ -183,22 +225,8 @@ impl DsrIndex {
             let views: Vec<Vec<PartitionSummary>> = incoming
                 .into_iter()
                 .enumerate()
-                .map(|(i, received)| {
-                    let mut received = received.into_iter();
-                    (0..k)
-                        .map(|p| {
-                            if p == i {
-                                summaries[i].clone()
-                            } else {
-                                let (src, summary) =
-                                    received.next().expect("summary from every peer");
-                                debug_assert_eq!(src, p, "summaries arrive in partition order");
-                                summary
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
+                .map(|(i, received)| peer_summaries(i, &summaries[i], received, &cut))
+                .collect::<Result<_, _>>()?;
             run_on_slaves(k, |i| {
                 CompoundGraph::build(&locals[i], &cut, &views[i], i as PartitionId)
             })
@@ -384,6 +412,78 @@ mod tests {
     fn mismatched_partitioning_panics() {
         let g = sample_graph();
         DsrIndex::build(&g, Partitioning::single(3), LocalIndexKind::Dfs);
+    }
+
+    /// Runs in every build profile (CI's `--release --lib` leg included):
+    /// a summary a peer forged fails the build with a typed error instead
+    /// of panicking in the compound graph or sizing its id table by a
+    /// forged id.
+    #[test]
+    fn a_forged_build_time_summary_is_a_typed_error_not_a_panic() {
+        use crate::summary::boundaries_of_classes;
+        use crate::test_support::{figure1, Forging};
+        use dsr_cluster::wire::WireError;
+
+        let (g, p) = figure1();
+        let honest = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs).summaries;
+        let build = |forged: &PartitionSummary, replace: bool| {
+            let transport = if replace {
+                Forging::replacing(forged, 1, 0)
+            } else {
+                Forging::extra(forged, 1, 0)
+            };
+            DsrIndex::build_with_transport(&g, p.clone(), LocalIndexKind::Dfs, true, &transport)
+        };
+        // `edit` forges partition 1's summary; an extra forward class is an
+        // in-boundary the cut does not have, and decodes.
+        let forge = |edit: &dyn Fn(&mut PartitionSummary)| {
+            let mut forged = honest[1].clone();
+            edit(&mut forged);
+            forged
+        };
+        let extra_class = |id: VertexId| {
+            forge(&|s| {
+                s.forward_classes.push(vec![id]);
+                (s.in_boundaries, s.forward_class_of) = boundaries_of_classes(&s.forward_classes);
+            })
+        };
+        let mut other_as_1 = honest[2].clone();
+        other_as_1.partition = 1;
+        let forged = [
+            ("a second summary", honest[1].clone(), false),
+            ("another partition", forge(&|s| s.partition = 2), true),
+            ("boundary lists", other_as_1, true),
+            ("boundary lists", extra_class(10), true),
+            ("boundary lists", extra_class(u32::MAX - 1), true),
+        ];
+        for (what, summary, replace) in forged {
+            let err = build(&summary, replace)
+                .map(drop)
+                .expect_err("the build fails");
+            let text = err.to_string();
+            assert!(
+                matches!(&err, TransportError::Protocol { peer, .. } if peer == "slave 1")
+                    && text.contains("to slave 0")
+                    && text.contains(what),
+                "typed protocol error naming sender, receiver and fault: {text}"
+            );
+        }
+        // Transit edges out of order, or naming a missing class, do not
+        // decode.
+        for transit in [vec![(1, 0), (0, 0)], vec![(0, 9)]] {
+            let err = build(&forge(&|s| s.transit = transit.clone()), true).map(drop);
+            assert!(
+                matches!(err, Err(TransportError::Wire(WireError::Invalid(_)))),
+                "{err:?}"
+            );
+        }
+        let cut = Cut::extract(&g, &p);
+        let err = peer_summaries(0, &honest[0], vec![(2, honest[2].clone())], &cut).map(drop);
+        assert!(
+            format!("{err:?}").contains("slave 1") && format!("{err:?}").contains("no summary")
+        );
+        // The honest summary through the same transport builds the index.
+        assert!(build(&honest[1], true).is_ok());
     }
 
     #[test]

@@ -2,16 +2,20 @@
 //!
 //! Everything the engine ships between the master and the slaves — and
 //! between slave pairs in step 2 of Algorithm 2 — is defined here as a
-//! concrete message type with a [`Wire`] codec and an exact [`MessageSize`].
-//! The [`Transport`](dsr_cluster::Transport) backends consume these
-//! implementations: the in-process backend only calls `byte_size()`, the
-//! wire backend actually encodes, ships and decodes the bytes (and
-//! debug-asserts that both agree).
+//! concrete message type with a [`Wire`] codec. The encoder is the only
+//! definition of what a message costs: the in-process backend counts its
+//! bytes with [`Wire::byte_size`] (the encoder run into a counter), the
+//! wire and TCP backends encode, ship and decode them.
 //!
 //! The protocol's id collections are sorted and deduplicated before they
 //! are shipped, so they use the delta-encoded sorted-run format
-//! ([`put_sorted_ids`]) — a dense run of vertex ids costs roughly one byte
-//! per id instead of four.
+//! ([`Sink::put_sorted_ids`]) — a dense run of vertex ids costs roughly one
+//! byte per id instead of four.
+//!
+//! The decoders are the trust boundary of a slave: every one returns `Ok`
+//! or a [`WireError`] on any byte string, never panics, and a summary's or
+//! a class replacement's transit list must ascend strictly and name only
+//! classes the message carries.
 //!
 //! Message flow of one batched query (3 communication rounds):
 //!
@@ -39,8 +43,8 @@
 //! [`UpdateStats`](dsr_cluster::UpdateStats) is the measured wire size of
 //! the deltas, not of rebuilt summaries.
 
-use dsr_cluster::wire::{get_sorted_ids, put_sorted_ids, sorted_ids_size, varint_size};
-use dsr_cluster::{MessageSize, Wire, WireError, WireReader};
+use dsr_cluster::wire::get_sorted_ids;
+use dsr_cluster::{Sink, Wire, WireError, WireReader};
 use dsr_graph::VertexId;
 
 use crate::summary::{boundaries_of_classes, ClassReplacement, PartitionSummary, SummaryDelta};
@@ -84,9 +88,9 @@ pub type BatchBuffer = Vec<(u32, Vec<SourceMessage>)>;
 pub type GatherMessage = Vec<(u32, Vec<(VertexId, VertexId)>)>;
 
 impl Wire for ScatterQuery {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_sorted_ids(buf, &self.sources);
-        put_sorted_ids(buf, &self.targets);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        sink.put_sorted_ids(&self.sources);
+        sink.put_sorted_ids(&self.targets);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -97,17 +101,11 @@ impl Wire for ScatterQuery {
     }
 }
 
-impl MessageSize for ScatterQuery {
-    fn byte_size(&self) -> usize {
-        sorted_ids_size(&self.sources) + sorted_ids_size(&self.targets)
-    }
-}
-
 impl Wire for SourceMessage {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.source.encode_into(buf);
-        put_sorted_ids(buf, &self.classes);
-        put_sorted_ids(buf, &self.entries);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        self.source.encode_into(sink);
+        sink.put_sorted_ids(&self.classes);
+        sink.put_sorted_ids(&self.entries);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -119,27 +117,15 @@ impl Wire for SourceMessage {
     }
 }
 
-impl MessageSize for SourceMessage {
-    fn byte_size(&self) -> usize {
-        self.source.byte_size() + sorted_ids_size(&self.classes) + sorted_ids_size(&self.entries)
-    }
-}
-
 impl Wire for PartitionSummary {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.partition.encode_into(buf);
-        put_sorted_ids(buf, &self.in_boundaries);
-        put_sorted_ids(buf, &self.out_boundaries);
-        dsr_cluster::wire::put_varint(buf, self.forward_classes.len() as u64);
-        for class in &self.forward_classes {
-            put_sorted_ids(buf, class);
-        }
-        dsr_cluster::wire::put_varint(buf, self.backward_classes.len() as u64);
-        for class in &self.backward_classes {
-            put_sorted_ids(buf, class);
-        }
-        self.transit.encode_into(buf);
-        dsr_cluster::wire::put_varint(buf, self.boundary_pairs as u64);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        self.partition.encode_into(sink);
+        sink.put_sorted_ids(&self.in_boundaries);
+        sink.put_sorted_ids(&self.out_boundaries);
+        put_classes(sink, &self.forward_classes);
+        put_classes(sink, &self.backward_classes);
+        self.transit.encode_into(sink);
+        sink.put_varint(self.boundary_pairs as u64);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -160,7 +146,7 @@ impl Wire for PartitionSummary {
         };
         let (forward_classes, forward_class_of) = decode_classes(&in_boundaries)?;
         let (backward_classes, backward_class_of) = decode_classes(&out_boundaries)?;
-        let transit = Vec::<(u32, u32)>::decode_from(reader)?;
+        let transit = get_transit(reader, &forward_classes, &backward_classes)?;
         let boundary_pairs = usize::try_from(reader.varint()?).map_err(|_| WireError::Overflow)?;
         Ok(PartitionSummary {
             partition,
@@ -178,10 +164,10 @@ impl Wire for PartitionSummary {
 
 /// Shared helper: encodes a class list as a varint count followed by one
 /// delta-encoded sorted id run per class.
-fn put_classes(buf: &mut Vec<u8>, classes: &[Vec<VertexId>]) {
-    dsr_cluster::wire::put_varint(buf, classes.len() as u64);
+fn put_classes<S: Sink>(sink: &mut S, classes: &[Vec<VertexId>]) {
+    sink.put_varint(classes.len() as u64);
     for class in classes {
-        put_sorted_ids(buf, class);
+        sink.put_sorted_ids(class);
     }
 }
 
@@ -194,43 +180,53 @@ fn get_classes(reader: &mut WireReader<'_>) -> Result<Vec<Vec<VertexId>>, WireEr
     Ok(classes)
 }
 
-fn classes_size(classes: &[Vec<VertexId>]) -> usize {
-    varint_size(classes.len() as u64) + classes.iter().map(|c| sorted_ids_size(c)).sum::<usize>()
+/// Decodes a transit relation between `forward` and `backward` classes:
+/// `(υ, ν)` pairs that ascend strictly and name classes the message has.
+fn get_transit(
+    reader: &mut WireReader<'_>,
+    forward: &[Vec<VertexId>],
+    backward: &[Vec<VertexId>],
+) -> Result<Vec<(u32, u32)>, WireError> {
+    let transit = Vec::<(u32, u32)>::decode_from(reader)?;
+    if !transit.windows(2).all(|w| w[0] < w[1]) {
+        return Err(WireError::Invalid("transit edges not strictly ascending"));
+    }
+    let known =
+        |&(f, b): &(u32, u32)| (f as usize) < forward.len() && (b as usize) < backward.len();
+    if !transit.iter().all(known) {
+        return Err(WireError::Invalid("transit edge names a missing class"));
+    }
+    Ok(transit)
 }
 
 impl Wire for ClassReplacement {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_classes(buf, &self.forward_classes);
-        put_classes(buf, &self.backward_classes);
-        self.transit.encode_into(buf);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        put_classes(sink, &self.forward_classes);
+        put_classes(sink, &self.backward_classes);
+        self.transit.encode_into(sink);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let forward_classes = get_classes(reader)?;
+        let backward_classes = get_classes(reader)?;
+        let transit = get_transit(reader, &forward_classes, &backward_classes)?;
         Ok(ClassReplacement {
-            forward_classes: get_classes(reader)?,
-            backward_classes: get_classes(reader)?,
-            transit: Vec::<(u32, u32)>::decode_from(reader)?,
+            forward_classes,
+            backward_classes,
+            transit,
         })
     }
 }
 
-impl MessageSize for ClassReplacement {
-    fn byte_size(&self) -> usize {
-        classes_size(&self.forward_classes)
-            + classes_size(&self.backward_classes)
-            + self.transit.byte_size()
-    }
-}
-
 impl Wire for SummaryDelta {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.partition.encode_into(buf);
-        self.added_cut_edges.encode_into(buf);
-        self.removed_cut_edges.encode_into(buf);
-        self.classes.encode_into(buf);
-        self.added_transit.encode_into(buf);
-        self.removed_transit.encode_into(buf);
-        self.boundary_pairs.encode_into(buf);
+    fn encode_into<S: Sink>(&self, sink: &mut S) {
+        self.partition.encode_into(sink);
+        self.added_cut_edges.encode_into(sink);
+        self.removed_cut_edges.encode_into(sink);
+        self.classes.encode_into(sink);
+        self.added_transit.encode_into(sink);
+        self.removed_transit.encode_into(sink);
+        self.boundary_pairs.encode_into(sink);
     }
 
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -246,40 +242,6 @@ impl Wire for SummaryDelta {
     }
 }
 
-impl MessageSize for SummaryDelta {
-    fn byte_size(&self) -> usize {
-        self.partition.byte_size()
-            + self.added_cut_edges.byte_size()
-            + self.removed_cut_edges.byte_size()
-            + self.classes.byte_size()
-            + self.added_transit.byte_size()
-            + self.removed_transit.byte_size()
-            + self.boundary_pairs.byte_size()
-    }
-}
-
-impl MessageSize for PartitionSummary {
-    fn byte_size(&self) -> usize {
-        self.partition.byte_size()
-            + sorted_ids_size(&self.in_boundaries)
-            + sorted_ids_size(&self.out_boundaries)
-            + varint_size(self.forward_classes.len() as u64)
-            + self
-                .forward_classes
-                .iter()
-                .map(|c| sorted_ids_size(c))
-                .sum::<usize>()
-            + varint_size(self.backward_classes.len() as u64)
-            + self
-                .backward_classes
-                .iter()
-                .map(|c| sorted_ids_size(c))
-                .sum::<usize>()
-            + self.transit.byte_size()
-            + varint_size(self.boundary_pairs as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,7 +249,7 @@ mod tests {
 
     /// Round-trip plus the exact-size invariant the transports debug-assert
     /// on every shipped message.
-    fn check<M: Wire + MessageSize + PartialEq + std::fmt::Debug>(message: &M) {
+    fn check<M: Wire + PartialEq + std::fmt::Debug>(message: &M) {
         let encoded = encode_to_vec(message);
         assert_eq!(
             encoded.len(),
@@ -432,7 +394,7 @@ mod tests {
             removed_cut_edges: vec![],
             classes: Some(ClassReplacement {
                 forward_classes: vec![vec![1, 2], vec![u32::MAX]],
-                backward_classes: vec![],
+                backward_classes: vec![vec![3]],
                 transit: vec![(0, 0), (1, 0)],
             }),
             added_transit: vec![],
@@ -477,6 +439,118 @@ mod tests {
             forged.forward_classes = forward_classes;
             let decoded = decode_exact::<PartitionSummary>(&encode_to_vec(&forged));
             assert!(matches!(decoded, Err(WireError::Invalid(_))), "{decoded:?}");
+        }
+    }
+
+    fn replacement_of(summary: &PartitionSummary) -> ClassReplacement {
+        ClassReplacement {
+            forward_classes: summary.forward_classes.clone(),
+            backward_classes: summary.backward_classes.clone(),
+            transit: summary.transit.clone(),
+        }
+    }
+
+    #[test]
+    fn transit_edges_must_ascend_and_name_carried_classes() {
+        let summary = summary_from_classes(vec![vec![10], vec![12]], vec![vec![20]], vec![], 3);
+        for (transit, why) in [
+            (vec![(1, 0), (0, 0)], "transit edges not strictly ascending"),
+            (vec![(0, 0), (0, 0)], "transit edges not strictly ascending"),
+            (vec![(2, 0)], "transit edge names a missing class"),
+            (vec![(0, 1)], "transit edge names a missing class"),
+        ] {
+            let forged = PartitionSummary {
+                transit,
+                ..summary.clone()
+            };
+            let refused = Some(WireError::Invalid(why));
+            assert_eq!(
+                decode_exact::<PartitionSummary>(&encode_to_vec(&forged)).err(),
+                refused
+            );
+            let replacement = encode_to_vec(&replacement_of(&forged));
+            assert_eq!(
+                decode_exact::<ClassReplacement>(&replacement).err(),
+                refused
+            );
+        }
+    }
+
+    /// Every decoder a slave or the master runs on delivered bytes returns
+    /// `Ok` or a [`WireError`] — never panics — on valid encodings cut at
+    /// every length, with one byte flipped at every position or one byte
+    /// appended, and on seeded random byte strings. Runs in every build
+    /// profile (CI's `--release --lib` leg included).
+    #[test]
+    fn decoders_survive_hostile_bytes() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn hostile<M: Wire>(valid: &M, rng: &mut SmallRng) {
+            let valid = encode_to_vec(valid);
+            // A decoder reads a prefix deterministically, so no string
+            // shorter or longer than a valid encoding decodes whole.
+            for len in 0..valid.len() {
+                assert!(decode_exact::<M>(&valid[..len]).is_err(), "cut at {len}");
+            }
+            for extra in [0x00, 0x80, 0xFF] {
+                let longer = [valid.as_slice(), &[extra]].concat();
+                assert_eq!(
+                    decode_exact::<M>(&longer).err(),
+                    Some(WireError::TrailingBytes)
+                );
+            }
+            for (at, flip) in (0..valid.len()).flat_map(|at| [0x01, 0x80, 0xFF].map(|f| (at, f))) {
+                let mut bytes = valid.clone();
+                bytes[at] ^= flip;
+                let _ = decode_exact::<M>(&bytes);
+            }
+            // Small bytes reach deep into a message (short counts, one-byte
+            // varints); full bytes stress lengths and varint overflow.
+            for mask in [0x03u8, 0x0F, 0x7F, 0xFF] {
+                for _ in 0..256 {
+                    let len = rng.gen_range(0..2 * valid.len() + 8);
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u8>() & mask).collect();
+                    let _ = decode_exact::<M>(&bytes);
+                }
+            }
+        }
+
+        let rng = &mut SmallRng::seed_from_u64(10);
+        let query = |sources, targets| ScatterQuery { sources, targets };
+        let scatter = vec![
+            query(vec![5, 9], vec![1, 300, 1 << 20]),
+            query(vec![], vec![u32::MAX]),
+        ];
+        hostile::<ScatterMessage>(&scatter, rng);
+        let sent = |source, classes, entries| SourceMessage {
+            source,
+            classes,
+            entries,
+        };
+        let buffer = vec![
+            (0, vec![sent(4, vec![1, 2], vec![])]),
+            (9, vec![sent(1 << 16, vec![0], vec![10, u32::MAX])]),
+        ];
+        hostile::<BatchBuffer>(&buffer, rng);
+        hostile::<GatherMessage>(&vec![(0, vec![(1, 2), (3, 400)]), (7, vec![])], rng);
+        let (forward, backward) = (
+            vec![vec![1, 5], vec![7, u32::MAX]],
+            vec![vec![2], vec![3, 4]],
+        );
+        let summary = summary_from_classes(forward, backward, vec![(0, 0), (0, 1), (1, 1)], 6);
+        hostile(&summary, rng);
+        hostile(&replacement_of(&summary), rng);
+        // One delta that replaces the classes, one that diffs the transit.
+        let regrouped = summary_from_classes(vec![vec![1, 5]], vec![vec![2]], vec![(0, 0)], 2);
+        let retransit = PartitionSummary {
+            transit: vec![(1, 1)],
+            ..summary.clone()
+        };
+        for new in [regrouped, retransit] {
+            let delta =
+                SummaryDelta::diff(&summary, &new, vec![(0, u32::MAX), (5, 9)], vec![(1, 2)]);
+            hostile(&delta, rng);
         }
     }
 
@@ -552,16 +626,22 @@ mod tests {
                 };
                 // When classes are replaced the transit diff lists are
                 // empty by construction; mirror that invariant here.
+                // A replacement's transit edges name its own classes.
                 let (classes, added_transit, removed_transit) = match replace {
-                    Some((forward, backward, transit)) => (
-                        Some(ClassReplacement {
-                            forward_classes: forward,
-                            backward_classes: backward,
-                            transit: sort(transit),
-                        }),
-                        Vec::new(),
-                        Vec::new(),
-                    ),
+                    Some((forward, backward, mut transit)) => {
+                        transit.retain(|&(f, b)| {
+                            (f as usize) < forward.len() && (b as usize) < backward.len()
+                        });
+                        (
+                            Some(ClassReplacement {
+                                forward_classes: forward,
+                                backward_classes: backward,
+                                transit: sort(transit),
+                            }),
+                            Vec::new(),
+                            Vec::new(),
+                        )
+                    }
                     None => (None, sort(transit_diffs.0), sort(transit_diffs.1)),
                 };
                 check(&SummaryDelta {
@@ -597,7 +677,9 @@ mod tests {
                 let forward = dedup(forward, &mut seen);
                 let mut seen = std::collections::HashSet::new();
                 let backward = dedup(backward, &mut seen);
+                // Transit edges name classes the summary carries.
                 let mut transit = transit;
+                transit.retain(|&(f, b)| (f as usize) < forward.len() && (b as usize) < backward.len());
                 transit.sort_unstable();
                 transit.dedup();
                 check(&summary_from_classes(forward, backward, transit, pairs));

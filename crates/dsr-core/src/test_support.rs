@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use dsr_cluster::{CommStats, InProcess, Transport, TransportError, WireMessage};
+use dsr_cluster::{CommStats, InProcess, Transport, TransportError, Wire, WireMessage};
 use dsr_graph::traversal::Direction;
 use dsr_graph::{set_lanes, sweep_lanes, DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{PartitionBoundaries, PartitionId, Partitioning};
@@ -62,17 +62,77 @@ pub(crate) fn figure1() -> (DiGraph, Partitioning) {
     (g, Partitioning::new(assignment, 3))
 }
 
-/// A transport whose exchange round tampers with what `sender` delivers to
-/// `receiver`: the hostile (or stale, or lossy) peer of the malformed-input
-/// tests. Everything else moves through [`InProcess`].
+/// A transport that tampers with one delivery of one round: the hostile
+/// (or stale, or lossy) peer — or master — of the malformed-input tests.
+/// Everything else moves through [`InProcess`].
 pub(crate) struct Forging {
     /// The forged message, wire-encoded.
-    pub buffer: Vec<u8>,
-    pub sender: usize,
-    pub receiver: usize,
-    /// `true` replaces the message `sender` really shipped to `receiver`;
-    /// `false` delivers the forgery as one extra message.
-    pub replace: bool,
+    buffer: Vec<u8>,
+    round: Forged,
+}
+
+/// Which delivery a [`Forging`] transport forges.
+enum Forged {
+    /// What the slave is handed in the scatter round.
+    Scatter(usize),
+    /// What the slave reports in the gather round.
+    Gather(usize),
+    /// What `sender` delivers to `receiver` in the exchange: instead of
+    /// what it really shipped there (`replace`), or as one extra message.
+    Exchange {
+        sender: usize,
+        receiver: usize,
+        replace: bool,
+    },
+}
+
+impl Forging {
+    fn new(forged: &impl Wire, round: Forged) -> Self {
+        let buffer = dsr_cluster::wire::encode_to_vec(forged);
+        Forging { buffer, round }
+    }
+
+    /// `slave` is handed `forged` in the scatter round.
+    pub(crate) fn scatter(forged: &impl Wire, slave: usize) -> Self {
+        Self::new(forged, Forged::Scatter(slave))
+    }
+
+    /// `slave` reports `forged` in the gather round.
+    pub(crate) fn gather(forged: &impl Wire, slave: usize) -> Self {
+        Self::new(forged, Forged::Gather(slave))
+    }
+
+    /// `sender` delivers `forged` to `receiver` in the exchange, besides
+    /// what it really shipped there.
+    pub(crate) fn extra(forged: &impl Wire, sender: usize, receiver: usize) -> Self {
+        let replace = false;
+        Self::new(
+            forged,
+            Forged::Exchange {
+                sender,
+                receiver,
+                replace,
+            },
+        )
+    }
+
+    /// `sender` delivers `forged` to `receiver` in the exchange, instead of
+    /// what it really shipped there.
+    pub(crate) fn replacing(forged: &impl Wire, sender: usize, receiver: usize) -> Self {
+        let replace = true;
+        Self::new(
+            forged,
+            Forged::Exchange {
+                sender,
+                receiver,
+                replace,
+            },
+        )
+    }
+
+    fn forged<M: WireMessage>(&self) -> Result<M, TransportError> {
+        Ok(dsr_cluster::wire::decode_exact(&self.buffer)?)
+    }
 }
 
 impl Transport for Forging {
@@ -85,53 +145,11 @@ impl Transport for Forging {
         messages: Vec<M>,
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
-        InProcess.scatter(messages, stats)
-    }
-
-    fn gather<M: WireMessage>(
-        &self,
-        messages: Vec<M>,
-        stats: &CommStats,
-    ) -> Result<Vec<M>, TransportError> {
-        InProcess.gather(messages, stats)
-    }
-
-    fn all_to_all<M: WireMessage>(
-        &self,
-        num_nodes: usize,
-        outgoing: Vec<Vec<(usize, M)>>,
-        stats: &CommStats,
-    ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
-        let mut incoming = InProcess.all_to_all(num_nodes, outgoing, stats)?;
-        let forged = dsr_cluster::wire::decode_exact::<M>(&self.buffer)?;
-        let inbox = &mut incoming[self.receiver];
-        if self.replace {
-            inbox.retain(|(src, _)| *src != self.sender);
+        let mut delivered = InProcess.scatter(messages, stats)?;
+        if let Forged::Scatter(slave) = self.round {
+            delivered[slave] = self.forged()?;
         }
-        inbox.push((self.sender, forged));
-        Ok(incoming)
-    }
-}
-
-/// The gather twin of [`Forging`]: what `slave` reports to the master in the
-/// gather round is replaced by the forged message.
-pub(crate) struct ForgingGather {
-    /// The forged message, wire-encoded.
-    pub message: Vec<u8>,
-    pub slave: usize,
-}
-
-impl Transport for ForgingGather {
-    fn name(&self) -> &'static str {
-        "forging-gather"
-    }
-
-    fn scatter<M: WireMessage>(
-        &self,
-        messages: Vec<M>,
-        stats: &CommStats,
-    ) -> Result<Vec<M>, TransportError> {
-        InProcess.scatter(messages, stats)
+        Ok(delivered)
     }
 
     fn gather<M: WireMessage>(
@@ -140,7 +158,9 @@ impl Transport for ForgingGather {
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
         let mut gathered = InProcess.gather(messages, stats)?;
-        gathered[self.slave] = dsr_cluster::wire::decode_exact::<M>(&self.message)?;
+        if let Forged::Gather(slave) = self.round {
+            gathered[slave] = self.forged()?;
+        }
         Ok(gathered)
     }
 
@@ -150,48 +170,20 @@ impl Transport for ForgingGather {
         outgoing: Vec<Vec<(usize, M)>>,
         stats: &CommStats,
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
-        InProcess.all_to_all(num_nodes, outgoing, stats)
-    }
-}
-
-/// The scatter twin of [`ForgingGather`]: what `slave` receives from the
-/// master in the scatter round is replaced by the forged message.
-pub(crate) struct ForgingScatter {
-    /// The forged message, wire-encoded.
-    pub message: Vec<u8>,
-    pub slave: usize,
-}
-
-impl Transport for ForgingScatter {
-    fn name(&self) -> &'static str {
-        "forging-scatter"
-    }
-
-    fn scatter<M: WireMessage>(
-        &self,
-        messages: Vec<M>,
-        stats: &CommStats,
-    ) -> Result<Vec<M>, TransportError> {
-        let mut delivered = InProcess.scatter(messages, stats)?;
-        delivered[self.slave] = dsr_cluster::wire::decode_exact::<M>(&self.message)?;
-        Ok(delivered)
-    }
-
-    fn gather<M: WireMessage>(
-        &self,
-        messages: Vec<M>,
-        stats: &CommStats,
-    ) -> Result<Vec<M>, TransportError> {
-        InProcess.gather(messages, stats)
-    }
-
-    fn all_to_all<M: WireMessage>(
-        &self,
-        num_nodes: usize,
-        outgoing: Vec<Vec<(usize, M)>>,
-        stats: &CommStats,
-    ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
-        InProcess.all_to_all(num_nodes, outgoing, stats)
+        let mut incoming = InProcess.all_to_all(num_nodes, outgoing, stats)?;
+        if let Forged::Exchange {
+            sender,
+            receiver,
+            replace,
+        } = self.round
+        {
+            let inbox = &mut incoming[receiver];
+            if replace {
+                inbox.retain(|(src, _)| *src != sender);
+            }
+            inbox.push((sender, self.forged()?));
+        }
+        Ok(incoming)
     }
 }
 

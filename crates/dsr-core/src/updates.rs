@@ -727,12 +727,7 @@ mod tests {
         let mut wrong_partition = delta.clone();
         wrong_partition.partition = 1;
         for forged in [wrong_class, wrong_partition] {
-            let transport = Forging {
-                buffer: dsr_cluster::wire::encode_to_vec(&forged),
-                sender: 0,
-                receiver: 2,
-                replace: true,
-            };
+            let transport = Forging::replacing(&forged, 0, 2);
             let mut fork = index.fork();
             let err = fork
                 .apply_updates_with_transport(&op, &transport)
@@ -753,12 +748,7 @@ mod tests {
         }
 
         // The honest delta through the same transport goes through.
-        let transport = Forging {
-            buffer: dsr_cluster::wire::encode_to_vec(delta),
-            sender: 0,
-            receiver: 2,
-            replace: true,
-        };
+        let transport = Forging::replacing(delta, 0, 2);
         let mut fork = index.fork();
         fork.apply_updates_with_transport(&op, &transport)
             .expect("an unmodified delta reconstructs the summary");

@@ -27,8 +27,8 @@
 //!   one index (the one index per store both DSR resolvers query, and
 //!   their one term translation), a [`service::ServicePathResolver`]
 //!   routing `p*` through a pinned snapshot of a live `QueryService`, and
-//!   the [`service::RdfWorkload`] plugging the whole benchmark into the
-//!   service's `Workload` trait.
+//!   the [`service::RdfWorkload`] running the whole benchmark against one
+//!   pinned snapshot.
 
 #![forbid(unsafe_code)]
 

@@ -23,9 +23,9 @@
 //!   filling the pinned generation's cache namespace, and never observing
 //!   an update applied after the snapshot was pinned.
 //! * [`RdfWorkload`] packages a store plus a set of named benchmark
-//!   queries (`L1`–`L3` / `F1`–`F3`) as a [`Workload`]: one call
-//!   evaluates every query against one pinned snapshot and reports a
-//!   checksummed, reproducible [`WorkloadRun`].
+//!   queries (`L1`–`L3` / `F1`–`F3`) as an analytical workload: one
+//!   [`run`](RdfWorkload::run) evaluates every query against one pinned
+//!   snapshot and reports a checksummed, reproducible [`WorkloadRun`].
 //!
 //! [`QueryService`]: dsr_service::QueryService
 
@@ -37,7 +37,7 @@ use dsr_core::{DsrIndex, SetQuery};
 use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
 use dsr_reach::LocalIndexKind;
-use dsr_service::{checksum_pairs, CachedPairs, ServiceError, SnapshotRef, Workload, WorkloadRun};
+use dsr_service::{checksum_pairs, CachedPairs, ServiceError, SnapshotRef, WorkloadRun};
 
 use crate::datasets::{named_query, path_predicates};
 use crate::path::{reflexive_pairs, PathResolver};
@@ -227,10 +227,11 @@ impl PathResolver for ServicePathResolver<'_, '_> {
     }
 }
 
-/// The RDF property-path benchmark as a pluggable service [`Workload`].
+/// The RDF property-path benchmark as an analytical workload of the
+/// service.
 ///
 /// Wraps a [`TripleStore`] plus a list of named benchmark queries; each
-/// [`run`](Workload::run) evaluates every query with a
+/// [`run`](RdfWorkload::run) evaluates every query with a
 /// [`ServicePathResolver`] over the given pinned snapshot and reports the
 /// solution count plus an order-insensitive checksum of all solution
 /// mappings. Install [`RdfWorkload::build_index`] into the service first —
@@ -288,12 +289,13 @@ fn binding_digest(binding: &Binding) -> u64 {
     hash
 }
 
-impl Workload for RdfWorkload {
-    fn name(&self) -> &str {
-        "rdf-paths"
-    }
-
-    fn run(&self, snapshot: &SnapshotRef<'_>) -> Result<WorkloadRun, ServiceError> {
+impl RdfWorkload {
+    /// Runs every query against `snapshot`, and through it alone.
+    ///
+    /// # Errors
+    /// [`ServiceError`] when a fused execution fails on the service
+    /// transport.
+    pub fn run(&self, snapshot: &SnapshotRef<'_>) -> Result<WorkloadRun, ServiceError> {
         let resolver = ServicePathResolver::new(snapshot, &self.map);
         let mut digests: Vec<(u64, u64)> = Vec::new();
         for (qi, query) in self.queries.iter().enumerate() {

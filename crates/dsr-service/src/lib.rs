@@ -56,11 +56,10 @@
 //!   and the fork is installed iff the batch succeeded and changed
 //!   something, so readers never wait for an update and a failed batch
 //!   ([`UpdateError`]) leaves generation and hot cache untouched.
-//! * Analytical tenants plug in behind the [`Workload`] trait: a named
-//!   unit of work that runs entirely against one pinned [`SnapshotRef`]
-//!   and reports a checksummed [`WorkloadRun`] — the `dsr-rdf` path
+//! * Analytical tenants run entirely against one pinned [`SnapshotRef`]
+//!   and report a checksummed [`WorkloadRun`] — the `dsr-rdf` path
 //!   resolver and the `dsr-community` detector are the two in-tree
-//!   implementations.
+//!   workloads.
 //!
 //! # Quick start
 //!
@@ -111,4 +110,4 @@ pub use service::{
     ServiceConfig, SnapshotRef, UpdateError, UpdateMode,
 };
 pub use snapshot::{Generation, GenerationChain, GenerationId};
-pub use workload::{checksum_pairs, Workload, WorkloadRun};
+pub use workload::{checksum_pairs, WorkloadRun};

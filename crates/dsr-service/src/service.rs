@@ -327,7 +327,7 @@ impl SnapshotRef<'_> {
 
     /// Answers a whole batch against the pinned generation with a single
     /// fused execution for all namespace misses — the workhorse of
-    /// analytical [`Workload`](crate::Workload)s.
+    /// analytical workloads (see [`WorkloadRun`](crate::WorkloadRun)).
     ///
     /// # Errors
     /// [`ServiceError::Transport`] when the fused execution fails.

@@ -27,7 +27,7 @@ use dsr_rdf::{
     ServicePathResolver, UnionPathGraph, QUERY_NAMES,
 };
 use dsr_reach::LocalIndexKind;
-use dsr_service::{checksum_pairs, QueryService, ServiceConfig, UpdateMode, Workload};
+use dsr_service::{checksum_pairs, QueryService, ServiceConfig, UpdateMode};
 use dsr_sync::Arc;
 
 /// Canonical, order-independent form of a solution set.
