@@ -31,12 +31,6 @@ impl CommStats {
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Records `count` messages totalling `bytes` bytes.
-    pub fn record_messages(&self, count: u64, bytes: u64) {
-        self.messages.fetch_add(count, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Number of communication rounds so far.
     pub fn rounds(&self) -> u64 {
         self.rounds.load(Ordering::Relaxed)
@@ -408,8 +402,9 @@ mod tests {
     fn counting() {
         let s = CommStats::new();
         s.record_round();
-        s.record_message(100);
-        s.record_messages(3, 300);
+        for _ in 0..4 {
+            s.record_message(100);
+        }
         assert_eq!(s.rounds(), 1);
         assert_eq!(s.messages(), 4);
         assert_eq!(s.bytes(), 400);
@@ -469,7 +464,7 @@ mod tests {
         let comm = CommStats::new();
         assert!(UpdateStats::from_comm(&comm).is_zero());
         comm.record_round();
-        comm.record_messages(4, 120);
+        comm.add(0, 4, 120);
         let batch = UpdateStats::from_comm(&comm);
         assert_eq!(
             batch,

@@ -85,11 +85,10 @@ pub trait Transport: Sync {
     fn name(&self) -> &'static str;
 
     /// Whether this backend delivers messages by moving them in place
-    /// (no serialization). Callers that would otherwise clone one payload
-    /// per recipient (e.g. the index build broadcasting each partition
-    /// summary to every peer) may skip materializing the copies and
-    /// account the traffic directly — the recorded statistics must be
-    /// identical either way.
+    /// (no serialization). Nothing in this workspace branches on it: every
+    /// caller, the index build's summary exchange included, moves its
+    /// messages through the collectives. Kept only for `benchmark/`, whose
+    /// timing decorator forwards it.
     fn is_zero_copy(&self) -> bool {
         false
     }

@@ -126,6 +126,21 @@
 //! error, and [`DsrEngine::is_reachable`] answers a same-partition pair
 //! locally and asks everything else through it.
 //!
+//! A lane's per-destination lists — the classes it reaches and, where some
+//! query targets in-boundaries there, the entries — are computed once per
+//! source, whatever number of queries share it, and belong to the lane
+//! until they are shipped: the source's queries ship in query order, every
+//! one but the last that ships gets a copy, and the last takes the lists
+//! themselves, trimmed in place to their length so that no message in
+//! flight carries growth slack. A query that targets no in-boundary of the
+//! destination ships empty entries. Each destination's messages are then
+//! grouped by query in one stable bucket pass — sources already ascend
+//! within and across passes, so no comparison sort is needed. At the
+//! master, each query's answer is assembled on its own: its step-1 and
+//! gathered pairs are counted into one bucket of a flat buffer, that
+//! bucket is sorted and deduplicated, and the answer is copied out at its
+//! exact size.
+//!
 //! # Transports
 //!
 //! The protocol is generic over the [`Transport`] that moves its messages
@@ -215,6 +230,17 @@ struct StepOneOutput {
     outgoing: Vec<(usize, BatchBuffer)>,
 }
 
+/// What the three rounds of a batch leave at the master.
+struct Rounds {
+    /// The caller's index of every active query, by active-query id.
+    original_of: Vec<usize>,
+    /// Per slave, the pairs its step 1 resolved, tagged with the active
+    /// query.
+    resolved: Vec<Vec<(u32, VertexId, VertexId)>>,
+    /// Per slave, what its step 3 sent back through the gather.
+    gathered: Vec<GatherMessage>,
+}
+
 impl<'a> DsrEngine<'a> {
     /// Creates an engine over `index` using the default zero-copy
     /// [`InProcess`] transport.
@@ -294,7 +320,15 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
     /// 3 per query), adding its cost to `stats`. Returns one (sorted,
     /// deduplicated) pair list per input query: `results[i]` answers
     /// `queries[i]`. See the module docs for how the per-slave work is
-    /// fused across queries. Source and target ids the graph does not have
+    /// fused across queries; a source shared by several queries has its
+    /// lists computed once, the last query that ships them takes them
+    /// (trimmed to their length) and every earlier one gets a copy. The
+    /// master assembles the answers per query: it counts each query's
+    /// pairs — those step 1 resolved at the source slaves and those the
+    /// gather returned — places them in that query's bucket of one flat
+    /// buffer, sorts and deduplicates every bucket on its own and copies it
+    /// out at its exact size (no answer carries growth slack). Source and
+    /// target ids the graph does not have
     /// are dropped by the master before anything is scattered (see
     /// [`SetQuery`]); every slave checks the payload it is delivered against
     /// exactly that contract before it evaluates anything.
@@ -314,9 +348,29 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         queries: &[SetQuery],
         stats: &CommStats,
     ) -> Result<Vec<Vec<(VertexId, VertexId)>>, TransportError> {
+        let mut results: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); queries.len()];
+        let Some(rounds) = self.run_rounds(queries, stats)? else {
+            return Ok(results);
+        };
+        let answers =
+            assemble_answers(rounds.original_of.len(), &rounds.resolved, &rounds.gathered)?;
+        for (original, answer) in rounds.original_of.into_iter().zip(answers) {
+            results[original] = answer;
+        }
+        Ok(results)
+    }
+
+    /// The master's normalization and the three rounds of
+    /// [`DsrEngine::set_reachability_batch_with_stats`], up to the gathered
+    /// results; `None`, having communicated nothing, when no query of the
+    /// batch has a non-empty side.
+    fn run_rounds(
+        &self,
+        queries: &[SetQuery],
+        stats: &CommStats,
+    ) -> Result<Option<Rounds>, TransportError> {
         let index = self.index;
         let k = index.num_partitions();
-        let mut results: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); queries.len()];
 
         // ---- Master: normalize and partition every query into per-slave
         // scatter payloads. Ids the graph does not have are dropped here, so
@@ -350,7 +404,7 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             }
         }
         if original_of.is_empty() {
-            return Ok(results);
+            return Ok(None);
         }
 
         // ---- Scatter: one round, one message per slave carrying every
@@ -370,9 +424,9 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 
         // ---- Step 2: one all-to-all exchange round for the whole batch. ----
         let mut outgoing: Vec<Vec<(usize, BatchBuffer)>> = Vec::with_capacity(k);
-        let mut final_pairs: Vec<(u32, VertexId, VertexId)> = Vec::new();
+        let mut resolved: Vec<Vec<(u32, VertexId, VertexId)>> = Vec::with_capacity(k);
         for out in step_one {
-            final_pairs.extend(out.final_pairs);
+            resolved.push(out.final_pairs);
             outgoing.push(out.outgoing);
         }
         let incoming = self.transport.all_to_all(k, outgoing, stats)?;
@@ -386,34 +440,11 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
 
         // ---- Gather results at the master (one round). ---------------------
         let gathered = self.transport.gather(step_three, stats)?;
-        // Callers keep answers around (result cache, verification queues):
-        // every answer is carved at its exact size out of one merged,
-        // sorted `(query, source, target)` list — an answer grown by pushes
-        // and shrunk afterwards leaves a hole behind it in the heap.
-        let gathered_pairs = gathered.iter().flatten().map(|(_, pairs)| pairs.len());
-        let mut merged: Vec<(u32, VertexId, VertexId)> =
-            Vec::with_capacity(final_pairs.len() + gathered_pairs.sum::<usize>());
-        merged.append(&mut final_pairs);
-        for (j, message) in gathered.iter().enumerate() {
-            for (a, pairs) in message {
-                // The message came back through the transport: its query
-                // ids index `original_of` below.
-                if *a as usize >= original_of.len() {
-                    return Err(TransportError::Protocol {
-                        peer: format!("slave {j}"),
-                        reason: format!("gather message names unknown query {a}"),
-                    });
-                }
-                merged.extend(pairs.iter().map(|&(s, t)| (*a, s, t)));
-            }
-        }
-        merged.sort_unstable();
-        merged.dedup();
-        for answer in merged.chunk_by(|x, y| x.0 == y.0) {
-            results[original_of[answer[0].0 as usize]] =
-                answer.iter().map(|&(_, s, t)| (s, t)).collect();
-        }
-        Ok(results)
+        Ok(Some(Rounds {
+            original_of,
+            resolved,
+            gathered,
+        }))
     }
 
     /// Step 1 at slave `i`, fused across every active query and evaluated
@@ -564,24 +595,42 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             }
 
             // The per-destination lists of a source are shared by every
-            // query the source belongs to.
+            // query the source belongs to: the last query that ships them
+            // takes them, every earlier one gets a copy. A query ships
+            // entries only where it targets in-boundaries of `j`.
             for (lane, run) in pass.iter().enumerate() {
                 let s = source(lane);
-                for &(_, a) in *run {
-                    for j in 0..k {
-                        let shipped_entries: &[VertexId] = if wants_entries[a as usize * k + j] {
-                            &entries[lane * k + j]
-                        } else {
-                            &[]
-                        };
-                        let classes = &classes[lane * k + j];
-                        if classes.is_empty() && shipped_entries.is_empty() {
+                for j in 0..k {
+                    let classes = &mut classes[lane * k + j];
+                    let entries = &mut entries[lane * k + j];
+                    let (any_classes, any_entries) = (!classes.is_empty(), !entries.is_empty());
+                    let wants = |a: u32| wants_entries[a as usize * k + j];
+                    let ships = |a: u32| any_classes || (wants(a) && any_entries);
+                    let Some(last) = run.iter().rposition(|&(_, a)| ships(a)) else {
+                        continue;
+                    };
+                    for (at, &(_, a)) in run[..=last].iter().enumerate() {
+                        if !ships(a) {
                             continue;
                         }
+                        let shipped = |list: &mut Vec<u32>| {
+                            if at < last {
+                                return list.clone();
+                            }
+                            // Trimmed where it lies: a message in flight
+                            // carries no growth slack.
+                            let mut taken = std::mem::take(list);
+                            taken.shrink_to_fit();
+                            taken
+                        };
                         let message = SourceMessage {
                             source: s,
-                            classes: classes.clone(),
-                            entries: shipped_entries.to_vec(),
+                            classes: shipped(classes),
+                            entries: if wants(a) {
+                                shipped(entries)
+                            } else {
+                                Vec::new()
+                            },
                         };
                         staged[j].push((a, message));
                     }
@@ -589,18 +638,33 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
             }
         });
 
-        for (j, mut messages) in staged.into_iter().enumerate() {
+        // Group each destination's messages by query, stably: lanes ascend
+        // by compound id — by global id for local sources — within a pass
+        // and from one pass to the next, so every query's messages come out
+        // ordered by source, as a `(query, source)` sort would order them.
+        let mut per_query = vec![0usize; queries.len()];
+        for (j, messages) in staged.into_iter().enumerate() {
             if messages.is_empty() {
                 continue;
             }
-            messages.sort_by_key(|(a, message)| (*a, message.source));
-            let mut buffer: BatchBuffer = Vec::new();
-            for (a, message) in messages {
-                match buffer.last_mut() {
-                    Some((query, list)) if *query == a => list.push(message),
-                    _ => buffer.push((a, vec![message])),
-                }
+            per_query.fill(0);
+            for &(a, _) in &messages {
+                per_query[a as usize] += 1;
             }
+            let mut buckets: Vec<Vec<SourceMessage>> =
+                per_query.iter().map(|&n| Vec::with_capacity(n)).collect();
+            for (a, message) in messages {
+                buckets[a as usize].push(message);
+            }
+            // Sorted by query, and by source within a query: the order of
+            // a stable `(query, source)` sort.
+            debug_assert!(buckets
+                .iter()
+                .all(|bucket| bucket.is_sorted_by_key(|message| message.source)));
+            let buffer: BatchBuffer = (buckets.into_iter().enumerate())
+                .filter(|(_, bucket)| !bucket.is_empty())
+                .map(|(a, bucket)| (a as u32, bucket))
+                .collect();
             output.outgoing.push((j, buffer));
         }
         Ok(output)
@@ -794,6 +858,73 @@ impl<'a, T: Transport> DsrEngine<'a, T> {
         }
         Ok(gather)
     }
+}
+
+/// Every active query's answer out of what step 1 `resolved` and the
+/// `gathered` step-3 messages hold, assembled per query: each query's pairs
+/// are counted, placed in that query's bucket of one flat buffer, sorted and
+/// deduplicated there, and copied out at their exact size — callers keep
+/// answers around (result cache, verification queues), and an answer grown
+/// by pushes and shrunk afterwards leaves a hole behind it in the heap.
+///
+/// # Errors
+/// A gathered message came through the transport: one naming a query at or
+/// beyond `active` yields [`TransportError::Protocol`] naming its slave.
+fn assemble_answers(
+    active: usize,
+    resolved: &[Vec<(u32, VertexId, VertexId)>],
+    gathered: &[GatherMessage],
+) -> Result<Vec<Vec<(VertexId, VertexId)>>, TransportError> {
+    // Query `a`'s bucket is `flat[start[a]..start[a + 1]]`.
+    let mut start = vec![0usize; active + 1];
+    for &(a, _, _) in resolved.iter().flatten() {
+        start[a as usize + 1] += 1;
+    }
+    for (j, message) in gathered.iter().enumerate() {
+        for (a, pairs) in message {
+            if *a as usize >= active {
+                return Err(TransportError::Protocol {
+                    peer: format!("slave {j}"),
+                    reason: format!("gather message names unknown query {a}"),
+                });
+            }
+            start[*a as usize + 1] += pairs.len();
+        }
+    }
+    for a in 0..active {
+        start[a + 1] += start[a];
+    }
+    let mut flat = vec![(0, 0); start[active]];
+    let mut next = start.clone();
+    for &(a, s, t) in resolved.iter().flatten() {
+        flat[next[a as usize]] = (s, t);
+        next[a as usize] += 1;
+    }
+    for (a, pairs) in gathered.iter().flatten() {
+        let at = next[*a as usize];
+        flat[at..at + pairs.len()].copy_from_slice(pairs);
+        next[*a as usize] += pairs.len();
+    }
+    let answers = start.windows(2).map(|bucket| {
+        let bucket = &mut flat[bucket[0]..bucket[1]];
+        bucket.sort_unstable();
+        let distinct = dedup_sorted(bucket);
+        bucket[..distinct].to_vec()
+    });
+    Ok(answers.collect())
+}
+
+/// Moves the distinct items of the sorted `items` to its front, in order,
+/// and returns how many there are.
+fn dedup_sorted<P: Copy + PartialEq>(items: &mut [P]) -> usize {
+    let mut kept = 0;
+    for at in 0..items.len() {
+        if kept == 0 || items[kept - 1] != items[at] {
+            items[kept] = items[at];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 /// The vertices of `entries` as maximal **stretches** of consecutive
@@ -1437,6 +1568,17 @@ mod tests {
         );
     }
 
+    /// A fresh transport of each backend, in the order of
+    /// `dsr::testing::backends()`: in process, wire, loopback TCP.
+    fn backends() -> [dsr_cluster::DynTransport; 3] {
+        use dsr_cluster::DynTransport;
+        [
+            DynTransport::InProcess(InProcess),
+            DynTransport::Wire(WireTransport::new()),
+            DynTransport::Tcp(dsr_cluster::TcpTransport::loopback()),
+        ]
+    }
+
     #[test]
     fn answers_carry_no_growth_slack() {
         use rand::rngs::SmallRng;
@@ -1446,17 +1588,155 @@ mod tests {
         let g = DiGraph::from_edges(n, &random_edges(&mut rng, n, 500));
         let p = HashPartitioner::default().partition(&g, 4);
         let index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
-        let queries: Vec<SetQuery> = (0..64)
+        let independent: Vec<SetQuery> = (0..64)
             .map(|_| {
                 let mut pick = || (0..8).map(|_| rng.gen_range(0..n) as u32).collect();
                 SetQuery::new(pick(), pick())
             })
             .collect();
-        let (results, _) = batch(&DsrEngine::new(&index), &queries).expect("in-process");
-        assert!(results.iter().any(|pairs| pairs.len() > 4));
-        for pairs in &results {
-            assert_eq!(pairs.capacity(), pairs.len());
+        // 64 queries drawing their sources from 24 vertices: most lanes
+        // belong to several queries, and most lists are shipped more than
+        // once.
+        let shared: Vec<SetQuery> = (0..64)
+            .map(|_| {
+                let sources = (0..8).map(|_| rng.gen_range(0..24)).collect();
+                let targets = (0..16).map(|_| rng.gen_range(0..n) as u32).collect();
+                SetQuery::new(sources, targets)
+            })
+            .collect();
+        for transport in backends() {
+            let (engine, on) = (
+                DsrEngine::with_transport(&index, &transport),
+                transport.name(),
+            );
+            for queries in [&independent, &shared] {
+                let (results, _) = batch(&engine, queries).expect(on);
+                assert!(results.iter().any(|pairs| pairs.len() > 4));
+                for pairs in &results {
+                    assert_eq!(pairs.capacity(), pairs.len(), "on {on}");
+                }
+            }
         }
+    }
+
+    /// The batch-wide merge the per-query assembly replaced: every pair
+    /// tagged with its query in one list, sorted and deduplicated as a
+    /// whole, then cut into the queries' answers.
+    fn assemble_by_batch_wide_sort(
+        active: usize,
+        resolved: &[Vec<(u32, VertexId, VertexId)>],
+        gathered: &[GatherMessage],
+    ) -> Vec<Vec<(VertexId, VertexId)>> {
+        let mut merged: Vec<(u32, VertexId, VertexId)> = resolved.concat();
+        for (a, pairs) in gathered.iter().flatten() {
+            merged.extend(pairs.iter().map(|&(s, t)| (*a, s, t)));
+        }
+        merged.sort_unstable();
+        merged.dedup();
+        let mut answers = vec![Vec::new(); active];
+        for answer in merged.chunk_by(|x, y| x.0 == y.0) {
+            answers[answer[0].0 as usize] = answer.iter().map(|&(_, s, t)| (s, t)).collect();
+        }
+        answers
+    }
+
+    #[test]
+    fn per_query_assembly_matches_the_batch_wide_sort_on_every_backend() {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(45);
+        let n = 240;
+        let all: Vec<u32> = (0..n as u32).collect();
+        // How many queries step 1 alone answered, how many step 3 alone,
+        // and how many had a pair resolved at both ends (a duplicate that
+        // only the per-bucket dedup removes).
+        let (mut step_one_only, mut step_three_only, mut overlapping) = (0, 0, 0);
+        for round in 0..4 {
+            let g = DiGraph::from_edges(n, &random_edges(&mut rng, n, 600));
+            let p = HashPartitioner::default().partition(&g, 3);
+            let index = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
+            let members = p.members();
+            let boundary = |v: u32| {
+                let boundaries = index.cut.partition(p.partition_of(v));
+                boundaries.is_in_boundary(v) || boundaries.is_out_boundary(v)
+            };
+            let interior = |part: usize| -> Vec<u32> {
+                members[part]
+                    .iter()
+                    .copied()
+                    .filter(|&v| !boundary(v))
+                    .collect()
+            };
+            // More than 64 sources per slave; sources shared across
+            // queries; repeated queries; empty sides; queries whose sources
+            // and targets lie in one partition (answered at step 1 only);
+            // queries whose targets are interior vertices of a partition
+            // their sources are not in (answered at step 3 only).
+            let mut queries = vec![SetQuery::new(all.clone(), all.clone())];
+            queries.extend((0..16).map(|_| {
+                let sources = (0..12).map(|_| rng.gen_range(0..30)).collect();
+                let targets = (0..10).map(|_| rng.gen_range(0..n) as u32).collect();
+                SetQuery::new(sources, targets)
+            }));
+            let repeated = queries[1..4].to_vec();
+            queries.extend(repeated);
+            queries.push(SetQuery::new(Vec::new(), all.clone()));
+            queries.push(SetQuery::new(all.clone(), Vec::new()));
+            for part in 0..3 {
+                let home = &members[part];
+                queries.push(SetQuery::new(home.clone(), interior(part)));
+                let away: Vec<u32> = all
+                    .iter()
+                    .copied()
+                    .filter(|&v| p.partition_of(v) as usize != part)
+                    .collect();
+                queries.push(SetQuery::new(away, interior(part)));
+            }
+            queries.shuffle(&mut rng);
+            let oracle = TransitiveClosure::build(&g);
+
+            for transport in backends() {
+                let engine = DsrEngine::with_transport(&index, &transport);
+                let on = format!("round {round} on {}", transport.name());
+                let rounds = engine
+                    .run_rounds(&queries, &CommStats::new())
+                    .expect(&on)
+                    .expect("active queries");
+                let active = rounds.original_of.len();
+                assert_eq!(active, queries.len() - 2, "{on}: the empty sides");
+                let (resolved, gathered) = (&rounds.resolved, &rounds.gathered);
+                let expected = assemble_by_batch_wide_sort(active, resolved, gathered);
+                let assembled = assemble_answers(active, resolved, gathered).expect(&on);
+                assert_eq!(assembled, expected, "{on}");
+
+                for (a, answer) in expected.iter().enumerate() {
+                    let ours = a as u32;
+                    let step_one = resolved.iter().flatten().filter(|r| r.0 == ours).count();
+                    let at_step_three = gathered.iter().flatten().filter(|m| m.0 == ours);
+                    let step_three: usize = at_step_three.map(|(_, pairs)| pairs.len()).sum();
+                    step_one_only += usize::from(step_one > 0 && step_three == 0);
+                    step_three_only += usize::from(step_one == 0 && step_three > 0);
+                    overlapping += usize::from(step_one + step_three > answer.len());
+                }
+
+                let answers = engine
+                    .set_reachability_batch_with_stats(&queries, &CommStats::new())
+                    .expect(&on);
+                for (q, answer) in queries.iter().zip(&answers) {
+                    let (sources, targets) = q.signature();
+                    assert_eq!(*answer, oracle.set_reachability(&sources, &targets), "{on}");
+                }
+                for (a, &original) in rounds.original_of.iter().enumerate() {
+                    assert_eq!(answers[original], expected[a], "{on}");
+                }
+            }
+        }
+        assert!(
+            step_one_only > 0 && step_three_only > 0,
+            "both ends answer alone"
+        );
+        assert!(overlapping > 0, "some pair is resolved at both ends");
     }
 
     #[test]
@@ -2049,6 +2329,40 @@ mod tests {
         assert_eq!(from_source_2[2].entries, every_second);
         assert!(!from_source_2[1].classes.is_empty());
         assert_eq!(from_source_2[0].classes, from_source_2[1].classes);
+
+        // All three queries ship source 2's lists, and the last of them
+        // takes them: in all six orders of the batch — the taker wanting
+        // entries in some and not in others — every query's lists are the
+        // ones the clone-per-query reference ships.
+        let mut taker_wants_entries = std::collections::BTreeSet::new();
+        let in_boundary = |t: &u32| index.cut.partition(1).is_in_boundary(*t);
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let reordered: Vec<SetQuery> = order.iter().map(|&q| queries[q].clone()).collect();
+            let payload = payload_for(&index, 0, &reordered);
+            let staged = DsrEngine::new(&index)
+                .step_one_batch(0, &payload, payload.len())
+                .expect("a payload the master could have scattered");
+            let shipped = staged.outgoing[0]
+                .1
+                .iter()
+                .flat_map(|(_, messages)| messages);
+            assert_eq!(shipped.filter(|m| m.source == 2).count(), 3, "{order:?}");
+            taker_wants_entries.insert(reordered[2].targets.iter().any(in_boundary));
+            let expected = reference_outgoing(&index, 0, &payload);
+            assert_eq!(staged.outgoing, expected, "order {order:?}");
+        }
+        assert_eq!(
+            taker_wants_entries.len(),
+            2,
+            "the taker wants entries or not"
+        );
     }
 
     /// The scatter payload the master hands slave `i` for `queries`.

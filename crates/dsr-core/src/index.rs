@@ -3,7 +3,7 @@
 
 use dsr_sync::Arc;
 
-use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError, Wire};
+use dsr_cluster::{run_on_slaves, CommStats, InProcess, Transport, TransportError};
 use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{Cut, PartitionId, Partitioning};
 use dsr_reach::{build_index, LocalIndexKind, LocalReachability};
@@ -199,19 +199,10 @@ impl DsrIndex {
         });
 
         // Summary exchange: every slave ships its summary to every peer and
-        // builds its compound graph from the summaries it received.
+        // builds its compound graph from the summaries it received. One
+        // partition has no peer and exchanges nothing.
         let comm = CommStats::new();
-        let compounds: Vec<CompoundGraph> = if k <= 1 || transport.is_zero_copy() {
-            // A zero-copy backend would deliver the summaries unchanged, so
-            // every slave reads the shared slice directly; account the
-            // exchange without materializing k − 1 clones per summary (the
-            // recorded volume is identical to the materialized path).
-            if k > 1 {
-                comm.record_round();
-                for summary in &summaries {
-                    comm.record_messages((k - 1) as u64, ((k - 1) * summary.byte_size()) as u64);
-                }
-            }
+        let compounds: Vec<CompoundGraph> = if k <= 1 {
             run_on_slaves(k, |i| {
                 CompoundGraph::build(&locals[i], &cut, &summaries, i as PartitionId)
             })
