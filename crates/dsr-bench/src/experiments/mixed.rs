@@ -302,10 +302,10 @@ fn replay(s: &Scenario, slaves: usize, transport: DynTransport) -> Counters {
     counters.comm_rounds = comm.rounds();
     counters.comm_messages = comm.messages();
     counters.comm_bytes = comm.bytes();
-    let namespaces = service.namespace_hits();
-    counters.latest_hits = namespaces.latest;
-    counters.pinned_hits = namespaces.pinned;
-    counters.cache_misses = service.cache_stats().misses();
+    let cache = service.cache_stats();
+    counters.latest_hits = cache.latest_hits();
+    counters.pinned_hits = cache.pinned_hits();
+    counters.cache_misses = cache.misses();
     let generations = service.generation_stats();
     counters.generations_created = generations.created;
     counters.generations_reclaimed = generations.reclaimed;
@@ -313,8 +313,7 @@ fn replay(s: &Scenario, slaves: usize, transport: DynTransport) -> Counters {
 }
 
 fn cache_hits(service: &QueryService) -> u64 {
-    let namespaces = service.namespace_hits();
-    namespaces.latest + namespaces.pinned
+    service.cache_stats().hits()
 }
 
 fn oracle(live: &BTreeSet<(VertexId, VertexId)>, num_vertices: usize) -> TransitiveClosure {

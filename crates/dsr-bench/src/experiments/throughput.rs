@@ -52,7 +52,7 @@ use crate::Table;
 const BATCHED_CLIENTS: usize = 64;
 
 /// Batch-former counters of one service mode, snapshotted from
-/// [`dsr_cluster::BatchStats`].
+/// [`dsr_service::BatchStats`].
 struct FusionInfo {
     batches: u64,
     fused_queries: u64,

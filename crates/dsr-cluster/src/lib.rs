@@ -23,12 +23,11 @@
 //!   what decodes from those bytes, and records their length — no pipes,
 //!   no threads; it shares each collective's body with [`InProcess`];
 //! * [`TcpTransport`] moves the same frames through
-//!   **worker endpoints over TCP sockets** — self-hosted loopback workers
-//!   or external worker processes described by a [`ClusterSpec`] — with a
-//!   handshake and timeouts. Partition `p` goes to worker `p % W`; a
-//!   collective runs once, a worker that fails it makes it return one
-//!   typed [`TransportError`] naming that worker (never a panic or a
-//!   hang), and the next collective reconnects.
+//!   **worker endpoints over loopback TCP sockets** — self-hosted worker
+//!   threads, one per node — with a handshake and timeouts. A collective
+//!   runs once, a worker that fails it makes it return one typed
+//!   [`TransportError`] naming that worker (never a panic or a hang), and
+//!   the next collective reconnects.
 //!
 //! All backends produce identical payloads and identical statistics (one
 //! encoder defines both the bytes and the count, and the two sinks are
@@ -56,8 +55,8 @@ pub mod worker;
 
 pub use error::TransportError;
 pub use pool::{global_pool, SlavePool};
-pub use stats::{BatchStats, CacheStats, CommStats, UpdateStats};
-pub use tcp::{ClusterSpec, TcpTransport};
+pub use stats::{CommStats, UpdateStats};
+pub use tcp::TcpTransport;
 pub use transport::{DynTransport, InProcess, Topology, Transport, WireMessage, WireTransport};
 pub use wire::{Sink, Wire, WireError, WireReader};
 pub use worker::run_on_slaves;

@@ -1,21 +1,21 @@
-//! The master side: [`TcpTransport`], its links, the loopback workers, the
-//! placement of nodes on workers and the one op every collective runs.
+//! The master side: [`TcpTransport`], its links, the loopback workers it
+//! grows on demand and the one op every collective runs.
 
 use dsr_sync::thread::JoinHandle;
 use dsr_sync::Mutex;
 use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use super::protocol::{preamble, put_echo_header, read_preamble, OP_SHUTDOWN};
-use super::spec::ClusterSpec;
 use super::worker::{bind_worker, serve_worker};
 use crate::error::TransportError;
 use crate::frame::{put_frame, read_frame, MAX_FRAME_LEN};
 use crate::stats::{CommStats, FailoverStats};
-use crate::transport::{Topology, Transport, WireMessage};
+use crate::transport::{Transport, WireMessage};
 use crate::wire;
 
+#[derive(Debug)]
 pub(super) struct WorkerLink {
     /// Write half (and the handle `TcpTransport::sever` and resets shut
     /// down).
@@ -26,7 +26,7 @@ pub(super) struct WorkerLink {
     /// to it would miss whatever the buffer already holds.
     reader: BufReader<TcpStream>,
     id: usize,
-    addr: String,
+    addr: SocketAddr,
 }
 
 impl WorkerLink {
@@ -59,29 +59,21 @@ impl WorkerLink {
 }
 
 /// Connects to worker `id` at `addr` and exchanges the hello and its ack.
+/// `timeout` bounds the connect and every later read and write.
 pub(super) fn connect_link(
-    addr: &str,
+    addr: SocketAddr,
     id: usize,
-    connect_timeout: Duration,
-    io_timeout: Duration,
+    timeout: Duration,
 ) -> Result<WorkerLink, TransportError> {
     let peer = format!("worker {id} ({addr})");
-    let resolved: SocketAddr = addr
-        .to_socket_addrs()
-        .map_err(|e| TransportError::from_io(&peer, "resolve worker address", e))?
-        .next()
-        .ok_or_else(|| TransportError::Handshake {
-            peer: peer.clone(),
-            reason: "address resolves to nothing".to_string(),
-        })?;
-    let stream = TcpStream::connect_timeout(&resolved, connect_timeout)
+    let stream = TcpStream::connect_timeout(&addr, timeout)
         .map_err(|e| TransportError::from_io(&peer, "connect to worker", e))?;
     let _ = stream.set_nodelay(true);
     stream
-        .set_read_timeout(Some(io_timeout))
+        .set_read_timeout(Some(timeout))
         .map_err(|e| TransportError::from_io(&peer, "set read timeout", e))?;
     stream
-        .set_write_timeout(Some(io_timeout))
+        .set_write_timeout(Some(timeout))
         .map_err(|e| TransportError::from_io(&peer, "set write timeout", e))?;
 
     (&stream)
@@ -98,37 +90,24 @@ pub(super) fn connect_link(
         stream,
         reader,
         id,
-        addr: addr.to_string(),
+        addr,
     })
 }
 
+/// The loopback cluster: worker `w` listens on `addrs[w]` and runs on
+/// `threads[w]`; the three lists grow together.
 struct MasterState {
-    /// The cluster; `spec.workers` lists the workers in id order, and grows
-    /// with a loopback cluster.
-    spec: ClusterSpec,
-    /// Live master→worker links, indexed like `spec.workers`; `None` = not
-    /// connected (a failed collective dropped them all, or the loopback
-    /// cluster just grew).
+    addrs: Vec<SocketAddr>,
+    /// Live master→worker links; `None` = not connected (a failed
+    /// collective dropped them all, or the cluster just grew).
     links: Vec<Option<WorkerLink>>,
-    /// The threads of a self-hosted cluster, which grows on demand; `None`
-    /// for a fixed remote cluster.
-    loopback: Option<Vec<JoinHandle<()>>>,
+    threads: Vec<JoinHandle<Result<(), TransportError>>>,
+    /// Bounds every connect, read and write of a master link, and each
+    /// worker's wait for a hello.
+    io_timeout: Duration,
 }
 
 impl MasterState {
-    fn new(spec: ClusterSpec, loopback: Option<Vec<JoinHandle<()>>>) -> Self {
-        MasterState {
-            links: spec.workers.iter().map(|_| None).collect(),
-            spec,
-            loopback,
-        }
-    }
-
-    fn connect(&self, id: usize) -> Result<WorkerLink, TransportError> {
-        let spec = &self.spec;
-        connect_link(&spec.workers[id], id, spec.connect_timeout, spec.io_timeout)
-    }
-
     /// The link of a worker the current collective sends to.
     fn link(&mut self, worker: usize) -> &mut WorkerLink {
         self.links[worker]
@@ -138,40 +117,27 @@ impl MasterState {
 
     /// Brings the cluster to a serving state for a `width`-wide collective,
     /// the one check in front of every collective, so callers make none.
-    /// A loopback cluster first grows to `width` workers; a remote cluster
-    /// never grows: extra nodes wrap onto its workers. Then every missing
-    /// link — a grown cluster, or a collective that failed — is connected.
-    /// A worker that refuses is the collective's error.
+    /// The cluster first grows to `width` workers, so node `p` is on worker
+    /// `p`; then every missing link — a grown cluster, or a collective that
+    /// failed — is connected. A worker that refuses is the collective's
+    /// error.
     fn ready(&mut self, width: usize) -> Result<(), TransportError> {
-        if let Some(workers) = &mut self.loopback {
-            while self.spec.workers.len() < width {
-                let listener = bind_worker("127.0.0.1:0")?;
-                let addr = listener
-                    .local_addr()
-                    .map_err(|source| TransportError::Io {
-                        context: "loopback listener address".to_string(),
-                        source,
-                    })?
-                    .to_string();
-                let io_timeout = self.spec.io_timeout;
-                workers.push(dsr_sync::thread::spawn(move || {
-                    if let Err(err) = serve_worker(listener, io_timeout) {
-                        eprintln!("dsr loopback worker failed: {err}");
-                    }
-                }));
-                self.spec.workers.push(addr);
-                self.links.push(None);
-            }
-        }
-        if self.spec.workers.is_empty() {
-            return Err(TransportError::Protocol {
-                peer: "cluster".to_string(),
-                reason: "no workers configured".to_string(),
-            });
+        while self.addrs.len() < width {
+            let listener = bind_worker("127.0.0.1:0")?;
+            let addr = listener.local_addr().map_err(|source| TransportError::Io {
+                context: "loopback listener address".to_string(),
+                source,
+            })?;
+            let io_timeout = self.io_timeout;
+            let thread = dsr_sync::thread::spawn(move || serve_worker(listener, io_timeout));
+            self.threads.push(thread);
+            self.addrs.push(addr);
+            self.links.push(None);
         }
         for worker in 0..self.links.len() {
             if self.links[worker].is_none() {
-                self.links[worker] = Some(self.connect(worker)?);
+                self.links[worker] =
+                    Some(connect_link(self.addrs[worker], worker, self.io_timeout)?);
             }
         }
         Ok(())
@@ -201,7 +167,8 @@ impl MasterState {
     }
 }
 
-/// The TCP backend: collectives over real sockets and worker endpoints.
+/// The TCP backend: collectives over real sockets and loopback worker
+/// endpoints, one worker per node.
 ///
 /// See the [module docs](super) for the architecture. Collectives are
 /// serialized (one at a time per transport), so one `TcpTransport` can be
@@ -211,7 +178,7 @@ impl MasterState {
 ///
 /// # Worker loss
 ///
-/// A collective runs once, with node `p` on worker `p % W`. If any worker
+/// A collective runs once, with node `p` on worker `p`. If any worker
 /// fails it, every link is dropped and the collective returns one typed
 /// [`TransportError`] naming the worker to blame. [`CommStats`] keeps what
 /// the collective encoded, as it would have without the failure. The next
@@ -239,33 +206,19 @@ impl TcpTransport {
     /// [`TcpTransport::loopback`] with an explicit I/O timeout (tests use
     /// short ones so failure paths resolve quickly).
     pub fn loopback_with(io_timeout: Duration) -> Self {
-        let spec = ClusterSpec {
-            workers: Vec::new(),
-            connect_timeout: io_timeout,
-            io_timeout,
-        };
         TcpTransport {
-            state: Mutex::new(MasterState::new(spec, Some(Vec::new()))),
+            state: Mutex::new(MasterState {
+                addrs: Vec::new(),
+                links: Vec::new(),
+                threads: Vec::new(),
+                io_timeout,
+            }),
         }
     }
 
-    /// Connects to the external workers of `spec` (each running
-    /// [`serve_worker`](super::serve_worker)) and performs the handshake
-    /// with every one.
-    pub fn connect(spec: &ClusterSpec) -> Result<Self, TransportError> {
-        let mut state = MasterState::new(spec.clone(), None);
-        for id in 0..spec.workers.len() {
-            state.links[id] = Some(state.connect(id)?);
-        }
-        Ok(TcpTransport {
-            state: Mutex::new(state),
-        })
-    }
-
-    /// Number of known workers (0 for a loopback cluster that has not
-    /// served a collective yet).
+    /// Number of workers: the widest collective served so far.
     pub fn num_workers(&self) -> usize {
-        dsr_sync::lock(&self.state).spec.workers.len()
+        dsr_sync::lock(&self.state).addrs.len()
     }
 
     /// Shuts worker `worker`'s master link down as if the worker had died,
@@ -286,10 +239,34 @@ impl TcpTransport {
         FailoverStats
     }
 
+    /// Shuts every worker down and returns how each worker thread that did
+    /// not panic ended, in worker order; the cluster is empty afterwards.
+    /// A worker without a live link (a failed collective dropped it, or
+    /// `sever` cut it) waits for its next master: a fresh link shuts it
+    /// down. Failing that, the worker is gone.
+    pub(super) fn shut_down(&self) -> Vec<Result<(), TransportError>> {
+        let mut guard = dsr_sync::lock(&self.state);
+        let state = &mut *guard;
+        for (id, slot) in state.links.iter_mut().enumerate() {
+            if slot.take().is_some_and(WorkerLink::shutdown) {
+                continue;
+            }
+            let patience = Duration::from_secs(1);
+            if let Ok(link) = connect_link(state.addrs[id], id, patience) {
+                link.shutdown();
+            }
+        }
+        state.addrs.clear();
+        state.links.clear();
+        // A thread that panicked has reported it on stderr.
+        (state.threads.drain(..))
+            .filter_map(|thread| thread.join().ok())
+            .collect()
+    }
+
     /// The one op of every collective: ships each `(node, message)` to
-    /// the worker hosting `node` — worker `node % W` — in one echo op per
-    /// worker involved, and returns what decodes from the frames the
-    /// workers echoed, in input order. Every op is written before any
+    /// worker `node` in one echo op per worker involved, and returns what
+    /// decodes from the frames the workers echoed, in input order. Every op is written before any
     /// reply is read; replies are read in worker order and decoded on the
     /// calling thread. A collective that cannot reach its workers records
     /// nothing.
@@ -307,10 +284,9 @@ impl TcpTransport {
 
         // Per worker: the input positions it echoes, in input order, and
         // its op.
-        let workers = state.links.len();
-        let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); workers];
+        let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); width];
         for (at, &(node, _)) in messages.iter().enumerate() {
-            hosted[node % workers].push(at);
+            hosted[node].push(at);
         }
         let mut ops: Vec<Vec<u8>> = (hosted.iter())
             .map(|positions| {
@@ -330,7 +306,7 @@ impl TcpTransport {
                     limit: MAX_FRAME_LEN,
                 });
             }
-            put_frame(&mut ops[node % workers], &encoded);
+            put_frame(&mut ops[*node], &encoded);
         }
         // Every message is encoded: free it, keeping a slot for its echo.
         let mut delivered: Vec<Option<M>> = messages.into_iter().map(|_| None).collect();
@@ -340,8 +316,8 @@ impl TcpTransport {
         // here waits on a read below: a worker reads its whole op before
         // it writes a byte.
         let mut failures: Vec<(usize, TransportError)> = Vec::new();
-        let mut awaited: Vec<usize> = Vec::with_capacity(workers);
-        for worker in (0..workers).filter(|&worker| !hosted[worker].is_empty()) {
+        let mut awaited: Vec<usize> = Vec::with_capacity(width);
+        for worker in (0..width).filter(|&worker| !hosted[worker].is_empty()) {
             match state.link(worker).send(&ops[worker], send_context) {
                 Ok(()) => awaited.push(worker),
                 Err(err) => failures.push((worker, err)),
@@ -370,23 +346,9 @@ impl TcpTransport {
 }
 
 impl Drop for TcpTransport {
-    /// Shuts every worker down. One without a live link (a failed
-    /// collective dropped it, or `sever` cut it) waits for its next master:
-    /// a fresh link shuts it down. Failing that, the worker is gone.
     fn drop(&mut self) {
-        let mut guard = dsr_sync::lock(&self.state);
-        let state = &mut *guard;
-        for (id, slot) in state.links.iter_mut().enumerate() {
-            if slot.take().is_some_and(WorkerLink::shutdown) {
-                continue;
-            }
-            let patience = Duration::from_secs(1);
-            if let Ok(link) = connect_link(&state.spec.workers[id], id, patience, patience) {
-                link.shutdown();
-            }
-        }
-        for handle in state.loopback.take().into_iter().flatten() {
-            let _ = handle.join();
+        for err in self.shut_down().into_iter().filter_map(Result::err) {
+            eprintln!("dsr loopback worker failed: {err}");
         }
     }
 }
@@ -394,16 +356,6 @@ impl Drop for TcpTransport {
 impl Transport for TcpTransport {
     fn name(&self) -> &'static str {
         "tcp"
-    }
-
-    fn topology(&self, num_partitions: usize) -> Topology {
-        let state = dsr_sync::lock(&self.state);
-        // A loopback cluster grows to the collective width on demand.
-        let mut workers = state.spec.workers.len();
-        if state.loopback.is_some() {
-            workers = workers.max(num_partitions);
-        }
-        Topology::modulo(num_partitions, workers.max(1))
     }
 
     fn scatter<M: WireMessage>(

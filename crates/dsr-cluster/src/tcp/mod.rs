@@ -1,27 +1,25 @@
 //! TCP transport: the scatter/exchange/gather collectives over real
-//! sockets and real worker endpoints.
+//! loopback sockets and real worker endpoints.
 //!
-//! This is the deployment backend of the reproduction. Where
-//! [`WireTransport`](crate::WireTransport) encodes and decodes every message
-//! without leaving the thread, [`TcpTransport`] routes every frame through
-//! **worker endpoints** speaking a length-framed protocol over
+//! Where [`WireTransport`](crate::WireTransport) encodes and decodes every
+//! message without leaving the thread, [`TcpTransport`] routes every frame
+//! through **worker endpoints** speaking a length-framed protocol over
 //! [`std::net::TcpStream`]. Workers hold no state and run one op, the
 //! echo: a frame count and the frames, answered with the same frames. All
 //! three collectives are that op, so every payload is encoded, crosses a
 //! socket, and is decoded from the bytes a worker actually returned:
 //!
-//! * **scatter / gather** — node `p`'s frame goes to worker `p % W`;
-//! * **all-to-all** — a payload `src → dst` goes to worker `dst % W`,
-//!   the worker hosting its destination; self-sends never touch a socket.
+//! * **scatter / gather** — node `p`'s frame goes to worker `p`;
+//! * **all-to-all** — a payload `src → dst` goes to worker `dst`, its
+//!   destination's; self-sends never touch a socket.
 //!
 //! [`CommStats`] counts each logical message once (at encode time), so the
 //! three backends report byte-identical volumes.
 //!
-//! [`TcpTransport::loopback`] self-hosts its workers as threads, each on a
-//! real `127.0.0.1` socket (the integration suites' TCP backend, over
-//! genuine sockets); [`TcpTransport::connect`] attaches to external
-//! worker processes, each running [`serve_worker`], described by a
-//! [`ClusterSpec`]. Both run all of this code.
+//! [`TcpTransport::loopback`] self-hosts its workers as threads of the
+//! calling process, each on a real `127.0.0.1` socket, and grows the
+//! cluster to one worker per node of the widest collective it has run.
+//! Every collective is computed by the master; the workers only echo.
 //!
 //! Failures are values, not panics: a dead worker, a non-protocol peer, a
 //! timed-out read or an oversized frame is a typed
@@ -32,9 +30,10 @@
 //! one after another until a master shuts it down, so a reconnect finds
 //! it however long the transport sat idle.
 //!
-//! One decision per module: `spec` ([`ClusterSpec`]), `protocol` (every
-//! byte besides frame payloads), `worker` ([`serve_worker`]) and `master`
-//! ([`TcpTransport`], its collectives and the attribution of a failed one).
+//! One decision per module: `protocol` (every byte besides frame
+//! payloads), `worker` (the endpoint each loopback thread serves) and
+//! `master` ([`TcpTransport`], its collectives and the attribution of a
+//! failed one).
 //!
 //! # A collective
 //!
@@ -67,14 +66,11 @@
 
 mod master;
 mod protocol;
-mod spec;
 mod worker;
 
 pub use crate::frame::MAX_FRAME_LEN;
 pub use master::TcpTransport;
 pub use protocol::{MAGIC, PROTOCOL_VERSION};
-pub use spec::ClusterSpec;
-pub use worker::{bind_worker, serve_worker};
 
 #[cfg(test)]
 mod tests;

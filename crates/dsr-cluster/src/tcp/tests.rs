@@ -3,13 +3,15 @@
 
 use dsr_sync::Mutex;
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 use super::master::{connect_link, WorkerLink};
-use super::protocol::{preamble, read_preamble};
+use super::protocol::{preamble, put_echo_header, read_preamble};
+use super::worker::{bind_worker, serve_worker};
 use super::*;
 use crate::error::TransportError;
+use crate::frame::put_frame;
 use crate::stats::CommStats;
 use crate::transport::{InProcess, Transport};
 use crate::wire::{Sink, Wire, WireError, WireReader};
@@ -21,11 +23,13 @@ use crate::wire::{Sink, Wire, WireError, WireReader};
 /// A loopback cluster grows with the widest collective: k = 2 → 4 adds two
 /// workers beside the two live links, and the ring exchanges at 4 and then
 /// 3 route every payload to the worker hosting its destination, old or
-/// new, and back to the right inbox.
+/// new, and back to the right inbox. Node `p` is on worker `p` throughout,
+/// as in process.
 #[test]
 fn loopback_mesh_grows_and_routes() {
     let transport = TcpTransport::loopback_with(Duration::from_secs(10));
     let stats = CommStats::new();
+    let mut widest = 0;
     for k in [2usize, 4, 3] {
         let outgoing: Vec<Vec<(usize, u32)>> =
             (0..k).map(|i| vec![((i + 1) % k, i as u32)]).collect();
@@ -34,31 +38,30 @@ fn loopback_mesh_grows_and_routes() {
             let expected_src = (dst + k - 1) % k;
             assert_eq!(incoming[dst], vec![(expected_src, expected_src as u32)]);
         }
+        widest = widest.max(k);
+        assert_eq!(transport.topology(k), InProcess.topology(k), "k = {k}");
+        assert_eq!(
+            transport.num_workers(),
+            widest,
+            "k = {k}: the cluster grew to the largest k"
+        );
     }
-    assert_eq!(
-        transport.num_workers(),
-        4,
-        "the cluster grew to the largest k"
-    );
 }
 
 #[test]
 fn connecting_to_a_non_protocol_peer_fails_the_handshake() {
     // A listener that answers every connection with garbage.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
+    let addr = listener.local_addr().expect("addr");
     let rogue = dsr_sync::thread::spawn(move || {
         if let Ok((mut conn, _)) = listener.accept() {
             let _ = conn.write_all(b"HTTP/1.1 400 Bad Request\r\n\r\n");
         }
     });
-    let mut spec = ClusterSpec::new(vec![addr.clone()]);
-    spec.connect_timeout = Duration::from_secs(5);
-    spec.io_timeout = Duration::from_secs(5);
-    let err = TcpTransport::connect(&spec).expect_err("handshake must fail");
+    let err = connect_link(addr, 0, Duration::from_secs(5)).expect_err("handshake must fail");
     match &err {
         TransportError::Handshake { peer, reason } => {
-            assert!(peer.contains(&addr), "peer named: {peer}");
+            assert!(peer.contains(&addr.to_string()), "peer named: {peer}");
             assert!(reason.contains("magic"), "actionable reason: {reason}");
         }
         other => panic!("expected Handshake error, got {other}"),
@@ -69,9 +72,8 @@ fn connecting_to_a_non_protocol_peer_fails_the_handshake() {
 #[test]
 fn connecting_to_a_dead_address_is_a_typed_error() {
     // Port 1 on loopback is essentially never listening.
-    let mut spec = ClusterSpec::new(vec!["127.0.0.1:1".to_string()]);
-    spec.connect_timeout = Duration::from_millis(500);
-    let err = TcpTransport::connect(&spec).expect_err("nothing listens there");
+    let addr = "127.0.0.1:1".parse().expect("socket address");
+    let err = connect_link(addr, 0, Duration::from_millis(500)).expect_err("nothing listens there");
     assert!(
         matches!(
             err,
@@ -129,14 +131,9 @@ fn a_reply_that_does_not_decode_does_not_poison_the_next_collective() {
 
 #[test]
 fn collectives_carry_frames_larger_than_the_socket_buffers() {
-    // Two real workers serve three nodes: worker 0 hosts nodes 0 and 2, so
-    // each of its ops carries two frames.
-    let io_timeout = Duration::from_secs(20);
-    let (addrs, served): (Vec<String>, Vec<ServedWorker>) =
-        (0..2).map(|_| spawn_worker(io_timeout)).unzip();
-    let mut spec = ClusterSpec::new(addrs);
-    spec.io_timeout = io_timeout;
-    let transport = TcpTransport::connect(&spec).expect("connect");
+    // Three loopback workers serve three nodes; an exchange op carries one
+    // frame from each of the two other nodes.
+    let transport = TcpTransport::loopback_with(Duration::from_secs(20));
     let stats = CommStats::new();
     let k = 3usize;
     // 2^20 four-byte varints: ~4 MiB per message, far beyond what the
@@ -171,12 +168,16 @@ fn collectives_carry_frames_larger_than_the_socket_buffers() {
         let delivered = transport.gather(sent.clone(), &stats).expect("gather");
         assert!(delivered == sent, "round {round}: gather");
     }
-    drop(transport);
-    for worker in served {
-        worker
-            .join()
-            .expect("worker thread")
-            .expect("session shut down by the master");
+    assert_every_worker_shuts_down_cleanly(&transport, k);
+}
+
+/// Shuts `transport`'s `workers` workers down: each thread ends `Ok`, its
+/// session shut down by the master.
+fn assert_every_worker_shuts_down_cleanly(transport: &TcpTransport, workers: usize) {
+    let ended = transport.shut_down();
+    assert_eq!(ended.len(), workers, "every worker thread ended: {ended:?}");
+    for (worker, result) in ended.into_iter().enumerate() {
+        result.unwrap_or_else(|err| panic!("worker {worker} failed: {err}"));
     }
 }
 
@@ -299,17 +300,16 @@ fn a_loopback_transport_serves_again_after_idling_past_a_failure() {
     assert_eq!(three_collectives(&transport), three_collectives(&InProcess));
 }
 
-/// A worker that acks the hello and never replies: each collective ends in
-/// a `Timeout` naming it within one `io_timeout` of reading (the second is
-/// slack), not in a hang.
+/// A worker that acks the hello and never replies: reading its reply to an
+/// echo op ends in a `Timeout` naming it within one `io_timeout` (the
+/// second is slack), not in a hang — on each of three links.
 #[test]
 fn a_hung_worker_is_a_typed_timeout_not_a_hang() {
     let io_timeout = Duration::from_millis(300);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    // One connection per collective: `connect`, then the reconnect after
-    // each failure. Each one reads its op and holds it until the master
-    // hangs up.
+    let addr = listener.local_addr().expect("addr");
+    // One connection per link below. Each one reads its op and holds it
+    // until the master hangs up.
     let hung = dsr_sync::thread::spawn(move || {
         for _ in 0..3 {
             let (mut conn, _) = listener.accept().expect("accept");
@@ -318,37 +318,27 @@ fn a_hung_worker_is_a_typed_timeout_not_a_hang() {
             let _ = conn.read_to_end(&mut Vec::new());
         }
     });
-    let mut spec = ClusterSpec::new(vec![addr.clone()]);
-    spec.io_timeout = io_timeout;
-    let transport = TcpTransport::connect(&spec).expect("connect");
-    let stats = CommStats::new();
-    let assert_timed_out = |name: &str, started: Instant, err: TransportError| {
+    let mut op = Vec::new();
+    put_echo_header(&mut op, 1);
+    put_frame(&mut op, b"frame");
+    for link_no in 1..=3 {
+        let mut link = connect_link(addr, 0, io_timeout).expect("hello and ack");
+        link.send(&op, "echo op").expect("send");
+        let started = Instant::now();
+        let err = link.recv("echo reply").expect_err("no reply");
         let waited = started.elapsed();
         match &err {
             TransportError::Timeout { peer, .. } => {
-                assert_eq!(*peer, format!("worker 0 ({addr})"), "{name}")
+                assert_eq!(*peer, format!("worker 0 ({addr})"), "link {link_no}")
             }
-            other => panic!("{name}: expected a Timeout, got {other}"),
+            other => panic!("link {link_no}: expected a Timeout, got {other}"),
         }
         assert!(
             waited < 2 * io_timeout,
-            "{name} took {waited:?} to fail (io_timeout {io_timeout:?})"
+            "link {link_no} took {waited:?} to fail (io_timeout {io_timeout:?})"
         );
-    };
-    let started = Instant::now();
-    let err = transport.scatter(vec![1u32], &stats).expect_err("no reply");
-    assert_timed_out("scatter", started, err);
-    let started = Instant::now();
-    let outgoing = vec![vec![(1, 2u32)], Vec::new()];
-    let err = transport
-        .all_to_all(2, outgoing, &stats)
-        .expect_err("no reply");
-    assert_timed_out("exchange", started, err);
-    let started = Instant::now();
-    let err = transport.gather(vec![3u32], &stats).expect_err("no reply");
-    assert_timed_out("gather", started, err);
-    // The third failure closed the last connection the listener takes;
-    // dropping the transport then finds the port closed.
+        // Dropping the link hangs up: the peer takes the next connection.
+    }
     hung.join().expect("hung worker");
 }
 
@@ -375,9 +365,9 @@ type ServedWorker = dsr_sync::thread::JoinHandle<Result<(), TransportError>>;
 
 /// One real worker on loopback: [`serve_worker`] on a thread of its own,
 /// whose result is the thread's.
-fn spawn_worker(io_timeout: Duration) -> (String, ServedWorker) {
+fn spawn_worker(io_timeout: Duration) -> (SocketAddr, ServedWorker) {
     let listener = bind_worker("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
+    let addr = listener.local_addr().expect("addr");
     let worker = dsr_sync::thread::spawn(move || serve_worker(listener, io_timeout));
     (addr, worker)
 }
@@ -385,15 +375,14 @@ fn spawn_worker(io_timeout: Duration) -> (String, ServedWorker) {
 /// A master session with the worker at `addr`, the test as its master:
 /// the link of [`connect_link`], over which the test writes hand-built
 /// ops.
-fn raw_master_session(addr: &str) -> WorkerLink {
-    let patience = Duration::from_secs(10);
-    connect_link(addr, 0, patience, patience).expect("master hello")
+fn raw_master_session(addr: SocketAddr) -> WorkerLink {
+    connect_link(addr, 0, Duration::from_secs(10)).expect("master hello")
 }
 
 /// Writes `op` on a fresh session with the worker at `addr` and then
 /// closes the session's write half: the worker must end the session
 /// without a reply.
-fn assert_unanswered(addr: &str, op: &[u8]) {
+fn assert_unanswered(addr: SocketAddr, op: &[u8]) {
     let mut link = raw_master_session(addr);
     link.send(op, "forged op").expect("send");
     let _ = link.stream.shutdown(Shutdown::Write);
@@ -406,7 +395,7 @@ fn assert_unanswered(addr: &str, op: &[u8]) {
 fn an_unknown_or_retired_opcode_ends_the_session_unanswered() {
     for opcode in [2u8, 3, 99] {
         let (addr, worker) = spawn_worker(Duration::from_secs(5));
-        assert_unanswered(&addr, &[opcode]);
+        assert_unanswered(addr, &[opcode]);
         match worker.join().expect("worker thread") {
             Err(TransportError::Protocol { peer, reason }) => {
                 assert_eq!(peer, "master");
@@ -434,12 +423,12 @@ fn an_echo_op_beyond_the_bounds_ends_the_session_unanswered() {
     // the next master — whose shutdown is the thread's `Ok`.
     let mut frames_then_eof = echo_op(1 << 40, 5);
     frames_then_eof.extend_from_slice(b"frame");
-    assert_unanswered(&addr, &frames_then_eof);
-    assert!(raw_master_session(&addr).shutdown(), "shutdown ack");
+    assert_unanswered(addr, &frames_then_eof);
+    assert!(raw_master_session(addr).shutdown(), "shutdown ack");
     worker.join().expect("worker thread").expect("shut down");
 
     let (addr, worker) = spawn_worker(Duration::from_secs(5));
-    assert_unanswered(&addr, &echo_op(1, 1 << 40));
+    assert_unanswered(addr, &echo_op(1, 1 << 40));
     match worker.join().expect("worker thread") {
         Err(TransportError::OversizedFrame { announced, limit }) => {
             assert_eq!((announced, limit), (1 << 40, MAX_FRAME_LEN));
@@ -488,41 +477,30 @@ impl Wire for Pattern {
 
 #[test]
 fn large_frames_cross_interleaved_lanes() {
-    // Four workers on loopback serve eight nodes, worker `w` hosting
-    // nodes `w` and `w + 4`: each worker's op interleaves the frames of
-    // its two destinations from all seven sources, in (src, dst) order,
-    // and each reply must come back in that order to reach the right
-    // inboxes. Then three workers and six nodes.
-    large_frames_cross_workers_of(4, 8);
-    large_frames_cross_workers_of(3, 6);
+    // Eight loopback workers, one per node: each worker's op carries the
+    // frames of all seven sources for its node, in source order, and its
+    // reply must come back in that order to reach the right inbox. Then
+    // six nodes.
+    large_frames_cross_workers_of(8);
+    large_frames_cross_workers_of(6);
 }
 
-/// Two rounds of a full exchange between `k` nodes hosted round-robin on
-/// `workers` real workers, every message between two workers 1.25 MiB.
-fn large_frames_cross_workers_of(workers: usize, k: usize) {
+/// Two rounds of a full exchange between `k` nodes on as many loopback
+/// workers, every message 1.25 MiB.
+fn large_frames_cross_workers_of(k: usize) {
     // Had any wait run into this timeout, the exchange would have failed.
-    let io_timeout = Duration::from_secs(20);
-    let (addrs, served): (Vec<String>, Vec<ServedWorker>) =
-        (0..workers).map(|_| spawn_worker(io_timeout)).unzip();
-    let mut spec = ClusterSpec::new(addrs);
-    spec.io_timeout = io_timeout;
-    let transport = TcpTransport::connect(&spec).expect("connect");
+    let transport = TcpTransport::loopback_with(Duration::from_secs(20));
     let stats = CommStats::new();
 
-    // 1.25 MiB per message between workers, so every op and every reply
-    // carries 7.5 MiB per destination node: more than an unread loopback
-    // link takes before its writer blocks (4 MiB of send buffer and a few
-    // hundred KiB at the receiver), so a worker sits in its reply's
-    // `write_all` while the master still writes the next worker's op. The
-    // two nodes of one worker exchange a few bytes.
+    // 1.25 MiB per message, so every op and every reply carries
+    // 1.25 · (k − 1) MiB: more than an unread loopback link takes before
+    // its writer blocks (4 MiB of send buffer and a few hundred KiB at the
+    // receiver), so a worker sits in its reply's `write_all` while the
+    // master still writes the next worker's op.
     for round in 0..2u32 {
         let message = |src: usize, dst: usize| Pattern {
             tag: round * 64 + (src * k + dst) as u32,
-            len: if src % workers == dst % workers {
-                16
-            } else {
-                5 << 18
-            },
+            len: 5 << 18,
         };
         let outgoing: Vec<Vec<(usize, Pattern)>> = (0..k)
             .map(|src| {
@@ -540,17 +518,8 @@ fn large_frames_cross_workers_of(workers: usize, k: usize) {
                 .filter(|&src| src != dst)
                 .map(|src| (src, message(src, dst)))
                 .collect();
-            assert_eq!(
-                *inbox, expected,
-                "{workers} workers, round {round}: inbox {dst}"
-            );
+            assert_eq!(*inbox, expected, "{k} workers, round {round}: inbox {dst}");
         }
     }
-    drop(transport);
-    for worker in served {
-        worker
-            .join()
-            .expect("worker thread")
-            .expect("session shut down by the master");
-    }
+    assert_every_worker_shuts_down_cleanly(&transport, k);
 }

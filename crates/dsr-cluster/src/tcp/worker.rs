@@ -1,5 +1,5 @@
-//! The worker endpoint of the loopback threads and of external worker
-//! processes: listener, hello, and the serial loop of master sessions.
+//! The worker endpoint each loopback thread runs: listener, hello, and the
+//! serial loop of master sessions.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -9,11 +9,10 @@ use super::protocol::{preamble, read_echo_op, read_preamble, OP_ECHO, OP_SHUTDOW
 use crate::error::TransportError;
 use crate::frame::read_varint;
 
-/// Binds a listener for a worker. Separated from [`serve_worker`] so
-/// callers can report the bound address (e.g. when listening on port 0)
-/// before serving. A bind conflict returns an actionable error naming the
-/// address.
-pub fn bind_worker(listen: &str) -> Result<TcpListener, TransportError> {
+/// Binds a listener for a worker. Separated from [`serve_worker`] so the
+/// master learns the bound port before the worker serves. A bind conflict
+/// returns an actionable error naming the address.
+pub(super) fn bind_worker(listen: &str) -> Result<TcpListener, TransportError> {
     TcpListener::bind(listen).map_err(|source| TransportError::Io {
         context: format!("failed to bind worker listener on {listen}"),
         source,
@@ -26,10 +25,13 @@ pub fn bind_worker(listen: &str) -> Result<TcpListener, TransportError> {
 /// after at most `io_timeout`; a session that ends in a lost connection
 /// (its master dropped the link, died or timed out) is followed by the
 /// next one; a master that breaks the protocol ends the worker with that
-/// error. An external worker process (`examples/tcp_cluster.rs` spawns
-/// three) and [`TcpTransport::loopback`](crate::TcpTransport::loopback)
-/// both run exactly this function.
-pub fn serve_worker(listener: TcpListener, io_timeout: Duration) -> Result<(), TransportError> {
+/// error. Every worker of a
+/// [`TcpTransport::loopback`](crate::TcpTransport::loopback) cluster runs
+/// this function on a thread of its own.
+pub(super) fn serve_worker(
+    listener: TcpListener,
+    io_timeout: Duration,
+) -> Result<(), TransportError> {
     loop {
         // Transient accept failures (ECONNABORTED from a client that gave
         // up, EINTR, fd pressure) must not end the worker.

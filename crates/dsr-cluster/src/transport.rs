@@ -17,8 +17,8 @@
 //!   working because the value never left the process. No thread, pipe or
 //!   socket is involved: the stream framing lives in [`crate::tcp`] alone.
 //! * [`TcpTransport`] moves the same collectives through **worker
-//!   endpoints over TCP sockets** — either self-hosted loopback workers or
-//!   external worker processes; see [`crate::tcp`].
+//!   endpoints over loopback TCP sockets**, one self-hosted worker thread
+//!   per node; see [`crate::tcp`].
 //!
 //! The first two share one body for each collective and differ only in how
 //! one cross-node message is delivered (moved, or encoded and decoded) and
@@ -54,15 +54,6 @@ pub struct Topology {
     worker_of: Vec<usize>,
 }
 
-impl Topology {
-    /// Partition `p` on worker `p % num_workers`.
-    pub(crate) fn modulo(num_partitions: usize, num_workers: usize) -> Self {
-        Topology {
-            worker_of: (0..num_partitions).map(|p| p % num_workers).collect(),
-        }
-    }
-}
-
 /// Everything a message needs to cross a [`Transport`]: a wire codec (which
 /// also says what the message costs) and the ability to move between
 /// threads.
@@ -94,11 +85,13 @@ pub trait Transport: Sync {
     }
 
     /// Which worker hosts each partition of a `num_partitions`-wide
-    /// collective: logical node `p` for the in-process and wire backends,
-    /// worker `p % W` for the TCP one. Kept only for `benchmark/`, whose
-    /// timing decorator forwards it; nothing in this workspace reads it.
+    /// collective: partition `p` on worker (or logical node) `p`, on every
+    /// backend. Kept only for `benchmark/`, whose timing decorator
+    /// forwards it; nothing in this workspace reads it.
     fn topology(&self, num_partitions: usize) -> Topology {
-        Topology::modulo(num_partitions, num_partitions)
+        Topology {
+            worker_of: (0..num_partitions).collect(),
+        }
     }
 
     /// Master → slaves: delivers `messages[i]` to slave `i`. Records one

@@ -224,7 +224,7 @@ impl DsrIndex {
         };
         let local_indexes = run_on_slaves(k, |i| local_index(kind, &compounds[i]));
 
-        let stats = Self::collect_stats(&summaries, &compounds, &comm);
+        let stats = Self::collect_stats(&summaries, &compounds, comm.messages(), comm.bytes());
         Ok(DsrIndex {
             partitioning,
             cut,
@@ -238,10 +238,14 @@ impl DsrIndex {
         })
     }
 
+    /// The statistics of `summaries` and `compounds`, with the build's
+    /// summary exchange having shipped `summary_messages` messages of
+    /// `summary_bytes` bytes in all.
     pub(crate) fn collect_stats(
         summaries: &[PartitionSummary],
         compounds: &[CompoundGraph],
-        summary_comm: &CommStats,
+        summary_messages: u64,
+        summary_bytes: u64,
     ) -> IndexBuildStats {
         IndexBuildStats {
             compound_edges: compounds.iter().map(|c| c.num_edges()).collect(),
@@ -253,8 +257,8 @@ impl DsrIndex {
             total_backward_classes: summaries.iter().map(|s| s.num_backward_classes()).sum(),
             total_boundary_pairs: summaries.iter().map(|s| s.boundary_pairs).sum(),
             total_transit_edges: summaries.iter().map(|s| s.transit.len()).sum(),
-            summary_messages: summary_comm.messages(),
-            summary_bytes: summary_comm.bytes(),
+            summary_messages,
+            summary_bytes,
         }
     }
 
@@ -308,27 +312,6 @@ impl DsrIndex {
         }
         edges.extend_from_slice(&self.cut.edges);
         DiGraph::from_edges(n, &edges)
-    }
-
-    /// Re-derives the per-compound and per-summary statistics entries after
-    /// an incremental update rebuilt the compounds of `rebuilt`
-    /// (summary-derived totals are always cheap sums and are refreshed
-    /// wholesale).
-    pub(crate) fn refresh_stats_after_update(&mut self, rebuilt: &[PartitionId]) {
-        for &p in rebuilt {
-            let compound = &self.compounds[p as usize];
-            self.stats.compound_edges[p as usize] = compound.num_edges();
-            self.stats.dag_edges[p as usize] = compound.dag_edges();
-        }
-        self.stats.total_bytes = self.compounds.iter().map(|c| c.byte_size()).sum();
-        let summaries = &self.summaries;
-        self.stats.total_in_boundaries = summaries.iter().map(|s| s.in_boundaries.len()).sum();
-        self.stats.total_out_boundaries = summaries.iter().map(|s| s.out_boundaries.len()).sum();
-        self.stats.total_forward_classes = summaries.iter().map(|s| s.num_forward_classes()).sum();
-        self.stats.total_backward_classes =
-            summaries.iter().map(|s| s.num_backward_classes()).sum();
-        self.stats.total_boundary_pairs = summaries.iter().map(|s| s.boundary_pairs).sum();
-        self.stats.total_transit_edges = summaries.iter().map(|s| s.transit.len()).sum();
     }
 }
 

@@ -473,10 +473,11 @@ impl DsrIndex {
                 self.compounds[*p as usize] = compound;
                 self.local_indexes[*p as usize] = index;
             }
-            self.refresh_stats_after_update(&affected);
-        } else if !refreshed.is_empty() {
-            // Statistics-only refresh (e.g. a boundary-pair count moved).
-            self.refresh_stats_after_update(&[]);
+        }
+        if !affected.is_empty() || !refreshed.is_empty() {
+            // The summary exchange's cost stays the build's.
+            let (messages, bytes) = (self.stats.summary_messages, self.stats.summary_bytes);
+            self.stats = Self::collect_stats(&self.summaries, &self.compounds, messages, bytes);
         }
 
         Ok(UpdateOutcome {

@@ -47,39 +47,34 @@ use coarsen::{coarsen, CoarseLevel, WeightedGraph};
 use initial::initial_partition;
 use refine::refine;
 
+/// Coarsening stops once the graph has at most `COARSE_TARGET * k`
+/// vertices.
+const COARSE_TARGET: usize = 30;
+
+/// Allowed imbalance: a partition may hold up to `(1 + IMBALANCE) * n / k`
+/// vertex weight.
+const IMBALANCE: f64 = 0.05;
+
+/// Number of refinement passes per level.
+const REFINE_PASSES: usize = 4;
+
 /// Multilevel min-k-cut partitioner (METIS substitute).
 #[derive(Debug, Clone, Copy)]
 pub struct MultilevelPartitioner {
     /// RNG seed for tie breaking in matching and region growing.
     pub seed: u64,
-    /// Stop coarsening once the graph has at most `coarse_target * k`
-    /// vertices.
-    pub coarse_target: usize,
-    /// Allowed imbalance: a partition may hold up to
-    /// `(1 + imbalance) * n / k` vertex weight.
-    pub imbalance: f64,
-    /// Number of refinement passes per level.
-    pub refine_passes: usize,
 }
 
 impl Default for MultilevelPartitioner {
     fn default() -> Self {
-        MultilevelPartitioner {
-            seed: 42,
-            coarse_target: 30,
-            imbalance: 0.05,
-            refine_passes: 4,
-        }
+        MultilevelPartitioner { seed: 42 }
     }
 }
 
 impl MultilevelPartitioner {
-    /// Creates a partitioner with a custom seed and default tuning.
+    /// Creates a partitioner with a custom seed.
     pub fn new(seed: u64) -> Self {
-        MultilevelPartitioner {
-            seed,
-            ..Self::default()
-        }
+        MultilevelPartitioner { seed }
     }
 }
 
@@ -100,14 +95,14 @@ impl Partitioner for MultilevelPartitioner {
         let base = WeightedGraph::from_digraph(graph);
 
         // Phase 1: coarsen.
-        let target = (self.coarse_target * k).max(2 * k);
+        let target = (COARSE_TARGET * k).max(2 * k);
         let levels: Vec<CoarseLevel> = coarsen(base, target, &mut rng);
 
         // Phase 2: initial partition on the coarsest level.
         let coarsest = &levels.last().expect("at least one level").graph;
-        let max_weight = allowed_weight(coarsest.total_weight(), k, self.imbalance);
+        let max_weight = allowed_weight(coarsest.total_weight(), k, IMBALANCE);
         let mut assignment = initial_partition(coarsest, k, max_weight, &mut rng);
-        refine(coarsest, &mut assignment, k, max_weight, self.refine_passes);
+        refine(coarsest, &mut assignment, k, max_weight, REFINE_PASSES);
 
         // Phase 3: uncoarsen + refine. levels[0] is the original graph;
         // walk from the coarsest back to the finest.
@@ -119,13 +114,13 @@ impl Partitioner for MultilevelPartitioner {
             for (fine_v, &coarse_v) in coarse_level.parent.iter().enumerate() {
                 fine_assignment[fine_v] = assignment[coarse_v as usize];
             }
-            let max_weight = allowed_weight(fine_level.graph.total_weight(), k, self.imbalance);
+            let max_weight = allowed_weight(fine_level.graph.total_weight(), k, IMBALANCE);
             refine(
                 &fine_level.graph,
                 &mut fine_assignment,
                 k,
                 max_weight,
-                self.refine_passes,
+                REFINE_PASSES,
             );
             assignment = fine_assignment;
         }

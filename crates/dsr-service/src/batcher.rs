@@ -603,13 +603,14 @@ mod model_tests {
     use super::*;
     use crate::cache::QueryCache;
     use crate::snapshot::GenerationChain;
+    use crate::stats::{BatchStats, CacheStats};
     use crate::QueryService;
-    use dsr_cluster::{BatchStats, CacheStats, CommStats, DynTransport, InProcess};
+    use dsr_cluster::{CommStats, DynTransport, InProcess};
     use dsr_core::DsrIndex;
     use dsr_graph::DiGraph;
     use dsr_partition::Partitioning;
     use dsr_reach::LocalIndexKind;
-    use dsr_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use dsr_sync::atomic::{AtomicUsize, Ordering};
     use dsr_sync::model::{self, Model};
 
     /// A one-partition chain `0 -> 1 -> 2`: `SlavePool::run(1, ..)` takes
@@ -630,8 +631,6 @@ mod model_tests {
             stats: CacheStats::new(),
             comm: CommStats::new(),
             batch: BatchStats::new(),
-            latest_hits: AtomicU64::new(0),
-            pinned_hits: AtomicU64::new(0),
         })
     }
 

@@ -31,8 +31,8 @@
 //!   short-circuits repeated queries without touching the scheduler. The
 //!   cache is split into **per-generation namespaces**: pinned readers
 //!   keep hitting their generation's entries while updates retire only
-//!   the namespaces of dead generations ([`NamespaceHits`] splits the
-//!   hit counters).
+//!   the namespaces of dead generations ([`CacheStats`] splits the hit
+//!   counters by namespace).
 //! * One query enters through [`QueryService::query_with`] (or its
 //!   two-phase half [`QueryService::submit_with`]), a batch through
 //!   [`QueryService::query_batch`]; [`QueryService::query`] is the
@@ -45,8 +45,8 @@
 //! * The transport is chosen in one place:
 //!   [`QueryService::with_config`] serves in process,
 //!   [`QueryService::with_config_and_transport`] over any
-//!   [`DynTransport`](dsr_cluster::DynTransport) — the wire codec, a
-//!   loopback TCP cluster or external worker processes.
+//!   [`DynTransport`](dsr_cluster::DynTransport) — the wire codec or a
+//!   loopback TCP cluster.
 //! * Index updates flow through [`QueryService::update`] — the
 //!   differential pipeline of Section 3.3.3: back-to-back batches are
 //!   coalesced, only affected partitions refresh, and the summary deltas
@@ -101,13 +101,15 @@ pub mod batcher;
 pub mod cache;
 pub mod service;
 pub mod snapshot;
+pub mod stats;
 pub mod workload;
 
 pub use batcher::{RoundCost, ServiceError};
 pub use cache::{CachedPairs, InsertOutcome, QueryCache, SigKey};
 pub use service::{
-    BatchReply, GenerationStats, NamespaceHits, QueryOptions, QueryService, QueryTicket,
-    ServiceConfig, SnapshotRef, UpdateError, UpdateMode,
+    BatchReply, GenerationStats, QueryOptions, QueryService, QueryTicket, ServiceConfig,
+    SnapshotRef, UpdateError, UpdateMode,
 };
 pub use snapshot::{Generation, GenerationChain, GenerationId};
+pub use stats::{BatchStats, CacheStats};
 pub use workload::{checksum_pairs, WorkloadRun};

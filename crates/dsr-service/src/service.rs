@@ -8,19 +8,17 @@
 //! [`SnapshotRef`] whose view — index **and** cache namespace — stays
 //! frozen while updates advance the chain underneath it.
 
-use dsr_sync::atomic::{AtomicU64, Ordering};
 use dsr_sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsr_cluster::{
-    BatchStats, CacheStats, CommStats, DynTransport, InProcess, TransportError, UpdateStats,
-};
+use dsr_cluster::{CommStats, DynTransport, InProcess, TransportError, UpdateStats};
 use dsr_core::{coalesce_updates, DsrIndex, SetQuery, UpdateOp, UpdateOutcome};
 use dsr_graph::VertexId;
 
 use crate::batcher::{Admission, Batcher, BatcherConfig, Entry, RoundCost, ServiceError, Waiter};
 use crate::cache::{CachedPairs, QueryCache, SigKey};
 use crate::snapshot::{Generation, GenerationChain, GenerationId};
+use crate::stats::{BatchStats, CacheStats};
 
 /// Why an update could not be applied. Either way nothing was applied: the
 /// generation did not advance and the hot cache is untouched.
@@ -180,18 +178,6 @@ pub struct GenerationStats {
     pub reclaimed: u64,
 }
 
-/// Cache hits split by namespace kind: hits served from the latest
-/// generation's namespace vs hits served to pinned readers from a
-/// retained generation's namespace. `latest + pinned ==`
-/// [`CacheStats::hits`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NamespaceHits {
-    /// Hits in the latest generation's namespace.
-    pub latest: u64,
-    /// Hits in retained (pinned, superseded) generations' namespaces.
-    pub pinned: u64,
-}
-
 /// The state shared between client threads and the batch-forming
 /// scheduler thread.
 pub(crate) struct Core {
@@ -202,10 +188,6 @@ pub(crate) struct Core {
     pub(crate) stats: CacheStats,
     pub(crate) comm: CommStats,
     pub(crate) batch: BatchStats,
-    /// Cache hits answered from the latest generation's namespace.
-    pub(crate) latest_hits: AtomicU64,
-    /// Cache hits answered to pinned readers from retained namespaces.
-    pub(crate) pinned_hits: AtomicU64,
 }
 
 impl Core {
@@ -214,17 +196,16 @@ impl Core {
     /// one. Pins nothing and reads the latest id once.
     fn probe_latest(&self, key: &SigKey) -> Option<CachedPairs> {
         let hit = self.cache.get(self.generations.latest_id(), key)?;
-        self.stats.record_hit();
-        self.latest_hits.fetch_add(1, Ordering::Relaxed);
+        self.stats.record_latest_hit();
         Some(hit)
     }
 
-    fn record_namespaced_hit(&self, generation: &Generation) {
-        self.stats.record_hit();
+    /// Counts a hit in `generation`'s namespace by its kind.
+    fn record_hit_in(&self, generation: &Generation) {
         if generation.id() == self.generations.latest_id() {
-            self.latest_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.record_latest_hit();
         } else {
-            self.pinned_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.record_pinned_hit();
         }
     }
 }
@@ -422,10 +403,9 @@ impl QueryService {
     /// Creates a service over `index` with an explicit configuration **and
     /// transport** — the one way to serve over another backend than
     /// [`InProcess`]: a [`WireTransport`](dsr_cluster::WireTransport)
-    /// (every message encoded and decoded in process), a loopback
-    /// [`TcpTransport`](dsr_cluster::TcpTransport), or one connected to
-    /// external worker processes, each wrapped in its [`DynTransport`]
-    /// variant. The backend is shared by every query this service executes
+    /// (every message encoded and decoded in process) or a loopback
+    /// [`TcpTransport`](dsr_cluster::TcpTransport), each wrapped in its
+    /// [`DynTransport`] variant. The backend is shared by every query this service executes
     /// and by the refresh exchange of every update applied through
     /// [`QueryService::update`].
     pub fn with_config_and_transport(
@@ -441,8 +421,6 @@ impl QueryService {
             stats: CacheStats::new(),
             comm: CommStats::new(),
             batch: BatchStats::new(),
-            latest_hits: AtomicU64::new(0),
-            pinned_hits: AtomicU64::new(0),
         });
         let batcher = Batcher::spawn(
             Arc::clone(&core),
@@ -486,7 +464,10 @@ impl QueryService {
         &self.core.transport
     }
 
-    /// Cache hit/miss/eviction counters.
+    /// Cache hit/miss/eviction counters, hits split by namespace kind
+    /// (latest vs pinned retained generations). Deterministic under
+    /// single-threaded replay — the mixed-tenant benchmark asserts
+    /// byte-identical values across transports.
     pub fn cache_stats(&self) -> &CacheStats {
         &self.core.stats
     }
@@ -500,17 +481,6 @@ impl QueryService {
             retained: self.core.generations.retained(),
             created: self.core.generations.created(),
             reclaimed: self.core.generations.reclaimed(),
-        }
-    }
-
-    /// Cache hits split by namespace kind (latest vs pinned retained
-    /// generations). Deterministic under single-threaded replay — the
-    /// mixed-tenant benchmark asserts byte-identical values across
-    /// transports.
-    pub fn namespace_hits(&self) -> NamespaceHits {
-        NamespaceHits {
-            latest: self.core.latest_hits.load(Ordering::Relaxed),
-            pinned: self.core.pinned_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -615,7 +585,7 @@ impl QueryService {
     ) -> Result<QueryTicket, ServiceError> {
         if cache {
             if let Some(hit) = self.core.cache.get(generation.id(), &key) {
-                self.core.record_namespaced_hit(&generation);
+                self.core.record_hit_in(&generation);
                 return Ok(QueryTicket {
                     inner: TicketInner::Ready(hit),
                 });
@@ -732,7 +702,7 @@ impl QueryService {
         for (qi, query) in queries.iter().enumerate() {
             let key = SigKey::from_query(query);
             if let Some(hit) = self.core.cache.get(generation.id(), &key) {
-                self.core.record_namespaced_hit(&generation);
+                self.core.record_hit_in(&generation);
                 cache_hits += 1;
                 results[qi] = Some(hit);
                 continue;
@@ -929,13 +899,8 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second), "hit returns the shared Arc");
         assert_eq!(service.cache_stats().hits(), 1);
         // The hit was served from the latest generation's namespace.
-        assert_eq!(
-            service.namespace_hits(),
-            NamespaceHits {
-                latest: 1,
-                pinned: 0
-            }
-        );
+        let cache = service.cache_stats();
+        assert_eq!((cache.latest_hits(), cache.pinned_hits()), (1, 0));
         // A hit performs no communication: the aggregate counters only hold
         // the first (miss) execution.
         assert_eq!(service.comm_stats().rounds(), 3);
@@ -1169,7 +1134,7 @@ mod tests {
         let after = snap.query(&[0], &[5]).expect("in-process");
         assert!(Arc::ptr_eq(&before, &after), "old-namespace cache hit");
         assert_eq!(
-            service.namespace_hits().pinned,
+            service.cache_stats().pinned_hits(),
             1,
             "hit counted against the pinned namespace"
         );
@@ -1393,7 +1358,7 @@ mod tests {
                     [1],
                     "namespace 0 retired"
                 );
-                assert_eq!(service.namespace_hits().pinned, 0);
+                assert_eq!(service.cache_stats().pinned_hits(), 0);
             })
             .expect("the unpinned probe must hold in every schedule");
     }

@@ -14,12 +14,12 @@
 use dsr_sync::Arc;
 use std::time::Instant;
 
-use dsr_cluster::{BatchStats, DynTransport, InProcess, Transport};
+use dsr_cluster::{DynTransport, InProcess, Transport};
 use dsr_core::{DsrIndex, SetQuery};
 use dsr_datagen::{query_stream, web_graph, ArrivalPattern, StreamConfig};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
 use dsr_reach::LocalIndexKind;
-use dsr_service::{QueryService, ServiceConfig};
+use dsr_service::{BatchStats, QueryService, ServiceConfig};
 
 const CLIENTS: usize = 32;
 
