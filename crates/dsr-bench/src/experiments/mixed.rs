@@ -25,7 +25,7 @@
 //!   batch installs a fork, so generations are created and (once the held
 //!   pin drops) reclaimed at a deterministic rate.
 //!
-//! The whole replay runs **three times — in-process, wire, TCP** — and
+//! The whole replay runs **twice — in process and over the wire** — and
 //! every deterministic counter (oracle mismatches, comm rounds/messages/
 //! bytes, per-namespace cache hits, generations created/reclaimed, result
 //! checksums) is asserted identical across transports before a single
@@ -36,7 +36,7 @@
 use dsr_sync::Arc;
 use std::collections::BTreeSet;
 
-use dsr_cluster::{DynTransport, InProcess, TcpTransport, Transport, WireTransport};
+use dsr_cluster::{DynTransport, Transport};
 use dsr_community::CommunityWorkload;
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_graph::{DiGraph, TransitiveClosure, VertexId};
@@ -48,7 +48,7 @@ use rand::{Rng, SeedableRng};
 use crate::experiments::common::{self, Golden, Object};
 use crate::Table;
 
-/// Replay shape shared by all three transport runs.
+/// Replay shape shared by both transport runs.
 struct Scenario {
     graph: DiGraph,
     rdf: RdfWorkload,
@@ -327,12 +327,7 @@ pub fn run(fast: bool) -> (String, String) {
     let s = scenario(fast);
     let slaves = if fast { 3 } else { common::DEFAULT_SLAVES };
 
-    let transports = [
-        DynTransport::InProcess(InProcess),
-        DynTransport::Wire(WireTransport::new()),
-        DynTransport::Tcp(TcpTransport::loopback()),
-    ];
-    let runs: Vec<(&str, Counters)> = transports
+    let runs: Vec<(&str, Counters)> = [DynTransport::InProcess, DynTransport::Wire]
         .into_iter()
         .map(|transport| (transport.name(), replay(&s, slaves, transport)))
         .collect();

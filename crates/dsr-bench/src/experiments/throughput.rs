@@ -5,7 +5,7 @@
 //! rounds per query, the way to serve heavy traffic is to amortize those
 //! rounds across a *batch* of queries and to cache repeated answers. This
 //! experiment replays a Zipf-skewed query stream (see
-//! [`dsr_datagen::workload::query_stream`]) in six execution modes over
+//! [`dsr_datagen::workload::query_stream`]) in five execution modes over
 //! the same index and reports what each one **ships** — rounds, messages,
 //! bytes, cache hits, fusion counters. It measures no time: every mode is
 //! single-threaded, so every counter is bit-reproducible, and throughput
@@ -20,17 +20,13 @@
 //! 3. `batched_wire` — the same batched runs over the serializing
 //!    [`WireTransport`]: every message wire-encoded and decoded, so its
 //!    reported bytes are *measured*, not estimated,
-//! 4. `batched_tcp` — the same batched runs over a loopback
-//!    [`TcpTransport`] cluster: every frame takes the master → worker →
-//!    worker → master route over real sockets, asserting the deployment
-//!    backend stays byte-identical,
-//! 5. `service_cached` — a [`QueryService`] with its LRU result cache and
+//! 4. `service_cached` — a [`QueryService`] with its LRU result cache and
 //!    one closed-loop client,
-//! 6. `service_batched_replay` (plus `_wire` / `_tcp` variants) — a
-//!    deterministic replay of 64 virtual clients through the service's
-//!    batch former: each wave submits 64 queries, flushes, and waits, so
-//!    every wave's cache misses fuse into one shared protocol run; its
-//!    counters are asserted byte-identical across all three transports.
+//! 5. `service_batched_replay` (plus a `_wire` variant) — a deterministic
+//!    replay of 64 virtual clients through the service's batch former:
+//!    each wave submits 64 queries, flushes, and waits, so every wave's
+//!    cache misses fuse into one shared protocol run; its counters are
+//!    asserted byte-identical across both transports.
 //!
 //! [`run`] returns the rendered table and the text of `BENCH_throughput.json`;
 //! in fast mode that text must equal the committed file, which this
@@ -38,7 +34,7 @@
 
 use dsr_sync::Arc;
 
-use dsr_cluster::{CommStats, DynTransport, InProcess, TcpTransport, Transport, WireTransport};
+use dsr_cluster::{CommStats, DynTransport, Transport, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery};
 use dsr_datagen::{query_stream, ArrivalPattern, StreamConfig};
 use dsr_graph::{DiGraph, VertexId};
@@ -249,28 +245,7 @@ pub fn run(fast: bool) -> (String, String) {
     let batched_wire =
         ModeResult::from_comm("batched_wire", wire.name(), queries.len(), &wire_stats);
 
-    // --- Mode 4: batched protocol runs over a loopback TCP cluster
-    // (every frame crosses real sockets and worker endpoints). ------------
-    let tcp = TcpTransport::loopback();
-    let tcp_stats = CommStats::new();
-    let tcp_results = run_batched(
-        &DsrEngine::with_transport(&index, &tcp),
-        &queries,
-        batch_size,
-        &tcp_stats,
-    );
-    assert_eq!(
-        batched_results, tcp_results,
-        "tcp transport must produce byte-identical answers"
-    );
-    assert_eq!(
-        tcp_stats.snapshot(),
-        batched_stats.snapshot(),
-        "tcp bytes must equal the in-process accounting"
-    );
-    let batched_tcp = ModeResult::from_comm("batched_tcp", tcp.name(), queries.len(), &tcp_stats);
-
-    // --- Mode 5: cached service, single closed-loop client. -------------
+    // --- Mode 4: cached service, single closed-loop client. -------------
     let service = QueryService::new(Arc::clone(&index));
     for q in &queries {
         service.query(&q.sources, &q.targets);
@@ -286,34 +261,25 @@ pub fn run(fast: bool) -> (String, String) {
     };
     let hit_rate = service.cache_stats().hit_rate();
 
-    // --- Mode 6: the batch former, deterministic 64-virtual-client
-    // replay, on all three transports (byte-identity asserted). -----------
+    // --- Mode 5: the batch former, deterministic 64-virtual-client
+    // replay, on both transports (byte-identity asserted). ----------------
     let replay = run_batched_replay(
         &index,
         &queries,
         "service_batched_replay",
-        DynTransport::InProcess(InProcess),
+        DynTransport::InProcess,
     );
     let replay_wire = run_batched_replay(
         &index,
         &queries,
         "service_batched_replay_wire",
-        DynTransport::Wire(WireTransport::new()),
+        DynTransport::Wire,
     );
-    let replay_tcp = run_batched_replay(
-        &index,
-        &queries,
-        "service_batched_replay_tcp",
-        DynTransport::Tcp(TcpTransport::loopback()),
+    assert_eq!(
+        (replay.rounds, replay.messages, replay.bytes),
+        (replay_wire.rounds, replay_wire.messages, replay_wire.bytes),
+        "batch-former replay must be byte-identical across transports"
     );
-    for other in [&replay_wire, &replay_tcp] {
-        assert_eq!(
-            (replay.rounds, replay.messages, replay.bytes),
-            (other.rounds, other.messages, other.bytes),
-            "batch-former replay must be byte-identical across transports ({})",
-            other.name
-        );
-    }
     // Why the batch former exists, in counters: the same stream costs
     // fewer protocol rounds fused than answered one miss at a time.
     assert!(
@@ -333,11 +299,9 @@ pub fn run(fast: bool) -> (String, String) {
         per_query,
         batched,
         batched_wire,
-        batched_tcp,
         service_cached,
         replay,
         replay_wire,
-        replay_tcp,
     ];
 
     // --- Render. --------------------------------------------------------
@@ -413,11 +377,8 @@ fn render_json(
     // communication round actually encoded.
     let wire_mode = mode("batched_wire");
     let wire_bytes_per_round = wire_mode.bytes as f64 / wire_mode.rounds.max(1) as f64;
-    // The TCP deployment backend: same counters, asserted byte-identical
-    // at run time.
-    let tcp_mode = mode("batched_tcp");
     // The batch former, from the deterministic replay (identical counters
-    // on all three transports, asserted at run time): the fusion ratio
+    // on both transports, asserted at run time): the fusion ratio
     // shows how many queries each fused scatter/exchange/gather run
     // amortizes.
     let replay_mode = mode("service_batched_replay");
@@ -452,13 +413,6 @@ fn render_json(
                 .field("bytes_per_round", format_args!("{wire_bytes_per_round:.1}"))
                 .field("rounds", wire_mode.rounds)
                 .field("bytes", wire_mode.bytes),
-        )
-        .field(
-            "tcp",
-            Object::new()
-                .field("rounds", tcp_mode.rounds)
-                .field("bytes", tcp_mode.bytes)
-                .field("bytes_identical", true),
         )
         .field(
             "service_batched",
@@ -511,10 +465,8 @@ mod tests {
         for mode in [
             "per_query",
             "batched_wire",
-            "batched_tcp",
             "service_cached",
             "service_batched_replay_wire",
-            "service_batched_replay_tcp",
         ] {
             assert!(table.contains(mode), "{mode} row rendered:\n{table}");
         }

@@ -19,10 +19,9 @@
 //!    cache invalidation under load.
 //!
 //! The bulk workload additionally re-runs under the serializing
-//! [`WireTransport`] **and** under a loopback
-//! [`TcpTransport`] cluster, asserting that
-//! both report [`UpdateStats`] **byte-identical** to the in-process run —
-//! update cost cannot drift from what a real byte substrate would ship.
+//! [`WireTransport`], asserting that it reports [`UpdateStats`]
+//! **byte-identical** to the in-process run — update cost cannot drift
+//! from what a real byte substrate would ship.
 //!
 //! [`run`] returns the rendered table and the text of `BENCH_updates.json`;
 //! in fast mode that text must equal the committed file, which this
@@ -30,7 +29,7 @@
 
 use dsr_sync::Arc;
 
-use dsr_cluster::{InProcess, TcpTransport, UpdateStats, WireTransport};
+use dsr_cluster::{InProcess, UpdateStats, WireTransport};
 use dsr_core::{DsrEngine, DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::{query_stream, update_stream, EdgeOp, StreamConfig, UpdateStreamConfig};
 use dsr_graph::DiGraph;
@@ -125,28 +124,6 @@ pub fn run(fast: bool) -> (String, String) {
         invalidations: 0,
     };
 
-    // --- Workload 1c: the same bulk batch over a loopback TCP cluster. ---
-    let mut tcp_index = build(&base, &partitioning);
-    let tcp = TcpTransport::loopback();
-    let tcp_outcome = tcp_index
-        .apply_updates_with_transport(&tail, &tcp)
-        .expect("loopback tcp cluster stays up for the run");
-    assert_eq!(
-        tcp_outcome.stats, outcome.stats,
-        "tcp update stats must be byte-identical to the in-process run"
-    );
-    let bulk_tcp = WorkloadResult {
-        name: "bulk_tcp",
-        transport: "tcp",
-        ops: tail.len(),
-        batches: 1,
-        stats: tcp_outcome.stats,
-        refreshed: tcp_outcome.refreshed_summaries.len(),
-        patched: tcp_outcome.patched_compounds.len(),
-        queries: 0,
-        invalidations: 0,
-    };
-
     // --- Workload 2: progressive insertion in small batches. -------------
     let mut index = build(&base, &partitioning);
     let chunk = tail.len().div_ceil(progressive_batches).max(1);
@@ -234,7 +211,7 @@ pub fn run(fast: bool) -> (String, String) {
         invalidations: service.cache_stats().invalidations(),
     };
 
-    let workloads = [bulk, bulk_wire, bulk_tcp, progressive, interleaved];
+    let workloads = [bulk, bulk_wire, progressive, interleaved];
 
     // --- Render. ---------------------------------------------------------
     let mut table = Table::new(
@@ -313,7 +290,6 @@ fn render_json(
         )
         // Asserted in `run` before anything is rendered.
         .field("wire", Object::new().field("stats_identical", true))
-        .field("tcp", Object::new().field("stats_identical", true))
         .array(
             "workloads",
             workloads.iter().map(|w| {
@@ -341,7 +317,7 @@ mod tests {
     #[test]
     fn fast_run_produces_table_and_json() {
         let (table, json) = run(true);
-        for workload in ["bulk_wire", "bulk_tcp", "progressive", "interleaved"] {
+        for workload in ["bulk_wire", "progressive", "interleaved"] {
             assert!(
                 table.contains(workload),
                 "{workload} row rendered:\n{table}"

@@ -21,21 +21,22 @@
 //! * [`WireTransport`] serializes every message into the compact byte
 //!   format of [`wire`] (varint ids, delta-encoded sorted runs), delivers
 //!   what decodes from those bytes, and records their length — no pipes,
-//!   no threads; it shares each collective's body with [`InProcess`];
-//! * [`TcpTransport`] moves the same frames through
-//!   **worker endpoints over loopback TCP sockets** — self-hosted worker
-//!   threads, one per node — with a handshake and timeouts. A collective
-//!   runs once, a worker that fails it makes it return one typed
-//!   [`TransportError`] naming that worker (never a panic or a hang), and
-//!   the next collective reconnects.
+//!   no threads; it shares each collective's body with [`InProcess`].
 //!
-//! All backends produce identical payloads and identical statistics (one
+//! Both backends produce identical payloads and identical statistics (one
 //! encoder defines both the bytes and the count, and the two sinks are
 //! checked against each other on every message in debug builds),
 //! so round counts, message counts and byte volumes are faithful to the
 //! algorithms being simulated — the quantities behind the
 //! communication-cost plots of Figure 5 (b)(f)(j)(n) and Figure 8. The
-//! integration suites run every answer on all three backends.
+//! service and the integration suites run every answer on both.
+//!
+//! [`TcpTransport`] moves the same frames through worker endpoints over
+//! loopback TCP sockets, one self-hosted worker thread per node, with a
+//! handshake and timeouts; a worker that fails a collective makes it
+//! return one typed [`TransportError`] naming that worker. It is a
+//! standalone [`Transport`] that only its own tests and the repository
+//! benchmark construct — no service or experiment runs over it.
 
 // This crate stays at the workspace-level `deny(unsafe_code)` rather than
 // `forbid`: `pool` needs one module-scoped `allow(unsafe_code)` for the

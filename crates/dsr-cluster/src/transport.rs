@@ -3,7 +3,7 @@
 //!
 //! The engine's 3-round protocol (query scatter, one all-to-all data
 //! exchange, result gather) is written against the [`Transport`] trait and
-//! works with three backends:
+//! works with two backends:
 //!
 //! * [`InProcess`] — the default: messages are **moved** between in-process
 //!   buffers (zero copies, zero serialization) and counted by
@@ -15,15 +15,14 @@
 //!   encoding, and a type that cannot survive an encode/decode round trip
 //!   fails with a typed [`TransportError::Wire`] instead of silently
 //!   working because the value never left the process. No thread, pipe or
-//!   socket is involved: the stream framing lives in [`crate::tcp`] alone.
-//! * [`TcpTransport`] moves the same collectives through **worker
-//!   endpoints over loopback TCP sockets**, one self-hosted worker thread
-//!   per node; see [`crate::tcp`].
+//!   socket is involved.
 //!
-//! The first two share one body for each collective and differ only in how
-//! one cross-node message is delivered (moved, or encoded and decoded) and
+//! The two share one body for each collective and differ only in how one
+//! cross-node message is delivered (moved, or encoded and decoded) and
 //! counted; both counts are the encoder's, so the two sets of statistics
-//! are byte-identical.
+//! are byte-identical. [`crate::tcp::TcpTransport`] implements the same
+//! trait over loopback sockets; it remains only as the socket transport
+//! the repository benchmark times, and the service cannot hold it.
 //!
 //! The all-to-all exchange takes **sparse per-destination send lists**
 //! (`outgoing[src]` = list of `(dst, message)`), not the dense
@@ -33,17 +32,15 @@
 //!
 //! Collectives return `Result`: the in-process backend always returns
 //! `Ok` and the wire backend fails only on a codec that rejects its own
-//! encoding, but a TCP cluster can lose a worker mid-exchange, and either
-//! failure surfaces as a typed [`TransportError`] instead of a panic or a
-//! hang.
+//! encoding; either way a failure surfaces as a typed [`TransportError`]
+//! instead of a panic.
 //!
 //! [`DynTransport`] is the enum-dispatched backend for callers that pick a
 //! transport at construction time, such as the query service; a caller
-//! names the backend by building its variant.
+//! names the backend by its variant.
 
 use crate::error::TransportError;
 use crate::stats::CommStats;
-use crate::tcp::TcpTransport;
 use crate::wire::{self, Wire};
 
 /// The partition → worker table of [`Transport::topology`], kept only for
@@ -330,51 +327,26 @@ impl Transport for WireTransport {
 
 /// Enum-dispatched transport for callers that select a backend at runtime
 /// (service construction, the integration suites' backend list).
-// One per service or test, never stored in bulk: the unboxed TCP variant
-// costs nothing and keeps `DynTransport::Tcp(transport)` constructible.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DynTransport {
     /// See [`InProcess`].
-    InProcess(InProcess),
+    InProcess,
     /// See [`WireTransport`].
-    Wire(WireTransport),
-    /// See [`TcpTransport`].
-    Tcp(TcpTransport),
-}
-
-impl DynTransport {
-    /// The TCP backend, when that is what this is.
-    pub fn as_tcp(&self) -> Option<&TcpTransport> {
-        match self {
-            DynTransport::Tcp(t) => Some(t),
-            _ => None,
-        }
-    }
+    Wire,
 }
 
 impl Transport for DynTransport {
     fn name(&self) -> &'static str {
         match self {
-            DynTransport::InProcess(t) => t.name(),
-            DynTransport::Wire(t) => t.name(),
-            DynTransport::Tcp(t) => t.name(),
+            DynTransport::InProcess => InProcess.name(),
+            DynTransport::Wire => WireTransport.name(),
         }
     }
 
     fn is_zero_copy(&self) -> bool {
         match self {
-            DynTransport::InProcess(t) => t.is_zero_copy(),
-            DynTransport::Wire(t) => t.is_zero_copy(),
-            DynTransport::Tcp(t) => t.is_zero_copy(),
-        }
-    }
-
-    fn topology(&self, num_partitions: usize) -> Topology {
-        match self {
-            DynTransport::InProcess(t) => t.topology(num_partitions),
-            DynTransport::Wire(t) => t.topology(num_partitions),
-            DynTransport::Tcp(t) => t.topology(num_partitions),
+            DynTransport::InProcess => InProcess.is_zero_copy(),
+            DynTransport::Wire => WireTransport.is_zero_copy(),
         }
     }
 
@@ -384,9 +356,8 @@ impl Transport for DynTransport {
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
         match self {
-            DynTransport::InProcess(t) => t.scatter(messages, stats),
-            DynTransport::Wire(t) => t.scatter(messages, stats),
-            DynTransport::Tcp(t) => t.scatter(messages, stats),
+            DynTransport::InProcess => InProcess.scatter(messages, stats),
+            DynTransport::Wire => WireTransport.scatter(messages, stats),
         }
     }
 
@@ -396,9 +367,8 @@ impl Transport for DynTransport {
         stats: &CommStats,
     ) -> Result<Vec<M>, TransportError> {
         match self {
-            DynTransport::InProcess(t) => t.gather(messages, stats),
-            DynTransport::Wire(t) => t.gather(messages, stats),
-            DynTransport::Tcp(t) => t.gather(messages, stats),
+            DynTransport::InProcess => InProcess.gather(messages, stats),
+            DynTransport::Wire => WireTransport.gather(messages, stats),
         }
     }
 
@@ -409,9 +379,8 @@ impl Transport for DynTransport {
         stats: &CommStats,
     ) -> Result<Vec<Vec<(usize, M)>>, TransportError> {
         match self {
-            DynTransport::InProcess(t) => t.all_to_all(num_nodes, outgoing, stats),
-            DynTransport::Wire(t) => t.all_to_all(num_nodes, outgoing, stats),
-            DynTransport::Tcp(t) => t.all_to_all(num_nodes, outgoing, stats),
+            DynTransport::InProcess => InProcess.all_to_all(num_nodes, outgoing, stats),
+            DynTransport::Wire => WireTransport.all_to_all(num_nodes, outgoing, stats),
         }
     }
 }
@@ -419,13 +388,13 @@ impl Transport for DynTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::TcpTransport;
 
-    /// Runs the same exchange on all three backends and checks they agree
-    /// on payloads *and* statistics.
+    /// Runs the same exchange on both backends and checks they agree on
+    /// payloads *and* statistics.
     fn both_backends(test: impl Fn(&DynTransport)) {
-        test(&DynTransport::InProcess(InProcess));
-        test(&DynTransport::Wire(WireTransport::new()));
-        test(&DynTransport::Tcp(TcpTransport::loopback()));
+        test(&DynTransport::InProcess);
+        test(&DynTransport::Wire);
     }
 
     #[test]

@@ -1568,15 +1568,11 @@ mod tests {
         );
     }
 
-    /// A fresh transport of each backend, in the order of
-    /// `dsr::testing::backends()`: in process, wire, loopback TCP.
-    fn backends() -> [dsr_cluster::DynTransport; 3] {
+    /// Each backend, in the order of `dsr::testing::backends()`: in
+    /// process, wire.
+    fn backends() -> [dsr_cluster::DynTransport; 2] {
         use dsr_cluster::DynTransport;
-        [
-            DynTransport::InProcess(InProcess),
-            DynTransport::Wire(WireTransport::new()),
-            DynTransport::Tcp(dsr_cluster::TcpTransport::loopback()),
-        ]
+        [DynTransport::InProcess, DynTransport::Wire]
     }
 
     #[test]

@@ -14,11 +14,8 @@
 //! For the serving-layer experiments, [`query_stream`] generates whole
 //! *query streams*: a pool of distinct queries with Zipf-skewed popularity
 //! (real query logs repeat a few hot queries, which is what makes result
-//! caching worthwhile) and either closed-loop arrivals (the next query is
-//! issued as soon as the previous one completes) or open-loop Poisson
-//! arrivals at a configurable rate.
-
-use std::time::Duration;
+//! caching worthwhile) and closed-loop arrivals (the next query is issued
+//! as soon as the previous one completes).
 
 use dsr_graph::{DiGraph, VertexId};
 use rand::rngs::SmallRng;
@@ -106,18 +103,11 @@ pub fn random_queries(
 }
 
 /// How the queries of a stream arrive at the serving layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalPattern {
     /// Closed loop: a client issues its next query the moment the previous
-    /// one completes. All offsets are zero; throughput is limited by the
-    /// service.
+    /// one completes; throughput is limited by the service.
     ClosedLoop,
-    /// Open loop: queries arrive as a Poisson process at `rate_per_sec`
-    /// (exponential inter-arrival times), independent of completion times.
-    OpenLoop {
-        /// Mean arrival rate in queries per second (must be positive).
-        rate_per_sec: f64,
-    },
 }
 
 /// Configuration for [`query_stream`].
@@ -135,7 +125,7 @@ pub struct StreamConfig {
     /// proportional to `1 / (r + 1)^skew`. `0.0` means uniform popularity;
     /// `0.99` approximates the YCSB default.
     pub skew: f64,
-    /// Arrival pattern (closed or open loop).
+    /// Arrival pattern (closed loop, the only one).
     pub pattern: ArrivalPattern,
     /// Seed for both pool generation and arrival sampling.
     pub seed: u64,
@@ -158,9 +148,6 @@ impl Default for StreamConfig {
 /// One arrival of a query stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedQuery {
-    /// Arrival time relative to the start of the stream (zero for every
-    /// closed-loop arrival).
-    pub offset: Duration,
     /// Index into [`QueryStream::pool`] of the query being issued.
     pub pool_index: usize,
 }
@@ -196,9 +183,8 @@ impl QueryStream {
 ///
 /// The pool holds `config.distinct` distinct random queries (each with
 /// `num_sources × num_targets` comparisons, like [`random_query`]); arrivals
-/// pick pool entries with Zipf(`skew`) popularity and are timestamped
-/// according to `config.pattern`. The same seed always yields the same
-/// stream.
+/// pick pool entries with Zipf(`skew`) popularity. The same seed always
+/// yields the same stream.
 pub fn query_stream(graph: &DiGraph, config: &StreamConfig) -> QueryStream {
     assert!(config.distinct > 0, "pool must hold at least one query");
     assert!(config.skew >= 0.0, "negative skew is not meaningful");
@@ -225,23 +211,13 @@ pub fn query_stream(graph: &DiGraph, config: &StreamConfig) -> QueryStream {
         .collect();
     let total = *cumulative.last().expect("non-empty pool");
 
-    let mut arrivals = Vec::with_capacity(config.num_queries);
-    let mut clock = 0.0f64;
-    for _ in 0..config.num_queries {
-        let u: f64 = rng.gen::<f64>() * total;
-        let pool_index = cumulative.partition_point(|&c| c <= u).min(pool.len() - 1);
-        let offset = match config.pattern {
-            ArrivalPattern::ClosedLoop => Duration::ZERO,
-            ArrivalPattern::OpenLoop { rate_per_sec } => {
-                assert!(rate_per_sec > 0.0, "open-loop rate must be positive");
-                // Exponential inter-arrival: -ln(1 - u) / rate.
-                let u: f64 = rng.gen::<f64>();
-                clock += -(1.0 - u).max(f64::MIN_POSITIVE).ln() / rate_per_sec;
-                Duration::from_secs_f64(clock)
-            }
-        };
-        arrivals.push(TimedQuery { offset, pool_index });
-    }
+    let arrivals = (0..config.num_queries)
+        .map(|_| {
+            let u: f64 = rng.gen::<f64>() * total;
+            let pool_index = cumulative.partition_point(|&c| c <= u).min(pool.len() - 1);
+            TimedQuery { pool_index }
+        })
+        .collect();
     QueryStream { pool, arrivals }
 }
 
@@ -509,31 +485,8 @@ mod tests {
         assert_eq!(stream.len(), 100);
         assert!(!stream.is_empty());
         assert_eq!(stream.pool.len(), 8);
-        assert!(stream.arrivals.iter().all(|a| a.offset == Duration::ZERO));
         assert!(stream.queries().all(|q| q.num_comparisons() == 25));
         assert_eq!(arrivals_per_rank(&stream).iter().sum::<usize>(), 100);
-    }
-
-    #[test]
-    fn open_loop_offsets_are_nondecreasing_and_rate_scaled() {
-        let g = DiGraph::empty(40);
-        let stream = query_stream(
-            &g,
-            &StreamConfig {
-                num_queries: 500,
-                distinct: 4,
-                pattern: ArrivalPattern::OpenLoop {
-                    rate_per_sec: 1000.0,
-                },
-                ..StreamConfig::default()
-            },
-        );
-        let offsets: Vec<Duration> = stream.arrivals.iter().map(|a| a.offset).collect();
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        // 500 arrivals at ~1000/s should span roughly half a second; allow a
-        // generous band since the shim RNG is not statistically tuned.
-        let span = offsets.last().unwrap().as_secs_f64();
-        assert!(span > 0.1 && span < 2.5, "span {span} out of band");
     }
 
     #[test]

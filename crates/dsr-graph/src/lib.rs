@@ -17,7 +17,6 @@
 //!   tests and as the most aggressive "local reachability index".
 //! * [`subgraph`] — vertex-induced subgraph extraction with local/global id
 //!   mapping and a stored condensation, used by the partitioning layer.
-//! * [`stats`] — degree/edge statistics of a graph.
 //!
 //! Vertices are dense `u32` identifiers (`VertexId`), which keeps all
 //! adjacency structures compact and cache friendly (see the index-size
@@ -30,7 +29,6 @@ pub mod closure;
 pub mod condense;
 pub mod csr;
 pub mod scc;
-pub mod stats;
 pub mod subgraph;
 pub mod traversal;
 

@@ -23,11 +23,9 @@
 pub mod cut;
 pub mod hash;
 pub mod multilevel;
-pub mod quality;
 pub mod types;
 
 pub use cut::{Cut, PartitionBoundaries};
 pub use hash::HashPartitioner;
 pub use multilevel::MultilevelPartitioner;
-pub use quality::PartitionQuality;
 pub use types::{PartitionId, Partitioner, Partitioning};

@@ -76,8 +76,8 @@ pub enum ServiceError {
         /// The configured admission limit.
         limit: usize,
     },
-    /// The fused execution failed on the service transport (e.g. a TCP
-    /// worker disconnecting mid-exchange). The error is `Arc`-shared
+    /// The fused execution failed on the service transport (over the wire,
+    /// a codec that refuses its own encoding). The error is `Arc`-shared
     /// because one failed round fails every query fused into it.
     Transport(Arc<TransportError>),
     /// The fused execution panicked — a bug, such as an index whose parts
@@ -550,14 +550,9 @@ fn execute_group(core: &Core, group: GenGroup) {
                 if !wanted {
                     continue;
                 }
-                match core.cache.insert_if_live(namespace, key, Arc::clone(value)) {
-                    InsertOutcome::Inserted { evicted } => {
-                        core.stats.record_insertion();
-                        if evicted {
-                            core.stats.record_eviction();
-                        }
-                    }
-                    InsertOutcome::Stale => {}
+                let outcome = core.cache.insert_if_live(namespace, key, Arc::clone(value));
+                if let InsertOutcome::Inserted { evicted: true } = outcome {
+                    core.stats.record_eviction();
                 }
             }
             // Free admission before waking anyone so an unblocked client
@@ -605,7 +600,7 @@ mod model_tests {
     use crate::snapshot::GenerationChain;
     use crate::stats::{BatchStats, CacheStats};
     use crate::QueryService;
-    use dsr_cluster::{CommStats, DynTransport, InProcess};
+    use dsr_cluster::{CommStats, DynTransport};
     use dsr_core::DsrIndex;
     use dsr_graph::DiGraph;
     use dsr_partition::Partitioning;
@@ -626,7 +621,7 @@ mod model_tests {
                 LocalIndexKind::Dfs,
             ))),
             cache: QueryCache::new(8),
-            transport: DynTransport::InProcess(InProcess),
+            transport: DynTransport::InProcess,
             admission: Admission::new(admission_depth),
             stats: CacheStats::new(),
             comm: CommStats::new(),

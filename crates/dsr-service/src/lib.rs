@@ -45,8 +45,8 @@
 //! * The transport is chosen in one place:
 //!   [`QueryService::with_config`] serves in process,
 //!   [`QueryService::with_config_and_transport`] over any
-//!   [`DynTransport`](dsr_cluster::DynTransport) — the wire codec or a
-//!   loopback TCP cluster.
+//!   [`DynTransport`](dsr_cluster::DynTransport) — in process or through
+//!   the wire codec.
 //! * Index updates flow through [`QueryService::update`] — the
 //!   differential pipeline of Section 3.3.3: back-to-back batches are
 //!   coalesced, only affected partitions refresh, and the summary deltas

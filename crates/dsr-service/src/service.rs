@@ -11,7 +11,7 @@
 use dsr_sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsr_cluster::{CommStats, DynTransport, InProcess, TransportError, UpdateStats};
+use dsr_cluster::{CommStats, DynTransport, TransportError, UpdateStats};
 use dsr_core::{coalesce_updates, DsrIndex, SetQuery, UpdateOp, UpdateOutcome};
 use dsr_graph::VertexId;
 
@@ -25,8 +25,9 @@ use crate::stats::{BatchStats, CacheStats};
 #[derive(Debug)]
 pub enum UpdateError {
     /// The service's transport failed while shipping the refresh deltas
-    /// (e.g. a TCP worker died mid-exchange). The half-refreshed fork is
-    /// discarded; readers keep the last good generation.
+    /// (on the wire backend, a codec that refuses its own encoding). The
+    /// half-refreshed fork is discarded; readers keep the last good
+    /// generation.
     Transport(TransportError),
     /// An op of the batch names a vertex the served graph does not have.
     /// The batch is checked as a whole, under the update lock, against the
@@ -395,19 +396,17 @@ impl QueryService {
     }
 
     /// Creates a service over `index` with an explicit configuration,
-    /// serving in process ([`InProcess`]).
+    /// serving in process ([`DynTransport::InProcess`]).
     pub fn with_config(index: Arc<DsrIndex>, config: ServiceConfig) -> Self {
-        Self::with_config_and_transport(index, config, DynTransport::InProcess(InProcess))
+        Self::with_config_and_transport(index, config, DynTransport::InProcess)
     }
 
     /// Creates a service over `index` with an explicit configuration **and
     /// transport** — the one way to serve over another backend than
-    /// [`InProcess`]: a [`WireTransport`](dsr_cluster::WireTransport)
-    /// (every message encoded and decoded in process) or a loopback
-    /// [`TcpTransport`](dsr_cluster::TcpTransport), each wrapped in its
-    /// [`DynTransport`] variant. The backend is shared by every query this service executes
-    /// and by the refresh exchange of every update applied through
-    /// [`QueryService::update`].
+    /// [`DynTransport::InProcess`]: [`DynTransport::Wire`] encodes and
+    /// decodes every message in process. The backend is shared by every
+    /// query this service executes and by the refresh exchange of every
+    /// update applied through [`QueryService::update`].
     pub fn with_config_and_transport(
         index: Arc<DsrIndex>,
         config: ServiceConfig,
@@ -456,10 +455,8 @@ impl QueryService {
         }
     }
 
-    /// The transport this service executes queries over (its variant says
-    /// which backend), for callers that need direct access to the backend
-    /// (e.g. to [`sever`](dsr_cluster::TcpTransport::sever) a worker of a
-    /// [`DynTransport::Tcp`] cluster in a test).
+    /// The transport this service executes queries over; its variant says
+    /// which backend.
     pub fn transport(&self) -> &DynTransport {
         &self.core.transport
     }
@@ -636,9 +633,9 @@ impl QueryService {
     /// generation, consulting the result cache.
     ///
     /// # Panics
-    /// When the fused execution fails — the in-process and wire backends
-    /// lose no worker; TCP-fronted callers who need the typed error use
-    /// [`query_with`](QueryService::query_with).
+    /// When the fused execution fails — in process it never does, over
+    /// the wire only on a codec that refuses its own encoding; callers who
+    /// need the typed error use [`query_with`](QueryService::query_with).
     pub fn query(&self, sources: &[VertexId], targets: &[VertexId]) -> CachedPairs {
         match self.query_with(sources, targets, QueryOptions::default()) {
             Ok(value) => value,
@@ -678,11 +675,11 @@ impl QueryService {
     /// once.
     ///
     /// # Errors
-    /// [`ServiceError::Transport`] when the fused execution fails (e.g. a
-    /// TCP worker disconnecting) — nothing is cached from a failed batch —
-    /// or [`ServiceError::Panicked`] when it panicked, and never
-    /// [`ServiceError::Overloaded`]: a whole batch blocks for admission.
-    /// The in-process and wire backends lose no worker.
+    /// [`ServiceError::Transport`] when the fused execution fails (over the
+    /// wire, a codec that refuses its own encoding) — nothing is cached
+    /// from a failed batch — or [`ServiceError::Panicked`] when it
+    /// panicked, and never [`ServiceError::Overloaded`]: a whole batch
+    /// blocks for admission.
     pub fn query_batch(&self, queries: &[SetQuery]) -> Result<BatchReply, ServiceError> {
         let generation = self.core.generations.latest();
         self.query_batch_pinned(generation, queries)
@@ -1236,58 +1233,6 @@ mod tests {
         assert_eq!(service.generation_stats().latest, 0);
     }
 
-    #[test]
-    fn failed_update_batch_changes_nothing() {
-        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let transport = dsr_cluster::TcpTransport::loopback_with(Duration::from_secs(5));
-        let service = QueryService::with_config_and_transport(
-            Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
-            ServiceConfig::default(),
-            DynTransport::Tcp(transport),
-        );
-        let warmed = service.query(&[0], &[5]);
-        assert_eq!(*warmed, vec![(0, 5)]);
-        let before = (service.generation_stats(), service.cache_len());
-
-        // With worker 0 gone the refresh exchange fails.
-        let tcp = service.transport().as_tcp().expect("tcp backend");
-        tcp.sever(0);
-        let batch = [UpdateOp::Insert(5, 0)];
-        let err = service.update(&batch, UpdateMode::Auto).unwrap_err();
-        assert!(
-            matches!(&err, UpdateError::Transport(e) if e.to_string().contains("worker 0")),
-            "got {err:?}"
-        );
-        // The half-refreshed fork was dropped: same generation, same
-        // namespace, and the warmed answer is still served from it.
-        assert_eq!((service.generation_stats(), service.cache_len()), before);
-        assert_eq!(service.cache_stats().invalidations(), 0);
-        let hits = service.cache_stats().hits();
-        assert!(Arc::ptr_eq(&warmed, &service.query(&[0], &[5])));
-        assert_eq!(service.cache_stats().hits(), hits + 1);
-        assert!(service.update_stats().is_zero());
-
-        // The next update reconnects, and the same batch lands one
-        // generation on, exactly as it does in process.
-        let in_process = QueryService::new(Arc::new(DsrIndex::build(
-            &g,
-            Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2),
-            LocalIndexKind::Dfs,
-        )));
-        let expected = in_process
-            .update(&batch, UpdateMode::Auto)
-            .expect("in-process");
-        let outcome = service
-            .update(&batch, UpdateMode::Auto)
-            .expect("reconnected");
-        assert_eq!(outcome, expected);
-        assert!(outcome.rebuilt_compounds);
-        assert_eq!(service.update_stats(), in_process.update_stats());
-        assert_eq!(service.generation_stats().latest, before.0.latest + 1);
-        assert_eq!(*service.query(&[5], &[0]), vec![(5, 0)]);
-    }
-
     /// `update` validates the batch against the generation it forks, under
     /// the update lock: racing an `install_index` of a smaller graph it
     /// lands first (`Ok`) or is refused (`InvalidVertex`) — in no schedule
@@ -1459,9 +1404,9 @@ mod tests {
         let wired = QueryService::with_config_and_transport(
             Arc::clone(&index),
             ServiceConfig::default(),
-            DynTransport::Wire(dsr_cluster::WireTransport::new()),
+            DynTransport::Wire,
         );
-        assert!(matches!(wired.transport(), DynTransport::Wire(_)));
+        assert_eq!(*wired.transport(), DynTransport::Wire);
         let queries = [
             SetQuery::new(vec![0, 1], vec![4, 5]),
             SetQuery::new(vec![5], vec![0]),
@@ -1477,41 +1422,6 @@ mod tests {
             in_process.comm_stats().snapshot(),
             wired.comm_stats().snapshot()
         );
-    }
-
-    #[test]
-    fn tcp_transport_service_agrees_with_in_process() {
-        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let index = Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs));
-        let in_process = QueryService::new(Arc::clone(&index));
-        let tcp = QueryService::with_config_and_transport(
-            Arc::clone(&index),
-            ServiceConfig::default(),
-            DynTransport::Tcp(dsr_cluster::TcpTransport::loopback()),
-        );
-        assert!(matches!(tcp.transport(), DynTransport::Tcp(_)));
-        let queries = [
-            SetQuery::new(vec![0, 1], vec![4, 5]),
-            SetQuery::new(vec![5], vec![0]),
-        ];
-        let a = in_process.query_batch(&queries).expect("in-process");
-        let b = tcp.query_batch(&queries).expect("tcp loopback cluster");
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(**x, **y, "tcp answers must be byte-identical");
-        }
-        assert_eq!(
-            in_process.comm_stats().snapshot(),
-            tcp.comm_stats().snapshot(),
-            "tcp protocol cost equals the in-process accounting"
-        );
-        // Updates through the service ship their deltas over TCP too.
-        let out = tcp
-            .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
-            .expect("tcp update");
-        assert!(out.rebuilt_compounds);
-        assert!(tcp.update_stats().update_bytes > 0);
-        assert_eq!(*tcp.query(&[5], &[0]), vec![(5, 0)]);
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub struct CacheStats {
     latest_hits: AtomicU64,
     pinned_hits: AtomicU64,
     misses: AtomicU64,
-    insertions: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
 }
@@ -41,11 +40,6 @@ impl CacheStats {
     /// Records a cache miss.
     pub fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an insertion of a freshly computed result.
-    pub fn record_insertion(&self) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an LRU eviction.
@@ -78,11 +72,6 @@ impl CacheStats {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of insertions so far.
-    pub fn insertions(&self) -> u64 {
-        self.insertions.load(Ordering::Relaxed)
-    }
-
     /// Number of evictions so far.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -109,7 +98,6 @@ impl CacheStats {
         self.latest_hits.store(0, Ordering::Relaxed);
         self.pinned_hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.insertions.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
         self.invalidations.store(0, Ordering::Relaxed);
     }
@@ -276,17 +264,15 @@ mod tests {
         c.record_latest_hit();
         c.record_pinned_hit();
         c.record_miss();
-        c.record_insertion();
         c.record_eviction();
         c.record_invalidation();
         assert_eq!((c.hits(), c.latest_hits(), c.pinned_hits()), (3, 2, 1));
         assert_eq!(c.misses(), 1);
-        assert_eq!(c.insertions(), 1);
         assert_eq!(c.evictions(), 1);
         assert_eq!(c.invalidations(), 1);
         assert!((c.hit_rate() - 0.75).abs() < 1e-9);
         c.reset();
-        assert_eq!((c.hits(), c.misses(), c.insertions()), (0, 0, 0));
+        assert_eq!((c.hits(), c.misses()), (0, 0));
         assert_eq!((c.latest_hits(), c.pinned_hits()), (0, 0));
     }
 

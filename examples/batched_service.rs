@@ -8,13 +8,13 @@
 //! cargo run --release --example batched_service
 //! ```
 //!
-//! The service runs on the in-process backend; the wire codec and a
-//! loopback TCP worker cluster give identical deterministic counters.
+//! The service runs on the in-process backend; the wire codec gives
+//! identical deterministic counters.
 
 use dsr_sync::Arc;
 use std::time::Instant;
 
-use dsr_cluster::{DynTransport, InProcess, Transport};
+use dsr_cluster::{DynTransport, Transport};
 use dsr_core::{DsrIndex, SetQuery};
 use dsr_datagen::{query_stream, web_graph, ArrivalPattern, StreamConfig};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
@@ -58,7 +58,7 @@ fn main() {
     // 3. Serve from 32 closed-loop clients over the in-process backend; the
     //    forming window and batch cap keep their defaults.
     let config = ServiceConfig::default();
-    let transport = DynTransport::InProcess(InProcess);
+    let transport = DynTransport::InProcess;
     println!(
         "transport: {}, forming window: {} us, batch cap: {}",
         transport.name(),

@@ -20,7 +20,7 @@
 
 use dsr_sync::Arc;
 
-use dsr_cluster::{DynTransport, InProcess, Transport};
+use dsr_cluster::{DynTransport, Transport};
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::{
     query_stream, update_stream, web_graph, EdgeOp, StreamConfig, UpdateStreamConfig,
@@ -38,7 +38,7 @@ fn main() {
     let service = QueryService::with_config_and_transport(
         Arc::new(index),
         ServiceConfig::default(),
-        DynTransport::InProcess(InProcess),
+        DynTransport::InProcess,
     );
     println!(
         "service up: {} vertices, {} edges, 4 slaves, transport = {}",

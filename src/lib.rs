@@ -17,9 +17,9 @@
 //! - [`service`] — concurrent query serving: batching, worker pool, LRU result cache
 //! - [`mod@bench`] — experiment harness backing the paper's tables and figures
 //!
-//! [`testing`] lists the three communication backends (zero-copy
-//! in-process, serialized wire bytes, loopback TCP) that the integration
-//! suites run every answer on.
+//! [`testing`] lists the two communication backends (zero-copy
+//! in-process, serialized wire bytes) that the integration suites run
+//! every answer on.
 
 #![forbid(unsafe_code)]
 

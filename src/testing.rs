@@ -4,21 +4,14 @@
 //! `tests/updates_consistency.rs`, `tests/service_batcher.rs` and
 //! `tests/workloads_oracle.rs` loop over [`backends`] and check every
 //! answer on each of them, so a plain `cargo test` produces every answer
-//! once from messages moved in process, once from messages that were
-//! encoded and decoded by the [`WireTransport`], and once from frames that
-//! crossed a loopback [`TcpTransport`] cluster: self-hosted worker
-//! endpoints on real `127.0.0.1` sockets, every frame echoed master →
-//! worker → master.
+//! once from messages moved in process and once from messages that were
+//! encoded and decoded by the [`WireTransport`](dsr_cluster::WireTransport).
 
-use dsr_cluster::{DynTransport, InProcess, TcpTransport, WireTransport};
+use dsr_cluster::DynTransport;
 
-/// A fresh transport of each backend, in the order in-process, wire, tcp.
-pub fn backends() -> [DynTransport; 3] {
-    [
-        DynTransport::InProcess(InProcess),
-        DynTransport::Wire(WireTransport::new()),
-        DynTransport::Tcp(TcpTransport::loopback()),
-    ]
+/// Each backend, in the order in-process, wire.
+pub fn backends() -> [DynTransport; 2] {
+    [DynTransport::InProcess, DynTransport::Wire]
 }
 
 #[cfg(test)]
@@ -28,8 +21,8 @@ mod tests {
 
     /// The names are the labels the `BENCH_*.json` rows print.
     #[test]
-    fn backends_are_in_process_wire_and_tcp_in_order() {
+    fn backends_are_in_process_and_wire_in_order() {
         let names = backends().map(|transport| transport.name());
-        assert_eq!(names, ["in-process", "wire", "tcp"]);
+        assert_eq!(names, ["in-process", "wire"]);
     }
 }

@@ -2,8 +2,7 @@
 //! index → distributed query, checked against the centralized oracle.
 //!
 //! Every scenario runs on each backend of [`dsr::testing::backends`]: in
-//! process, with every message encoded and decoded, and over a loopback
-//! TCP worker cluster.
+//! process and with every message encoded and decoded.
 
 use dsr::testing::backends;
 use dsr_cluster::{DynTransport, Transport};

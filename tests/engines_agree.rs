@@ -2,9 +2,8 @@
 //! Giraph++wEq must return identical result sets on the same queries.
 //!
 //! The DSR index and engine run on every backend of
-//! [`dsr::testing::backends`]: in process, with every protocol message (and
-//! the build-time summary exchange) encoded and decoded, and over a
-//! loopback TCP worker cluster.
+//! [`dsr::testing::backends`]: in process and with every protocol message
+//! (and the build-time summary exchange) encoded and decoded.
 
 use dsr::testing::backends;
 use dsr_cluster::{DynTransport, Transport};

@@ -4,8 +4,8 @@
 //!
 //! Every scenario runs on each backend of [`dsr::testing::backends`]: both
 //! the build-time summary exchange and every update's `SummaryDelta`
-//! refresh are moved in process, delivered as decoded from their encoding,
-//! and carried across a loopback TCP worker cluster.
+//! refresh are moved in process and delivered as decoded from their
+//! encoding.
 
 use dsr::testing::backends;
 use dsr_cluster::{DynTransport, InProcess, Transport, UpdateStats, WireTransport};

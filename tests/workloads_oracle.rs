@@ -8,8 +8,8 @@
 //! mid-batch state.
 //!
 //! Every test runs once per backend of [`dsr::testing::backends`]: in
-//! process, with every message encoded and decoded, and over a loopback TCP
-//! cluster; the assertions are transport-independent by construction.
+//! process and with every message encoded and decoded; the assertions are
+//! transport-independent by construction.
 
 use std::collections::BTreeSet;
 
