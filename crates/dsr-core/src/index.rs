@@ -202,26 +202,20 @@ impl DsrIndex {
         // builds its compound graph from the summaries it received. One
         // partition has no peer and exchanges nothing.
         let comm = CommStats::new();
-        let compounds: Vec<CompoundGraph> = if k <= 1 {
-            run_on_slaves(k, |i| {
-                CompoundGraph::build(&locals[i], &cut, &summaries, i as PartitionId)
-            })
-        } else {
-            let outgoing: Vec<Vec<(usize, PartitionSummary)>> = summaries
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (0..k).filter(|&j| j != i).map(|j| (j, s.clone())).collect())
-                .collect();
-            let incoming = transport.all_to_all(k, outgoing, &comm)?;
-            let views: Vec<Vec<PartitionSummary>> = incoming
-                .into_iter()
-                .enumerate()
-                .map(|(i, received)| peer_summaries(i, &summaries[i], received, &cut))
-                .collect::<Result<_, _>>()?;
-            run_on_slaves(k, |i| {
-                CompoundGraph::build(&locals[i], &cut, &views[i], i as PartitionId)
-            })
-        };
+        let outgoing: Vec<Vec<(usize, PartitionSummary)>> = summaries
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (0..k).filter(|&j| j != i).map(|j| (j, s.clone())).collect())
+            .collect();
+        let incoming = transport.all_to_all(k, outgoing, &comm)?;
+        let views: Vec<Vec<PartitionSummary>> = incoming
+            .into_iter()
+            .enumerate()
+            .map(|(i, received)| peer_summaries(i, &summaries[i], received, &cut))
+            .collect::<Result<_, _>>()?;
+        let compounds: Vec<CompoundGraph> = run_on_slaves(k, |i| {
+            CompoundGraph::build(&locals[i], &cut, &views[i], i as PartitionId)
+        });
         let local_indexes = run_on_slaves(k, |i| local_index(kind, &compounds[i]));
 
         let stats = Self::collect_stats(&summaries, &compounds, comm.messages(), comm.bytes());

@@ -108,9 +108,8 @@ pub struct UpdateOutcome {
     pub refreshed_summaries: Vec<PartitionId>,
     /// Partitions whose compound graphs (and local indexes) were rebuilt:
     /// those that received a structure-changing delta or changed locally.
+    /// Empty exactly when no compound graph changed at all.
     pub patched_compounds: Vec<PartitionId>,
-    /// Whether any compound graph changed at all.
-    pub rebuilt_compounds: bool,
     /// Measured communication cost of the refresh exchange: the wire bytes
     /// of the shipped [`SummaryDelta`]s, byte-identical between the
     /// in-process and wire transports.
@@ -482,7 +481,6 @@ impl DsrIndex {
 
         Ok(UpdateOutcome {
             refreshed_summaries: refreshed,
-            rebuilt_compounds: !affected.is_empty(),
             patched_compounds: affected,
             stats: UpdateStats::from_comm(&comm),
         })
@@ -522,7 +520,7 @@ mod tests {
             assert!(!engine.is_reachable(0, 5));
         }
         let outcome = index.apply_updates(&[UpdateOp::Insert(2, 3)]);
-        assert!(outcome.rebuilt_compounds);
+        assert!(!outcome.patched_compounds.is_empty());
         assert_eq!(outcome.refreshed_summaries, vec![0, 1]);
         assert_eq!(outcome.stats.update_rounds, 1);
         let engine = DsrEngine::new(&index);
@@ -562,7 +560,6 @@ mod tests {
         let outcome = index.apply_updates(&[UpdateOp::Insert(0, 1)]); // already present
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.patched_compounds.is_empty());
-        assert!(!outcome.rebuilt_compounds);
         assert!(outcome.stats.is_zero());
         // In-batch duplicates collapse too.
         let outcome = index.apply_updates(&[
@@ -571,7 +568,7 @@ mod tests {
             UpdateOp::Insert(3, 4),
         ]);
         assert!(outcome.refreshed_summaries.is_empty());
-        assert!(!outcome.rebuilt_compounds);
+        assert!(outcome.patched_compounds.is_empty());
     }
 
     #[test]
@@ -583,7 +580,6 @@ mod tests {
         let outcome = index.apply_updates(&[UpdateOp::Insert(2, 3)]); // existing cut edge
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.patched_compounds.is_empty());
-        assert!(!outcome.rebuilt_compounds);
         assert!(outcome.stats.is_zero());
         // Boundary lists must not have been touched (the historical bug
         // re-inserted into both sorted boundary lists and re-marked both
@@ -766,7 +762,7 @@ mod tests {
             assert!(engine.is_reachable(0, 3));
         }
         let outcome = index.apply_updates(&[UpdateOp::Delete(1, 2)]);
-        assert!(outcome.rebuilt_compounds);
+        assert!(!outcome.patched_compounds.is_empty());
         let engine = DsrEngine::new(&index);
         assert!(!engine.is_reachable(0, 3));
         // Boundaries must have been cleared.
@@ -779,7 +775,7 @@ mod tests {
         let (g, p) = chain_graph();
         let mut index = DsrIndex::build(&g, p, LocalIndexKind::Dfs);
         let outcome = index.apply_updates(&[UpdateOp::Delete(0, 5)]);
-        assert!(!outcome.rebuilt_compounds);
+        assert!(outcome.patched_compounds.is_empty());
         assert!(outcome.refreshed_summaries.is_empty());
         assert!(outcome.stats.is_zero());
     }

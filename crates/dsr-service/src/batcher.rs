@@ -29,10 +29,9 @@
 //!   meanwhile); deduplicates identical signatures; executes all remaining
 //!   misses from *all* clients as **one** fused batch over the shared
 //!   transport; populates the cache; and fans the answers back out.
-//! * Admission control bounds the number of in-flight queries
-//!   (`admission_depth`): beyond it, non-blocking submissions fail with
-//!   the typed [`ServiceError::Overloaded`] instead of piling up
-//!   unboundedly.
+//! * Admission control bounds the number of in-flight queries: beyond a
+//!   fixed depth, a submission blocks until a fused run answers queries
+//!   and returns their slots, instead of piling up unboundedly.
 //!
 //! Groups submitted together (one [`QueryService::query_batch`] call) are
 //! never split across formed batches — the cap is a forming *trigger*, not
@@ -64,18 +63,6 @@ use crate::snapshot::Generation;
 /// Why the serving layer could not answer a query.
 #[derive(Debug, Clone)]
 pub enum ServiceError {
-    /// The admission queue is full: `queued` in-flight queries already
-    /// stand against a limit of `limit`. Backpressure — retry later, widen
-    /// [`ServiceConfig::admission_depth`](crate::ServiceConfig::admission_depth),
-    /// or use the blocking
-    /// [`QueryService::query_with`](crate::QueryService::query_with) which
-    /// waits for capacity instead of failing.
-    Overloaded {
-        /// In-flight queries at the time of the attempt.
-        queued: usize,
-        /// The configured admission limit.
-        limit: usize,
-    },
     /// The fused execution failed on the service transport (over the wire,
     /// a codec that refuses its own encoding). The error is `Arc`-shared
     /// because one failed round fails every query fused into it.
@@ -97,10 +84,6 @@ pub enum ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::Overloaded { queued, limit } => write!(
-                f,
-                "service overloaded: {queued} in-flight queries at admission limit {limit}"
-            ),
             ServiceError::Transport(err) => write!(f, "fused batch execution failed: {err}"),
             ServiceError::Panicked(message) => {
                 write!(f, "fused batch execution panicked: {message}")
@@ -122,28 +105,9 @@ impl std::error::Error for ServiceError {
     }
 }
 
-/// Communication cost of one fused protocol run, `Arc`-shared by every
-/// query answered in that run so per-client replies can attribute rounds
-/// without double-counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundCost {
-    /// Rounds of the fused scatter/exchange/gather (3, or 0 for an empty
-    /// batch).
-    pub rounds: u64,
-    /// Messages exchanged by the fused run.
-    pub messages: u64,
-    /// Bytes exchanged by the fused run.
-    pub bytes: u64,
-}
-
-/// A fulfilled query: the shared answer plus, when the query was executed
-/// (rather than answered by the scheduler's cache re-probe), the cost of
-/// the fused run that produced it.
-pub(crate) type Fulfillment = (CachedPairs, Option<Arc<RoundCost>>);
-
 struct WaitState {
     remaining: usize,
-    slots: Vec<Option<Fulfillment>>,
+    slots: Vec<Option<CachedPairs>>,
     error: Option<ServiceError>,
 }
 
@@ -168,10 +132,10 @@ impl Waiter {
         })
     }
 
-    fn fulfill(&self, slot: usize, value: CachedPairs, cost: Option<Arc<RoundCost>>) {
+    fn fulfill(&self, slot: usize, value: CachedPairs) {
         let mut state = dsr_sync::lock(&self.state);
         debug_assert!(state.slots[slot].is_none(), "slot fulfilled twice");
-        state.slots[slot] = Some((value, cost));
+        state.slots[slot] = Some(value);
         state.remaining -= 1;
         if state.remaining == 0 {
             self.ready.notify_all();
@@ -195,7 +159,7 @@ impl Waiter {
 
     /// Blocks until every slot is fulfilled (returning them in submission
     /// order) or the group failed.
-    pub(crate) fn wait(&self) -> Result<Vec<Fulfillment>, ServiceError> {
+    pub(crate) fn wait(&self) -> Result<Vec<CachedPairs>, ServiceError> {
         let mut state = dsr_sync::lock(&self.state);
         loop {
             if let Some(error) = &state.error {
@@ -239,7 +203,8 @@ pub(crate) enum Msg {
 
 /// Counting semaphore bounding in-flight queries (submitted but not yet
 /// answered). Plain mutex + condvar: the hot path is two uncontended lock
-/// acquisitions per query, and overload is the *slow* path by definition.
+/// acquisitions per query, and waiting for room is the *slow* path by
+/// definition.
 pub(crate) struct Admission {
     limit: usize,
     in_flight: Mutex<usize>,
@@ -255,23 +220,10 @@ impl Admission {
         }
     }
 
-    /// Admits `n` queries or fails with [`ServiceError::Overloaded`].
-    pub(crate) fn try_acquire(&self, n: usize) -> Result<(), ServiceError> {
-        let mut in_flight = dsr_sync::lock(&self.in_flight);
-        // A group larger than the whole limit is admissible only into an
-        // empty queue (otherwise it could never be admitted at all).
-        if *in_flight + n > self.limit && *in_flight > 0 {
-            return Err(ServiceError::Overloaded {
-                queued: *in_flight,
-                limit: self.limit,
-            });
-        }
-        *in_flight += n;
-        Ok(())
-    }
-
-    /// Admits `n` queries, blocking until there is room.
-    pub(crate) fn acquire_blocking(&self, n: usize) {
+    /// Admits `n` queries, blocking until there is room. A group larger
+    /// than the whole limit is admitted into an empty queue (otherwise it
+    /// could never be admitted at all).
+    pub(crate) fn acquire(&self, n: usize) {
         let mut in_flight = dsr_sync::lock(&self.in_flight);
         while *in_flight + n > self.limit && *in_flight > 0 {
             in_flight = dsr_sync::wait(&self.freed, in_flight);
@@ -348,6 +300,12 @@ impl Batcher {
 impl Drop for Batcher {
     fn drop(&mut self) {
         drop(self.tx.take());
+        // Already unwinding: a second panic from the join would abort the
+        // process. The disconnected scheduler drains its queue and exits
+        // on its own.
+        if dsr_sync::thread::panicking() {
+            return;
+        }
         if let Some(scheduler) = self.scheduler.take() {
             if let Err(panic) = scheduler.join() {
                 std::panic::resume_unwind(panic);
@@ -457,7 +415,7 @@ fn execute_formed(core: &Core, entries: Vec<Entry>) {
         if entry.cache {
             if let Some(hit) = core.cache.get(entry.generation.id(), &entry.key) {
                 core.batch.record_late_hit();
-                entry.waiter.fulfill(entry.slot, hit, None);
+                entry.waiter.fulfill(entry.slot, hit);
                 core.admission.release(1);
                 continue;
             }
@@ -529,11 +487,6 @@ fn execute_group(core: &Core, group: GenGroup) {
             let (rounds, messages, bytes) = stats.snapshot();
             core.comm.add(rounds, messages, bytes);
             core.batch.record_execution(misses.len() as u64, rounds);
-            let cost = Arc::new(RoundCost {
-                rounds,
-                messages,
-                bytes,
-            });
             let values: Vec<CachedPairs> = results.into_iter().map(Arc::new).collect();
             // Seeded mutation (model builds only): releasing admission
             // *before* the results are published to the cache lets a client
@@ -570,7 +523,7 @@ fn execute_group(core: &Core, group: GenGroup) {
                 .collect();
             drop(generation);
             for (waiter, slot, miss) in fanout {
-                waiter.fulfill(slot, Arc::clone(&values[miss]), Some(Arc::clone(&cost)));
+                waiter.fulfill(slot, Arc::clone(&values[miss]));
             }
         }
         Err(err) => {
@@ -611,22 +564,43 @@ mod model_tests {
     /// A one-partition chain `0 -> 1 -> 2`: `SlavePool::run(1, ..)` takes
     /// the inline fast path, so no process-global (unscheduled) pool
     /// workers participate and every execution is fully model-controlled.
-    fn single_partition_core(admission_depth: usize) -> Arc<Core> {
+    fn single_partition_index() -> DsrIndex {
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let p = Partitioning::new(vec![0, 0, 0], 1);
+        DsrIndex::build(&g, p, LocalIndexKind::Dfs)
+    }
+
+    fn single_partition_core(limit: usize) -> Arc<Core> {
+        core_over(single_partition_index(), limit)
+    }
+
+    fn core_over(index: DsrIndex, limit: usize) -> Arc<Core> {
         Arc::new(Core {
-            generations: GenerationChain::new(Arc::new(DsrIndex::build(
-                &g,
-                p,
-                LocalIndexKind::Dfs,
-            ))),
+            generations: GenerationChain::new(Arc::new(index)),
             cache: QueryCache::new(8),
             transport: DynTransport::InProcess,
-            admission: Admission::new(admission_depth),
+            admission: Admission::new(limit),
             stats: CacheStats::new(),
             comm: CommStats::new(),
             batch: BatchStats::new(),
         })
+    }
+
+    /// Admitted-but-unreleased queries.
+    fn in_flight(core: &Core) -> usize {
+        *dsr_sync::lock(&core.admission.in_flight)
+    }
+
+    /// A batcher whose forming window is far in the future: only a flush
+    /// (or the size cap) forms a batch.
+    fn flush_driven_batcher(core: &Arc<Core>) -> Batcher {
+        Batcher::spawn(
+            Arc::clone(core),
+            BatcherConfig {
+                max_batch: 64,
+                max_wait: Duration::from_secs(10),
+            },
+        )
     }
 
     fn entry_for(
@@ -656,15 +630,13 @@ mod model_tests {
         let core = single_partition_core(1);
         let key = SigKey::new(&[0], &[2]);
         let namespace = core.generations.latest_id();
-        core.admission
-            .try_acquire(1)
-            .expect("empty queue admits the first query");
+        core.admission.acquire(1);
         let blocked = {
             let core = Arc::clone(&core);
             let key = key.clone();
             dsr_sync::thread::spawn(move || {
                 // Blocks until the fused execution below releases its slot.
-                core.admission.acquire_blocking(1);
+                core.admission.acquire(1);
                 let hit = core.cache.get(namespace, &key);
                 core.admission.release(1);
                 assert!(hit.is_some(), "admission freed before result was published");
@@ -676,11 +648,7 @@ mod model_tests {
             vec![entry_for(core.generations.latest(), key, &waiter, 0)],
         );
         let answers = waiter.wait().expect("in-process execution succeeds");
-        assert_eq!(*answers[0].0, vec![(0, 2)]);
-        assert!(
-            answers[0].1.is_some(),
-            "executed (not late-hit) queries carry a cost"
-        );
+        assert_eq!(*answers[0], vec![(0, 2)]);
         blocked.join().unwrap();
     }
 
@@ -712,8 +680,8 @@ mod model_tests {
     }
 
     /// A signature answered by a concurrent execution while queued is
-    /// fulfilled by the scheduler's cache re-probe (a *late hit*): no cost
-    /// is attributed and its admission slot is returned.
+    /// fulfilled by the scheduler's cache re-probe (a *late hit*) without
+    /// an execution, and its admission slot is returned.
     fn late_hit_skips_execution() {
         let core = single_partition_core(4);
         let key = SigKey::new(&[0], &[1]);
@@ -722,22 +690,16 @@ mod model_tests {
             key.clone(),
             Arc::new(vec![(0, 1)]),
         );
-        core.admission.try_acquire(1).expect("room for one");
+        core.admission.acquire(1);
         let waiter = Waiter::new(1);
         execute_formed(
             &core,
             vec![entry_for(core.generations.latest(), key, &waiter, 0)],
         );
         let answers = waiter.wait().expect("late hit fulfills the waiter");
-        assert_eq!(*answers[0].0, vec![(0, 1)]);
-        assert!(
-            answers[0].1.is_none(),
-            "late hits attribute no fused-run cost"
-        );
-        // The slot came back: the whole limit is available again.
-        core.admission
-            .try_acquire(4)
-            .expect("all slots free after late hit");
+        assert_eq!(*answers[0], vec![(0, 1)]);
+        assert_eq!(core.batch.executed(), 0, "a late hit executes nothing");
+        assert_eq!(in_flight(&core), 0, "the slot came back");
     }
 
     #[test]
@@ -757,14 +719,14 @@ mod model_tests {
             let admission = Arc::clone(&admission);
             let admitted = Arc::clone(&admitted);
             dsr_sync::thread::spawn(move || {
-                admission.acquire_blocking(1);
+                admission.acquire(1);
                 let concurrent = admitted.fetch_add(1, Ordering::SeqCst);
                 assert_eq!(concurrent, 0, "admission limit 1 exceeded");
                 admitted.fetch_sub(1, Ordering::SeqCst);
                 admission.release(1);
             })
         };
-        admission.acquire_blocking(1);
+        admission.acquire(1);
         let concurrent = admitted.fetch_add(1, Ordering::SeqCst);
         assert_eq!(concurrent, 0, "admission limit 1 exceeded");
         admitted.fetch_sub(1, Ordering::SeqCst);
@@ -779,31 +741,64 @@ mod model_tests {
             .expect("the admission semaphore must never over-admit");
     }
 
-    /// An oversized group still fails `try_acquire` with the typed
-    /// overload error once anything is in flight, and the freed capacity
-    /// admits it afterwards (the Overloaded drain path).
-    fn overload_drains_after_release() {
-        let admission = Admission::new(2);
-        admission
-            .try_acquire(2)
-            .expect("empty queue fills to the limit");
-        match admission.try_acquire(1) {
-            Err(ServiceError::Overloaded { queued, limit }) => {
-                assert_eq!((queued, limit), (2, 2));
-            }
-            other => panic!("expected Overloaded, got {other:?}"),
+    /// Completing a run returns its admission: with a limit of one, two
+    /// sequential submissions through a real [`Batcher`] both complete. A
+    /// run that kept its slot would block the second admission for ever —
+    /// a deadlock the model checker reports.
+    fn completion_returns_admission() {
+        let core = single_partition_core(1);
+        let batcher = flush_driven_batcher(&core);
+        for (source, target, expected) in [(0, 2, vec![(0, 2)]), (2, 0, vec![])] {
+            core.admission.acquire(1);
+            let waiter = Waiter::new(1);
+            batcher.submit(vec![entry_for(
+                core.generations.latest(),
+                SigKey::new(&[source], &[target]),
+                &waiter,
+                0,
+            )]);
+            batcher.flush();
+            let answers = waiter.wait().expect("fused execution succeeds");
+            assert_eq!(*answers[0], expected);
         }
-        admission.release(2);
-        admission
-            .try_acquire(1)
-            .expect("released capacity re-admits");
+        drop(batcher);
     }
 
     #[test]
-    fn model_overload_drains_after_release() {
+    fn model_completion_returns_admission() {
         Model::new()
-            .check(overload_drains_after_release)
-            .expect("overload accounting must be exact");
+            .max_schedules(512)
+            .check(completion_returns_admission)
+            .expect("a completed run must return its admission in every schedule");
+    }
+
+    /// A formed batch whose execution panics fails its open slot with
+    /// [`ServiceError::Panicked`] and returns that slot's admission.
+    #[test]
+    fn a_panicking_run_returns_the_admission_of_its_open_slots() {
+        // An index whose parts disagree: step 1 indexes past the end of
+        // the missing compound graph.
+        let mut broken = single_partition_index();
+        broken.compounds.pop();
+        let core = core_over(broken, 1);
+        let batcher = flush_driven_batcher(&core);
+        core.admission.acquire(1);
+        let waiter = Waiter::new(1);
+        batcher.submit(vec![entry_for(
+            core.generations.latest(),
+            SigKey::new(&[0], &[2]),
+            &waiter,
+            0,
+        )]);
+        batcher.flush();
+        match waiter.wait() {
+            Err(ServiceError::Panicked(message)) => {
+                assert!(message.contains("index out of bounds"), "{message}");
+            }
+            other => panic!("expected a typed panic error, got {other:?}"),
+        }
+        assert_eq!(in_flight(&core), 0, "the open slot's admission came back");
+        drop(batcher); // the scheduler survived the panic and joins
     }
 
     /// End-to-end submit → form → fan-out through a real [`Batcher`] whose
@@ -812,14 +807,8 @@ mod model_tests {
     /// timeout) drive the fan-out.
     fn batcher_forms_and_fans_out() {
         let core = single_partition_core(4);
-        let batcher = Batcher::spawn(
-            Arc::clone(&core),
-            BatcherConfig {
-                max_batch: 64,
-                max_wait: Duration::from_secs(10),
-            },
-        );
-        core.admission.try_acquire(2).expect("room for the group");
+        let batcher = flush_driven_batcher(&core);
+        core.admission.acquire(2);
         let waiter = Waiter::new(2);
         batcher.submit(vec![
             entry_for(
@@ -837,8 +826,8 @@ mod model_tests {
         ]);
         batcher.flush();
         let answers = waiter.wait().expect("fused execution succeeds");
-        assert_eq!(*answers[0].0, vec![(0, 2)], "0 reaches 2 along the chain");
-        assert!(answers[1].0.is_empty(), "2 does not reach 0");
+        assert_eq!(*answers[0], vec![(0, 2)], "0 reaches 2 along the chain");
+        assert!(answers[1].is_empty(), "2 does not reach 0");
         drop(batcher); // disconnects the queue and joins the scheduler
     }
 

@@ -187,8 +187,6 @@ struct Namespaces {
     len: usize,
     /// LRU clock, shared by all namespaces.
     tick: u64,
-    /// Namespaces retired over the cache's lifetime.
-    retirements: u64,
 }
 
 impl Namespaces {
@@ -242,7 +240,6 @@ impl std::fmt::Debug for QueryCache {
             .field("capacity", &self.capacity)
             .field("len", &self.len())
             .field("live", &self.live_namespaces())
-            .field("retirements", &self.retirements())
             .finish()
     }
 }
@@ -258,7 +255,6 @@ impl QueryCache {
                 maps: vec![(0, PrehashedMap::default())],
                 len: 0,
                 tick: 0,
-                retirements: 0,
             }),
             capacity: capacity.max(1),
         }
@@ -283,11 +279,6 @@ impl QueryCache {
     pub fn live_namespaces(&self) -> Vec<GenerationId> {
         let namespaces = dsr_sync::lock(&self.namespaces);
         namespaces.maps.iter().map(|(id, _)| *id).collect()
-    }
-
-    /// Total namespaces retired over the cache's lifetime.
-    pub fn retirements(&self) -> u64 {
-        dsr_sync::lock(&self.namespaces).retirements
     }
 
     /// Opens the namespace of a freshly created generation. Idempotent.
@@ -358,8 +349,7 @@ impl QueryCache {
 
     /// Retires a namespace: its generation was reclaimed, so its map is
     /// dropped and late inserts are refused. Returns how many entries went
-    /// with it; idempotent (a second retire is a no-op and does not bump
-    /// the retirement counter).
+    /// with it; idempotent (a second retire is a no-op).
     pub fn retire(&self, namespace: GenerationId) -> usize {
         let mut namespaces = dsr_sync::lock(&self.namespaces);
         let Some(at) = namespaces.position(namespace) else {
@@ -367,7 +357,6 @@ impl QueryCache {
         };
         let (_, map) = namespaces.maps.remove(at);
         namespaces.len -= map.len();
-        namespaces.retirements += 1;
         // The entries are freed after the lock is released.
         drop(namespaces);
         map.len()
@@ -685,7 +674,6 @@ mod tests {
         cache.insert_if_live(1, key(&[1], &[1]), pairs(&[(1, 1)]));
         cache.insert_if_live(2, key(&[1], &[1]), pairs(&[]));
         assert_eq!(cache.retire(0), 1);
-        assert_eq!(cache.retirements(), 1);
         assert_eq!(cache.live_namespaces(), vec![1, 2]);
         assert!(cache.get(0, &key(&[1], &[1])).is_none());
         // Exactly one namespace went — no bump-and-clear cliff.
@@ -699,7 +687,7 @@ mod tests {
         assert!(cache.get(0, &key(&[2], &[2])).is_none());
         // Retiring again is a no-op.
         assert_eq!(cache.retire(0), 0);
-        assert_eq!(cache.retirements(), 1);
+        assert_eq!(cache.live_namespaces(), vec![1, 2]);
         // The live namespaces insert normally.
         assert_eq!(
             cache.insert_if_live(1, key(&[2], &[2]), pairs(&[])),

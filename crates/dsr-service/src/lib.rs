@@ -38,10 +38,12 @@
 //!   [`QueryService::query_batch`]; [`QueryService::query`] is the
 //!   convenience that panics on a failed run. [`QueryOptions`] adds
 //!   per-query cache bypass and explicit generation pinning. Admission
-//!   control bounds the number of in-flight queries: the fail-fast
-//!   [`QueryService::try_submit`] returns the typed
-//!   [`ServiceError::Overloaded`] under saturation instead of piling up
-//!   unboundedly.
+//!   control bounds the number of in-flight queries: under saturation a
+//!   submission waits for room instead of piling up unboundedly.
+//! * The service keeps one account of what serving cost:
+//!   [`QueryService::comm_stats`] sums the rounds, messages and bytes of
+//!   every fused run, and [`QueryService::batch_stats`] counts formed
+//!   batches and executed queries.
 //! * The transport is chosen in one place:
 //!   [`QueryService::with_config`] serves in process,
 //!   [`QueryService::with_config_and_transport`] over any
@@ -80,11 +82,13 @@
 //! assert_eq!(*service.query(&[0], &[5]), vec![(0, 5)]);
 //!
 //! // … batches: 3 communication rounds for the whole batch …
+//! let rounds = service.comm_stats().rounds();
 //! let reply = service.query_batch(&[
 //!     SetQuery::new(vec![0], vec![3]),
 //!     SetQuery::new(vec![1], vec![4, 5]),
 //! ]).expect("in-process transport never fails");
-//! assert!(reply.rounds <= 3);
+//! assert_eq!(reply.results.len(), 2);
+//! assert_eq!(service.comm_stats().rounds() - rounds, 3);
 //!
 //! // … and snapshot isolation: a pinned reader's view survives updates.
 //! let snap = service.snapshot();
@@ -104,7 +108,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod workload;
 
-pub use batcher::{RoundCost, ServiceError};
+pub use batcher::ServiceError;
 pub use cache::{CachedPairs, InsertOutcome, QueryCache, SigKey};
 pub use service::{
     BatchReply, GenerationStats, QueryOptions, QueryService, QueryTicket, ServiceConfig,

@@ -15,7 +15,7 @@ use dsr_cluster::{CommStats, DynTransport, TransportError, UpdateStats};
 use dsr_core::{coalesce_updates, DsrIndex, SetQuery, UpdateOp, UpdateOutcome};
 use dsr_graph::VertexId;
 
-use crate::batcher::{Admission, Batcher, BatcherConfig, Entry, RoundCost, ServiceError, Waiter};
+use crate::batcher::{Admission, Batcher, BatcherConfig, Entry, ServiceError, Waiter};
 use crate::cache::{CachedPairs, QueryCache, SigKey};
 use crate::snapshot::{Generation, GenerationChain, GenerationId};
 use crate::stats::{BatchStats, CacheStats};
@@ -125,12 +125,11 @@ pub struct ServiceConfig {
     /// is then optimal but cross-client fusion only happens under true
     /// concurrency.
     pub max_wait_us: u64,
-    /// Admission limit: maximum number of submitted-but-unanswered queries
-    /// before backpressure. [`QueryService::try_submit`] fails fast with
-    /// [`ServiceError::Overloaded`]; the other entry points wait for room
-    /// instead.
-    pub admission_depth: usize,
 }
+
+/// Admission limit: the most submitted-but-unanswered queries a service
+/// holds before a submission waits for room.
+const ADMISSION_DEPTH: usize = 1024;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -138,7 +137,6 @@ impl Default for ServiceConfig {
             cache_capacity: 1024,
             max_batch: 64,
             max_wait_us: 200,
-            admission_depth: 1024,
         }
     }
 }
@@ -151,17 +149,6 @@ pub struct BatchReply {
     pub results: Vec<CachedPairs>,
     /// How many of the input queries were answered from the cache.
     pub cache_hits: usize,
-    /// How many distinct queries were actually executed (cache misses after
-    /// in-batch deduplication; under concurrency some may instead be
-    /// resolved by another client's simultaneous execution).
-    pub executed: usize,
-    /// Communication rounds of the fused execution(s) that answered this
-    /// batch (0 when every query hit the cache).
-    pub rounds: u64,
-    /// Messages exchanged by the fused execution(s).
-    pub messages: u64,
-    /// Bytes exchanged by the fused execution(s).
-    pub bytes: u64,
 }
 
 /// Generation-chain gauges of a [`QueryService`] — the MVCC counters the
@@ -213,8 +200,8 @@ impl Core {
 
 /// A pending (or immediately answered) single-query submission — the
 /// two-phase half of [`QueryService::query_with`]. Obtain one with
-/// [`QueryService::submit_with`] / [`QueryService::try_submit`], then
-/// collect the answer with [`QueryTicket::wait`].
+/// [`QueryService::submit_with`], then collect the answer with
+/// [`QueryTicket::wait`].
 #[derive(Debug)]
 pub struct QueryTicket {
     inner: TicketInner,
@@ -247,9 +234,8 @@ impl QueryTicket {
         match self.inner {
             TicketInner::Ready(value) => Ok(value),
             TicketInner::Pending(waiter) => {
-                let mut fulfillments = waiter.wait()?;
-                let (value, _cost) = fulfillments.pop().expect("single-slot group");
-                Ok(value)
+                let mut answers = waiter.wait()?;
+                Ok(answers.pop().expect("single-slot group"))
             }
         }
     }
@@ -303,7 +289,7 @@ impl SnapshotRef<'_> {
         targets: &[VertexId],
     ) -> Result<CachedPairs, ServiceError> {
         self.service
-            .submit_pinned(Arc::clone(self.pin()), SigKey::new(sources, targets), true)?
+            .submit_pinned(Arc::clone(self.pin()), SigKey::new(sources, targets), true)
             .wait()
     }
 
@@ -416,7 +402,7 @@ impl QueryService {
             generations: GenerationChain::new(index),
             cache: QueryCache::new(config.cache_capacity),
             transport,
-            admission: Admission::new(config.admission_depth),
+            admission: Admission::new(ADMISSION_DEPTH),
             stats: CacheStats::new(),
             comm: CommStats::new(),
             batch: BatchStats::new(),
@@ -498,21 +484,6 @@ impl QueryService {
         self.core.cache.len()
     }
 
-    /// Non-blocking [`submit_with`](QueryService::submit_with) with the
-    /// default [`QueryOptions`]: fails fast with
-    /// [`ServiceError::Overloaded`] instead of waiting for admission when
-    /// [`ServiceConfig::admission_depth`] queries are already in flight.
-    ///
-    /// # Errors
-    /// [`ServiceError::Overloaded`] on a saturated admission queue.
-    pub fn try_submit(
-        &self,
-        sources: &[VertexId],
-        targets: &[VertexId],
-    ) -> Result<QueryTicket, ServiceError> {
-        self.submit_latest(SigKey::new(sources, targets), true, false)
-    }
-
     /// Probes the cache and, on a miss, enqueues the query into the batch
     /// former, blocking for admission if the service is saturated. The
     /// returned [`QueryTicket`] collects the answer; `options` asks for a
@@ -534,14 +505,14 @@ impl QueryService {
         options: QueryOptions,
     ) -> Result<QueryTicket, ServiceError> {
         let Some(id) = options.pin else {
-            return self.submit_latest(SigKey::new(sources, targets), options.cache, true);
+            return Ok(self.submit_latest(SigKey::new(sources, targets), options.cache));
         };
         let generation = self
             .core
             .generations
             .lookup(id)
             .ok_or(ServiceError::GenerationReclaimed { generation: id })?;
-        self.submit_pinned(generation, SigKey::new(sources, targets), options.cache)
+        Ok(self.submit_pinned(generation, SigKey::new(sources, targets), options.cache))
     }
 
     /// The unpinned submission: probe the namespace that
@@ -554,58 +525,38 @@ impl QueryService {
     /// the load — and a pinned generation can be superseded right after
     /// [`latest`](GenerationChain::latest) returns too. A namespace retired
     /// in between has no map left and reads as a miss.
-    fn submit_latest(
-        &self,
-        key: SigKey,
-        cache: bool,
-        blocking: bool,
-    ) -> Result<QueryTicket, ServiceError> {
+    fn submit_latest(&self, key: SigKey, cache: bool) -> QueryTicket {
         if cache {
             if let Some(hit) = self.core.probe_latest(&key) {
-                return Ok(QueryTicket {
+                return QueryTicket {
                     inner: TicketInner::Ready(hit),
-                });
+                };
             }
             self.core.stats.record_miss();
         }
-        self.enqueue(self.core.generations.latest(), key, cache, blocking)
+        self.enqueue(self.core.generations.latest(), key, cache)
     }
 
     /// The pinned submission: probe `generation`'s namespace (when `cache`
     /// asks for it), then enqueue a generation-pinned entry, blocking for
     /// admission.
-    fn submit_pinned(
-        &self,
-        generation: Arc<Generation>,
-        key: SigKey,
-        cache: bool,
-    ) -> Result<QueryTicket, ServiceError> {
+    fn submit_pinned(&self, generation: Arc<Generation>, key: SigKey, cache: bool) -> QueryTicket {
         if cache {
             if let Some(hit) = self.core.cache.get(generation.id(), &key) {
                 self.core.record_hit_in(&generation);
-                return Ok(QueryTicket {
+                return QueryTicket {
                     inner: TicketInner::Ready(hit),
-                });
+                };
             }
             self.core.stats.record_miss();
         }
-        self.enqueue(generation, key, cache, true)
+        self.enqueue(generation, key, cache)
     }
 
-    /// Takes admission for one query and hands its entry, pinned to
-    /// `generation`, to the batch former.
-    fn enqueue(
-        &self,
-        generation: Arc<Generation>,
-        key: SigKey,
-        cache: bool,
-        blocking: bool,
-    ) -> Result<QueryTicket, ServiceError> {
-        if blocking {
-            self.core.admission.acquire_blocking(1);
-        } else {
-            self.core.admission.try_acquire(1)?;
-        }
+    /// Takes admission for one query, blocking for room, and hands its
+    /// entry, pinned to `generation`, to the batch former.
+    fn enqueue(&self, generation: Arc<Generation>, key: SigKey, cache: bool) -> QueryTicket {
+        self.core.admission.acquire(1);
         let waiter = Waiter::new(1);
         self.batcher.submit(vec![Entry {
             key,
@@ -615,9 +566,9 @@ impl QueryService {
             slot: 0,
             enqueued: Instant::now(),
         }]);
-        Ok(QueryTicket {
+        QueryTicket {
             inner: TicketInner::Pending(waiter),
-        })
+        }
     }
 
     /// Asks the batch former to execute whatever is pending right now
@@ -645,9 +596,7 @@ impl QueryService {
 
     /// Answers `S ; T`, consulting the result cache; misses fuse with
     /// concurrent clients' misses into shared protocol rounds. Blocks for
-    /// admission when the service is saturated (use
-    /// [`try_submit`](QueryService::try_submit) for fail-fast
-    /// backpressure).
+    /// admission when the service is saturated.
     ///
     /// # Errors
     /// [`ServiceError::Transport`] or [`ServiceError::Panicked`] when the
@@ -678,8 +627,7 @@ impl QueryService {
     /// [`ServiceError::Transport`] when the fused execution fails (over the
     /// wire, a codec that refuses its own encoding) — nothing is cached
     /// from a failed batch — or [`ServiceError::Panicked`] when it
-    /// panicked, and never [`ServiceError::Overloaded`]: a whole batch
-    /// blocks for admission.
+    /// panicked.
     pub fn query_batch(&self, queries: &[SetQuery]) -> Result<BatchReply, ServiceError> {
         let generation = self.core.generations.latest();
         self.query_batch_pinned(generation, queries)
@@ -709,18 +657,16 @@ impl QueryService {
             miss_keys.push(key);
         }
 
-        let (mut rounds, mut messages, mut bytes) = (0u64, 0u64, 0u64);
-        let mut executed = 0usize;
         if !miss_keys.is_empty() {
-            self.core.admission.acquire_blocking(miss_keys.len());
+            self.core.admission.acquire(miss_keys.len());
             let waiter = Waiter::new(miss_keys.len());
             let enqueued = Instant::now();
             self.batcher.submit(
                 miss_keys
-                    .iter()
+                    .into_iter()
                     .enumerate()
                     .map(|(slot, key)| Entry {
-                        key: key.clone(),
+                        key,
                         generation: Arc::clone(&generation),
                         cache: true,
                         waiter: Arc::clone(&waiter),
@@ -735,28 +681,9 @@ impl QueryService {
             // The caller already presented the whole batch: nothing is
             // gained by waiting out the forming window.
             self.batcher.flush();
-            let fulfillments = waiter.wait()?;
-
-            // Aggregate the reply: count each distinct executed signature
-            // once, and each fused run's cost once (duplicates and
-            // scheduler-side cache resolutions share `Arc`s).
-            let mut executed_sigs: Vec<&SigKey> = Vec::new();
-            let mut costs: Vec<Arc<RoundCost>> = Vec::new();
-            for (slot, (value, cost)) in fulfillments.into_iter().enumerate() {
-                if let Some(cost) = cost {
-                    let key = &miss_keys[slot];
-                    if !executed_sigs.contains(&key) {
-                        executed_sigs.push(key);
-                        executed += 1;
-                    }
-                    if !costs.iter().any(|seen| Arc::ptr_eq(seen, &cost)) {
-                        rounds += cost.rounds;
-                        messages += cost.messages;
-                        bytes += cost.bytes;
-                        costs.push(cost);
-                    }
-                }
-                results[miss_slots[slot]] = Some(value);
+            let answers = waiter.wait()?;
+            for (qi, value) in miss_slots.into_iter().zip(answers) {
+                results[qi] = Some(value);
             }
         }
 
@@ -766,10 +693,6 @@ impl QueryService {
                 .map(|slot| slot.expect("every query answered"))
                 .collect(),
             cache_hits,
-            executed,
-            rounds,
-            messages,
-            bytes,
         })
     }
 
@@ -831,7 +754,7 @@ impl QueryService {
         }
         let mut fork = latest.index().fork();
         let outcome = fork.apply_updates_with_transport(&ops, &self.core.transport)?;
-        if outcome.rebuilt_compounds {
+        if !outcome.patched_compounds.is_empty() {
             let installed = generations.install(Arc::new(fork));
             self.core.cache.open(installed.id());
             // Shed our own pin before reaping: when no reader pins the
@@ -943,6 +866,10 @@ mod tests {
     fn batch_mixes_hits_and_misses() {
         let service = chain_service();
         service.query(&[0], &[5]);
+        let (rounds, executed) = (
+            service.comm_stats().rounds(),
+            service.batch_stats().executed(),
+        );
         let reply = service
             .query_batch(&[
                 SetQuery::new(vec![0], vec![5]),    // hit
@@ -952,13 +879,18 @@ mod tests {
             ])
             .expect("in-process transport");
         assert_eq!(reply.cache_hits, 1);
-        assert_eq!(reply.executed, 2, "in-batch duplicates run once");
+        assert_eq!(
+            service.batch_stats().executed() - executed,
+            2,
+            "in-batch duplicates run once"
+        );
         assert_eq!(*reply.results[0], vec![(0, 5)]);
         assert_eq!(*reply.results[1], vec![(1, 4)]);
         assert!(Arc::ptr_eq(&reply.results[1], &reply.results[2]));
         assert!(reply.results[3].is_empty());
         assert_eq!(
-            reply.rounds, 3,
+            service.comm_stats().rounds() - rounds,
+            3,
             "one scatter/exchange/gather for the misses"
         );
     }
@@ -967,12 +899,14 @@ mod tests {
     fn all_hit_batch_is_communication_free() {
         let service = chain_service();
         service.query(&[0], &[5]);
+        let comm = service.comm_stats().snapshot();
+        let executed = service.batch_stats().executed();
         let reply = service
             .query_batch(&[SetQuery::new(vec![0], vec![5])])
             .expect("in-process transport");
         assert_eq!(reply.cache_hits, 1);
-        assert_eq!(reply.executed, 0);
-        assert_eq!((reply.rounds, reply.messages, reply.bytes), (0, 0, 0));
+        assert_eq!(service.batch_stats().executed(), executed);
+        assert_eq!(service.comm_stats().snapshot(), comm);
     }
 
     #[test]
@@ -996,50 +930,13 @@ mod tests {
     }
 
     #[test]
-    fn saturated_admission_queue_returns_overloaded() {
-        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let service = QueryService::with_config(
-            Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
-            ServiceConfig {
-                admission_depth: 2,
-                max_batch: 64,
-                // A forming window far longer than the test: the two
-                // queued queries stay in flight until the explicit flush.
-                max_wait_us: 60_000_000,
-                ..ServiceConfig::default()
-            },
-        );
-        let a = service.try_submit(&[0], &[5]).expect("first admitted");
-        let b = service.try_submit(&[1], &[5]).expect("second admitted");
-        let refused = service.try_submit(&[2], &[5]);
-        assert!(
-            matches!(
-                refused,
-                Err(ServiceError::Overloaded {
-                    queued: 2,
-                    limit: 2
-                })
-            ),
-            "saturated queue refuses instead of deadlocking"
-        );
-        let err = refused.unwrap_err();
-        assert!(err.to_string().contains("overloaded"));
-        service.flush();
-        assert_eq!(*a.wait().expect("in-process"), vec![(0, 5)]);
-        assert_eq!(*b.wait().expect("in-process"), vec![(1, 5)]);
-        // Completion released the admission slots.
-        assert!(service.try_submit(&[2], &[5]).is_ok());
-    }
-
-    #[test]
     fn unpinned_update_advances_the_chain_and_retires_the_namespace() {
         let service = chain_service();
         assert!(service.query(&[5], &[0]).is_empty());
         let outcome = service
             .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
             .expect("in-process transport");
-        assert!(outcome.rebuilt_compounds);
+        assert!(!outcome.patched_compounds.is_empty());
         let stats = service.generation_stats();
         assert_eq!(stats.latest, 1, "a real batch advances the chain");
         assert_eq!(stats.retained, 1, "the old generation died with it");
@@ -1090,7 +987,7 @@ mod tests {
         assert!(service.query(&[5], &[0]).is_empty());
         // The update lock was released: the next valid batch lands.
         let insert = service.update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto);
-        assert!(insert.expect("valid batch").rebuilt_compounds);
+        assert!(!insert.expect("valid batch").patched_compounds.is_empty());
         assert_eq!(service.generation_stats().latest, 1);
         assert_eq!(*service.query(&[5], &[0]), vec![(5, 0)]);
     }
@@ -1103,7 +1000,7 @@ mod tests {
         let outcome = service
             .update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto)
             .expect("in-process transport");
-        assert!(outcome.rebuilt_compounds);
+        assert!(!outcome.patched_compounds.is_empty());
         // The pinned snapshot still answers from its frozen generation …
         assert!(snap.query(&[5], &[0]).expect("in-process").is_empty());
         // … while fresh traffic sees the new edge.
@@ -1206,7 +1103,7 @@ mod tests {
         let outcome = service
             .update(&[UpdateOp::Insert(0, 1)], UpdateMode::Auto)
             .expect("in-process transport");
-        assert!(!outcome.rebuilt_compounds);
+        assert!(outcome.patched_compounds.is_empty());
         assert_eq!(service.generation_stats().latest, 0, "no-op keeps the id");
         assert_eq!(service.cache_len(), 1, "no-op does not invalidate");
         assert_eq!(service.cache_stats().invalidations(), 0);
@@ -1225,7 +1122,7 @@ mod tests {
         let outcome = service
             .update(&[UpdateOp::Insert(0, 1)], UpdateMode::Auto) // duplicate: no-op
             .expect("in-process transport");
-        assert!(!outcome.rebuilt_compounds);
+        assert!(outcome.patched_compounds.is_empty());
         assert!(
             Arc::ptr_eq(&pinned, &service.index()),
             "untouched fork is discarded, not installed"
@@ -1250,7 +1147,7 @@ mod tests {
                 let result = service.update(&[UpdateOp::Insert(5, 0)], UpdateMode::Auto);
                 installer.join().unwrap();
                 match result {
-                    Ok(outcome) => assert!(outcome.rebuilt_compounds, "landed first"),
+                    Ok(outcome) => assert!(!outcome.patched_compounds.is_empty(), "landed first"),
                     Err(UpdateError::InvalidVertex {
                         vertex: 5,
                         num_vertices: 4,

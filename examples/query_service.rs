@@ -84,6 +84,11 @@ fn main() {
     );
 
     // 4. Batching: answer 256 queries with one protocol run (3 rounds).
+    //    The service's own counters say what the batch cost.
+    let (executed, rounds) = (
+        service.batch_stats().executed(),
+        service.comm_stats().rounds(),
+    );
     let start = Instant::now();
     let batch_reply = service
         .query_batch(&queries[..256])
@@ -91,8 +96,8 @@ fn main() {
     println!(
         "batch of 256: {} cache hits, {} executed, {} rounds, {:.3}s",
         batch_reply.cache_hits,
-        batch_reply.executed,
-        batch_reply.rounds,
+        service.batch_stats().executed() - executed,
+        service.comm_stats().rounds() - rounds,
         start.elapsed().as_secs_f64()
     );
 

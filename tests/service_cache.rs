@@ -48,7 +48,7 @@ fn incremental_update_invalidates_cached_answers() {
     let outcome = service
         .update(&[UpdateOp::Insert(2, 3)], UpdateMode::Auto)
         .expect("in-process transport");
-    assert!(outcome.rebuilt_compounds);
+    assert!(!outcome.patched_compounds.is_empty());
 
     // The stale entry is gone and the post-update query sees the new edge.
     assert_eq!(service.cache_len(), 0);
@@ -175,15 +175,24 @@ fn batch_replies_are_cached_and_reused() {
         SetQuery::new(vec![0], vec![2]),
         SetQuery::new(vec![3], vec![5]),
     ];
+    // One client, so the service's counters are this test's alone.
     let cold = service.query_batch(&queries).expect("in-process");
     assert_eq!(cold.cache_hits, 0);
-    assert_eq!(cold.executed, 2);
-    assert_eq!(cold.rounds, 3, "one protocol run for the whole batch");
+    assert_eq!(service.batch_stats().executed(), 2);
+    assert_eq!(
+        service.comm_stats().rounds(),
+        3,
+        "one protocol run for the whole batch"
+    );
 
     let warm = service.query_batch(&queries).expect("in-process");
     assert_eq!(warm.cache_hits, 2);
-    assert_eq!(warm.executed, 0);
-    assert_eq!(warm.rounds, 0, "all-hit batch is communication-free");
+    assert_eq!(service.batch_stats().executed(), 2, "nothing executed");
+    assert_eq!(
+        service.comm_stats().rounds(),
+        3,
+        "all-hit batch is communication-free"
+    );
     for (a, b) in cold.results.iter().zip(&warm.results) {
         assert!(Arc::ptr_eq(a, b));
     }
@@ -225,7 +234,7 @@ fn a_query_naming_a_vertex_the_graph_does_not_have_is_served_and_cached() {
     let (reply, answered) = dsr_sync::mpsc::channel();
     let client = Arc::clone(&service);
     dsr_sync::thread::spawn(move || {
-        let ticket = client.try_submit(&[1_000_000, 0], &[2, 9, 5]);
+        let ticket = client.submit_with(&[1_000_000, 0], &[2, 9, 5], QueryOptions::default());
         reply.send(ticket.and_then(QueryTicket::wait))
     });
     let first = answered
@@ -237,7 +246,7 @@ fn a_query_naming_a_vertex_the_graph_does_not_have_is_served_and_cached() {
     // The cache holds the answer under the signature as asked.
     assert_eq!(service.cache_len(), 1);
     let second = service
-        .try_submit(&[0, 1_000_000], &[9, 5, 2])
+        .submit_with(&[0, 1_000_000], &[9, 5, 2], QueryOptions::default())
         .and_then(QueryTicket::wait)
         .expect("hit");
     assert!(Arc::ptr_eq(&first, &second));
@@ -248,7 +257,7 @@ fn a_query_naming_a_vertex_the_graph_does_not_have_is_served_and_cached() {
 
     // A side of foreign ids only is an empty answer, and ordinary queries
     // are served as before.
-    let foreign_only = service.try_submit(&[1_000_000], &[0]);
+    let foreign_only = service.submit_with(&[1_000_000], &[0], QueryOptions::default());
     assert_eq!(
         *foreign_only.and_then(QueryTicket::wait).expect("served"),
         vec![]
@@ -288,14 +297,13 @@ fn a_panicking_fused_run_fails_its_waiters_and_the_service_keeps_serving() {
     }
     assert_eq!(service.cache_len(), 0, "nothing cached from the failed run");
 
-    // The former survived and the failed query's admission came back: a
-    // good index serves again, also to a fail-fast submission.
+    // The former survived: a good index serves again.
     service.install_index(Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)));
     assert_eq!(*service.query(&[0, 3], &[2, 5]), vec![(0, 2), (3, 5)]);
-    let ticket = service
-        .try_submit(&[1], &[2])
-        .expect("admission was returned");
-    assert_eq!(*ticket.wait().expect("served"), vec![(1, 2)]);
+    let answer = service
+        .query_with(&[1], &[2], QueryOptions::default())
+        .expect("served");
+    assert_eq!(*answer, vec![(1, 2)]);
     // Dropping the service joins a scheduler that did not die.
     drop(Arc::into_inner(service).expect("the client thread has returned"));
 }
