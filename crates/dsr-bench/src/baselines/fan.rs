@@ -16,7 +16,8 @@ use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{Cut, PartitionId, Partitioning};
 use dsr_reach::{LocalReachability, MsBfsReachability};
 
-/// Result of a DSR-Fan (or DSR-Naïve) query.
+/// Result of a DSR-Fan (or DSR-Naïve) query; its cost went to the caller's
+/// [`CommStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FanOutcome {
     /// All reachable `(source, target)` pairs.
@@ -24,12 +25,6 @@ pub struct FanOutcome {
     /// Number of edges of the dynamically built dependency graph (the
     /// "Dep. graph (#edges)" columns of Table 2).
     pub dependency_edges: usize,
-    /// Communication rounds.
-    pub rounds: u64,
-    /// Messages exchanged.
-    pub messages: u64,
-    /// Bytes exchanged.
-    pub bytes: u64,
 }
 
 /// The DSR-Fan evaluator. "Indexing" only extracts the cut and the local
@@ -60,17 +55,19 @@ impl FanBaseline {
         self.partitioning.num_partitions
     }
 
-    /// Evaluates `S ; T` by building the dependency graph at the master.
-    pub fn set_reachability(&self, sources: &[VertexId], targets: &[VertexId]) -> FanOutcome {
-        let stats = CommStats::new();
+    /// Evaluates `S ; T` by building the dependency graph at the master,
+    /// adding the scatter and the gather to `stats`.
+    pub fn set_reachability(
+        &self,
+        sources: &[VertexId],
+        targets: &[VertexId],
+        stats: &CommStats,
+    ) -> FanOutcome {
         let k = self.num_partitions();
         if sources.is_empty() || targets.is_empty() {
             return FanOutcome {
                 pairs: Vec::new(),
                 dependency_edges: 0,
-                rounds: 0,
-                messages: 0,
-                bytes: 0,
             };
         }
 
@@ -90,7 +87,7 @@ impl FanBaseline {
             .zip(targets_by_partition)
             .collect();
         let delivered = InProcess
-            .scatter(scatter, &stats)
+            .scatter(scatter, stats)
             .expect("the in-process transport never fails");
 
         // Each slave: local reachability from (Si ∪ Ii) to (Oi ∪ Ti).
@@ -100,7 +97,7 @@ impl FanBaseline {
 
         // One gather round to the master.
         let gathered = InProcess
-            .gather(local_pairs, &stats)
+            .gather(local_pairs, stats)
             .expect("the in-process transport never fails");
 
         // Master: dependency graph = local reachability pairs + cut edges.
@@ -145,19 +142,16 @@ impl FanBaseline {
         pairs.sort_unstable();
         pairs.dedup();
 
-        let (rounds, messages, bytes) = stats.snapshot();
         FanOutcome {
             pairs,
             dependency_edges,
-            rounds,
-            messages,
-            bytes,
         }
     }
 
     /// Single-pair convenience wrapper (the original algorithm of \[9\]).
     pub fn is_reachable(&self, source: VertexId, target: VertexId) -> bool {
-        !self.set_reachability(&[source], &[target]).pairs.is_empty()
+        let outcome = self.set_reachability(&[source], &[target], &CommStats::new());
+        !outcome.pairs.is_empty()
     }
 
     /// The per-partition "Boolean formulas": all reachable pairs from
@@ -203,9 +197,49 @@ impl FanBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::figure1;
     use dsr_graph::TransitiveClosure;
     use dsr_partition::{HashPartitioner, Partitioner};
+
+    /// Figure 1 of the paper: the graph and its three partitions. Vertex ids:
+    /// G1: a=0 b=1 d=2 e=3 f=4 r=5
+    /// G2: c=6 g=7 h=8 i=9 k=10 l=11 u=12
+    /// G3: m=13 n=14 o=15 p=16 q=17 v=18
+    fn figure1() -> (DiGraph, Partitioning) {
+        let edges = [
+            // G1: d->b, d->e, a->b, r->a, f->r.
+            (2, 1),
+            (2, 3),
+            (0, 1),
+            (5, 0),
+            (4, 5),
+            // G2: g->i, g->l, h->i, i->k, u->h, c->i.
+            (7, 9),
+            (7, 11),
+            (8, 9),
+            (9, 10),
+            (12, 8),
+            (6, 9),
+            // G3: m->p, n->p, n->v, p->o, p->q, p->v.
+            (13, 16),
+            (14, 16),
+            (14, 18),
+            (16, 15),
+            (16, 17),
+            (16, 18),
+            // Cut (Figure 1(b)): b->c, e->g, b->h, i->m, i->n, o->f.
+            (1, 6),
+            (3, 7),
+            (1, 8),
+            (9, 13),
+            (9, 14),
+            (15, 4),
+        ];
+        let assignment = (0..19u32).map(|v| (v >= 6) as u32 + (v >= 13) as u32);
+        (
+            DiGraph::from_edges(19, &edges),
+            Partitioning::new(assignment.collect(), 3),
+        )
+    }
 
     #[test]
     fn example2_single_reachability() {
@@ -222,10 +256,11 @@ mod tests {
         let oracle = TransitiveClosure::build(&g);
         let fan = FanBaseline::new(&g, p);
         let all: Vec<u32> = (0..19).collect();
-        let outcome = fan.set_reachability(&all, &all);
+        let stats = CommStats::new();
+        let outcome = fan.set_reachability(&all, &all, &stats);
         assert_eq!(outcome.pairs, oracle.set_reachability(&all, &all));
         assert!(outcome.dependency_edges > 0);
-        assert!(outcome.rounds >= 2, "scatter + gather");
+        assert_eq!(stats.rounds(), 2, "scatter + gather");
     }
 
     #[test]
@@ -245,7 +280,7 @@ mod tests {
             let fan = FanBaseline::new(&g, p);
             let all: Vec<u32> = (0..n as u32).collect();
             assert_eq!(
-                fan.set_reachability(&all, &all).pairs,
+                fan.set_reachability(&all, &all, &CommStats::new()).pairs,
                 oracle.set_reachability(&all, &all)
             );
         }
@@ -255,8 +290,10 @@ mod tests {
     fn empty_query() {
         let (g, p) = figure1();
         let fan = FanBaseline::new(&g, p);
-        let outcome = fan.set_reachability(&[], &[1]);
+        let stats = CommStats::new();
+        let outcome = fan.set_reachability(&[], &[1], &stats);
         assert!(outcome.pairs.is_empty());
         assert_eq!(outcome.dependency_edges, 0);
+        assert_eq!(stats.snapshot(), (0, 0, 0), "an empty query ships nothing");
     }
 }

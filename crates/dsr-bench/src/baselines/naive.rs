@@ -7,6 +7,7 @@
 //! *average* dependency-graph size over the pairs, and Table 3 shows the
 //! resulting query times — orders of magnitude slower than DSR.
 
+use dsr_cluster::CommStats;
 use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::Partitioning;
 
@@ -25,39 +26,36 @@ impl NaiveBaseline {
         }
     }
 
-    /// Evaluates `S ; T` pair by pair.
+    /// Evaluates `S ; T` pair by pair, every pair's Fan call adding its
+    /// cost to `stats`.
     ///
     /// The returned [`FanOutcome::dependency_edges`] is the *average*
     /// dependency-graph size over all evaluated pairs, matching how Table 2
     /// reports DSR-Naïve.
-    pub fn set_reachability(&self, sources: &[VertexId], targets: &[VertexId]) -> FanOutcome {
+    pub fn set_reachability(
+        &self,
+        sources: &[VertexId],
+        targets: &[VertexId],
+        stats: &CommStats,
+    ) -> FanOutcome {
         let mut pairs = Vec::new();
         let mut total_dependency_edges = 0usize;
-        let mut rounds = 0u64;
-        let mut messages = 0u64;
-        let mut bytes = 0u64;
-        let mut evaluated = 0usize;
         for &s in sources {
             for &t in targets {
-                let outcome = self.fan.set_reachability(&[s], &[t]);
+                let outcome = self.fan.set_reachability(&[s], &[t], stats);
                 if !outcome.pairs.is_empty() {
                     pairs.push((s, t));
                 }
                 total_dependency_edges += outcome.dependency_edges;
-                rounds += outcome.rounds;
-                messages += outcome.messages;
-                bytes += outcome.bytes;
-                evaluated += 1;
             }
         }
         pairs.sort_unstable();
         pairs.dedup();
         FanOutcome {
             pairs,
-            dependency_edges: total_dependency_edges.checked_div(evaluated).unwrap_or(0),
-            rounds,
-            messages,
-            bytes,
+            dependency_edges: total_dependency_edges
+                .checked_div(sources.len() * targets.len())
+                .unwrap_or(0),
         }
     }
 
@@ -94,14 +92,47 @@ mod tests {
         let fan = FanBaseline::new(&g, p);
         let sources = vec![0, 2, 5];
         let targets = vec![3, 6, 7];
-        let naive_out = naive.set_reachability(&sources, &targets);
+        let (naive_stats, fan_stats) = (CommStats::new(), CommStats::new());
+        let naive_out = naive.set_reachability(&sources, &targets, &naive_stats);
         assert_eq!(naive_out.pairs, oracle.set_reachability(&sources, &targets));
         assert_eq!(
             naive_out.pairs,
-            fan.set_reachability(&sources, &targets).pairs
+            fan.set_reachability(&sources, &targets, &fan_stats).pairs
         );
         // Naive pays per-pair communication: strictly more rounds than Fan.
-        assert!(naive_out.rounds > fan.set_reachability(&sources, &targets).rounds);
+        assert!(naive_stats.rounds() > fan_stats.rounds());
+    }
+
+    #[test]
+    fn one_account_records_the_sum_of_the_per_pair_fan_calls() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(54);
+        let n = 40;
+        let edges: Vec<(u32, u32)> = (0..120)
+            .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+            .collect();
+        let g = DiGraph::from_edges(n, &edges);
+        let p = HashPartitioner::default().partition(&g, 4);
+        let sources: Vec<u32> = (0..6).map(|_| rng.gen_range(0..n) as u32).collect();
+        let targets: Vec<u32> = (0..5).map(|_| rng.gen_range(0..n) as u32).collect();
+
+        let naive_stats = CommStats::new();
+        NaiveBaseline::new(&g, p.clone()).set_reachability(&sources, &targets, &naive_stats);
+
+        let fan = FanBaseline::new(&g, p);
+        let (mut rounds, mut messages, mut bytes) = (0, 0, 0);
+        for &s in &sources {
+            for &t in &targets {
+                let own = CommStats::new();
+                fan.set_reachability(&[s], &[t], &own);
+                rounds += own.rounds();
+                messages += own.messages();
+                bytes += own.bytes();
+            }
+        }
+        assert_eq!(naive_stats.snapshot(), (rounds, messages, bytes));
+        assert_eq!(rounds, 2 * 30, "a scatter and a gather per pair");
     }
 
     #[test]
@@ -109,9 +140,11 @@ mod tests {
         let g = DiGraph::from_edges(3, &[(0, 1)]);
         let p = HashPartitioner::default().partition(&g, 2);
         let naive = NaiveBaseline::new(&g, p);
-        let out = naive.set_reachability(&[], &[0]);
+        let stats = CommStats::new();
+        let out = naive.set_reachability(&[], &[0], &stats);
         assert!(out.pairs.is_empty());
         assert_eq!(out.dependency_edges, 0);
+        assert_eq!(stats.snapshot(), (0, 0, 0));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use std::fmt::{self, Display};
 
+use dsr_cluster::CommStats;
 use dsr_core::{DsrIndex, QueryOutcome};
 use dsr_datagen::{dataset_by_name, random_query, QueryWorkload};
-use dsr_giraph::GiraphOutcome;
 use dsr_graph::DiGraph;
 use dsr_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use dsr_reach::LocalIndexKind;
@@ -106,20 +106,21 @@ impl Shapes {
     }
 
     /// Table 3 and Figure 5: a DSR call ships fewer bytes than each Giraph
-    /// variant answering the same query.
+    /// variant answering the same query, read from the variant's account.
     pub fn dsr_ships_less<'a>(
         &mut self,
         artefact: &str,
         graph: &str,
         dsr: &QueryOutcome,
-        variants: impl IntoIterator<Item = (&'a str, &'a GiraphOutcome)>,
+        variants: impl IntoIterator<Item = (&'a str, &'a CommStats)>,
     ) {
-        for (variant, outcome) in variants {
-            self.check(dsr.bytes < outcome.bytes, || {
+        for (variant, stats) in variants {
+            self.check(dsr.bytes < stats.bytes(), || {
                 format!(
                     "{artefact}: {graph}: DSR must ship fewer bytes than {variant}, \
                      shipped {} against {}",
-                    dsr.bytes, outcome.bytes
+                    dsr.bytes,
+                    stats.bytes()
                 )
             });
         }
@@ -128,35 +129,35 @@ impl Shapes {
     /// Figure 8 and Table 3: the equivalence sets save Giraph++ messages
     /// and graph-centric evaluation saves Giraph messages — Giraph++wEq ≤
     /// Giraph++ ≤ Giraph — and neither graph-centric engine needs more
-    /// supersteps than vertex-centric Giraph.
+    /// supersteps than vertex-centric Giraph. Each engine's cost is read
+    /// from its account, supersteps as rounds.
     pub fn giraph_order(
         &mut self,
         artefact: &str,
         graph: &str,
-        weq: &GiraphOutcome,
-        gpp: &GiraphOutcome,
-        giraph: &GiraphOutcome,
+        weq: &CommStats,
+        gpp: &CommStats,
+        giraph: &CommStats,
     ) {
+        let messages = [weq, gpp, giraph].map(CommStats::messages);
         self.check(
-            weq.messages <= gpp.messages && gpp.messages <= giraph.messages,
+            messages[0] <= messages[1] && messages[1] <= messages[2],
             || {
                 format!(
                     "{artefact}: {graph}: messages must be ordered Giraph++wEq <= Giraph++ \
                      <= Giraph, got {} / {} / {}",
-                    weq.messages, gpp.messages, giraph.messages
+                    messages[0], messages[1], messages[2]
                 )
             },
         );
-        self.check(
-            weq.supersteps.max(gpp.supersteps) <= giraph.supersteps,
-            || {
-                format!(
-                    "{artefact}: {graph}: graph-centric supersteps must not exceed Giraph's, \
+        let supersteps = [weq, gpp, giraph].map(CommStats::rounds);
+        self.check(supersteps[0].max(supersteps[1]) <= supersteps[2], || {
+            format!(
+                "{artefact}: {graph}: graph-centric supersteps must not exceed Giraph's, \
                  got {} / {} against {}",
-                    weq.supersteps, gpp.supersteps, giraph.supersteps
-                )
-            },
-        );
+                supersteps[0], supersteps[1], supersteps[2]
+            )
+        });
     }
 
     /// `rendered` tables, followed by one line per shape that did not hold.
@@ -168,14 +169,23 @@ impl Shapes {
     }
 }
 
-/// The golden cells of one engine call: its rounds — named by `first_key`,
-/// `"rounds"` for DSR and its baselines, `"supersteps"` for the Giraph
-/// variants — then its messages and bytes.
-pub fn cost(first_key: &str, rounds: impl Display, messages: u64, bytes: u64) -> Object {
+/// The golden cells of one comparison engine's call, read from its
+/// account: its rounds — named by `first_key`, `"rounds"` for DSR's
+/// baselines, `"supersteps"` for the Giraph variants — then its messages
+/// and bytes.
+pub fn cost(first_key: &str, stats: &CommStats) -> Object {
     Object::new()
-        .field(first_key, rounds)
-        .field("messages", messages)
-        .field("bytes", bytes)
+        .field(first_key, stats.rounds())
+        .field("messages", stats.messages())
+        .field("bytes", stats.bytes())
+}
+
+/// The same cells of one DSR call, read from its outcome.
+pub fn dsr_cost(outcome: &QueryOutcome) -> Object {
+    Object::new()
+        .field("rounds", outcome.rounds)
+        .field("messages", outcome.messages)
+        .field("bytes", outcome.bytes)
 }
 
 /// A golden cell that a run may not have measured: the value, or `null`.

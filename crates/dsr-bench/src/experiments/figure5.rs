@@ -27,10 +27,10 @@
 //! compares no bytes: over half the data the fast run's query crosses no
 //! partition either.
 
+use dsr_cluster::CommStats;
 use dsr_core::{DsrEngine, DsrIndex};
 use dsr_giraph::{
     giraph_pp_set_reachability, giraph_pp_weq_with_summaries, giraph_set_reachability,
-    GraphCentricVariant,
 };
 use dsr_graph::DiGraph;
 use dsr_reach::LocalIndexKind;
@@ -116,24 +116,16 @@ fn strong_scaling_and_comm(
         let query = common::standard_query(graph, 10, 10, 0xF5);
         let index = DsrIndex::build(graph, partitioning.clone(), LocalIndexKind::Dfs);
         let dsr = DsrEngine::new(&index).set_reachability(&query.sources, &query.targets);
-        let gpp = giraph_pp_set_reachability(
-            graph,
-            &partitioning,
-            &query.sources,
-            &query.targets,
-            GraphCentricVariant::GiraphPlusPlus,
-        );
-        let gppeq = giraph_pp_weq_with_summaries(
-            graph,
-            &partitioning,
-            &index.summaries,
-            &query.sources,
-            &query.targets,
-        );
-        let giraph = giraph_set_reachability(graph, &partitioning, &query.sources, &query.targets);
-        for other in [&gpp.pairs, &gppeq.pairs, &giraph.pairs] {
+        let (gpp, gppeq, giraph) = (CommStats::new(), CommStats::new(), CommStats::new());
+        let (sources, targets) = (&query.sources, &query.targets);
+        let summaries = &index.summaries;
+        for other in [
+            giraph_pp_set_reachability(graph, &partitioning, sources, targets, &gpp),
+            giraph_pp_weq_with_summaries(graph, &partitioning, summaries, sources, targets, &gppeq),
+            giraph_set_reachability(graph, &partitioning, sources, targets, &giraph),
+        ] {
             assert_eq!(
-                &dsr.pairs, other,
+                dsr.pairs, other,
                 "Figure 5: {name}: engines disagree at k = {k}"
             );
         }
@@ -152,36 +144,19 @@ fn strong_scaling_and_comm(
             k.to_string(),
             dsr.rounds.to_string(),
             kb(dsr.bytes),
-            kb(gpp.bytes),
-            kb(gppeq.bytes),
-            kb(giraph.bytes),
+            kb(gpp.bytes()),
+            kb(gppeq.bytes()),
+            kb(giraph.bytes()),
         ]);
         rows.push(
             Object::new()
                 .text("graph", name)
                 .field("slaves", k)
                 .field("pairs", dsr.pairs.len())
-                .field(
-                    "dsr",
-                    common::cost("rounds", dsr.rounds, dsr.messages, dsr.bytes),
-                )
-                .field(
-                    "giraph_pp",
-                    common::cost("supersteps", gpp.supersteps, gpp.messages, gpp.bytes),
-                )
-                .field(
-                    "giraph_pp_weq",
-                    common::cost("supersteps", gppeq.supersteps, gppeq.messages, gppeq.bytes),
-                )
-                .field(
-                    "giraph",
-                    common::cost(
-                        "supersteps",
-                        giraph.supersteps,
-                        giraph.messages,
-                        giraph.bytes,
-                    ),
-                ),
+                .field("dsr", common::dsr_cost(&dsr))
+                .field("giraph_pp", common::cost("supersteps", &gpp))
+                .field("giraph_pp_weq", common::cost("supersteps", &gppeq))
+                .field("giraph", common::cost("supersteps", &giraph)),
         );
     }
     table.render()
@@ -213,15 +188,10 @@ fn weak_scaling(
         let query = common::standard_query(&sub, 10, 10, 0xF5);
         let index = DsrIndex::build(&sub, partitioning.clone(), LocalIndexKind::Dfs);
         let dsr = DsrEngine::new(&index).set_reachability(&query.sources, &query.targets);
-        let gpp = giraph_pp_set_reachability(
-            &sub,
-            &partitioning,
-            &query.sources,
-            &query.targets,
-            GraphCentricVariant::GiraphPlusPlus,
-        );
+        let gpp = CommStats::new();
         assert_eq!(
-            dsr.pairs, gpp.pairs,
+            dsr.pairs,
+            giraph_pp_set_reachability(&sub, &partitioning, &query.sources, &query.targets, &gpp),
             "Figure 5: {name}: engines disagree at k = {k}"
         );
         common::assert_dsr_protocol("Figure 5", name, k, &dsr);
@@ -229,7 +199,7 @@ fn weak_scaling(
             format!("{k} [{:.0}%]", fraction * 100.0),
             dsr.rounds.to_string(),
             kb(dsr.bytes),
-            kb(gpp.bytes),
+            kb(gpp.bytes()),
         ]);
         rows.push(
             Object::new()
@@ -237,14 +207,8 @@ fn weak_scaling(
                 .field("slaves", k)
                 .field("edges", take)
                 .field("pairs", dsr.pairs.len())
-                .field(
-                    "dsr",
-                    common::cost("rounds", dsr.rounds, dsr.messages, dsr.bytes),
-                )
-                .field(
-                    "giraph_pp",
-                    common::cost("supersteps", gpp.supersteps, gpp.messages, gpp.bytes),
-                ),
+                .field("dsr", common::dsr_cost(&dsr))
+                .field("giraph_pp", common::cost("supersteps", &gpp)),
         );
     }
     table.render()
@@ -286,10 +250,7 @@ fn query_size_robustness(
                 .text("graph", name)
                 .text("query", query.label())
                 .field("pairs", dsr.pairs.len())
-                .field(
-                    "dsr",
-                    common::cost("rounds", dsr.rounds, dsr.messages, dsr.bytes),
-                ),
+                .field("dsr", common::dsr_cost(&dsr)),
         );
     }
     table.render()

@@ -35,16 +35,16 @@
 
 use std::collections::BTreeSet;
 
-use dsr_core::baselines::{FanBaseline, FanOutcome, NaiveBaseline};
+use dsr_cluster::CommStats;
 use dsr_core::{DsrEngine, DsrIndex};
 use dsr_datagen::QueryWorkload;
 use dsr_giraph::{
     giraph_pp_set_reachability, giraph_pp_weq_with_summaries, giraph_set_reachability,
-    GraphCentricVariant,
 };
 use dsr_graph::VertexId;
 use dsr_partition::PartitionId;
 
+use crate::baselines::{FanBaseline, NaiveBaseline};
 use crate::experiments::common::{self, Golden, Object, Shapes, DEFAULT_SLAVES};
 use crate::{secs, time, Table};
 
@@ -69,20 +69,19 @@ fn fan_byte_bound(index: &DsrIndex, query: &QueryWorkload) -> u64 {
         .sum()
 }
 
-/// Asserts Fan et al.'s guarantee on one DSR-Fan call over `k` sites.
-fn assert_fan_guarantee(name: &str, k: usize, fan: &FanOutcome, bound: u64) {
+/// Asserts Fan et al.'s guarantee on the account of one DSR-Fan call over
+/// `k` sites.
+fn assert_fan_guarantee(name: &str, k: usize, fan: &CommStats, bound: u64) {
+    let (rounds, messages, bytes) = fan.snapshot();
     assert!(
-        (fan.rounds, fan.messages) == (2, 2 * k as u64),
+        (rounds, messages) == (2, 2 * k as u64),
         "Table 3: {name}: DSR-Fan must visit each of the {k} sites once (2 rounds, {} \
-         messages), took {} rounds and {} messages",
+         messages), took {rounds} rounds and {messages} messages",
         2 * k,
-        fan.rounds,
-        fan.messages
     );
     assert!(
-        fan.bytes <= bound,
-        "Table 3: {name}: DSR-Fan shipped {} bytes, above the fragmentation bound of {bound}",
-        fan.bytes
+        bytes <= bound,
+        "Table 3: {name}: DSR-Fan shipped {bytes} bytes, above the fragmentation bound of {bound}",
     );
 }
 
@@ -129,36 +128,39 @@ pub fn run(fast: bool) -> (String, String) {
         let engine = DsrEngine::new(&index);
         let (dsr_out, dsr_time) = time(|| engine.set_reachability(&query.sources, &query.targets));
 
-        let (gpp, gpp_time) = time(|| {
-            giraph_pp_set_reachability(
-                &graph,
-                &partitioning,
-                &query.sources,
-                &query.targets,
-                GraphCentricVariant::GiraphPlusPlus,
-            )
+        let (gpp, gppeq, giraph) = (CommStats::new(), CommStats::new(), CommStats::new());
+        let (gpp_pairs, gpp_time) = time(|| {
+            giraph_pp_set_reachability(&graph, &partitioning, &query.sources, &query.targets, &gpp)
         });
         // The equivalence summaries are part of the DSR index, so the wEq
         // query time excludes their computation (as in the paper).
-        let (gppeq, gppeq_time) = time(|| {
+        let (gppeq_pairs, gppeq_time) = time(|| {
             giraph_pp_weq_with_summaries(
                 &graph,
                 &partitioning,
                 &index.summaries,
                 &query.sources,
                 &query.targets,
+                &gppeq,
             )
         });
-        let (giraph, giraph_time) =
-            time(|| giraph_set_reachability(&graph, &partitioning, &query.sources, &query.targets));
+        let (giraph_pairs, giraph_time) = time(|| {
+            giraph_set_reachability(
+                &graph,
+                &partitioning,
+                &query.sources,
+                &query.targets,
+                &giraph,
+            )
+        });
         // Sanity: all engines must agree on the answer.
-        assert_eq!(dsr_out.pairs, gpp.pairs, "{name}: DSR vs Giraph++ disagree");
+        assert_eq!(dsr_out.pairs, gpp_pairs, "{name}: DSR vs Giraph++ disagree");
         assert_eq!(
-            dsr_out.pairs, gppeq.pairs,
+            dsr_out.pairs, gppeq_pairs,
             "{name}: DSR vs Giraph++wEq disagree"
         );
         assert_eq!(
-            dsr_out.pairs, giraph.pairs,
+            dsr_out.pairs, giraph_pairs,
             "{name}: DSR vs Giraph disagree"
         );
         common::assert_dsr_protocol("Table 3", name, DEFAULT_SLAVES, &dsr_out);
@@ -176,37 +178,30 @@ pub fn run(fast: bool) -> (String, String) {
 
         // The per-query baselines are only run on small graphs (the paper
         // marks them n/a beyond LiveJ-20M).
-        let ((fan_cell, naive_cell), fan_cost, naive_cost) = if graph.num_edges() <= 40_000
-            && query_size <= 10
-        {
-            let fan = FanBaseline::new(&graph, partitioning.clone());
-            let (fan_out, fan_time) = time(|| fan.set_reachability(&query.sources, &query.targets));
-            assert_eq!(dsr_out.pairs, fan_out.pairs, "{name}: DSR vs Fan disagree");
-            let bound = fan_byte_bound(&index, &query);
-            assert_fan_guarantee(name, DEFAULT_SLAVES, &fan_out, bound);
-            let naive = NaiveBaseline::new(&graph, partitioning.clone());
-            let (naive_out, naive_time) =
-                time(|| naive.set_reachability(&query.sources, &query.targets));
-            assert_eq!(
-                dsr_out.pairs, naive_out.pairs,
-                "{name}: DSR vs Naive disagree"
-            );
-            (
-                (secs(fan_time), secs(naive_time)),
-                Some(
-                    common::cost("rounds", fan_out.rounds, fan_out.messages, fan_out.bytes)
-                        .field("byte_bound", bound),
-                ),
-                Some(common::cost(
-                    "rounds",
-                    naive_out.rounds,
-                    naive_out.messages,
-                    naive_out.bytes,
-                )),
-            )
-        } else {
-            (("n/a".to_string(), "n/a".to_string()), None, None)
-        };
+        let ((fan_cell, naive_cell), fan_cost, naive_cost) =
+            if graph.num_edges() <= 40_000 && query_size <= 10 {
+                let (fan_stats, naive_stats) = (CommStats::new(), CommStats::new());
+                let fan = FanBaseline::new(&graph, partitioning.clone());
+                let (fan_out, fan_time) =
+                    time(|| fan.set_reachability(&query.sources, &query.targets, &fan_stats));
+                assert_eq!(dsr_out.pairs, fan_out.pairs, "{name}: DSR vs Fan disagree");
+                let bound = fan_byte_bound(&index, &query);
+                assert_fan_guarantee(name, DEFAULT_SLAVES, &fan_stats, bound);
+                let naive = NaiveBaseline::new(&graph, partitioning.clone());
+                let (naive_out, naive_time) =
+                    time(|| naive.set_reachability(&query.sources, &query.targets, &naive_stats));
+                assert_eq!(
+                    dsr_out.pairs, naive_out.pairs,
+                    "{name}: DSR vs Naive disagree"
+                );
+                (
+                    (secs(fan_time), secs(naive_time)),
+                    Some(common::cost("rounds", &fan_stats).field("byte_bound", bound)),
+                    Some(common::cost("rounds", &naive_stats)),
+                )
+            } else {
+                (("n/a".to_string(), "n/a".to_string()), None, None)
+            };
 
         table.row(vec![
             name.to_string(),
@@ -226,27 +221,10 @@ pub fn run(fast: bool) -> (String, String) {
                 .field("edges", graph.num_edges())
                 .text("query", query.label())
                 .field("pairs", dsr_out.pairs.len())
-                .field(
-                    "dsr",
-                    common::cost("rounds", dsr_out.rounds, dsr_out.messages, dsr_out.bytes),
-                )
-                .field(
-                    "giraph_pp",
-                    common::cost("supersteps", gpp.supersteps, gpp.messages, gpp.bytes),
-                )
-                .field(
-                    "giraph_pp_weq",
-                    common::cost("supersteps", gppeq.supersteps, gppeq.messages, gppeq.bytes),
-                )
-                .field(
-                    "giraph",
-                    common::cost(
-                        "supersteps",
-                        giraph.supersteps,
-                        giraph.messages,
-                        giraph.bytes,
-                    ),
-                )
+                .field("dsr", common::dsr_cost(&dsr_out))
+                .field("giraph_pp", common::cost("supersteps", &gpp))
+                .field("giraph_pp_weq", common::cost("supersteps", &gppeq))
+                .field("giraph", common::cost("supersteps", &giraph))
                 .field("fan", common::nullable(fan_cost))
                 .field("naive", common::nullable(naive_cost)),
         );

@@ -31,15 +31,7 @@ impl Side {
         Object::new()
             .field("cut_edges", self.cut_edges)
             .field("boundaries", self.boundaries)
-            .field(
-                "query",
-                common::cost(
-                    "rounds",
-                    self.query.rounds,
-                    self.query.messages,
-                    self.query.bytes,
-                ),
-            )
+            .field("query", common::dsr_cost(&self.query))
     }
 }
 

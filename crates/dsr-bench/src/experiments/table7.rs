@@ -94,10 +94,7 @@ pub fn run(fast: bool) -> (String, String) {
                     .field("communities", assignment.num_communities)
                     .text("query", format_args!("{take1}x{take2}"))
                     .field("pairs", outcome.pairs.len())
-                    .field(
-                        "dsr",
-                        common::cost("rounds", outcome.rounds, outcome.messages, outcome.bytes),
-                    ),
+                    .field("dsr", common::dsr_cost(&outcome)),
             );
         }
         out.push_str(&table.render());

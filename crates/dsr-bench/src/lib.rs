@@ -1,6 +1,7 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (Section 4), plus three counter experiments of the serving
-//! layer.
+//! layer, and the DSR-Fan and DSR-Naïve [`baselines`] that Tables 2 and 3
+//! measure DSR against.
 //!
 //! Each experiment lives in its own module under [`experiments`] and has one
 //! shape: `run(fast) -> (table, golden)`, the rendered table or series and
@@ -34,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod baselines;
 pub mod experiments;
 pub mod json;
 pub mod table;

@@ -21,10 +21,9 @@
 //!   every job it submitted has sent its completion message, and a job sends
 //!   that message strictly *after* the borrowing closure has been consumed
 //!   and dropped. No borrow escapes the dynamic extent of `run`.
-//! * If `run` is invoked from *inside* a pool worker (a nested fan-out), the
-//!   calling worker helps drain the queue while it waits instead of
-//!   blocking. Nested runs therefore cannot deadlock even when every worker
-//!   is busy.
+//! * No slave task fans out again: a `run` that would queue jobs from
+//!   *inside* a pool worker panics instead, because once every worker
+//!   waits on jobs queued behind it, nothing is left to run them.
 //! * A panicking job does not kill its worker: the payload is caught,
 //!   shipped back with the completion message, and re-thrown by `run` after
 //!   all sibling jobs have finished — the same "a crashed slave is a crashed
@@ -33,7 +32,7 @@
 #![allow(unsafe_code)] // lifetime erasure for pooled jobs; soundness argued above.
 
 use dsr_sync::atomic::{AtomicU64, Ordering};
-use dsr_sync::mpsc::{channel, Receiver, Sender};
+use dsr_sync::mpsc::{channel, Sender};
 use dsr_sync::thread::JoinHandle;
 use dsr_sync::{Arc, Condvar, Mutex, OnceLock};
 use std::any::Any;
@@ -80,11 +79,6 @@ struct PoolQueue {
 }
 
 impl PoolShared {
-    /// Pops a job without blocking; used by callers helping while they wait.
-    fn try_pop(&self) -> Option<Job> {
-        dsr_sync::lock(&self.queue).jobs.pop_front()
-    }
-
     /// Blocks until a job is available or shutdown is signalled.
     fn pop_blocking(&self) -> Option<Job> {
         let mut queue = dsr_sync::lock(&self.queue);
@@ -101,8 +95,8 @@ impl PoolShared {
 }
 
 thread_local! {
-    /// Whether the current thread is a pool worker (used to decide between
-    /// blocking and helping in [`SlavePool::run`]).
+    /// Whether the current thread is a pool worker, which
+    /// [`SlavePool::run`] refuses to queue jobs from.
     static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -175,6 +169,11 @@ impl SlavePool {
     /// is re-thrown here after all sibling tasks have completed.
     ///
     /// `num_slaves` may exceed [`Self::num_workers`]; excess tasks queue.
+    ///
+    /// # Panics
+    ///
+    /// When called with `num_slaves > 1` from a task running on a pool
+    /// worker: a nested fan-out would deadlock once every worker waits.
     pub fn run<R, F>(&self, num_slaves: usize, task: F) -> Vec<R>
     where
         R: Send,
@@ -186,6 +185,11 @@ impl SlavePool {
         if num_slaves == 1 {
             return vec![task(0)];
         }
+        assert!(
+            !IS_POOL_WORKER.with(|flag| flag.get()),
+            "SlavePool::run called from a slave task: a nested fan-out would deadlock \
+             once every worker waits on jobs queued behind it"
+        );
 
         let mut results: Vec<Option<R>> = (0..num_slaves).map(|_| None).collect();
         let (done_tx, done_rx) = channel::<JobResult>();
@@ -215,7 +219,18 @@ impl SlavePool {
         }
         drop(done_tx);
 
-        let first_panic = self.await_completions(num_slaves, &done_rx);
+        // Every job sends exactly one completion; rethrow the first panic
+        // only after all of them, so no job still borrows `task`.
+        let mut first_panic: Option<PanicPayload> = None;
+        for _ in 0..num_slaves {
+            match done_rx.recv() {
+                Ok(Ok(())) => {}
+                Ok(Err(payload)) => {
+                    first_panic.get_or_insert(payload);
+                }
+                Err(_) => unreachable!("every job sends exactly one completion"),
+            }
+        }
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
         }
@@ -223,52 +238,6 @@ impl SlavePool {
             .into_iter()
             .map(|r| r.expect("slave task completed"))
             .collect()
-    }
-
-    /// Waits for `expected` completion messages, helping to drain the queue
-    /// when called from a pool worker (nested fan-out). Returns the first
-    /// panic payload, if any.
-    fn await_completions(
-        &self,
-        expected: usize,
-        done_rx: &Receiver<JobResult>,
-    ) -> Option<PanicPayload> {
-        let helping = IS_POOL_WORKER.with(|flag| flag.get());
-        let mut completed = 0usize;
-        let mut first_panic: Option<PanicPayload> = None;
-        while completed < expected {
-            if helping {
-                // Collect finished jobs without blocking, then help run
-                // whatever is queued (ours or another run's) so nested runs
-                // make progress even when every worker is busy.
-                while let Ok(result) = done_rx.try_recv() {
-                    completed += 1;
-                    if let Err(payload) = result {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-                if completed >= expected {
-                    break;
-                }
-                if let Some(job) = self.shared.try_pop() {
-                    job.execute(&self.shared);
-                    continue;
-                }
-            }
-            // Queue is drained (or we are an external caller): every
-            // outstanding job is running on some thread, so blocking on the
-            // completion channel cannot deadlock.
-            match done_rx.recv() {
-                Ok(result) => {
-                    completed += 1;
-                    if let Err(payload) = result {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-                Err(_) => unreachable!("every job sends exactly one completion"),
-            }
-        }
-        first_panic
     }
 }
 
@@ -389,16 +358,15 @@ mod tests {
     }
 
     #[test]
-    fn nested_runs_do_not_deadlock() {
-        // 2 workers, and every outer task performs an inner fan-out: without
-        // caller-helping this would deadlock (both workers blocked waiting
-        // for inner jobs nobody can run).
+    #[should_panic(expected = "a nested fan-out would deadlock")]
+    fn nested_run_panics_instead_of_deadlocking() {
+        // 2 workers, and every outer task performs an inner fan-out: both
+        // workers would block waiting for inner jobs nobody can run.
         let pool = SlavePool::new(2);
-        let results = pool.run(2, |outer| {
+        pool.run(2, |outer| {
             let inner = pool.run(3, |i| outer * 100 + i);
             inner.iter().sum::<usize>()
         });
-        assert_eq!(results, vec![3, 303]);
     }
 
     #[test]

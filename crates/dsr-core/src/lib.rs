@@ -34,10 +34,7 @@
 //!   [`WireTransport`](dsr_cluster::WireTransport)),
 //! * [`protocol`] — the wire message types of the scatter/exchange/gather
 //!   rounds and the build-time summary exchange, each with a
-//!   [`Wire`](dsr_cluster::Wire) codec and an exact byte size,
-//! * [`baselines`] — DSR-Naïve (Section 3.1) and DSR-Fan (Section 3.2,
-//!   the generalization of Fan et al. \[9\] with a per-query dynamic
-//!   dependency graph).
+//!   [`Wire`](dsr_cluster::Wire) codec and an exact byte size.
 //!
 //! Each of those three layers has one fallible call, named above, which
 //! returns a transport failure as a
@@ -67,7 +64,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baselines;
 pub mod compound;
 pub mod engine;
 pub mod index;

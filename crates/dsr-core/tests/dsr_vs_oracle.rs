@@ -1,8 +1,7 @@
-//! Property tests: the distributed DSR engine, the DSR-Fan baseline and the
-//! DSR-Naïve baseline must all agree with the centralized transitive-closure
-//! oracle on arbitrary graphs, partitionings and query sets.
+//! Property tests: the distributed DSR engine must agree with the
+//! centralized transitive-closure oracle on arbitrary graphs,
+//! partitionings and query sets, before and after incremental updates.
 
-use dsr_core::baselines::{FanBaseline, NaiveBaseline};
 use dsr_core::{DsrEngine, DsrIndex, UpdateOp};
 use dsr_graph::{DiGraph, TransitiveClosure};
 use dsr_partition::{HashPartitioner, MultilevelPartitioner, Partitioner};
@@ -70,22 +69,6 @@ proptest! {
                     "single-pair mismatch on ({}, {})", s, t);
             }
         }
-    }
-
-    /// The Fan and Naive baselines agree with the oracle too (they are the
-    /// comparison points of Tables 2 and 3).
-    #[test]
-    fn baselines_match_oracle((n, edges) in arb_graph()) {
-        let g = DiGraph::from_edges(n, &edges);
-        let p = HashPartitioner::default().partition(&g, 3);
-        let oracle = TransitiveClosure::build(&g);
-        let sources: Vec<u32> = (0..n as u32).step_by(3).collect();
-        let targets: Vec<u32> = (0..n as u32).step_by(2).collect();
-        let expected = oracle.set_reachability(&sources, &targets);
-        let fan = FanBaseline::new(&g, p.clone());
-        prop_assert_eq!(fan.set_reachability(&sources, &targets).pairs, expected.clone());
-        let naive = NaiveBaseline::new(&g, p);
-        prop_assert_eq!(naive.set_reachability(&sources, &targets).pairs, expected);
     }
 
     /// After a random batch of insertions the incrementally maintained index

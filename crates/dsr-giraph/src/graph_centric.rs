@@ -16,69 +16,46 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dsr_cluster::run_on_slaves;
+use dsr_cluster::{run_on_slaves, CommStats};
 use dsr_core::PartitionSummary;
 use dsr_graph::{DiGraph, InducedSubgraph, VertexId};
 use dsr_partition::{Cut, PartitionId, Partitioning};
 
-use crate::outcome::GiraphOutcome;
-
-/// Which graph-centric variant to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphCentricVariant {
-    /// Plain Giraph++ (per-vertex cross-partition messages).
-    GiraphPlusPlus,
-    /// Giraph++ with the equivalence-set optimization (per-class messages).
-    GiraphPlusPlusWithEquivalence,
-}
-
-/// Runs the graph-centric DSR program.
-///
-/// For the `wEq` variant the forward-equivalence classes are computed on
-/// the fly; when they are already available (they are part of the DSR
-/// index), use [`giraph_pp_weq_with_summaries`] so the query time does not
-/// include that precomputation — this mirrors the paper, where the
-/// equivalence sets are "first computed in our DSR system" and the prepared
-/// graph is loaded into Giraph.
+/// Runs plain Giraph++ (one cross-partition message per destination vertex
+/// and source) and returns the reachable pairs, sorted and deduplicated,
+/// adding its supersteps (as rounds), messages and bytes to `stats`.
 pub fn giraph_pp_set_reachability(
     graph: &DiGraph,
     partitioning: &Partitioning,
     sources: &[VertexId],
     targets: &[VertexId],
-    variant: GraphCentricVariant,
-) -> GiraphOutcome {
-    match variant {
-        GraphCentricVariant::GiraphPlusPlus => {
-            run_graph_centric(graph, partitioning, sources, targets, None)
-        }
-        GraphCentricVariant::GiraphPlusPlusWithEquivalence => {
-            let k = partitioning.num_partitions;
-            let members = partitioning.members();
-            let cut = Cut::extract(graph, partitioning);
-            let locals: Vec<InducedSubgraph> =
-                run_on_slaves(k, |i| InducedSubgraph::induced(graph, &members[i]));
-            let summaries: Vec<PartitionSummary> = run_on_slaves(k, |i| {
-                PartitionSummary::compute(
-                    i as PartitionId,
-                    &locals[i],
-                    cut.partition(i as PartitionId),
-                )
-            });
-            run_graph_centric(graph, partitioning, sources, targets, Some(&summaries))
-        }
-    }
+    stats: &CommStats,
+) -> Vec<(VertexId, VertexId)> {
+    run_graph_centric(graph, partitioning, sources, targets, None, stats)
 }
 
-/// Giraph++wEq with precomputed equivalence summaries (one entry per
-/// partition, e.g. borrowed from a [`dsr_core::DsrIndex`]).
+/// Runs Giraph++wEq over precomputed equivalence summaries (one entry per
+/// partition, borrowed from a [`dsr_core::DsrIndex`] built on the same
+/// partitioning), so the query does not pay for them — as in the paper,
+/// where the equivalence sets are "first computed in our DSR system" and
+/// the prepared graph is loaded into Giraph. Returns and counts as
+/// [`giraph_pp_set_reachability`] does.
 pub fn giraph_pp_weq_with_summaries(
     graph: &DiGraph,
     partitioning: &Partitioning,
     summaries: &[PartitionSummary],
     sources: &[VertexId],
     targets: &[VertexId],
-) -> GiraphOutcome {
-    run_graph_centric(graph, partitioning, sources, targets, Some(summaries))
+    stats: &CommStats,
+) -> Vec<(VertexId, VertexId)> {
+    run_graph_centric(
+        graph,
+        partitioning,
+        sources,
+        targets,
+        Some(summaries),
+        stats,
+    )
 }
 
 fn run_graph_centric(
@@ -87,7 +64,8 @@ fn run_graph_centric(
     sources: &[VertexId],
     targets: &[VertexId],
     summaries: Option<&[PartitionSummary]>,
-) -> GiraphOutcome {
+    stats: &CommStats,
+) -> Vec<(VertexId, VertexId)> {
     let n = graph.num_vertices();
     assert_eq!(
         partitioning.num_vertices(),
@@ -235,13 +213,8 @@ fn run_graph_centric(
     }
     pairs.sort_unstable();
     pairs.dedup();
-
-    GiraphOutcome {
-        pairs,
-        supersteps,
-        messages,
-        bytes,
-    }
+    stats.add(supersteps, messages, bytes);
+    pairs
 }
 
 #[cfg(test)]
@@ -261,6 +234,18 @@ mod tests {
         DiGraph::from_edges(n, &edges)
     }
 
+    /// The equivalence summaries a `DsrIndex` holds for `partitioning`.
+    fn summaries(graph: &DiGraph, partitioning: &Partitioning) -> Vec<PartitionSummary> {
+        let members = partitioning.members();
+        let cut = Cut::extract(graph, partitioning);
+        (0..partitioning.num_partitions as PartitionId)
+            .map(|i| {
+                let local = InducedSubgraph::induced(graph, &members[i as usize]);
+                PartitionSummary::compute(i, &local, cut.partition(i))
+            })
+            .collect()
+    }
+
     #[test]
     fn both_variants_match_oracle() {
         for seed in 0..4 {
@@ -269,13 +254,11 @@ mod tests {
             let oracle = TransitiveClosure::build(&g);
             let all: Vec<u32> = (0..25).collect();
             let expected = oracle.set_reachability(&all, &all);
-            for variant in [
-                GraphCentricVariant::GiraphPlusPlus,
-                GraphCentricVariant::GiraphPlusPlusWithEquivalence,
-            ] {
-                let out = giraph_pp_set_reachability(&g, &p, &all, &all, variant);
-                assert_eq!(out.pairs, expected, "variant {variant:?} seed {seed}");
-            }
+            let stats = CommStats::new();
+            let plain = giraph_pp_set_reachability(&g, &p, &all, &all, &stats);
+            assert_eq!(plain, expected, "Giraph++, seed {seed}");
+            let weq = giraph_pp_weq_with_summaries(&g, &p, &summaries(&g, &p), &all, &all, &stats);
+            assert_eq!(weq, expected, "Giraph++wEq, seed {seed}");
         }
     }
 
@@ -288,17 +271,18 @@ mod tests {
         let g = DiGraph::from_edges(n as usize, &edges);
         let assignment: Vec<u32> = (0..n).map(|v| if v < n / 2 { 0 } else { 1 }).collect();
         let p = Partitioning::new(assignment, 2);
-        let giraph = giraph_set_reachability(&g, &p, &[0], &[n - 1]);
-        let gpp =
-            giraph_pp_set_reachability(&g, &p, &[0], &[n - 1], GraphCentricVariant::GiraphPlusPlus);
-        assert_eq!(giraph.pairs, gpp.pairs);
-        assert!(
-            gpp.supersteps * 4 < giraph.supersteps,
-            "graph-centric must use far fewer supersteps ({} vs {})",
-            gpp.supersteps,
-            giraph.supersteps
+        let (giraph, gpp) = (CommStats::new(), CommStats::new());
+        assert_eq!(
+            giraph_set_reachability(&g, &p, &[0], &[n - 1], &giraph),
+            giraph_pp_set_reachability(&g, &p, &[0], &[n - 1], &gpp)
         );
-        assert!(gpp.messages < giraph.messages);
+        assert!(
+            gpp.rounds() * 4 < giraph.rounds(),
+            "graph-centric must use far fewer supersteps ({} vs {})",
+            gpp.rounds(),
+            giraph.rounds()
+        );
+        assert!(gpp.messages() < giraph.messages());
     }
 
     #[test]
@@ -307,62 +291,43 @@ mod tests {
         let p = HashPartitioner::default().partition(&g, 4);
         let sources: Vec<u32> = (0..10).collect();
         let targets: Vec<u32> = (50..60).collect();
-        let plain = giraph_pp_set_reachability(
-            &g,
-            &p,
-            &sources,
-            &targets,
-            GraphCentricVariant::GiraphPlusPlus,
+        let (plain, weq) = (CommStats::new(), CommStats::new());
+        assert_eq!(
+            giraph_pp_set_reachability(&g, &p, &sources, &targets, &plain),
+            giraph_pp_weq_with_summaries(&g, &p, &summaries(&g, &p), &sources, &targets, &weq)
         );
-        let weq = giraph_pp_set_reachability(
-            &g,
-            &p,
-            &sources,
-            &targets,
-            GraphCentricVariant::GiraphPlusPlusWithEquivalence,
-        );
-        assert_eq!(plain.pairs, weq.pairs);
         assert!(
-            weq.messages <= plain.messages,
+            weq.messages() <= plain.messages(),
             "wEq must not send more messages ({} vs {})",
-            weq.messages,
-            plain.messages
+            weq.messages(),
+            plain.messages()
         );
+    }
+
+    #[test]
+    fn two_runs_into_one_account_add_up() {
+        let g = random_graph(54, 50, 180);
+        let p = HashPartitioner::default().partition(&g, 4);
+        let first: Vec<u32> = (0..8).collect();
+        let second: Vec<u32> = (20..30).collect();
+        let targets: Vec<u32> = (35..50).collect();
+        let (own_first, own_second, shared) =
+            (CommStats::new(), CommStats::new(), CommStats::new());
+        giraph_pp_set_reachability(&g, &p, &first, &targets, &own_first);
+        giraph_pp_set_reachability(&g, &p, &second, &targets, &own_second);
+        giraph_pp_set_reachability(&g, &p, &first, &targets, &shared);
+        giraph_pp_set_reachability(&g, &p, &second, &targets, &shared);
+        let (r1, m1, b1) = own_first.snapshot();
+        let (r2, m2, b2) = own_second.snapshot();
+        assert!(m1 > 0 && m2 > 0, "both runs cross a partition");
+        assert_eq!(shared.snapshot(), (r1 + r2, m1 + m2, b1 + b2));
     }
 
     #[test]
     fn empty_query() {
         let g = random_graph(3, 10, 20);
         let p = HashPartitioner::default().partition(&g, 2);
-        let out =
-            giraph_pp_set_reachability(&g, &p, &[], &[1], GraphCentricVariant::GiraphPlusPlus);
-        assert!(out.pairs.is_empty());
-    }
-
-    #[test]
-    fn precomputed_summaries_match_on_the_fly_weq() {
-        let g = random_graph(13, 30, 90);
-        let p = HashPartitioner::default().partition(&g, 3);
-        let members = p.members();
-        let cut = Cut::extract(&g, &p);
-        let locals: Vec<InducedSubgraph> = (0..3)
-            .map(|i| InducedSubgraph::induced(&g, &members[i]))
-            .collect();
-        let summaries: Vec<PartitionSummary> = (0..3)
-            .map(|i| {
-                PartitionSummary::compute(i as PartitionId, &locals[i], cut.partition(i as u32))
-            })
-            .collect();
-        let all: Vec<u32> = (0..30).collect();
-        let on_the_fly = giraph_pp_set_reachability(
-            &g,
-            &p,
-            &all,
-            &all,
-            GraphCentricVariant::GiraphPlusPlusWithEquivalence,
-        );
-        let precomputed = giraph_pp_weq_with_summaries(&g, &p, &summaries, &all, &all);
-        assert_eq!(on_the_fly.pairs, precomputed.pairs);
-        assert_eq!(on_the_fly.messages, precomputed.messages);
+        let stats = CommStats::new();
+        assert!(giraph_pp_set_reachability(&g, &p, &[], &[1], &stats).is_empty());
     }
 }

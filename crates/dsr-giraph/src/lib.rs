@@ -18,18 +18,16 @@
 //!   the destination partition (the in-virtual vertices of `dsr-core`),
 //!   which reduces the message count further.
 //!
-//! All three return a [`GiraphOutcome`] with the reachable pairs, the
-//! number of supersteps, and the communication volume, which is exactly
-//! what Figures 5 and 8 and Table 3 report.
+//! All three return the reachable pairs and add their cost — supersteps
+//! as rounds, messages and bytes, exactly what Figures 5 and 8 and Table 3
+//! report — to the [`CommStats`](dsr_cluster::CommStats) their caller
+//! passes in. They count in plain locals and add once per run, so their
+//! timed inner loops touch no atomic.
 
 #![forbid(unsafe_code)]
 
 pub mod graph_centric;
-pub mod outcome;
 pub mod vertex_centric;
 
-pub use graph_centric::{
-    giraph_pp_set_reachability, giraph_pp_weq_with_summaries, GraphCentricVariant,
-};
-pub use outcome::GiraphOutcome;
+pub use graph_centric::{giraph_pp_set_reachability, giraph_pp_weq_with_summaries};
 pub use vertex_centric::giraph_set_reachability;

@@ -10,12 +10,13 @@
 
 use std::collections::HashSet;
 
+use dsr_cluster::CommStats;
 use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::Partitioning;
 
-use crate::outcome::GiraphOutcome;
-
-/// Runs the vertex-centric DSR program.
+/// Runs the vertex-centric DSR program and returns the reachable pairs,
+/// sorted and deduplicated, adding its supersteps (as rounds), messages
+/// and bytes to `stats`.
 ///
 /// `partitioning` only affects the communication accounting (messages whose
 /// endpoints live on different workers are network messages; in plain
@@ -27,7 +28,8 @@ pub fn giraph_set_reachability(
     partitioning: &Partitioning,
     sources: &[VertexId],
     targets: &[VertexId],
-) -> GiraphOutcome {
+    stats: &CommStats,
+) -> Vec<(VertexId, VertexId)> {
     let n = graph.num_vertices();
     assert_eq!(
         partitioning.num_vertices(),
@@ -86,13 +88,8 @@ pub fn giraph_set_reachability(
     }
     pairs.sort_unstable();
     pairs.dedup();
-
-    GiraphOutcome {
-        pairs,
-        supersteps,
-        messages,
-        bytes,
-    }
+    stats.add(supersteps, messages, bytes);
+    pairs
 }
 
 #[cfg(test)]
@@ -106,10 +103,11 @@ mod tests {
         // 0 -> 1 -> 2 -> 3: diameter-bound supersteps.
         let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let p = HashPartitioner::default().partition(&g, 2);
-        let out = giraph_set_reachability(&g, &p, &[0], &[3]);
-        assert_eq!(out.pairs, vec![(0, 3)]);
-        assert!(out.supersteps >= 4, "one superstep per hop plus seeding");
-        assert!(out.messages >= 3);
+        let stats = CommStats::new();
+        let pairs = giraph_set_reachability(&g, &p, &[0], &[3], &stats);
+        assert_eq!(pairs, vec![(0, 3)]);
+        assert!(stats.rounds() >= 4, "one superstep per hop plus seeding");
+        assert!(stats.messages() >= 3);
     }
 
     #[test]
@@ -128,7 +126,7 @@ mod tests {
             let oracle = TransitiveClosure::build(&g);
             let all: Vec<u32> = (0..n as u32).collect();
             assert_eq!(
-                giraph_set_reachability(&g, &p, &all, &all).pairs,
+                giraph_set_reachability(&g, &p, &all, &all, &CommStats::new()),
                 oracle.set_reachability(&all, &all)
             );
         }
@@ -138,16 +136,17 @@ mod tests {
     fn reflexive_pairs_only_for_sources_in_targets() {
         let g = DiGraph::from_edges(3, &[(0, 1)]);
         let p = HashPartitioner::default().partition(&g, 2);
-        let out = giraph_set_reachability(&g, &p, &[0, 2], &[0, 1]);
-        assert_eq!(out.pairs, vec![(0, 0), (0, 1)]);
+        let pairs = giraph_set_reachability(&g, &p, &[0, 2], &[0, 1], &CommStats::new());
+        assert_eq!(pairs, vec![(0, 0), (0, 1)]);
     }
 
     #[test]
     fn cycle_terminates() {
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let p = HashPartitioner::default().partition(&g, 2);
-        let out = giraph_set_reachability(&g, &p, &[0], &[2]);
-        assert_eq!(out.pairs, vec![(0, 2)]);
-        assert!(out.supersteps <= 6);
+        let stats = CommStats::new();
+        let pairs = giraph_set_reachability(&g, &p, &[0], &[2], &stats);
+        assert_eq!(pairs, vec![(0, 2)]);
+        assert!(stats.rounds() <= 6);
     }
 }

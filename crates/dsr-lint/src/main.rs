@@ -10,9 +10,9 @@
 //! * **`lock-unwrap`** — no `.unwrap()` / `.expect(..)` on lock results
 //!   (`.lock()`, `.wait(..)`, `.wait_timeout(..)`) or on calls returning
 //!   `Result<_, TransportError>` in non-test library code. Lock poisoning
-//!   is recovered through `dsr_sync::lock`/`wait`/`wait_timeout` (see the
-//!   documented policy in `dsr-sync`); transport errors are typed and must
-//!   be propagated, not crashed on.
+//!   is recovered through `dsr_sync::lock`/`wait` (see the documented
+//!   policy in `dsr-sync`); transport errors are typed and must be
+//!   propagated, not crashed on.
 //! * **`wire-roundtrip`** — every named type with an `impl Wire for ..`
 //!   must be mentioned in test code of its crate (a round-trip test), so
 //!   no protocol message ships without serialization coverage.
@@ -488,8 +488,8 @@ fn check_lock_unwrap(
                         rule: "lock-unwrap",
                         message: format!(
                             "unwraps a lock result (`{lock_call}..`); use \
-                             dsr_sync::lock/wait/wait_timeout (documented \
-                             poison-recovery policy) instead"
+                             dsr_sync::lock/wait (documented poison-recovery \
+                             policy) instead"
                         ),
                     });
                     break;

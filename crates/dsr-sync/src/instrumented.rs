@@ -218,17 +218,6 @@ impl<T> Drop for MutexGuard<'_, T> {
 // Condvar
 // ---------------------------------------------------------------------------
 
-/// Our own result type: `std::sync::WaitTimeoutResult` cannot be
-/// constructed outside std, and the model scheduler must fabricate one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 #[derive(Debug)]
 pub struct Condvar {
     core: ObjCore,
@@ -250,29 +239,6 @@ impl Condvar {
     }
 
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-        self.wait_impl(guard, None).0
-    }
-
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: Duration,
-    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-        let (res, timed_out) = self.wait_impl(guard, Some(dur));
-        match res {
-            Ok(g) => Ok((g, WaitTimeoutResult(timed_out))),
-            Err(e) => Err(PoisonError::new((
-                e.into_inner(),
-                WaitTimeoutResult(timed_out),
-            ))),
-        }
-    }
-
-    fn wait_impl<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Option<Duration>,
-    ) -> (LockResult<MutexGuard<'a, T>>, bool) {
         let is_model_guard = guard.model.is_some();
         match (is_model_guard, ctx()) {
             (true, Some(c)) => {
@@ -281,7 +247,8 @@ impl Condvar {
                 let mutex_obj = lock.core.id();
                 let exec = Arc::clone(&c.exec);
                 let mut held: Option<StdMutexGuard<'a, T>> = Some(inner);
-                let waited = c.exec.op(c.tid, "condvar wait", timeout.is_some(), |st| {
+                // Not timeoutable: the wait ends only when notified.
+                let _ = c.exec.op(c.tid, "condvar wait", false, |st| {
                     if let Some(g) = held.take() {
                         // First attempt: release the mutex and park.
                         st.hb_release(c.tid, mutex_obj);
@@ -295,8 +262,7 @@ impl Condvar {
                         Attempt::Done(())
                     }
                 });
-                let timed_out = waited.is_err();
-                (lock.lock(), timed_out)
+                lock.lock()
             }
             _ => {
                 // Non-model thread (or guard acquired outside the model):
@@ -307,22 +273,9 @@ impl Condvar {
                     lock,
                     model,
                 };
-                if let Some(dur) = timeout {
-                    match self.inner.wait_timeout(inner, dur) {
-                        Ok((g, to)) => (Ok(reassemble(g, model)), to.timed_out()),
-                        Err(e) => {
-                            let (g, to) = e.into_inner();
-                            (Err(PoisonError::new(reassemble(g, model))), to.timed_out())
-                        }
-                    }
-                } else {
-                    match self.inner.wait(inner) {
-                        Ok(g) => (Ok(reassemble(g, model)), false),
-                        Err(e) => (
-                            Err(PoisonError::new(reassemble(e.into_inner(), model))),
-                            false,
-                        ),
-                    }
+                match self.inner.wait(inner) {
+                    Ok(g) => Ok(reassemble(g, model)),
+                    Err(e) => Err(PoisonError::new(reassemble(e.into_inner(), model))),
                 }
             }
         }
@@ -420,15 +373,7 @@ macro_rules! instrumented_atomic {
                     self.inner.swap(v, Ordering::SeqCst)
                 })
             }
-        }
-    };
-}
 
-macro_rules! instrumented_atomic_int {
-    ($Name:ident, $Std:ty, $T:ty) => {
-        instrumented_atomic!($Name, $Std, $T);
-
-        impl $Name {
             pub fn fetch_add(&self, v: $T, order: Ordering) -> $T {
                 self.sync_op(order, concat!(stringify!($Name), " fetch_add"), || {
                     self.inner.fetch_add(v, Ordering::SeqCst)
@@ -456,15 +401,8 @@ macro_rules! instrumented_atomic_int {
     };
 }
 
-instrumented_atomic_int!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-instrumented_atomic_int!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-instrumented_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool);
-
-impl Default for AtomicBool {
-    fn default() -> AtomicBool {
-        AtomicBool::new(false)
-    }
-}
+instrumented_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
+instrumented_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
 
 // ---------------------------------------------------------------------------
 // mpsc
@@ -728,14 +666,6 @@ pub mod thread {
             c.exec.schedule_point(c.tid, "sleep");
         } else {
             std::thread::sleep(dur);
-        }
-    }
-
-    pub fn yield_now() {
-        if let Some(c) = ctx() {
-            c.exec.schedule_point(c.tid, "yield");
-        } else {
-            std::thread::yield_now();
         }
     }
 }

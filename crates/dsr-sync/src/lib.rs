@@ -33,11 +33,11 @@
 //! ## Poisoned-lock policy
 //!
 //! The workspace recovers from lock poisoning instead of unwrapping it:
-//! use [`lock`], [`wait`] and [`wait_timeout`] rather than
-//! `.lock().unwrap()`. Rationale: a poisoned lock only means *some thread
-//! panicked while holding it*. Every place that matters already propagates
-//! that panic explicitly — the `SlavePool` rethrows worker panics to the
-//! caller, and the batcher's `Drop` rethrows its scheduler thread's panic —
+//! use [`lock`] and [`wait`] rather than `.lock().unwrap()`. Rationale: a
+//! poisoned lock only means *some thread panicked while holding it*. Every
+//! place that matters already propagates that panic explicitly — the
+//! `SlavePool` rethrows worker panics to the caller, and the batcher's
+//! `Drop` rethrows its scheduler thread's panic —
 //! so the poison flag carries no extra information, while unwrapping it in
 //! `Drop`/teardown paths converts one panic into a double-panic abort. The
 //! protected data is kept consistent by the panicking code's own unwind
@@ -59,16 +59,14 @@ mod instrumented;
 // Items identical in both build modes.
 // ---------------------------------------------------------------------------
 
-pub use std::sync::{Arc, LockResult, OnceLock, PoisonError, TryLockError, TryLockResult, Weak};
+pub use std::sync::{Arc, LockResult, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Normal builds: pure std re-exports.
 // ---------------------------------------------------------------------------
 
 #[cfg(not(dsr_model))]
-pub use std::sync::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-};
+pub use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Atomic types. Normal builds re-export `std::sync::atomic`; model builds
 /// swap in instrumented atomics (non-`Relaxed` accesses become scheduling
@@ -96,16 +94,11 @@ pub mod thread {
 // ---------------------------------------------------------------------------
 
 #[cfg(dsr_model)]
-pub use instrumented::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
-
-// `RwLock` has no worksite user today; under `dsr_model` it stays a std
-// passthrough (unscheduled) until a protocol actually needs it modeled.
-#[cfg(dsr_model)]
-pub use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use instrumented::{Condvar, Mutex, MutexGuard};
 
 #[cfg(dsr_model)]
 pub mod atomic {
-    pub use crate::instrumented::{AtomicBool, AtomicU64, AtomicUsize};
+    pub use crate::instrumented::{AtomicU64, AtomicUsize};
     pub use std::sync::atomic::Ordering;
 }
 
@@ -117,7 +110,7 @@ pub mod mpsc {
 
 #[cfg(dsr_model)]
 pub mod thread {
-    pub use crate::instrumented::thread::{sleep, spawn, yield_now, Builder, JoinHandle};
+    pub use crate::instrumented::thread::{sleep, spawn, Builder, JoinHandle};
     pub use std::thread::{
         available_parallelism, current, panicking, scope, Scope, ScopedJoinHandle, Thread, ThreadId,
     };
@@ -140,38 +133,15 @@ pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> 
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Block on `cv` with a timeout, recovering from poisoning on wakeup.
-///
-/// Under `dsr_model` the duration is advisory: model time is abstract, so a
-/// timed wait fires only when no model thread can otherwise make progress.
-pub fn wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: std::time::Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    cv.wait_timeout(guard, dur)
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn lock_helper_basic() {
         let m = Mutex::new(7);
         *lock(&m) += 1;
         assert_eq!(*lock(&m), 8);
-    }
-
-    #[test]
-    fn wait_timeout_helper_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let g = lock(&m);
-        let (_g, res) = wait_timeout(&cv, g, Duration::from_millis(1));
-        assert!(res.timed_out());
     }
 
     #[cfg(not(dsr_model))]

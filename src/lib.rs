@@ -9,7 +9,7 @@
 //! - [`reach`] — local (per-partition) reachability indexes
 //! - [`partition`] — hash and multilevel partitioners, boundary/cut machinery
 //! - [`cluster`] — simulated master/slave network with communication accounting
-//! - [`core`] — the DSR index, engine, baselines and incremental updates
+//! - [`core`] — the DSR index, engine, wire protocol and incremental updates
 //! - [`datagen`] — synthetic dataset and query-workload generators
 //! - [`giraph`] — vertex-centric and graph-centric comparison engines
 //! - [`rdf`] — triple store and SPARQL-style property-path evaluation

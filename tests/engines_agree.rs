@@ -6,11 +6,13 @@
 //! (and the build-time summary exchange) encoded and decoded.
 
 use dsr::testing::backends;
-use dsr_cluster::{DynTransport, Transport};
-use dsr_core::baselines::{FanBaseline, NaiveBaseline};
+use dsr_bench::baselines::{FanBaseline, NaiveBaseline};
+use dsr_cluster::{CommStats, DynTransport, Transport};
 use dsr_core::{DsrEngine, DsrIndex, QueryOutcome};
 use dsr_datagen::{dataset_by_name, random_query};
-use dsr_giraph::{giraph_pp_set_reachability, giraph_set_reachability, GraphCentricVariant};
+use dsr_giraph::{
+    giraph_pp_set_reachability, giraph_pp_weq_with_summaries, giraph_set_reachability,
+};
 use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use dsr_reach::LocalIndexKind;
@@ -40,41 +42,52 @@ fn all_engines_agree_on_small_web_graph() {
     let graph = dataset_by_name("NotreDame").unwrap().graph;
     let partitioning = MultilevelPartitioner::default().partition(&graph, 5);
     let query = random_query(&graph, 8, 8, 3);
+    let (sources, targets) = (&query.sources, &query.targets);
+    // Only answers are compared here; one account takes every engine's cost.
+    let stats = CommStats::new();
+    // Giraph++wEq reads the equivalence sets of a DSR index on the same
+    // partitioning.
+    let index = DsrIndex::build(&graph, partitioning.clone(), LocalIndexKind::Dfs);
 
-    let fan = FanBaseline::new(&graph, partitioning.clone())
-        .set_reachability(&query.sources, &query.targets);
-    let naive = NaiveBaseline::new(&graph, partitioning.clone())
-        .set_reachability(&query.sources, &query.targets);
-    let giraph = giraph_set_reachability(&graph, &partitioning, &query.sources, &query.targets);
-    let variants = [
-        GraphCentricVariant::GiraphPlusPlus,
-        GraphCentricVariant::GiraphPlusPlusWithEquivalence,
-    ]
-    .map(|variant| {
-        let out = giraph_pp_set_reachability(
-            &graph,
-            &partitioning,
-            &query.sources,
-            &query.targets,
-            variant,
-        );
-        (variant, out)
-    });
+    let others = [
+        (
+            "DSR-Fan",
+            FanBaseline::new(&graph, partitioning.clone())
+                .set_reachability(sources, targets, &stats)
+                .pairs,
+        ),
+        (
+            "DSR-Naive",
+            NaiveBaseline::new(&graph, partitioning.clone())
+                .set_reachability(sources, targets, &stats)
+                .pairs,
+        ),
+        (
+            "Giraph",
+            giraph_set_reachability(&graph, &partitioning, sources, targets, &stats),
+        ),
+        (
+            "Giraph++",
+            giraph_pp_set_reachability(&graph, &partitioning, sources, targets, &stats),
+        ),
+        (
+            "Giraph++wEq",
+            giraph_pp_weq_with_summaries(
+                &graph,
+                &partitioning,
+                &index.summaries,
+                sources,
+                targets,
+                &stats,
+            ),
+        ),
+    ];
 
     for transport in backends() {
         let backend = transport.name();
-        let dsr = dsr_on(
-            &transport,
-            &graph,
-            &partitioning,
-            &query.sources,
-            &query.targets,
-        );
-        assert_eq!(dsr.pairs, fan.pairs, "DSR on {backend} vs DSR-Fan");
-        assert_eq!(dsr.pairs, naive.pairs, "DSR on {backend} vs DSR-Naive");
-        assert_eq!(dsr.pairs, giraph.pairs, "DSR on {backend} vs Giraph");
-        for (variant, out) in &variants {
-            assert_eq!(dsr.pairs, out.pairs, "DSR on {backend} vs {variant:?}");
+        let dsr = dsr_on(&transport, &graph, &partitioning, sources, targets);
+        for (engine, pairs) in &others {
+            assert_eq!(&dsr.pairs, pairs, "DSR on {backend} vs {engine}");
         }
     }
 }
@@ -86,36 +99,26 @@ fn communication_profile_ordering() {
     let graph = dataset_by_name("LiveJ-20M").unwrap().graph;
     let partitioning = MultilevelPartitioner::default().partition(&graph, 5);
     let query = random_query(&graph, 10, 10, 5);
+    let (sources, targets) = (&query.sources, &query.targets);
 
-    let giraph = giraph_set_reachability(&graph, &partitioning, &query.sources, &query.targets);
-    let gpp = giraph_pp_set_reachability(
-        &graph,
-        &partitioning,
-        &query.sources,
-        &query.targets,
-        GraphCentricVariant::GiraphPlusPlus,
-    );
+    let (giraph, gpp) = (CommStats::new(), CommStats::new());
+    let giraph_pairs = giraph_set_reachability(&graph, &partitioning, sources, targets, &giraph);
+    giraph_pp_set_reachability(&graph, &partitioning, sources, targets, &gpp);
     assert!(
-        giraph.bytes > gpp.bytes,
+        giraph.bytes() > gpp.bytes(),
         "graph-centric processing must reduce communication vs plain Giraph"
     );
 
     for transport in backends() {
         let backend = transport.name();
-        let dsr = dsr_on(
-            &transport,
-            &graph,
-            &partitioning,
-            &query.sources,
-            &query.targets,
-        );
-        assert_eq!(dsr.pairs, giraph.pairs, "DSR on {backend} vs Giraph");
+        let dsr = dsr_on(&transport, &graph, &partitioning, sources, targets);
+        assert_eq!(dsr.pairs, giraph_pairs, "DSR on {backend} vs Giraph");
         assert!(
             dsr.rounds <= 3,
             "DSR must stay within one data-exchange round on {backend}"
         );
         assert!(
-            giraph.supersteps > dsr.rounds,
+            giraph.rounds() > dsr.rounds,
             "vertex-centric Giraph iterates more rounds than DSR on {backend}"
         );
     }
