@@ -91,10 +91,30 @@ row "Answer assembly" crates/dsr-core/src/engine.rs -e \
     'per_query_assembly_matches_the_batch_wide_sort_on_every_backend'
 
 # A fused run that answered its queries returns their admission
-# (`batcher.rs::execute_group`), and nothing else frees it: skipping the
-# success path's release must fail the model build of `batcher::` naming
-# the two-sequential-submissions test.
+# (`batcher.rs::execute_group`), and nothing else frees it: dropping the
+# success path's release (the first `core.admission.release(released);`)
+# must fail the model build of `batcher::` naming the
+# two-sequential-submissions test.
 row "Admission release" crates/dsr-service/src/batcher.rs -e \
-    's/if !premature_release {/if false {/' \
+    '0,/core\.admission\.release(released);/ { /core\.admission\.release(released);/d }' \
     'RUSTFLAGS="--cfg dsr_model" cargo test -q -p dsr-service batcher::' \
     'model_completion_returns_admission'
+
+# The same run releases admission only after the cache fill: a client
+# admitted by the freed capacity must find the published answers. An
+# early release before the fill must fail the model build of `batcher::`
+# naming the publish-before-release test.
+row "Publish before release" crates/dsr-service/src/batcher.rs -E \
+    '0,/for \(\(key, wanted\), value\) in misses/ s/^( *)(for \(\(key, wanted\), value\) in misses)/\1core.admission.release(released);\n\1\2/' \
+    'RUSTFLAGS="--cfg dsr_model" cargo test -q -p dsr-service batcher::' \
+    'model_release_happens_after_publish' \
+    'admission freed before result was published'
+
+# `QueryCache::insert_if_live` refuses a result whose namespace was retired
+# while it was computed: storing it in a fresh map instead must fail the
+# model build of `cache::` naming the insert-versus-retire test.
+row "Stale insert" crates/dsr-service/src/cache.rs -E \
+    's/None => return InsertOutcome::Stale,/None => {\n                namespaces.maps.push((namespace, PrehashedMap::default()));\n                namespaces.maps.len() - 1\n            }/' \
+    'RUSTFLAGS="--cfg dsr_model" cargo test -q -p dsr-service cache::' \
+    'model_insert_racing_retire_never_leaves_stale_entry' \
+    'stale'

@@ -33,20 +33,28 @@ pub struct FanBaseline {
     partitioning: Partitioning,
     cut: Cut,
     locals: Vec<InducedSubgraph>,
+    /// One multi-source BFS per local subgraph, built once.
+    searchers: Vec<MsBfsReachability>,
 }
 
 impl FanBaseline {
-    /// Prepares the evaluator (cut extraction + local subgraphs).
+    /// Prepares the evaluator (cut extraction, local subgraphs and their
+    /// searchers).
     pub fn new(graph: &DiGraph, partitioning: Partitioning) -> Self {
         let cut = Cut::extract(graph, &partitioning);
         let members = partitioning.members();
         let locals: Vec<InducedSubgraph> = run_on_slaves(partitioning.num_partitions, |i| {
             InducedSubgraph::induced(graph, &members[i])
         });
+        let searchers = locals
+            .iter()
+            .map(|local| MsBfsReachability::new(Arc::new(local.graph().clone())))
+            .collect();
         FanBaseline {
             partitioning,
             cut,
             locals,
+            searchers,
         }
     }
 
@@ -185,8 +193,7 @@ impl FanBaseline {
             .iter()
             .map(|&g| local.mapping.local(g).expect("vertex is local"))
             .collect();
-        let reach = MsBfsReachability::new(Arc::new(local.graph().clone()));
-        reach
+        self.searchers[i as usize]
             .set_reachability(&from_local, &to_local)
             .into_iter()
             .map(|(u, v)| (local.mapping.global(u), local.mapping.global(v)))

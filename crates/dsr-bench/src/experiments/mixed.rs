@@ -17,7 +17,7 @@
 //!   batch: the two runs must be identical (pinned readers never observe
 //!   a mid-batch state), and the replay's path queries hit the pinned
 //!   generation's still-live cache namespace;
-//! * **community-pairs** — [`CommunityWorkload`] (Louvain + pairwise
+//! * **community-pairs** — [`community_pairs`] (Louvain + pairwise
 //!   community set-reach) over the same pinned snapshot, with the same
 //!   replay-equality check;
 //! * an **update stream** deleting/re-inserting edge chunks through
@@ -29,19 +29,22 @@
 //! every deterministic counter (oracle mismatches, comm rounds/messages/
 //! bytes, per-namespace cache hits, generations created/reclaimed, result
 //! checksums) is asserted identical across transports before a single
-//! `BENCH_mixed.json` text is rendered. The replay measures no time.
-//! [`run`] returns the rendered table and that text; in fast mode it must
+//! `BENCH_mixed.json` text is rendered. The tenants return what they
+//! computed; this driver counts and digests it (`TenantRun`). The replay
+//! measures no time. [`run`] returns the rendered table and that text; in fast mode it must
 //! equal the committed file, which this module's test compares whole.
 
 use dsr_sync::Arc;
 use std::collections::BTreeSet;
 
 use dsr_cluster::{DynTransport, Transport};
-use dsr_community::CommunityWorkload;
+use dsr_community::community_pairs;
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_graph::{DiGraph, TransitiveClosure, VertexId};
+use dsr_rdf::query::Binding;
+use dsr_rdf::store::TermId;
 use dsr_rdf::{lubm_like_store, RdfWorkload};
-use dsr_service::{checksum_pairs, QueryService, ServiceConfig, UpdateMode, WorkloadRun};
+use dsr_service::{QueryService, ServiceConfig, SnapshotRef, UpdateMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,7 +55,6 @@ use crate::Table;
 struct Scenario {
     graph: DiGraph,
     rdf: RdfWorkload,
-    community: CommunityWorkload,
     /// Edge chunks the update stream deletes and re-inserts.
     chunks: Vec<Vec<(VertexId, VertexId)>>,
     /// Per-round OLTP query batches.
@@ -71,8 +73,8 @@ struct Counters {
     oltp_checksum: u64,
     oracle_mismatches: u64,
     pinned_replay_mismatches: u64,
-    rdf_run: WorkloadRun,
-    community_run: WorkloadRun,
+    rdf_run: TenantRun,
+    community_run: TenantRun,
     comm_rounds: u64,
     comm_messages: u64,
     comm_bytes: u64,
@@ -84,6 +86,95 @@ struct Counters {
     /// Cache hits recorded in the half-rounds *after* each update batch —
     /// nonzero is the "no bump-and-clear cliff" evidence.
     hits_after_updates: u64,
+}
+
+/// How many of the largest communities the community tenant queries
+/// pairwise.
+const COMMUNITIES: usize = 3;
+
+/// What one tenant run over a pinned snapshot computed, counted and
+/// digested: two runs on the same generation must be equal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TenantRun {
+    /// Set-reachability queries the tenant issued through the snapshot.
+    queries: u64,
+    /// Result pairs (community tenant) or solution mappings (RDF tenant).
+    results: u64,
+    /// Order-insensitive digest of the results (see [`checksum_pairs`]).
+    checksum: u64,
+}
+
+impl TenantRun {
+    /// Every named query's solution mappings through `snap`, each digested
+    /// with its query's position.
+    fn rdf(rdf: &RdfWorkload, snap: &SnapshotRef<'_>) -> TenantRun {
+        let (solutions, path_queries) = rdf.run(snap).expect("transport stays up for the run");
+        let digests: Vec<(u64, u64)> = solutions
+            .iter()
+            .enumerate()
+            .flat_map(|(qi, bindings)| bindings.iter().map(move |b| (qi as u64, binding_digest(b))))
+            .collect();
+        TenantRun {
+            queries: path_queries,
+            results: digests.len() as u64,
+            checksum: checksum_pairs(digests),
+        }
+    }
+
+    /// Every answer pair of the pairwise community queries through `snap`.
+    /// Communities are disjoint, so result pairs never repeat across the
+    /// ordered community pairs: a multiset checksum is a set checksum here.
+    fn community(snap: &SnapshotRef<'_>) -> TenantRun {
+        let answered = community_pairs(snap, COMMUNITIES).expect("transport stays up for the run");
+        let pairs: Vec<(u64, u64)> = answered
+            .iter()
+            .flat_map(|(_, answer)| answer.iter().map(|&(a, b)| (u64::from(a), u64::from(b))))
+            .collect();
+        TenantRun {
+            queries: answered.len() as u64,
+            results: pairs.len() as u64,
+            checksum: checksum_pairs(pairs),
+        }
+    }
+
+    /// Adds one round's run: counts sum, checksums weigh by round.
+    fn fold(&mut self, run: TenantRun, round: usize) {
+        self.queries += run.queries;
+        self.results += run.results;
+        self.checksum = self
+            .checksum
+            .wrapping_add(run.checksum.wrapping_mul(round as u64 + 1));
+    }
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Order-insensitive checksum of result pairs: each pair hashes
+/// independently and the per-pair digests combine by wrapping addition, so
+/// results enumerated in any order give the same checksum.
+fn checksum_pairs(pairs: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    pairs.into_iter().fold(0, |sum, (a, b)| {
+        sum.wrapping_add(fnv1a(a.to_le_bytes().into_iter().chain(b.to_le_bytes())))
+    })
+}
+
+/// Order-independent digest of one solution mapping.
+fn binding_digest(binding: &Binding) -> u64 {
+    let mut entries: Vec<(&str, TermId)> = binding
+        .iter()
+        .map(|(var, &id)| (var.as_str(), id))
+        .collect();
+    entries.sort_unstable();
+    fnv1a(
+        entries
+            .into_iter()
+            .flat_map(|(var, id)| var.bytes().chain(id.to_le_bytes())),
+    )
 }
 
 fn scenario(fast: bool) -> Scenario {
@@ -140,7 +231,6 @@ fn scenario(fast: bool) -> Scenario {
     Scenario {
         graph,
         rdf,
-        community: CommunityWorkload::new(3),
         chunks,
         oltp,
         rounds,
@@ -175,16 +265,8 @@ fn replay(s: &Scenario, slaves: usize, transport: DynTransport) -> Counters {
         oltp_checksum: 0,
         oracle_mismatches: 0,
         pinned_replay_mismatches: 0,
-        rdf_run: WorkloadRun {
-            queries: 0,
-            results: 0,
-            checksum: 0,
-        },
-        community_run: WorkloadRun {
-            queries: 0,
-            results: 0,
-            checksum: 0,
-        },
+        rdf_run: TenantRun::default(),
+        community_run: TenantRun::default(),
         comm_rounds: 0,
         comm_messages: 0,
         comm_bytes: 0,
@@ -200,11 +282,8 @@ fn replay(s: &Scenario, slaves: usize, transport: DynTransport) -> Counters {
     for round in 0..s.rounds {
         // 1. Pin the analytical tenants' view for the whole round.
         let snap = service.snapshot();
-        let rdf_before = s.rdf.run(&snap).expect("transport stays up for the run");
-        let community_before = s
-            .community
-            .run(&snap)
-            .expect("transport stays up for the run");
+        let rdf_before = TenantRun::rdf(&s.rdf, &snap);
+        let community_before = TenantRun::community(&snap);
 
         // 2. OLTP batch against the latest generation, oracle-checked,
         //    then replayed once so the second pass exercises the cache.
@@ -255,11 +334,8 @@ fn replay(s: &Scenario, slaves: usize, transport: DynTransport) -> Counters {
         //    must be identical, and the replays land in the pinned
         //    generation's still-live cache namespace.
         let hits_before_replay = cache_hits(&service);
-        let rdf_after = s.rdf.run(&snap).expect("transport stays up for the run");
-        let community_after = s
-            .community
-            .run(&snap)
-            .expect("transport stays up for the run");
+        let rdf_after = TenantRun::rdf(&s.rdf, &snap);
+        let community_after = TenantRun::community(&snap);
         if rdf_after != rdf_before || community_after != community_before {
             counters.pinned_replay_mismatches += 1;
         }
@@ -282,18 +358,8 @@ fn replay(s: &Scenario, slaves: usize, transport: DynTransport) -> Counters {
 
         // 6. Fold the per-round workload runs into the totals and drop
         //    the pin — the superseded generation reclaims.
-        counters.rdf_run.queries += rdf_before.queries;
-        counters.rdf_run.results += rdf_before.results;
-        counters.rdf_run.checksum = counters
-            .rdf_run
-            .checksum
-            .wrapping_add(rdf_before.checksum.wrapping_mul(round as u64 + 1));
-        counters.community_run.queries += community_before.queries;
-        counters.community_run.results += community_before.results;
-        counters.community_run.checksum = counters
-            .community_run
-            .checksum
-            .wrapping_add(community_before.checksum.wrapping_mul(round as u64 + 1));
+        counters.rdf_run.fold(rdf_before, round);
+        counters.community_run.fold(community_before, round);
         drop(snap);
     }
 
@@ -483,6 +549,15 @@ fn render_json(fast: bool, s: &Scenario, slaves: usize, runs: &[(&str, Counters)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checksum_is_order_insensitive() {
+        let forward = checksum_pairs([(0, 5), (1, 4), (2, 3)]);
+        let shuffled = checksum_pairs([(2, 3), (0, 5), (1, 4)]);
+        assert_eq!(forward, shuffled);
+        assert_ne!(forward, checksum_pairs([(0, 5), (1, 4)]));
+        assert_ne!(checksum_pairs([(0, 1)]), checksum_pairs([(1, 0)]));
+    }
 
     #[test]
     fn fast_run_produces_table_and_json() {

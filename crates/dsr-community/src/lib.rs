@@ -7,9 +7,9 @@
 //! maximizes modularity, followed by graph aggregation, repeated until the
 //! modularity gain vanishes.
 //!
-//! The [`workload`] module packages the full experiment — Louvain over a
+//! The [`workload`] module runs the full experiment — Louvain over a
 //! pinned service snapshot plus all-pairs set-reachability between the
-//! largest communities — as one workload ([`CommunityWorkload`]).
+//! largest communities — as one function, [`community_pairs`].
 
 #![forbid(unsafe_code)]
 
@@ -17,4 +17,4 @@ pub mod louvain;
 pub mod workload;
 
 pub use louvain::{louvain, modularity, CommunityAssignment};
-pub use workload::CommunityWorkload;
+pub use workload::community_pairs;

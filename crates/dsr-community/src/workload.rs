@@ -1,9 +1,10 @@
-//! The Table 7 community experiment as a pluggable service workload.
+//! The Table 7 community experiment as a plain function over a pinned
+//! snapshot.
 //!
 //! The paper's Section 4.5.B application detects communities with Louvain
 //! and then runs DSR queries *between the members of two communities*.
-//! [`CommunityWorkload`] packages exactly that as a workload whose
-//! [`run`](CommunityWorkload::run) reads one pinned [`SnapshotRef`]:
+//! [`community_pairs`] does exactly that, reading one pinned
+//! [`SnapshotRef`]:
 //!
 //! 1. reconstruct the graph from the snapshot's immutable index (never
 //!    the service's moving latest generation),
@@ -14,82 +15,53 @@
 //!    [`SnapshotRef::query_batch`] — all pairs fuse into shared protocol
 //!    rounds and fill the pinned generation's cache namespace.
 //!
-//! Because every step reads the pinned generation, the reported
-//! [`WorkloadRun`] is reproducible across concurrent update batches and
-//! byte-identical across transports.
+//! Because every step reads the pinned generation, a re-run on the same
+//! snapshot returns the same queries and answers across concurrent update
+//! batches, on every transport.
 
 use dsr_core::SetQuery;
 use dsr_graph::VertexId;
-use dsr_service::{checksum_pairs, ServiceError, SnapshotRef, WorkloadRun};
+use dsr_service::{CachedPairs, ServiceError, SnapshotRef};
 
 use crate::louvain::louvain;
-
-/// Louvain community detection plus all-pairs community set-reachability
-/// over one pinned snapshot.
-#[derive(Debug, Clone)]
-pub struct CommunityWorkload {
-    /// How many of the largest communities to query pairwise.
-    top: usize,
-}
 
 /// Modularity-gain cutoff passed to [`louvain`].
 const MIN_GAIN: f64 = 1e-6;
 
-impl CommunityWorkload {
-    /// A workload querying the `top` largest detected communities
-    /// pairwise.
-    pub fn new(top: usize) -> Self {
-        CommunityWorkload { top }
-    }
+/// Detects communities in `snapshot`'s graph and queries the `top` largest
+/// pairwise, reading `snapshot` alone. Returns every ordered community
+/// pair's query (sources the first community's members, targets the
+/// second's, largest communities first) with its answer.
+///
+/// # Errors
+/// [`ServiceError`] when a fused execution fails on the service transport.
+pub fn community_pairs(
+    snapshot: &SnapshotRef<'_>,
+    top: usize,
+) -> Result<Vec<(SetQuery, CachedPairs)>, ServiceError> {
+    let graph = snapshot.index().reconstruct_graph();
+    let assignment = louvain(&graph, MIN_GAIN);
+    let members: Vec<Vec<VertexId>> = assignment
+        .by_size()
+        .into_iter()
+        .take(top)
+        .map(|c| assignment.members(c))
+        .filter(|m| !m.is_empty())
+        .collect();
 
-    /// Detects communities in `snapshot`'s graph and queries the `top`
-    /// largest pairwise, reading `snapshot` alone.
-    ///
-    /// # Errors
-    /// [`ServiceError`] when a fused execution fails on the service
-    /// transport.
-    pub fn run(&self, snapshot: &SnapshotRef<'_>) -> Result<WorkloadRun, ServiceError> {
-        let graph = snapshot.index().reconstruct_graph();
-        let assignment = louvain(&graph, MIN_GAIN);
-        let members: Vec<Vec<VertexId>> = assignment
-            .by_size()
-            .into_iter()
-            .take(self.top)
-            .map(|c| assignment.members(c))
-            .filter(|m| !m.is_empty())
-            .collect();
-
-        let mut queries = Vec::new();
-        for (i, sources) in members.iter().enumerate() {
-            for (j, targets) in members.iter().enumerate() {
-                if i != j {
-                    queries.push(SetQuery::new(sources.clone(), targets.clone()));
-                }
+    let mut queries = Vec::new();
+    for (i, sources) in members.iter().enumerate() {
+        for (j, targets) in members.iter().enumerate() {
+            if i != j {
+                queries.push(SetQuery::new(sources.clone(), targets.clone()));
             }
         }
-        if queries.is_empty() {
-            return Ok(WorkloadRun {
-                queries: 0,
-                results: 0,
-                checksum: 0,
-            });
-        }
-
-        let reply = snapshot.query_batch(&queries)?;
-        // Communities are disjoint, so result pairs never repeat across
-        // the ordered community pairs: a plain multiset checksum is a set
-        // checksum here.
-        let pairs: Vec<(u64, u64)> = reply
-            .results
-            .iter()
-            .flat_map(|r| r.iter().map(|&(a, b)| (u64::from(a), u64::from(b))))
-            .collect();
-        Ok(WorkloadRun {
-            queries: queries.len() as u64,
-            results: pairs.len() as u64,
-            checksum: checksum_pairs(pairs),
-        })
     }
+    if queries.is_empty() {
+        return Ok(Vec::new());
+    }
+    let reply = snapshot.query_batch(&queries)?;
+    Ok(queries.into_iter().zip(reply.results).collect())
 }
 
 #[cfg(test)]
@@ -112,21 +84,22 @@ mod tests {
     #[test]
     fn community_pairs_run_through_the_snapshot() {
         let service = social_service();
-        let workload = CommunityWorkload::new(3);
         let snap = service.snapshot();
-        let run = workload.run(&snap).expect("in-process transport");
+        let pairs = community_pairs(&snap, 3).expect("in-process transport");
         // 3 communities pairwise: 6 ordered pairs, each one fused query.
-        assert_eq!(run.queries, 6);
-        assert!(run.results > 0, "planted communities interconnect");
+        assert_eq!(pairs.len(), 6);
+        assert!(
+            pairs.iter().any(|(_, answer)| !answer.is_empty()),
+            "planted communities interconnect"
+        );
         assert!(snap.generation() == 0);
     }
 
     #[test]
     fn pinned_run_is_reproducible_across_updates() {
         let service = social_service();
-        let workload = CommunityWorkload::new(3);
         let snap = service.snapshot();
-        let before = workload.run(&snap).expect("in-process transport");
+        let before = community_pairs(&snap, 3).expect("in-process transport");
 
         // Rip out a vertex's out-edges behind the pinned reader's back.
         let victim: Vec<UpdateOp> = snap
@@ -142,14 +115,14 @@ mod tests {
             .update(&victim, UpdateMode::Auto)
             .expect("auto forks around the pin");
 
-        let after = workload.run(&snap).expect("in-process transport");
+        let after = community_pairs(&snap, 3).expect("in-process transport");
         assert_eq!(before, after, "pinned workload is immune to updates");
 
         drop(snap);
         let fresh = service.snapshot();
-        let rerun = workload.run(&fresh).expect("in-process transport");
+        let rerun = community_pairs(&fresh, 3).expect("in-process transport");
         assert_ne!(
-            before.checksum, rerun.checksum,
+            before, rerun,
             "deleting edges changes the community structure or reach"
         );
     }

@@ -116,50 +116,75 @@ pub struct UpdateOutcome {
     pub stats: UpdateStats,
 }
 
+/// A batch's net changes to one edge set (a local subgraph or the cut),
+/// staged against its base: `added` holds only edges the base lacks,
+/// `removed` only edges the base holds. Every call says whether the base
+/// holds the edge.
+#[derive(Default)]
+struct StagedEdges {
+    added: BTreeSet<(VertexId, VertexId)>,
+    removed: BTreeSet<(VertexId, VertexId)>,
+}
+
+impl StagedEdges {
+    /// Whether the edge is present in the staged set.
+    fn present(&self, in_base: bool, edge: (VertexId, VertexId)) -> bool {
+        if in_base {
+            !self.removed.contains(&edge)
+        } else {
+            self.added.contains(&edge)
+        }
+    }
+
+    /// Stages an insert of an edge absent from the staged set.
+    fn insert(&mut self, in_base: bool, edge: (VertexId, VertexId)) {
+        if in_base {
+            self.removed.remove(&edge);
+        } else {
+            self.added.insert(edge);
+        }
+    }
+
+    /// Stages a delete of an edge present in the staged set.
+    fn delete(&mut self, in_base: bool, edge: (VertexId, VertexId)) {
+        if in_base {
+            self.removed.insert(edge);
+        } else {
+            self.added.remove(&edge);
+        }
+    }
+
+    /// Whether the batch changed nothing (net).
+    fn is_empty(&self) -> bool {
+        self.added.is_empty() && self.removed.is_empty()
+    }
+}
+
 /// Staged view of one partition's local subgraph during classification:
 /// the base graph plus the batch's earlier (net) additions and removals.
 #[derive(Default)]
 struct StagedLocal {
-    added: BTreeSet<(VertexId, VertexId)>,
-    removed: BTreeSet<(VertexId, VertexId)>,
+    edges: StagedEdges,
     /// Components of the base condensation that lost an inner edge to
-    /// `removed`: their vertices may no longer all reach each other.
+    /// `edges.removed`: their vertices may no longer all reach each other.
     broken_components: Vec<u32>,
 }
 
 impl StagedLocal {
-    /// Whether the edge is present in the staged graph.
-    fn present(&self, local: &InducedSubgraph, u: VertexId, v: VertexId) -> bool {
-        if self.added.contains(&(u, v)) {
-            return true;
-        }
-        local.graph().has_edge(u, v) && !self.removed.contains(&(u, v))
-    }
-
-    fn add(&mut self, local: &InducedSubgraph, u: VertexId, v: VertexId) {
-        if self.removed.remove(&(u, v)) {
-            return; // the base graph already holds it
-        }
-        debug_assert!(
-            !local.graph().has_edge(u, v),
-            "add is only called for edges absent from the staged graph"
-        );
-        self.added.insert((u, v));
-    }
-
-    fn remove(&mut self, local: &InducedSubgraph, u: VertexId, v: VertexId) {
-        if self.added.remove(&(u, v)) {
+    /// Stages a delete of an edge present in the staged graph.
+    fn delete(&mut self, local: &InducedSubgraph, in_base: bool, u: VertexId, v: VertexId) {
+        self.edges.delete(in_base, (u, v));
+        if !in_base {
             return; // the base graph never held it
         }
-        self.removed.insert((u, v));
         let component = local.component_of(u);
         if component == local.component_of(v) && !self.broken_components.contains(&component) {
             self.broken_components.push(component);
         }
     }
 
-    /// Whether `from` reaches `to` in the staged graph (base minus `removed`
-    /// plus `added`).
+    /// Whether `from` reaches `to` in the staged graph (base minus
+    /// `edges.removed` plus `edges.added`).
     ///
     /// Two vertices of one base component reach each other along edges
     /// inside it, so as long as none of those is staged for removal the
@@ -178,8 +203,8 @@ impl StagedLocal {
         queue.push_back(from);
         while let Some(x) = queue.pop_front() {
             let kept = graph.out_neighbors(x).iter().copied();
-            let kept = kept.filter(|&y| !self.removed.contains(&(x, y)));
-            let extra = self.added.range((x, 0)..=(x, VertexId::MAX));
+            let kept = kept.filter(|&y| !self.edges.removed.contains(&(x, y)));
+            let extra = self.edges.added.range((x, 0)..=(x, VertexId::MAX));
             for y in kept.chain(extra.map(|&(_, y)| y)) {
                 if y == to {
                     return true;
@@ -237,8 +262,7 @@ impl DsrIndex {
         // ---- Stage 1: classify ops in order against the staged state, so
         // one batch and the equivalent op-at-a-time sequence agree exactly.
         let mut staged: Vec<StagedLocal> = (0..k).map(|_| StagedLocal::default()).collect();
-        let mut added_cut: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
-        let mut removed_cut: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
+        let mut staged_cut = StagedEdges::default();
         let mut reach_changed = vec![false; k];
         let mut cut_touched = vec![false; k];
 
@@ -252,21 +276,22 @@ impl DsrIndex {
                 let lu = local.mapping.local(u).expect("endpoint is local");
                 let lv = local.mapping.local(v).expect("endpoint is local");
                 let st = &mut staged[p];
+                let in_base = local.graph().has_edge(lu, lv);
                 match op {
                     UpdateOp::Insert(..) => {
-                        if st.present(local, lu, lv) {
+                        if st.edges.present(in_base, (lu, lv)) {
                             continue; // duplicate: full no-op
                         }
                         // `u ⇝ v` already: the new edge adds no pairs.
                         let preserving = st.reaches(local, lu, lv);
-                        st.add(local, lu, lv);
+                        st.edges.insert(in_base, (lu, lv));
                         reach_changed[p] |= !preserving;
                     }
                     UpdateOp::Delete(..) => {
-                        if !st.present(local, lu, lv) {
+                        if !st.edges.present(in_base, (lu, lv)) {
                             continue; // absent: full no-op
                         }
-                        st.remove(local, lu, lv);
+                        st.delete(local, in_base, lu, lv);
                         // `u ⇝ v` still holds: every path through the
                         // deleted edge reroutes, no pair is lost.
                         let preserving = st.reaches(local, lu, lv);
@@ -275,28 +300,19 @@ impl DsrIndex {
                 }
             } else {
                 let in_base = self.cut.edges.binary_search(&(u, v)).is_ok();
-                let present =
-                    (in_base && !removed_cut.contains(&(u, v))) || added_cut.contains(&(u, v));
+                let present = staged_cut.present(in_base, (u, v));
                 match op {
                     UpdateOp::Insert(..) => {
                         if present {
                             continue; // duplicate cut edge: full no-op
                         }
-                        if in_base {
-                            removed_cut.remove(&(u, v));
-                        } else {
-                            added_cut.insert((u, v));
-                        }
+                        staged_cut.insert(in_base, (u, v));
                     }
                     UpdateOp::Delete(..) => {
                         if !present {
                             continue; // absent cut edge: full no-op
                         }
-                        if added_cut.contains(&(u, v)) {
-                            added_cut.remove(&(u, v));
-                        } else {
-                            removed_cut.insert((u, v));
-                        }
+                        staged_cut.delete(in_base, (u, v));
                     }
                 }
                 cut_touched[pu as usize] = true;
@@ -306,21 +322,21 @@ impl DsrIndex {
 
         // ---- Stage 2: apply the staged changes to locals and cut.
         let mut local_changed = vec![false; k];
-        for (p, StagedLocal { added, removed, .. }) in staged.iter().enumerate() {
-            if !added.is_empty() || !removed.is_empty() {
+        for (p, StagedLocal { edges, .. }) in staged.iter().enumerate() {
+            if !edges.is_empty() {
                 local_changed[p] = true;
-                self.locals[p].apply_edge_changes(added, removed);
+                self.locals[p].apply_edge_changes(&edges.added, &edges.removed);
             }
         }
 
         let mut boundary_changed = vec![false; k];
-        if !added_cut.is_empty() || !removed_cut.is_empty() {
-            for &(u, v) in &removed_cut {
+        if !staged_cut.is_empty() {
+            for &(u, v) in &staged_cut.removed {
                 if let Ok(pos) = self.cut.edges.binary_search(&(u, v)) {
                     self.cut.edges.remove(pos);
                 }
             }
-            for &(u, v) in &added_cut {
+            for &(u, v) in &staged_cut.added {
                 if let Err(pos) = self.cut.edges.binary_search(&(u, v)) {
                     self.cut.edges.insert(pos, (u, v));
                 }
@@ -390,8 +406,8 @@ impl DsrIndex {
                         .copied()
                         .collect::<Vec<_>>()
                 };
-                let owned_added = owned(&added_cut);
-                let owned_removed = owned(&removed_cut);
+                let owned_added = owned(&staged_cut.added);
+                let owned_removed = owned(&staged_cut.removed);
                 let new = &self.summaries[p as usize];
                 let old = old_summaries[p as usize].as_ref().unwrap_or(new);
                 let delta = SummaryDelta::diff(old, new, owned_added, owned_removed);

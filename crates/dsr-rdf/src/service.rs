@@ -23,9 +23,10 @@
 //!   filling the pinned generation's cache namespace, and never observing
 //!   an update applied after the snapshot was pinned.
 //! * [`RdfWorkload`] packages a store plus a set of named benchmark
-//!   queries (`L1`–`L3` / `F1`–`F3`) as an analytical workload: one
+//!   queries (`L1`–`L3` / `F1`–`F3`) as an analytical tenant: one
 //!   [`run`](RdfWorkload::run) evaluates every query against one pinned
-//!   snapshot and reports a checksummed, reproducible [`WorkloadRun`].
+//!   snapshot and returns the solution mappings, the same on every re-run
+//!   over that snapshot.
 //!
 //! [`QueryService`]: dsr_service::QueryService
 
@@ -37,7 +38,7 @@ use dsr_core::{DsrIndex, SetQuery};
 use dsr_graph::{DiGraph, VertexId};
 use dsr_partition::{HashPartitioner, Partitioner, Partitioning};
 use dsr_reach::LocalIndexKind;
-use dsr_service::{checksum_pairs, CachedPairs, ServiceError, SnapshotRef, WorkloadRun};
+use dsr_service::{CachedPairs, ServiceError, SnapshotRef};
 
 use crate::datasets::{named_query, path_predicates};
 use crate::path::{reflexive_pairs, PathResolver};
@@ -232,9 +233,8 @@ impl PathResolver for ServicePathResolver<'_, '_> {
 ///
 /// Wraps a [`TripleStore`] plus a list of named benchmark queries; each
 /// [`run`](RdfWorkload::run) evaluates every query with a
-/// [`ServicePathResolver`] over the given pinned snapshot and reports the
-/// solution count plus an order-insensitive checksum of all solution
-/// mappings. Install [`RdfWorkload::build_index`] into the service first —
+/// [`ServicePathResolver`] over the given pinned snapshot and returns the
+/// solution mappings. Install [`RdfWorkload::build_index`] into the service first —
 /// the snapshot must serve this workload's [`UnionPathGraph`].
 pub struct RdfWorkload {
     store: TripleStore,
@@ -272,42 +272,25 @@ impl RdfWorkload {
     }
 }
 
-/// Order-independent digest of one solution mapping.
-fn binding_digest(binding: &Binding) -> u64 {
-    let mut entries: Vec<(&str, TermId)> = binding
-        .iter()
-        .map(|(var, &id)| (var.as_str(), id))
-        .collect();
-    entries.sort_unstable();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for (var, id) in entries {
-        for byte in var.bytes().chain(id.to_le_bytes()) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
 impl RdfWorkload {
-    /// Runs every query against `snapshot`, and through it alone.
+    /// Runs every query against `snapshot`, and through it alone. Returns
+    /// each query's solution mappings, in query order, and the number of
+    /// set-reachability queries the path resolutions issued.
     ///
     /// # Errors
     /// [`ServiceError`] when a fused execution fails on the service
     /// transport.
-    pub fn run(&self, snapshot: &SnapshotRef<'_>) -> Result<WorkloadRun, ServiceError> {
+    pub fn run(
+        &self,
+        snapshot: &SnapshotRef<'_>,
+    ) -> Result<(Vec<Vec<Binding>>, u64), ServiceError> {
         let resolver = ServicePathResolver::new(snapshot, &self.map);
-        let mut digests: Vec<(u64, u64)> = Vec::new();
-        for (qi, query) in self.queries.iter().enumerate() {
-            let bindings = evaluate(&self.store, query, &resolver);
+        let mut solutions = Vec::with_capacity(self.queries.len());
+        for query in &self.queries {
+            solutions.push(evaluate(&self.store, query, &resolver));
             resolver.take_error()?;
-            digests.extend(bindings.iter().map(|b| (qi as u64, binding_digest(b))));
         }
-        Ok(WorkloadRun {
-            queries: resolver.queries_issued(),
-            results: digests.len() as u64,
-            checksum: checksum_pairs(digests),
-        })
+        Ok((solutions, resolver.queries_issued()))
     }
 }
 
@@ -385,8 +368,11 @@ mod tests {
 
         let snap = service.snapshot();
         let first = workload.run(&snap).expect("in-process transport");
-        assert!(first.results > 0, "benchmark queries have solutions");
-        assert!(first.queries > 0, "paths resolved through the snapshot");
+        let solutions = |(bindings, _): &(Vec<Vec<Binding>>, u64)| -> usize {
+            bindings.iter().map(Vec::len).sum()
+        };
+        assert!(solutions(&first) > 0, "benchmark queries have solutions");
+        assert!(first.1 > 0, "paths resolved through the snapshot");
 
         // Sever one subOrganizationOf edge behind the pinned reader's back.
         let g = workload.union_graph().graph();
@@ -406,7 +392,7 @@ mod tests {
         let fresh = service.snapshot();
         let after = workload.run(&fresh).expect("in-process transport");
         assert!(
-            after.results <= first.results,
+            solutions(&after) <= solutions(&first),
             "severing an organization edge cannot add solutions"
         );
     }

@@ -488,17 +488,6 @@ fn execute_group(core: &Core, group: GenGroup) {
             core.comm.add(rounds, messages, bytes);
             core.batch.record_execution(misses.len() as u64, rounds);
             let values: Vec<CachedPairs> = results.into_iter().map(Arc::new).collect();
-            // Seeded mutation (model builds only): releasing admission
-            // *before* the results are published to the cache lets a client
-            // unblocked by the freed capacity probe the cache and miss a
-            // result that was already computed — the model suite must catch
-            // this (`model_mutation_batcher_release_before_publish_detected`).
-            let premature_release = dsr_sync::model::mutation_enabled(
-                dsr_sync::model::MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH,
-            );
-            if premature_release {
-                core.admission.release(released);
-            }
             for ((key, wanted), value) in misses.into_iter().zip(cache_wanted).zip(&values) {
                 if !wanted {
                     continue;
@@ -511,10 +500,9 @@ fn execute_group(core: &Core, group: GenGroup) {
             // Free admission before waking anyone so an unblocked client
             // immediately finds room for its next query — but only *after*
             // the cache fill above, so a client admitted by the freed
-            // capacity always finds the published results.
-            if !premature_release {
-                core.admission.release(released);
-            }
+            // capacity always finds the published results
+            // (`model_release_happens_after_publish`).
+            core.admission.release(released);
             // Shed every generation pin this run holds before the fan-out:
             // a woken client must never see them.
             let fanout: Vec<(Arc<Waiter>, usize, usize)> = executing
@@ -559,7 +547,7 @@ mod model_tests {
     use dsr_partition::Partitioning;
     use dsr_reach::LocalIndexKind;
     use dsr_sync::atomic::{AtomicUsize, Ordering};
-    use dsr_sync::model::{self, Model};
+    use dsr_sync::model::Model;
 
     /// A one-partition chain `0 -> 1 -> 2`: `SlavePool::run(1, ..)` takes
     /// the inline fast path, so no process-global (unscheduled) pool
@@ -619,13 +607,10 @@ mod model_tests {
         }
     }
 
-    /// Protocol invariant behind the seeded
-    /// [`MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH`] bug: a client admitted
-    /// by the capacity an execution released must find that execution's
-    /// results already published to the cache.
-    ///
-    /// [`MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH`]:
-    /// model::MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH
+    /// A client admitted by the capacity an execution released must find
+    /// that execution's results already published to the cache. Releasing
+    /// before the cache fill fails this in some interleaving (the
+    /// "Publish before release" row of `ci/mutation_checks.sh`).
     fn release_happens_after_publish() {
         let core = single_partition_core(1);
         let key = SigKey::new(&[0], &[2]);
@@ -657,26 +642,6 @@ mod model_tests {
         Model::new()
             .check(release_happens_after_publish)
             .expect("publish-before-release must hold in every schedule");
-    }
-
-    /// Seeded mutation: releasing admission before the cache fill lets the
-    /// unblocked client miss the published result in some interleaving —
-    /// the checker must find it.
-    #[test]
-    fn model_mutation_batcher_release_before_publish_detected() {
-        if !model::is_model_build() {
-            return;
-        }
-        let failure = Model::new()
-            .mutation(model::MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH)
-            .check(release_happens_after_publish)
-            .expect_err("premature release must be observable in some schedule");
-        assert!(
-            failure
-                .message
-                .contains("admission freed before result was published"),
-            "{failure}"
-        );
     }
 
     /// A signature answered by a concurrent execution while queued is

@@ -14,10 +14,11 @@
 //! costs a comparison, never a wrong answer.
 //!
 //! Every entry lives in the **namespace** of the index generation it was
-//! computed against (see [`GenerationChain`](crate::GenerationChain)). The
-//! same signature cached under generations 3 and 4 is two independent
-//! entries: pinned readers of generation 3 keep hitting their namespace
-//! while fresh traffic fills generation 4's. When a generation is
+//! computed against (see
+//! [`GenerationChain`](crate::snapshot::GenerationChain)). The same
+//! signature cached under generations 3 and 4 is two independent entries:
+//! pinned readers of generation 3 keep hitting their namespace while fresh
+//! traffic fills generation 4's. When a generation is
 //! reclaimed its namespace is [retired](QueryCache::retire) — its entries
 //! go and late inserts are refused — so an update batch never clears the
 //! whole cache; it only retires the namespaces that actually died.
@@ -44,7 +45,7 @@ pub type CachedPairs = Arc<Vec<(VertexId, VertexId)>>;
 /// still compares the full signature, so hash collisions are correct (they
 /// merely share a hash bucket).
 #[derive(Debug, Clone)]
-pub struct SigKey {
+pub(crate) struct SigKey {
     hash: u64,
     sources: Vec<VertexId>,
     targets: Vec<VertexId>,
@@ -98,16 +99,6 @@ impl SigKey {
     /// Builds the key from a query.
     pub fn from_query(query: &SetQuery) -> Self {
         Self::new(&query.sources, &query.targets)
-    }
-
-    /// Normalized source set.
-    pub fn sources(&self) -> &[VertexId] {
-        &self.sources
-    }
-
-    /// Normalized target set.
-    pub fn targets(&self) -> &[VertexId] {
-        &self.targets
     }
 
     /// Rebuilds a [`SetQuery`] over the normalized sets (what the fused
@@ -164,7 +155,7 @@ struct CacheEntry {
 
 /// Outcome of a liveness-checked insert into the [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertOutcome {
+pub(crate) enum InsertOutcome {
     /// The entry was stored; `evicted` reports whether it displaced an LRU
     /// entry.
     Inserted {
@@ -229,7 +220,7 @@ impl Namespaces {
 /// `O(capacity)` but only runs on the miss path of a full cache — cheaper
 /// than maintaining an intrusive list, and obviously correct under the one
 /// mutex.
-pub struct QueryCache {
+pub(crate) struct QueryCache {
     namespaces: Mutex<Namespaces>,
     capacity: usize,
 }
@@ -247,7 +238,7 @@ impl std::fmt::Debug for QueryCache {
 impl QueryCache {
     /// Creates a cache holding at most `capacity` entries (at least one).
     /// Namespace `0` — the generation every
-    /// [`GenerationChain`](crate::GenerationChain) starts from — is
+    /// [`GenerationChain`](crate::snapshot::GenerationChain) starts from — is
     /// pre-opened.
     pub fn new(capacity: usize) -> Self {
         QueryCache {
@@ -260,19 +251,9 @@ impl QueryCache {
         }
     }
 
-    /// Maximum number of entries, across all namespaces.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of entries, across all namespaces.
     pub fn len(&self) -> usize {
         dsr_sync::lock(&self.namespaces).len
-    }
-
-    /// Whether no namespace holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Namespaces currently accepting inserts, in open order.
@@ -316,20 +297,9 @@ impl QueryCache {
         let last_used = namespaces.tick;
         let at = match namespaces.position(namespace) {
             Some(at) => at,
-            // Retired: nothing may be stored. The `mutation_enabled` guard
-            // seeds the bug the model suite must catch
-            // (`model_mutation_cache_generation_detected`) — storing the
-            // orphan anyway — and is a const `false` in normal builds.
-            None if !dsr_sync::model::mutation_enabled(
-                dsr_sync::model::MUTATION_CACHE_SKIP_GENERATION_RECHECK,
-            ) =>
-            {
-                return InsertOutcome::Stale
-            }
-            None => {
-                namespaces.maps.push((namespace, PrehashedMap::default()));
-                namespaces.maps.len() - 1
-            }
+            // Retired: nothing may be stored
+            // (`model_insert_racing_retire_never_leaves_stale_entry`).
+            None => return InsertOutcome::Stale,
         };
         if let Some(entry) = namespaces.maps[at].1.get_mut(&key) {
             *entry = CacheEntry { value, last_used };
@@ -396,8 +366,8 @@ mod tests {
         let b = key(&[1, 3], &[2, 5, 5]);
         assert_eq!(a, b, "normalized signatures unify");
         assert_eq!(a.hash, b.hash);
-        assert_eq!(a.sources(), &[1, 3]);
-        assert_eq!(a.targets(), &[2, 5]);
+        assert_eq!(a.sources, [1, 3]);
+        assert_eq!(a.targets, [2, 5]);
         assert_ne!(a, key(&[1, 3], &[2, 6]));
     }
 
@@ -431,7 +401,7 @@ mod tests {
                 SigKey::from_query(&query),
                 key(&query.sources, &query.targets),
             ] {
-                assert_eq!((built.sources(), built.targets()), (&*sources, &*targets));
+                assert_eq!((&*built.sources, &*built.targets), (&*sources, &*targets));
                 assert_eq!(built, from_signature, "{query:?}");
                 assert_eq!(built.hash, from_signature.hash, "{query:?}");
             }
@@ -558,7 +528,7 @@ mod tests {
         assert!(cache.get(1, &key(&[1], &[1])).is_none());
         assert!(cache.get(0, &key(&[2], &[2])).is_some());
         assert_eq!((namespace_len(&cache, 0), namespace_len(&cache, 1)), (1, 2));
-        assert_eq!(cache.len(), cache.capacity());
+        assert_eq!(cache.len(), cache.capacity);
     }
 
     #[test]
@@ -576,7 +546,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let cache = QueryCache::new(0);
-        assert_eq!(cache.capacity(), 1);
+        assert_eq!(cache.capacity, 1);
     }
 
     #[test]
@@ -616,7 +586,7 @@ mod tests {
     /// preemption bound; in normal builds they run a single execution.
     mod model_protocol {
         use super::*;
-        use dsr_sync::model::{self, Model};
+        use dsr_sync::model::Model;
 
         /// An insert computed against a generation racing that
         /// generation's retirement must never leave an orphaned entry
@@ -641,7 +611,7 @@ mod tests {
                 cache.get(0, &key(&[1], &[2])).is_none(),
                 "stale entry survived retirement"
             );
-            assert!(cache.is_empty());
+            assert_eq!(cache.len(), 0);
         }
 
         #[test]
@@ -649,21 +619,6 @@ mod tests {
             Model::new()
                 .check(stale_insert_never_survives)
                 .expect("liveness recheck must hold in every schedule");
-        }
-
-        /// Seeded mutation: storing into a namespace whose map is gone
-        /// lets an insert land *after* the retirement — the checker must
-        /// find that interleaving.
-        #[test]
-        fn model_mutation_cache_generation_detected() {
-            if !model::is_model_build() {
-                return;
-            }
-            let failure = Model::new()
-                .mutation(model::MUTATION_CACHE_SKIP_GENERATION_RECHECK)
-                .check(stale_insert_never_survives)
-                .expect_err("skipping the recheck must leak a stale entry");
-            assert!(failure.message.contains("stale"), "{failure}");
         }
     }
 

@@ -8,16 +8,16 @@
 //! into a serving substrate that keeps that multiplier **across clients**
 //! — and keeps long analytical readers consistent **across updates**:
 //!
-//! * [`QueryService`] serves the latest generation of a
-//!   [`GenerationChain`] (the [`snapshot`] module): every
-//!   [`install_index`](QueryService::install_index) and every changing
-//!   [`update`](QueryService::update) batch produces a numbered immutable
-//!   [`Generation`]. [`QueryService::snapshot`] pins the latest into a
-//!   [`SnapshotRef`] — a consistent view (index + cache namespace) that
-//!   survives concurrent updates until it drops; reclamation is
-//!   refcount-exact and surfaced by [`GenerationStats`].
-//! * Cache misses from all clients flow through a **batch former** (the
-//!   [`batcher`] module): a dedicated scheduler thread fuses them —
+//! * [`QueryService`] serves the latest generation of a chain of
+//!   generations: every [`install_index`](QueryService::install_index)
+//!   and every changing [`update`](QueryService::update) batch produces a
+//!   numbered immutable generation ([`GenerationId`]).
+//!   [`QueryService::snapshot`] pins the latest into a [`SnapshotRef`] — a
+//!   consistent view (index + cache namespace) that survives concurrent
+//!   updates until it drops; reclamation is refcount-exact and surfaced by
+//!   [`GenerationStats`].
+//! * Cache misses from all clients flow through a **batch former**: a
+//!   dedicated scheduler thread fuses them —
 //!   bounded by the [`ServiceConfig::max_wait_us`] window and the
 //!   [`ServiceConfig::max_batch`] cap — into shared
 //!   scatter/exchange/gather runs via
@@ -26,9 +26,9 @@
 //!   process-wide persistent [`SlavePool`](dsr_cluster::SlavePool). A run
 //!   that panics fails its queries with [`ServiceError::Panicked`] and the
 //!   scheduler keeps serving.
-//! * A bounded LRU cache ([`QueryCache`]) keyed on normalized
-//!   `(sources, targets)` signatures — hashed once into a [`SigKey`] —
-//!   short-circuits repeated queries without touching the scheduler. The
+//! * A bounded LRU cache keyed on normalized `(sources, targets)`
+//!   signatures, each hashed once, short-circuits repeated queries
+//!   ([`CachedPairs`]) without touching the scheduler. The
 //!   cache is split into **per-generation namespaces**: pinned readers
 //!   keep hitting their generation's entries while updates retire only
 //!   the namespaces of dead generations ([`CacheStats`] splits the hit
@@ -58,10 +58,13 @@
 //!   and the fork is installed iff the batch succeeded and changed
 //!   something, so readers never wait for an update and a failed batch
 //!   ([`UpdateError`]) leaves generation and hot cache untouched.
-//! * Analytical tenants run entirely against one pinned [`SnapshotRef`]
-//!   and report a checksummed [`WorkloadRun`] — the `dsr-rdf` path
-//!   resolver and the `dsr-community` detector are the two in-tree
-//!   workloads.
+//! * Analytical tenants are plain functions over one pinned
+//!   [`SnapshotRef`]: every question goes through
+//!   [`SnapshotRef::query_batch`] and every graph walk reads
+//!   [`SnapshotRef::index`], so a re-run on the same snapshot computes the
+//!   same answers whatever updates landed meanwhile. The `dsr-rdf` path
+//!   resolver and the `dsr-community` pairwise query are the two in-tree
+//!   tenants.
 //!
 //! # Quick start
 //!
@@ -101,19 +104,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batcher;
-pub mod cache;
-pub mod service;
-pub mod snapshot;
-pub mod stats;
-pub mod workload;
+mod batcher;
+mod cache;
+mod service;
+mod snapshot;
+mod stats;
 
 pub use batcher::ServiceError;
-pub use cache::{CachedPairs, InsertOutcome, QueryCache, SigKey};
+pub use cache::CachedPairs;
 pub use service::{
     BatchReply, GenerationStats, QueryOptions, QueryService, QueryTicket, ServiceConfig,
     SnapshotRef, UpdateError, UpdateMode,
 };
-pub use snapshot::{Generation, GenerationChain, GenerationId};
+pub use snapshot::GenerationId;
 pub use stats::{BatchStats, CacheStats};
-pub use workload::{checksum_pairs, WorkloadRun};

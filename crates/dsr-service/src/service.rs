@@ -295,7 +295,7 @@ impl SnapshotRef<'_> {
 
     /// Answers a whole batch against the pinned generation with a single
     /// fused execution for all namespace misses — the workhorse of
-    /// analytical workloads (see [`WorkloadRun`](crate::WorkloadRun)).
+    /// analytical tenants.
     ///
     /// # Errors
     /// [`ServiceError::Transport`] when the fused execution fails.
@@ -325,8 +325,8 @@ impl Drop for SnapshotRef<'_> {
 /// [`DsrIndex`] snapshots.
 ///
 /// The service can be hammered from any number of client threads
-/// concurrently. Queries flow through a **batch former** (see the
-/// [`batcher`](crate::batcher) module): cache hits are answered directly
+/// concurrently. Queries flow through a **batch former**: cache hits are
+/// answered directly
 /// from the result cache, while cache misses from *all* clients
 /// are fused by a dedicated scheduler thread into shared
 /// scatter/exchange/gather runs — 3 communication rounds per formed batch
@@ -336,12 +336,11 @@ impl Drop for SnapshotRef<'_> {
 ///
 /// # Snapshots, caching and updates
 ///
-/// The installed index lives in a
-/// [`GenerationChain`]: every
+/// The installed index lives in a chain of generations: every
 /// [`install_index`](QueryService::install_index) and every
 /// [`update`](QueryService::update) batch that changes anything produces
-/// a fresh, numbered, immutable generation. The result cache
-/// ([`QueryCache`]) is partitioned into **per-generation namespaces**:
+/// a fresh, numbered, immutable generation. The result cache is
+/// partitioned into **per-generation namespaces**:
 ///
 /// * unpinned queries probe and fill the latest generation's namespace —
 ///   a no-op update batch keeps the generation, so the hot cache
@@ -1032,6 +1031,34 @@ mod tests {
             1,
             "hit counted against the pinned namespace"
         );
+    }
+
+    /// A pinned snapshot's batch answers stay the same across an update
+    /// that changes the latest generation's answers.
+    #[test]
+    fn pinned_query_batch_is_reproducible_across_update_batches() {
+        let service = chain_service();
+        let vertices: Vec<VertexId> = (0..6).collect();
+        let queries: Vec<SetQuery> = vertices
+            .iter()
+            .map(|&v| SetQuery::new(vec![v], vertices.clone()))
+            .collect();
+        let pairs = |reply: &BatchReply| reply.results.iter().map(|r| r.len()).sum::<usize>();
+        let snap = service.snapshot();
+        let before = snap.query_batch(&queries).expect("in-process transport");
+        // C(6,2) = 15 forward pairs plus the 6 reflexive pairs the engine
+        // reports when a vertex appears in both sets.
+        assert_eq!(pairs(&before), 21, "full 6-chain");
+
+        service
+            .update(&[UpdateOp::Delete(2, 3)], UpdateMode::Auto)
+            .expect("auto forks around the pin");
+        let latest = service.query_batch(&queries).expect("in-process transport");
+        assert_eq!(pairs(&latest), 3 + 3 + 6, "two disjoint 3-chains");
+
+        let again = snap.query_batch(&queries).expect("in-process transport");
+        assert_eq!(before.results, again.results, "pinned answers unmoved");
+        assert_ne!(before.results, latest.results);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use dsr_sync::{Arc, Mutex, MutexGuard};
 
 use dsr_core::DsrIndex;
 
-/// Monotonic identifier of a [`Generation`] in a [`GenerationChain`].
+/// Monotonic identifier of one generation of the served index.
 /// Generation 0 is the index the chain was created over; every install
 /// takes the next id. Ids are never reused, so a reclaimed generation's id
 /// stays a valid "this snapshot is gone" token.
@@ -52,7 +52,7 @@ pub type GenerationId = u64;
 /// A generation is created by [`GenerationChain::install`] and never
 /// mutated afterwards. Holding an `Arc<Generation>` **pins** it: the chain
 /// retains pinned generations and reclaims them when the last pin drops.
-pub struct Generation {
+pub(crate) struct Generation {
     id: GenerationId,
     index: Arc<DsrIndex>,
 }
@@ -82,7 +82,7 @@ impl Generation {
 /// reclamation ([`GenerationChain::reap`]) and the retained/created/
 /// reclaimed gauges; cache-namespace reclamation is driven by the caller
 /// from `reap`'s return value, keeping this type free of cache knowledge.
-pub struct GenerationChain {
+pub(crate) struct GenerationChain {
     /// The latest generation — the target of every unpinned read.
     latest: Mutex<Arc<Generation>>,
     /// `latest`'s id, stored under its lock: lets a reader that already

@@ -18,8 +18,7 @@
 //!    it the token again, then the attempt is retried.
 //!
 //! The controller is either an exhaustive DFS over choice points with a
-//! preemption bound (complete for small tests), a seeded random walk
-//! (PCT-style, for bigger state spaces), or a replay of a recorded
+//! preemption bound (complete for small tests) or a replay of a recorded
 //! schedule. The sequence of choice indices *is* the schedule: it is
 //! attached to every failure and can be fed back via `Model::replay`.
 //!
@@ -60,6 +59,13 @@ const GRACE_MS: u64 = 3;
 const DEADLOCK_MS: u64 = 1000;
 /// Milliseconds to keep pumping teardown after a failure before giving up.
 const TEARDOWN_MS: u64 = 10_000;
+/// Forced context switches away from a runnable thread per schedule. Most
+/// real bugs need very few; two keeps small tests exhaustive and fast.
+const PREEMPTION_BOUND: u32 = 2;
+/// Visible operations per schedule (guards against unbounded spinning).
+const MAX_STEPS: u64 = 50_000;
+/// Trace lines kept for a failure report.
+const TRACE_CAP: usize = 200;
 
 /// Object ids: thread-join objects are the tid itself; everything else
 /// (mutexes, condvars, channels, cells) allocates above `OBJ_BASE`.
@@ -121,13 +127,11 @@ pub(crate) struct PathEntry {
 #[derive(Debug)]
 pub(crate) enum Mode {
     Dfs { path: Vec<PathEntry>, pos: usize },
-    Random { rng: u64, iters: u64, done: u64 },
     Replay { script: Vec<u32>, pos: usize },
 }
 
 pub(crate) enum StartMode {
     Dfs,
-    Random { seed: u64, iters: u64 },
     Replay(Vec<u32>),
 }
 
@@ -137,12 +141,6 @@ impl Mode {
             StartMode::Dfs => Mode::Dfs {
                 path: Vec::new(),
                 pos: 0,
-            },
-            StartMode::Random { seed, iters } => Mode::Random {
-                // xorshift state must be nonzero.
-                rng: seed | 1,
-                iters: (*iters).max(1),
-                done: 0,
             },
             StartMode::Replay(script) => Mode::Replay {
                 script: script.clone(),
@@ -167,15 +165,6 @@ impl Mode {
                 *pos += 1;
                 c
             }
-            Mode::Random { rng, .. } => {
-                // xorshift64* — deterministic, dependency-free.
-                let mut x = *rng;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *rng = x;
-                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % options as u64) as u32
-            }
             Mode::Replay { script, pos } => {
                 let c = script.get(*pos).copied().unwrap_or(0).min(options - 1);
                 *pos += 1;
@@ -197,10 +186,6 @@ impl Mode {
                     path.pop();
                 }
                 false
-            }
-            Mode::Random { iters, done, .. } => {
-                *done += 1;
-                done < iters
             }
             Mode::Replay { .. } => false,
         }
@@ -233,14 +218,10 @@ pub(crate) struct ExecState {
     /// Choice indices taken so far this execution (the schedule).
     choices: Vec<u32>,
     trace: Vec<String>,
-    trace_cap: usize,
     objects: HashMap<u64, VClock>,
     failure: Option<(String, String, Vec<String>)>, // (message, schedule, trace)
-    mutations: Vec<&'static str>,
     preemptions: u32,
-    preemption_bound: u32,
     steps: u64,
-    max_steps: u64,
 }
 
 impl ExecState {
@@ -254,8 +235,8 @@ impl ExecState {
     }
 
     fn note(&mut self, tid: usize, label: &str) {
-        if self.trace.len() >= 2 * self.trace_cap {
-            self.trace.drain(..self.trace_cap);
+        if self.trace.len() >= 2 * TRACE_CAP {
+            self.trace.drain(..TRACE_CAP);
         }
         let name = &self.threads[tid].name;
         self.trace.push(format!("t{tid}({name}) {label}"));
@@ -280,10 +261,6 @@ impl ExecState {
                 t.status = Status::Runnable;
             }
         }
-    }
-
-    pub(crate) fn mutation_enabled(&self, name: &str) -> bool {
-        self.mutations.contains(&name)
     }
 
     pub(crate) fn thread_finished(&self, tid: usize) -> bool {
@@ -381,10 +358,9 @@ impl ExecShared {
         let mut st = self.st();
         self.abort_if_failed(&st);
         st.steps += 1;
-        if st.steps > st.max_steps {
-            let budget = st.max_steps;
+        if st.steps > MAX_STEPS {
             st.fail(format!(
-                "step budget ({budget}) exceeded at `{label}` — raise Model::max_steps or shrink the test"
+                "step budget ({MAX_STEPS}) exceeded at `{label}` — shrink the test"
             ));
             self.abort_if_failed(&st);
         }
@@ -423,7 +399,7 @@ impl ExecShared {
     fn yield_choice<'a>(&'a self, mut st: Guard<'a>, tid: usize) -> Guard<'a> {
         let runnable = st.runnable();
         if runnable.len() > 1 {
-            let can_preempt = st.preemptions < st.preemption_bound;
+            let can_preempt = st.preemptions < PREEMPTION_BOUND;
             if can_preempt {
                 let idx = st.choose(runnable.len() as u32) as usize;
                 let chosen = runnable[idx];
@@ -709,15 +685,6 @@ pub(crate) fn decode_schedule(s: &str) -> Vec<u32> {
 // Driver
 // ---------------------------------------------------------------------------
 
-pub(crate) struct RunCfg {
-    pub preemption_bound: u32,
-    pub max_schedules: u64,
-    pub max_steps: u64,
-    pub trace_cap: usize,
-    pub mutations: Vec<&'static str>,
-    pub mode: StartMode,
-}
-
 /// Suppress panic output from model threads: their panics are captured and
 /// reported through `ModelFailure` instead (and abort cascades would spam).
 fn install_panic_hook() {
@@ -743,9 +710,15 @@ pub(crate) fn payload_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-pub(crate) fn run(cfg: RunCfg, f: &dyn Fn()) -> Result<ModelReport, ModelFailure> {
+/// Explores `f` from `start` until the schedule space is exhausted, a
+/// schedule fails, or `max_schedules` schedules have run.
+pub(crate) fn run(
+    max_schedules: u64,
+    start: StartMode,
+    f: &dyn Fn(),
+) -> Result<ModelReport, ModelFailure> {
     install_panic_hook();
-    let mut mode = Mode::new(&cfg.mode);
+    let mut mode = Mode::new(&start);
     let mut schedules: u64 = 0;
     loop {
         schedules += 1;
@@ -760,14 +733,10 @@ pub(crate) fn run(cfg: RunCfg, f: &dyn Fn()) -> Result<ModelReport, ModelFailure
             mode,
             choices: Vec::new(),
             trace: Vec::new(),
-            trace_cap: cfg.trace_cap,
             objects: HashMap::new(),
             failure: None,
-            mutations: cfg.mutations.clone(),
             preemptions: 0,
-            preemption_bound: cfg.preemption_bound,
             steps: 0,
-            max_steps: cfg.max_steps,
         };
         let shared = ExecShared::new(state);
 
@@ -808,7 +777,7 @@ pub(crate) fn run(cfg: RunCfg, f: &dyn Fn()) -> Result<ModelReport, ModelFailure
                 schedules_explored: schedules,
             });
         }
-        if schedules >= cfg.max_schedules {
+        if schedules >= max_schedules {
             return Ok(ModelReport {
                 schedules_explored: schedules,
                 truncated: true,

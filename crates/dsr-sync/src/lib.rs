@@ -19,11 +19,10 @@
 //!   time, every visible operation (lock, unlock, condvar wait/notify,
 //!   channel send/recv, non-`Relaxed` atomic access, spawn/join) is a
 //!   scheduling point, and the scheduler systematically explores
-//!   interleavings — exhaustive bounded-preemption DFS for small tests,
-//!   seeded random walk for bigger ones. Vector clocks track
-//!   happens-before so unsynchronized access to a [`model::RaceCell`] is
-//!   reported as a data race. Every failure carries a replayable schedule
-//!   string.
+//!   interleavings by an exhaustive bounded-preemption DFS. Vector
+//!   clocks track happens-before so unsynchronized access to a
+//!   [`model::RaceCell`] is reported as a data race. Every failure carries
+//!   a replayable schedule string.
 //!
 //!   Threads that are *not* model threads (e.g. the process-global
 //!   `SlavePool` workers) pass straight through to the underlying `std`

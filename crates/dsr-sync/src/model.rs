@@ -1,8 +1,8 @@
 //! Public surface of the concurrency model checker.
 //!
 //! In normal builds every entry point degrades to a cheap single-execution
-//! smoke run (and [`mutation_enabled`] is a compile-time `false`), so model
-//! tests still compile and execute once under `cargo test`. Under
+//! smoke run, so model tests still compile and execute once under
+//! `cargo test`. Under
 //! `RUSTFLAGS="--cfg dsr_model"` the same tests drive the schedule
 //! explorer in the crate-private `engine` module.
 //!
@@ -37,14 +37,6 @@
 #[cfg(dsr_model)]
 use crate::engine;
 
-/// Names of the seeded mutation bugs used to prove the checker's detection
-/// power (see the `model_mutation_*` tests in dsr-service). Production code
-/// consults [`mutation_enabled`] at the mutation site; in normal builds
-/// that is a const `false` and the code is unchanged.
-pub const MUTATION_CACHE_SKIP_GENERATION_RECHECK: &str = "cache_skip_generation_recheck";
-/// See [`MUTATION_CACHE_SKIP_GENERATION_RECHECK`].
-pub const MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH: &str = "batcher_release_before_publish";
-
 /// True when compiled with `--cfg dsr_model` (exploration available).
 #[inline(always)]
 pub const fn is_model_build() -> bool {
@@ -68,22 +60,6 @@ pub fn without_model<R>(f: impl FnOnce() -> R) -> R {
 #[inline(always)]
 pub fn without_model<R>(f: impl FnOnce() -> R) -> R {
     f()
-}
-
-/// Whether the named seeded bug is active in the current model execution.
-#[cfg(dsr_model)]
-pub fn mutation_enabled(name: &str) -> bool {
-    match engine::ctx() {
-        Some(c) => c.exec.st().mutation_enabled(name),
-        None => false,
-    }
-}
-
-/// Compile-time `false` in normal builds: mutation sites cost nothing.
-#[cfg(not(dsr_model))]
-#[inline(always)]
-pub fn mutation_enabled(_name: &str) -> bool {
-    false
 }
 
 /// Outcome of a successful exploration.
@@ -131,17 +107,15 @@ impl std::fmt::Display for ModelFailure {
 
 impl std::error::Error for ModelFailure {}
 
-/// Builder for one exploration run. See the module docs for an example.
+/// Builder for one exploration run: an exhaustive DFS over interleavings
+/// with at most two forced context switches per schedule and a budget of
+/// 50 000 visible operations per schedule. See the module docs for an
+/// example.
 #[derive(Debug, Clone)]
-// In normal builds check() runs the closure once and most knobs are unread.
+// In normal builds check() runs the closure once and the bound is unread.
 #[cfg_attr(not(dsr_model), allow(dead_code))]
 pub struct Model {
-    preemption_bound: u32,
     max_schedules: u64,
-    max_steps: u64,
-    trace_cap: usize,
-    random: Option<(u64, u64)>,
-    mutations: Vec<&'static str>,
 }
 
 impl Default for Model {
@@ -153,21 +127,8 @@ impl Default for Model {
 impl Model {
     pub fn new() -> Model {
         Model {
-            preemption_bound: 2,
             max_schedules: 4096,
-            max_steps: 50_000,
-            trace_cap: 200,
-            random: None,
-            mutations: Vec::new(),
         }
-    }
-
-    /// Max forced context switches away from a runnable thread per
-    /// schedule (DFS mode). Most real bugs need very few preemptions;
-    /// 2–3 keeps small tests exhaustive and fast.
-    pub fn preemption_bound(mut self, bound: u32) -> Model {
-        self.preemption_bound = bound;
-        self
     }
 
     /// Stop after this many schedules even if the DFS is not exhausted
@@ -177,35 +138,11 @@ impl Model {
         self
     }
 
-    /// Per-schedule step budget (guards against unbounded spinning).
-    pub fn max_steps(mut self, n: u64) -> Model {
-        self.max_steps = n;
-        self
-    }
-
-    /// Use seeded random-walk exploration (`iters` schedules from `seed`)
-    /// instead of exhaustive DFS — for state spaces too big to enumerate.
-    pub fn random(mut self, seed: u64, iters: u64) -> Model {
-        self.random = Some((seed, iters));
-        self
-    }
-
-    /// Enable a seeded mutation bug for this run (see the `MUTATION_*`
-    /// constants).
-    pub fn mutation(mut self, name: &'static str) -> Model {
-        self.mutations.push(name);
-        self
-    }
-
     /// Explore interleavings of `f`. `Err` carries the first failing
     /// schedule. In normal (non-`dsr_model`) builds this runs `f` once.
     #[cfg(dsr_model)]
     pub fn check(&self, f: impl Fn()) -> Result<ModelReport, ModelFailure> {
-        let mode = match self.random {
-            Some((seed, iters)) => engine::StartMode::Random { seed, iters },
-            None => engine::StartMode::Dfs,
-        };
-        engine::run(self.run_cfg(mode), &f)
+        engine::run(self.max_schedules, engine::StartMode::Dfs, &f)
     }
 
     /// Single smoke execution (normal build).
@@ -222,25 +159,13 @@ impl Model {
     #[cfg(dsr_model)]
     pub fn replay(&self, schedule: &str, f: impl Fn()) -> Result<ModelReport, ModelFailure> {
         let script = engine::decode_schedule(schedule);
-        engine::run(self.run_cfg(engine::StartMode::Replay(script)), &f)
+        engine::run(self.max_schedules, engine::StartMode::Replay(script), &f)
     }
 
     /// Single smoke execution (normal build; the schedule is ignored).
     #[cfg(not(dsr_model))]
     pub fn replay(&self, _schedule: &str, f: impl Fn()) -> Result<ModelReport, ModelFailure> {
         self.check(f)
-    }
-
-    #[cfg(dsr_model)]
-    fn run_cfg(&self, mode: engine::StartMode) -> engine::RunCfg {
-        engine::RunCfg {
-            preemption_bound: self.preemption_bound,
-            max_schedules: self.max_schedules,
-            max_steps: self.max_steps,
-            trace_cap: self.trace_cap,
-            mutations: self.mutations.clone(),
-            mode,
-        }
     }
 }
 

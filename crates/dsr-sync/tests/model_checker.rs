@@ -41,18 +41,6 @@ fn model_dfs_finds_lost_update() {
     assert!(!failure.schedule.is_empty());
 }
 
-#[test]
-fn model_random_walk_finds_lost_update() {
-    if !model::is_model_build() {
-        return;
-    }
-    let failure = Model::new()
-        .random(0xDEAD_BEEF, 256)
-        .check(lost_update)
-        .expect_err("random walk must find the lost-update interleaving");
-    assert!(failure.message.contains("lost update"), "{failure}");
-}
-
 /// A correct version of the same program must survive full exploration.
 #[test]
 fn model_atomic_update_passes() {
@@ -216,26 +204,4 @@ fn model_condvar_wakeup() {
             h.join().unwrap();
         })
         .expect("notified waiter must wake in every schedule");
-}
-
-/// Mutation registry: off by default, visible inside a mutated run.
-#[test]
-fn model_mutation_registry() {
-    assert!(!model::mutation_enabled(
-        model::MUTATION_CACHE_SKIP_GENERATION_RECHECK
-    ));
-    if !model::is_model_build() {
-        return;
-    }
-    Model::new()
-        .mutation(model::MUTATION_CACHE_SKIP_GENERATION_RECHECK)
-        .check(|| {
-            assert!(model::mutation_enabled(
-                model::MUTATION_CACHE_SKIP_GENERATION_RECHECK
-            ));
-            assert!(!model::mutation_enabled(
-                model::MUTATION_BATCHER_RELEASE_BEFORE_PUBLISH
-            ));
-        })
-        .expect("registry lookups must not fail");
 }

@@ -1,6 +1,6 @@
-//! Oracle suite for the pluggable service workloads: the RDF property-path
-//! workload is checked binding-for-binding against the single-machine
-//! [`BfsPathResolver`] oracle, and the community workload's pairwise
+//! Oracle suite for the analytical service tenants: the RDF property-path
+//! tenant is checked binding-for-binding against the single-machine
+//! [`BfsPathResolver`] oracle, and the community tenant's pairwise
 //! set-reachability is checked pair-for-pair against a
 //! [`TransitiveClosure`] oracle — both *through* the snapshot-isolated
 //! [`QueryService`], and both replayed across an update stream to prove a
@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use dsr::testing::backends;
 use dsr_cluster::{DynTransport, Transport};
-use dsr_community::{louvain, CommunityWorkload};
+use dsr_community::{community_pairs, louvain};
 use dsr_core::{DsrIndex, SetQuery, UpdateOp};
 use dsr_datagen::social_network;
 use dsr_graph::{DiGraph, TransitiveClosure, VertexId};
@@ -27,7 +27,7 @@ use dsr_rdf::{
     ServicePathResolver, UnionPathGraph, QUERY_NAMES,
 };
 use dsr_reach::LocalIndexKind;
-use dsr_service::{checksum_pairs, QueryService, ServiceConfig, UpdateMode};
+use dsr_service::{QueryService, ServiceConfig, UpdateMode};
 use dsr_sync::Arc;
 
 /// Canonical, order-independent form of a solution set.
@@ -89,17 +89,16 @@ fn rdf_paths_match_the_bfs_oracle_for_every_named_query() {
     }
 }
 
-/// The community workload's reported run must equal an independent replay
-/// of its own plan — Louvain over the snapshot's graph, then every ordered
-/// community pair checked against a [`TransitiveClosure`] oracle.
+/// The community tenant's plan must be Louvain's over the snapshot's graph
+/// (every ordered pair of the three largest communities), and every pair's
+/// answer must equal the [`TransitiveClosure`] oracle's.
 #[test]
 fn community_pairs_match_the_transitive_closure_oracle() {
     for transport in backends() {
         let backend = transport.name();
         let service = social_service(transport, 0x7C);
-        let workload = CommunityWorkload::new(3);
         let snap = service.snapshot();
-        let run = workload.run(&snap).expect("transport stays up");
+        let answered = community_pairs(&snap, 3).expect("transport stays up");
 
         // Replay the plan against the oracle (same graph, same cutoff).
         let graph = snap.index().reconstruct_graph();
@@ -111,26 +110,27 @@ fn community_pairs_match_the_transitive_closure_oracle() {
             .map(|c| assignment.members(c))
             .filter(|m| !m.is_empty())
             .collect();
-        let closure = TransitiveClosure::build(&graph);
-        let mut queries = 0u64;
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        let mut plan: Vec<(&[VertexId], &[VertexId])> = Vec::new();
         for (i, sources) in members.iter().enumerate() {
             for (j, targets) in members.iter().enumerate() {
                 if i != j {
-                    queries += 1;
-                    pairs.extend(
-                        closure
-                            .set_reachability(sources, targets)
-                            .into_iter()
-                            .map(|(a, b)| (u64::from(a), u64::from(b))),
-                    );
+                    plan.push((sources, targets));
                 }
             }
         }
-        assert_eq!(run.queries, queries);
-        assert_eq!(run.results, pairs.len() as u64);
-        assert_eq!(run.checksum, checksum_pairs(pairs), "on {backend}");
-        assert!(run.results > 0, "planted communities interconnect");
+        assert_eq!(answered.len(), plan.len(), "one query per ordered pair");
+        let closure = TransitiveClosure::build(&graph);
+        let mut results = 0;
+        for ((query, answer), (sources, targets)) in answered.iter().zip(plan) {
+            assert_eq!((&*query.sources, &*query.targets), (sources, targets));
+            let mut got: Vec<(VertexId, VertexId)> = answer.to_vec();
+            got.sort_unstable();
+            let mut want = closure.set_reachability(sources, targets);
+            want.sort_unstable();
+            assert_eq!(got, want, "community pair drifted on {backend}");
+            results += got.len();
+        }
+        assert!(results > 0, "planted communities interconnect");
     }
 }
 
@@ -143,9 +143,8 @@ fn pinned_workloads_are_stable_while_oltp_tracks_the_moving_oracle() {
     for transport in backends() {
         let backend = transport.name();
         let service = social_service(transport, 0xA7);
-        let workload = CommunityWorkload::new(3);
         let snap = service.snapshot();
-        let before = workload.run(&snap).expect("transport stays up");
+        let before = community_pairs(&snap, 3).expect("transport stays up");
 
         let graph = snap.index().reconstruct_graph();
         let num_vertices = graph.num_vertices();
@@ -186,7 +185,7 @@ fn pinned_workloads_are_stable_while_oltp_tracks_the_moving_oracle() {
                 .expect("auto forks around the pinned snapshot");
 
             // The pinned tenant replays: identical answers, every round.
-            let after = workload.run(&snap).expect("transport stays up");
+            let after = community_pairs(&snap, 3).expect("transport stays up");
             assert_eq!(
                 before, after,
                 "pinned run drifted in round {round} on {backend}"
@@ -221,8 +220,15 @@ fn pinned_rdf_workload_survives_union_graph_deletions() {
         let workload = RdfWorkload::new(store, &["L1", "L2", "L3", "F1", "F2", "F3"]);
         let service = service_on(transport, workload.build_index(3));
         let snap = service.snapshot();
-        let before = workload.run(&snap).expect("transport stays up");
-        assert!(before.results > 0);
+        // Each query's solutions in canonical order, and the number of
+        // path queries the run issued.
+        type Run = (Vec<Vec<Vec<(String, TermId)>>>, u64);
+        let canonical = |(bindings, issued): (Vec<Vec<Binding>>, u64)| -> Run {
+            (bindings.into_iter().map(normalize).collect(), issued)
+        };
+        let count = |(solutions, _): &Run| -> usize { solutions.iter().map(Vec::len).sum() };
+        let before = canonical(workload.run(&snap).expect("transport stays up"));
+        assert!(count(&before) > 0);
 
         let victim: Vec<UpdateOp> = snap
             .index()
@@ -237,7 +243,7 @@ fn pinned_rdf_workload_survives_union_graph_deletions() {
             .update(&victim, UpdateMode::Auto)
             .expect("auto forks around the pinned snapshot");
 
-        let after = workload.run(&snap).expect("transport stays up");
+        let after = canonical(workload.run(&snap).expect("transport stays up"));
         assert_eq!(
             before, after,
             "pinned RDF run observed the update batch on {backend}"
@@ -245,9 +251,9 @@ fn pinned_rdf_workload_survives_union_graph_deletions() {
 
         drop(snap);
         let fresh = service.snapshot();
-        let rerun = workload.run(&fresh).expect("transport stays up");
+        let rerun = canonical(workload.run(&fresh).expect("transport stays up"));
         assert!(
-            rerun.results <= before.results,
+            count(&rerun) <= count(&before),
             "deleting union-graph edges cannot create new path solutions"
         );
     }
