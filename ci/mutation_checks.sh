@@ -101,14 +101,36 @@ row "Admission release" crates/dsr-service/src/batcher.rs -e \
     'model_completion_returns_admission'
 
 # The same run releases admission only after the cache fill: a client
-# admitted by the freed capacity must find the published answers. An
-# early release before the fill must fail the model build of `batcher::`
-# naming the publish-before-release test.
+# admitted by the freed capacity must find the published answers. Moving
+# the success path's release before the fill (deleted after it, inserted
+# before it: a second release would be an over-release, which
+# `Admission::release` reports on its own) must fail the model build of
+# `batcher::` naming the publish-before-release test.
 row "Publish before release" crates/dsr-service/src/batcher.rs -E \
-    '0,/for \(\(key, wanted\), value\) in misses/ s/^( *)(for \(\(key, wanted\), value\) in misses)/\1core.admission.release(released);\n\1\2/' \
+    '0,/core\.admission\.release\(released\);/ { /core\.admission\.release\(released\);/d }; 0,/for \(\(key, wanted\), value\) in misses/ s/^( *)(for \(\(key, wanted\), value\) in misses)/\1core.admission.release(released);\n\1\2/' \
     'RUSTFLAGS="--cfg dsr_model" cargo test -q -p dsr-service batcher::' \
     'model_release_happens_after_publish' \
     'admission freed before result was published'
+
+# A leader that steps down wakes every blocked client
+# (`batcher.rs::lead`): the owner of a miss queued during the run leads
+# next. Deleting that post-run notify must fail the model build of
+# `batcher::` with a model deadlock, naming the two-client handoff test.
+row "Leader handoff" crates/dsr-service/src/batcher.rs -e \
+    '/leading = false;/ { n; /notify_all/d }' \
+    'RUSTFLAGS="--cfg dsr_model" cargo test -q -p dsr-service batcher::' \
+    'model_handoff_never_strands_a_queued_miss' \
+    'deadlock'
+
+# `SnapshotRef::drop` releases its pin before it reaps, so the reap sees
+# the true strong count. Swapping the two statements must fail the model
+# build of the pin-drop-versus-install test: a generation is left
+# unreclaimed.
+row "Pin drop" crates/dsr-service/src/service.rs -E \
+    '/^ *self\.generation = None;$/ { N; s/^( *)(self\.generation = None;)\n( *)(self\.service\.reap_generations\(\);)$/\1\4\n\3\2/ }' \
+    'RUSTFLAGS="--cfg dsr_model" cargo test -q -p dsr-service service::tests::model_dropped_pin' \
+    'model_dropped_pin_is_reclaimed_racing_an_install' \
+    'unreclaimed'
 
 # `QueryCache::insert_if_live` refuses a result whose namespace was retired
 # while it was computed: storing it in a fresh map instead must fail the

@@ -241,16 +241,12 @@ fn scenario(fast: bool) -> Scenario {
 fn replay(s: &Scenario, slaves: usize, transport: DynTransport) -> Counters {
     let partitioning = common::partition(&s.graph, slaves);
     let index = DsrIndex::build(&s.graph, partitioning, dsr_reach::LocalIndexKind::Dfs);
+    // One client: every batch forms from what that client alone queued,
+    // so the replay's fusion (and every comm/cache counter) is
+    // bit-reproducible.
     let service = QueryService::with_config_and_transport(
         Arc::new(index),
-        ServiceConfig {
-            // Batches form on the explicit flush inside `query_batch`,
-            // never by cap or window expiry — the replay's fusion (and so
-            // every comm/cache counter) is bit-reproducible.
-            max_batch: usize::MAX,
-            max_wait_us: 1_000_000,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         transport,
     );
 

@@ -113,8 +113,9 @@ fn run_batched<T: Transport>(
 }
 
 /// Deterministic replay of [`BATCHED_CLIENTS`] virtual clients: each wave
-/// submits one query per client into the batch former, flushes, and waits
-/// — so a wave's cache misses fuse into exactly one shared protocol run.
+/// submits one query per client into the batch former and then waits on
+/// them — the first wait leads one run over the whole queue, so a wave's
+/// cache misses fuse into exactly one shared protocol run.
 /// Single-threaded by construction, hence bit-reproducible counters.
 fn run_batched_replay(
     index: &Arc<DsrIndex>,
@@ -125,13 +126,7 @@ fn run_batched_replay(
     let label = transport.name();
     let service = QueryService::with_config_and_transport(
         Arc::clone(index),
-        ServiceConfig {
-            // Waves are formed by the explicit flush, never by cap or
-            // window expiry — determinism does not depend on timing.
-            max_batch: usize::MAX,
-            max_wait_us: 1_000_000,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         transport,
     );
     for wave in queries.chunks(BATCHED_CLIENTS) {
@@ -140,7 +135,6 @@ fn run_batched_replay(
             .map(|q| service.submit_with(&q.sources, &q.targets, QueryOptions::default()))
             .collect::<Result<_, _>>()
             .expect("unpinned submissions wait for admission");
-        service.flush();
         for ticket in tickets {
             ticket.wait().expect("transport stays up for the run");
         }

@@ -6,49 +6,53 @@
 //! ([`DsrEngine::set_reachability_batch_with_stats`]). Running each
 //! client's queries as its own private batch throws that away: 64
 //! concurrent clients pay 64 separate 3-round executions. This module is an inference-server-style
-//! batch former that recovers the multiplier *across* clients:
+//! batch former that recovers the multiplier *across* clients, run by the
+//! clients that wait on it (leader/follower group commit, no thread of
+//! its own):
 //!
 //! ```text
 //!  client 1 ──┐ (cache miss)
-//!  client 2 ──┤  submission      ┌────────────┐   one fused 3-round
-//!     …       ├─ queue ────────▶ │ scheduler  │ ─ set_reachability_batch_with_stats ─▶
-//!  client N ──┘  (bounded)       │  thread    │   per-client fan-out
-//!                                └────────────┘
-//!                 window: max_wait_us  │  cap: max_batch  │  flush()
+//!  client 2 ──┤  queue ──▶ the first waiter whose answer is not in leads:
+//!     …       │            window (lone miss) ─▶ drain ─▶ one fused 3-round
+//!  client N ──┘            set_reachability_batch_with_stats ─▶ fan-out
+//!                          the others wait; the next queued owner leads next
 //! ```
 //!
 //! * Clients first probe the result cache
 //!   ([`QueryCache`](crate::cache::QueryCache)); **hits never touch
-//!   the scheduler**. Misses enqueue a [`SigKey`]-keyed entry and block on
-//!   a condvar-based completion handle (`Waiter`) — no async runtime,
-//!   consistent with the std-only workspace.
-//! * A dedicated scheduler thread drains the queue until a bounded window
-//!   (`max_wait_us`) elapses, a size cap (`max_batch`) is reached, or a
-//!   [`flush`](crate::QueryService::flush) arrives; re-probes the cache
-//!   once per drained query (a concurrent execution may have answered it
-//!   meanwhile); deduplicates identical signatures; executes all remaining
-//!   misses from *all* clients as **one** fused batch over the shared
-//!   transport; populates the cache; and fans the answers back out.
+//!   the former**. Misses queue a [`SigKey`]-keyed entry under
+//!   [`Admission`]'s lock — no async runtime, consistent with the std-only
+//!   workspace.
+//! * A client that waits for an answer that is not in yet, while no one
+//!   leads and the queue is non-empty, **leads** one fused run: a lone
+//!   miss first waits out the forming window ([`FORMING_WINDOW`]) for
+//!   company, a [`QueryService::query_batch`] group does not. The leader
+//!   drains the whole queue; re-probes the cache once per drained query (a
+//!   previous run may have answered it meanwhile); deduplicates identical
+//!   signatures; executes all remaining misses from *all* clients as
+//!   **one** fused batch over the shared transport; populates the cache;
+//!   and fans the answers back out. Then it steps down and wakes the
+//!   others, so the owner of an entry that queued during the run leads
+//!   next. Runs are serialized.
 //! * Admission control bounds the number of in-flight queries: beyond a
-//!   fixed depth, a submission blocks until a fused run answers queries
-//!   and returns their slots, instead of piling up unboundedly.
+//!   fixed depth, a submission waits until a fused run answers queries and
+//!   returns their slots — and leads the queued run itself when no one
+//!   else does, so a client that submits more than the depth before it
+//!   waits still gets every answer. The depth also bounds a formed batch.
 //!
-//! Groups submitted together (one [`QueryService::query_batch`] call) are
-//! never split across formed batches — the cap is a forming *trigger*, not
-//! a hard size limit — so a single-client batch still executes as exactly
-//! one fused run and its reply stays deterministic.
+//! A [`QueryService::query_batch`] group is queued as a whole, so it is
+//! never split across formed batches: a single-client batch executes as
+//! exactly one fused run and its reply stays deterministic.
 //!
 //! A formed batch whose execution panics (a bug: the engine re-throws a
 //! slave's panic) fails every query of it that is still unanswered with
 //! the typed [`ServiceError::Panicked`] and returns their admission; the
-//! scheduler then serves the next batch.
+//! next leader then serves the next batch.
 //!
 //! [`DsrEngine::set_reachability_batch_with_stats`]: dsr_core::DsrEngine::set_reachability_batch_with_stats
 //! [`QueryService::query_batch`]: crate::QueryService::query_batch
 
-use dsr_sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use dsr_sync::thread::JoinHandle;
-use dsr_sync::{Arc, Condvar, Mutex};
+use dsr_sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -60,6 +64,10 @@ use crate::cache::{CachedPairs, InsertOutcome, SigKey};
 use crate::service::Core;
 use crate::snapshot::Generation;
 
+/// How long a leader for a lone miss waits for other clients' misses to
+/// fuse with before it drains the queue.
+const FORMING_WINDOW: Duration = Duration::from_micros(200);
+
 /// Why the serving layer could not answer a query.
 #[derive(Debug, Clone)]
 pub enum ServiceError {
@@ -69,7 +77,7 @@ pub enum ServiceError {
     Transport(Arc<TransportError>),
     /// The fused execution panicked — a bug, such as an index whose parts
     /// disagree. Carries the panic message, shared by every query fused
-    /// into the run; the scheduler keeps serving other batches.
+    /// into the run; later runs are served as before.
     Panicked(Arc<str>),
     /// A query asked to pin a generation
     /// ([`QueryOptions::pin`](crate::QueryOptions::pin)) that has already
@@ -111,13 +119,10 @@ struct WaitState {
     error: Option<ServiceError>,
 }
 
-/// Condvar-based completion handle for one submitted group: the scheduler
-/// fulfills slots as answers materialize; the client blocks in
-/// [`Waiter::wait`] until the whole group is answered or the fused run
-/// failed.
+/// Completion record of one submitted group: the leader of its run fills
+/// slots as answers materialize; the client collects them with [`wait`].
 pub(crate) struct Waiter {
     state: Mutex<WaitState>,
-    ready: Condvar,
 }
 
 impl Waiter {
@@ -128,7 +133,6 @@ impl Waiter {
                 slots: (0..slots).map(|_| None).collect(),
                 error: None,
             }),
-            ready: Condvar::new(),
         })
     }
 
@@ -137,9 +141,6 @@ impl Waiter {
         debug_assert!(state.slots[slot].is_none(), "slot fulfilled twice");
         state.slots[slot] = Some(value);
         state.remaining -= 1;
-        if state.remaining == 0 {
-            self.ready.notify_all();
-        }
     }
 
     fn fail(&self, error: ServiceError) {
@@ -147,7 +148,6 @@ impl Waiter {
         if state.error.is_none() {
             state.error = Some(error);
         }
-        self.ready.notify_all();
     }
 
     /// Whether `slot` is neither answered nor failed with its group: such a
@@ -157,23 +157,20 @@ impl Waiter {
         state.slots[slot].is_none() && state.error.is_none()
     }
 
-    /// Blocks until every slot is fulfilled (returning them in submission
-    /// order) or the group failed.
-    pub(crate) fn wait(&self) -> Result<Vec<CachedPairs>, ServiceError> {
+    /// The group's answers in submission order once every slot is
+    /// fulfilled, its error once it failed, `None` before either.
+    fn outcome(&self) -> Option<Result<Vec<CachedPairs>, ServiceError>> {
         let mut state = dsr_sync::lock(&self.state);
-        loop {
-            if let Some(error) = &state.error {
-                return Err(error.clone());
-            }
-            if state.remaining == 0 {
-                return Ok(state
-                    .slots
-                    .iter_mut()
-                    .map(|slot| slot.take().expect("all slots fulfilled"))
-                    .collect());
-            }
-            state = dsr_sync::wait(&self.ready, state);
+        if let Some(error) = &state.error {
+            return Some(Err(error.clone()));
         }
+        (state.remaining == 0).then(|| {
+            Ok(state
+                .slots
+                .iter_mut()
+                .map(|slot| slot.take().expect("all slots fulfilled"))
+                .collect())
+        })
     }
 }
 
@@ -194,41 +191,39 @@ pub(crate) struct Entry {
     pub(crate) enqueued: Instant,
 }
 
-pub(crate) enum Msg {
-    /// An indivisible group of entries (one client call).
-    Group(Vec<Entry>),
-    /// Form and execute whatever is pending right now.
-    Flush,
+/// What [`Admission`]'s lock guards.
+struct Forming {
+    /// Admitted misses no run has drained yet.
+    queue: Vec<Entry>,
+    /// Whether a client is leading a fused run right now.
+    leading: bool,
+    /// Admitted queries not yet answered: the queue plus the unanswered
+    /// entries of the run in progress.
+    in_flight: usize,
 }
 
-/// Counting semaphore bounding in-flight queries (submitted but not yet
-/// answered). Plain mutex + condvar: the hot path is two uncontended lock
-/// acquisitions per query, and waiting for room is the *slow* path by
-/// definition.
+/// The batch former's one lock and one condvar: the queue of admitted
+/// misses, who leads, and a counting semaphore bounding in-flight queries
+/// (submitted but not yet answered). Every client that blocks — for room
+/// or for an answer — blocks on `turn`, so a run's end and a slot's return
+/// reach all of them.
 pub(crate) struct Admission {
     limit: usize,
-    in_flight: Mutex<usize>,
-    freed: Condvar,
+    state: Mutex<Forming>,
+    turn: Condvar,
 }
 
 impl Admission {
     pub(crate) fn new(limit: usize) -> Self {
         Admission {
             limit: limit.max(1),
-            in_flight: Mutex::new(0),
-            freed: Condvar::new(),
+            state: Mutex::new(Forming {
+                queue: Vec::new(),
+                leading: false,
+                in_flight: 0,
+            }),
+            turn: Condvar::new(),
         }
-    }
-
-    /// Admits `n` queries, blocking until there is room. A group larger
-    /// than the whole limit is admitted into an empty queue (otherwise it
-    /// could never be admitted at all).
-    pub(crate) fn acquire(&self, n: usize) {
-        let mut in_flight = dsr_sync::lock(&self.in_flight);
-        while *in_flight + n > self.limit && *in_flight > 0 {
-            in_flight = dsr_sync::wait(&self.freed, in_flight);
-        }
-        *in_flight += n;
     }
 
     /// Returns `n` slots to the pool.
@@ -236,123 +231,99 @@ impl Admission {
         if n == 0 {
             return;
         }
-        let mut in_flight = dsr_sync::lock(&self.in_flight);
-        *in_flight = in_flight.saturating_sub(n);
-        drop(in_flight);
-        self.freed.notify_all();
+        let mut state = dsr_sync::lock(&self.state);
+        // An over-release is a bug that debug and model builds report; a
+        // release build saturates instead of wrapping the count.
+        debug_assert!(
+            n <= state.in_flight,
+            "admission over-released: {n} slots returned, {} in flight",
+            state.in_flight
+        );
+        state.in_flight = state.in_flight.saturating_sub(n);
+        drop(state);
+        self.turn.notify_all();
     }
 }
 
-/// Batch-forming parameters (the `max_batch` / `max_wait_us` knobs of
-/// [`ServiceConfig`](crate::ServiceConfig)).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BatcherConfig {
-    pub(crate) max_batch: usize,
-    pub(crate) max_wait: Duration,
+/// Admits an indivisible group of entries and queues it, blocking until
+/// there is room. A group larger than the whole limit is admitted when
+/// nothing else is in flight (otherwise it could never be admitted at
+/// all). While it blocks, the caller leads the queued run whenever no one
+/// else does: the queue may hold its own earlier, not yet waited-on
+/// tickets.
+pub(crate) fn submit(core: &Core, entries: Vec<Entry>) {
+    let admission = &core.admission;
+    let n = entries.len();
+    let mut state = dsr_sync::lock(&admission.state);
+    while state.in_flight + n > admission.limit && state.in_flight > 0 {
+        state = lead_or_wait(core, state, false);
+    }
+    state.in_flight += n;
+    state.queue.extend(entries);
 }
 
-/// Owns the submission queue sender and the scheduler thread; dropping it
-/// disconnects the queue and joins the scheduler (which first executes
-/// anything still pending).
-pub(crate) struct Batcher {
-    tx: Option<Sender<Msg>>,
-    scheduler: Option<JoinHandle<()>>,
-}
-
-impl Batcher {
-    pub(crate) fn spawn(core: Arc<Core>, config: BatcherConfig) -> Self {
-        let (tx, rx) = dsr_sync::mpsc::channel();
-        let scheduler = dsr_sync::thread::Builder::new()
-            .name("dsr-batch-former".into())
-            .spawn(move || run_scheduler(&core, &rx, config))
-            .expect("spawn batch-former scheduler");
-        Batcher {
-            tx: Some(tx),
-            scheduler: Some(scheduler),
-        }
-    }
-
-    fn send(&self, msg: Msg) {
-        let sent = self
-            .tx
-            .as_ref()
-            .expect("sender alive until drop")
-            .send(msg)
-            .is_ok();
-        // The receiver only disappears when the scheduler thread died; the
-        // join in Drop will propagate its panic, but a client thread
-        // racing the teardown must not wait forever on a queue nobody
-        // drains.
-        assert!(sent, "batch-former scheduler is gone");
-    }
-
-    /// Enqueues an indivisible group of entries.
-    pub(crate) fn submit(&self, entries: Vec<Entry>) {
-        self.send(Msg::Group(entries));
-    }
-
-    /// Asks the scheduler to form and execute the pending batch now.
-    pub(crate) fn flush(&self) {
-        self.send(Msg::Flush);
-    }
-}
-
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        // Already unwinding: a second panic from the join would abort the
-        // process. The disconnected scheduler drains its queue and exits
-        // on its own.
-        if dsr_sync::thread::panicking() {
-            return;
-        }
-        if let Some(scheduler) = self.scheduler.take() {
-            if let Err(panic) = scheduler.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    }
-}
-
-/// The scheduler loop: block for the first submission, then drain until
-/// the window elapses, the cap is reached, or a flush arrives — then
-/// execute the formed batch and start over.
-fn run_scheduler(core: &Core, rx: &Receiver<Msg>, config: BatcherConfig) {
+/// Blocks until `waiter`'s group is answered (its slots in submission
+/// order) or failed. `window`: whether a run this caller leads first waits
+/// out [`FORMING_WINDOW`].
+pub(crate) fn wait(
+    core: &Core,
+    waiter: &Waiter,
+    window: bool,
+) -> Result<Vec<CachedPairs>, ServiceError> {
+    let mut state = dsr_sync::lock(&core.admission.state);
     loop {
-        let mut pending: Vec<Entry> = Vec::new();
-        match rx.recv() {
-            Ok(Msg::Group(entries)) => pending.extend(entries),
-            Ok(Msg::Flush) => continue, // nothing pending to form
-            Err(_) => return,           // service dropped, queue fully drained
+        if let Some(outcome) = waiter.outcome() {
+            return outcome;
         }
-        let deadline = Instant::now() + config.max_wait;
-        let mut disconnected = false;
-        while pending.len() < config.max_batch {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(Msg::Group(entries)) => pending.extend(entries),
-                Ok(Msg::Flush) | Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        // Who to fail should the run panic: the entries move into it.
-        let waiters: Vec<(Arc<Waiter>, usize)> = pending
-            .iter()
-            .map(|entry| (Arc::clone(&entry.waiter), entry.slot))
-            .collect();
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| execute_formed(core, pending))) {
-            fail_open(core, &waiters, panic.as_ref());
-        }
-        if disconnected {
-            return;
-        }
+        state = lead_or_wait(core, state, window);
     }
+}
+
+/// One step of blocking, the same for every blocked client: lead the
+/// queued run if no one leads, else sleep until a run ends or a slot
+/// returns.
+fn lead_or_wait<'a>(
+    core: &'a Core,
+    state: MutexGuard<'a, Forming>,
+    window: bool,
+) -> MutexGuard<'a, Forming> {
+    if !state.leading && !state.queue.is_empty() {
+        lead(core, state, window)
+    } else {
+        dsr_sync::wait(&core.admission.turn, state)
+    }
+}
+
+/// Leads one fused run: waits out the forming window if asked, drains the
+/// queue, executes it outside the lock, then steps down and wakes every
+/// blocked client — the owner of an entry that queued meanwhile leads
+/// next.
+fn lead<'a>(
+    core: &'a Core,
+    mut state: MutexGuard<'a, Forming>,
+    window: bool,
+) -> MutexGuard<'a, Forming> {
+    let admission = &core.admission;
+    state.leading = true;
+    if window {
+        drop(state);
+        dsr_sync::thread::sleep(FORMING_WINDOW);
+        state = dsr_sync::lock(&admission.state);
+    }
+    let formed = std::mem::take(&mut state.queue);
+    drop(state);
+    // Who to fail should the run panic: the entries move into it.
+    let waiters: Vec<(Arc<Waiter>, usize)> = formed
+        .iter()
+        .map(|entry| (Arc::clone(&entry.waiter), entry.slot))
+        .collect();
+    if let Err(panic) = catch_unwind(AssertUnwindSafe(|| execute_formed(core, formed))) {
+        fail_open(core, &waiters, panic.as_ref());
+    }
+    let mut state = dsr_sync::lock(&admission.state);
+    state.leading = false;
+    admission.turn.notify_all();
+    state
 }
 
 /// After a formed batch panicked: fails every slot of it that is still
@@ -479,7 +450,7 @@ fn execute_group(core: &Core, group: GenGroup) {
         // `engine` drops here; the generation pins (this group's and each
         // entry's) are shed below before any waiter is woken, so an update
         // by a client observing its completion reclaims the superseded
-        // generation at once instead of retaining it for the scheduler.
+        // generation at once instead of retaining it for the leader's run.
     };
     let released = executing.len();
     match outcome {
@@ -531,7 +502,7 @@ fn execute_group(core: &Core, group: GenGroup) {
     }
 }
 
-/// Model checks of the submit → form → fan-out protocol. Under
+/// Model checks of the submit → lead → fan-out protocol. Under
 /// `--cfg dsr_model` these explore every interleaving within the
 /// preemption bound; in normal builds they run a single execution.
 #[cfg(test)]
@@ -546,7 +517,6 @@ mod model_tests {
     use dsr_graph::DiGraph;
     use dsr_partition::Partitioning;
     use dsr_reach::LocalIndexKind;
-    use dsr_sync::atomic::{AtomicUsize, Ordering};
     use dsr_sync::model::Model;
 
     /// A one-partition chain `0 -> 1 -> 2`: `SlavePool::run(1, ..)` takes
@@ -574,21 +544,32 @@ mod model_tests {
         })
     }
 
-    /// Admitted-but-unreleased queries.
+    /// Admitted-but-unanswered queries.
     fn in_flight(core: &Core) -> usize {
-        *dsr_sync::lock(&core.admission.in_flight)
+        dsr_sync::lock(&core.admission.state).in_flight
     }
 
-    /// A batcher whose forming window is far in the future: only a flush
-    /// (or the size cap) forms a batch.
-    fn flush_driven_batcher(core: &Arc<Core>) -> Batcher {
-        Batcher::spawn(
-            Arc::clone(core),
-            BatcherConfig {
-                max_batch: 64,
-                max_wait: Duration::from_secs(10),
-            },
-        )
+    /// Submits `S ; T` against the latest generation as a one-entry group
+    /// and returns its completion record.
+    fn submit_one(core: &Core, source: u32, target: u32) -> Arc<Waiter> {
+        let waiter = Waiter::new(1);
+        submit(
+            core,
+            vec![entry_for(
+                core.generations.latest(),
+                SigKey::new(&[source], &[target]),
+                &waiter,
+                0,
+            )],
+        );
+        waiter
+    }
+
+    /// Waits for a one-entry group as a single-query ticket does (leading
+    /// with the forming window) and returns its answer.
+    fn answer(core: &Core, waiter: &Waiter) -> CachedPairs {
+        let mut answers = wait(core, waiter, true).expect("in-process execution succeeds");
+        answers.pop().expect("one slot")
     }
 
     fn entry_for(
@@ -613,57 +594,45 @@ mod model_tests {
     /// "Publish before release" row of `ci/mutation_checks.sh`).
     fn release_happens_after_publish() {
         let core = single_partition_core(1);
-        let key = SigKey::new(&[0], &[2]);
         let namespace = core.generations.latest_id();
-        core.admission.acquire(1);
+        let first = submit_one(&core, 0, 2);
         let blocked = {
             let core = Arc::clone(&core);
-            let key = key.clone();
             dsr_sync::thread::spawn(move || {
-                // Blocks until the fused execution below releases its slot.
-                core.admission.acquire(1);
-                let hit = core.cache.get(namespace, &key);
-                core.admission.release(1);
+                // Blocks until the run of `0 ; 2` returns its slot (or
+                // leads that run itself).
+                let own = submit_one(&core, 2, 0);
+                let hit = core.cache.get(namespace, &SigKey::new(&[0], &[2]));
                 assert!(hit.is_some(), "admission freed before result was published");
+                assert!(answer(&core, &own).is_empty(), "2 does not reach 0");
             })
         };
-        let waiter = Waiter::new(1);
-        execute_formed(
-            &core,
-            vec![entry_for(core.generations.latest(), key, &waiter, 0)],
-        );
-        let answers = waiter.wait().expect("in-process execution succeeds");
-        assert_eq!(*answers[0], vec![(0, 2)]);
+        assert_eq!(*answer(&core, &first), vec![(0, 2)]);
         blocked.join().unwrap();
     }
 
     #[test]
     fn model_release_happens_after_publish() {
         Model::new()
+            .max_schedules(2048)
             .check(release_happens_after_publish)
             .expect("publish-before-release must hold in every schedule");
     }
 
-    /// A signature answered by a concurrent execution while queued is
-    /// fulfilled by the scheduler's cache re-probe (a *late hit*) without
-    /// an execution, and its admission slot is returned.
+    /// A signature answered by a previous run while queued is fulfilled by
+    /// the leader's cache re-probe (a *late hit*) without an execution, and
+    /// its admission slot is returned.
     fn late_hit_skips_execution() {
         let core = single_partition_core(4);
-        let key = SigKey::new(&[0], &[1]);
+        let waiter = submit_one(&core, 0, 1);
         core.cache.insert_if_live(
             core.generations.latest_id(),
-            key.clone(),
+            SigKey::new(&[0], &[1]),
             Arc::new(vec![(0, 1)]),
         );
-        core.admission.acquire(1);
-        let waiter = Waiter::new(1);
-        execute_formed(
-            &core,
-            vec![entry_for(core.generations.latest(), key, &waiter, 0)],
-        );
-        let answers = waiter.wait().expect("late hit fulfills the waiter");
-        assert_eq!(*answers[0], vec![(0, 1)]);
+        assert_eq!(*answer(&core, &waiter), vec![(0, 1)]);
         assert_eq!(core.batch.executed(), 0, "a late hit executes nothing");
+        assert_eq!(core.batch.late_hits(), 1);
         assert_eq!(in_flight(&core), 0, "the slot came back");
     }
 
@@ -674,65 +643,51 @@ mod model_tests {
             .expect("late-hit fan-out must hold in every schedule");
     }
 
-    /// Admission is a counting semaphore: under concurrent blocking
-    /// acquires, the number of admitted-but-unreleased queries never
-    /// exceeds the limit in any interleaving.
+    /// Admission is a counting semaphore: two clients at a limit of one
+    /// never find more than one admitted-but-unanswered query, in any
+    /// interleaving, and both are answered.
     fn admission_never_exceeds_limit() {
-        let admission = Arc::new(Admission::new(1));
-        let admitted = Arc::new(AtomicUsize::new(0));
+        let core = single_partition_core(1);
         let contender = {
-            let admission = Arc::clone(&admission);
-            let admitted = Arc::clone(&admitted);
+            let core = Arc::clone(&core);
             dsr_sync::thread::spawn(move || {
-                admission.acquire(1);
-                let concurrent = admitted.fetch_add(1, Ordering::SeqCst);
-                assert_eq!(concurrent, 0, "admission limit 1 exceeded");
-                admitted.fetch_sub(1, Ordering::SeqCst);
-                admission.release(1);
+                let waiter = submit_one(&core, 1, 2);
+                assert!(in_flight(&core) <= 1, "admission limit 1 exceeded");
+                assert_eq!(*answer(&core, &waiter), vec![(1, 2)]);
             })
         };
-        admission.acquire(1);
-        let concurrent = admitted.fetch_add(1, Ordering::SeqCst);
-        assert_eq!(concurrent, 0, "admission limit 1 exceeded");
-        admitted.fetch_sub(1, Ordering::SeqCst);
-        admission.release(1);
+        let waiter = submit_one(&core, 0, 2);
+        assert!(in_flight(&core) <= 1, "admission limit 1 exceeded");
+        assert_eq!(*answer(&core, &waiter), vec![(0, 2)]);
         contender.join().unwrap();
+        assert_eq!(in_flight(&core), 0);
     }
 
     #[test]
     fn model_admission_never_exceeds_limit() {
         Model::new()
+            .max_schedules(2048)
             .check(admission_never_exceeds_limit)
             .expect("the admission semaphore must never over-admit");
     }
 
     /// Completing a run returns its admission: with a limit of one, two
-    /// sequential submissions through a real [`Batcher`] both complete. A
-    /// run that kept its slot would block the second admission for ever —
-    /// a deadlock the model checker reports.
+    /// sequential submissions both complete. A run that kept its slot would
+    /// block the second admission for ever, with nothing queued to lead —
+    /// a deadlock the model checker reports (the "Admission release" row of
+    /// `ci/mutation_checks.sh`).
     fn completion_returns_admission() {
         let core = single_partition_core(1);
-        let batcher = flush_driven_batcher(&core);
         for (source, target, expected) in [(0, 2, vec![(0, 2)]), (2, 0, vec![])] {
-            core.admission.acquire(1);
-            let waiter = Waiter::new(1);
-            batcher.submit(vec![entry_for(
-                core.generations.latest(),
-                SigKey::new(&[source], &[target]),
-                &waiter,
-                0,
-            )]);
-            batcher.flush();
-            let answers = waiter.wait().expect("fused execution succeeds");
-            assert_eq!(*answers[0], expected);
+            let waiter = submit_one(&core, source, target);
+            assert_eq!(*answer(&core, &waiter), expected);
         }
-        drop(batcher);
+        assert_eq!(in_flight(&core), 0);
     }
 
     #[test]
     fn model_completion_returns_admission() {
         Model::new()
-            .max_schedules(512)
             .check(completion_returns_admission)
             .expect("a completed run must return its admission in every schedule");
     }
@@ -746,66 +701,118 @@ mod model_tests {
         let mut broken = single_partition_index();
         broken.compounds.pop();
         let core = core_over(broken, 1);
-        let batcher = flush_driven_batcher(&core);
-        core.admission.acquire(1);
-        let waiter = Waiter::new(1);
-        batcher.submit(vec![entry_for(
-            core.generations.latest(),
-            SigKey::new(&[0], &[2]),
-            &waiter,
-            0,
-        )]);
-        batcher.flush();
-        match waiter.wait() {
+        let waiter = submit_one(&core, 0, 2);
+        match wait(&core, &waiter, true) {
             Err(ServiceError::Panicked(message)) => {
                 assert!(message.contains("index out of bounds"), "{message}");
             }
             other => panic!("expected a typed panic error, got {other:?}"),
         }
         assert_eq!(in_flight(&core), 0, "the open slot's admission came back");
-        drop(batcher); // the scheduler survived the panic and joins
+        // The next leader serves again.
+        let waiter = submit_one(&core, 0, 2);
+        assert!(
+            wait(&core, &waiter, true).is_err(),
+            "still the broken index"
+        );
+        assert_eq!(in_flight(&core), 0);
     }
 
-    /// End-to-end submit → form → fan-out through a real [`Batcher`] whose
-    /// scheduler thread runs as a model thread: the batch window is far in
-    /// the future, so completion proves the flush/drain wakeups (not the
-    /// timeout) drive the fan-out.
+    /// Submit → lead → fan-out of one indivisible group: both slots are
+    /// answered in submission order by one formed batch.
     fn batcher_forms_and_fans_out() {
         let core = single_partition_core(4);
-        let batcher = flush_driven_batcher(&core);
-        core.admission.acquire(2);
         let waiter = Waiter::new(2);
-        batcher.submit(vec![
-            entry_for(
-                core.generations.latest(),
-                SigKey::new(&[0], &[2]),
-                &waiter,
-                0,
-            ),
-            entry_for(
-                core.generations.latest(),
-                SigKey::new(&[2], &[0]),
-                &waiter,
-                1,
-            ),
-        ]);
-        batcher.flush();
-        let answers = waiter.wait().expect("fused execution succeeds");
+        submit(
+            &core,
+            vec![
+                entry_for(
+                    core.generations.latest(),
+                    SigKey::new(&[0], &[2]),
+                    &waiter,
+                    0,
+                ),
+                entry_for(
+                    core.generations.latest(),
+                    SigKey::new(&[2], &[0]),
+                    &waiter,
+                    1,
+                ),
+            ],
+        );
+        let answers = wait(&core, &waiter, false).expect("fused execution succeeds");
         assert_eq!(*answers[0], vec![(0, 2)], "0 reaches 2 along the chain");
         assert!(answers[1].is_empty(), "2 does not reach 0");
-        drop(batcher); // disconnects the queue and joins the scheduler
+        assert_eq!(core.batch.batches(), 1, "one formed batch");
     }
 
     #[test]
     fn model_batcher_forms_and_fans_out() {
         Model::new()
-            .max_schedules(512)
             .check(batcher_forms_and_fans_out)
             .expect("submit/form/fan-out must hold in every explored schedule");
     }
 
+    /// A leader hands over: a second client's miss that queues while a run
+    /// is in flight is led by its own owner once the run ends, in every
+    /// schedule. A leader that steps down without waking the others
+    /// strands it — a model deadlock (the "Leader handoff" row of
+    /// `ci/mutation_checks.sh`).
+    fn handoff_never_strands_a_queued_miss() {
+        let core = single_partition_core(4);
+        let second = {
+            let core = Arc::clone(&core);
+            dsr_sync::thread::spawn(move || {
+                let waiter = submit_one(&core, 1, 2);
+                assert_eq!(*answer(&core, &waiter), vec![(1, 2)]);
+            })
+        };
+        let waiter = submit_one(&core, 0, 2);
+        assert_eq!(*answer(&core, &waiter), vec![(0, 2)]);
+        second.join().unwrap();
+        assert_eq!(in_flight(&core), 0);
+    }
+
+    #[test]
+    fn model_handoff_never_strands_a_queued_miss() {
+        Model::new()
+            .max_schedules(2048)
+            .check(handoff_never_strands_a_queued_miss)
+            .expect("a queued miss must be led in every schedule");
+    }
+
+    /// The same handoff when the queued miss belongs to a submitter blocked
+    /// on admission: at a limit of one, a client queues `1 ; 2` and then
+    /// blocks submitting `2 ; 0` while another client's run is in flight.
+    /// It must lead its own queued miss once that run ends, in every
+    /// schedule.
+    fn blocked_submitter_leads_its_queued_miss() {
+        let core = single_partition_core(1);
+        let first = submit_one(&core, 0, 2);
+        let second = {
+            let core = Arc::clone(&core);
+            dsr_sync::thread::spawn(move || {
+                let queued = submit_one(&core, 1, 2);
+                let blocked = submit_one(&core, 2, 0);
+                assert_eq!(*answer(&core, &queued), vec![(1, 2)]);
+                assert!(answer(&core, &blocked).is_empty());
+            })
+        };
+        assert_eq!(*answer(&core, &first), vec![(0, 2)]);
+        second.join().unwrap();
+        assert_eq!(in_flight(&core), 0);
+    }
+
+    #[test]
+    fn model_blocked_submitter_leads_its_queued_miss() {
+        Model::new()
+            .max_schedules(2048)
+            .check(blocked_submitter_leads_its_queued_miss)
+            .expect("a blocked submitter must lead its queued miss in every schedule");
+    }
+
     /// The public service front end survives a model run end to end:
-    /// cached hit, miss, flush and shutdown all inside the scheduler.
+    /// cached hit, miss and a led run inside the model.
     fn service_round_trip() {
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let p = Partitioning::new(vec![0, 0, 0], 1);
@@ -818,7 +825,6 @@ mod model_tests {
     #[test]
     fn model_service_round_trip() {
         Model::new()
-            .max_schedules(256)
             .check(service_round_trip)
             .expect("the service front end must hold in every explored schedule");
     }

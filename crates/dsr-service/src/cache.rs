@@ -25,7 +25,7 @@
 //!
 //! The cache ([`QueryCache`]) is one mutex around one map per live
 //! namespace, with capacity and LRU order shared between them. Cache hits
-//! bypass the batch-forming scheduler entirely. Values are `Arc`-shared
+//! bypass the batch former entirely. Values are `Arc`-shared
 //! pair lists, so a hit never copies the (potentially large) answer.
 
 use dsr_sync::{Arc, Mutex};

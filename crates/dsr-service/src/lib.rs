@@ -16,19 +16,21 @@
 //!   consistent view (index + cache namespace) that survives concurrent
 //!   updates until it drops; reclamation is refcount-exact and surfaced by
 //!   [`GenerationStats`].
-//! * Cache misses from all clients flow through a **batch former**: a
-//!   dedicated scheduler thread fuses them —
-//!   bounded by the [`ServiceConfig::max_wait_us`] window and the
-//!   [`ServiceConfig::max_batch`] cap — into shared
-//!   scatter/exchange/gather runs via
+//! * Cache misses from all clients flow through a **batch former** that
+//!   runs on its callers: the first waiting client whose answer is not in
+//!   leads — after a 200 µs forming window for a lone miss, none for a
+//!   [`QueryService::query_batch`] group — and fuses every queued miss into
+//!   one shared scatter/exchange/gather run via
 //!   [`DsrEngine::set_reachability_batch_with_stats`](dsr_core::DsrEngine::set_reachability_batch_with_stats),
-//!   then fans the answers back out. Per-slave work runs on the
-//!   process-wide persistent [`SlavePool`](dsr_cluster::SlavePool). A run
-//!   that panics fails its queries with [`ServiceError::Panicked`] and the
-//!   scheduler keeps serving.
+//!   then fans the answers back out; the other clients wait, and the owner
+//!   of a miss queued meanwhile leads next. The service starts no thread:
+//!   per-slave work runs on the process-wide persistent
+//!   [`SlavePool`](dsr_cluster::SlavePool). A run that panics fails its
+//!   queries with [`ServiceError::Panicked`] and the next run is served as
+//!   before.
 //! * A bounded LRU cache keyed on normalized `(sources, targets)`
 //!   signatures, each hashed once, short-circuits repeated queries
-//!   ([`CachedPairs`]) without touching the scheduler. The
+//!   ([`CachedPairs`]) without touching the batch former. The
 //!   cache is split into **per-generation namespaces**: pinned readers
 //!   keep hitting their generation's entries while updates retire only
 //!   the namespaces of dead generations ([`CacheStats`] splits the hit
@@ -39,7 +41,8 @@
 //!   convenience that panics on a failed run. [`QueryOptions`] adds
 //!   per-query cache bypass and explicit generation pinning. Admission
 //!   control bounds the number of in-flight queries: under saturation a
-//!   submission waits for room instead of piling up unboundedly.
+//!   submission waits for room instead of piling up unboundedly, and
+//!   leads the queued run itself when no one else does.
 //! * The service keeps one account of what serving cost:
 //!   [`QueryService::comm_stats`] sums the rounds, messages and bytes of
 //!   every fused run, and [`QueryService::batch_stats`] counts formed

@@ -9,13 +9,13 @@
 //! frozen while updates advance the chain underneath it.
 
 use dsr_sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dsr_cluster::{CommStats, DynTransport, TransportError, UpdateStats};
 use dsr_core::{coalesce_updates, DsrIndex, SetQuery, UpdateOp, UpdateOutcome};
 use dsr_graph::VertexId;
 
-use crate::batcher::{Admission, Batcher, BatcherConfig, Entry, ServiceError, Waiter};
+use crate::batcher::{self, Admission, Entry, ServiceError, Waiter};
 use crate::cache::{CachedPairs, QueryCache, SigKey};
 use crate::snapshot::{Generation, GenerationChain, GenerationId};
 use crate::stats::{BatchStats, CacheStats};
@@ -113,30 +113,17 @@ impl Default for QueryOptions {
 pub struct ServiceConfig {
     /// Maximum number of cached query results (clamped to at least 1).
     pub cache_capacity: usize,
-    /// Size cap of the batch former: the scheduler stops waiting and
-    /// executes as soon as this many queries are pending. Groups submitted
-    /// by one [`QueryService::query_batch`] call are indivisible, so a
-    /// formed batch can exceed the cap by the tail group's size.
-    pub max_batch: usize,
-    /// Bounded forming window in microseconds: a cache-missing query waits
-    /// at most this long for other clients' misses to fuse with before the
-    /// batch executes. `0` disables the window (every submission executes
-    /// immediately with whatever queued meanwhile) — single-client latency
-    /// is then optimal but cross-client fusion only happens under true
-    /// concurrency.
-    pub max_wait_us: u64,
 }
 
 /// Admission limit: the most submitted-but-unanswered queries a service
-/// holds before a submission waits for room.
+/// holds before a submission waits for room — and so the largest batch a
+/// run can drain.
 const ADMISSION_DEPTH: usize = 1024;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             cache_capacity: 1024,
-            max_batch: 64,
-            max_wait_us: 200,
         }
     }
 }
@@ -166,8 +153,8 @@ pub struct GenerationStats {
     pub reclaimed: u64,
 }
 
-/// The state shared between client threads and the batch-forming
-/// scheduler thread.
+/// The state shared by the service and its pending tickets: whichever
+/// client leads a fused run reads it.
 pub(crate) struct Core {
     pub(crate) generations: GenerationChain,
     pub(crate) cache: QueryCache,
@@ -210,21 +197,29 @@ pub struct QueryTicket {
 enum TicketInner {
     /// Answered from the cache at submission time.
     Ready(CachedPairs),
-    /// Queued for fused execution; slot 0 of a single-entry group.
-    Pending(Arc<Waiter>),
+    /// Queued for fused execution; slot 0 of a single-entry group. The
+    /// core lets the ticket lead the run that answers it, also after its
+    /// service was dropped.
+    Pending {
+        core: Arc<Core>,
+        waiter: Arc<Waiter>,
+    },
 }
 
 impl std::fmt::Debug for TicketInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TicketInner::Ready(_) => f.write_str("Ready"),
-            TicketInner::Pending(_) => f.write_str("Pending"),
+            TicketInner::Pending { .. } => f.write_str("Pending"),
         }
     }
 }
 
 impl QueryTicket {
-    /// Blocks until the query is answered.
+    /// Blocks until the query is answered. If no client is leading a fused
+    /// run while this query waits in the queue, this call leads one: it
+    /// waits out the forming window for company, then executes every
+    /// queued miss.
     ///
     /// # Errors
     /// [`ServiceError::Transport`] when the fused execution containing
@@ -233,8 +228,8 @@ impl QueryTicket {
     pub fn wait(self) -> Result<CachedPairs, ServiceError> {
         match self.inner {
             TicketInner::Ready(value) => Ok(value),
-            TicketInner::Pending(waiter) => {
-                let mut answers = waiter.wait()?;
+            TicketInner::Pending { core, waiter } => {
+                let mut answers = batcher::wait(&core, &waiter, true)?;
                 Ok(answers.pop().expect("single-slot group"))
             }
         }
@@ -328,11 +323,12 @@ impl Drop for SnapshotRef<'_> {
 /// concurrently. Queries flow through a **batch former**: cache hits are
 /// answered directly
 /// from the result cache, while cache misses from *all* clients
-/// are fused by a dedicated scheduler thread into shared
-/// scatter/exchange/gather runs — 3 communication rounds per formed batch
-/// instead of 3 per query. Per-slave work runs on the process-wide
-/// persistent [`SlavePool`](dsr_cluster::SlavePool), so concurrent batches
-/// interleave at slave-task granularity instead of spawning threads.
+/// are fused into shared scatter/exchange/gather runs, each led by one of
+/// the clients waiting on it — 3 communication rounds per formed batch
+/// instead of 3 per query. The service starts no thread of its own:
+/// per-slave work runs on the process-wide persistent
+/// [`SlavePool`](dsr_cluster::SlavePool), so concurrent batches interleave
+/// at slave-task granularity instead of spawning threads.
 ///
 /// # Snapshots, caching and updates
 ///
@@ -357,8 +353,6 @@ impl Drop for SnapshotRef<'_> {
 /// [`QueryOptions`] gives per-query control (cache bypass, explicit
 /// generation pinning) over the read side.
 pub struct QueryService {
-    // Declared before `core` so Drop joins the scheduler thread first.
-    batcher: Batcher,
     core: Arc<Core>,
     /// Aggregate refresh-exchange cost of every update batch applied
     /// through this service (rounds/messages/bytes of shipped deltas).
@@ -406,15 +400,7 @@ impl QueryService {
             comm: CommStats::new(),
             batch: BatchStats::new(),
         });
-        let batcher = Batcher::spawn(
-            Arc::clone(&core),
-            BatcherConfig {
-                max_batch: config.max_batch.max(1),
-                max_wait: Duration::from_micros(config.max_wait_us),
-            },
-        );
         QueryService {
-            batcher,
             core,
             updates_comm: CommStats::new(),
         }
@@ -489,10 +475,10 @@ impl QueryService {
     /// cache bypass and/or an explicit generation pin.
     ///
     /// Submitting without immediately waiting is how a single client
-    /// presents concurrent work: submit several queries, then
-    /// [`flush`](QueryService::flush) and wait on the tickets — the misses
-    /// fuse into one protocol run exactly like misses from distinct
-    /// threads.
+    /// presents concurrent work: submit several queries, then wait on the
+    /// tickets — the first wait leads one run over every queued miss, so
+    /// they fuse exactly like misses from distinct threads. A ticket that
+    /// is never waited on is answered by the next run another client leads.
     ///
     /// # Errors
     /// [`ServiceError::GenerationReclaimed`] when `options.pin` names a
@@ -552,30 +538,27 @@ impl QueryService {
         self.enqueue(generation, key, cache)
     }
 
-    /// Takes admission for one query, blocking for room, and hands its
-    /// entry, pinned to `generation`, to the batch former.
+    /// Queues one query's entry, pinned to `generation`, in the batch
+    /// former, blocking for admission.
     fn enqueue(&self, generation: Arc<Generation>, key: SigKey, cache: bool) -> QueryTicket {
-        self.core.admission.acquire(1);
         let waiter = Waiter::new(1);
-        self.batcher.submit(vec![Entry {
-            key,
-            generation,
-            cache,
-            waiter: Arc::clone(&waiter),
-            slot: 0,
-            enqueued: Instant::now(),
-        }]);
+        batcher::submit(
+            &self.core,
+            vec![Entry {
+                key,
+                generation,
+                cache,
+                waiter: Arc::clone(&waiter),
+                slot: 0,
+                enqueued: Instant::now(),
+            }],
+        );
         QueryTicket {
-            inner: TicketInner::Pending(waiter),
+            inner: TicketInner::Pending {
+                core: Arc::clone(&self.core),
+                waiter,
+            },
         }
-    }
-
-    /// Asks the batch former to execute whatever is pending right now
-    /// instead of waiting out the forming window — pair with
-    /// [`submit_with`](QueryService::submit_with) when the caller knows no
-    /// more work is coming.
-    pub fn flush(&self) {
-        self.batcher.flush();
     }
 
     /// The convenience over [`query_with`](QueryService::query_with) with
@@ -614,13 +597,13 @@ impl QueryService {
     /// scatter/exchange/gather sequence for all cache misses, against the
     /// latest generation.
     ///
-    /// The batch is probed against the cache; the misses are submitted to
-    /// the batch former as one indivisible group and flushed, so a lone
-    /// caller still pays exactly one fused 3-round execution — and under
-    /// concurrency the group shares its rounds with other clients' misses
-    /// that queued in the same window. Identical signatures within the
-    /// batch are deduplicated so each distinct miss is executed exactly
-    /// once.
+    /// The batch is probed against the cache; the misses are queued in
+    /// the batch former as one indivisible group, and a run this call leads
+    /// skips the forming window, so a lone caller still pays exactly one
+    /// fused 3-round execution — and under concurrency the group shares its
+    /// rounds with other clients' misses queued beside it. Identical
+    /// signatures within the batch are deduplicated so each distinct miss
+    /// is executed exactly once.
     ///
     /// # Errors
     /// [`ServiceError::Transport`] when the fused execution fails (over the
@@ -633,7 +616,8 @@ impl QueryService {
     }
 
     /// The one batched path: probe `generation`'s namespace, submit the
-    /// misses as one indivisible generation-pinned group, flush, wait.
+    /// misses as one indivisible generation-pinned group, wait without a
+    /// forming window.
     fn query_batch_pinned(
         &self,
         generation: Arc<Generation>,
@@ -657,10 +641,10 @@ impl QueryService {
         }
 
         if !miss_keys.is_empty() {
-            self.core.admission.acquire(miss_keys.len());
             let waiter = Waiter::new(miss_keys.len());
             let enqueued = Instant::now();
-            self.batcher.submit(
+            batcher::submit(
+                &self.core,
                 miss_keys
                     .into_iter()
                     .enumerate()
@@ -679,8 +663,7 @@ impl QueryService {
             drop(generation);
             // The caller already presented the whole batch: nothing is
             // gained by waiting out the forming window.
-            self.batcher.flush();
-            let answers = waiter.wait()?;
+            let answers = batcher::wait(&self.core, &waiter, false)?;
             for (qi, value) in miss_slots.into_iter().zip(answers) {
                 results[qi] = Some(value);
             }
@@ -796,7 +779,7 @@ mod tests {
     use dsr_reach::LocalIndexKind;
 
     /// Whether the submission was answered from the cache without touching
-    /// the scheduler (waiting on it will not block).
+    /// the batch former (waiting on it will not block).
     fn is_ready(ticket: &QueryTicket) -> bool {
         matches!(ticket.inner, TicketInner::Ready(_))
     }
@@ -915,7 +898,7 @@ mod tests {
         let submit = |i| service.submit_with(&[i], &[5], QueryOptions::default());
         let tickets: Vec<QueryTicket> = (0..4).map(|i| submit(i).expect("latest")).collect();
         assert!(!is_ready(&tickets[0]), "cold queries queue");
-        service.flush();
+        // The first wait leads one run over all four queued misses.
         for (i, ticket) in tickets.into_iter().enumerate() {
             let pairs = ticket.wait().expect("in-process transport");
             assert_eq!(*pairs, vec![(i as VertexId, 5)]);
@@ -1232,6 +1215,42 @@ mod tests {
             .expect("the unpinned probe must hold in every schedule");
     }
 
+    /// A `SnapshotRef` dropped on one thread while the main thread installs
+    /// the generation that supersedes the pinned one: the drop releases its
+    /// pin before it reaps, so one of the two reaps reclaims the old
+    /// generation in every schedule and a final reap finds nothing. A drop
+    /// that reaps before releasing leaves it retained (the "Pin drop" row
+    /// of `ci/mutation_checks.sh`).
+    #[test]
+    fn model_dropped_pin_is_reclaimed_racing_an_install() {
+        use crate::snapshot::one_partition_index;
+        dsr_sync::model::Model::new()
+            .check(|| {
+                let service = Arc::new(QueryService::new(one_partition_index(1)));
+                let pin = service.core.generations.latest();
+                let reader = {
+                    let service = Arc::clone(&service);
+                    dsr_sync::thread::spawn(move || {
+                        drop(SnapshotRef {
+                            service: &service,
+                            generation: Some(pin),
+                        })
+                    })
+                };
+                service.install_index(one_partition_index(1));
+                reader.join().unwrap();
+                assert!(
+                    service.core.generations.reap().is_empty(),
+                    "a dropped pin left its generation unreclaimed"
+                );
+                let stats = service.generation_stats();
+                assert_eq!(stats.retained, 1);
+                assert_eq!(stats.created, stats.reclaimed + 1);
+                assert_eq!(service.core.cache.live_namespaces(), [stats.latest]);
+            })
+            .expect("a dropped pin must be reclaimed in every schedule");
+    }
+
     #[test]
     fn update_coalesces_and_records_stats() {
         let service = chain_service();
@@ -1299,10 +1318,7 @@ mod tests {
         let p = Partitioning::new(vec![0, 0, 1], 2);
         let service = QueryService::with_config(
             Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
-            ServiceConfig {
-                cache_capacity: 8,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig { cache_capacity: 8 },
         );
         let bypass = QueryOptions {
             cache: false,
@@ -1354,10 +1370,7 @@ mod tests {
         let p = Partitioning::new(vec![0, 0, 1, 1], 2);
         let service = QueryService::with_config(
             Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
-            ServiceConfig {
-                cache_capacity: 1,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig { cache_capacity: 1 },
         );
         service.query(&[0], &[3]);
         service.query(&[1], &[3]);

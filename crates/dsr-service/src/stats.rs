@@ -108,11 +108,11 @@ impl CacheStats {
 /// The service fuses cache-missing queries from all concurrent clients into shared protocol rounds; these counters surface
 /// how well that fusion works:
 ///
-/// * a **formed batch** is one drain of the submission queue (window
-///   elapsed, size cap reached, or explicit flush) — its size is recorded
-///   in a power-of-two histogram ([`BatchStats::histogram`]);
-/// * **queued wait** is the time a query spent in the submission queue
-///   before its batch formed (mean/max in microseconds);
+/// * a **formed batch** is one leader's drain of the whole submission
+///   queue (after the forming window, for a lone miss) — its size is
+///   recorded in a power-of-two histogram ([`BatchStats::histogram`]);
+/// * **queued wait** is the time from a query's submission to its batch
+///   forming (mean/max in microseconds);
 /// * the **fusion ratio** ([`BatchStats::fusion_ratio`]) is queries per
 ///   communication round — the direct measure of the cross-client
 ///   multiplier (un-fused serving pays `1/3` query per round; a perfectly
@@ -165,7 +165,7 @@ impl BatchStats {
         self.rounds.fetch_add(rounds, Ordering::Relaxed);
     }
 
-    /// Records a query resolved by the scheduler's cache re-probe (a
+    /// Records a query resolved by the leader's cache re-probe (a
     /// concurrent execution answered it while it sat in the queue).
     pub fn record_late_hit(&self) {
         self.late_hits.fetch_add(1, Ordering::Relaxed);
@@ -186,7 +186,7 @@ impl BatchStats {
         self.executed.load(Ordering::Relaxed)
     }
 
-    /// Number of queries resolved by the scheduler's cache re-probe.
+    /// Number of queries resolved by the leader's cache re-probe.
     pub fn late_hits(&self) -> u64 {
         self.late_hits.load(Ordering::Relaxed)
     }

@@ -30,7 +30,7 @@
 //! thread unblocks a parked model thread it does so through the object's
 //! registered waker ([`ExecShared::wake_object`]). When no model thread is
 //! runnable the scheduler polls briefly for such external progress before
-//! firing timeouts or declaring a deadlock. Purely-model executions stay
+//! declaring a deadlock. Purely-model executions stay
 //! fully deterministic; hybrid ones remain correct but the DFS may observe
 //! divergent schedules (it clamps and keeps exploring).
 //!
@@ -53,8 +53,6 @@ use crate::model::{ModelFailure, ModelReport};
 
 /// Sentinel for "no thread holds the token" (someone must be elected).
 const NO_ACTIVE: usize = usize::MAX;
-/// Idle milliseconds of real time before a timed wait is allowed to fire.
-const GRACE_MS: u64 = 3;
 /// Idle milliseconds of real time before declaring a model deadlock.
 const DEADLOCK_MS: u64 = 1000;
 /// Milliseconds to keep pumping teardown after a failure before giving up.
@@ -199,7 +197,7 @@ impl Mode {
 #[derive(Debug, Clone, PartialEq)]
 enum Status {
     Runnable,
-    Blocked { obj: u64, timeoutable: bool },
+    Blocked { obj: u64 },
     Finished,
 }
 
@@ -208,7 +206,6 @@ struct ThreadState {
     status: Status,
     clock: VClock,
     name: String,
-    timed_out: bool,
 }
 
 pub(crate) struct ExecState {
@@ -257,7 +254,7 @@ impl ExecState {
     /// Mark every model thread blocked on `obj` runnable.
     pub(crate) fn wake(&mut self, obj: u64) {
         for t in &mut self.threads {
-            if matches!(t.status, Status::Blocked { obj: o, .. } if o == obj) {
+            if t.status == (Status::Blocked { obj }) {
                 t.status = Status::Runnable;
             }
         }
@@ -318,9 +315,6 @@ pub(crate) enum Attempt<R> {
     Block { obj: u64 },
 }
 
-/// Marker: a timed operation gave up because nothing else could run.
-pub(crate) struct TimedOut;
-
 /// Panic payload used to tear down model threads after a failure.
 pub(crate) struct ModelAbort;
 
@@ -352,9 +346,8 @@ impl ExecShared {
         &self,
         tid: usize,
         label: &str,
-        timeoutable: bool,
         mut attempt: impl FnMut(&mut ExecState) -> Attempt<R>,
-    ) -> Result<R, TimedOut> {
+    ) -> R {
         let mut st = self.st();
         self.abort_if_failed(&st);
         st.steps += 1;
@@ -372,19 +365,13 @@ impl ExecShared {
                 Attempt::Done(r) => {
                     self.abort_if_failed(&st);
                     self.cv.notify_all();
-                    return Ok(r);
+                    return r;
                 }
                 Attempt::Block { obj } => {
-                    st.threads[tid].status = Status::Blocked { obj, timeoutable };
-                    st.threads[tid].timed_out = false;
+                    st.threads[tid].status = Status::Blocked { obj };
                     st.active = NO_ACTIVE;
                     self.cv.notify_all();
                     st = self.wait_active(st, tid);
-                    if st.threads[tid].timed_out {
-                        st.threads[tid].timed_out = false;
-                        self.cv.notify_all();
-                        return Err(TimedOut);
-                    }
                 }
             }
         }
@@ -392,7 +379,7 @@ impl ExecShared {
 
     /// A pure scheduling point (no state change): lets other threads run.
     pub(crate) fn schedule_point(&self, tid: usize, label: &str) {
-        let _ = self.op(tid, label, false, |_| Attempt::<()>::Done(()));
+        self.op(tid, label, |_| Attempt::Done(()));
     }
 
     /// The branch point: possibly hand the token to another runnable thread.
@@ -415,7 +402,7 @@ impl ExecShared {
     }
 
     /// Park until this thread is runnable and holds the token. Performs
-    /// elections, timeout firing and deadlock detection while parked.
+    /// elections and deadlock detection while parked.
     fn wait_active<'a>(&'a self, mut st: Guard<'a>, tid: usize) -> Guard<'a> {
         let mut idle_ms: u64 = 0;
         loop {
@@ -437,17 +424,7 @@ impl ExecShared {
                     continue;
                 }
                 // No model thread can run. Give external (non-model)
-                // threads a moment, then fire a timed wait, then deadlock.
-                if idle_ms >= GRACE_MS {
-                    if let Some(t) = lowest_timeoutable(&st) {
-                        st.threads[t].status = Status::Runnable;
-                        st.threads[t].timed_out = true;
-                        st.active = t;
-                        self.cv.notify_all();
-                        idle_ms = 0;
-                        continue;
-                    }
-                }
+                // threads a moment, then declare a deadlock.
                 if idle_ms >= DEADLOCK_MS && lowest_blocked(&st) == Some(tid) {
                     let detail = blocked_summary(&st);
                     st.fail(format!(
@@ -487,7 +464,6 @@ impl ExecShared {
             status: Status::Runnable,
             clock,
             name: name.unwrap_or_else(|| format!("thread-{tid}")),
-            timed_out: false,
         });
         st.note(parent, &format!("spawn t{tid}"));
         tid
@@ -546,25 +522,13 @@ impl ExecShared {
                     st.active = runnable[idx];
                     self.cv.notify_all();
                     idle_ms = 0;
-                } else if st.failure.is_none() {
-                    if idle_ms >= GRACE_MS {
-                        if let Some(t) = lowest_timeoutable(&st) {
-                            st.threads[t].status = Status::Runnable;
-                            st.threads[t].timed_out = true;
-                            st.active = t;
-                            self.cv.notify_all();
-                            idle_ms = 0;
-                            continue;
-                        }
-                    }
-                    if idle_ms >= DEADLOCK_MS {
-                        let detail = blocked_summary(&st);
-                        st.fail(format!(
-                            "deadlock after main returned: model threads still blocked ({detail})"
-                        ));
-                        self.cv.notify_all();
-                        continue;
-                    }
+                } else if st.failure.is_none() && idle_ms >= DEADLOCK_MS {
+                    let detail = blocked_summary(&st);
+                    st.fail(format!(
+                        "deadlock after main returned: model threads still blocked ({detail})"
+                    ));
+                    self.cv.notify_all();
+                    continue;
                 }
             }
             let (g, to) = self
@@ -583,19 +547,6 @@ impl ExecShared {
     }
 }
 
-fn lowest_timeoutable(st: &ExecState) -> Option<usize> {
-    st.threads.iter().enumerate().find_map(|(i, t)| {
-        matches!(
-            t.status,
-            Status::Blocked {
-                timeoutable: true,
-                ..
-            }
-        )
-        .then_some(i)
-    })
-}
-
 fn lowest_blocked(st: &ExecState) -> Option<usize> {
     st.threads
         .iter()
@@ -609,7 +560,7 @@ fn blocked_summary(st: &ExecState) -> String {
         .iter()
         .enumerate()
         .filter_map(|(i, t)| match t.status {
-            Status::Blocked { obj, .. } => Some(format!("t{i}({}) on obj {obj}", t.name)),
+            Status::Blocked { obj } => Some(format!("t{i}({}) on obj {obj}", t.name)),
             _ => None,
         })
         .collect();
@@ -727,7 +678,6 @@ pub(crate) fn run(
                 status: Status::Runnable,
                 clock: VClock::default(),
                 name: "main".to_string(),
-                timed_out: false,
             }],
             active: 0,
             mode,

@@ -81,26 +81,22 @@ impl<T> Mutex<T> {
         if let Some(c) = ctx() {
             let obj = self.core.id();
             let exec = Arc::clone(&c.exec);
-            let got = c.exec.op(c.tid, "mutex lock", false, |st| {
-                match self.inner.try_lock() {
-                    Ok(g) => {
-                        st.hb_acquire(c.tid, obj);
-                        Attempt::Done((g, false))
-                    }
-                    Err(std::sync::TryLockError::WouldBlock) => {
-                        self.core.register(&exec);
-                        Attempt::Block { obj }
-                    }
-                    Err(std::sync::TryLockError::Poisoned(e)) => {
-                        st.hb_acquire(c.tid, obj);
-                        Attempt::Done((e.into_inner(), true))
-                    }
-                }
-            });
-            let (inner, poisoned) = match got {
-                Ok(v) => v,
-                Err(_) => unreachable!("mutex lock is not timeoutable"),
-            };
+            let (inner, poisoned) =
+                c.exec
+                    .op(c.tid, "mutex lock", |st| match self.inner.try_lock() {
+                        Ok(g) => {
+                            st.hb_acquire(c.tid, obj);
+                            Attempt::Done((g, false))
+                        }
+                        Err(std::sync::TryLockError::WouldBlock) => {
+                            self.core.register(&exec);
+                            Attempt::Block { obj }
+                        }
+                        Err(std::sync::TryLockError::Poisoned(e)) => {
+                            st.hb_acquire(c.tid, obj);
+                            Attempt::Done((e.into_inner(), true))
+                        }
+                    });
             let guard = MutexGuard {
                 inner: Some(inner),
                 lock: self,
@@ -247,8 +243,8 @@ impl Condvar {
                 let mutex_obj = lock.core.id();
                 let exec = Arc::clone(&c.exec);
                 let mut held: Option<StdMutexGuard<'a, T>> = Some(inner);
-                // Not timeoutable: the wait ends only when notified.
-                let _ = c.exec.op(c.tid, "condvar wait", false, |st| {
+                // The wait ends only when notified.
+                c.exec.op(c.tid, "condvar wait", |st| {
                     if let Some(g) = held.take() {
                         // First attempt: release the mutex and park.
                         st.hb_release(c.tid, mutex_obj);
@@ -293,7 +289,7 @@ impl Condvar {
         if let Some(c) = ctx() {
             let obj = self.core.id();
             let label = if all { "notify_all" } else { "notify_one" };
-            let _ = c.exec.op(c.tid, label, false, |st| {
+            c.exec.op(c.tid, label, |st| {
                 st.hb_release(c.tid, obj);
                 // Conservatively wake every parked model waiter; spurious
                 // wakeups are within the condvar contract.
@@ -343,15 +339,11 @@ macro_rules! instrumented_atomic {
                     (Ordering::Relaxed, _) | (_, None) => f(),
                     (_, Some(c)) => {
                         let obj = self.core.id();
-                        let r = c.exec.op(c.tid, label, false, |st| {
+                        c.exec.op(c.tid, label, |st| {
                             st.hb_acquire(c.tid, obj);
                             st.hb_release(c.tid, obj);
                             Attempt::Done(f())
-                        });
-                        match r {
-                            Ok(v) => v,
-                            Err(_) => unreachable!("atomic ops are not timeoutable"),
-                        }
+                        })
                     }
                 }
             }
@@ -410,7 +402,7 @@ instrumented_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
 
 pub mod mpsc {
     use super::*;
-    use std_mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
+    use std_mpsc::{RecvError, SendError, TryRecvError};
 
     pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
         let (tx, rx) = std_mpsc::channel();
@@ -448,16 +440,12 @@ pub mod mpsc {
             if let Some(c) = ctx() {
                 let obj = self.core.id();
                 let mut payload = Some(t);
-                let r = c.exec.op(c.tid, "channel send", false, |st| {
+                c.exec.op(c.tid, "channel send", |st| {
                     st.hb_release(c.tid, obj);
                     let r = self.tx().send(payload.take().expect("send retried"));
                     st.wake(obj);
                     Attempt::Done(r)
-                });
-                match r {
-                    Ok(v) => v,
-                    Err(_) => unreachable!("send is not timeoutable"),
-                }
+                })
             } else {
                 let r = self.tx().send(t);
                 self.core.wake();
@@ -482,64 +470,24 @@ pub mod mpsc {
     }
 
     impl<T> Receiver<T> {
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            if let Some(c) = ctx() {
-                let obj = self.core.id();
-                let r = c.exec.op(c.tid, "channel try_recv", false, |st| {
-                    let r = self.inner.try_recv();
-                    if r.is_ok() {
-                        st.hb_acquire(c.tid, obj);
-                    }
-                    Attempt::Done(r)
-                });
-                match r {
-                    Ok(v) => v,
-                    Err(_) => unreachable!("try_recv is not timeoutable"),
-                }
-            } else {
-                self.inner.try_recv()
-            }
-        }
-
         pub fn recv(&self) -> Result<T, RecvError> {
-            match self.recv_model(false) {
-                Some(r) => r.map_err(|_| RecvError),
-                None => self.inner.recv(),
-            }
-        }
-
-        pub fn recv_timeout(&self, dur: Duration) -> Result<T, RecvTimeoutError> {
-            match self.recv_model(true) {
-                Some(r) => r,
-                None => self.inner.recv_timeout(dur),
-            }
-        }
-
-        /// Shared model-path implementation; `None` means "no model
-        /// context — caller should use the real blocking primitive".
-        fn recv_model(&self, timeoutable: bool) -> Option<Result<T, RecvTimeoutError>> {
-            let c = ctx()?;
+            let Some(c) = ctx() else {
+                return self.inner.recv();
+            };
             let obj = self.core.id();
             let exec = Arc::clone(&c.exec);
-            let r = c.exec.op(c.tid, "channel recv", timeoutable, |st| {
-                match self.inner.try_recv() {
+            c.exec
+                .op(c.tid, "channel recv", |st| match self.inner.try_recv() {
                     Ok(v) => {
                         st.hb_acquire(c.tid, obj);
                         Attempt::Done(Ok(v))
                     }
-                    Err(TryRecvError::Disconnected) => {
-                        Attempt::Done(Err(RecvTimeoutError::Disconnected))
-                    }
+                    Err(TryRecvError::Disconnected) => Attempt::Done(Err(RecvError)),
                     Err(TryRecvError::Empty) => {
                         self.core.register(&exec);
                         Attempt::Block { obj }
                     }
-                }
-            });
-            Some(match r {
-                Ok(v) => v,
-                Err(_timed_out) => Err(RecvTimeoutError::Timeout),
-            })
+                })
         }
     }
 }
@@ -563,7 +511,7 @@ pub mod thread {
             if let (Some((exec, child)), Some(c)) = (self.model.as_ref(), ctx()) {
                 debug_assert!(Arc::ptr_eq(exec, &c.exec));
                 let child = *child;
-                let r = c.exec.op(c.tid, "join", false, |st| {
+                c.exec.op(c.tid, "join", |st| {
                     if st.thread_finished(child) {
                         st.hb_acquire(c.tid, child as u64);
                         Attempt::Done(())
@@ -571,10 +519,6 @@ pub mod thread {
                         Attempt::Block { obj: child as u64 }
                     }
                 });
-                match r {
-                    Ok(()) => {}
-                    Err(_) => unreachable!("join is not timeoutable"),
-                }
             }
             self.inner.join()
         }
@@ -706,7 +650,7 @@ impl<T: Clone> RaceCell<T> {
     pub fn read(&self) -> T {
         match ctx() {
             Some(c) => {
-                let r = c.exec.op(c.tid, "racecell read", false, |st| {
+                c.exec.op(c.tid, "racecell read", |st| {
                     let mut inner = self.state.lock().unwrap_or_else(PoisonError::into_inner);
                     let clock = st.clock_of(c.tid);
                     if let Some((wtid, wname, wclock)) = &inner.last_write {
@@ -721,11 +665,7 @@ impl<T: Clone> RaceCell<T> {
                     let name = st.thread_name(c.tid);
                     inner.reads.push((c.tid, name, clock));
                     Attempt::Done(inner.value.clone())
-                });
-                match r {
-                    Ok(v) => v,
-                    Err(_) => unreachable!("racecell read is not timeoutable"),
-                }
+                })
             }
             None => {
                 let inner = self.state.lock().unwrap_or_else(PoisonError::into_inner);
@@ -738,7 +678,7 @@ impl<T: Clone> RaceCell<T> {
         match ctx() {
             Some(c) => {
                 let mut payload = Some(value);
-                let r = c.exec.op(c.tid, "racecell write", false, |st| {
+                c.exec.op(c.tid, "racecell write", |st| {
                     let mut inner = self.state.lock().unwrap_or_else(PoisonError::into_inner);
                     let clock = st.clock_of(c.tid);
                     if let Some((wtid, wname, wclock)) = &inner.last_write {
@@ -765,10 +705,6 @@ impl<T: Clone> RaceCell<T> {
                     inner.reads.clear();
                     Attempt::Done(())
                 });
-                match r {
-                    Ok(()) => {}
-                    Err(_) => unreachable!("racecell write is not timeoutable"),
-                }
             }
             None => {
                 let mut inner = self.state.lock().unwrap_or_else(PoisonError::into_inner);

@@ -35,8 +35,8 @@
 //! use [`lock`] and [`wait`] rather than `.lock().unwrap()`. Rationale: a
 //! poisoned lock only means *some thread panicked while holding it*. Every
 //! place that matters already propagates that panic explicitly — the
-//! `SlavePool` rethrows worker panics to the caller, and the batcher's
-//! `Drop` rethrows its scheduler thread's panic —
+//! `SlavePool` rethrows worker panics to the caller, and a fused run that
+//! panics fails its waiters with a typed error —
 //! so the poison flag carries no extra information, while unwrapping it in
 //! `Drop`/teardown paths converts one panic into a double-panic abort. The
 //! protected data is kept consistent by the panicking code's own unwind
@@ -104,7 +104,7 @@ pub mod atomic {
 #[cfg(dsr_model)]
 pub mod mpsc {
     pub use crate::instrumented::mpsc::{channel, Receiver, Sender};
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
+    pub use std::sync::mpsc::{RecvError, SendError};
 }
 
 #[cfg(dsr_model)]

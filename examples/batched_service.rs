@@ -55,17 +55,14 @@ fn main() {
         .map(|q| SetQuery::new(q.sources.clone(), q.targets.clone()))
         .collect();
 
-    // 3. Serve from 32 closed-loop clients over the in-process backend; the
-    //    forming window and batch cap keep their defaults.
-    let config = ServiceConfig::default();
+    // 3. Serve from 32 closed-loop clients over the in-process backend.
     let transport = DynTransport::InProcess;
-    println!(
-        "transport: {}, forming window: {} us, batch cap: {}",
-        transport.name(),
-        config.max_wait_us,
-        config.max_batch
+    println!("transport: {}", transport.name());
+    let service = QueryService::with_config_and_transport(
+        Arc::clone(&index),
+        ServiceConfig::default(),
+        transport,
     );
-    let service = QueryService::with_config_and_transport(Arc::clone(&index), config, transport);
     let start = Instant::now();
     dsr_sync::thread::scope(|scope| {
         for client in 0..CLIENTS {

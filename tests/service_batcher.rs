@@ -3,7 +3,10 @@
 //! differential update batches land between query phases, every answer
 //! checked against a transitive-closure oracle of the *current* graph. It
 //! runs on each backend of [`dsr::testing::backends`]; that completed runs
-//! return their admission is checked by the batcher's model tests.
+//! return their admission is checked by the batcher's model tests. The
+//! batch former runs on the clients that wait on it, so two more tests
+//! check the tickets no client is waiting on yet: more of them than the
+//! admission depth, and one waited on after its service was dropped.
 
 use dsr_sync::Arc;
 
@@ -14,7 +17,7 @@ use dsr_datagen::erdos_renyi;
 use dsr_graph::{DiGraph, TransitiveClosure};
 use dsr_partition::{MultilevelPartitioner, Partitioner};
 use dsr_reach::LocalIndexKind;
-use dsr_service::{QueryService, ServiceConfig, UpdateMode};
+use dsr_service::{QueryOptions, QueryService, QueryTicket, ServiceConfig, UpdateMode};
 
 const CLIENTS: usize = 64;
 const PHASES: usize = 4;
@@ -114,7 +117,7 @@ fn sixty_four_clients_on(transport: DynTransport) {
             .collect();
         service
             .update(&fresh, UpdateMode::Auto)
-            .expect("auto forks if the scheduler briefly pins");
+            .expect("auto forks if a fused run briefly pins");
     }
 
     let total_queries = (PHASES * CLIENTS * QUERIES_PER_CLIENT) as u64;
@@ -128,7 +131,7 @@ fn sixty_four_clients_on(transport: DynTransport) {
         3 * total_queries
     );
     let stats = service.batch_stats();
-    assert!(stats.batches() > 0, "scheduler must have formed batches");
+    assert!(stats.batches() > 0, "the clients must have formed batches");
     assert!(
         stats.mean_batch_size() >= 1.0,
         "formed batches carry at least one query"
@@ -137,4 +140,109 @@ fn sixty_four_clients_on(transport: DynTransport) {
         service.cache_stats().hits() > 0,
         "the hot head must produce cache hits"
     );
+}
+
+/// The admission depth of every `QueryService`.
+const ADMISSION_DEPTH: usize = 1024;
+
+/// A service over the chain `0 -> 1 -> … -> 15`, split into two partitions.
+fn chain_service(transport: DynTransport) -> QueryService {
+    let n = 16;
+    let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|v| (v, v + 1)).collect();
+    let graph = DiGraph::from_edges(n, &edges);
+    let partitioning = MultilevelPartitioner::default().partition(&graph, 2);
+    let index = Arc::new(DsrIndex::build(&graph, partitioning, LocalIndexKind::Dfs));
+    QueryService::with_config_and_transport(index, ServiceConfig::default(), transport)
+}
+
+/// `{s} ; {t}` on the chain: `s` reaches `t` iff `s <= t`.
+fn chain_answer(s: u32, t: u32) -> Vec<(u32, u32)> {
+    if s <= t {
+        vec![(s, t)]
+    } else {
+        Vec::new()
+    }
+}
+
+/// Runs `body` on a thread of its own and fails after `secs` seconds
+/// instead of hanging when a ticket is never answered.
+fn within(secs: u64, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = dsr_sync::mpsc::channel();
+    let worker = dsr_sync::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    // A panicking body drops `done` unsent; the join reports its panic.
+    let waited = finished.recv_timeout(std::time::Duration::from_secs(secs));
+    if let Err(dsr_sync::mpsc::RecvTimeoutError::Timeout) = waited {
+        panic!("tickets were left unanswered for {secs} s");
+    }
+    if let Err(panic) = worker.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+#[test]
+fn more_tickets_than_the_admission_depth_before_any_wait_all_complete() {
+    for transport in backends() {
+        within(120, move || {
+            let backend = transport.name();
+            let service = chain_service(transport);
+            // One client submits depth + 1 tickets before it waits on any:
+            // the last submission finds no room and leads the queued run
+            // itself, since no one else waits.
+            let pairs: Vec<(u32, u32)> = (0..ADMISSION_DEPTH as u32 + 1)
+                .map(|i| (i % 16, (i / 16) % 16))
+                .collect();
+            let tickets: Vec<QueryTicket> = pairs
+                .iter()
+                .map(|&(s, t)| {
+                    service
+                        .submit_with(
+                            &[s],
+                            &[t],
+                            QueryOptions {
+                                cache: false,
+                                pin: None,
+                            },
+                        )
+                        .expect("unpinned submissions are admitted")
+                })
+                .collect();
+            for (ticket, &(s, t)) in tickets.into_iter().zip(&pairs) {
+                let answer = ticket.wait().expect("the transport stays up");
+                assert_eq!(*answer, chain_answer(s, t), "{s} ; {t} on {backend}");
+            }
+            let stats = service.batch_stats();
+            assert_eq!(stats.queries(), pairs.len() as u64);
+            assert_eq!(
+                stats.batches(),
+                2,
+                "the blocked submission's run, then the last ticket's"
+            );
+        });
+    }
+}
+
+#[test]
+fn a_ticket_waited_on_after_its_service_dropped_is_answered() {
+    for transport in backends() {
+        within(60, move || {
+            let backend = transport.name();
+            let service = chain_service(transport);
+            let reaches = service
+                .submit_with(&[2], &[9], QueryOptions::default())
+                .expect("unpinned submissions are admitted");
+            let misses = service
+                .submit_with(&[9], &[2], QueryOptions::default())
+                .expect("unpinned submissions are admitted");
+            drop(service);
+            assert_eq!(
+                *reaches.wait().expect("in process"),
+                vec![(2, 9)],
+                "{backend}"
+            );
+            assert!(misses.wait().expect("in process").is_empty(), "{backend}");
+        });
+    }
 }

@@ -205,10 +205,7 @@ fn tiny_cache_evicts_but_stays_correct() {
     let oracle = TransitiveClosure::build(&g);
     let service = QueryService::with_config(
         Arc::new(DsrIndex::build(&g, p, LocalIndexKind::Dfs)),
-        ServiceConfig {
-            cache_capacity: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { cache_capacity: 2 },
     );
     for round in 0..3 {
         for s in 0..6u32 {
@@ -228,7 +225,7 @@ fn tiny_cache_evicts_but_stays_correct() {
 #[test]
 fn a_query_naming_a_vertex_the_graph_does_not_have_is_served_and_cached() {
     let service = Arc::new(disconnected_service());
-    // Asked from a thread of its own: a batch former that dies on the
+    // Asked from a thread of its own: a fused run that dies on the
     // foreign id leaves its waiter hanging, which must fail this test, not
     // stall it.
     let (reply, answered) = dsr_sync::mpsc::channel();
@@ -271,14 +268,14 @@ fn a_panicking_fused_run_fails_its_waiters_and_the_service_keeps_serving() {
     let service = Arc::new(disconnected_service());
     // An index whose parts disagree: two partitions, one compound graph.
     // Step 1 at slave 1 indexes past the end, and the engine re-throws
-    // that slave's panic on the batch former's thread.
+    // that slave's panic on the thread that leads the run.
     let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
     let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
     let mut broken = DsrIndex::build(&g, p.clone(), LocalIndexKind::Dfs);
     broken.compounds.pop();
     service.install_index(Arc::new(broken));
 
-    // Asked from a thread of its own: a former that dies with the run
+    // Asked from a thread of its own: a leader that dies with the run
     // leaves the waiter hanging, which must fail this test, not stall it.
     let (reply, answered) = dsr_sync::mpsc::channel();
     let client = Arc::clone(&service);
@@ -304,6 +301,5 @@ fn a_panicking_fused_run_fails_its_waiters_and_the_service_keeps_serving() {
         .query_with(&[1], &[2], QueryOptions::default())
         .expect("served");
     assert_eq!(*answer, vec![(1, 2)]);
-    // Dropping the service joins a scheduler that did not die.
     drop(Arc::into_inner(service).expect("the client thread has returned"));
 }
